@@ -19,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 build vet lint lint-json lint-fix test race bench bench-gate trace-demo fuzz
+.PHONY: verify tier1 build vet lint lint-json test race bench bench-gate trace-demo fuzz
 
 verify: build vet lint test race
 
@@ -39,14 +39,6 @@ lint:
 # redirects it to fpgavet.json and uploads it as an artifact.
 lint-json:
 	$(GO) run ./cmd/fpgavet -json ./...
-
-# lint-fix reports findings as clickable file:line locations; automated
-# rewriting is not implemented, so it always exits 0 and leaves the fixes
-# to the developer (or to `//fpgavet:allow` where a violation is intended).
-lint-fix:
-	@$(GO) run ./cmd/fpgavet ./... \
-		&& echo "fpgavet: nothing to fix" \
-		|| echo "fpgavet: automated fixes are not implemented — apply the findings above by hand or suppress with //fpgavet:allow <analyzer> <reason>"
 
 test:
 	$(GO) test ./...

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"fpgapart/internal/faults"
+	"fpgapart/internal/hashutil"
 	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partserver"
@@ -37,11 +41,6 @@ const HedgeAuto int64 = -1
 // hedgeMinSamples gates the HedgeAuto estimator until it has seen enough
 // completed responses to make p95 meaningful.
 const hedgeMinSamples = 8
-
-// hedgeLaneSalt separates the hedge lane's per-shard scheduler seeds from
-// the primary lane's, so a replica's hedge execution is an independent —
-// but still fully deterministic — draw.
-const hedgeLaneSalt uint64 = 0x68656467 // "hedg"
 
 // Request is one tenant request entering the cluster frontend: a routing
 // key, the tenant it bills to, and the partserver job to execute on
@@ -204,25 +203,27 @@ func (c *Config) Validate() (err error) {
 	return nil
 }
 
-// mix is splitmix64's finalizer, the shard-seed derivation hash.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // quotaKey is one tenant's admission window.
 type quotaKey struct {
 	tenant int
 	window int64
 }
 
-// routed is the router's per-request admission decision, in request order.
+// exec is one execution of a request on one shard scheduler — its primary,
+// or its replica hedge — as the router sees it.
+type exec struct {
+	shard int // -1: none (never admitted / not hedged)
+	job   int // id on the shard's scheduler, -1 until submitted
+	// ended marks the job terminal; doneUS, status and execUS are its
+	// outcome.
+	ended  bool
+	doneUS int64
+	status partserver.Status
+	execUS int64
+}
+
+// routed is the router's per-request state, in request order.
 type routed struct {
-	shard     int // -1: never admitted (all shards dead)
 	primary   int // ring owner before failover
 	admitUS   int64
 	throttled bool
@@ -230,19 +231,58 @@ type routed struct {
 	// wait imposed because the request's key had just moved owner.
 	epoch     int
 	handoffUS int64
-	// hedged/hedgeShard/hedgeIssueUS describe a replica hedge; hedgeWon marks
-	// the hedge lane finishing strictly first, hedgeDoneUS its completion.
-	hedged       bool
-	hedgeShard   int
+	// run is the request on its serving shard; hedge its replica hedge, issued
+	// at hedgeIssueUS. responded marks the first completed response.
+	run          exec
+	hedge        exec
 	hedgeIssueUS int64
-	hedgeWon     bool
-	hedgeDoneUS  int64
+	responded    bool
 }
 
-// runState is the working state of one cluster run, threaded through the
-// route → migrate → serve → hedge → gather phases. Every field is a pure
-// function of (requests, config, seed) by the time the phase that fills it
-// returns — the determinism argument is phase-local.
+// hedged reports whether a replica hedge was issued.
+func (d *routed) hedged() bool { return d.hedge.shard >= 0 }
+
+// hedgeWon reports whether the hedge finished strictly before the primary.
+// Final once the primary has ended.
+func (d *routed) hedgeWon() bool {
+	return d.hedge.ended && d.hedge.status == partserver.StatusDone && d.hedge.doneUS < d.run.doneUS
+}
+
+// timer is one pending router event: the admission of a request that may
+// have to wait for a drain or may be hedged, or a hedge deadline.
+type timer struct {
+	us    int64
+	hedge bool
+	idx   int
+}
+
+// timerHeap is a container/heap of timers ordered by time, admissions ahead
+// of hedge deadlines, then request index.
+type timerHeap []timer
+
+func (h timerHeap) Len() int      { return len(h) }
+func (h timerHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h timerHeap) Less(a, b int) bool {
+	if h[a].us != h[b].us {
+		return h[a].us < h[b].us
+	}
+	if h[a].hedge != h[b].hedge {
+		return !h[a].hedge
+	}
+	return h[a].idx < h[b].idx
+}
+func (h *timerHeap) Push(t any) { *h = append(*h, t.(timer)) }
+func (h *timerHeap) Pop() any {
+	last := len(*h) - 1
+	t := (*h)[last]
+	*h = (*h)[:last]
+	return t
+}
+
+// runState is the working state of one cluster run: the router, the shard
+// schedulers and the pending router timers, all advanced by the one event
+// loop in run. Every field is a pure function of (requests, config, seed)
+// and the events processed so far.
 type runState struct {
 	reqs []Request
 	cfg  Config
@@ -255,7 +295,6 @@ type runState struct {
 	// report can state a drained shard's cumulative load.
 	numShards int
 
-	inj      *faults.Injector
 	dieAfter []int // -1: never crashes
 	dead     []bool
 	crashUS  []int64
@@ -263,30 +302,28 @@ type runState struct {
 	// mapped onto the shard's FPGA instances); nil for healthy shards.
 	shardScen []*faults.Scenario
 
-	order     []int
+	order     []int // request indices in (ArrivalUS, index) order
 	decisions []routed
-	jobPos    []int // position within the shard's job list (-1: unrouted)
 	served    []int
-	shardJobs [][]partserver.Job // admission-time jobs (ArrivalUS = admit)
+	quota     map[quotaKey]int
+	timers    timerHeap
+	// shards[s] is shard s's scheduler, created at its first submission.
+	shards []*partserver.Scheduler
 
-	// barriers[j][o] is the handoff barrier of membership event j for old
-	// owner o: the virtual time o drains the work it had admitted for the
-	// ranges event j moved away. handoff[idx] is the per-request wait.
-	barriers [][]int64
-	handoff  []int64
+	// draining[j][o] counts the requests old owner o has admitted, and not
+	// yet finished, for the key ranges membership event j moves away from it;
+	// held[j][o] lists the post-event requests for those ranges waiting at
+	// the router for the count to reach zero — the observed drain.
+	draining [][]int
+	held     [][][]int
+	holding  int // requests in held, over all barriers
+
+	// samples is the HedgeAuto estimator's state: the router-observed
+	// latencies of the responses completed so far, ascending.
+	samples []int64
 
 	throttleDelayUS int64
-
-	shardReps []*partserver.Report
-	finDone   []int64
-	finStatus []partserver.Status
-
-	// Hedge lane: per-replica job lists, positions, reports, and the
-	// per-request lane result (nil when the request was not hedged).
-	laneJobs [][]partserver.Job
-	lanePos  []int
-	laneReps []*partserver.Report
-	laneRes  []*partserver.JobResult
+	results         []RequestResult
 
 	plumb *capturePlumbing
 }
@@ -302,10 +339,11 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 		rings:     rings,
 		events:    cfg.Schedule,
 		numShards: cfg.Schedule.maxMember(cfg.Shards) + 1,
+		quota:     make(map[quotaKey]int),
 	}
+	var inj *faults.Injector
 	if cfg.Faults != nil {
-		st.inj, err = faults.New(*cfg.Faults)
-		if err != nil {
+		if inj, err = faults.New(*cfg.Faults); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 	}
@@ -322,10 +360,10 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 	st.shardScen = make([]*faults.Scenario, st.numShards)
 	for s := 0; s < st.numShards; s++ {
 		st.dieAfter[s] = -1
-		if st.inj == nil || s >= cfg.Shards {
+		if inj == nil || s >= cfg.Shards {
 			continue
 		}
-		if f, ok := st.inj.CrashFraction(s); ok {
+		if f, ok := inj.CrashFraction(s); ok {
 			st.dieAfter[s] = int(f * float64(share))
 			if st.dieAfter[s] == 0 {
 				st.dead[s] = true
@@ -334,8 +372,8 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 		// A straggling shard straggles all of its FPGA instances: the
 		// cluster-level Straggler.Node names the shard, the shard-level
 		// scenario names the instances.
-		if f := st.inj.StraggleFactor(s); f > 1 {
-			scen := &faults.Scenario{Seed: mix(cfg.Seed ^ uint64(s+1))}
+		if f := inj.StraggleFactor(s); f > 1 {
+			scen := &faults.Scenario{Seed: hashutil.SplitMix64(cfg.Seed ^ uint64(s+1))}
 			for i := 0; i < cfg.ShardFPGAs; i++ {
 				scen.Stragglers = append(scen.Stragglers, faults.Straggler{Node: i, Factor: f})
 			}
@@ -349,306 +387,323 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 	for i := range st.order {
 		st.order[i] = i
 	}
-	for i := 1; i < len(st.order); i++ {
-		// Insertion sort keeps the tie-break (index order) explicit and
-		// allocation-free; request streams are admission-rate bounded.
-		for k := i; k > 0; k-- {
-			a, b := st.order[k-1], st.order[k]
-			if reqs[a].Job.ArrivalUS < reqs[b].Job.ArrivalUS ||
-				(reqs[a].Job.ArrivalUS == reqs[b].Job.ArrivalUS && a < b) {
-				break
-			}
-			st.order[k-1], st.order[k] = b, a
-		}
-	}
+	sort.SliceStable(st.order, func(a, b int) bool {
+		return reqs[st.order[a]].Job.ArrivalUS < reqs[st.order[b]].Job.ArrivalUS
+	})
 
 	st.decisions = make([]routed, len(reqs))
-	st.jobPos = make([]int, len(reqs))
+	st.results = make([]RequestResult, len(reqs))
 	st.served = make([]int, st.numShards)
-	st.shardJobs = make([][]partserver.Job, st.numShards)
-	st.handoff = make([]int64, len(reqs))
-	st.lanePos = make([]int, len(reqs))
-	st.laneRes = make([]*partserver.JobResult, len(reqs))
-	for i := range st.lanePos {
-		st.lanePos[i] = -1
+	st.shards = make([]*partserver.Scheduler, st.numShards)
+	st.draining = make([][]int, len(st.events))
+	st.held = make([][][]int, len(st.events))
+	for j := range st.events {
+		st.draining[j] = make([]int, st.numShards)
+		st.held[j] = make([][]int, st.numShards)
 	}
 	st.plumb = newCapturePlumbing(cfg.ReqTrace, st.numShards)
 	return st, nil
 }
 
-// route makes every admission decision in (ArrivalUS, index) order:
-// per-tenant quota deferral first (which fixes the admit time and thereby
-// the membership epoch), then crash bookkeeping, then ring lookup on the
-// epoch's ring with clockwise failover past dead shards.
-func (st *runState) route() {
-	for j := range st.events {
-		ev := &st.events[j]
+// close stops the workers of every shard scheduler the run started.
+func (st *runState) close() {
+	for _, sched := range st.shards {
+		if sched != nil {
+			sched.Close()
+		}
+	}
+}
+
+// noEvent is the loop's "nothing scheduled" time.
+const noEvent = int64(math.MaxInt64)
+
+// run is the cluster's event loop. A request's admission decision depends
+// on nothing but the decisions before it, so all of them are taken first, in
+// arrival order; each hands its job to a shard scheduler ahead of time (the
+// scheduler holds it until its admit time) or leaves an admission timer. The
+// loop then advances the earliest pending event of the whole stack — a
+// router timer or a shard scheduler's next step — until nothing is pending.
+// Events at the same virtual time are taken in a fixed order: admissions,
+// then shard steps by shard id, then hedge deadlines. So what the router
+// sends a shard for time t is in its queue before the shard processes t, and
+// a primary that completes at t is not hedged at t.
+func (st *runState) run() error {
+	for _, ev := range st.events {
 		kind := "shard_join"
 		if ev.Kind == Drain {
 			kind = "shard_drain"
 		}
 		st.plumb.record(ev.AtUS, kind, -1, int64(ev.Shard))
 	}
-
-	quota := make(map[quotaKey]int)
-	alive := func(s int) bool { return !st.dead[s] }
 	for _, idx := range st.order {
-		r := &st.reqs[idx]
-		d := routed{shard: -1, hedgeShard: -1}
-
-		// Per-tenant admission quota: defer over-quota requests to the next
-		// window until one has room. Deferral preserves the work (and thus
-		// checksum parity with the single-node reference); it only delays it.
-		admit := r.Job.ArrivalUS
-		if st.cfg.TenantQuota > 0 {
-			for {
-				w := admit / st.cfg.QuotaWindowUS
-				k := quotaKey{tenant: r.Tenant, window: w}
-				if quota[k] < st.cfg.TenantQuota {
-					quota[k]++
-					break
-				}
-				admit = (w + 1) * st.cfg.QuotaWindowUS
-				d.throttled = true
-			}
+		if err := st.arrive(idx); err != nil {
+			return err
 		}
-		if d.throttled {
-			st.throttleDelayUS += admit - r.Job.ArrivalUS
-			st.plumb.record(admit, "throttle", idx, admit-r.Job.ArrivalUS)
-		}
-		d.admitUS = admit
-		d.epoch = st.events.epochAt(admit)
-		ring := st.rings[d.epoch]
-		d.primary = ring.Shard(r.Key)
-
-		// Ring lookup with clockwise failover past fail-stopped shards.
-		shard, ok := ring.ShardSkipping(r.Key, alive)
-		st.jobPos[idx] = -1
-		if ok {
-			d.shard = shard
-			if shard != d.primary {
-				st.plumb.record(admit, "failover", idx, int64(shard))
-			}
-			job := r.Job
-			job.Tag = int64(idx)
-			job.ArrivalUS = admit
-			st.jobPos[idx] = len(st.shardJobs[shard])
-			st.shardJobs[shard] = append(st.shardJobs[shard], job)
-			st.served[shard]++
-			if st.dieAfter[shard] >= 0 && st.served[shard] >= st.dieAfter[shard] && !st.dead[shard] {
-				st.dead[shard] = true
-				st.crashUS[shard] = admit
-				st.plumb.record(admit, "shard_crash", -1, int64(shard))
-			}
-		} else {
-			st.plumb.record(admit, "unrouted", idx, int64(d.primary))
-		}
-		st.decisions[idx] = d
 	}
-}
-
-// migrate computes the handoff barriers of the membership schedule, one
-// event at a time in schedule order. For event j the barrier of old owner o
-// is the completion time of the last request o had admitted for the ranges
-// event j moved away — measured on a planning pass that replays the shards
-// with the barriers of events < j already applied, using the exact seeds of
-// the real serve pass. Requests admitted after the event whose key moved
-// then wait until their old owner's barrier before arriving at the new
-// owner ("plan-then-execute": the barrier is a pure function of stream,
-// config and seed, never of live queue state).
-func (st *runState) migrate() error {
-	if len(st.events) == 0 {
-		return nil
-	}
-	st.barriers = make([][]int64, len(st.events))
-	for j := range st.events {
-		st.barriers[j] = make([]int64, st.numShards)
-		reps, err := st.runShards(st.jobsWithHandoff(), nil, 0, "")
+	for {
+		timerUS, shardUS, due := noEvent, noEvent, -1
+		if len(st.timers) > 0 {
+			timerUS = st.timers[0].us
+		}
+		if st.cfg.HedgeUS == 0 && st.holding == 0 {
+			if err := st.advanceApart(timerUS); err != nil {
+				return err
+			}
+		}
+		for s, sched := range st.shards {
+			if sched == nil {
+				continue
+			}
+			if us, ok := sched.NextEventUS(); ok && us < shardUS {
+				shardUS, due = us, s
+			}
+		}
+		var err error
+		switch {
+		case timerUS == noEvent && shardUS == noEvent:
+			return nil
+		case timerUS <= shardUS && !st.timers[0].hedge:
+			err = st.admit(heap.Pop(&st.timers).(timer))
+		case shardUS <= timerUS:
+			err = st.step(due, shardUS)
+		default:
+			err = st.hedge(heap.Pop(&st.timers).(timer))
+		}
 		if err != nil {
-			return fmt.Errorf("cluster: planning membership event %d: %w", j, err)
-		}
-		refDone := make([]int64, len(st.reqs))
-		for s := range reps {
-			if reps[s] == nil {
-				continue
-			}
-			for k := range reps[s].Results {
-				jr := &reps[s].Results[k]
-				refDone[jr.Tag] = jr.DoneUS
-			}
-		}
-		oldRing, newRing := st.rings[j], st.rings[j+1]
-		// Barrier: drain point of each old owner's moved ranges.
-		for idx := range st.reqs {
-			d := &st.decisions[idx]
-			if d.shard < 0 || d.epoch > j {
-				continue
-			}
-			key := st.reqs[idx].Key
-			o := oldRing.Shard(key)
-			if d.shard != o || newRing.Shard(key) == o {
-				continue
-			}
-			if refDone[idx] > st.barriers[j][o] {
-				st.barriers[j][o] = refDone[idx]
-			}
-		}
-		// Handoff: post-event requests for moved keys wait out the barrier.
-		// A later event that moves the key again supersedes this one (its
-		// pass re-applies over these values).
-		for idx := range st.reqs {
-			d := &st.decisions[idx]
-			if d.shard < 0 || d.epoch <= j {
-				continue
-			}
-			key := st.reqs[idx].Key
-			o, n := oldRing.Shard(key), newRing.Shard(key)
-			if o == n || d.shard != n {
-				continue
-			}
-			w := st.barriers[j][o] - d.admitUS
-			if w < 0 {
-				w = 0
-			}
-			d.handoffUS = w
-			st.handoff[idx] = w
-			st.plumb.record(d.admitUS, "range_moved", idx, int64(n))
+			return err
 		}
 	}
-	return nil
 }
 
-// jobsWithHandoff returns the per-shard job lists with each migrating
-// request's shard arrival pushed to admit + handoff. Zero-handoff runs
-// return the admission-time lists unchanged (and uncopied).
-func (st *runState) jobsWithHandoff() [][]partserver.Job {
-	delayed := false
-	for idx := range st.handoff {
-		if st.handoff[idx] > 0 {
-			delayed = true
-			break
-		}
-	}
-	if !delayed {
-		return st.shardJobs
-	}
-	jobs := make([][]partserver.Job, st.numShards)
-	for s := range jobs {
-		jobs[s] = append([]partserver.Job(nil), st.shardJobs[s]...)
-	}
-	for idx := range st.handoff {
-		if st.handoff[idx] <= 0 {
-			continue
-		}
-		d := &st.decisions[idx]
-		jobs[d.shard][st.jobPos[idx]].ArrivalUS = d.admitUS + st.handoff[idx]
-	}
-	return jobs
-}
-
-// runShards runs one partserver deployment per non-empty shard, on real
-// concurrent goroutines, and harvests in shard-index order. salt separates
-// the seed streams of the serve and hedge lanes (0 is the primary lane);
-// lane prefixes the shards' causal-record components; rec supplies the
-// per-shard recorder (nil for unrecorded planning passes).
-func (st *runState) runShards(jobs [][]partserver.Job, rec func(int) *reqtrace.Recorder, salt uint64, lane string) ([]*partserver.Report, error) {
-	reps := make([]*partserver.Report, st.numShards)
-	errs := make([]error, st.numShards)
+// advanceApart steps every shard up to, not including, virtual time limit,
+// each on its own goroutine. It is called only while nothing ties the shards
+// to each other — no hedging, no request held behind a drain: a job that
+// ends then touches its own request and its own shard's drain counts and
+// nothing else, so the shards' events commute, the result is that of the
+// global order, and the host executes the shards' work in parallel instead
+// of one batch at a time.
+func (st *runState) advanceApart(limit int64) error {
+	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
-	for s := 0; s < st.numShards; s++ {
-		if len(jobs[s]) == 0 {
+	for s, sched := range st.shards {
+		if sched == nil {
 			continue
-		}
-		var r *reqtrace.Recorder
-		if rec != nil {
-			r = rec(s)
 		}
 		wg.Add(1)
-		go func(s int, r *reqtrace.Recorder) {
+		go func() {
 			defer wg.Done()
-			seed := mix(st.cfg.Seed ^ uint64(s+1) ^ salt)
-			if seed == 0 {
-				seed = 1
+			defer guardSimulator(&errs[s])
+			for errs[s] == nil {
+				us, ok := sched.NextEventUS()
+				if !ok || us >= limit {
+					return
+				}
+				errs[s] = st.step(s, us)
 			}
-			reps[s], errs[s] = partserver.Run(jobs[s], partserver.Config{
-				FPGAs:   st.cfg.ShardFPGAs,
-				Workers: st.cfg.ShardWorkers,
-				Seed:    seed,
-				Faults:  st.shardScen[s],
-				Lane:    lane,
-				Record:  r,
-			})
-		}(s, r)
+		}()
 	}
 	wg.Wait()
-	for s := 0; s < st.numShards; s++ {
-		if errs[s] != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, errs[s])
-		}
-	}
-	return reps, nil
+	return errors.Join(errs...)
 }
 
-// serve runs the primary lane — every admitted request on its owner, with
-// migration handoffs applied — and indexes the per-request completions.
-func (st *runState) serve() error {
-	reps, err := st.runShards(st.jobsWithHandoff(), st.plumb.shardRecorder, 0, "")
+// arrive makes request idx's admission decision: per-tenant quota deferral
+// first (which fixes the admit time and thereby the membership epoch), then
+// ring lookup on the epoch's ring with clockwise failover past dead shards,
+// then crash bookkeeping. A request nothing can hold back is handed to its
+// shard at once, to arrive there at its admit time; one that may be hedged,
+// or whose key a membership event moved to this owner, gets an admission
+// timer instead.
+func (st *runState) arrive(idx int) error {
+	r := &st.reqs[idx]
+	d := &st.decisions[idx]
+	d.run = exec{shard: -1, job: -1}
+	d.hedge = exec{shard: -1, job: -1}
+
+	// Per-tenant admission quota: defer over-quota requests to the next
+	// window until one has room. Deferral preserves the work (and thus
+	// checksum parity with the single-node reference); it only delays it.
+	admit := r.Job.ArrivalUS
+	if st.cfg.TenantQuota > 0 {
+		for {
+			w := admit / st.cfg.QuotaWindowUS
+			k := quotaKey{tenant: r.Tenant, window: w}
+			if st.quota[k] < st.cfg.TenantQuota {
+				st.quota[k]++
+				break
+			}
+			admit = (w + 1) * st.cfg.QuotaWindowUS
+			d.throttled = true
+		}
+	}
+	if d.throttled {
+		st.throttleDelayUS += admit - r.Job.ArrivalUS
+		st.plumb.record(admit, "throttle", idx, admit-r.Job.ArrivalUS)
+	}
+	d.admitUS = admit
+	d.epoch = st.events.epochAt(admit)
+	ring := st.rings[d.epoch]
+	d.primary = ring.Shard(r.Key)
+
+	shard, ok := ring.ShardSkipping(r.Key, func(s int) bool { return !st.dead[s] })
+	if !ok {
+		st.plumb.record(admit, "unrouted", idx, int64(d.primary))
+		return nil
+	}
+	d.run.shard = shard
+	if shard != d.primary {
+		st.plumb.record(admit, "failover", idx, int64(shard))
+	}
+	st.served[shard]++
+	if st.dieAfter[shard] >= 0 && st.served[shard] >= st.dieAfter[shard] && !st.dead[shard] {
+		st.dead[shard] = true
+		st.crashUS[shard] = admit
+		st.plumb.record(admit, "shard_crash", -1, int64(shard))
+	}
+	for j := d.epoch; j < len(st.events); j++ {
+		if st.leaves(idx, j) {
+			st.draining[j][shard]++
+		}
+	}
+
+	if j, _ := st.movedBy(idx); j < 0 && st.cfg.HedgeUS == 0 {
+		return st.submit(idx, admit)
+	}
+	heap.Push(&st.timers, timer{us: admit, idx: idx})
+	return nil
+}
+
+// leaves reports whether membership event j moves request idx's key away
+// from the shard serving it.
+func (st *runState) leaves(idx, j int) bool {
+	key, o := st.reqs[idx].Key, st.decisions[idx].run.shard
+	return st.rings[j].Shard(key) == o && st.rings[j+1].Shard(key) != o
+}
+
+// movedBy returns the membership event that handed request idx's key to the
+// shard serving it, and the old owner it came from: the latest event before
+// the request's admission epoch that moved the key there (a later move
+// supersedes an earlier one). j is -1 when the key did not move.
+func (st *runState) movedBy(idx int) (j, oldOwner int) {
+	d := &st.decisions[idx]
+	key := st.reqs[idx].Key
+	for j := d.epoch - 1; j >= 0; j-- {
+		if o, n := st.rings[j].Shard(key), st.rings[j+1].Shard(key); o != n && n == d.run.shard {
+			return j, o
+		}
+	}
+	return -1, -1
+}
+
+// admit is request idx's admission timer: the hedge deadline starts
+// counting, and the request goes to its shard — unless its key has just
+// moved there and the old owner has not yet drained the work it had admitted
+// for the moved range, in which case the request waits at the router for the
+// drain to be observed (drained releases it).
+func (st *runState) admit(t timer) error {
+	idx := t.idx
+	d := &st.decisions[idx]
+	if deadline, ok := st.hedgeDeadline(); ok {
+		heap.Push(&st.timers, timer{us: d.admitUS + deadline, hedge: true, idx: idx})
+	}
+	if j, o := st.movedBy(idx); j >= 0 {
+		st.plumb.record(d.admitUS, "range_moved", idx, int64(d.run.shard))
+		if st.draining[j][o] > 0 {
+			st.held[j][o] = append(st.held[j][o], idx)
+			st.holding++
+			return nil
+		}
+	}
+	return st.submit(idx, d.admitUS)
+}
+
+// hedgeDeadline returns the hedge deadline, in µs past admission, of a
+// request admitted now. Fixed mode returns HedgeUS; HedgeAuto the
+// nearest-rank p95 of the responses completed so far (ok is false until
+// hedgeMinSamples of them have). ok is false when hedging is off.
+func (st *runState) hedgeDeadline() (int64, bool) {
+	if st.cfg.HedgeUS != HedgeAuto {
+		return st.cfg.HedgeUS, st.cfg.HedgeUS > 0
+	}
+	if len(st.samples) < hedgeMinSamples {
+		return 0, false
+	}
+	p95 := reqtrace.NearestRank(st.samples, 95)
+	return p95, p95 > 0
+}
+
+// requestOf decodes a job Tag: a primary carries its request index, a hedge
+// the complement of it, so one scheduler serves both and the merge tells
+// them apart without a lookup.
+func requestOf(tag int64) (idx int, hedge bool) {
+	if tag < 0 {
+		return int(^tag), true
+	}
+	return int(tag), false
+}
+
+// send submits request idx's job, tagged tag, to e.shard's scheduler, to
+// arrive there at arrivalUS. The scheduler is started at its first job; the
+// cluster cannot say how many jobs a shard will get, and never passes
+// shard-level crashes, so the job total stays undeclared.
+func (st *runState) send(idx int, e *exec, tag, arrivalUS int64) (err error) {
+	sched := st.shards[e.shard]
+	if sched == nil {
+		sched, err = partserver.NewScheduler(partserver.Config{
+			FPGAs:   st.cfg.ShardFPGAs,
+			Workers: st.cfg.ShardWorkers,
+			Seed:    hashutil.SplitMix64(st.cfg.Seed ^ uint64(e.shard+1)),
+			Faults:  st.shardScen[e.shard],
+			Record:  st.plumb.shardRecorder(e.shard),
+		}, partserver.UnknownTotal)
+		st.shards[e.shard] = sched
+	}
+	if err == nil {
+		job := st.reqs[idx].Job
+		job.Tag = tag
+		job.ArrivalUS = arrivalUS
+		e.job, err = sched.Submit(job)
+	}
 	if err != nil {
-		return err
-	}
-	st.shardReps = reps
-	st.finDone = make([]int64, len(st.reqs))
-	st.finStatus = make([]partserver.Status, len(st.reqs))
-	for i := range st.finStatus {
-		st.finStatus[i] = partserver.StatusFailed
-	}
-	for s := range reps {
-		if reps[s] == nil {
-			continue
-		}
-		for k := range reps[s].Results {
-			jr := &reps[s].Results[k]
-			st.finDone[jr.Tag] = jr.DoneUS
-			st.finStatus[jr.Tag] = jr.Status
-		}
+		return fmt.Errorf("cluster: shard %d: %w", e.shard, err)
 	}
 	return nil
 }
 
-// hedgeDeadline returns request idx's hedge deadline in µs past admission.
-// Fixed mode returns HedgeUS; HedgeAuto the nearest-rank p95 of the
-// router-observed latencies of requests completed by idx's admission (ok is
-// false until hedgeMinSamples responses have completed).
-func (st *runState) hedgeDeadline(idx int) (int64, bool) {
-	if st.cfg.HedgeUS > 0 {
-		return st.cfg.HedgeUS, true
-	}
-	admit := st.decisions[idx].admitUS
-	samples := make([]int64, 0, len(st.reqs))
-	for j := range st.reqs {
-		if st.finStatus[j] == partserver.StatusDone && st.finDone[j] <= admit {
-			samples = append(samples, st.finDone[j]-st.decisions[j].admitUS)
-		}
-	}
-	if len(samples) < hedgeMinSamples {
-		return 0, false
-	}
-	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-	return percentile(samples, 95), true
+// submit hands request idx to its serving shard.
+func (st *runState) submit(idx int, arrivalUS int64) error {
+	return st.send(idx, &st.decisions[idx].run, int64(idx), arrivalUS)
 }
 
-// hedgeTarget picks request idx's hedge destination: the first non-primary
-// member of the key's admission-epoch replica set that is still a member at
-// issue time and not crashed by then (-1: no eligible replica).
-func (st *runState) hedgeTarget(idx int, issueUS int64) int {
+// hedge is request idx's hedge deadline: if the primary response is still
+// outstanding, the request is re-issued to its first eligible replica as an
+// ordinary job in that shard's queue.
+func (st *runState) hedge(t timer) error {
+	idx := t.idx
+	d := &st.decisions[idx]
+	if d.run.ended {
+		return nil
+	}
+	d.hedge.shard = st.hedgeTarget(idx, t.us)
+	if !d.hedged() {
+		return nil
+	}
+	d.hedgeIssueUS = t.us
+	st.plumb.record(t.us, "hedge_issued", idx, int64(d.hedge.shard))
+	return st.send(idx, &d.hedge, ^int64(idx), t.us)
+}
+
+// hedgeTarget picks request idx's hedge destination at virtual time now: the
+// first non-primary member of the key's admission-epoch replica set that is
+// still a member and has not crashed by then (-1: no eligible replica).
+func (st *runState) hedgeTarget(idx int, now int64) int {
 	d := &st.decisions[idx]
 	reps := st.rings[d.epoch].ReplicaSet(st.reqs[idx].Key, st.cfg.Replicas)
-	issueRing := st.rings[st.events.epochAt(issueUS)]
+	ring := st.rings[st.events.epochAt(now)]
 	for _, c := range reps[1:] {
-		if c == d.shard || !issueRing.Member(c) {
+		if c == d.run.shard || !ring.Member(c) {
 			continue
 		}
-		if st.dead[c] && st.crashUS[c] <= issueUS {
+		if st.dead[c] && st.crashUS[c] <= now {
 			continue
 		}
 		return c
@@ -656,72 +711,89 @@ func (st *runState) hedgeTarget(idx int, issueUS int64) int {
 	return -1
 }
 
-// hedge issues replica hedges for every completed request whose primary
-// response was outstanding past its deadline, runs the hedge lane (its own
-// per-replica schedulers, derived seeds, losers cancelled at the primary's
-// completion), and records the winners. The loop visits requests in index
-// order and every input is already deterministic, so the hedge plan —
-// and thus the whole run — stays a pure function of (stream, config, seed).
-func (st *runState) hedge() error {
-	if st.cfg.HedgeUS == 0 {
-		return nil
-	}
-	st.laneJobs = make([][]partserver.Job, st.numShards)
-	issued := false
-	for idx := range st.reqs {
+// step advances shard s's scheduler by one event, at virtual time us, and
+// routes every job that ended back to its request.
+func (st *runState) step(s int, us int64) error {
+	sched := st.shards[s]
+	for _, id := range sched.Step() {
+		jr := sched.Result(id)
+		idx, hedge := requestOf(jr.Tag)
 		d := &st.decisions[idx]
-		if d.shard < 0 || st.finStatus[idx] != partserver.StatusDone {
-			continue
-		}
-		deadline, ok := st.hedgeDeadline(idx)
-		if !ok || deadline <= 0 || st.finDone[idx]-d.admitUS <= deadline {
-			continue
-		}
-		issueUS := d.admitUS + deadline
-		c := st.hedgeTarget(idx, issueUS)
-		if c < 0 {
-			continue
-		}
-		job := st.reqs[idx].Job
-		job.Tag = int64(idx)
-		job.ArrivalUS = issueUS
-		// First completion wins: the hedge is cancelled through the
-		// scheduler's cancel path the instant the primary finishes, unless
-		// it is already executing (then it completes as wasted work).
-		if job.CancelAtUS == 0 || st.finDone[idx] < job.CancelAtUS {
-			job.CancelAtUS = st.finDone[idx]
-		}
-		d.hedged = true
-		d.hedgeShard = c
-		d.hedgeIssueUS = issueUS
-		st.lanePos[idx] = len(st.laneJobs[c])
-		st.laneJobs[c] = append(st.laneJobs[c], job)
-		st.plumb.record(issueUS, "hedge_issued", idx, int64(c))
-		issued = true
-	}
-	if !issued {
-		return nil
-	}
-	reps, err := st.runShards(st.laneJobs, st.plumb.laneRecorder, hedgeLaneSalt, "hedge")
-	if err != nil {
-		return err
-	}
-	st.laneReps = reps
-	for s := range reps {
-		if reps[s] == nil {
-			continue
-		}
-		for k := range reps[s].Results {
-			jr := &reps[s].Results[k]
-			idx := int(jr.Tag)
-			d := &st.decisions[idx]
-			st.laneRes[idx] = jr
-			d.hedgeDoneUS = jr.DoneUS
-			if jr.Status == partserver.StatusDone && jr.DoneUS < st.finDone[idx] {
-				d.hedgeWon = true
-				st.plumb.record(jr.DoneUS, "hedge_won", idx, int64(d.hedgeShard))
+		if jr.Status == partserver.StatusDone && !d.responded {
+			d.responded = true
+			if st.cfg.HedgeUS == HedgeAuto {
+				at, _ := slices.BinarySearch(st.samples, jr.DoneUS-d.admitUS)
+				st.samples = slices.Insert(st.samples, at, jr.DoneUS-d.admitUS)
 			}
 		}
+		if hedge {
+			// A hedge that completes while the primary is outstanding holds
+			// the result; the primary keeps it only by finishing strictly
+			// later.
+			d.hedge.end(&jr)
+			if !d.run.ended && jr.Status == partserver.StatusDone {
+				st.setResult(idx, &jr)
+			}
+			continue
+		}
+		d.run.end(&jr)
+		if d.hedgeWon() {
+			st.plumb.record(d.hedge.doneUS, "hedge_won", idx, int64(d.hedge.shard))
+		} else {
+			if d.hedged() && !d.hedge.ended {
+				// The loser is cancelled the instant the primary finishes,
+				// unless it is already executing (then it completes as
+				// wasted work).
+				st.shards[d.hedge.shard].Cancel(d.hedge.job, us)
+			}
+			st.setResult(idx, &jr)
+		}
+		if err := st.drained(idx, us); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// end stamps the execution's outcome.
+func (e *exec) end(jr *partserver.JobResult) {
+	e.ended, e.doneUS, e.status, e.execUS = true, jr.DoneUS, jr.Status, jr.ExecUS
+}
+
+// setResult makes jr the outcome request idx reports.
+func (st *runState) setResult(idx int, jr *partserver.JobResult) {
+	rr := &st.results[idx]
+	rr.Status = jr.Status
+	rr.DoneUS = jr.DoneUS
+	rr.LatencyUS = jr.DoneUS - st.reqs[idx].Job.ArrivalUS
+	rr.Tuples = jr.Tuples
+	rr.Matches = jr.Matches
+	rr.Checksum = jr.Checksum
+}
+
+// drained takes finished request idx off the drain count of every membership
+// event that moves its key away from its shard. A count reaching zero is the
+// observed drain of that old owner's moved range: the requests held behind
+// it go to their new owner now.
+func (st *runState) drained(idx int, now int64) error {
+	d := &st.decisions[idx]
+	o := d.run.shard
+	for j := d.epoch; j < len(st.events); j++ {
+		if !st.leaves(idx, j) {
+			continue
+		}
+		if st.draining[j][o]--; st.draining[j][o] > 0 {
+			continue
+		}
+		for _, waiter := range st.held[j][o] {
+			w := &st.decisions[waiter]
+			w.handoffUS = now - w.admitUS
+			st.holding--
+			if err := st.submit(waiter, now); err != nil {
+				return err
+			}
+		}
+		st.held[j][o] = nil
 	}
 	return nil
 }
@@ -731,15 +803,13 @@ func (st *runState) hedge() error {
 // supplied up front because deterministic virtual-time admission needs the
 // arrival order independent of host scheduling.
 //
-// The run proceeds in phases, each a pure function of the previous ones:
-// route (admission decisions on the per-epoch rings), migrate (handoff
-// barriers of the membership schedule), serve (the primary lane on real
-// concurrent goroutines, harvested in shard order), hedge (the replica
-// hedge lane), gather (the merged report). Same seed + requests + config
-// therefore render a byte-identical Report, trace and metrics snapshot,
-// even under the race detector; a static, unhedged configuration takes the
-// exact single-pass path — and produces the exact bytes — of the
-// pre-membership router.
+// The whole serving stack runs on one virtual-time event loop (runState.run):
+// the router and every shard scheduler advance in global event order, and
+// each decision is a pure function of the events before it. The shards'
+// resource workers execute on real concurrent goroutines, but their results
+// are harvested in a fixed order, so the same seed + requests + config
+// render a byte-identical Report, trace and metrics snapshot, even under the
+// race detector.
 func Run(reqs []Request, cfg Config) (rep *Report, err error) {
 	defer guardSimulator(&err)
 	cfg = cfg.WithDefaults()
@@ -759,21 +829,14 @@ func Run(reqs []Request, cfg Config) (rep *Report, err error) {
 	if err != nil {
 		return nil, err
 	}
+	defer st.close()
 	// Causal capture: the flight merge is deferred so a failed run still
 	// dumps a postmortem.
 	defer st.plumb.finishFlight()
 
-	st.route()
-	if err := st.migrate(); err != nil {
+	if err := st.run(); err != nil {
 		return nil, err
 	}
-	if err := st.serve(); err != nil {
-		return nil, err
-	}
-	if err := st.hedge(); err != nil {
-		return nil, err
-	}
-
 	st.plumb.buildTraces(st)
 
 	rep = st.gather()

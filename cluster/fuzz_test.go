@@ -100,18 +100,20 @@ func FuzzClusterRoute(f *testing.F) {
 // FuzzMembershipSchedule is differential fuzzing of live churn: from
 // arbitrary bytes it grows a legal membership schedule (joins of fresh
 // shard ids, drains of current members, nondecreasing times), runs the
-// stream through the churning cluster — optionally with hedged reads racing
-// on top — and checks it against the same stream on the static initial
-// ring. Keys whose owner never changes across any epoch must land on the
+// stream through the churning cluster — with the replica-set width and the
+// hedge deadline (off, fixed, or HedgeAuto) drawn as inputs too, so hedges
+// race the churn on the shards' real queues — and checks it against the same
+// stream on the static initial ring. Keys whose owner never changes across any epoch must land on the
 // same shard with the same output as the static run; the merged totals must
 // match the single-node reference either way. Churn may only ever re-route
 // the moved ranges.
 func FuzzMembershipSchedule(f *testing.F) {
-	f.Add(uint64(1), uint8(12), uint8(3), []byte{0x01, 0x40}, false)
-	f.Add(uint64(7), uint8(20), uint8(2), []byte{0x01, 0x20, 0x80, 0x60}, true)
-	f.Add(uint64(42), uint8(24), uint8(4), []byte{0x01, 0x10, 0x01, 0x30, 0x80, 0x50}, false)
-	f.Add(uint64(9), uint8(16), uint8(3), []byte{0x80, 0x08, 0x01, 0x70}, true)
-	f.Fuzz(func(t *testing.T, seed uint64, nreq, shards uint8, plan []byte, hedge bool) {
+	f.Add(uint64(1), uint8(12), uint8(3), []byte{0x01, 0x40}, uint8(0), int16(0))
+	f.Add(uint64(7), uint8(20), uint8(2), []byte{0x01, 0x20, 0x80, 0x60}, uint8(1), int16(300))
+	f.Add(uint64(42), uint8(24), uint8(4), []byte{0x01, 0x10, 0x01, 0x30, 0x80, 0x50}, uint8(0), int16(0))
+	f.Add(uint64(9), uint8(16), uint8(3), []byte{0x80, 0x08, 0x01, 0x70}, uint8(2), int16(-1))
+	f.Add(uint64(23), uint8(23), uint8(3), []byte{0x01, 0x18, 0x80, 0x28, 0x01, 0x38}, uint8(1), int16(40))
+	f.Fuzz(func(t *testing.T, seed uint64, nreq, shards uint8, plan []byte, replicas uint8, hedgeUS int16) {
 		n := 1 + int(nreq)%24
 		ns := 2 + int(shards)%3
 		reqs, err := GenerateLoad(seed, n, LoadOptions{
@@ -150,10 +152,11 @@ func FuzzMembershipSchedule(f *testing.F) {
 			t.Skip("plan decoded to no events")
 		}
 
-		cfg := Config{Shards: ns, Schedule: sched, Seed: seed}
-		if hedge {
-			cfg.Replicas = 2
-			cfg.HedgeUS = 300
+		// Replicas 1..3; a deadline needs a replica to hedge to, and any
+		// negative draw means HedgeAuto.
+		cfg := Config{Shards: ns, Schedule: sched, Seed: seed, Replicas: 1 + int(replicas)%3}
+		if cfg.Replicas > 1 {
+			cfg.HedgeUS = max(int64(hedgeUS), HedgeAuto)
 		}
 		rep, err := Run(reqs, cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"fpgapart/internal/hashutil"
 	"fpgapart/partserver"
 )
 
@@ -81,7 +82,7 @@ func GenerateLoad(seed uint64, n int, opts LoadOptions) ([]Request, error) {
 	arrival := int64(0)
 	for i := 0; i < n; i++ {
 		draw := func(purpose uint64) uint64 {
-			return mix(seed ^ mix(uint64(i)<<8|purpose))
+			return hashutil.SplitMix64(seed ^ hashutil.SplitMix64(uint64(i)<<8|purpose))
 		}
 		tenant := 0
 		hot := opts.HotTenantShare > 0 &&

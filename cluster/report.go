@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
+	"fpgapart/internal/reqtrace"
 	"fpgapart/partserver"
 )
 
@@ -29,13 +31,13 @@ type RequestResult struct {
 	HandoffUS int64
 	// Hedged reports a replica hedge was issued; HedgeShard is its target
 	// (-1 when not hedged); HedgeWon that the hedge finished strictly first
-	// (the result fields below are then the hedge lane's).
+	// (the result fields below are then the hedge's).
 	Hedged     bool
 	HedgeShard int
 	HedgeWon   bool
 
 	// Status is the shard scheduler's terminal status (StatusFailed for
-	// never-admitted requests); for a won hedge, the hedge lane's status.
+	// never-admitted requests); for a won hedge, the hedge's status.
 	Status partserver.Status
 
 	// Virtual timeline (µs): router arrival, quota-adjusted admission,
@@ -101,7 +103,7 @@ type Report struct {
 	HandoffWaitUS  int64
 
 	// HedgedRun echoes whether hedging was enabled; Replicas the replica-set
-	// width. HedgeIssued/HedgeWon/HedgeCancelled count the hedge lane;
+	// width. HedgeIssued/HedgeWon/HedgeCancelled count the hedges;
 	// HedgeSavedUS is the summed latency the winning hedges shaved off their
 	// primaries, HedgeWastedUS the execution the losing-but-completed hedges
 	// burned.
@@ -113,8 +115,9 @@ type Report struct {
 	HedgeSavedUS   int64
 	HedgeWastedUS  int64
 
-	// Per-shard load: jobs routed and shard-local makespan, indexed by shard
-	// id over every shard that was ever a member. A drained shard keeps its
+	// Per-shard load: requests routed and shard-local makespan (hedges the
+	// shard ran for other owners' requests count towards its makespan, not
+	// its jobs), indexed by shard id over every shard that was ever a member. A drained shard keeps its
 	// row — its cumulative pre-drain load — rather than silently losing its
 	// history; a joined shard's row exists from the start (zero until it
 	// serves).
@@ -129,106 +132,60 @@ func (rep *Report) dynamic() bool {
 	return len(rep.MembershipEvents) > 0 || rep.HedgedRun
 }
 
-// gather merges the per-shard reports back into request order — hedge
-// winners overriding their primaries — and derives the cluster-level
-// aggregates.
+// gather completes the per-request results the event loop filled in and
+// derives the cluster-level aggregates.
 func (st *runState) gather() *Report {
 	reqs := st.reqs
 	rep := &Report{
-		Results:         make([]RequestResult, len(reqs)),
+		Results:         st.results,
 		Requests:        len(reqs),
 		ThrottleDelayUS: st.throttleDelayUS,
 		HedgedRun:       st.cfg.HedgeUS != 0,
 		Replicas:        st.cfg.Replicas,
-		ShardJobs:       make([]int, st.numShards),
+		ShardJobs:       st.served,
 		ShardMakespanUS: make([]int64, st.numShards),
 	}
-	if len(st.events) > 0 {
-		rep.MembershipEvents = append(rep.MembershipEvents, st.events...)
-		for j := range st.events {
-			ev := &st.events[j]
-			if ev.Kind == Join {
-				rep.JoinedShards = append(rep.JoinedShards, ev.Shard)
-			} else {
-				rep.DrainedShards = append(rep.DrainedShards, ev.Shard)
-			}
+	for _, ev := range st.events {
+		rep.MembershipEvents = append(rep.MembershipEvents, ev)
+		if ev.Kind == Join {
+			rep.JoinedShards = append(rep.JoinedShards, ev.Shard)
+		} else {
+			rep.DrainedShards = append(rep.DrainedShards, ev.Shard)
 		}
 	}
-	for i := range reqs {
-		d := &st.decisions[i]
-		rep.Results[i] = RequestResult{
-			Index:      i,
-			Tenant:     reqs[i].Tenant,
-			Shard:      d.shard,
-			Rerouted:   d.shard >= 0 && d.shard != d.primary,
-			Throttled:  d.throttled,
-			HandoffUS:  d.handoffUS,
-			Hedged:     d.hedged,
-			HedgeShard: d.hedgeShard,
-			HedgeWon:   d.hedgeWon,
-			Status:     partserver.StatusFailed,
-			ArrivalUS:  reqs[i].Job.ArrivalUS,
-			AdmitUS:    d.admitUS,
-		}
-	}
-	for s := range st.shardReps {
-		srep := st.shardReps[s]
-		if srep == nil {
-			continue
-		}
-		rep.ShardJobs[s] = len(srep.Results)
-		if srep.MakespanUS > rep.ShardMakespanUS[s] {
-			rep.ShardMakespanUS[s] = srep.MakespanUS
-		}
-		for k := range srep.Results {
-			jr := &srep.Results[k]
-			rr := &rep.Results[jr.Tag]
-			rr.Status = jr.Status
-			rr.DoneUS = jr.DoneUS
-			rr.LatencyUS = jr.DoneUS - rr.ArrivalUS
-			rr.Tuples = jr.Tuples
-			rr.Matches = jr.Matches
-			rr.Checksum = jr.Checksum
-		}
-	}
-	// Hedge lane bookkeeping: winners override their primary's result (same
-	// content, earlier completion); losers count as cancelled or wasted.
-	for i := range reqs {
-		d := &st.decisions[i]
-		if !d.hedged {
-			continue
-		}
-		rep.HedgeIssued++
-		jr := st.laneRes[i]
-		if jr == nil {
-			continue
-		}
-		if d.hedgeWon {
-			rep.HedgeWon++
-			rep.HedgeSavedUS += st.finDone[i] - jr.DoneUS
-			rr := &rep.Results[i]
-			rr.Status = jr.Status
-			rr.DoneUS = jr.DoneUS
-			rr.LatencyUS = jr.DoneUS - rr.ArrivalUS
-			rr.Tuples = jr.Tuples
-			rr.Matches = jr.Matches
-			rr.Checksum = jr.Checksum
-		} else if jr.Status == partserver.StatusCancelled {
-			rep.HedgeCancelled++
-		} else if jr.Status == partserver.StatusDone {
-			rep.HedgeWastedUS += jr.ExecUS
+	for s, sched := range st.shards {
+		if sched != nil {
+			rep.ShardMakespanUS[s] = sched.MakespanUS()
 		}
 	}
 
 	lat := make([]int64, 0, len(reqs))
-	for i := range rep.Results {
+	var latSum int64
+	for i := range reqs {
+		d := &st.decisions[i]
 		rr := &rep.Results[i]
+		rr.Index = i
+		rr.Tenant = reqs[i].Tenant
+		rr.Shard = d.run.shard
+		rr.Rerouted = d.run.shard >= 0 && d.run.shard != d.primary
+		rr.Throttled = d.throttled
+		rr.HandoffUS = d.handoffUS
+		rr.Hedged = d.hedged()
+		rr.HedgeShard = d.hedge.shard
+		rr.HedgeWon = d.hedgeWon()
+		rr.ArrivalUS = reqs[i].Job.ArrivalUS
+		rr.AdmitUS = d.admitUS
+
 		switch {
-		case rr.Shard < 0 || rr.Status == partserver.StatusFailed:
+		case rr.Shard < 0:
+			rr.Status = partserver.StatusFailed
+			rep.Failed++
+		case rr.Status == partserver.StatusFailed:
 			rep.Failed++
 		case rr.Status == partserver.StatusDone:
 			rep.Done++
 			lat = append(lat, rr.LatencyUS)
+			latSum += rr.LatencyUS
 		}
 		if rr.Throttled {
 			rep.Throttled++
@@ -239,6 +196,24 @@ func (st *runState) gather() *Report {
 		if rr.HandoffUS > 0 {
 			rep.HandoffDelayed++
 			rep.HandoffWaitUS += rr.HandoffUS
+		}
+		// Hedge bookkeeping: a winner shaved the gap to its primary off the
+		// latency; a loser was cancelled in the queue, or ran to completion
+		// as wasted work.
+		switch {
+		case !rr.Hedged:
+		case rr.HedgeWon:
+			rep.HedgeIssued++
+			rep.HedgeWon++
+			rep.HedgeSavedUS += d.run.doneUS - d.hedge.doneUS
+		case d.hedge.status == partserver.StatusCancelled:
+			rep.HedgeIssued++
+			rep.HedgeCancelled++
+		case d.hedge.status == partserver.StatusDone:
+			rep.HedgeIssued++
+			rep.HedgeWastedUS += d.hedge.execUS
+		default:
+			rep.HedgeIssued++
 		}
 		rep.Matches += rr.Matches
 		rep.Checksum += rr.Checksum
@@ -253,15 +228,11 @@ func (st *runState) gather() *Report {
 	}
 
 	if len(lat) > 0 {
-		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-		var sum int64
-		for _, v := range lat {
-			sum += v
-		}
-		rep.LatAvgUS = sum / int64(len(lat))
-		rep.LatP50US = percentile(lat, 50)
-		rep.LatP95US = percentile(lat, 95)
-		rep.LatP99US = percentile(lat, 99)
+		slices.Sort(lat)
+		rep.LatAvgUS = latSum / int64(len(lat))
+		rep.LatP50US = reqtrace.NearestRank(lat, 50)
+		rep.LatP95US = reqtrace.NearestRank(lat, 95)
+		rep.LatP99US = reqtrace.NearestRank(lat, 99)
 	}
 	if rep.MakespanUS > 0 {
 		rep.QPSx100 = int64(rep.Done) * 100_000_000 / rep.MakespanUS
@@ -284,16 +255,6 @@ func (st *runState) gather() *Report {
 			MovedPermyriad(keys, st.rings[j], st.rings[j+1]))
 	}
 	return rep
-}
-
-// percentile returns the exact nearest-rank q-th percentile of sorted
-// (ascending) non-empty values.
-func percentile(sorted []int64, q int) int64 {
-	rank := (len(sorted)*q + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // emit reports the run into the simtrace session, in fixed order, after the
@@ -365,105 +326,65 @@ func (st *runState) emit(rep *Report) {
 // The membership/hedging section and per-result extensions appear only on
 // dynamic runs, keeping static reports byte-compatible with their goldens.
 func (rep *Report) WriteJSON(w io.Writer) error {
-	write := func(format string, args ...interface{}) error {
-		if _, err := fmt.Fprintf(w, format, args...); err != nil {
-			return fmt.Errorf("cluster: writing report: %w", err)
-		}
-		return nil
-	}
-	writeInts := func(vals []int) error {
+	b := bufio.NewWriter(w)
+	ints := func(vals []int) {
 		for i, v := range vals {
-			sep := ""
 			if i > 0 {
-				sep = ", "
+				b.WriteString(", ")
 			}
-			if err := write("%s%d", sep, v); err != nil {
-				return err
-			}
+			fmt.Fprintf(b, "%d", v)
 		}
-		return nil
 	}
-	if err := write("{\n  \"requests\": %d,\n  \"done\": %d,\n  \"failed\": %d,\n  \"throttled\": %d,\n  \"throttle_delay_us\": %d,\n  \"rerouted\": %d,\n",
-		rep.Requests, rep.Done, rep.Failed, rep.Throttled, rep.ThrottleDelayUS, rep.Rerouted); err != nil {
-		return err
+	// sep closes element i of an n-element JSON array row.
+	sep := func(i, n int) string {
+		if i == n-1 {
+			return ""
+		}
+		return ","
 	}
-	if err := write("  \"failed_shards\": ["); err != nil {
-		return err
-	}
-	if err := writeInts(rep.FailedShards); err != nil {
-		return err
-	}
-	if err := write("],\n  \"makespan_us\": %d,\n  \"matches\": %d,\n  \"checksum\": %d,\n  \"lat_avg_us\": %d,\n  \"lat_p50_us\": %d,\n  \"lat_p95_us\": %d,\n  \"lat_p99_us\": %d,\n  \"qps_x100\": %d,\n  \"moved_ring_x10000\": %d,\n  \"moved_mod_x10000\": %d,\n",
+	fmt.Fprintf(b, "{\n  \"requests\": %d,\n  \"done\": %d,\n  \"failed\": %d,\n  \"throttled\": %d,\n  \"throttle_delay_us\": %d,\n  \"rerouted\": %d,\n",
+		rep.Requests, rep.Done, rep.Failed, rep.Throttled, rep.ThrottleDelayUS, rep.Rerouted)
+	b.WriteString("  \"failed_shards\": [")
+	ints(rep.FailedShards)
+	fmt.Fprintf(b, "],\n  \"makespan_us\": %d,\n  \"matches\": %d,\n  \"checksum\": %d,\n  \"lat_avg_us\": %d,\n  \"lat_p50_us\": %d,\n  \"lat_p95_us\": %d,\n  \"lat_p99_us\": %d,\n  \"qps_x100\": %d,\n  \"moved_ring_x10000\": %d,\n  \"moved_mod_x10000\": %d,\n",
 		rep.MakespanUS, rep.Matches, rep.Checksum, rep.LatAvgUS, rep.LatP50US, rep.LatP95US, rep.LatP99US,
-		rep.QPSx100, rep.MovedRingX10000, rep.MovedModX10000); err != nil {
-		return err
-	}
+		rep.QPSx100, rep.MovedRingX10000, rep.MovedModX10000)
 	if rep.dynamic() {
-		if err := write("  \"membership_events\": [\n"); err != nil {
-			return err
-		}
+		b.WriteString("  \"membership_events\": [\n")
 		for j := range rep.MembershipEvents {
 			ev := &rep.MembershipEvents[j]
-			sep := ","
-			if j == len(rep.MembershipEvents)-1 {
-				sep = ""
-			}
-			if err := write("    {\"kind\": %q, \"shard\": %d, \"at_us\": %d, \"moved_x10000\": %d}%s\n",
-				ev.Kind.String(), ev.Shard, ev.AtUS, rep.EventMovedX10000[j], sep); err != nil {
-				return err
-			}
+			fmt.Fprintf(b, "    {\"kind\": %q, \"shard\": %d, \"at_us\": %d, \"moved_x10000\": %d}%s\n",
+				ev.Kind.String(), ev.Shard, ev.AtUS, rep.EventMovedX10000[j], sep(j, len(rep.MembershipEvents)))
 		}
-		if err := write("  ],\n  \"joined\": ["); err != nil {
-			return err
-		}
-		if err := writeInts(rep.JoinedShards); err != nil {
-			return err
-		}
-		if err := write("],\n  \"drained\": ["); err != nil {
-			return err
-		}
-		if err := writeInts(rep.DrainedShards); err != nil {
-			return err
-		}
-		if err := write("],\n  \"handoff_delayed\": %d,\n  \"handoff_wait_us\": %d,\n  \"replicas\": %d,\n  \"hedged_run\": %v,\n  \"hedge_issued\": %d,\n  \"hedge_won\": %d,\n  \"hedge_cancelled\": %d,\n  \"hedge_saved_us\": %d,\n  \"hedge_wasted_us\": %d,\n",
+		b.WriteString("  ],\n  \"joined\": [")
+		ints(rep.JoinedShards)
+		b.WriteString("],\n  \"drained\": [")
+		ints(rep.DrainedShards)
+		fmt.Fprintf(b, "],\n  \"handoff_delayed\": %d,\n  \"handoff_wait_us\": %d,\n  \"replicas\": %d,\n  \"hedged_run\": %v,\n  \"hedge_issued\": %d,\n  \"hedge_won\": %d,\n  \"hedge_cancelled\": %d,\n  \"hedge_saved_us\": %d,\n  \"hedge_wasted_us\": %d,\n",
 			rep.HandoffDelayed, rep.HandoffWaitUS, rep.Replicas, rep.HedgedRun,
-			rep.HedgeIssued, rep.HedgeWon, rep.HedgeCancelled, rep.HedgeSavedUS, rep.HedgeWastedUS); err != nil {
-			return err
-		}
+			rep.HedgeIssued, rep.HedgeWon, rep.HedgeCancelled, rep.HedgeSavedUS, rep.HedgeWastedUS)
 	}
-	if err := write("  \"shards\": [\n"); err != nil {
-		return err
-	}
+	b.WriteString("  \"shards\": [\n")
 	for s := range rep.ShardJobs {
-		sep := ","
-		if s == len(rep.ShardJobs)-1 {
-			sep = ""
-		}
-		if err := write("    {\"shard\": %d, \"jobs\": %d, \"makespan_us\": %d}%s\n",
-			s, rep.ShardJobs[s], rep.ShardMakespanUS[s], sep); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "    {\"shard\": %d, \"jobs\": %d, \"makespan_us\": %d}%s\n",
+			s, rep.ShardJobs[s], rep.ShardMakespanUS[s], sep(s, len(rep.ShardJobs)))
 	}
-	if err := write("  ],\n  \"results\": [\n"); err != nil {
-		return err
-	}
+	b.WriteString("  ],\n  \"results\": [\n")
 	for i := range rep.Results {
 		rr := &rep.Results[i]
-		sep := ","
-		if i == len(rep.Results)-1 {
-			sep = ""
-		}
 		ext := ""
 		if rep.dynamic() {
 			ext = fmt.Sprintf(", \"handoff_us\": %d, \"hedged\": %v, \"hedge_shard\": %d, \"hedge_won\": %v",
 				rr.HandoffUS, rr.Hedged, rr.HedgeShard, rr.HedgeWon)
 		}
-		if err := write("    {\"index\": %d, \"tenant\": %d, \"shard\": %d, \"rerouted\": %v, \"throttled\": %v, \"status\": %q, \"arrival_us\": %d, \"admit_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"tuples\": %d, \"matches\": %d, \"checksum\": %d%s}%s\n",
+		fmt.Fprintf(b, "    {\"index\": %d, \"tenant\": %d, \"shard\": %d, \"rerouted\": %v, \"throttled\": %v, \"status\": %q, \"arrival_us\": %d, \"admit_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"tuples\": %d, \"matches\": %d, \"checksum\": %d%s}%s\n",
 			rr.Index, rr.Tenant, rr.Shard, rr.Rerouted, rr.Throttled, rr.Status,
 			rr.ArrivalUS, rr.AdmitUS, rr.DoneUS, rr.LatencyUS,
-			rr.Tuples, rr.Matches, rr.Checksum, ext, sep); err != nil {
-			return err
-		}
+			rr.Tuples, rr.Matches, rr.Checksum, ext, sep(i, len(rep.Results)))
 	}
-	return write("  ]\n}\n")
+	b.WriteString("  ]\n}\n")
+	if err := b.Flush(); err != nil {
+		return fmt.Errorf("cluster: writing report: %w", err)
+	}
+	return nil
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // capturePlumbing is the per-run causal-tracing state: one recorder per
-// shard (handed to the shard schedulers), one per hedge lane, plus the
-// router's own flight ring. nil when the run is untraced.
+// shard (handed to the shard's scheduler) plus the router's own flight ring.
+// nil when the run is untraced.
 type capturePlumbing struct {
 	cap    *reqtrace.Capture
 	recs   []*reqtrace.Recorder
-	lanes  []*reqtrace.Recorder
 	router *reqtrace.Flight
 }
 
@@ -24,12 +23,10 @@ func newCapturePlumbing(c *reqtrace.Capture, shards int) *capturePlumbing {
 	p := &capturePlumbing{
 		cap:    c,
 		recs:   make([]*reqtrace.Recorder, shards),
-		lanes:  make([]*reqtrace.Recorder, shards),
 		router: reqtrace.NewFlight(c.FlightCap),
 	}
 	for s := range p.recs {
 		p.recs[s] = reqtrace.NewRecorder(c.FlightCap)
-		p.lanes[s] = reqtrace.NewRecorder(c.FlightCap)
 	}
 	return p
 }
@@ -42,7 +39,7 @@ func (p *capturePlumbing) record(us int64, kind string, job int, arg int64) {
 	p.router.Record(reqtrace.FlightEvent{US: us, Comp: "router", Kind: kind, Job: job, Arg: arg})
 }
 
-// shardRecorder returns shard s's primary-lane recorder (nil when untraced).
+// shardRecorder returns shard s's recorder (nil when untraced).
 func (p *capturePlumbing) shardRecorder(s int) *reqtrace.Recorder {
 	if p == nil {
 		return nil
@@ -50,23 +47,12 @@ func (p *capturePlumbing) shardRecorder(s int) *reqtrace.Recorder {
 	return p.recs[s]
 }
 
-// laneRecorder returns shard s's hedge-lane recorder (nil when untraced).
-func (p *capturePlumbing) laneRecorder(s int) *reqtrace.Recorder {
-	if p == nil {
-		return nil
-	}
-	return p.lanes[s]
-}
-
-// finishFlight merges the router's, every shard's, and every hedge lane's
-// flight events into the capture — shard components prefixed "s<N>." (hedge
-// lanes read "s<N>.hedge.…" via the scheduler's Lane prefix), shard-local
-// job ids remapped to request indices via Job.Tag — ordered by virtual time
-// (stable: router before shard 0 before shard 1 at equal stamps; hedge
-// lanes after the primaries). A hedge lane's "cancel" is the scheduler
-// killing the loser the instant the primary won, so it is rewritten to
-// "hedge_lost" — the tagged cancel of a lost hedge. Called via defer so a
-// failed run still leaves a postmortem behind.
+// finishFlight merges the router's and every shard's flight events into the
+// capture — shard components prefixed "s<N>.", shard-local job ids remapped
+// to request indices via Job.Tag (a hedge and its primary both name their
+// request) — ordered by virtual time (stable: router before shard 0 before
+// shard 1 at equal stamps). Called via defer so a failed run still leaves a
+// postmortem behind.
 func (p *capturePlumbing) finishFlight() {
 	if p == nil {
 		return
@@ -78,22 +64,7 @@ func (p *capturePlumbing) finishFlight() {
 			e.Comp = fmt.Sprintf("s%d.%s", s, e.Comp)
 			if e.Job >= 0 {
 				if j := rec.Job(e.Job); j != nil {
-					e.Job = int(j.Tag)
-				}
-			}
-			merged = append(merged, e)
-		}
-		dropped += rec.FlightDropped()
-	}
-	for s, rec := range p.lanes {
-		for _, e := range rec.FlightEvents() {
-			e.Comp = fmt.Sprintf("s%d.%s", s, e.Comp)
-			if e.Kind == "cancel" {
-				e.Kind = "hedge_lost"
-			}
-			if e.Job >= 0 {
-				if j := rec.Job(e.Job); j != nil {
-					e.Job = int(j.Tag)
+					e.Job, _ = requestOf(j.Tag)
 				}
 			}
 			merged = append(merged, e)
@@ -107,8 +78,8 @@ func (p *capturePlumbing) finishFlight() {
 
 // buildTraces assembles the per-request causal traces from the router
 // decisions and the shard recorders, in request order. A won hedge's trace
-// is built from the hedge lane's job record — the winning causal chain —
-// with the deadline interval charged as hedge wait.
+// is built from the hedge's job record on the replica — the winning causal
+// chain — with the deadline interval charged as hedge wait.
 func (p *capturePlumbing) buildTraces(st *runState) {
 	if p == nil {
 		return
@@ -120,18 +91,20 @@ func (p *capturePlumbing) buildTraces(st *runState) {
 			ArrivalUS:    st.reqs[idx].Job.ArrivalUS,
 			AdmitUS:      d.admitUS,
 			Throttled:    d.throttled,
-			Shard:        d.shard,
+			Shard:        d.run.shard,
 			Primary:      d.primary,
 			HandoffUS:    d.handoffUS,
-			Hedged:       d.hedged,
-			HedgeWon:     d.hedgeWon,
+			Hedged:       d.hedged(),
+			HedgeWon:     d.hedgeWon(),
 			HedgeIssueUS: d.hedgeIssueUS,
 		}
+		e := &d.run
+		if step.HedgeWon {
+			e = &d.hedge
+		}
 		var job *reqtrace.JobRecord
-		if d.hedgeWon {
-			job = p.lanes[d.hedgeShard].Job(st.lanePos[idx])
-		} else if d.shard >= 0 {
-			job = p.recs[d.shard].Job(st.jobPos[idx])
+		if e.shard >= 0 {
+			job = p.recs[e.shard].Job(e.job)
 		}
 		traces[idx] = reqtrace.BuildRouted(st.cfg.Seed, idx, step, job)
 	}

@@ -13,6 +13,8 @@ package faults
 import (
 	"fmt"
 	"sort"
+
+	"fpgapart/internal/hashutil"
 )
 
 // Link degrades the directed link Src→Dst to Factor of its nominal
@@ -171,16 +173,6 @@ func New(s Scenario) (*Injector, error) {
 // Scenario returns a copy of the injector's scenario.
 func (in *Injector) Scenario() Scenario { return in.s }
 
-// splitmix64's finalizer: a strong 64-bit mixer.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // purposes separate the decision streams so that, e.g., the fate draw and
 // the jitter draw of the same message are independent.
 const (
@@ -191,10 +183,10 @@ const (
 )
 
 func (in *Injector) u64(purpose uint64, vals ...uint64) uint64 {
-	h := mix(in.s.Seed ^ 0x9e3779b97f4a7c15)
-	h = mix(h ^ purpose)
+	h := hashutil.SplitMix64(in.s.Seed ^ 0x9e3779b97f4a7c15)
+	h = hashutil.SplitMix64(h ^ purpose)
 	for _, v := range vals {
-		h = mix(h ^ v)
+		h = hashutil.SplitMix64(h ^ v)
 	}
 	return h
 }

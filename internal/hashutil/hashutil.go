@@ -34,6 +34,18 @@ func Murmur64Finalizer(key uint64) uint64 {
 	return key
 }
 
+// SplitMix64 is splitmix64's finalizer, the project-wide seeded derivation
+// hash: scheduler tie-breaks, shard seeds, fault draws and trace ids are all
+// chains of it, so they stay pure functions of (seed, index).
+func SplitMix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // RadixBits extracts the n least significant bits of the key — the
 // "partitioning attribute" of radix partitioning. It is the do_hash == 0
 // branch of Code 3.

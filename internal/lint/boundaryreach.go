@@ -6,19 +6,18 @@ import (
 	"strings"
 )
 
-// BoundaryReach is the call-graph upgrade of PR 2's panic-boundary
-// analyzer. The contract is unchanged — invariant violations inside the
-// simulator internals (internal/*) panic, and the public API packages must
-// convert those panics into errors wrapping ErrSimulatorFault before they
-// cross an exported function — but the check is now reachability over the
-// whole-module call graph instead of a per-package call scan:
+// BoundaryReach enforces the simulator-fault contract: invariant violations
+// inside the simulator internals (internal/*) panic, and the public API
+// packages must convert those panics into errors wrapping ErrSimulatorFault
+// before they cross an exported function. The check is reachability over
+// the whole-module call graph:
 //
 //   - a finding requires an actual panic SITE to be reachable, so exported
-//     APIs that touch panic-free internal helpers no longer need a guard;
+//     APIs that touch panic-free internal helpers need no guard;
 //   - reachability crosses package boundaries (boundary pkg → sibling
-//     helper pkg → internal/* panic — the shape the per-package analyzer
-//     provably misses, see TestBoundaryReachCatchesWhatPanicBoundaryMisses)
-//     and module-interface dispatch;
+//     helper pkg → internal/* panic, see
+//     TestBoundaryReachCatchesWhatPanicBoundaryMisses) and module-interface
+//     dispatch;
 //   - a deferred recover guard wrapping the sentinel cuts the path wherever
 //     it appears: an exported API calling an already-guarded exported API
 //     (hashjoin → partition.Partition) is safe without its own guard.
@@ -34,7 +33,7 @@ type BoundaryReach struct {
 }
 
 // DefaultBoundaryReach returns the analyzer for the project's public API
-// surface, mirroring DefaultPanicBoundary's boundary set.
+// surface.
 func DefaultBoundaryReach() *BoundaryReach {
 	return &BoundaryReach{
 		Boundary: map[string]bool{
@@ -175,6 +174,74 @@ func (b *BoundaryReach) guardStateOf(n *Node, guardFns map[*types.Func]bool) gua
 		}
 	})
 	return state
+}
+
+type guardState int
+
+const (
+	noGuard guardState = iota
+	// recoverNoWrap: a deferred recover exists but never references the
+	// sentinel — it would swallow the simulator fault instead of wrapping it.
+	recoverNoWrap
+	// guarded: a deferred recover wraps the sentinel.
+	guarded
+)
+
+// walkOwnStatements visits the nodes of body without descending into nested
+// function literals.
+func walkOwnStatements(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			visit(n)
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}
+
+// bodyRecovers reports whether body contains a call to the recover builtin.
+func bodyRecovers(pkg *Package, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && pkg.isRecoverCall(call) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// mentionsName reports whether body contains an identifier with the given
+// name (the sentinel may be package-local or a re-export, so matching by
+// name is the robust check).
+func mentionsName(body *ast.BlockStmt, name string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// returnsError reports whether the function's results include the error
+// interface.
+func returnsError(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	res := sig.Results()
+	for i := 0; i < res.Len(); i++ {
+		if isErrorInterface(res.At(i).Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 // isInterfaceMethodDecl reports whether n declares a method on an interface

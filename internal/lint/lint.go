@@ -9,9 +9,10 @@
 //     source, or range over maps (Go randomizes map iteration order; the
 //     multiset-checksum comparisons in partition/distjoin would still pass
 //     while per-run traces, counters and timings silently diverge).
-//   - panic-boundary — invariant violations inside internal/* panic; the
-//     public partition/distjoin APIs must convert those panics into errors
-//     wrapping ErrSimulatorFault before they cross an exported function.
+//   - boundary-reach — invariant violations inside internal/* panic; an
+//     exported error-returning API of a public package that can reach such
+//     a panic site, across any number of calls, must convert it into an
+//     error wrapping ErrSimulatorFault.
 //   - error-hygiene — errors crossing package boundaries are wrapped with %w
 //     and tested with errors.Is, never matched as strings.
 //   - clocked-component — types with a Tick/Cycle method live in simulated
@@ -99,9 +100,7 @@ type ModuleAnalyzer interface {
 
 // All returns the project's full analyzer set with default configuration:
 // determinism, boundary-reach, error-hygiene, clocked-component,
-// bench-json, hosttime-taint and hotpath-alloc. boundary-reach supersedes
-// PR 2's per-package panic-boundary analyzer (kept in-tree only as the
-// baseline its regression tests diff against).
+// bench-json, hosttime-taint and hotpath-alloc.
 func All() []Analyzer {
 	return []Analyzer{
 		DefaultDeterminism(),

@@ -177,21 +177,6 @@ func TestClockedFixture(t *testing.T) {
 	}
 }
 
-func TestPanicBoundaryFixture(t *testing.T) {
-	pkg := loadFixture(t, "panicfix")
-	pb := &PanicBoundary{
-		Boundary:       map[string]bool{pkg.Path: true},
-		InternalPrefix: "fpgapart/internal/",
-		Sentinel:       "ErrSimulatorFault",
-	}
-	findings := checkFixture(t, pkg, []Analyzer{pb})
-	assertFinding(t, findings, "panic-boundary", "without a deferred recover guard")
-	assertFinding(t, findings, "panic-boundary", "without wrapping ErrSimulatorFault")
-	if len(findings) < 2 {
-		t.Fatalf("panic-boundary caught %d violations, want ≥ 2", len(findings))
-	}
-}
-
 // TestMembudgetFixture pins the memory-budget accounting to the determinism
 // contract: internal/membudget joined the deterministic path in the
 // budgeted-join work, and this known-bad twin shows the analyzer catches a
@@ -212,7 +197,7 @@ func TestMembudgetFixture(t *testing.T) {
 // TestBudgetPackagesCovered pins the list membership the budgeted join
 // relies on: membudget is on the deterministic path, and hashjoin — whose
 // exported joins now reach internal/* budget machinery — is a
-// panic-boundary package.
+// boundary-reach package.
 func TestBudgetPackagesCovered(t *testing.T) {
 	onPath := false
 	for _, p := range DeterministicPathPackages {
@@ -223,8 +208,8 @@ func TestBudgetPackagesCovered(t *testing.T) {
 	if !onPath {
 		t.Error("fpgapart/internal/membudget missing from DeterministicPathPackages")
 	}
-	if !DefaultPanicBoundary().Boundary["fpgapart/hashjoin"] {
-		t.Error("fpgapart/hashjoin missing from the panic-boundary set")
+	if !DefaultBoundaryReach().Boundary["fpgapart/hashjoin"] {
+		t.Error("fpgapart/hashjoin missing from the boundary-reach set")
 	}
 }
 
@@ -335,37 +320,13 @@ func TestBoundaryReachFixture(t *testing.T) {
 	assertFinding(t, findings, "boundary-reach", "without wrapping ErrSimulatorFault")
 }
 
-// TestBoundaryReachCatchesWhatPanicBoundaryMisses is the acceptance
-// differential: the 2+ hop transitive chain boundfix → boundhelper →
-// internal/fixpanic is provably invisible to PR 2's per-package analyzer
-// (it only closes reachability over same-package callees) and caught by the
-// call-graph upgrade. The reverse precision gain is asserted too: the
-// per-package analyzer flags an exported API whose only internal callee is
-// panic-free; boundary-reach, requiring a reachable panic SITE, does not.
+// TestBoundaryReachCatchesWhatPanicBoundaryMisses is the acceptance test of
+// reachability over the module call graph: the 2+ hop transitive chain
+// boundfix → boundhelper → internal/fixpanic, invisible to a per-package
+// call scan, is caught; and an exported API whose only internal callee is
+// panic-free is spared, because a finding requires a reachable panic SITE.
 func TestBoundaryReachCatchesWhatPanicBoundaryMisses(t *testing.T) {
 	pkgs, boundfix := loadBoundaryFixtures(t)
-
-	old := &PanicBoundary{
-		Boundary:       map[string]bool{boundfix.Path: true},
-		InternalPrefix: "fpgapart/internal/",
-		Sentinel:       "ErrSimulatorFault",
-	}
-	oldFindings := Run(pkgs, []Analyzer{old})
-	for _, f := range oldFindings {
-		if strings.Contains(f.Message, "TwoHop") || strings.Contains(f.Message, "Swallow") {
-			t.Errorf("panic-boundary unexpectedly sees the cross-package chain: %v", f)
-		}
-	}
-	found := false
-	for _, f := range oldFindings {
-		if strings.Contains(f.Message, "PanicFree") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("panic-boundary should flag PanicFree (any internal/* call is suspect to it) — fixture no longer demonstrates the precision gap")
-	}
-
 	br := &BoundaryReach{
 		Boundary:       map[string]bool{boundfix.Path: true},
 		InternalPrefix: "fpgapart/internal/",
@@ -410,8 +371,8 @@ func TestHotpathAllocFixture(t *testing.T) {
 	}
 }
 
-// TestAllSeven pins the default analyzer roster: boundary-reach supersedes
-// panic-boundary, and the two engine-backed analyzers are always on.
+// TestAllSeven pins the default analyzer roster: boundary-reach and the two
+// engine-backed analyzers are always on.
 func TestAllSeven(t *testing.T) {
 	want := []string{
 		"determinism", "boundary-reach", "error-hygiene", "clocked-component",

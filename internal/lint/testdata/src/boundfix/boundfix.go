@@ -2,8 +2,8 @@
 // analyzer. The tests configure it as a boundary package; it reaches the
 // internal panic site in fpgapart/internal/fixpanic only THROUGH the
 // sibling package boundhelper, so every flagged function here is invisible
-// to the per-package panic-boundary analyzer — the differential the
-// call-graph engine exists to close.
+// to a per-package call scan — the gap the call-graph engine exists to
+// close.
 package boundfix
 
 import (
@@ -51,10 +51,8 @@ func CallsGuarded(v int) (int, error) {
 	return Guarded(v)
 }
 
-// PanicFree touches internal code that provably cannot panic. The
-// per-package analyzer flags this shape (any internal/* call is suspect to
-// it); boundary-reach requires an actual reachable panic site and stays
-// quiet.
+// PanicFree touches internal code that provably cannot panic.
+// boundary-reach requires an actual reachable panic site and stays quiet.
 func PanicFree(v int) (int, error) {
 	return fixpanic.Safe(v), nil
 }

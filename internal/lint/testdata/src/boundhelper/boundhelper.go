@@ -1,8 +1,7 @@
 // Package boundhelper is the sibling helper package of the boundary-reach
 // fixture: a non-boundary, non-internal package forwarding into the
-// panic-capable internals. It adds the extra call-graph hop that PR 2's
-// per-package panic-boundary analyzer provably cannot follow (it only
-// closes reachability over same-package callees).
+// panic-capable internals. It adds the extra call-graph hop that a
+// per-package call scan cannot follow.
 package boundhelper
 
 import "fpgapart/internal/fixpanic"

@@ -14,7 +14,5 @@ func Checked(v int) int {
 }
 
 // Safe provably cannot panic — exported APIs reaching only this helper need
-// no recover guard under boundary-reach (the per-package panic-boundary
-// analyzer flags them anyway, which is exactly the precision gap the
-// call-graph upgrade closes).
+// no recover guard under boundary-reach.
 func Safe(v int) int { return v + 1 }

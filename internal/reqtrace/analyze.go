@@ -92,9 +92,9 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 	for c := 0; c < NumComponents; c++ {
 		vals := perComp[c]
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		p.Comp[c].P50US = nearestRank(vals, 50)
-		p.Comp[c].P95US = nearestRank(vals, 95)
-		p.Comp[c].P99US = nearestRank(vals, 99)
+		p.Comp[c].P50US = NearestRank(vals, 50)
+		p.Comp[c].P95US = NearestRank(vals, 95)
+		p.Comp[c].P99US = NearestRank(vals, 99)
 	}
 
 	sort.Slice(paths, func(a, b int) bool {
@@ -111,7 +111,7 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 	// Tail attribution: the component mix of requests at or above the p99
 	// latency — "p99 requests spend N% in queue wait".
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-	p.TailCutUS = nearestRank(lats, 99)
+	p.TailCutUS = NearestRank(lats, 99)
 	var tailTotal int64
 	var tailComp [NumComponents]int64
 	for i := range traces {
@@ -133,9 +133,9 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 	return p
 }
 
-// nearestRank returns the exact nearest-rank q-th percentile of sorted
+// NearestRank returns the exact nearest-rank q-th percentile of sorted
 // (ascending) values, 0 when empty.
-func nearestRank(sorted []int64, q int) int64 {
+func NearestRank(sorted []int64, q int) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -23,10 +23,10 @@ type RouterStep struct {
 	// Hedged marks a request the router hedged to a replica after the
 	// virtual-time deadline; HedgeIssueUS is the issue instant
 	// (AdmitUS + deadline). When the hedge won (HedgeWon), the job record
-	// passed to BuildRouted must be the hedge lane's: the winner's chain is
-	// then quota wait → hedge wait (admission to issue) → the lane's
-	// execution, and the handoff barrier (a primary-side delay) is not
-	// charged.
+	// passed to BuildRouted must be the hedge's, from the replica's
+	// scheduler: the winner's chain is then quota wait → hedge wait
+	// (admission to issue) → the hedge's queueing and execution on the
+	// replica, and the handoff barrier (a primary-side delay) is not charged.
 	Hedged       bool
 	HedgeWon     bool
 	HedgeIssueUS int64
@@ -123,7 +123,7 @@ func build(seed uint64, index int, step *RouterStep, job *JobRecord) RequestTrac
 			b.add("router", CompQuotaWait, arrival, step.AdmitUS-arrival)
 		}
 		if step.HedgeWon {
-			// The winner is the hedge lane: its job record starts at the
+			// The winner is the hedge: its job record starts at the
 			// issue instant, so the deadline interval is hedge wait. The
 			// primary's handoff barrier is not on the winning path.
 			if step.HedgeIssueUS > step.AdmitUS {

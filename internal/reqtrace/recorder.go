@@ -67,7 +67,7 @@ type FlightEvent struct {
 	// "degrade", "timeout", "cancel", "failed", "throttle", "failover",
 	// "shard_crash", "unrouted"; membership and hedging add "shard_join",
 	// "shard_drain", "range_moved", "hedge_issued", "hedge_won" (router
-	// side) and "hedge_lost" (a hedge lane's cancel, rewritten at merge).
+	// side; a hedge that lost in the queue is its scheduler's "cancel").
 	Kind string
 	// Job is the job id (request index after a cluster merge), -1 when the
 	// event is not job-scoped.

@@ -31,6 +31,8 @@
 // deterministic postmortem dump on simulator faults, crashes or timeouts.
 package reqtrace
 
+import "fpgapart/internal/hashutil"
+
 // Component indexes one summand of a request's latency decomposition.
 // Together the components tile [ArrivalUS, DoneUS) exactly: their sum is
 // the end-to-end virtual latency, the conservation law the property tests
@@ -52,8 +54,8 @@ const (
 	// arrival).
 	CompHandoffWait
 	// CompHedgeWait is the wait from admission to hedge issue, charged when
-	// the replica hedge lane won the request: the winner's timeline starts
-	// at the hedge deadline, so the deadline itself is router wait.
+	// the replica hedge won the request: the winner's timeline starts at the
+	// hedge deadline, so the deadline itself is router wait.
 	CompHedgeWait
 	// CompQueueWait is admission-queue plus backlog wait on the shard, from
 	// scheduler arrival to the first dispatch.
@@ -121,26 +123,16 @@ func (b *Breakdown) Sum() int64 {
 type TraceID uint64
 type SpanID uint64
 
-// mix is splitmix64's finalizer, the project-wide seeded derivation hash.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // NewTraceID derives the trace id of request index under seed. Pure
 // function of its arguments — never host entropy — so same-seed runs carry
 // identical ids.
 func NewTraceID(seed uint64, index int) TraceID {
-	return TraceID(mix(seed ^ mix(uint64(index)+1)))
+	return TraceID(hashutil.SplitMix64(seed ^ hashutil.SplitMix64(uint64(index)+1)))
 }
 
 // SpanID derives the id of the seq-th span of the trace.
 func (t TraceID) SpanID(seq int) SpanID {
-	return SpanID(mix(uint64(t) ^ mix(uint64(seq)+1)))
+	return SpanID(hashutil.SplitMix64(uint64(t) ^ hashutil.SplitMix64(uint64(seq)+1)))
 }
 
 // Span is one segment of a request's causal chain. Parent is the causally
@@ -174,8 +166,8 @@ type RequestTrace struct {
 	// Shard is where the request executed (-1: standalone run or never
 	// admitted); Rerouted and Throttled echo the router's decisions.
 	// Hedged marks a request whose router issued a replica hedge; HedgeWon
-	// marks the hedge lane finishing first (the trace's execution spans are
-	// then the hedge lane's, and Shard stays the primary's id).
+	// marks the hedge finishing first (the trace's execution spans are then
+	// the hedge's on the replica, and Shard stays the primary's id).
 	Shard     int
 	Rerouted  bool
 	Throttled bool

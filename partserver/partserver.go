@@ -31,6 +31,10 @@
 // fail-stop crashes, stragglers) as well as PAD-mode partition overflows
 // degrade the affected jobs to CPU execution, mirroring the paper's
 // Section 5.4 fallback.
+//
+// The loop is a Scheduler the caller steps (Submit, NextEventUS, Step); Run
+// submits a whole trace and steps it until it has drained, and the cluster
+// frontend interleaves the steps of several Schedulers on one clock.
 package partserver
 
 import (
@@ -113,7 +117,7 @@ type Config struct {
 	// on the FPGA pool before degrading to CPU (default 1).
 	MaxFPGARetries int
 
-	// StragglerFraction is the fraction of a job's virtual duration charged
+	// AbortFraction is the fraction of a job's virtual duration charged
 	// when it is aborted mid-run by a fault or crash (default 0.5).
 	AbortFraction float64
 
@@ -131,14 +135,6 @@ type Config struct {
 	// the scheduler loop in virtual-time order; nil disables recording at
 	// zero cost (nil-receiver no-ops).
 	Record *reqtrace.Recorder
-
-	// Lane optionally prefixes the causal-record component names
-	// ("<lane>.sched", "<lane>.fpga0", …) so a frontend multiplexing several
-	// scheduler deployments over one merged flight timeline — the cluster's
-	// hedge lanes — can attribute every event and attempt to the right lane.
-	// The prefixed strings are built once at scheduler construction, so the
-	// recording hot path stays allocation-free. Empty means no prefix.
-	Lane string
 }
 
 // WithDefaults returns a copy with unset knobs filled in.
@@ -378,25 +374,28 @@ type Report struct {
 }
 
 // Run schedules jobs under cfg and blocks until every job reaches a
-// terminal status. It is the package's single entry point: the full trace
-// is supplied up front because deterministic virtual-time admission needs
-// the arrival order independent of host scheduling.
+// terminal status: it submits the whole trace to a Scheduler (the full trace
+// is supplied up front, so arrival order is independent of host scheduling
+// and the FPGA crash thresholds know their denominator) and steps it until
+// it has drained.
 func Run(jobs []Job, cfg Config) (rep *Report, err error) {
 	defer guardSimulator(&err)
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		if err := validateJob(&jobs[i], i); err != nil {
-			return nil, err
-		}
-	}
-	s, err := newScheduler(jobs, cfg)
+	s, err := NewScheduler(cfg, len(jobs))
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	defer s.Close()
+	for i := range jobs {
+		if _, err := s.Submit(jobs[i]); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		if _, ok := s.NextEventUS(); !ok {
+			return s.Report(), nil
+		}
+		s.Step()
+	}
 }
 
 func validateJob(j *Job, id int) error {
@@ -468,24 +467,4 @@ func keyOf(j *Job) configKey {
 		k.layout = core.VRID
 	}
 	return k
-}
-
-// laneComp prefixes a causal-record component name with the configured lane
-// ("hedge" + "fpga0" → "hedge.fpga0"). Called only at scheduler
-// construction, never on the recording hot path.
-func laneComp(lane, comp string) string {
-	if lane == "" {
-		return comp
-	}
-	return lane + "." + comp
-}
-
-// mix is splitmix64's finalizer, the seeded tie-breaking hash.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

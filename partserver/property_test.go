@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"fpgapart/internal/hashutil"
 	"fpgapart/partition"
 	"fpgapart/workload"
 )
@@ -13,7 +14,7 @@ import (
 func seedFromName(t *testing.T) uint64 {
 	var h uint64 = 0x9e3779b97f4a7c15
 	for _, c := range t.Name() {
-		h = mix(h ^ uint64(c))
+		h = hashutil.SplitMix64(h ^ uint64(c))
 	}
 	return h
 }
@@ -132,7 +133,7 @@ func checkResult(t *testing.T, j *Job, r *JobResult) {
 func TestPropertyChecksumParity(t *testing.T) {
 	seed := seedFromName(t)
 	for round := 0; round < 4; round++ {
-		rseed := mix(seed ^ uint64(round))
+		rseed := hashutil.SplitMix64(seed ^ uint64(round))
 		jobs, err := GenerateTrace(rseed, 10, TraceOptions{MeanGapUS: 50})
 		if err != nil {
 			t.Fatal(err)

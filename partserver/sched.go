@@ -3,9 +3,11 @@ package partserver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fpgapart/internal/faults"
+	"fpgapart/internal/hashutil"
 	"fpgapart/internal/joincore"
 	"fpgapart/internal/model"
 	"fpgapart/internal/reqtrace"
@@ -15,9 +17,12 @@ import (
 // jobState is the scheduler's view of one submitted job as it moves
 // through backlog → admission queue → execution → terminal status.
 type jobState struct {
-	id   int
-	spec *Job
+	id int
+	// spec is the submitted job, immutable after Submit (the workers read it).
+	spec Job
 	key  configKey
+	// cancelAtUS is spec.CancelAtUS, possibly pulled forward by Cancel.
+	cancelAtUS int64
 
 	status    Status
 	placement Placement
@@ -27,9 +32,7 @@ type jobState struct {
 	// forceCPU pins the job to the CPU pool after FPGA retries are
 	// exhausted, a crash took its instance, or a PAD overflow aborted it.
 	forceCPU bool
-	terminal bool
 
-	arrivalUS  int64
 	dispatchUS int64 // -1 until first dispatch
 	doneUS     int64
 	execUS     int64
@@ -43,8 +46,8 @@ func (j *jobState) deadlineUS() int64 {
 	if j.spec.TimeoutUS > 0 {
 		d = j.spec.ArrivalUS + j.spec.TimeoutUS
 	}
-	if j.spec.CancelAtUS > 0 && j.spec.CancelAtUS < d {
-		d = j.spec.CancelAtUS
+	if j.cancelAtUS > 0 && j.cancelAtUS < d {
+		d = j.cancelAtUS
 	}
 	return d
 }
@@ -83,7 +86,15 @@ type resource struct {
 	done chan *batch
 }
 
-type scheduler struct {
+// Scheduler is the steppable virtual-time scheduler of one deployment. A
+// caller constructs it, Submits jobs (each held until its virtual arrival),
+// and alternates NextEventUS and Step until the system has drained; Run is
+// that loop over a whole trace, and a routing tier that fronts several
+// deployments interleaves their steps on one global clock. Every decision is
+// taken inside Step, on the caller's goroutine, so a fixed call sequence
+// yields byte-identical results whatever the host interleaving of the
+// worker goroutines.
+type Scheduler struct {
 	cfg  Config
 	inj  *faults.Injector
 	jobs []*jobState
@@ -97,96 +108,133 @@ type scheduler struct {
 	res  []*resource // fpgas first, then cpus
 	nfpg int
 
-	// schedComp is the causal-record component name of the scheduler itself:
-	// "sched", or "<lane>.sched" under Config.Lane. Built once here so the
-	// recording hot path never concatenates.
-	schedComp string
+	// finished lists the jobs that reached a terminal status during the
+	// current Step, in event order; Step hands it to the caller.
+	finished []int
+	// next caches peek's answer until a Submit, Cancel or Step changes it
+	// (peeked false), so asking for the next event and then taking it scans
+	// the queues once.
+	next   int64
+	peeked bool
 
 	now      int64
 	makespan int64
 	reconfs  int64
 	batches  int64
-	retries  int64
-	nfaults  int64
-	ncrashes int64
 }
 
-func newScheduler(jobs []Job, cfg Config) (*scheduler, error) {
-	s := &scheduler{cfg: cfg, nfpg: cfg.FPGAs, schedComp: laneComp(cfg.Lane, "sched")}
+// UnknownTotal is the totalJobs argument of a caller that cannot say up
+// front how many jobs it will submit.
+const UnknownTotal = -1
+
+// NewScheduler validates cfg (defaults filled in), starts the resource
+// workers and returns an idle scheduler at virtual time 0. Close releases
+// the workers.
+//
+// totalJobs is the number of jobs the caller will submit, the denominator of
+// the FPGA crash thresholds: instance i fail-stops while running its
+// (floor(f·share)+1)-th job, share = ceil(totalJobs/FPGAs). A caller that
+// cannot declare it passes UnknownTotal, and a fault scenario with Crashes
+// is then rejected: a share computed from the jobs seen so far would move
+// the crash point with the submission pattern.
+func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
+	defer guardSimulator(&err)
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s = &Scheduler{cfg: cfg, nfpg: cfg.FPGAs}
 	if cfg.Faults != nil {
+		if totalJobs < 0 && len(cfg.Faults.Crashes) > 0 {
+			return nil, fmt.Errorf("partserver: FPGA crash thresholds need the job total declared up front")
+		}
 		inj, err := faults.New(*cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
 		s.inj = inj
 	}
-	s.jobs = make([]*jobState, len(jobs))
-	for i := range jobs {
-		s.jobs[i] = &jobState{
-			id:         i,
-			spec:       &jobs[i],
-			key:        keyOf(&jobs[i]),
-			arrivalUS:  jobs[i].ArrivalUS,
-			instance:   -1,
-			dispatchUS: -1,
-		}
-	}
-	s.future = append(s.future, s.jobs...)
-	sort.SliceStable(s.future, func(a, b int) bool {
-		if s.future[a].arrivalUS != s.future[b].arrivalUS {
-			return s.future[a].arrivalUS < s.future[b].arrivalUS
-		}
-		return s.future[a].id < s.future[b].id
-	})
-
-	// Fair-share crash thresholds: instance i fail-stops while running its
-	// (floor(f·share)+1)-th job, share = ceil(totalJobs/FPGAs). Determinism
-	// holds because Run sees the whole trace up front.
 	share := 0
-	if cfg.FPGAs > 0 {
-		share = (len(jobs) + cfg.FPGAs - 1) / cfg.FPGAs
+	if cfg.FPGAs > 0 && totalJobs > 0 {
+		share = (totalJobs + cfg.FPGAs - 1) / cfg.FPGAs
 	}
-	for i := 0; i < cfg.FPGAs; i++ {
+	for i := 0; i < cfg.FPGAs+cfg.Workers; i++ {
 		r := &resource{
-			kind:     PlacedFPGA,
-			idx:      i,
-			comp:     laneComp(cfg.Lane, fmt.Sprintf("fpga%d", i)),
-			crashAt:  -1,
-			straggle: 1,
-			work:     make(chan *batch, 1),
-			done:     make(chan *batch, 1),
-		}
-		if s.inj != nil {
-			if f, ok := s.inj.CrashFraction(i); ok {
-				r.crashAt = int(f * float64(share))
-			}
-			r.straggle = s.inj.StraggleFactor(i)
-		}
-		s.res = append(s.res, r)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.res = append(s.res, &resource{
 			kind:     PlacedCPU,
-			idx:      i,
-			comp:     laneComp(cfg.Lane, fmt.Sprintf("cpu%d", i)),
+			idx:      i - cfg.FPGAs,
 			crashAt:  -1,
 			straggle: 1,
 			work:     make(chan *batch, 1),
 			done:     make(chan *batch, 1),
-		})
+		}
+		if i < cfg.FPGAs {
+			r.kind, r.idx = PlacedFPGA, i
+			if s.inj != nil {
+				if f, ok := s.inj.CrashFraction(i); ok {
+					r.crashAt = int(f * float64(share))
+				}
+				r.straggle = s.inj.StraggleFactor(i)
+			}
+		}
+		r.comp = fmt.Sprintf("%v%d", r.kind, r.idx)
+		s.res = append(s.res, r)
+		startWorker(r, cfg)
 	}
+	s.count("sched.jobs_submitted", 0)
 	return s, nil
 }
 
+// Close stops the resource workers. Call it once the scheduler has drained
+// (or is abandoned with nothing in flight).
+func (s *Scheduler) Close() {
+	for _, r := range s.res {
+		close(r.work)
+	}
+}
+
+// Submit registers one job and returns its id (ids count submissions from
+// 0). The job is held until its ArrivalUS, which may not lie before the
+// scheduler's clock; same-instant arrivals queue in submission order.
+func (s *Scheduler) Submit(job Job) (id int, err error) {
+	defer guardSimulator(&err)
+	id = len(s.jobs)
+	if err := validateJob(&job, id); err != nil {
+		return 0, err
+	}
+	if job.ArrivalUS < s.now {
+		return 0, fmt.Errorf("partserver: job %d arrives at %dus, before the scheduler clock %dus", id, job.ArrivalUS, s.now)
+	}
+	j := &jobState{id: id, spec: job, key: keyOf(&job), cancelAtUS: job.CancelAtUS, instance: -1, dispatchUS: -1}
+	s.jobs = append(s.jobs, j)
+	at := sort.Search(len(s.future), func(i int) bool { return s.future[i].spec.ArrivalUS > job.ArrivalUS })
+	s.future = slices.Insert(s.future, at, j)
+	s.peeked = false
+	s.count("sched.jobs_submitted", 1)
+	s.cfg.Record.Admit(id, job.Tag, job.ArrivalUS)
+	return id, nil
+}
+
+// Cancel pulls job id's cancellation forward to virtual time atUS: if the
+// job is still queued then it ends StatusCancelled through the ordinary
+// deadline path (cancellation beats dispatch at the same instant); a job
+// already executing runs to completion — the circuit cannot stop
+// mid-relation.
+func (s *Scheduler) Cancel(id int, atUS int64) {
+	if j := s.jobs[id]; j.cancelAtUS == 0 || atUS < j.cancelAtUS {
+		j.cancelAtUS = atUS
+		s.peeked = false
+	}
+}
+
 // count adds to a counter; a nil session is free.
-func (s *scheduler) count(name string, d int64) {
+func (s *Scheduler) count(name string, d int64) {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Metrics.Counter(name).Add(d)
 	}
 }
 
 // observeQueue records the current queue depth (bounded queue + backlog).
-func (s *scheduler) observeQueue() {
+func (s *Scheduler) observeQueue() {
 	if s.cfg.Trace == nil {
 		return
 	}
@@ -195,33 +243,9 @@ func (s *scheduler) observeQueue() {
 	s.cfg.Trace.Tracer.Sample("sched", "queue_depth", s.now, depth)
 }
 
-func (s *scheduler) run() (*Report, error) {
-	for _, r := range s.res {
-		startWorker(r, s.cfg)
-	}
-	defer func() {
-		for _, r := range s.res {
-			close(r.work)
-		}
-	}()
-
-	s.count("sched.jobs_submitted", int64(len(s.jobs)))
-	for _, j := range s.jobs {
-		s.cfg.Record.Admit(j.id, j.spec.Tag, j.arrivalUS)
-	}
-	for {
-		s.admitWaiting()
-		s.dispatchLoop()
-		if !s.advance() {
-			break
-		}
-	}
-	return s.report(), nil
-}
-
 // admitWaiting refills the bounded admission queue from the arrived
 // backlog, in arrival order.
-func (s *scheduler) admitWaiting() {
+func (s *Scheduler) admitWaiting() {
 	moved := false
 	for len(s.waiting) > 0 && len(s.admit) < s.cfg.QueueDepth {
 		s.admit = append(s.admit, s.waiting[0])
@@ -236,7 +260,7 @@ func (s *scheduler) admitWaiting() {
 // dispatchLoop places queued jobs on free resources until no placement is
 // possible, scanning the admission queue in order (a job that cannot be
 // placed does not block the jobs behind it).
-func (s *scheduler) dispatchLoop() {
+func (s *Scheduler) dispatchLoop() {
 	for {
 		placed := false
 		for qi := 0; qi < len(s.admit); qi++ {
@@ -259,7 +283,7 @@ func (s *scheduler) dispatchLoop() {
 // place picks the free resource with the earliest predicted completion for
 // job j, nil when none is free (or permitted). Ties break on a seeded hash
 // so equally good resources are chosen reproducibly.
-func (s *scheduler) place(j *jobState) *resource {
+func (s *Scheduler) place(j *jobState) *resource {
 	var best *resource
 	var bestDone int64
 	var bestTie uint64
@@ -271,7 +295,7 @@ func (s *scheduler) place(j *jobState) *resource {
 			continue
 		}
 		done := s.now + s.predict(j, r)
-		tie := mix(s.cfg.Seed ^ mix(uint64(j.id)<<20|uint64(ri)))
+		tie := hashutil.SplitMix64(s.cfg.Seed ^ hashutil.SplitMix64(uint64(j.id)<<20|uint64(ri)))
 		if best == nil || done < bestDone || (done == bestDone && tie < bestTie) {
 			best, bestDone, bestTie = r, done, tie
 		}
@@ -283,7 +307,7 @@ func (s *scheduler) place(j *jobState) *resource {
 // cost model (Section 4.6) for the FPGA side, the calibrated constant rate
 // for the CPU side. Predictions drive placement only; actual charges come
 // from simulated cycles (FPGA) or the same constant rates (CPU).
-func (s *scheduler) predict(j *jobState, r *resource) int64 {
+func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 	n := int64(j.spec.Rel.NumTuples)
 	probe := int64(0)
 	if j.spec.Probe != nil {
@@ -323,7 +347,7 @@ func (s *scheduler) predict(j *jobState, r *resource) int64 {
 // cannot fit the budget, assume both sides make one spill round trip
 // (write + read) at the join rate. The actual charge at harvest uses the
 // observed spill traffic instead.
-func (s *scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
+func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 	budget := j.spec.MemoryBudgetBytes
 	if budget <= 0 || n*joincore.BuildTupleBytes <= budget {
 		return 0
@@ -337,7 +361,7 @@ func (s *scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 // scheduler loop, deterministically — before the worker runs; the worker
 // always executes for real (race coverage for the pool), and the scheduler
 // discards aborted results at harvest time.
-func (s *scheduler) dispatch(j *jobState, qi int, r *resource) {
+func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 	b := &batch{jobs: []*jobState{j}, startUS: s.now}
 	s.admit = append(s.admit[:qi:qi], s.admit[qi+1:]...)
 	if r.kind == PlacedFPGA {
@@ -388,34 +412,32 @@ func (s *scheduler) dispatch(j *jobState, qi int, r *resource) {
 	r.work <- b
 }
 
-// advance harvests every in-flight result, moves virtual time to the next
-// event (arrival, completion, or queue deadline) and processes everything
-// due at that instant. It returns false when the system has drained.
-func (s *scheduler) advance() bool {
-	const inf = int64(math.MaxInt64)
+// noEvent is peek's answer when nothing is scheduled on the virtual clock.
+const noEvent = int64(math.MaxInt64)
 
-	// Harvest: block-receive, in fixed resource order, the result of every
-	// busy resource. The workers have been running concurrently since
-	// dispatch; receiving in index order (never via select) keeps the loop
-	// deterministic.
-	busy := false
+// peek harvests every in-flight result and returns the virtual time of the
+// next event (arrival, completion, or queue deadline), noEvent when none is
+// scheduled. Harvest: block-receive, in fixed resource order, the result of
+// every busy resource. The workers have been running concurrently since
+// dispatch; receiving in index order (never via select) keeps the loop
+// deterministic.
+func (s *Scheduler) peek() int64 {
+	if s.peeked {
+		return s.next
+	}
+	next := noEvent
+	if len(s.future) > 0 {
+		next = s.future[0].spec.ArrivalUS
+	}
 	for _, r := range s.res {
 		if r.inflight == nil {
 			continue
 		}
-		busy = true
 		if r.inflight.doneUS == 0 {
 			b := <-r.done
 			b.doneUS = b.startUS + s.batchDuration(b, r)
 		}
-	}
-
-	next := inf
-	if len(s.future) > 0 {
-		next = s.future[0].arrivalUS
-	}
-	for _, r := range s.res {
-		if r.inflight != nil && r.inflight.doneUS < next {
+		if r.inflight.doneUS < next {
 			next = r.inflight.doneUS
 		}
 	}
@@ -426,27 +448,47 @@ func (s *scheduler) advance() bool {
 			}
 		}
 	}
-	if next == inf {
-		if !busy {
-			// Queued jobs nothing can ever run (e.g. CPU-pinned jobs with
-			// no CPU workers): fail them rather than spin.
-			s.failUnschedulable(&s.admit)
-			s.failUnschedulable(&s.waiting)
-			return false
-		}
-		return true
+	s.next, s.peeked = next, true
+	return next
+}
+
+// NextEventUS returns the virtual time of the scheduler's next event; ok is
+// false once the system has drained. It blocks until every in-flight batch
+// has been harvested, since a completion time is known only then. Queued
+// jobs nothing can ever run (e.g. CPU-pinned jobs with no CPU workers) are
+// an event at the current time: the Step that fails them.
+func (s *Scheduler) NextEventUS() (us int64, ok bool) {
+	next := s.peek()
+	if next == noEvent {
+		return s.now, len(s.admit)+len(s.waiting) > 0
+	}
+	return next, true
+}
+
+// Step advances virtual time to the next event, processes everything due at
+// that instant — completions first (they free resources), in resource order;
+// then arrivals; then queue deadlines, so cancellation beats dispatch — and
+// places queued jobs on the free resources. It returns the ids of the jobs
+// that reached a terminal status, in event order; the slice is reused by the
+// next Step.
+func (s *Scheduler) Step() []int {
+	s.finished = s.finished[:0]
+	next := s.peek()
+	s.peeked = false
+	if next == noEvent {
+		s.failUnschedulable(&s.admit)
+		s.failUnschedulable(&s.waiting)
+		return s.finished
 	}
 	s.now = next
 
-	// Completions first (they free resources), in resource order.
 	for _, r := range s.res {
 		if r.inflight != nil && r.inflight.doneUS == s.now {
 			s.complete(r)
 		}
 	}
-	// Then arrivals.
 	arrived := false
-	for len(s.future) > 0 && s.future[0].arrivalUS <= s.now {
+	for len(s.future) > 0 && s.future[0].spec.ArrivalUS <= s.now {
 		s.waiting = append(s.waiting, s.future[0])
 		s.future = s.future[1:]
 		arrived = true
@@ -454,26 +496,44 @@ func (s *scheduler) advance() bool {
 	if arrived {
 		s.observeQueue()
 	}
-	// Then queue deadlines: cancellation beats dispatch at the same instant.
 	s.expire(&s.admit)
 	s.expire(&s.waiting)
-	return true
+
+	s.admitWaiting()
+	s.dispatchLoop()
+	return s.finished
 }
 
-func (s *scheduler) failUnschedulable(q *[]*jobState) {
+// terminalNames maps a terminal status to its flight-event kind and its
+// simtrace counter.
+var terminalNames = [...]struct{ event, counter string }{
+	StatusDone:      {"done", "sched.jobs_done"},
+	StatusTimedOut:  {"timeout", "sched.jobs_timeout"},
+	StatusCancelled: {"cancel", "sched.jobs_cancelled"},
+	StatusFailed:    {"failed", "sched.jobs_failed"},
+}
+
+// finish stamps job j's terminal status at the current virtual time,
+// records it on component comp, and queues the id for Step's caller.
+func (s *Scheduler) finish(j *jobState, status Status, comp string) {
+	j.status = status
+	j.doneUS = s.now
+	names := terminalNames[status]
+	s.cfg.Record.Finish(j.id, status.String(), s.now)
+	s.cfg.Record.Event(s.now, comp, names.event, j.id, int64(j.attempts))
+	s.count(names.counter, 1)
+	s.finished = append(s.finished, j.id)
+}
+
+func (s *Scheduler) failUnschedulable(q *[]*jobState) {
 	for _, j := range *q {
-		j.terminal = true
-		j.status = StatusFailed
-		j.doneUS = s.now
 		j.errMsg = "no resource can run this job"
-		s.cfg.Record.Finish(j.id, "failed", s.now)
-		s.cfg.Record.Event(s.now, s.schedComp, "failed", j.id, int64(j.attempts))
-		s.count("sched.jobs_failed", 1)
+		s.finish(j, StatusFailed, "sched")
 	}
 	*q = nil
 }
 
-func (s *scheduler) expire(q *[]*jobState) {
+func (s *Scheduler) expire(q *[]*jobState) {
 	kept := (*q)[:0]
 	changed := false
 	for _, j := range *q {
@@ -482,18 +542,10 @@ func (s *scheduler) expire(q *[]*jobState) {
 			continue
 		}
 		changed = true
-		j.terminal = true
-		j.doneUS = s.now
 		if j.spec.TimeoutUS > 0 && j.spec.ArrivalUS+j.spec.TimeoutUS <= s.now {
-			j.status = StatusTimedOut
-			s.cfg.Record.Finish(j.id, "timedout", s.now)
-			s.cfg.Record.Event(s.now, s.schedComp, "timeout", j.id, int64(j.attempts))
-			s.count("sched.jobs_timeout", 1)
+			s.finish(j, StatusTimedOut, "sched")
 		} else {
-			j.status = StatusCancelled
-			s.cfg.Record.Finish(j.id, "cancelled", s.now)
-			s.cfg.Record.Event(s.now, s.schedComp, "cancel", j.id, int64(j.attempts))
-			s.count("sched.jobs_cancelled", 1)
+			s.finish(j, StatusCancelled, "sched")
 		}
 		j.placement = PlacedNone
 		j.instance = -1
@@ -506,7 +558,7 @@ func (s *scheduler) expire(q *[]*jobState) {
 
 // batchDuration converts a harvested batch into charged virtual time on
 // resource r and stamps per-job execution charges (b.durs).
-func (s *scheduler) batchDuration(b *batch, r *resource) int64 {
+func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 	var total int64
 	if b.reconfig {
 		total += s.cfg.ReconfigUS
@@ -554,7 +606,7 @@ func (s *scheduler) batchDuration(b *batch, r *resource) int64 {
 
 // complete finalizes a harvested batch at the current virtual time: spans
 // and counters are emitted here, on the scheduler loop, in event order.
-func (s *scheduler) complete(r *resource) {
+func (s *Scheduler) complete(r *resource) {
 	b := r.inflight
 	r.inflight = nil
 	r.busyUS += b.doneUS - b.startUS
@@ -602,22 +654,16 @@ func (s *scheduler) complete(r *resource) {
 	}
 
 	if b.aborted {
+		kind, counter := "fault", "sched.fpga_faults"
 		if b.crash {
 			r.dead = true
-			s.ncrashes++
-			s.count("sched.fpga_crashes", 1)
-			if s.cfg.Trace != nil {
-				s.cfg.Trace.Tracer.Instant(r.comp, "crash", b.doneUS)
-			}
-			s.cfg.Record.Event(b.doneUS, r.comp, "crash", b.jobs[0].id, int64(len(b.jobs)))
-		} else {
-			s.nfaults++
-			s.count("sched.fpga_faults", 1)
-			if s.cfg.Trace != nil {
-				s.cfg.Trace.Tracer.Instant(r.comp, "fault", b.doneUS)
-			}
-			s.cfg.Record.Event(b.doneUS, r.comp, "fault", b.jobs[0].id, int64(len(b.jobs)))
+			kind, counter = "crash", "sched.fpga_crashes"
 		}
+		s.count(counter, 1)
+		if s.cfg.Trace != nil {
+			s.cfg.Trace.Tracer.Instant(r.comp, kind, b.doneUS)
+		}
+		s.cfg.Record.Event(b.doneUS, r.comp, kind, b.jobs[0].id, int64(len(b.jobs)))
 		for _, j := range b.jobs {
 			s.requeue(j, b.crash)
 		}
@@ -627,15 +673,8 @@ func (s *scheduler) complete(r *resource) {
 	for _, j := range b.jobs {
 		switch {
 		case j.out.ok:
-			j.terminal = true
-			j.status = StatusDone
-			j.doneUS = b.doneUS
-			if j.doneUS > s.makespan {
-				s.makespan = j.doneUS
-			}
-			s.cfg.Record.Finish(j.id, "done", b.doneUS)
-			s.cfg.Record.Event(b.doneUS, r.comp, "done", j.id, int64(j.attempts))
-			s.count("sched.jobs_done", 1)
+			s.finish(j, StatusDone, r.comp)
+			s.makespan = s.now
 			if r.kind == PlacedFPGA {
 				s.count("sched.placed_fpga", 1)
 			} else {
@@ -645,36 +684,27 @@ func (s *scheduler) complete(r *resource) {
 				s.count("sched.jobs_degraded", 1)
 			}
 			if s.cfg.Trace != nil {
-				s.cfg.Trace.Metrics.Histogram("sched.queue_wait_us").Observe(j.dispatchUS - j.arrivalUS)
+				s.cfg.Trace.Metrics.Histogram("sched.queue_wait_us").Observe(j.dispatchUS - j.spec.ArrivalUS)
 				s.cfg.Trace.Metrics.Histogram("sched.exec_us").Observe(j.execUS)
 			}
-		case j.out.overflow:
-			// PAD overflow: the circuit aborted this job; degrade to CPU,
-			// keeping the aborted attempt's charge (Section 5.4 semantics).
+		case j.out.overflow || r.kind == PlacedFPGA:
+			// PAD overflow (the circuit aborted this job) or a simulator
+			// fault on the FPGA run: degrade to CPU, keeping the aborted
+			// attempt's charge (Section 5.4 semantics).
 			j.forceCPU = true
 			j.degraded = true
-			s.count("sched.overflow_degrades", 1)
-			s.cfg.Record.Event(b.doneUS, r.comp, "degrade", j.id, int64(j.attempts))
-			s.requeueFront(j)
-		case r.kind == PlacedFPGA:
-			// Simulator fault on the FPGA run: degrade to CPU.
-			j.forceCPU = true
-			j.degraded = true
-			s.count("sched.sim_faults", 1)
+			if j.out.overflow {
+				s.count("sched.overflow_degrades", 1)
+			} else {
+				s.count("sched.sim_faults", 1)
+			}
 			s.cfg.Record.Event(b.doneUS, r.comp, "degrade", j.id, int64(j.attempts))
 			s.requeueFront(j)
 		default:
 			// CPU execution failed: no further fallback.
-			j.terminal = true
-			j.status = StatusFailed
-			j.doneUS = b.doneUS
-			if j.doneUS > s.makespan {
-				s.makespan = j.doneUS
-			}
 			j.errMsg = j.out.errMsg
-			s.cfg.Record.Finish(j.id, "failed", b.doneUS)
-			s.cfg.Record.Event(b.doneUS, r.comp, "failed", j.id, int64(j.attempts))
-			s.count("sched.jobs_failed", 1)
+			s.finish(j, StatusFailed, r.comp)
+			s.makespan = s.now
 		}
 	}
 }
@@ -682,8 +712,7 @@ func (s *scheduler) complete(r *resource) {
 // requeue returns a fault- or crash-aborted job to the front of the
 // admission queue; once its FPGA retries are exhausted (or its instance
 // crashed with no healthy FPGA left) it is pinned to the CPU pool.
-func (s *scheduler) requeue(j *jobState, crash bool) {
-	s.retries++
+func (s *Scheduler) requeue(j *jobState, crash bool) {
 	s.count("sched.retries", 1)
 	if j.attempts > s.cfg.MaxFPGARetries || (crash && !s.anyFPGAAlive()) {
 		j.forceCPU = true
@@ -692,13 +721,13 @@ func (s *scheduler) requeue(j *jobState, crash bool) {
 	s.requeueFront(j)
 }
 
-func (s *scheduler) requeueFront(j *jobState) {
+func (s *Scheduler) requeueFront(j *jobState) {
 	j.out = execOut{}
 	s.admit = append([]*jobState{j}, s.admit...)
 	s.observeQueue()
 }
 
-func (s *scheduler) anyFPGAAlive() bool {
+func (s *Scheduler) anyFPGAAlive() bool {
 	for _, r := range s.res[:s.nfpg] {
 		if !r.dead {
 			return true
@@ -707,54 +736,70 @@ func (s *scheduler) anyFPGAAlive() bool {
 	return false
 }
 
-func (s *scheduler) report() *Report {
-	rep := &Report{MakespanUS: s.makespan}
+// Result returns job id's outcome as of now: final once the job has been
+// listed by Step, a snapshot of a queued or executing job before that.
+func (s *Scheduler) Result(id int) JobResult {
+	j := s.jobs[id]
+	jr := JobResult{
+		ID:           j.id,
+		Status:       j.status,
+		Tag:          j.spec.Tag,
+		Placement:    j.placement,
+		Instance:     j.instance,
+		Attempts:     j.attempts,
+		Degraded:     j.degraded,
+		ArrivalUS:    j.spec.ArrivalUS,
+		DispatchUS:   j.dispatchUS,
+		DoneUS:       j.doneUS,
+		ExecUS:       j.execUS,
+		Tuples:       j.out.tuples,
+		Counts:       j.out.counts,
+		Offsets:      j.out.offsets,
+		Checksum:     j.out.checksum,
+		Matches:      j.out.matches,
+		SpilledBytes: j.out.spilledBytes,
+		MaxJoinDepth: j.out.joinDepth,
+		Err:          j.errMsg,
+	}
+	if j.status == StatusDone {
+		jr.QueueWaitUS = j.dispatchUS - j.spec.ArrivalUS
+	}
+	return jr
+}
+
+// MakespanUS returns the virtual completion time of the last job that ran to
+// a result so far.
+func (s *Scheduler) MakespanUS() int64 { return s.makespan }
+
+// Report assembles the outcome of every submitted job, in id order, and
+// emits the run-level counters into the simtrace session. Call it once, after
+// the scheduler has drained.
+func (s *Scheduler) Report() *Report {
+	rep := &Report{MakespanUS: s.makespan, Results: make([]JobResult, len(s.jobs))}
 	var checksum uint32
-	for _, j := range s.jobs {
-		jr := JobResult{
-			ID:           j.id,
-			Status:       j.status,
-			Tag:          j.spec.Tag,
-			Placement:    j.placement,
-			Instance:     j.instance,
-			Attempts:     j.attempts,
-			Degraded:     j.degraded,
-			ArrivalUS:    j.arrivalUS,
-			DispatchUS:   j.dispatchUS,
-			DoneUS:       j.doneUS,
-			ExecUS:       j.execUS,
-			Tuples:       j.out.tuples,
-			Counts:       j.out.counts,
-			Offsets:      j.out.offsets,
-			Checksum:     j.out.checksum,
-			Matches:      j.out.matches,
-			SpilledBytes: j.out.spilledBytes,
-			MaxJoinDepth: j.out.joinDepth,
-			Err:          j.errMsg,
+	var spilled int64
+	for id := range s.jobs {
+		jr := s.Result(id)
+		rep.Results[id] = jr
+		spilled += jr.SpilledBytes
+		if jr.Status != StatusDone {
+			continue
 		}
-		if j.status == StatusDone {
-			jr.QueueWaitUS = j.dispatchUS - j.arrivalUS
-			checksum += j.out.checksum
-			switch j.placement {
-			case PlacedFPGA:
-				rep.PlacedFPGA++
-			case PlacedCPU:
-				rep.PlacedCPU++
-			}
-			if j.degraded {
-				rep.Degraded++
-			}
+		checksum += jr.Checksum
+		switch jr.Placement {
+		case PlacedFPGA:
+			rep.PlacedFPGA++
+		case PlacedCPU:
+			rep.PlacedCPU++
 		}
-		rep.Results = append(rep.Results, jr)
+		if jr.Degraded {
+			rep.Degraded++
+		}
 	}
 	for _, r := range s.res[:s.nfpg] {
 		if r.dead {
 			rep.FailedInstances = append(rep.FailedInstances, r.idx)
 		}
-	}
-	var spilled int64
-	for _, j := range s.jobs {
-		spilled += j.out.spilledBytes
 	}
 	if s.cfg.Trace != nil {
 		s.count("sched.makespan_us", s.makespan)

@@ -1,6 +1,7 @@
 package partserver
 
 import (
+	"fpgapart/internal/hashutil"
 	"fpgapart/partition"
 	"fpgapart/workload"
 )
@@ -48,7 +49,7 @@ func GenerateTrace(seed uint64, n int, opts TraceOptions) ([]Job, error) {
 	arrival := int64(0)
 	for i := 0; i < n; i++ {
 		draw := func(purpose uint64) uint64 {
-			return mix(seed ^ mix(uint64(i)<<8|purpose))
+			return hashutil.SplitMix64(seed ^ hashutil.SplitMix64(uint64(i)<<8|purpose))
 		}
 		span := opts.MaxTuples - opts.MinTuples + 1
 		size := opts.MinTuples + int(draw(1)%uint64(span))

@@ -70,13 +70,26 @@ func joinParts(build, probe joincore.Partitions, spec *Job, out *execOut) error 
 // A panic inside the simulator is recovered per job and reported in the
 // job's execOut — a caller-side guard cannot catch a goroutine's panic.
 func startWorker(r *resource, cfg Config) {
+	run := cpuWorker{}.runJob
 	if r.kind == PlacedFPGA {
-		w := &fpgaWorker{res: r, cfg: cfg}
-		go w.loop()
-		return
+		run = (&fpgaWorker{cfg: cfg}).runJob
 	}
-	w := &cpuWorker{res: r, cfg: cfg}
-	go w.loop()
+	safely := func(j *jobState) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", r.kind, rec)}
+			}
+		}()
+		run(j)
+	}
+	go func() {
+		for b := range r.work {
+			for _, j := range b.jobs {
+				safely(j)
+			}
+			r.done <- b
+		}
+	}()
 }
 
 // fpgaWorker drives one simulated FPGA partitioner instance. The circuit is
@@ -85,30 +98,15 @@ func startWorker(r *resource, cfg Config) {
 // different configuration (the virtual reconfiguration the scheduler
 // charges ReconfigUS for).
 type fpgaWorker struct {
-	res     *resource
 	cfg     Config
 	circuit *core.Circuit
 	loaded  configKey
 	hasCkt  bool
 }
 
-func (w *fpgaWorker) loop() {
-	for b := range w.res.work {
-		for _, j := range b.jobs {
-			w.runJob(j)
-		}
-		w.res.done <- b
-	}
-}
-
 func (w *fpgaWorker) runJob(j *jobState) {
-	defer func() {
-		if r := recover(); r != nil {
-			j.out = execOut{errMsg: fmt.Sprintf("fpga worker: %v", r)}
-		}
-	}()
 	if !w.hasCkt || w.loaded != j.key {
-		cfg, err := circuitConfig(j.spec)
+		cfg, err := circuitConfig(&j.spec)
 		if err != nil {
 			j.out = execOut{errMsg: err.Error()}
 			return
@@ -146,7 +144,7 @@ func (w *fpgaWorker) runJob(j *jobState) {
 			return
 		}
 		out.cycles += pstats.Cycles
-		if err := joinParts(fpgaParts{build}, fpgaParts{probe}, j.spec, &out); err != nil {
+		if err := joinParts(fpgaParts{build}, fpgaParts{probe}, &j.spec, &out); err != nil {
 			j.out = execOut{errMsg: err.Error(), cycles: out.cycles}
 			return
 		}
@@ -156,27 +154,10 @@ func (w *fpgaWorker) runJob(j *jobState) {
 
 // cpuWorker drives one CPU partitioner slot. It runs single-threaded so the
 // produced tuple order (not just the multiset) is identical across runs.
-type cpuWorker struct {
-	res *resource
-	cfg Config
-}
+type cpuWorker struct{}
 
-func (w *cpuWorker) loop() {
-	for b := range w.res.work {
-		for _, j := range b.jobs {
-			w.runJob(j)
-		}
-		w.res.done <- b
-	}
-}
-
-func (w *cpuWorker) runJob(j *jobState) {
-	defer func() {
-		if r := recover(); r != nil {
-			j.out = execOut{errMsg: fmt.Sprintf("cpu worker: %v", r)}
-		}
-	}()
-	build, err := w.partition(j.spec.Rel, j.spec)
+func (w cpuWorker) runJob(j *jobState) {
+	build, err := w.partition(j.spec.Rel, &j.spec)
 	if err != nil {
 		j.out = execOut{errMsg: err.Error()}
 		return
@@ -185,12 +166,12 @@ func (w *cpuWorker) runJob(j *jobState) {
 	fillFromCPU(&out, build)
 
 	if j.spec.Probe != nil {
-		probe, err := w.partition(j.spec.Probe, j.spec)
+		probe, err := w.partition(j.spec.Probe, &j.spec)
 		if err != nil {
 			j.out = execOut{errMsg: err.Error()}
 			return
 		}
-		if err := joinParts(cpuParts{build}, cpuParts{probe}, j.spec, &out); err != nil {
+		if err := joinParts(cpuParts{build}, cpuParts{probe}, &j.spec, &out); err != nil {
 			j.out = execOut{errMsg: err.Error()}
 			return
 		}
@@ -202,7 +183,7 @@ func (w *cpuWorker) runJob(j *jobState) {
 // (VRID jobs degraded to the CPU) are first materialized as <key, VRID>
 // rows, mirroring partition.NewFPGA's overflow fallback, so the output
 // payload convention — and hence the checksum — matches the FPGA's.
-func (w *cpuWorker) partition(rel *workload.Relation, spec *Job) (*cpupart.Result, error) {
+func (w cpuWorker) partition(rel *workload.Relation, spec *Job) (*cpupart.Result, error) {
 	if rel.Layout == workload.ColumnLayout {
 		rows, err := workload.NewRelation(workload.RowLayout, 8, rel.NumTuples)
 		if err != nil {
