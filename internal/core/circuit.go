@@ -150,9 +150,10 @@ type run struct {
 	out *Output
 
 	// Shared-memory model.
-	region *memsys.Region
-	ptable *memsys.PageTable
-	outOff int64 // byte offset of the output buffer in the region
+	pageBytes int // 4 MB, the Intel API's allocation unit
+	region    *memsys.Region
+	ptable    *memsys.PageTable
+	outOff    int64 // byte offset of the output buffer in the region
 }
 
 func (r *run) setup() error {
@@ -162,6 +163,7 @@ func (r *run) setup() error {
 	r.tpl = 64 / cfg.OutputTupleWidth()
 	r.radix = cfg.RadixBits()
 	r.dummy = cfg.DummyKeyValue()
+	r.pageBytes = 4 << 20
 	if r.comp != nil {
 		r.total = r.comp.n
 		r.compPending = -1
@@ -197,7 +199,9 @@ func (r *run) execute() error {
 	} else {
 		r.padBases()
 	}
-	r.allocate()
+	if err := r.allocate(); err != nil {
+		return err
+	}
 	if err := r.partitionPass(); err != nil {
 		return err
 	}
@@ -239,14 +243,15 @@ func (r *run) inputReadFrac() float64 {
 
 // histogramPass streams the relation through the hash pipelines once,
 // counting tuples per partition. No data is written back (Section 4.5).
+//
+//fpgavet:hotpath
 func (r *run) histogramPass() {
 	r.ep.SetMix(1)
 	start := r.stats.Cycles
 	r.next = 0
 	for {
 		r.ep.Tick()
-		in, ok := r.nextGroup(false)
-		out, outOK := r.pipe.Shift(in, ok)
+		out, outOK := r.pipe.Shift(r.nextGroup(r.pipe.In(), false))
 		if outOK {
 			for i := 0; i < out.n; i++ {
 				r.hist[out.t[i].part]++
@@ -264,7 +269,7 @@ func (r *run) histogramPass() {
 	r.next = 0
 	if r.comp != nil {
 		// Rewind the decompressor for the second pass.
-		r.comp = newRLEFeed(r.comp.col)
+		r.comp.rewind()
 		r.compPending = -1
 	}
 }
@@ -308,7 +313,7 @@ func (r *run) padBases() {
 
 // allocate lays the partitions out in shared memory and populates the
 // FPGA-side page table.
-func (r *run) allocate() {
+func (r *run) allocate() error {
 	var totalLines int64
 	base := make([]int64, r.cfg.NumPartitions)
 	for p := range r.capLines {
@@ -326,14 +331,16 @@ func (r *run) allocate() {
 	}
 	// Fill with dummy keys so never-written slots of used regions (PAD mode
 	// headroom) read as dummies, like bitstream-initialized memory.
-	dummyWord := uint64(r.dummy) | uint64(r.dummy)<<32
-	for i := range r.out.Lines {
-		r.out.Lines[i] = dummyWord
+	if lines := r.out.Lines; len(lines) > 0 {
+		lines[0] = uint64(r.dummy) | uint64(r.dummy)<<32
+		for n := 1; n < len(lines); n *= 2 {
+			copy(lines[n:], lines[:n])
+		}
 	}
 
 	// Shared-memory region: input buffer followed by the output buffer,
 	// page-aligned, as the software would allocate through the Intel API.
-	pageBytes := 4 << 20
+	pageBytes := r.pageBytes
 	var inBytes int64
 	if r.comp != nil {
 		inBytes = int64(r.comp.col.CompressedBytes())
@@ -346,23 +353,26 @@ func (r *run) allocate() {
 		need = int64(pageBytes)
 	}
 	pool, err := memsys.NewPool(need+int64(pageBytes), pageBytes)
-	if err == nil {
-		if region, aerr := pool.Alloc(need); aerr == nil {
-			r.region = region
-			pages := (need + int64(pageBytes) - 1) / int64(pageBytes)
-			if pt, perr := memsys.NewPageTable(pageBytes, int(pages)); perr == nil {
-				if pt.Populate(region) == nil {
-					r.ptable = pt
-				}
-			}
-		}
+	if err != nil {
+		return fmt.Errorf("core: shared-memory pool: %w", err)
 	}
+	if r.region, err = pool.Alloc(need); err != nil {
+		return fmt.Errorf("core: shared-memory region: %w", err)
+	}
+	pages := (need + int64(pageBytes) - 1) / int64(pageBytes)
+	if r.ptable, err = memsys.NewPageTable(pageBytes, int(pages)); err != nil {
+		return fmt.Errorf("core: FPGA page table: %w", err)
+	}
+	if err := r.ptable.Populate(r.region); err != nil {
+		return fmt.Errorf("core: FPGA page table: %w", err)
+	}
+	return nil
 }
 
 // translate models the pipelined FPGA page-table lookup for one cache-line
 // access at byte offset off in the run's virtual space.
 func (r *run) translate(off int64) {
-	if r.ptable == nil {
+	if r.ptable == nil { // the histogram pass runs before allocate
 		return
 	}
 	if _, err := r.ptable.Translate(off); err == nil {
@@ -370,24 +380,28 @@ func (r *run) translate(off int64) {
 	}
 }
 
-// nextGroup feeds the hash pipelines: it returns the next lane group if the
-// input stage may issue this cycle, or a bubble. When feed is true the
-// back-pressure rule of Section 4.3 applies — a new cache line is requested
-// only if every first-stage FIFO has room for all groups in flight.
-func (r *run) nextGroup(feed bool) (group, bool) {
+// nextGroup feeds the hash pipelines: it fills g, the pipeline's input
+// register, with the next lane group and reports true if the input stage may
+// issue this cycle; otherwise g is left alone and enters as a bubble. When
+// feed is true the back-pressure rule of Section 4.3 applies — a new cache
+// line is requested only if every first-stage FIFO has room for all groups
+// in flight.
+//
+//fpgavet:hotpath
+func (r *run) nextGroup(g *group, feed bool) bool {
 	if r.next >= r.total {
-		return group{}, false
+		return false
 	}
 	if feed {
 		for _, f := range r.fifo1 {
 			if f.Free() < hashPipelineDepth+1 {
 				r.stats.StallsBackpressure++
-				return group{}, false
+				return false
 			}
 		}
 	}
 	if r.comp != nil {
-		return r.nextCompressedGroup()
+		return r.nextCompressedGroup(g)
 	}
 	needLine := true
 	if r.cfg.Layout == VRID {
@@ -397,37 +411,36 @@ func (r *run) nextGroup(feed bool) (group, bool) {
 	if needLine {
 		if !r.ep.CanRead() {
 			r.stats.StallsBackpressure++
-			return group{}, false
+			return false
 		}
 		r.ep.Read()
 		r.stats.LinesRead++
 		r.translate(r.inputLineOffset())
 	}
-	var g group
 	n := int(r.total - r.next)
 	if n > r.lanes {
 		n = r.lanes
 	}
 	for i := 0; i < n; i++ {
 		idx := r.next + int64(i)
-		var t tup
+		t := &g.t[i]
 		var key uint32
 		if r.cfg.Layout == VRID {
 			key = r.rel.Keys[idx]
 			t.words[0] = uint64(idx)<<32 | uint64(key) // <key, VRID>
 		} else {
-			stride := r.rel.Stride()
-			src := r.rel.Data[int(idx)*stride : int(idx+1)*stride]
-			copy(t.words[:stride], src)
+			src := r.rel.Data[int(idx)*r.wpt : int(idx+1)*r.wpt]
+			for w, v := range src {
+				t.words[w] = v
+			}
 			key = uint32(src[0])
 		}
 		t.part = hashutil.PartitionIndex32(key, r.radix, r.cfg.Hash)
-		g.t[i] = t
 	}
 	g.n = n
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
-	return g, true
+	return true
 }
 
 // inputLineOffset returns the byte offset of the cache line about to be read.
@@ -439,6 +452,8 @@ func (r *run) inputLineOffset() int64 {
 }
 
 // partitionPass is the main pass: read, hash, combine, write back.
+//
+//fpgavet:hotpath
 func (r *run) partitionPass() error {
 	r.ep.SetMix(r.inputReadFrac())
 	start := r.stats.Cycles
@@ -452,16 +467,16 @@ func (r *run) partitionPass() error {
 			return err
 		}
 		for i, cb := range r.comb {
-			cb.step(r.fifo1[i], r.stats, r.cfg)
+			cb.step(r.fifo1[i], r.stats, &r.cfg)
 		}
-		in, ok := r.nextGroup(true)
+		ok := r.nextGroup(r.pipe.In(), true)
 		if !ok {
 			r.stats.HashPipelineBubbles++
 		}
-		out, outOK := r.pipe.Shift(in, ok)
+		out, outOK := r.pipe.Shift(ok)
 		if outOK {
 			for i := 0; i < out.n; i++ {
-				r.fifo1[i].Push(out.t[i])
+				*r.fifo1[i].Push() = out.t[i]
 				if r.fifo1[i].HighWater > r.stats.MaxStage1FIFO {
 					r.stats.MaxStage1FIFO = r.fifo1[i].HighWater
 				}
@@ -497,21 +512,31 @@ func (r *run) drainedExceptBanks() bool {
 // padding them with dummy keys (Section 4.2). Each combiner scans its
 // partition addresses sequentially, one per cycle; the write-back drains the
 // results at up to one line per cycle under QPI back-pressure.
+//
+//fpgavet:hotpath
 func (r *run) flushPass() error {
 	if r.cfg.DisableWriteCombiner {
 		return nil
 	}
 	start := r.stats.Cycles
+	// stalled: the final FIFO is full and every combiner is done or holds a
+	// partial line behind its full output FIFO. Until the link grants a
+	// write, a cycle then moves nothing but the token buckets, the cycle
+	// count and the trace window, so only those run.
+	scansDone, stalled := false, false
 	for {
 		r.ep.Tick()
-		if err := r.writeBack(); err != nil {
-			return err
-		}
-		scansDone := true
-		for _, cb := range r.comb {
-			if !cb.flushStep(r.stats) {
-				scansDone = false
+		if !stalled || r.ep.CanWrite() {
+			if err := r.writeBack(); err != nil {
+				return err
 			}
+			scansDone = true
+			for _, cb := range r.comb {
+				if !cb.flushStep(r.stats) {
+					scansDone = false
+				}
+			}
+			stalled = !r.final.CanPush() && r.flushBlocked()
 		}
 		r.stats.Cycles++
 		if r.pr != nil {
@@ -523,6 +548,16 @@ func (r *run) flushPass() error {
 	}
 	r.stats.FlushCycles = r.stats.Cycles - start
 	return nil
+}
+
+// flushBlocked reports whether no combiner can advance its flush scan.
+func (r *run) flushBlocked() bool {
+	for _, cb := range r.comb {
+		if cb.flushAddr < cb.parts && (cb.fill[cb.flushAddr] == 0 || cb.out.CanPush()) {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *run) combOutsEmpty() bool {
@@ -537,35 +572,38 @@ func (r *run) combOutsEmpty() bool {
 // writeBack models the write-back module (Section 4.3): drain the final FIFO
 // into memory under QPI write budget, and round-robin one line from the
 // combiner output FIFOs into the final FIFO.
+//
+//fpgavet:hotpath
 func (r *run) writeBack() error {
 	if !r.final.Empty() {
 		l := r.final.Front()
-		if l.single {
-			// No-write-combiner ablation: a read-modify-write per tuple.
-			if r.ep.CanRead() && r.ep.CanWrite() {
-				r.final.Pop()
+		// The no-write-combiner ablation needs a read-modify-write per tuple.
+		if r.ep.CanWrite() && (!l.single || r.ep.CanRead()) {
+			if l.single {
 				r.ep.Read()
-				r.ep.Write()
 				r.stats.LinesRead++
-				if err := r.store(l); err != nil {
-					return err
-				}
 			}
-		} else if r.ep.CanWrite() {
-			r.final.Pop()
 			r.ep.Write()
-			if err := r.store(l); err != nil {
+			err := r.store(l)
+			r.final.Drop()
+			if err != nil {
 				return err
 			}
 		}
 	}
 	if r.final.CanPush() {
+		idx := r.rr
 		for i := 0; i < r.lanes; i++ {
-			idx := (r.rr + i) % r.lanes
-			if !r.comb[idx].out.Empty() {
-				r.final.Push(r.comb[idx].out.Pop())
-				r.rr = (idx + 1) % r.lanes
+			if out := r.comb[idx].out; !out.Empty() {
+				*r.final.Push() = *out.Front()
+				out.Drop()
+				if r.rr = idx + 1; r.rr == r.lanes {
+					r.rr = 0
+				}
 				break
+			}
+			if idx++; idx == r.lanes {
+				idx = 0
 			}
 		}
 	}
@@ -574,7 +612,9 @@ func (r *run) writeBack() error {
 
 // store commits one line (or one tuple, in the ablation) to the output
 // buffer, updating the offset and count BRAMs and checking PAD overflow.
-func (r *run) store(l outLine) error {
+//
+//fpgavet:hotpath
+func (r *run) store(l *outLine) error {
 	p := int(l.part)
 	if l.single {
 		// Tuple-granular RMW: place the tuple at its exact slot.
@@ -599,7 +639,7 @@ func (r *run) store(l outLine) error {
 		return r.overflow()
 	}
 	dst := (r.out.Base[p] + r.used[p]) * 8
-	copy(r.out.Lines[dst:dst+8], l.words[:])
+	*(*[8]uint64)(r.out.Lines[dst:]) = l.words
 	r.used[p]++
 	r.counts[p] += int64(l.valid)
 	r.stats.TuplesOut += int64(l.valid)
@@ -619,9 +659,7 @@ func (r *run) overflow() error {
 // markWritten records the FPGA as last writer of the output line, the snoop
 // filter state that later penalizes the CPU's build+probe (Section 2.2).
 func (r *run) markWritten(byteOff int64) {
-	if r.region == nil {
-		return
-	}
+	// store bounds the line against capLines, so it lies inside the region.
 	_ = r.region.MarkWritten(platform.FPGASocket, r.outOff+byteOff, 64)
 }
 

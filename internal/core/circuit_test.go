@@ -70,7 +70,7 @@ func assertMatchesReference(t *testing.T, out *Output, ref [][][2]uint32) {
 	}
 }
 
-func genRelation(t *testing.T, d workload.Distribution, width, n int, seed int64) *workload.Relation {
+func genRelation(t testing.TB, d workload.Distribution, width, n int, seed int64) *workload.Relation {
 	t.Helper()
 	rel, err := workload.NewGenerator(seed).Relation(d, width, n)
 	if err != nil {

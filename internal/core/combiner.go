@@ -18,8 +18,10 @@ type combiner struct {
 	parts int
 	dummy uint32
 
-	// store is the bank BRAM contents: bank b, partition p at
-	// (b*parts+p)*wpt. fill is the fill-rate BRAM.
+	// store is the bank BRAM contents, one cache line (banks*wpt = 8 words)
+	// per partition: bank b of partition p at p*8 + b*wpt, so the banks the
+	// hardware reads side by side sit side by side. fill is the fill-rate
+	// BRAM.
 	store []uint64
 	fill  []uint8
 
@@ -44,7 +46,7 @@ func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
 		wpt:   wpt,
 		parts: cfg.NumPartitions,
 		dummy: dummy,
-		store: make([]uint64, banks*cfg.NumPartitions*wpt),
+		store: make([]uint64, cfg.NumPartitions*8),
 		fill:  make([]uint8, cfg.NumPartitions),
 		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
 	}
@@ -54,7 +56,7 @@ func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
 // from its input FIFO.
 //
 //fpgavet:hotpath
-func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg Config) {
+func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 	if cb.stall > 0 {
 		cb.stall--
 		st.StallsHazard++
@@ -91,28 +93,30 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg Config) {
 		st.CombinerBRAMReads++ // fill-rate BRAM read
 	}
 	cb.served = false
-	in.Pop()
+	in.Drop() // t stays readable: nothing pushes into in before step returns
 
 	if cfg.DisableWriteCombiner {
 		// Strawman datapath: no gathering; each tuple goes out on its own
 		// and the write-back performs a read-modify-write of its line.
-		var l outLine
+		l := cb.out.Push()
 		copy(l.words[:cb.wpt], t.words[:cb.wpt])
 		l.part = h
 		l.valid = 1
 		l.single = true
-		cb.out.Push(l)
 		cb.shiftHazard(h, true)
 		return
 	}
 
 	f := int(cb.fill[h])
-	copy(cb.store[(f*cb.parts+int(h))*cb.wpt:], t.words[:cb.wpt])
+	bank := cb.store[int(h)*8+f*cb.wpt:]
+	for w := 0; w < cb.wpt; w++ { // a tuple is 1–8 words: cheaper than a memmove call
+		bank[w] = t.words[w]
+	}
 	st.CombinerBRAMWrites += 2 // bank write + fill-rate update
 	if f == cb.banks-1 {
 		cb.fill[h] = 0
 		st.CombinerBRAMReads += int64(cb.banks) // bank reads for line assembly
-		cb.out.Push(cb.assemble(h, cb.banks))
+		cb.assemble(h, cb.banks)
 	} else {
 		cb.fill[h] = uint8(f + 1)
 	}
@@ -127,23 +131,18 @@ func (cb *combiner) shiftHazard(h uint32, valid bool) {
 	cb.last[0], cb.lastValid[0] = h, valid
 }
 
-// assemble builds a cache line for partition h from the first n bank slots;
-// remaining slots are filled with dummy-key tuples.
-func (cb *combiner) assemble(h uint32, n int) outLine {
-	var l outLine
-	for b := 0; b < cb.banks; b++ {
-		dst := l.words[b*cb.wpt : (b+1)*cb.wpt]
-		if b < n {
-			copy(dst, cb.store[(b*cb.parts+int(h))*cb.wpt:(b*cb.parts+int(h))*cb.wpt+cb.wpt])
-		} else {
-			for w := range dst {
-				dst[w] = uint64(cb.dummy) | uint64(cb.dummy)<<32
-			}
-		}
+// assemble builds a cache line for partition h from the first n bank slots,
+// straight into the output FIFO's next slot; remaining slots are filled with
+// dummy-key tuples.
+func (cb *combiner) assemble(h uint32, n int) {
+	l := cb.out.Push()
+	l.words = [8]uint64(cb.store[int(h)*8:])
+	for w := n * cb.wpt; w < len(l.words); w++ {
+		l.words[w] = uint64(cb.dummy) | uint64(cb.dummy)<<32
 	}
 	l.part = h
 	l.valid = uint8(n)
-	return l
+	l.single = false
 }
 
 // idle reports whether the combiner has no work in flight (its banks may
@@ -174,7 +173,7 @@ func (cb *combiner) flushStep(st *Stats) bool {
 	cb.fill[cb.flushAddr] = 0
 	st.CombinerBRAMWrites++          // fill-rate reset
 	st.CombinerBRAMReads += int64(f) // bank reads for the partial line
-	cb.out.Push(cb.assemble(uint32(cb.flushAddr), f))
+	cb.assemble(uint32(cb.flushAddr), f)
 	cb.flushAddr++
 	return cb.flushAddr >= cb.parts
 }

@@ -53,7 +53,7 @@ func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, *Stats, er
 // nextCompressedGroup is nextGroup's decompressor path: fetch whatever
 // compressed lines the next lane group needs (possibly over several cycles
 // under read back-pressure), then expand up to one group of keys per cycle.
-func (r *run) nextCompressedGroup() (group, bool) {
+func (r *run) nextCompressedGroup(g *group) bool {
 	if r.compPending < 0 {
 		r.compPending = r.comp.pendingLines(r.lanes)
 	}
@@ -64,26 +64,23 @@ func (r *run) nextCompressedGroup() (group, bool) {
 	}
 	if r.compPending > 0 {
 		r.stats.StallsBackpressure++
-		return group{}, false
+		return false
 	}
 	var keys [8]uint32
 	n := r.comp.emit(r.lanes, keys[:])
 	if n == 0 {
-		return group{}, false
+		return false
 	}
-	var g group
 	for i := 0; i < n; i++ {
 		idx := r.next + int64(i)
-		var t tup
-		t.words[0] = uint64(idx)<<32 | uint64(keys[i]) // <key, VRID>
-		t.part = hashutil.PartitionIndex32(keys[i], r.radix, r.cfg.Hash)
-		g.t[i] = t
+		g.t[i].words[0] = uint64(idx)<<32 | uint64(keys[i]) // <key, VRID>
+		g.t[i].part = hashutil.PartitionIndex32(keys[i], r.radix, r.cfg.Hash)
 	}
 	g.n = n
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
 	r.compPending = -1
-	return g, true
+	return true
 }
 
 // rleFeed is the decompressor model: it tracks which compressed cache line
@@ -102,6 +99,9 @@ type rleFeed struct {
 func newRLEFeed(col *codec.RLEColumn) *rleFeed {
 	return &rleFeed{col: col, n: int64(col.N), lastLine: -1}
 }
+
+// rewind puts the cursor back in front of the first run.
+func (f *rleFeed) rewind() { f.run, f.usedInRun, f.lastLine = 0, 0, -1 }
 
 // lineOfRun returns the compressed cache line holding run i (runs are
 // fixed-width, so this is pure arithmetic, as the hardware's sequential

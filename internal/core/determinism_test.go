@@ -137,10 +137,10 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 	stats := &Stats{}
 	// Seven tuples to partition 2: no line yet.
 	for i := 0; i < 7; i++ {
-		in.Push(tup{words: [8]uint64{uint64(i)<<32 | 2}, part: 2})
+		*in.Push() = tup{words: [8]uint64{uint64(i)<<32 | 2}, part: 2}
 	}
 	for i := 0; i < 7; i++ {
-		cb.step(in, stats, cfg)
+		cb.step(in, stats, &cfg)
 	}
 	if !cb.out.Empty() {
 		t.Fatal("line emitted before eight tuples arrived")
@@ -149,12 +149,13 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 		t.Fatalf("fill[2] = %d, want 7", cb.fill[2])
 	}
 	// Eighth completes the line.
-	in.Push(tup{words: [8]uint64{7<<32 | 2}, part: 2})
-	cb.step(in, stats, cfg)
+	*in.Push() = tup{words: [8]uint64{7<<32 | 2}, part: 2}
+	cb.step(in, stats, &cfg)
 	if cb.out.Len() != 1 {
 		t.Fatal("no line after eighth tuple")
 	}
-	l := cb.out.Pop()
+	l := cb.out.Front()
+	cb.out.Drop()
 	if l.part != 2 || l.valid != 8 {
 		t.Fatalf("line: part=%d valid=%d", l.part, l.valid)
 	}
@@ -174,15 +175,16 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	cb := newCombiner(cfg, 8, 1, DefaultDummyKey)
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
-	in.Push(tup{words: [8]uint64{123<<32 | 3}, part: 3})
-	cb.step(in, stats, cfg)
+	*in.Push() = tup{words: [8]uint64{123<<32 | 3}, part: 3}
+	cb.step(in, stats, &cfg)
 	// Scan all four addresses.
 	for !cb.flushStep(stats) {
 	}
 	if cb.out.Len() != 1 {
 		t.Fatalf("flush emitted %d lines, want 1", cb.out.Len())
 	}
-	l := cb.out.Pop()
+	l := cb.out.Front()
+	cb.out.Drop()
 	if l.part != 3 || l.valid != 1 {
 		t.Fatalf("flushed line: part=%d valid=%d", l.part, l.valid)
 	}
@@ -204,14 +206,14 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 // must not consume input.
 func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID, OutFIFODepth: 2}.WithDefaults()
-	cb := newCombiner(cfg, 1, 1, DefaultDummyKey) // 1 bank: every tuple emits a line
+	cb := newCombiner(cfg, 1, 8, DefaultDummyKey) // 64-byte tuples, 1 bank: every tuple emits a line
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	for i := 0; i < 4; i++ {
-		in.Push(tup{words: [8]uint64{1}, part: 1})
+		*in.Push() = tup{words: [8]uint64{1}, part: 1}
 	}
 	for i := 0; i < 10; i++ {
-		cb.step(in, stats, cfg)
+		cb.step(in, stats, &cfg)
 	}
 	if cb.out.Len() != 2 {
 		t.Fatalf("out FIFO holds %d lines, want its capacity 2", cb.out.Len())

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +251,37 @@ func TestRunRegionOwnership(t *testing.T) {
 	_, fpgaLines := region.OwnerCounts()
 	if int64(fpgaLines) != r.stats.LinesWritten {
 		t.Errorf("FPGA-owned lines = %d, LinesWritten = %d", fpgaLines, r.stats.LinesWritten)
+	}
+}
+
+// TestSetupErrorsSurface forces the shared-memory set-up to fail (a page
+// size memsys rejects; no input reaches this) and requires the run to stop
+// with the wrapped cause instead of partitioning against a missing page
+// table and region.
+func TestSetupErrorsSurface(t *testing.T) {
+	ep, err := qpi.New(200e6, testCurve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{
+		cfg:   Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID}.WithDefaults(),
+		rel:   genRelation(t, workload.Random, 8, 4096, 37),
+		ep:    ep,
+		clock: 200e6,
+		stats: &Stats{},
+	}
+	if err := r.setup(); err != nil {
+		t.Fatal(err)
+	}
+	r.pageBytes = 100 // not a multiple of the cache line
+	err = r.execute()
+	if err == nil {
+		t.Fatal("run completed without its shared-memory region")
+	}
+	if !strings.Contains(err.Error(), "core: shared-memory pool") || errors.Unwrap(err) == nil {
+		t.Errorf("error %q does not wrap the memsys cause", err)
+	}
+	if r.stats.Cycles != 0 || r.stats.LinesWritten != 0 {
+		t.Errorf("partition pass ran after the failed set-up: %+v", r.stats)
 	}
 }

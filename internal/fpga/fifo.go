@@ -1,9 +1,9 @@
 // Package fpga provides the clocked-hardware building blocks the partitioner
-// circuit simulator is assembled from: bounded FIFOs with back-pressure,
-// block RAMs with synchronous single-cycle read latency, and pipeline
-// registers. The components mirror the primitives the VHDL design uses
-// (Section 4): the circuit is a composition of FIFOs between pipeline stages
-// and BRAM-backed state with explicit hazard forwarding.
+// circuit simulator is assembled from: bounded FIFOs with back-pressure and
+// pipeline registers. The components mirror the primitives the VHDL design
+// uses (Section 4): the circuit is a composition of FIFOs between pipeline
+// stages. Both hand out their slots by pointer, so a simulated clock edge
+// moves indices, not payloads.
 package fpga
 
 import (
@@ -17,8 +17,8 @@ import (
 // The partitioner propagates such back-pressure all the way to the QPI read
 // requester (Section 4.3), so no FIFO ever overflows.
 type FIFO[T any] struct {
-	buf        []T
-	head, size int
+	buf              []T
+	head, tail, size int
 
 	// HighWater records the maximum occupancy ever reached, for the
 	// no-overflow invariant checks in tests.
@@ -59,38 +59,49 @@ func (f *FIFO[T]) Empty() bool { return f.size == 0 }
 // CanPush reports whether a push would succeed.
 func (f *FIFO[T]) CanPush() bool { return f.size < len(f.buf) }
 
-// Push enqueues v. Pushing into a full FIFO is a design bug — hardware would
-// silently drop data — so the simulator panics to surface it.
+// Push claims the next free slot and returns it for the producer to fill in
+// place; the slot holds a stale element until then. Pushing into a full FIFO
+// is a design bug — hardware would silently drop data — so the simulator
+// panics to surface it.
 //
 //fpgavet:hotpath
-func (f *FIFO[T]) Push(v T) {
+func (f *FIFO[T]) Push() *T {
 	if !f.CanPush() {
 		panic("fpga: push into full FIFO (back-pressure violated)")
 	}
-	f.buf[(f.head+f.size)%len(f.buf)] = v
+	slot := &f.buf[f.tail]
+	if f.tail++; f.tail == len(f.buf) {
+		f.tail = 0
+	}
 	f.size++
 	if f.size > f.HighWater {
 		f.HighWater = f.size
 	}
 	f.occ.Observe(int64(f.size))
+	return slot
 }
 
-// Front returns the oldest element without removing it.
-func (f *FIFO[T]) Front() T {
+// Front returns the oldest element in place, without removing it. The
+// pointer stays readable after Drop until a later Push reuses the slot.
+//
+//fpgavet:hotpath
+func (f *FIFO[T]) Front() *T {
 	if f.Empty() {
 		panic("fpga: front of empty FIFO")
 	}
-	return f.buf[f.head]
+	return &f.buf[f.head]
 }
 
-// Pop removes and returns the oldest element.
+// Drop removes the oldest element. The slot is not cleared: element types
+// are plain data (tuples, cache lines), so there is nothing to release.
 //
 //fpgavet:hotpath
-func (f *FIFO[T]) Pop() T {
-	v := f.Front()
-	var zero T
-	f.buf[f.head] = zero
-	f.head = (f.head + 1) % len(f.buf)
+func (f *FIFO[T]) Drop() {
+	if f.Empty() {
+		panic("fpga: drop from empty FIFO")
+	}
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.size--
-	return v
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -37,6 +38,14 @@ import (
 //     (var s []T, s := []T{}) — growth reallocates on the hot path; origins
 //     this analyzer cannot see (fields, parameters) are trusted to be
 //     presized at construction.
+//
+// One more construct is flagged that does not allocate but costs the same
+// order per call — the simulator once spent half its host time in it:
+//
+//   - a receiver, parameter or result passed by value that is larger than
+//     one cache line (MaxByValueBytes), or whose size is a type parameter's
+//     and so unknown here — every call copies it; hot-path values over a
+//     cache line move by reference.
 //
 // Like the rest of the engine this over-approximates reachability (a
 // funcvalue edge may never be invoked) and under-approximates escape (a
@@ -85,7 +94,7 @@ func DefaultHotpathAlloc() *HotpathAlloc {
 func (*HotpathAlloc) Name() string { return "hotpath-alloc" }
 
 func (*HotpathAlloc) Doc() string {
-	return "functions reachable from Tick/Cycle methods, configured roots, or //fpgavet:hotpath markers contain no per-call heap allocations"
+	return "functions reachable from Tick/Cycle methods, configured roots, or //fpgavet:hotpath markers contain no per-call heap allocations and move nothing over a cache line by value"
 }
 
 // Check implements Analyzer; hotpath-alloc only runs at module scope.
@@ -145,7 +154,69 @@ func (h *HotpathAlloc) isRoot(n *Node) bool {
 	return false
 }
 
-// checkHot scans one hot function's body for allocating constructs.
+// MaxByValueBytes is the largest value a hot function may take or return by
+// value: one cache line.
+const MaxByValueBytes = 64
+
+var gcSizes = types.SizesFor("gc", "amd64")
+
+// checkSignature flags receivers, parameters and results a hot function
+// moves by value although they exceed a cache line.
+func (h *HotpathAlloc) checkSignature(n *Node, ctx string) []Finding {
+	var out []Finding
+	ft := n.Decl.Type
+	for _, fl := range []*ast.FieldList{n.Decl.Recv, ft.Params, ft.Results} {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			t := n.Pkg.Info.TypeOf(field.Type)
+			if t == nil {
+				continue
+			}
+			size := "a type parameter's size"
+			if !hasTypeParam(t) {
+				bytes := gcSizes.Sizeof(t)
+				if bytes <= MaxByValueBytes {
+					continue
+				}
+				size = strconv.FormatInt(bytes, 10) + " bytes"
+			}
+			out = append(out, n.Pkg.findingNode(h.Name(), field,
+				"%s %s moves a %s (%s) by value — every call copies it; pass a pointer",
+				n.String(), ctx, typeString(t), size))
+		}
+	}
+	return out
+}
+
+// hasTypeParam reports whether t's size depends on a type parameter.
+// Pointers, slices, maps, channels, functions and interfaces have a fixed
+// size whatever they refer to.
+func hasTypeParam(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Named:
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if hasTypeParam(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	case *types.Array:
+		return hasTypeParam(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if hasTypeParam(t.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkHot scans one hot function's signature and body for by-value moves
+// and allocating constructs.
 func (h *HotpathAlloc) checkHot(n *Node, root *Node) []Finding {
 	pkg := n.Pkg
 	ctx := "on the hot path from " + root.String()
@@ -176,7 +247,7 @@ func (h *HotpathAlloc) checkHot(n *Node, root *Node) []Finding {
 
 	emptySlices := h.emptySliceVars(n)
 
-	var out []Finding
+	out := h.checkSignature(n, ctx)
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		if exempt(node) {
 			return false

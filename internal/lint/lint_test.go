@@ -366,8 +366,10 @@ func TestHotpathAllocFixture(t *testing.T) {
 	assertFinding(t, findings, "hotpath-alloc", "closure capturing")
 	assertFinding(t, findings, "hotpath-alloc", "starts empty")
 	assertFinding(t, findings, "hotpath-alloc", "address of a composite literal")
-	if len(findings) < 7 {
-		t.Fatalf("hotpath-alloc caught %d allocations, want ≥ 7", len(findings))
+	assertFinding(t, findings, "hotpath-alloc", "hotfix.lane (72 bytes) by value")
+	assertFinding(t, findings, "hotpath-alloc", "a type parameter's size")
+	if len(findings) < 9 {
+		t.Fatalf("hotpath-alloc caught %d constructs, want ≥ 9", len(findings))
 	}
 }
 

@@ -12,6 +12,7 @@ type Pipe struct {
 	buf   []uint64
 	stats []int64
 	n     int
+	held  stage[lane]
 }
 
 // NewPipe is cold — construction-time allocation is exactly where hot-path
@@ -20,11 +21,21 @@ func NewPipe() *Pipe {
 	return &Pipe{buf: make([]uint64, 0, 64), stats: make([]int64, 0, 16)}
 }
 
+// lane is one in-flight tuple: nine words, wider than a cache line.
+type lane struct {
+	words [8]uint64
+	part  uint32
+}
+
 // Tick is hot by method name.
 func (p *Pipe) Tick() {
 	p.n++
 	p.record(int64(p.n))
 	p.check()
+	var l lane
+	p.latch(l)
+	p.latchInPlace(&l)
+	p.held.set(l)
 	p.buf = append(p.buf, uint64(p.n)) // clean: field-backed slice, presized at construction
 }
 
@@ -32,6 +43,25 @@ func (p *Pipe) Tick() {
 // any per-function scan of Tick.
 func (p *Pipe) record(v int64) {
 	observe(v) // want hotpath-alloc
+}
+
+// latch takes the tuple by value: 72 bytes copied on every cycle.
+func (p *Pipe) latch(l lane) { // want hotpath-alloc
+	p.n += int(l.part)
+}
+
+// latchInPlace is the same stage reading the tuple where it lies; a 64-byte
+// line by value is still within the limit.
+func (p *Pipe) latchInPlace(l *lane) [8]uint64 { // clean: pointer in, one cache line out
+	return l.words
+}
+
+// stage is a generic register; what set copies is its instantiation's size,
+// which the declaration cannot bound.
+type stage[T any] struct{ slot T }
+
+func (s *stage[T]) set(v T) { // want hotpath-alloc
+	s.slot = v
 }
 
 // observe takes an empty interface, so every concrete argument boxes.

@@ -163,7 +163,7 @@ func (r *Recorder) Admit(id int, tag, arrivalUS int64) {
 }
 
 // Attempt records one charged execution attempt of job id.
-func (r *Recorder) Attempt(id int, a Attempt) {
+func (r *Recorder) Attempt(id int, a Attempt) { //fpgavet:allow hotpath-alloc once per attempt, and the value is stored: the copy is the work
 	if r == nil || id < 0 || id >= len(r.jobs) {
 		return
 	}
