@@ -96,10 +96,11 @@ func (r *Result) Find(key uint32) (Group, bool) {
 }
 
 // Partitioned aggregates rel's payloads grouped by key, partitioning with p
-// first.
+// first — through partition.Exact, so the group whose key equals the FPGA's
+// dummy key is not lost.
 func Partitioned(rel *workload.Relation, p partition.Partitioner, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	parted, err := p.Partition(rel)
+	parted, via, err := partition.Exact(p, rel, opts.Hash, opts.Threads)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: partitioning: %w", err)
 	}
@@ -137,7 +138,7 @@ func Partitioned(rel *workload.Relation, p partition.Partitioner, opts Options) 
 		Groups:          groups,
 		PartitionTime:   parted.Elapsed(),
 		AggregateTime:   aggElapsed,
-		PartitionerName: p.Name(),
+		PartitionerName: via.Name(),
 		Threads:         opts.Threads,
 	}
 	if parted.FPGAWritten() {

@@ -220,3 +220,48 @@ func TestOptionsValidation(t *testing.T) {
 		t.Error("zero fan-out accepted")
 	}
 }
+
+// TestDummyKeyGroupSurvives guards the group whose key equals the circuit's
+// dummy key (0xFFFFFFFF): the FPGA's output encoding cannot represent such
+// tuples — they read back as flush padding — so the hybrid path must get them
+// from the exact CPU repartitioning. CPU, Hybrid and Global agree on the
+// group set, also for a relation of nothing but dummy keys.
+func TestDummyKeyGroupSurvives(t *testing.T) {
+	const dummy = 0xFFFFFFFF
+	for _, tc := range []struct {
+		name  string
+		keyOf func(i int) uint32
+	}{
+		{"every fifth key", func(i int) uint32 {
+			if i%5 == 0 {
+				return dummy
+			}
+			return uint32(i % 7)
+		}},
+		{"only dummy keys", func(int) uint32 { return dummy }},
+	} {
+		const n = 1024
+		rel, err := workload.NewRelation(workload.RowLayout, 8, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			rel.SetTuple(i, tc.keyOf(i), uint32(i))
+		}
+		ref := refAggregate(rel)
+		opts := Options{Partitions: 16, Threads: 2, Hash: true}
+		for name, run := range map[string]func(*workload.Relation, Options) (*Result, error){
+			"CPU": CPU, "Hybrid": Hybrid, "Global": Global,
+		} {
+			res, err := run(rel, opts)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, name, err)
+			}
+			if _, ok := res.Find(dummy); !ok {
+				t.Errorf("%s, %s: the dummy-key group is missing (%d groups, want %d)", tc.name, name, len(res.Groups), len(ref))
+				continue
+			}
+			assertMatchesRef(t, res, ref, n)
+		}
+	}
+}

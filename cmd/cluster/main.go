@@ -137,7 +137,7 @@ func runCmd(args []string) {
 		// postmortem before exiting so the fault has causal context.
 		if capt != nil && *flight != "" {
 			cause := err.Error()
-			if werr := writeFile(*flight, func(w io.Writer) error {
+			if werr := simtrace.WriteFile(*flight, func(w io.Writer) error {
 				return capt.WritePostmortem(w, cause)
 			}); werr == nil {
 				fmt.Fprintf(os.Stderr, "cluster: postmortem written to %s\n", *flight)
@@ -185,7 +185,7 @@ func runCmd(args []string) {
 	}
 
 	if *report != "" {
-		if err := writeFile(*report, rep.WriteJSON); err != nil {
+		if err := simtrace.WriteFile(*report, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("report written to %s\n", *report)
@@ -197,7 +197,7 @@ func runCmd(args []string) {
 		fmt.Print(reqtrace.Analyze(capt.Traces, 5).Format())
 	}
 	if *reqTr != "" {
-		if err := writeFile(*reqTr, func(w io.Writer) error {
+		if err := simtrace.WriteFile(*reqTr, func(w io.Writer) error {
 			return reqtrace.WriteBreakdownJSON(w, capt.Traces)
 		}); err != nil {
 			fatal(err)
@@ -205,7 +205,7 @@ func runCmd(args []string) {
 		fmt.Printf("request breakdowns written to %s\n", *reqTr)
 	}
 	if *flight != "" {
-		if err := writeFile(*flight, func(w io.Writer) error {
+		if err := simtrace.WriteFile(*flight, func(w io.Writer) error {
 			return capt.WritePostmortem(w, "none (run completed)")
 		}); err != nil {
 			fatal(err)
@@ -213,30 +213,18 @@ func runCmd(args []string) {
 		fmt.Printf("flight postmortem written to %s\n", *flight)
 	}
 	if *trace != "" {
-		if err := writeFile(*trace, sess.Tracer.WriteJSON); err != nil {
+		if err := simtrace.WriteFile(*trace, sess.Tracer.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace written to %s\n", *trace)
 	}
 	if *metrics != "" {
 		snap := sess.Snapshot()
-		if err := writeFile(*metrics, snap.WriteJSON); err != nil {
+		if err := simtrace.WriteFile(*metrics, snap.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("metrics written to %s\n", *metrics)
 	}
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -131,24 +131,11 @@ func main() {
 		fmt.Print(sess.Summary())
 	}
 	if *traceFile != "" {
-		if err := writeTrace(sess, *traceFile); err != nil {
-			fatal(err)
+		if err := simtrace.WriteFile(*traceFile, sess.Tracer.WriteJSON); err != nil {
+			fatal(fmt.Errorf("writing trace: %w", err))
 		}
 		fmt.Printf("trace:         %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceFile)
 	}
-}
-
-// writeTrace dumps the session's event ring as Chrome trace-event JSON.
-func writeTrace(sess *simtrace.Session, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("writing trace: %w", err)
-	}
-	if err := sess.Tracer.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func generate(dist string, zipf float64, width, n int, seed int64) (*workload.Relation, error) {

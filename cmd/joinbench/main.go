@@ -181,15 +181,7 @@ func finishTrace(sess *simtrace.Session, traceFile string, metrics bool) {
 	if traceFile == "" {
 		return
 	}
-	f, err := os.Create(traceFile)
-	if err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-	if err := sess.Tracer.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := simtrace.WriteFile(traceFile, sess.Tracer.WriteJSON); err != nil {
 		fatal(fmt.Errorf("writing trace: %w", err))
 	}
 	fmt.Printf("trace:         %s (open in chrome://tracing or ui.perfetto.dev)\n", traceFile)

@@ -92,7 +92,7 @@ func runCmd(args []string) {
 		// postmortem before exiting so the fault has causal context.
 		if rec != nil && *flight != "" {
 			cause := err.Error()
-			if werr := writeFile(*flight, func(w io.Writer) error {
+			if werr := simtrace.WriteFile(*flight, func(w io.Writer) error {
 				return reqtrace.WritePostmortem(w, cause, rec.FlightEvents(), rec.FlightDropped())
 			}); werr == nil {
 				fmt.Fprintf(os.Stderr, "partserver: postmortem written to %s\n", *flight)
@@ -125,7 +125,7 @@ func runCmd(args []string) {
 		fmt.Print(reqtrace.Analyze(traces, 5).Format())
 	}
 	if *reqTr != "" {
-		if err := writeFile(*reqTr, func(w io.Writer) error {
+		if err := simtrace.WriteFile(*reqTr, func(w io.Writer) error {
 			return reqtrace.WriteBreakdownJSON(w, traces)
 		}); err != nil {
 			fatal(err)
@@ -133,7 +133,7 @@ func runCmd(args []string) {
 		fmt.Printf("job breakdowns written to %s\n", *reqTr)
 	}
 	if *flight != "" {
-		if err := writeFile(*flight, func(w io.Writer) error {
+		if err := simtrace.WriteFile(*flight, func(w io.Writer) error {
 			return reqtrace.WritePostmortem(w, "none (run completed)", rec.FlightEvents(), rec.FlightDropped())
 		}); err != nil {
 			fatal(err)
@@ -141,30 +141,18 @@ func runCmd(args []string) {
 		fmt.Printf("flight postmortem written to %s\n", *flight)
 	}
 	if *trace != "" {
-		if err := writeFile(*trace, sess.Tracer.WriteJSON); err != nil {
+		if err := simtrace.WriteFile(*trace, sess.Tracer.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace written to %s\n", *trace)
 	}
 	if *metrics != "" {
 		snap := sess.Snapshot()
-		if err := writeFile(*metrics, snap.WriteJSON); err != nil {
+		if err := simtrace.WriteFile(*metrics, snap.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("metrics written to %s\n", *metrics)
 	}
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -27,6 +27,7 @@ import (
 
 	"fpgapart/internal/perfbench"
 	"fpgapart/internal/perfbench/hostmeter"
+	"fpgapart/internal/simtrace"
 )
 
 func main() {
@@ -91,15 +92,7 @@ func runCmd(args []string) {
 			fatal(err)
 		}
 		path := filepath.Join(*out, perfbench.BenchFileName(s))
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := simtrace.WriteFile(path, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d records)\n", path, len(rep.Records))

@@ -3,16 +3,12 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
+	"fpgapart/aggregate"
 	"fpgapart/hashjoin"
-	"fpgapart/internal/hashutil"
 	"fpgapart/internal/joincore"
 	"fpgapart/internal/membudget"
 	"fpgapart/partition"
-	"fpgapart/workload"
 )
 
 // HashJoin is a blocking partitioned equi-join operator: it drains both
@@ -75,28 +71,23 @@ func (j *HashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	pr, prName, err := exactPartition(p, planner, r)
+	pr, rVia, err := partition.Exact(p, r, planner.cfg.Hash, planner.cfg.Threads)
 	if err != nil {
 		return err
 	}
-	ps, psName, err := exactPartition(p, planner, s)
+	ps, sVia, err := partition.Exact(p, s, planner.cfg.Hash, planner.cfg.Threads)
 	if err != nil {
 		return err
 	}
-	j.ChosenPartitioner = prName
-	if psName != prName {
-		j.ChosenPartitioner = prName + " / " + psName
+	j.ChosenPartitioner = rVia.Name()
+	if sVia.Name() != rVia.Name() {
+		j.ChosenPartitioner = rVia.Name() + " / " + sVia.Name()
 	}
 	budget := j.MemoryBudgetBytes
 	if budget == 0 {
 		budget = planner.cfg.MemoryBudgetBytes
 	}
-	if budget > 0 {
-		j.out, j.Memory, err = joinMaterializeBudgeted(pr, ps, j.threads, budget, j.Combine)
-	} else {
-		j.Memory = nil
-		j.out, err = joinMaterialize(pr, ps, j.threads, j.Combine)
-	}
+	j.out, j.Memory, err = joinTuples(pr, ps, j.threads, budget, j.Combine)
 	if err != nil {
 		return err
 	}
@@ -130,113 +121,12 @@ func (j *HashJoin) Close() error {
 	return j.probe.Close()
 }
 
-// exactPartition partitions rel with p and verifies the result is lossless
-// from a consumer's point of view. The FPGA output encoding cannot represent
-// a tuple whose key equals the circuit's dummy key: it is written but reads
-// back as flush padding, so Each silently skips it — for a join that means
-// silently missing matches, for an aggregation a missing group. When the
-// observable tuple count disagrees with the input size, the relation is
-// repartitioned with the CPU partitioner, whose partition boundaries are
-// exact for every key value.
-func exactPartition(p partition.Partitioner, planner *Planner, rel *workload.Relation) (*partition.Result, string, error) {
-	res, err := p.Partition(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	if res.ValidTuples() == int64(rel.NumTuples) {
-		return res, p.Name(), nil
-	}
-	cpu, err := partition.NewCPU(partition.CPUOptions{
-		Partitions: res.NumPartitions(),
-		Hash:       planner.cfg.Hash,
-		Threads:    planner.cfg.Threads,
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	exact, err := cpu.Partition(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	return exact, cpu.Name() + " (dummy-key exact fallback)", nil
-}
-
-// joinMaterialize is a bucket-chaining build+probe that emits the joined
-// tuples (unlike joincore, which only counts — an engine operator must
-// produce output).
-func joinMaterialize(r, s *partition.Result, threads int, combine func(a, b uint32) uint32) ([]uint64, error) {
-	if r.NumPartitions() != s.NumPartitions() {
-		return nil, fmt.Errorf("engine: fan-out mismatch %d vs %d", r.NumPartitions(), s.NumPartitions())
-	}
-	n := r.NumPartitions()
-	perPart := make([][]uint64, n)
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var keys, pays []uint32
-			for {
-				p := int(atomic.AddInt64(&next, 1)) - 1
-				if p >= n {
-					return
-				}
-				keys = keys[:0]
-				pays = pays[:0]
-				r.Each(p, func(k, pay uint32) {
-					keys = append(keys, k)
-					pays = append(pays, pay)
-				})
-				if len(keys) == 0 {
-					continue
-				}
-				buckets := 16
-				for buckets < len(keys) {
-					buckets <<= 1
-				}
-				mask := uint32(buckets - 1)
-				head := make([]int32, buckets)
-				chain := make([]int32, len(keys))
-				for i, k := range keys {
-					b := (hashutil.Murmur32Finalizer(k) >> 13) & mask
-					chain[i] = head[b]
-					head[b] = int32(i) + 1
-				}
-				var out []uint64
-				s.Each(p, func(k, sPay uint32) {
-					for slot := head[(hashutil.Murmur32Finalizer(k)>>13)&mask]; slot != 0; slot = chain[slot-1] {
-						if keys[slot-1] == k {
-							out = append(out, uint64(combine(pays[slot-1], sPay))<<32|uint64(k))
-						}
-					}
-				})
-				perPart[p] = out
-			}
-		}()
-	}
-	wg.Wait()
-	var total int
-	for _, o := range perPart {
-		total += len(o)
-	}
-	out := make([]uint64, 0, total)
-	for _, o := range perPart {
-		out = append(out, o...)
-	}
-	return out, nil
-}
-
-// joinMaterializeBudgeted materializes the join under a memory budget by
-// running the budgeted executor with an emit callback. The emitted tuple
-// order within a partition follows the adaptive plan (spilled buckets emit
-// in recursion order), so budgeted output is order-stable for a given
-// budget but not byte-ordered like the unbudgeted path — the match multiset
-// is identical.
-func joinMaterializeBudgeted(r, s *partition.Result, threads int, budgetBytes int64, combine func(a, b uint32) uint32) ([]uint64, *hashjoin.MemoryStats, error) {
-	if r.NumPartitions() != s.NumPartitions() {
-		return nil, nil, fmt.Errorf("engine: fan-out mismatch %d vs %d", r.NumPartitions(), s.NumPartitions())
-	}
+// joinTuples materializes the join by running joincore's executor with
+// an emit callback; budgetBytes ≤ 0 means unlimited. The emitted tuple order
+// within a partition follows the executor's plan (either side may build,
+// spilled buckets emit in recursion order), so the output is order-stable
+// for a given budget and the match multiset is the same for every budget.
+func joinTuples(r, s *partition.Result, threads int, budgetBytes int64, combine func(a, b uint32) uint32) ([]uint64, *hashjoin.MemoryStats, error) {
 	perPart := make([][]uint64, r.NumPartitions())
 	budget := membudget.New(budgetBytes)
 	spill := &membudget.SpillStore{}
@@ -261,20 +151,7 @@ func joinMaterializeBudgeted(r, s *partition.Result, threads int, budgetBytes in
 	for _, o := range perPart {
 		out = append(out, o...)
 	}
-	mem := &hashjoin.MemoryStats{
-		BudgetBytes:       budget.Cap(),
-		HighWaterBytes:    budget.HighWater(),
-		InMemory:          stats.InMemory,
-		Reversals:         stats.Reversals,
-		SpilledPartitions: stats.SpilledPartitions,
-		SpilledBytes:      stats.SpilledBytes,
-		SpillReadBytes:    spill.BytesRead(),
-		Recursions:        stats.Recursions,
-		MaxDepth:          stats.MaxDepth,
-		Broadcasts:        stats.Broadcasts,
-		BroadcastChunks:   stats.BroadcastChunks,
-	}
-	return out, mem, nil
+	return out, hashjoin.NewMemoryStats(budget, spill, stats), nil
 }
 
 // GroupBy is a blocking aggregation operator: it drains its child,
@@ -325,69 +202,27 @@ func (g *GroupBy) Open() error {
 	if err != nil {
 		return err
 	}
-	parted, name, err := exactPartition(p, planner, rel)
+	res, err := aggregate.Partitioned(rel, p, aggregate.Options{
+		Threads:  g.threads,
+		Hash:     planner.cfg.Hash,
+		Platform: planner.cfg.Platform,
+	})
 	if err != nil {
 		return err
 	}
-	g.ChosenPartitioner = name
-
-	type kv struct {
-		key uint32
-		val uint32
-	}
-	perPart := make([][]kv, parted.NumPartitions())
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < g.threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			counts := map[uint32]int64{}
-			vals := map[uint32]uint32{}
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= parted.NumPartitions() {
-					return
-				}
-				clear(counts)
-				clear(vals)
-				parted.Each(i, func(k, pay uint32) {
-					counts[k]++
-					switch g.agg {
-					case AggSum:
-						vals[k] += pay
-					case AggMin:
-						if c, ok := vals[k]; !ok || pay < c {
-							vals[k] = pay
-						}
-					case AggMax:
-						if c, ok := vals[k]; !ok || pay > c {
-							vals[k] = pay
-						}
-					}
-				})
-				rows := make([]kv, 0, len(counts))
-				for k, c := range counts {
-					v := uint32(c)
-					if g.agg != AggCount {
-						v = vals[k]
-					}
-					rows = append(rows, kv{k, v})
-				}
-				perPart[i] = rows
-			}
-		}()
-	}
-	wg.Wait()
-
-	var all []kv
-	for _, rows := range perPart {
-		all = append(all, rows...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	g.ChosenPartitioner = res.PartitionerName
 	g.out = g.out[:0]
-	for _, row := range all {
-		g.out = append(g.out, uint64(row.val)<<32|uint64(row.key))
+	for _, grp := range res.Groups {
+		val := uint32(grp.Count)
+		switch g.agg {
+		case AggSum:
+			val = uint32(grp.Sum)
+		case AggMin:
+			val = grp.Min
+		case AggMax:
+			val = grp.Max
+		}
+		g.out = append(g.out, uint64(val)<<32|uint64(grp.Key))
 	}
 	g.pos = 0
 	g.opened = true

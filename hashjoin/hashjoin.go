@@ -178,23 +178,21 @@ func (r *Result) BuildProbeTime() time.Duration { return r.Build + r.Probe }
 func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
 	opts = opts.withDefaults()
-	pr, err := p.Partition(r)
+	pr, rVia, err := partition.Exact(p, r, opts.Hash, opts.Threads)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning R: %w", err)
 	}
-	ps, err := p.Partition(s)
+	ps, sVia, err := partition.Exact(p, s, opts.Hash, opts.Threads)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning S: %w", err)
 	}
-	pr, rExact, err := exactResult(pr, r, opts)
-	if err != nil {
-		return nil, fmt.Errorf("hashjoin: repartitioning R: %w", err)
-	}
-	ps, sExact, err := exactResult(ps, s, opts)
-	if err != nil {
-		return nil, fmt.Errorf("hashjoin: repartitioning S: %w", err)
-	}
-	bp, mem, err := buildProbe(pr, ps, opts)
+	budget := membudget.New(opts.MemoryBudgetBytes)
+	spill := &membudget.SpillStore{}
+	bp, stats, err := joincore.BudgetedBuildProbe(pr, ps, joincore.BudgetConfig{
+		Budget:  budget,
+		Spill:   spill,
+		Threads: opts.Threads,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +206,7 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 		Probe:               bp.Probe,
 		PartitionerName:     p.Name(),
 		FellBack:            pr.FellBack() || ps.FellBack(),
-		DummyKeyRepartition: rExact || sExact,
+		DummyKeyRepartition: rVia.Name() != p.Name() || sVia.Name() != p.Name(),
 		Threads:             bp.Threads,
 	}
 	// The build scans FPGA-written R partitions sequentially; the probe's
@@ -220,38 +218,20 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 		res.Probe = time.Duration(float64(bp.Probe) * m.ProbePenalty())
 		res.CoherencePenalized = true
 	}
-	res.Memory = mem
+	res.Memory = NewMemoryStats(budget, spill, stats)
 	res.Total = res.PartitionR + res.PartitionS + res.Build + res.Probe
+	emitMemoryTrace(opts.Trace, stats, res.Memory)
 	emitPhaseSpans(opts.Trace, res, opts.FlowID)
 	return res, nil
 }
 
-// buildProbe dispatches between the unconstrained and the budgeted
-// executors, converting budgeted-run stats into the public MemoryStats and
-// emitting the decision trace.
-func buildProbe(pr, ps joincore.Partitions, opts Options) (*joincore.Result, *MemoryStats, error) {
-	if opts.MemoryBudgetBytes <= 0 {
-		bp, err := joincore.BuildProbe(pr, ps, opts.Threads)
-		return bp, nil, err
+// NewMemoryStats folds the executor's stats and the accounting replay into
+// the public result shape; nil when the budget is unlimited, so unbudgeted
+// joins report no MemoryStats.
+func NewMemoryStats(budget *membudget.Budget, spill *membudget.SpillStore, stats *joincore.BudgetStats) *MemoryStats {
+	if !budget.Limited() {
+		return nil
 	}
-	budget := membudget.New(opts.MemoryBudgetBytes)
-	spill := &membudget.SpillStore{}
-	bp, stats, err := joincore.BudgetedBuildProbe(pr, ps, joincore.BudgetConfig{
-		Budget:  budget,
-		Spill:   spill,
-		Threads: opts.Threads,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	mem := memoryStats(budget, spill, stats)
-	emitMemoryTrace(opts.Trace, stats, mem)
-	return bp, mem, nil
-}
-
-// memoryStats folds the executor's stats and the accounting replay into the
-// public result shape.
-func memoryStats(budget *membudget.Budget, spill *membudget.SpillStore, stats *joincore.BudgetStats) *MemoryStats {
 	return &MemoryStats{
 		BudgetBytes:       budget.Cap(),
 		HighWaterBytes:    budget.HighWater(),
@@ -299,10 +279,10 @@ func emitPhaseSpans(sess *simtrace.Session, res *Result, flowID int64) {
 // emitMemoryTrace records every adaptive decision of a budgeted join as a
 // "join.mem" span — one per decision, in the executor's deterministic
 // order, on a virtual tuple-count timeline — plus the aggregate counters
-// the memory perfbench suite gates. Only budgeted joins emit these, so
-// unbudgeted baselines stay byte-identical.
+// the memory perfbench suite gates. Only budgeted joins (mem non-nil) emit
+// these, so unbudgeted baselines stay byte-identical.
 func emitMemoryTrace(sess *simtrace.Session, stats *joincore.BudgetStats, mem *MemoryStats) {
-	if sess == nil {
+	if sess == nil || mem == nil {
 		return
 	}
 	ts := int64(0)
@@ -326,49 +306,6 @@ func emitMemoryTrace(sess *simtrace.Session, stats *joincore.BudgetStats, mem *M
 	m.Counter("join.mem_recursions").Add(int64(mem.Recursions))
 	m.Counter("join.mem_broadcasts").Add(int64(mem.Broadcasts))
 	m.Counter("join.mem_broadcast_chunks").Add(int64(mem.BroadcastChunks))
-}
-
-// exactResult verifies that res exposes every input tuple to its consumers.
-// An FPGA-written result drops tuples whose key collides with the circuit's
-// dummy key (they read back as flush padding), which would silently shrink
-// the join. On a mismatch the side is repartitioned with the exact CPU
-// partitioner over the join-equivalent <key, payload> view of rel, so the
-// build and probe see the full relation.
-func exactResult(res *partition.Result, rel *workload.Relation, opts Options) (*partition.Result, bool, error) {
-	if res.ValidTuples() == int64(rel.NumTuples) {
-		return res, false, nil
-	}
-	src := rel
-	if rel.Layout != workload.RowLayout || rel.Width != 8 {
-		// The join consumes only (key, payload) pairs: materialize them as
-		// 8-byte rows — <key, VRID> for columns, mirroring the FPGA's VRID
-		// output; <key, first-word payload> for wide rows.
-		rows, err := workload.NewRelation(workload.RowLayout, 8, rel.NumTuples)
-		if err != nil {
-			return nil, false, err
-		}
-		for i := 0; i < rel.NumTuples; i++ {
-			pay := uint32(i)
-			if rel.Layout == workload.RowLayout {
-				pay = rel.Payload(i)
-			}
-			rows.SetTuple(i, rel.Key(i), pay)
-		}
-		src = rows
-	}
-	cpu, err := partition.NewCPU(partition.CPUOptions{
-		Partitions: res.NumPartitions(),
-		Hash:       opts.Hash,
-		Threads:    opts.Threads,
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	exact, err := cpu.Partition(src)
-	if err != nil {
-		return nil, false, err
-	}
-	return exact, true, nil
 }
 
 // CPU runs the pure-CPU radix hash join: parallel software partitioning
@@ -421,23 +358,11 @@ func Hybrid(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
 	opts = opts.withDefaults()
-	var bp *joincore.Result
-	var mem *MemoryStats
-	if opts.MemoryBudgetBytes > 0 {
-		budget := membudget.New(opts.MemoryBudgetBytes)
-		spill := &membudget.SpillStore{}
-		var stats *joincore.BudgetStats
-		bp, stats, err = joincore.NonPartitionedBudgeted(r, s, opts.Threads, budget, spill)
-		if err != nil {
-			return nil, err
-		}
-		mem = memoryStats(budget, spill, stats)
-		emitMemoryTrace(opts.Trace, stats, mem)
-	} else {
-		bp, err = joincore.NonPartitioned(r, s, opts.Threads)
-		if err != nil {
-			return nil, err
-		}
+	budget := membudget.New(opts.MemoryBudgetBytes)
+	spill := &membudget.SpillStore{}
+	bp, stats, err := joincore.NonPartitionedBudgeted(r, s, opts.Threads, budget, spill)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Matches:         bp.Matches,
@@ -446,9 +371,10 @@ func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error
 		Probe:           bp.Probe,
 		Total:           bp.Elapsed,
 		PartitionerName: "none",
-		Memory:          mem,
+		Memory:          NewMemoryStats(budget, spill, stats),
 		Threads:         bp.Threads,
 	}
+	emitMemoryTrace(opts.Trace, stats, res.Memory)
 	emitPhaseSpans(opts.Trace, res, opts.FlowID)
 	return res, nil
 }

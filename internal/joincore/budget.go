@@ -83,7 +83,8 @@ type Decision struct {
 	HeavyHitter bool
 }
 
-// BudgetStats aggregates the adaptive behaviour of one budgeted join.
+// BudgetStats aggregates the adaptive behaviour of one budgeted join. It is
+// the zero value for a join without a limited budget: nothing adapts.
 type BudgetStats struct {
 	InMemory          int
 	Reversals         int
@@ -100,8 +101,9 @@ type BudgetStats struct {
 
 // BudgetConfig configures BudgetedBuildProbe.
 type BudgetConfig struct {
-	// Budget caps concurrent build/partition memory; nil or unlimited
-	// reproduces the plain BuildProbe behaviour.
+	// Budget caps concurrent build/partition memory. With nil or an
+	// unlimited one every partition fits: nothing spills and nothing is
+	// logged or accounted (BuildProbe is that case).
 	Budget *membudget.Budget
 	// Spill receives the simulated spill traffic; nil discards it.
 	Spill *membudget.SpillStore
@@ -148,12 +150,13 @@ func saltAt(base uint32, depth int) uint32 {
 }
 
 // BudgetedBuildProbe joins the partitions of R and S under a memory budget.
-// Partitions whose build side fits are joined in place (role-reversing so
-// the smaller side builds); the rest spill and are recursively repartitioned
+// It is the repository's one partitioned build+probe. Partitions whose build
+// side fits are joined in place (role-reversing so the side with fewer slots
+// builds); the rest spill and are recursively repartitioned
 // with salted hashes, with heavy-hitter buckets and depth-capped buckets
-// routed to a chunked broadcast join. Matches and Checksum are byte-for-byte
-// identical to the unconstrained BuildProbe for any budget, because every
-// path joins the exact same multiset of tuple pairs.
+// routed to a chunked broadcast join. Matches and Checksum are the same for
+// any budget, limited or not, because every path joins the exact same
+// multiset of tuple pairs.
 //
 // All adaptive decisions are functions of partition contents and the budget
 // cap alone — never of cross-partition timing — so same-seed runs decide,
@@ -164,70 +167,100 @@ func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStat
 	if r.NumPartitions() != s.NumPartitions() {
 		return nil, nil, fmt.Errorf("joincore: fan-out mismatch: R has %d partitions, S has %d", r.NumPartitions(), s.NumPartitions())
 	}
-	cfg = cfg.withDefaults()
-	numPartitions := r.NumPartitions()
-	perPart := make([][]Decision, numPartitions)
-
-	var next, matches int64
-	var checksum uint64
-	var buildNS, probeNS int64
-	var errOnce sync.Once
-	var runErr error
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var localMatches int64
-			var localSum uint64
-			var localBuild, localProbe int64
-			var scratch buildTable
-			for {
-				p := int(atomic.AddInt64(&next, 1)) - 1
-				if p >= numPartitions {
-					break
-				}
-				pj := partitionJoiner{cfg: cfg, part: p, scratch: &scratch}
-				if err := pj.run(r, s); err != nil {
-					errOnce.Do(func() { runErr = err })
-					break
-				}
-				perPart[p] = pj.decisions
-				localBuild += pj.buildNS
-				localProbe += pj.probeNS
-				localMatches += pj.matches
-				localSum += pj.checksum
-			}
-			atomic.AddInt64(&matches, localMatches)
-			atomic.AddUint64(&checksum, localSum)
-			atomic.AddInt64(&buildNS, localBuild)
-			atomic.AddInt64(&probeNS, localProbe)
-		}()
+	x := &executor{cfg: cfg.withDefaults(), r: r, s: s, numPartitions: r.NumPartitions()}
+	if cfg.Budget.Limited() {
+		x.top = make([]Decision, x.numPartitions)
+		x.below = make([][]Decision, x.numPartitions)
 	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, nil, runErr
+	start := time.Now()
+	x.wg.Add(x.cfg.Threads)
+	for w := 0; w < x.cfg.Threads; w++ {
+		go x.work()
+	}
+	x.wg.Wait()
+	if x.err != nil {
+		return nil, nil, x.err
 	}
 	elapsed := time.Since(start)
 
-	stats := &BudgetStats{}
-	for _, ds := range perPart {
-		stats.Decisions = append(stats.Decisions, ds...)
+	total := len(x.top)
+	for _, ds := range x.below {
+		total += len(ds)
 	}
-	replayAccounting(stats, cfg)
+	stats := &BudgetStats{Decisions: make([]Decision, 0, total)}
+	for p, d := range x.top {
+		stats.Decisions = append(append(stats.Decisions, d), x.below[p]...)
+	}
+	replayAccounting(stats, x.cfg)
 
 	res := &Result{
-		Matches:  matches,
-		Checksum: checksum,
+		Matches:  x.matches,
+		Checksum: x.checksum,
 		Elapsed:  elapsed,
-		Threads:  cfg.Threads,
+		Threads:  x.cfg.Threads,
 	}
-	if total := buildNS + probeNS; total > 0 {
-		res.Build = time.Duration(float64(elapsed) * float64(buildNS) / float64(total))
-		res.Probe = elapsed - res.Build
-	}
+	res.splitPhases(x.buildNS, x.probeNS)
 	return res, stats, nil
+}
+
+// splitPhases divides Elapsed into Build and Probe in proportion to the
+// summed per-worker phase times.
+func (res *Result) splitPhases(buildNS, probeNS int64) {
+	if total := buildNS + probeNS; total > 0 {
+		res.Build = time.Duration(float64(res.Elapsed) * float64(buildNS) / float64(total))
+		res.Probe = res.Elapsed - res.Build
+	}
+}
+
+// executor is the state the workers of one join share.
+type executor struct {
+	cfg           BudgetConfig
+	r, s          Partitions
+	numPartitions int
+	// The decision log: top[p] is partition p's depth-0 decision, below[p]
+	// what a spilled partition decided after it. It feeds the accounting
+	// replay and the join.mem trace, so both are nil without a limited
+	// budget, which has no cap to account against and never spills.
+	top   []Decision
+	below [][]Decision
+
+	next atomic.Int64
+	wg   sync.WaitGroup
+
+	mu               sync.Mutex // guards the totals each worker adds on exit
+	matches          int64
+	checksum         uint64
+	buildNS, probeNS int64
+	err              error
+}
+
+// work joins partitions pulled from the shared counter until none are left
+// or one fails.
+func (x *executor) work() {
+	defer x.wg.Done()
+	pj := partitionJoiner{cfg: &x.cfg}
+	var err error
+	for err == nil {
+		p := int(x.next.Add(1)) - 1
+		if p >= x.numPartitions {
+			break
+		}
+		var top Decision
+		top, err = pj.run(x.r, x.s, p)
+		if x.top != nil {
+			x.top[p] = top
+			x.below[p], pj.below = pj.below, nil
+		}
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.matches += pj.matches
+	x.checksum += pj.checksum
+	x.buildNS += pj.buildNS
+	x.probeNS += pj.probeNS
+	if x.err == nil {
+		x.err = err
+	}
 }
 
 // replayAccounting walks the decision list in its deterministic order and
@@ -300,17 +333,18 @@ func chunkTuples(b *membudget.Budget) int64 {
 	return n
 }
 
-// partitionJoiner joins one top-level partition pair, recording its
-// decisions. It runs entirely on one worker goroutine.
+// partitionJoiner joins the partition pairs of one worker, one at a time,
+// accumulating the worker's totals. It runs entirely on one goroutine.
 type partitionJoiner struct {
-	cfg       BudgetConfig
-	part      int
-	scratch   *buildTable
-	decisions []Decision
-	matches   int64
-	checksum  uint64
-	buildNS   int64
-	probeNS   int64
+	cfg     *BudgetConfig
+	part    int // the top-level partition being joined
+	scratch buildTable
+	// below collects what the current partition decided after spilling.
+	below    []Decision
+	matches  int64
+	checksum uint64
+	buildNS  int64
+	probeNS  int64
 }
 
 func (pj *partitionJoiner) fits(buildTuples int64) bool {
@@ -329,44 +363,36 @@ func (pj *partitionJoiner) emit(key, bPay, pPay uint32, rIsBuild bool) {
 	}
 }
 
-func (pj *partitionJoiner) run(r, s Partitions) error {
-	p := pj.part
-	nR := countValid(r, p)
-	nS := countValid(s, p)
-	if nR == 0 || nS == 0 {
-		pj.decisions = append(pj.decisions, Decision{
-			Partition: p, Action: ActionInMemory, BuildTuples: min64(nR, nS), ProbeTuples: max64(nR, nS),
-		})
-		return nil
-	}
+// run joins partition p and returns its depth-0 decision. The side with
+// fewer slots builds: for CPU-written partitions that is the side with fewer
+// tuples, and no pass is spent on counting — the build pass counts the build
+// side, the probe pass the probe side.
+func (pj *partitionJoiner) run(r, s Partitions, p int) (top Decision, err error) {
+	pj.part = p
 	build, probe, reversed := r, s, false
-	nBuild, nProbe := nR, nS
-	if nS < nR {
+	if s.SlotCount(p) < r.SlotCount(p) {
 		build, probe, reversed = s, r, true
-		nBuild, nProbe = nS, nR
 	}
-	if pj.fits(nBuild) {
-		pj.decisions = append(pj.decisions, Decision{
-			Partition: p, Action: ActionInMemory,
-			BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed,
-		})
-		t0 := time.Now()
-		pj.scratch.build(build, p)
-		t1 := time.Now()
-		pj.probeParts(build, probe, p, !reversed)
-		pj.buildNS += t1.Sub(t0).Nanoseconds()
-		pj.probeNS += time.Since(t1).Nanoseconds()
-		return nil
+	t0 := time.Now()
+	nBuild := pj.scratch.build(build, p)
+	t1 := time.Now()
+	top = Decision{Partition: p, Action: ActionInMemory, BuildTuples: nBuild, Reversed: reversed}
+	switch {
+	case nBuild == 0:
+		top.ProbeTuples, top.Reversed = countValid(probe, p), false
+	case pj.fits(nBuild):
+		top.ProbeTuples = pj.probeParts(build, probe, p, !reversed)
+	default:
+		// Over budget: spill both sides as packed tuple runs and go adaptive.
+		rs, ss := collect(r, p), collect(s, p)
+		top.Action = ActionSpill
+		top.ProbeTuples = int64(len(rs)+len(ss)) - nBuild
+		top.SpilledBytes = 8 * int64(len(rs)+len(ss))
+		return top, pj.joinSpilled(rs, ss, 1)
 	}
-	// Over budget: spill both sides as packed tuple runs and go adaptive.
-	rs := collect(r, p)
-	ss := collect(s, p)
-	pj.decisions = append(pj.decisions, Decision{
-		Partition: p, Action: ActionSpill,
-		BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed,
-		SpilledBytes: 8 * (nR + nS),
-	})
-	return pj.joinSpilled(rs, ss, 1)
+	pj.buildNS += t1.Sub(t0).Nanoseconds()
+	pj.probeNS += time.Since(t1).Nanoseconds()
+	return top, nil
 }
 
 // joinSpilled joins one spilled bucket: in memory if the (possibly
@@ -387,7 +413,7 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 	}
 	if pj.fits(nBuild) {
 		d.Action = ActionInMemory
-		pj.decisions = append(pj.decisions, d)
+		pj.below = append(pj.below, d)
 		pj.joinSlices(build, probe, rIsBuild)
 		return nil
 	}
@@ -400,13 +426,13 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 		d.HeavyHitter = hot
 		d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
 		d.Chunks = pj.broadcast(build, probe, rIsBuild)
-		pj.decisions = append(pj.decisions, d)
+		pj.below = append(pj.below, d)
 		return nil
 	}
 
 	d.Action = ActionRecurse
 	d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
-	pj.decisions = append(pj.decisions, d)
+	pj.below = append(pj.below, d)
 	sub := cpupart.Config{
 		NumPartitions: pj.cfg.SubFanOut,
 		Hash:          true,
@@ -439,7 +465,7 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 				SpilledBytes: 8 * (int64(len(subR)) + int64(len(subS))),
 			}
 			bd.Chunks = pj.broadcast(b, pb, rb)
-			pj.decisions = append(pj.decisions, bd)
+			pj.below = append(pj.below, bd)
 			continue
 		}
 		if err := pj.joinSpilled(subR, subS, depth+1); err != nil {
@@ -454,7 +480,7 @@ func (pj *partitionJoiner) joinSlices(build, probe []uint64, rIsBuild bool) {
 	t0 := time.Now()
 	pj.scratch.build(slotSlice(build), 0)
 	t1 := time.Now()
-	bt := pj.scratch
+	bt := &pj.scratch
 	for _, t := range probe {
 		key, pPay := uint32(t), uint32(t>>32)
 		for slot := bt.head[bt.bucketOf(key)]; slot != 0; {
@@ -490,15 +516,17 @@ func (pj *partitionJoiner) broadcast(build, probe []uint64, rIsBuild bool) (chun
 }
 
 // probeParts probes the build table with the probe side of partition p,
-// emitting matches. rIsBuild tells emit which payload belongs to R.
-func (pj *partitionJoiner) probeParts(build, probe Partitions, p int, rIsBuild bool) {
-	bt := pj.scratch
+// emitting matches, and returns the probe side's valid tuples. rIsBuild
+// tells emit which payload belongs to R.
+func (pj *partitionJoiner) probeParts(build, probe Partitions, p int, rIsBuild bool) (probed int64) {
+	bt := &pj.scratch
 	n := probe.SlotCount(p)
 	for i := 0; i < n; i++ {
 		key, pPay, ok := probe.Slot(p, i)
 		if !ok {
 			continue
 		}
+		probed++
 		for slot := bt.head[bt.bucketOf(key)]; slot != 0; {
 			j := int(slot - 1)
 			bKey, bPay, _ := build.Slot(p, j)
@@ -510,6 +538,7 @@ func (pj *partitionJoiner) probeParts(build, probe Partitions, p int, rIsBuild b
 			slot = bt.next[j]
 		}
 	}
+	return probed
 }
 
 // slotSlice adapts a packed tuple run to the Partitions interface so the
@@ -547,18 +576,4 @@ func collect(ps Partitions, p int) []uint64 {
 		out = append(out, uint64(key)|uint64(pay)<<32)
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

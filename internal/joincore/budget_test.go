@@ -2,6 +2,7 @@ package joincore
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"fpgapart/internal/membudget"
@@ -26,29 +27,69 @@ func buildBytes(r Partitions) int64 {
 	return n * BuildTupleBytes
 }
 
+// pairMultiset brute-forces the join's output: how often each
+// (key, R payload, S payload) triple must be emitted.
+func pairMultiset(r, s *slicePartitions) map[[3]uint32]int {
+	want := map[[3]uint32]int{}
+	for _, rp := range r.parts {
+		for _, rt := range rp {
+			for _, sp := range s.parts {
+				for _, st := range sp {
+					if rt.valid && st.valid && rt.key == st.key {
+						want[[3]uint32{rt.key, rt.payload, st.payload}]++
+					}
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestBudgetedMatchesUnconstrained is the differential test of the one
+// executor: no budget, an unlimited one and every limited one agree with the
+// nested-loop reference on Matches and Checksum and emit the same multiset
+// of pairs, R payload first whichever side built.
 func TestBudgetedMatchesUnconstrained(t *testing.T) {
-	rKeys := randKeys(600, 10)
-	sKeys := randKeys(900, 11)
+	heavy := randKeys(900, 11)
 	// A heavy hitter: one key takes over a third of the probe side.
 	for i := 0; i < 300; i++ {
-		sKeys[i] = 7
+		heavy[i] = 7
 	}
-	r := partitionKeys(rKeys, 8, 4)
-	s := partitionKeys(sKeys, 8, 6)
-	want, err := BuildProbe(r, s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := buildBytes(r)
-	for _, frac := range []int64{0, 100, 50, 25, 10, 1} {
-		var budget *membudget.Budget
-		if frac > 0 {
-			budget = membudget.New(total * frac / 100)
+	for _, in := range []struct {
+		name string
+		r, s *slicePartitions
+	}{
+		{"cpu-written", partitionKeys(randKeys(600, 10), 8, 0), partitionKeys(heavy, 8, 0)},
+		{"fpga-written (dummy slots)", partitionKeys(randKeys(600, 10), 8, 4), partitionKeys(heavy, 8, 6)},
+		{"nS < nR (role reversal)", partitionKeys(heavy, 8, 0), partitionKeys(randKeys(300, 12), 8, 3)},
+	} {
+		wantM, wantC := NestedLoop(in.r, in.s)
+		wantPairs := pairMultiset(in.r, in.s)
+		plain, err := BuildProbe(in.r, in.s, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res, stats := budgetedMust(t, r, s, BudgetConfig{Budget: budget, Threads: 2})
-		if res.Matches != want.Matches || res.Checksum != want.Checksum {
-			t.Fatalf("budget %d%%: got %d/%#x, want %d/%#x (stats %+v)",
-				frac, res.Matches, res.Checksum, want.Matches, want.Checksum, stats)
+		if plain.Matches != wantM || plain.Checksum != wantC {
+			t.Fatalf("%s: BuildProbe = %d/%#x, NestedLoop = %d/%#x", in.name, plain.Matches, plain.Checksum, wantM, wantC)
+		}
+		total := buildBytes(in.r)
+		for _, frac := range []int64{0, 100, 50, 25, 10, 1} {
+			budget := membudget.New(total * frac / 100) // 0: unlimited
+			var mu sync.Mutex
+			pairs := map[[3]uint32]int{}
+			res, stats := budgetedMust(t, in.r, in.s, BudgetConfig{Budget: budget, Threads: 2,
+				Emit: func(_ int, key, rPay, sPay uint32) {
+					mu.Lock()
+					pairs[[3]uint32{key, rPay, sPay}]++
+					mu.Unlock()
+				}})
+			if res.Matches != wantM || res.Checksum != wantC {
+				t.Fatalf("%s, budget %d%%: got %d/%#x, want %d/%#x (stats %+v)",
+					in.name, frac, res.Matches, res.Checksum, wantM, wantC, stats)
+			}
+			if !reflect.DeepEqual(pairs, wantPairs) {
+				t.Fatalf("%s, budget %d%%: emitted pair multiset differs from the brute-force join", in.name, frac)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@
 // hash join (Section 3.3): for every partition, a cache-resident hash table
 // is built over the R partition using bucket chaining (Manegold et al.) and
 // probed with the corresponding S partition. Partitions are processed in
-// parallel by a pool of workers pulling from a shared task counter.
+// parallel by a pool of workers pulling from a shared task counter. There is
+// one executor (budget.go): a join without a memory budget is the budgeted
+// join in which every partition fits.
 //
 // The phases run for real and are measured; they consume partitions through
 // the Partitions interface so the same code probes CPU-written and
@@ -11,10 +13,6 @@
 package joincore
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fpgapart/internal/hashutil"
@@ -45,65 +43,12 @@ type Result struct {
 	Threads int
 }
 
-// BuildProbe joins the partitions of R and S. Both inputs must have the same
-// fan-out. threads ≤ 0 uses all cores.
+// BuildProbe joins the partitions of R and S with no memory budget — the
+// executor's in-budget case: every partition fits, nothing spills. Both
+// inputs must have the same fan-out. threads ≤ 0 uses all cores.
 func BuildProbe(r, s Partitions, threads int) (*Result, error) {
-	if r.NumPartitions() != s.NumPartitions() {
-		return nil, fmt.Errorf("joincore: fan-out mismatch: R has %d partitions, S has %d", r.NumPartitions(), s.NumPartitions())
-	}
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	numPartitions := r.NumPartitions()
-
-	var next int64
-	var matches int64
-	var checksum uint64
-	var buildNS, probeNS int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var localMatches int64
-			var localSum uint64
-			var localBuild, localProbe int64
-			var scratch buildTable
-			for {
-				p := int(atomic.AddInt64(&next, 1)) - 1
-				if p >= numPartitions {
-					break
-				}
-				t0 := time.Now()
-				scratch.build(r, p)
-				t1 := time.Now()
-				m, cs := scratch.probe(r, s, p)
-				localBuild += t1.Sub(t0).Nanoseconds()
-				localProbe += time.Since(t1).Nanoseconds()
-				localMatches += m
-				localSum += cs
-			}
-			atomic.AddInt64(&matches, localMatches)
-			atomic.AddUint64(&checksum, localSum)
-			atomic.AddInt64(&buildNS, localBuild)
-			atomic.AddInt64(&probeNS, localProbe)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := &Result{
-		Matches:  matches,
-		Checksum: checksum,
-		Elapsed:  elapsed,
-		Threads:  threads,
-	}
-	if total := buildNS + probeNS; total > 0 {
-		res.Build = time.Duration(float64(elapsed) * float64(buildNS) / float64(total))
-		res.Probe = elapsed - res.Build
-	}
-	return res, nil
+	res, _, err := BudgetedBuildProbe(r, s, BudgetConfig{Threads: threads})
+	return res, err
 }
 
 // buildTable is a bucket-chaining hash table over one R partition: head maps
@@ -122,7 +67,8 @@ func (bt *buildTable) bucketOf(key uint32) uint32 {
 	return (hashutil.Murmur32Finalizer(key) >> 13) & bt.mask
 }
 
-func (bt *buildTable) build(r Partitions, p int) {
+// build chains the valid slots of partition p and returns how many there are.
+func (bt *buildTable) build(r Partitions, p int) (valid int64) {
 	n := r.SlotCount(p)
 	buckets := 1
 	for buckets < n {
@@ -150,30 +96,12 @@ func (bt *buildTable) build(r Partitions, p int) {
 		if !ok {
 			continue // dummy slot in an FPGA-written partition
 		}
+		valid++
 		b := bt.bucketOf(key)
 		bt.next[i] = bt.head[b]
 		bt.head[b] = int32(i) + 1
 	}
-}
-
-func (bt *buildTable) probe(r, s Partitions, p int) (matches int64, checksum uint64) {
-	n := s.SlotCount(p)
-	for i := 0; i < n; i++ {
-		key, sPay, ok := s.Slot(p, i)
-		if !ok {
-			continue
-		}
-		for slot := bt.head[bt.bucketOf(key)]; slot != 0; {
-			j := int(slot - 1)
-			rKey, rPay, _ := r.Slot(p, j)
-			if rKey == key {
-				matches++
-				checksum += uint64(rPay) + uint64(sPay)
-			}
-			slot = bt.next[j]
-		}
-	}
-	return matches, checksum
+	return valid
 }
 
 // NestedLoop is the O(|R|·|S|) reference join used to validate the hash

@@ -224,3 +224,24 @@ func TestNonPartitionedSingleThread(t *testing.T) {
 		t.Fatalf("matches = %d", res.Matches)
 	}
 }
+
+// TestBuildProbeAllocations guards the fixed cost of the executor's
+// unbudgeted case: a handful of heap objects per join (shared state, the
+// result, one worker's table), not one per partition — the same count at 32
+// times the fan-out, give or take the table's regrowth (it grows to the
+// largest partition seen so far, in more steps when partitions are small).
+func TestBuildProbeAllocations(t *testing.T) {
+	rKeys, sKeys := randKeys(1<<16, 60), randKeys(1<<16, 61)
+	perJoin := func(fanOut int) float64 {
+		r, s := partitionKeys(rKeys, fanOut, 0), partitionKeys(sKeys, fanOut, 0)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := BuildProbe(r, s, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perJoin(256), perJoin(8192)
+	if small > 24 || large > small+16 {
+		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want a constant", small, large)
+	}
+}

@@ -138,7 +138,7 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 	ps := packRelation(probe)
 	spilled := 8 * (nBuild + nProbe)
 	start := time.Now()
-	pj := partitionJoiner{cfg: cfg, scratch: &buildTable{}}
+	pj := partitionJoiner{cfg: &cfg}
 	chunks := pj.broadcast(bs, ps, !reversed)
 	elapsed := time.Since(start)
 	stats.Decisions = append(stats.Decisions,
@@ -154,10 +154,7 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 		Elapsed:  elapsed,
 		Threads:  1,
 	}
-	if total := pj.buildNS + pj.probeNS; total > 0 {
-		res.Build = time.Duration(float64(elapsed) * float64(pj.buildNS) / float64(total))
-		res.Probe = elapsed - res.Build
-	}
+	res.splitPhases(pj.buildNS, pj.probeNS)
 	return res, stats, nil
 }
 

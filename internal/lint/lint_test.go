@@ -608,3 +608,35 @@ func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 		}
 	}
 }
+
+// TestOperatorsPartitionThroughPartition locks the layering: everything
+// above package partition partitions through it — the circuit and the CPU
+// partitioner have one adapter (slot views, VRID rows, overflow fallback),
+// not a private copy per operator. partition, experiments and joincore's
+// PartitionTuples recursion are the callers that remain.
+func TestOperatorsPartitionThroughPartition(t *testing.T) {
+	pkgs, err := testLoader(t).LoadModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	above := map[string]bool{
+		"fpgapart/partserver": true, "fpgapart/engine": true, "fpgapart/aggregate": true,
+		"fpgapart/hashjoin": true, "fpgapart/distjoin": true, "fpgapart/cluster": true,
+	}
+	checked := 0
+	for _, n := range BuildCallGraph(pkgs).Nodes() {
+		if !above[n.PkgPath()] {
+			continue
+		}
+		checked++
+		for _, e := range n.Out {
+			switch callee := e.Callee.Fn.FullName(); callee {
+			case "fpgapart/internal/core.NewCircuit", "fpgapart/internal/cpupart.Partition":
+				t.Errorf("%v calls %s directly; go through package partition", n, callee)
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d functions of the operator packages in the call graph", checked)
+	}
+}

@@ -30,8 +30,25 @@ package simtrace
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 )
+
+// WriteFile creates path, hands it to write and closes it, reporting the
+// first failure. It is how every CLI writes its trace, metrics, report and
+// flight-recorder files.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // DefaultSampleWindow is the cycle-window size at which the instrumented
 // simulator emits periodic counter samples when the Session does not

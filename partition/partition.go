@@ -57,9 +57,20 @@ const (
 	ColumnStore
 )
 
-// ErrOverflow is reported (wrapped) when a PAD-mode run overflowed a
-// partition's padded size and no fallback was configured.
+// ErrOverflow is reported (wrapped in an *OverflowError) when a PAD-mode run
+// overflowed a partition's padded size and no fallback was configured.
 var ErrOverflow = errors.New("partition: partition overflowed its padded size (PAD mode)")
+
+// OverflowError is the error of an overflowed PAD-mode run with the fallback
+// disabled; it unwraps to ErrOverflow. Aborted describes the aborted FPGA
+// attempt: a caller that reruns the job elsewhere still owes its simulated
+// time — "the procedure has to start from the beginning" (Section 5.4).
+type OverflowError struct {
+	Aborted FPGAStats
+}
+
+func (e *OverflowError) Error() string { return "partition: " + ErrOverflow.Error() }
+func (e *OverflowError) Unwrap() error { return ErrOverflow }
 
 // ErrSimulatorFault is reported (wrapped) when an invariant violation inside
 // the simulator internals (internal/fpga's FIFOs and BRAMs, internal/qpi's
@@ -171,8 +182,7 @@ func (r *Result) TotalTuples() int64 {
 // the circuit's dummy key is written to the output lines but is
 // indistinguishable from flush padding, so every reader skips it — the
 // histogram counts it, Each never yields it. Callers that must not lose
-// tuples compare this against the input size and repartition on the CPU
-// (whose boundaries are exact) when they disagree.
+// tuples partition through Exact.
 func (r *Result) ValidTuples() int64 {
 	if r.cpu != nil {
 		return r.TotalTuples()
@@ -284,8 +294,14 @@ func (p *cpuPartitioner) Name() string {
 	return fmt.Sprintf("cpu-%s-%v", kind, p.cfg.Algorithm)
 }
 
+// Partition partitions rel's <key, payload> pairs (see keyPayloadRows for
+// what that means for a key column or wide rows).
 func (p *cpuPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
+	rel, err = keyPayloadRows(rel)
+	if err != nil {
+		return nil, err
+	}
 	res, err := cpupart.Partition(rel, p.cfg)
 	if err != nil {
 		return nil, err
@@ -403,7 +419,7 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 		if !p.opts.DisableFallback {
 			return p.fallback(rel, stats)
 		}
-		return nil, fmt.Errorf("partition: %w", ErrOverflow)
+		return nil, &OverflowError{Aborted: snapshot(stats)}
 	}
 	if err != nil {
 		return nil, err
@@ -424,35 +440,75 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 // CPU time, as the paper describes: "the procedure has to start from the
 // beginning" (Section 5.4).
 func (p *fpgaPartitioner) fallback(rel *workload.Relation, aborted *core.Stats) (*Result, error) {
-	if rel.Layout == workload.ColumnLayout {
-		// The CPU fallback mirrors VRID semantics: it partitions <key, VRID>
-		// tuples materialized from the key column, so downstream consumers
-		// see the same payload convention either way.
-		rows, err := workload.NewRelation(workload.RowLayout, 8, rel.NumTuples)
-		if err != nil {
-			return nil, err
-		}
-		for i, k := range rel.Keys {
-			rows.SetTuple(i, k, uint32(i))
-		}
-		rel = rows
-	}
-	cpu, err := cpupart.Partition(rel, cpupart.Config{
+	cpu := cpuPartitioner{cfg: cpupart.Config{
 		NumPartitions: p.opts.Partitions,
 		Hash:          p.opts.Hash,
 		Threads:       p.opts.FallbackThreads,
-	})
+	}}
+	res, err := cpu.Partition(rel)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		numPartitions: cpu.NumPartitions,
-		elapsed:       aborted.Elapsed + cpu.Elapsed,
-		fellBack:      true,
-		cpu:           cpu,
-		Stats:         snapshot(aborted),
-		Trace:         p.opts.Trace,
-	}, nil
+	res.elapsed += aborted.Elapsed
+	res.fellBack = true
+	res.Stats = snapshot(aborted)
+	res.Trace = p.opts.Trace
+	return res, nil
+}
+
+// keyPayloadRows returns rel as the 8-byte <key, payload> rows the CPU
+// partitioner consumes — the same pairs a reader of the FPGA's output sees:
+// rel itself when it already is such rows, <key, VRID> for a key column
+// (the circuit's VRID output), <key, first payload word> for wide rows.
+func keyPayloadRows(rel *workload.Relation) (*workload.Relation, error) {
+	if rel.Layout == workload.RowLayout && rel.Width == 8 {
+		return rel, nil
+	}
+	rows, err := workload.NewRelation(workload.RowLayout, 8, rel.NumTuples)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < rel.NumTuples; i++ {
+		pay := uint32(i)
+		if rel.Layout == workload.RowLayout {
+			pay = rel.Payload(i)
+		}
+		rows.SetTuple(i, rel.Key(i), pay)
+	}
+	return rows, nil
+}
+
+// exactFallback names the CPU partitioner Exact fell back to.
+type exactFallback struct{ Partitioner }
+
+func (e exactFallback) Name() string { return e.Partitioner.Name() + " (dummy-key exact fallback)" }
+
+// Exact partitions rel with p and verifies that a consumer observes every
+// input tuple. The FPGA output encoding cannot represent a tuple whose key
+// equals the circuit's dummy key: it is written but reads back as flush
+// padding, so Each and Slot skip it — a join silently misses matches, an
+// aggregation a group. When Result.ValidTuples disagrees with the input
+// size, rel is repartitioned by the CPU partitioner (hash and threads
+// configure it), whose partition boundaries are exact for every key. The
+// returned Partitioner is the one whose output is returned: p itself, or
+// the CPU partitioner, named with a " (dummy-key exact fallback)" suffix.
+func Exact(p Partitioner, rel *workload.Relation, hash bool, threads int) (*Result, Partitioner, error) {
+	res, err := p.Partition(rel)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.ValidTuples() == int64(rel.NumTuples) {
+		return res, p, nil
+	}
+	cpu, err := NewCPU(CPUOptions{Partitions: res.NumPartitions(), Hash: hash, Threads: threads})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err = cpu.Partition(rel)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, exactFallback{cpu}, nil
 }
 
 func snapshot(s *core.Stats) FPGAStats {

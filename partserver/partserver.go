@@ -41,8 +41,8 @@ import (
 	"errors"
 	"fmt"
 
-	"fpgapart/internal/core"
 	"fpgapart/internal/faults"
+	"fpgapart/internal/hashutil"
 	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partition"
@@ -402,8 +402,8 @@ func validateJob(j *Job, id int) error {
 	if j.Rel == nil {
 		return fmt.Errorf("partserver: job %d has no relation", id)
 	}
-	if j.FanOut < 2 {
-		return fmt.Errorf("partserver: job %d fan-out %d < 2", id, j.FanOut)
+	if j.FanOut < 2 || !hashutil.IsPowerOfTwo(j.FanOut) {
+		return fmt.Errorf("partserver: job %d fan-out %d is not a power of two ≥ 2", id, j.FanOut)
 	}
 	wantLayout := workload.RowLayout
 	if j.Layout == partition.ColumnStore {
@@ -424,47 +424,19 @@ func validateJob(j *Job, id int) error {
 	if j.TimeoutUS < 0 || j.CancelAtUS < 0 {
 		return fmt.Errorf("partserver: job %d negative timeout/cancel", id)
 	}
-	if _, err := circuitConfig(j); err != nil {
-		return fmt.Errorf("partserver: job %d: %w", id, err)
-	}
 	return nil
 }
 
-// circuitConfig translates a job spec into a core circuit configuration —
-// the batching key: jobs sharing it can run back-to-back on one instance
+// configKey is the comparable batching identity of a partitioner
+// configuration: jobs sharing it can run back-to-back on one instance
 // without reconfiguration.
-func circuitConfig(j *Job) (core.Config, error) {
-	cfg := core.Config{
-		NumPartitions: j.FanOut,
-		TupleWidth:    8,
-		Hash:          j.Hash,
-		PadFraction:   0.5,
-	}
-	if j.Format == partition.PadMode {
-		cfg.Format = core.PAD
-	}
-	if j.Layout == partition.ColumnStore {
-		cfg.Layout = core.VRID
-	}
-	cfg = cfg.WithDefaults()
-	return cfg, cfg.Validate()
-}
-
-// configKey is the comparable batching identity of a circuit configuration.
 type configKey struct {
 	fanOut int
 	hash   bool
-	format core.Format
-	layout core.Layout
+	format partition.Format
+	layout partition.Layout
 }
 
 func keyOf(j *Job) configKey {
-	k := configKey{fanOut: j.FanOut, hash: j.Hash}
-	if j.Format == partition.PadMode {
-		k.format = core.PAD
-	}
-	if j.Layout == partition.ColumnStore {
-		k.layout = core.VRID
-	}
-	return k
+	return configKey{fanOut: j.FanOut, hash: j.Hash, format: j.Format, layout: j.Layout}
 }

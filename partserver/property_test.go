@@ -1,11 +1,14 @@
 package partserver
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fpgapart/internal/hashutil"
 	"fpgapart/partition"
+	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
@@ -279,5 +282,84 @@ func TestStatusStrings(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%T(%v) = %q, want %q", s, s, s.String(), want)
 		}
+	}
+}
+
+// TestPlacementIndependence runs the same RID, VRID and join jobs on an
+// FPGA-only and on a CPU-only pool: both go through package partition, so
+// every job reports the same output shape, checksum and join result wherever
+// it ran. A PAD job that overflows on the FPGA still lands on the CPU, and
+// its charge is the CPU run's plus the aborted attempt's circuit time, which
+// the overflow error carries.
+func TestPlacementIndependence(t *testing.T) {
+	jobs, err := GenerateTrace(seedFromName(t), 24, TraceOptions{MeanGapUS: 50, JoinFraction: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onFPGA, err := Run(jobs, Config{FPGAs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onCPU, err := Run(jobs, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rid, vrid, joins int
+	for i := range jobs {
+		f, c := &onFPGA.Results[i], &onCPU.Results[i]
+		if f.Status != StatusDone || c.Status != StatusDone || f.Placement != PlacedFPGA || c.Placement != PlacedCPU {
+			t.Fatalf("job %d: FPGA pool %v on %v, CPU pool %v on %v", i, f.Status, f.Placement, c.Status, c.Placement)
+		}
+		if !slices.Equal(f.Counts, c.Counts) || !slices.Equal(f.Offsets, c.Offsets) ||
+			f.Tuples != c.Tuples || f.Checksum != c.Checksum || f.Matches != c.Matches {
+			t.Errorf("job %d: FPGA pool reports %d tuples, checksum %08x, %d matches; CPU pool %d, %08x, %d",
+				i, f.Tuples, f.Checksum, f.Matches, c.Tuples, c.Checksum, c.Matches)
+		}
+		switch {
+		case jobs[i].Probe != nil:
+			joins++
+		case jobs[i].Layout == partition.ColumnStore:
+			vrid++
+		default:
+			rid++
+		}
+	}
+	if rid == 0 || vrid == 0 || joins == 0 {
+		t.Fatalf("trace has %d RID, %d VRID and %d join jobs; need all three", rid, vrid, joins)
+	}
+
+	rel, err := workload.NewGenerator(3).ZipfRelation(1.5, 1<<20, 8, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Rel: rel, FanOut: 64, Hash: true, Format: partition.PadMode}
+	p, err := partition.NewFPGA(partition.FPGAOptions{Partitions: 64, Hash: true, Format: partition.PadMode,
+		PadFraction: 0.5, DisableFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ov *partition.OverflowError
+	if _, err := p.Partition(rel); !errors.As(err, &ov) || ov.Aborted.Cycles == 0 {
+		t.Fatalf("PAD run of the skewed relation: err = %v, want an OverflowError with the aborted cycles", err)
+	}
+	abortedUS := ceilDiv(ov.Aborted.Cycles*1e6, int64(platform.XeonFPGA().FPGAClockHz))
+	// The slow CPU rate makes the FPGA the first choice where there is one.
+	degraded, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1, CPURate: 1e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := Run([]Job{job}, Config{Workers: 1, CPURate: 1e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, c := &degraded.Results[0], &direct.Results[0]
+	if !d.Degraded || d.Placement != PlacedCPU || c.Degraded {
+		t.Fatalf("degraded %v on %v, direct degraded %v", d.Degraded, d.Placement, c.Degraded)
+	}
+	if d.ExecUS != c.ExecUS+abortedUS {
+		t.Errorf("degraded job charged %d µs, want the CPU run's %d + the aborted attempt's %d", d.ExecUS, c.ExecUS, abortedUS)
+	}
+	if d.Checksum != c.Checksum || !slices.Equal(d.Counts, c.Counts) {
+		t.Errorf("degraded job's output differs from the CPU-only run's")
 	}
 }
