@@ -1,7 +1,8 @@
 # Tier-1 verification and development targets.
 #
 #   make verify   — full gate: build, vet, fpgavet lint, race-free tests,
-#                   race-enabled tests
+#                   race-enabled tests, and the portable (purego / arm64)
+#                   side of internal/cpupart's assembly kernel
 #   make tier1    — the minimal tier-1 loop (build + test)
 #   make lint     — fpgavet static-analysis suite (determinism,
 #                   boundary-reach, error hygiene, clocked components,
@@ -19,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: verify tier1 build vet lint lint-json test race bench bench-gate trace-demo fuzz
+.PHONY: verify tier1 build vet lint lint-json test race portable bench bench-gate trace-demo fuzz
 
-verify: build vet lint test race
+verify: build vet lint test race portable
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -45,6 +46,15 @@ test:
 
 race:
 	$(GO) test -race -timeout 20m $$($(GO) list ./... | grep -v fpgapart/experiments)
+
+# internal/cpupart flushes its write-combining buffers with an amd64 assembly
+# kernel; portable keeps the other side honest: the generic flush tested on
+# this machine (-tags purego), and a non-amd64 build plus vet of the package
+# (asmdecl checks the stub against the assembly on amd64 in `vet` above).
+portable:
+	$(GO) test -tags purego ./internal/cpupart ./partition
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpupart
 
 # bench regenerates the committed baseline. Only needed after an intentional
 # change to the simulator's cycle behavior or the scenario matrix; commit the

@@ -8,6 +8,17 @@
 //
 // The partitioners operate on 8-byte tuples (<4B key, 4B payload> packed
 // into a uint64), the layout of all the paper's CPU experiments.
+//
+// All three share one shape (layout): per-worker histograms over contiguous
+// chunks of the input, a prefix sum that hands every worker a private range
+// of every partition, and a scatter pass that therefore needs no
+// synchronisation. Code 2's scatter is what the paper's baseline is defined
+// by: each partition has a buffer that is one destination cache line — the
+// fill slot is the destination word address mod 8, so a full buffer is a
+// whole, 64-byte-aligned line — and a full buffer is flushed with
+// non-temporal stores (MOVNTDQ on amd64, an ordinary line store elsewhere
+// and under -tags purego), which overwrite the line without first reading
+// it for ownership.
 package cpupart
 
 import (
@@ -15,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"fpgapart/internal/hashutil"
 	"fpgapart/workload"
@@ -50,8 +62,8 @@ func (a Algorithm) String() string {
 }
 
 // BufferTuples is the software-managed buffer size: 8 tuples × 8 bytes =
-// one 64-byte cache line, flushed with a single copy that stands in for the
-// non-temporal SIMD store of Wassenberg et al.
+// one 64-byte cache line, the unit of the streaming flush (storeLine; the
+// non-temporal SIMD store of Wassenberg et al.).
 const BufferTuples = 8
 
 // maxFanOutPerPass bounds a single pass of the MultiPass algorithm, chosen
@@ -63,7 +75,9 @@ type Config struct {
 	NumPartitions int
 	// Hash selects murmur hash partitioning; false selects radix bits.
 	Hash bool
-	// Threads is the parallelism (≤ 0 means GOMAXPROCS).
+	// Threads is the parallelism (≤ 0 means GOMAXPROCS). The output does
+	// not depend on it, so it is a ceiling: every worker gets at least
+	// NumPartitions tuples, which bounds scratch memory by the input size.
 	Threads   int
 	Algorithm Algorithm
 	// Salt is XORed into the key before hashing, so a recursive
@@ -74,17 +88,12 @@ type Config struct {
 	Salt uint32
 }
 
-func (c *Config) withDefaults() Config {
-	cfg := *c
-	if cfg.Threads <= 0 {
-		cfg.Threads = runtime.GOMAXPROCS(0)
-	}
-	return cfg
-}
-
 func (c *Config) validate() error {
 	if !hashutil.IsPowerOfTwo(c.NumPartitions) || c.NumPartitions < 2 {
 		return fmt.Errorf("cpupart: NumPartitions %d must be a power of two ≥ 2", c.NumPartitions)
+	}
+	if c.Algorithm < Buffered || c.Algorithm > MultiPass {
+		return fmt.Errorf("cpupart: unknown algorithm %v", c.Algorithm)
 	}
 	return nil
 }
@@ -94,12 +103,14 @@ func (c *Config) validate() error {
 type Result struct {
 	NumPartitions int
 	// Data holds the shuffled tuples; partition p is
-	// Data[Offsets[p]:Offsets[p+1]].
+	// Data[Offsets[p]:Offsets[p+1]]. Within a partition tuples keep their
+	// input order, whatever the algorithm and thread count.
 	Data []uint64
 	// Offsets has NumPartitions+1 entries (prefix sum of the histogram).
 	Offsets []int64
 	// Elapsed is the measured wall time of the partitioning.
 	Elapsed time.Duration
+	// Threads is the number of workers that ran.
 	Threads int
 }
 
@@ -112,33 +123,10 @@ func (r *Result) Partition(p int) []uint64 { return r.Data[r.Offsets[p]:r.Offset
 // Partition partitions rel (which must be a row-layout relation of 8-byte
 // tuples) according to cfg.
 func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if rel.Layout != workload.RowLayout || rel.Width != 8 {
 		return nil, fmt.Errorf("cpupart: need row-layout 8-byte tuples, got %v %dB", rel.Layout, rel.Width)
 	}
-	cfg = cfg.withDefaults()
-	src := rel.Data
-	start := time.Now()
-	var res *Result
-	var err error
-	switch cfg.Algorithm {
-	case Buffered:
-		res, err = bufferedPartition(src, cfg)
-	case Naive:
-		res, err = naivePartition(src, cfg)
-	case MultiPass:
-		res, err = multiPassPartition(src, cfg)
-	default:
-		return nil, fmt.Errorf("cpupart: unknown algorithm %v", cfg.Algorithm)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	res.Threads = cfg.Threads
-	return res, nil
+	return PartitionTuples(rel.Data, cfg)
 }
 
 // PartitionTuples partitions a raw slice of packed 8-byte tuples according
@@ -149,317 +137,284 @@ func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	var res *Result
-	var err error
-	switch cfg.Algorithm {
-	case Buffered:
-		res, err = bufferedPartition(src, cfg)
-	case Naive:
-		res, err = naivePartition(src, cfg)
-	case MultiPass:
-		res, err = multiPassPartition(src, cfg)
-	default:
-		return nil, fmt.Errorf("cpupart: unknown algorithm %v", cfg.Algorithm)
+	threads := cfg.Threads
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
 	}
-	if err != nil {
-		return nil, err
+	threads = max(1, min(threads, len(src)/cfg.NumPartitions))
+	start := time.Now()
+	res := &Result{NumPartitions: cfg.NumPartitions, Data: make([]uint64, len(src)), Threads: threads}
+	switch ix := cfg.indexer(); cfg.Algorithm {
+	case Buffered:
+		res.Offsets = buffered(src, res.Data, threads, ix)
+	case Naive:
+		res.Offsets = naive(src, res.Data, threads, ix)
+	case MultiPass:
+		res.Offsets = multiPass(src, res.Data, threads, ix)
 	}
 	res.Elapsed = time.Since(start)
-	res.Threads = cfg.Threads
 	return res, nil
 }
 
-// partIndex computes the partition of a packed tuple. It runs once per
-// tuple inside every partitioning inner loop, so it is pinned allocation-free.
+// indexer maps a packed tuple to its partition: the salted key, hashed or
+// raw, masked to the fan-out's low bits and shifted down by shift (non-zero
+// only in MultiPass's coarse pass, which takes the index's high bits).
+type indexer struct {
+	salt, mask, shift uint32
+	hash              bool
+}
+
+func (c Config) indexer() indexer {
+	return indexer{salt: c.Salt, mask: uint32(c.NumPartitions - 1), hash: c.Hash}
+}
+
+// parts is the number of partitions ix distinguishes.
+func (ix indexer) parts() int { return int(ix.mask>>ix.shift) + 1 }
+
+// of computes the partition of a packed tuple — per-tuple inner-loop code of
+// Naive and MultiPass, pinned allocation-free. (Buffered's kernels below
+// spell the same function out per hash mode.)
 //
 //fpgavet:hotpath
-func partIndex(t uint64, bits uint, hash bool) uint32 {
-	return hashutil.PartitionIndex32(uint32(t), bits, hash)
-}
-
-// index computes the partition of a packed tuple under the config's hash
-// function and salt — per-tuple inner-loop code, pinned allocation-free.
-//
-//fpgavet:hotpath
-func (c Config) index(t uint64, bits uint) uint32 {
-	return hashutil.PartitionIndex32(uint32(t)^c.Salt, bits, c.Hash)
-}
-
-// chunkBounds splits n items into t contiguous chunks.
-func chunkBounds(n, t int) []int {
-	bounds := make([]int, t+1)
-	for i := 0; i <= t; i++ {
-		bounds[i] = n * i / t
+func (ix indexer) of(t uint64) uint32 {
+	k := uint32(t) ^ ix.salt
+	if ix.hash {
+		k = hashutil.Murmur32Finalizer(k)
 	}
-	return bounds
+	return (k & ix.mask) >> ix.shift
 }
 
-// bufferedPartition is the parallel Code 2 implementation: per-thread
-// histograms, a global prefix sum assigning each thread a private slice of
-// every partition, then a buffered shuffle pass.
-func bufferedPartition(src []uint64, cfg Config) (*Result, error) {
-	p := cfg.NumPartitions
-	bits := hashutil.Log2(p)
-	threads := cfg.Threads
-	n := len(src)
-	bounds := chunkBounds(n, threads)
-
-	// Pass 1: per-thread histograms.
-	hists := make([][]int64, threads)
+// parallel runs fn(0) … fn(threads-1) concurrently and waits for them;
+// worker 0 — the only one of a single-thread call — runs on the caller's
+// goroutine.
+func parallel(threads int, fn func(w int)) {
+	if threads == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
+	wg.Add(threads - 1)
+	for w := 1; w < threads; w++ {
+		go func(w int) {
 			defer wg.Done()
-			h := make([]int64, p)
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				h[cfg.index(tup, bits)]++
-			}
-			hists[t] = h
-		}(t)
+			fn(w)
+		}(w)
 	}
+	fn(0)
 	wg.Wait()
+}
 
-	// Prefix sums: partition offsets, then per-thread write cursors.
+// chunk is worker w's contiguous share of src.
+func chunk(src []uint64, w, threads int) []uint64 {
+	return src[len(src)*w/threads : len(src)*(w+1)/threads]
+}
+
+// layout is the first half of every algorithm: count fills one histogram
+// per worker (flat, worker-major: worker w owns [w*p, (w+1)*p)), and a
+// prefix sum turns the histograms in place into each worker's first write
+// position in each partition. Within a partition worker w's range precedes
+// worker w+1's, so the scatter pass that follows writes private ranges —
+// the CPU algorithm builds the histogram "out of necessity" (Section 4.7) —
+// and the output is the same for every worker count. It returns the
+// partition offsets and the first positions.
+func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer)) ([]int64, []int64) {
+	p := ix.parts()
+	first := make([]int64, threads*p)
+	parallel(threads, func(w int) { count(chunk(src, w, threads), first[w*p:(w+1)*p], ix) })
 	offsets := make([]int64, p+1)
 	for i := 0; i < p; i++ {
-		var sum int64
-		for t := 0; t < threads; t++ {
-			sum += hists[t][i]
-		}
-		offsets[i+1] = offsets[i] + sum
-	}
-	cursors := make([][]int64, threads)
-	for t := 0; t < threads; t++ {
-		cursors[t] = make([]int64, p)
-	}
-	for i := 0; i < p; i++ {
 		pos := offsets[i]
-		for t := 0; t < threads; t++ {
-			cursors[t][i] = pos
-			pos += hists[t][i]
+		for w := 0; w < threads; w++ {
+			n := first[w*p+i]
+			first[w*p+i] = pos
+			pos += n
 		}
+		offsets[i+1] = pos
 	}
-
-	// Pass 2: buffered shuffle into private destination ranges — no
-	// synchronization needed, the reason the CPU algorithm builds the
-	// histogram "out of necessity" (Section 4.7).
-	dst := make([]uint64, n)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			buf := make([]uint64, p*BufferTuples)
-			fill := make([]uint8, p)
-			cur := cursors[t]
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				i := cfg.index(tup, bits)
-				f := fill[i]
-				buf[int(i)*BufferTuples+int(f)] = tup
-				f++
-				if f == BufferTuples {
-					// Flush one cache line's worth; with SIMD this would
-					// be a non-temporal streaming store.
-					copy(dst[cur[i]:cur[i]+BufferTuples], buf[int(i)*BufferTuples:int(i+1)*BufferTuples])
-					cur[i] += BufferTuples
-					f = 0
-				}
-				fill[i] = f
-			}
-			// Flush partial buffers.
-			for i := 0; i < p; i++ {
-				f := int64(fill[i])
-				if f > 0 {
-					copy(dst[cur[i]:cur[i]+f], buf[i*BufferTuples:i*BufferTuples+int(f)])
-					cur[i] += f
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-
-	return &Result{NumPartitions: p, Data: dst, Offsets: offsets}, nil
+	return offsets, first
 }
 
-// naivePartition is Code 1 run on cfg.Threads threads with the same
-// histogram-based synchronization but no write combining.
-func naivePartition(src []uint64, cfg Config) (*Result, error) {
-	p := cfg.NumPartitions
-	bits := hashutil.Log2(p)
-	threads := cfg.Threads
-	n := len(src)
-	bounds := chunkBounds(n, threads)
-
-	hists := make([][]int64, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			h := make([]int64, p)
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				h[cfg.index(tup, bits)]++
-			}
-			hists[t] = h
-		}(t)
+// buffered is the parallel Code 2: a histogram pass, then the buffered
+// scatter, each with one loop per hash mode. All per-worker state lives in
+// three flat arrays (first positions, cursors, buffer lines), so the number
+// of heap objects does not depend on the fan-out.
+func buffered(src, dst []uint64, threads int, ix indexer) []int64 {
+	count := countRadix
+	if ix.hash {
+		count = countHash
 	}
-	wg.Wait()
-
-	offsets := make([]int64, p+1)
-	for i := 0; i < p; i++ {
-		var sum int64
-		for t := 0; t < threads; t++ {
-			sum += hists[t][i]
+	offsets, first := layout(src, threads, ix, count)
+	p := ix.parts()
+	cur := make([]int64, threads*p)
+	lines := make([][BufferTuples]uint64, threads*p)
+	// skew is how many words dst starts past a cache-line boundary: the
+	// alignment that matters is the destination address's, not the index's.
+	skew := int64(uintptr(unsafe.Pointer(unsafe.SliceData(dst))) / 8 % BufferTuples)
+	parallel(threads, func(w int) {
+		b := buffers{dst: dst, skew: skew, first: first[w*p : (w+1)*p], cur: cur[w*p : (w+1)*p], lines: lines[w*p : (w+1)*p]}
+		for i, at := range b.first {
+			b.cur[i] = at + skew
 		}
-		offsets[i+1] = offsets[i] + sum
-	}
-	cursors := make([][]int64, threads)
-	for t := 0; t < threads; t++ {
-		cursors[t] = make([]int64, p)
-	}
-	for i := 0; i < p; i++ {
-		pos := offsets[i]
-		for t := 0; t < threads; t++ {
-			cursors[t][i] = pos
-			pos += hists[t][i]
+		if ix.hash {
+			scatterHash(chunk(src, w, threads), &b, ix)
+		} else {
+			scatterRadix(chunk(src, w, threads), &b, ix)
 		}
-	}
-
-	dst := make([]uint64, n)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			cur := cursors[t]
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				i := cfg.index(tup, bits)
-				dst[cur[i]] = tup
-				cur[i]++
-			}
-		}(t)
-	}
-	wg.Wait()
-	return &Result{NumPartitions: p, Data: dst, Offsets: offsets}, nil
-}
-
-// multiPassPartition splits the fan-out across two passes when it exceeds
-// maxFanOutPerPass: a coarse pass on the high bits of the partition index,
-// then an in-place refinement of each coarse partition on the low bits.
-func multiPassPartition(src []uint64, cfg Config) (*Result, error) {
-	p := cfg.NumPartitions
-	if p <= maxFanOutPerPass {
-		return naivePartition(src, cfg)
-	}
-	bits := hashutil.Log2(p)
-	coarse := maxFanOutPerPass
-	coarseBits := hashutil.Log2(coarse)
-	fine := p / coarse
-
-	// Pass 1: partition by the HIGH bits of the final partition index, so
-	// that each coarse bucket holds a contiguous range of final partitions.
-	cfg1 := cfg
-	cfg1.NumPartitions = coarse
-	first, err := partitionByIndex(src, cfg1.Threads, coarse, func(t uint64) uint32 {
-		return cfg.index(t, bits) >> (bits - coarseBits)
+		b.drain()
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 2: refine every coarse bucket by the low bits, in parallel.
-	dst := make([]uint64, len(src))
-	offsets := make([]int64, p+1)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Threads)
-	fineOffsets := make([][]int64, coarse)
-	for c := 0; c < coarse; c++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			seg := first.Data[first.Offsets[c]:first.Offsets[c+1]]
-			out := dst[first.Offsets[c]:first.Offsets[c+1]]
-			lowBits := bits - coarseBits
-			hist := make([]int64, fine)
-			for _, tup := range seg {
-				hist[cfg.index(tup, bits)&(1<<lowBits-1)]++
-			}
-			offs := make([]int64, fine+1)
-			for i := 0; i < fine; i++ {
-				offs[i+1] = offs[i] + hist[i]
-			}
-			cur := append([]int64(nil), offs[:fine]...)
-			for _, tup := range seg {
-				i := cfg.index(tup, bits) & (1<<lowBits - 1)
-				out[cur[i]] = tup
-				cur[i]++
-			}
-			fineOffsets[c] = offs
-		}(c)
-	}
-	wg.Wait()
-	for c := 0; c < coarse; c++ {
-		base := first.Offsets[c]
-		for i := 0; i < fine; i++ {
-			offsets[c*fine+i+1] = base + fineOffsets[c][i+1]
-		}
-	}
-	return &Result{NumPartitions: p, Data: dst, Offsets: offsets}, nil
+	return offsets
 }
 
-// partitionByIndex is a parallel scatter by an arbitrary index function.
-func partitionByIndex(src []uint64, threads, parts int, idx func(uint64) uint32) (*Result, error) {
-	n := len(src)
-	bounds := chunkBounds(n, threads)
-	hists := make([][]int64, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			h := make([]int64, parts)
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				h[idx(tup)]++
-			}
-			hists[t] = h
-		}(t)
+// buffers is one worker's write-combining state. cur[i] is partition i's
+// write cursor in line coordinates — destination index plus skew — so that
+// cur[i]%8 is both the word's place in its destination cache line and its
+// slot in lines[i]; first[i] is the worker's first destination index there.
+type buffers struct {
+	dst        []uint64
+	skew       int64
+	first, cur []int64
+	lines      [][BufferTuples]uint64
+}
+
+// flush writes out lines[i], just filled up to line coordinate end. A line
+// the worker owns from its first word — every one but possibly the first of
+// its range in the partition, which may begin mid-line behind another
+// worker's or partition's tuples — goes out whole with streaming stores.
+//
+//fpgavet:hotpath
+func (b *buffers) flush(i uint, end int64) {
+	lo := end - BufferTuples - b.skew
+	if first := b.first[i]; lo < first {
+		copy(b.dst[first:lo+BufferTuples], b.lines[i][first-lo:])
+		return
 	}
-	wg.Wait()
-	offsets := make([]int64, parts+1)
-	for i := 0; i < parts; i++ {
-		var sum int64
-		for t := 0; t < threads; t++ {
-			sum += hists[t][i]
+	storeLine((*[BufferTuples]uint64)(b.dst[lo:]), &b.lines[i])
+}
+
+// drain writes every partition's partly filled last line with ordinary
+// stores (its remaining words belong to the next worker or partition), then
+// fences, so that whoever reads Result.Data after the workers are waited for
+// sees the streamed lines too.
+func (b *buffers) drain() {
+	for i, end := range b.cur {
+		lo := max(end&^(BufferTuples-1)-b.skew, b.first[i])
+		copy(b.dst[lo:end-b.skew], b.lines[i][(lo+b.skew)%BufferTuples:])
+	}
+	storeFence()
+}
+
+// countHash and countRadix are the histogram loops, scatterHash and
+// scatterRadix the buffered scatter loops: one per hash mode, so the mode is
+// not re-decided per tuple. len(hist) and len(b.cur) are the fan-out, a
+// power of two, so len-1 is the partition mask; with the length known to be
+// non-zero the compiler proves the masked index in range and the loop
+// bodies carry no bounds checks.
+//
+//fpgavet:hotpath
+func countHash(src []uint64, hist []int64, ix indexer) {
+	if len(hist) == 0 {
+		return
+	}
+	mask := uint(len(hist) - 1)
+	for _, t := range src {
+		hist[uint(hashutil.Murmur32Finalizer(uint32(t)^ix.salt))&mask]++
+	}
+}
+
+//fpgavet:hotpath
+func countRadix(src []uint64, hist []int64, ix indexer) {
+	if len(hist) == 0 {
+		return
+	}
+	mask := uint(len(hist) - 1)
+	for _, t := range src {
+		hist[uint(uint32(t)^ix.salt)&mask]++
+	}
+}
+
+//fpgavet:hotpath
+func scatterHash(src []uint64, b *buffers, ix indexer) {
+	cur, lines := b.cur, b.lines[:len(b.cur)]
+	if len(cur) == 0 {
+		return
+	}
+	mask := uint(len(cur) - 1)
+	for _, t := range src {
+		i := uint(hashutil.Murmur32Finalizer(uint32(t)^ix.salt)) & mask
+		at := cur[i]
+		lines[i][at&(BufferTuples-1)] = t
+		cur[i] = at + 1
+		if (at+1)&(BufferTuples-1) == 0 {
+			b.flush(i, at+1)
 		}
-		offsets[i+1] = offsets[i] + sum
 	}
-	cursors := make([][]int64, threads)
-	for t := 0; t < threads; t++ {
-		cursors[t] = make([]int64, parts)
+}
+
+//fpgavet:hotpath
+func scatterRadix(src []uint64, b *buffers, ix indexer) {
+	cur, lines := b.cur, b.lines[:len(b.cur)]
+	if len(cur) == 0 {
+		return
 	}
-	for i := 0; i < parts; i++ {
-		pos := offsets[i]
-		for t := 0; t < threads; t++ {
-			cursors[t][i] = pos
-			pos += hists[t][i]
+	mask := uint(len(cur) - 1)
+	for _, t := range src {
+		i := uint(uint32(t)^ix.salt) & mask
+		at := cur[i]
+		lines[i][at&(BufferTuples-1)] = t
+		cur[i] = at + 1
+		if (at+1)&(BufferTuples-1) == 0 {
+			b.flush(i, at+1)
 		}
 	}
-	dst := make([]uint64, n)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			cur := cursors[t]
-			for _, tup := range src[bounds[t]:bounds[t+1]] {
-				i := idx(tup)
-				dst[cur[i]] = tup
-				cur[i]++
-			}
-		}(t)
+}
+
+// countAny is the histogram loop of Naive and MultiPass.
+func countAny(src []uint64, hist []int64, ix indexer) {
+	for _, t := range src {
+		hist[ix.of(t)]++
 	}
-	wg.Wait()
-	return &Result{NumPartitions: parts, Data: dst, Offsets: offsets}, nil
+}
+
+// naive is Code 1 run on several threads with the same histogram-based
+// synchronization but no write combining.
+func naive(src, dst []uint64, threads int, ix indexer) []int64 {
+	offsets, cur := layout(src, threads, ix, countAny)
+	p := ix.parts()
+	parallel(threads, func(w int) {
+		cur := cur[w*p : (w+1)*p]
+		for _, t := range chunk(src, w, threads) {
+			i := ix.of(t)
+			dst[cur[i]] = t
+			cur[i]++
+		}
+	})
+	return offsets
+}
+
+// multiPass splits the fan-out across two passes when it exceeds
+// maxFanOutPerPass: a coarse scatter on the high bits of the partition
+// index, so that each coarse bucket holds a contiguous range of final
+// partitions, then a refinement of each coarse bucket on the low bits.
+func multiPass(src, dst []uint64, threads int, ix indexer) []int64 {
+	p := ix.parts()
+	if p <= maxFanOutPerPass {
+		return naive(src, dst, threads, ix)
+	}
+	fine := p / maxFanOutPerPass
+	high, low := ix, ix
+	high.shift = uint32(hashutil.Log2(fine))
+	low.mask = uint32(fine - 1)
+
+	coarse := make([]uint64, len(src))
+	bucket := naive(src, coarse, threads, high)
+	offsets := make([]int64, p+1)
+	parallel(threads, func(w int) {
+		for c := w; c < maxFanOutPerPass; c += threads {
+			lo, hi := bucket[c], bucket[c+1]
+			for i, off := range naive(coarse[lo:hi], dst[lo:hi], 1, low)[1:] {
+				offsets[c*fine+i+1] = lo + off
+			}
+		}
+	})
+	return offsets
 }

@@ -2,6 +2,8 @@ package cpupart
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,25 +99,41 @@ func TestMultiPassSmallFanOutDelegates(t *testing.T) {
 	checkPartitioned(t, rel, res, false)
 }
 
-func TestPartitionOrderIsStableWithinThreadChunks(t *testing.T) {
-	// Single-threaded buffered partitioning preserves arrival order within
-	// a partition (FIFO property used by some downstream operators).
+// stableReference partitions by appending each tuple to its partition in
+// arrival order — what every algorithm must produce for every thread count.
+func stableReference(src []uint64, cfg Config) (data []uint64, offsets []int64) {
+	ix := cfg.indexer()
+	parts := make([][]uint64, cfg.NumPartitions)
+	for _, tup := range src {
+		parts[ix.of(tup)] = append(parts[ix.of(tup)], tup)
+	}
+	offsets = make([]int64, 1, cfg.NumPartitions+1)
+	for _, part := range parts {
+		data = append(data, part...)
+		offsets = append(offsets, int64(len(data)))
+	}
+	return data, offsets
+}
+
+// TestDataIsIdenticalForEveryThreadCount is the property the thread clamp and
+// the join's FIFO consumers rest on: the partitioners are stable — worker
+// w's tuples precede worker w+1's in every partition, each in arrival order
+// — so Data does not depend on Threads (or on the algorithm) at all.
+func TestDataIsIdenticalForEveryThreadCount(t *testing.T) {
 	rel := genRel(t, workload.Random, 10000, 17)
-	res, err := Partition(rel, Config{NumPartitions: 16, Hash: true, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := hashutil.Log2(16)
-	want := make([][]uint64, 16)
-	for _, tup := range rel.Data {
-		p := hashutil.PartitionIndex32(uint32(tup), bits, true)
-		want[p] = append(want[p], tup)
-	}
-	for p := 0; p < 16; p++ {
-		got := res.Partition(p)
-		for i := range got {
-			if got[i] != want[p][i] {
-				t.Fatalf("partition %d not in arrival order at %d", p, i)
+	for _, alg := range []Algorithm{Buffered, Naive, MultiPass} {
+		for _, parts := range []int{16, 1024} {
+			cfg := Config{NumPartitions: parts, Hash: true, Salt: 0x5bd1e995, Algorithm: alg}
+			wantData, wantOffsets := stableReference(rel.Data, cfg)
+			for _, cfg.Threads = range []int{0, 1, 2, 3, 4, 5, 7, 9, 1 << 20} {
+				res, err := Partition(rel, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Data, wantData) || !slices.Equal(res.Offsets, wantOffsets) {
+					t.Fatalf("%v, %d partitions, Threads %d (ran %d): not the arrival-order partitioning",
+						alg, parts, cfg.Threads, res.Threads)
+				}
 			}
 		}
 	}
@@ -226,5 +244,70 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if Algorithm(9).String() != "Algorithm(9)" {
 		t.Error("unknown algorithm string")
+	}
+}
+
+// TestThreadCountIsClampedToTheInput: Threads is caller-controlled and every
+// worker owns a histogram, cursors and a buffer line per partition, so an
+// unclamped Threads: 1<<20 at fan-out 8192 asks for hundreds of gigabytes to
+// partition a thousand tuples. The output does not depend on the thread
+// count, so the count is a ceiling and scratch memory stays O(n + p).
+func TestThreadCountIsClampedToTheInput(t *testing.T) {
+	rel := genRel(t, workload.Random, 1000, 41)
+	for _, alg := range []Algorithm{Buffered, Naive, MultiPass} {
+		cfg := Config{NumPartitions: 8192, Hash: true, Algorithm: alg, Threads: 1}
+		want, err := Partition(rel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Threads = 1 << 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Partition(rel, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Data, want.Data) || !slices.Equal(got.Offsets, want.Offsets) {
+			t.Errorf("%v: Threads 1<<20 and Threads 1 partition differently", alg)
+		}
+		if got.Threads != 1 {
+			t.Errorf("%v: %d workers ran on 1000 tuples at fan-out 8192, want 1", alg, got.Threads)
+		}
+		// One worker's scratch at fan-out 8192 is 8192 × (64 + 8 + 8) bytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Errorf("%v: Threads 1<<20 allocated %d bytes for 1000 tuples", alg, grew)
+		}
+	}
+	// A worker never gets fewer tuples than there are partitions.
+	res, err := Partition(genRel(t, workload.Random, 5*64+63, 43), Config{NumPartitions: 64, Threads: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Threads != 5 {
+		t.Errorf("%d workers on 383 tuples at fan-out 64, want 5", res.Threads)
+	}
+}
+
+// TestHeapObjectsIndependentOfFanOut pins the flat per-worker state: a
+// Buffered call makes the destination, the offsets, three worker×partition
+// arrays, the Result and two closures whatever the fan-out, plus a goroutine
+// and its closure per extra worker and phase.
+func TestHeapObjectsIndependentOfFanOut(t *testing.T) {
+	rel := genRel(t, workload.Random, 1<<16, 47)
+	objects := func(parts, threads int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Partition(rel, Config{NumPartitions: parts, Hash: true, Threads: threads}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, threads := range []int{1, 2, 4} {
+		limit := float64(8 + 6*(threads-1))
+		for _, parts := range []int{2, 256, 8192} {
+			if got := objects(parts, threads); got > limit {
+				t.Errorf("fan-out %d, %d threads: %.0f heap objects per call, want ≤ %.0f", parts, threads, got, limit)
+			}
+		}
 	}
 }

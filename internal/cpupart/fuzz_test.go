@@ -3,35 +3,47 @@ package cpupart
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
 	"testing"
 
 	"fpgapart/internal/hashutil"
 	"fpgapart/workload"
 )
 
-// FuzzPartIndex checks the partition-index function on arbitrary tuples and
-// every legal fan-out: the index must stay in range, depend only on the key
-// half of the tuple, and in radix mode be exactly the low key bits — the
-// contract the FPGA's hash unit and every CPU partitioner share.
+// FuzzPartIndex checks the partition-index function on arbitrary tuples,
+// salts and every legal fan-out: the index must stay in range, depend only
+// on the key half of the tuple, equal hashutil's — the contract the FPGA's
+// hash unit and every CPU partitioner share — and in radix mode be exactly
+// the low bits of the salted key. Buffered's histogram kernels spell the
+// function out per hash mode, so they are held to the same answer.
 func FuzzPartIndex(f *testing.F) {
-	f.Add(uint64(0), uint(1), false)
-	f.Add(uint64(0xFFFFFFFFFFFFFFFF), uint(13), true)
-	f.Add(uint64(0x12345678_9ABCDEF0), uint(8), true)
-	f.Fuzz(func(t *testing.T, tuple uint64, bits uint, hash bool) {
+	f.Add(uint64(0), uint(1), false, uint32(0))
+	f.Add(uint64(0xFFFFFFFFFFFFFFFF), uint(13), true, uint32(0))
+	f.Add(uint64(0x12345678_9ABCDEF0), uint(8), true, uint32(0x9E3779B9))
+	f.Fuzz(func(t *testing.T, tuple uint64, bits uint, hash bool, salt uint32) {
 		bits = 1 + bits%13 // the paper's fan-out range: 2^1..2^13
-		idx := partIndex(tuple, bits, hash)
+		ix := Config{NumPartitions: 1 << bits, Hash: hash, Salt: salt}.indexer()
+		idx := ix.of(tuple)
 		if idx >= 1<<bits {
-			t.Fatalf("partIndex(%#x, %d, %v) = %d, out of range", tuple, bits, hash, idx)
+			t.Fatalf("index of %#x (%d bits, hash %v, salt %#x) = %d, out of range", tuple, bits, hash, salt, idx)
 		}
 		// Only the low 32 bits (the key) may matter.
-		if got := partIndex(tuple&0xFFFFFFFF, bits, hash); got != idx {
+		if got := ix.of(tuple & 0xFFFFFFFF); got != idx {
 			t.Fatalf("payload bits leaked into the index: %d vs %d", idx, got)
 		}
-		if !hash {
-			if want := uint32(tuple) & (1<<bits - 1); idx != want {
-				t.Fatalf("radix index of %#x with %d bits = %d, want %d", tuple, bits, idx, want)
-			}
+		if want := hashutil.PartitionIndex32(uint32(tuple)^salt, bits, hash); idx != want {
+			t.Fatalf("index of %#x = %d, hashutil says %d", tuple, idx, want)
+		}
+		if want := (uint32(tuple) ^ salt) & (1<<bits - 1); !hash && idx != want {
+			t.Fatalf("radix index of %#x with %d bits = %d, want %d", tuple, bits, idx, want)
+		}
+		hist := make([]int64, 1<<bits)
+		if hash {
+			countHash([]uint64{tuple}, hist, ix)
+		} else {
+			countRadix([]uint64{tuple}, hist, ix)
+		}
+		if hist[idx] != 1 {
+			t.Fatalf("histogram kernel (hash %v) counted %#x outside partition %d", hash, tuple, idx)
 		}
 	})
 }
@@ -58,66 +70,47 @@ func fuzzRelation(t *testing.T, tuples []uint64) *workload.Relation {
 
 // FuzzBufferedPartition is differential fuzzing of the cache-aware
 // partitioners against the naive single-scatter reference (Code 1): for any
-// tuple set, fan-out, hash mode, and thread count, Buffered (Code 2) and
-// MultiPass must produce the identical histogram and, per partition, the
-// identical tuple multiset.
+// tuple set, fan-out, hash mode, salt, worker count and destination
+// alignment, Buffered (Code 2) and MultiPass must produce the identical
+// Offsets and the identical Data, element for element — all three are
+// stable, so there is exactly one right answer.
 func FuzzBufferedPartition(f *testing.F) {
 	f.Add([]byte{}, uint8(3), true, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint8(6), true, uint8(3))
 	f.Add([]byte("0123456789abcdef0123456789abcdef"), uint8(1), false, uint8(2))
+	// The streaming flush's shapes: one partition holding 1, 7, 8, 9, 15 and
+	// 65 tuples (inside a line, around a line, many lines), cut by 2, 3 and
+	// 7 workers, on destinations starting 0…7 words into a cache line.
+	for i, n := range []int{1, 7, 8, 9, 15, 65} {
+		for _, workers := range []uint8{1, 2, 6} {
+			f.Add(bytes.Repeat([]byte{0xA5}, 8*n), uint8(0), i%2 == 0, workers+8*uint8(n%8))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, fanBits uint8, hash bool, threads uint8) {
 		if len(data) > 1<<16 {
 			t.Skip("bound the per-input work")
 		}
-		parts := 1 << (1 + fanBits%9) // 2..512 partitions
 		cfg := Config{
-			NumPartitions: parts,
+			NumPartitions: 1 << (1 + fanBits%9), // 2..512 partitions
 			Hash:          hash,
-			Threads:       1 + int(threads%4),
+			Salt:          uint32(fanBits) * 0x9E3779B9,
 		}
-		rel := fuzzRelation(t, fuzzTuples(data))
-
-		cfg.Algorithm = Naive
-		want, err := Partition(rel, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range []Algorithm{Buffered, MultiPass} {
-			cfg.Algorithm = alg
-			got, err := Partition(rel, cfg)
+		workers, skew := 1+int(threads%8), int(threads/8%8)
+		src := fuzzTuples(data)
+		want := naiveReference(t, src, cfg)
+		// Below the entry points, where the worker count is not clamped and
+		// the destination's alignment can be chosen …
+		requireIdentical(t, "buffered kernels", want, runBuffered(src, cfg, workers, skew))
+		// … and through them.
+		cfg.Threads = workers
+		for _, cfg.Algorithm = range []Algorithm{Buffered, MultiPass} {
+			got, err := PartitionTuples(src, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			comparePartitions(t, alg, want, got)
+			requireIdentical(t, cfg.Algorithm.String(), want, got)
 		}
 	})
-}
-
-// comparePartitions requires identical offsets and per-partition multisets.
-func comparePartitions(t *testing.T, alg Algorithm, want, got *Result) {
-	t.Helper()
-	if got.NumPartitions != want.NumPartitions || len(got.Offsets) != len(want.Offsets) {
-		t.Fatalf("%v: shape %d/%d partitions, naive has %d/%d",
-			alg, got.NumPartitions, len(got.Offsets), want.NumPartitions, len(want.Offsets))
-	}
-	if int64(len(got.Data)) != int64(len(want.Data)) {
-		t.Fatalf("%v: %d tuples out, naive emits %d", alg, len(got.Data), len(want.Data))
-	}
-	for p := 0; p < want.NumPartitions; p++ {
-		if got.Offsets[p] != want.Offsets[p] {
-			t.Fatalf("%v: Offsets[%d] = %d, naive has %d", alg, p, got.Offsets[p], want.Offsets[p])
-		}
-		g := append([]uint64(nil), got.Partition(p)...)
-		w := append([]uint64(nil), want.Partition(p)...)
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%v: partition %d differs from naive at tuple %d: %#x vs %#x",
-					alg, p, i, g[i], w[i])
-			}
-		}
-	}
 }
 
 // FuzzBufferedAgainstHistogram cross-checks the partitioners' histogram

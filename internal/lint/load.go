@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -149,9 +150,19 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: package %s: %w", path, err)
 	}
+	// Files excluded by a build constraint (GOOS/GOARCH suffix or //go:build
+	// line) are not part of the package the compiler sees: internal/cpupart
+	// declares its line store once per architecture.
 	var filenames []string
 	for _, e := range ents {
-		if goSource(e) {
+		if !goSource(e) {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: package %s: %w", path, err)
+		}
+		if match {
 			filenames = append(filenames, filepath.Join(dir, e.Name()))
 		}
 	}
