@@ -4,8 +4,7 @@
 // the compiler cannot see — simulator determinism, call-graph reachability
 // of internal panic sites from the public API (boundary-reach), %w/errors.Is
 // error hygiene, the clocked-component discipline, byte-pinned BENCH
-// marshaling, host-time taint flow, and hot-path allocation freedom (see
-// internal/lint).
+// marshaling, and hot-path allocation freedom (see internal/lint).
 //
 // Usage:
 //

@@ -4,18 +4,15 @@
 // Usage:
 //
 //	perfbench run -out bench/baseline            # regenerate the baseline
-//	perfbench run -out bench/out -host           # with host wall-clock sidecars
 //	perfbench run -out out -cpuprofile cpu.pprof -memprofile mem.pprof
 //	perfbench compare bench/baseline/BENCH_partition.json bench/out/BENCH_partition.json
 //	perfbench compare -md summary.md old.json new.json
 //
 // run writes one BENCH_<suite>.json per suite; with a fixed seed the files
-// are byte-identical across runs (unless -host adds wall-clock sidecars).
-// compare diffs a baseline against a fresh report and exits 1 if any gated
-// (simulated, deterministic) metric changed — wall-clock deltas are
-// reported but never fail. On failure the fresh report is left next to the
-// baseline as <baseline>.got.json, mirroring the repo's golden-test
-// convention.
+// are byte-identical across runs. compare diffs a baseline against a fresh
+// report and exits 1 if any gated (simulated, deterministic) metric
+// changed. On failure the fresh report is left next to the baseline as
+// <baseline>.got.json, mirroring the repo's golden-test convention.
 package main
 
 import (
@@ -26,7 +23,6 @@ import (
 	"strings"
 
 	"fpgapart/internal/perfbench"
-	"fpgapart/internal/perfbench/hostmeter"
 	"fpgapart/internal/simtrace"
 )
 
@@ -51,7 +47,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  perfbench run [-out dir] [-suite name] [-seed n] [-tuples n] [-host] [-cpuprofile f] [-memprofile f]
+  perfbench run [-out dir] [-suite name] [-seed n] [-tuples n] [-cpuprofile f] [-memprofile f]
   perfbench compare [-md file] baseline.json current.json
   perfbench curve [-md file] BENCH_memory.json
 `)
@@ -61,10 +57,9 @@ func runCmd(args []string) {
 	fs := flag.NewFlagSet("perfbench run", flag.ExitOnError)
 	var (
 		out        = fs.String("out", ".", "directory for the BENCH_<suite>.json files")
-		suite      = fs.String("suite", "all", "suite to run (partition, join, distjoin, sched, memory, cluster) or \"all\"")
+		suite      = fs.String("suite", "all", "suite to run ("+strings.Join(perfbench.Suites(), ", ")+") or \"all\"")
 		seed       = fs.Int64("seed", 0, "workload generator seed (0 = default 42)")
 		tuples     = fs.Int("tuples", 0, "partition-suite relation size (0 = default 32768)")
-		host       = fs.Bool("host", false, "attach the host meter: adds wall-clock/alloc info metrics (report no longer byte-stable)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile after the run to this file")
 	)
@@ -76,9 +71,6 @@ func runCmd(args []string) {
 	}
 
 	cfg := perfbench.Config{Seed: *seed, Tuples: *tuples}
-	if *host {
-		cfg.Host = hostmeter.New()
-	}
 	suites := perfbench.Suites()
 	if *suite != "all" {
 		suites = []string{*suite}

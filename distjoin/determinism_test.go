@@ -1,9 +1,12 @@
 package distjoin
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
+
+	"fpgapart/internal/simtrace"
 )
 
 // TestSameSeedByteIdenticalResult is the determinism regression gate for the
@@ -16,13 +19,16 @@ import (
 //
 // PartitionTime, JoinTime and Total are measured host wall-clock and are
 // zeroed before comparison; everything else is simulated and must replay
-// exactly.
+// exactly — and so must the metrics the run leaves in its trace session,
+// which is where a host duration added to a counter would show first.
 func TestSameSeedByteIdenticalResult(t *testing.T) {
 	in := testInput(t, 1<<13, 1<<13)
 	opts := Options{Nodes: 4, PartitionsPerNode: 32, Threads: 2, Faults: acceptanceScenario(2026)}
 
-	run := func() Result {
-		res, err := Join(in.R, in.S, opts)
+	run := func() (Result, []byte) {
+		o := opts
+		o.Trace = simtrace.NewSession()
+		res, err := Join(in.R, in.S, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,13 +36,21 @@ func TestSameSeedByteIdenticalResult(t *testing.T) {
 		norm.PartitionTime = time.Duration(0)
 		norm.JoinTime = time.Duration(0)
 		norm.Total = time.Duration(0)
-		return norm
+		norm.Trace = nil // each run's own session; its metrics are compared below
+		var metrics bytes.Buffer
+		if err := o.Trace.Metrics.Snapshot().WriteJSON(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		return norm, metrics.Bytes()
 	}
 
-	a := run()
-	b := run()
+	a, am := run()
+	b, bm := run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, diverging results:\nfirst:  %+v\nsecond: %+v", a, b)
+	}
+	if !bytes.Equal(am, bm) {
+		t.Fatalf("same seed, diverging metrics snapshots:\nfirst:  %s\nsecond: %s", am, bm)
 	}
 
 	// Non-vacuity: the scenario must actually exercise the retry and

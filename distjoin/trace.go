@@ -12,14 +12,18 @@ import (
 // where each node actually spent its time inside those barriers.
 const traceCompCluster = "cluster"
 
-// emitTrace lays the finished join out on the session's timeline — one trace
-// microsecond per simulated microsecond — and records the exchange counters.
-// Phases are cluster-synchronous, so the cluster spans abut: partition at
-// [0, P], exchange at [P, P+E], local join at [P+E, P+E+J]. Per-node spans
-// start at their phase barrier and run for that node's own duration (zero
-// durations are skipped: a node that owned no partitions after a crash
-// takeover has no join span). Crashed nodes get an Instant at the start of
-// the exchange, the phase during which they failed.
+// emitTrace lays the finished join out on the session's timeline in
+// microseconds and records the exchange counters. Only part of that timeline
+// is simulated: exchange spans always are, partition spans are on the FPGA
+// backend, and every local_join span (and partition spans on the CPU
+// backend) is measured host time. So the counters replay exactly for a seed
+// and the trace does not — two same-seed runs draw different local_join
+// widths. Phases are cluster-synchronous, so the cluster spans abut:
+// partition at [0, P], exchange at [P, P+E], local join at [P+E, P+E+J].
+// Per-node spans start at their phase barrier and run for that node's own
+// duration (zero durations are skipped: a node that owned no partitions
+// after a crash takeover has no join span). Crashed nodes get an Instant at
+// the start of the exchange, the phase during which they failed.
 func emitTrace(sess *simtrace.Session, res *Result, nodePart, nodeJoin []time.Duration) {
 	us := func(d time.Duration) int64 { return d.Microseconds() }
 	partEnd := us(res.PartitionTime)

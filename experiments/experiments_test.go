@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpgapart/partition"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -260,32 +261,67 @@ func TestFigure11VRIDPartitionsFaster(t *testing.T) {
 	}
 }
 
+// TestFigure12HashHelpsGridKeys asserts the cause the paper gives for
+// Figure 12, which is deterministic, and not its host-time effect, which on
+// a few milliseconds of build+probe is not: the radix bits of reverse-grid
+// keys (workload E) land in 8 of the 8192 partitions, murmur hashing spreads
+// them over all of them, and random keys (workload C) fill every partition
+// either way.
 func TestFigure12HashHelpsGridKeys(t *testing.T) {
+	const parts = 8192
+	relR := func(id workload.WorkloadID) *workload.Relation {
+		t.Helper()
+		spec, err := workload.Spec(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := spec.Scaled(tiny().Scale).Generate(tiny().Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.R
+	}
+	fill := func(rel *workload.Relation, hash bool) (filled int, largest int64) {
+		t.Helper()
+		p, err := partition.NewCPU(partition.CPUOptions{Partitions: parts, Hash: hash, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Partition(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < res.NumPartitions(); i++ {
+			if c := res.Count(i); c > 0 {
+				filled++
+				if c > largest {
+					largest = c
+				}
+			}
+		}
+		return filled, largest
+	}
+	grid, random := relR(workload.WorkloadE), relR(workload.WorkloadC)
+	if n, max := fill(grid, false); n != 8 || max != 16384 {
+		t.Errorf("radix on reverse-grid keys fills %d partitions (largest %d), want 8 (largest 16384)", n, max)
+	}
+	if n, max := fill(grid, true); n != parts || max != 32 {
+		t.Errorf("hash on reverse-grid keys fills %d partitions (largest %d), want %d (largest 32)", n, max, parts)
+	}
+	for _, hash := range []bool{false, true} {
+		if n, _ := fill(random, hash); n != parts {
+			t.Errorf("random keys (hash=%v) fill %d partitions, want %d", hash, n, parts)
+		}
+	}
+
 	res, err := RunFigure12(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// On workload E (reverse grid), hash partitioning must give a faster
-	// build+probe than radix partitioning (paper: ~35% at 10 threads).
-	pts := res.Results[workload.WorkloadE]
-	var radixBP, hashBP float64
-	maxT := tiny().MaxThreads
-	for _, p := range pts {
-		if p.Threads != maxT {
-			continue
+	for _, p := range res.Results[workload.WorkloadE] {
+		if p.Threads == tiny().MaxThreads && p.System != "fpga-hash" {
+			t.Logf("%s build+probe on reverse-grid keys: %.4fs (host-measured, not asserted)", p.System, p.BuildProbeSec)
 		}
-		switch p.System {
-		case "cpu-radix":
-			radixBP = p.BuildProbeSec
-		case "cpu-hash":
-			hashBP = p.BuildProbeSec
-		}
-	}
-	if hashBP <= 0 || radixBP <= 0 {
-		t.Fatal("missing build+probe measurements")
-	}
-	if hashBP >= radixBP {
-		t.Errorf("hash build+probe (%.4fs) not faster than radix (%.4fs) on reverse-grid keys", hashBP, radixBP)
 	}
 }
 

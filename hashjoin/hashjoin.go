@@ -248,7 +248,10 @@ func NewMemoryStats(budget *membudget.Budget, spill *membudget.SpillStore, stats
 }
 
 // emitPhaseSpans records the join's phase breakdown as "join" spans on a
-// microsecond timeline, for every backend. A nonzero flowID additionally
+// microsecond timeline, for every backend. Build and probe are measured
+// host time on every backend, the partition phases are simulated only on
+// the FPGA; the spans are a picture of one run, not a replay-exact
+// artifact (the session's Metrics are). A nonzero flowID additionally
 // threads flow arrows between consecutive phases so the trace viewer draws
 // the join as one causal chain. A nil session is a no-op.
 func emitPhaseSpans(sess *simtrace.Session, res *Result, flowID int64) {

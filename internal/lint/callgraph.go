@@ -20,7 +20,7 @@ import (
 //   - static: a direct call of a named function or a method on a concrete
 //     receiver. Always sound.
 //   - interface: a call through a method of an interface DECLARED IN THIS
-//     MODULE (platform curves, simtrace probe hooks, perfbench.HostMeter,
+//     MODULE (platform curves, simtrace probe hooks,
 //     joincore.Partitions, …), resolved to every module type whose method
 //     set satisfies the interface. Dynamic dispatch through foreign
 //     interfaces (io.Writer, error, sort.Interface) is NOT resolved — those

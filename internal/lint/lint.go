@@ -91,7 +91,7 @@ type Module struct {
 }
 
 // ModuleAnalyzer is an analyzer that needs the whole module at once (the
-// call-graph and taint analyzers). Its Check method is never called; Run
+// call-graph analyzers). Its Check method is never called; Run
 // invokes CheckModule exactly once over all packages.
 type ModuleAnalyzer interface {
 	Analyzer
@@ -100,7 +100,7 @@ type ModuleAnalyzer interface {
 
 // All returns the project's full analyzer set with default configuration:
 // determinism, boundary-reach, error-hygiene, clocked-component,
-// bench-json, hosttime-taint and hotpath-alloc.
+// bench-json and hotpath-alloc.
 func All() []Analyzer {
 	return []Analyzer{
 		DefaultDeterminism(),
@@ -108,7 +108,6 @@ func All() []Analyzer {
 		NewErrHygiene(),
 		NewClocked(),
 		DefaultBenchJSON(),
-		DefaultHostTimeTaint(),
 		DefaultHotpathAlloc(),
 	}
 }

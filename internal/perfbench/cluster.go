@@ -123,12 +123,7 @@ func runClusterScenario(cfg Config, sc clusterScenario) (Record, error) {
 		Trace:       sess,
 	}
 
-	var rep *cluster.Report
-	info, err := measure(cfg.Host, func() error {
-		r, rerr := cluster.Run(reqs, ccfg)
-		rep = r
-		return rerr
-	})
+	rep, err := cluster.Run(reqs, ccfg)
 	if err != nil {
 		return Record{}, err
 	}
@@ -205,6 +200,5 @@ func runClusterScenario(cfg Config, sc clusterScenario) (Record, error) {
 	return Record{
 		Name:  fmt.Sprintf("cluster/%ds1f1w/%dreq/%s", clusterShards, clusterRequests, sc.label),
 		Gated: MetricSet{gated},
-		Info:  MetricSet{info},
 	}, nil
 }

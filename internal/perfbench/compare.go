@@ -13,8 +13,6 @@ type RowClass string
 const (
 	// ClassGated rows carry simulated metrics: any delta fails the gate.
 	ClassGated RowClass = "gated"
-	// ClassInfo rows carry host sidecar metrics: reported, never gating.
-	ClassInfo RowClass = "info"
 	// ClassRecord rows report whole-record presence changes.
 	ClassRecord RowClass = "record"
 )
@@ -53,7 +51,7 @@ func (c *Comparison) Failed() bool {
 }
 
 // Changed reports whether the diff has any rows at all (including
-// non-failing additions and info deltas).
+// non-failing additions).
 func (c *Comparison) Changed() bool { return len(c.Rows) > 0 }
 
 // Compare diffs a baseline report against a fresh one. It refuses
@@ -112,15 +110,6 @@ func (c *Comparison) diffRecord(old, new Record) {
 			Fails: d.Change == simtrace.Changed || d.Change == simtrace.Removed,
 		})
 	}
-	for _, d := range old.Info.Metrics.Diff(new.Info.Metrics) {
-		if d.Change == simtrace.Unchanged {
-			continue
-		}
-		c.Rows = append(c.Rows, CompareRow{
-			Record: old.Name, Metric: d.Name, Class: ClassInfo,
-			Change: d.Change, Old: d.Old, New: d.New, OldOK: d.OldOK, NewOK: d.NewOK,
-		})
-	}
 }
 
 // formatMetric renders a metric value for the compare table.
@@ -139,14 +128,10 @@ func formatMetric(m simtrace.Metric, ok bool) string {
 }
 
 func (r CompareRow) status() string {
-	switch {
-	case r.Fails:
+	if r.Fails {
 		return "FAIL"
-	case r.Class == ClassInfo:
-		return "info"
-	default:
-		return "note"
 	}
+	return "note"
 }
 
 // WriteMarkdown renders the comparison as a GitHub-flavored markdown table
@@ -177,6 +162,6 @@ func (c *Comparison) WriteMarkdown(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "\nGated metrics are simulated (deterministic); any delta is a true regression. Info metrics are host wall-clock sidecars and never gate.\n")
+	_, err := fmt.Fprintf(w, "\nGated metrics are simulated (deterministic); any delta is a true regression.\n")
 	return err
 }

@@ -102,12 +102,7 @@ func runMemoryScenario(cfg Config, label string, r, s *workload.Relation, ref *h
 		MemoryBudgetBytes: budget,
 		Trace:             sess,
 	}
-	var res *hashjoin.Result
-	info, err := measure(cfg.Host, func() error {
-		var jerr error
-		res, jerr = hashjoin.CPU(r, s, opts)
-		return jerr
-	})
+	res, err := hashjoin.CPU(r, s, opts)
 	if err != nil {
 		return Record{}, err
 	}
@@ -124,12 +119,6 @@ func runMemoryScenario(cfg Config, label string, r, s *workload.Relation, ref *h
 		counter("join.delta_matches_vs_unbudgeted", res.Matches-ref.Matches),
 		counter("join.delta_checksum_vs_unbudgeted", int64(res.Checksum^ref.Checksum)),
 	)
-	if cfg.Host != nil {
-		info = info.With(
-			counter("host.build_ns", res.Build.Nanoseconds()),
-			counter("host.probe_ns", res.Probe.Nanoseconds()),
-		)
-	}
 	name := fmt.Sprintf("%s/%s/budget%d", SuiteMemory, label, pct)
-	return Record{Name: name, Gated: MetricSet{gated}, Info: MetricSet{info}}, nil
+	return Record{Name: name, Gated: MetricSet{gated}}, nil
 }

@@ -14,22 +14,16 @@
 // analytical model (Section 4.6): as an exact expectation to diff reality
 // against.
 //
-// Two metric classes per record:
-//
-//   - gated — simulated cycles per kilotuple, stall cycles, write-combiner
-//     flush overhead vs the model's c_writecomb, BRAM port utilization,
-//     partition-size histograms, exchange retries/bytes, output checksums.
-//     Compare fails on any change.
-//   - info — host wall-clock and allocations, collected only when a
-//     HostMeter is attached. Compare reports them, never fails on them, so
-//     wall-clock jitter alone can never fail the gate (and the default
-//     reports contain none, keeping same-seed runs byte-identical).
+// Every record carries one metric class, gated: simulated cycles per
+// kilotuple, stall cycles, write-combiner flush overhead vs the model's
+// c_writecomb, BRAM port utilization, partition-size histograms, exchange
+// retries/bytes, output checksums. Compare fails on any change. Host time
+// (wall clock, allocations) is not recorded here at all; the benchmark/
+// harness owns it.
 //
 // perfbench itself is on the fpgavet deterministic path: it may not read
 // the host clock, draw global randomness, range over maps, or marshal the
-// gated JSON through reflection (the benchjson analyzer). Host-side
-// measurement lives in the hostmeter subpackage, which is deliberately off
-// that path.
+// gated JSON through reflection (the benchjson analyzer).
 package perfbench
 
 import (
@@ -64,22 +58,6 @@ func Suites() []string {
 // BenchFileName returns the canonical file name of a suite's report.
 func BenchFileName(suite string) string { return "BENCH_" + suite + ".json" }
 
-// HostSample is one host-side measurement of a scenario run.
-type HostSample struct {
-	// NS is the wall-clock duration of the operation in nanoseconds.
-	NS int64
-	// Allocs is the number of heap allocations during the operation.
-	Allocs int64
-}
-
-// HostMeter collects host-side sidecar measurements around a scenario. The
-// hostmeter subpackage provides the real implementation; it is an interface
-// here so this package stays off the wall clock (the fpgavet determinism
-// contract) and so tests can fake jitter.
-type HostMeter interface {
-	Measure(op func() error) (HostSample, error)
-}
-
 // Config scales and seeds a perfbench run.
 type Config struct {
 	// Seed drives every workload generator (default 42).
@@ -88,10 +66,6 @@ type Config struct {
 	// distjoin suites scale off it (default 1<<15). The committed baseline
 	// is generated at the default.
 	Tuples int
-	// Host, when non-nil, wraps every scenario run and contributes the
-	// informational host.* sidecar metrics. Nil (the default) keeps the
-	// report free of host noise and therefore byte-identical across runs.
-	Host HostMeter
 }
 
 // WithDefaults fills unset fields.
@@ -152,22 +126,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// measure runs op, through the host meter when one is attached, and returns
-// the informational host.* metrics (nil without a meter).
-func measure(h HostMeter, op func() error) (simtrace.Snapshot, error) {
-	if h == nil {
-		return nil, op()
-	}
-	s, err := h.Measure(op)
-	if err != nil {
-		return nil, err
-	}
-	return simtrace.Snapshot{
-		counter("host.allocs", s.Allocs),
-		counter("host.ns", s.NS),
-	}, nil
 }
 
 // zipfFactor is the skew of the skewed partition scenarios — inside the
@@ -271,12 +229,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 		return Record{}, err
 	}
 
-	var res *partition.Result
-	info, err := measure(cfg.Host, func() error {
-		r, err := p.Partition(in)
-		res = r
-		return err
-	})
+	res, err := p.Partition(in)
 	if err != nil {
 		return Record{}, err
 	}
@@ -295,7 +248,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 		counter("output.tuples", res.TotalTuples()),
 		counter("output.checksum", outputChecksum(res)),
 	)
-	return Record{Name: sc.name(), Gated: MetricSet{gated}, Info: MetricSet{info}}, nil
+	return Record{Name: sc.name(), Gated: MetricSet{gated}}, nil
 }
 
 // outputChecksum folds every partition's order-insensitive checksum into
@@ -357,23 +310,19 @@ func runJoinScenario(cfg Config, sc joinScenario) (Record, error) {
 	}
 
 	var res *hashjoin.Result
-	info, err := measure(cfg.Host, func() error {
-		var jerr error
-		if sc.layout == partition.ColumnStore {
-			p, perr := partition.NewFPGA(partition.FPGAOptions{
-				Partitions: opts.Partitions, Hash: true, Format: sc.format,
-				Layout: partition.ColumnStore, PadFraction: opts.PadFraction,
-				FallbackThreads: 1, Trace: sess,
-			})
-			if perr != nil {
-				return perr
-			}
-			res, jerr = hashjoin.Join(in.R.ToColumns(), in.S.ToColumns(), p, opts)
-		} else {
-			res, jerr = hashjoin.Hybrid(in.R, in.S, opts)
+	if sc.layout == partition.ColumnStore {
+		p, perr := partition.NewFPGA(partition.FPGAOptions{
+			Partitions: opts.Partitions, Hash: true, Format: sc.format,
+			Layout: partition.ColumnStore, PadFraction: opts.PadFraction,
+			FallbackThreads: 1, Trace: sess,
+		})
+		if perr != nil {
+			return Record{}, perr
 		}
-		return jerr
-	})
+		res, err = hashjoin.Join(in.R.ToColumns(), in.S.ToColumns(), p, opts)
+	} else {
+		res, err = hashjoin.Hybrid(in.R, in.S, opts)
+	}
 	if err != nil {
 		return Record{}, err
 	}
@@ -386,13 +335,7 @@ func runJoinScenario(cfg Config, sc joinScenario) (Record, error) {
 		counter("join.partition_s_sim_ns", res.PartitionS.Nanoseconds()),
 		counter("bench.fell_back", b2i(res.FellBack)),
 	)
-	if cfg.Host != nil {
-		info = info.With(
-			counter("host.build_ns", res.Build.Nanoseconds()),
-			counter("host.probe_ns", res.Probe.Nanoseconds()),
-		)
-	}
-	return Record{Name: "join/hybrid/" + sc.label + "/A", Gated: MetricSet{gated}, Info: MetricSet{info}}, nil
+	return Record{Name: "join/hybrid/" + sc.label + "/A", Gated: MetricSet{gated}}, nil
 }
 
 // distjoinScenario is one distributed-join cell.
@@ -446,12 +389,7 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (Record, error) {
 		Trace:             sess,
 	}
 
-	var res *distjoin.Result
-	info, err := measure(cfg.Host, func() error {
-		var jerr error
-		res, jerr = distjoin.Join(in.R, in.S, opts)
-		return jerr
-	})
+	res, err := distjoin.Join(in.R, in.S, opts)
 	if err != nil {
 		return Record{}, err
 	}
@@ -469,8 +407,5 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (Record, error) {
 		counter("dist.failed_nodes", int64(len(res.FailedNodes))),
 		counter("dist.degraded", b2i(res.Degraded)),
 	)
-	if cfg.Host != nil {
-		info = info.With(counter("host.local_join_ns", res.JoinTime.Nanoseconds()))
-	}
-	return Record{Name: fmt.Sprintf("distjoin/%dn/fpga/HIST/%s", nodes, sc.label), Gated: MetricSet{gated}, Info: MetricSet{info}}, nil
+	return Record{Name: fmt.Sprintf("distjoin/%dn/fpga/HIST/%s", nodes, sc.label), Gated: MetricSet{gated}}, nil
 }

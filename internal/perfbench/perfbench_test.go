@@ -182,73 +182,6 @@ func TestAddedMetricAndRecordDoNotFail(t *testing.T) {
 	}
 }
 
-// jitterMeter fakes a host meter whose readings differ every call —
-// maximal wall-clock noise.
-type jitterMeter struct{ calls int64 }
-
-func (j *jitterMeter) Measure(op func() error) (HostSample, error) {
-	if err := op(); err != nil {
-		return HostSample{}, err
-	}
-	j.calls++
-	return HostSample{NS: 1_000_000 + j.calls*31337, Allocs: 100 + j.calls}, nil
-}
-
-// TestWallClockJitterNeverFails is the zero-noise property stated from the
-// other side: two runs whose host measurements disagree on every scenario
-// still pass the gate, with the deltas surfaced as info rows.
-func TestWallClockJitterNeverFails(t *testing.T) {
-	run := func() *Report {
-		r, err := RunSuite(SuiteDistjoin, Config{Host: &jitterMeter{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-
-	cmp, err := Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Failed() {
-		t.Fatalf("wall-clock jitter failed the gate: %+v", cmp.Rows)
-	}
-	var infoDeltas int
-	for _, row := range cmp.Rows {
-		if row.Class != ClassInfo {
-			t.Errorf("non-info delta under pure jitter: %+v", row)
-		}
-		infoDeltas++
-	}
-	if infoDeltas == 0 {
-		t.Error("jitter meter produced no info deltas — host metrics not recorded?")
-	}
-}
-
-// TestHostMetricsAreInfoOnly: a run with a meter attached still has gated
-// sets identical to a meterless run.
-func TestHostMetricsAreInfoOnly(t *testing.T) {
-	plain := suiteReport(t, SuiteDistjoin)
-	metered, err := RunSuite(SuiteDistjoin, Config{Host: &jitterMeter{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range metered.Records {
-		for _, d := range plain.Records[i].Gated.Metrics.Diff(rec.Gated.Metrics) {
-			if d.Change != simtrace.Unchanged {
-				t.Errorf("record %s: gated metric %s changed under metering: %s", rec.Name, d.Name, d.Change)
-			}
-		}
-		if len(rec.Info.Metrics) == 0 {
-			t.Errorf("record %s: no info metrics despite meter", rec.Name)
-		}
-		if _, ok := rec.Info.Get("host.ns"); !ok {
-			t.Errorf("record %s: host.ns missing from info set", rec.Name)
-		}
-	}
-}
-
 func TestCompareRejectsConfigMismatch(t *testing.T) {
 	base := suiteReport(t, SuitePartition)
 	other := suiteReport(t, SuitePartition)

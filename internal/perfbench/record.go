@@ -12,7 +12,7 @@ import (
 // shape must bump it: Compare refuses cross-version diffs, so a schema
 // migration shows up as an explicit baseline regeneration instead of a
 // spurious wall of metric adds/removes.
-const SchemaVersion = "fpgapart.perfbench/v1"
+const SchemaVersion = "fpgapart.perfbench/v2"
 
 // Report is one suite's BENCH file: a fixed header plus one Record per
 // scenario. It is written field by field through the simtrace writers (the
@@ -36,11 +36,6 @@ type Record struct {
 	// Gated metrics are simulated (cycle- or simulated-µs-derived) and
 	// deterministic: ANY change is a true regression and fails the gate.
 	Gated MetricSet `json:"gated"`
-	// Info metrics are host-side sidecars (wall-clock ns, allocations):
-	// reported in compare tables, never gated. Empty unless the run
-	// attached a HostMeter — the default BENCH files contain none, which is
-	// what makes them byte-identical across same-seed runs.
-	Info MetricSet `json:"info"`
 }
 
 // MetricSet wraps a snapshot in the `{"metrics": [...]}` object the
@@ -72,12 +67,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 			return err
 		}
 		if err := rec.Gated.Metrics.WriteJSONIndent(w, "      "); err != nil {
-			return err
-		}
-		if err := wr(",\n      \"info\": "); err != nil {
-			return err
-		}
-		if err := rec.Info.Metrics.WriteJSONIndent(w, "      "); err != nil {
 			return err
 		}
 		sep := ","

@@ -67,11 +67,7 @@ func runReqtraceScenario(cfg Config, sc clusterScenario) (Record, error) {
 		ReqTrace:    capt,
 	}
 
-	info, err := measure(cfg.Host, func() error {
-		_, rerr := cluster.Run(reqs, ccfg)
-		return rerr
-	})
-	if err != nil {
+	if _, err := cluster.Run(reqs, ccfg); err != nil {
 		return Record{}, err
 	}
 
@@ -118,6 +114,5 @@ func runReqtraceScenario(cfg Config, sc clusterScenario) (Record, error) {
 	return Record{
 		Name:  fmt.Sprintf("reqtrace/%ds1f1w/%dreq/%s", clusterShards, clusterRequests, sc.label),
 		Gated: MetricSet{simtrace.Snapshot(nil).With(gated...)},
-		Info:  MetricSet{info},
 	}, nil
 }

@@ -72,12 +72,7 @@ func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
 		Trace:   sess,
 	}
 
-	var rep *partserver.Report
-	info, err := measure(cfg.Host, func() error {
-		r, rerr := partserver.Run(jobs, pcfg)
-		rep = r
-		return rerr
-	})
+	rep, err := partserver.Run(jobs, pcfg)
 	if err != nil {
 		return Record{}, err
 	}
@@ -117,6 +112,5 @@ func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
 	return Record{
 		Name:  fmt.Sprintf("sched/%df%dw/%djobs/%s", nfpga, 2, schedJobs, sc.label),
 		Gated: MetricSet{gated},
-		Info:  MetricSet{info},
 	}, nil
 }

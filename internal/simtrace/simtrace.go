@@ -11,9 +11,12 @@
 //     count (or simulated microseconds for the distributed join), metric
 //     snapshots are emitted in sorted name order, and trace JSON is written
 //     field by field with a fixed layout. Two runs with the same seed
-//     produce byte-identical snapshots and trace files — the property the
-//     fpgavet determinism analyzer enforces and the regression tests lock
-//     down.
+//     produce byte-identical snapshots, and byte-identical trace files
+//     wherever every span is simulated: the circuit, partserver and cluster
+//     traces, which the golden tests lock down. The join traces are the
+//     exception — hashjoin's build/probe spans and distjoin's local_join
+//     spans (and CPU-backend partition spans) carry the measured host
+//     durations of their Result, so only those runs' Metrics replay.
 //
 //  2. Zero cost when disabled. Every hot-path entry point (Counter.Add,
 //     Gauge.Observe, Tracer.Sample, …) is a nil-receiver no-op, so an

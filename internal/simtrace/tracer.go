@@ -38,7 +38,10 @@ type Event struct {
 	Value int64 // SampleEvent only
 }
 
-// Tracer is a fixed-capacity ring buffer of events. When full, the oldest
+// Tracer is a fixed-capacity ring buffer of events. It stores what callers
+// hand it: a trace is replay-exact only if every ts/dur was simulated, which
+// holds for the circuit, partserver and cluster traces and not for the
+// host-measured join spans (see the package comment). When full, the oldest
 // events are overwritten (and counted as dropped) — a bounded trace of an
 // arbitrarily long run, like a hardware trace buffer. The zero value of
 // *Tracer (nil) disables tracing; all methods are nil-receiver no-ops.
