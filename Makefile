@@ -96,6 +96,7 @@ fuzz:
 		./internal/cpupart:FuzzBufferedPartition \
 		./internal/cpupart:FuzzBufferedAgainstHistogram \
 		./hashjoin:FuzzJoinUnderBudget \
+		./partition:FuzzPartitionerReuse \
 		./cluster:FuzzClusterRoute \
 		./cluster:FuzzMembershipSchedule; do \
 		pkg=$${t%%:*}; target=$${t##*:}; \

@@ -321,3 +321,21 @@ func TestGroupByWithFPGAPlanner(t *testing.T) {
 		t.Errorf("partitioner = %q", g.ChosenPartitioner)
 	}
 }
+
+// TestHashJoinCombinePanicReachesTheCaller: a single-threaded join runs its
+// build+probe on the caller's goroutine, so a panic in the caller's Combine
+// comes back through Open, where the caller can recover it, instead of ending
+// the process on a worker goroutine.
+func TestHashJoinCombinePanicReachesTheCaller(t *testing.T) {
+	keys := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	j := NewHashJoin(scanOf(t, keys), scanOf(t, keys), nil, 4, 1)
+	j.Combine = func(a, b uint32) uint32 { panic("combine: caller fault") }
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_ = j.Open()
+	}()
+	if recovered != "combine: caller fault" {
+		t.Errorf("recovered %v, want Combine's panic", recovered)
+	}
+}

@@ -1,9 +1,13 @@
 package hashjoin
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"fpgapart/internal/core"
+	"fpgapart/internal/joincore"
+	"fpgapart/partition"
 	"fpgapart/workload"
 )
 
@@ -127,5 +131,35 @@ func TestJoinAllDuplicates(t *testing.T) {
 	}
 	if res.Matches != 64*64 {
 		t.Fatalf("cartesian duplicate join: %d matches, want 4096", res.Matches)
+	}
+}
+
+// TestGuardCatchesASingleThreadedJoinPanic: Threads: 1 runs joincore's
+// executor on the calling goroutine, so the guard the entry points defer
+// turns a panic inside it into ErrSimulatorFault. (On a goroutine of the
+// executor's own, as at Threads > 1, no caller-side guard could.)
+func TestGuardCatchesASingleThreadedJoinPanic(t *testing.T) {
+	rel, err := workload.NewGenerator(5).Relation(workload.Linear, 8, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := partition.NewCPU(partition.CPUOptions{Partitions: 8, Hash: true, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := p.Partition(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = func() (err error) {
+		defer guardSimulator(&err)
+		_, _, err = joincore.BudgetedBuildProbe(parts, parts, joincore.BudgetConfig{
+			Threads: 1,
+			Emit:    func(int, uint32, uint32, uint32) { panic("membudget: ledger corrupt") },
+		})
+		return err
+	}()
+	if !errors.Is(err, ErrSimulatorFault) || !strings.Contains(err.Error(), "ledger corrupt") {
+		t.Errorf("guarded single-threaded join returned %v, want ErrSimulatorFault carrying the panic", err)
 	}
 }

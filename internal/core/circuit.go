@@ -8,6 +8,7 @@ import (
 	"fpgapart/internal/hashutil"
 	"fpgapart/internal/memsys"
 	"fpgapart/internal/qpi"
+	"fpgapart/internal/simtrace"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -47,6 +48,17 @@ type Circuit struct {
 	cfg     Config
 	clockHz float64
 	curve   platform.BandwidthCurve
+
+	// The datapath exists for the life of the bitstream (Section 4): the
+	// hash pipeline register, the FIFOs, the combiners' control state and
+	// the page table are built once and reset by every run. Only state whose
+	// size depends on neither fan-out nor input is kept here; the BRAM
+	// contents and the destination bookkeeping are the run's (see newRun).
+	pipe   *fpga.Reg[group]
+	fifo1  []*fpga.FIFO[tup]
+	comb   []*combiner
+	final  *fpga.FIFO[outLine]
+	ptable *memsys.PageTable
 }
 
 // NewCircuit validates cfg and binds it to an FPGA clock and a QPI bandwidth
@@ -60,7 +72,17 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 	if clockHz <= 0 {
 		return nil, fmt.Errorf("core: clock %v Hz", clockHz)
 	}
-	return &Circuit{cfg: cfg, clockHz: clockHz, curve: curve}, nil
+	c := &Circuit{cfg: cfg, clockHz: clockHz, curve: curve}
+	lanes := cfg.Lanes()
+	c.pipe = fpga.NewReg[group](hashPipelineDepth)
+	c.fifo1 = make([]*fpga.FIFO[tup], lanes)
+	c.comb = make([]*combiner, lanes)
+	for i := range c.fifo1 {
+		c.fifo1[i] = fpga.NewFIFO[tup](cfg.Stage1FIFODepth)
+		c.comb[i] = newCombiner(cfg, lanes, cfg.OutputTupleWidth()/8, cfg.DummyKeyValue())
+	}
+	c.final = fpga.NewFIFO[outLine](8)
+	return c, nil
 }
 
 // Config returns the circuit's (defaulted) configuration.
@@ -80,22 +102,23 @@ func (c *Circuit) Partition(rel *workload.Relation) (*Output, *Stats, error) {
 	if c.cfg.Layout == RID && rel.Width != c.cfg.TupleWidth {
 		return nil, nil, fmt.Errorf("core: circuit synthesized for %dB tuples, relation has %dB", c.cfg.TupleWidth, rel.Width)
 	}
-	ep, err := qpi.New(c.clockHz, c.curve)
+	return c.partition(rel, nil)
+}
+
+// partition is one run of the circuit, over rel or, when comp is set, over
+// the decompressor's key stream.
+func (c *Circuit) partition(rel *workload.Relation, comp *rleFeed) (*Output, *Stats, error) {
+	r, err := c.newRun(rel, comp)
 	if err != nil {
 		return nil, nil, err
 	}
-	r := &run{
-		cfg:   c.cfg,
-		rel:   rel,
-		ep:    ep,
-		clock: c.clockHz,
-		stats: &Stats{},
-	}
-	if err := r.setup(); err != nil {
-		return nil, nil, err
-	}
 	err = r.execute()
-	r.finishStats()
+	// The BRAM contents die with the run: between runs a circuit holds
+	// nothing whose size follows the fan-out (4.5 MB per circuit at 8192).
+	for _, cb := range c.comb {
+		cb.store, cb.fill = nil, nil
+	}
+	r.stats.Elapsed = time.Duration(float64(r.stats.Cycles) / c.clockHz * float64(time.Second))
 	if r.pr != nil {
 		r.pr.finish(r)
 	}
@@ -107,12 +130,12 @@ func (c *Circuit) Partition(rel *workload.Relation) (*Output, *Stats, error) {
 
 // run holds the mutable state of one partitioning execution.
 type run struct {
-	cfg   Config
-	rel   *workload.Relation
-	ep    *qpi.Endpoint
-	clock float64
-	stats *Stats
-	pr    *probe // nil unless cfg.Trace is set
+	circuit *Circuit
+	cfg     Config
+	rel     *workload.Relation
+	ep      *qpi.Endpoint
+	stats   *Stats
+	pr      *probe // nil unless cfg.Trace is set
 
 	lanes int // tuples per internal cycle
 	wpt   int // output words per tuple
@@ -130,22 +153,21 @@ type run struct {
 	// next group; -1 means "not yet computed".
 	compPending int64
 
-	// Hash pipelines (lockstep across lanes).
-	pipe *fpga.Reg[group]
-
-	// Per-lane first-stage FIFOs and write combiners.
+	// The circuit's datapath, reset for this run: the hash pipelines
+	// (lockstep across lanes), the per-lane first-stage FIFOs and write
+	// combiners, and the write-back's final FIFO.
+	pipe  *fpga.Reg[group]
 	fifo1 []*fpga.FIFO[tup]
 	comb  []*combiner
-
-	// Write-back.
-	rr    int
 	final *fpga.FIFO[outLine]
+	rr    int // write-back round-robin cursor
 
 	// Destination bookkeeping (the two BRAMs of Section 4.3).
 	capLines []int64
 	used     []int64
 	counts   []int64
 	hist     []int64 // HIST mode first-pass histogram
+	base     []int64 // first line of every partition, set by allocate
 
 	out *Output
 
@@ -156,39 +178,56 @@ type run struct {
 	outOff    int64 // byte offset of the output buffer in the region
 }
 
-func (r *run) setup() error {
-	cfg := r.cfg
-	r.lanes = cfg.Lanes()
-	r.wpt = cfg.OutputTupleWidth() / 8
-	r.tpl = 64 / cfg.OutputTupleWidth()
-	r.radix = cfg.RadixBits()
-	r.dummy = cfg.DummyKeyValue()
-	r.pageBytes = 4 << 20
-	if r.comp != nil {
-		r.total = r.comp.n
+// newRun resets the circuit for one execution and allocates what that
+// execution alone owns: everything whose size follows the fan-out or the
+// input — the combiners' bank and fill-rate BRAM contents and the
+// destination bookkeeping, one slab each. The reset also covers a previous
+// run that aborted on PAD overflow with tuples in flight.
+func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) (*run, error) {
+	ep, err := qpi.New(c.clockHz, c.curve)
+	if err != nil {
+		return nil, err
+	}
+	cfg := &c.cfg
+	r := &run{
+		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: ep, stats: &Stats{},
+		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
+		radix: cfg.RadixBits(), dummy: cfg.DummyKeyValue(), pageBytes: 4 << 20,
+		pipe: c.pipe, fifo1: c.fifo1, comb: c.comb, final: c.final,
+	}
+	if comp != nil {
+		r.total = comp.n
 		r.compPending = -1
 	} else {
-		r.total = int64(r.rel.NumTuples)
+		r.total = int64(rel.NumTuples)
 	}
-
-	r.pipe = fpga.NewReg[group](hashPipelineDepth)
-	r.fifo1 = make([]*fpga.FIFO[tup], r.lanes)
-	r.comb = make([]*combiner, r.lanes)
-	for i := range r.fifo1 {
-		r.fifo1[i] = fpga.NewFIFO[tup](cfg.Stage1FIFODepth)
-		r.comb[i] = newCombiner(cfg, r.lanes, r.wpt, r.dummy)
-	}
-	r.final = fpga.NewFIFO[outLine](8)
 
 	p := cfg.NumPartitions
-	r.capLines = make([]int64, p)
-	r.used = make([]int64, p)
-	r.counts = make([]int64, p)
-	r.hist = make([]int64, p)
+	ints := make([]int64, 5*p)
+	r.capLines, r.used, r.counts, r.hist, r.base = ints[:p:p], ints[p:2*p:2*p], ints[2*p:3*p:3*p], ints[3*p:4*p:4*p], ints[4*p:]
+	store, fill := make([]uint64, r.lanes*p*8), make([]uint8, r.lanes*p)
+	r.pipe.Reset()
+	r.final.Reset()
+	for i, cb := range r.comb {
+		r.fifo1[i].Reset()
+		cb.reset(store[i*p*8:(i+1)*p*8:(i+1)*p*8], fill[i*p:(i+1)*p:(i+1)*p])
+	}
 	if cfg.Trace != nil {
 		r.pr = newProbe(cfg.Trace, r)
+	} else {
+		r.instrument(nil, nil, nil)
 	}
-	return nil
+	return r, nil
+}
+
+// instrument attaches the occupancy gauges of a traced run to the circuit's
+// FIFOs; an untraced run detaches whatever a traced one before it left.
+func (r *run) instrument(fifo1, final, combOut *simtrace.Gauge) {
+	for i, f := range r.fifo1 {
+		f.Instrument(fifo1)
+		r.comb[i].out.Instrument(combOut)
+	}
+	r.final.Instrument(final)
 }
 
 // execute runs the configured passes.
@@ -315,9 +354,8 @@ func (r *run) padBases() {
 // FPGA-side page table.
 func (r *run) allocate() error {
 	var totalLines int64
-	base := make([]int64, r.cfg.NumPartitions)
 	for p := range r.capLines {
-		base[p] = totalLines
+		r.base[p] = totalLines
 		totalLines += r.capLines[p]
 	}
 	r.out = &Output{
@@ -325,7 +363,7 @@ func (r *run) allocate() error {
 		TupleWidth:    r.cfg.OutputTupleWidth(),
 		DummyKey:      r.dummy,
 		Lines:         make([]uint64, totalLines*8),
-		Base:          base,
+		Base:          r.base,
 		LinesUsed:     r.used,
 		Counts:        r.counts,
 	}
@@ -359,10 +397,21 @@ func (r *run) allocate() error {
 	if r.region, err = pool.Alloc(need); err != nil {
 		return fmt.Errorf("core: shared-memory region: %w", err)
 	}
-	pages := (need + int64(pageBytes) - 1) / int64(pageBytes)
-	if r.ptable, err = memsys.NewPageTable(pageBytes, int(pages)); err != nil {
-		return fmt.Errorf("core: FPGA page table: %w", err)
+	// The CPU initialised the output buffer (the dummy keys above): every
+	// line the FPGA can write starts out CPU-written, which is also what
+	// sizes the region's snoop-filter state to the output range once.
+	if err := r.region.MarkWritten(platform.CPUSocket, r.outOff, totalLines*64); err != nil {
+		return fmt.Errorf("core: shared-memory region: %w", err)
 	}
+	// The circuit's page table only ever grows, by an entry per 4 MB of the
+	// largest region it has seen.
+	c := r.circuit
+	if pages := int((need + int64(pageBytes) - 1) / int64(pageBytes)); c.ptable == nil || c.ptable.Capacity() < pages {
+		if c.ptable, err = memsys.NewPageTable(pageBytes, pages); err != nil {
+			return fmt.Errorf("core: FPGA page table: %w", err)
+		}
+	}
+	r.ptable = c.ptable
 	if err := r.ptable.Populate(r.region); err != nil {
 		return fmt.Errorf("core: FPGA page table: %w", err)
 	}
@@ -662,11 +711,3 @@ func (r *run) markWritten(byteOff int64) {
 	// store bounds the line against capLines, so it lies inside the region.
 	_ = r.region.MarkWritten(platform.FPGASocket, r.outOff+byteOff, 64)
 }
-
-func (r *run) finishStats() {
-	r.stats.Elapsed = time.Duration(float64(r.stats.Cycles) / r.clock * float64(time.Second))
-}
-
-// Region exposes the run's shared-memory region for coherence inspection in
-// integration tests (which verify the output lines are FPGA-owned).
-func (r *run) Region() *memsys.Region { return r.region }

@@ -21,7 +21,7 @@ type combiner struct {
 	// store is the bank BRAM contents, one cache line (banks*wpt = 8 words)
 	// per partition: bank b of partition p at p*8 + b*wpt, so the banks the
 	// hardware reads side by side sit side by side. fill is the fill-rate
-	// BRAM.
+	// BRAM. Both belong to the run (reset): their size follows the fan-out.
 	store []uint64
 	fill  []uint8
 
@@ -46,10 +46,18 @@ func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
 		wpt:   wpt,
 		parts: cfg.NumPartitions,
 		dummy: dummy,
-		store: make([]uint64, cfg.NumPartitions*8),
-		fill:  make([]uint8, cfg.NumPartitions),
 		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
 	}
+}
+
+// reset is the circuit reset in front of a run: it loads the run's zeroed
+// BRAMs and clears the control state the previous run left, which may have
+// aborted on a PAD overflow mid-line and mid-stall.
+func (cb *combiner) reset(store []uint64, fill []uint8) {
+	cb.store, cb.fill = store, fill
+	cb.out.Reset()
+	cb.last, cb.lastValid = [2]uint32{}, [2]bool{}
+	cb.stall, cb.served, cb.flushAddr = 0, false, 0
 }
 
 // step advances the combiner one clock cycle, consuming at most one tuple

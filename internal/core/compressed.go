@@ -5,7 +5,6 @@ import (
 
 	"fpgapart/codec"
 	"fpgapart/internal/hashutil"
-	"fpgapart/internal/qpi"
 )
 
 // PartitionCompressed runs the circuit over an RLE-compressed key column in
@@ -25,29 +24,7 @@ func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, *Stats, er
 	if err := col.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ep, err := qpi.New(c.clockHz, c.curve)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := &run{
-		cfg:   c.cfg,
-		ep:    ep,
-		clock: c.clockHz,
-		stats: &Stats{},
-		comp:  newRLEFeed(col),
-	}
-	if err := r.setup(); err != nil {
-		return nil, nil, err
-	}
-	err = r.execute()
-	r.finishStats()
-	if r.pr != nil {
-		r.pr.finish(r)
-	}
-	if err != nil {
-		return nil, r.stats, err
-	}
-	return r.out, r.stats, nil
+	return c.partition(nil, newRLEFeed(col))
 }
 
 // nextCompressedGroup is nextGroup's decompressor path: fetch whatever

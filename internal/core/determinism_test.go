@@ -132,7 +132,7 @@ func TestStallAccountingConsistency(t *testing.T) {
 // its fill-assemble-emit cycle.
 func TestCombinerUnitFillAndEmit(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID}.WithDefaults()
-	cb := newCombiner(cfg, 8, 1, DefaultDummyKey)
+	cb := newTestCombiner(cfg, 8, 1)
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	// Seven tuples to partition 2: no line yet.
@@ -172,7 +172,7 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 // TestCombinerUnitFlushPadsWithDummies checks flushStep's dummy padding.
 func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID}.WithDefaults()
-	cb := newCombiner(cfg, 8, 1, DefaultDummyKey)
+	cb := newTestCombiner(cfg, 8, 1)
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	*in.Push() = tup{words: [8]uint64{123<<32 | 3}, part: 3}
@@ -206,7 +206,7 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 // must not consume input.
 func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID, OutFIFODepth: 2}.WithDefaults()
-	cb := newCombiner(cfg, 1, 8, DefaultDummyKey) // 64-byte tuples, 1 bank: every tuple emits a line
+	cb := newTestCombiner(cfg, 1, 8) // 64-byte tuples, 1 bank: every tuple emits a line
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	for i := 0; i < 4; i++ {
@@ -221,6 +221,13 @@ func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 	if in.Len() != 2 {
 		t.Fatalf("input FIFO drained to %d under back-pressure, want 2 held", in.Len())
 	}
+}
+
+// newTestCombiner is a combiner reset as a run would, with BRAMs of its own.
+func newTestCombiner(cfg Config, banks, wpt int) *combiner {
+	cb := newCombiner(cfg, banks, wpt, DefaultDummyKey)
+	cb.reset(make([]uint64, cfg.NumPartitions*8), make([]uint8, cfg.NumPartitions))
+	return cb
 }
 
 func newTestFIFO(cfg Config) *fpga.FIFO[tup] {

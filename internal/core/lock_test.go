@@ -157,24 +157,29 @@ func runLockCase(t *testing.T, lc lockCase) lockRecord {
 	if err != nil {
 		t.Fatalf("%s: %v", lc.name, err)
 	}
-	var (
-		out   *Output
-		stats *Stats
-	)
-	if lc.keys != nil {
-		out, stats, err = c.PartitionCompressed(codec.CompressRLE(lc.keys()))
-	} else {
-		out, stats, err = c.Partition(lc.rel(t))
+	record := func() lockRecord {
+		var (
+			out   *Output
+			stats *Stats
+			err   error
+		)
+		if lc.keys != nil {
+			out, stats, err = c.PartitionCompressed(codec.CompressRLE(lc.keys()))
+		} else {
+			out, stats, err = c.Partition(lc.rel(t))
+		}
+		if err != nil && !errors.Is(err, ErrPartitionOverflow) {
+			t.Fatalf("%s: %v", lc.name, err)
+		}
+		rec := lockRecord{Name: lc.name, Stats: *stats}
+		if err != nil {
+			rec.Err = err.Error()
+		} else {
+			rec.Output = hashOutput(out)
+		}
+		return rec
 	}
-	if err != nil && !errors.Is(err, ErrPartitionOverflow) {
-		t.Fatalf("%s: %v", lc.name, err)
-	}
-	rec := lockRecord{Name: lc.name, Stats: *stats}
-	if err != nil {
-		rec.Err = err.Error()
-	} else {
-		rec.Output = hashOutput(out)
-	}
+	rec := record()
 	if sess != nil {
 		var mb, tb bytes.Buffer
 		if err := sess.Metrics.Snapshot().WriteJSON(&mb); err != nil {
@@ -187,6 +192,10 @@ func runLockCase(t *testing.T, lc lockCase) lockRecord {
 		h := fnv.New64a()
 		h.Write(tb.Bytes())
 		rec.Trace = fmt.Sprintf("%016x", h.Sum64())
+	}
+	// The same circuit again: its second run is locked to the same cycles.
+	if again := record(); again.Err != rec.Err || again.Stats != rec.Stats || again.Output != rec.Output {
+		t.Errorf("%s: second run on the circuit differs from its first:\n first:  %+v\n second: %+v", lc.name, rec.Stats, again.Stats)
 	}
 	return rec
 }

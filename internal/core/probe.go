@@ -48,7 +48,7 @@ type probe struct {
 }
 
 // newProbe resolves the session's metrics and instruments the run's FIFOs
-// and QPI end-point. Call after setup has built the datapath.
+// and QPI end-point. Called by newRun once the run has the datapath.
 func newProbe(sess *simtrace.Session, r *run) *probe {
 	m := sess.Metrics
 	p := &probe{
@@ -79,13 +79,7 @@ func newProbe(sess *simtrace.Session, r *run) *probe {
 	}
 	p.base = p.cycles.Value()
 
-	for _, f := range r.fifo1 {
-		f.Instrument(p.fifo1Occ)
-	}
-	r.final.Instrument(p.finalOcc)
-	for _, cb := range r.comb {
-		cb.out.Instrument(p.combOutOcc)
-	}
+	r.instrument(p.fifo1Occ, p.finalOcc, p.combOutOcc)
 	r.ep.Instrument(m.Counter("qpi.lines_read"), m.Counter("qpi.lines_written"))
 	return p
 }
@@ -112,7 +106,7 @@ func (p *probe) maybeSample(r *run) {
 
 // finish folds the run's Stats into the session counters, emits the phase
 // spans (reconstructed from the fixed pass order), and computes the derived
-// utilization gauges. Called exactly once per run, after finishStats.
+// utilization gauges. Called exactly once per run, once Elapsed is set.
 func (p *probe) finish(r *run) {
 	st := r.stats
 

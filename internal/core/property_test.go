@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fpgapart/internal/qpi"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -227,18 +226,12 @@ func TestCoherenceOwnership(t *testing.T) {
 // output lines as FPGA-written in the memsys region.
 func TestRunRegionOwnership(t *testing.T) {
 	rel := genRelation(t, workload.Random, 8, 4096, 37)
-	ep, err := qpi.New(200e6, testCurve())
+	c, err := NewCircuit(Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: HIST, Layout: RID}, 200e6, testCurve())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{
-		cfg:   Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: HIST, Layout: RID}.WithDefaults(),
-		rel:   rel,
-		ep:    ep,
-		clock: 200e6,
-		stats: &Stats{},
-	}
-	if err := r.setup(); err != nil {
+	r, err := c.newRun(rel, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.execute(); err != nil {
@@ -259,18 +252,12 @@ func TestRunRegionOwnership(t *testing.T) {
 // with the wrapped cause instead of partitioning against a missing page
 // table and region.
 func TestSetupErrorsSurface(t *testing.T) {
-	ep, err := qpi.New(200e6, testCurve())
+	c, err := NewCircuit(Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID}, 200e6, testCurve())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{
-		cfg:   Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID}.WithDefaults(),
-		rel:   genRelation(t, workload.Random, 8, 4096, 37),
-		ep:    ep,
-		clock: 200e6,
-		stats: &Stats{},
-	}
-	if err := r.setup(); err != nil {
+	r, err := c.newRun(genRelation(t, workload.Random, 8, 4096, 37), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r.pageBytes = 100 // not a multiple of the cache line

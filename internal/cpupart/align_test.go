@@ -17,11 +17,15 @@ import (
 // runBuffered calls Code 2 below the public entry points: with exactly
 // threads workers (PartitionTuples clamps them on small inputs) and a
 // destination that begins skew words past whatever alignment make returns,
-// so that skew 0…7 covers every line offset.
+// so that skew 0…7 covers every line offset. Every call works in the same
+// Scratch, so each also runs on the stale cursors and buffer lines of a call
+// with another length, fan-out, thread count and alignment.
 func runBuffered(src []uint64, cfg Config, threads, skew int) *Result {
 	dst := make([]uint64, len(src)+skew)[skew:]
-	return &Result{NumPartitions: cfg.NumPartitions, Data: dst, Offsets: buffered(src, dst, threads, cfg.indexer())}
+	return &Result{NumPartitions: cfg.NumPartitions, Data: dst, Offsets: buffered(src, dst, threads, cfg.indexer(), &alignScratch)}
 }
+
+var alignScratch Scratch
 
 func naiveReference(t *testing.T, src []uint64, cfg Config) *Result {
 	t.Helper()

@@ -123,10 +123,7 @@ func (r *Result) Partition(p int) []uint64 { return r.Data[r.Offsets[p]:r.Offset
 // Partition partitions rel (which must be a row-layout relation of 8-byte
 // tuples) according to cfg.
 func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
-	if rel.Layout != workload.RowLayout || rel.Width != 8 {
-		return nil, fmt.Errorf("cpupart: need row-layout 8-byte tuples, got %v %dB", rel.Layout, rel.Width)
-	}
-	return PartitionTuples(rel.Data, cfg)
+	return (*Scratch)(nil).Partition(rel, cfg)
 }
 
 // PartitionTuples partitions a raw slice of packed 8-byte tuples according
@@ -134,6 +131,47 @@ func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
 // passes of the budgeted join, which operate on spilled tuple runs; src is
 // not modified.
 func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
+	return (*Scratch)(nil).PartitionTuples(src, cfg)
+}
+
+// Scratch is the working memory of a Buffered call that is garbage once the
+// call returns — per-worker histograms, cursors and buffer lines,
+// O(threads × fan-out × 80 B) — kept so that a long-lived caller's next call
+// reuses it; for a relation of a few hundred tuples it is most of what a
+// call allocates. The zero value is ready, a nil *Scratch makes every call
+// allocate afresh, and one Scratch serves one call at a time. A Result never
+// points into it.
+type Scratch struct {
+	ints  []int64
+	lines [][BufferTuples]uint64
+}
+
+// take returns n zeroed histogram counters, n cursors and n buffer lines.
+// The cursors and lines come back stale: every cursor is set before it is
+// read, and only the words of a line written since its last flush ever
+// leave it.
+func (sc *Scratch) take(n int) (hist, cur []int64, lines [][BufferTuples]uint64) {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	if cap(sc.ints) < 2*n {
+		sc.ints, sc.lines = make([]int64, 2*n), make([][BufferTuples]uint64, n)
+	}
+	hist, cur = sc.ints[:n:n], sc.ints[n:2*n]
+	clear(hist)
+	return hist, cur, sc.lines[:n]
+}
+
+// Partition is the package's Partition, working in sc.
+func (sc *Scratch) Partition(rel *workload.Relation, cfg Config) (*Result, error) {
+	if rel.Layout != workload.RowLayout || rel.Width != 8 {
+		return nil, fmt.Errorf("cpupart: need row-layout 8-byte tuples, got %v %dB", rel.Layout, rel.Width)
+	}
+	return sc.PartitionTuples(rel.Data, cfg)
+}
+
+// PartitionTuples is the package's PartitionTuples, working in sc.
+func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -146,7 +184,7 @@ func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	res := &Result{NumPartitions: cfg.NumPartitions, Data: make([]uint64, len(src)), Threads: threads}
 	switch ix := cfg.indexer(); cfg.Algorithm {
 	case Buffered:
-		res.Offsets = buffered(src, res.Data, threads, ix)
+		res.Offsets = buffered(src, res.Data, threads, ix, sc)
 	case Naive:
 		res.Offsets = naive(src, res.Data, threads, ix)
 	case MultiPass:
@@ -215,11 +253,10 @@ func chunk(src []uint64, w, threads int) []uint64 {
 // position in each partition. Within a partition worker w's range precedes
 // worker w+1's, so the scatter pass that follows writes private ranges —
 // the CPU algorithm builds the histogram "out of necessity" (Section 4.7) —
-// and the output is the same for every worker count. It returns the
-// partition offsets and the first positions.
-func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer)) ([]int64, []int64) {
+// and the output is the same for every worker count. first arrives zeroed,
+// threads × fan-out long; layout returns the partition offsets.
+func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer), first []int64) []int64 {
 	p := ix.parts()
-	first := make([]int64, threads*p)
 	parallel(threads, func(w int) { count(chunk(src, w, threads), first[w*p:(w+1)*p], ix) })
 	offsets := make([]int64, p+1)
 	for i := 0; i < p; i++ {
@@ -231,22 +268,21 @@ func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist
 		}
 		offsets[i+1] = pos
 	}
-	return offsets, first
+	return offsets
 }
 
 // buffered is the parallel Code 2: a histogram pass, then the buffered
 // scatter, each with one loop per hash mode. All per-worker state lives in
-// three flat arrays (first positions, cursors, buffer lines), so the number
-// of heap objects does not depend on the fan-out.
-func buffered(src, dst []uint64, threads int, ix indexer) []int64 {
+// three flat arrays (first positions, cursors, buffer lines) taken from sc,
+// so the number of heap objects does not depend on the fan-out.
+func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
 	count := countRadix
 	if ix.hash {
 		count = countHash
 	}
-	offsets, first := layout(src, threads, ix, count)
 	p := ix.parts()
-	cur := make([]int64, threads*p)
-	lines := make([][BufferTuples]uint64, threads*p)
+	first, cur, lines := sc.take(threads * p)
+	offsets := layout(src, threads, ix, count, first)
 	// skew is how many words dst starts past a cache-line boundary: the
 	// alignment that matters is the destination address's, not the index's.
 	skew := int64(uintptr(unsafe.Pointer(unsafe.SliceData(dst))) / 8 % BufferTuples)
@@ -378,8 +414,9 @@ func countAny(src []uint64, hist []int64, ix indexer) {
 // naive is Code 1 run on several threads with the same histogram-based
 // synchronization but no write combining.
 func naive(src, dst []uint64, threads int, ix indexer) []int64 {
-	offsets, cur := layout(src, threads, ix, countAny)
 	p := ix.parts()
+	cur := make([]int64, threads*p)
+	offsets := layout(src, threads, ix, countAny, cur)
 	parallel(threads, func(w int) {
 		cur := cur[w*p : (w+1)*p]
 		for _, t := range chunk(src, w, threads) {

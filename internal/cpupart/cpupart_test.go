@@ -290,23 +290,27 @@ func TestThreadCountIsClampedToTheInput(t *testing.T) {
 }
 
 // TestHeapObjectsIndependentOfFanOut pins the flat per-worker state: a
-// Buffered call makes the destination, the offsets, three worker×partition
-// arrays, the Result and two closures whatever the fan-out, plus a goroutine
-// and its closure per extra worker and phase.
+// Buffered call makes the destination, the offsets, two worker×partition
+// arrays (counters and cursors, buffer lines), the Result and two closures
+// whatever the fan-out, plus a goroutine and its closure per extra worker and
+// phase; a call that reuses a Scratch does not make the two arrays.
 func TestHeapObjectsIndependentOfFanOut(t *testing.T) {
 	rel := genRel(t, workload.Random, 1<<16, 47)
-	objects := func(parts, threads int) float64 {
+	objects := func(sc *Scratch, parts, threads int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Partition(rel, Config{NumPartitions: parts, Hash: true, Threads: threads}); err != nil {
+			if _, err := sc.Partition(rel, Config{NumPartitions: parts, Hash: true, Threads: threads}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	for _, threads := range []int{1, 2, 4} {
-		limit := float64(8 + 6*(threads-1))
+		limit := float64(7 + 6*(threads-1))
 		for _, parts := range []int{2, 256, 8192} {
-			if got := objects(parts, threads); got > limit {
+			if got := objects(nil, parts, threads); got > limit {
 				t.Errorf("fan-out %d, %d threads: %.0f heap objects per call, want ≤ %.0f", parts, threads, got, limit)
+			}
+			if got := objects(&Scratch{}, parts, threads); got > limit-2 {
+				t.Errorf("fan-out %d, %d threads: %.0f heap objects per call on a reused Scratch, want ≤ %.0f", parts, threads, got, limit-2)
 			}
 		}
 	}

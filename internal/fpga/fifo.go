@@ -44,6 +44,11 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 	return &FIFO[T]{buf: make([]T, capacity)}
 }
 
+// Reset empties the FIFO and forgets its high-water mark, as a circuit reset
+// does between runs. The gauge stays attached and the slots keep their stale
+// elements, which Push hands out as such anyway.
+func (f *FIFO[T]) Reset() { f.head, f.tail, f.size, f.HighWater = 0, 0, 0, 0 }
+
 // Cap returns the FIFO capacity.
 func (f *FIFO[T]) Cap() int { return len(f.buf) }
 

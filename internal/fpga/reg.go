@@ -24,6 +24,13 @@ func NewReg[T any](depth int) *Reg[T] {
 	return &Reg[T]{slots: make([]T, depth+1), valid: make([]bool, depth+1)}
 }
 
+// Reset turns every stage into a bubble, as a circuit reset does between
+// runs; the slots keep their stale values, which In hands out as such anyway.
+func (r *Reg[T]) Reset() {
+	clear(r.valid)
+	r.in, r.live = 0, 0
+}
+
 // Depth returns the latency of the chain in cycles.
 func (r *Reg[T]) Depth() int { return len(r.slots) - 1 }
 

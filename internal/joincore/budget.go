@@ -172,16 +172,23 @@ func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStat
 		x.top = make([]Decision, x.numPartitions)
 		x.below = make([][]Decision, x.numPartitions)
 	}
-	start := time.Now()
+	x.start = time.Now()
 	x.wg.Add(x.cfg.Threads)
-	for w := 0; w < x.cfg.Threads; w++ {
-		go x.work()
+	if x.cfg.Threads == 1 {
+		// On the caller's goroutine: nothing to start or wait for, and a
+		// panic in here (a caller's Emit, say) unwinds into the caller's
+		// guard instead of ending the process.
+		x.work()
+	} else {
+		for w := 0; w < x.cfg.Threads; w++ {
+			go x.work()
+		}
 	}
 	x.wg.Wait()
 	if x.err != nil {
 		return nil, nil, x.err
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(x.start)
 
 	total := len(x.top)
 	for _, ds := range x.below {
@@ -224,8 +231,9 @@ type executor struct {
 	top   []Decision
 	below [][]Decision
 
-	next atomic.Int64
-	wg   sync.WaitGroup
+	start time.Time
+	next  atomic.Int64
+	wg    sync.WaitGroup
 
 	mu               sync.Mutex // guards the totals each worker adds on exit
 	matches          int64
@@ -238,7 +246,8 @@ type executor struct {
 // or one fails.
 func (x *executor) work() {
 	defer x.wg.Done()
-	pj := partitionJoiner{cfg: &x.cfg}
+	pj := partitionJoiner{cfg: &x.cfg, epoch: x.start}
+	pj.lap() // what precedes the worker's start is no phase of its
 	var err error
 	for err == nil {
 		p := int(x.next.Add(1)) - 1
@@ -339,12 +348,28 @@ type partitionJoiner struct {
 	cfg     *BudgetConfig
 	part    int // the top-level partition being joined
 	scratch buildTable
+	repart  cpupart.Scratch // working memory of the repartitioning passes
 	// below collects what the current partition decided after spilling.
 	below    []Decision
 	matches  int64
 	checksum uint64
-	buildNS  int64
-	probeNS  int64
+	// buildNS and probeNS sum the worker's phase times as laps off one clock:
+	// a read ends a phase and starts the next — two reads a partition, of the
+	// monotonic clock alone (time.Since, unlike time.Now, reads no wall
+	// clock) — and what little runs between two partitions counts as build.
+	buildNS int64
+	probeNS int64
+	epoch   time.Time     // the join's start, which laps are measured from
+	lapAt   time.Duration // when the previous lap ended
+}
+
+// lap returns the nanoseconds since the previous lap ended and starts the
+// next one.
+func (pj *partitionJoiner) lap() int64 {
+	now := time.Since(pj.epoch)
+	d := now - pj.lapAt
+	pj.lapAt = now
+	return int64(d)
 }
 
 func (pj *partitionJoiner) fits(buildTuples int64) bool {
@@ -373,9 +398,8 @@ func (pj *partitionJoiner) run(r, s Partitions, p int) (top Decision, err error)
 	if s.SlotCount(p) < r.SlotCount(p) {
 		build, probe, reversed = s, r, true
 	}
-	t0 := time.Now()
 	nBuild := pj.scratch.build(build, p)
-	t1 := time.Now()
+	pj.buildNS += pj.lap()
 	top = Decision{Partition: p, Action: ActionInMemory, BuildTuples: nBuild, Reversed: reversed}
 	switch {
 	case nBuild == 0:
@@ -390,8 +414,7 @@ func (pj *partitionJoiner) run(r, s Partitions, p int) (top Decision, err error)
 		top.SpilledBytes = 8 * int64(len(rs)+len(ss))
 		return top, pj.joinSpilled(rs, ss, 1)
 	}
-	pj.buildNS += t1.Sub(t0).Nanoseconds()
-	pj.probeNS += time.Since(t1).Nanoseconds()
+	pj.probeNS += pj.lap()
 	return top, nil
 }
 
@@ -439,11 +462,11 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 		Threads:       1,
 		Salt:          saltAt(pj.cfg.Salt, depth),
 	}
-	pr, err := cpupart.PartitionTuples(rs, sub)
+	pr, err := pj.repart.PartitionTuples(rs, sub)
 	if err != nil {
 		return fmt.Errorf("joincore: repartitioning spilled bucket: %w", err)
 	}
-	ps, err := cpupart.PartitionTuples(ss, sub)
+	ps, err := pj.repart.PartitionTuples(ss, sub)
 	if err != nil {
 		return fmt.Errorf("joincore: repartitioning spilled bucket: %w", err)
 	}
@@ -477,9 +500,8 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 
 // joinSlices is the in-memory join of two packed tuple runs.
 func (pj *partitionJoiner) joinSlices(build, probe []uint64, rIsBuild bool) {
-	t0 := time.Now()
 	pj.scratch.build(slotSlice(build), 0)
-	t1 := time.Now()
+	pj.buildNS += pj.lap()
 	bt := &pj.scratch
 	for _, t := range probe {
 		key, pPay := uint32(t), uint32(t>>32)
@@ -495,8 +517,7 @@ func (pj *partitionJoiner) joinSlices(build, probe []uint64, rIsBuild bool) {
 			slot = bt.next[j]
 		}
 	}
-	pj.buildNS += t1.Sub(t0).Nanoseconds()
-	pj.probeNS += time.Since(t1).Nanoseconds()
+	pj.probeNS += pj.lap()
 }
 
 // broadcast block-joins a bucket whose build side cannot be split: build

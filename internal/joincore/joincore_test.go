@@ -2,6 +2,7 @@ package joincore
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -227,21 +228,57 @@ func TestNonPartitionedSingleThread(t *testing.T) {
 
 // TestBuildProbeAllocations guards the fixed cost of the executor's
 // unbudgeted case: a handful of heap objects per join (shared state, the
-// result, one worker's table), not one per partition — the same count at 32
-// times the fan-out, give or take the table's regrowth (it grows to the
+// stats, the result, one worker's table) and nothing per partition — at 32
+// times the fan-out only the table's regrowth is added (it grows to the
 // largest partition seen so far, in more steps when partitions are small).
+// Six and fourteen since the single-thread executor stopped starting a
+// goroutine (seven and fifteen before).
 func TestBuildProbeAllocations(t *testing.T) {
 	rKeys, sKeys := randKeys(1<<16, 60), randKeys(1<<16, 61)
 	perJoin := func(fanOut int) float64 {
 		r, s := partitionKeys(rKeys, fanOut, 0), partitionKeys(sKeys, fanOut, 0)
-		return testing.AllocsPerRun(3, func() {
+		join := func() {
 			if _, err := BuildProbe(r, s, 1); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		return min(testing.AllocsPerRun(3, join), testing.AllocsPerRun(3, join))
 	}
-	small, large := perJoin(256), perJoin(8192)
-	if small > 24 || large > small+16 {
-		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want a constant", small, large)
+	if small, large := perJoin(256), perJoin(8192); small > 6 || large > 14 {
+		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want at most 6 and 14", small, large)
+	}
+}
+
+// TestSingleThreadJoinRunsOnTheCaller: a Threads: 1 join starts no goroutine
+// — seen from inside a match callback, while the join is under way, the
+// process has as many as before the call — so a panic in the callback
+// unwinds through BudgetedBuildProbe into the caller, where a deferred
+// recover (the guardSimulator of hashjoin, partserver's worker) can turn it
+// into an error. On a goroutine of the executor's own it would end the
+// process.
+func TestSingleThreadJoinRunsOnTheCaller(t *testing.T) {
+	r, s := partitionKeys(randKeys(512, 3), 8, 0), partitionKeys(randKeys(512, 3), 8, 0)
+	before, during := runtime.NumGoroutine(), -1
+	res, _, err := BudgetedBuildProbe(r, s, BudgetConfig{Threads: 1, Emit: func(int, uint32, uint32, uint32) {
+		if during < 0 {
+			during = runtime.NumGoroutine()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Matches == 0 || during != before {
+		t.Errorf("%d matches; %d goroutines during the join, %d before it", res.Matches, during, before)
+	}
+
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_, _, err = BudgetedBuildProbe(r, s, BudgetConfig{Threads: 1, Emit: func(int, uint32, uint32, uint32) {
+			panic("emit: consumer fault")
+		}})
+	}()
+	if recovered != "emit: consumer fault" {
+		t.Errorf("recovered %v (join returned %v), want the callback's panic", recovered, err)
 	}
 }

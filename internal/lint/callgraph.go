@@ -51,7 +51,6 @@ const (
 
 // Edge is one possible call.
 type Edge struct {
-	Caller *Node
 	Callee *Node
 	// Site is the call expression (or value reference) position.
 	Site token.Pos
@@ -117,15 +116,6 @@ type CallGraph struct {
 
 // Nodes returns every node with a loaded body, in deterministic order.
 func (g *CallGraph) Nodes() []*Node { return g.order }
-
-// Node returns the node for fn (normalizing generic instantiations to their
-// origin), or nil if fn is unknown to the graph.
-func (g *CallGraph) Node(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[fn.Origin()]
-}
 
 // BuildCallGraph builds the graph over the given packages. The module
 // prefix (derived from the first package's path) scopes interface
@@ -262,7 +252,7 @@ func (n *Node) link(callee *Node, site token.Pos, kind EdgeKind) {
 			return
 		}
 	}
-	n.Out = append(n.Out, &Edge{Caller: n, Callee: callee, Site: site, Kind: kind})
+	n.Out = append(n.Out, &Edge{Callee: callee, Site: site, Kind: kind})
 }
 
 // calleeIdent returns the identifier naming the called function, unwrapping

@@ -7,7 +7,10 @@
 //
 // It also tracks, per 64-byte cache line, which socket wrote last — the
 // state the QPI snoop filter keeps and the cause of the asymmetric read
-// penalties of Table 1 (Section 2.2).
+// penalties of Table 1 (Section 2.2). The filter only ever learns about lines
+// somebody wrote, so a region tracks the span of its written lines and
+// nothing for the rest: allocating one costs its page array, whatever its
+// size.
 package memsys
 
 import (
@@ -67,7 +70,6 @@ func (p *Pool) Alloc(size int64) (*Region, error) {
 		pool:  p,
 		Size:  size,
 		Pages: make([]uint32, pages),
-		owner: make([]uint8, (size+LineBytes-1)/LineBytes),
 	}
 	for i := range r.Pages {
 		r.Pages[i] = uint32(p.nextFree)
@@ -85,7 +87,11 @@ type Region struct {
 	// Pages[v] is the physical page frame number of virtual page v — the
 	// array the CPU-side application keeps for its own address translation.
 	Pages []uint32
-	owner []uint8 // last writer per cache line
+	// owner holds the last writer of the lines [first, first+len(owner)),
+	// the span of everything written so far; a line outside it has never
+	// been written and belongs to the CPU socket.
+	first int64
+	owner []uint8
 }
 
 // Translate performs the CPU-side translation: a look-up into the page array.
@@ -107,15 +113,39 @@ func (r *Region) MarkWritten(s platform.Socket, off, n int64) error {
 	}
 	first := off / LineBytes
 	last := (off + n + LineBytes - 1) / LineBytes
-	for i := first; i < last; i++ {
-		r.owner[i] = uint8(s)
+	if first >= last {
+		return nil
+	}
+	if first < r.first || last > r.first+int64(len(r.owner)) {
+		r.track(first, last)
+	}
+	span := r.owner[first-r.first : last-r.first]
+	for i := range span {
+		span[i] = uint8(s)
 	}
 	return nil
 }
 
+// track widens the tracked span to include the lines [first, last). A writer
+// that marks its whole buffer once (the circuit's output buffer, initialised
+// by the CPU before the run) pays for one exact allocation; line-by-line
+// writes inside the span never reach this.
+func (r *Region) track(first, last int64) {
+	if len(r.owner) == 0 {
+		r.first = first
+	}
+	lo, hi := min(first, r.first), max(last, r.first+int64(len(r.owner)))
+	owner := make([]uint8, hi-lo) //fpgavet:allow hotpath-alloc once per buffer, not per line: the circuit marks its whole output buffer before the pass
+	copy(owner[r.first-lo:], r.owner)
+	r.first, r.owner = lo, owner
+}
+
 // Owner returns the last writer of the cache line containing off.
 func (r *Region) Owner(off int64) platform.Socket {
-	return platform.Socket(r.owner[off/LineBytes])
+	if i := off/LineBytes - r.first; i >= 0 && i < int64(len(r.owner)) {
+		return platform.Socket(r.owner[i])
+	}
+	return platform.CPUSocket
 }
 
 // OwnerCounts returns how many cache lines each socket wrote last.
@@ -123,11 +153,9 @@ func (r *Region) OwnerCounts() (cpu, fpga int) {
 	for _, o := range r.owner {
 		if platform.Socket(o) == platform.FPGASocket {
 			fpga++
-		} else {
-			cpu++
 		}
 	}
-	return cpu, fpga
+	return int((r.Size+LineBytes-1)/LineBytes) - fpga, fpga
 }
 
 // PageTableLatency is the pipelined translation latency in FPGA clock
@@ -163,11 +191,15 @@ func NewPageTable(pageBytes, capacity int) (*PageTable, error) {
 
 // Populate loads the region's physical page numbers into the table, the
 // start-up step where the software transmits the 32-bit physical addresses
-// of its 4 MB pages to the FPGA.
+// of its 4 MB pages to the FPGA. It replaces whatever was loaded before — a
+// circuit keeps one table and loads every run's region into it — and zeroes
+// the translation counter.
 func (t *PageTable) Populate(r *Region) error {
 	if len(r.Pages) > len(t.entries) {
 		return fmt.Errorf("memsys: region needs %d page table entries, table has %d", len(r.Pages), len(t.entries))
 	}
+	clear(t.valid)
+	t.Translations = 0
 	for v, p := range r.Pages {
 		t.entries[v] = p
 		t.valid[v] = true

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +154,35 @@ func TestPageTablePopulateAndTranslate(t *testing.T) {
 	}
 }
 
+// TestPageTablePopulateReplaces: a table loaded with a second, smaller region
+// maps that region only, and counts its translations from zero.
+func TestPageTablePopulateReplaces(t *testing.T) {
+	p, _ := NewPool(64<<20, 4<<20)
+	big, _ := p.Alloc(16 << 20)
+	small, _ := p.Alloc(4 << 20)
+	pt, _ := NewPageTable(4<<20, 8)
+	if err := pt.Populate(big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pt.Translate(12 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Populate(small); err != nil {
+		t.Fatal(err)
+	}
+	if pt.Translations != 0 {
+		t.Errorf("Translations = %d after loading a new region", pt.Translations)
+	}
+	if _, err := pt.Translate(12 << 20); err == nil {
+		t.Error("page of the previous region still mapped")
+	}
+	fa, err1 := pt.Translate(100)
+	ca, err2 := small.Translate(100)
+	if err1 != nil || err2 != nil || fa != ca {
+		t.Errorf("new region translates to %#x (%v), CPU side %#x (%v)", fa, err1, ca, err2)
+	}
+}
+
 func TestPageTableFaults(t *testing.T) {
 	pt, _ := NewPageTable(4<<20, 4)
 	if _, err := pt.Translate(0); err == nil {
@@ -187,5 +218,88 @@ func TestPageTableLatencyConstant(t *testing.T) {
 	// Section 2.1: translation takes 2 cycles but is pipelined.
 	if PageTableLatency != 2 {
 		t.Errorf("PageTableLatency = %d, want 2", PageTableLatency)
+	}
+}
+
+// TestOwnerSpanAgreesWithDenseMap is the property of the tracked span: for
+// random MarkWritten sequences by either socket — also writes below the
+// first line written, and regions of exactly one page — Owner of every line
+// and OwnerCounts read what a map with one entry per line of the region
+// reads.
+func TestOwnerSpanAgreesWithDenseMap(t *testing.T) {
+	const pageBytes = 1 << 16 // small pages keep the dense reference cheap
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		size := int64(pageBytes) // every fourth region is exactly one page
+		if trial%4 != 0 {
+			size = 1 + rng.Int63n(3*pageBytes)
+		}
+		p, err := NewPool(4*pageBytes, pageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := p.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := (size + LineBytes - 1) / LineBytes
+		dense := make([]platform.Socket, lines)
+		// Start high, so that later writes land below the tracked span.
+		hi := size - size/8
+		for w := 0; w < 12; w++ {
+			s := platform.Socket(rng.Intn(2))
+			off := rng.Int63n(size)
+			if w == 0 {
+				off = hi - 1
+			}
+			n := rng.Int63n(min(size-off, 40*LineBytes) + 1)
+			if err := r.MarkWritten(s, off, n); err != nil {
+				t.Fatal(err)
+			}
+			for l := off / LineBytes; l < (off+n+LineBytes-1)/LineBytes; l++ {
+				dense[l] = s
+			}
+			var cpu, fpga int
+			for l, want := range dense {
+				if got := r.Owner(int64(l) * LineBytes); got != want {
+					t.Fatalf("trial %d write %d: line %d owned by %v, dense map says %v", trial, w, l, got, want)
+				}
+				if want == platform.FPGASocket {
+					fpga++
+				} else {
+					cpu++
+				}
+			}
+			if gc, gf := r.OwnerCounts(); gc != cpu || gf != fpga {
+				t.Fatalf("trial %d write %d: OwnerCounts = %d, %d, dense map counts %d, %d", trial, w, gc, gf, cpu, fpga)
+			}
+		}
+	}
+}
+
+// TestAllocCostsNoOwnerMap: a region learns about lines when they are
+// written; allocating 4 MiB of it costs the page array and the struct.
+func TestAllocCostsNoOwnerMap(t *testing.T) {
+	p, err := NewPool(1<<40, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *Region
+	least := uint64(1 << 62) // of a few tries: the runtime allocates on its own now and then
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err = p.Alloc(4 << 20)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<10 {
+		t.Errorf("Alloc of a 4 MiB region allocated %d bytes before its first write, want < 1 KiB", least)
+	}
+	if cpu, fpga := r.OwnerCounts(); cpu != (4<<20)/LineBytes || fpga != 0 {
+		t.Errorf("fresh region: OwnerCounts = %d, %d", cpu, fpga)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -74,6 +75,15 @@ func TestGoldenConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fpga vrid: %v", err)
 	}
+	snapshot := goldenSnapshot(fpgaRes, sess)
+	// The same circuit again: its second run is the first, word for word.
+	again, err := fp.Partition(col)
+	if err != nil {
+		t.Fatalf("fpga vrid, second run: %v", err)
+	}
+	if again.Stats != fpgaRes.Stats || !reflect.DeepEqual(again.fpga, fpgaRes.fpga) {
+		t.Errorf("second run on the circuit differs from its first:\n first:  %+v\n second: %+v", fpgaRes.Stats, again.Stats)
+	}
 
 	compRes, err := FPGACompressed(FPGAOptions{
 		Partitions: goldenFanOut, Hash: true,
@@ -118,8 +128,7 @@ func TestGoldenConformance(t *testing.T) {
 		}
 	}
 
-	compareGolden(t, filepath.Join("testdata", "golden", "partition_conformance.json"),
-		goldenSnapshot(fpgaRes, sess))
+	compareGolden(t, filepath.Join("testdata", "golden", "partition_conformance.json"), snapshot)
 }
 
 // goldenSnapshot renders the run as deterministic JSON: the workload shape,

@@ -23,6 +23,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"fpgapart/internal/core"
@@ -230,9 +231,20 @@ func (r *Result) Slot(p, i int) (key, payload uint32, ok bool) {
 // reassembly, and a mismatch triggers a re-request of the piece.
 func (r *Result) PartitionChecksum(p int) uint32 {
 	var h uint32
-	r.Each(p, func(key, payload uint32) {
-		h += hashutil.Murmur32Finalizer(key ^ hashutil.Murmur32Finalizer(payload))
-	})
+	if r.cpu != nil {
+		for _, t := range r.cpu.Partition(p) {
+			h += hashutil.Murmur32Finalizer(uint32(t) ^ hashutil.Murmur32Finalizer(uint32(t>>32)))
+		}
+		return h
+	}
+	o := r.fpga
+	wpt := o.TupleWidth / 8
+	lines := o.Lines[o.Base[p]*8 : (o.Base[p]+o.LinesUsed[p])*8]
+	for i := 0; i < len(lines); i += wpt {
+		if key := uint32(lines[i]); key != o.DummyKey {
+			h += hashutil.Murmur32Finalizer(key ^ hashutil.Murmur32Finalizer(uint32(lines[i]>>32)))
+		}
+	}
 	return h
 }
 
@@ -263,6 +275,11 @@ type CPUOptions struct {
 
 type cpuPartitioner struct {
 	cfg cpupart.Config
+	// scratch is a call's working memory, kept for the partitioner's next
+	// call. Whoever holds busy works in it; a call that finds it taken — the
+	// partitioner is shared between goroutines — allocates its own.
+	busy    sync.Mutex
+	scratch cpupart.Scratch
 }
 
 // NewCPU returns the software partitioner.
@@ -302,7 +319,12 @@ func (p *cpuPartitioner) Partition(rel *workload.Relation) (result *Result, err 
 	if err != nil {
 		return nil, err
 	}
-	res, err := cpupart.Partition(rel, p.cfg)
+	var sc *cpupart.Scratch
+	if p.busy.TryLock() {
+		defer p.busy.Unlock()
+		sc = &p.scratch
+	}
+	res, err := sc.Partition(rel, p.cfg)
 	if err != nil {
 		return nil, err
 	}

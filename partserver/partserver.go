@@ -338,11 +338,10 @@ type JobResult struct {
 	// attempts and reconfiguration shares.
 	ExecUS int64
 
-	// Output shape: per-partition tuple counts and their prefix sum
-	// (Offsets[0] = 0, Offsets[FanOut] = Tuples).
-	Tuples  int64
-	Counts  []int64
-	Offsets []int64
+	// Output shape: the per-partition tuple counts (a partition's offset in
+	// the partitioned output is the sum of those before it) and their total.
+	Tuples int64
+	Counts []int64
 	// Checksum is the order-insensitive output checksum (the same multiset
 	// hash partition.Result.PartitionChecksum uses, summed over all
 	// partitions). For join jobs it is the joined-pairs checksum folded to

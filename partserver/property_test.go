@@ -84,23 +84,18 @@ func checkResult(t *testing.T, j *Job, r *JobResult) {
 	if r.Status != StatusDone {
 		return
 	}
-	if len(r.Offsets) != j.FanOut+1 || len(r.Counts) != j.FanOut {
-		t.Fatalf("job %d: offsets/counts shape %d/%d, want %d/%d",
-			r.ID, len(r.Offsets), len(r.Counts), j.FanOut+1, j.FanOut)
+	if len(r.Counts) != j.FanOut {
+		t.Fatalf("job %d: %d counts, want %d", r.ID, len(r.Counts), j.FanOut)
 	}
-	if r.Offsets[0] != 0 {
-		t.Fatalf("job %d: Offsets[0] = %d", r.ID, r.Offsets[0])
-	}
-	for p := 0; p < j.FanOut; p++ {
-		if r.Offsets[p+1]-r.Offsets[p] != r.Counts[p] {
-			t.Fatalf("job %d: offsets not the prefix sums of counts at %d", r.ID, p)
+	var total int64
+	for p, c := range r.Counts {
+		if c < 0 {
+			t.Fatalf("job %d: negative count %d in partition %d", r.ID, c, p)
 		}
-		if r.Counts[p] < 0 {
-			t.Fatalf("job %d: negative count %d in partition %d", r.ID, r.Counts[p], p)
-		}
+		total += c
 	}
-	if r.Offsets[j.FanOut] != r.Tuples {
-		t.Fatalf("job %d: Offsets[n] = %d, Tuples = %d", r.ID, r.Offsets[j.FanOut], r.Tuples)
+	if total != r.Tuples {
+		t.Fatalf("job %d: counts sum to %d, Tuples = %d", r.ID, total, r.Tuples)
 	}
 	if r.Tuples != int64(j.Rel.NumTuples) {
 		t.Fatalf("job %d: %d tuples out, %d in", r.ID, r.Tuples, j.Rel.NumTuples)
@@ -310,7 +305,7 @@ func TestPlacementIndependence(t *testing.T) {
 		if f.Status != StatusDone || c.Status != StatusDone || f.Placement != PlacedFPGA || c.Placement != PlacedCPU {
 			t.Fatalf("job %d: FPGA pool %v on %v, CPU pool %v on %v", i, f.Status, f.Placement, c.Status, c.Placement)
 		}
-		if !slices.Equal(f.Counts, c.Counts) || !slices.Equal(f.Offsets, c.Offsets) ||
+		if !slices.Equal(f.Counts, c.Counts) ||
 			f.Tuples != c.Tuples || f.Checksum != c.Checksum || f.Matches != c.Matches {
 			t.Errorf("job %d: FPGA pool reports %d tuples, checksum %08x, %d matches; CPU pool %d, %08x, %d",
 				i, f.Tuples, f.Checksum, f.Matches, c.Tuples, c.Checksum, c.Matches)

@@ -8,7 +8,6 @@ import (
 // WriteJSON renders the report as deterministic JSON, written field by
 // field in a fixed layout (the repo's golden/BENCH convention — no
 // reflective marshalling), so same-seed runs emit byte-identical bytes.
-// Offsets are omitted: they are the prefix sums of counts.
 func (rep *Report) WriteJSON(w io.Writer) error {
 	write := func(format string, args ...interface{}) error {
 		if _, err := fmt.Fprintf(w, format, args...); err != nil {

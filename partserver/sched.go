@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/hashutil"
@@ -105,8 +106,9 @@ type Scheduler struct {
 	waiting []*jobState
 	admit   []*jobState
 
-	res  []*resource // fpgas first, then cpus
-	nfpg int
+	res     []*resource // fpgas first, then cpus
+	nfpg    int
+	workers sync.WaitGroup // the resources' goroutines, for Close
 
 	// finished lists the jobs that reached a terminal status during the
 	// current Step, in event order; Step hands it to the caller.
@@ -178,18 +180,21 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 		}
 		r.comp = fmt.Sprintf("%v%d", r.kind, r.idx)
 		s.res = append(s.res, r)
-		startWorker(r, cfg)
+		startWorker(r, cfg, &s.workers)
 	}
 	s.count("sched.jobs_submitted", 0)
 	return s, nil
 }
 
-// Close stops the resource workers. Call it once the scheduler has drained
-// (or is abandoned with nothing in flight).
+// Close stops the resource workers and returns once they have exited, so
+// that what they hold — a partitioner, and with it a circuit's datapath, per
+// configuration met — is garbage when it does. Call it once the scheduler
+// has drained (or is abandoned: a worker finishes the batch it has).
 func (s *Scheduler) Close() {
 	for _, r := range s.res {
 		close(r.work)
 	}
+	s.workers.Wait()
 }
 
 // Submit registers one job and returns its id (ids count submissions from
@@ -754,7 +759,6 @@ func (s *Scheduler) Result(id int) JobResult {
 		ExecUS:       j.execUS,
 		Tuples:       j.out.tuples,
 		Counts:       j.out.counts,
-		Offsets:      j.out.offsets,
 		Checksum:     j.out.checksum,
 		Matches:      j.out.matches,
 		SpilledBytes: j.out.spilledBytes,

@@ -3,6 +3,7 @@ package partserver
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"fpgapart/internal/joincore"
 	"fpgapart/internal/membudget"
@@ -25,7 +26,6 @@ type execOut struct {
 	cycles   int64
 	tuples   int64
 	counts   []int64
-	offsets  []int64
 	checksum uint32
 	matches  int64
 	// spilledBytes / joinDepth describe a budgeted join's adaptive run
@@ -37,22 +37,14 @@ type execOut struct {
 // startWorker spawns the goroutine serving one resource. Workers are pure
 // executors: they hold no scheduling policy, draw no randomness, and never
 // touch the simtrace session (all emission happens on the scheduler loop).
-// A panic inside the simulator is recovered per job and reported in the
-// job's execOut — a caller-side guard cannot catch a goroutine's panic.
-func startWorker(r *resource, cfg Config) {
+func startWorker(r *resource, cfg Config, exited *sync.WaitGroup) {
 	w := worker{kind: r.kind, platform: cfg.Platform, parts: map[configKey]partition.Partitioner{}}
-	safely := func(j *jobState) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", r.kind, rec)}
-			}
-		}()
-		w.runJob(j)
-	}
+	exited.Add(1)
 	go func() {
+		defer exited.Done()
 		for b := range r.work {
 			for _, j := range b.jobs {
-				safely(j)
+				w.runJob(j)
 			}
 			r.done <- b
 		}
@@ -97,7 +89,16 @@ func (w *worker) partitioner(key configKey) (p partition.Partitioner, err error)
 	return p, err
 }
 
+// runJob executes j and reports in j.out. A panic on the way — the
+// partitioners guard their own, the single-threaded join runs unguarded on
+// this goroutine — is recovered here, per job, and reported as the job's
+// failure: a caller-side guard cannot catch a goroutine's panic.
 func (w *worker) runJob(j *jobState) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", w.kind, rec)}
+		}
+	}()
 	var out execOut
 	if err := w.execute(&j.spec, j.key, &out); err != nil {
 		// A failed job reports only what the scheduler charges for: the
@@ -109,6 +110,10 @@ func (w *worker) runJob(j *jobState) {
 	j.out = out
 }
 
+// execute partitions the job's relation and, for a join job, its probe side,
+// and joins them. A partition job's checksum is the sum of
+// partition.Result.PartitionChecksum over the partitions, so it is directly
+// comparable to a single-tenant run; a join job's is that of its pairs.
 func (w *worker) execute(spec *Job, key configKey, out *execOut) error {
 	p, err := w.partitioner(key)
 	if err != nil {
@@ -120,6 +125,9 @@ func (w *worker) execute(spec *Job, key configKey, out *execOut) error {
 	}
 	out.fill(build)
 	if spec.Probe == nil {
+		for part := range out.counts {
+			out.checksum += build.PartitionChecksum(part)
+		}
 		return nil
 	}
 	probe, err := out.partition(p, spec.Probe)
@@ -147,20 +155,12 @@ func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (
 }
 
 // fill derives the job-visible output shape from the partitioned relation.
-// The checksum is the sum of partition.Result.PartitionChecksum over the
-// partitions, so a scheduled job's checksum is directly comparable to a
-// single-tenant run.
 func (out *execOut) fill(res *partition.Result) {
-	n := res.NumPartitions()
-	// counts and offsets are handed out together and live equally long.
-	buf := make([]int64, 2*n+1)
-	out.counts, out.offsets = buf[:n:n], buf[n:]
-	for p := 0; p < n; p++ {
+	out.counts = make([]int64, res.NumPartitions())
+	for p := range out.counts {
 		out.counts[p] = res.Count(p)
-		out.offsets[p+1] = out.offsets[p] + out.counts[p]
-		out.checksum += res.PartitionChecksum(p)
+		out.tuples += out.counts[p]
 	}
-	out.tuples = out.offsets[n]
 }
 
 // join joins the partitioned sides under the job's per-tenant memory budget
