@@ -4,9 +4,9 @@
 #                   race-enabled tests, and the portable (purego / arm64)
 #                   side of internal/cpupart's assembly kernel
 #   make tier1    — the minimal tier-1 loop (build + test)
-#   make lint     — fpgavet static-analysis suite, six analyzers
-#                   (determinism, boundary-reach, error hygiene, clocked
-#                   components, bench-json, hotpath-alloc)
+#   make lint     — fpgavet static-analysis suite, five analyzers
+#                   (determinism, boundary-reach, error hygiene, bench-json,
+#                   hotpath-alloc)
 #   make lint-json — same suite, findings as a machine-readable JSON array
 #                   (what the CI lint job uploads as an artifact)
 #   make bench    — regenerate the committed perfbench baseline

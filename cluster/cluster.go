@@ -116,7 +116,7 @@ type Config struct {
 	// Trace attaches a simtrace session: the router reports request routing
 	// samples, per-shard serve spans, crash instants, and the cluster
 	// counters/histogram the perf gate pins. All emission happens after the
-	// deterministic harvest, in fixed order, so traces are byte-identical
+	// event loop has ended, in fixed order, so traces are byte-identical
 	// across same-seed runs. Nil disables tracing.
 	Trace *simtrace.Session
 
@@ -405,15 +405,6 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 	return st, nil
 }
 
-// close stops the workers of every shard scheduler the run started.
-func (st *runState) close() {
-	for _, sched := range st.shards {
-		if sched != nil {
-			sched.Close()
-		}
-	}
-}
-
 // noEvent is the loop's "nothing scheduled" time.
 const noEvent = int64(math.MaxInt64)
 
@@ -481,7 +472,9 @@ func (st *runState) run() error {
 // ends then touches its own request and its own shard's drain counts and
 // nothing else, so the shards' events commute, the result is that of the
 // global order, and the host executes the shards' work in parallel instead
-// of one batch at a time.
+// of one batch at a time. These are the only goroutines the serving stack
+// starts: a partserver.Scheduler runs each batch inside the Step that
+// dispatches it, so all of a shard's work happens here, on its goroutine.
 func (st *runState) advanceApart(limit int64) error {
 	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
@@ -805,11 +798,11 @@ func (st *runState) drained(idx int, now int64) error {
 //
 // The whole serving stack runs on one virtual-time event loop (runState.run):
 // the router and every shard scheduler advance in global event order, and
-// each decision is a pure function of the events before it. The shards'
-// resource workers execute on real concurrent goroutines, but their results
-// are harvested in a fixed order, so the same seed + requests + config
-// render a byte-identical Report, trace and metrics snapshot, even under the
-// race detector.
+// each decision is a pure function of the events before it. Shards whose
+// events commute are stepped on a goroutine each (advanceApart) and the loop
+// waits for all of them, so the same seed + requests + config render a
+// byte-identical Report, trace and metrics snapshot, even under the race
+// detector.
 func Run(reqs []Request, cfg Config) (rep *Report, err error) {
 	defer guardSimulator(&err)
 	cfg = cfg.WithDefaults()
@@ -829,7 +822,6 @@ func Run(reqs []Request, cfg Config) (rep *Report, err error) {
 	if err != nil {
 		return nil, err
 	}
-	defer st.close()
 	// Causal capture: the flight merge is deferred so a failed run still
 	// dumps a postmortem.
 	defer st.plumb.finishFlight()

@@ -50,8 +50,8 @@ func crashScenario(seed uint64) *faults.Scenario {
 // three fresh runs of the same seed and stream — concurrent shard
 // goroutines, quota deferrals, crash failover and all — must render
 // byte-identical reports, Chrome traces, and metric snapshots. The CI race
-// job runs this package under -race, so the shard harvest is also checked
-// for data races while a shard fail-stops mid-stream.
+// job runs this package under -race, so advanceApart's goroutines are also
+// checked for data races while a shard fail-stops mid-stream.
 func TestClusterSameSeedByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -216,7 +216,6 @@ func TestShardsApartMatchGlobalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.close()
 		st.holding = holding
 		if err := st.run(); err != nil {
 			t.Fatal(err)

@@ -258,7 +258,7 @@ func (st *runState) gather() *Report {
 }
 
 // emit reports the run into the simtrace session, in fixed order, after the
-// deterministic harvest. Nil session disables everything. The membership
+// event loop has ended. Nil session disables everything. The membership
 // and hedging counters appear only on dynamic runs, so static runs' metric
 // snapshots keep their historical bytes.
 func (st *runState) emit(rep *Report) {

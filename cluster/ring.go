@@ -13,9 +13,10 @@
 // computed in arrival order on virtual time, and shard crash points derive
 // from internal/faults' seeded scenario replay. Two runs with the same seed
 // therefore render byte-identical reports, traces and metric snapshots,
-// even though the shards execute on real concurrent goroutines. The package
-// sits on the fpgavet deterministic path, which machine-enforces the
-// no-wall-clock / no-global-rand / no-map-range discipline this rests on.
+// even though shards with nothing between them are stepped on concurrent
+// goroutines (advanceApart). The package sits on the fpgavet deterministic
+// path, which machine-enforces the no-wall-clock / no-global-rand /
+// no-map-range discipline this rests on.
 package cluster
 
 import (

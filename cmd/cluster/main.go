@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"fpgapart/cluster"
@@ -131,19 +130,16 @@ func runCmd(args []string) {
 		cfg.ReqTrace = capt
 	}
 
+	// artifacts ends the run: the postmortem of a failed one (the capture's
+	// flight timeline survives the failure), every requested file of a
+	// completed one.
+	artifacts := func(runErr error) error {
+		return reqtrace.WriteArtifacts("cluster", "request", sess, capt, runErr, *reqTr, *flight, *trace, *metrics)
+	}
+
 	rep, err := cluster.Run(reqs, cfg)
 	if err != nil {
-		// The capture's flight timeline survives the failure — dump the
-		// postmortem before exiting so the fault has causal context.
-		if capt != nil && *flight != "" {
-			cause := err.Error()
-			if werr := simtrace.WriteFile(*flight, func(w io.Writer) error {
-				return capt.WritePostmortem(w, cause)
-			}); werr == nil {
-				fmt.Fprintf(os.Stderr, "cluster: postmortem written to %s\n", *flight)
-			}
-		}
-		fatal(err)
+		fatal(artifacts(err))
 	}
 
 	if *verbose {
@@ -190,40 +186,8 @@ func runCmd(args []string) {
 		}
 		fmt.Printf("report written to %s\n", *report)
 	}
-	if capt != nil {
-		// Causal layer into the Chrome trace: per-request root spans plus
-		// flow arrows binding each cross-component handoff.
-		reqtrace.EmitChrome(sess, capt.Traces)
-		fmt.Print(reqtrace.Analyze(capt.Traces, 5).Format())
-	}
-	if *reqTr != "" {
-		if err := simtrace.WriteFile(*reqTr, func(w io.Writer) error {
-			return reqtrace.WriteBreakdownJSON(w, capt.Traces)
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("request breakdowns written to %s\n", *reqTr)
-	}
-	if *flight != "" {
-		if err := simtrace.WriteFile(*flight, func(w io.Writer) error {
-			return capt.WritePostmortem(w, "none (run completed)")
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("flight postmortem written to %s\n", *flight)
-	}
-	if *trace != "" {
-		if err := simtrace.WriteFile(*trace, sess.Tracer.WriteJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s\n", *trace)
-	}
-	if *metrics != "" {
-		snap := sess.Snapshot()
-		if err := simtrace.WriteFile(*metrics, snap.WriteJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metrics)
+	if err := artifacts(nil); err != nil {
+		fatal(err)
 	}
 }
 

@@ -3,8 +3,8 @@
 // go/types, builds a whole-module call graph, and enforces the invariants
 // the compiler cannot see — simulator determinism, call-graph reachability
 // of internal panic sites from the public API (boundary-reach), %w/errors.Is
-// error hygiene, the clocked-component discipline, byte-pinned BENCH
-// marshaling, and hot-path allocation freedom (see internal/lint).
+// error hygiene, byte-pinned BENCH marshaling, and hot-path allocation
+// freedom (see internal/lint).
 //
 // Usage:
 //

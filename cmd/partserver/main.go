@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"fpgapart/internal/faults"
@@ -81,24 +80,24 @@ func runCmd(args []string) {
 	sess := simtrace.NewSession()
 	cfg.Trace = sess
 	var rec *reqtrace.Recorder
+	var capt *reqtrace.Capture
 	if *reqTr != "" || *flight != "" {
-		rec = reqtrace.NewRecorder(0)
+		rec, capt = reqtrace.NewRecorder(0), &reqtrace.Capture{}
 		cfg.Record = rec
+	}
+	// artifacts ends the run: the postmortem of a failed one (the recorder's
+	// flight ring survives the failure), every requested file of a completed
+	// one.
+	artifacts := func(runErr error) error {
+		if capt != nil {
+			capt.Flight, capt.FlightDropped = rec.FlightEvents(), rec.FlightDropped()
+		}
+		return reqtrace.WriteArtifacts("partserver", "job", sess, capt, runErr, *reqTr, *flight, *trace, *metrics)
 	}
 
 	rep, err := partserver.Run(jl, cfg)
 	if err != nil {
-		// The recorder's flight ring survives the failure — dump the
-		// postmortem before exiting so the fault has causal context.
-		if rec != nil && *flight != "" {
-			cause := err.Error()
-			if werr := simtrace.WriteFile(*flight, func(w io.Writer) error {
-				return reqtrace.WritePostmortem(w, cause, rec.FlightEvents(), rec.FlightDropped())
-			}); werr == nil {
-				fmt.Fprintf(os.Stderr, "partserver: postmortem written to %s\n", *flight)
-			}
-		}
-		fatal(err)
+		fatal(artifacts(err))
 	}
 
 	if *verbose {
@@ -118,40 +117,11 @@ func runCmd(args []string) {
 		len(rep.Results), rep.MakespanUS, rep.PlacedFPGA, rep.PlacedCPU, rep.Degraded, rep.FailedInstances)
 	fmt.Print(sess.Summary())
 
-	var traces []reqtrace.RequestTrace
-	if rec != nil {
-		traces = reqtrace.BuildJobs(*seed, rec.Jobs())
-		reqtrace.EmitChrome(sess, traces)
-		fmt.Print(reqtrace.Analyze(traces, 5).Format())
+	if capt != nil {
+		capt.Traces = reqtrace.BuildJobs(*seed, rec.Jobs())
 	}
-	if *reqTr != "" {
-		if err := simtrace.WriteFile(*reqTr, func(w io.Writer) error {
-			return reqtrace.WriteBreakdownJSON(w, traces)
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("job breakdowns written to %s\n", *reqTr)
-	}
-	if *flight != "" {
-		if err := simtrace.WriteFile(*flight, func(w io.Writer) error {
-			return reqtrace.WritePostmortem(w, "none (run completed)", rec.FlightEvents(), rec.FlightDropped())
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("flight postmortem written to %s\n", *flight)
-	}
-	if *trace != "" {
-		if err := simtrace.WriteFile(*trace, sess.Tracer.WriteJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s\n", *trace)
-	}
-	if *metrics != "" {
-		snap := sess.Snapshot()
-		if err := simtrace.WriteFile(*metrics, snap.WriteJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metrics)
+	if err := artifacts(nil); err != nil {
+		fatal(err)
 	}
 }
 

@@ -15,9 +15,6 @@
 //     error wrapping ErrSimulatorFault.
 //   - error-hygiene — errors crossing package boundaries are wrapped with %w
 //     and tested with errors.Is, never matched as strings.
-//   - clocked-component — types with a Tick/Cycle method live in simulated
-//     time: they must not hold time.Time/time.Duration state, read the host
-//     clock, or spawn goroutines inside a tick.
 //   - bench-json — packages that write gated BENCH/golden reports must emit
 //     them through the simtrace field-by-field writers; encoding/json's
 //     reflective marshal side is banned there so the byte layout (and with
@@ -99,14 +96,12 @@ type ModuleAnalyzer interface {
 }
 
 // All returns the project's full analyzer set with default configuration:
-// determinism, boundary-reach, error-hygiene, clocked-component,
-// bench-json and hotpath-alloc.
+// determinism, boundary-reach, error-hygiene, bench-json and hotpath-alloc.
 func All() []Analyzer {
 	return []Analyzer{
 		DefaultDeterminism(),
 		DefaultBoundaryReach(),
 		NewErrHygiene(),
-		NewClocked(),
 		DefaultBenchJSON(),
 		DefaultHotpathAlloc(),
 	}

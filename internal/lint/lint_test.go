@@ -148,7 +148,7 @@ func checkFixtureModule(t *testing.T, pkgs []*Package, analyzers []Analyzer) []F
 func TestDeterminismFixture(t *testing.T) {
 	pkg := loadFixture(t, "determfix")
 	det := &Determinism{Paths: map[string]bool{pkg.Path: true}}
-	findings := checkFixture(t, pkg, []Analyzer{det, NewClocked()})
+	findings := checkFixture(t, pkg, []Analyzer{det})
 
 	// The acceptance-named seeded violations must be among the catches: a
 	// wall-clock read inside a ticked component and an unsorted map range in
@@ -156,7 +156,6 @@ func TestDeterminismFixture(t *testing.T) {
 	assertFinding(t, findings, "determinism", "time.Now")
 	assertFinding(t, findings, "determinism", "range over map")
 	assertFinding(t, findings, "determinism", "rand.")
-	assertFinding(t, findings, "clocked-component", "time.Now")
 }
 
 func TestDeterminismIgnoresOffPathPackages(t *testing.T) {
@@ -164,16 +163,6 @@ func TestDeterminismIgnoresOffPathPackages(t *testing.T) {
 	det := &Determinism{Paths: map[string]bool{"fpgapart/experiments": true}}
 	if findings := det.Check(pkg); len(findings) != 0 {
 		t.Errorf("off-path package flagged: %v", findings)
-	}
-}
-
-func TestClockedFixture(t *testing.T) {
-	pkg := loadFixture(t, "clockedfix")
-	findings := checkFixture(t, pkg, []Analyzer{NewClocked()})
-	assertFinding(t, findings, "clocked-component", "host-time state")
-	assertFinding(t, findings, "clocked-component", "goroutine")
-	if len(findings) < 2 {
-		t.Fatalf("clocked-component caught %d violations, want ≥ 2", len(findings))
 	}
 }
 
@@ -359,13 +348,11 @@ func TestHotpathAllocFixture(t *testing.T) {
 	}
 }
 
-// TestAllSeven pins the default analyzer roster, six analyzers since the
-// taint engine went (the name is kept for the test floor).
+// TestAllSeven pins the default analyzer roster, five analyzers since the
+// taint engine and clocked-component went (the name is kept for the test
+// floor).
 func TestAllSeven(t *testing.T) {
-	want := []string{
-		"determinism", "boundary-reach", "error-hygiene", "clocked-component",
-		"bench-json", "hotpath-alloc",
-	}
+	want := []string{"determinism", "boundary-reach", "error-hygiene", "bench-json", "hotpath-alloc"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))
@@ -449,7 +436,7 @@ func TestAllowMarkerParsing(t *testing.T) {
 
 func f() {
 	_ = 1 //fpgavet:allow determinism reason here
-	//fpgavet:allow error-hygiene,clocked-component
+	//fpgavet:allow error-hygiene,bench-json
 	_ = 2
 }
 `
@@ -468,7 +455,7 @@ func f() {
 		{4, "determinism", true},
 		{4, "error-hygiene", false},
 		{6, "error-hygiene", true}, // marker on the line above
-		{6, "clocked-component", true},
+		{6, "bench-json", true},
 		{6, "determinism", false},
 	}
 	for _, c := range cases {

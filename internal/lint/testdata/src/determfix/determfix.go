@@ -20,7 +20,7 @@ type Ticker struct {
 // Tick advances one simulated cycle but reads the host clock while doing so.
 func (t *Ticker) Tick() {
 	t.Cycles++
-	t.Stamp = time.Now().UnixNano() // want determinism clocked-component
+	t.Stamp = time.Now().UnixNano() // want determinism
 }
 
 // Checksum folds per-partition counts by ranging over the map: the multiset

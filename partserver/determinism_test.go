@@ -52,10 +52,8 @@ func faultyScenario(seed uint64) *faults.Scenario {
 }
 
 // TestSameSeedByteIdentical is the scheduler's determinism contract: three
-// fresh runs of the same seed and trace — real goroutine workers and all —
-// must render byte-identical reports, Chrome traces, and metric snapshots.
-// Running under -race (the CI race job covers this package) additionally
-// checks the worker pool for data races while an FPGA crashes mid-job.
+// fresh runs of the same seed and trace must render byte-identical reports,
+// Chrome traces, and metric snapshots, while an FPGA crashes mid-job.
 func TestSameSeedByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,8 +87,8 @@ func TestSeedChangesPlacement(t *testing.T) {
 	t.Fatal("10 different seeds all produced the identical schedule; seeding is dead")
 }
 
-// TestCrashMidJobPool is the worker-pool stress for the race detector: a
-// crashing instance, transient faults, stragglers, and every worker busy.
+// TestCrashMidJobPool is the pool's stress test: a crashing instance,
+// transient faults, stragglers, and every slot busy.
 // All jobs must still terminate with correct results, and the crashed
 // instance must be reported.
 func TestCrashMidJobPool(t *testing.T) {

@@ -6,18 +6,19 @@
 // take — many independent partitioner instances behind one scheduler.
 //
 // The scheduler runs on a deterministic virtual-time event loop: the clock
-// is a simulated microsecond counter, never the host clock. Real goroutines
-// execute the work — FPGA jobs run the cycle-level circuit simulator, CPU
-// jobs run the measured software partitioner — but every scheduling
-// decision (admission, placement, batching, fault handling) is a pure
-// function of the job trace, the configuration and the seed, because the
-// virtual duration of each job is itself deterministic: simulated cycles
+// is a simulated microsecond counter, never the host clock. The work is
+// real — FPGA jobs run the cycle-level circuit simulator, CPU jobs run the
+// measured software partitioner — and runs where it is dispatched, on the
+// goroutine that steps the scheduler: the package starts no goroutine, and
+// the instances overlap in virtual time, not on host threads. Every
+// scheduling decision (admission, placement, batching, fault handling) is a
+// pure function of the job trace, the configuration and the seed, because
+// the virtual duration of each job is itself deterministic: simulated cycles
 // for the FPGA, a calibrated-constant rate for the CPU. Two runs with the
-// same seed and trace therefore produce byte-identical placement
-// decisions, simtrace output and results, even though the goroutines
-// interleave differently on the host. The package sits on the fpgavet
-// deterministic path, which machine-enforces the no-wall-clock /
-// no-global-rand / no-map-range discipline this rests on.
+// same seed and trace therefore produce byte-identical placement decisions,
+// simtrace output and results. The package sits on the fpgavet deterministic
+// path, which machine-enforces the no-wall-clock / no-global-rand /
+// no-map-range discipline this rests on.
 //
 // Scheduling model, in one paragraph: jobs arrive at virtual times given by
 // the trace and wait in an unbounded backlog until the bounded admission
@@ -52,9 +53,9 @@ import (
 
 // ErrSimulatorFault is reported (wrapped) when an invariant violation inside
 // the simulator internals panics during a scheduled run. Run converts such
-// panics into errors at the public API boundary; a panic inside a worker
-// goroutine is recovered by the worker itself and surfaces as a failed (or
-// CPU-degraded) job instead of crashing the process. Test with
+// panics into errors at the public API boundary; a panic inside one job's
+// execution is recovered per job (runJob) and surfaces as a failed (or
+// CPU-degraded) job instead of ending the run. Test with
 // errors.Is(err, ErrSimulatorFault).
 var ErrSimulatorFault = errors.New("partserver: simulator invariant fault")
 
@@ -383,7 +384,6 @@ func Run(jobs []Job, cfg Config) (rep *Report, err error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	for i := range jobs {
 		if _, err := s.Submit(jobs[i]); err != nil {
 			return nil, err

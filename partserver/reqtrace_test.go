@@ -160,8 +160,7 @@ func TestReqtraceConservationWithDeadlines(t *testing.T) {
 
 // TestReqtraceByteIdentical: three fresh recorded runs of the same seed must
 // render byte-identical breakdown JSON, critical-path reports, and flight
-// postmortems — fault-free and faulty. The CI race job runs this under
-// -race, covering the worker pool.
+// postmortems — fault-free and faulty.
 func TestReqtraceByteIdentical(t *testing.T) {
 	seed := seedFromName(t)
 	render := func(faulty bool) []byte {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/hashutil"
@@ -13,13 +12,14 @@ import (
 	"fpgapart/internal/model"
 	"fpgapart/internal/reqtrace"
 	"fpgapart/partition"
+	"fpgapart/platform"
 )
 
 // jobState is the scheduler's view of one submitted job as it moves
 // through backlog → admission queue → execution → terminal status.
 type jobState struct {
 	id int
-	// spec is the submitted job, immutable after Submit (the workers read it).
+	// spec is the submitted job, immutable after Submit.
 	spec Job
 	key  configKey
 	// cancelAtUS is spec.CancelAtUS, possibly pulled forward by Cancel.
@@ -57,23 +57,24 @@ func (j *jobState) deadlineUS() int64 {
 // for an FPGA instance, or a single job for a CPU worker.
 type batch struct {
 	jobs     []*jobState
-	durs     []int64 // per-job charge of this attempt, filled at harvest
+	durs     []int64 // per-job charge of this attempt
 	spills   []int64 // spill round-trip portion of each charge
 	reconfig bool
 	aborted  bool // scheduler-decided transient fault or crash
 	crash    bool
 	startUS  int64
-	doneUS   int64 // 0 until harvested
+	doneUS   int64
 }
 
-// resource is the scheduler-side state of one execution slot.
+// resource is one execution slot: a simulated FPGA partitioner instance or a
+// CPU partitioner worker, its scheduling state and the partitioners it runs
+// jobs through.
 type resource struct {
 	kind     Placement // PlacedFPGA or PlacedCPU
 	idx      int       // index within its pool
 	comp     string    // simtrace timeline name: "fpga0", "cpu1", …
 	inflight *batch    // nil when idle
-	loaded   configKey // FPGA: currently configured circuit
-	hasCfg   bool
+	loaded   configKey // FPGA: currently configured circuit (zero, which no job has: none yet)
 	dead     bool
 	started  int // FPGA: jobs started, drives the crash threshold
 	busyUS   int64
@@ -83,18 +84,21 @@ type resource struct {
 	crashAt  int
 	straggle float64
 
-	work chan *batch
-	done chan *batch
+	// parts keeps the partitioner of every configuration the slot has run;
+	// loading a different one onto the (stateful, one-job-at-a-time) circuit
+	// is virtual time the scheduler charges as ReconfigUS, not host work.
+	parts    map[configKey]partition.Partitioner
+	platform *platform.Platform
 }
 
 // Scheduler is the steppable virtual-time scheduler of one deployment. A
 // caller constructs it, Submits jobs (each held until its virtual arrival),
 // and alternates NextEventUS and Step until the system has drained; Run is
 // that loop over a whole trace, and a routing tier that fronts several
-// deployments interleaves their steps on one global clock. Every decision is
-// taken inside Step, on the caller's goroutine, so a fixed call sequence
-// yields byte-identical results whatever the host interleaving of the
-// worker goroutines.
+// deployments interleaves their steps on one global clock. Everything — each
+// decision and each job's execution — happens inside a call, on the caller's
+// goroutine: the scheduler starts none, so a fixed call sequence yields
+// byte-identical results, and a scheduler no longer needed is simply dropped.
 type Scheduler struct {
 	cfg  Config
 	inj  *faults.Injector
@@ -106,9 +110,7 @@ type Scheduler struct {
 	waiting []*jobState
 	admit   []*jobState
 
-	res     []*resource // fpgas first, then cpus
-	nfpg    int
-	workers sync.WaitGroup // the resources' goroutines, for Close
+	res []*resource // the cfg.FPGAs instances first, then the CPU workers
 
 	// finished lists the jobs that reached a terminal status during the
 	// current Step, in event order; Step hands it to the caller.
@@ -129,9 +131,8 @@ type Scheduler struct {
 // front how many jobs it will submit.
 const UnknownTotal = -1
 
-// NewScheduler validates cfg (defaults filled in), starts the resource
-// workers and returns an idle scheduler at virtual time 0. Close releases
-// the workers.
+// NewScheduler validates cfg (defaults filled in) and returns an idle
+// scheduler at virtual time 0.
 //
 // totalJobs is the number of jobs the caller will submit, the denominator of
 // the FPGA crash thresholds: instance i fail-stops while running its
@@ -145,7 +146,7 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s = &Scheduler{cfg: cfg, nfpg: cfg.FPGAs}
+	s = &Scheduler{cfg: cfg}
 	if cfg.Faults != nil {
 		if totalJobs < 0 && len(cfg.Faults.Crashes) > 0 {
 			return nil, fmt.Errorf("partserver: FPGA crash thresholds need the job total declared up front")
@@ -166,8 +167,8 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 			idx:      i - cfg.FPGAs,
 			crashAt:  -1,
 			straggle: 1,
-			work:     make(chan *batch, 1),
-			done:     make(chan *batch, 1),
+			parts:    map[configKey]partition.Partitioner{},
+			platform: cfg.Platform,
 		}
 		if i < cfg.FPGAs {
 			r.kind, r.idx = PlacedFPGA, i
@@ -180,21 +181,9 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 		}
 		r.comp = fmt.Sprintf("%v%d", r.kind, r.idx)
 		s.res = append(s.res, r)
-		startWorker(r, cfg, &s.workers)
 	}
 	s.count("sched.jobs_submitted", 0)
 	return s, nil
-}
-
-// Close stops the resource workers and returns once they have exited, so
-// that what they hold — a partitioner, and with it a circuit's datapath, per
-// configuration met — is garbage when it does. Call it once the scheduler
-// has drained (or is abandoned: a worker finishes the batch it has).
-func (s *Scheduler) Close() {
-	for _, r := range s.res {
-		close(r.work)
-	}
-	s.workers.Wait()
 }
 
 // Submit registers one job and returns its id (ids count submissions from
@@ -223,8 +212,13 @@ func (s *Scheduler) Submit(job Job) (id int, err error) {
 // job is still queued then it ends StatusCancelled through the ordinary
 // deadline path (cancellation beats dispatch at the same instant); a job
 // already executing runs to completion — the circuit cannot stop
-// mid-relation.
+// mid-relation. A time before the scheduler's clock means now — the clock
+// never runs backwards, as for Submit — and an id never submitted is ignored.
 func (s *Scheduler) Cancel(id int, atUS int64) {
+	if id < 0 || id >= len(s.jobs) {
+		return
+	}
+	atUS = max(atUS, s.now)
 	if j := s.jobs[id]; j.cancelAtUS == 0 || atUS < j.cancelAtUS {
 		j.cancelAtUS = atUS
 		s.peeked = false
@@ -313,45 +307,58 @@ func (s *Scheduler) place(j *jobState) *resource {
 // for the CPU side. Predictions drive placement only; actual charges come
 // from simulated cycles (FPGA) or the same constant rates (CPU).
 func (s *Scheduler) predict(j *jobState, r *resource) int64 {
-	n := int64(j.spec.Rel.NumTuples)
-	probe := int64(0)
-	if j.spec.Probe != nil {
-		probe = int64(j.spec.Probe.NumTuples)
-	}
+	n, probe := j.tuples()
 	var us int64
 	if r.kind == PlacedFPGA {
 		mode := model.Mode{
 			Hist: j.spec.Format != partition.PadMode,
 			VRID: j.spec.Layout == partition.ColumnStore,
 		}
-		rate := model.ForMode(mode, s.cfg.Platform, max1(n)).TotalRate()
+		rate := model.ForMode(mode, s.cfg.Platform, max(n, 1)).TotalRate()
 		us = ceilDiv(n*1e6, int64(rate))
 		if probe > 0 {
-			rate = model.ForMode(mode, s.cfg.Platform, max1(probe)).TotalRate()
+			rate = model.ForMode(mode, s.cfg.Platform, max(probe, 1)).TotalRate()
 			us += ceilDiv(probe*1e6, int64(rate))
 		}
-		if !r.hasCfg || r.loaded != j.key {
+		if r.loaded != j.key {
 			us += s.cfg.ReconfigUS
 		}
 		us = int64(float64(us) * r.straggle)
 	} else {
-		us = s.cfg.CPUDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate))
-		if probe > 0 {
-			us += ceilDiv(probe*1e6, int64(s.cfg.CPURate))
-		}
+		us = s.cpuChargeUS(n, probe)
 	}
 	if probe > 0 {
-		us += ceilDiv((n+probe)*1e6, int64(s.cfg.JoinRate))
-		us += s.predictSpillUS(j, n, probe)
+		us += s.joinChargeUS(n, probe) + s.predictSpillUS(j, n, probe)
 	}
 	return us
+}
+
+// tuples returns the job's build-side and probe-side tuple counts (probe 0
+// for a partition job).
+func (j *jobState) tuples() (n, probe int64) {
+	if j.spec.Probe != nil {
+		probe = int64(j.spec.Probe.NumTuples)
+	}
+	return int64(j.spec.Rel.NumTuples), probe
+}
+
+// cpuChargeUS is the virtual time a CPU slot takes to partition n build and
+// probe probe tuples: what predict expects and what batchDuration charges.
+func (s *Scheduler) cpuChargeUS(n, probe int64) int64 {
+	return s.cfg.CPUDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate)) + ceilDiv(probe*1e6, int64(s.cfg.CPURate))
+}
+
+// joinChargeUS is the virtual build+probe time of a join over n and probe
+// tuples, predicted and charged alike.
+func (s *Scheduler) joinChargeUS(n, probe int64) int64 {
+	return ceilDiv((n+probe)*1e6, int64(s.cfg.JoinRate))
 }
 
 // predictSpillUS is the deterministic placement-time estimate of the extra
 // join cost a per-tenant memory budget induces: when the whole build side
 // cannot fit the budget, assume both sides make one spill round trip
-// (write + read) at the join rate. The actual charge at harvest uses the
-// observed spill traffic instead.
+// (write + read) at the join rate. The actual charge uses the observed spill
+// traffic instead.
 func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 	budget := j.spec.MemoryBudgetBytes
 	if budget <= 0 || n*joincore.BuildTupleBytes <= budget {
@@ -360,17 +367,18 @@ func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 	return ceilDiv(2*(n+probe)*1e6, int64(s.cfg.JoinRate))
 }
 
-// dispatch sends job j (plus, on an FPGA, up to BatchMax−1 queued jobs with
-// the same circuit configuration) to resource r and removes them from the
-// admission queue. Fault and crash verdicts are decided here — on the
-// scheduler loop, deterministically — before the worker runs; the worker
-// always executes for real (race coverage for the pool), and the scheduler
-// discards aborted results at harvest time.
+// dispatch places job j (plus, on an FPGA, up to BatchMax−1 queued jobs with
+// the same circuit configuration) on resource r, removes them from the
+// admission queue and runs them, here and now on the host: the batch's
+// completion time is known when dispatch returns. Fault and crash verdicts
+// are drawn first; an aborted batch still executes, because its charge is
+// AbortFraction × the time it would have taken, and complete discards its
+// results.
 func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 	b := &batch{jobs: []*jobState{j}, startUS: s.now}
 	s.admit = append(s.admit[:qi:qi], s.admit[qi+1:]...)
 	if r.kind == PlacedFPGA {
-		if !r.hasCfg || r.loaded != j.key {
+		if r.loaded != j.key {
 			b.reconfig = true
 			s.reconfs++
 		}
@@ -383,7 +391,7 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 			}
 			qj++
 		}
-		r.loaded, r.hasCfg = j.key, true
+		r.loaded = j.key
 
 		// Crash verdict: the batch that carries the instance past its
 		// fail-stop threshold aborts mid-run and kills the instance.
@@ -414,18 +422,17 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 	s.batches++
 	r.inflight = b
 	s.observeQueue()
-	r.work <- b
+	for _, bj := range b.jobs {
+		r.runJob(bj)
+	}
+	b.doneUS = b.startUS + s.batchDuration(b, r)
 }
 
 // noEvent is peek's answer when nothing is scheduled on the virtual clock.
 const noEvent = int64(math.MaxInt64)
 
-// peek harvests every in-flight result and returns the virtual time of the
-// next event (arrival, completion, or queue deadline), noEvent when none is
-// scheduled. Harvest: block-receive, in fixed resource order, the result of
-// every busy resource. The workers have been running concurrently since
-// dispatch; receiving in index order (never via select) keeps the loop
-// deterministic.
+// peek returns the virtual time of the next event (arrival, completion, or
+// queue deadline), noEvent when none is scheduled.
 func (s *Scheduler) peek() int64 {
 	if s.peeked {
 		return s.next
@@ -435,14 +442,7 @@ func (s *Scheduler) peek() int64 {
 		next = s.future[0].spec.ArrivalUS
 	}
 	for _, r := range s.res {
-		if r.inflight == nil {
-			continue
-		}
-		if r.inflight.doneUS == 0 {
-			b := <-r.done
-			b.doneUS = b.startUS + s.batchDuration(b, r)
-		}
-		if r.inflight.doneUS < next {
+		if r.inflight != nil && r.inflight.doneUS < next {
 			next = r.inflight.doneUS
 		}
 	}
@@ -458,10 +458,9 @@ func (s *Scheduler) peek() int64 {
 }
 
 // NextEventUS returns the virtual time of the scheduler's next event; ok is
-// false once the system has drained. It blocks until every in-flight batch
-// has been harvested, since a completion time is known only then. Queued
-// jobs nothing can ever run (e.g. CPU-pinned jobs with no CPU workers) are
-// an event at the current time: the Step that fails them.
+// false once the system has drained. Queued jobs nothing can ever run (e.g.
+// CPU-pinned jobs with no CPU workers) are an event at the current time: the
+// Step that fails them.
 func (s *Scheduler) NextEventUS() (us int64, ok bool) {
 	next := s.peek()
 	if next == noEvent {
@@ -561,7 +560,7 @@ func (s *Scheduler) expire(q *[]*jobState) {
 	}
 }
 
-// batchDuration converts a harvested batch into charged virtual time on
+// batchDuration converts an executed batch into charged virtual time on
 // resource r and stamps per-job execution charges (b.durs).
 func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 	var total int64
@@ -572,18 +571,15 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 	b.spills = make([]int64, len(b.jobs))
 	for i, j := range b.jobs {
 		var us, spill int64
+		n, probe := j.tuples()
 		if r.kind == PlacedFPGA {
 			us = ceilDiv(j.out.cycles*1e6, int64(s.cfg.Platform.FPGAClockHz))
 			us = int64(float64(us) * r.straggle)
 		} else {
-			n := int64(j.spec.Rel.NumTuples)
-			us = s.cfg.CPUDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate))
-			if j.spec.Probe != nil {
-				us += ceilDiv(int64(j.spec.Probe.NumTuples)*1e6, int64(s.cfg.CPURate))
-			}
+			us = s.cpuChargeUS(n, probe)
 		}
 		if j.spec.Probe != nil && j.out.ok {
-			us += ceilDiv((int64(j.spec.Rel.NumTuples)+int64(j.spec.Probe.NumTuples))*1e6, int64(s.cfg.JoinRate))
+			us += s.joinChargeUS(n, probe)
 			// Spill round trip: each spilled packed tuple (8 B) is written
 			// and re-read, charged at the join rate.
 			spill = joincore.SpillRoundTripUS(j.out.spilledBytes, s.cfg.JoinRate)
@@ -595,22 +591,17 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 			us = int64(float64(us) * s.cfg.AbortFraction)
 			spill = 0
 		}
-		if us < 1 {
-			us = 1
-		}
+		us = max(us, 1)
 		b.durs[i] = us
 		b.spills[i] = spill
 		j.execUS += us
 		total += us
 	}
-	if total < 1 {
-		total = 1
-	}
-	return total
+	return max(total, 1)
 }
 
-// complete finalizes a harvested batch at the current virtual time: spans
-// and counters are emitted here, on the scheduler loop, in event order.
+// complete finalizes r's batch at the current virtual time, its completion:
+// spans and counters are emitted here, in event order.
 func (s *Scheduler) complete(r *resource) {
 	b := r.inflight
 	r.inflight = nil
@@ -733,7 +724,7 @@ func (s *Scheduler) requeueFront(j *jobState) {
 }
 
 func (s *Scheduler) anyFPGAAlive() bool {
-	for _, r := range s.res[:s.nfpg] {
+	for _, r := range s.res[:s.cfg.FPGAs] {
 		if !r.dead {
 			return true
 		}
@@ -742,8 +733,12 @@ func (s *Scheduler) anyFPGAAlive() bool {
 }
 
 // Result returns job id's outcome as of now: final once the job has been
-// listed by Step, a snapshot of a queued or executing job before that.
+// listed by Step, a snapshot of a queued or executing job before that. An id
+// never submitted gets a StatusFailed result with ID -1 and Err naming it.
 func (s *Scheduler) Result(id int) JobResult {
+	if id < 0 || id >= len(s.jobs) {
+		return JobResult{ID: -1, Status: StatusFailed, Err: fmt.Sprintf("partserver: no job %d", id)}
+	}
 	j := s.jobs[id]
 	jr := JobResult{
 		ID:           j.id,
@@ -800,7 +795,7 @@ func (s *Scheduler) Report() *Report {
 			rep.Degraded++
 		}
 	}
-	for _, r := range s.res[:s.nfpg] {
+	for _, r := range s.res[:s.cfg.FPGAs] {
 		if r.dead {
 			rep.FailedInstances = append(rep.FailedInstances, r.idx)
 		}
@@ -837,11 +832,4 @@ func ceilDiv(a, b int64) int64 {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-func max1(n int64) int64 {
-	if n < 1 {
-		return 1
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package partserver
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,7 +29,6 @@ func TestStepperMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ended := 0
 	for next := 0; ; {
 		us, ok := s.NextEventUS()
@@ -88,23 +88,21 @@ func TestStepperCrashesNeedDeclaredTotal(t *testing.T) {
 		{"declared-empty", crashes, 0},
 		{"stragglers-only", &faults.Scenario{Seed: 1, Stragglers: []faults.Straggler{{Node: 0, Factor: 4}}}, UnknownTotal},
 	} {
-		s, err := NewScheduler(Config{Faults: tc.scen}, tc.total)
-		if err != nil {
+		if _, err := NewScheduler(Config{Faults: tc.scen}, tc.total); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		s.Close()
 	}
 }
 
-// TestStepperSubmitAndCancel pins the stepped path's two remaining rules: a
-// job may not arrive before the scheduler's clock, and Cancel ends a job
-// that is still queued at the given time but lets a running one finish.
+// TestStepperSubmitAndCancel pins the stepped path's remaining rules: a job
+// may not arrive before the scheduler's clock, Cancel ends a job that is
+// still queued at the given time but lets a running one finish, neither can
+// take the clock backwards, and an id never submitted is not a crash.
 func TestStepperSubmitAndCancel(t *testing.T) {
 	s, err := NewScheduler(Config{FPGAs: 1, Workers: 0, BatchMax: 1}, UnknownTotal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var ids [3]int
 	for i := range ids {
 		if ids[i], err = s.Submit(mustJob(t, 8, 2048, 0)); err != nil {
@@ -123,6 +121,32 @@ func TestStepperSubmitAndCancel(t *testing.T) {
 	if _, err := s.Submit(mustJob(t, 8, 64, 0)); err == nil {
 		t.Error("a job arriving at 0us was accepted with the clock at 1us")
 	}
+
+	// A cancellation dated before the clock takes effect now, at 5us.
+	late, err := s.Submit(mustJob(t, 8, 64, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us, _ := s.NextEventUS(); us != 5 {
+		t.Fatalf("next event at %dus, want the arrival at 5us", us)
+	}
+	s.Step()
+	s.Cancel(late, 2)
+	if us, ok := s.NextEventUS(); !ok || us != 5 {
+		t.Errorf("after a cancellation dated 2us with the clock at 5us the next event is at %dus (ok=%v), want 5us", us, ok)
+	}
+	s.Step()
+	if r := s.Result(late); r.Status != StatusCancelled || r.DoneUS != 5 {
+		t.Errorf("job cancelled in the past ended %v at %dus, want cancelled at 5us", r.Status, r.DoneUS)
+	}
+
+	// An unknown id, not an index panic: Cancel ignores it, Result answers
+	// with a failed job -1.
+	s.Cancel(99, 10)
+	s.Cancel(-1, 10)
+	if r := s.Result(99); r.ID != -1 || r.Status != StatusFailed || !strings.Contains(r.Err, "99") {
+		t.Errorf("Result(99) = job %d, %v, error %q; want job -1, failed, an error naming 99", r.ID, r.Status, r.Err)
+	}
 	for {
 		if _, ok := s.NextEventUS(); !ok {
 			break
@@ -133,5 +157,39 @@ func TestStepperSubmitAndCancel(t *testing.T) {
 		if r := s.Result(id); r.Status != StatusDone {
 			t.Errorf("job %d ended %v, want done (a running job is not cancelled)", id, r.Status)
 		}
+	}
+}
+
+// TestSchedulerStartsNoGoroutine: the scheduler executes a batch where it
+// dispatches it, so from construction through the last Step — FPGA and CPU
+// slots, faults, a crash and retries included — the process has exactly the
+// goroutines it had before, and there is nothing to close afterwards.
+func TestSchedulerStartsNoGoroutine(t *testing.T) {
+	seed := seedFromName(t)
+	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40, JoinFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s, err := NewScheduler(Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: faultyScenario(seed)}, len(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if _, err := s.Submit(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines with the trace submitted, %d before the scheduler existed", n, before)
+	}
+	for _, ok := s.NextEventUS(); ok; _, ok = s.NextEventUS() {
+		s.Step()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%d goroutines after the step at %dus, %d before the scheduler existed", n, s.now, before)
+		}
+	}
+	if rep := s.Report(); rep.PlacedFPGA == 0 || rep.PlacedCPU == 0 || rep.Degraded == 0 {
+		t.Fatalf("placed %d on FPGA, %d on CPU, %d degraded: the pool was not exercised", rep.PlacedFPGA, rep.PlacedCPU, rep.Degraded)
 	}
 }

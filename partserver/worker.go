@@ -3,19 +3,15 @@ package partserver
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"fpgapart/internal/joincore"
 	"fpgapart/internal/membudget"
 	"fpgapart/partition"
-	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
-// execOut is one job's execution outcome as reported by a worker. The
-// scheduler reads it only after receiving the batch back on the resource's
-// done channel, so the channel send/receive orders worker writes before
-// scheduler reads.
+// execOut is one job's execution outcome, written by runJob inside dispatch
+// and read by the scheduler from then on.
 type execOut struct {
 	ok       bool
 	overflow bool
@@ -34,73 +30,48 @@ type execOut struct {
 	joinDepth    int
 }
 
-// startWorker spawns the goroutine serving one resource. Workers are pure
-// executors: they hold no scheduling policy, draw no randomness, and never
-// touch the simtrace session (all emission happens on the scheduler loop).
-func startWorker(r *resource, cfg Config, exited *sync.WaitGroup) {
-	w := worker{kind: r.kind, platform: cfg.Platform, parts: map[configKey]partition.Partitioner{}}
-	exited.Add(1)
-	go func() {
-		defer exited.Done()
-		for b := range r.work {
-			for _, j := range b.jobs {
-				w.runJob(j)
-			}
-			r.done <- b
-		}
-	}()
-}
-
-// worker drives one execution slot through package partition: a simulated
-// FPGA partitioner instance or a CPU partitioner slot. It keeps the
-// partitioner of every configuration it has run; loading a different one
-// onto the (stateful, one-job-at-a-time) circuit is virtual time the
-// scheduler charges as ReconfigUS, not host work.
-type worker struct {
-	kind     Placement
-	platform *platform.Platform
-	parts    map[configKey]partition.Partitioner
-}
-
 // partitioner returns the slot's partitioner for key. The FPGA never falls
 // back by itself: an overflowed job goes back to the scheduler, which
 // degrades it to the CPU pool. CPU slots run single-threaded so the produced
 // tuple order (not just the multiset) is identical across runs.
-func (w *worker) partitioner(key configKey) (p partition.Partitioner, err error) {
-	if p, ok := w.parts[key]; ok {
+func (r *resource) partitioner(key configKey) (p partition.Partitioner, err error) {
+	if p, ok := r.parts[key]; ok {
 		return p, nil
 	}
-	if w.kind == PlacedFPGA {
+	if r.kind == PlacedFPGA {
 		p, err = partition.NewFPGA(partition.FPGAOptions{
 			Partitions:      key.fanOut,
 			Hash:            key.hash,
 			Format:          key.format,
 			Layout:          key.layout,
 			PadFraction:     0.5,
-			Platform:        w.platform,
+			Platform:        r.platform,
 			DisableFallback: true,
 		})
 	} else {
 		p, err = partition.NewCPU(partition.CPUOptions{Partitions: key.fanOut, Hash: key.hash, Threads: 1})
 	}
 	if err == nil {
-		w.parts[key] = p
+		r.parts[key] = p
 	}
 	return p, err
 }
 
-// runJob executes j and reports in j.out. A panic on the way — the
-// partitioners guard their own, the single-threaded join runs unguarded on
-// this goroutine — is recovered here, per job, and reported as the job's
-// failure: a caller-side guard cannot catch a goroutine's panic.
-func (w *worker) runJob(j *jobState) {
+// runJob executes j on the slot — the host work of a dispatch, which draws
+// no randomness, decides no policy and touches no trace session — and
+// reports in j.out. A panic on the way (the partitioners guard their own,
+// the single-threaded join runs unguarded) is recovered here, per job, and
+// reported as that job's failure, which the scheduler turns into a failed or
+// CPU-degraded job: the fault boundary is the job, not the Step that
+// dispatched it.
+func (r *resource) runJob(j *jobState) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", w.kind, rec)}
+			j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", r.kind, rec)}
 		}
 	}()
 	var out execOut
-	if err := w.execute(&j.spec, j.key, &out); err != nil {
+	if err := r.execute(&j.spec, j.key, &out); err != nil {
 		// A failed job reports only what the scheduler charges for: the
 		// circuit time spent, and whether the circuit aborted it.
 		out = execOut{errMsg: err.Error(), cycles: out.cycles, overflow: out.overflow}
@@ -114,8 +85,8 @@ func (w *worker) runJob(j *jobState) {
 // and joins them. A partition job's checksum is the sum of
 // partition.Result.PartitionChecksum over the partitions, so it is directly
 // comparable to a single-tenant run; a join job's is that of its pairs.
-func (w *worker) execute(spec *Job, key configKey, out *execOut) error {
-	p, err := w.partitioner(key)
+func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
+	p, err := r.partitioner(key)
 	if err != nil {
 		return err
 	}
