@@ -96,6 +96,7 @@ fuzz:
 		./internal/cpupart:FuzzBufferedPartition \
 		./internal/cpupart:FuzzBufferedAgainstHistogram \
 		./hashjoin:FuzzJoinUnderBudget \
+		./internal/joincore:FuzzRunsAgainstNestedLoop \
 		./partition:FuzzPartitionerReuse \
 		./cluster:FuzzClusterRoute \
 		./cluster:FuzzMembershipSchedule; do \

@@ -305,9 +305,8 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		if len(ownedGPs[n]) == 0 {
 			continue
 		}
-		rm := newMerged(rParts, ownedGPs[n])
-		sm := newMerged(sParts, ownedGPs[n])
-		bp, err := joincore.BuildProbe(rm, sm, opts.Threads)
+		gps := ownedGPs[n]
+		bp, err := joincore.BuildProbe(&merged{rParts, gps}, &merged{sParts, gps}, opts.Threads)
 		if err != nil {
 			return nil, err
 		}
@@ -386,41 +385,16 @@ func shard(rel *workload.Relation, n int) []*workload.Relation {
 }
 
 // merged presents a set of global partitions, each assembled from every
-// source node's piece, as a joincore.Partitions. The set is the partitions
-// one node owns — by the static `gp & (Nodes-1)` rule, or after a crash
-// takeover an arbitrary list.
+// source node's piece, as a joincore.Partitions: partition i is one run per
+// source, in node order. The set is the partitions one node owns — by the
+// static `gp & (Nodes-1)` rule, or after a crash takeover an arbitrary list.
 type merged struct {
 	parts []*partition.Result
 	gps   []int
-	// prefix[i][src] is the slot offset of source src's piece within the
-	// i-th owned partition.
-	prefix [][]int
-	total  []int
 }
 
-func newMerged(parts []*partition.Result, gps []int) *merged {
-	m := &merged{parts: parts, gps: gps}
-	m.prefix = make([][]int, len(gps))
-	m.total = make([]int, len(gps))
-	for i, gp := range gps {
-		off := make([]int, len(parts)+1)
-		for src := range parts {
-			off[src+1] = off[src] + parts[src].SlotCount(gp)
-		}
-		m.prefix[i] = off
-		m.total[i] = off[len(parts)]
-	}
-	return m
-}
-
-func (m *merged) NumPartitions() int  { return len(m.gps) }
-func (m *merged) SlotCount(p int) int { return m.total[p] }
-func (m *merged) Slot(p, i int) (uint32, uint32, bool) {
-	off := m.prefix[p]
-	// Linear search over source pieces (few nodes: linear is fine).
-	src := 0
-	for off[src+1] <= i {
-		src++
-	}
-	return m.parts[src].Slot(m.gps[p], i-off[src])
+func (m *merged) NumPartitions() int { return len(m.gps) }
+func (m *merged) NumRuns(p int) int  { return len(m.parts) }
+func (m *merged) Run(p, src int) ([]uint64, int, uint32, bool) {
+	return m.parts[src].Run(m.gps[p], 0)
 }

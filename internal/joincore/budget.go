@@ -12,9 +12,9 @@ import (
 	"fpgapart/internal/membudget"
 )
 
-// BuildTupleBytes is the budgeted footprint of one build-side tuple: the
-// 8-byte packed tuple plus 8 bytes of bucket-chain state (head + next
-// slots, amortized).
+// BuildTupleBytes is the budgeted footprint of one build-side tuple: its
+// entry in the build table, the 8-byte packed tuple plus its chain link
+// padded to 8 bytes.
 const BuildTupleBytes = 16
 
 // Defaults for BudgetConfig fields left zero.
@@ -377,51 +377,45 @@ func (pj *partitionJoiner) fits(buildTuples int64) bool {
 	return !b.Limited() || buildTuples*BuildTupleBytes <= b.Cap()
 }
 
-func (pj *partitionJoiner) emit(key, bPay, pPay uint32, rIsBuild bool) {
-	if pj.cfg.Emit == nil {
-		return
-	}
-	if rIsBuild {
-		pj.cfg.Emit(pj.part, key, bPay, pPay)
-	} else {
-		pj.cfg.Emit(pj.part, key, pPay, bPay)
-	}
-}
-
 // run joins partition p and returns its depth-0 decision. The side with
 // fewer slots builds: for CPU-written partitions that is the side with fewer
-// tuples, and no pass is spent on counting — the build pass counts the build
-// side, the probe pass the probe side.
+// tuples. Both sides are counted before anything is built, so a partition
+// that does not fit costs no hash table.
 func (pj *partitionJoiner) run(r, s Partitions, p int) (top Decision, err error) {
 	pj.part = p
-	build, probe, reversed := r, s, false
-	if s.SlotCount(p) < r.SlotCount(p) {
-		build, probe, reversed = s, r, true
+	rSlots, nR := size(r, p)
+	sSlots, nS := size(s, p)
+	build, probe, nBuild, nProbe, reversed := r, s, nR, nS, false
+	if sSlots < rSlots {
+		build, probe, nBuild, nProbe, reversed = s, r, nS, nR, true
 	}
-	nBuild := pj.scratch.build(build, p)
-	pj.buildNS += pj.lap()
-	top = Decision{Partition: p, Action: ActionInMemory, BuildTuples: nBuild, Reversed: reversed}
-	switch {
-	case nBuild == 0:
-		top.ProbeTuples, top.Reversed = countValid(probe, p), false
-	case pj.fits(nBuild):
-		top.ProbeTuples = pj.probeParts(build, probe, p, !reversed)
-	default:
+	top = Decision{Partition: p, Action: ActionInMemory, BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed && nBuild > 0}
+	if nBuild == 0 {
+		return top, nil
+	}
+	if !pj.fits(nBuild) {
 		// Over budget: spill both sides as packed tuple runs and go adaptive.
-		rs, ss := collect(r, p), collect(s, p)
 		top.Action = ActionSpill
-		top.ProbeTuples = int64(len(rs)+len(ss)) - nBuild
-		top.SpilledBytes = 8 * int64(len(rs)+len(ss))
-		return top, pj.joinSpilled(rs, ss, 1)
+		top.SpilledBytes = 8 * (nR + nS)
+		return top, pj.joinSpilled(collect(r, p), collect(s, p), 1, false)
+	}
+	pj.scratch.reset(int(nBuild))
+	for i, k := 0, build.NumRuns(p); i < k; i++ {
+		pj.scratch.add(runAt(build, p, i))
+	}
+	pj.buildNS += pj.lap()
+	for i, k := 0, probe.NumRuns(p); i < k; i++ {
+		pj.probe(runAt(probe, p, i), !reversed)
 	}
 	pj.probeNS += pj.lap()
 	return top, nil
 }
 
 // joinSpilled joins one spilled bucket: in memory if the (possibly
-// reversed) build side now fits, by broadcast when recursion is hopeless,
-// and by salted recursive repartitioning otherwise.
-func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
+// reversed) build side now fits, by broadcast when recursion is hopeless —
+// a heavy hitter, the depth cap, or stuck: the salt did not split it — and by
+// salted recursive repartitioning otherwise.
+func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) error {
 	if len(rs) == 0 || len(ss) == 0 {
 		return nil
 	}
@@ -441,10 +435,13 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 		return nil
 	}
 
-	_, hhCount := heavyHitter(build)
+	var hhCount int64
+	if !stuck { // a stuck bucket is its parent over again, which was not hot
+		_, hhCount = heavyHitter(build)
+	}
 	hot := float64(hhCount) >= pj.cfg.HeavyHitterFraction*float64(nBuild) ||
 		(pj.cfg.Budget.Limited() && hhCount*BuildTupleBytes > pj.cfg.Budget.Cap())
-	if hot || depth > pj.cfg.MaxDepth {
+	if hot || stuck || depth > pj.cfg.MaxDepth {
 		d.Action = ActionBroadcast
 		d.HeavyHitter = hot
 		d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
@@ -475,23 +472,10 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 		if len(subR) == 0 || len(subS) == 0 {
 			continue
 		}
-		if len(subR) == len(rs) && len(subS) == len(ss) {
-			// The salt failed to split this bucket (e.g. a single key):
-			// recursing again would loop, so broadcast it now.
-			b, pb, rb := subR, subS, true
-			if len(subS) < len(subR) {
-				b, pb, rb = subS, subR, false
-			}
-			bd := Decision{
-				Partition: pj.part, Depth: depth + 1, Action: ActionBroadcast,
-				BuildTuples: int64(len(b)), ProbeTuples: int64(len(pb)), Reversed: !rb,
-				SpilledBytes: 8 * (int64(len(subR)) + int64(len(subS))),
-			}
-			bd.Chunks = pj.broadcast(b, pb, rb)
-			pj.below = append(pj.below, bd)
-			continue
-		}
-		if err := pj.joinSpilled(subR, subS, depth+1); err != nil {
+		// A bucket the salt failed to split (e.g. a single key) would recurse
+		// without end: it is broadcast one level down instead.
+		stuck := len(subR) == len(rs) && len(subS) == len(ss)
+		if err := pj.joinSpilled(subR, subS, depth+1, stuck); err != nil {
 			return err
 		}
 	}
@@ -500,23 +484,10 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int) error {
 
 // joinSlices is the in-memory join of two packed tuple runs.
 func (pj *partitionJoiner) joinSlices(build, probe []uint64, rIsBuild bool) {
-	pj.scratch.build(slotSlice(build), 0)
+	pj.scratch.reset(len(build))
+	pj.scratch.add(run{words: build, stride: 1})
 	pj.buildNS += pj.lap()
-	bt := &pj.scratch
-	for _, t := range probe {
-		key, pPay := uint32(t), uint32(t>>32)
-		for slot := bt.head[bt.bucketOf(key)]; slot != 0; {
-			j := int(slot - 1)
-			bt2 := build[j]
-			if uint32(bt2) == key {
-				pj.matches++
-				bPay := uint32(bt2 >> 32)
-				pj.checksum += uint64(bPay) + uint64(pPay)
-				pj.emit(key, bPay, pPay, rIsBuild)
-			}
-			slot = bt.next[j]
-		}
-	}
+	pj.probe(run{words: probe, stride: 1}, rIsBuild)
 	pj.probeNS += pj.lap()
 }
 
@@ -536,65 +507,34 @@ func (pj *partitionJoiner) broadcast(build, probe []uint64, rIsBuild bool) (chun
 	return chunks
 }
 
-// probeParts probes the build table with the probe side of partition p,
-// emitting matches, and returns the probe side's valid tuples. rIsBuild
-// tells emit which payload belongs to R.
-func (pj *partitionJoiner) probeParts(build, probe Partitions, p int, rIsBuild bool) (probed int64) {
-	bt := &pj.scratch
-	n := probe.SlotCount(p)
-	for i := 0; i < n; i++ {
-		key, pPay, ok := probe.Slot(p, i)
-		if !ok {
+// probe probes the build table with a run of the probe side, in slot order
+// and every chain from its head, emitting matches. rIsBuild tells which
+// payload belongs to R. It is the one probe loop of the partitioned joins.
+func (pj *partitionJoiner) probe(rn run, rIsBuild bool) {
+	bt, entries, emit, part := &pj.scratch, pj.scratch.entries, pj.cfg.Emit, pj.part
+	matches, checksum := pj.matches, pj.checksum
+	for i := 0; i < len(rn.words); i += rn.stride {
+		t := rn.words[i]
+		key := uint32(t)
+		if rn.hasDummy && key == rn.dummy {
 			continue
 		}
-		probed++
-		for slot := bt.head[bt.bucketOf(key)]; slot != 0; {
-			j := int(slot - 1)
-			bKey, bPay, _ := build.Slot(p, j)
-			if bKey == key {
-				pj.matches++
-				pj.checksum += uint64(bPay) + uint64(pPay)
-				pj.emit(key, bPay, pPay, rIsBuild)
+		for at := bt.head[bt.bucketOf(key)]; at != 0; {
+			e := &entries[at-1]
+			at = e.next
+			if uint32(e.tuple) != key {
+				continue
 			}
-			slot = bt.next[j]
+			rPay, sPay := uint32(e.tuple>>32), uint32(t>>32)
+			if !rIsBuild {
+				rPay, sPay = sPay, rPay
+			}
+			matches++
+			checksum += uint64(rPay) + uint64(sPay)
+			if emit != nil {
+				emit(part, key, rPay, sPay)
+			}
 		}
 	}
-	return probed
-}
-
-// slotSlice adapts a packed tuple run to the Partitions interface so the
-// shared buildTable can chain over it.
-type slotSlice []uint64
-
-func (s slotSlice) NumPartitions() int  { return 1 }
-func (s slotSlice) SlotCount(p int) int { return len(s) }
-func (s slotSlice) Slot(p, i int) (key, payload uint32, ok bool) {
-	t := s[i]
-	return uint32(t), uint32(t >> 32), true
-}
-
-// countValid counts the non-dummy tuples of partition p.
-func countValid(ps Partitions, p int) int64 {
-	var n int64
-	sc := ps.SlotCount(p)
-	for i := 0; i < sc; i++ {
-		if _, _, ok := ps.Slot(p, i); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// collect gathers the valid tuples of partition p as packed uint64s.
-func collect(ps Partitions, p int) []uint64 {
-	sc := ps.SlotCount(p)
-	out := make([]uint64, 0, sc)
-	for i := 0; i < sc; i++ {
-		key, pay, ok := ps.Slot(p, i)
-		if !ok {
-			continue
-		}
-		out = append(out, uint64(key)|uint64(pay)<<32)
-	}
-	return out
+	pj.matches, pj.checksum = matches, checksum
 }

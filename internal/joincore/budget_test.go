@@ -22,7 +22,8 @@ func budgetedMust(t *testing.T, r, s Partitions, cfg BudgetConfig) (*Result, *Bu
 func buildBytes(r Partitions) int64 {
 	var n int64
 	for p := 0; p < r.NumPartitions(); p++ {
-		n += countValid(r, p)
+		_, tuples := size(r, p)
+		n += tuples
 	}
 	return n * BuildTupleBytes
 }
@@ -31,12 +32,13 @@ func buildBytes(r Partitions) int64 {
 // (key, R payload, S payload) triple must be emitted.
 func pairMultiset(r, s *slicePartitions) map[[3]uint32]int {
 	want := map[[3]uint32]int{}
+	valid := func(ps *slicePartitions, t uint64) bool { return !ps.dummies || uint32(t) != testDummyKey }
 	for _, rp := range r.parts {
 		for _, rt := range rp {
 			for _, sp := range s.parts {
 				for _, st := range sp {
-					if rt.valid && st.valid && rt.key == st.key {
-						want[[3]uint32{rt.key, rt.payload, st.payload}]++
+					if valid(r, rt) && valid(s, st) && uint32(rt) == uint32(st) {
+						want[[3]uint32{uint32(rt), uint32(rt >> 32), uint32(st >> 32)}]++
 					}
 				}
 			}
@@ -193,7 +195,7 @@ func TestBudgetedEmitPreservesSides(t *testing.T) {
 	s := partitionKeys(sKeys, 8, 0)
 	for p := range r.parts {
 		for i := range r.parts[p] {
-			r.parts[p][i].payload += offset
+			r.parts[p][i] += offset << 32
 		}
 	}
 	var emitted int64

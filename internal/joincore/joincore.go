@@ -6,10 +6,13 @@
 // one executor (budget.go): a join without a memory budget is the budgeted
 // join in which every partition fits.
 //
-// The phases run for real and are measured; they consume partitions through
-// the Partitions interface so the same code probes CPU-written and
-// (simulated) FPGA-written partitions — the latter containing dummy-key
-// slots that the build and probe skip, as the paper's software does.
+// The phases run for real and are measured. They consume a partition as the
+// contiguous word runs it is stored in, handed out by the Partitions
+// interface once per partition and side, so one build loop and one probe loop
+// read CPU-written partitions (a packed tuple per word), (simulated)
+// FPGA-written ones (a tuple every TupleWidth/8 words, dummy-key slots that
+// the loops skip, as the paper's software does) and spilled buckets alike,
+// and a joined tuple costs loads rather than calls.
 package joincore
 
 import (
@@ -18,15 +21,72 @@ import (
 	"fpgapart/internal/hashutil"
 )
 
-// Partitions is the slot-level view of a partitioned relation.
+// Partitions is a partitioned relation as the word runs it is stored in.
 // partition.Result implements it.
 type Partitions interface {
 	NumPartitions() int
-	// SlotCount returns the number of addressable tuple slots in partition
-	// p, including dummy slots of FPGA-written partitions.
-	SlotCount(p int) int
-	// Slot returns the tuple in slot i; ok is false for dummy slots.
-	Slot(p, i int) (key, payload uint32, ok bool)
+	// NumRuns returns how many runs partition p is stored in.
+	NumRuns(p int) int
+	// Run returns the i-th run of partition p: a slot every stride words,
+	// its first word a packed tuple (key in the low half, payload in the
+	// high half). With hasDummy, slots whose key is dummy hold no tuple.
+	Run(p, i int) (words []uint64, stride int, dummy uint32, hasDummy bool)
+}
+
+// run is one run of a partition, or a spilled bucket (stride 1, no dummy).
+type run struct {
+	words    []uint64
+	stride   int
+	dummy    uint32
+	hasDummy bool
+}
+
+func runAt(ps Partitions, p, i int) run {
+	words, stride, dummy, hasDummy := ps.Run(p, i)
+	return run{words, stride, dummy, hasDummy}
+}
+
+// appendTuples appends the run's tuples to out, packed.
+func (rn run) appendTuples(out []uint64) []uint64 {
+	for i := 0; i < len(rn.words); i += rn.stride {
+		if t := rn.words[i]; !rn.hasDummy || uint32(t) != rn.dummy {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// size returns the slots of partition p, dummy slots included, and how many
+// of them hold a tuple: a division for a run without a dummy key, a compare
+// per slot with one.
+func size(ps Partitions, p int) (slots int, tuples int64) {
+	for i, k := 0, ps.NumRuns(p); i < k; i++ {
+		rn := runAt(ps, p, i)
+		slots += len(rn.words) / rn.stride
+		for j := 0; rn.hasDummy && j < len(rn.words); j += rn.stride {
+			if uint32(rn.words[j]) == rn.dummy {
+				tuples--
+			}
+		}
+	}
+	return slots, tuples + int64(slots)
+}
+
+// collect returns the tuples of partition p as packed words: the partition
+// itself when it is stored as one such run, a compacted copy otherwise.
+func collect(ps Partitions, p int) []uint64 {
+	k := ps.NumRuns(p)
+	if k == 1 {
+		if rn := runAt(ps, p, 0); rn.stride == 1 && !rn.hasDummy {
+			return rn.words
+		}
+	}
+	slots, _ := size(ps, p)
+	out := make([]uint64, 0, slots)
+	for i := 0; i < k; i++ {
+		out = runAt(ps, p, i).appendTuples(out)
+	}
+	return out
 }
 
 // Result reports a build+probe run.
@@ -51,13 +111,22 @@ func BuildProbe(r, s Partitions, threads int) (*Result, error) {
 	return res, err
 }
 
-// buildTable is a bucket-chaining hash table over one R partition: head maps
-// a bucket to a slot index + 1, next chains slots. Reused across partitions
-// to avoid per-partition allocation.
+// entry is one build tuple and the link of its bucket chain: an index + 1
+// into the entry array, 0 at the chain's end. Its 16 bytes are what
+// BuildTupleBytes charges a budget per build tuple.
+type entry struct {
+	tuple uint64
+	next  int32
+}
+
+// buildTable is a bucket-chaining hash table over one build side: head maps
+// a bucket to an entry index + 1, the entries hold the tuples themselves, so
+// a probe never goes back to where the build side is stored. Reused across
+// partitions to avoid per-partition allocation.
 type buildTable struct {
-	head []int32
-	next []int32
-	mask uint32
+	head    []int32
+	entries []entry
+	mask    uint32
 }
 
 // bucketOf hashes a key into the table. The partition already consumed the
@@ -67,58 +136,49 @@ func (bt *buildTable) bucketOf(key uint32) uint32 {
 	return (hashutil.Murmur32Finalizer(key) >> 13) & bt.mask
 }
 
-// build chains the valid slots of partition p and returns how many there are.
-func (bt *buildTable) build(r Partitions, p int) (valid int64) {
-	n := r.SlotCount(p)
-	buckets := 1
+// reset empties the table and sizes it for n tuples, in powers of two.
+func (bt *buildTable) reset(n int) {
+	buckets := 16
 	for buckets < n {
 		buckets <<= 1
-	}
-	if buckets < 16 {
-		buckets = 16
 	}
 	if cap(bt.head) < buckets {
 		bt.head = make([]int32, buckets)
 	} else {
 		bt.head = bt.head[:buckets]
-		for i := range bt.head {
-			bt.head[i] = 0
-		}
+		clear(bt.head)
 	}
-	if cap(bt.next) < n {
-		bt.next = make([]int32, n)
-	} else {
-		bt.next = bt.next[:n]
+	if cap(bt.entries) < n {
+		bt.entries = make([]entry, 0, buckets)
 	}
+	bt.entries = bt.entries[:0]
 	bt.mask = uint32(buckets - 1)
-	for i := 0; i < n; i++ {
-		key, _, ok := r.Slot(p, i)
-		if !ok {
+}
+
+// add chains the run's tuples in slot order, each at the front of its
+// bucket's chain. It is the one build loop of the partitioned joins.
+func (bt *buildTable) add(rn run) {
+	for i := 0; i < len(rn.words); i += rn.stride {
+		t := rn.words[i]
+		if rn.hasDummy && uint32(t) == rn.dummy {
 			continue // dummy slot in an FPGA-written partition
 		}
-		valid++
-		b := bt.bucketOf(key)
-		bt.next[i] = bt.head[b]
-		bt.head[b] = int32(i) + 1
+		b := bt.bucketOf(uint32(t))
+		bt.entries = append(bt.entries, entry{t, bt.head[b]})
+		bt.head[b] = int32(len(bt.entries))
 	}
-	return valid
 }
 
 // NestedLoop is the O(|R|·|S|) reference join used to validate the hash
 // join in tests. Only suitable for small inputs.
 func NestedLoop(r, s Partitions) (matches int64, checksum uint64) {
 	for p := 0; p < r.NumPartitions(); p++ {
-		for i := 0; i < r.SlotCount(p); i++ {
-			rKey, rPay, ok := r.Slot(p, i)
-			if !ok {
-				continue
-			}
+		for _, rt := range collect(r, p) {
 			for q := 0; q < s.NumPartitions(); q++ {
-				for j := 0; j < s.SlotCount(q); j++ {
-					sKey, sPay, ok := s.Slot(q, j)
-					if ok && sKey == rKey {
+				for _, st := range collect(s, q) {
+					if uint32(rt) == uint32(st) {
 						matches++
-						checksum += uint64(rPay) + uint64(sPay)
+						checksum += rt>>32 + st>>32
 					}
 				}
 			}

@@ -10,35 +10,39 @@ import (
 	"fpgapart/workload"
 )
 
-// slicePartitions is a simple in-memory Partitions for tests, with optional
-// dummy slots (ok=false).
+// testDummyKey marks the empty slots of a slicePartitions with dummies.
+const testDummyKey = 0xFFFFFFFF
+
+// slicePartitions is a simple in-memory Partitions for tests: partition p is
+// the slots parts[p] — stride words each (0 means one), the first a packed
+// tuple — cut into pieces runs (0 means one) and, with dummies, holding empty
+// slots marked by testDummyKey.
 type slicePartitions struct {
-	parts [][]slot
+	parts   [][]uint64
+	stride  int
+	pieces  int
+	dummies bool
 }
 
-type slot struct {
-	key, payload uint32
-	valid        bool
-}
+func pack(key, payload uint32) uint64 { return uint64(key) | uint64(payload)<<32 }
 
 func (s *slicePartitions) NumPartitions() int { return len(s.parts) }
-func (s *slicePartitions) SlotCount(p int) int {
-	return len(s.parts[p])
-}
-func (s *slicePartitions) Slot(p, i int) (uint32, uint32, bool) {
-	sl := s.parts[p][i]
-	return sl.key, sl.payload, sl.valid
+func (s *slicePartitions) NumRuns(p int) int  { return max(s.pieces, 1) }
+func (s *slicePartitions) Run(p, i int) ([]uint64, int, uint32, bool) {
+	stride, k := max(s.stride, 1), s.NumRuns(p)
+	n := len(s.parts[p]) / stride
+	return s.parts[p][i*n/k*stride : (i+1)*n/k*stride], stride, testDummyKey, s.dummies
 }
 
 // partitionKeys builds a slicePartitions from keys with payload = index.
 func partitionKeys(keys []uint32, numPartitions int, dummyEvery int) *slicePartitions {
 	bits := hashutil.Log2(numPartitions)
-	sp := &slicePartitions{parts: make([][]slot, numPartitions)}
+	sp := &slicePartitions{parts: make([][]uint64, numPartitions), dummies: dummyEvery > 0}
 	for i, k := range keys {
 		p := hashutil.PartitionIndex32(k, bits, true)
-		sp.parts[p] = append(sp.parts[p], slot{k, uint32(i), true})
+		sp.parts[p] = append(sp.parts[p], pack(k, uint32(i)))
 		if dummyEvery > 0 && i%dummyEvery == 0 {
-			sp.parts[p] = append(sp.parts[p], slot{0xFFFFFFFF, 0, false})
+			sp.parts[p] = append(sp.parts[p], pack(testDummyKey, 0))
 		}
 	}
 	return sp
@@ -97,8 +101,8 @@ func TestFanOutMismatchRejected(t *testing.T) {
 }
 
 func TestEmptyPartitions(t *testing.T) {
-	r := &slicePartitions{parts: make([][]slot, 8)}
-	s := &slicePartitions{parts: make([][]slot, 8)}
+	r := &slicePartitions{parts: make([][]uint64, 8)}
+	s := &slicePartitions{parts: make([][]uint64, 8)}
 	res, err := BuildProbe(r, s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -230,9 +234,10 @@ func TestNonPartitionedSingleThread(t *testing.T) {
 // unbudgeted case: a handful of heap objects per join (shared state, the
 // stats, the result, one worker's table) and nothing per partition — at 32
 // times the fan-out only the table's regrowth is added (it grows to the
-// largest partition seen so far, in more steps when partitions are small).
-// Six and fourteen since the single-thread executor stopped starting a
-// goroutine (seven and fifteen before).
+// largest partition seen so far, by powers of two). Five and seven since the
+// entry array grows as the bucket heads do (six and fourteen while the chain
+// links grew to each new largest partition exactly; seven and fifteen when
+// the single-thread executor still started a goroutine).
 func TestBuildProbeAllocations(t *testing.T) {
 	rKeys, sKeys := randKeys(1<<16, 60), randKeys(1<<16, 61)
 	perJoin := func(fanOut int) float64 {
@@ -244,8 +249,8 @@ func TestBuildProbeAllocations(t *testing.T) {
 		}
 		return min(testing.AllocsPerRun(3, join), testing.AllocsPerRun(3, join))
 	}
-	if small, large := perJoin(256), perJoin(8192); small > 6 || large > 14 {
-		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want at most 6 and 14", small, large)
+	if small, large := perJoin(256), perJoin(8192); small > 5 || large > 7 {
+		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want at most 5 and 7", small, large)
 	}
 }
 

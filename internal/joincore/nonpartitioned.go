@@ -11,90 +11,71 @@ import (
 	"fpgapart/workload"
 )
 
+// probeBatch is how many probe tuples the non-partitioned join looks up
+// together: their bucket heads are loaded first, so those cache misses
+// overlap instead of each waiting behind the previous tuple's chain walk.
+const probeBatch = 16
+
 // NonPartitioned is the no-partitioning hash join baseline (the alternative
 // the paper's related work contrasts with partitioned joins): one global
 // bucket-chaining hash table over R, built and probed in parallel. It avoids
 // the partitioning passes but takes every probe as a cache and TLB miss on
-// large relations.
+// large relations — two dependent ones, bucket head then entry, the entry
+// holding the build tuple itself.
 func NonPartitioned(r, s *workload.Relation, threads int) (*Result, error) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	n := r.NumTuples
-	buckets := 1
-	for buckets < n {
-		buckets <<= 1
-	}
-	if buckets < 16 {
-		buckets = 16
-	}
-	mask := uint32(buckets - 1)
-	head := make([]int32, buckets)
-	next := make([]int32, n)
+	rr, sr := relationRun(r), relationRun(s)
+	bt := buildTable{entries: make([]entry, r.NumTuples)} // exactly, not reset's power of two
+	bt.reset(r.NumTuples)
+	head, mask, entries := bt.head, bt.mask, bt.entries[:r.NumTuples]
 
 	start := time.Now()
 	// Parallel build: lock-free chain pushes with CAS on the bucket heads.
-	var wg sync.WaitGroup
-	chunk := (n + threads - 1) / threads
-	for w := 0; w < threads; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				b := hashutil.Murmur32Finalizer(r.Key(i)) & mask
-				for {
-					old := atomic.LoadInt32(&head[b])
-					next[i] = old
-					if atomic.CompareAndSwapInt32(&head[b], old, int32(i)+1) {
-						break
-					}
+	inChunks(r.NumTuples, threads, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &entries[i]
+			e.tuple = rr.words[i*rr.stride]
+			b := hashutil.Murmur32Finalizer(uint32(e.tuple)) & mask
+			for {
+				e.next = atomic.LoadInt32(&head[b])
+				if atomic.CompareAndSwapInt32(&head[b], e.next, int32(i)+1) {
+					break
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	buildDone := time.Now()
 
 	var matches int64
 	var checksum uint64
-	m := s.NumTuples
-	chunk = (m + threads - 1) / threads
-	for w := 0; w < threads; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var localM int64
-			var localC uint64
-			for i := lo; i < hi; i++ {
-				key := s.Key(i)
-				for slot := head[hashutil.Murmur32Finalizer(key)&mask]; slot != 0; {
-					j := int(slot - 1)
-					if r.Key(j) == key {
+	inChunks(s.NumTuples, threads, func(lo, hi int) {
+		var localM int64
+		var localC uint64
+		var tuples [probeBatch]uint64
+		var heads [probeBatch]int32
+		for ; lo < hi; lo += probeBatch {
+			n := min(probeBatch, hi-lo)
+			for j := 0; j < n; j++ {
+				t := sr.words[(lo+j)*sr.stride]
+				tuples[j], heads[j] = t, head[hashutil.Murmur32Finalizer(uint32(t))&mask]
+			}
+			for j := 0; j < n; j++ {
+				t := tuples[j]
+				for at := heads[j]; at != 0; {
+					e := &entries[at-1]
+					at = e.next
+					if uint32(e.tuple) == uint32(t) {
 						localM++
-						localC += uint64(r.Payload(j)) + uint64(s.Payload(i))
+						localC += e.tuple>>32 + t>>32
 					}
-					slot = next[j]
 				}
 			}
-			atomic.AddInt64(&matches, localM)
-			atomic.AddUint64(&checksum, localC)
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+		atomic.AddInt64(&matches, localM)
+		atomic.AddUint64(&checksum, localC)
+	})
 	elapsed := time.Since(start)
 	return &Result{
 		Matches:  matches,
@@ -104,6 +85,34 @@ func NonPartitioned(r, s *workload.Relation, threads int) (*Result, error) {
 		Probe:    elapsed - buildDone.Sub(start),
 		Threads:  threads,
 	}, nil
+}
+
+// inChunks splits [0, n) into one contiguous chunk per thread, runs fn on
+// each in its own goroutine and waits for all of them.
+func inChunks(n, threads int, fn func(lo, hi int)) {
+	var wg sync.WaitGroup
+	chunk := (n + threads - 1) / threads
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
+}
+
+// relationRun views a relation as a run: a row-layout relation's records as
+// they are, a column-layout one packed.
+func relationRun(rel *workload.Relation) run {
+	if rel.Layout == workload.RowLayout {
+		return run{words: rel.Data[:rel.NumTuples*rel.Stride()], stride: rel.Stride()}
+	}
+	packed := make([]uint64, rel.NumTuples)
+	for i := range packed {
+		packed[i] = uint64(rel.Keys[i]) | uint64(rel.Payloads[i])<<32
+	}
+	return run{words: packed, stride: 1}
 }
 
 // NonPartitionedBudgeted is the global-table baseline under a memory
@@ -134,8 +143,7 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 
 	// Chunked build: stage the packed sides through the spill store, then
 	// run the broadcast joiner single-threaded (one global "partition").
-	bs := packRelation(build)
-	ps := packRelation(probe)
+	bs, ps := relationRun(build).appendTuples(nil), relationRun(probe).appendTuples(nil)
 	spilled := 8 * (nBuild + nProbe)
 	start := time.Now()
 	pj := partitionJoiner{cfg: &cfg}
@@ -156,14 +164,4 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 	}
 	res.splitPhases(pj.buildNS, pj.probeNS)
 	return res, stats, nil
-}
-
-// packRelation materializes a relation's (key, payload) pairs as packed
-// uint64 tuples for the chunked joiner.
-func packRelation(rel *workload.Relation) []uint64 {
-	out := make([]uint64, rel.NumTuples)
-	for i := 0; i < rel.NumTuples; i++ {
-		out[i] = uint64(rel.Key(i)) | uint64(rel.Payload(i))<<32
-	}
-	return out
 }

@@ -10,36 +10,38 @@ const sketchSlots = 8
 // candidate set depends only on the input order, which is deterministic for
 // a given partitioning.
 type topKSketch struct {
-	keys   [sketchSlots]uint32
+	keys [sketchSlots]uint32
+	// counts are stored above base, so that decrementing every counter is
+	// one increment of base: slot i is free when counts[i] == base.
 	counts [sketchSlots]int64
+	base   int64
 }
 
 func (s *topKSketch) observe(key uint32) {
 	free := -1
 	for i := 0; i < sketchSlots; i++ {
-		if s.counts[i] > 0 && s.keys[i] == key {
+		if s.counts[i] == s.base {
+			if free < 0 {
+				free = i
+			}
+		} else if s.keys[i] == key {
 			s.counts[i]++
 			return
-		}
-		if s.counts[i] == 0 && free < 0 {
-			free = i
 		}
 	}
 	if free >= 0 {
 		s.keys[free] = key
-		s.counts[free] = 1
+		s.counts[free] = s.base + 1
 		return
 	}
-	for i := 0; i < sketchSlots; i++ {
-		s.counts[i]--
-	}
+	s.base++
 }
 
 // top returns the candidate with the largest surviving count. Misra-Gries
 // counts are lower bounds, so the caller confirms the candidate's true
 // frequency with an exact pass before acting on it.
 func (s *topKSketch) top() (key uint32, ok bool) {
-	var best int64
+	best := s.base
 	for i := 0; i < sketchSlots; i++ {
 		if s.counts[i] > best {
 			best = s.counts[i]

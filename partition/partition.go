@@ -15,9 +15,10 @@
 //	res, _ := p.Partition(rel)
 //	fmt.Println(res.Elapsed(), res.Count(0))
 //
-// Both backends produce a Result with a unified slot-level view of the
-// partitions, so downstream operators (e.g. package hashjoin) are agnostic
-// to where the partitioning ran.
+// Both backends produce a Result with a unified view of the partitions — the
+// tuples through Each, the stored words through Run — so downstream
+// operators (e.g. package hashjoin) are agnostic to where the partitioning
+// ran.
 package partition
 
 import (
@@ -178,7 +179,7 @@ func (r *Result) TotalTuples() int64 {
 }
 
 // ValidTuples returns the number of tuples a consumer actually observes
-// through Each/Slot. For CPU-written results this equals TotalTuples. For
+// through Each/Run. For CPU-written results this equals TotalTuples. For
 // FPGA-written results it can be smaller: an input tuple whose key equals
 // the circuit's dummy key is written to the output lines but is
 // indistinguishable from flush padding, so every reader skips it — the
@@ -190,14 +191,18 @@ func (r *Result) ValidTuples() int64 {
 	}
 	var n int64
 	for p := 0; p < r.numPartitions; p++ {
-		r.Each(p, func(_, _ uint32) { n++ })
+		words, stride, dummy, _ := r.Run(p, 0)
+		for i := 0; i < len(words); i += stride {
+			if uint32(words[i]) != dummy {
+				n++
+			}
+		}
 	}
 	return n
 }
 
 // SlotCount returns the number of addressable tuple slots in partition p.
-// For FPGA-written partitions this includes dummy slots; use Slot's ok
-// result to skip them.
+// For FPGA-written partitions this includes dummy slots.
 func (r *Result) SlotCount(p int) int {
 	if r.cpu != nil {
 		return int(r.cpu.Count(p))
@@ -205,22 +210,22 @@ func (r *Result) SlotCount(p int) int {
 	return int(r.fpga.LinesUsed[p]) * r.fpga.TuplesPerLine()
 }
 
-// Slot returns the key and payload in slot i of partition p; ok is false
-// for dummy (padding) slots.
-func (r *Result) Slot(p, i int) (key, payload uint32, ok bool) {
+// NumRuns returns how many contiguous runs of words partition p is stored
+// in: one, for either backend.
+func (r *Result) NumRuns(p int) int { return 1 }
+
+// Run returns partition p as the words it is stored in, for consumers that
+// read it in place: one slot every stride words, whose first word packs the
+// key (low half) and the payload (high half). A CPU-written partition is its
+// packed tuples (stride 1, hasDummy false); an FPGA-written one is its cache
+// lines — a slot every TupleWidth/8 words, and the slots whose key is dummy
+// are padding. The words belong to the Result and must not be written.
+func (r *Result) Run(p, _ int) (words []uint64, stride int, dummy uint32, hasDummy bool) {
 	if r.cpu != nil {
-		t := r.cpu.Data[r.cpu.Offsets[p]+int64(i)]
-		return uint32(t), uint32(t >> 32), true
+		return r.cpu.Partition(p), 1, 0, false
 	}
 	o := r.fpga
-	wpt := o.TupleWidth / 8
-	base := o.Base[p]*8 + int64(i*wpt)
-	w := o.Lines[base]
-	key = uint32(w)
-	if key == o.DummyKey {
-		return 0, 0, false
-	}
-	return key, uint32(w >> 32), true
+	return o.Lines[o.Base[p]*8 : (o.Base[p]+o.LinesUsed[p])*8], o.TupleWidth / 8, o.DummyKey, true
 }
 
 // PartitionChecksum returns an order-insensitive checksum over the valid
@@ -508,8 +513,8 @@ func (e exactFallback) Name() string { return e.Partitioner.Name() + " (dummy-ke
 // Exact partitions rel with p and verifies that a consumer observes every
 // input tuple. The FPGA output encoding cannot represent a tuple whose key
 // equals the circuit's dummy key: it is written but reads back as flush
-// padding, so Each and Slot skip it — a join silently misses matches, an
-// aggregation a group. When Result.ValidTuples disagrees with the input
+// padding, so Each and every reader of Run skip it — a join silently misses
+// matches, an aggregation a group. When Result.ValidTuples disagrees with the input
 // size, rel is repartitioned by the CPU partitioner (hash and threads
 // configure it), whose partition boundaries are exact for every key. The
 // returned Partitioner is the one whose output is returned: p itself, or

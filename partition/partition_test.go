@@ -85,8 +85,12 @@ func TestSlotViewSkipsDummies(t *testing.T) {
 		if slots < int(res.Count(p)) {
 			t.Fatalf("partition %d: %d slots < %d tuples", p, slots, res.Count(p))
 		}
-		for i := 0; i < slots; i++ {
-			if _, _, ok := res.Slot(p, i); ok {
+		words, stride, dummy, hasDummy := res.Run(p, 0)
+		if !hasDummy || len(words) != slots*stride {
+			t.Fatalf("partition %d: run of %d words, stride %d, dummy %v for %d slots", p, len(words), stride, hasDummy, slots)
+		}
+		for i := 0; i < len(words); i += stride {
+			if uint32(words[i]) != dummy {
 				valid++
 			}
 		}
