@@ -4,6 +4,7 @@
 //
 //	repro -exp all                # every experiment at the default scale
 //	repro -exp fig9 -scale 0.125  # one experiment at 1/8 of paper scale
+//	repro -exp fig9 -csv out      # the same, and out/fig9.csv from the same run
 //	repro -list
 //
 // Scale multiplies the paper's relation sizes (1.0 = the full 128 M-tuple
@@ -12,6 +13,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
@@ -42,6 +44,14 @@ func main() {
 		return
 	}
 
+	if *csvDir != "" {
+		// A mistyped directory fails here, not after the first run.
+		if info, err := os.Stat(*csvDir); err != nil || !info.IsDir() {
+			fmt.Fprintf(os.Stderr, "-csv %s: not a directory\n", *csvDir)
+			os.Exit(2)
+		}
+	}
+
 	stopProfiles, err := perfbench.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -59,29 +69,22 @@ func main() {
 
 	run := func(e experiments.Experiment) {
 		start := time.Now()
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, e.ID+".csv")
-			file, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := experiments.WriteCSV(cfg, e.ID, file); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			if err := file.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("[%s csv written to %s in %v]\n", e.ID, path, time.Since(start).Round(time.Millisecond))
-			return
-		}
-		if err := e.Run(cfg, os.Stdout); err != nil {
+		res, err := e.Run(cfg)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s finished in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+		res.Text(os.Stdout)
+		done := "finished"
+		if *csvDir != "" {
+			path := filepath.Join(*csvDir, e.ID+".csv")
+			if err := writeCSV(path, res.CSV()); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+				os.Exit(1)
+			}
+			done = "csv written to " + path
+		}
+		fmt.Printf("[%s %s in %v]\n", e.ID, done, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
@@ -97,4 +100,16 @@ func main() {
 		os.Exit(2)
 	}
 	run(e)
+}
+
+func writeCSV(path string, rows [][]string) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := csv.NewWriter(file).WriteAll(rows); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }

@@ -172,7 +172,10 @@ type Result struct {
 	// JoinTime is the slowest node's measured local build+probe (with the
 	// coherence penalty when the partitions were FPGA/NIC-written).
 	JoinTime time.Duration
-	Total    time.Duration
+	// JoinTuples is the build+probe input, R and S tuples together, of the
+	// node that joins the most: the deterministic side of JoinTime.
+	JoinTuples int64
+	Total      time.Duration
 
 	// BytesExchanged is the total off-node payload traffic (one clean copy
 	// of every piece); retransmitted traffic is reported separately.
@@ -295,6 +298,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	var matches int64
 	var checksum uint64
 	var slowestJoin time.Duration
+	var mostJoined int64
 	penalty := 1.0
 	if opts.UseFPGA {
 		// Received partitions were written by remote agents (RDMA NIC /
@@ -306,6 +310,13 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 			continue
 		}
 		gps := ownedGPs[n]
+		var tuples int64
+		for _, gp := range gps {
+			for src := range rParts {
+				tuples += rParts[src].Count(gp) + sParts[src].Count(gp)
+			}
+		}
+		mostJoined = max(mostJoined, tuples)
 		bp, err := joincore.BuildProbe(&merged{rParts, gps}, &merged{sParts, gps}, opts.Threads)
 		if err != nil {
 			return nil, err
@@ -327,6 +338,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		PartitionTime:  slowest,
 		ExchangeTime:   time.Duration(ex.seconds * float64(time.Second)),
 		JoinTime:       slowestJoin,
+		JoinTuples:     mostJoined,
 		BytesExchanged: ex.payloadBytes,
 		Nodes:          opts.Nodes,
 		GlobalFanOut:   global,

@@ -39,6 +39,12 @@ func TestDistributedJoinMatchesLocal(t *testing.T) {
 		if dist.GlobalFanOut != 256 {
 			t.Errorf("nodes=%d: global fan-out %d", nodes, dist.GlobalFanOut)
 		}
+		// The most-loaded node joins at least its even share of both
+		// relations, and all of them when it is alone.
+		total := int64(in.R.NumTuples + in.S.NumTuples)
+		if dist.JoinTuples*int64(nodes) < total || dist.JoinTuples > total || (nodes == 1 && dist.JoinTuples != total) {
+			t.Errorf("nodes=%d: most-loaded node joins %d of %d tuples", nodes, dist.JoinTuples, total)
+		}
 	}
 }
 

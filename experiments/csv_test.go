@@ -7,55 +7,62 @@ import (
 	"testing"
 )
 
-func TestCSVIDsCoverAllExperiments(t *testing.T) {
-	ids := CSVIDs()
-	if len(ids) != len(All()) {
-		t.Fatalf("CSV writers cover %d of %d experiments", len(ids), len(All()))
-	}
-}
-
-func TestWriteCSVUnknownID(t *testing.T) {
-	if err := WriteCSV(tiny(), "nope", &bytes.Buffer{}); err == nil {
-		t.Error("unknown id accepted")
-	}
-}
-
+// TestWriteCSVFastExperiments checks the shape of every CSV (all sixteen,
+// whatever the name says): snake_case header, rows as wide as the header.
 func TestWriteCSVFastExperiments(t *testing.T) {
-	// The cheap experiments run here; the expensive ones share the same
-	// writer scaffolding and are covered by the full-suite test below.
-	for _, id := range []string{"table1", "table2", "model", "fig3"} {
-		var buf bytes.Buffer
-		if err := WriteCSV(tiny(), id, &buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		rows, err := csv.NewReader(&buf).ReadAll()
-		if err != nil {
-			t.Fatalf("%s: invalid csv: %v", id, err)
-		}
-		if len(rows) < 2 {
-			t.Errorf("%s: only %d rows", id, len(rows))
-		}
-		// Header and data rows have matching widths (csv.Reader enforces),
-		// and headers are lowercase identifiers.
-		for _, col := range rows[0] {
-			if col != strings.ToLower(col) || strings.Contains(col, " ") {
-				t.Errorf("%s: header %q not snake_case", id, col)
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			rows := result[Result](t, e.ID).CSV()
+			if len(rows) < 2 {
+				t.Fatalf("only %d rows", len(rows))
+			}
+			for _, col := range rows[0] {
+				if col != strings.ToLower(col) || strings.Contains(col, " ") {
+					t.Errorf("header %q not snake_case", col)
+				}
+			}
+			for i, row := range rows {
+				if len(row) != len(rows[0]) {
+					t.Errorf("row %d has %d fields, header has %d", i, len(row), len(rows[0]))
+				}
+			}
+		})
+	}
+}
+
+// TestWriteCSVAllExperiments writes every result the way cmd/repro does and
+// reads it back.
+func TestWriteCSVAllExperiments(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			rows := result[Result](t, e.ID).CSV()
+			var buf bytes.Buffer
+			if err := csv.NewWriter(&buf).WriteAll(rows); err != nil {
+				t.Fatal(err)
+			}
+			back, err := csv.NewReader(&buf).ReadAll()
+			if err != nil {
+				t.Fatalf("invalid csv: %v", err)
+			}
+			if len(back) != len(rows) {
+				t.Errorf("wrote %d records, read %d", len(rows), len(back))
+			}
+		})
+	}
+}
+
+// TestThreadSweepCSVWorkloadOrder pins the row order of the two CSVs that
+// are rendered from a map: workloads appear in the order Text prints them.
+func TestThreadSweepCSVWorkloadOrder(t *testing.T) {
+	for id, want := range map[string]string{"fig11": "AB", "fig12": "CDE"} {
+		var got string
+		for _, row := range result[Result](t, id).CSV()[1:] {
+			if !strings.HasSuffix(got, row[0]) {
+				got += row[0]
 			}
 		}
-	}
-}
-
-func TestWriteCSVAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	for _, id := range CSVIDs() {
-		var buf bytes.Buffer
-		if err := WriteCSV(tiny(), id, &buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if _, err := csv.NewReader(&buf).ReadAll(); err != nil {
-			t.Fatalf("%s: invalid csv: %v", id, err)
+		if got != want {
+			t.Errorf("%s: workload column runs through %q, want %q", id, got, want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment has a Run function returning a typed result
-// and a text renderer that prints the same rows/series the paper reports;
-// cmd/repro drives them from the command line and bench_test.go exposes one
-// benchmark per experiment.
+// evaluation. Each experiment has a Run function returning a typed result;
+// the result renders itself twice — Text prints the rows/series the paper
+// reports, CSV returns the same data as plot-ready records — so one run
+// serves both. cmd/repro drives them from the command line and
+// bench_test.go exposes one benchmark per experiment.
 //
 // Absolute numbers differ from the paper — the CPU side is measured on the
 // host running the tests (Go, not hand-tuned C with non-temporal SIMD) and
@@ -16,6 +17,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 )
 
 // Config scales and seeds an experiment run.
@@ -62,32 +64,52 @@ func (c Config) threadSweep() []int {
 	return out
 }
 
+// Result is the outcome of one experiment run, in its two rendered forms.
+type Result interface {
+	// Text prints the rows/series the paper reports.
+	Text(w io.Writer)
+	// CSV returns the same data as plot-ready records, header row first.
+	CSV() [][]string
+}
+
 // Experiment couples an identifier with its runner for cmd/repro.
 type Experiment struct {
 	ID          string
 	Description string
-	Run         func(cfg Config, w io.Writer) error
+	Run         func(cfg Config) (Result, error)
+}
+
+// as adapts a typed Run function to Experiment.Run. A failed run returns a
+// nil Result, not a nil pointer wrapped in a non-nil interface.
+func as[R Result](run func(Config) (R, error)) func(Config) (Result, error) {
+	return func(cfg Config) (Result, error) {
+		res, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
 }
 
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Memory access behavior vs last writer (coherence)", runTable1},
-		{"fig2", "Memory bandwidth vs read/write ratio", runFigure2},
-		{"fig3", "Tuple distribution CDF: radix vs hash partitioning", runFigure3},
-		{"fig4", "CPU partitioning throughput vs threads", runFigure4},
-		{"table2", "FPGA resource usage vs tuple width", runTable2},
-		{"fig8", "FPGA throughput vs tuple width", runFigure8},
-		{"fig9", "Partitioning throughput across modes", runFigure9},
-		{"model", "Cost model parameters and Section 4.8 validation", runModelValidation},
-		{"fig10", "Join time vs number of partitions", runFigure10},
-		{"fig11", "Join time vs threads (workloads A, B)", runFigure11},
-		{"fig12", "Join time vs threads and key distribution (C, D, E)", runFigure12},
-		{"fig13", "Join time vs Zipf skew", runFigure13},
-		{"skewdetect", "Extension: PAD overflow detection point vs skew", runSkewDetect},
-		{"future", "Extension: the circuit on future platforms", runFuture},
-		{"dist", "Extension: distributed join over RDMA", runDistributed},
-		{"compress", "Extension: partitioning RLE-compressed columns", runCompress},
+		{"table1", "Memory access behavior vs last writer (coherence)", as(RunTable1)},
+		{"fig2", "Memory bandwidth vs read/write ratio", as(RunFigure2)},
+		{"fig3", "Tuple distribution CDF: radix vs hash partitioning", as(RunFigure3)},
+		{"fig4", "CPU partitioning throughput vs threads", as(RunFigure4)},
+		{"table2", "FPGA resource usage vs tuple width", as(RunTable2)},
+		{"fig8", "FPGA throughput vs tuple width", as(RunFigure8)},
+		{"fig9", "Partitioning throughput across modes", as(RunFigure9)},
+		{"model", "Cost model parameters and Section 4.8 validation", as(RunModelValidation)},
+		{"fig10", "Join time vs number of partitions", as(RunFigure10)},
+		{"fig11", "Join time vs threads (workloads A, B)", as(RunFigure11)},
+		{"fig12", "Join time vs threads and key distribution (C, D, E)", as(RunFigure12)},
+		{"fig13", "Join time vs Zipf skew", as(RunFigure13)},
+		{"skewdetect", "Extension: PAD overflow detection point vs skew", as(RunSkewDetect)},
+		{"future", "Extension: the circuit on future platforms", as(RunFuture)},
+		{"dist", "Extension: distributed join over RDMA", as(RunDistributed)},
+		{"compress", "Extension: partitioning RLE-compressed columns", as(RunCompress)},
 	}
 }
 
@@ -105,6 +127,10 @@ func Find(id string) (Experiment, error) {
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }
+
+// f and d format a CSV cell.
+func f(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+func d(v int64) string   { return strconv.FormatInt(v, 10) }
 
 // percentile returns the p-th percentile (0–100) of sorted data.
 func percentile(sorted []int64, p float64) int64 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/codec"
 	"fpgapart/distjoin"
@@ -76,11 +77,8 @@ func RunSkewDetect(cfg Config) (*SkewDetectResult, error) {
 	return res, nil
 }
 
-func runSkewDetect(cfg Config, w io.Writer) error {
-	res, err := RunSkewDetect(cfg)
-	if err != nil {
-		return err
-	}
+// Text groups the points by Zipf factor, one row per factor.
+func (res *SkewDetectResult) Text(w io.Writer) {
 	header(w, "Extension: PAD overflow detection point vs skew (Section 5.4)")
 	fmt.Fprintf(w, "%d tuples, 1024 partitions, 15%% padding, 5 seeds per factor\n", res.Tuples)
 	fmt.Fprintf(w, "%-6s %-10s %s\n", "zipf", "overflows", "detected at (fraction of stream, per seed)")
@@ -108,7 +106,15 @@ func runSkewDetect(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "paper: PAD fails beyond ~0.25 for realistic padding; detection point is")
 	fmt.Fprintln(w, "random — in the worst case at the very end of the run")
-	return nil
+}
+
+// CSV has one record per (factor, seed) run.
+func (res *SkewDetectResult) CSV() [][]string {
+	rows := [][]string{{"zipf", "seed", "overflowed", "detected_at_fraction"}}
+	for _, p := range res.Points {
+		rows = append(rows, []string{f(p.ZipfFactor), d(p.Seed), strconv.FormatBool(p.Overflowed), f(p.DetectedAtFraction)})
+	}
+	return rows
 }
 
 // FutureResult compares partitioning throughput on today's Xeon+FPGA link
@@ -158,11 +164,7 @@ func RunFuture(cfg Config) (*FutureResult, error) {
 	return res, nil
 }
 
-func runFuture(cfg Config, w io.Writer) error {
-	res, err := RunFuture(cfg)
-	if err != nil {
-		return err
-	}
+func (res *FutureResult) Text(w io.Writer) {
 	header(w, "Extension: the same circuit on future platforms (PAD/RID)")
 	fmt.Fprintf(w, "%d tuples\n", res.Tuples)
 	for _, r := range res.Rows {
@@ -170,7 +172,14 @@ func runFuture(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "paper: with ≥25.6 GB/s the circuit term dominates at 1.6 Gtuples/s;")
 	fmt.Fprintln(w, "hardened next to the CPU it would clock past that")
-	return nil
+}
+
+func (res *FutureResult) CSV() [][]string {
+	rows := [][]string{{"platform", "mtuples_per_s"}}
+	for _, r := range res.Rows {
+		rows = append(rows, []string{r.Platform, f(r.MTuplesPerS)})
+	}
+	return rows
 }
 
 // CompressRow is one run-length configuration of the compression sweep.
@@ -240,11 +249,7 @@ func RunCompress(cfg Config) (*CompressResult, error) {
 	return res, nil
 }
 
-func runCompress(cfg Config, w io.Writer) error {
-	res, err := RunCompress(cfg)
-	if err != nil {
-		return err
-	}
+func (res *CompressResult) Text(w io.Writer) {
 	header(w, "Extension: partitioning compressed columns (HIST/VRID)")
 	fmt.Fprintf(w, "%d tuples; RLE-compressed key column vs raw keys\n", res.Tuples)
 	fmt.Fprintf(w, "%-10s %10s %14s %14s %10s\n", "run length", "RLE ratio", "plain Mt/s", "compressed", "speedup")
@@ -256,7 +261,14 @@ func runCompress(cfg Config, w io.Writer) error {
 	fmt.Fprintln(w, "incompressible columns (run length 1: RLE ratio 0.5) cost extra reads.")
 	fmt.Fprintln(w, "HIST's histogram pass is circuit-bound at one group/cycle, capping the")
 	fmt.Fprintln(w, "speedup near 1.15x on this link; PAD mode would reach ~1.25x")
-	return nil
+}
+
+func (res *CompressResult) CSV() [][]string {
+	rows := [][]string{{"run_length", "rle_ratio", "plain_mtps", "compressed_mtps"}}
+	for _, r := range res.Rows {
+		rows = append(rows, []string{strconv.Itoa(r.AvgRunLength), f(r.Ratio), f(r.PlainMTps), f(r.CompMTps)})
+	}
+	return rows
 }
 
 // DistributedResult sweeps cluster sizes for the distributed join.
@@ -274,6 +286,16 @@ type DistributedRow struct {
 	JoinSec        float64
 	TotalSec       float64
 	BytesExchanged int64
+	// JoinTuples is the most-loaded node's build+probe input: what JoinSec,
+	// host-measured, is the time of. The tests assert on it; it is not rendered.
+	JoinTuples int64
+}
+
+func (r DistributedRow) backend() string {
+	if r.FPGA {
+		return "fpga"
+	}
+	return "cpu"
 }
 
 // RunDistributed joins a linear workload across 1–8 simulated nodes with
@@ -310,31 +332,31 @@ func RunDistributed(cfg Config) (*DistributedResult, error) {
 				JoinSec:        r.JoinTime.Seconds(),
 				TotalSec:       r.Total.Seconds(),
 				BytesExchanged: r.BytesExchanged,
+				JoinTuples:     r.JoinTuples,
 			})
 		}
 	}
 	return res, nil
 }
 
-func runDistributed(cfg Config, w io.Writer) error {
-	res, err := RunDistributed(cfg)
-	if err != nil {
-		return err
-	}
+func (res *DistributedResult) Text(w io.Writer) {
 	header(w, "Extension: distributed join over RDMA (Section 6 outlook)")
 	fmt.Fprintf(w, "%d ⋈ %d tuples, FDR fabric\n", res.TuplesPerRelation, res.TuplesPerRelation)
 	fmt.Fprintf(w, "%-6s %-6s %10s %10s %10s %10s %12s\n",
 		"nodes", "part.", "partition", "exchange", "join", "total", "traffic MB")
 	for _, r := range res.Rows {
-		kind := "cpu"
-		if r.FPGA {
-			kind = "fpga"
-		}
 		fmt.Fprintf(w, "%-6d %-6s %10.4f %10.4f %10.4f %10.4f %12.1f\n",
-			r.Nodes, kind, r.PartitionSec, r.ExchangeSec, r.JoinSec, r.TotalSec,
+			r.Nodes, r.backend(), r.PartitionSec, r.ExchangeSec, r.JoinSec, r.TotalSec,
 			float64(r.BytesExchanged)/1e6)
 	}
 	fmt.Fprintln(w, "shape: partition and join times shrink ~linearly with nodes; exchange traffic")
 	fmt.Fprintln(w, "grows with the off-node fraction (n-1)/n")
-	return nil
+}
+
+func (res *DistributedResult) CSV() [][]string {
+	rows := [][]string{{"nodes", "backend", "partition_s", "exchange_s", "join_s", "total_s", "bytes_exchanged"}}
+	for _, r := range res.Rows {
+		rows = append(rows, []string{strconv.Itoa(r.Nodes), r.backend(), f(r.PartitionSec), f(r.ExchangeSec), f(r.JoinSec), f(r.TotalSec), d(r.BytesExchanged)})
+	}
+	return rows
 }

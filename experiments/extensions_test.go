@@ -6,10 +6,7 @@ import (
 )
 
 func TestSkewDetectOverflowsBeyondThreshold(t *testing.T) {
-	res, err := RunSkewDetect(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*SkewDetectResult](t, "skewdetect")
 	byFactor := map[float64]struct{ overflows, total int }{}
 	for _, p := range res.Points {
 		e := byFactor[p.ZipfFactor]
@@ -35,10 +32,7 @@ func TestSkewDetectOverflowsBeyondThreshold(t *testing.T) {
 }
 
 func TestFutureOrdering(t *testing.T) {
-	res, err := RunFuture(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*FutureResult](t, "future")
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -53,40 +47,52 @@ func TestFutureOrdering(t *testing.T) {
 	}
 }
 
+// TestDistributedShape asserts the scale-out shape on its deterministic side:
+// with every doubling of the node count the join phase parallelizes (the
+// most-loaded node builds and probes fewer tuples, starting from all of both
+// relations on one node), the circuit's simulated partitioning time shrinks
+// and the exchanged traffic grows. JoinSec is the host-measured time of that
+// build+probe — a millisecond per node, timed while other packages' tests
+// compete for the cores — and is logged beside the tuple counts.
 func TestDistributedShape(t *testing.T) {
-	res, err := RunDistributed(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*DistributedResult](t, "dist")
 	if len(res.Rows) != 8 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
-	var cpu1, cpu8 DistributedRow
+	prev := map[bool]DistributedRow{}
 	for _, r := range res.Rows {
-		if !r.FPGA && r.Nodes == 1 {
-			cpu1 = r
+		p, ok := prev[r.FPGA]
+		prev[r.FPGA] = r
+		if !ok {
+			if r.Nodes != 1 || r.BytesExchanged != 0 {
+				t.Errorf("first %s row: %d nodes exchanged %d bytes", r.backend(), r.Nodes, r.BytesExchanged)
+			}
+			if want := int64(2 * res.TuplesPerRelation); r.JoinTuples != want {
+				t.Errorf("%s: the single node joins %d tuples, want %d", r.backend(), r.JoinTuples, want)
+			}
+			continue
 		}
-		if !r.FPGA && r.Nodes == 8 {
-			cpu8 = r
+		if r.Nodes != 2*p.Nodes {
+			t.Fatalf("%s rows go from %d to %d nodes", r.backend(), p.Nodes, r.Nodes)
 		}
-		if r.Nodes == 1 && r.BytesExchanged != 0 {
-			t.Errorf("single node exchanged %d bytes", r.BytesExchanged)
+		// The join phase parallelizes across nodes.
+		if r.JoinTuples >= p.JoinTuples {
+			t.Errorf("%s: %d-node join (%d tuples on the most-loaded node) not smaller than %d-node (%d)",
+				r.backend(), r.Nodes, r.JoinTuples, p.Nodes, p.JoinTuples)
 		}
-		if r.Nodes > 1 && r.BytesExchanged == 0 {
-			t.Errorf("%d nodes exchanged nothing", r.Nodes)
+		t.Logf("%s join on %d nodes: %d tuples in %.4f s; on %d: %d in %.4f s (host-measured)",
+			r.backend(), p.Nodes, p.JoinTuples, p.JoinSec, r.Nodes, r.JoinTuples, r.JoinSec)
+		if r.BytesExchanged <= p.BytesExchanged {
+			t.Errorf("%s: %d nodes exchanged %d bytes, %d nodes %d", r.backend(), r.Nodes, r.BytesExchanged, p.Nodes, p.BytesExchanged)
 		}
-	}
-	// The join phase parallelizes across nodes.
-	if cpu8.JoinSec >= cpu1.JoinSec {
-		t.Errorf("8-node join (%v s) not faster than 1-node (%v s)", cpu8.JoinSec, cpu1.JoinSec)
+		if r.FPGA && r.PartitionSec >= p.PartitionSec {
+			t.Errorf("simulated partitioning on %d nodes (%v s) not faster than on %d (%v s)", r.Nodes, r.PartitionSec, p.Nodes, p.PartitionSec)
+		}
 	}
 }
 
 func TestCompressSweepShape(t *testing.T) {
-	res, err := RunCompress(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*CompressResult](t, "compress")
 	if len(res.Rows) != 4 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -112,14 +118,8 @@ func TestCompressSweepShape(t *testing.T) {
 
 func TestExtensionRunnersRender(t *testing.T) {
 	for _, id := range []string{"skewdetect", "future", "dist", "compress"} {
-		e, err := Find(id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := e.Run(tiny(), &buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		result[Result](t, id).Text(&buf)
 		if buf.Len() == 0 {
 			t.Errorf("%s produced no output", id)
 		}

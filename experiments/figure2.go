@@ -76,7 +76,8 @@ func MeasureMixBandwidth(buf []uint64, readFrac float64, seed int64) float64 {
 			x ^= x << 5
 			idx := int(x & mask)
 			if idx >= n {
-				idx -= n / 2
+				// n is above half the mask's range, so this lands in [0, n).
+				idx -= int(mask+1) / 2
 			}
 			buf[idx] = sink
 		}
@@ -98,11 +99,7 @@ func nextPow2(n int) int {
 	return p
 }
 
-func runFigure2(cfg Config, w io.Writer) error {
-	res, err := RunFigure2(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Figure2Result) Text(w io.Writer) {
 	header(w, "Figure 2: memory bandwidth vs sequential-read/random-write ratio (GB/s)")
 	fmt.Fprintf(w, "%-10s %10s %12s %10s %12s %12s\n",
 		"read/write", "CPU alone", "CPU interf.", "FPGA alone", "FPGA interf.", "host (meas.)")
@@ -112,5 +109,12 @@ func runFigure2(cfg Config, w io.Writer) error {
 			pt.CPUAlone, pt.CPUInterfered, pt.FPGAAlone, pt.FPGAInterfered, pt.HostMeasured)
 	}
 	fmt.Fprintln(w, "model curves calibrated to the paper; host column is this machine's real shape")
-	return nil
+}
+
+func (res *Figure2Result) CSV() [][]string {
+	rows := [][]string{{"read_fraction", "cpu_alone", "cpu_interfered", "fpga_alone", "fpga_interfered", "host_measured"}}
+	for _, p := range res.Points {
+		rows = append(rows, []string{f(p.ReadFraction), f(p.CPUAlone), f(p.CPUInterfered), f(p.FPGAAlone), f(p.FPGAInterfered), f(p.HostMeasured)})
+	}
+	return rows
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/internal/hashutil"
 	"fpgapart/workload"
@@ -100,23 +101,31 @@ func summarize(d workload.Distribution, hash bool, hist []int64, n int) Figure3S
 	return s
 }
 
-func runFigure3(cfg Config, w io.Writer) error {
-	res, err := RunFigure3(cfg)
-	if err != nil {
-		return err
+// method names a partitioning function in the Figure 3 and 4 renderings.
+func method(hash bool) string {
+	if hash {
+		return "hash"
 	}
+	return "radix"
+}
+
+func (res *Figure3Result) Text(w io.Writer) {
 	header(w, "Figure 3: tuples per partition across 8192 partitions (CDF summary)")
 	fmt.Fprintf(w, "%d keys per distribution; mean = %d tuples/partition\n", res.Tuples, res.Tuples/8192)
 	fmt.Fprintf(w, "%-13s %-6s %6s %6s %8s %8s %8s %8s %10s\n",
 		"distribution", "method", "empty", "min", "p25", "p50", "p75", "max", "imbalance")
 	for _, s := range res.Series {
-		method := "radix"
-		if s.Hash {
-			method = "hash"
-		}
 		fmt.Fprintf(w, "%-13s %-6s %6d %6d %8d %8d %8d %8d %9.2fx\n",
-			s.Distribution, method, s.EmptyParts, s.MinTuples, s.P25, s.P50, s.P75, s.MaxTuples, s.Imbalance)
+			s.Distribution, method(s.Hash), s.EmptyParts, s.MinTuples, s.P25, s.P50, s.P75, s.MaxTuples, s.Imbalance)
 	}
 	fmt.Fprintln(w, "paper: radix is unbalanced for grid/reverse-grid keys (3a); hash is uniform for all (3b)")
-	return nil
+}
+
+func (res *Figure3Result) CSV() [][]string {
+	rows := [][]string{{"distribution", "method", "empty", "min", "p25", "p50", "p75", "max", "imbalance"}}
+	for _, s := range res.Series {
+		rows = append(rows, []string{s.Distribution.String(), method(s.Hash), strconv.Itoa(s.EmptyParts),
+			d(s.MinTuples), d(s.P25), d(s.P50), d(s.P75), d(s.MaxTuples), f(s.Imbalance)})
+	}
+	return rows
 }

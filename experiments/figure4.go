@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/internal/cpupart"
 	"fpgapart/workload"
@@ -19,8 +20,9 @@ type Figure4Point struct {
 
 // Figure4Result is the full sweep.
 type Figure4Result struct {
-	Tuples int
-	Points []Figure4Point
+	Tuples  int
+	Threads []int // the thread sweep, one column per entry
+	Points  []Figure4Point
 }
 
 // RunFigure4 measures the software partitioner (8 B tuples, 8192
@@ -36,7 +38,7 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 		n = 1 << 15
 	}
 	const parts = 8192
-	res := &Figure4Result{Tuples: n}
+	res := &Figure4Result{Tuples: n, Threads: cfg.threadSweep()}
 	type variant struct {
 		d    workload.Distribution
 		hash bool
@@ -55,7 +57,7 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, threads := range cfg.threadSweep() {
+		for _, threads := range res.Threads {
 			r, err := cpupart.Partition(rel, cpupart.Config{
 				NumPartitions: parts,
 				Hash:          v.hash,
@@ -75,16 +77,13 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 	return res, nil
 }
 
-func runFigure4(cfg Config, w io.Writer) error {
-	res, err := RunFigure4(cfg)
-	if err != nil {
-		return err
-	}
+// Text renders the sweep pivoted as in the paper: one row per series, one
+// column per thread count.
+func (res *Figure4Result) Text(w io.Writer) {
 	header(w, "Figure 4: CPU partitioning throughput (Mtuples/s), 8 B tuples, 8192 partitions")
 	fmt.Fprintf(w, "%d tuples per run\n", res.Tuples)
 	fmt.Fprintf(w, "%-26s", "series \\ threads")
-	cfgd := cfg.WithDefaults()
-	for _, t := range cfgd.threadSweep() {
+	for _, t := range res.Threads {
 		fmt.Fprintf(w, "%8d", t)
 	}
 	fmt.Fprintln(w)
@@ -103,5 +102,13 @@ func runFigure4(cfg Config, w io.Writer) error {
 	}
 	printSeries("hash (all distributions)", func(p Figure4Point) bool { return p.Hash })
 	fmt.Fprintln(w, "paper shape: hash costs extra at low threads, converges once memory-bound")
-	return nil
+}
+
+// CSV has one record per measurement.
+func (res *Figure4Result) CSV() [][]string {
+	rows := [][]string{{"distribution", "method", "threads", "mtuples_per_s"}}
+	for _, p := range res.Points {
+		rows = append(rows, []string{p.Distribution.String(), method(p.Hash), strconv.Itoa(p.Threads), f(p.MTuplesPerS)})
+	}
+	return rows
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/internal/core"
 	"fpgapart/internal/model"
@@ -74,11 +75,7 @@ func RunFigure8(cfg Config) (*Figure8Result, error) {
 	return res, nil
 }
 
-func runFigure8(cfg Config, w io.Writer) error {
-	res, err := RunFigure8(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Figure8Result) Text(w io.Writer) {
 	header(w, "Figure 8: throughput and data processed vs tuple width (HIST/RID)")
 	fmt.Fprintf(w, "%-12s %14s %18s %14s\n", "Tuple width", "Mtuples/s", "data processed GB/s", "model Mt/s")
 	for _, p := range res.Points {
@@ -86,5 +83,12 @@ func runFigure8(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%dB", p.TupleWidth), p.MTuplesPerS, p.GBps, p.ModelMTuplesPerS)
 	}
 	fmt.Fprintln(w, "paper shape: tuples/s halves per width doubling; GB/s stays flat")
-	return nil
+}
+
+func (res *Figure8Result) CSV() [][]string {
+	rows := [][]string{{"tuple_width", "mtuples_per_s", "gbps", "model_mtuples_per_s"}}
+	for _, p := range res.Points {
+		rows = append(rows, []string{strconv.Itoa(p.TupleWidth), f(p.MTuplesPerS), f(p.GBps), f(p.ModelMTuplesPerS)})
+	}
+	return rows
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/internal/cpupart"
 	"fpgapart/internal/model"
@@ -153,11 +154,7 @@ func runFPGAMode(name string, format partition.Format, layout partition.Layout,
 	}, nil
 }
 
-func runFigure9(cfg Config, w io.Writer) error {
-	res, err := RunFigure9(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Figure9Result) Text(w io.Writer) {
 	header(w, "Figure 9: partitioning throughput, 8 B tuples, 8192 partitions (Mtuples/s)")
 	fmt.Fprintf(w, "%d tuples per run\n", res.Tuples)
 	fmt.Fprintf(w, "%-28s %10s %10s %10s\n", "configuration", "this repo", "model", "paper")
@@ -171,5 +168,12 @@ func runFigure9(cfg Config, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-28s %10.0f %10s %10.0f%s\n", b.Name, b.MTuplesPerS, modelStr, b.Paper, note)
 	}
-	return nil
+}
+
+func (res *Figure9Result) CSV() [][]string {
+	rows := [][]string{{"configuration", "mtuples_per_s", "model", "paper", "reference"}}
+	for _, b := range res.Bars {
+		rows = append(rows, []string{b.Name, f(b.MTuplesPerS), f(b.Model), f(b.Paper), strconv.FormatBool(b.Reference)})
+	}
+	return rows
 }

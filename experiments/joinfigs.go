@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/hashjoin"
 	"fpgapart/internal/model"
@@ -97,18 +98,28 @@ func RunFigure10(cfg Config) (*Figure10Result, error) {
 	return res, nil
 }
 
-func runFigure10(cfg Config, w io.Writer) error {
-	res, err := RunFigure10(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Figure10Result) Text(w io.Writer) {
 	header(w, "Figure 10: join time vs number of partitions (workload A)")
 	fmt.Fprintf(w, "R: %d tuples, S: %d tuples\n", res.Workload.TuplesR, res.Workload.TuplesS)
 	printJoinPoints(w, res.Points, true)
 	fmt.Fprintln(w, "paper shape: CPU partitioning grows with fan-out (1-thread); FPGA partitioning is flat;")
 	fmt.Fprintln(w, "             build+probe shrinks with fan-out; hybrid build+probe pays the snoop penalty")
-	return nil
 }
+
+func (res *Figure10Result) CSV() [][]string {
+	rows := [][]string{joinHeader(true)}
+	for _, p := range res.Points {
+		rows = append(rows, joinRow(p, true, ""))
+	}
+	return rows
+}
+
+// figure11Workloads and figure12Workloads fix the order in which the
+// thread-sweep figures run, print and export their workloads.
+var (
+	figure11Workloads = []workload.WorkloadID{workload.WorkloadA, workload.WorkloadB}
+	figure12Workloads = []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE}
+)
 
 // Figure11Result: join time vs threads (workloads A and B).
 type Figure11Result struct {
@@ -125,7 +136,7 @@ func RunFigure11(cfg Config) (*Figure11Result, error) {
 		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
 	}
 	const parts = 8192
-	for _, id := range []workload.WorkloadID{workload.WorkloadA, workload.WorkloadB} {
+	for _, id := range figure11Workloads {
 		spec, err := workload.Spec(id)
 		if err != nil {
 			return nil, err
@@ -174,19 +185,18 @@ func RunFigure11(cfg Config) (*Figure11Result, error) {
 	return res, nil
 }
 
-func runFigure11(cfg Config, w io.Writer) error {
-	res, err := RunFigure11(cfg)
-	if err != nil {
-		return err
-	}
-	for _, id := range []workload.WorkloadID{workload.WorkloadA, workload.WorkloadB} {
+func (res *Figure11Result) Text(w io.Writer) {
+	for _, id := range figure11Workloads {
 		spec := res.Specs[id]
 		header(w, fmt.Sprintf("Figure 11: join time vs threads (workload %s: %d ⋈ %d)", id, spec.TuplesR, spec.TuplesS))
 		printJoinPoints(w, res.Results[id], false)
 	}
 	fmt.Fprintln(w, "\npaper shape: VRID partitions fastest (half the reads); hybrid build+probe is")
 	fmt.Fprintln(w, "coherence-penalized; CPU and hybrid converge at full thread count")
-	return nil
+}
+
+func (res *Figure11Result) CSV() [][]string {
+	return threadSweepCSV(figure11Workloads, res.Results)
 }
 
 // Figure12Result: join time vs threads for workloads C, D, E with radix vs
@@ -205,7 +215,7 @@ func RunFigure12(cfg Config) (*Figure12Result, error) {
 		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
 	}
 	const parts = 8192
-	for _, id := range []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE} {
+	for _, id := range figure12Workloads {
 		spec, err := workload.Spec(id)
 		if err != nil {
 			return nil, err
@@ -244,19 +254,18 @@ func RunFigure12(cfg Config) (*Figure12Result, error) {
 	return res, nil
 }
 
-func runFigure12(cfg Config, w io.Writer) error {
-	res, err := RunFigure12(cfg)
-	if err != nil {
-		return err
-	}
-	for _, id := range []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE} {
+func (res *Figure12Result) Text(w io.Writer) {
+	for _, id := range figure12Workloads {
 		spec := res.Specs[id]
 		header(w, fmt.Sprintf("Figure 12: join vs threads (workload %s, %v keys)", id, spec.Distribution))
 		printJoinPoints(w, res.Results[id], false)
 	}
 	fmt.Fprintln(w, "\npaper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)")
 	fmt.Fprintln(w, "but costs CPU partitioning time at low thread counts; free on the FPGA")
-	return nil
+}
+
+func (res *Figure12Result) CSV() [][]string {
+	return threadSweepCSV(figure12Workloads, res.Results)
 }
 
 // Figure13Result: join time vs Zipf factor of S (workload A sizes).
@@ -306,11 +315,7 @@ func RunFigure13(cfg Config) (*Figure13Result, error) {
 	return res, nil
 }
 
-func runFigure13(cfg Config, w io.Writer) error {
-	res, err := RunFigure13(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Figure13Result) Text(w io.Writer) {
 	header(w, "Figure 13: join time vs Zipf factor of S (workload A sizes, HIST/RID)")
 	fmt.Fprintf(w, "%-6s %-16s %10s %12s %10s %12s\n", "zipf", "system", "part (s)", "build+probe", "total", "model part")
 	for i, p := range res.Points {
@@ -323,7 +328,14 @@ func runFigure13(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "paper shape: HIST (two passes) loses to CPU partitioning on this link; skew shortens")
 	fmt.Fprintln(w, "build+probe for both (hot keys hit cached chains)")
-	return nil
+}
+
+func (res *Figure13Result) CSV() [][]string {
+	rows := [][]string{{"zipf", "system", "partition_s", "build_probe_s", "total_s", "model_partition_s"}}
+	for i, p := range res.Points {
+		rows = append(rows, []string{f(res.Factors[i]), p.System, f(p.PartitionSec), f(p.BuildProbeSec), f(p.TotalSec), f(p.ModelPartitionSec)})
+	}
+	return rows
 }
 
 // printJoinPoints renders a breakdown table.
@@ -352,4 +364,33 @@ func printJoinPoints(w io.Writer, points []JoinPoint, withParts bool) {
 				p.System, p.Threads, p.PartitionSec, p.BuildProbeSec, p.TotalSec, modelStr, note)
 		}
 	}
+}
+
+// threadSweepCSV renders the per-workload points of Figures 11 and 12 in the
+// order of ids, the order Text prints them in.
+func threadSweepCSV(ids []workload.WorkloadID, results map[workload.WorkloadID][]JoinPoint) [][]string {
+	rows := [][]string{joinHeader(false)}
+	for _, id := range ids {
+		for _, p := range results[id] {
+			rows = append(rows, joinRow(p, false, string(id)))
+		}
+	}
+	return rows
+}
+
+func joinHeader(withParts bool) []string {
+	cols := []string{"workload", "system", "threads", "partition_s", "build_probe_s", "total_s", "model_partition_s", "fell_back"}
+	if withParts {
+		cols = append([]string{"partitions"}, cols...)
+	}
+	return cols
+}
+
+func joinRow(p JoinPoint, withParts bool, id string) []string {
+	row := []string{id, p.System, strconv.Itoa(p.Threads), f(p.PartitionSec),
+		f(p.BuildProbeSec), f(p.TotalSec), f(p.ModelPartitionSec), strconv.FormatBool(p.FellBack)}
+	if withParts {
+		row = append([]string{strconv.Itoa(p.Partitions)}, row...)
+	}
+	return row
 }

@@ -71,11 +71,8 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	return res, nil
 }
 
-func runTable1(cfg Config, w io.Writer) error {
-	res, err := RunTable1(cfg)
-	if err != nil {
-		return err
-	}
+// Text renders the table pivoted as in the paper: one row per writer.
+func (res *Table1Result) Text(w io.Writer) {
 	header(w, "Table 1: CPU read time of a 512 MB region vs last writer")
 	fmt.Fprintf(w, "%-14s %-22s %-22s\n", "", "CPU reads sequentially", "CPU reads randomly")
 	for _, writer := range []platform.Socket{platform.CPUSocket, platform.FPGASocket} {
@@ -94,5 +91,17 @@ func runTable1(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "derived penalties: sequential %.2fx, random %.2fx\n", res.SeqPenalty, res.RandPenalty)
 	fmt.Fprintln(w, "paper:             CPU 0.1381/1.1537 s, FPGA 0.1533/2.4876 s")
-	return nil
+}
+
+// CSV has one record per (writer, pattern) cell.
+func (res *Table1Result) CSV() [][]string {
+	rows := [][]string{{"last_writer", "pattern", "seconds"}}
+	for _, r := range res.Rows {
+		pattern := "sequential"
+		if r.Random {
+			pattern = "random"
+		}
+		rows = append(rows, []string{r.LastWriter.String(), pattern, f(r.Seconds)})
+	}
+	return rows
 }

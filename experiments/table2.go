@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"fpgapart/internal/core"
 )
@@ -25,11 +26,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	return res, nil
 }
 
-func runTable2(cfg Config, w io.Writer) error {
-	res, err := RunTable2(cfg)
-	if err != nil {
-		return err
-	}
+func (res *Table2Result) Text(w io.Writer) {
 	header(w, "Table 2: resource usage vs tuple width (Stratix V 5SGXEA, 8192 partitions)")
 	fmt.Fprintf(w, "%-12s %-12s %-8s %-10s\n", "Tuple width", "Logic units", "BRAM", "DSP blocks")
 	for _, r := range res.Rows {
@@ -37,5 +34,13 @@ func runTable2(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%dB", r.TupleWidth), r.LogicPct, r.BRAMPct, r.DSPPct)
 	}
 	fmt.Fprintln(w, "paper: 8B 37/76/14, 16B 28/42/21, 32B 27/24/11, 64B 27/15/6 (%)")
-	return nil
+}
+
+func (res *Table2Result) CSV() [][]string {
+	rows := [][]string{{"tuple_width", "logic_pct", "bram_pct", "dsp_pct", "alms", "m20ks", "dsps"}}
+	for _, r := range res.Rows {
+		rows = append(rows, []string{strconv.Itoa(r.TupleWidth), f(r.LogicPct), f(r.BRAMPct), f(r.DSPPct),
+			strconv.Itoa(r.ALMs), strconv.Itoa(r.M20Ks), strconv.Itoa(r.DSPBlocks)})
+	}
+	return rows
 }

@@ -17,16 +17,16 @@ import (
 // padded to 8 bytes.
 const BuildTupleBytes = 16
 
-// Defaults for BudgetConfig fields left zero.
 const (
-	// DefaultMaxDepth bounds recursive repartitioning; past it a bucket is
+	// DefaultMaxDepth bounds recursive repartitioning when
+	// BudgetConfig.MaxDepth is left zero; past it a bucket is
 	// broadcast-joined instead of split again.
 	DefaultMaxDepth = 4
-	// DefaultSubFanOut is the fan-out of one recursive repartitioning pass.
-	DefaultSubFanOut = 16
-	// DefaultHeavyHitterFraction routes a bucket to the broadcast join when
-	// one key holds at least this fraction of its build side.
-	DefaultHeavyHitterFraction = 0.5
+	// subFanOut is the fan-out of one recursive repartitioning pass.
+	subFanOut = 16
+	// heavyHitterFraction routes a bucket to the broadcast join when one
+	// key holds at least this fraction of its build side.
+	heavyHitterFraction = 0.5
 )
 
 // Action is one adaptive decision of the budgeted join.
@@ -109,13 +109,8 @@ type BudgetConfig struct {
 	Spill *membudget.SpillStore
 	// Threads is the partition-level parallelism (≤ 0 means GOMAXPROCS).
 	Threads int
-	// MaxDepth, SubFanOut and HeavyHitterFraction default to the package
-	// constants when zero.
-	MaxDepth            int
-	SubFanOut           int
-	HeavyHitterFraction float64
-	// Salt seeds the per-depth repartitioning salts.
-	Salt uint32
+	// MaxDepth defaults to DefaultMaxDepth when zero.
+	MaxDepth int
 	// Emit, when non-nil, receives every match of partition p with the
 	// original R payload first regardless of role reversal. Calls are
 	// sequential per partition; distinct partitions may emit concurrently.
@@ -129,20 +124,14 @@ func (c BudgetConfig) withDefaults() BudgetConfig {
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = DefaultMaxDepth
 	}
-	if c.SubFanOut <= 0 {
-		c.SubFanOut = DefaultSubFanOut
-	}
-	if c.HeavyHitterFraction <= 0 {
-		c.HeavyHitterFraction = DefaultHeavyHitterFraction
-	}
 	return c
 }
 
 // saltAt derives the repartitioning salt for one recursion depth. It is
 // never zero at depth ≥ 1, so a recursive pass hashes differently from the
 // top-level partitioner (whose low hash bits the bucket's keys agree on).
-func saltAt(base uint32, depth int) uint32 {
-	s := hashutil.Murmur32Finalizer(base ^ uint32(depth)*0x9E3779B9)
+func saltAt(depth int) uint32 {
+	s := hashutil.Murmur32Finalizer(uint32(depth) * 0x9E3779B9)
 	if s == 0 {
 		s = 1
 	}
@@ -281,7 +270,7 @@ func replayAccounting(stats *BudgetStats, cfg BudgetConfig) {
 	b, sp := cfg.Budget, cfg.Spill
 	// One write-combining line per side stages spill writes.
 	const spillBufBytes = 2 * cpupart.BufferTuples * 8
-	scatterBytes := int64(2 * cfg.SubFanOut * cpupart.BufferTuples * 8)
+	scatterBytes := int64(2 * subFanOut * cpupart.BufferTuples * 8)
 	chunkCap := chunkTuples(b)
 	for _, d := range stats.Decisions {
 		if d.Depth > stats.MaxDepth {
@@ -439,7 +428,7 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 	if !stuck { // a stuck bucket is its parent over again, which was not hot
 		_, hhCount = heavyHitter(build)
 	}
-	hot := float64(hhCount) >= pj.cfg.HeavyHitterFraction*float64(nBuild) ||
+	hot := float64(hhCount) >= heavyHitterFraction*float64(nBuild) ||
 		(pj.cfg.Budget.Limited() && hhCount*BuildTupleBytes > pj.cfg.Budget.Cap())
 	if hot || stuck || depth > pj.cfg.MaxDepth {
 		d.Action = ActionBroadcast
@@ -454,10 +443,10 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 	d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
 	pj.below = append(pj.below, d)
 	sub := cpupart.Config{
-		NumPartitions: pj.cfg.SubFanOut,
+		NumPartitions: subFanOut,
 		Hash:          true,
 		Threads:       1,
-		Salt:          saltAt(pj.cfg.Salt, depth),
+		Salt:          saltAt(depth),
 	}
 	pr, err := pj.repart.PartitionTuples(rs, sub)
 	if err != nil {

@@ -101,34 +101,3 @@ func TestSessionSnapshotNilSafe(t *testing.T) {
 		t.Fatalf("nil session snapshot not nil")
 	}
 }
-
-func TestQuantileEdgeCases(t *testing.T) {
-	// Empty histogram: every quantile is 0.
-	r := NewRegistry()
-	h := r.Histogram("empty")
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty histogram Quantile(%v) = %d, want 0", q, got)
-		}
-	}
-
-	// Single-bucket histogram: every quantile lands in that bucket.
-	h2 := r.Histogram("single")
-	for i := 0; i < 7; i++ {
-		h2.Observe(5) // bucket [4, 8)
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h2.Quantile(q); got != 4 {
-			t.Errorf("single-bucket Quantile(%v) = %d, want 4", q, got)
-		}
-	}
-
-	// Single observation.
-	h3 := r.Histogram("one")
-	h3.Observe(1000) // bucket [512, 1024)
-	for _, q := range []float64{0, 1} {
-		if got := h3.Quantile(q); got != 512 {
-			t.Errorf("one-observation Quantile(%v) = %d, want 512", q, got)
-		}
-	}
-}

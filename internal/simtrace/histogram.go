@@ -86,33 +86,6 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Quantile returns the inclusive lower bound of the bucket holding the
-// nearest-rank q-quantile observation (q in [0, 1]), or 0 for a nil or
-// empty histogram. The log2 bucketing makes it a power-of-two approximation
-// — callers needing exact percentiles must keep the raw values — but it is
-// deterministic, allocation-free, and enough to eyeball a latency tail from
-// a metrics snapshot.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	rank := int64(float64(h.count) * q)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
-	var seen int64
-	for exp, n := range h.buckets {
-		seen += n
-		if seen >= rank {
-			return BucketLow(exp)
-		}
-	}
-	return BucketLow(NumHistogramBuckets - 1)
-}
-
 // sparse returns the non-empty buckets in ascending exponent order — the
 // snapshot representation, which stays compact however wide the bucket
 // array is.

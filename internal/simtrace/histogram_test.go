@@ -63,37 +63,10 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat.us")
-	// 100 observations: 90 land in bucket 4 ([8,16)), 10 in bucket 10
-	// ([512,1024)) — a latency body with a heavy tail.
-	for i := 0; i < 90; i++ {
-		h.Observe(10)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(900)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want int64
-	}{
-		{0, 8},   // rank clamps to 1
-		{0.5, 8}, // body
-		{0.9, 8}, // exactly the last body observation
-		{0.95, 512},
-		{1, 512},
-	} {
-		if got := h.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%v) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-}
-
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(7)
-	if h.Count() != 0 || h.Max() != 0 || h.Bucket(3) != 0 || h.Name() != "" || h.Quantile(0.99) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.Bucket(3) != 0 || h.Name() != "" {
 		t.Fatal("nil histogram must be inert")
 	}
 	var r *Registry

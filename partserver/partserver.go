@@ -67,6 +67,17 @@ func guardSimulator(err *error) {
 	}
 }
 
+const (
+	// cpuDispatchUS is the fixed virtual overhead of a CPU execution.
+	cpuDispatchUS = 5
+	// joinRate is the build+probe rate in tuples/s charged to the join
+	// phase of join jobs.
+	joinRate = 200e6
+	// maxFPGARetries is how many times a transiently failed job is retried
+	// on the FPGA pool before degrading to CPU.
+	maxFPGARetries = 1
+)
+
 // Config describes one scheduler deployment: the resource pool, the
 // admission queue, the batching and placement knobs, and the fault scenario.
 type Config struct {
@@ -92,12 +103,6 @@ type Config struct {
 	// deterministic constant, not a measurement: the scheduler may not read
 	// the host clock.
 	CPURate float64
-	// CPUDispatchUS is the fixed virtual overhead of a CPU execution
-	// (default 5 µs).
-	CPUDispatchUS int64
-	// JoinRate is the build+probe rate in tuples/s charged to the join
-	// phase of join jobs (default 200e6).
-	JoinRate float64
 
 	// Seed drives placement tie-breaking (default 1).
 	Seed uint64
@@ -113,10 +118,6 @@ type Config struct {
 	// durations. Link entries do not apply to the scheduler and are ignored.
 	// CPU workers are fault-free.
 	Faults *faults.Scenario
-
-	// MaxFPGARetries is how many times a transiently failed job is retried
-	// on the FPGA pool before degrading to CPU (default 1).
-	MaxFPGARetries int
 
 	// AbortFraction is the fraction of a job's virtual duration charged
 	// when it is aborted mid-run by a fault or crash (default 0.5).
@@ -158,20 +159,11 @@ func (c Config) WithDefaults() Config {
 	if c.CPURate == 0 {
 		c.CPURate = 150e6
 	}
-	if c.CPUDispatchUS == 0 {
-		c.CPUDispatchUS = 5
-	}
-	if c.JoinRate == 0 {
-		c.JoinRate = 200e6
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Platform == nil {
 		c.Platform = platform.XeonFPGA()
-	}
-	if c.MaxFPGARetries == 0 {
-		c.MaxFPGARetries = 1
 	}
 	if c.AbortFraction == 0 {
 		c.AbortFraction = 0.5
@@ -194,8 +186,8 @@ func (c *Config) Validate() (err error) {
 	if c.ReconfigUS < 0 {
 		return fmt.Errorf("partserver: negative ReconfigUS %d", c.ReconfigUS)
 	}
-	if c.CPURate <= 0 || c.JoinRate <= 0 {
-		return fmt.Errorf("partserver: non-positive rate (CPURate %v, JoinRate %v)", c.CPURate, c.JoinRate)
+	if c.CPURate <= 0 {
+		return fmt.Errorf("partserver: non-positive CPURate %v", c.CPURate)
 	}
 	if c.AbortFraction < 0 || c.AbortFraction > 1 {
 		return fmt.Errorf("partserver: AbortFraction %v outside [0, 1]", c.AbortFraction)

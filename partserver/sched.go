@@ -345,13 +345,13 @@ func (j *jobState) tuples() (n, probe int64) {
 // cpuChargeUS is the virtual time a CPU slot takes to partition n build and
 // probe probe tuples: what predict expects and what batchDuration charges.
 func (s *Scheduler) cpuChargeUS(n, probe int64) int64 {
-	return s.cfg.CPUDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate)) + ceilDiv(probe*1e6, int64(s.cfg.CPURate))
+	return cpuDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate)) + ceilDiv(probe*1e6, int64(s.cfg.CPURate))
 }
 
 // joinChargeUS is the virtual build+probe time of a join over n and probe
 // tuples, predicted and charged alike.
 func (s *Scheduler) joinChargeUS(n, probe int64) int64 {
-	return ceilDiv((n+probe)*1e6, int64(s.cfg.JoinRate))
+	return ceilDiv((n+probe)*1e6, joinRate)
 }
 
 // predictSpillUS is the deterministic placement-time estimate of the extra
@@ -364,7 +364,7 @@ func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 	if budget <= 0 || n*joincore.BuildTupleBytes <= budget {
 		return 0
 	}
-	return ceilDiv(2*(n+probe)*1e6, int64(s.cfg.JoinRate))
+	return ceilDiv(2*(n+probe)*1e6, joinRate)
 }
 
 // dispatch places job j (plus, on an FPGA, up to BatchMax−1 queued jobs with
@@ -582,7 +582,7 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 			us += s.joinChargeUS(n, probe)
 			// Spill round trip: each spilled packed tuple (8 B) is written
 			// and re-read, charged at the join rate.
-			spill = joincore.SpillRoundTripUS(j.out.spilledBytes, s.cfg.JoinRate)
+			spill = joincore.SpillRoundTripUS(j.out.spilledBytes, joinRate)
 			us += spill
 		}
 		if b.aborted {
@@ -710,7 +710,7 @@ func (s *Scheduler) complete(r *resource) {
 // crashed with no healthy FPGA left) it is pinned to the CPU pool.
 func (s *Scheduler) requeue(j *jobState, crash bool) {
 	s.count("sched.retries", 1)
-	if j.attempts > s.cfg.MaxFPGARetries || (crash && !s.anyFPGAAlive()) {
+	if j.attempts > maxFPGARetries || (crash && !s.anyFPGAAlive()) {
 		j.forceCPU = true
 		j.degraded = true
 	}
