@@ -2,7 +2,8 @@
 #
 #   make verify   — full gate: build, vet, fpgavet lint, race-free tests,
 #                   race-enabled tests, and the portable (purego / arm64)
-#                   side of internal/cpupart's assembly kernel
+#                   side of the two assembly kernels (internal/cpupart's
+#                   flush, internal/core's prefetch hint)
 #   make tier1    — the minimal tier-1 loop (build + test)
 #   make lint     — fpgavet static-analysis suite, five analyzers
 #                   (determinism, boundary-reach, error hygiene, bench-json,
@@ -13,9 +14,10 @@
 #   make bench-gate — run the perf matrix and fail on any gated
 #                   (simulated, deterministic) metric change vs the baseline
 #
-# The race target covers every package. fpgapart/experiments is its longest:
-# each paper experiment executes once per test binary, which measured 111 s
-# under -race on a 2-core box (8–9 s without).
+# The race target covers every package. Its longest are fpgapart/internal/core
+# (the 8M-tuple calibration runs: 130–145 s under -race on a 2-core box, 6–7 s
+# without) and fpgapart/experiments (each paper experiment executes once per
+# test binary: 111 s under -race, 6–9 s without).
 
 GO ?= go
 
@@ -46,14 +48,17 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-# internal/cpupart flushes its write-combining buffers with an amd64 assembly
-# kernel; portable keeps the other side honest: the generic flush tested on
-# this machine (-tags purego), and a non-amd64 build plus vet of the package
-# (asmdecl checks the stub against the assembly on amd64 in `vet` above).
+# Two host-only kernels are amd64 assembly: internal/cpupart/store_amd64.s
+# flushes the CPU partitioner's write-combining buffers, and
+# internal/core/prefetch_amd64.s is the cycle simulator's one-instruction
+# prefetch hint. portable keeps the other side honest: the generic fallbacks
+# tested on this machine (-tags purego), and a non-amd64 build plus vet of
+# both packages (asmdecl checks the stubs against the assembly on amd64 in
+# `vet` above).
 portable:
-	$(GO) test -tags purego ./internal/cpupart ./partition
+	$(GO) test -tags purego ./internal/cpupart ./partition ./internal/core
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/cpupart
+	GOARCH=arm64 $(GO) vet ./internal/cpupart ./internal/core
 
 # bench regenerates the committed baseline. Only needed after an intentional
 # change to the simulator's cycle behavior or the scenario matrix; commit the

@@ -161,6 +161,10 @@ type run struct {
 	comb  []*combiner
 	final *fpga.FIFO[outLine]
 	rr    int // write-back round-robin cursor
+	// Occupancy, kept at every push and pop so that a stage that holds
+	// nothing costs nothing: tuples in the first-stage FIFOs and lines in the
+	// combiners' output FIFOs.
+	queued, lines int
 
 	// Destination bookkeeping (the two BRAMs of Section 4.3).
 	capLines []int64
@@ -441,7 +445,7 @@ func (r *run) nextGroup(g *group, feed bool) bool {
 	if r.next >= r.total {
 		return false
 	}
-	if feed {
+	if feed && r.queued > 0 { // empty FIFOs have room: Validate holds depth ≥ 8
 		for _, f := range r.fifo1 {
 			if f.Free() < hashPipelineDepth+1 {
 				r.stats.StallsBackpressure++
@@ -500,7 +504,8 @@ func (r *run) inputLineOffset() int64 {
 	return r.next * int64(r.cfg.TupleWidth) / 64 * 64
 }
 
-// partitionPass is the main pass: read, hash, combine, write back.
+// partitionPass is the main pass: read, hash, combine, write back. A stage
+// runs in a cycle only if it holds something.
 //
 //fpgavet:hotpath
 func (r *run) partitionPass() error {
@@ -510,51 +515,64 @@ func (r *run) partitionPass() error {
 	// partition pass recounts (HIST reads the data twice but each tuple is
 	// one logical input).
 	r.stats.TuplesIn = 0
+	var err error
 	for {
 		r.ep.Tick()
-		if err := r.writeBack(); err != nil {
-			return err
+		if r.lines > 0 || !r.final.Empty() {
+			if err = r.writeBack(); err != nil {
+				break
+			}
 		}
-		for i, cb := range r.comb {
-			cb.step(r.fifo1[i], r.stats, &r.cfg)
-		}
-		ok := r.nextGroup(r.pipe.In(), true)
-		if !ok {
-			r.stats.HashPipelineBubbles++
-		}
-		out, outOK := r.pipe.Shift(ok)
-		if outOK {
-			for i := 0; i < out.n; i++ {
-				*r.fifo1[i].Push() = out.t[i]
-				if r.fifo1[i].HighWater > r.stats.MaxStage1FIFO {
-					r.stats.MaxStage1FIFO = r.fifo1[i].HighWater
+		if r.queued > 0 {
+			// A stalled combiner (DisableForwarding) holds its tuple at the
+			// front of its FIFO, so a non-empty FIFO covers it.
+			for i, in := range r.fifo1 {
+				if !in.Empty() {
+					took, emitted := r.comb[i].step(in, r.stats, &r.cfg, r.stats.Cycles)
+					r.queued -= took
+					r.lines += emitted
 				}
 			}
+		}
+		g := r.pipe.In()
+		ok := r.nextGroup(g, true)
+		if ok {
+			// Five hash stages and a FIFO from now, lane i's combiner writes
+			// into this bank line.
+			for i := 0; i < g.n; i++ {
+				prefetch(&r.comb[i].store[int(g.t[i].part)*8])
+			}
+		} else {
+			r.stats.HashPipelineBubbles++
+		}
+		if out, outOK := r.pipe.Shift(ok); outOK {
+			for i := 0; i < out.n; i++ {
+				slot, t := r.fifo1[i].Push(), &out.t[i]
+				slot.part = t.part
+				for w := 0; w < r.wpt; w++ {
+					slot.words[w] = t.words[w]
+				}
+			}
+			r.queued += out.n
 		}
 		r.stats.Cycles++
 		if r.pr != nil {
 			r.pr.maybeSample(r)
 		}
-		if r.drainedExceptBanks() {
+		// All in-flight tuples have settled into the combiner banks or
+		// memory: the condition to start the flush.
+		if r.next >= r.total && r.queued == 0 && r.lines == 0 && r.pipe.Drained() && r.final.Empty() {
 			break
 		}
 	}
+	for _, f := range r.fifo1 {
+		r.stats.MaxStage1FIFO = max(r.stats.MaxStage1FIFO, f.HighWater)
+	}
+	if err != nil {
+		return err
+	}
 	r.stats.PartitionCycles = r.stats.Cycles - start
 	return nil
-}
-
-// drainedExceptBanks reports whether all in-flight tuples have settled into
-// the combiner banks or memory — the condition to start the flush.
-func (r *run) drainedExceptBanks() bool {
-	if r.next < r.total || !r.pipe.Drained() || !r.final.Empty() {
-		return false
-	}
-	for i, f := range r.fifo1 {
-		if !f.Empty() || !r.comb[i].idle() {
-			return false
-		}
-	}
-	return true
 }
 
 // flushPass drains the partially filled lines left in the combiner BRAMs,
@@ -576,22 +594,25 @@ func (r *run) flushPass() error {
 	for {
 		r.ep.Tick()
 		if !stalled || r.ep.CanWrite() {
-			if err := r.writeBack(); err != nil {
-				return err
-			}
-			scansDone = true
-			for _, cb := range r.comb {
-				if !cb.flushStep(r.stats) {
-					scansDone = false
+			if r.lines > 0 || !r.final.Empty() {
+				if err := r.writeBack(); err != nil {
+					return err
 				}
 			}
-			stalled = !r.final.CanPush() && r.flushBlocked()
+			scansDone, stalled = true, !r.final.CanPush()
+			for _, cb := range r.comb {
+				if cb.canFlush() {
+					r.lines += cb.flushStep(r.stats)
+					stalled = stalled && !cb.canFlush()
+				}
+				scansDone = scansDone && cb.flushAddr >= cb.parts
+			}
 		}
 		r.stats.Cycles++
 		if r.pr != nil {
 			r.pr.maybeSample(r)
 		}
-		if scansDone && r.final.Empty() && r.combOutsEmpty() {
+		if scansDone && r.lines == 0 && r.final.Empty() {
 			break
 		}
 	}
@@ -599,28 +620,10 @@ func (r *run) flushPass() error {
 	return nil
 }
 
-// flushBlocked reports whether no combiner can advance its flush scan.
-func (r *run) flushBlocked() bool {
-	for _, cb := range r.comb {
-		if cb.flushAddr < cb.parts && (cb.fill[cb.flushAddr] == 0 || cb.out.CanPush()) {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *run) combOutsEmpty() bool {
-	for _, cb := range r.comb {
-		if !cb.out.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
 // writeBack models the write-back module (Section 4.3): drain the final FIFO
 // into memory under QPI write budget, and round-robin one line from the
-// combiner output FIFOs into the final FIFO.
+// combiner output FIFOs into the final FIFO. The pass loops call it only
+// when one of those FIFOs holds a line.
 //
 //fpgavet:hotpath
 func (r *run) writeBack() error {
@@ -640,20 +643,25 @@ func (r *run) writeBack() error {
 			}
 		}
 	}
-	if r.final.CanPush() {
-		idx := r.rr
-		for i := 0; i < r.lanes; i++ {
-			if out := r.comb[idx].out; !out.Empty() {
-				*r.final.Push() = *out.Front()
-				out.Drop()
-				if r.rr = idx + 1; r.rr == r.lanes {
-					r.rr = 0
-				}
-				break
-			}
+	if r.lines > 0 && r.final.CanPush() {
+		idx := r.rr // lines > 0: the scan ends at an output FIFO that holds one
+		for r.comb[idx].out.Empty() {
 			if idx++; idx == r.lanes {
 				idx = 0
 			}
+		}
+		out := r.comb[idx].out
+		l := out.Front()
+		*r.final.Push() = *l
+		out.Drop()
+		r.lines--
+		if r.rr = idx + 1; r.rr == r.lanes {
+			r.rr = 0
+		}
+		// Up to eight link grants from now store commits the line here; a
+		// line it will reject as a PAD overflow has no destination.
+		if dst := (r.base[l.part] + r.used[l.part]) * 8; dst < int64(len(r.out.Lines)) {
+			prefetch(&r.out.Lines[dst])
 		}
 	}
 	return nil

@@ -27,10 +27,12 @@ type combiner struct {
 
 	out *fpga.FIFO[outLine]
 
-	// Forwarding registers: the partitions of the previous two accepted
-	// tuples (hash_1d, hash_2d of Code 4).
-	last      [2]uint32
-	lastValid [2]bool
+	// Forwarding registers (hash_1d, hash_2d of Code 4), stamped instead of
+	// clocked: the partitions of the last two accepted tuples, most recent
+	// first, and the cycle each was accepted in. A cycle that accepts nothing
+	// costs nothing; step compares the stamps with the current cycle.
+	last   [2]uint32
+	lastAt [2]int64
 
 	// Hazard stall state for the DisableForwarding ablation.
 	stall  int
@@ -41,57 +43,57 @@ type combiner struct {
 }
 
 func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
-	return &combiner{
+	cb := &combiner{
 		banks: banks,
 		wpt:   wpt,
 		parts: cfg.NumPartitions,
 		dummy: dummy,
 		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
 	}
+	cb.reset(nil, nil)
+	return cb
 }
 
 // reset is the circuit reset in front of a run: it loads the run's zeroed
 // BRAMs and clears the control state the previous run left, which may have
-// aborted on a PAD overflow mid-line and mid-stall.
+// aborted on a PAD overflow mid-line and mid-stall. The stamps start outside
+// the hazard window of any cycle ≥ 0.
 func (cb *combiner) reset(store []uint64, fill []uint8) {
 	cb.store, cb.fill = store, fill
 	cb.out.Reset()
-	cb.last, cb.lastValid = [2]uint32{}, [2]bool{}
+	cb.last, cb.lastAt = [2]uint32{}, [2]int64{-3, -3}
 	cb.stall, cb.served, cb.flushAddr = 0, false, 0
 }
 
-// step advances the combiner one clock cycle, consuming at most one tuple
-// from its input FIFO.
+// step advances the combiner through clock cycle now, consuming at most one
+// tuple from its non-empty input FIFO, and reports how many tuples it took
+// and how many lines it put into its output FIFO (0 or 1 each). A cycle in
+// which the input FIFO is empty changes nothing, so it needs no call.
 //
 //fpgavet:hotpath
-func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
+func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) (took, emitted int) {
 	if cb.stall > 0 {
 		cb.stall--
 		st.StallsHazard++
-		cb.shiftHazard(0, false)
-		return
-	}
-	if in.Empty() {
-		cb.shiftHazard(0, false)
-		return
+		return 0, 0
 	}
 	if !cb.out.CanPush() {
 		// Back-pressure from the write-back module; not a hazard stall.
-		cb.shiftHazard(0, false)
-		return
+		return 0, 0
 	}
 	t := in.Front()
 	h := t.part
-	// The strawman datapath has no fill-rate BRAM, hence no read hazard.
+	// The fill rate read from the BRAM is stale if the same partition was
+	// updated one or two cycles ago. The strawman datapath has no fill-rate
+	// BRAM, hence no read hazard.
 	hazard := !cfg.DisableWriteCombiner &&
-		((cb.lastValid[0] && h == cb.last[0]) || (cb.lastValid[1] && h == cb.last[1]))
+		((h == cb.last[0] && now-cb.lastAt[0] <= 2) || (h == cb.last[1] && now-cb.lastAt[1] == 2))
 	if hazard && cfg.DisableForwarding && !cb.served {
 		// Without forwarding the issued BRAM read must be discarded and
 		// reissued after the in-flight update lands: 2 dead cycles.
 		cb.stall = 2
 		cb.served = true
-		cb.shiftHazard(0, false)
-		return
+		return 0, 0
 	}
 	if hazard {
 		// The fill rate comes from a forwarding register; the issued BRAM
@@ -102,6 +104,8 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 	}
 	cb.served = false
 	in.Drop() // t stays readable: nothing pushes into in before step returns
+	cb.last[1], cb.lastAt[1] = cb.last[0], cb.lastAt[0]
+	cb.last[0], cb.lastAt[0] = h, now
 
 	if cfg.DisableWriteCombiner {
 		// Strawman datapath: no gathering; each tuple goes out on its own
@@ -111,8 +115,7 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 		l.part = h
 		l.valid = 1
 		l.single = true
-		cb.shiftHazard(h, true)
-		return
+		return 1, 1
 	}
 
 	f := int(cb.fill[h])
@@ -121,22 +124,14 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 		bank[w] = t.words[w]
 	}
 	st.CombinerBRAMWrites += 2 // bank write + fill-rate update
-	if f == cb.banks-1 {
-		cb.fill[h] = 0
-		st.CombinerBRAMReads += int64(cb.banks) // bank reads for line assembly
-		cb.assemble(h, cb.banks)
-	} else {
+	if f < cb.banks-1 {
 		cb.fill[h] = uint8(f + 1)
+		return 1, 0
 	}
-	cb.shiftHazard(h, true)
-}
-
-// shiftHazard advances the 1d/2d delay registers; bubbles (no accepted
-// tuple) clear the corresponding slot, as the in-flight update has reached
-// the BRAM by then.
-func (cb *combiner) shiftHazard(h uint32, valid bool) {
-	cb.last[1], cb.lastValid[1] = cb.last[0], cb.lastValid[0]
-	cb.last[0], cb.lastValid[0] = h, valid
+	cb.fill[h] = 0
+	st.CombinerBRAMReads += int64(cb.banks) // bank reads for line assembly
+	cb.assemble(h, cb.banks)
+	return 1, 1
 }
 
 // assemble builds a cache line for partition h from the first n bank slots,
@@ -153,35 +148,27 @@ func (cb *combiner) assemble(h uint32, n int) {
 	l.single = false
 }
 
-// idle reports whether the combiner has no work in flight (its banks may
-// still hold partial lines for the flush).
-func (cb *combiner) idle() bool {
-	return cb.stall == 0 && cb.out.Empty()
+// canFlush reports whether the end-of-run flush scan can advance this cycle:
+// it is not done and not parked on a partial line behind its full output FIFO.
+func (cb *combiner) canFlush() bool {
+	return cb.flushAddr < cb.parts && (cb.fill[cb.flushAddr] == 0 || cb.out.CanPush())
 }
 
-// flushStep advances the end-of-run flush by one cycle: it inspects one
-// partition address per cycle, emitting a padded partial line if the
-// address holds leftover tuples. It reports whether the scan has finished.
+// flushStep advances a flush scan that canFlush by one cycle: it inspects
+// one partition address, emitting a padded partial line if the address holds
+// leftover tuples, and reports how many lines it emitted (0 or 1).
 //
 //fpgavet:hotpath
-func (cb *combiner) flushStep(st *Stats) bool {
-	if cb.flushAddr >= cb.parts {
-		return true
-	}
+func (cb *combiner) flushStep(st *Stats) (emitted int) {
 	f := int(cb.fill[cb.flushAddr])
 	st.CombinerBRAMReads++ // fill-rate scan read
-	if f == 0 {
-		cb.flushAddr++
-		return cb.flushAddr >= cb.parts
+	if f != 0 {
+		cb.fill[cb.flushAddr] = 0
+		st.CombinerBRAMWrites++          // fill-rate reset
+		st.CombinerBRAMReads += int64(f) // bank reads for the partial line
+		cb.assemble(uint32(cb.flushAddr), f)
+		emitted = 1
 	}
-	if !cb.out.CanPush() {
-		st.CombinerBRAMReads-- // stalled: the scan re-reads next cycle
-		return false           // wait for the write-back to drain
-	}
-	cb.fill[cb.flushAddr] = 0
-	st.CombinerBRAMWrites++          // fill-rate reset
-	st.CombinerBRAMReads += int64(f) // bank reads for the partial line
-	cb.assemble(uint32(cb.flushAddr), f)
 	cb.flushAddr++
-	return cb.flushAddr >= cb.parts
+	return emitted
 }

@@ -140,7 +140,7 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 		*in.Push() = tup{words: [8]uint64{uint64(i)<<32 | 2}, part: 2}
 	}
 	for i := 0; i < 7; i++ {
-		cb.step(in, stats, &cfg)
+		cb.step(in, stats, &cfg, int64(i))
 	}
 	if !cb.out.Empty() {
 		t.Fatal("line emitted before eight tuples arrived")
@@ -150,7 +150,7 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 	}
 	// Eighth completes the line.
 	*in.Push() = tup{words: [8]uint64{7<<32 | 2}, part: 2}
-	cb.step(in, stats, &cfg)
+	cb.step(in, stats, &cfg, 7)
 	if cb.out.Len() != 1 {
 		t.Fatal("no line after eighth tuple")
 	}
@@ -176,9 +176,9 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	*in.Push() = tup{words: [8]uint64{123<<32 | 3}, part: 3}
-	cb.step(in, stats, &cfg)
+	cb.step(in, stats, &cfg, 0)
 	// Scan all four addresses.
-	for !cb.flushStep(stats) {
+	for !flushStepDone(cb, stats) {
 	}
 	if cb.out.Len() != 1 {
 		t.Fatalf("flush emitted %d lines, want 1", cb.out.Len())
@@ -197,7 +197,7 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 		}
 	}
 	// Further flush steps stay done and emit nothing.
-	if !cb.flushStep(stats) || !cb.out.Empty() {
+	if !flushStepDone(cb, stats) || !cb.out.Empty() {
 		t.Error("flush not idempotent")
 	}
 }
@@ -213,7 +213,7 @@ func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 		*in.Push() = tup{words: [8]uint64{1}, part: 1}
 	}
 	for i := 0; i < 10; i++ {
-		cb.step(in, stats, &cfg)
+		cb.step(in, stats, &cfg, int64(i))
 	}
 	if cb.out.Len() != 2 {
 		t.Fatalf("out FIFO holds %d lines, want its capacity 2", cb.out.Len())
@@ -228,6 +228,24 @@ func newTestCombiner(cfg Config, banks, wpt int) *combiner {
 	cb := newCombiner(cfg, banks, wpt, DefaultDummyKey)
 	cb.reset(make([]uint64, cfg.NumPartitions*8), make([]uint8, cfg.NumPartitions))
 	return cb
+}
+
+// flushStepDone clocks cb's flush scan one cycle as flushPass does — a scan
+// that is done or parked behind its full output FIFO is not called — and
+// reports whether the scan has finished.
+func flushStepDone(cb *combiner, st *Stats) bool {
+	if cb.canFlush() {
+		cb.flushStep(st)
+	}
+	return cb.flushAddr >= cb.parts
+}
+
+// stepAt clocks cb through cycle now as partitionPass does: a combiner whose
+// input FIFO is empty is not called.
+func stepAt(cb *combiner, in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) {
+	if !in.Empty() {
+		cb.step(in, st, cfg, now)
+	}
 }
 
 func newTestFIFO(cfg Config) *fpga.FIFO[tup] {

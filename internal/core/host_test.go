@@ -7,22 +7,31 @@ import (
 	"fpgapart/workload"
 )
 
-// hostCase is one mode × width cell of the host-cost measurements: the
-// benchmark's steady classes at its partition density (64 tuples each).
+// hostCase is one cell of the host-cost measurements: the benchmark's steady
+// classes at its partition density (64 tuples each) per mode × width, the
+// fan-out whose bank lines and output stay in cache (what is left is control
+// flow), and the serving stack's job (160 tuples over 64 partitions: mostly
+// flush).
 type hostCase struct {
 	name   string
 	format Format
 	layout Layout
 	width  int
+	// tuples and parts, when set, replace BenchmarkCircuitPartition's 2^19
+	// tuples of 8 bytes over tuples/64 partitions.
+	tuples, parts int
 }
 
 var hostCases = []hostCase{
-	{"pad_rid_w8", PAD, RID, 8},
-	{"hist_rid_w8", HIST, RID, 8},
-	{"pad_vrid_w8", PAD, VRID, 8},
-	{"hist_vrid_w8", HIST, VRID, 8},
-	{"hist_rid_w16", HIST, RID, 16},
-	{"hist_rid_w64", HIST, RID, 64},
+	{name: "pad_rid_w8", format: PAD, layout: RID, width: 8},
+	{name: "hist_rid_w8", format: HIST, layout: RID, width: 8},
+	{name: "pad_vrid_w8", format: PAD, layout: VRID, width: 8},
+	{name: "hist_vrid_w8", format: HIST, layout: VRID, width: 8},
+	{name: "hist_rid_w16", format: HIST, layout: RID, width: 16},
+	{name: "hist_rid_w64", format: HIST, layout: RID, width: 64},
+	{name: "pad_rid_fan16", format: PAD, layout: RID, width: 8, parts: 16},
+	{name: "pad_rid_job160", format: PAD, layout: RID, width: 8, tuples: 160, parts: 64},
+	{name: "hist_rid_job160", format: HIST, layout: RID, width: 8, tuples: 160, parts: 64},
 }
 
 func (hc hostCase) build(tb testing.TB, tuples int) (*Circuit, *workload.Relation) {
@@ -31,9 +40,13 @@ func (hc hostCase) build(tb testing.TB, tuples int) (*Circuit, *workload.Relatio
 	if hc.layout == VRID {
 		rel = rel.ToColumns()
 	}
+	parts := tuples / 64
+	if hc.parts != 0 {
+		parts = hc.parts
+	}
 	plat := platform.XeonFPGA()
 	c, err := NewCircuit(Config{
-		NumPartitions: tuples / 64, TupleWidth: hc.width, Hash: true,
+		NumPartitions: parts, TupleWidth: hc.width, Hash: true,
 		Format: hc.format, Layout: hc.layout, PadFraction: 1,
 	}, plat.FPGAClockHz, plat.FPGAAlone)
 	if err != nil {
@@ -43,15 +56,19 @@ func (hc hostCase) build(tb testing.TB, tuples int) (*Circuit, *workload.Relatio
 }
 
 // BenchmarkCircuitPartition is the layer number of the cycle simulator: host
-// nanoseconds per simulated cycle, per mode × tuple width, at the
+// nanoseconds per simulated cycle and per input tuple, per hostCase, at the
 // benchmark's scale (2^19 tuples over 8192 partitions; 2^16 for 64-byte
-// tuples).
+// tuples) unless the case names its own.
 //
 //	go test ./internal/core -run '^$' -bench CircuitPartition -benchtime 5x
 func BenchmarkCircuitPartition(b *testing.B) {
 	for _, hc := range hostCases {
 		b.Run(hc.name, func(b *testing.B) {
-			c, rel := hc.build(b, (1<<19)*8/hc.width)
+			tuples := (1 << 19) * 8 / hc.width
+			if hc.tuples != 0 {
+				tuples = hc.tuples
+			}
+			c, rel := hc.build(b, tuples)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cycles int64
@@ -63,6 +80,7 @@ func BenchmarkCircuitPartition(b *testing.B) {
 				cycles = st.Cycles
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles*int64(b.N)), "ns/cycle")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples*b.N), "ns/tuple")
 			b.ReportMetric(float64(cycles), "cycles")
 		})
 	}

@@ -42,6 +42,9 @@ type probe struct {
 	qpiBytesCyc *simtrace.Gauge // ×100, avoids floats in the registry
 	bramUtil    *simtrace.Gauge // ×100
 
+	// everyCycle, set by tests only, sees the run after each cycle.
+	everyCycle func(*run)
+
 	// partSizes buckets the per-partition valid tuple counts (log2) at the
 	// end of each run — the skew profile the perf gate diffs across PRs.
 	partSizes *simtrace.Histogram
@@ -88,6 +91,9 @@ func newProbe(sess *simtrace.Session, r *run) *probe {
 // window boundary. Called once per cycle from the pass loops (only on
 // traced runs).
 func (p *probe) maybeSample(r *run) {
+	if p.everyCycle != nil {
+		p.everyCycle(r)
+	}
 	if r.stats.Cycles%p.window != 0 {
 		return
 	}
@@ -97,11 +103,7 @@ func (p *probe) maybeSample(r *run) {
 	p.tr.Sample(traceCompCircuit, "dummies", ts, r.stats.Dummies)
 	p.tr.Sample(traceCompQPI, "lines_read", ts, r.stats.LinesRead)
 	p.tr.Sample(traceCompQPI, "lines_written", ts, r.stats.LinesWritten)
-	var occ int64
-	for _, f := range r.fifo1 {
-		occ += int64(f.Len())
-	}
-	p.tr.Sample(traceCompCircuit, "fifo1_occupancy", ts, occ)
+	p.tr.Sample(traceCompCircuit, "fifo1_occupancy", ts, int64(r.queued))
 }
 
 // finish folds the run's Stats into the session counters, emits the phase

@@ -223,11 +223,12 @@ func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 		hot(in, 12)
 		// Past the first emitted line, and ending right after an accepted
 		// tuple or, without forwarding (four cycles a tuple), inside a stall.
-		for i, n := 0, map[bool]int{false: 10, true: 35}[noForwarding]; i < n; i++ {
-			used.step(in, st, &cfg)
+		n := map[bool]int64{false: 10, true: 35}[noForwarding]
+		for now := int64(0); now < n; now++ {
+			used.step(in, st, &cfg, now)
 		}
-		used.flushStep(st)
-		if !used.lastValid[0] && used.stall == 0 || used.flushAddr == 0 || used.fill[2] == 0 || used.out.HighWater == 0 {
+		flushStepDone(used, st)
+		if used.lastAt[0] != n-1 && used.stall == 0 || used.flushAddr == 0 || used.fill[2] == 0 || used.out.HighWater == 0 {
 			t.Fatalf("combiner not dirty: %+v", used)
 		}
 		used.reset(make([]uint64, cfg.NumPartitions*8), make([]uint8, cfg.NumPartitions))
@@ -237,14 +238,14 @@ func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 		hot(inU, 11)
 		hot(inF, 11)
 		for cycle := 0; cycle < 40; cycle++ {
-			used.step(inU, stU, &cfg)
-			fresh.step(inF, stF, &cfg)
+			stepAt(used, inU, stU, &cfg, int64(cycle))
+			stepAt(fresh, inF, stF, &cfg, int64(cycle))
 			if *stU != *stF || inU.Len() != inF.Len() || used.out.Len() != fresh.out.Len() {
 				t.Fatalf("forwarding off=%v, cycle %d: reset combiner diverges from a new one\n used: %+v\n  new: %+v", noForwarding, cycle, *stU, *stF)
 			}
 		}
 		for doneU, doneF := false, false; !doneU || !doneF; {
-			doneU, doneF = used.flushStep(stU), fresh.flushStep(stF)
+			doneU, doneF = flushStepDone(used, stU), flushStepDone(fresh, stF)
 			if doneU != doneF || *stU != *stF {
 				t.Fatalf("forwarding off=%v: flush of the reset combiner diverges from a new one", noForwarding)
 			}
