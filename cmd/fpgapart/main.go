@@ -42,6 +42,11 @@ func main() {
 	)
 	flag.Parse()
 
+	fpgaFormat, fpgaLayout, err := partition.ParseMode(*format, *layout)
+	if err != nil {
+		fatal(err)
+	}
+
 	var sess *simtrace.Session
 	if *traceFile != "" || *metrics {
 		if *backend != "fpga" {
@@ -66,17 +71,13 @@ func main() {
 			Partitions:  *parts,
 			TupleWidth:  *width,
 			Hash:        *hash,
+			Format:      fpgaFormat,
+			Layout:      fpgaLayout,
 			PadFraction: *pad,
 			Interfered:  *interfered,
 			Trace:       sess,
 		}
-		if *format == "hist" {
-			opts.Format = partition.HistMode
-		} else {
-			opts.Format = partition.PadMode
-		}
-		if *layout == "vrid" {
-			opts.Layout = partition.ColumnStore
+		if fpgaLayout == partition.ColumnStore {
 			rel = rel.ToColumns()
 		}
 		if *raw {

@@ -62,6 +62,11 @@ func main() {
 	)
 	flag.Parse()
 
+	fpgaFormat, _, err := partition.ParseMode(*format, "rid")
+	if err != nil {
+		fatal(err)
+	}
+
 	stopProfiles, err := perfbench.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
@@ -100,7 +105,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runDistributed(in, *nodes, *parts, *threads, *system, *format, scenario, sess)
+		runDistributed(in, *nodes, *parts, *threads, *system, fpgaFormat, scenario, sess)
 		finishTrace(sess, *traceFile, *metrics)
 		return
 	}
@@ -117,26 +122,16 @@ func main() {
 	case "cpu":
 		res, err = hashjoin.CPU(in.R, in.S, opts)
 	case "hybrid":
-		if *format == "hist" {
-			opts.Format = partition.HistMode
-		} else {
-			opts.Format = partition.PadMode
+		opts.Format = fpgaFormat
+		if fpgaFormat == partition.PadMode {
 			opts.PadFraction = 0.5
 		}
+		r, s := in.R, in.S
 		if *vrid {
 			opts.Layout = partition.ColumnStore
-			p, perr := partition.NewFPGA(partition.FPGAOptions{
-				Partitions: *parts, Hash: *hash, Format: opts.Format,
-				Layout: partition.ColumnStore, PadFraction: opts.PadFraction,
-				FallbackThreads: *threads, Trace: sess,
-			})
-			if perr != nil {
-				fatal(perr)
-			}
-			res, err = hashjoin.Join(in.R.ToColumns(), in.S.ToColumns(), p, opts)
-		} else {
-			res, err = hashjoin.Hybrid(in.R, in.S, opts)
+			r, s = r.ToColumns(), s.ToColumns()
 		}
+		res, err = hashjoin.Hybrid(r, s, opts)
 	case "nopart":
 		res, err = hashjoin.NonPartitioned(in.R, in.S, opts)
 	default:
@@ -238,7 +233,7 @@ func splitFloats(spec string, n int, format string) ([]float64, error) {
 	return out, nil
 }
 
-func runDistributed(in *workload.JoinInput, nodes, parts, threads int, system, format string,
+func runDistributed(in *workload.JoinInput, nodes, parts, threads int, system string, format partition.Format,
 	scenario *faults.Scenario, sess *simtrace.Session) {
 	opts := distjoin.Options{
 		Nodes:             nodes,
@@ -249,10 +244,7 @@ func runDistributed(in *workload.JoinInput, nodes, parts, threads int, system, f
 	}
 	if system == "hybrid" {
 		opts.UseFPGA = true
-		opts.Format = partition.HistMode
-		if format == "pad" {
-			opts.Format = partition.PadMode
-		}
+		opts.Format = format
 	}
 	res, err := distjoin.Join(in.R, in.S, opts)
 	if err != nil {

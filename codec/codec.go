@@ -1,5 +1,5 @@
-// Package codec provides the lightweight column compression schemes that
-// the paper's discussion section pairs with FPGA processing (Section 6:
+// Package codec provides the run-length column compression that the
+// paper's discussion section pairs with FPGA processing (Section 6:
 // compressed columns are the de-facto standard for analytical workloads,
 // and decompression "can be done for free on the FPGA as the first step of
 // a processing pipeline"). The partitioner consumes RLE-compressed key
@@ -7,10 +7,7 @@
 // bandwidth into partitioning throughput on the bandwidth-starved link.
 package codec
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Run is one RLE run: Length consecutive occurrences of Value.
 type Run struct {
@@ -83,88 +80,4 @@ func (c *RLEColumn) Validate() error {
 		return fmt.Errorf("codec: runs cover %d values, N = %d", total, c.N)
 	}
 	return nil
-}
-
-// DictColumn is a dictionary-encoded uint32 column with bit-packed codes —
-// the scheme that wins where RLE loses (high cardinality, unsorted).
-type DictColumn struct {
-	// Dict maps code → value, sorted ascending.
-	Dict []uint32
-	// Packed holds N codes of Bits bits each, little-endian within words.
-	Packed []uint64
-	Bits   uint
-	N      int
-}
-
-// CompressDict encodes keys with a sorted dictionary and bit-packed codes.
-func CompressDict(keys []uint32) *DictColumn {
-	seen := map[uint32]bool{}
-	for _, k := range keys {
-		seen[k] = true
-	}
-	dict := make([]uint32, 0, len(seen))
-	for k := range seen {
-		dict = append(dict, k)
-	}
-	sortUint32(dict)
-	code := make(map[uint32]uint32, len(dict))
-	for i, v := range dict {
-		code[v] = uint32(i)
-	}
-	bits := uint(1)
-	for 1<<bits < len(dict) {
-		bits++
-	}
-	c := &DictColumn{Dict: dict, Bits: bits, N: len(keys)}
-	c.Packed = make([]uint64, (uint(len(keys))*bits+63)/64)
-	for i, k := range keys {
-		c.put(i, code[k])
-	}
-	return c
-}
-
-func (c *DictColumn) put(i int, code uint32) {
-	bit := uint(i) * c.Bits
-	word, off := bit/64, bit%64
-	c.Packed[word] |= uint64(code) << off
-	if off+c.Bits > 64 {
-		c.Packed[word+1] |= uint64(code) >> (64 - off)
-	}
-}
-
-// Get returns value i.
-func (c *DictColumn) Get(i int) uint32 {
-	bit := uint(i) * c.Bits
-	word, off := bit/64, bit%64
-	v := c.Packed[word] >> off
-	if off+c.Bits > 64 {
-		v |= c.Packed[word+1] << (64 - off)
-	}
-	return c.Dict[v&(1<<c.Bits-1)]
-}
-
-// Decompress returns the original column.
-func (c *DictColumn) Decompress() []uint32 {
-	out := make([]uint32, c.N)
-	for i := range out {
-		out[i] = c.Get(i)
-	}
-	return out
-}
-
-// CompressedBytes returns the encoded size (dictionary + packed codes).
-func (c *DictColumn) CompressedBytes() int {
-	return len(c.Dict)*4 + len(c.Packed)*8
-}
-
-// Ratio returns uncompressed/compressed size.
-func (c *DictColumn) Ratio() float64 {
-	if c.CompressedBytes() == 0 {
-		return 0
-	}
-	return float64(c.N*4) / float64(c.CompressedBytes())
-}
-
-func sortUint32(xs []uint32) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -75,55 +76,7 @@ func TestRLEValidate(t *testing.T) {
 	}
 }
 
-func TestDictRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	keys := make([]uint32, 10000)
-	for i := range keys {
-		keys[i] = uint32(rng.Intn(300)) * 7
-	}
-	c := CompressDict(keys)
-	got := c.Decompress()
-	for i := range keys {
-		if got[i] != keys[i] {
-			t.Fatalf("value %d = %d, want %d", i, got[i], keys[i])
-		}
-	}
-	// 300 distinct values → 9 bits per code.
-	if c.Bits != 9 {
-		t.Errorf("Bits = %d, want 9", c.Bits)
-	}
-	if c.Ratio() < 3 {
-		t.Errorf("dict ratio = %v, want > 3 for 9-bit codes", c.Ratio())
-	}
-}
-
-func TestDictGetCrossesWordBoundaries(t *testing.T) {
-	// 9-bit codes cross uint64 boundaries every few values.
-	keys := make([]uint32, 600)
-	for i := range keys {
-		keys[i] = uint32(i % 300)
-	}
-	c := CompressDict(keys)
-	for i, want := range keys {
-		if got := c.Get(i); got != want {
-			t.Fatalf("Get(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestDictSingleValue(t *testing.T) {
-	c := CompressDict([]uint32{42, 42, 42})
-	if c.Bits != 1 {
-		t.Errorf("Bits = %d for singleton dictionary", c.Bits)
-	}
-	for i := 0; i < 3; i++ {
-		if c.Get(i) != 42 {
-			t.Fatal("singleton decode failed")
-		}
-	}
-}
-
-func TestPropertyBothCodecsRoundTrip(t *testing.T) {
+func TestPropertyRLERoundTrip(t *testing.T) {
 	f := func(seed int64, cardRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		card := int(cardRaw) + 1
@@ -136,23 +89,7 @@ func TestPropertyBothCodecsRoundTrip(t *testing.T) {
 		if rle.Validate() != nil {
 			return false
 		}
-		gotR := rle.Decompress()
-		var dictOK = true
-		if n > 0 {
-			dict := CompressDict(keys)
-			gotD := dict.Decompress()
-			for i := range keys {
-				if gotD[i] != keys[i] {
-					dictOK = false
-				}
-			}
-		}
-		for i := range keys {
-			if gotR[i] != keys[i] {
-				return false
-			}
-		}
-		return dictOK
+		return slices.Equal(rle.Decompress(), keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

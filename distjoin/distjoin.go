@@ -65,9 +65,6 @@ type Options struct {
 	// Faults injects a deterministic failure scenario into the exchange
 	// (nil = perfect cluster, the fault-free fast path).
 	Faults *faults.Scenario
-	// Retry tunes the fault-aware exchange's timeout/retransmission policy
-	// (zero value = rdma defaults). Only consulted when Faults is set.
-	Retry rdma.RetryPolicy
 	// Trace attaches a simtrace session: the join emits per-node and
 	// cluster-level phase spans (partition / exchange / local join, one
 	// trace microsecond per simulated microsecond) into Trace.Tracer and
@@ -115,9 +112,6 @@ func (o *Options) validate() error {
 	}
 	if err := o.Platform.Validate(); err != nil {
 		return fmt.Errorf("distjoin: bad platform: %w", err)
-	}
-	if err := o.Retry.Validate(); err != nil {
-		return fmt.Errorf("distjoin: bad retry policy: %w", err)
 	}
 	if o.Faults != nil {
 		if err := o.Faults.Validate(); err != nil {

@@ -110,7 +110,7 @@ func runFaultyExchange(rParts, sParts []*partition.Result, opts Options, inj *fa
 	}
 
 	main, err := opts.Fabric.ExchangePieces(pieces, rdma.ExchangeFaults{
-		Injector: inj, Retry: opts.Retry, Phase: 0, ApplyCrashes: true,
+		Injector: inj, Phase: 0, ApplyCrashes: true,
 	})
 	if err != nil {
 		return nil, err
@@ -182,7 +182,7 @@ func runFaultyExchange(rParts, sParts []*partition.Result, opts Options, inj *fa
 		}
 	}
 	rec, err := opts.Fabric.ExchangePieces(recPieces, rdma.ExchangeFaults{
-		Injector: inj, Retry: opts.Retry, Phase: 1, ApplyCrashes: false,
+		Injector: inj, Phase: 1, ApplyCrashes: false,
 	})
 	if err != nil {
 		return nil, err

@@ -212,9 +212,24 @@ func TestValidationFaultOptions(t *testing.T) {
 		Faults: &faults.Scenario{Links: []faults.Link{{Src: 0, Dst: 9, Factor: 0.5}}}}); err == nil {
 		t.Error("out-of-range degraded link accepted")
 	}
-	if _, err := Join(in.R, in.S, Options{Nodes: 2, PartitionsPerNode: 4,
-		Retry: rdma.RetryPolicy{JitterFrac: 3}}); err == nil {
-		t.Error("invalid retry policy accepted")
+}
+
+// TestRetryBudgetExhaustionIsAnError: on a fabric that drops 999 messages in
+// 1000 the fixed retry budget runs out, and the join reports that rather than
+// losing the piece; at 20 % loss the same budget delivers everything.
+func TestRetryBudgetExhaustionIsAnError(t *testing.T) {
+	in := testInput(t, 1<<12, 1<<12)
+	opts := Options{Nodes: 2, PartitionsPerNode: 4, Threads: 1, Faults: &faults.Scenario{Seed: 1, DropProb: 0.999}}
+	if _, err := Join(in.R, in.S, opts); err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
+		t.Fatalf("99.9%% loss: err = %v, want the retry budget to run out", err)
+	}
+	opts.Faults = &faults.Scenario{Seed: 1, DropProb: 0.2}
+	res, err := Join(in.R, in.S, opts)
+	if err != nil {
+		t.Fatalf("20%% loss: %v", err)
+	}
+	if res.Retries == 0 || res.Degraded {
+		t.Errorf("20%% loss: %d retries, degraded %v; want retransmissions and a full cluster", res.Retries, res.Degraded)
 	}
 }
 

@@ -166,14 +166,10 @@ func RunFigure11(cfg Config) (*Figure11Result, error) {
 			pt.ModelPartitionSec = hybridModelSec(model.Mode{}, spec.TuplesR, spec.TuplesS)
 			res.Results[id] = append(res.Results[id], pt)
 
-			vridPart, err := partition.NewFPGA(partition.FPGAOptions{
-				Partitions: parts, Hash: true, Format: partition.PadMode,
-				Layout: partition.ColumnStore, PadFraction: 0.5,
+			vrid, err := hashjoin.Hybrid(rCol, sCol, hashjoin.Options{
+				Partitions: parts, Threads: threads, Hash: true,
+				Format: partition.PadMode, Layout: partition.ColumnStore, PadFraction: 0.5,
 			})
-			if err != nil {
-				return nil, err
-			}
-			vrid, err := hashjoin.Join(rCol, sCol, vridPart, hashjoin.Options{Threads: threads})
 			if err != nil {
 				return nil, err
 			}

@@ -173,38 +173,6 @@ func TestPhaseSpansOnEveryBackend(t *testing.T) {
 	run("nonpartitioned", func(opts Options) (*Result, error) { return NonPartitioned(r, s, opts) })
 }
 
-// TestPhaseFlowArrows pins Options.FlowID: a nonzero id threads one flow
-// start/end pair per phase transition (3 for the 4 phases), and a zero id
-// leaves the trace flow-free, so existing traces stay byte-identical.
-func TestPhaseFlowArrows(t *testing.T) {
-	r, s := budgetRelations(t, 5)
-	countFlows := func(flowID int64) (starts, ends int) {
-		sess := simtrace.NewSession()
-		opts := Options{Partitions: 8, Threads: 1, Hash: true, Trace: sess, FlowID: flowID}
-		if _, err := CPU(r, s, opts); err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range sess.Tracer.Events() {
-			switch ev.Kind {
-			case simtrace.FlowStartEvent:
-				starts++
-				if ev.Value < flowID || ev.Value > flowID+2 {
-					t.Fatalf("flow id %d outside [%d, %d]", ev.Value, flowID, flowID+2)
-				}
-			case simtrace.FlowEndEvent:
-				ends++
-			}
-		}
-		return starts, ends
-	}
-	if starts, ends := countFlows(100); starts != 3 || ends != 3 {
-		t.Fatalf("FlowID=100: %d flow starts, %d ends, want 3 and 3", starts, ends)
-	}
-	if starts, ends := countFlows(0); starts != 0 || ends != 0 {
-		t.Fatalf("FlowID=0 emitted %d/%d flow events; zero must disable flows", starts, ends)
-	}
-}
-
 func TestMemoryDecisionsTraced(t *testing.T) {
 	r, s := budgetRelations(t, 17)
 	sess := simtrace.NewSession()

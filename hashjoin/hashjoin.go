@@ -86,12 +86,6 @@ type Options struct {
 	// broadcast. Matches and Checksum are byte-identical to the
 	// unconstrained join for any budget. ≤ 0 means unlimited.
 	MemoryBudgetBytes int64
-	// FlowID, when nonzero, threads Chrome trace flow arrows between the
-	// join's consecutive phase spans, binding this join's phases into one
-	// causal chain in the trace viewer (ids FlowID, FlowID+1, FlowID+2 are
-	// consumed). Use distinct ids per join when tracing several into one
-	// session.
-	FlowID int64
 }
 
 func (o Options) withDefaults() Options {
@@ -221,7 +215,7 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 	res.Memory = NewMemoryStats(budget, spill, stats)
 	res.Total = res.PartitionR + res.PartitionS + res.Build + res.Probe
 	emitMemoryTrace(opts.Trace, stats, res.Memory)
-	emitPhaseSpans(opts.Trace, res, opts.FlowID)
+	emitPhaseSpans(opts.Trace, res)
 	return res, nil
 }
 
@@ -251,15 +245,13 @@ func NewMemoryStats(budget *membudget.Budget, spill *membudget.SpillStore, stats
 // microsecond timeline, for every backend. Build and probe are measured
 // host time on every backend, the partition phases are simulated only on
 // the FPGA; the spans are a picture of one run, not a replay-exact
-// artifact (the session's Metrics are). A nonzero flowID additionally
-// threads flow arrows between consecutive phases so the trace viewer draws
-// the join as one causal chain. A nil session is a no-op.
-func emitPhaseSpans(sess *simtrace.Session, res *Result, flowID int64) {
+// artifact (the session's Metrics are). A nil session is a no-op.
+func emitPhaseSpans(sess *simtrace.Session, res *Result) {
 	if sess == nil {
 		return
 	}
 	ts := int64(0)
-	for i, ph := range []struct {
+	for _, ph := range []struct {
 		name string
 		dur  time.Duration
 	}{
@@ -269,11 +261,6 @@ func emitPhaseSpans(sess *simtrace.Session, res *Result, flowID int64) {
 		{"probe", res.Probe},
 	} {
 		us := ph.dur.Microseconds()
-		if flowID != 0 && i > 0 {
-			id := flowID + int64(i) - 1
-			sess.Tracer.FlowStart("join", "phase", ts, id)
-			sess.Tracer.FlowEnd("join", "phase", ts, id)
-		}
 		sess.Tracer.Span("join", ph.name, ts, us)
 		ts += us
 	}
@@ -378,6 +365,6 @@ func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error
 		Threads:         bp.Threads,
 	}
 	emitMemoryTrace(opts.Trace, stats, res.Memory)
-	emitPhaseSpans(opts.Trace, res, opts.FlowID)
+	emitPhaseSpans(opts.Trace, res)
 	return res, nil
 }

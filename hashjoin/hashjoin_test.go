@@ -132,6 +132,27 @@ func TestHybridColumnStore(t *testing.T) {
 	if res.Matches != cpu.Matches {
 		t.Fatalf("VRID join %d matches, CPU join %d", res.Matches, cpu.Matches)
 	}
+
+	// Hybrid with Layout: ColumnStore is that join, partitioner included:
+	// the one way the CLIs, the experiments and perfbench run VRID mode.
+	opts := Options{Partitions: 64, Hash: true, Threads: 2,
+		Format: partition.PadMode, Layout: partition.ColumnStore, PadFraction: 0.5}
+	hyb, err := Hybrid(rCols, sCols, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hyb.Matches != res.Matches || hyb.Checksum != res.Checksum || hyb.PartitionerName != res.PartitionerName ||
+		hyb.PartitionR != res.PartitionR || hyb.PartitionS != res.PartitionS {
+		t.Fatalf("Hybrid on columns: %d/%#x via %s (%v, %v); Join with a VRID partitioner: %d/%#x via %s (%v, %v)",
+			hyb.Matches, hyb.Checksum, hyb.PartitionerName, hyb.PartitionR, hyb.PartitionS,
+			res.Matches, res.Checksum, res.PartitionerName, res.PartitionR, res.PartitionS)
+	}
+	if hyb.PartitionerName != "fpga-PAD/VRID" {
+		t.Errorf("partitioner = %q", hyb.PartitionerName)
+	}
+	if _, err := Hybrid(in.R, in.S, opts); err == nil {
+		t.Error("VRID mode accepted row-layout relations")
+	}
 }
 
 func TestJoinRejectsBadOptions(t *testing.T) {

@@ -79,7 +79,7 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 	c.comb = make([]*combiner, lanes)
 	for i := range c.fifo1 {
 		c.fifo1[i] = fpga.NewFIFO[tup](cfg.Stage1FIFODepth)
-		c.comb[i] = newCombiner(cfg, lanes, cfg.OutputTupleWidth()/8, cfg.DummyKeyValue())
+		c.comb[i] = newCombiner(cfg, lanes, cfg.OutputTupleWidth()/8)
 	}
 	c.final = fpga.NewFIFO[outLine](8)
 	return c, nil
@@ -141,7 +141,6 @@ type run struct {
 	wpt   int // output words per tuple
 	tpl   int // output tuples per line
 	radix uint
-	dummy uint32
 	total int64 // input tuples
 
 	// Input feed state.
@@ -196,7 +195,7 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) (*run, error) {
 	r := &run{
 		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: ep, stats: &Stats{},
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
-		radix: cfg.RadixBits(), dummy: cfg.DummyKeyValue(), pageBytes: 4 << 20,
+		radix: cfg.RadixBits(), pageBytes: 4 << 20,
 		pipe: c.pipe, fifo1: c.fifo1, comb: c.comb, final: c.final,
 	}
 	if comp != nil {
@@ -365,7 +364,7 @@ func (r *run) allocate() error {
 	r.out = &Output{
 		NumPartitions: r.cfg.NumPartitions,
 		TupleWidth:    r.cfg.OutputTupleWidth(),
-		DummyKey:      r.dummy,
+		DummyKey:      DefaultDummyKey,
 		Lines:         make([]uint64, totalLines*8),
 		Base:          r.base,
 		LinesUsed:     r.used,
@@ -374,7 +373,7 @@ func (r *run) allocate() error {
 	// Fill with dummy keys so never-written slots of used regions (PAD mode
 	// headroom) read as dummies, like bitstream-initialized memory.
 	if lines := r.out.Lines; len(lines) > 0 {
-		lines[0] = uint64(r.dummy) | uint64(r.dummy)<<32
+		lines[0] = dummyWord
 		for n := 1; n < len(lines); n *= 2 {
 			copy(lines[n:], lines[:n])
 		}

@@ -51,11 +51,8 @@ func assertMatchesReference(t *testing.T, out *Output, ref [][][2]uint32) {
 		})
 	}
 	for p := 0; p < out.NumPartitions; p++ {
-		keys, pays := out.PartitionPairs(p)
-		got := make([][2]uint32, len(keys))
-		for i := range keys {
-			got[i] = [2]uint32{keys[i], pays[i]}
-		}
+		var got [][2]uint32
+		out.Partition(p, func(key, pay uint32, _ []uint64) { got = append(got, [2]uint32{key, pay}) })
 		want := append([][2]uint32(nil), ref[p]...)
 		sortPairs(got)
 		sortPairs(want)
@@ -369,16 +366,13 @@ func TestSingleTupleRelation(t *testing.T) {
 	rel, _ := workload.NewRelation(workload.RowLayout, 8, 1)
 	rel.SetTuple(0, 77, 99)
 	cfg := Config{NumPartitions: 8, TupleWidth: 8, Hash: false, Format: PAD, Layout: RID}
-	out, _, err := mustCircuit(t, cfg).Partition(rel)
+	out, stats, err := mustCircuit(t, cfg).Partition(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, pays := out.PartitionPairs(77 & 7)
-	if len(keys) != 1 || keys[0] != 77 || pays[0] != 99 {
-		t.Fatalf("tuple lost: %v %v", keys, pays)
-	}
-	if out.Dummies() != 7 {
-		t.Errorf("Dummies = %d, want 7 (one flushed line)", out.Dummies())
+	assertMatchesReference(t, out, [][][2]uint32{77 & 7: {{77, 99}}, 7: nil})
+	if stats.Dummies != 7 {
+		t.Errorf("Dummies = %d, want 7 (one flushed line)", stats.Dummies)
 	}
 }
 
@@ -392,14 +386,15 @@ func TestDummyAccounting(t *testing.T) {
 	if out.TotalTuples() != 10007 {
 		t.Errorf("TotalTuples = %d", out.TotalTuples())
 	}
-	if got := out.TotalLinesUsed()*8 - out.TotalTuples(); got != out.Dummies() {
-		t.Errorf("Dummies inconsistency: %d vs %d", got, out.Dummies())
+	var used int64
+	for _, n := range out.LinesUsed {
+		used += n
 	}
-	if stats.Dummies != out.Dummies() {
-		t.Errorf("stats.Dummies = %d, output says %d", stats.Dummies, out.Dummies())
+	if got := used*8 - out.TotalTuples(); stats.Dummies != got {
+		t.Errorf("stats.Dummies = %d, output says %d", stats.Dummies, got)
 	}
-	if stats.LinesWritten != out.TotalLinesUsed() {
-		t.Errorf("LinesWritten = %d, used %d", stats.LinesWritten, out.TotalLinesUsed())
+	if stats.LinesWritten != used {
+		t.Errorf("LinesWritten = %d, used %d", stats.LinesWritten, used)
 	}
 }
 

@@ -16,7 +16,6 @@ type combiner struct {
 	banks int // tuple slots per cache line
 	wpt   int // words per tuple
 	parts int
-	dummy uint32
 
 	// store is the bank BRAM contents, one cache line (banks*wpt = 8 words)
 	// per partition: bank b of partition p at p*8 + b*wpt, so the banks the
@@ -42,12 +41,11 @@ type combiner struct {
 	flushAddr int
 }
 
-func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
+func newCombiner(cfg Config, banks, wpt int) *combiner {
 	cb := &combiner{
 		banks: banks,
 		wpt:   wpt,
 		parts: cfg.NumPartitions,
-		dummy: dummy,
 		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
 	}
 	cb.reset(nil, nil)
@@ -141,7 +139,7 @@ func (cb *combiner) assemble(h uint32, n int) {
 	l := cb.out.Push()
 	l.words = [8]uint64(cb.store[int(h)*8:])
 	for w := n * cb.wpt; w < len(l.words); w++ {
-		l.words[w] = uint64(cb.dummy) | uint64(cb.dummy)<<32
+		l.words[w] = dummyWord
 	}
 	l.part = h
 	l.valid = uint8(n)

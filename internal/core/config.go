@@ -85,6 +85,9 @@ var ErrPartitionOverflow = errors.New("core: partition overflowed its padded siz
 // all avoid 0xFFFFFFFF.
 const DefaultDummyKey uint32 = 0xFFFFFFFF
 
+// dummyWord is an 8-byte output slot holding a dummy-key tuple.
+const dummyWord = uint64(DefaultDummyKey) | uint64(DefaultDummyKey)<<32
+
 // Config describes one partitioner circuit configuration. The zero value is
 // not valid; use Validate (or the partition package, which fills defaults).
 type Config struct {
@@ -107,10 +110,6 @@ type Config struct {
 	// PadFraction is PAD mode's per-partition headroom: each partition is
 	// sized ceil(N/P · (1+PadFraction)) tuples, rounded up to cache lines.
 	PadFraction float64
-
-	// DummyKey overrides DefaultDummyKey when nonzero-configured via
-	// SetDummyKey; see DummyKeyValue.
-	DummyKey *uint32
 
 	// Stage1FIFODepth is the per-lane FIFO between hash module and write
 	// combiner; OutFIFODepth is each combiner's output FIFO (Figure 5).
@@ -135,14 +134,6 @@ type Config struct {
 	// lay out sequentially on its timeline. Nil disables all tracing; the
 	// per-cycle cost is then a single nil check and zero allocations.
 	Trace *simtrace.Session
-}
-
-// DummyKeyValue returns the configured dummy key.
-func (c *Config) DummyKeyValue() uint32 {
-	if c.DummyKey != nil {
-		return *c.DummyKey
-	}
-	return DefaultDummyKey
 }
 
 // RadixBits returns log2(NumPartitions).

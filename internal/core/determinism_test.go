@@ -225,7 +225,7 @@ func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 
 // newTestCombiner is a combiner reset as a run would, with BRAMs of its own.
 func newTestCombiner(cfg Config, banks, wpt int) *combiner {
-	cb := newCombiner(cfg, banks, wpt, DefaultDummyKey)
+	cb := newCombiner(cfg, banks, wpt)
 	cb.reset(make([]uint64, cfg.NumPartitions*8), make([]uint8, cfg.NumPartitions))
 	return cb
 }

@@ -20,11 +20,11 @@ var hashStages = [hashPipelineDepth]func(uint32) uint32{
 // opaque fpga.Reg of the same depth and applies the software finalizer at
 // the tail; HashPipeline exists to prove the staged decomposition computes
 // the identical function (see the hashutil fuzz test), so the latency model
-// and the arithmetic can be trusted independently.
+// and the arithmetic can be trusted independently. It is a reference: only
+// tests construct one.
 type HashPipeline struct {
 	vals  [hashPipelineDepth]uint32
 	valid [hashPipelineDepth]bool
-	cycle int64
 }
 
 // NewHashPipeline returns an empty five-stage hash pipeline.
@@ -32,15 +32,10 @@ func NewHashPipeline() *HashPipeline {
 	return &HashPipeline{}
 }
 
-// Depth is the pipeline latency in cycles.
-func (p *HashPipeline) Depth() int { return hashPipelineDepth }
-
 // Cycle advances the clock one edge: the value leaving the last stage — the
 // finished hash — is clocked out, every stage applies its operation to its
 // predecessor's register, and the new key (if inValid) enters stage 0.
 func (p *HashPipeline) Cycle(in uint32, inValid bool) (out uint32, outValid bool) {
-	p.cycle++
-
 	last := hashPipelineDepth - 1
 	out, outValid = p.vals[last], p.valid[last]
 	for s := last; s > 0; s-- {
@@ -59,9 +54,6 @@ func (p *HashPipeline) Drained() bool {
 	}
 	return true
 }
-
-// Cycles returns how many clock edges the pipeline has seen.
-func (p *HashPipeline) Cycles() int64 { return p.cycle }
 
 // HashAll streams the keys through the pipeline back-to-back and returns
 // their hashes in order, draining the pipeline at the end. It is the

@@ -1,16 +1,14 @@
 package core
 
 import (
-	"fpgapart/internal/hashutil"
+	"slices"
 	"testing"
+
+	"fpgapart/internal/hashutil"
 )
 
 func TestHashPipelineLatency(t *testing.T) {
 	p := NewHashPipeline()
-	if p.Depth() != hashPipelineDepth {
-		t.Fatalf("Depth() = %d, want %d", p.Depth(), hashPipelineDepth)
-	}
-
 	const key = uint32(0xdeadbeef)
 	if _, ok := p.Cycle(key, true); ok {
 		t.Fatal("hash emerged on the insertion cycle")
@@ -38,19 +36,28 @@ func TestHashPipelineThroughput(t *testing.T) {
 		keys[i] = uint32(i) * 2654435761 // golden-ratio spread
 	}
 
+	// Fully pipelined: n keys back-to-back finish in n + depth cycles.
 	p := NewHashPipeline()
-	hashes := p.HashAll(keys)
-	if len(hashes) != len(keys) {
-		t.Fatalf("got %d hashes for %d keys", len(hashes), len(keys))
+	var hashes []uint32
+	for c := 0; c < len(keys)+hashPipelineDepth; c++ {
+		k, valid := uint32(0), c < len(keys)
+		if valid {
+			k = keys[c]
+		}
+		if h, ok := p.Cycle(k, valid); ok {
+			hashes = append(hashes, h)
+		}
+	}
+	if len(hashes) != len(keys) || !p.Drained() {
+		t.Fatalf("%d hashes for %d keys after %d cycles, drained %v", len(hashes), len(keys), len(keys)+hashPipelineDepth, p.Drained())
+	}
+	if all := NewHashPipeline().HashAll(keys); !slices.Equal(all, hashes) {
+		t.Fatal("HashAll disagrees with driving Cycle key by key")
 	}
 	for i, k := range keys {
 		if want := hashutil.Murmur32Finalizer(k); hashes[i] != want {
 			t.Fatalf("key %#x: pipeline = %#x, software = %#x", k, hashes[i], want)
 		}
-	}
-	// Fully pipelined: n keys back-to-back finish in n + depth cycles.
-	if want := int64(len(keys) + hashPipelineDepth); p.Cycles() != want {
-		t.Fatalf("took %d cycles for %d keys, want %d", p.Cycles(), len(keys), want)
 	}
 }
 

@@ -38,20 +38,6 @@ func (o *Output) TotalTuples() int64 {
 	return n
 }
 
-// TotalLinesUsed returns the number of cache lines actually written.
-func (o *Output) TotalLinesUsed() int64 {
-	var n int64
-	for _, u := range o.LinesUsed {
-		n += u
-	}
-	return n
-}
-
-// Dummies returns how many dummy tuples pad the written lines.
-func (o *Output) Dummies() int64 {
-	return o.TotalLinesUsed()*int64(o.TuplesPerLine()) - o.TotalTuples()
-}
-
 // Partition iterates the valid tuples of partition p in write order, calling
 // fn with each tuple's key, 4-byte payload (the VRID in VRID mode) and the
 // tuple's words. Dummy-key tuples are skipped. fn must not retain words.
@@ -70,22 +56,4 @@ func (o *Output) Partition(p int, fn func(key, payload uint32, words []uint64)) 
 			fn(key, uint32(words[0]>>32), words)
 		}
 	}
-}
-
-// PartitionPairs returns partition p's valid tuples as (key, payload) pairs.
-// Convenience for the join and for tests.
-func (o *Output) PartitionPairs(p int) (keys, payloads []uint32) {
-	keys = make([]uint32, 0, o.Counts[p])
-	payloads = make([]uint32, 0, o.Counts[p])
-	o.Partition(p, func(k, pay uint32, _ []uint64) {
-		keys = append(keys, k)
-		payloads = append(payloads, pay)
-	})
-	return keys, payloads
-}
-
-// OutputBytes returns the size of the allocated output region in bytes (the
-// intermediate memory cost PAD mode inflates and HIST mode minimizes).
-func (o *Output) OutputBytes() int64 {
-	return int64(len(o.Lines)) * 8
 }

@@ -77,11 +77,6 @@ func EstimateResources(cfg Config) ResourceUsage {
 	}
 }
 
-// Fits reports whether the configuration fits on the device.
-func (r ResourceUsage) Fits() bool {
-	return r.ALMs <= deviceALMs && r.M20Ks <= deviceM20Ks && r.DSPBlocks <= deviceDSPs
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 func pct(used, total int) float64 {

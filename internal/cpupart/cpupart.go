@@ -127,9 +127,9 @@ func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
 }
 
 // PartitionTuples partitions a raw slice of packed 8-byte tuples according
-// to cfg, without a Relation wrapper. It backs the recursive repartitioning
-// passes of the budgeted join, which operate on spilled tuple runs; src is
-// not modified.
+// to cfg, without a Relation wrapper and without a Scratch; src is not
+// modified. It is a reference: the budgeted join's repartitioning passes go
+// through a Scratch, and only the fuzz and alignment tests call this.
 func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	return (*Scratch)(nil).PartitionTuples(src, cfg)
 }

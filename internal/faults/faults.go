@@ -170,9 +170,6 @@ func New(s Scenario) (*Injector, error) {
 	return in, nil
 }
 
-// Scenario returns a copy of the injector's scenario.
-func (in *Injector) Scenario() Scenario { return in.s }
-
 // purposes separate the decision streams so that, e.g., the fate draw and
 // the jitter draw of the same message are independent.
 const (

@@ -49,10 +49,8 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 // elements, which Push hands out as such anyway.
 func (f *FIFO[T]) Reset() { f.head, f.tail, f.size, f.HighWater = 0, 0, 0, 0 }
 
-// Cap returns the FIFO capacity.
-func (f *FIFO[T]) Cap() int { return len(f.buf) }
-
-// Len returns the current occupancy.
+// Len returns the current occupancy. It is a reference: the circuit keeps
+// its own occupancy counters, and its tests check them against this.
 func (f *FIFO[T]) Len() int { return f.size }
 
 // Free returns the number of free slots.

@@ -321,9 +321,6 @@ func TestRegRingMatchesShiftByCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for depth := 1; depth <= 8; depth++ {
 		ring := NewReg[payload](depth)
-		if ring.Depth() != depth {
-			t.Fatalf("Depth = %d, want %d", ring.Depth(), depth)
-		}
 		ref := &naiveReg{stages: make([]payload, depth), valid: make([]bool, depth)}
 		density := []int{1, 2, 10}[depth%3] // bubble-heavy, even, valid-heavy
 		for cycle := 0; cycle < 3000; cycle++ {

@@ -31,9 +31,6 @@ func (r *Reg[T]) Reset() {
 	r.in, r.live = 0, 0
 }
 
-// Depth returns the latency of the chain in cycles.
-func (r *Reg[T]) Depth() int { return len(r.slots) - 1 }
-
 // In returns the chain's input slot for this cycle, for the producer to
 // fill in place before Shift. It holds a stale value until then.
 //

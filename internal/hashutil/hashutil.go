@@ -56,63 +56,6 @@ func RadixBits(key uint32, n uint) uint32 {
 	return key & ((1 << n) - 1)
 }
 
-// RadixBits64 is RadixBits for 8-byte keys.
-func RadixBits64(key uint64, n uint) uint64 {
-	if n >= 64 {
-		return key
-	}
-	return key & ((1 << n) - 1)
-}
-
-// Fibonacci32 is multiplicative (Fibonacci) hashing: key * 2^32/phi. It is a
-// cheap middle ground between radix bits and murmur, included for the hashing
-// robustness comparison of Section 3.2.
-func Fibonacci32(key uint32) uint32 {
-	return key * 0x9e3779b9
-}
-
-// Murmur3_32 is the full murmur3 32-bit hash over an arbitrary byte slice
-// with the given seed. The partitioners only hash fixed-width integer keys,
-// but the full algorithm is provided for variable-length keys (e.g. string
-// partitioning keys mentioned in the grid-distribution motivation).
-func Murmur3_32(data []byte, seed uint32) uint32 {
-	const (
-		c1 = 0xcc9e2d51
-		c2 = 0x1b873593
-	)
-	h := seed
-	n := len(data)
-	// Body: 4-byte blocks.
-	for len(data) >= 4 {
-		k := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		data = data[4:]
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-		h = h<<13 | h>>19
-		h = h*5 + 0xe6546b64
-	}
-	// Tail.
-	var k uint32
-	switch len(data) {
-	case 3:
-		k ^= uint32(data[2]) << 16
-		fallthrough
-	case 2:
-		k ^= uint32(data[1]) << 8
-		fallthrough
-	case 1:
-		k ^= uint32(data[0])
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-	}
-	h ^= uint32(n)
-	return Murmur32Finalizer(h)
-}
-
 // PartitionIndex32 maps a 4-byte key to a partition in [0, numPartitions)
 // using the given attribute function. numPartitions must be a power of two;
 // the partition is the low bits of the hashed (or raw) key, exactly as the
@@ -122,14 +65,6 @@ func PartitionIndex32(key uint32, radixBits uint, hash bool) uint32 {
 		return RadixBits(Murmur32Finalizer(key), radixBits)
 	}
 	return RadixBits(key, radixBits)
-}
-
-// PartitionIndex64 is PartitionIndex32 for 8-byte keys.
-func PartitionIndex64(key uint64, radixBits uint, hash bool) uint64 {
-	if hash {
-		return RadixBits64(Murmur64Finalizer(key), radixBits)
-	}
-	return RadixBits64(key, radixBits)
 }
 
 // Log2 returns floor(log2(n)) for n ≥ 1. It is the radix-bit count for a

@@ -85,31 +85,11 @@ func TestRadixBits(t *testing.T) {
 	}
 }
 
-func TestRadixBits64(t *testing.T) {
-	if got := RadixBits64(0xffffffffffffffff, 13); got != 0x1fff {
-		t.Errorf("RadixBits64 = %#x, want 0x1fff", got)
-	}
-	if got := RadixBits64(0xabcdef, 64); got != 0xabcdef {
-		t.Errorf("RadixBits64 full width = %#x", got)
-	}
-}
-
 func TestPartitionIndexInRange(t *testing.T) {
 	f := func(key uint32) bool {
 		const bits = 13 // 8192 partitions, the paper's default fan-out
 		r := PartitionIndex32(key, bits, false)
 		h := PartitionIndex32(key, bits, true)
-		return r < 8192 && h < 8192
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartitionIndex64InRange(t *testing.T) {
-	f := func(key uint64) bool {
-		r := PartitionIndex64(key, 13, false)
-		h := PartitionIndex64(key, 13, true)
 		return r < 8192 && h < 8192
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -123,53 +103,6 @@ func TestPartitionIndexRadixMatchesLSBs(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMurmur3_32KnownVectors(t *testing.T) {
-	// Canonical murmur3 x86_32 test vectors.
-	cases := []struct {
-		data []byte
-		seed uint32
-		want uint32
-	}{
-		{nil, 0, 0},
-		{nil, 1, 0x514e28b7},
-		{[]byte{}, 0xffffffff, 0x81f16f39},
-		{[]byte("test"), 0, 0xba6bd213},
-		{[]byte("Hello, world!"), 0, 0xc0363e43},
-		{[]byte("The quick brown fox jumps over the lazy dog"), 0, 0x2e4ff723},
-	}
-	for _, c := range cases {
-		if got := Murmur3_32(c.data, c.seed); got != c.want {
-			t.Errorf("Murmur3_32(%q, %#x) = %#x, want %#x", c.data, c.seed, got, c.want)
-		}
-	}
-}
-
-func TestMurmur3_32TailLengths(t *testing.T) {
-	// Exercise all tail cases (len mod 4 = 0..3); results must be stable and
-	// differ across lengths.
-	data := []byte{1, 2, 3, 4, 5, 6, 7}
-	seen := make(map[uint32]int)
-	for n := 0; n <= len(data); n++ {
-		h := Murmur3_32(data[:n], 42)
-		if prev, ok := seen[h]; ok {
-			t.Errorf("prefix lengths %d and %d collide: %#x", prev, n, h)
-		}
-		seen[h] = n
-	}
-}
-
-func TestFibonacci32Spread(t *testing.T) {
-	// Sequential keys must spread across high bits (the weakness of raw radix
-	// bits that multiplicative hashing fixes).
-	seen := make(map[uint32]bool)
-	for i := uint32(0); i < 1024; i++ {
-		seen[Fibonacci32(i)>>22] = true
-	}
-	if len(seen) < 512 {
-		t.Errorf("Fibonacci32 spread over top-10-bit buckets = %d, want ≥ 512", len(seen))
 	}
 }
 

@@ -105,7 +105,8 @@ type BudgetConfig struct {
 	// unlimited one every partition fits: nothing spills and nothing is
 	// logged or accounted (BuildProbe is that case).
 	Budget *membudget.Budget
-	// Spill receives the simulated spill traffic; nil discards it.
+	// Spill receives the bytes read back from the simulated spill device;
+	// nil discards them.
 	Spill *membudget.SpillStore
 	// Threads is the partition-level parallelism (≤ 0 means GOMAXPROCS).
 	Threads int
@@ -290,13 +291,11 @@ func replayAccounting(stats *BudgetStats, cfg BudgetConfig) {
 			stats.SpilledBytes += d.SpilledBytes
 			b.MustReserve(membudget.ClassSpill, spillBufBytes)
 			b.Release(membudget.ClassSpill, spillBufBytes)
-			sp.Write(d.SpilledBytes)
 		case ActionRecurse:
 			stats.Recursions++
 			sp.Read(d.SpilledBytes)
 			b.MustReserve(membudget.ClassPartition, scatterBytes)
 			b.Release(membudget.ClassPartition, scatterBytes)
-			sp.Write(d.SpilledBytes)
 		case ActionBroadcast:
 			stats.Broadcasts++
 			stats.BroadcastChunks += d.Chunks

@@ -281,19 +281,6 @@ func (pkg *Package) objectOf(fun ast.Expr) types.Object {
 	return nil
 }
 
-// calleeFromPackage reports whether a call expression invokes a function or
-// method belonging to a package whose import path satisfies match.
-func (pkg *Package) calleeFromPackage(call *ast.CallExpr, match func(path string) bool) bool {
-	obj := pkg.objectOf(call.Fun)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if _, isFunc := obj.(*types.Func); !isFunc {
-		return false
-	}
-	return match(obj.Pkg().Path())
-}
-
 // errorType is the universe error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 

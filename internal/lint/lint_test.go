@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -590,4 +591,126 @@ func TestOperatorsPartitionThroughPartition(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("only %d functions of the operator packages in the call graph", checked)
 	}
+}
+
+// testOnly lists the internal/ functions that no non-test file uses and that
+// stay anyway, each with the reason. TestInternalFunctionsHaveProductionCallers
+// fails on an entry that has gained a production caller or lost its function.
+var testOnly = map[string]string{
+	"fpgapart/internal/core.NewHashPipeline":         "reference: the staged murmur pipeline of Code 3, which FuzzHashPipelineParity holds against the software finalizer the circuit applies",
+	"(*fpgapart/internal/core.HashPipeline).HashAll": "reference: drives the staged pipeline over a key stream for the parity tests",
+	"fpgapart/internal/cpupart.PartitionTuples":      "reference: partitioning without a Scratch, which the fuzz and alignment tests hold the buffered kernels against",
+	"fpgapart/internal/joincore.NestedLoop":          "reference: the brute-force join every join test compares matches and checksum against",
+	"(*fpgapart/internal/memsys.Region).Owner":       "reference: per-line snoop-filter state, read by the tests that hold the written-span tracking against a dense map",
+	"(*fpgapart/internal/fpga.FIFO[T]).Len":          "reference: the occupancy the circuit's run.queued and run.lines counters are checked against after every cycle",
+}
+
+// TestInternalFunctionsHaveProductionCallers locks the shipped surface to the
+// used surface: a function or method declared under fpgapart/internal/ must
+// be used by a non-test file of the module (benchmark/, cmd/ and examples/
+// count; a use inside its own body does not), or be a method some interface
+// of the module or of the packages it imports can reach (String, Error,
+// heap/sort, lint.Analyzer), or be on testOnly with a reason.
+func TestInternalFunctionsHaveProductionCallers(t *testing.T) {
+	l := testLoader(t)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	used := map[*types.Func]bool{}
+	var declared []*types.Func
+	for _, pkg := range pkgs {
+		internal := strings.HasPrefix(pkg.Path, "fpgapart/internal/")
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = pkg.Info.Defs[fd.Name]
+					if fn, ok := self.(*types.Func); ok && internal && fd.Name.Name != "init" {
+						declared = append(declared, fn)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+							used[fn.Origin()] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	ifaces := moduleInterfaces(pkgs)
+	seen := map[string]bool{}
+	for _, fn := range declared {
+		name := fn.FullName()
+		_, listed := testOnly[name]
+		seen[name] = true
+		switch live := used[fn] || reachedThroughInterface(fn, ifaces); {
+		case live && listed:
+			t.Errorf("%s has a production caller now; drop it from testOnly", name)
+		case !live && !listed:
+			t.Errorf("%s: %s is used by no non-test file; delete it, or list it in testOnly with the reason it stays",
+				l.Fset.Position(fn.Pos()), name)
+		}
+	}
+	for name, reason := range testOnly {
+		if !seen[name] {
+			t.Errorf("testOnly lists %s, which is not declared under internal/", name)
+		}
+		if reason == "" {
+			t.Errorf("testOnly entry %s states no reason", name)
+		}
+	}
+	if len(declared) < 300 {
+		t.Fatalf("only %d functions found under internal/", len(declared))
+	}
+}
+
+// moduleInterfaces collects every named, non-empty interface declared in the
+// module's packages or in a package they import, plus error.
+func moduleInterfaces(pkgs []*Package) []*types.Interface {
+	ifaces := []*types.Interface{errorType}
+	visited := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+				ifaces = append(ifaces, it)
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		visit(pkg.Types)
+	}
+	return ifaces
+}
+
+// reachedThroughInterface reports whether fn is a method that one of ifaces
+// names and fn's receiver type implements.
+func reachedThroughInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && types.Implements(recv.Type(), it) {
+				return true
+			}
+		}
+	}
+	return false
 }

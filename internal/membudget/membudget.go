@@ -1,21 +1,14 @@
 // Package membudget models the bounded join memory of a robust hybrid hash
 // join (Jahangiri et al., "Design Trade-offs for a Robust Dynamic Hybrid
-// Hash Join"): a Budget tracks build/probe/partition reservations against a
-// configurable byte cap, and a SpillStore accounts the simulated spill
-// traffic of partitions that did not fit. Both are pure accounting — no
+// Hash Join"): a Budget tracks build/partition/spill-buffer reservations
+// against a configurable byte cap, and a SpillStore accounts what later
+// passes read back of the partitions that did not fit. Both are pure
+// accounting — no
 // clocks, no randomness — so same-seed runs make byte-identical decisions;
 // the packages sit on the fpgavet deterministic path.
 package membudget
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrExceeded is returned by Reserve when a reservation would push usage
-// past the budget cap. Callers match it with errors.Is and respond by
-// spilling, recursing, or broadcasting instead of allocating.
-var ErrExceeded = errors.New("membudget: budget exceeded")
+import "fmt"
 
 // Class labels what a reservation pays for, so exhaustion reports can say
 // which phase ate the budget. Classes index a fixed array — no maps — to
@@ -25,8 +18,6 @@ type Class int
 const (
 	// ClassBuild is hash-table state over the build side of a partition.
 	ClassBuild Class = iota
-	// ClassProbe is streamed probe-side state (chunk staging buffers).
-	ClassProbe
 	// ClassPartition is repartitioning scratch (histograms, output runs).
 	ClassPartition
 	// ClassSpill is the in-memory write buffer in front of the spill store.
@@ -40,8 +31,6 @@ func (c Class) String() string {
 	switch c {
 	case ClassBuild:
 		return "build"
-	case ClassProbe:
-		return "probe"
 	case ClassPartition:
 		return "partition"
 	case ClassSpill:
@@ -62,7 +51,6 @@ type Budget struct {
 	inUse    int64
 	high     int64
 	byClass  [numClasses]int64
-	total    [numClasses]int64
 }
 
 // New returns a budget capped at capBytes; capBytes ≤ 0 means unlimited.
@@ -84,36 +72,14 @@ func (b *Budget) Cap() int64 {
 // Limited reports whether the budget actually constrains allocations.
 func (b *Budget) Limited() bool { return b != nil && b.capBytes > 0 }
 
-// Fits reports whether n more bytes could be reserved right now.
-func (b *Budget) Fits(n int64) bool {
-	if !b.Limited() {
-		return true
-	}
-	return b.inUse+n <= b.capBytes
-}
-
-// Reserve accounts n bytes of class c, failing with a wrapped ErrExceeded —
-// and accounting nothing — when the reservation would overflow the cap.
-func (b *Budget) Reserve(c Class, n int64) error {
-	if b.Limited() && b.inUse+n > b.capBytes {
-		return fmt.Errorf("membudget: reserving %d %s bytes over %d in use (cap %d): %w",
-			n, c, b.inUse, b.capBytes, ErrExceeded)
-	}
-	b.mustReserve(c, n)
-	return nil
-}
-
 // MustReserve accounts n bytes of class c even past the cap. It models the
 // allocations an adaptive join cannot avoid — e.g. the single build chunk of
 // a broadcast join — while keeping the high-water mark honest about them.
-func (b *Budget) MustReserve(c Class, n int64) { b.mustReserve(c, n) }
-
-func (b *Budget) mustReserve(c Class, n int64) {
+func (b *Budget) MustReserve(c Class, n int64) {
 	if b == nil {
 		return
 	}
 	b.byClass[c] += n
-	b.total[c] += n
 	b.inUse += n
 	if b.inUse > b.high {
 		b.high = b.inUse
@@ -135,15 +101,7 @@ func (b *Budget) Release(c Class, n int64) {
 	b.inUse -= n
 }
 
-// InUse returns the bytes currently reserved across all classes.
-func (b *Budget) InUse() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.inUse
-}
-
-// HighWater returns the peak of InUse over the budget's lifetime.
+// HighWater returns the peak of the bytes reserved at once over the budget's lifetime.
 func (b *Budget) HighWater() int64 {
 	if b == nil {
 		return 0
@@ -151,31 +109,11 @@ func (b *Budget) HighWater() int64 {
 	return b.high
 }
 
-// Total returns the cumulative bytes ever reserved for class c (releases do
-// not subtract) — the traffic of a phase, not its footprint.
-func (b *Budget) Total(c Class) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.total[c]
-}
-
-// SpillStore accounts the simulated spill device: partitions that exceed
-// the budget are written out as segments and read back by later passes.
-// Like Budget it is pure bookkeeping and nil-safe.
+// SpillStore accounts the read side of the simulated spill device: the
+// bytes a recursing or broadcasting pass reads back of a partition that
+// exceeded the budget. Like Budget it is pure bookkeeping and nil-safe.
 type SpillStore struct {
-	written  int64
-	read     int64
-	segments int64
-}
-
-// Write accounts one spilled segment of n bytes.
-func (s *SpillStore) Write(n int64) {
-	if s == nil {
-		return
-	}
-	s.written += n
-	s.segments++
+	read int64
 }
 
 // Read accounts n bytes read back from the store.
@@ -186,26 +124,10 @@ func (s *SpillStore) Read(n int64) {
 	s.read += n
 }
 
-// BytesWritten returns the cumulative bytes spilled out.
-func (s *SpillStore) BytesWritten() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.written
-}
-
 // BytesRead returns the cumulative bytes read back.
 func (s *SpillStore) BytesRead() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.read
-}
-
-// Segments returns the number of spilled segments written.
-func (s *SpillStore) Segments() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.segments
 }

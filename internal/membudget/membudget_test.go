@@ -1,76 +1,55 @@
 package membudget
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
 
 func TestUnlimitedBudget(t *testing.T) {
 	for _, b := range []*Budget{nil, New(0), New(-5)} {
-		if b.Limited() {
+		if b.Limited() || b.Cap() != 0 {
 			t.Fatalf("budget %v should be unlimited", b)
 		}
-		if !b.Fits(1 << 40) {
-			t.Fatalf("unlimited budget rejected a reservation")
-		}
-		if err := b.Reserve(ClassBuild, 1<<40); err != nil {
-			t.Fatalf("unlimited Reserve: %v", err)
-		}
+		b.MustReserve(ClassBuild, 1<<40)
+		b.Release(ClassBuild, 1<<40)
 	}
 	// The nil budget accounts nothing; a zero-cap budget still accounts.
 	var nilB *Budget
-	if nilB.InUse() != 0 || nilB.HighWater() != 0 || nilB.Total(ClassBuild) != 0 {
+	if nilB.HighWater() != 0 {
 		t.Fatalf("nil budget should report zero usage")
 	}
 	b := New(0)
-	if err := b.Reserve(ClassProbe, 100); err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
-	if b.InUse() != 100 || b.Total(ClassProbe) != 100 {
-		t.Fatalf("zero-cap budget should still account: inUse %d total %d", b.InUse(), b.Total(ClassProbe))
+	b.MustReserve(ClassSpill, 100)
+	if b.HighWater() != 100 {
+		t.Fatalf("zero-cap budget should still account: high %d", b.HighWater())
 	}
 }
 
 func TestReserveRelease(t *testing.T) {
 	b := New(1000)
-	if got := b.Cap(); got != 1000 {
-		t.Fatalf("Cap = %d, want 1000", got)
+	if got := b.Cap(); got != 1000 || !b.Limited() {
+		t.Fatalf("Cap = %d, limited %v; want 1000 and limited", got, b.Limited())
 	}
-	if err := b.Reserve(ClassBuild, 600); err != nil {
-		t.Fatalf("Reserve 600: %v", err)
-	}
-	if err := b.Reserve(ClassProbe, 400); err != nil {
-		t.Fatalf("Reserve 400: %v", err)
-	}
-	if !errors.Is(b.Reserve(ClassPartition, 1), ErrExceeded) {
-		t.Fatalf("Reserve over cap should wrap ErrExceeded")
-	}
-	// A failed reservation accounts nothing.
-	if b.InUse() != 1000 || b.Total(ClassPartition) != 0 {
-		t.Fatalf("failed Reserve leaked accounting: inUse %d", b.InUse())
-	}
-	b.Release(ClassProbe, 400)
-	if b.InUse() != 600 {
-		t.Fatalf("InUse after release = %d, want 600", b.InUse())
-	}
+	b.MustReserve(ClassBuild, 600)
+	b.MustReserve(ClassPartition, 400)
+	b.Release(ClassPartition, 400)
+	// The high-water mark is the peak of what was reserved at once, not the
+	// cumulative traffic.
+	b.MustReserve(ClassSpill, 300)
 	if b.HighWater() != 1000 {
 		t.Fatalf("HighWater = %d, want 1000", b.HighWater())
 	}
-	// Totals are cumulative traffic, not footprint.
-	if b.Total(ClassProbe) != 400 {
-		t.Fatalf("Total(probe) = %d, want 400", b.Total(ClassProbe))
+	b.MustReserve(ClassSpill, 200)
+	if b.HighWater() != 1100 {
+		t.Fatalf("HighWater = %d, want 1100", b.HighWater())
 	}
 }
 
 func TestMustReserveOvershoots(t *testing.T) {
 	b := New(100)
 	b.MustReserve(ClassBuild, 300)
-	if b.InUse() != 300 || b.HighWater() != 300 {
-		t.Fatalf("MustReserve should account past the cap: inUse %d high %d", b.InUse(), b.HighWater())
-	}
-	if b.Fits(1) {
-		t.Fatalf("budget over cap should not fit more")
+	if b.HighWater() != 300 {
+		t.Fatalf("MustReserve should account past the cap: high %d", b.HighWater())
 	}
 }
 
@@ -85,16 +64,13 @@ func TestOverReleasePanics(t *testing.T) {
 		}
 	}()
 	b := New(100)
-	if err := b.Reserve(ClassBuild, 50); err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
+	b.MustReserve(ClassBuild, 50)
 	b.Release(ClassBuild, 51)
 }
 
 func TestClassString(t *testing.T) {
 	want := map[Class]string{
-		ClassBuild: "build", ClassProbe: "probe",
-		ClassPartition: "partition", ClassSpill: "spill",
+		ClassBuild: "build", ClassPartition: "partition", ClassSpill: "spill",
 		Class(99): "class(99)",
 	}
 	for c, s := range want {
@@ -106,17 +82,14 @@ func TestClassString(t *testing.T) {
 
 func TestSpillStore(t *testing.T) {
 	var nilS *SpillStore
-	nilS.Write(10)
 	nilS.Read(10)
-	if nilS.BytesWritten() != 0 || nilS.BytesRead() != 0 || nilS.Segments() != 0 {
+	if nilS.BytesRead() != 0 {
 		t.Fatalf("nil spill store should be a no-op")
 	}
 	s := &SpillStore{}
-	s.Write(64)
-	s.Write(128)
 	s.Read(64)
-	if s.BytesWritten() != 192 || s.Segments() != 2 || s.BytesRead() != 64 {
-		t.Fatalf("spill accounting wrong: wrote %d in %d segments, read %d",
-			s.BytesWritten(), s.Segments(), s.BytesRead())
+	s.Read(128)
+	if s.BytesRead() != 192 {
+		t.Fatalf("spill accounting wrong: read %d", s.BytesRead())
 	}
 }

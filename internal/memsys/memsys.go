@@ -41,18 +41,8 @@ func NewPool(totalBytes int64, pageBytes int) (*Pool, error) {
 	return &Pool{pageBytes: pageBytes, numPages: int(totalBytes / int64(pageBytes))}, nil
 }
 
-// PageBytes returns the page size.
-func (p *Pool) PageBytes() int { return p.pageBytes }
-
 // FreePages returns how many pages remain unallocated.
 func (p *Pool) FreePages() int { return p.numPages - p.nextFree }
-
-// FreeBytes returns the unallocated capacity in bytes. The budgeted join
-// executor sizes its byte-level ledger (internal/membudget) from the
-// page-level pool that models the platform's physical memory: a
-// membudget.Budget capped at FreeBytes keeps every build-side allocation
-// within what the pool could actually back with pages.
-func (p *Pool) FreeBytes() int64 { return int64(p.FreePages()) * int64(p.pageBytes) }
 
 // Alloc allocates enough pages to cover size bytes and returns a Region. The
 // physical page frame numbers are handed to the region in allocation order;
@@ -67,7 +57,6 @@ func (p *Pool) Alloc(size int64) (*Region, error) {
 		return nil, fmt.Errorf("memsys: out of memory: need %d pages, %d free", pages, p.FreePages())
 	}
 	r := &Region{
-		pool:  p,
 		Size:  size,
 		Pages: make([]uint32, pages),
 	}
@@ -82,7 +71,6 @@ func (p *Pool) Alloc(size int64) (*Region, error) {
 // virtual address space of a region starts at 0 (each accelerator run works
 // on a fixed-size virtual address space, Section 2.1).
 type Region struct {
-	pool *Pool
 	Size int64
 	// Pages[v] is the physical page frame number of virtual page v — the
 	// array the CPU-side application keeps for its own address translation.
@@ -92,16 +80,6 @@ type Region struct {
 	// been written and belongs to the CPU socket.
 	first int64
 	owner []uint8
-}
-
-// Translate performs the CPU-side translation: a look-up into the page array.
-func (r *Region) Translate(vaddr int64) (uint64, error) {
-	if vaddr < 0 || vaddr >= r.Size {
-		return 0, fmt.Errorf("memsys: virtual address %#x outside region of %d bytes", vaddr, r.Size)
-	}
-	page := vaddr / int64(r.pool.pageBytes)
-	off := vaddr % int64(r.pool.pageBytes)
-	return uint64(r.Pages[page])*uint64(r.pool.pageBytes) + uint64(off), nil
 }
 
 // MarkWritten records socket as the last writer of every cache line in
@@ -140,7 +118,8 @@ func (r *Region) track(first, last int64) {
 	r.first, r.owner = lo, owner
 }
 
-// Owner returns the last writer of the cache line containing off.
+// Owner returns the last writer of the cache line containing off. It is a
+// reference: the model reads OwnerCounts, tests read single lines.
 func (r *Region) Owner(off int64) platform.Socket {
 	if i := off/LineBytes - r.first; i >= 0 && i < int64(len(r.owner)) {
 		return platform.Socket(r.owner[i])

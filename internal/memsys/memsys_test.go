@@ -39,41 +39,11 @@ func TestAllocConsumesPages(t *testing.T) {
 	if p.FreePages() != 13 {
 		t.Errorf("FreePages = %d, want 13", p.FreePages())
 	}
-	if got := p.FreeBytes(); got != 13*(4<<20) {
-		t.Errorf("FreeBytes = %d, want %d", got, 13*(4<<20))
-	}
 	if _, err := p.Alloc(1 << 30); err == nil {
 		t.Error("oversized allocation accepted")
 	}
 	if _, err := p.Alloc(0); err == nil {
 		t.Error("zero allocation accepted")
-	}
-}
-
-func TestRegionTranslate(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
-	r, _ := p.Alloc(12 << 20)
-	// Page 0 starts at physical page r.Pages[0].
-	pa, err := r.Translate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa != uint64(r.Pages[0])*(4<<20) {
-		t.Errorf("Translate(0) = %#x", pa)
-	}
-	// An address in the second page.
-	pa, err = r.Translate(4<<20 + 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa != uint64(r.Pages[1])*(4<<20)+123 {
-		t.Errorf("Translate(page1+123) = %#x", pa)
-	}
-	if _, err := r.Translate(-1); err == nil {
-		t.Error("negative address translated")
-	}
-	if _, err := r.Translate(12 << 20); err == nil {
-		t.Error("out-of-region address translated")
 	}
 }
 
@@ -139,12 +109,12 @@ func TestPageTablePopulateAndTranslate(t *testing.T) {
 	if err := pt.Populate(r); err != nil {
 		t.Fatal(err)
 	}
-	// FPGA and CPU translations must agree on every address.
+	// The FPGA's translation must agree, on every address, with a look-up
+	// into the page array the CPU side keeps.
 	f := func(raw uint32) bool {
 		va := int64(raw) % (8 << 20)
-		fa, err1 := pt.Translate(va)
-		ca, err2 := r.Translate(va)
-		return err1 == nil && err2 == nil && fa == ca
+		fa, err := pt.Translate(va)
+		return err == nil && fa == uint64(r.Pages[va>>22])<<22+uint64(va&(4<<20-1))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -176,10 +146,9 @@ func TestPageTablePopulateReplaces(t *testing.T) {
 	if _, err := pt.Translate(12 << 20); err == nil {
 		t.Error("page of the previous region still mapped")
 	}
-	fa, err1 := pt.Translate(100)
-	ca, err2 := small.Translate(100)
-	if err1 != nil || err2 != nil || fa != ca {
-		t.Errorf("new region translates to %#x (%v), CPU side %#x (%v)", fa, err1, ca, err2)
+	fa, err := pt.Translate(100)
+	if ca := uint64(small.Pages[0])<<22 + 100; err != nil || fa != ca {
+		t.Errorf("new region translates to %#x (%v), its page array says %#x", fa, err, ca)
 	}
 }
 

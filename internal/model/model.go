@@ -89,11 +89,6 @@ func (p Params) TotalRate() float64 {
 	return mem
 }
 
-// MemoryBound reports whether the memory term limits the rate.
-func (p Params) MemoryBound() bool {
-	return p.MemoryRate() <= p.ProcessRate()
-}
-
 // Mode identifies the four operating modes for Ratio.
 type Mode struct {
 	Hist bool

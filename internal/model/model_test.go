@@ -55,7 +55,7 @@ func TestMemoryBoundOnXeonFPGA(t *testing.T) {
 	// On the real platform the memory term always limits (Section 4.6).
 	for _, m := range []Mode{{}, {Hist: true}, {VRID: true}, {Hist: true, VRID: true}} {
 		p := ForMode(m, platform.XeonFPGA(), 128e6)
-		if !p.MemoryBound() {
+		if p.MemoryRate() > p.ProcessRate() {
 			t.Errorf("mode %+v should be memory-bound on Xeon+FPGA", m)
 		}
 	}
@@ -66,7 +66,7 @@ func TestCircuitBoundOnRawWrapper(t *testing.T) {
 	// in PAD mode, ~0.8 in HIST (Section 4.8).
 	raw := platform.RawFPGA()
 	pad := ForMode(Mode{}, raw, 128e6)
-	if pad.MemoryBound() {
+	if pad.MemoryRate() <= pad.ProcessRate() {
 		t.Error("PAD mode should be circuit-bound at 25.6 GB/s")
 	}
 	if got := pad.TotalRate(); math.Abs(got-1.6e9)/1.6e9 > 0.01 {

@@ -47,8 +47,45 @@ type clusterScenario struct {
 	compareUnhedged bool
 }
 
-func runClusterSuite(cfg Config) ([]Record, error) {
-	scenarios := []clusterScenario{
+// name is the record name of the scenario in the given suite.
+func (sc clusterScenario) name(suite string) string {
+	return fmt.Sprintf("%s/%ds1f1w/%dreq/%s", suite, clusterShards, clusterRequests, sc.label)
+}
+
+// load generates the scenario's request stream. Request sizes span
+// cfg.Tuples/16 .. cfg.Tuples/4: small enough that three shards of one FPGA
+// + one worker each stay CI-cheap, large enough that per-shard makespans
+// dominate the router's bookkeeping.
+func (sc clusterScenario) load(cfg Config) ([]cluster.Request, error) {
+	gap := sc.gapUS
+	if gap == 0 {
+		gap = 80
+	}
+	return cluster.GenerateLoad(uint64(cfg.Seed), clusterRequests, cluster.LoadOptions{
+		HotTenantShare: sc.hot,
+		MeanGapUS:      gap,
+		MinTuples:      cfg.Tuples / 16,
+		MaxTuples:      cfg.Tuples / 4,
+	})
+}
+
+// config is the scenario's router configuration, with no telemetry attached.
+func (sc clusterScenario) config(cfg Config) cluster.Config {
+	return cluster.Config{
+		Shards:      clusterShards,
+		TenantQuota: sc.quota,
+		Schedule:    sc.schedule,
+		Replicas:    sc.replicas,
+		HedgeUS:     sc.hedgeUS,
+		Seed:        uint64(cfg.Seed),
+		Faults:      sc.scenario,
+	}
+}
+
+// clusterScenarios is the cluster suite's matrix; the reqtrace suite reruns
+// its first three cells with a capture attached.
+func clusterScenarios(cfg Config) []clusterScenario {
+	return []clusterScenario{
 		// Plain routing and merge: the latency/QPS/balance baseline.
 		{label: "faultfree"},
 		// A hot tenant issuing 40% of the stream under a per-window quota:
@@ -82,53 +119,32 @@ func runClusterSuite(cfg Config) ([]Record, error) {
 			},
 			replicas: 2, hedgeUS: 150, compareUnhedged: true},
 	}
-	var records []Record
-	for _, sc := range scenarios {
-		rec, err := runClusterScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario cluster/%s: %w", sc.label, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
 }
 
-func runClusterScenario(cfg Config, sc clusterScenario) (Record, error) {
-	// Request sizes span cfg.Tuples/16 .. cfg.Tuples/4: small enough that
-	// three shards of one FPGA + one worker each stay CI-cheap, large enough
-	// that per-shard makespans dominate the router's bookkeeping.
-	gap := sc.gapUS
-	if gap == 0 {
-		gap = 80
+func clusterCells(cfg Config) ([]cell, error) {
+	var cells []cell
+	for _, sc := range clusterScenarios(cfg) {
+		cells = append(cells, cell{sc.name(SuiteCluster), func() (simtrace.Snapshot, error) { return runClusterScenario(cfg, sc) }})
 	}
-	reqs, err := cluster.GenerateLoad(uint64(cfg.Seed), clusterRequests, cluster.LoadOptions{
-		HotTenantShare: sc.hot,
-		MeanGapUS:      gap,
-		MinTuples:      cfg.Tuples / 16,
-		MaxTuples:      cfg.Tuples / 4,
-	})
+	return cells, nil
+}
+
+func runClusterScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, error) {
+	reqs, err := sc.load(cfg)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	sess := simtrace.NewSession()
-	ccfg := cluster.Config{
-		Shards:      clusterShards,
-		TenantQuota: sc.quota,
-		Schedule:    sc.schedule,
-		Replicas:    sc.replicas,
-		HedgeUS:     sc.hedgeUS,
-		Seed:        uint64(cfg.Seed),
-		Faults:      sc.scenario,
-		Trace:       sess,
-	}
+	ccfg := sc.config(cfg)
+	ccfg.Trace = sess
 
 	rep, err := cluster.Run(reqs, ccfg)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	if rep.Done != clusterRequests {
-		return Record{}, fmt.Errorf("only %d/%d requests done (failed %d, failed shards %v)",
+		return nil, fmt.Errorf("only %d/%d requests done (failed %d, failed shards %v)",
 			rep.Done, clusterRequests, rep.Failed, rep.FailedShards)
 	}
 
@@ -153,22 +169,21 @@ func runClusterScenario(cfg Config, sc clusterScenario) (Record, error) {
 		// may move at most ≈ 2/(N+1) of the keys and must never change the
 		// merged content. Both pinned: the moved permyriad as a gated number,
 		// the divergence as a hard error plus a pinned zero.
-		static := ccfg
+		static := sc.config(cfg)
 		static.Schedule = nil
-		static.Trace = nil
 		srep, err := cluster.Run(reqs, static)
 		if err != nil {
-			return Record{}, fmt.Errorf("static reference: %w", err)
+			return nil, fmt.Errorf("static reference: %w", err)
 		}
 		if len(rep.EventMovedX10000) == 0 || rep.EventMovedX10000[0] > 2*10000/int64(clusterShards+1) {
-			return Record{}, fmt.Errorf("live join moved %v permyriad, over the 2/(N+1) ring bound", rep.EventMovedX10000)
+			return nil, fmt.Errorf("live join moved %v permyriad, over the 2/(N+1) ring bound", rep.EventMovedX10000)
 		}
 		var div int64
 		if rep.Checksum != srep.Checksum || rep.Matches != srep.Matches || rep.Done != srep.Done {
 			div = 1
 		}
 		if div != 0 {
-			return Record{}, fmt.Errorf("live join diverged from static ring: checksum %d vs %d, matches %d vs %d",
+			return nil, fmt.Errorf("live join diverged from static ring: checksum %d vs %d, matches %d vs %d",
 				rep.Checksum, srep.Checksum, rep.Matches, srep.Matches)
 		}
 		extra = append(extra, counter("bench.checksum_divergence", div))
@@ -178,27 +193,22 @@ func runClusterScenario(cfg Config, sc clusterScenario) (Record, error) {
 		// Hedged vs. unhedged on the identical stream and straggler: the
 		// whole point of the hedge lane is a strictly better p99. The win is
 		// an in-code assertion and a pinned gated number.
-		unhedged := ccfg
+		unhedged := sc.config(cfg)
 		unhedged.Replicas = 0
 		unhedged.HedgeUS = 0
-		unhedged.Trace = nil
 		urep, err := cluster.Run(reqs, unhedged)
 		if err != nil {
-			return Record{}, fmt.Errorf("unhedged reference: %w", err)
+			return nil, fmt.Errorf("unhedged reference: %w", err)
 		}
 		win := urep.LatP99US - rep.LatP99US
 		if win <= 0 {
-			return Record{}, fmt.Errorf("hedged p99 %dus not below unhedged p99 %dus", rep.LatP99US, urep.LatP99US)
+			return nil, fmt.Errorf("hedged p99 %dus not below unhedged p99 %dus", rep.LatP99US, urep.LatP99US)
 		}
 		if rep.Checksum != urep.Checksum {
-			return Record{}, fmt.Errorf("hedging changed the checksum: %d vs %d", rep.Checksum, urep.Checksum)
+			return nil, fmt.Errorf("hedging changed the checksum: %d vs %d", rep.Checksum, urep.Checksum)
 		}
 		extra = append(extra, counter("bench.hedge_p99_win_us", win))
 	}
 
-	gated := sess.Metrics.Snapshot().With(extra...)
-	return Record{
-		Name:  fmt.Sprintf("cluster/%ds1f1w/%dreq/%s", clusterShards, clusterRequests, sc.label),
-		Gated: MetricSet{gated},
-	}, nil
+	return sess.Metrics.Snapshot().With(extra...), nil
 }

@@ -50,10 +50,6 @@ func (c *Comparison) Failed() bool {
 	return false
 }
 
-// Changed reports whether the diff has any rows at all (including
-// non-failing additions).
-func (c *Comparison) Changed() bool { return len(c.Rows) > 0 }
-
 // Compare diffs a baseline report against a fresh one. It refuses
 // cross-suite and cross-configuration comparisons: a baseline generated at a
 // different seed or scale would report every metric changed, which is a

@@ -71,31 +71,31 @@ func memoryWorkloads() []memoryWorkload {
 	}
 }
 
-func runMemorySuite(cfg Config) ([]Record, error) {
-	var records []Record
+// memoryCells generates each workload and joins it unconstrained once; its
+// four budget cells share both.
+func memoryCells(cfg Config) ([]cell, error) {
+	var cells []cell
 	for _, w := range memoryWorkloads() {
 		r, s, err := w.build(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("perfbench: memory workload %s: %w", w.label, err)
+			return nil, fmt.Errorf("workload %s: %w", w.label, err)
 		}
-		base := hashjoin.Options{Partitions: 8, Threads: 1, Hash: true}
-		ref, err := hashjoin.CPU(r, s, base)
+		ref, err := hashjoin.CPU(r, s, hashjoin.Options{Partitions: 8, Threads: 1, Hash: true})
 		if err != nil {
-			return nil, fmt.Errorf("perfbench: memory reference %s: %w", w.label, err)
+			return nil, fmt.Errorf("reference %s: %w", w.label, err)
 		}
 		buildBytes := int64(r.NumTuples) * joincore.BuildTupleBytes
 		for _, pct := range memoryBudgetPcts {
-			rec, err := runMemoryScenario(cfg, w.label, r, s, ref, buildBytes*pct/100, pct)
-			if err != nil {
-				return nil, fmt.Errorf("perfbench: scenario memory/%s/%d%%: %w", w.label, pct, err)
-			}
-			records = append(records, rec)
+			name := fmt.Sprintf("%s/%s/budget%d", SuiteMemory, w.label, pct)
+			cells = append(cells, cell{name, func() (simtrace.Snapshot, error) {
+				return runMemoryScenario(r, s, ref, buildBytes*pct/100)
+			}})
 		}
 	}
-	return records, nil
+	return cells, nil
 }
 
-func runMemoryScenario(cfg Config, label string, r, s *workload.Relation, ref *hashjoin.Result, budget, pct int64) (Record, error) {
+func runMemoryScenario(r, s *workload.Relation, ref *hashjoin.Result, budget int64) (simtrace.Snapshot, error) {
 	sess := simtrace.NewSession()
 	opts := hashjoin.Options{
 		Partitions: 8, Threads: 1, Hash: true,
@@ -104,21 +104,19 @@ func runMemoryScenario(cfg Config, label string, r, s *workload.Relation, ref *h
 	}
 	res, err := hashjoin.CPU(r, s, opts)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	if res.Memory == nil {
-		return Record{}, fmt.Errorf("budgeted run reported no memory stats")
+		return nil, fmt.Errorf("budgeted run reported no memory stats")
 	}
 	// The session snapshot already carries every join.mem_* gauge and
 	// counter the budgeted join emitted; the deltas pin the budgeted result
 	// to the unconstrained reference (both must stay zero forever).
-	gated := sess.Metrics.Snapshot().With(
+	return sess.Metrics.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),
 		counter("join.delta_matches_vs_unbudgeted", res.Matches-ref.Matches),
 		counter("join.delta_checksum_vs_unbudgeted", int64(res.Checksum^ref.Checksum)),
-	)
-	name := fmt.Sprintf("%s/%s/budget%d", SuiteMemory, label, pct)
-	return Record{Name: name, Gated: MetricSet{gated}}, nil
+	), nil
 }

@@ -50,9 +50,35 @@ const (
 	SuiteReqtrace  = "reqtrace"
 )
 
+// cell is one scenario of a suite: the record's name and the run that
+// produces its gated metrics.
+type cell struct {
+	name string
+	run  func() (simtrace.Snapshot, error)
+}
+
+// suites is every suite in canonical order: its name and its scenario
+// matrix at a configuration.
+var suites = []struct {
+	name  string
+	cells func(Config) ([]cell, error)
+}{
+	{SuitePartition, partitionCells},
+	{SuiteJoin, joinCells},
+	{SuiteDistjoin, distjoinCells},
+	{SuiteSched, schedCells},
+	{SuiteMemory, memoryCells},
+	{SuiteCluster, clusterCells},
+	{SuiteReqtrace, reqtraceCells},
+}
+
 // Suites lists every suite in canonical order.
 func Suites() []string {
-	return []string{SuitePartition, SuiteJoin, SuiteDistjoin, SuiteSched, SuiteMemory, SuiteCluster, SuiteReqtrace}
+	names := make([]string, len(suites))
+	for i, s := range suites {
+		names[i] = s.name
+	}
+	return names
 }
 
 // BenchFileName returns the canonical file name of a suite's report.
@@ -82,30 +108,26 @@ func (c Config) WithDefaults() Config {
 // RunSuite runs one suite's scenario matrix and returns its report.
 func RunSuite(suite string, cfg Config) (*Report, error) {
 	cfg = cfg.WithDefaults()
-	var (
-		records []Record
-		err     error
-	)
-	switch suite {
-	case SuitePartition:
-		records, err = runPartitionSuite(cfg)
-	case SuiteJoin:
-		records, err = runJoinSuite(cfg)
-	case SuiteDistjoin:
-		records, err = runDistjoinSuite(cfg)
-	case SuiteSched:
-		records, err = runSchedSuite(cfg)
-	case SuiteMemory:
-		records, err = runMemorySuite(cfg)
-	case SuiteCluster:
-		records, err = runClusterSuite(cfg)
-	case SuiteReqtrace:
-		records, err = runReqtraceSuite(cfg)
-	default:
+	var cellsOf func(Config) ([]cell, error)
+	for _, s := range suites {
+		if s.name == suite {
+			cellsOf = s.cells
+		}
+	}
+	if cellsOf == nil {
 		return nil, fmt.Errorf("perfbench: unknown suite %q (have %v)", suite, Suites())
 	}
+	cells, err := cellsOf(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("perfbench: suite %s: %w", suite, err)
+	}
+	records := make([]Record, 0, len(cells))
+	for _, c := range cells {
+		gated, err := c.run()
+		if err != nil {
+			return nil, fmt.Errorf("perfbench: scenario %s: %w", c.name, err)
+		}
+		records = append(records, Record{Name: c.name, Gated: MetricSet{gated}})
 	}
 	return &Report{
 		Schema:  SchemaVersion,
@@ -183,19 +205,15 @@ func partitionMatrix() []partitionScenario {
 	return out
 }
 
-func runPartitionSuite(cfg Config) ([]Record, error) {
-	var records []Record
+func partitionCells(cfg Config) ([]cell, error) {
+	var cells []cell
 	for _, sc := range partitionMatrix() {
-		rec, err := runPartitionScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario %s: %w", sc.name(), err)
-		}
-		records = append(records, rec)
+		cells = append(cells, cell{sc.name(), func() (simtrace.Snapshot, error) { return runPartitionScenario(cfg, sc) }})
 	}
-	return records, nil
+	return cells, nil
 }
 
-func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
+func runPartitionScenario(cfg Config, sc partitionScenario) (simtrace.Snapshot, error) {
 	gen := workload.NewGenerator(cfg.Seed)
 	var (
 		rel *workload.Relation
@@ -207,7 +225,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 		rel, err = gen.Relation(workload.Random, sc.width, cfg.Tuples)
 	}
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	in := rel
 	if sc.mode.Layout == partition.ColumnStore {
@@ -226,12 +244,12 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 		Trace:           sess,
 	})
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	res, err := p.Partition(in)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	st := res.Stats
@@ -239,7 +257,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 	if st.TuplesIn > 0 && !st.Overflowed {
 		perKTuple = st.Cycles * 1000 / st.TuplesIn
 	}
-	gated := sess.Metrics.Snapshot().With(
+	return sess.Metrics.Snapshot().With(
 		counter("bench.cycles_per_ktuple", perKTuple),
 		counter("bench.stall_cycles", st.StallsBackpressure+st.StallsHazard),
 		counter("bench.flush_overhead_x100_vs_model", st.FlushCycles*100/model.CyclesWriteComb),
@@ -247,8 +265,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (Record, error) {
 		counter("bench.pad_overflow_at_tuple", st.OverflowAtTuple),
 		counter("output.tuples", res.TotalTuples()),
 		counter("output.checksum", outputChecksum(res)),
-	)
-	return Record{Name: sc.name(), Gated: MetricSet{gated}}, nil
+	), nil
 }
 
 // outputChecksum folds every partition's order-insensitive checksum into
@@ -268,34 +285,29 @@ type joinScenario struct {
 	layout partition.Layout
 }
 
-func runJoinSuite(cfg Config) ([]Record, error) {
-	scenarios := []joinScenario{
+func joinCells(cfg Config) ([]cell, error) {
+	var cells []cell
+	for _, sc := range []joinScenario{
 		{"HIST/RID", partition.HistMode, partition.RowStore},
 		{"PAD/RID", partition.PadMode, partition.RowStore},
 		{"HIST/VRID", partition.HistMode, partition.ColumnStore},
+	} {
+		cells = append(cells, cell{"join/hybrid/" + sc.label + "/A", func() (simtrace.Snapshot, error) { return runJoinScenario(cfg, sc) }})
 	}
-	var records []Record
-	for _, sc := range scenarios {
-		rec, err := runJoinScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario join/hybrid/%s: %w", sc.label, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
+	return cells, nil
 }
 
-func runJoinScenario(cfg Config, sc joinScenario) (Record, error) {
+func runJoinScenario(cfg Config, sc joinScenario) (simtrace.Snapshot, error) {
 	spec, err := workload.Spec(workload.WorkloadA)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	// Workload A at 4×Tuples per relation — big enough that the two
 	// circuit runs dominate the record, small enough for a CI gate.
 	n := 4 * cfg.Tuples
 	in, err := spec.Scaled(float64(n) / float64(spec.TuplesR)).Generate(cfg.Seed)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	sess := simtrace.NewSession()
@@ -309,33 +321,23 @@ func runJoinScenario(cfg Config, sc joinScenario) (Record, error) {
 		Trace:       sess,
 	}
 
-	var res *hashjoin.Result
+	r, s := in.R, in.S
 	if sc.layout == partition.ColumnStore {
-		p, perr := partition.NewFPGA(partition.FPGAOptions{
-			Partitions: opts.Partitions, Hash: true, Format: sc.format,
-			Layout: partition.ColumnStore, PadFraction: opts.PadFraction,
-			FallbackThreads: 1, Trace: sess,
-		})
-		if perr != nil {
-			return Record{}, perr
-		}
-		res, err = hashjoin.Join(in.R.ToColumns(), in.S.ToColumns(), p, opts)
-	} else {
-		res, err = hashjoin.Hybrid(in.R, in.S, opts)
+		r, s = r.ToColumns(), s.ToColumns()
 	}
+	res, err := hashjoin.Hybrid(r, s, opts)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
-	gated := sess.Metrics.Snapshot().With(
+	return sess.Metrics.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),
 		counter("join.partition_r_sim_ns", res.PartitionR.Nanoseconds()),
 		counter("join.partition_s_sim_ns", res.PartitionS.Nanoseconds()),
 		counter("bench.fell_back", b2i(res.FellBack)),
-	)
-	return Record{Name: "join/hybrid/" + sc.label + "/A", Gated: MetricSet{gated}}, nil
+	), nil
 }
 
 // distjoinScenario is one distributed-join cell.
@@ -344,8 +346,12 @@ type distjoinScenario struct {
 	scenario *faults.Scenario
 }
 
-func runDistjoinSuite(cfg Config) ([]Record, error) {
-	scenarios := []distjoinScenario{
+// distjoinNodes is the cluster size of both distjoin cells.
+const distjoinNodes = 4
+
+func distjoinCells(cfg Config) ([]cell, error) {
+	var cells []cell
+	for _, sc := range []distjoinScenario{
 		{"faultfree", nil},
 		{"faulty", &faults.Scenario{
 			Seed:        uint64(cfg.Seed),
@@ -354,33 +360,27 @@ func runDistjoinSuite(cfg Config) ([]Record, error) {
 			Crashes:     []faults.Crash{{Node: 1, AfterFraction: 0.5}},
 			Links:       []faults.Link{{Src: 0, Dst: 2, Factor: 0.25}},
 		}},
+	} {
+		name := fmt.Sprintf("distjoin/%dn/fpga/HIST/%s", distjoinNodes, sc.label)
+		cells = append(cells, cell{name, func() (simtrace.Snapshot, error) { return runDistjoinScenario(cfg, sc) }})
 	}
-	var records []Record
-	for _, sc := range scenarios {
-		rec, err := runDistjoinScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario distjoin/%s: %w", sc.label, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
+	return cells, nil
 }
 
-func runDistjoinScenario(cfg Config, sc distjoinScenario) (Record, error) {
+func runDistjoinScenario(cfg Config, sc distjoinScenario) (simtrace.Snapshot, error) {
 	spec, err := workload.Spec(workload.WorkloadA)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	n := 2 * cfg.Tuples
 	in, err := spec.Scaled(float64(n) / float64(spec.TuplesR)).Generate(cfg.Seed)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
-	const nodes = 4
 	sess := simtrace.NewSession()
 	opts := distjoin.Options{
-		Nodes:             nodes,
+		Nodes:             distjoinNodes,
 		PartitionsPerNode: 256,
 		Threads:           1,
 		UseFPGA:           true,
@@ -391,10 +391,10 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (Record, error) {
 
 	res, err := distjoin.Join(in.R, in.S, opts)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
-	gated := sess.Metrics.Snapshot().With(
+	return sess.Metrics.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),
@@ -406,6 +406,5 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (Record, error) {
 		counter("dist.corrupt_pieces", res.CorruptPieces),
 		counter("dist.failed_nodes", int64(len(res.FailedNodes))),
 		counter("dist.degraded", b2i(res.Degraded)),
-	)
-	return Record{Name: fmt.Sprintf("distjoin/%dn/fpga/HIST/%s", nodes, sc.label), Gated: MetricSet{gated}}, nil
+	), nil
 }

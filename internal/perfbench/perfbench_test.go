@@ -84,7 +84,7 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cmp.Changed() {
+		if len(cmp.Rows) != 0 {
 			t.Errorf("%s: self-compare found %d deltas", suite, len(cmp.Rows))
 		}
 	}
@@ -263,14 +263,14 @@ func TestKnownScenarios(t *testing.T) {
 	if !ok {
 		t.Fatal("skewed PAD scenario missing")
 	}
-	if m, _ := pad.Gated.Get("bench.fell_back"); m.Value != 1 {
+	if m, _ := pad.Gated.Metrics.Get("bench.fell_back"); m.Value != 1 {
 		t.Errorf("skewed PAD run did not fall back (fell_back = %d)", m.Value)
 	}
-	if m, _ := hist.Gated.Get("bench.fell_back"); m.Value != 0 {
+	if m, _ := hist.Gated.Metrics.Get("bench.fell_back"); m.Value != 0 {
 		t.Errorf("skewed HIST run fell back")
 	}
-	hc, _ := hist.Gated.Get("output.checksum")
-	pc, _ := pad.Gated.Get("output.checksum")
+	hc, _ := hist.Gated.Metrics.Get("output.checksum")
+	pc, _ := pad.Gated.Metrics.Get("output.checksum")
 	if hc.Value != pc.Value {
 		t.Errorf("fallback output checksum %d != HIST checksum %d", pc.Value, hc.Value)
 	}
@@ -285,10 +285,10 @@ func TestKnownScenarios(t *testing.T) {
 	if faulty == nil {
 		t.Fatal("faulty distjoin scenario missing")
 	}
-	if m, _ := faulty.Gated.Get("dist.degraded"); m.Value != 1 {
+	if m, _ := faulty.Gated.Metrics.Get("dist.degraded"); m.Value != 1 {
 		t.Errorf("faulty scenario (with a crash) not degraded")
 	}
-	if m, _ := faulty.Gated.Get("dist.retries"); m.Value == 0 {
+	if m, _ := faulty.Gated.Metrics.Get("dist.retries"); m.Value == 0 {
 		t.Errorf("faulty scenario recorded no retries")
 	}
 }

@@ -45,9 +45,6 @@ type MetricSet struct {
 	Metrics simtrace.Snapshot `json:"metrics"`
 }
 
-// Get returns the named metric.
-func (m MetricSet) Get(name string) (simtrace.Metric, bool) { return m.Metrics.Get(name) }
-
 // WriteJSON writes the report as deterministic JSON: fixed field order,
 // records in scenario order, metric sets via the simtrace field-by-field
 // writer. Same seed ⇒ byte-identical files.

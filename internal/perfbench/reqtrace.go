@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fpgapart/cluster"
-	"fpgapart/internal/faults"
 	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 )
@@ -22,58 +21,35 @@ import (
 // reqtraceTopK is how many critical-path signatures each cell gates.
 const reqtraceTopK = 3
 
-func runReqtraceSuite(cfg Config) ([]Record, error) {
-	scenarios := []clusterScenario{
-		// Plain routing: queue/exec-dominated paths, no quota or retry time.
-		{label: "faultfree"},
-		// Hot tenant under quota: gates the quota_wait component and the
-		// throttled requests' stretched critical paths.
-		{label: "hottenant", quota: 2, hot: 0.4},
-		// Shard fail-stop: gates retry_wait/reroute attribution and the
-		// flight-recorder's crash/failover event volume.
-		{label: "faulty", scenario: &faults.Scenario{
-			Seed:    uint64(cfg.Seed),
-			Crashes: []faults.Crash{{Node: 1, AfterFraction: 0.4}},
-		}},
+// reqtraceCells reruns the cluster suite's first three cells: plain routing
+// (queue/exec-dominated paths, no quota or retry time), the hot tenant under
+// quota (the quota_wait component and the throttled requests' stretched
+// critical paths) and the shard fail-stop (retry_wait/reroute attribution
+// and the flight recorder's crash/failover event volume).
+func reqtraceCells(cfg Config) ([]cell, error) {
+	var cells []cell
+	for _, sc := range clusterScenarios(cfg)[:3] {
+		cells = append(cells, cell{sc.name(SuiteReqtrace), func() (simtrace.Snapshot, error) { return runReqtraceScenario(cfg, sc) }})
 	}
-	var records []Record
-	for _, sc := range scenarios {
-		rec, err := runReqtraceScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario reqtrace/%s: %w", sc.label, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
+	return cells, nil
 }
 
-func runReqtraceScenario(cfg Config, sc clusterScenario) (Record, error) {
-	reqs, err := cluster.GenerateLoad(uint64(cfg.Seed), clusterRequests, cluster.LoadOptions{
-		HotTenantShare: sc.hot,
-		MeanGapUS:      80,
-		MinTuples:      cfg.Tuples / 16,
-		MaxTuples:      cfg.Tuples / 4,
-	})
+func runReqtraceScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, error) {
+	reqs, err := sc.load(cfg)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	capt := &reqtrace.Capture{}
-	ccfg := cluster.Config{
-		Shards:      clusterShards,
-		TenantQuota: sc.quota,
-		Seed:        uint64(cfg.Seed),
-		Faults:      sc.scenario,
-		ReqTrace:    capt,
-	}
-
+	ccfg := sc.config(cfg)
+	ccfg.ReqTrace = capt
 	if _, err := cluster.Run(reqs, ccfg); err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
 	prof := reqtrace.Analyze(capt.Traces, reqtraceTopK)
 	if prof.Violations != 0 {
-		return Record{}, fmt.Errorf("%d traces violate latency conservation", prof.Violations)
+		return nil, fmt.Errorf("%d traces violate latency conservation", prof.Violations)
 	}
 
 	gated := []simtrace.Metric{
@@ -111,8 +87,5 @@ func runReqtraceScenario(cfg Config, sc clusterScenario) (Record, error) {
 			counter("reqtrace.path{"+p.Signature+"}.total_us", p.TotalUS),
 		)
 	}
-	return Record{
-		Name:  fmt.Sprintf("reqtrace/%ds1f1w/%dreq/%s", clusterShards, clusterRequests, sc.label),
-		Gated: MetricSet{simtrace.Snapshot(nil).With(gated...)},
-	}, nil
+	return simtrace.Snapshot(nil).With(gated...), nil
 }

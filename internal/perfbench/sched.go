@@ -27,8 +27,15 @@ type schedScenario struct {
 	scenario *faults.Scenario
 }
 
-func runSchedSuite(cfg Config) ([]Record, error) {
-	scenarios := []schedScenario{
+// The pool of both sched scenarios.
+const (
+	schedFPGAs   = 2
+	schedWorkers = 2
+)
+
+func schedCells(cfg Config) ([]cell, error) {
+	var cells []cell
+	for _, sc := range []schedScenario{
 		{"faultfree", nil},
 		{"faulty", &faults.Scenario{
 			Seed:        uint64(cfg.Seed),
@@ -37,19 +44,14 @@ func runSchedSuite(cfg Config) ([]Record, error) {
 			Crashes:     []faults.Crash{{Node: 1, AfterFraction: 0.4}},
 			Stragglers:  []faults.Straggler{{Node: 0, Factor: 1.5}},
 		}},
+	} {
+		name := fmt.Sprintf("sched/%df%dw/%djobs/%s", schedFPGAs, schedWorkers, schedJobs, sc.label)
+		cells = append(cells, cell{name, func() (simtrace.Snapshot, error) { return runSchedScenario(cfg, sc) }})
 	}
-	var records []Record
-	for _, sc := range scenarios {
-		rec, err := runSchedScenario(cfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("perfbench: scenario sched/%s: %w", sc.label, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
+	return cells, nil
 }
 
-func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
+func runSchedScenario(cfg Config, sc schedScenario) (simtrace.Snapshot, error) {
 	// Job sizes span cfg.Tuples/8 .. cfg.Tuples: large enough that the FPGA
 	// amortizes its reconfiguration cost on the big jobs (so the placement
 	// mix is genuinely mixed), small enough for a CI gate.
@@ -59,14 +61,13 @@ func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
 		MaxTuples: cfg.Tuples,
 	})
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 
-	const nfpga = 2
 	sess := simtrace.NewSession()
 	pcfg := partserver.Config{
-		FPGAs:   nfpga,
-		Workers: 2,
+		FPGAs:   schedFPGAs,
+		Workers: schedWorkers,
 		Seed:    uint64(cfg.Seed),
 		Faults:  sc.scenario,
 		Trace:   sess,
@@ -74,11 +75,11 @@ func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
 
 	rep, err := partserver.Run(jobs, pcfg)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	for i := range rep.Results {
 		if r := &rep.Results[i]; r.Status != partserver.StatusDone {
-			return Record{}, fmt.Errorf("job %d terminated %v: %s", r.ID, r.Status, r.Err)
+			return nil, fmt.Errorf("job %d terminated %v: %s", r.ID, r.Status, r.Err)
 		}
 	}
 
@@ -98,19 +99,15 @@ func runSchedScenario(cfg Config, sc schedScenario) (Record, error) {
 				busy = m.Value
 			}
 		}
-		util = busy * 100 / (rep.MakespanUS * nfpga)
+		util = busy * 100 / (rep.MakespanUS * schedFPGAs)
 	}
 	if n := rep.PlacedFPGA + rep.PlacedCPU; n > 0 {
 		mix = int64(rep.PlacedFPGA) * 100 / int64(n)
 	}
-	gated := sess.Metrics.Snapshot().With(
+	return sess.Metrics.Snapshot().With(
 		counter("bench.fpga_util_x100", util),
 		counter("bench.placed_fpga_x100", mix),
 		counter("bench.degraded_jobs", int64(rep.Degraded)),
 		counter("bench.failed_instances", int64(len(rep.FailedInstances))),
-	)
-	return Record{
-		Name:  fmt.Sprintf("sched/%df%dw/%djobs/%s", nfpga, 2, schedJobs, sc.label),
-		Gated: MetricSet{gated},
-	}, nil
+	), nil
 }

@@ -31,7 +31,6 @@ type Endpoint struct {
 	clockHz float64
 	curve   platform.BandwidthCurve
 
-	readFrac    float64
 	readPerCyc  float64 // bytes of read budget accrued per cycle
 	writePerCyc float64
 	readTokens  float64
@@ -76,7 +75,6 @@ func (e *Endpoint) SetMix(readFrac float64) {
 	} else if readFrac > 1 {
 		readFrac = 1
 	}
-	e.readFrac = readFrac
 	bytesPerSec := e.curve.BytesPerSecond(readFrac)
 	perCycle := bytesPerSec / e.clockHz
 	e.readPerCyc = perCycle * readFrac
@@ -84,9 +82,6 @@ func (e *Endpoint) SetMix(readFrac float64) {
 	e.readTokens = 0
 	e.writeTokens = 0
 }
-
-// Mix returns the current read fraction.
-func (e *Endpoint) Mix() float64 { return e.readFrac }
 
 // Tick advances one clock cycle, accruing channel budget.
 func (e *Endpoint) Tick() {
@@ -125,14 +120,4 @@ func (e *Endpoint) Write() {
 	e.writeTokens -= LineBytes
 	e.LinesWritten++
 	e.writeCtr.Inc()
-}
-
-// AchievedGBps returns the realized combined bandwidth so far, for
-// cross-checking the model against the curve in tests.
-func (e *Endpoint) AchievedGBps() float64 {
-	if e.Cycles == 0 {
-		return 0
-	}
-	seconds := float64(e.Cycles) / e.clockHz
-	return float64(e.LinesRead+e.LinesWritten) * LineBytes / seconds / 1e9
 }

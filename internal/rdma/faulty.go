@@ -1,7 +1,7 @@
 // Fault-aware exchange: the message-level counterpart of ExchangeSeconds.
 // Where ExchangeSeconds prices a perfect all-to-all shuffle from the byte
 // matrix alone, ExchangePieces walks every piece message by message under a
-// fault injector and a retry policy, so that drops, corruption, degraded
+// fault injector and a fixed retry policy, so that drops, corruption, degraded
 // links, stragglers and crashes show up as retransmissions, timeouts and
 // wasted traffic — with fully deterministic timing and counters.
 package rdma
@@ -13,74 +13,38 @@ import (
 	"fpgapart/internal/faults"
 )
 
-// RetryPolicy governs per-message timeouts and retransmission of the
-// fault-aware exchange. The zero value selects defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the per-message transmission budget (first try
-	// included) and also the per-piece budget of checksum re-request
-	// rounds. Default 5.
-	MaxAttempts int
-	// TimeoutUS is the sender's per-message ack timeout. Default: 4× the
-	// healthy wire time of a full message plus two verb latencies.
-	TimeoutUS float64
-	// BackoffBaseUS is the backoff before the first retransmission; it
-	// doubles every further attempt. Default 10 µs.
-	BackoffBaseUS float64
-	// BackoffMaxUS caps the exponential backoff. Default 5000 µs.
-	BackoffMaxUS float64
-	// JitterFrac is the fraction of each backoff that is randomized
-	// (0 = fully deterministic backoff, 1 = fully random). Default 0.5.
-	JitterFrac float64
+// The retry policy of the fault-aware exchange.
+const (
+	// maxAttempts is the per-message transmission budget (first try
+	// included) and also the per-piece budget of checksum re-request rounds.
+	maxAttempts = 5
+	// backoffBaseUS is the backoff before the first retransmission; it
+	// doubles every further attempt, up to backoffMaxUS.
+	backoffBaseUS = 10.0
+	backoffMaxUS  = 5000.0
+	// jitterFrac is the fraction of each backoff that is randomized.
+	jitterFrac = 0.5
+)
+
+// timeoutUS is the sender's per-message ack timeout: 4× the healthy wire
+// time of a full message plus two verb latencies.
+func (f *Fabric) timeoutUS() float64 {
+	wire := float64(f.MessageBytes) / (f.LinkGBps * 1e9) * 1e6
+	return 4*wire + 2*f.LatencyUS
 }
 
-// withDefaults resolves zero fields against the fabric.
-func (p RetryPolicy) withDefaults(f *Fabric) RetryPolicy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 5
-	}
-	if p.TimeoutUS == 0 {
-		wire := float64(f.MessageBytes) / (f.LinkGBps * 1e9) * 1e6
-		p.TimeoutUS = 4*wire + 2*f.LatencyUS
-	}
-	if p.BackoffBaseUS == 0 {
-		p.BackoffBaseUS = 10
-	}
-	if p.BackoffMaxUS == 0 {
-		p.BackoffMaxUS = 5000
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.5
-	}
-	return p
-}
-
-// Validate reports whether the policy's explicit fields are usable.
-func (p RetryPolicy) Validate() error {
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("rdma: negative retry budget %d", p.MaxAttempts)
-	}
-	if p.TimeoutUS < 0 || p.BackoffBaseUS < 0 || p.BackoffMaxUS < 0 {
-		return fmt.Errorf("rdma: negative retry timing (timeout %v, base %v, max %v)",
-			p.TimeoutUS, p.BackoffBaseUS, p.BackoffMaxUS)
-	}
-	if p.JitterFrac < 0 || p.JitterFrac > 1 {
-		return fmt.Errorf("rdma: jitter fraction %v outside [0, 1]", p.JitterFrac)
-	}
-	return nil
-}
-
-// BackoffUS returns the backoff before retransmission attempt (attempt ≥ 1
-// is the first retry): min(BackoffMaxUS, BackoffBaseUS·2^(attempt-1)),
-// with JitterFrac of it scaled by jitter01 ∈ [0, 1).
-func (p RetryPolicy) BackoffUS(attempt int, jitter01 float64) float64 {
+// backoffUS returns the backoff before retransmission attempt (attempt ≥ 1
+// is the first retry): min(backoffMaxUS, backoffBaseUS·2^(attempt-1)), with
+// jitterFrac of it scaled by jitter01 ∈ [0, 1).
+func backoffUS(attempt int, jitter01 float64) float64 {
 	if attempt < 1 {
 		return 0
 	}
-	b := p.BackoffBaseUS * math.Pow(2, float64(attempt-1))
-	if b > p.BackoffMaxUS {
-		b = p.BackoffMaxUS
+	b := backoffBaseUS * math.Pow(2, float64(attempt-1))
+	if b > backoffMaxUS {
+		b = backoffMaxUS
 	}
-	return b * (1 - p.JitterFrac + p.JitterFrac*jitter01)
+	return b * (1 - jitterFrac + jitterFrac*jitter01)
 }
 
 // Piece is one partition piece to transfer: Bytes from node Src to node Dst,
@@ -133,8 +97,6 @@ type ExchangeStats struct {
 type ExchangeFaults struct {
 	// Injector decides message fates; required.
 	Injector *faults.Injector
-	// Retry is the timeout/retransmission policy (zero value = defaults).
-	Retry RetryPolicy
 	// Phase salts the decision streams so repeated exchanges (e.g. the
 	// recovery round) draw independent outcomes.
 	Phase uint64
@@ -153,11 +115,8 @@ func (f *Fabric) ExchangePieces(pieces []Piece, ef ExchangeFaults) (*ExchangeSta
 	if ef.Injector == nil {
 		return nil, fmt.Errorf("rdma: ExchangePieces requires a fault injector")
 	}
-	if err := ef.Retry.Validate(); err != nil {
-		return nil, err
-	}
-	rp := ef.Retry.withDefaults(f)
 	inj := ef.Injector
+	timeoutUS := f.timeoutUS()
 
 	for i, p := range pieces {
 		if p.Src < 0 || p.Src >= f.Nodes || p.Dst < 0 || p.Dst >= f.Nodes {
@@ -249,14 +208,14 @@ func (f *Fabric) ExchangePieces(pieces []Piece, ef ExchangeFaults) (*ExchangeSta
 					// connection is declared dead and later pieces fail
 					// immediately.
 					if !deadFlow[[2]int{p.Src, p.Dst}] {
-						for a := 1; a < rp.MaxAttempts; a++ {
-							outUS[p.Src] += rp.TimeoutUS + rp.BackoffUS(a, inj.Jitter(faults.MsgID{
+						for a := 1; a < maxAttempts; a++ {
+							outUS[p.Src] += timeoutUS + backoffUS(a, inj.Jitter(faults.MsgID{
 								Phase: ef.Phase, Src: p.Src, Dst: p.Dst, Piece: p.ID, Round: round, Msg: m, Attempt: a,
 							}))
 							stats.Messages++
 							stats.Retries++
 						}
-						outUS[p.Src] += rp.TimeoutUS
+						outUS[p.Src] += timeoutUS
 						stats.Messages++
 						deadFlow[[2]int{p.Src, p.Dst}] = true
 					}
@@ -266,7 +225,7 @@ func (f *Fabric) ExchangePieces(pieces []Piece, ef ExchangeFaults) (*ExchangeSta
 				}
 
 				sent := false
-				for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
+				for attempt := 0; attempt < maxAttempts; attempt++ {
 					id := faults.MsgID{Phase: ef.Phase, Src: p.Src, Dst: p.Dst,
 						Piece: p.ID, Round: round, Msg: m, Attempt: attempt}
 					stats.Messages++
@@ -275,13 +234,13 @@ func (f *Fabric) ExchangePieces(pieces []Piece, ef ExchangeFaults) (*ExchangeSta
 						stats.RetransmittedBytes += mb
 					}
 					if attempt > 0 {
-						outUS[p.Src] += rp.BackoffUS(attempt, inj.Jitter(id))
+						outUS[p.Src] += backoffUS(attempt, inj.Jitter(id))
 					}
 					fate, delayUS := inj.MessageFate(id)
 					switch fate {
 					case faults.Drop:
 						stats.Dropped++
-						outUS[p.Src] += rp.TimeoutUS
+						outUS[p.Src] += timeoutUS
 						continue
 					case faults.Corrupt:
 						stats.Corrupted++
@@ -319,7 +278,7 @@ func (f *Fabric) ExchangePieces(pieces []Piece, ef ExchangeFaults) (*ExchangeSta
 			// corrupted blocks, within the round budget.
 			stats.CorruptPieces++
 			outUS[p.Src] += f.LatencyUS
-			if round+1 >= rp.MaxAttempts {
+			if round+1 >= maxAttempts {
 				outcome = PieceFailed
 				break
 			}

@@ -90,55 +90,38 @@ func TestExchangeZeroMatrix(t *testing.T) {
 // --- Retry/backoff timing math ---
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BackoffBaseUS: 10, BackoffMaxUS: 100, JitterFrac: 0}
-	want := []float64{10, 20, 40, 80, 100, 100}
+	// jitter01 = 1 is the upper bound of the draw: the whole backoff.
+	want := []float64{10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5000, 5000}
 	for i, w := range want {
-		if got := p.BackoffUS(i+1, 0.5); math.Abs(got-w) > 1e-9 {
+		if got := backoffUS(i+1, 1); math.Abs(got-w) > 1e-9 {
 			t.Errorf("attempt %d: backoff %v, want %v", i+1, got, w)
 		}
 	}
-	if got := p.BackoffUS(0, 0.5); got != 0 {
+	if got := backoffUS(0, 0.5); got != 0 {
 		t.Errorf("attempt 0 backoff = %v, want 0", got)
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	p := RetryPolicy{BackoffBaseUS: 100, BackoffMaxUS: 1e6, JitterFrac: 0.5}
-	lo, hi := p.BackoffUS(1, 0), p.BackoffUS(1, 0.999999)
-	if lo != 50 {
-		t.Errorf("zero-jitter draw = %v, want 50 (1-JitterFrac scaled)", lo)
+	lo, hi := backoffUS(4, 0), backoffUS(4, 0.999999)
+	if lo != 40 {
+		t.Errorf("zero-jitter draw = %v, want 40 (half of 80: jitterFrac of it is drawn)", lo)
 	}
-	if hi <= lo || hi >= 100.0001 {
-		t.Errorf("max-jitter draw = %v, want in (50, 100]", hi)
+	if hi <= lo || hi >= 80.0001 {
+		t.Errorf("max-jitter draw = %v, want in (40, 80]", hi)
 	}
 }
 
-func TestRetryPolicyDefaults(t *testing.T) {
+func TestTimeoutFollowsTheFabric(t *testing.T) {
 	f := FDRCluster(2)
-	p := RetryPolicy{}.withDefaults(f)
-	if p.MaxAttempts != 5 || p.BackoffBaseUS != 10 || p.BackoffMaxUS != 5000 || p.JitterFrac != 0.5 {
-		t.Errorf("defaults = %+v", p)
-	}
 	wire := float64(f.MessageBytes) / (f.LinkGBps * 1e9) * 1e6
-	if want := 4*wire + 2*f.LatencyUS; math.Abs(p.TimeoutUS-want) > 1e-9 {
-		t.Errorf("default timeout %v, want %v", p.TimeoutUS, want)
+	if want := 4*wire + 2*f.LatencyUS; math.Abs(f.timeoutUS()-want) > 1e-9 {
+		t.Errorf("timeout %v, want %v", f.timeoutUS(), want)
 	}
-}
-
-func TestRetryPolicyValidate(t *testing.T) {
-	bad := []RetryPolicy{
-		{MaxAttempts: -1},
-		{TimeoutUS: -1},
-		{BackoffBaseUS: -1},
-		{JitterFrac: 2},
-	}
-	for i, p := range bad {
-		if p.Validate() == nil {
-			t.Errorf("policy %d validated: %+v", i, p)
-		}
-	}
-	if err := (RetryPolicy{}).Validate(); err != nil {
-		t.Errorf("zero policy rejected: %v", err)
+	slow := *f
+	slow.LinkGBps /= 2
+	if slow.timeoutUS() <= f.timeoutUS() {
+		t.Errorf("timeout %v on a link half as fast, %v on the fast one", slow.timeoutUS(), f.timeoutUS())
 	}
 }
 
@@ -347,6 +330,16 @@ func TestExchangePiecesCrashFromStartNothingDeliveredToIt(t *testing.T) {
 	if delivered != 0 {
 		t.Errorf("%d pieces delivered through a node dead from the start", delivered)
 	}
+	// The one flow into the dead node burns its whole budget on timeouts,
+	// once: maxAttempts transmissions, a backoff before each retry.
+	if st.Messages != maxAttempts || st.Retries != maxAttempts-1 {
+		t.Errorf("dead destination cost %d messages, %d retries; want %d and %d", st.Messages, st.Retries, maxAttempts, maxAttempts-1)
+	}
+	lo := maxAttempts*f.timeoutUS() + backoffUS(1, 0) + backoffUS(2, 0) + backoffUS(3, 0) + backoffUS(4, 0)
+	hi := maxAttempts*f.timeoutUS() + backoffUS(1, 1) + backoffUS(2, 1) + backoffUS(3, 1) + backoffUS(4, 1)
+	if us := st.Seconds * 1e6; us < lo-1e-6 || us > hi+1e-6 {
+		t.Errorf("exhausted budget took %v µs, want within [%v, %v]", us, lo, hi)
+	}
 }
 
 func TestExchangePiecesCrashIgnoredWithoutApply(t *testing.T) {
@@ -375,9 +368,6 @@ func TestExchangePiecesValidation(t *testing.T) {
 	}
 	if _, err := f.ExchangePieces([]Piece{{Src: 0, Dst: 1, Bytes: -1}}, ExchangeFaults{Injector: inj}); err == nil {
 		t.Error("negative piece size accepted")
-	}
-	if _, err := f.ExchangePieces(nil, ExchangeFaults{Injector: inj, Retry: RetryPolicy{JitterFrac: 9}}); err == nil {
-		t.Error("bad retry policy accepted")
 	}
 	crashTooBig := mustInjector(t, faults.Scenario{Seed: 1, Crashes: []faults.Crash{{Node: 7, AfterFraction: 0.5}}})
 	if _, err := f.ExchangePieces(symmetricPieces(2, 1<<20), ExchangeFaults{Injector: crashTooBig, ApplyCrashes: true}); err == nil {

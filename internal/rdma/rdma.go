@@ -92,28 +92,3 @@ func (f *Fabric) ExchangeSeconds(sendBytes [][]int64) (float64, error) {
 	}
 	return worst, nil
 }
-
-// UniformExchangeSeconds is ExchangeSeconds for a balanced shuffle of
-// totalBytes per node (each node sends totalBytes·(n-1)/n off-node).
-func (f *Fabric) UniformExchangeSeconds(totalBytesPerNode int64) (float64, error) {
-	if err := f.Validate(); err != nil {
-		return 0, err
-	}
-	if totalBytesPerNode < 0 {
-		return 0, fmt.Errorf("rdma: negative byte count")
-	}
-	if f.Nodes == 1 {
-		return 0, nil
-	}
-	per := totalBytesPerNode / int64(f.Nodes)
-	m := make([][]int64, f.Nodes)
-	for i := range m {
-		m[i] = make([]int64, f.Nodes)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = per
-			}
-		}
-	}
-	return f.ExchangeSeconds(m)
-}

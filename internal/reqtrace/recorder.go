@@ -37,11 +37,6 @@ type Attempt struct {
 	Overflow bool
 }
 
-// EndUS returns the attempt's batch completion time.
-func (a *Attempt) EndUS() int64 {
-	return a.StartUS + a.ReconfigUS + a.PreWaitUS + a.ExecUS + a.SpillUS + a.DrainUS
-}
-
 // JobRecord accumulates one job's causal history on the scheduler loop.
 type JobRecord struct {
 	ID  int

@@ -20,21 +20,11 @@ func BucketOf(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// BucketLow returns the inclusive lower bound of bucket exp (0 for the
-// non-positive bucket).
-func BucketLow(exp int) int64 {
-	if exp <= 0 {
-		return 0
-	}
-	return 1 << (exp - 1)
-}
-
 // Histogram is a fixed-bucket log2 histogram (partition sizes, burst
 // lengths). Like Counter and Gauge, all methods are nil-receiver no-ops and
 // Observe never allocates: disabled runs pay one nil check, enabled runs a
 // bounds-checked array increment.
 type Histogram struct {
-	name    string
 	count   int64
 	max     int64
 	seen    bool
@@ -52,38 +42,6 @@ func (h *Histogram) Observe(v int64) {
 		h.max = v
 		h.seen = true
 	}
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Max returns the largest observed value (0 for nil or never observed).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Bucket returns the count in bucket exp (0 for nil or out-of-range exp).
-func (h *Histogram) Bucket(exp int) int64 {
-	if h == nil || exp < 0 || exp >= NumHistogramBuckets {
-		return 0
-	}
-	return h.buckets[exp]
-}
-
-// Name returns the registered name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // sparse returns the non-empty buckets in ascending exponent order — the

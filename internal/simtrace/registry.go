@@ -18,8 +18,7 @@ const (
 // All methods are nil-receiver no-ops so uninstrumented components can call
 // through a nil pointer at zero cost.
 type Counter struct {
-	name string
-	v    int64
+	v int64
 }
 
 // Add increments the counter by d.
@@ -41,18 +40,9 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Name returns the registered name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is a point-in-time metric that also records its high-water mark
 // (FIFO occupancy, fill levels). Nil-receiver methods are no-ops.
 type Gauge struct {
-	name string
 	last int64
 	max  int64
 	seen bool
@@ -69,30 +59,6 @@ func (g *Gauge) Observe(v int64) {
 		g.max = v
 		g.seen = true
 	}
-}
-
-// Value returns the most recent observation (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.last
-}
-
-// Max returns the high-water mark (0 for nil or never observed).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
-// Name returns the registered name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Registry is a named set of counters and gauges. Creation order is
@@ -139,7 +105,7 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	r.clash(name, KindCounter)
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	r.order = append(r.order, name)
 	return c
@@ -155,7 +121,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	r.clash(name, KindGauge)
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	r.order = append(r.order, name)
 	return g
@@ -171,7 +137,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return h
 	}
 	r.clash(name, KindHistogram)
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	r.histograms[name] = h
 	r.order = append(r.order, name)
 	return h

@@ -121,14 +121,6 @@ func (t *Tracer) Cap() int {
 	return cap(t.ring)
 }
 
-// Total returns how many events were ever emitted.
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
-}
-
 // Dropped returns how many events were overwritten by newer ones.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {

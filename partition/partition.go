@@ -59,6 +59,27 @@ const (
 	ColumnStore
 )
 
+// ParseMode maps the command-line spelling of a circuit mode — format "hist"
+// or "pad", layout "rid" or "vrid" — to its Format and Layout.
+func ParseMode(format, layout string) (Format, Layout, error) {
+	var f Format
+	switch format {
+	case "hist":
+		f = HistMode
+	case "pad":
+		f = PadMode
+	default:
+		return 0, 0, fmt.Errorf("partition: unknown format %q (want hist or pad)", format)
+	}
+	switch layout {
+	case "rid":
+		return f, RowStore, nil
+	case "vrid":
+		return f, ColumnStore, nil
+	}
+	return 0, 0, fmt.Errorf("partition: unknown layout %q (want rid or vrid)", layout)
+}
+
 // ErrOverflow is reported (wrapped in an *OverflowError) when a PAD-mode run
 // overflowed a partition's padded size and no fallback was configured.
 var ErrOverflow = errors.New("partition: partition overflowed its padded size (PAD mode)")

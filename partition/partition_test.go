@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"fpgapart/workload"
@@ -193,6 +194,35 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := NewFPGA(FPGAOptions{Partitions: 64, TupleWidth: 12}); err == nil {
 		t.Error("bad tuple width accepted")
+	}
+}
+
+// TestParseMode: the CLIs' -format/-layout spellings map to the four modes,
+// and anything else is rejected with the accepted set in the message.
+func TestParseMode(t *testing.T) {
+	for _, c := range []struct {
+		format, layout string
+		f              Format
+		l              Layout
+		errHas         string
+	}{
+		{"hist", "rid", HistMode, RowStore, ""},
+		{"pad", "rid", PadMode, RowStore, ""},
+		{"hist", "vrid", HistMode, ColumnStore, ""},
+		{"pad", "vrid", PadMode, ColumnStore, ""},
+		{"histt", "rid", 0, 0, `unknown format "histt" (want hist or pad)`},
+		{"", "rid", 0, 0, `unknown format "" (want hist or pad)`},
+		{"PAD", "rid", 0, 0, "want hist or pad"},
+		{"pad", "column", 0, 0, `unknown layout "column" (want rid or vrid)`},
+		{"pad", "", 0, 0, "want rid or vrid"},
+	} {
+		f, l, err := ParseMode(c.format, c.layout)
+		switch {
+		case c.errHas == "" && (err != nil || f != c.f || l != c.l):
+			t.Errorf("ParseMode(%q, %q) = %v, %v, %v; want %v, %v", c.format, c.layout, f, l, err, c.f, c.l)
+		case c.errHas != "" && (err == nil || !strings.Contains(err.Error(), c.errHas)):
+			t.Errorf("ParseMode(%q, %q): err = %v, want one naming %q", c.format, c.layout, err, c.errHas)
+		}
 	}
 }
 

@@ -76,6 +76,13 @@ const (
 	// maxFPGARetries is how many times a transiently failed job is retried
 	// on the FPGA pool before degrading to CPU.
 	maxFPGARetries = 1
+	// reconfigUS is the virtual cost of loading a different circuit
+	// configuration onto an FPGA instance: partial reconfiguration, not a
+	// full bitstream load.
+	reconfigUS = 200
+	// abortFraction is the fraction of a job's virtual duration charged
+	// when it is aborted mid-run by a fault or crash.
+	abortFraction = 0.5
 )
 
 // Config describes one scheduler deployment: the resource pool, the
@@ -92,10 +99,6 @@ type Config struct {
 	// BatchMax caps how many same-configuration jobs are dispatched to one
 	// FPGA instance as a single batch (default 4). 1 disables batching.
 	BatchMax int
-	// ReconfigUS is the virtual cost of loading a different circuit
-	// configuration onto an FPGA instance (default 200 µs — partial
-	// reconfiguration, not a full bitstream load).
-	ReconfigUS int64
 
 	// CPURate is the calibrated CPU partitioning rate in tuples/s used both
 	// to predict CPU placements and to charge virtual time to CPU
@@ -118,10 +121,6 @@ type Config struct {
 	// durations. Link entries do not apply to the scheduler and are ignored.
 	// CPU workers are fault-free.
 	Faults *faults.Scenario
-
-	// AbortFraction is the fraction of a job's virtual duration charged
-	// when it is aborted mid-run by a fault or crash (default 0.5).
-	AbortFraction float64
 
 	// Trace attaches a simtrace session: the scheduler reports queue-depth
 	// samples, per-job spans on per-resource timelines, utilization and
@@ -153,9 +152,6 @@ func (c Config) WithDefaults() Config {
 	if c.BatchMax == 0 {
 		c.BatchMax = 4
 	}
-	if c.ReconfigUS == 0 {
-		c.ReconfigUS = 200
-	}
 	if c.CPURate == 0 {
 		c.CPURate = 150e6
 	}
@@ -164,9 +160,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Platform == nil {
 		c.Platform = platform.XeonFPGA()
-	}
-	if c.AbortFraction == 0 {
-		c.AbortFraction = 0.5
 	}
 	return c
 }
@@ -183,14 +176,8 @@ func (c *Config) Validate() (err error) {
 	if c.BatchMax < 1 {
 		return fmt.Errorf("partserver: BatchMax %d < 1", c.BatchMax)
 	}
-	if c.ReconfigUS < 0 {
-		return fmt.Errorf("partserver: negative ReconfigUS %d", c.ReconfigUS)
-	}
 	if c.CPURate <= 0 {
 		return fmt.Errorf("partserver: non-positive CPURate %v", c.CPURate)
-	}
-	if c.AbortFraction < 0 || c.AbortFraction > 1 {
-		return fmt.Errorf("partserver: AbortFraction %v outside [0, 1]", c.AbortFraction)
 	}
 	if err := c.Platform.Validate(); err != nil {
 		return fmt.Errorf("partserver: %w", err)

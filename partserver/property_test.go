@@ -262,9 +262,6 @@ func TestPropertyValidation(t *testing.T) {
 	if _, err := Run(nil, Config{FPGAs: -1}); err == nil {
 		t.Error("negative FPGA count accepted")
 	}
-	if _, err := Run(nil, Config{AbortFraction: 2}); err == nil {
-		t.Error("AbortFraction 2 accepted")
-	}
 }
 
 // TestStatusStrings keeps the enum strings (used in report JSON) stable.

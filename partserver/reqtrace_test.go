@@ -144,7 +144,7 @@ func TestReqtraceConservationWithDeadlines(t *testing.T) {
 		}
 	}
 	_, traces := runRecorded(t, seed, jobs, Config{
-		FPGAs: 1, Workers: 1, QueueDepth: 2, BatchMax: 1,
+		FPGAs: 1, Workers: 0, QueueDepth: 2, BatchMax: 1,
 	})
 	checkConservation(t, traces)
 	sawDeadline := false
@@ -190,5 +190,46 @@ func TestReqtraceByteIdentical(t *testing.T) {
 				t.Fatalf("faulty=%v: run %d renders different causal output", faulty, run)
 			}
 		}
+	}
+}
+
+// TestAbortAndReconfigurationCharges pins the two charges that are constants
+// of the scheduler, not configuration: an attempt aborted by a fault is
+// charged half of what the same job costs when it runs to completion on the
+// same instance, and loading a configuration costs 200 µs.
+func TestAbortAndReconfigurationCharges(t *testing.T) {
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		// Far apart: every job is a batch of one on an idle instance, the
+		// pool's only resource.
+		jobs[i] = mustJob(t, 16, 30000, int64(i)*100000)
+	}
+	rec, _ := runRecorded(t, 3, jobs, Config{
+		FPGAs: 1, Workers: 0,
+		Faults: &faults.Scenario{Seed: 3, DropProb: 0.4},
+	})
+	var halved, onFPGA int
+	for i := range jobs {
+		at := rec.Job(i).Attempts
+		for k, a := range at {
+			// One configuration on one instance: the first batch loads it.
+			want := int64(0)
+			if onFPGA == 0 {
+				want = 200
+			}
+			onFPGA++
+			if a.ReconfigUS != want {
+				t.Fatalf("job %d attempt %d, FPGA batch %d: reconfiguration charged %d µs, want %d", i, k, onFPGA, a.ReconfigUS, want)
+			}
+			if a.Aborted && k+1 < len(at) && at[k+1].FPGA && !at[k+1].Aborted {
+				if a.ExecUS != at[k+1].ExecUS/2 || a.SpillUS != 0 {
+					t.Fatalf("job %d: aborted attempt charged %d µs, the completed one %d µs; want half", i, a.ExecUS, at[k+1].ExecUS)
+				}
+				halved++
+			}
+		}
+	}
+	if halved == 0 {
+		t.Fatal("no job was aborted and then completed on the FPGA; the test exercises nothing")
 	}
 }

@@ -86,7 +86,7 @@ type resource struct {
 
 	// parts keeps the partitioner of every configuration the slot has run;
 	// loading a different one onto the (stateful, one-job-at-a-time) circuit
-	// is virtual time the scheduler charges as ReconfigUS, not host work.
+	// is virtual time the scheduler charges as reconfigUS, not host work.
 	parts    map[configKey]partition.Partitioner
 	platform *platform.Platform
 }
@@ -321,7 +321,7 @@ func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 			us += ceilDiv(probe*1e6, int64(rate))
 		}
 		if r.loaded != j.key {
-			us += s.cfg.ReconfigUS
+			us += reconfigUS
 		}
 		us = int64(float64(us) * r.straggle)
 	} else {
@@ -372,7 +372,7 @@ func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
 // admission queue and runs them, here and now on the host: the batch's
 // completion time is known when dispatch returns. Fault and crash verdicts
 // are drawn first; an aborted batch still executes, because its charge is
-// AbortFraction × the time it would have taken, and complete discards its
+// abortFraction × the time it would have taken, and complete discards its
 // results.
 func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 	b := &batch{jobs: []*jobState{j}, startUS: s.now}
@@ -565,7 +565,7 @@ func (s *Scheduler) expire(q *[]*jobState) {
 func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 	var total int64
 	if b.reconfig {
-		total += s.cfg.ReconfigUS
+		total += reconfigUS
 	}
 	b.durs = make([]int64, len(b.jobs))
 	b.spills = make([]int64, len(b.jobs))
@@ -588,7 +588,7 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 		if b.aborted {
 			// The attempt stops part-way: charge the abort fraction. The
 			// whole rescaled charge is attributed to execution.
-			us = int64(float64(us) * s.cfg.AbortFraction)
+			us = int64(float64(us) * abortFraction)
 			spill = 0
 		}
 		us = max(us, 1)
@@ -614,7 +614,7 @@ func (s *Scheduler) complete(r *resource) {
 		// tracer's conservation law rests on.
 		reconfig := int64(0)
 		if b.reconfig {
-			reconfig = s.cfg.ReconfigUS
+			reconfig = reconfigUS
 		}
 		total := b.doneUS - b.startUS
 		var pre int64
@@ -640,8 +640,8 @@ func (s *Scheduler) complete(r *resource) {
 	if s.cfg.Trace != nil {
 		cursor := b.startUS
 		if b.reconfig {
-			s.cfg.Trace.Tracer.Span(r.comp, "reconfig", cursor, s.cfg.ReconfigUS)
-			cursor += s.cfg.ReconfigUS
+			s.cfg.Trace.Tracer.Span(r.comp, "reconfig", cursor, reconfigUS)
+			cursor += reconfigUS
 		}
 		for i, j := range b.jobs {
 			s.cfg.Trace.Tracer.Span(r.comp, fmt.Sprintf("job%d", j.id), cursor, b.durs[i])
