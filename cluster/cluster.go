@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/hashutil"
@@ -290,6 +292,9 @@ type runState struct {
 	// rings[e] is the ring of membership epoch e; events the schedule.
 	rings  []*Ring
 	events MembershipSchedule
+	// owners[idx*len(rings)+e] is request idx's ring owner in epoch e, looked
+	// up once in arrive.
+	owners []int
 	// numShards sizes every per-shard array: the largest shard id that is
 	// ever a ring member, plus one. Departed shards keep their slot, so the
 	// report can state a drained shard's cumulative load.
@@ -309,6 +314,10 @@ type runState struct {
 	timers    timerHeap
 	// shards[s] is shard s's scheduler, created at its first submission.
 	shards []*partserver.Scheduler
+	// memo holds the requests' outcomes for every shard scheduler of a
+	// hedged run, the one configuration in which a request can execute twice
+	// on one backend (nil otherwise; see lookahead).
+	memo *partserver.Memo
 
 	// draining[j][o] counts the requests old owner o has admitted, and not
 	// yet finished, for the key ranges membership event j moves away from it;
@@ -338,6 +347,7 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 		cfg:       cfg,
 		rings:     rings,
 		events:    cfg.Schedule,
+		owners:    make([]int, len(reqs)*len(rings)),
 		numShards: cfg.Schedule.maxMember(cfg.Shards) + 1,
 		quota:     make(map[quotaKey]int),
 	}
@@ -417,8 +427,9 @@ const noEvent = int64(math.MaxInt64)
 // Events at the same virtual time are taken in a fixed order: admissions,
 // then shard steps by shard id, then hedge deadlines. So what the router
 // sends a shard for time t is in its queue before the shard processes t, and
-// a primary that completes at t is not hedged at t.
-func (st *runState) run() error {
+// a primary that completes at t is not hedged at t. A hedged run computes
+// CPU outcomes ahead of the loop (lookahead) until the loop ends.
+func (st *runState) run() (err error) {
 	for _, ev := range st.events {
 		kind := "shard_join"
 		if ev.Kind == Drain {
@@ -430,6 +441,14 @@ func (st *runState) run() error {
 		if err := st.arrive(idx); err != nil {
 			return err
 		}
+	}
+	if st.memo != nil {
+		stop := st.lookahead()
+		defer func() {
+			if aheadErr := stop(); err == nil {
+				err = aheadErr
+			}
+		}()
 	}
 	for {
 		timerUS, shardUS, due := noEvent, noEvent, -1
@@ -472,9 +491,10 @@ func (st *runState) run() error {
 // ends then touches its own request and its own shard's drain counts and
 // nothing else, so the shards' events commute, the result is that of the
 // global order, and the host executes the shards' work in parallel instead
-// of one batch at a time. These are the only goroutines the serving stack
-// starts: a partserver.Scheduler runs each batch inside the Step that
-// dispatches it, so all of a shard's work happens here, on its goroutine.
+// of one batch at a time. A partserver.Scheduler runs each batch inside the
+// Step that dispatches it, so all of a shard's work happens here, on its
+// goroutine; the only other goroutine of the serving stack is a hedged run's
+// lookahead, and a hedged run never gets here.
 func (st *runState) advanceApart(limit int64) error {
 	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
@@ -497,6 +517,47 @@ func (st *runState) advanceApart(limit int64) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// lookahead starts the goroutine that computes every admitted request's CPU
+// outcome into the memo, in admission order — admitUS, then index, all known
+// once arrive has run — while the loop steps the shards, and returns the
+// function that stops it and waits for it. A CPU dispatch of the loop takes
+// the outcome if it is done, waits for it if it is being computed, and
+// computes it itself if the lookahead has not got there (which then skips
+// it); FPGA outcomes are the loop's. Only a hedged run has it: its loop never
+// steps shards apart, so without it the host's second core would idle, while
+// beside advanceApart's goroutines it only competes with them (DESIGN §17).
+// One goroutine, in one fixed order, whatever the host: what it computes is
+// what the loop would, so only host time depends on how the two interleave.
+func (st *runState) lookahead() (stop func() error) {
+	var order []int
+	for idx := range st.decisions {
+		if st.decisions[idx].run.shard >= 0 {
+			order = append(order, idx)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(st.decisions[a].admitUS, st.decisions[b].admitUS)
+	})
+	var halt atomic.Bool
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer guardSimulator(&err)
+		for _, idx := range order {
+			if halt.Load() {
+				return
+			}
+			st.memo.Ahead(idx, &st.reqs[idx].Job)
+		}
+	}()
+	return func() error {
+		halt.Store(true)
+		<-done
+		return err
+	}
 }
 
 // arrive makes request idx's admission decision: per-tenant quota deferral
@@ -534,10 +595,16 @@ func (st *runState) arrive(idx int) error {
 	}
 	d.admitUS = admit
 	d.epoch = st.events.epochAt(admit)
-	ring := st.rings[d.epoch]
-	d.primary = ring.Shard(r.Key)
+	owners := st.owners[idx*len(st.rings) : (idx+1)*len(st.rings)]
+	for e, ring := range st.rings {
+		owners[e] = ring.Shard(r.Key)
+	}
+	d.primary = owners[d.epoch]
 
-	shard, ok := ring.ShardSkipping(r.Key, func(s int) bool { return !st.dead[s] })
+	shard, ok := d.primary, true
+	if st.dead[shard] {
+		shard, ok = st.rings[d.epoch].ShardSkipping(r.Key, func(s int) bool { return !st.dead[s] })
+	}
 	if !ok {
 		st.plumb.record(admit, "unrouted", idx, int64(d.primary))
 		return nil
@@ -568,9 +635,12 @@ func (st *runState) arrive(idx int) error {
 // leaves reports whether membership event j moves request idx's key away
 // from the shard serving it.
 func (st *runState) leaves(idx, j int) bool {
-	key, o := st.reqs[idx].Key, st.decisions[idx].run.shard
-	return st.rings[j].Shard(key) == o && st.rings[j+1].Shard(key) != o
+	o := st.decisions[idx].run.shard
+	return st.owner(idx, j) == o && st.owner(idx, j+1) != o
 }
+
+// owner is request idx's ring owner in membership epoch e.
+func (st *runState) owner(idx, e int) int { return st.owners[idx*len(st.rings)+e] }
 
 // movedBy returns the membership event that handed request idx's key to the
 // shard serving it, and the old owner it came from: the latest event before
@@ -578,9 +648,8 @@ func (st *runState) leaves(idx, j int) bool {
 // supersedes an earlier one). j is -1 when the key did not move.
 func (st *runState) movedBy(idx int) (j, oldOwner int) {
 	d := &st.decisions[idx]
-	key := st.reqs[idx].Key
 	for j := d.epoch - 1; j >= 0; j-- {
-		if o, n := st.rings[j].Shard(key), st.rings[j+1].Shard(key); o != n && n == d.run.shard {
+		if o, n := st.owner(idx, j), st.owner(idx, j+1); o != n && n == d.run.shard {
 			return j, o
 		}
 	}
@@ -647,6 +716,7 @@ func (st *runState) send(idx int, e *exec, tag, arrivalUS int64) (err error) {
 			Seed:    hashutil.SplitMix64(st.cfg.Seed ^ uint64(e.shard+1)),
 			Faults:  st.shardScen[e.shard],
 			Record:  st.plumb.shardRecorder(e.shard),
+			Memo:    st.memo,
 		}, partserver.UnknownTotal)
 		st.shards[e.shard] = sched
 	}
@@ -800,10 +870,18 @@ func (st *runState) drained(idx int, now int64) error {
 // the router and every shard scheduler advance in global event order, and
 // each decision is a pure function of the events before it. Shards whose
 // events commute are stepped on a goroutine each (advanceApart) and the loop
-// waits for all of them, so the same seed + requests + config render a
+// waits for all of them; a hedged run, whose loop never steps shards apart,
+// computes CPU outcomes on one goroutine beside it (lookahead) and stops it
+// before returning. Either way the same seed + requests + config render a
 // byte-identical Report, trace and metrics snapshot, even under the race
 // detector.
-func Run(reqs []Request, cfg Config) (rep *Report, err error) {
+func Run(reqs []Request, cfg Config) (*Report, error) {
+	return serve(reqs, cfg, true)
+}
+
+// serve is Run; memoised false runs a hedged stream without the outcome memo
+// and the lookahead, every dispatch executing its job.
+func serve(reqs []Request, cfg Config, memoised bool) (rep *Report, err error) {
 	defer guardSimulator(&err)
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -821,6 +899,12 @@ func Run(reqs []Request, cfg Config) (rep *Report, err error) {
 	st, err := newRunState(reqs, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if memoised && cfg.HedgeUS != 0 {
+		st.memo = partserver.NewMemo(len(reqs), func(tag int64) int {
+			idx, _ := requestOf(tag)
+			return idx
+		})
 	}
 	// Causal capture: the flight merge is deferred so a failed run still
 	// dumps a postmortem.

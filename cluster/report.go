@@ -240,7 +240,7 @@ func (st *runState) gather() *Report {
 
 	// Rebalancing: what joining shard N would move from the initial ring,
 	// measured over this stream's actual keys — plus what each scheduled
-	// membership event actually moved.
+	// membership event actually moved, read off the owners arrive looked up.
 	keys := make([]uint64, len(reqs))
 	for i := range reqs {
 		keys[i] = reqs[i].Key
@@ -251,8 +251,16 @@ func (st *runState) gather() *Report {
 	}
 	rep.MovedModX10000 = MovedPermyriad(keys, Modulo(st.cfg.Shards), Modulo(st.cfg.Shards+1))
 	for j := range st.events {
-		rep.EventMovedX10000 = append(rep.EventMovedX10000,
-			MovedPermyriad(keys, st.rings[j], st.rings[j+1]))
+		var moved int64
+		for idx := range reqs {
+			if st.owner(idx, j) != st.owner(idx, j+1) {
+				moved++
+			}
+		}
+		if len(reqs) > 0 {
+			moved = moved * 10000 / int64(len(reqs))
+		}
+		rep.EventMovedX10000 = append(rep.EventMovedX10000, moved)
 	}
 	return rep
 }

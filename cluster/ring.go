@@ -14,7 +14,8 @@
 // from internal/faults' seeded scenario replay. Two runs with the same seed
 // therefore render byte-identical reports, traces and metric snapshots,
 // even though shards with nothing between them are stepped on concurrent
-// goroutines (advanceApart). The package sits on the fpgavet deterministic
+// goroutines (advanceApart) and a hedged run computes job outcomes ahead of
+// its loop on another (lookahead). The package sits on the fpgavet deterministic
 // path, which machine-enforces the no-wall-clock / no-global-rand /
 // no-map-range discipline this rests on.
 package cluster

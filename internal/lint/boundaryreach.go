@@ -20,7 +20,11 @@ import (
 //     dispatch;
 //   - a deferred recover guard wrapping the sentinel cuts the path wherever
 //     it appears: an exported API calling an already-guarded exported API
-//     (hashjoin → partition.Partition) is safe without its own guard.
+//     (hashjoin → partition.Partition) is safe without its own guard;
+//   - except across a `go` statement: recover only sees its own goroutine's
+//     panics, so a goroutine a boundary package starts is a boundary of its
+//     own, and its body needs its own deferred guard on any path to a panic
+//     site, whatever guards the function that starts it.
 type BoundaryReach struct {
 	// Boundary is the set of public API packages the contract applies to.
 	Boundary map[string]bool
@@ -72,7 +76,7 @@ func (b *BoundaryReach) CheckModule(mod *Module) []Finding {
 		}
 	}
 	for _, n := range g.Nodes() {
-		guards[n] = b.guardStateOf(n, guardFns)
+		guards[n] = b.guardStateOf(n.Pkg, n.Decl.Body, guardFns)
 	}
 
 	var out []Finding
@@ -90,7 +94,7 @@ func (b *BoundaryReach) CheckModule(mod *Module) []Finding {
 			continue
 		}
 		if path, site := b.panicReach(g, n, guards, guardFns); site != nil {
-			chain := b.chainString(n, path)
+			chain := b.chainString(n.String(), path)
 			if guards[n] == recoverNoWrap {
 				out = append(out, n.Pkg.findingNode(b.Name(), n.Decl.Name,
 					"exported %s recovers simulator panics without wrapping %s (panic site reachable via %s) — callers must be able to errors.Is the fault",
@@ -102,6 +106,41 @@ func (b *BoundaryReach) CheckModule(mod *Module) []Finding {
 				n.Fn.Name(), site.PkgPath(), chain, b.Sentinel))
 		}
 	}
+	for _, n := range g.Nodes() {
+		if b.Boundary[n.Pkg.Path] {
+			out = append(out, b.checkGoroutines(g, n, guards, guardFns)...)
+		}
+	}
+	return out
+}
+
+// checkGoroutines flags every `go` statement in n's body whose spawned body
+// can reach an internal/* panic site without a deferred guard of its own.
+func (b *BoundaryReach) checkGoroutines(g *CallGraph, n *Node, guards map[*Node]guardState, guardFns map[*types.Func]bool) []Finding {
+	var out []Finding
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		gs, ok := node.(*ast.GoStmt)
+		if !ok {
+			return true
+		}
+		body := g.spawned(n.Pkg, n.Fn, gs.Call)
+		if body == nil {
+			return true
+		}
+		start, guard := body.String(), guards[body]
+		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+			start, guard = "go func in "+n.String(), b.guardStateOf(n.Pkg, lit.Body, guardFns)
+		}
+		if guard == guarded {
+			return true
+		}
+		if path, site := b.panicReach(g, body, guards, guardFns); site != nil {
+			out = append(out, n.Pkg.findingNode(b.Name(), gs,
+				"goroutine started in %s can reach a panic in %s via %s without a deferred recover guard of its own wrapping %s — recover in the function that starts it never sees another goroutine's panic",
+				n.Fn.Name(), site.PkgPath(), b.chainString(start, path), b.Sentinel))
+		}
+		return true
+	})
 	return out
 }
 
@@ -127,10 +166,10 @@ func (b *BoundaryReach) panicReach(g *CallGraph, start *Node, guards map[*Node]g
 	return path, site
 }
 
-// chainString renders the call chain boundary → … → panic site for the
-// finding message, eliding middles beyond MaxHops.
-func (b *BoundaryReach) chainString(start *Node, path []*Edge) string {
-	names := []string{start.String()}
+// chainString renders the call chain start → … → panic site for the finding
+// message, eliding middles beyond MaxHops.
+func (b *BoundaryReach) chainString(start string, path []*Edge) string {
+	names := []string{start}
 	for _, e := range path {
 		names = append(names, e.Callee.String())
 	}
@@ -145,13 +184,13 @@ func (b *BoundaryReach) chainString(start *Node, path []*Edge) string {
 	return strings.Join(names, " → ")
 }
 
-// guardStateOf classifies a node's deferred recover handling: a deferred
-// function literal that recovers and mentions the sentinel, or a deferred
-// call to a guard function (package-local or imported).
-func (b *BoundaryReach) guardStateOf(n *Node, guardFns map[*types.Func]bool) guardState {
+// guardStateOf classifies the deferred recover handling of a function body
+// in pkg: a deferred function literal that recovers and mentions the
+// sentinel, or a deferred call to a guard function (package-local or
+// imported).
+func (b *BoundaryReach) guardStateOf(pkg *Package, body *ast.BlockStmt, guardFns map[*types.Func]bool) guardState {
 	state := noGuard
-	pkg := n.Pkg
-	walkOwnStatements(n.Decl.Body, func(node ast.Node) {
+	walkOwnStatements(body, func(node ast.Node) {
 		ds, ok := node.(*ast.DeferStmt)
 		if !ok {
 			return

@@ -34,7 +34,9 @@ import (
 // Function literals are inlined into their enclosing declaration: a call
 // inside a closure counts as a call by the function that created the
 // closure. That over-approximates (the literal may never run) in exactly
-// the direction reachability analyzers want.
+// the direction reachability analyzers want. A literal a `go` statement
+// starts runs on its own goroutine, where no recover of its creator reaches;
+// spawned gives it a node of its own for analyzers that care.
 
 // EdgeKind classifies how a call edge was discovered.
 type EdgeKind int
@@ -166,9 +168,30 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 
 	// Pass 2: edges.
 	for _, n := range g.order {
-		g.addEdges(n)
+		g.addEdges(n, n.Decl)
 	}
 	return g
+}
+
+// spawned returns the node of the function that the `go` statement call,
+// in fn's body in pkg, starts: for `go func() {…}()` a node of the literal's
+// own calls, which no edge leads to; the callee's node for a named function
+// or method with a loaded body; nil for anything else (a function value, a
+// body outside the loaded set).
+func (g *CallGraph) spawned(pkg *Package, fn *types.Func, call *ast.CallExpr) *Node {
+	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+		n := &Node{Fn: fn, Pkg: pkg}
+		g.addEdges(n, lit.Body)
+		return n
+	}
+	callee, ok := pkg.objectOf(call.Fun).(*types.Func)
+	if !ok {
+		return nil
+	}
+	if n := g.nodes[callee.Origin()]; n != nil && n.Decl != nil {
+		return n
+	}
+	return nil
 }
 
 // leaf returns (creating on demand) the bodyless node for an out-of-module
@@ -183,14 +206,14 @@ func (g *CallGraph) leaf(fn *types.Func) *Node {
 	return n
 }
 
-// addEdges walks n's body (function literals inlined) and records call,
-// interface-dispatch and function-value edges.
-func (g *CallGraph) addEdges(n *Node) {
+// addEdges walks root, n's declaration or a literal in it (function literals
+// inlined), and records call, interface-dispatch and function-value edges.
+func (g *CallGraph) addEdges(n *Node, root ast.Node) {
 	pkg := n.Pkg
 	// calleeIdents marks identifiers that ARE the function of a call
 	// expression, so pass 2 can tell value references from call sites.
 	calleeIdents := map[*ast.Ident]bool{}
-	ast.Inspect(n.Decl, func(node ast.Node) bool {
+	ast.Inspect(root, func(node ast.Node) bool {
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -223,7 +246,7 @@ func (g *CallGraph) addEdges(n *Node) {
 	})
 
 	// Pass 2 over identifiers: same-package functions referenced as values.
-	ast.Inspect(n.Decl, func(node ast.Node) bool {
+	ast.Inspect(root, func(node ast.Node) bool {
 		id, ok := node.(*ast.Ident)
 		if !ok || calleeIdents[id] {
 			return true

@@ -308,6 +308,8 @@ func TestBoundaryReachFixture(t *testing.T) {
 	assertFinding(t, findings, "boundary-reach", "boundhelper.Route")
 	assertFinding(t, findings, "boundary-reach", "fixpanic")
 	assertFinding(t, findings, "boundary-reach", "without wrapping ErrSimulatorFault")
+	assertFinding(t, findings, "boundary-reach", "goroutine started in SpawnsUnguarded can reach a panic in fpgapart/internal/fixpanic via go func in")
+	assertFinding(t, findings, "boundary-reach", "goroutine started in SpawnsNamed")
 }
 
 // TestBoundaryReachCatchesWhatPanicBoundaryMisses is the acceptance test of

@@ -3,12 +3,14 @@
 // internal panic site in fpgapart/internal/fixpanic only THROUGH the
 // sibling package boundhelper, so every flagged function here is invisible
 // to a per-package call scan — the gap the call-graph engine exists to
-// close.
+// close. The Spawns* functions are guarded themselves and start goroutines,
+// which recover in the function that starts them never covers.
 package boundfix
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"fpgapart/fixture/boundhelper"
 	"fpgapart/internal/fixpanic"
@@ -61,4 +63,47 @@ func PanicFree(v int) (int, error) {
 // the error-returning contract are not flagged.
 func NoError(v int) int {
 	return boundhelper.Route(v)
+}
+
+// guard is the package's panic guard, deferred with a named error return.
+func guard(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%w: %v", ErrSimulatorFault, r)
+	}
+}
+
+// SpawnsUnguarded is guarded, but the goroutine it starts is not: a panic on
+// that goroutine ends the process before any recover of this frame runs.
+func SpawnsUnguarded(v int) (out int, err error) {
+	defer guard(&err)
+	done := make(chan int)
+	go func() { // want boundary-reach
+		done <- boundhelper.Route(v)
+	}()
+	return <-done, nil
+}
+
+// SpawnsNamed starts a named function, whose body is the goroutine's and
+// has no guard either.
+func SpawnsNamed(v int) (err error) {
+	defer guard(&err)
+	go route(v) // want boundary-reach
+	return nil
+}
+
+func route(v int) { boundhelper.Route(v) }
+
+// SpawnsGuarded is the shape that passes: the goroutine carries its own
+// guard, which hands the fault to the spawner through err.
+func SpawnsGuarded(v int) (out int, err error) {
+	defer guard(&err)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer guard(&err)
+		out = boundhelper.Route(v)
+	}()
+	wg.Wait()
+	return out, err
 }

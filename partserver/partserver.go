@@ -136,6 +136,12 @@ type Config struct {
 	// the scheduler loop in virtual-time order; nil disables recording at
 	// zero cost (nil-receiver no-ops).
 	Record *reqtrace.Recorder
+
+	// Memo, when set, is shared with the other Schedulers of a routing tier:
+	// every job is an execution of the request its Tag names, and takes that
+	// request's outcome on the placed backend from the memo when another
+	// dispatch (or Memo.Ahead) has computed it. Nil executes every dispatch.
+	Memo *Memo
 }
 
 // WithDefaults returns a copy with unset knobs filled in.

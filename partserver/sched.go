@@ -89,6 +89,7 @@ type resource struct {
 	// is virtual time the scheduler charges as reconfigUS, not host work.
 	parts    map[configKey]partition.Partitioner
 	platform *platform.Platform
+	memo     *Memo // Config.Memo
 }
 
 // Scheduler is the steppable virtual-time scheduler of one deployment. A
@@ -169,6 +170,7 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 			straggle: 1,
 			parts:    map[configKey]partition.Partitioner{},
 			platform: cfg.Platform,
+			memo:     cfg.Memo,
 		}
 		if i < cfg.FPGAs {
 			r.kind, r.idx = PlacedFPGA, i

@@ -59,26 +59,34 @@ func (r *resource) partitioner(key configKey) (p partition.Partitioner, err erro
 
 // runJob executes j on the slot — the host work of a dispatch, which draws
 // no randomness, decides no policy and touches no trace session — and
-// reports in j.out. A panic on the way (the partitioners guard their own,
-// the single-threaded join runs unguarded) is recovered here, per job, and
-// reported as that job's failure, which the scheduler turns into a failed or
-// CPU-degraded job: the fault boundary is the job, not the Step that
-// dispatched it.
+// reports in j.out; with a Memo, the outcome is the request's memoised one on
+// this backend when there is one.
 func (r *resource) runJob(j *jobState) {
+	if r.memo != nil {
+		j.out = r.memo.outcome(r, j)
+		return
+	}
+	j.out = r.run(&j.spec, j.key)
+}
+
+// run executes spec on the slot. A panic on the way (the partitioners guard
+// their own, the single-threaded join runs unguarded) is recovered here, per
+// job, and reported as that job's failure, which the scheduler turns into a
+// failed or CPU-degraded job: the fault boundary is the job, not the Step
+// that dispatched it.
+func (r *resource) run(spec *Job, key configKey) (out execOut) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			j.out = execOut{errMsg: fmt.Sprintf("%v worker: %v", r.kind, rec)}
+			out = execOut{errMsg: fmt.Sprintf("%v worker: %v", r.kind, rec)}
 		}
 	}()
-	var out execOut
-	if err := r.execute(&j.spec, j.key, &out); err != nil {
+	if err := r.execute(spec, key, &out); err != nil {
 		// A failed job reports only what the scheduler charges for: the
 		// circuit time spent, and whether the circuit aborted it.
-		out = execOut{errMsg: err.Error(), cycles: out.cycles, overflow: out.overflow}
-	} else {
-		out.ok = true
+		return execOut{errMsg: err.Error(), cycles: out.cycles, overflow: out.overflow}
 	}
-	j.out = out
+	out.ok = true
+	return out
 }
 
 // execute partitions the job's relation and, for a join job, its probe side,
