@@ -101,6 +101,7 @@ fuzz:
 		./internal/cpupart:FuzzBufferedAgainstHistogram \
 		./hashjoin:FuzzJoinUnderBudget \
 		./internal/joincore:FuzzRunsAgainstNestedLoop \
+		./internal/rdma:FuzzExchange \
 		./partition:FuzzPartitionerReuse \
 		./cluster:FuzzClusterRoute \
 		./cluster:FuzzMembershipSchedule; do \

@@ -8,17 +8,20 @@
 // Execution model: every node partitions its local shard of R and S into a
 // global fan-out of Nodes × PartitionsPerNode partitions; the low bits of
 // the partition index select the owning node. The all-to-all exchange is
-// timed by the RDMA fabric model from the exact per-node-pair byte counts;
+// timed by the RDMA fabric model (rdma.Fabric.Exchange) from the exact
+// partition pieces, coalesced per node pair into fabric-sized messages;
 // partitioning is measured (CPU) or simulated (FPGA) per node, and the
 // local joins run for real. Per-phase time is the slowest node, as the
 // phases are cluster-synchronous.
 //
-// The exchange is fault-tolerant: Options.Faults injects a deterministic
-// failure scenario (internal/faults) under which messages are retried with
-// exponential backoff, corrupt pieces are detected by checksum and
-// re-requested, and crashed nodes' partitions are deterministically taken
-// over by the survivors so the join still completes with the exact same
-// Matches and Checksum, reporting Degraded. See Result's fault fields.
+// The exchange is fault-tolerant, and it is one exchange: Options.Faults
+// injects a deterministic failure scenario (internal/faults), and no
+// scenario is the scenario that injects nothing. Dropped messages are
+// retried with exponential backoff, corrupt ones are detected by the
+// pieces' checksums and re-sent, and crashed nodes' partitions are
+// deterministically taken over by the survivors so the join still completes
+// with the exact same Matches and Checksum, reporting Degraded. See
+// Result's fault fields.
 package distjoin
 
 import (
@@ -63,7 +66,7 @@ type Options struct {
 	// Platform supplies the FPGA clock/link and coherence model.
 	Platform *platform.Platform
 	// Faults injects a deterministic failure scenario into the exchange
-	// (nil = perfect cluster, the fault-free fast path).
+	// (nil = perfect cluster, the same as a scenario that injects nothing).
 	Faults *faults.Scenario
 	// Trace attaches a simtrace session: the join emits per-node and
 	// cluster-level phase spans (partition / exchange / local join, one
@@ -84,6 +87,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PartitionsPerNode == 0 {
 		o.PartitionsPerNode = 1024
+	}
+	if o.Faults == nil {
+		o.Faults = &faults.Scenario{}
 	}
 	return o
 }
@@ -113,15 +119,7 @@ func (o *Options) validate() error {
 	if err := o.Platform.Validate(); err != nil {
 		return fmt.Errorf("distjoin: bad platform: %w", err)
 	}
-	if o.Faults != nil {
-		if err := o.Faults.Validate(); err != nil {
-			return fmt.Errorf("distjoin: bad fault scenario: %w", err)
-		}
-		if err := o.validateScenarioNodes(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.validateScenarioNodes()
 }
 
 // validateScenarioNodes range-checks the scenario's node references against
@@ -219,18 +217,9 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	}
 	global := opts.Nodes * opts.PartitionsPerNode
 
-	var inj *faults.Injector
-	if opts.Faults != nil {
-		var err error
-		if inj, err = faults.New(*opts.Faults); err != nil {
-			return nil, err
-		}
-	}
-	straggle := func(n int) float64 {
-		if inj == nil {
-			return 1
-		}
-		return inj.StraggleFactor(n)
+	inj, err := faults.New(*opts.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("distjoin: bad fault scenario: %w", err)
 	}
 
 	rShards := shard(r, opts.Nodes)
@@ -263,7 +252,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("distjoin: node %d partitioning S: %w", n, err)
 		}
 		rParts[n], sParts[n] = pr, ps
-		t := time.Duration(float64(pr.Elapsed()+ps.Elapsed()) * straggle(n))
+		t := time.Duration(float64(pr.Elapsed()+ps.Elapsed()) * inj.StraggleFactor(n))
 		if nodePart != nil {
 			nodePart[n] = t
 		}
@@ -274,9 +263,9 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 
 	// Phase 2: all-to-all exchange. Node i sends partition p (of either
 	// relation) to node p & (Nodes-1); physical bytes include dummy padding
-	// for FPGA-written partitions (8 bytes per addressable slot). Under a
-	// fault scenario the exchange runs message by message with retries,
-	// checksum verification and crash takeover (faulttolerance.go).
+	// for FPGA-written partitions (8 bytes per addressable slot). The
+	// exchange runs message by message under the fault scenario, with
+	// retries, checksum verification and crash takeover (faulttolerance.go).
 	ex, err := runExchange(rParts, sParts, opts, inj, global)
 	if err != nil {
 		return nil, err
@@ -317,7 +306,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		}
 		matches += bp.Matches
 		checksum += bp.Checksum
-		t := time.Duration(float64(bp.Elapsed) * penalty * straggle(n))
+		t := time.Duration(float64(bp.Elapsed) * penalty * inj.StraggleFactor(n))
 		if nodeJoin != nil {
 			nodeJoin[n] = t
 		}

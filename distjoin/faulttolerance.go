@@ -34,43 +34,6 @@ type exchangeOutcome struct {
 	ownerOf []int
 }
 
-// runExchange times the all-to-all exchange. Without an injector it is the
-// original perfect-cluster matrix model; with one it simulates the exchange
-// piece by piece under the fault scenario.
-func runExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.Injector, global int) (*exchangeOutcome, error) {
-	ex := &exchangeOutcome{ownerOf: make([]int, global)}
-	for gp := 0; gp < global; gp++ {
-		ex.ownerOf[gp] = gp & (opts.Nodes - 1)
-	}
-	if inj == nil {
-		return runPerfectExchange(rParts, sParts, opts, global, ex)
-	}
-	return runFaultyExchange(rParts, sParts, opts, inj, global, ex)
-}
-
-// runPerfectExchange is the fault-free fast path: exchange time from the
-// byte matrix alone, exactly as before the fault-tolerance layer.
-func runPerfectExchange(rParts, sParts []*partition.Result, opts Options, global int, ex *exchangeOutcome) (*exchangeOutcome, error) {
-	sendBytes := make([][]int64, opts.Nodes)
-	for i := range sendBytes {
-		sendBytes[i] = make([]int64, opts.Nodes)
-		for gp := 0; gp < global; gp++ {
-			dst := ex.ownerOf[gp]
-			bytes := pieceBytes(rParts[i], sParts[i], gp)
-			sendBytes[i][dst] += bytes
-			if dst != i {
-				ex.payloadBytes += bytes
-			}
-		}
-	}
-	sec, err := opts.Fabric.ExchangeSeconds(sendBytes)
-	if err != nil {
-		return nil, err
-	}
-	ex.seconds = sec
-	return ex, nil
-}
-
 // pieceBytes is the physical size of node src's piece of global partition
 // gp: both relations' addressable slots (including dummy padding for
 // FPGA-written partitions) at 8 bytes each.
@@ -85,8 +48,16 @@ func pieceChecksum(r, s *partition.Result, gp int) uint64 {
 	return uint64(r.PartitionChecksum(gp))<<32 | uint64(s.PartitionChecksum(gp))
 }
 
-func runFaultyExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.Injector, global int, ex *exchangeOutcome) (*exchangeOutcome, error) {
+// runExchange moves every off-node piece across the fabric under the
+// injector's scenario, which may inject nothing: with end-to-end checksum
+// verification and, after node crashes, a recovery round that re-pulls the
+// crashed nodes' partitions onto the survivors.
+func runExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.Injector, global int) (*exchangeOutcome, error) {
 	nodes := opts.Nodes
+	ex := &exchangeOutcome{ownerOf: make([]int, global)}
+	for gp := 0; gp < global; gp++ {
+		ex.ownerOf[gp] = gp & (nodes - 1)
+	}
 	crashed := map[int]bool{}
 	for _, n := range inj.CrashedNodes() {
 		crashed[n] = true
@@ -109,9 +80,7 @@ func runFaultyExchange(rParts, sParts []*partition.Result, opts Options, inj *fa
 		}
 	}
 
-	main, err := opts.Fabric.ExchangePieces(pieces, rdma.ExchangeFaults{
-		Injector: inj, Phase: 0, ApplyCrashes: true,
-	})
+	main, err := opts.Fabric.Exchange(pieces, rdma.ExchangeFaults{Injector: inj, ApplyCrashes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -181,9 +150,7 @@ func runFaultyExchange(rParts, sParts []*partition.Result, opts Options, inj *fa
 			recPieces = append(recPieces, rdma.Piece{Src: src, Dst: dst, Bytes: bytes, ID: uint64(gp)})
 		}
 	}
-	rec, err := opts.Fabric.ExchangePieces(recPieces, rdma.ExchangeFaults{
-		Injector: inj, Phase: 1, ApplyCrashes: false,
-	})
+	rec, err := opts.Fabric.Exchange(recPieces, rdma.ExchangeFaults{Injector: inj, Phase: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,12 @@
 // distributed-join path. It models the failures a real rack suffers —
 // dropped, corrupted and delayed messages, degraded links, crashed nodes,
 // stragglers — while keeping every run byte-for-byte reproducible: each
-// decision is a pure function of (seed, phase, link, piece, round, message,
+// decision is a pure function of (seed, phase, link, message, round,
 // attempt), derived by hashing rather than by consuming a sequential random
 // stream, so outcomes do not depend on iteration order.
 //
-// The injector plugs into rdma.Fabric's fault-aware exchange and into
-// distjoin.Join; tests replay exact failure scenarios by fixing the seed.
+// The injector plugs into rdma.Fabric's exchange and into distjoin.Join;
+// tests replay exact failure scenarios by fixing the seed.
 package faults
 
 import (
@@ -49,7 +49,7 @@ type Scenario struct {
 	DropProb float64
 	// CorruptProb is the per-message probability that a message arrives
 	// bit-flipped. Corruption is caught by the receiver's piece checksum,
-	// which re-requests the whole piece.
+	// which re-requests the corrupt message.
 	CorruptProb float64
 	// DelayProb and DelayUS add an extra delay of roughly DelayUS µs
 	// (uniform in [0.5, 1.5)·DelayUS) to a fraction of the messages.
@@ -194,24 +194,26 @@ func (in *Injector) rand01(purpose uint64, vals ...uint64) float64 {
 }
 
 // MsgID identifies one transmission attempt of one message for the
-// deterministic decision streams.
+// deterministic decision streams. A message, not the pieces it carries,
+// draws a fate.
 type MsgID struct {
 	// Phase salts repeated exchanges (0 = main exchange, 1 = recovery) so
 	// they draw independent outcomes.
-	Phase    uint64
+	Phase uint64
+	// Src and Dst name the flow the message belongs to.
 	Src, Dst int
-	// Piece is the caller's piece identifier (e.g. the global partition).
-	Piece uint64
-	// Round counts whole-piece retransmissions after checksum failures.
-	Round int
-	// Msg is the message index within the piece; Attempt counts
-	// per-message retransmissions after drops.
-	Msg, Attempt int
+	// Msg is the message index within the flow; Round counts the re-send
+	// rounds after checksum failures; Attempt counts per-message
+	// retransmissions after drops.
+	Msg, Round, Attempt int
 }
 
+// key fixes the order in which the fields enter the hash; every seeded
+// result depends on it, partserver's too (its dispatch draws put the job id
+// in Msg).
 func (id MsgID) key() []uint64 {
 	return []uint64{id.Phase, uint64(id.Src)<<32 | uint64(uint32(id.Dst)),
-		id.Piece, uint64(id.Round)<<32 | uint64(uint32(id.Msg)), uint64(id.Attempt)}
+		uint64(id.Msg), uint64(id.Round), uint64(id.Attempt)}
 }
 
 // MessageFate decides what happens to one transmission attempt, and how many

@@ -45,11 +45,11 @@ func TestFateDeterministicAndOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []MsgID{
-		{Src: 0, Dst: 1, Piece: 7, Msg: 3},
-		{Src: 1, Dst: 0, Piece: 7, Msg: 3},
-		{Phase: 1, Src: 0, Dst: 1, Piece: 7, Msg: 3},
-		{Src: 0, Dst: 1, Piece: 7, Msg: 3, Attempt: 1},
-		{Src: 0, Dst: 1, Piece: 7, Msg: 3, Round: 2},
+		{Src: 0, Dst: 1, Msg: 3},
+		{Src: 1, Dst: 0, Msg: 3},
+		{Phase: 1, Src: 0, Dst: 1, Msg: 3},
+		{Src: 0, Dst: 1, Msg: 3, Attempt: 1},
+		{Src: 0, Dst: 1, Msg: 3, Round: 2},
 	}
 	// Record in one order, replay in reverse: every answer must be a pure
 	// function of the MsgID.
@@ -79,7 +79,7 @@ func TestFateFrequenciesMatchProbabilities(t *testing.T) {
 	}
 	var drops, corrupts, delays int
 	for i := 0; i < n; i++ {
-		f, d := inj.MessageFate(MsgID{Src: 0, Dst: 1, Piece: uint64(i)})
+		f, d := inj.MessageFate(MsgID{Src: 0, Dst: 1, Msg: i})
 		switch f {
 		case Drop:
 			drops++
@@ -111,8 +111,8 @@ func TestSeedsDecorrelate(t *testing.T) {
 	same := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		fa, _ := a.MessageFate(MsgID{Piece: uint64(i)})
-		fb, _ := b.MessageFate(MsgID{Piece: uint64(i)})
+		fa, _ := a.MessageFate(MsgID{Msg: i})
+		fb, _ := b.MessageFate(MsgID{Msg: i})
 		if fa == fb {
 			same++
 		}
@@ -129,7 +129,7 @@ func TestJitterUniform(t *testing.T) {
 	var sum float64
 	const n = 100000
 	for i := 0; i < n; i++ {
-		j := inj.Jitter(MsgID{Piece: uint64(i)})
+		j := inj.Jitter(MsgID{Msg: i})
 		if j < 0 || j >= 1 {
 			t.Fatalf("jitter %v outside [0, 1)", j)
 		}
@@ -179,7 +179,7 @@ func TestZeroScenarioAlwaysDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		f, d := inj.MessageFate(MsgID{Src: i % 4, Dst: (i + 1) % 4, Piece: uint64(i)})
+		f, d := inj.MessageFate(MsgID{Src: i % 4, Dst: (i + 1) % 4, Msg: i})
 		if f != Deliver || d != 0 {
 			t.Fatalf("empty scenario produced fate %v delay %v", f, d)
 		}

@@ -400,11 +400,6 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (simtrace.Snapshot, er
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),
 		counter("dist.partition_sim_us", res.PartitionTime.Microseconds()),
 		counter("dist.exchange_sim_us", res.ExchangeTime.Microseconds()),
-		counter("dist.bytes_exchanged", res.BytesExchanged),
-		counter("dist.resent_bytes", res.ResentBytes),
-		counter("dist.retries", res.Retries),
-		counter("dist.corrupt_pieces", res.CorruptPieces),
-		counter("dist.failed_nodes", int64(len(res.FailedNodes))),
 		counter("dist.degraded", b2i(res.Degraded)),
 	), nil
 }

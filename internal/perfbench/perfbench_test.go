@@ -288,7 +288,7 @@ func TestKnownScenarios(t *testing.T) {
 	if m, _ := faulty.Gated.Metrics.Get("dist.degraded"); m.Value != 1 {
 		t.Errorf("faulty scenario (with a crash) not degraded")
 	}
-	if m, _ := faulty.Gated.Metrics.Get("dist.retries"); m.Value == 0 {
+	if m, _ := faulty.Gated.Metrics.Get("distjoin.retries"); m.Value == 0 {
 		t.Errorf("faulty scenario recorded no retries")
 	}
 }

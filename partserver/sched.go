@@ -405,7 +405,7 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 		// Transient fault verdict, drawn per dispatch attempt.
 		if !b.aborted && s.inj != nil {
 			fate, _ := s.inj.MessageFate(faults.MsgID{
-				Src: r.idx, Piece: uint64(j.id), Attempt: j.attempts,
+				Src: r.idx, Msg: j.id, Attempt: j.attempts,
 			})
 			if fate != faults.Deliver {
 				b.aborted = true
