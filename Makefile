@@ -90,21 +90,14 @@ trace-demo:
 		-flight bench/out/flight_postmortem.txt \
 		-trace bench/out/trace.json
 
-# fuzz runs each differential fuzz target for a short smoke window (Go's
-# fuzzer accepts one -fuzz target per invocation). CI runs the same loop;
-# raise FUZZTIME locally for a deeper session.
+# fuzz runs every fuzz target of the module, as `go test -list` finds them,
+# for a short smoke window each (Go's fuzzer accepts one -fuzz target per
+# invocation). CI runs the same loop; raise FUZZTIME locally for a deeper
+# session.
 FUZZTIME ?= 30s
 fuzz:
-	@for t in \
-		./internal/cpupart:FuzzPartIndex \
-		./internal/cpupart:FuzzBufferedPartition \
-		./internal/cpupart:FuzzBufferedAgainstHistogram \
-		./hashjoin:FuzzJoinUnderBudget \
-		./internal/joincore:FuzzRunsAgainstNestedLoop \
-		./internal/rdma:FuzzExchange \
-		./partition:FuzzPartitionerReuse \
-		./cluster:FuzzClusterRoute \
-		./cluster:FuzzMembershipSchedule; do \
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	for t in $$(echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2 ":" f[i]; n = 0 }'); do \
 		pkg=$${t%%:*}; target=$${t##*:}; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done

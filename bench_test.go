@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"testing"
 
-	"fpgapart/aggregate"
 	"fpgapart/codec"
 	"fpgapart/distjoin"
 	"fpgapart/experiments"
@@ -400,31 +399,6 @@ func BenchmarkAblationExtendedEndpoint(b *testing.B) {
 			reportTuples(b, n)
 		})
 	}
-}
-
-// BenchmarkExtensionAggregate measures partitioned group-by aggregation
-// (Section 6's first proposed use) against the global hash table.
-func BenchmarkExtensionAggregate(b *testing.B) {
-	rel, err := workload.NewGenerator(99).ZipfRelation(0.5, 1<<16, 8, 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("partitioned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := aggregate.CPU(rel, aggregate.Options{Partitions: 1024, Hash: true, Threads: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportTuples(b, rel.NumTuples)
-	})
-	b.Run("global", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := aggregate.Global(rel, aggregate.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportTuples(b, rel.NumTuples)
-	})
 }
 
 // BenchmarkExtensionDistributedJoin measures the simulated rack-scale join

@@ -108,12 +108,6 @@ func KeyHash(key uint64) uint64 {
 // Shards returns the member ids in ascending order (a copy).
 func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
 
-// VNodes returns the per-shard virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// NumPoints returns the total point count (members × vnodes).
-func (r *Ring) NumPoints() int { return len(r.points) }
-
 // succ returns the index of the first point at or clockwise of hash h,
 // wrapping past the top of the hash space.
 func (r *Ring) succ(h uint64) int {

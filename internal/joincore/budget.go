@@ -115,6 +115,8 @@ type BudgetConfig struct {
 	// Emit, when non-nil, receives every match of partition p with the
 	// original R payload first regardless of role reversal. Calls are
 	// sequential per partition; distinct partitions may emit concurrently.
+	// No production caller sets it; it stays because hashjoin's
+	// TestEmitOrderLock, the contract gate on match order, reads through it.
 	Emit func(p int, key, rPay, sPay uint32)
 }
 

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -167,6 +168,78 @@ func TestColumnStoreMode(t *testing.T) {
 	}
 	if n != 15000 {
 		t.Fatalf("materialized %d tuples", n)
+	}
+}
+
+// TestExactKeepsEveryTuple sends relations whose keys collide with the
+// circuit's dummy key, or are 0, through Exact on every backend: the
+// (key, payload) multiset a consumer reads back must be the input's. The
+// payload is the row index, which is also what VRID mode emits.
+func TestExactKeepsEveryTuple(t *testing.T) {
+	const n, dummy = 1000, 0xFFFFFFFF
+	type backend struct {
+		p    Partitioner
+		vrid bool
+	}
+	cpu, err := NewCPU(CPUOptions{Partitions: 16, Hash: true, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []backend{{cpu, false}}
+	for _, format := range []Format{HistMode, PadMode} {
+		for _, layout := range []Layout{RowStore, ColumnStore} {
+			fpga, err := NewFPGA(FPGAOptions{Partitions: 16, Hash: true, Format: format, Layout: layout, FallbackThreads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends = append(backends, backend{fpga, layout == ColumnStore})
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		keyOf func(i int) uint32
+	}{
+		{"all dummy", func(int) uint32 { return dummy }},
+		{"some dummy", func(i int) uint32 {
+			if i%5 == 0 {
+				return dummy
+			}
+			return uint32(i % 7)
+		}},
+		{"key 0", func(i int) uint32 {
+			if i%3 == 0 {
+				return 0
+			}
+			return uint32(i)
+		}},
+	} {
+		rows, err := workload.NewRelation(workload.RowLayout, 8, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[uint64]int{}
+		for i := 0; i < n; i++ {
+			rows.SetTuple(i, tc.keyOf(i), uint32(i))
+			want[uint64(tc.keyOf(i))<<32|uint64(i)]++
+		}
+		for _, b := range backends {
+			rel := rows.Clone()
+			if b.vrid {
+				rel = rows.ToColumns()
+			}
+			res, _, err := Exact(b.p, rel, true, 2)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, b.p.Name(), err)
+			}
+			got := map[uint64]int{}
+			for q := 0; q < res.NumPartitions(); q++ {
+				res.Each(q, func(k, pay uint32) { got[uint64(k)<<32|uint64(pay)]++ })
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%s, %s: read back %d distinct (key, payload) pairs, want %d; the multisets differ",
+					tc.name, b.p.Name(), len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -95,15 +95,6 @@ func (r *Relation) Bytes() int {
 	return r.Width * r.NumTuples
 }
 
-// CacheLines returns the number of 64-byte cache lines the key-bearing data
-// occupies, rounded up.
-func (r *Relation) CacheLines() int {
-	return (r.Bytes() + CacheLineBytes - 1) / CacheLineBytes
-}
-
-// TuplesPerCacheLine returns how many tuples fit in one 64-byte line.
-func (r *Relation) TuplesPerCacheLine() int { return CacheLineBytes / r.Width }
-
 // NewRelation allocates an empty relation with the given shape. Width must be
 // one of 8, 16, 32, 64. The caller fills keys via SetTuple or the generators
 // in this package.

@@ -17,9 +17,6 @@ func TestNewRelationWidths(t *testing.T) {
 		if r.Stride() != w/8 {
 			t.Errorf("width %d: stride = %d", w, r.Stride())
 		}
-		if r.TuplesPerCacheLine() != 64/w {
-			t.Errorf("width %d: tuples/line = %d", w, r.TuplesPerCacheLine())
-		}
 	}
 }
 
@@ -56,23 +53,17 @@ func TestSetGetTupleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBytesAndCacheLines checks Bytes; the name outlives the deleted
+// CacheLines accessor.
 func TestBytesAndCacheLines(t *testing.T) {
 	r, _ := NewRelation(RowLayout, 8, 1000)
 	if r.Bytes() != 8000 {
 		t.Errorf("Bytes = %d, want 8000", r.Bytes())
 	}
-	if r.CacheLines() != 125 {
-		t.Errorf("CacheLines = %d, want 125", r.CacheLines())
-	}
 	// Column layout counts only the key column (what VRID mode reads).
 	c, _ := NewRelation(ColumnLayout, 8, 1000)
 	if c.Bytes() != 4000 {
 		t.Errorf("column Bytes = %d, want 4000", c.Bytes())
-	}
-	// Rounding up of partial lines.
-	r2, _ := NewRelation(RowLayout, 8, 9)
-	if r2.CacheLines() != 2 {
-		t.Errorf("CacheLines(9 tuples) = %d, want 2", r2.CacheLines())
 	}
 }
 
