@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"fpgapart/internal/faults"
@@ -202,5 +205,28 @@ func FuzzMembershipSchedule(f *testing.F) {
 				rep.Done, rep.Checksum, rep.Matches, srep.Done, srep.Checksum, srep.Matches, sched)
 		}
 		checkParity(t, rep, reqs, seed)
+	})
+}
+
+// FuzzParseMembershipSchedule holds the -schedule parser to its contract on
+// arbitrary input: an error, or a schedule that renders back to a spec
+// parsing to the same schedule; never a panic.
+func FuzzParseMembershipSchedule(f *testing.F) {
+	for _, s := range []string{"join:3@4000,drain:1@9000", " join:3@4000, drain:1@9000 ", "", "drain:+1@-0", "join:3", "leave:1@5", "join:1@2,,"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sched, err := ParseMembershipSchedule(s)
+		if err != nil {
+			return
+		}
+		events := make([]string, len(sched))
+		for j, ev := range sched {
+			events[j] = fmt.Sprintf("%s:%d@%d", ev.Kind, ev.Shard, ev.AtUS)
+		}
+		again, err := ParseMembershipSchedule(strings.Join(events, ","))
+		if err != nil || !slices.Equal(again, sched) {
+			t.Fatalf("%q → %v re-renders to %v, %v", s, sched, again, err)
+		}
 	})
 }

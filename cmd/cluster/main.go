@@ -70,12 +70,11 @@ func runCmd(args []string) {
 		strag    = fs.String("straggler", "", "straggle one shard: <shard>:<factor>, e.g. 1:8")
 		faulty   = fs.Bool("faulty", false, "fail-stop shard 1 after 40% of its share; requests fail over clockwise")
 		report   = fs.String("report", "", "write the full request-level report (JSON) to this file")
-		trace    = fs.String("trace", "", "write the Chrome trace-event timeline to this file")
-		metrics  = fs.String("metrics", "", "write the cluster metrics snapshot (JSON) to this file")
-		reqTr    = fs.String("reqtrace", "", "write per-request latency breakdowns (JSON) to this file and print the critical-path profile")
-		flight   = fs.String("flight", "", "write the flight-recorder postmortem (text) to this file")
 		verbose  = fs.Bool("v", false, "print one line per request")
+		art      reqtrace.Artifacts
 	)
+	art.TraceFlags(fs)
+	art.CaptureFlags(fs)
 	fs.Parse(args)
 
 	reqs, err := cluster.GenerateLoad(*seed, *requests, cluster.LoadOptions{
@@ -112,34 +111,24 @@ func runCmd(args []string) {
 		}
 	}
 	if *strag != "" {
-		var node int
-		var factor float64
-		if _, err := fmt.Sscanf(*strag, "%d:%g", &node, &factor); err != nil {
-			fatal(fmt.Errorf("-straggler %q: want <shard>:<factor>: %w", *strag, err))
+		st, err := faults.ParseStraggler(*strag)
+		if err != nil {
+			fatal(fmt.Errorf("-straggler: %w", err))
 		}
 		if cfg.Faults == nil {
 			cfg.Faults = &faults.Scenario{Seed: *seed}
 		}
-		cfg.Faults.Stragglers = append(cfg.Faults.Stragglers, faults.Straggler{Node: node, Factor: factor})
+		cfg.Faults.Stragglers = append(cfg.Faults.Stragglers, st)
 	}
 	sess := simtrace.NewSession()
 	cfg.Trace = sess
-	var capt *reqtrace.Capture
-	if *reqTr != "" || *flight != "" {
-		capt = &reqtrace.Capture{}
-		cfg.ReqTrace = capt
-	}
-
-	// artifacts ends the run: the postmortem of a failed one (the capture's
-	// flight timeline survives the failure), every requested file of a
-	// completed one.
-	artifacts := func(runErr error) error {
-		return reqtrace.WriteArtifacts("cluster", "request", sess, capt, runErr, *reqTr, *flight, *trace, *metrics)
-	}
+	capt := art.Capture()
+	cfg.ReqTrace = capt
 
 	rep, err := cluster.Run(reqs, cfg)
 	if err != nil {
-		fatal(artifacts(err))
+		// The capture's flight timeline survives the failure.
+		fatal(art.Finish("cluster", "request", sess, capt, err))
 	}
 
 	if *verbose {
@@ -186,7 +175,7 @@ func runCmd(args []string) {
 		}
 		fmt.Printf("report written to %s\n", *report)
 	}
-	if err := artifacts(nil); err != nil {
+	if err := art.Finish("cluster", "request", sess, capt, nil); err != nil {
 		fatal(err)
 	}
 }

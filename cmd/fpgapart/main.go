@@ -7,7 +7,7 @@
 //	fpgapart -backend fpga -n 1048576 -partitions 8192 -format pad
 //	fpgapart -backend fpga -layout vrid -dist grid -hash=false
 //	fpgapart -backend cpu -threads 8 -n 8388608
-//	fpgapart -backend fpga -trace trace.json -metrics
+//	fpgapart -backend fpga -trace trace.json -metrics metrics.json
 package main
 
 import (
@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"fpgapart/internal/simtrace"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/partition"
 	"fpgapart/platform"
 	"fpgapart/workload"
@@ -37,9 +37,9 @@ func main() {
 		raw        = flag.Bool("raw", false, "use the 25.6 GB/s raw wrapper platform")
 		interfered = flag.Bool("interfered", false, "use the interfered bandwidth curve")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (fpga backend)")
-		metrics    = flag.Bool("metrics", false, "print the simtrace metrics summary after the run (fpga backend)")
+		art        reqtrace.Artifacts
 	)
+	art.TraceFlags(flag.CommandLine)
 	flag.Parse()
 
 	fpgaFormat, fpgaLayout, err := partition.ParseMode(*format, *layout)
@@ -47,12 +47,9 @@ func main() {
 		fatal(err)
 	}
 
-	var sess *simtrace.Session
-	if *traceFile != "" || *metrics {
-		if *backend != "fpga" {
-			fatal(fmt.Errorf("-trace/-metrics require -backend fpga (the cycle-level simulator)"))
-		}
-		sess = simtrace.NewSession()
+	sess := art.Session()
+	if sess != nil && *backend != "fpga" {
+		fatal(fmt.Errorf("-trace/-metrics require -backend fpga (the cycle-level simulator)"))
 	}
 
 	rel, err := generate(*dist, *zipf, *width, *n, *seed)
@@ -127,15 +124,12 @@ func main() {
 	mean := float64(res.TotalTuples()) / float64(res.NumPartitions())
 	fmt.Printf("partition size: min %d, mean %.1f, max %d (imbalance %.2fx)\n", min, mean, max, float64(max)/mean)
 
-	if *metrics {
+	if art.Metrics != "" {
 		fmt.Println()
 		fmt.Print(sess.Summary())
 	}
-	if *traceFile != "" {
-		if err := simtrace.WriteFile(*traceFile, sess.Tracer.WriteJSON); err != nil {
-			fatal(fmt.Errorf("writing trace: %w", err))
-		}
-		fmt.Printf("trace:         %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceFile)
+	if err := art.Finish("fpgapart", "", sess, nil, nil); err != nil {
+		fatal(err)
 	}
 }
 

@@ -16,13 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"fpgapart/distjoin"
 	"fpgapart/hashjoin"
 	"fpgapart/internal/faults"
-	"fpgapart/internal/perfbench"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partition"
 	"fpgapart/workload"
@@ -42,9 +40,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "generator seed")
 		budget  = flag.Int64("budget", 0, "join build memory budget in bytes (0 = unlimited; spills, recurses and broadcasts as needed, same result)")
 
-		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON to this file (hybrid or -nodes runs)")
-		metrics   = flag.Bool("metrics", false, "print the simtrace metrics summary after the run (hybrid or -nodes runs)")
-
 		nodes = flag.Int("nodes", 0, "run the distributed join on this many simulated nodes (0 = local join)")
 
 		faultSeed       = flag.Uint64("fault-seed", 1, "fault scenario seed (reproducible)")
@@ -57,9 +52,10 @@ func main() {
 		faultDegrade    = flag.String("fault-degrade", "", "degraded link as src:dst:factor (e.g. 0:2:0.25)")
 		faultStraggle   = flag.String("fault-straggle", "", "straggler as node:factor (e.g. 3:2.5)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile after the run to this file")
+		art reqtrace.Artifacts
 	)
+	art.TraceFlags(flag.CommandLine)
+	art.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	fpgaFormat, _, err := partition.ParseMode(*format, "rid")
@@ -67,15 +63,9 @@ func main() {
 		fatal(err)
 	}
 
-	stopProfiles, err := perfbench.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := art.Start(); err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fatal(err)
-		}
-	}()
 
 	spec, err := workload.Spec(workload.WorkloadID(*wl))
 	if err != nil {
@@ -94,11 +84,7 @@ func main() {
 	fmt.Printf("workload %s: R %d ⋈ S %d tuples, %s keys\n",
 		spec.ID, spec.TuplesR, spec.TuplesS, spec.Distribution)
 
-	var sess *simtrace.Session
-	if *traceFile != "" || *metrics {
-		sess = simtrace.NewSession()
-	}
-
+	sess := art.Session()
 	if *nodes > 0 {
 		scenario, err := buildScenario(*faultSeed, *faultDrop, *faultCorrupt, *faultDelayProb,
 			*faultDelayUS, *faultCrash, *faultCrashAfter, *faultDegrade, *faultStraggle)
@@ -106,28 +92,38 @@ func main() {
 			fatal(err)
 		}
 		runDistributed(in, *nodes, *parts, *threads, *system, fpgaFormat, scenario, sess)
-		finishTrace(sess, *traceFile, *metrics)
-		return
+	} else {
+		runLocal(in, spec, *system, fpgaFormat, *vrid, hashjoin.Options{
+			Partitions:        *parts,
+			Threads:           *threads,
+			Hash:              *hash,
+			Trace:             sess,
+			MemoryBudgetBytes: *budget,
+		})
 	}
+	if art.Metrics != "" {
+		fmt.Println()
+		fmt.Print(sess.Summary())
+	}
+	if err := art.Finish("joinbench", "", sess, nil, nil); err != nil {
+		fatal(err)
+	}
+}
 
-	opts := hashjoin.Options{
-		Partitions:        *parts,
-		Threads:           *threads,
-		Hash:              *hash,
-		Trace:             sess,
-		MemoryBudgetBytes: *budget,
-	}
+func runLocal(in *workload.JoinInput, spec workload.WorkloadSpec, system string, format partition.Format,
+	vrid bool, opts hashjoin.Options) {
 	var res *hashjoin.Result
-	switch *system {
+	var err error
+	switch system {
 	case "cpu":
 		res, err = hashjoin.CPU(in.R, in.S, opts)
 	case "hybrid":
-		opts.Format = fpgaFormat
-		if fpgaFormat == partition.PadMode {
+		opts.Format = format
+		if format == partition.PadMode {
 			opts.PadFraction = 0.5
 		}
 		r, s := in.R, in.S
-		if *vrid {
+		if vrid {
 			opts.Layout = partition.ColumnStore
 			r, s = r.ToColumns(), s.ToColumns()
 		}
@@ -135,13 +131,13 @@ func main() {
 	case "nopart":
 		res, err = hashjoin.NonPartitioned(in.R, in.S, opts)
 	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
+		fatal(fmt.Errorf("unknown system %q", system))
 	}
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("system:        %s (%s), %d threads\n", *system, res.PartitionerName, res.Threads)
+	fmt.Printf("system:        %s (%s), %d threads\n", system, res.PartitionerName, res.Threads)
 	fmt.Printf("matches:       %d (checksum %#x)\n", res.Matches, res.Checksum)
 	fmt.Printf("partition R:   %v\n", res.PartitionR)
 	fmt.Printf("partition S:   %v\n", res.PartitionS)
@@ -160,26 +156,6 @@ func main() {
 	if res.FellBack {
 		fmt.Println("note:          PAD overflow — partitioning fell back to the CPU")
 	}
-	finishTrace(sess, *traceFile, *metrics)
-}
-
-// finishTrace prints the metrics summary and/or writes the Chrome trace file
-// once the run has completed; a nil session is a no-op.
-func finishTrace(sess *simtrace.Session, traceFile string, metrics bool) {
-	if sess == nil {
-		return
-	}
-	if metrics {
-		fmt.Println()
-		fmt.Print(sess.Summary())
-	}
-	if traceFile == "" {
-		return
-	}
-	if err := simtrace.WriteFile(traceFile, sess.Tracer.WriteJSON); err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-	fmt.Printf("trace:         %s (open in chrome://tracing or ui.perfetto.dev)\n", traceFile)
 }
 
 // buildScenario assembles the fault scenario from the CLI flags; it returns
@@ -196,41 +172,25 @@ func buildScenario(seed uint64, drop, corrupt, delayProb, delayUS float64,
 		active = true
 	}
 	if degrade != "" {
-		f, err := splitFloats(degrade, 3, "src:dst:factor")
+		l, err := faults.ParseLink(degrade)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-fault-degrade: %w", err)
 		}
-		s.Links = append(s.Links, faults.Link{Src: int(f[0]), Dst: int(f[1]), Factor: f[2]})
+		s.Links = append(s.Links, l)
 		active = true
 	}
 	if straggle != "" {
-		f, err := splitFloats(straggle, 2, "node:factor")
+		st, err := faults.ParseStraggler(straggle)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-fault-straggle: %w", err)
 		}
-		s.Stragglers = append(s.Stragglers, faults.Straggler{Node: int(f[0]), Factor: f[1]})
+		s.Stragglers = append(s.Stragglers, st)
 		active = true
 	}
 	if !active {
 		return nil, nil
 	}
 	return s, nil
-}
-
-func splitFloats(spec string, n int, format string) ([]float64, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != n {
-		return nil, fmt.Errorf("%q is not of the form %s", spec, format)
-	}
-	out := make([]float64, n)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%q is not of the form %s: %w", spec, format, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func runDistributed(in *workload.JoinInput, nodes, parts, threads int, system string, format partition.Format,

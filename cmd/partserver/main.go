@@ -51,12 +51,11 @@ func runCmd(args []string) {
 		batchN  = fs.Int("batch", 0, "max jobs per FPGA batch (0 = default 4)")
 		gap     = fs.Int64("gap", 0, "mean virtual inter-arrival gap in µs (0 = default 500)")
 		faulty  = fs.Bool("faulty", false, "inject FPGA faults: 10% transient faults plus a mid-trace crash of instance 0")
-		trace   = fs.String("trace", "", "write the Chrome trace-event timeline to this file")
-		metrics = fs.String("metrics", "", "write the scheduler metrics snapshot (JSON) to this file")
-		reqTr   = fs.String("reqtrace", "", "write per-job latency breakdowns (JSON) to this file and print the critical-path profile")
-		flight  = fs.String("flight", "", "write the flight-recorder postmortem (text) to this file")
 		verbose = fs.Bool("v", false, "print one line per job")
+		art     reqtrace.Artifacts
 	)
+	art.TraceFlags(fs)
+	art.CaptureFlags(fs)
 	fs.Parse(args)
 
 	jl, err := partserver.GenerateTrace(*seed, *jobs, partserver.TraceOptions{MeanGapUS: *gap})
@@ -80,24 +79,19 @@ func runCmd(args []string) {
 	sess := simtrace.NewSession()
 	cfg.Trace = sess
 	var rec *reqtrace.Recorder
-	var capt *reqtrace.Capture
-	if *reqTr != "" || *flight != "" {
-		rec, capt = reqtrace.NewRecorder(0), &reqtrace.Capture{}
+	capt := art.Capture()
+	if capt != nil {
+		rec = reqtrace.NewRecorder(0)
 		cfg.Record = rec
-	}
-	// artifacts ends the run: the postmortem of a failed one (the recorder's
-	// flight ring survives the failure), every requested file of a completed
-	// one.
-	artifacts := func(runErr error) error {
-		if capt != nil {
-			capt.Flight, capt.FlightDropped = rec.FlightEvents(), rec.FlightDropped()
-		}
-		return reqtrace.WriteArtifacts("partserver", "job", sess, capt, runErr, *reqTr, *flight, *trace, *metrics)
 	}
 
 	rep, err := partserver.Run(jl, cfg)
+	if capt != nil {
+		// The recorder's flight ring survives a failure.
+		capt.Flight, capt.FlightDropped = rec.FlightEvents(), rec.FlightDropped()
+	}
 	if err != nil {
-		fatal(artifacts(err))
+		fatal(art.Finish("partserver", "job", sess, capt, err))
 	}
 
 	if *verbose {
@@ -120,7 +114,7 @@ func runCmd(args []string) {
 	if capt != nil {
 		capt.Traces = reqtrace.BuildJobs(*seed, rec.Jobs())
 	}
-	if err := artifacts(nil); err != nil {
+	if err := art.Finish("partserver", "job", sess, capt, nil); err != nil {
 		fatal(err)
 	}
 }

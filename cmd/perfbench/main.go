@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"fpgapart/internal/perfbench"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 )
 
@@ -56,17 +57,16 @@ func usage() {
 func runCmd(args []string) {
 	fs := flag.NewFlagSet("perfbench run", flag.ExitOnError)
 	var (
-		out        = fs.String("out", ".", "directory for the BENCH_<suite>.json files")
-		suite      = fs.String("suite", "all", "suite to run ("+strings.Join(perfbench.Suites(), ", ")+") or \"all\"")
-		seed       = fs.Int64("seed", 0, "workload generator seed (0 = default 42)")
-		tuples     = fs.Int("tuples", 0, "partition-suite relation size (0 = default 32768)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile after the run to this file")
+		out    = fs.String("out", ".", "directory for the BENCH_<suite>.json files")
+		suite  = fs.String("suite", "all", "suite to run ("+strings.Join(perfbench.Suites(), ", ")+") or \"all\"")
+		seed   = fs.Int64("seed", 0, "workload generator seed (0 = default 42)")
+		tuples = fs.Int("tuples", 0, "partition-suite relation size (0 = default 32768)")
+		art    reqtrace.Artifacts
 	)
+	art.ProfileFlags(fs)
 	fs.Parse(args)
 
-	stop, err := perfbench.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := art.Start(); err != nil {
 		fatal(err)
 	}
 
@@ -89,7 +89,7 @@ func runCmd(args []string) {
 		}
 		fmt.Printf("wrote %s (%d records)\n", path, len(rep.Records))
 	}
-	if err := stop(); err != nil {
+	if err := art.Finish("perfbench", "", nil, nil, nil); err != nil {
 		fatal(err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"fpgapart/experiments"
-	"fpgapart/internal/perfbench"
+	"fpgapart/internal/reqtrace"
 )
 
 func main() {
@@ -32,9 +32,9 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload generator seed")
 		maxThreads = flag.Int("threads", 0, "thread sweep ceiling (0 = min(10, cores))")
 		csvDir     = flag.String("csv", "", "also write <dir>/<exp>.csv per experiment")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile after the run to this file")
+		art        reqtrace.Artifacts
 	)
+	art.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -52,17 +52,10 @@ func main() {
 		}
 	}
 
-	stopProfiles, err := perfbench.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := art.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}()
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, MaxThreads: *maxThreads}.WithDefaults()
 	fmt.Printf("fpgapart reproduction — scale %.4g, seed %d, ≤%d threads\n", cfg.Scale, cfg.Seed, cfg.MaxThreads)
@@ -91,15 +84,19 @@ func main() {
 		for _, e := range experiments.All() {
 			run(e)
 		}
-		return
+	} else {
+		e, err := experiments.Find(*exp)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(os.Stderr, "use -list to see available experiments")
+			os.Exit(2)
+		}
+		run(e)
 	}
-	e, err := experiments.Find(*exp)
-	if err != nil {
+	if err := art.Finish("repro", "", nil, nil, nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintln(os.Stderr, "use -list to see available experiments")
-		os.Exit(2)
+		os.Exit(1)
 	}
-	run(e)
 }
 
 func writeCSV(path string, rows [][]string) error {

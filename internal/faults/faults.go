@@ -12,7 +12,10 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"fpgapart/internal/hashutil"
 )
@@ -38,6 +41,49 @@ type Crash struct {
 type Straggler struct {
 	Node   int
 	Factor float64
+}
+
+// ParseLink parses the command-line form of a degraded link,
+// <src>:<dst>:<factor>, e.g. "0:2:0.25".
+func ParseLink(s string) (Link, error) {
+	nodes, factor, err := parseNodeFactor(s, 2, "<src>:<dst>:<factor>")
+	if err != nil {
+		return Link{}, err
+	}
+	return Link{Src: nodes[0], Dst: nodes[1], Factor: factor}, nil
+}
+
+// ParseStraggler parses the command-line form of a straggler,
+// <node>:<factor>, e.g. "3:2.5".
+func ParseStraggler(s string) (Straggler, error) {
+	nodes, factor, err := parseNodeFactor(s, 1, "<node>:<factor>")
+	if err != nil {
+		return Straggler{}, err
+	}
+	return Straggler{Node: nodes[0], Factor: factor}, nil
+}
+
+// parseNodeFactor is the one parser behind ParseLink and ParseStraggler: s
+// must be exactly n integer node ids and a finite factor, colon-separated.
+// Ranges are Validate's to check.
+func parseNodeFactor(s string, n int, form string) ([]int, float64, error) {
+	fields := strings.Split(s, ":")
+	if len(fields) != n+1 {
+		return nil, 0, fmt.Errorf("faults: %q: want %s", s, form)
+	}
+	nodes := make([]int, n)
+	for i := range nodes {
+		v, err := strconv.Atoi(fields[i])
+		if err != nil {
+			return nil, 0, fmt.Errorf("faults: %q: want %s: node %q is not an integer", s, form, fields[i])
+		}
+		nodes[i] = v
+	}
+	factor, err := strconv.ParseFloat(fields[n], 64)
+	if err != nil || math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return nil, 0, fmt.Errorf("faults: %q: want %s: factor %q is not a finite number", s, form, fields[n])
+	}
+	return nodes, factor, nil
 }
 
 // Scenario is a complete, declarative failure scenario.

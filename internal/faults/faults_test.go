@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -184,4 +185,71 @@ func TestZeroScenarioAlwaysDelivers(t *testing.T) {
 			t.Fatalf("empty scenario produced fate %v delay %v", f, d)
 		}
 	}
+}
+
+func TestParseNodeFactor(t *testing.T) {
+	for _, c := range []struct {
+		in        string
+		straggler *Straggler
+		link      *Link
+	}{
+		{in: "1:8", straggler: &Straggler{Node: 1, Factor: 8}},
+		{in: "3:2.5", straggler: &Straggler{Node: 3, Factor: 2.5}},
+		{in: "0:2:0.25", link: &Link{Src: 0, Dst: 2, Factor: 0.25}},
+		{in: "-1:2", straggler: &Straggler{Node: -1, Factor: 2}}, // Validate's to reject
+		{in: "1:8x"}, // trailing input after the factor
+		{in: "1:8:3", link: &Link{Src: 1, Dst: 8, Factor: 3}}, // one field too many for a straggler
+		{in: "3.9:2.5"},    // a node id is an integer
+		{in: "0.5:2:0.25"}, // so is a link's source
+		{in: "0:2.0:0.25"}, // and its destination
+		{in: ""},
+		{in: ":"},
+		{in: "1:"},
+		{in: ":8"},
+		{in: " 1:8"},
+		{in: "1:8 "},
+		{in: "a:2"},
+		{in: "1:NaN"},
+		{in: "1:Inf"},
+		{in: "1:1e999"},
+		{in: "0:1:2:0.5"},
+	} {
+		st, err := ParseStraggler(c.in)
+		if c.straggler == nil && err == nil {
+			t.Errorf("ParseStraggler(%q) = %+v, want an error", c.in, st)
+		}
+		if c.straggler != nil && (err != nil || st != *c.straggler) {
+			t.Errorf("ParseStraggler(%q) = %+v, %v; want %+v", c.in, st, err, *c.straggler)
+		}
+		l, err := ParseLink(c.in)
+		if c.link == nil && err == nil {
+			t.Errorf("ParseLink(%q) = %+v, want an error", c.in, l)
+		}
+		if c.link != nil && (err != nil || l != *c.link) {
+			t.Errorf("ParseLink(%q) = %+v, %v; want %+v", c.in, l, err, *c.link)
+		}
+	}
+}
+
+// FuzzParseNodeFactor holds the straggler and link parsers to their
+// contract on arbitrary input: an error, or a value that renders back to a
+// spec parsing to the same value; never a panic.
+func FuzzParseNodeFactor(f *testing.F) {
+	for _, s := range []string{"1:8", "3:2.5", "0:2:0.25", "1:8x", "3.9:2.5", "-0:1e-300", "+7:0x1p3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if st, err := ParseStraggler(s); err == nil {
+			again, err := ParseStraggler(fmt.Sprintf("%d:%v", st.Node, st.Factor))
+			if err != nil || again != st {
+				t.Fatalf("straggler %q → %+v re-renders to %+v, %v", s, st, again, err)
+			}
+		}
+		if l, err := ParseLink(s); err == nil {
+			again, err := ParseLink(fmt.Sprintf("%d:%d:%v", l.Src, l.Dst, l.Factor))
+			if err != nil || again != l {
+				t.Fatalf("link %q → %+v re-renders to %+v, %v", s, l, again, err)
+			}
+		}
+	})
 }

@@ -618,12 +618,13 @@ var testOnly = map[string]string{
 	"fpgapart/internal/joincore.NestedLoop":          "reference: the brute-force join every join test compares matches and checksum against",
 	"(*fpgapart/internal/memsys.Region).Owner":       "reference: per-line snoop-filter state, read by the tests that hold the written-span tracking against a dense map",
 	"(*fpgapart/internal/fpga.FIFO[T]).Len":          "reference: the occupancy the circuit's run.queued and run.lines counters are checked against after every cycle",
+	"(*fpgapart/partition.Result).Each":              "reference: the tuple-at-a-time read-back the partition goldens and multiset tests hold both backends to; consumers read whole runs through Run",
 }
 
 // TestInternalFunctionsHaveProductionCallers locks the shipped surface to the
 // used surface: a function or method declared in any package of the module,
 // main packages included, must be used by a non-test file of the module
-// (benchmark/, cmd/ and examples/ count; a use inside its own body does not),
+// (benchmark/ and cmd/ count; a use inside its own body does not),
 // or be a method some interface of the module or of the packages it imports
 // can reach (String, Error, Unwrap, heap/sort, lint.Analyzer), or be on
 // testOnly with a reason. init and a main package's main are exempt. The name

@@ -3,7 +3,6 @@ package reqtrace
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"fpgapart/internal/simtrace"
 )
@@ -106,49 +105,4 @@ func EmitChrome(sess *simtrace.Session, traces []RequestTrace) {
 			tr.FlowEnd(cur.Comp, name, cur.StartUS, id)
 		}
 	}
-}
-
-// WriteArtifacts is the tail every serving CLI (cmd/partserver, cmd/cluster)
-// ends a run with; prog names the command, noun what it calls a traced unit
-// ("job", "request"), c is the run's capture (nil when neither -reqtrace nor
-// -flight asked for one) and an empty path skips its file. After a failed
-// run (runErr non-nil) the flight timeline has survived the failure: the
-// postmortem is written with the error as its cause, so the fault has causal
-// context, and runErr is returned. After a completed one the causal layer —
-// per-request root spans plus flow arrows binding each cross-component
-// handoff — goes into the session's Chrome trace, the critical-path profile
-// is printed, and the breakdown JSON, the postmortem, the Chrome trace and
-// the metrics snapshot are written, each announced on stdout.
-func WriteArtifacts(prog, noun string, sess *simtrace.Session, c *Capture, runErr error, reqPath, flightPath, tracePath, metricsPath string) error {
-	postmortem := func(cause string) func(io.Writer) error {
-		return func(w io.Writer) error { return c.WritePostmortem(w, cause) }
-	}
-	if runErr != nil {
-		if c != nil && flightPath != "" && simtrace.WriteFile(flightPath, postmortem(runErr.Error())) == nil {
-			fmt.Fprintf(os.Stderr, "%s: postmortem written to %s\n", prog, flightPath)
-		}
-		return runErr
-	}
-	if c != nil {
-		EmitChrome(sess, c.Traces)
-		fmt.Print(Analyze(c.Traces, 5).Format())
-	}
-	for _, f := range []struct {
-		path, what string
-		write      func(io.Writer) error
-	}{
-		{reqPath, noun + " breakdowns", func(w io.Writer) error { return WriteBreakdownJSON(w, c.Traces) }},
-		{flightPath, "flight postmortem", postmortem("none (run completed)")},
-		{tracePath, "trace", sess.Tracer.WriteJSON},
-		{metricsPath, "metrics", func(w io.Writer) error { return sess.Snapshot().WriteJSON(w) }},
-	} {
-		if f.path == "" {
-			continue
-		}
-		if err := simtrace.WriteFile(f.path, f.write); err != nil {
-			return err
-		}
-		fmt.Printf("%s written to %s\n", f.what, f.path)
-	}
-	return nil
 }
