@@ -355,3 +355,71 @@ func TestPlacementIndependence(t *testing.T) {
 		t.Errorf("degraded job's output differs from the CPU-only run's")
 	}
 }
+
+// TestJobsKeepEveryTuple is the partserver row of the sentinel audit: on an
+// FPGA-only pool, in all four circuit modes, partition and join jobs over
+// relations keyed all or partly with the circuit's dummy key 0xFFFFFFFF,
+// or all 0, end done with the counts, checksum and matches of the
+// single-tenant reference — or are degraded off the FPGA (a PAD overflow,
+// or tuples the circuit's output cannot hold) and, with no CPU worker to
+// take them, fail. None ends done with tuples missing.
+func TestJobsKeepEveryTuple(t *testing.T) {
+	const n = 256
+	for _, tc := range []struct {
+		name string
+		key  func(i int) uint32
+	}{
+		{"all-dummy", func(int) uint32 { return 0xFFFFFFFF }},
+		{"some-dummy", func(i int) uint32 {
+			if i%3 == 0 {
+				return 0xFFFFFFFF
+			}
+			return uint32(i)
+		}},
+		{"key-0", func(int) uint32 { return 0 }},
+	} {
+		var jobs []Job
+		for _, format := range []partition.Format{partition.HistMode, partition.PadMode} {
+			for _, layout := range []partition.Layout{partition.RowStore, partition.ColumnStore} {
+				for _, join := range []bool{false, true} {
+					if join && layout == partition.ColumnStore {
+						continue
+					}
+					rel, err := workload.NewRelation(workload.RowLayout, 8, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						rel.SetTuple(i, tc.key(i), uint32(i))
+					}
+					j := Job{Rel: rel, FanOut: 16, Hash: true, Format: format, Layout: layout, ArrivalUS: int64(len(jobs))}
+					if layout == partition.ColumnStore {
+						j.Rel = rel.ToColumns()
+					}
+					if join {
+						probe, err := workload.NewRelation(workload.RowLayout, 8, 2*n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < 2*n; i++ {
+							probe.SetTuple(i, tc.key(i%n), uint32(i))
+						}
+						j.Probe = probe
+					}
+					jobs = append(jobs, j)
+				}
+			}
+		}
+		rep, err := Run(jobs, Config{FPGAs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range jobs {
+			r := &rep.Results[i]
+			if r.Status != StatusDone && !(r.Status == StatusFailed && r.Degraded) {
+				t.Errorf("%s: job %d ended %v (degraded %v, error %q)", tc.name, i, r.Status, r.Degraded, r.Err)
+			}
+			checkResult(t, &jobs[i], r)
+		}
+	}
+}
