@@ -355,7 +355,7 @@ func BenchmarkAblationWriteCombiner(b *testing.B) {
 func BenchmarkAblationBufferedVsNaive(b *testing.B) {
 	const n = 1 << 21
 	rel := benchRelation(b, workload.Random, 8, n)
-	for _, alg := range []cpupart.Algorithm{cpupart.Buffered, cpupart.Naive, cpupart.MultiPass} {
+	for _, alg := range []cpupart.Algorithm{cpupart.Buffered, cpupart.Naive} {
 		alg := alg
 		b.Run(alg.String(), func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
@@ -363,36 +363,6 @@ func BenchmarkAblationBufferedVsNaive(b *testing.B) {
 				if _, err := cpupart.Partition(rel, cpupart.Config{
 					NumPartitions: 8192, Hash: false, Threads: 1, Algorithm: alg,
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportTuples(b, n)
-		})
-	}
-}
-
-// BenchmarkAblationExtendedEndpoint contrasts the paper's own page table
-// (standard end-point) against Intel's extended end-point with 20% less
-// bandwidth (Section 2.1).
-func BenchmarkAblationExtendedEndpoint(b *testing.B) {
-	const n = 1 << 20
-	rel := benchRelation(b, workload.Random, 8, n)
-	for _, ext := range []bool{false, true} {
-		ext := ext
-		name := "ownPageTable"
-		if ext {
-			name = "extendedEndpoint"
-		}
-		b.Run(name, func(b *testing.B) {
-			p, err := partition.NewFPGA(partition.FPGAOptions{
-				Partitions: 8192, Hash: true, Format: partition.PadMode,
-				PadFraction: 0.5, ExtendedEndpoint: ext,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Partition(rel); err != nil {
 					b.Fatal(err)
 				}
 			}

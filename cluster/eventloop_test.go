@@ -90,7 +90,7 @@ func checkResourcesExclusive(t *testing.T, timelines map[string][]batchSpan) {
 func TestHedgeContendsOnReplicaQueue(t *testing.T) {
 	seed := uint64(42)
 	reqs := hedgedLoad(t, seed, 48)
-	capt := &reqtrace.Capture{FlightCap: 1 << 14}
+	capt := &reqtrace.Capture{}
 	rep, err := Run(reqs, Config{
 		Shards: 3, Seed: seed, Faults: stragglerScenario(seed),
 		Replicas: 2, HedgeUS: 150, ReqTrace: capt,
@@ -133,7 +133,7 @@ func TestHedgeContendsOnReplicaQueue(t *testing.T) {
 func TestChurnExecutesEachRequestOnce(t *testing.T) {
 	seed := seedFromName(t)
 	reqs := churnLoad(t, seed, 48)
-	capt := &reqtrace.Capture{FlightCap: 1 << 14}
+	capt := &reqtrace.Capture{}
 	rep, err := Run(reqs, Config{
 		Shards: 3, Seed: seed,
 		Schedule: MembershipSchedule{

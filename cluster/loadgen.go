@@ -20,9 +20,6 @@ type LoadOptions struct {
 	// MinTuples/MaxTuples bound the per-request relation size (defaults
 	// 1<<10 and 1<<13).
 	MinTuples, MaxTuples int
-	// JoinFraction is the fraction of requests carrying a probe side
-	// (default 0.25).
-	JoinFraction float64
 }
 
 func (o LoadOptions) withDefaults() LoadOptions {
@@ -38,18 +35,16 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	if o.MaxTuples == 0 {
 		o.MaxTuples = 1 << 13
 	}
-	if o.JoinFraction == 0 {
-		o.JoinFraction = 0.25
-	}
 	return o
 }
 
 // GenerateLoad builds a deterministic open-loop request stream: n requests
 // whose jobs come from partserver.GenerateTrace (hash-derived sizes,
-// fan-outs and modes) and whose arrivals, tenants and routing keys are
-// hash-drawn here. Open loop means arrival times are fixed by the draw —
-// a slow cluster does not slow the offered load, it grows the backlog,
-// which is what pushes the tail percentiles the latency reporter pins.
+// fan-outs and modes, a quarter of them joins) and whose arrivals, tenants
+// and routing keys are hash-drawn here. Open loop means arrival times are
+// fixed by the draw — a slow cluster does not slow the offered load, it
+// grows the backlog, which is what pushes the tail percentiles the latency
+// reporter pins.
 // The same (seed, n, opts) always yields the same stream.
 func GenerateLoad(seed uint64, n int, opts LoadOptions) ([]Request, error) {
 	opts = opts.withDefaults()
@@ -63,9 +58,8 @@ func GenerateLoad(seed uint64, n int, opts LoadOptions) ([]Request, error) {
 		return nil, fmt.Errorf("cluster: negative MeanGapUS %d", opts.MeanGapUS)
 	}
 	jobs, err := partserver.GenerateTrace(seed, n, partserver.TraceOptions{
-		MinTuples:    opts.MinTuples,
-		MaxTuples:    opts.MaxTuples,
-		JoinFraction: opts.JoinFraction,
+		MinTuples: opts.MinTuples,
+		MaxTuples: opts.MaxTuples,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)

@@ -23,10 +23,10 @@ func newCapturePlumbing(c *reqtrace.Capture, shards int) *capturePlumbing {
 	p := &capturePlumbing{
 		cap:    c,
 		recs:   make([]*reqtrace.Recorder, shards),
-		router: reqtrace.NewFlight(c.FlightCap),
+		router: reqtrace.NewFlight(0),
 	}
 	for s := range p.recs {
-		p.recs[s] = reqtrace.NewRecorder(c.FlightCap)
+		p.recs[s] = reqtrace.NewRecorder(0)
 	}
 	return p
 }

@@ -8,11 +8,11 @@
 // Execution model: every node partitions its local shard of R and S into a
 // global fan-out of Nodes × PartitionsPerNode partitions; the low bits of
 // the partition index select the owning node. The all-to-all exchange is
-// timed by the RDMA fabric model (rdma.Fabric.Exchange) from the exact
-// partition pieces, coalesced per node pair into fabric-sized messages;
-// partitioning is measured (CPU) or simulated (FPGA) per node, and the
-// local joins run for real. Per-phase time is the slowest node, as the
-// phases are cluster-synchronous.
+// timed by the RDMA fabric model of an FDR InfiniBand cluster
+// (rdma.FDRCluster's Exchange) from the exact partition pieces, coalesced
+// per node pair into fabric-sized messages; partitioning is measured (CPU)
+// or simulated (FPGA) per node, and the local joins run for real. Per-phase
+// time is the slowest node, as the phases are cluster-synchronous.
 //
 // The exchange is fault-tolerant, and it is one exchange: Options.Faults
 // injects a deterministic failure scenario (internal/faults), and no
@@ -31,7 +31,6 @@ import (
 	"fpgapart/internal/faults"
 	"fpgapart/internal/hashutil"
 	"fpgapart/internal/joincore"
-	"fpgapart/internal/rdma"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partition"
 	"fpgapart/platform"
@@ -51,10 +50,6 @@ type Options struct {
 	// PartitionsPerNode is the per-node fan-out after the exchange (power
 	// of two); the global fan-out is Nodes × PartitionsPerNode.
 	PartitionsPerNode int
-	// Fabric models the network; defaults to rdma.FDRCluster(Nodes). Its
-	// node count must equal Nodes (and hence be a power of two): the
-	// exchange matrix is indexed by the join's node IDs.
-	Fabric *rdma.Fabric
 	// UseFPGA partitions each node's shard on the simulated FPGA circuit
 	// instead of the measured CPU partitioner.
 	UseFPGA bool
@@ -63,8 +58,6 @@ type Options struct {
 	// Threads is the per-node build+probe (and CPU partitioning)
 	// parallelism. Negative values are rejected; 0 means all cores.
 	Threads int
-	// Platform supplies the FPGA clock/link and coherence model.
-	Platform *platform.Platform
 	// Faults injects a deterministic failure scenario into the exchange
 	// (nil = perfect cluster, the same as a scenario that injects nothing).
 	Faults *faults.Scenario
@@ -79,12 +72,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Fabric == nil {
-		o.Fabric = rdma.FDRCluster(o.Nodes)
-	}
-	if o.Platform == nil {
-		o.Platform = platform.XeonFPGA()
-	}
 	if o.PartitionsPerNode == 0 {
 		o.PartitionsPerNode = 1024
 	}
@@ -103,21 +90,6 @@ func (o *Options) validate() error {
 	}
 	if o.Threads < 0 {
 		return fmt.Errorf("distjoin: negative Threads %d", o.Threads)
-	}
-	if err := o.Fabric.Validate(); err != nil {
-		return fmt.Errorf("distjoin: bad fabric: %w", err)
-	}
-	// The fabric model itself accepts any node count; the join addresses
-	// nodes by partition low bits, so here the count must be this join's
-	// power-of-two Nodes exactly.
-	if !hashutil.IsPowerOfTwo(o.Fabric.Nodes) {
-		return fmt.Errorf("distjoin: fabric has %d nodes, not a power of two", o.Fabric.Nodes)
-	}
-	if o.Fabric.Nodes != o.Nodes {
-		return fmt.Errorf("distjoin: fabric has %d nodes for a %d-node join", o.Fabric.Nodes, o.Nodes)
-	}
-	if err := o.Platform.Validate(); err != nil {
-		return fmt.Errorf("distjoin: bad platform: %w", err)
 	}
 	return o.validateScenarioNodes()
 }
@@ -286,7 +258,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	if opts.UseFPGA {
 		// Received partitions were written by remote agents (RDMA NIC /
 		// FPGA), so the local CPU pays the Table 1 probe penalty.
-		penalty = opts.Platform.Coherence.ProbePenalty()
+		penalty = platform.XeonFPGA().Coherence.ProbePenalty()
 	}
 	for n := 0; n < opts.Nodes; n++ {
 		if len(ownedGPs[n]) == 0 {
@@ -348,7 +320,6 @@ var makePartitioner = func(opts Options, global int) (partition.Partitioner, err
 			Hash:            true,
 			Format:          opts.Format,
 			PadFraction:     0.5,
-			Platform:        opts.Platform,
 			FallbackThreads: opts.Threads,
 		})
 	}

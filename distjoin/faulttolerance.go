@@ -54,6 +54,7 @@ func pieceChecksum(r, s *partition.Result, gp int) uint64 {
 // crashed nodes' partitions onto the survivors.
 func runExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.Injector, global int) (*exchangeOutcome, error) {
 	nodes := opts.Nodes
+	fabric := rdma.FDRCluster(nodes)
 	ex := &exchangeOutcome{ownerOf: make([]int, global)}
 	for gp := 0; gp < global; gp++ {
 		ex.ownerOf[gp] = gp & (nodes - 1)
@@ -80,7 +81,7 @@ func runExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.I
 		}
 	}
 
-	main, err := opts.Fabric.Exchange(pieces, rdma.ExchangeFaults{Injector: inj, ApplyCrashes: true})
+	main, err := fabric.Exchange(pieces, rdma.ExchangeFaults{Injector: inj, ApplyCrashes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +151,7 @@ func runExchange(rParts, sParts []*partition.Result, opts Options, inj *faults.I
 			recPieces = append(recPieces, rdma.Piece{Src: src, Dst: dst, Bytes: bytes, ID: uint64(gp)})
 		}
 	}
-	rec, err := opts.Fabric.Exchange(recPieces, rdma.ExchangeFaults{Injector: inj, Phase: 1})
+	rec, err := fabric.Exchange(recPieces, rdma.ExchangeFaults{Injector: inj, Phase: 1})
 	if err != nil {
 		return nil, err
 	}

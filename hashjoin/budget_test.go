@@ -52,7 +52,7 @@ func TestBudgetedCPUJoinReproducesUnconstrained(t *testing.T) {
 		if got.Memory == nil || got.Memory.BudgetBytes != opts.MemoryBudgetBytes {
 			t.Fatalf("budget %d%%: missing memory stats: %+v", pct, got.Memory)
 		}
-		if got.Memory.MaxDepth > joincore.DefaultMaxDepth+1 {
+		if got.Memory.MaxDepth > joincore.MaxRecursionDepth+1 {
 			t.Fatalf("budget %d%%: recursion depth %d unbounded", pct, got.Memory.MaxDepth)
 		}
 	}

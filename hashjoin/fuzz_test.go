@@ -75,7 +75,7 @@ func FuzzJoinUnderBudget(f *testing.F) {
 		if got.Memory == nil {
 			t.Fatalf("budgeted join reported no memory stats")
 		}
-		if got.Memory.MaxDepth > joincore.DefaultMaxDepth+1 {
+		if got.Memory.MaxDepth > joincore.MaxRecursionDepth+1 {
 			t.Fatalf("recursion depth %d exceeds the bound", got.Memory.MaxDepth)
 		}
 	})

@@ -63,9 +63,6 @@ type Options struct {
 	Threads int
 	// Hash selects murmur hash partitioning; false selects radix bits.
 	Hash bool
-	// Platform supplies the coherence model for hybrid joins; defaults to
-	// platform.XeonFPGA().
-	Platform *platform.Platform
 	// Format and Layout configure the FPGA partitioner in Hybrid joins.
 	Format partition.Format
 	Layout partition.Layout
@@ -86,13 +83,6 @@ type Options struct {
 	// broadcast. Matches and Checksum are byte-identical to the
 	// unconstrained join for any budget. ≤ 0 means unlimited.
 	MemoryBudgetBytes int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Platform == nil {
-		o.Platform = platform.XeonFPGA()
-	}
-	return o
 }
 
 // Result reports a join run with its phase breakdown.
@@ -171,7 +161,6 @@ func (r *Result) BuildProbeTime() time.Duration { return r.Build + r.Probe }
 // ErrSimulatorFault.
 func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
-	opts = opts.withDefaults()
 	pr, rVia, err := partition.Exact(p, r, opts.Hash, opts.Threads)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning R: %w", err)
@@ -207,7 +196,7 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 	// chain lookups random-access them. Apply Table 1's penalties to the
 	// measured times when the partitions were written by the FPGA.
 	if pr.FPGAWritten() || ps.FPGAWritten() {
-		m := opts.Platform.Coherence
+		m := platform.XeonFPGA().Coherence
 		res.Build = time.Duration(float64(bp.Build) * m.BuildPenalty())
 		res.Probe = time.Duration(float64(bp.Probe) * m.ProbePenalty())
 		res.CoherencePenalized = true
@@ -302,7 +291,6 @@ func emitMemoryTrace(sess *simtrace.Session, stats *joincore.BudgetStats, mem *M
 // (Code 2 with software-managed buffers) followed by build+probe.
 func CPU(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
-	opts = opts.withDefaults()
 	if err := validateFanOut(opts.Partitions); err != nil {
 		return nil, err
 	}
@@ -321,7 +309,6 @@ func CPU(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 // build+probe on the CPU with the coherence penalty applied.
 func Hybrid(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
-	opts = opts.withDefaults()
 	if err := validateFanOut(opts.Partitions); err != nil {
 		return nil, err
 	}
@@ -331,7 +318,6 @@ func Hybrid(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 		Format:          opts.Format,
 		Layout:          opts.Layout,
 		PadFraction:     opts.PadFraction,
-		Platform:        opts.Platform,
 		FallbackThreads: opts.Threads,
 		Trace:           opts.Trace,
 	})
@@ -347,7 +333,6 @@ func Hybrid(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 // a plan-time role reversal so the smaller side builds.
 func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
-	opts = opts.withDefaults()
 	budget := membudget.New(opts.MemoryBudgetBytes)
 	spill := &membudget.SpillStore{}
 	bp, stats, err := joincore.NonPartitionedBudgeted(r, s, opts.Threads, budget, spill)

@@ -1,15 +1,14 @@
 // Package cpupart implements the software data partitioners of Section 3:
 // the state-of-the-art single-pass radix/hash partitioner with
 // software-managed cache-resident buffers (Code 2, following Balkesen et
-// al.), the naive tuple-at-a-time scatter (Code 1), and a Manegold-style
-// multi-pass partitioner that limits per-pass fan-out. These run for real on
+// al.) and the naive tuple-at-a-time scatter (Code 1). These run for real on
 // the host CPU and are measured, not simulated — they are the baseline the
 // FPGA circuit is compared against.
 //
 // The partitioners operate on 8-byte tuples (<4B key, 4B payload> packed
 // into a uint64), the layout of all the paper's CPU experiments.
 //
-// All three share one shape (layout): per-worker histograms over contiguous
+// Both share one shape (layout): per-worker histograms over contiguous
 // chunks of the input, a prefix sum that hands every worker a private range
 // of every partition, and a scatter pass that therefore needs no
 // synchronisation. Code 2's scatter is what the paper's baseline is defined
@@ -43,9 +42,6 @@ const (
 	// Naive is Code 1: tuple-at-a-time scatter straight to the output,
 	// trashing TLB and caches at high fan-outs.
 	Naive
-	// MultiPass limits each pass's fan-out (Manegold et al.): partitions
-	// in two passes when the fan-out exceeds the per-pass limit.
-	MultiPass
 )
 
 func (a Algorithm) String() string {
@@ -54,8 +50,6 @@ func (a Algorithm) String() string {
 		return "buffered"
 	case Naive:
 		return "naive"
-	case MultiPass:
-		return "multipass"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -65,10 +59,6 @@ func (a Algorithm) String() string {
 // one 64-byte cache line, the unit of the streaming flush (storeLine; the
 // non-temporal SIMD store of Wassenberg et al.).
 const BufferTuples = 8
-
-// maxFanOutPerPass bounds a single pass of the MultiPass algorithm, chosen
-// to stay within typical TLB coverage.
-const maxFanOutPerPass = 512
 
 // Config describes a partitioning run.
 type Config struct {
@@ -92,7 +82,7 @@ func (c *Config) validate() error {
 	if !hashutil.IsPowerOfTwo(c.NumPartitions) || c.NumPartitions < 2 {
 		return fmt.Errorf("cpupart: NumPartitions %d must be a power of two ≥ 2", c.NumPartitions)
 	}
-	if c.Algorithm < Buffered || c.Algorithm > MultiPass {
+	if c.Algorithm < Buffered || c.Algorithm > Naive {
 		return fmt.Errorf("cpupart: unknown algorithm %v", c.Algorithm)
 	}
 	return nil
@@ -187,19 +177,16 @@ func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 		res.Offsets = buffered(src, res.Data, threads, ix, sc)
 	case Naive:
 		res.Offsets = naive(src, res.Data, threads, ix)
-	case MultiPass:
-		res.Offsets = multiPass(src, res.Data, threads, ix)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // indexer maps a packed tuple to its partition: the salted key, hashed or
-// raw, masked to the fan-out's low bits and shifted down by shift (non-zero
-// only in MultiPass's coarse pass, which takes the index's high bits).
+// raw, masked to the fan-out's low bits.
 type indexer struct {
-	salt, mask, shift uint32
-	hash              bool
+	salt, mask uint32
+	hash       bool
 }
 
 func (c Config) indexer() indexer {
@@ -207,10 +194,10 @@ func (c Config) indexer() indexer {
 }
 
 // parts is the number of partitions ix distinguishes.
-func (ix indexer) parts() int { return int(ix.mask>>ix.shift) + 1 }
+func (ix indexer) parts() int { return int(ix.mask) + 1 }
 
 // of computes the partition of a packed tuple — per-tuple inner-loop code of
-// Naive and MultiPass, pinned allocation-free. (Buffered's kernels below
+// Naive, pinned allocation-free. (Buffered's kernels below
 // spell the same function out per hash mode.)
 //
 //fpgavet:hotpath
@@ -219,7 +206,7 @@ func (ix indexer) of(t uint64) uint32 {
 	if ix.hash {
 		k = hashutil.Murmur32Finalizer(k)
 	}
-	return (k & ix.mask) >> ix.shift
+	return k & ix.mask
 }
 
 // parallel runs fn(0) … fn(threads-1) concurrently and waits for them;
@@ -404,7 +391,7 @@ func scatterRadix(src []uint64, b *buffers, ix indexer) {
 	}
 }
 
-// countAny is the histogram loop of Naive and MultiPass.
+// countAny is the histogram loop of Naive.
 func countAny(src []uint64, hist []int64, ix indexer) {
 	for _, t := range src {
 		hist[ix.of(t)]++
@@ -423,34 +410,6 @@ func naive(src, dst []uint64, threads int, ix indexer) []int64 {
 			i := ix.of(t)
 			dst[cur[i]] = t
 			cur[i]++
-		}
-	})
-	return offsets
-}
-
-// multiPass splits the fan-out across two passes when it exceeds
-// maxFanOutPerPass: a coarse scatter on the high bits of the partition
-// index, so that each coarse bucket holds a contiguous range of final
-// partitions, then a refinement of each coarse bucket on the low bits.
-func multiPass(src, dst []uint64, threads int, ix indexer) []int64 {
-	p := ix.parts()
-	if p <= maxFanOutPerPass {
-		return naive(src, dst, threads, ix)
-	}
-	fine := p / maxFanOutPerPass
-	high, low := ix, ix
-	high.shift = uint32(hashutil.Log2(fine))
-	low.mask = uint32(fine - 1)
-
-	coarse := make([]uint64, len(src))
-	bucket := naive(src, coarse, threads, high)
-	offsets := make([]int64, p+1)
-	parallel(threads, func(w int) {
-		for c := w; c < maxFanOutPerPass; c += threads {
-			lo, hi := bucket[c], bucket[c+1]
-			for i, off := range naive(coarse[lo:hi], dst[lo:hi], 1, low)[1:] {
-				offsets[c*fine+i+1] = lo + off
-			}
 		}
 	})
 	return offsets

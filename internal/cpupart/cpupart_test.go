@@ -80,25 +80,6 @@ func TestNaiveMatchesBuffered(t *testing.T) {
 	}
 }
 
-func TestMultiPassMatchesReference(t *testing.T) {
-	rel := genRel(t, workload.Random, 50000, 11)
-	// 8192 partitions exceeds the per-pass fan-out limit, forcing two passes.
-	res, err := Partition(rel, Config{NumPartitions: 8192, Hash: true, Threads: 4, Algorithm: MultiPass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartitioned(t, rel, res, true)
-}
-
-func TestMultiPassSmallFanOutDelegates(t *testing.T) {
-	rel := genRel(t, workload.Random, 10000, 13)
-	res, err := Partition(rel, Config{NumPartitions: 64, Hash: false, Threads: 2, Algorithm: MultiPass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartitioned(t, rel, res, false)
-}
-
 // stableReference partitions by appending each tuple to its partition in
 // arrival order — what every algorithm must produce for every thread count.
 func stableReference(src []uint64, cfg Config) (data []uint64, offsets []int64) {
@@ -121,7 +102,7 @@ func stableReference(src []uint64, cfg Config) (data []uint64, offsets []int64) 
 // — so Data does not depend on Threads (or on the algorithm) at all.
 func TestDataIsIdenticalForEveryThreadCount(t *testing.T) {
 	rel := genRel(t, workload.Random, 10000, 17)
-	for _, alg := range []Algorithm{Buffered, Naive, MultiPass} {
+	for _, alg := range []Algorithm{Buffered, Naive} {
 		for _, parts := range []int{16, 1024} {
 			cfg := Config{NumPartitions: parts, Hash: true, Salt: 0x5bd1e995, Algorithm: alg}
 			wantData, wantOffsets := stableReference(rel.Data, cfg)
@@ -192,7 +173,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 		}
 		rel, _ := workload.FromKeys(keys, 8)
 		var results []*Result
-		for _, alg := range []Algorithm{Buffered, Naive, MultiPass} {
+		for _, alg := range []Algorithm{Buffered, Naive} {
 			res, err := Partition(rel, Config{NumPartitions: 32, Hash: hash, Threads: 3, Algorithm: alg})
 			if err != nil {
 				return false
@@ -239,7 +220,7 @@ func TestElapsedRecorded(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if Buffered.String() != "buffered" || Naive.String() != "naive" || MultiPass.String() != "multipass" {
+	if Buffered.String() != "buffered" || Naive.String() != "naive" {
 		t.Error("algorithm strings")
 	}
 	if Algorithm(9).String() != "Algorithm(9)" {
@@ -254,7 +235,7 @@ func TestAlgorithmString(t *testing.T) {
 // count, so the count is a ceiling and scratch memory stays O(n + p).
 func TestThreadCountIsClampedToTheInput(t *testing.T) {
 	rel := genRel(t, workload.Random, 1000, 41)
-	for _, alg := range []Algorithm{Buffered, Naive, MultiPass} {
+	for _, alg := range []Algorithm{Buffered, Naive} {
 		cfg := Config{NumPartitions: 8192, Hash: true, Algorithm: alg, Threads: 1}
 		want, err := Partition(rel, cfg)
 		if err != nil {

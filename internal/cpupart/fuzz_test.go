@@ -69,11 +69,11 @@ func fuzzRelation(t *testing.T, tuples []uint64) *workload.Relation {
 }
 
 // FuzzBufferedPartition is differential fuzzing of the cache-aware
-// partitioners against the naive single-scatter reference (Code 1): for any
+// partitioner against the naive single-scatter reference (Code 1): for any
 // tuple set, fan-out, hash mode, salt, worker count and destination
-// alignment, Buffered (Code 2) and MultiPass must produce the identical
-// Offsets and the identical Data, element for element — all three are
-// stable, so there is exactly one right answer.
+// alignment, Buffered (Code 2) must produce the identical Offsets and the
+// identical Data, element for element — both are stable, so there is
+// exactly one right answer.
 func FuzzBufferedPartition(f *testing.F) {
 	f.Add([]byte{}, uint8(3), true, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint8(6), true, uint8(3))
@@ -103,13 +103,11 @@ func FuzzBufferedPartition(f *testing.F) {
 		requireIdentical(t, "buffered kernels", want, runBuffered(src, cfg, workers, skew))
 		// … and through them.
 		cfg.Threads = workers
-		for _, cfg.Algorithm = range []Algorithm{Buffered, MultiPass} {
-			got, err := PartitionTuples(src, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, cfg.Algorithm.String(), want, got)
+		got, err := PartitionTuples(src, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireIdentical(t, "PartitionTuples", want, got)
 	})
 }
 

@@ -111,23 +111,25 @@ type Scenario struct {
 
 // Validate reports whether the scenario is well-formed. Node indices are
 // range-checked against the cluster size by the consumer (which knows it).
+// Every range is checked so that NaN, which fails every comparison, is
+// outside it, and the unbounded ones exclude +Inf.
 func (s *Scenario) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
 	}{{"DropProb", s.DropProb}, {"CorruptProb", s.CorruptProb}, {"DelayProb", s.DelayProb}} {
-		if p.v < 0 || p.v >= 1 {
+		if !(p.v >= 0 && p.v < 1) {
 			return fmt.Errorf("faults: %s %v outside [0, 1)", p.name, p.v)
 		}
 	}
 	if s.DropProb+s.CorruptProb >= 1 {
 		return fmt.Errorf("faults: DropProb+CorruptProb %v ≥ 1", s.DropProb+s.CorruptProb)
 	}
-	if s.DelayUS < 0 {
-		return fmt.Errorf("faults: negative DelayUS %v", s.DelayUS)
+	if !(s.DelayUS >= 0) || math.IsInf(s.DelayUS, 1) {
+		return fmt.Errorf("faults: DelayUS %v is not a finite number ≥ 0", s.DelayUS)
 	}
 	for _, l := range s.Links {
-		if l.Factor <= 0 || l.Factor > 1 {
+		if !(l.Factor > 0 && l.Factor <= 1) {
 			return fmt.Errorf("faults: link %d→%d degrade factor %v outside (0, 1]", l.Src, l.Dst, l.Factor)
 		}
 		if l.Src < 0 || l.Dst < 0 || l.Src == l.Dst {
@@ -139,7 +141,7 @@ func (s *Scenario) Validate() error {
 		if c.Node < 0 {
 			return fmt.Errorf("faults: crash of negative node %d", c.Node)
 		}
-		if c.AfterFraction < 0 || c.AfterFraction > 1 {
+		if !(c.AfterFraction >= 0 && c.AfterFraction <= 1) {
 			return fmt.Errorf("faults: crash fraction %v outside [0, 1]", c.AfterFraction)
 		}
 		if seen[c.Node] {
@@ -151,8 +153,8 @@ func (s *Scenario) Validate() error {
 		if st.Node < 0 {
 			return fmt.Errorf("faults: negative straggler node %d", st.Node)
 		}
-		if st.Factor < 1 {
-			return fmt.Errorf("faults: straggle factor %v < 1", st.Factor)
+		if !(st.Factor >= 1) || math.IsInf(st.Factor, 1) {
+			return fmt.Errorf("faults: straggle factor %v is not a finite number ≥ 1", st.Factor)
 		}
 	}
 	return nil

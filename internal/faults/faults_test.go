@@ -7,7 +7,20 @@ import (
 )
 
 func TestScenarioValidate(t *testing.T) {
+	// NaN passes a range check written as two rejecting comparisons, +Inf an
+	// open-ended one: a NaN or +Inf straggle factor made the straggler the
+	// fastest instance, its durations clamped to 1 µs.
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Scenario{
+		{DropProb: nan},
+		{CorruptProb: nan},
+		{DelayProb: nan},
+		{DelayUS: nan},
+		{DelayUS: inf},
+		{Links: []Link{{Src: 0, Dst: 1, Factor: nan}}},
+		{Crashes: []Crash{{Node: 0, AfterFraction: nan}}},
+		{Stragglers: []Straggler{{Node: 0, Factor: nan}}},
+		{Stragglers: []Straggler{{Node: 0, Factor: inf}}},
 		{DropProb: -0.1},
 		{DropProb: 1},
 		{CorruptProb: 1.5},

@@ -18,10 +18,9 @@ import (
 const BuildTupleBytes = 16
 
 const (
-	// DefaultMaxDepth bounds recursive repartitioning when
-	// BudgetConfig.MaxDepth is left zero; past it a bucket is
-	// broadcast-joined instead of split again.
-	DefaultMaxDepth = 4
+	// MaxRecursionDepth bounds recursive repartitioning: past it a bucket
+	// is broadcast-joined instead of split again.
+	MaxRecursionDepth = 4
 	// subFanOut is the fan-out of one recursive repartitioning pass.
 	subFanOut = 16
 	// heavyHitterFraction routes a bucket to the broadcast join when one
@@ -110,8 +109,6 @@ type BudgetConfig struct {
 	Spill *membudget.SpillStore
 	// Threads is the partition-level parallelism (≤ 0 means GOMAXPROCS).
 	Threads int
-	// MaxDepth defaults to DefaultMaxDepth when zero.
-	MaxDepth int
 	// Emit, when non-nil, receives every match of partition p with the
 	// original R payload first regardless of role reversal. Calls are
 	// sequential per partition; distinct partitions may emit concurrently.
@@ -123,9 +120,6 @@ type BudgetConfig struct {
 func (c BudgetConfig) withDefaults() BudgetConfig {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = DefaultMaxDepth
 	}
 	return c
 }
@@ -431,7 +425,7 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 	}
 	hot := float64(hhCount) >= heavyHitterFraction*float64(nBuild) ||
 		(pj.cfg.Budget.Limited() && hhCount*BuildTupleBytes > pj.cfg.Budget.Cap())
-	if hot || stuck || depth > pj.cfg.MaxDepth {
+	if hot || stuck || depth > MaxRecursionDepth {
 		d.Action = ActionBroadcast
 		d.HeavyHitter = hot
 		d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))

@@ -127,16 +127,17 @@ func TestBudgetedIsDeterministicAcrossThreads(t *testing.T) {
 }
 
 func TestBudgetedDepthIsBounded(t *testing.T) {
-	rKeys := randKeys(2000, 30)
-	sKeys := randKeys(2000, 31)
+	// 16 Ki keys over four partitions: after four salted 16-way splits some
+	// buckets still hold several tuples, so recursion reaches the depth cap.
+	rKeys := randKeys(1<<14, 30)
+	sKeys := randKeys(1<<14, 31)
 	r := partitionKeys(rKeys, 4, 0)
 	s := partitionKeys(sKeys, 4, 0)
 	cfg := BudgetConfig{
 		// One tuple of budget: no bucket with a duplicate key ever fits,
 		// so recursion must hit the depth cap and broadcast.
-		Budget:   membudget.New(BuildTupleBytes),
-		MaxDepth: 2,
-		Threads:  2,
+		Budget:  membudget.New(BuildTupleBytes),
+		Threads: 2,
 	}
 	want, err := BuildProbe(r, s, 1)
 	if err != nil {
@@ -146,9 +147,9 @@ func TestBudgetedDepthIsBounded(t *testing.T) {
 	if res.Matches != want.Matches || res.Checksum != want.Checksum {
 		t.Fatalf("tiny budget changed the result: %d/%#x vs %d/%#x", res.Matches, res.Checksum, want.Matches, want.Checksum)
 	}
-	// A no-shrink bucket may broadcast one level past MaxDepth, never more.
-	if stats.MaxDepth > cfg.MaxDepth+1 {
-		t.Fatalf("recursion reached depth %d with MaxDepth %d", stats.MaxDepth, cfg.MaxDepth)
+	// A no-shrink bucket may broadcast one level past the cap, never more.
+	if stats.MaxDepth != MaxRecursionDepth+1 {
+		t.Fatalf("recursion reached depth %d with the cap at %d, want one level past it", stats.MaxDepth, MaxRecursionDepth)
 	}
 	if stats.Broadcasts == 0 {
 		t.Fatalf("expected depth-capped broadcasts, got %+v", stats)

@@ -76,7 +76,7 @@ func FuzzRunsAgainstNestedLoop(f *testing.F) {
 			t.Fatalf("stride %d, %d pieces, budget %d: %d/%#x, want %d/%#x (%+v)",
 				stride, pieces%8, budget, res.Matches, res.Checksum, wantM, wantC, stats)
 		}
-		if stats.MaxDepth > DefaultMaxDepth+1 {
+		if stats.MaxDepth > MaxRecursionDepth+1 {
 			t.Fatalf("recursion depth %d exceeds the bound", stats.MaxDepth)
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -687,6 +688,211 @@ func TestInternalFunctionsHaveProductionCallers(t *testing.T) {
 	if len(declared) < 700 {
 		t.Fatalf("only %d functions found in the module", len(declared))
 	}
+}
+
+// testOnlyOptions lists the option fields that no non-test file writes and
+// that stay anyway. A reason starts with "reference:" (a reference the tests
+// compare against), "lock:" (a committed golden or cycle lock pins
+// configurations that vary the field) or "ablation:" (DESIGN §6 names the
+// field as one of the paper's design-decision ablations). Being a test's
+// lever is not a reason.
+var testOnlyOptions = map[string]string{
+	"fpgapart/internal/core.Config.Stage1FIFODepth":       "lock: TestCycleLockRandom draws it (8–32) for each of the 256 configurations cycle_lock_random.json pins",
+	"fpgapart/internal/core.Config.OutFIFODepth":          "lock: TestCycleLockRandom draws it (2–8) for each of the 256 configurations cycle_lock_random.json pins",
+	"fpgapart/partition.FPGAOptions.DisableForwarding":    "ablation: DESIGN §6 #1, the write combiner without Code 4's forwarding registers; both cycle locks pin circuits built without them",
+	"fpgapart/partition.FPGAOptions.DisableWriteCombiner": "ablation: DESIGN §6 #2, Section 4.2's per-tuple read-modify-write strawman; both cycle locks pin circuits built without the combiner",
+	"fpgapart/internal/simtrace.Session.SampleWindow":     "lock: cycle_lock.json's traced cases sample every 64 cycles",
+	"fpgapart/internal/joincore.BudgetConfig.Emit":        "lock: hashjoin.TestEmitOrderLock reads the order of matches through it, against emit_order_lock.json",
+}
+
+// namedOptionTypes are the option types whose name does not end in Config or
+// Options.
+var namedOptionTypes = map[string]bool{
+	"fpgapart/internal/faults.Scenario":  true,
+	"fpgapart/internal/rdma.Fabric":      true,
+	"fpgapart/platform.Platform":         true,
+	"fpgapart/internal/reqtrace.Capture": true,
+	"fpgapart/internal/simtrace.Session": true,
+}
+
+// TestOptionsHaveProductionSetters locks the Options rule of the simplicity
+// guide: a settable value exists because production code sets it. It covers
+// every exported field of the module's option types — exported structs named
+// Config or Options or ending in them, the namedOptionTypes, and any exported
+// struct with a withDefaults, WithDefaults, validate or Validate method. A
+// field passes when some non-test file of the module writes it (benchmark/
+// and cmd/ count): a composite-literal key, an assignment, ++ or --, or its
+// address taken (&x.F, as flag.IntVar does). A write inside a withDefaults or
+// WithDefaults of the field's own package does not count. Any other field
+// must be on testOnlyOptions with a reason of one of its three kinds; an
+// entry whose field has gained a writer or no longer exists fails.
+func TestOptionsHaveProductionSetters(t *testing.T) {
+	l := testLoader(t)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	var fields []*types.Var
+	names := map[*types.Var]string{}
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isOptionType(tn) {
+				continue
+			}
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields = append(fields, f)
+					names[f] = tn.Pkg().Path() + "." + tn.Name() + "." + f.Name()
+				}
+			}
+		}
+	}
+	written := map[*types.Var]token.Pos{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				defaults := ok && strings.EqualFold(fd.Name.Name, "withDefaults")
+				ast.Inspect(decl, func(n ast.Node) bool {
+					for _, w := range fieldWrites(pkg.Info, n) {
+						if _, seen := written[w.field]; !seen && !(defaults && w.field.Pkg() == pkg.Types) {
+							written[w.field] = w.pos
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, f := range fields {
+		name := names[f]
+		seen[name] = true
+		_, listed := testOnlyOptions[name]
+		switch pos, set := written[f]; {
+		case set && listed:
+			t.Errorf("%s: %s is written here; drop it from testOnlyOptions", l.Fset.Position(pos), name)
+		case !set && !listed:
+			t.Errorf("%s: %s is written by no non-test file; delete it or make it a constant, or list it in testOnlyOptions with a reason",
+				l.Fset.Position(f.Pos()), name)
+		}
+	}
+	entries := entryPositions(t, "testOnlyOptions")
+	for name, reason := range testOnlyOptions {
+		if !seen[name] {
+			t.Errorf("%s: testOnlyOptions lists %s, which is not an option field of the module", entries[name], name)
+		}
+		switch kind, why, _ := strings.Cut(reason, ":"); {
+		case kind != "reference" && kind != "lock" && kind != "ablation":
+			t.Errorf("%s: testOnlyOptions entry %s: reason %q does not start with reference:, lock: or ablation:", entries[name], name, reason)
+		case strings.TrimSpace(why) == "":
+			t.Errorf("%s: testOnlyOptions entry %s states no reason after %s:", entries[name], name, kind)
+		}
+	}
+	t.Logf("%d option fields, %d on testOnlyOptions", len(fields), len(testOnlyOptions))
+	if len(fields) < 100 {
+		t.Fatalf("only %d option fields found in the module", len(fields))
+	}
+}
+
+// entryPositions maps each key of the map literal this file assigns to the
+// package variable name to the key's position, so that a finding about an
+// allowlist entry points at the entry.
+func entryPositions(t *testing.T, name string) map[string]token.Position {
+	t.Helper()
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "lint_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := map[string]token.Position{}
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if vs.Names[0].Name != name {
+				continue
+			}
+			for _, elt := range vs.Values[0].(*ast.CompositeLit).Elts {
+				kv := elt.(*ast.KeyValueExpr)
+				if key, err := strconv.Unquote(kv.Key.(*ast.BasicLit).Value); err == nil {
+					pos[key] = fset.Position(kv.Pos())
+				}
+			}
+		}
+	}
+	return pos
+}
+
+// isOptionType reports whether tn is an exported struct the options roster
+// covers.
+func isOptionType(tn *types.TypeName) bool {
+	named, ok := tn.Type().(*types.Named)
+	if !ok || tn.IsAlias() {
+		return false
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return false
+	}
+	name := tn.Name()
+	if strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || namedOptionTypes[tn.Pkg().Path()+"."+name] {
+		return true
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		switch named.Method(i).Name() {
+		case "withDefaults", "WithDefaults", "validate", "Validate":
+			return true
+		}
+	}
+	return false
+}
+
+// fieldWrite is one write of a struct field.
+type fieldWrite struct {
+	field *types.Var
+	pos   token.Pos
+}
+
+// fieldWrites returns the struct fields node n writes: the keys of a
+// composite literal, the left-hand sides of an assignment, the operand of ++
+// or --, and the operand of &.
+func fieldWrites(info *types.Info, n ast.Node) []fieldWrite {
+	var out []fieldWrite
+	target := func(e ast.Expr) {
+		if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				out = append(out, fieldWrite{sel.Obj().(*types.Var).Origin(), x.Sel.Pos()})
+			}
+		}
+	}
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		for _, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
+						out = append(out, fieldWrite{f.Origin(), id.Pos()})
+					}
+				}
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			target(lhs)
+		}
+	case *ast.IncDecStmt:
+		target(n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			target(n.X)
+		}
+	}
+	return out
 }
 
 // unwrapper is the unnamed interface errors.Is, errors.As and errors.Unwrap

@@ -293,6 +293,26 @@ func TestTimeoutFollowsTheFabric(t *testing.T) {
 	}
 }
 
+// TestFasterFabricShortensExchange: the same shuffle on links ten times as
+// fast takes less time, and on a bandwidth-bound shuffle close to a tenth.
+func TestFasterFabricShortensExchange(t *testing.T) {
+	slow := FDRCluster(4)
+	fast := FDRCluster(4)
+	fast.LinkGBps *= 10
+	pieces := symmetricPieces(4, 1<<20)
+	a, err := quiet(t, slow, pieces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := quiet(t, fast, pieces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Seconds >= a.Seconds/5 {
+		t.Errorf("10× fabric: %v s, against %v s on the slow one", b.Seconds, a.Seconds)
+	}
+}
+
 // --- Flows, messages and faults ---
 
 func symmetricPieces(n int, bytes int64) []Piece {

@@ -8,12 +8,9 @@ import "io"
 // (router events plus every shard's events, shard components prefixed
 // "s<N>.", job ids remapped to request indices, ordered by virtual time).
 // The flight timeline is filled even when the run fails — that is the
-// postmortem case it exists for.
+// postmortem case it exists for. Each flight-recorder ring (router and per
+// shard) holds DefaultFlightCap events.
 type Capture struct {
-	// FlightCap bounds each flight-recorder ring (router and per shard);
-	// DefaultFlightCap when 0.
-	FlightCap int
-
 	// Traces holds one RequestTrace per submitted request, in request
 	// order, filled on successful completion.
 	Traces []RequestTrace

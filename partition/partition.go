@@ -295,8 +295,6 @@ type CPUOptions struct {
 	// Naive selects the tuple-at-a-time scatter of Code 1 (for ablations);
 	// the default is the software-managed-buffer algorithm of Code 2.
 	Naive bool
-	// MultiPass selects the fan-out-limited two-pass algorithm.
-	MultiPass bool
 }
 
 type cpuPartitioner struct {
@@ -308,17 +306,12 @@ type cpuPartitioner struct {
 	scratch cpupart.Scratch
 }
 
-// NewCPU returns the software partitioner.
+// NewCPU returns the software partitioner. Its options are checked when
+// it partitions, so the error is always nil.
 func NewCPU(opts CPUOptions) (Partitioner, error) {
-	if opts.Naive && opts.MultiPass {
-		return nil, errors.New("partition: Naive and MultiPass are mutually exclusive")
-	}
 	alg := cpupart.Buffered
 	if opts.Naive {
 		alg = cpupart.Naive
-	}
-	if opts.MultiPass {
-		alg = cpupart.MultiPass
 	}
 	cfg := cpupart.Config{
 		NumPartitions: opts.Partitions,
@@ -377,11 +370,6 @@ type FPGAOptions struct {
 	// Interfered uses the reduced bandwidth curve measured when the CPU
 	// hammers memory concurrently (Figure 2).
 	Interfered bool
-	// ExtendedEndpoint models Intel's extended QPI end-point instead of the
-	// paper's own page table (Section 2.1): address translation is handled
-	// by the end-point, but allocations are capped at 2 GB and bandwidth
-	// drops 20%. Relations too large for the cap are rejected.
-	ExtendedEndpoint bool
 	// DisableFallback turns off the PAD-overflow CPU fallback, surfacing
 	// ErrOverflow instead.
 	DisableFallback bool
@@ -438,9 +426,6 @@ func NewFPGA(opts FPGAOptions) (p Partitioner, err error) {
 	if opts.Interfered {
 		curve = opts.Platform.FPGAInterfered
 	}
-	if opts.ExtendedEndpoint {
-		curve = curve.Scale(0.8)
-	}
 	circuit, err := core.NewCircuit(cfg, opts.Platform.FPGAClockHz, curve)
 	if err != nil {
 		return nil, err
@@ -454,14 +439,6 @@ func (p *fpgaPartitioner) Name() string {
 
 func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
-	if p.opts.ExtendedEndpoint {
-		// Input plus (roughly input-sized) output must fit the extended
-		// end-point's 2 GB allocation cap.
-		if need := int64(rel.Bytes()) * 2; need > platform.ExtendedEndpointMaxBytes {
-			return nil, fmt.Errorf("partition: %d bytes exceed the extended QPI end-point's %d-byte allocation cap",
-				need, int64(platform.ExtendedEndpointMaxBytes))
-		}
-	}
 	out, stats, err := p.circuit.Partition(rel)
 	if err != nil && errors.Is(err, core.ErrPartitionOverflow) {
 		if !p.opts.DisableFallback {

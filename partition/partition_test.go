@@ -259,8 +259,9 @@ func TestNames(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	if _, err := NewCPU(CPUOptions{Partitions: 8, Naive: true, MultiPass: true}); err == nil {
-		t.Error("conflicting CPU algorithms accepted")
+	cpu, _ := NewCPU(CPUOptions{Partitions: 100})
+	if _, err := cpu.Partition(genRel(t, 64, 1)); err == nil {
+		t.Error("non-power-of-two CPU fan-out accepted")
 	}
 	if _, err := NewFPGA(FPGAOptions{Partitions: 100}); err == nil {
 		t.Error("non-power-of-two fan-out accepted")

@@ -51,15 +51,21 @@ func runCost(t *testing.T, jobs []Job, cfg Config) (objects, bytes uint64) {
 func TestRunAllocationsPerJob(t *testing.T) {
 	for _, tc := range []struct {
 		name                         string
-		joinFraction                 float64
+		joins                        bool
 		objects, fpgaBytes, cpuBytes float64
 	}{
-		{"partition jobs", 1e-9, 14.9, 30 << 10, 3 << 10},
-		{"join jobs", 1, 28.6, 59 << 10, 6 << 10},
+		{"partition jobs", false, 14.9, 30 << 10, 3 << 10},
+		{"join jobs", true, 28.6, 59 << 10, 6 << 10},
 	} {
-		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128, JoinFraction: tc.joinFraction})
+		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := range jobs {
+			jobs[i].Probe = nil
+		}
+		if tc.joins {
+			joinEvery(t, jobs, 1)
 		}
 		perJob := func(cfg Config) (objects, bytes float64) {
 			o1, b1 := runCost(t, jobs, cfg)

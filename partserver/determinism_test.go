@@ -137,14 +137,14 @@ func TestCrashMidJobPool(t *testing.T) {
 // requeued pinned to the CPU pool, and still produces the single-tenant
 // result (the paper's Section 5.4 fallback, scheduled).
 func TestOverflowDegradesToCPU(t *testing.T) {
-	rel, err := workload.NewGenerator(3).ZipfRelation(1.5, 1<<20, 8, 20000)
+	// A relation this large is predicted to finish on the FPGA well before
+	// the CPU, so the job must hit the overflow before it can land there.
+	rel, err := workload.NewGenerator(3).ZipfRelation(1.5, 1<<20, 8, 1<<17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	job := Job{Rel: rel, FanOut: 64, Hash: true, Format: partition.PadMode}
-	// A deliberately slow CPU rate makes the FPGA the clear first choice, so
-	// the job must hit the overflow before it can land on the CPU.
-	rep, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1, Seed: 3, CPURate: 1e3})
+	rep, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@ import (
 // the outcome it shared.
 func TestMemoMatchesExecution(t *testing.T) {
 	seed := seedFromName(t)
-	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40, JoinFraction: 0.5})
+	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinEvery(t, jobs, 2)
 	primaries, hedges := slices.Clone(jobs), slices.Clone(jobs)
 	for i := range jobs {
 		primaries[i].Tag, hedges[i].Tag = int64(i), ^int64(i)
@@ -81,10 +82,11 @@ func TestMemoMatchesExecution(t *testing.T) {
 // computes it fails with the error the slot reports when it runs the job
 // itself.
 func TestAheadPanicMatchesInline(t *testing.T) {
-	jobs, err := GenerateTrace(3, 1, TraceOptions{MinTuples: 64, MaxTuples: 64, JoinFraction: 1})
+	jobs, err := GenerateTrace(3, 1, TraceOptions{MinTuples: 64, MaxTuples: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinEvery(t, jobs, 1)
 	key := keyOf(&jobs[0])
 	s, err := NewScheduler(Config{Workers: 1}, 1)
 	if err != nil {

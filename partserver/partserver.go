@@ -47,7 +47,6 @@ import (
 	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partition"
-	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
@@ -70,6 +69,11 @@ func guardSimulator(err *error) {
 const (
 	// cpuDispatchUS is the fixed virtual overhead of a CPU execution.
 	cpuDispatchUS = 5
+	// cpuRate is the calibrated CPU partitioning rate in tuples/s used both
+	// to predict CPU placements and to charge virtual time to CPU
+	// executions: one core of the paper's host. It is a deterministic
+	// constant, not a measurement: the scheduler may not read the host clock.
+	cpuRate = 150e6
 	// joinRate is the build+probe rate in tuples/s charged to the join
 	// phase of join jobs.
 	joinRate = 200e6
@@ -100,19 +104,8 @@ type Config struct {
 	// FPGA instance as a single batch (default 4). 1 disables batching.
 	BatchMax int
 
-	// CPURate is the calibrated CPU partitioning rate in tuples/s used both
-	// to predict CPU placements and to charge virtual time to CPU
-	// executions (default 150e6, one core of the paper's host). It is a
-	// deterministic constant, not a measurement: the scheduler may not read
-	// the host clock.
-	CPURate float64
-
 	// Seed drives placement tie-breaking (default 1).
 	Seed uint64
-
-	// Platform supplies the FPGA clock and bandwidth curves (default
-	// platform.XeonFPGA()).
-	Platform *platform.Platform
 
 	// Faults optionally injects FPGA failures: DropProb/CorruptProb are
 	// per-execution transient fault probabilities (the job is retried, then
@@ -158,14 +151,8 @@ func (c Config) WithDefaults() Config {
 	if c.BatchMax == 0 {
 		c.BatchMax = 4
 	}
-	if c.CPURate == 0 {
-		c.CPURate = 150e6
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Platform == nil {
-		c.Platform = platform.XeonFPGA()
 	}
 	return c
 }
@@ -181,12 +168,6 @@ func (c *Config) Validate() (err error) {
 	}
 	if c.BatchMax < 1 {
 		return fmt.Errorf("partserver: BatchMax %d < 1", c.BatchMax)
-	}
-	if c.CPURate <= 0 {
-		return fmt.Errorf("partserver: non-positive CPURate %v", c.CPURate)
-	}
-	if err := c.Platform.Validate(); err != nil {
-		return fmt.Errorf("partserver: %w", err)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

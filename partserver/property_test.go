@@ -22,6 +22,35 @@ func seedFromName(t *testing.T) uint64 {
 	return h
 }
 
+// joinEvery makes every k-th job of a generated trace, from the first, a
+// join job like those GenerateTrace draws: a row-layout build side (a column
+// becomes its <key, VRID> rows) and a probe side twice its size that cycles
+// its keys.
+func joinEvery(t *testing.T, jobs []Job, k int) {
+	t.Helper()
+	for i := 0; i < len(jobs); i += k {
+		j := &jobs[i]
+		if j.Layout == partition.ColumnStore {
+			rows, err := workload.NewRelation(workload.RowLayout, 8, j.Rel.NumTuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, key := range j.Rel.Keys {
+				rows.SetTuple(r, key, uint32(r))
+			}
+			j.Rel, j.Layout = rows, partition.RowStore
+		}
+		probe, err := workload.NewRelation(workload.RowLayout, 8, 2*j.Rel.NumTuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < probe.NumTuples; r++ {
+			probe.SetTuple(r, j.Rel.Key(r%j.Rel.NumTuples), uint32(r))
+		}
+		j.Probe = probe
+	}
+}
+
 // singleTenantChecksum partitions rel exactly once through the public
 // single-tenant API and returns the summed per-partition multiset checksum
 // plus the per-partition counts — the reference every scheduled job must
@@ -284,7 +313,7 @@ func TestStatusStrings(t *testing.T) {
 // its charge is the CPU run's plus the aborted attempt's circuit time, which
 // the overflow error carries.
 func TestPlacementIndependence(t *testing.T) {
-	jobs, err := GenerateTrace(seedFromName(t), 24, TraceOptions{MeanGapUS: 50, JoinFraction: 0.3})
+	jobs, err := GenerateTrace(seedFromName(t), 24, TraceOptions{MeanGapUS: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +349,9 @@ func TestPlacementIndependence(t *testing.T) {
 		t.Fatalf("trace has %d RID, %d VRID and %d join jobs; need all three", rid, vrid, joins)
 	}
 
-	rel, err := workload.NewGenerator(3).ZipfRelation(1.5, 1<<20, 8, 20000)
+	// Large enough that the FPGA is the predicted first choice where there
+	// is one.
+	rel, err := workload.NewGenerator(3).ZipfRelation(1.5, 1<<20, 8, 1<<17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +366,11 @@ func TestPlacementIndependence(t *testing.T) {
 		t.Fatalf("PAD run of the skewed relation: err = %v, want an OverflowError with the aborted cycles", err)
 	}
 	abortedUS := ceilDiv(ov.Aborted.Cycles*1e6, int64(platform.XeonFPGA().FPGAClockHz))
-	// The slow CPU rate makes the FPGA the first choice where there is one.
-	degraded, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1, CPURate: 1e3})
+	degraded, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run([]Job{job}, Config{Workers: 1, CPURate: 1e3})
+	direct, err := Run([]Job{job}, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

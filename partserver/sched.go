@@ -88,8 +88,8 @@ type resource struct {
 	// loading a different one onto the (stateful, one-job-at-a-time) circuit
 	// is virtual time the scheduler charges as reconfigUS, not host work.
 	parts    map[configKey]partition.Partitioner
-	platform *platform.Platform
-	memo     *Memo // Config.Memo
+	platform *platform.Platform // the Scheduler's, shared by its FPGA partitioners
+	memo     *Memo              // Config.Memo
 }
 
 // Scheduler is the steppable virtual-time scheduler of one deployment. A
@@ -101,9 +101,11 @@ type resource struct {
 // goroutine: the scheduler starts none, so a fixed call sequence yields
 // byte-identical results, and a scheduler no longer needed is simply dropped.
 type Scheduler struct {
-	cfg  Config
-	inj  *faults.Injector
-	jobs []*jobState
+	cfg Config
+	// platform is the machine every FPGA instance is: the paper's Xeon+FPGA.
+	platform *platform.Platform
+	inj      *faults.Injector
+	jobs     []*jobState
 
 	// future: not yet arrived (sorted by arrival, id). waiting: arrived but
 	// the admission queue was full. admit: the bounded admission queue.
@@ -147,7 +149,7 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s = &Scheduler{cfg: cfg}
+	s = &Scheduler{cfg: cfg, platform: platform.XeonFPGA()}
 	if cfg.Faults != nil {
 		if totalJobs < 0 && len(cfg.Faults.Crashes) > 0 {
 			return nil, fmt.Errorf("partserver: FPGA crash thresholds need the job total declared up front")
@@ -169,7 +171,7 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 			crashAt:  -1,
 			straggle: 1,
 			parts:    map[configKey]partition.Partitioner{},
-			platform: cfg.Platform,
+			platform: s.platform,
 			memo:     cfg.Memo,
 		}
 		if i < cfg.FPGAs {
@@ -316,10 +318,10 @@ func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 			Hist: j.spec.Format != partition.PadMode,
 			VRID: j.spec.Layout == partition.ColumnStore,
 		}
-		rate := model.ForMode(mode, s.cfg.Platform, max(n, 1)).TotalRate()
+		rate := model.ForMode(mode, s.platform, max(n, 1)).TotalRate()
 		us = ceilDiv(n*1e6, int64(rate))
 		if probe > 0 {
-			rate = model.ForMode(mode, s.cfg.Platform, max(probe, 1)).TotalRate()
+			rate = model.ForMode(mode, s.platform, max(probe, 1)).TotalRate()
 			us += ceilDiv(probe*1e6, int64(rate))
 		}
 		if r.loaded != j.key {
@@ -347,7 +349,7 @@ func (j *jobState) tuples() (n, probe int64) {
 // cpuChargeUS is the virtual time a CPU slot takes to partition n build and
 // probe probe tuples: what predict expects and what batchDuration charges.
 func (s *Scheduler) cpuChargeUS(n, probe int64) int64 {
-	return cpuDispatchUS + ceilDiv(n*1e6, int64(s.cfg.CPURate)) + ceilDiv(probe*1e6, int64(s.cfg.CPURate))
+	return cpuDispatchUS + ceilDiv(n*1e6, cpuRate) + ceilDiv(probe*1e6, cpuRate)
 }
 
 // joinChargeUS is the virtual build+probe time of a join over n and probe
@@ -575,7 +577,7 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 		var us, spill int64
 		n, probe := j.tuples()
 		if r.kind == PlacedFPGA {
-			us = ceilDiv(j.out.cycles*1e6, int64(s.cfg.Platform.FPGAClockHz))
+			us = ceilDiv(j.out.cycles*1e6, int64(s.platform.FPGAClockHz))
 			us = int64(float64(us) * r.straggle)
 		} else {
 			us = s.cpuChargeUS(n, probe)
@@ -686,9 +688,10 @@ func (s *Scheduler) complete(r *resource) {
 				s.cfg.Trace.Metrics.Histogram("sched.exec_us").Observe(j.execUS)
 			}
 		case j.out.overflow || r.kind == PlacedFPGA:
-			// PAD overflow (the circuit aborted this job) or a simulator
-			// fault on the FPGA run: degrade to CPU, keeping the aborted
-			// attempt's charge (Section 5.4 semantics).
+			// PAD overflow (the circuit aborted this job), tuples the
+			// circuit's output cannot hold, or a simulator fault on the FPGA
+			// run: degrade to CPU, keeping the aborted attempt's charge
+			// (Section 5.4 semantics).
 			j.forceCPU = true
 			j.degraded = true
 			if j.out.overflow {

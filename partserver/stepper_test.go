@@ -15,9 +15,12 @@ import (
 // crashes included, because Run is that loop and nothing else.
 func TestStepperMatchesRun(t *testing.T) {
 	seed := seedFromName(t)
-	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40, TimeoutEvery: 7})
+	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 6; i < len(jobs); i += 7 {
+		jobs[i].TimeoutUS = 1 + int64(i%5) // a tight dispatch timeout
 	}
 	cfg := Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: faultyScenario(seed)}
 	want, err := Run(jobs, cfg)
@@ -166,10 +169,11 @@ func TestStepperSubmitAndCancel(t *testing.T) {
 // goroutines it had before, and there is nothing to close afterwards.
 func TestSchedulerStartsNoGoroutine(t *testing.T) {
 	seed := seedFromName(t)
-	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40, JoinFraction: 0.5})
+	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinEvery(t, jobs, 2)
 	before := runtime.NumGoroutine()
 	s, err := NewScheduler(Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: faultyScenario(seed)}, len(jobs))
 	if err != nil {

@@ -6,19 +6,17 @@ import (
 	"fpgapart/workload"
 )
 
+// joinFraction is the fraction of generated jobs that carry a probe side,
+// twice the build size.
+const joinFraction = 0.25
+
 // TraceOptions shapes GenerateTrace's synthetic job mix.
 type TraceOptions struct {
 	// MinTuples/MaxTuples bound the per-job relation size (defaults
 	// 1<<10 and 1<<14).
 	MinTuples, MaxTuples int
-	// JoinFraction is the fraction of jobs that carry a probe side
-	// (default 0.25); the probe is twice the build size.
-	JoinFraction float64
 	// MeanGapUS is the mean virtual inter-arrival gap (default 500).
 	MeanGapUS int64
-	// TimeoutEvery > 0 gives every k-th job a tight dispatch timeout, to
-	// exercise the timeout path (default 0: no timeouts).
-	TimeoutEvery int
 }
 
 func (o TraceOptions) withDefaults() TraceOptions {
@@ -27,9 +25,6 @@ func (o TraceOptions) withDefaults() TraceOptions {
 	}
 	if o.MaxTuples == 0 {
 		o.MaxTuples = 1 << 14
-	}
-	if o.JoinFraction == 0 {
-		o.JoinFraction = 0.25
 	}
 	if o.MeanGapUS == 0 {
 		o.MeanGapUS = 500
@@ -66,7 +61,7 @@ func GenerateTrace(seed uint64, n int, opts TraceOptions) ([]Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		isJoin := float64(draw(6)%1000)/1000 < opts.JoinFraction
+		isJoin := float64(draw(6)%1000)/1000 < joinFraction
 		if !isJoin && draw(7)%4 == 0 {
 			// Column-store (VRID) partition job. Join jobs stay row-layout:
 			// the VRID payload is a position, not a join attribute.
@@ -85,9 +80,6 @@ func GenerateTrace(seed uint64, n int, opts TraceOptions) ([]Job, error) {
 				probe.SetTuple(k, rel.Key(k%size), uint32(draw(10)>>32)+uint32(k))
 			}
 			j.Probe = probe
-		}
-		if opts.TimeoutEvery > 0 && i%opts.TimeoutEvery == opts.TimeoutEvery-1 {
-			j.TimeoutUS = 1 + int64(draw(8)%5)
 		}
 		jobs = append(jobs, j)
 		arrival += int64(draw(9) % uint64(2*opts.MeanGapUS+1))

@@ -118,7 +118,9 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 
 // partition runs p over rel and charges its simulated circuit time — also
 // that of a PAD attempt the circuit aborted, which the overflow error
-// carries.
+// carries. A circuit run whose output lost tuples — keyed with its dummy
+// key, they read back as flush padding — is an error too, charged like
+// any other run: the scheduler degrades the job to the CPU pool.
 func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (*partition.Result, error) {
 	res, err := p.Partition(rel)
 	if err != nil {
@@ -130,6 +132,9 @@ func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (
 		return nil, err
 	}
 	out.cycles += res.Stats.Cycles
+	if lost := int64(rel.NumTuples) - res.ValidTuples(); lost > 0 {
+		return nil, fmt.Errorf("partserver: %d tuples carry the circuit's dummy key", lost)
+	}
 	return res, nil
 }
 

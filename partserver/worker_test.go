@@ -22,10 +22,13 @@ func (brokenPartitioner) Name() string                                          
 // fallback) or degrades it to the CPU pool (FPGA slot), returns from Step, and
 // completes the job behind it.
 func TestWorkerTurnsAPanicIntoAFailedJob(t *testing.T) {
-	jobs, err := GenerateTrace(3, 2, TraceOptions{MinTuples: 64, MaxTuples: 64, JoinFraction: 1})
+	// Join jobs this large are predicted to finish sooner on the FPGA than
+	// on the CPU.
+	jobs, err := GenerateTrace(3, 2, TraceOptions{MinTuples: 1 << 17, MaxTuples: 1 << 17})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinEvery(t, jobs, 1)
 	jobs[1].FanOut = 2 * jobs[0].FanOut // its own configuration, so its own (real) partitioner
 	bad, good := &jobState{spec: jobs[0], key: keyOf(&jobs[0])}, &jobState{spec: jobs[1], key: keyOf(&jobs[1])}
 	r := resource{kind: PlacedCPU, parts: map[configKey]partition.Partitioner{bad.key: brokenPartitioner{}}}
@@ -44,8 +47,7 @@ func TestWorkerTurnsAPanicIntoAFailedJob(t *testing.T) {
 		want JobResult
 	}{
 		{"cpu-slot-fails", Config{Workers: 1}, JobResult{Status: StatusFailed, Placement: PlacedCPU, Attempts: 1}},
-		// A CPU rate this low makes the FPGA the predicted-faster slot.
-		{"fpga-slot-degrades", Config{FPGAs: 1, Workers: 1, CPURate: 1e3}, JobResult{Status: StatusDone, Placement: PlacedCPU, Attempts: 2, Degraded: true}},
+		{"fpga-slot-degrades", Config{FPGAs: 1, Workers: 1}, JobResult{Status: StatusDone, Placement: PlacedCPU, Attempts: 2, Degraded: true}},
 	} {
 		s, err := NewScheduler(tc.cfg, len(jobs))
 		if err != nil {

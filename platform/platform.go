@@ -61,23 +61,6 @@ func (c BandwidthCurve) BytesPerSecond(readFrac float64) float64 {
 	return c.At(readFrac) * 1e9
 }
 
-// Scale returns a copy of the curve with every point multiplied by factor
-// (e.g. 0.8 for the extended QPI end-point's 20% bandwidth loss,
-// Section 2.1).
-func (c BandwidthCurve) Scale(factor float64) BandwidthCurve {
-	pts := make([]float64, len(c.Points))
-	for i, p := range c.Points {
-		pts[i] = p * factor
-	}
-	return BandwidthCurve{Points: pts}
-}
-
-// ExtendedEndpointMaxBytes is the allocation cap of Intel's extended QPI
-// end-point, which handles address translation itself but limits
-// allocations to 2 GB and loses 20% bandwidth — the reason the paper
-// implements its own BRAM page table (Section 2.1).
-const ExtendedEndpointMaxBytes = 2 << 30
-
 // CoherenceModel captures Table 1: single-threaded time for the CPU to read
 // a 512 MB region, depending on the access pattern and on which socket last
 // wrote the region. When the FPGA wrote last, CPU reads are snooped on the
