@@ -65,6 +65,61 @@ func TestDistributedJoinFPGAMatchesCPU(t *testing.T) {
 	}
 }
 
+// TestJoinKeepsEveryTuple sends relations whose keys collide with the
+// circuit's dummy key, or are 0, through the distributed join on every
+// backend: matches and checksum must be a tuple-by-tuple join's. A
+// dummy-keyed tuple the circuit wrote reads back as padding, so a node whose
+// shard holds one must partition it on the CPU.
+func TestJoinKeepsEveryTuple(t *testing.T) {
+	const n = 64
+	backends := []struct {
+		name string
+		opts Options
+	}{
+		{"cpu", Options{}},
+		{"fpga-hist", Options{UseFPGA: true, Format: partition.HistMode}},
+		{"fpga-pad", Options{UseFPGA: true, Format: partition.PadMode}},
+	}
+	for _, tc := range []struct {
+		name  string
+		keyOf func(i int) uint32
+	}{
+		{"all-dummy", func(int) uint32 { return dummyKey }},
+		{"some-dummy", func(i int) uint32 {
+			if i%3 == 0 {
+				return dummyKey
+			}
+			return uint32(i % 11)
+		}},
+		{"key-0", func(int) uint32 { return 0 }},
+	} {
+		var rels [2]*workload.Relation
+		for side := range rels {
+			rel, err := workload.NewRelation(workload.RowLayout, 8, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				rel.SetTuple(i, tc.keyOf(i), uint32(side*n+i))
+			}
+			rels[side] = rel
+		}
+		wantMatches, wantChecksum := referenceJoin(rels[0], rels[1], false)
+		for _, b := range backends {
+			opts := b.opts
+			opts.Nodes, opts.PartitionsPerNode, opts.Threads = 2, 16, 1
+			res, err := Join(rels[0], rels[1], opts)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, b.name, err)
+			}
+			if res.Matches != wantMatches || res.Checksum != wantChecksum {
+				t.Errorf("%s, %s: %d matches (checksum %#x), brute force %d (%#x)",
+					tc.name, b.name, res.Matches, res.Checksum, wantMatches, wantChecksum)
+			}
+		}
+	}
+}
+
 func TestSingleNodeHasNoExchange(t *testing.T) {
 	in := testInput(t, 1<<12, 1<<12)
 	res, err := Join(in.R, in.S, Options{Nodes: 1, PartitionsPerNode: 128, Threads: 1})
