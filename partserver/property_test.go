@@ -3,6 +3,7 @@ package partserver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -383,6 +384,54 @@ func TestPlacementIndependence(t *testing.T) {
 	}
 	if d.Checksum != c.Checksum || !slices.Equal(d.Counts, c.Counts) {
 		t.Errorf("degraded job's output differs from the CPU-only run's")
+	}
+}
+
+// TestFPGAJoinPaysSnoopPenalty: a join job's build and probe run on the CPU
+// over partitions its slot wrote. On an FPGA instance they pay hashjoin's
+// Table 1 penalties — the sequential one on the build side, the probe's
+// memory-bound share of the random one on the probe side — on top of the
+// join rate; on a CPU worker they pay the join rate alone.
+func TestFPGAJoinPaysSnoopPenalty(t *testing.T) {
+	const n, probe = 1000, 2000
+	job := mustJob(t, 16, n, 0)
+	job.Format = partition.HistMode
+	job.Probe = mustJob(t, 16, probe, 1).Rel
+
+	m := platform.XeonFPGA().Coherence
+	probePenalty := 1 + (m.RandPenalty()-1)*m.ProbeMemFraction
+	ruleUS := (n*m.SeqPenalty() + probe*probePenalty) * 1e6 / joinRate
+	for _, tc := range []struct {
+		cfg    Config
+		on     Placement
+		wantUS float64
+	}{
+		{Config{FPGAs: 1, Workers: 0}, PlacedFPGA, ruleUS},
+		{Config{FPGAs: 0, Workers: 1}, PlacedCPU, (n + probe) * 1e6 / joinRate},
+	} {
+		s, err := NewScheduler(tc.cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := s.NextEventUS(); ok; _, ok = s.NextEventUS() {
+			s.Step()
+		}
+		r := s.Result(id)
+		if r.Status != StatusDone || r.Placement != tc.on || r.Degraded || r.Attempts != 1 {
+			t.Fatalf("join ended %v on %v (degraded %v, %d attempts), want done on %v at the first attempt",
+				r.Status, r.Placement, r.Degraded, r.Attempts, tc.on)
+		}
+		partUS := s.cpuChargeUS(n, probe)
+		if tc.on == PlacedFPGA {
+			partUS = ceilDiv(s.jobs[id].out.cycles*1e6, int64(s.platform.FPGAClockHz))
+		}
+		if joinUS := r.ExecUS - partUS; joinUS != int64(math.Ceil(tc.wantUS)) {
+			t.Errorf("join on %v charged %d µs of build+probe, want ⌈%.2f⌉", tc.on, joinUS, tc.wantUS)
+		}
 	}
 }
 
