@@ -134,7 +134,7 @@ type Result struct {
 	// the recovery round after node crashes.
 	ExchangeTime time.Duration
 	// JoinTime is the slowest node's measured local build+probe (with the
-	// coherence penalty when the partitions were FPGA/NIC-written).
+	// coherence penalty on a node whose partitions its FPGA wrote).
 	JoinTime time.Duration
 	// JoinTuples is the build+probe input, R and S tuples together, of the
 	// node that joins the most: the deterministic side of JoinTime.
@@ -210,16 +210,18 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		nodeJoin = make([]time.Duration, opts.Nodes)
 	}
 
-	// Phase 1: every node partitions its shards to the global fan-out.
+	// Phase 1: every node partitions its shards to the global fan-out. A
+	// shard holding the circuit's dummy key is partitioned on the CPU, as
+	// the circuit's output cannot represent that key.
 	rParts := make([]*partition.Result, opts.Nodes)
 	sParts := make([]*partition.Result, opts.Nodes)
 	var slowest time.Duration
 	for n := 0; n < opts.Nodes; n++ {
-		pr, err := p.Partition(rShards[n])
+		pr, _, err := partition.Exact(p, rShards[n], true, opts.Threads)
 		if err != nil {
 			return nil, fmt.Errorf("distjoin: node %d partitioning R: %w", n, err)
 		}
-		ps, err := p.Partition(sShards[n])
+		ps, _, err := partition.Exact(p, sShards[n], true, opts.Threads)
 		if err != nil {
 			return nil, fmt.Errorf("distjoin: node %d partitioning S: %w", n, err)
 		}
@@ -237,7 +239,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	// relation) to node p & (Nodes-1); physical bytes include dummy padding
 	// for FPGA-written partitions (8 bytes per addressable slot). The
 	// exchange runs message by message under the fault scenario, with
-	// retries, checksum verification and crash takeover (faulttolerance.go).
+	// retries, re-sent corrupt messages and crash takeover (faulttolerance.go).
 	ex, err := runExchange(rParts, sParts, opts, inj, global)
 	if err != nil {
 		return nil, err
@@ -254,12 +256,7 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	var checksum uint64
 	var slowestJoin time.Duration
 	var mostJoined int64
-	penalty := 1.0
-	if opts.UseFPGA {
-		// Received partitions were written by remote agents (RDMA NIC /
-		// FPGA), so the local CPU pays the Table 1 probe penalty.
-		penalty = platform.XeonFPGA().Coherence.ProbePenalty()
-	}
+	coherence := platform.XeonFPGA().Coherence
 	for n := 0; n < opts.Nodes; n++ {
 		if len(ownedGPs[n]) == 0 {
 			continue
@@ -278,7 +275,14 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		}
 		matches += bp.Matches
 		checksum += bp.Checksum
-		t := time.Duration(float64(bp.Elapsed) * penalty * inj.StraggleFactor(n))
+		// Node n's partitions are written where its shards were
+		// partitioned: by its FPGA, unless its partitioner was the CPU.
+		writer := platform.CPUSocket
+		if rParts[n].FPGAWritten() || sParts[n].FPGAWritten() {
+			writer = platform.FPGASocket
+		}
+		build, probe := coherence.JoinTime(bp.Build, bp.Probe, writer)
+		t := time.Duration(float64(build+probe) * inj.StraggleFactor(n))
 		if nodeJoin != nil {
 			nodeJoin[n] = t
 		}

@@ -59,48 +59,97 @@ func TestHybridEmptyRelations(t *testing.T) {
 	}
 }
 
-// TestHybridDummyKeyExact is the regression test for the dummy-key drop: a
-// tuple whose key equals the FPGA's dummy key reads back as flush padding,
-// so the FPGA-partitioned join silently lost its matches. The hybrid join
-// must now detect the collision, repartition that side on the CPU, and
-// agree with the pure-CPU join on both count and checksum.
-func TestHybridDummyKeyExact(t *testing.T) {
-	rKeys := []uint32{core.DefaultDummyKey, 1, 2, core.DefaultDummyKey, 3}
-	sKeys := []uint32{core.DefaultDummyKey, core.DefaultDummyKey, 2, 9}
-	r, _ := workload.FromKeys(rKeys, 8)
-	s, _ := workload.FromKeys(sKeys, 8)
-	opts := Options{Partitions: 8, Hash: true, Threads: 1}
-
-	want, err := CPU(r, s, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestJoinKeepsEveryTuple is the hashjoin row of the sentinel audit:
+// relations keyed all or partly with the circuit's dummy key, or all 0, join
+// to the matches and checksum of a map reference on every backend — CPU,
+// Hybrid in all four circuit modes, NonPartitioned. A tuple the circuit
+// wrote with the dummy key reads back as flush padding, so Hybrid
+// repartitions that side on the CPU and reports DummyKeyRepartition; an
+// input without the dummy key does not.
+func TestJoinKeepsEveryTuple(t *testing.T) {
+	const n = 200
+	type backend struct {
+		name string
+		vrid bool
+		run  func(r, s *workload.Relation) (*Result, error)
 	}
-	// dummy×dummy 2×2 + key 2 once = 5.
-	if want.Matches != 5 {
-		t.Fatalf("cpu reference: %d matches, want 5", want.Matches)
+	backends := []backend{
+		{"cpu", false, func(r, s *workload.Relation) (*Result, error) {
+			return CPU(r, s, Options{Partitions: 16, Hash: true, Threads: 1})
+		}},
+		{"nonpartitioned", false, func(r, s *workload.Relation) (*Result, error) {
+			return NonPartitioned(r, s, Options{Threads: 1})
+		}},
 	}
-	got, err := Hybrid(r, s, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, format := range []string{"HIST", "PAD"} {
+		for _, layout := range []string{"RID", "VRID"} {
+			opts := Options{Partitions: 16, Hash: true, Threads: 1, PadFraction: 0.5}
+			if format == "PAD" {
+				opts.Format = partition.PadMode
+			}
+			if layout == "VRID" {
+				opts.Layout = partition.ColumnStore
+			}
+			backends = append(backends, backend{"hybrid " + format + "/" + layout, layout == "VRID",
+				func(r, s *workload.Relation) (*Result, error) { return Hybrid(r, s, opts) }})
+		}
 	}
-	if got.Matches != want.Matches {
-		t.Fatalf("hybrid join: %d matches, cpu finds %d", got.Matches, want.Matches)
-	}
-	if got.Checksum != want.Checksum {
-		t.Fatalf("hybrid checksum %#x, cpu %#x", got.Checksum, want.Checksum)
-	}
-	if !got.DummyKeyRepartition {
-		t.Error("DummyKeyRepartition not reported")
-	}
-
-	// A collision-free input must not trigger the repartition.
-	cleanR, _ := workload.FromKeys([]uint32{1, 2, 3}, 8)
-	res, err := Hybrid(cleanR, cleanR, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DummyKeyRepartition {
-		t.Error("DummyKeyRepartition reported without a collision")
+	for _, tc := range []struct {
+		name  string
+		keyOf func(i int) uint32
+	}{
+		{"all-dummy", func(int) uint32 { return core.DefaultDummyKey }},
+		{"some-dummy", func(i int) uint32 {
+			if i%3 == 0 {
+				return core.DefaultDummyKey
+			}
+			return uint32(i % 11)
+		}},
+		{"key-0", func(int) uint32 { return 0 }},
+		{"no-dummy", func(i int) uint32 { return uint32(i % 11) }},
+	} {
+		// R holds n tuples, S 2n; the payload is the row index, which is
+		// also what VRID mode emits.
+		var sides [2][]uint32
+		for side := range sides {
+			for i := 0; i < (side+1)*n; i++ {
+				sides[side] = append(sides[side], tc.keyOf(i))
+			}
+		}
+		byKey := map[uint32][]uint64{}
+		for i, k := range sides[0] {
+			byKey[k] = append(byKey[k], uint64(i))
+		}
+		var wantMatches int64
+		var wantChecksum uint64
+		for i, k := range sides[1] {
+			for _, pay := range byKey[k] {
+				wantMatches++
+				wantChecksum += pay + uint64(i)
+			}
+		}
+		r, _ := workload.FromKeys(sides[0], 8)
+		s, _ := workload.FromKeys(sides[1], 8)
+		for _, b := range backends {
+			br, bs := r, s
+			if b.vrid {
+				br, bs = r.ToColumns(), s.ToColumns()
+			}
+			got, err := b.run(br, bs)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, b.name, err)
+			}
+			if got.Matches != wantMatches || got.Checksum != wantChecksum {
+				t.Errorf("%s, %s: %d matches (checksum %#x), reference %d (%#x)",
+					tc.name, b.name, got.Matches, got.Checksum, wantMatches, wantChecksum)
+			}
+			// A PAD run the skew overflowed fell back to the CPU before any
+			// dummy key could be lost.
+			circuit := strings.HasPrefix(b.name, "hybrid") && !got.FellBack
+			if got.DummyKeyRepartition != (circuit && byKey[core.DefaultDummyKey] != nil) {
+				t.Errorf("%s, %s: DummyKeyRepartition = %v", tc.name, b.name, got.DummyKeyRepartition)
+			}
+		}
 	}
 }
 

@@ -192,13 +192,9 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 		DummyKeyRepartition: rVia.Name() != p.Name() || sVia.Name() != p.Name(),
 		Threads:             bp.Threads,
 	}
-	// The build scans FPGA-written R partitions sequentially; the probe's
-	// chain lookups random-access them. Apply Table 1's penalties to the
-	// measured times when the partitions were written by the FPGA.
+	// The partitions are FPGA-written when either side's are.
 	if pr.FPGAWritten() || ps.FPGAWritten() {
-		m := platform.XeonFPGA().Coherence
-		res.Build = time.Duration(float64(bp.Build) * m.BuildPenalty())
-		res.Probe = time.Duration(float64(bp.Probe) * m.ProbePenalty())
+		res.Build, res.Probe = platform.XeonFPGA().Coherence.JoinTime(bp.Build, bp.Probe, platform.FPGASocket)
 		res.CoherencePenalized = true
 	}
 	res.Memory = NewMemoryStats(budget, spill, stats)

@@ -37,7 +37,8 @@ type Crash struct {
 	AfterFraction float64
 }
 
-// Straggler slows every port operation of a node by Factor (≥ 1).
+// Straggler slows every port operation of a node by Factor (1 ≤ Factor ≤
+// maxStraggleFactor).
 type Straggler struct {
 	Node   int
 	Factor float64
@@ -85,6 +86,14 @@ func parseNodeFactor(s string, n int, form string) ([]int, float64, error) {
 	}
 	return nodes, factor, nil
 }
+
+// maxStraggleFactor bounds a straggle factor so that every duration it
+// stretches stays an int64. The longest durations it multiplies are a
+// distjoin node's phases, in nanoseconds: a phase of an hour is 3.6e12 ns,
+// and 3.6e12 × 1e6 = 3.6e18 stays below MaxInt64 ≈ 9.2e18 (partserver's
+// charges are microseconds, a thousand times further from it). A node a
+// million times slower than its peers has crashed, which Crashes models.
+const maxStraggleFactor = 1e6
 
 // Scenario is a complete, declarative failure scenario.
 type Scenario struct {
@@ -153,8 +162,8 @@ func (s *Scenario) Validate() error {
 		if st.Node < 0 {
 			return fmt.Errorf("faults: negative straggler node %d", st.Node)
 		}
-		if !(st.Factor >= 1) || math.IsInf(st.Factor, 1) {
-			return fmt.Errorf("faults: straggle factor %v is not a finite number ≥ 1", st.Factor)
+		if !(st.Factor >= 1 && st.Factor <= maxStraggleFactor) {
+			return fmt.Errorf("faults: straggle factor %v outside [1, %g]", st.Factor, float64(maxStraggleFactor))
 		}
 	}
 	return nil

@@ -21,6 +21,9 @@ func TestScenarioValidate(t *testing.T) {
 		{Crashes: []Crash{{Node: 0, AfterFraction: nan}}},
 		{Stragglers: []Straggler{{Node: 0, Factor: nan}}},
 		{Stragglers: []Straggler{{Node: 0, Factor: inf}}},
+		// Finite but large enough that a stretched duration overflows int64.
+		{Stragglers: []Straggler{{Node: 0, Factor: 1e300}}},
+		{Stragglers: []Straggler{{Node: 0, Factor: 1e7}}},
 		{DropProb: -0.1},
 		{DropProb: 1},
 		{CorruptProb: 1.5},
@@ -50,6 +53,12 @@ func TestScenarioValidate(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good scenario rejected: %v", err)
+	}
+	for _, f := range []float64{1, 8, maxStraggleFactor} {
+		s := Scenario{Stragglers: []Straggler{{Node: 0, Factor: f}}}
+		if err := s.Validate(); err != nil {
+			t.Errorf("straggle factor %v rejected: %v", f, err)
+		}
 	}
 }
 

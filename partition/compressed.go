@@ -52,8 +52,6 @@ func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err
 	return &Result{
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
-		simulated:     true,
-		fpgaWritten:   true,
 		fpga:          out,
 		Stats:         snapshot(stats),
 		Trace:         opts.Trace,

@@ -123,12 +123,10 @@ type Partitioner interface {
 type Result struct {
 	numPartitions int
 	elapsed       time.Duration
-	simulated     bool
-	fpgaWritten   bool
 	fellBack      bool
 
 	cpu  *cpupart.Result
-	fpga *core.Output
+	fpga *core.Output // nil unless the circuit wrote the partitions
 
 	// Stats carries FPGA run statistics (zero value for CPU runs).
 	Stats FPGAStats
@@ -173,11 +171,11 @@ func (r *Result) NumPartitions() int { return r.numPartitions }
 func (r *Result) Elapsed() time.Duration { return r.elapsed }
 
 // Simulated reports whether Elapsed is simulated rather than measured.
-func (r *Result) Simulated() bool { return r.simulated }
+func (r *Result) Simulated() bool { return r.fpga != nil }
 
 // FPGAWritten reports whether the partitions were written by the FPGA —
 // which means a CPU consumer pays the coherence snoop penalty of Table 1.
-func (r *Result) FPGAWritten() bool { return r.fpgaWritten }
+func (r *Result) FPGAWritten() bool { return r.fpga != nil }
 
 // FellBack reports whether a PAD overflow forced the CPU fallback.
 func (r *Result) FellBack() bool { return r.fellBack }
@@ -452,8 +450,6 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 	return &Result{
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
-		simulated:     true,
-		fpgaWritten:   true,
 		fpga:          out,
 		Stats:         snapshot(stats),
 		Trace:         p.opts.Trace,

@@ -67,22 +67,26 @@ func guardSimulator(err *error) {
 }
 
 const (
-	// cpuDispatchUS is the fixed virtual overhead of a CPU execution.
+	// cpuDispatchUS is the fixed virtual overhead of a CPU execution. An
+	// assumption (DESIGN §12): neither the paper nor benchmark/ measures it.
 	cpuDispatchUS = 5
-	// cpuRate is the calibrated CPU partitioning rate in tuples/s used both
-	// to predict CPU placements and to charge virtual time to CPU
-	// executions: one core of the paper's host. It is a deterministic
-	// constant, not a measurement: the scheduler may not read the host clock.
+	// cpuRate is the CPU partitioning rate in tuples/s that predicts CPU
+	// placements and charges CPU executions: a constant, as the scheduler
+	// may not read the host clock. An assumption (DESIGN §12), between
+	// Figure 4's single-threaded 320–420 M tuples/s and benchmark/'s
+	// cpupart.ns_per_tuple (≈ 13 ns, 77 M tuples/s on a 2-core VM).
 	cpuRate = 150e6
-	// joinRate is the build+probe rate in tuples/s charged to the join
-	// phase of join jobs.
+	// joinRate is the build+probe rate in tuples/s over CPU-written
+	// partitions. An assumption (DESIGN §12): benchmark/'s
+	// joincore.ns_per_probe_tuple (≈ 25 ns on workload A, |R| = |S|, on a
+	// 2-core VM) is 80 M tuples/s of R and S.
 	joinRate = 200e6
 	// maxFPGARetries is how many times a transiently failed job is retried
 	// on the FPGA pool before degrading to CPU.
 	maxFPGARetries = 1
 	// reconfigUS is the virtual cost of loading a different circuit
 	// configuration onto an FPGA instance: partial reconfiguration, not a
-	// full bitstream load.
+	// full bitstream load. An assumption (DESIGN §12): the paper times none.
 	reconfigUS = 200
 	// abortFraction is the fraction of a job's virtual duration charged
 	// when it is aborted mid-run by a fault or crash.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/hashutil"
@@ -70,11 +71,12 @@ type batch struct {
 // CPU partitioner worker, its scheduling state and the partitioners it runs
 // jobs through.
 type resource struct {
-	kind     Placement // PlacedFPGA or PlacedCPU
-	idx      int       // index within its pool
-	comp     string    // simtrace timeline name: "fpga0", "cpu1", …
-	inflight *batch    // nil when idle
-	loaded   configKey // FPGA: currently configured circuit (zero, which no job has: none yet)
+	kind     Placement       // PlacedFPGA or PlacedCPU
+	writer   platform.Socket // last writer of the partitions its joins read
+	idx      int             // index within its pool
+	comp     string          // simtrace timeline name: "fpga0", "cpu1", …
+	inflight *batch          // nil when idle
+	loaded   configKey       // FPGA: currently configured circuit (zero, which no job has: none yet)
 	dead     bool
 	started  int // FPGA: jobs started, drives the crash threshold
 	busyUS   int64
@@ -175,7 +177,7 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 			memo:     cfg.Memo,
 		}
 		if i < cfg.FPGAs {
-			r.kind, r.idx = PlacedFPGA, i
+			r.kind, r.idx, r.writer = PlacedFPGA, i, platform.FPGASocket
 			if s.inj != nil {
 				if f, ok := s.inj.CrashFraction(i); ok {
 					r.crashAt = int(f * float64(share))
@@ -332,7 +334,7 @@ func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 		us = s.cpuChargeUS(n, probe)
 	}
 	if probe > 0 {
-		us += s.joinChargeUS(n, probe) + s.predictSpillUS(j, n, probe)
+		us += s.joinChargeUS(n, probe, r.writer) + s.predictSpillUS(j, n, probe)
 	}
 	return us
 }
@@ -352,10 +354,14 @@ func (s *Scheduler) cpuChargeUS(n, probe int64) int64 {
 	return cpuDispatchUS + ceilDiv(n*1e6, cpuRate) + ceilDiv(probe*1e6, cpuRate)
 }
 
-// joinChargeUS is the virtual build+probe time of a join over n and probe
-// tuples, predicted and charged alike.
-func (s *Scheduler) joinChargeUS(n, probe int64) int64 {
-	return ceilDiv((n+probe)*1e6, joinRate)
+// joinChargeUS is the virtual build+probe time of a join over n build and
+// probe probe tuples on partitions last written by writer, predicted and
+// charged alike: each side at joinRate over CPU-written partitions, through
+// the platform's one rule for what FPGA-written ones cost.
+func (s *Scheduler) joinChargeUS(n, probe int64, writer platform.Socket) int64 {
+	build, probeT := s.platform.Coherence.JoinTime(
+		time.Duration(n*1e9/joinRate), time.Duration(probe*1e9/joinRate), writer)
+	return ceilDiv(int64(build+probeT), int64(time.Microsecond))
 }
 
 // predictSpillUS is the deterministic placement-time estimate of the extra
@@ -583,7 +589,7 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 			us = s.cpuChargeUS(n, probe)
 		}
 		if j.spec.Probe != nil && j.out.ok {
-			us += s.joinChargeUS(n, probe)
+			us += s.joinChargeUS(n, probe, r.writer)
 			// Spill round trip: each spilled packed tuple (8 B) is written
 			// and re-read, charged at the join rate.
 			spill = joincore.SpillRoundTripUS(j.out.spilledBytes, joinRate)

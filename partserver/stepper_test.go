@@ -175,7 +175,10 @@ func TestSchedulerStartsNoGoroutine(t *testing.T) {
 	}
 	joinEvery(t, jobs, 2)
 	before := runtime.NumGoroutine()
-	s, err := NewScheduler(Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: faultyScenario(seed)}, len(jobs))
+	// Transient faults dense enough that a job exhausts its FPGA retries.
+	scen := faultyScenario(seed)
+	scen.DropProb = 0.4
+	s, err := NewScheduler(Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: scen}, len(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,10 @@
 // calibration points are spelled out next to the data.
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // BandwidthCurve is a piecewise-linear memory bandwidth curve over the read
 // fraction of the traffic mix: point i of Points corresponds to a read
@@ -101,18 +104,21 @@ func (m CoherenceModel) RandPenalty() float64 {
 	return m.RandReadRemoteNS / m.RandReadLocalNS
 }
 
-// BuildPenalty is the slowdown of the join's build phase when the partitions
-// were written by the FPGA. The build scans its partition sequentially, so
-// the sequential penalty applies (Section 2.2: "during the build phase the
-// effect is not as high").
-func (m CoherenceModel) BuildPenalty() float64 { return m.SeqPenalty() }
-
-// ProbePenalty is the slowdown of the join's probe phase on FPGA-written
-// partitions: the probe's random accesses into the build partition cannot be
-// prefetched past the needless snoops. Only the memory-bound fraction of the
-// probe is slowed.
-func (m CoherenceModel) ProbePenalty() float64 {
-	return 1 + (m.RandPenalty()-1)*m.ProbeMemFraction
+// JoinTime is the one cost rule of a CPU build and probe over partitions
+// last written by writer: given the times they take over CPU-written
+// partitions, it returns the times they take over writer's. A CPU writer
+// costs nothing extra. Over FPGA-written partitions every CPU read is
+// snooped on the FPGA socket (Section 2.2, Table 1): the build scans its
+// partition sequentially and pays the sequential penalty ("during the build
+// phase the effect is not as high"); the probe's random accesses into the
+// build partition cannot be prefetched past the snoops, so its memory-bound
+// fraction, ProbeMemFraction, pays the random penalty.
+func (m CoherenceModel) JoinTime(build, probe time.Duration, writer Socket) (time.Duration, time.Duration) {
+	if writer != FPGASocket {
+		return build, probe
+	}
+	probePenalty := 1 + (m.RandPenalty()-1)*m.ProbeMemFraction
+	return time.Duration(float64(build) * m.SeqPenalty()), time.Duration(float64(probe) * probePenalty)
 }
 
 // ReadTime models Table 1 directly: the time for a single CPU thread to read

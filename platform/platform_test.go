@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBandwidthCurveAtEndpoints(t *testing.T) {
@@ -107,12 +108,18 @@ func TestCoherencePenalties(t *testing.T) {
 	if got := m.RandPenalty(); math.Abs(got-2.4876/1.1537) > 1e-9 {
 		t.Errorf("RandPenalty = %v", got)
 	}
-	if m.BuildPenalty() != m.SeqPenalty() {
-		t.Error("BuildPenalty should equal the sequential penalty")
+	// The build pays the sequential penalty, the probe a penalty between 1
+	// and the raw random one; a CPU writer costs nothing.
+	const build, probe = time.Second, time.Second
+	b, p := m.JoinTime(build, probe, FPGASocket)
+	if b != time.Duration(float64(build)*m.SeqPenalty()) {
+		t.Errorf("FPGA-written build %v, want %v × the sequential penalty", b, build)
 	}
-	pp := m.ProbePenalty()
-	if pp <= 1 || pp >= m.RandPenalty() {
-		t.Errorf("ProbePenalty = %v, want between 1 and the raw random penalty", pp)
+	if p <= probe || float64(p) >= float64(probe)*m.RandPenalty() {
+		t.Errorf("FPGA-written probe %v, want between %v and %v × the random penalty", p, probe, probe)
+	}
+	if b, p := m.JoinTime(build, probe, CPUSocket); b != build || p != probe {
+		t.Errorf("CPU-written build and probe %v, %v; want %v, %v", b, p, build, probe)
 	}
 }
 
@@ -121,8 +128,8 @@ func TestCoherenceZeroModelIsNeutral(t *testing.T) {
 	if m.SeqPenalty() != 1 || m.RandPenalty() != 1 {
 		t.Error("zero model must have penalty 1")
 	}
-	if m.ProbePenalty() != 1 {
-		t.Errorf("zero model ProbePenalty = %v", m.ProbePenalty())
+	if b, p := m.JoinTime(time.Second, time.Second, FPGASocket); b != time.Second || p != time.Second {
+		t.Errorf("zero model FPGA-written build and probe %v, %v; want 1s each", b, p)
 	}
 }
 
