@@ -2,8 +2,7 @@
 // evaluation. Each experiment has a Run function returning a typed result;
 // the result renders itself twice — Text prints the rows/series the paper
 // reports, CSV returns the same data as plot-ready records — so one run
-// serves both. cmd/repro drives them from the command line and
-// bench_test.go exposes one benchmark per experiment.
+// serves both. cmd/repro drives them from the command line.
 //
 // Absolute numbers differ from the paper — the CPU side is measured on the
 // host running the tests (Go, not hand-tuned C with non-temporal SIMD) and

@@ -130,27 +130,3 @@ func TestIsPowerOfTwo(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkMurmur32Finalizer(b *testing.B) {
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += Murmur32Finalizer(uint32(i))
-	}
-	_ = sink
-}
-
-func BenchmarkMurmur64Finalizer(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += Murmur64Finalizer(uint64(i))
-	}
-	_ = sink
-}
-
-func BenchmarkRadixBits(b *testing.B) {
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += RadixBits(uint32(i), 13)
-	}
-	_ = sink
-}

@@ -611,7 +611,6 @@ func TestOperatorsPartitionThroughPartition(t *testing.T) {
 // stay anyway, each with the reason. TestInternalFunctionsHaveProductionCallers
 // fails on an entry that has gained a production caller or lost its function.
 var testOnly = map[string]string{
-	"(*fpgapart/codec.RLEColumn).Decompress":         "reference: the round-trip oracle of FuzzRLERoundTrip",
 	"(*fpgapart/partserver.Report).WriteJSON":        "reference: the encoding the partserver golden pins",
 	"fpgapart/internal/core.NewHashPipeline":         "reference: the staged murmur pipeline of Code 3, which FuzzHashPipelineParity holds against the software finalizer the circuit applies",
 	"(*fpgapart/internal/core.HashPipeline).HashAll": "reference: drives the staged pipeline over a key stream for the parity tests",
@@ -692,17 +691,13 @@ func TestInternalFunctionsHaveProductionCallers(t *testing.T) {
 
 // testOnlyOptions lists the option fields that no non-test file writes and
 // that stay anyway. A reason starts with "reference:" (a reference the tests
-// compare against), "lock:" (a committed golden or cycle lock pins
-// configurations that vary the field) or "ablation:" (DESIGN §6 names the
-// field as one of the paper's design-decision ablations). Being a test's
-// lever is not a reason.
+// compare against) or "lock:" (a committed golden or cycle lock pins
+// configurations that vary the field). Being a test's lever is not a reason.
 var testOnlyOptions = map[string]string{
-	"fpgapart/internal/core.Config.Stage1FIFODepth":       "lock: TestCycleLockRandom draws it (8–32) for each of the 256 configurations cycle_lock_random.json pins",
-	"fpgapart/internal/core.Config.OutFIFODepth":          "lock: TestCycleLockRandom draws it (2–8) for each of the 256 configurations cycle_lock_random.json pins",
-	"fpgapart/partition.FPGAOptions.DisableForwarding":    "ablation: DESIGN §6 #1, the write combiner without Code 4's forwarding registers; both cycle locks pin circuits built without them",
-	"fpgapart/partition.FPGAOptions.DisableWriteCombiner": "ablation: DESIGN §6 #2, Section 4.2's per-tuple read-modify-write strawman; both cycle locks pin circuits built without the combiner",
-	"fpgapart/internal/simtrace.Session.SampleWindow":     "lock: cycle_lock.json's traced cases sample every 64 cycles",
-	"fpgapart/internal/joincore.BudgetConfig.Emit":        "lock: hashjoin.TestEmitOrderLock reads the order of matches through it, against emit_order_lock.json",
+	"fpgapart/internal/core.Config.Stage1FIFODepth":   "lock: TestCycleLockRandom draws it (8–32) for each of the 256 configurations cycle_lock_random.json pins",
+	"fpgapart/internal/core.Config.OutFIFODepth":      "lock: TestCycleLockRandom draws it (2–8) for each of the 256 configurations cycle_lock_random.json pins",
+	"fpgapart/internal/simtrace.Session.SampleWindow": "lock: cycle_lock.json's traced cases sample every 64 cycles",
+	"fpgapart/internal/joincore.BudgetConfig.Emit":    "lock: hashjoin.TestEmitOrderLock reads the order of matches through it, against emit_order_lock.json",
 }
 
 // namedOptionTypes are the option types whose name does not end in Config or
@@ -724,7 +719,7 @@ var namedOptionTypes = map[string]bool{
 // and cmd/ count): a composite-literal key, an assignment, ++ or --, or its
 // address taken (&x.F, as flag.IntVar does). A write inside a withDefaults or
 // WithDefaults of the field's own package does not count. Any other field
-// must be on testOnlyOptions with a reason of one of its three kinds; an
+// must be on testOnlyOptions with a reason of one of its two kinds; an
 // entry whose field has gained a writer or no longer exists fails.
 func TestOptionsHaveProductionSetters(t *testing.T) {
 	l := testLoader(t)
@@ -785,8 +780,8 @@ func TestOptionsHaveProductionSetters(t *testing.T) {
 			t.Errorf("%s: testOnlyOptions lists %s, which is not an option field of the module", entries[name], name)
 		}
 		switch kind, why, _ := strings.Cut(reason, ":"); {
-		case kind != "reference" && kind != "lock" && kind != "ablation":
-			t.Errorf("%s: testOnlyOptions entry %s: reason %q does not start with reference:, lock: or ablation:", entries[name], name, reason)
+		case kind != "reference" && kind != "lock":
+			t.Errorf("%s: testOnlyOptions entry %s: reason %q does not start with reference: or lock:", entries[name], name, reason)
 		case strings.TrimSpace(why) == "":
 			t.Errorf("%s: testOnlyOptions entry %s states no reason after %s:", entries[name], name, kind)
 		}

@@ -36,6 +36,7 @@ import (
 	"fpgapart/internal/model"
 	"fpgapart/internal/simtrace"
 	"fpgapart/partition"
+	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
@@ -161,12 +162,23 @@ type partitionScenario struct {
 	width  int
 	fanOut int
 	skewed bool
+	// singleKey gives every tuple key 0 on platform.RawFPGA, where the
+	// circuit, not the link, binds: the input forwarding exists for.
+	singleKey bool
+	// ablation is "", or DESIGN §6's "no-forwarding" (#1) or "no-combiner" (#2).
+	ablation string
 }
 
 func (s partitionScenario) name() string {
 	dist := "uniform"
-	if s.skewed {
+	switch {
+	case s.skewed:
 		dist = fmt.Sprintf("zipf%.2f", zipfFactor)
+	case s.singleKey:
+		dist = "single/raw"
+	}
+	if s.ablation != "" {
+		dist += "/" + s.ablation
 	}
 	return fmt.Sprintf("%s/%s/w%d/fan%d/%s", SuitePartition, s.mode.Name, s.width, s.fanOut, dist)
 }
@@ -175,7 +187,8 @@ func (s partitionScenario) name() string {
 // base point, a tuple-width sweep (Figure 8's 8–64 B), a fan-out sweep
 // across the paper's 2^4–2^13 range, and skewed variants of both output
 // strategies (HIST absorbs skew, PAD overflows and falls back — both
-// trajectories are gated).
+// trajectories are gated), then the paper's two circuit ablations, each
+// beside the circuit it ablates.
 func partitionMatrix() []partitionScenario {
 	modes := experiments.FPGAModes()
 	byName := make(map[string]experiments.FPGAMode, len(modes))
@@ -201,6 +214,13 @@ func partitionMatrix() []partitionScenario {
 	out = append(out,
 		partitionScenario{mode: histRID, width: 8, fanOut: 256, skewed: true},
 		partitionScenario{mode: padRID, width: 8, fanOut: 256, skewed: true},
+		// DESIGN §6 #1: Code 4's forwarding registers against stalling on
+		// every read-after-write hazard.
+		partitionScenario{mode: histRID, width: 8, fanOut: 64, singleKey: true},
+		partitionScenario{mode: histRID, width: 8, fanOut: 64, singleKey: true, ablation: "no-forwarding"},
+		// DESIGN §6 #2: Section 4.2's per-tuple read-modify-write against
+		// HIST/RID/w8/fan256/uniform above.
+		partitionScenario{mode: histRID, width: 8, fanOut: 256, ablation: "no-combiner"},
 	)
 	return out
 }
@@ -219,9 +239,14 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (simtrace.Snapshot, 
 		rel *workload.Relation
 		err error
 	)
-	if sc.skewed {
+	plat := platform.XeonFPGA()
+	switch {
+	case sc.skewed:
 		rel, err = gen.ZipfRelation(zipfFactor, cfg.Tuples, sc.width, cfg.Tuples)
-	} else {
+	case sc.singleKey:
+		rel, err = workload.FromKeys(make([]uint32, cfg.Tuples), sc.width)
+		plat = platform.RawFPGA()
+	default:
 		rel, err = gen.Relation(workload.Random, sc.width, cfg.Tuples)
 	}
 	if err != nil {
@@ -240,8 +265,12 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (simtrace.Snapshot, 
 		Format:          sc.mode.Format,
 		Layout:          sc.mode.Layout,
 		PadFraction:     0.5,
+		Platform:        plat,
 		FallbackThreads: 1,
 		Trace:           sess,
+
+		DisableForwarding:    sc.ablation == "no-forwarding",
+		DisableWriteCombiner: sc.ablation == "no-combiner",
 	})
 	if err != nil {
 		return nil, err
@@ -355,8 +384,8 @@ func distjoinCells(cfg Config) ([]cell, error) {
 		{"faultfree", nil},
 		{"faulty", &faults.Scenario{
 			Seed:        uint64(cfg.Seed),
-			DropProb:    0.005,
-			CorruptProb: 0.01,
+			DropProb:    0.1,
+			CorruptProb: 0.3,
 			Crashes:     []faults.Crash{{Node: 1, AfterFraction: 0.5}},
 			Links:       []faults.Link{{Src: 0, Dst: 2, Factor: 0.25}},
 		}},

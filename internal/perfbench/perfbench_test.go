@@ -274,6 +274,26 @@ func TestKnownScenarios(t *testing.T) {
 	if hc.Value != pc.Value {
 		t.Errorf("fallback output checksum %d != HIST checksum %d", pc.Value, hc.Value)
 	}
+	// Each ablation costs cycles and what it names (hazard stalls, lines
+	// written) and changes no output tuple.
+	for _, ab := range []struct{ ablated, base, grows string }{
+		{"partition/HIST/RID/w8/fan64/single/raw/no-forwarding", "partition/HIST/RID/w8/fan64/single/raw", "circuit.stalls.hazard"},
+		{"partition/HIST/RID/w8/fan256/uniform/no-combiner", "partition/HIST/RID/w8/fan256/uniform", "qpi.lines_written"},
+	} {
+		a, b := byName[ab.ablated].Gated.Metrics, byName[ab.base].Gated.Metrics
+		for _, name := range []string{"circuit.cycles", ab.grows} {
+			am, _ := a.Get(name)
+			bm, _ := b.Get(name)
+			if am.Value <= bm.Value {
+				t.Errorf("%s: %s = %d, %d without the ablation", ab.ablated, name, am.Value, bm.Value)
+			}
+		}
+		as, _ := a.Get("output.checksum")
+		bs, _ := b.Get("output.checksum")
+		if as.Value != bs.Value || as.Value == 0 {
+			t.Errorf("%s: output checksum %d, %d without the ablation", ab.ablated, as.Value, bs.Value)
+		}
+	}
 
 	dj := suiteReport(t, SuiteDistjoin)
 	var faulty *Record
@@ -290,5 +310,15 @@ func TestKnownScenarios(t *testing.T) {
 	}
 	if m, _ := faulty.Gated.Metrics.Get("distjoin.retries"); m.Value == 0 {
 		t.Errorf("faulty scenario recorded no retries")
+	}
+	if m, _ := faulty.Gated.Metrics.Get("distjoin.corrupt_pieces"); m.Value == 0 {
+		t.Errorf("faulty scenario corrupted no piece")
+	}
+	for _, name := range []string{"join.matches", "join.checksum_hi", "join.checksum_lo"} {
+		f, _ := faulty.Gated.Metrics.Get(name)
+		ff, _ := dj.Records[0].Gated.Metrics.Get(name)
+		if f.Value != ff.Value {
+			t.Errorf("%s: faulty %d, faultfree %d", name, f.Value, ff.Value)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fpgapart/codec"
 	"fpgapart/internal/core"
 	"fpgapart/platform"
+	"fpgapart/workload"
 )
 
 // FPGACompressed partitions an RLE-compressed key column on the simulated
@@ -14,7 +15,8 @@ import (
 // compressed bytes and the saved bandwidth becomes partitioning throughput.
 // The options must select ColumnStore layout (output tuples are <key, VRID>,
 // as in plain VRID mode); PAD overflow has no CPU fallback here — compressed
-// skewed columns should use HistMode.
+// skewed columns should use HistMode. Like Exact, it keeps dummy-keyed tuples
+// by repartitioning the decompressed column on the CPU (FallbackThreads).
 func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err error) {
 	defer guardSimulator(&err)
 	if opts.TupleWidth == 0 {
@@ -49,11 +51,14 @@ func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
+	res := &Result{
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
 		fpga:          out,
 		Stats:         snapshot(stats),
 		Trace:         opts.Trace,
-	}, nil
+	}
+	rows := func() (*workload.Relation, error) { return workload.FromKeys(col.Decompress(), 8) }
+	result, _, err = exact(res, nil, col.N, rows, opts.Hash, opts.FallbackThreads)
+	return result, err
 }

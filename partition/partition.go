@@ -518,8 +518,19 @@ func Exact(p Partitioner, rel *workload.Relation, hash bool, threads int) (*Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.ValidTuples() == int64(rel.NumTuples) {
+	return exact(res, p, rel.NumTuples, func() (*workload.Relation, error) { return rel, nil }, hash, threads)
+}
+
+// exact is Exact's check on a result res that p partitioned from n tuples:
+// res and p when a consumer observes all n, and otherwise the CPU
+// partitioner's output over rows() and that partitioner.
+func exact(res *Result, p Partitioner, n int, rows func() (*workload.Relation, error), hash bool, threads int) (*Result, Partitioner, error) {
+	if res.ValidTuples() == int64(n) {
 		return res, p, nil
+	}
+	rel, err := rows()
+	if err != nil {
+		return nil, nil, err
 	}
 	cpu, err := NewCPU(CPUOptions{Partitions: res.NumPartitions(), Hash: hash, Threads: threads})
 	if err != nil {

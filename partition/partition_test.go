@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpgapart/codec"
 	"fpgapart/workload"
 )
 
@@ -172,9 +173,10 @@ func TestColumnStoreMode(t *testing.T) {
 }
 
 // TestExactKeepsEveryTuple sends relations whose keys collide with the
-// circuit's dummy key, or are 0, through Exact on every backend: the
-// (key, payload) multiset a consumer reads back must be the input's. The
-// payload is the row index, which is also what VRID mode emits.
+// circuit's dummy key, or are 0, through Exact on every backend and, as an
+// RLE column, through FPGACompressed: the (key, payload) multiset a consumer
+// reads back must be the input's. The payload is the row index, which is
+// also what VRID mode emits.
 func TestExactKeepsEveryTuple(t *testing.T) {
 	const n, dummy = 1000, 0xFFFFFFFF
 	type backend struct {
@@ -222,14 +224,9 @@ func TestExactKeepsEveryTuple(t *testing.T) {
 			rows.SetTuple(i, tc.keyOf(i), uint32(i))
 			want[uint64(tc.keyOf(i))<<32|uint64(i)]++
 		}
-		for _, b := range backends {
-			rel := rows.Clone()
-			if b.vrid {
-				rel = rows.ToColumns()
-			}
-			res, _, err := Exact(b.p, rel, true, 2)
+		check := func(name string, res *Result, err error) {
 			if err != nil {
-				t.Fatalf("%s, %s: %v", tc.name, b.p.Name(), err)
+				t.Fatalf("%s, %s: %v", tc.name, name, err)
 			}
 			got := map[uint64]int{}
 			for q := 0; q < res.NumPartitions(); q++ {
@@ -237,9 +234,20 @@ func TestExactKeepsEveryTuple(t *testing.T) {
 			}
 			if !maps.Equal(got, want) {
 				t.Errorf("%s, %s: read back %d distinct (key, payload) pairs, want %d; the multisets differ",
-					tc.name, b.p.Name(), len(got), len(want))
+					tc.name, name, len(got), len(want))
 			}
 		}
+		for _, b := range backends {
+			rel := rows.Clone()
+			if b.vrid {
+				rel = rows.ToColumns()
+			}
+			res, _, err := Exact(b.p, rel, true, 2)
+			check(b.p.Name(), res, err)
+		}
+		res, err := FPGACompressed(FPGAOptions{Partitions: 16, Hash: true, Layout: ColumnStore, FallbackThreads: 2},
+			codec.CompressRLE(rows.ToColumns().Keys))
+		check("FPGACompressed", res, err)
 	}
 }
 
