@@ -79,8 +79,9 @@ bench-gate:
 	exit $$fail
 
 # trace-demo exercises the causal-tracing stack end to end on a faulty
-# sharded run: prints the critical-path profile and writes the per-request
-# breakdown JSON, the flight-recorder postmortem, and the Chrome trace
+# sharded run and a faulty standalone scheduler run: each prints the
+# critical-path profile and writes the per-request breakdown JSON and the
+# flight-recorder postmortem; the sharded run also writes the Chrome trace
 # (open bench/out/trace.json in chrome://tracing or Perfetto — the req*
 # track carries the root spans and flow arrows).
 trace-demo:
@@ -89,6 +90,9 @@ trace-demo:
 		-reqtrace bench/out/reqtrace_breakdown.json \
 		-flight bench/out/flight_postmortem.txt \
 		-trace bench/out/trace.json
+	$(GO) run ./cmd/partserver run -jobs 64 -faulty \
+		-reqtrace bench/out/partserver_reqtrace_breakdown.json \
+		-flight bench/out/partserver_flight_postmortem.txt
 
 # fuzz runs every fuzz target of the module, as `go test -list` finds them,
 # for a short smoke window each (Go's fuzzer accepts one -fuzz target per

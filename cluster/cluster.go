@@ -334,7 +334,9 @@ type runState struct {
 	throttleDelayUS int64
 	results         []RequestResult
 
-	plumb *capturePlumbing
+	// flight is the router's flight-recorder ring, nil when Config.ReqTrace
+	// is; each shard scheduler keeps its own.
+	flight *reqtrace.Flight
 }
 
 func newRunState(reqs []Request, cfg Config) (*runState, error) {
@@ -411,7 +413,9 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 		st.draining[j] = make([]int, st.numShards)
 		st.held[j] = make([][]int, st.numShards)
 	}
-	st.plumb = newCapturePlumbing(cfg.ReqTrace, st.numShards)
+	if cfg.ReqTrace != nil {
+		st.flight = reqtrace.NewFlight(0)
+	}
 	return st, nil
 }
 
@@ -435,7 +439,7 @@ func (st *runState) run() (err error) {
 		if ev.Kind == Drain {
 			kind = "shard_drain"
 		}
-		st.plumb.record(ev.AtUS, kind, -1, int64(ev.Shard))
+		st.record(ev.AtUS, kind, -1, int64(ev.Shard))
 	}
 	for _, idx := range st.order {
 		if err := st.arrive(idx); err != nil {
@@ -591,7 +595,7 @@ func (st *runState) arrive(idx int) error {
 	}
 	if d.throttled {
 		st.throttleDelayUS += admit - r.Job.ArrivalUS
-		st.plumb.record(admit, "throttle", idx, admit-r.Job.ArrivalUS)
+		st.record(admit, "throttle", idx, admit-r.Job.ArrivalUS)
 	}
 	d.admitUS = admit
 	d.epoch = st.events.epochAt(admit)
@@ -606,18 +610,18 @@ func (st *runState) arrive(idx int) error {
 		shard, ok = st.rings[d.epoch].ShardSkipping(r.Key, func(s int) bool { return !st.dead[s] })
 	}
 	if !ok {
-		st.plumb.record(admit, "unrouted", idx, int64(d.primary))
+		st.record(admit, "unrouted", idx, int64(d.primary))
 		return nil
 	}
 	d.run.shard = shard
 	if shard != d.primary {
-		st.plumb.record(admit, "failover", idx, int64(shard))
+		st.record(admit, "failover", idx, int64(shard))
 	}
 	st.served[shard]++
 	if st.dieAfter[shard] >= 0 && st.served[shard] >= st.dieAfter[shard] && !st.dead[shard] {
 		st.dead[shard] = true
 		st.crashUS[shard] = admit
-		st.plumb.record(admit, "shard_crash", -1, int64(shard))
+		st.record(admit, "shard_crash", -1, int64(shard))
 	}
 	for j := d.epoch; j < len(st.events); j++ {
 		if st.leaves(idx, j) {
@@ -668,7 +672,7 @@ func (st *runState) admit(t timer) error {
 		heap.Push(&st.timers, timer{us: d.admitUS + deadline, hedge: true, idx: idx})
 	}
 	if j, o := st.movedBy(idx); j >= 0 {
-		st.plumb.record(d.admitUS, "range_moved", idx, int64(d.run.shard))
+		st.record(d.admitUS, "range_moved", idx, int64(d.run.shard))
 		if st.draining[j][o] > 0 {
 			st.held[j][o] = append(st.held[j][o], idx)
 			st.holding++
@@ -711,12 +715,12 @@ func (st *runState) send(idx int, e *exec, tag, arrivalUS int64) (err error) {
 	sched := st.shards[e.shard]
 	if sched == nil {
 		sched, err = partserver.NewScheduler(partserver.Config{
-			FPGAs:   st.cfg.ShardFPGAs,
-			Workers: st.cfg.ShardWorkers,
-			Seed:    hashutil.SplitMix64(st.cfg.Seed ^ uint64(e.shard+1)),
-			Faults:  st.shardScen[e.shard],
-			Record:  st.plumb.shardRecorder(e.shard),
-			Memo:    st.memo,
+			FPGAs:    st.cfg.ShardFPGAs,
+			Workers:  st.cfg.ShardWorkers,
+			Seed:     hashutil.SplitMix64(st.cfg.Seed ^ uint64(e.shard+1)),
+			Faults:   st.shardScen[e.shard],
+			ReqTrace: st.cfg.ReqTrace,
+			Memo:     st.memo,
 		}, partserver.UnknownTotal)
 		st.shards[e.shard] = sched
 	}
@@ -751,7 +755,7 @@ func (st *runState) hedge(t timer) error {
 		return nil
 	}
 	d.hedgeIssueUS = t.us
-	st.plumb.record(t.us, "hedge_issued", idx, int64(d.hedge.shard))
+	st.record(t.us, "hedge_issued", idx, int64(d.hedge.shard))
 	return st.send(idx, &d.hedge, ^int64(idx), t.us)
 }
 
@@ -801,7 +805,7 @@ func (st *runState) step(s int, us int64) error {
 		}
 		d.run.end(&jr)
 		if d.hedgeWon() {
-			st.plumb.record(d.hedge.doneUS, "hedge_won", idx, int64(d.hedge.shard))
+			st.record(d.hedge.doneUS, "hedge_won", idx, int64(d.hedge.shard))
 		} else {
 			if d.hedged() && !d.hedge.ended {
 				// The loser is cancelled the instant the primary finishes,
@@ -908,12 +912,12 @@ func serve(reqs []Request, cfg Config, memoised bool) (rep *Report, err error) {
 	}
 	// Causal capture: the flight merge is deferred so a failed run still
 	// dumps a postmortem.
-	defer st.plumb.finishFlight()
+	defer st.finishFlight()
 
 	if err := st.run(); err != nil {
 		return nil, err
 	}
-	st.plumb.buildTraces(st)
+	st.buildTraces()
 
 	rep = st.gather()
 	st.emit(rep)

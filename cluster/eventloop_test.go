@@ -220,8 +220,8 @@ func TestShardsApartMatchGlobalOrder(t *testing.T) {
 		if err := st.run(); err != nil {
 			t.Fatal(err)
 		}
-		st.plumb.buildTraces(st)
-		st.plumb.finishFlight()
+		st.buildTraces()
+		st.finishFlight()
 		var b bytes.Buffer
 		if err := st.gather().WriteJSON(&b); err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fpgapart/internal/faults"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/partserver"
 )
 
@@ -109,7 +110,8 @@ func FuzzClusterRoute(f *testing.F) {
 // stream on the static initial ring. Keys whose owner never changes across any epoch must land on the
 // same shard with the same output as the static run; the merged totals must
 // match the single-node reference either way. Churn may only ever re-route
-// the moved ranges.
+// the moved ranges. The churning run is captured, and its causal traces are
+// held to checkCapture's oracle.
 func FuzzMembershipSchedule(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(3), []byte{0x01, 0x40}, uint8(0), int16(0))
 	f.Add(uint64(7), uint8(20), uint8(2), []byte{0x01, 0x20, 0x80, 0x60}, uint8(1), int16(300))
@@ -161,14 +163,18 @@ func FuzzMembershipSchedule(f *testing.F) {
 		if cfg.Replicas > 1 {
 			cfg.HedgeUS = max(int64(hedgeUS), HedgeAuto)
 		}
+		capt := &reqtrace.Capture{}
+		cfg.ReqTrace = capt
 		rep, err := Run(reqs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCapture(t, rep, capt)
 		static := cfg
 		static.Schedule = nil
 		static.Replicas = 0
 		static.HedgeUS = 0
+		static.ReqTrace = nil
 		srep, err := Run(reqs, static)
 		if err != nil {
 			t.Fatal(err)

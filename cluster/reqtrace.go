@@ -7,81 +7,49 @@ import (
 	"fpgapart/internal/reqtrace"
 )
 
-// capturePlumbing is the per-run causal-tracing state: one recorder per
-// shard (handed to the shard's scheduler) plus the router's own flight ring.
-// nil when the run is untraced.
-type capturePlumbing struct {
-	cap    *reqtrace.Capture
-	recs   []*reqtrace.Recorder
-	router *reqtrace.Flight
-}
-
-func newCapturePlumbing(c *reqtrace.Capture, shards int) *capturePlumbing {
-	if c == nil {
-		return nil
-	}
-	p := &capturePlumbing{
-		cap:    c,
-		recs:   make([]*reqtrace.Recorder, shards),
-		router: reqtrace.NewFlight(0),
-	}
-	for s := range p.recs {
-		p.recs[s] = reqtrace.NewRecorder(0)
-	}
-	return p
-}
-
-// record is a nil-safe router flight event.
-func (p *capturePlumbing) record(us int64, kind string, job int, arg int64) {
-	if p == nil {
-		return
-	}
-	p.router.Record(reqtrace.FlightEvent{US: us, Comp: "router", Kind: kind, Job: job, Arg: arg})
-}
-
-// shardRecorder returns shard s's recorder (nil when untraced).
-func (p *capturePlumbing) shardRecorder(s int) *reqtrace.Recorder {
-	if p == nil {
-		return nil
-	}
-	return p.recs[s]
+// record is a router flight event; the ring is nil, and the call free, when
+// the run is untraced.
+func (st *runState) record(us int64, kind string, job int, arg int64) {
+	st.flight.Record(reqtrace.FlightEvent{US: us, Comp: "router", Kind: kind, Job: job, Arg: arg})
 }
 
 // finishFlight merges the router's and every shard's flight events into the
 // capture — shard components prefixed "s<N>.", shard-local job ids remapped
-// to request indices via Job.Tag (a hedge and its primary both name their
-// request) — ordered by virtual time (stable: router before shard 0 before
-// shard 1 at equal stamps). Called via defer so a failed run still leaves a
-// postmortem behind.
-func (p *capturePlumbing) finishFlight() {
-	if p == nil {
+// to request indices via the job's Tag (a hedge and its primary both name
+// their request) — ordered by virtual time (stable: router before shard 0 before
+// shard 1 at equal stamps). A shard that never started has no ring. Called
+// via defer so a failed run still leaves a postmortem behind.
+func (st *runState) finishFlight() {
+	c := st.cfg.ReqTrace
+	if c == nil {
 		return
 	}
-	merged := p.router.Events()
-	dropped := p.router.Dropped()
-	for s, rec := range p.recs {
-		for _, e := range rec.FlightEvents() {
+	merged := st.flight.Events()
+	dropped := st.flight.Dropped()
+	for s, sched := range st.shards {
+		if sched == nil {
+			continue
+		}
+		for _, e := range sched.Flight().Events() {
 			e.Comp = fmt.Sprintf("s%d.%s", s, e.Comp)
 			if e.Job >= 0 {
-				if j := rec.Job(e.Job); j != nil {
-					e.Job, _ = requestOf(j.Tag)
-				}
+				e.Job, _ = requestOf(sched.Result(e.Job).Tag)
 			}
 			merged = append(merged, e)
 		}
-		dropped += rec.FlightDropped()
+		dropped += sched.Flight().Dropped()
 	}
 	sort.SliceStable(merged, func(a, b int) bool { return merged[a].US < merged[b].US })
-	p.cap.Flight = merged
-	p.cap.FlightDropped = dropped
+	c.Flight, c.FlightDropped = merged, dropped
 }
 
 // buildTraces assembles the per-request causal traces from the router
-// decisions and the shard recorders, in request order. A won hedge's trace
-// is built from the hedge's job record on the replica — the winning causal
-// chain — with the deadline interval charged as hedge wait.
-func (p *capturePlumbing) buildTraces(st *runState) {
-	if p == nil {
+// decisions and the shard schedulers' job records, in request order. A won
+// hedge's trace is built from the hedge's job record on the replica — the
+// winning causal chain — with the deadline interval charged as hedge wait.
+func (st *runState) buildTraces() {
+	c := st.cfg.ReqTrace
+	if c == nil {
 		return
 	}
 	traces := make([]reqtrace.RequestTrace, len(st.reqs))
@@ -104,9 +72,10 @@ func (p *capturePlumbing) buildTraces(st *runState) {
 		}
 		var job *reqtrace.JobRecord
 		if e.shard >= 0 {
-			job = p.recs[e.shard].Job(e.job)
+			rec := st.shards[e.shard].JobRecord(e.job)
+			job = &rec
 		}
 		traces[idx] = reqtrace.BuildRouted(st.cfg.Seed, idx, step, job)
 	}
-	p.cap.Traces = traces
+	c.Traces = traces
 }

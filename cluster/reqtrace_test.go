@@ -23,14 +23,44 @@ func runCaptured(t *testing.T, seed uint64, n int, cfg Config) (*Report, *reqtra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(capt.Traces) != n {
-		t.Fatalf("%d traces for %d requests", len(capt.Traces), n)
-	}
+	checkCapture(t, rep, capt)
 	return rep, capt
 }
 
+// checkCapture holds a captured run to the causal oracle: one trace per
+// request, each conserved, its spans tiling [ArrivalUS, DoneUS) with no gap
+// or overlap, and a done request's trace ending when the report says.
+func checkCapture(t *testing.T, rep *Report, capt *reqtrace.Capture) {
+	t.Helper()
+	if len(capt.Traces) != len(rep.Results) {
+		t.Fatalf("%d traces for %d requests", len(capt.Traces), len(rep.Results))
+	}
+	for i := range capt.Traces {
+		rt := &capt.Traces[i]
+		if !rt.Conserved() {
+			t.Fatalf("request %d (%s): breakdown sums to %d, latency %d\n%+v",
+				i, rt.Status, rt.Breakdown.Sum(), rt.LatencyUS, rt.Breakdown)
+		}
+		cursor := rt.ArrivalUS
+		for s := 1; s < len(rt.Spans); s++ {
+			sp := &rt.Spans[s]
+			if sp.StartUS != cursor || sp.DurUS < 0 {
+				t.Fatalf("request %d (%s): span %d (%v) at %d dur %d, cursor %d — timeline not tiled",
+					i, rt.Status, s, sp.Kind, sp.StartUS, sp.DurUS, cursor)
+			}
+			cursor += sp.DurUS
+		}
+		if cursor != rt.DoneUS {
+			t.Fatalf("request %d (%s): spans end at %d, DoneUS %d", i, rt.Status, cursor, rt.DoneUS)
+		}
+		if rr := &rep.Results[i]; rt.Status == "done" && rt.DoneUS != rr.DoneUS {
+			t.Fatalf("request %d: done trace ends at %d, report at %d", i, rt.DoneUS, rr.DoneUS)
+		}
+	}
+}
+
 // TestClusterReqtraceConservation pins the end-to-end conservation law on
-// the full stack: router quota deferral + shard scheduling + execution must
+// the full stack (runCaptured checks it on every trace): router quota deferral + shard scheduling + execution must
 // decompose every request's latency exactly, fault-free and with a shard
 // fail-stopping mid-stream.
 func TestClusterReqtraceConservation(t *testing.T) {
@@ -46,10 +76,6 @@ func TestClusterReqtraceConservation(t *testing.T) {
 			throttled := false
 			for i := range capt.Traces {
 				rt := &capt.Traces[i]
-				if !rt.Conserved() {
-					t.Fatalf("request %d (%s): breakdown sums to %d, latency %d\n%+v",
-						i, rt.Status, rt.Breakdown.Sum(), rt.LatencyUS, rt.Breakdown)
-				}
 				if rt.Throttled {
 					throttled = true
 					if rt.Breakdown[reqtrace.CompQuotaWait] == 0 {

@@ -10,7 +10,9 @@
 // The same -seed and trace parameters always produce byte-identical
 // placement decisions, simtrace output, and results; -trace writes the
 // per-resource timeline in the Chrome trace-event format and -metrics the
-// scheduler counter snapshot.
+// scheduler counter snapshot. -reqtrace and -flight attach a causal capture
+// that partserver.Run fills: the per-job latency breakdowns and the
+// scheduler's flight-recorder postmortem, written even when the run fails.
 package main
 
 import (
@@ -78,20 +80,11 @@ func runCmd(args []string) {
 	}
 	sess := simtrace.NewSession()
 	cfg.Trace = sess
-	var rec *reqtrace.Recorder
-	capt := art.Capture()
-	if capt != nil {
-		rec = reqtrace.NewRecorder(0)
-		cfg.Record = rec
-	}
+	cfg.ReqTrace = art.Capture()
 
 	rep, err := partserver.Run(jl, cfg)
-	if capt != nil {
-		// The recorder's flight ring survives a failure.
-		capt.Flight, capt.FlightDropped = rec.FlightEvents(), rec.FlightDropped()
-	}
 	if err != nil {
-		fatal(art.Finish("partserver", "job", sess, capt, err))
+		fatal(art.Finish("partserver", "job", sess, cfg.ReqTrace, err))
 	}
 
 	if *verbose {
@@ -111,10 +104,7 @@ func runCmd(args []string) {
 		len(rep.Results), rep.MakespanUS, rep.PlacedFPGA, rep.PlacedCPU, rep.Degraded, rep.FailedInstances)
 	fmt.Print(sess.Summary())
 
-	if capt != nil {
-		capt.Traces = reqtrace.BuildJobs(*seed, rec.Jobs())
-	}
-	if err := art.Finish("partserver", "job", sess, capt, nil); err != nil {
+	if err := art.Finish("partserver", "job", sess, cfg.ReqTrace, nil); err != nil {
 		fatal(err)
 	}
 }

@@ -62,7 +62,8 @@ type HotpathAlloc struct {
 }
 
 // HotPathRoots are the known hot entry points outside Tick/Cycle methods:
-// the simtrace instrumentation calls covered by the AllocsPerRun guards.
+// the simtrace instrumentation calls and the reqtrace flight ring, covered
+// by the AllocsPerRun guards.
 var HotPathRoots = []string{
 	"fpgapart/internal/simtrace.Counter.Add",
 	"fpgapart/internal/simtrace.Counter.Inc",
@@ -71,10 +72,6 @@ var HotPathRoots = []string{
 	"fpgapart/internal/simtrace.Tracer.Span",
 	"fpgapart/internal/simtrace.Tracer.Instant",
 	"fpgapart/internal/simtrace.Tracer.Sample",
-	"fpgapart/internal/reqtrace.Recorder.Admit",
-	"fpgapart/internal/reqtrace.Recorder.Attempt",
-	"fpgapart/internal/reqtrace.Recorder.Finish",
-	"fpgapart/internal/reqtrace.Recorder.Event",
 	"fpgapart/internal/reqtrace.Flight.Record",
 }
 

@@ -519,7 +519,7 @@ func TestClusterOnAnalyzerRosters(t *testing.T) {
 
 // TestReqtraceFixture runs the determinism and hotpath-alloc analyzers —
 // configured as for the real causal-tracing package — over the known-bad
-// reqtrace twin: host-clock admission and flight stamps (direct and through
+// reqtrace twin: host-clock job-record and flight stamps (direct and through
 // a helper), a map-range merge of per-shard flight timelines, and a
 // marker-declared hot recording wrapper that allocates per event. Marker-checked in both directions, so the fixture
 // also proves the analyzers stay quiet on its clean recording path.
@@ -538,8 +538,8 @@ func TestReqtraceFixture(t *testing.T) {
 
 // TestReqtraceOnAnalyzerRosters pins the roster membership the causal layer
 // relies on: fpgapart/internal/reqtrace replays bit-for-bit (deterministic
-// path) and its recording entry points are statically allocation-free
-// (hotpath-alloc roots).
+// path) and its recording entry point, the flight ring, is statically
+// allocation-free (a hotpath-alloc root).
 func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 	onPath := false
 	for _, p := range DeterministicPathPackages {
@@ -550,17 +550,8 @@ func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 	if !onPath {
 		t.Error("fpgapart/internal/reqtrace missing from DeterministicPathPackages")
 	}
-	roots := DefaultHotpathAlloc().Roots
-	for _, r := range []string{
-		"fpgapart/internal/reqtrace.Recorder.Admit",
-		"fpgapart/internal/reqtrace.Recorder.Attempt",
-		"fpgapart/internal/reqtrace.Recorder.Finish",
-		"fpgapart/internal/reqtrace.Recorder.Event",
-		"fpgapart/internal/reqtrace.Flight.Record",
-	} {
-		if !roots[r] {
-			t.Errorf("%s missing from the hotpath-alloc roots", r)
-		}
+	if r := "fpgapart/internal/reqtrace.Flight.Record"; !DefaultHotpathAlloc().Roots[r] {
+		t.Errorf("%s missing from the hotpath-alloc roots", r)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package reqtracefix is the known-bad twin of the causal-tracing layer:
-// host-clock stamps flowing into the request recorder and the flight ring
+// host-clock stamps flowing into a job record and the flight ring
 // (directly and laundered through a helper), a map-range merge of per-shard
 // flight timelines, a wall-clock deadline on the deterministic path, and a
 // marker-declared hot recording wrapper that allocates per event. The tests
@@ -14,16 +14,16 @@ import (
 	"fpgapart/internal/reqtrace"
 )
 
-// StampAdmission feeds the host clock straight into the recorder's
-// admission stamp — the arrival time every latency breakdown starts from.
-func StampAdmission(r *reqtrace.Recorder, id int) {
-	r.Admit(id, int64(id), time.Now().UnixNano()/1000) // want determinism
+// StampAdmission feeds the host clock straight into a job record's arrival
+// stamp — the time every latency breakdown starts from.
+func StampAdmission(id int) reqtrace.JobRecord {
+	return reqtrace.JobRecord{ID: id, ArrivalUS: time.Now().UnixNano() / 1000} // want determinism
 }
 
 // RecordLaundered routes host time through a helper into a flight event;
 // the finding lands in the helper, where the clock is read.
-func RecordLaundered(r *reqtrace.Recorder, job int) {
-	r.Event(nowUS(), "sched", "fault", job, 0)
+func RecordLaundered(f *reqtrace.Flight, job int) {
+	f.Record(reqtrace.FlightEvent{US: nowUS(), Comp: "sched", Kind: "fault", Job: job})
 }
 
 func nowUS() int64 {
@@ -49,8 +49,8 @@ func MergeShards(shards map[int][]reqtrace.FlightEvent) []reqtrace.FlightEvent {
 
 // CleanRecord stamps a flight event with virtual time only: the analyzers
 // must stay quiet here.
-func CleanRecord(r *reqtrace.Recorder, us int64, job int) {
-	r.Event(us, "sched", "dispatch", job, 0)
+func CleanRecord(f *reqtrace.Flight, us int64, job int) {
+	f.Record(reqtrace.FlightEvent{US: us, Comp: "sched", Kind: "dispatch", Job: job})
 }
 
 // HotAnnotate is a marker-declared hot wrapper that formats a label per

@@ -50,13 +50,13 @@ func files(t *testing.T, dir string) []string {
 func traced() (*simtrace.Session, *Capture) {
 	sess := simtrace.NewSession()
 	sess.Metrics.Counter("sched.dispatched").Add(3)
-	rec := NewRecorder(8)
-	rec.Event(10, "sched", "dispatch", 0, 1)
+	f := NewFlight(8)
+	f.Record(FlightEvent{US: 10, Comp: "sched", Kind: "dispatch", Job: 0, Arg: 1})
 	job := syntheticJob()
 	return sess, &Capture{
 		Traces:        []RequestTrace{BuildJob(42, &job)},
-		Flight:        rec.FlightEvents(),
-		FlightDropped: rec.FlightDropped(),
+		Flight:        f.Events(),
+		FlightDropped: f.Dropped(),
 	}
 }
 

@@ -38,15 +38,6 @@ func BuildJob(seed uint64, job *JobRecord) RequestTrace {
 	return build(seed, job.ID, nil, job)
 }
 
-// BuildJobs converts a standalone run's records, in job order.
-func BuildJobs(seed uint64, jobs []JobRecord) []RequestTrace {
-	out := make([]RequestTrace, len(jobs))
-	for i := range jobs {
-		out[i] = BuildJob(seed, &jobs[i])
-	}
-	return out
-}
-
 // BuildRouted converts one routed request — the router step plus the shard
 // scheduler's job record — into a request trace under seed. job is nil for
 // a request no live shard could accept.

@@ -18,10 +18,12 @@
 //     scheduler used, so the property holds by construction and is pinned
 //     by property tests, fault-free and under crashes.
 //
-//  3. Zero cost when disabled. The Recorder's hot entry points (Admit,
-//     Attempt, Finish, Event) are nil-receiver no-ops and allocation-free
-//     when enabled (field-backed appends, preallocated flight ring) — the
-//     hotpath-alloc analyzer and an AllocsPerRun guard both enforce it.
+//  3. Zero cost when disabled. The scheduler that owns a capture keeps only
+//     what it does not already hold — a flight ring and each job's charged
+//     attempts — and with capture off both are nil: Flight.Record is a
+//     nil-receiver no-op, allocation-free when enabled too (preallocated
+//     ring), and an untraced job allocates nothing new. The hotpath-alloc
+//     analyzer and AllocsPerRun guards enforce it.
 //
 // The analysis layer extracts each request's critical path (the span chain
 // is the longest path through the causal DAG — every span has a single

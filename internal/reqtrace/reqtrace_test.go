@@ -28,7 +28,7 @@ func TestTraceIDDerivation(t *testing.T) {
 // requeue gap, then a successful retry.
 func syntheticJob() JobRecord {
 	return JobRecord{
-		ID: 0, Tag: 0, ArrivalUS: 100, DoneUS: 1100, Status: "done",
+		ID: 0, ArrivalUS: 100, DoneUS: 1100, Status: "done",
 		Attempts: []Attempt{
 			{Resource: "fpga0", FPGA: true, StartUS: 150,
 				ReconfigUS: 40, PreWaitUS: 10, ExecUS: 200, SpillUS: 30, DrainUS: 20,
@@ -167,17 +167,16 @@ func TestFlightRingDropsOldest(t *testing.T) {
 }
 
 func TestPostmortemDeterministic(t *testing.T) {
-	rec := NewRecorder(8)
-	rec.Admit(0, 0, 10)
-	rec.Event(10, "sched", "dispatch", 0, 1)
-	rec.Event(90, "fpga0", "fault", 0, 1)
-	rec.Event(200, "sched", "timeout", 0, 2)
+	f := NewFlight(8)
+	f.Record(FlightEvent{US: 10, Comp: "sched", Kind: "dispatch", Job: 0, Arg: 1})
+	f.Record(FlightEvent{US: 90, Comp: "fpga0", Kind: "fault", Job: 0, Arg: 1})
+	f.Record(FlightEvent{US: 200, Comp: "sched", Kind: "timeout", Job: 0, Arg: 2})
 
 	var a, b bytes.Buffer
-	if err := WritePostmortem(&a, "job 0 timed out", rec.FlightEvents(), rec.FlightDropped()); err != nil {
+	if err := WritePostmortem(&a, "job 0 timed out", f.Events(), f.Dropped()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePostmortem(&b, "job 0 timed out", rec.FlightEvents(), rec.FlightDropped()); err != nil {
+	if err := WritePostmortem(&b, "job 0 timed out", f.Events(), f.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -227,20 +226,16 @@ func TestBreakdownJSONParsesAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestDisabledRecorderZeroAlloc pins the zero-cost-when-disabled rule: every
-// hot entry point on a nil recorder must not allocate.
-func TestDisabledRecorderZeroAlloc(t *testing.T) {
-	var r *Recorder
+// TestDisabledFlightZeroAlloc pins the zero-cost-when-disabled rule: a
+// scheduler with capture off records into a nil ring, which must not
+// allocate.
+func TestDisabledFlightZeroAlloc(t *testing.T) {
+	var f *Flight
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Admit(0, 0, 0)
-		r.Attempt(0, Attempt{Resource: "fpga0", ExecUS: 1})
-		r.Finish(0, "done", 1)
-		r.Event(0, "sched", "dispatch", 0, 0)
-		var f *Flight
-		f.Record(FlightEvent{})
+		f.Record(FlightEvent{US: 1, Comp: "sched", Kind: "dispatch", Job: 1, Arg: 1})
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled recorder allocates %.1f per run, want 0", allocs)
+		t.Fatalf("disabled flight ring allocates %.1f per record, want 0", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpgapart/internal/faults"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/workload"
 )
 
@@ -18,10 +19,13 @@ import (
 // dispatched and ends in that order and is charged at least 1 µs, no done
 // job ends after the makespan, and a job that ran once on the straggling
 // FPGA 0 is charged at least the straggle factor times the 1 µs floor of
-// its healthy charge. The inputs reach an empty trace, fan-outs 1 and 8192,
-// all-equal keys, queue, batch, FPGA and worker counts of −1, 0 and 1,
-// memory budgets below one partition, and fault-scenario floats decoded
-// from raw bits, NaN, ±Inf and an overflowing straggle factor included.
+// its healthy charge. A causal capture rides along: one trace per job, each
+// conserved and tiling [ArrivalUS, DoneUS) with its spans, with the report's
+// status and, when done, its completion time. The inputs reach an empty
+// trace, fan-outs 1 and 8192, all-equal keys, queue, batch, FPGA and worker
+// counts of −1, 0 and 1, memory budgets below one partition, and
+// fault-scenario floats decoded from raw bits, NaN, ±Inf and an overflowing
+// straggle factor included.
 //
 // shape packs the trace's variations: bits 0–1 the fan-out (generated, 1,
 // 8192 or 2), bit 2 all keys equal to key, bit 3 every job a join, bit 4 a
@@ -93,6 +97,8 @@ func FuzzRun(f *testing.F) {
 			}
 		}
 
+		capt := &reqtrace.Capture{}
+		cfg.ReqTrace = capt
 		rep, err := Run(jobs, cfg)
 		if err != nil {
 			if errors.Is(err, ErrSimulatorFault) {
@@ -100,9 +106,10 @@ func FuzzRun(f *testing.F) {
 			}
 			return
 		}
-		if len(rep.Results) != len(jobs) {
-			t.Fatalf("%d results for %d jobs", len(rep.Results), len(jobs))
+		if len(rep.Results) != len(jobs) || len(capt.Traces) != len(jobs) {
+			t.Fatalf("%d results and %d traces for %d jobs", len(rep.Results), len(capt.Traces), len(jobs))
 		}
+		checkConservation(t, capt.Traces)
 		for i := range rep.Results {
 			r := &rep.Results[i]
 			switch r.Status {
@@ -114,6 +121,9 @@ func FuzzRun(f *testing.F) {
 			if r.DispatchUS >= 0 && (r.DispatchUS < r.ArrivalUS || r.DoneUS < r.DispatchUS || r.ExecUS < 1) {
 				t.Fatalf("job %d: arrival %dus, dispatch %dus, done %dus, charged %dus",
 					i, r.ArrivalUS, r.DispatchUS, r.DoneUS, r.ExecUS)
+			}
+			if rt := &capt.Traces[i]; rt.Status != r.Status.String() || (r.Status == StatusDone && rt.DoneUS != r.DoneUS) {
+				t.Fatalf("job %d: trace %s at %dus, report %v at %dus", i, rt.Status, rt.DoneUS, r.Status, r.DoneUS)
 			}
 			if r.Status == StatusDone && r.DoneUS > rep.MakespanUS {
 				t.Fatalf("job %d done at %dus, after the makespan %dus", i, r.DoneUS, rep.MakespanUS)

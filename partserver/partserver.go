@@ -126,13 +126,14 @@ type Config struct {
 	// byte-identical across same-seed runs. Nil disables tracing.
 	Trace *simtrace.Session
 
-	// Record attaches a causal request recorder: the scheduler registers
-	// every job, records each charged execution attempt (reconfig, batch
-	// waits, execution, spill, drain) and terminal status, and feeds the
-	// bounded flight-recorder ring. Like Trace, all recording happens on
-	// the scheduler loop in virtual-time order; nil disables recording at
-	// zero cost (nil-receiver no-ops).
-	Record *reqtrace.Recorder
+	// ReqTrace attaches a causal request capture: the scheduler keeps each
+	// job's charged attempts (reconfig, batch waits, execution, spill, drain)
+	// and a bounded flight-recorder ring, from which Run fills the capture —
+	// one trace per job under Seed, and the flight timeline even when the run
+	// fails; a caller stepping a Scheduler reads JobRecord and Flight instead.
+	// All recording happens on the scheduler loop in virtual-time order; nil
+	// disables capture at zero cost.
+	ReqTrace *reqtrace.Capture
 
 	// Memo, when set, is shared with the other Schedulers of a routing tier:
 	// every job is an execution of the request its Tag names, and takes that
@@ -349,8 +350,11 @@ type Report struct {
 // and the FPGA crash thresholds know their denominator) and steps it until
 // it has drained.
 func Run(jobs []Job, cfg Config) (rep *Report, err error) {
+	var s *Scheduler
+	// Declared first, so it runs after the guard and sees a recovered fault.
+	defer func() { s.fillCapture(err) }()
 	defer guardSimulator(&err)
-	s, err := NewScheduler(cfg, len(jobs))
+	s, err = NewScheduler(cfg, len(jobs))
 	if err != nil {
 		return nil, err
 	}

@@ -2,31 +2,33 @@ package partserver
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/reqtrace"
 )
 
-// runRecorded executes one scheduled run with a causal recorder attached and
-// returns the recorder plus the built request traces.
-func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config) (*reqtrace.Recorder, []reqtrace.RequestTrace) {
+// runRecorded runs jobs under cfg with a causal capture attached, checks the
+// captured traces against the report, and returns the capture plus the same
+// run stepped by hand, whose job records must build the same traces: Run is
+// that loop and fills the capture from nothing else.
+func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config) (*Scheduler, *reqtrace.Capture) {
 	t.Helper()
-	rec := reqtrace.NewRecorder(0)
+	capt := &reqtrace.Capture{}
 	cfg.Seed = seed
-	cfg.Record = rec
+	cfg.ReqTrace = capt
 	rep, err := Run(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := reqtrace.BuildJobs(seed, rec.Jobs())
-	if len(traces) != len(rep.Results) {
-		t.Fatalf("%d traces for %d results", len(traces), len(rep.Results))
+	if len(capt.Traces) != len(rep.Results) {
+		t.Fatalf("%d traces for %d results", len(capt.Traces), len(rep.Results))
 	}
-	// The recorder must agree with the report on every terminal fact.
+	// The capture must agree with the report on every terminal fact.
 	for i := range rep.Results {
 		r := &rep.Results[i]
-		rt := &traces[i]
+		rt := &capt.Traces[i]
 		if rt.Status != r.Status.String() {
 			t.Fatalf("job %d: trace status %q, report %v", i, rt.Status, r.Status)
 		}
@@ -35,7 +37,32 @@ func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config) (*reqtrace.R
 				i, rt.ArrivalUS, rt.DoneUS, r.ArrivalUS, r.DoneUS)
 		}
 	}
-	return rec, traces
+
+	s, err := NewScheduler(cfg, len(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if _, err := s.Submit(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		if _, ok := s.NextEventUS(); !ok {
+			break
+		}
+		s.Step()
+	}
+	for i := range jobs {
+		rec := s.JobRecord(i)
+		if rt := reqtrace.BuildJob(seed, &rec); !reflect.DeepEqual(rt, capt.Traces[i]) {
+			t.Fatalf("job %d: stepped record builds %+v, Run captured %+v", i, rt, capt.Traces[i])
+		}
+	}
+	if !reflect.DeepEqual(s.Flight().Events(), capt.Flight) {
+		t.Fatal("stepped flight ring differs from Run's captured timeline")
+	}
+	return s, capt
 }
 
 // checkConservation pins the decomposition law on every trace: the
@@ -72,7 +99,8 @@ func TestReqtraceConservationFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, traces := runRecorded(t, seed, jobs, Config{FPGAs: 2, Workers: 2})
+	_, capt := runRecorded(t, seed, jobs, Config{FPGAs: 2, Workers: 2})
+	traces := capt.Traces
 	checkConservation(t, traces)
 	for i := range traces {
 		if rw := traces[i].Breakdown[reqtrace.CompRetryWait]; rw != 0 {
@@ -90,7 +118,7 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, traces := runRecorded(t, seed, jobs, Config{
+	s, capt := runRecorded(t, seed, jobs, Config{
 		FPGAs: 2, Workers: 2,
 		Faults: &faults.Scenario{
 			Seed:        seed,
@@ -100,10 +128,11 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 			Stragglers:  []faults.Straggler{{Node: 0, Factor: 2}},
 		},
 	})
+	traces := capt.Traces
 	checkConservation(t, traces)
 	retried := false
 	for i := range traces {
-		if traces[i].Breakdown[reqtrace.CompRetryWait] > 0 || len(rec.Job(i).Attempts) > 1 {
+		if traces[i].Breakdown[reqtrace.CompRetryWait] > 0 || len(s.JobRecord(i).Attempts) > 1 {
 			retried = true
 		}
 	}
@@ -112,7 +141,7 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 	}
 	// The flight recorder must have witnessed the faults.
 	var faults, crashes int
-	for _, e := range rec.FlightEvents() {
+	for _, e := range capt.Flight {
 		switch e.Kind {
 		case "fault":
 			faults++
@@ -120,7 +149,7 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 			crashes++
 		}
 	}
-	if faults == 0 && crashes == 0 && rec.FlightDropped() == 0 {
+	if faults == 0 && crashes == 0 && capt.FlightDropped == 0 {
 		t.Fatal("no fault or crash event reached the flight recorder")
 	}
 }
@@ -143,9 +172,10 @@ func TestReqtraceConservationWithDeadlines(t *testing.T) {
 			jobs[i].CancelAtUS = 2
 		}
 	}
-	_, traces := runRecorded(t, seed, jobs, Config{
+	_, capt := runRecorded(t, seed, jobs, Config{
 		FPGAs: 1, Workers: 0, QueueDepth: 2, BatchMax: 1,
 	})
+	traces := capt.Traces
 	checkConservation(t, traces)
 	sawDeadline := false
 	for i := range traces {
@@ -158,7 +188,7 @@ func TestReqtraceConservationWithDeadlines(t *testing.T) {
 	}
 }
 
-// TestReqtraceByteIdentical: three fresh recorded runs of the same seed must
+// TestReqtraceByteIdentical: three fresh captured runs of the same seed must
 // render byte-identical breakdown JSON, critical-path reports, and flight
 // postmortems — fault-free and faulty.
 func TestReqtraceByteIdentical(t *testing.T) {
@@ -172,13 +202,13 @@ func TestReqtraceByteIdentical(t *testing.T) {
 		if faulty {
 			cfg.Faults = faultyScenario(seed)
 		}
-		rec, traces := runRecorded(t, seed, jobs, cfg)
+		_, capt := runRecorded(t, seed, jobs, cfg)
 		var b bytes.Buffer
-		if err := reqtrace.WriteBreakdownJSON(&b, traces); err != nil {
+		if err := reqtrace.WriteBreakdownJSON(&b, capt.Traces); err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(reqtrace.Analyze(traces, 5).Format())
-		if err := reqtrace.WritePostmortem(&b, "test", rec.FlightEvents(), rec.FlightDropped()); err != nil {
+		b.WriteString(reqtrace.Analyze(capt.Traces, 5).Format())
+		if err := capt.WritePostmortem(&b, "test"); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
@@ -204,13 +234,13 @@ func TestAbortAndReconfigurationCharges(t *testing.T) {
 		// pool's only resource.
 		jobs[i] = mustJob(t, 16, 30000, int64(i)*100000)
 	}
-	rec, _ := runRecorded(t, 3, jobs, Config{
+	s, _ := runRecorded(t, 3, jobs, Config{
 		FPGAs: 1, Workers: 0,
 		Faults: &faults.Scenario{Seed: 3, DropProb: 0.4},
 	})
 	var halved, onFPGA int
 	for i := range jobs {
-		at := rec.Job(i).Attempts
+		at := s.JobRecord(i).Attempts
 		for k, a := range at {
 			// One configuration on one instance: the first batch loads it.
 			want := int64(0)

@@ -130,6 +130,11 @@ type Scheduler struct {
 	makespan int64
 	reconfs  int64
 	batches  int64
+
+	// flight and attempts (by job id) are the causal capture's record of
+	// what jobState does not hold; both stay nil when Config.ReqTrace is.
+	flight   *reqtrace.Flight
+	attempts [][]reqtrace.Attempt
 }
 
 // UnknownTotal is the totalJobs argument of a caller that cannot say up
@@ -152,6 +157,9 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 		return nil, err
 	}
 	s = &Scheduler{cfg: cfg, platform: platform.XeonFPGA()}
+	if cfg.ReqTrace != nil {
+		s.flight = reqtrace.NewFlight(0)
+	}
 	if cfg.Faults != nil {
 		if totalJobs < 0 && len(cfg.Faults.Crashes) > 0 {
 			return nil, fmt.Errorf("partserver: FPGA crash thresholds need the job total declared up front")
@@ -210,7 +218,9 @@ func (s *Scheduler) Submit(job Job) (id int, err error) {
 	s.future = slices.Insert(s.future, at, j)
 	s.peeked = false
 	s.count("sched.jobs_submitted", 1)
-	s.cfg.Record.Admit(id, job.Tag, job.ArrivalUS)
+	if s.flight != nil {
+		s.attempts = append(s.attempts, nil)
+	}
 	return id, nil
 }
 
@@ -236,6 +246,11 @@ func (s *Scheduler) count(name string, d int64) {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Metrics.Counter(name).Add(d)
 	}
+}
+
+// event records a flight event; a nil ring (capture off) is free.
+func (s *Scheduler) event(us int64, comp, kind string, job int, arg int64) {
+	s.flight.Record(reqtrace.FlightEvent{US: us, Comp: comp, Kind: kind, Job: job, Arg: arg})
 }
 
 // observeQueue records the current queue depth (bounded queue + backlog).
@@ -427,7 +442,7 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 		}
 		bj.placement = r.kind
 		bj.instance = r.idx
-		s.cfg.Record.Event(s.now, r.comp, "dispatch", bj.id, int64(bj.attempts))
+		s.event(s.now, r.comp, "dispatch", bj.id, int64(bj.attempts))
 	}
 	s.batches++
 	r.inflight = b
@@ -533,8 +548,7 @@ func (s *Scheduler) finish(j *jobState, status Status, comp string) {
 	j.status = status
 	j.doneUS = s.now
 	names := terminalNames[status]
-	s.cfg.Record.Finish(j.id, status.String(), s.now)
-	s.cfg.Record.Event(s.now, comp, names.event, j.id, int64(j.attempts))
+	s.event(s.now, comp, names.event, j.id, int64(j.attempts))
 	s.count(names.counter, 1)
 	s.finished = append(s.finished, j.id)
 }
@@ -617,7 +631,7 @@ func (s *Scheduler) complete(r *resource) {
 	r.inflight = nil
 	r.busyUS += b.doneUS - b.startUS
 
-	if s.cfg.Record != nil {
+	if s.flight != nil {
 		// Attempt records: the five duration fields tile the batch interval
 		// per job (reconfig + earlier jobs + own charge + later jobs =
 		// doneUS − startUS for every member), the identity the causal
@@ -630,7 +644,7 @@ func (s *Scheduler) complete(r *resource) {
 		var pre int64
 		for i, j := range b.jobs {
 			spill := b.spills[i]
-			s.cfg.Record.Attempt(j.id, reqtrace.Attempt{
+			s.attempts[j.id] = append(s.attempts[j.id], reqtrace.Attempt{
 				Resource:   r.comp,
 				FPGA:       r.kind == PlacedFPGA,
 				StartUS:    b.startUS,
@@ -669,7 +683,7 @@ func (s *Scheduler) complete(r *resource) {
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Tracer.Instant(r.comp, kind, b.doneUS)
 		}
-		s.cfg.Record.Event(b.doneUS, r.comp, kind, b.jobs[0].id, int64(len(b.jobs)))
+		s.event(b.doneUS, r.comp, kind, b.jobs[0].id, int64(len(b.jobs)))
 		for _, j := range b.jobs {
 			s.requeue(j, b.crash)
 		}
@@ -705,7 +719,7 @@ func (s *Scheduler) complete(r *resource) {
 			} else {
 				s.count("sched.sim_faults", 1)
 			}
-			s.cfg.Record.Event(b.doneUS, r.comp, "degrade", j.id, int64(j.attempts))
+			s.event(b.doneUS, r.comp, "degrade", j.id, int64(j.attempts))
 			s.requeueFront(j)
 		default:
 			// CPU execution failed: no further fallback.
@@ -775,6 +789,44 @@ func (s *Scheduler) Result(id int) JobResult {
 		jr.QueueWaitUS = j.dispatchUS - j.spec.ArrivalUS
 	}
 	return jr
+}
+
+// JobRecord returns job id's causal record: arrival, terminal status and time
+// from the job's state, and its charged attempts (none when Config.ReqTrace is
+// nil). Like Result, it is final once Step has listed the job; ID -1: no job.
+func (s *Scheduler) JobRecord(id int) reqtrace.JobRecord {
+	if id < 0 || id >= len(s.jobs) {
+		return reqtrace.JobRecord{ID: -1}
+	}
+	j := s.jobs[id]
+	rec := reqtrace.JobRecord{ID: id, ArrivalUS: j.spec.ArrivalUS, DoneUS: j.doneUS, Status: j.status.String()}
+	if s.attempts != nil {
+		rec.Attempts = s.attempts[id]
+	}
+	return rec
+}
+
+// Flight returns the scheduler's flight-recorder ring, nil when
+// Config.ReqTrace is.
+func (s *Scheduler) Flight() *reqtrace.Flight { return s.flight }
+
+// fillCapture fills Config.ReqTrace at the end of Run: the flight timeline
+// always, so a failed run leaves a postmortem, and on success one trace per
+// job under the defaulted seed.
+func (s *Scheduler) fillCapture(err error) {
+	if s == nil || s.cfg.ReqTrace == nil {
+		return
+	}
+	c := s.cfg.ReqTrace
+	c.Flight, c.FlightDropped = s.flight.Events(), s.flight.Dropped()
+	if err != nil {
+		return
+	}
+	c.Traces = make([]reqtrace.RequestTrace, len(s.jobs))
+	for id := range s.jobs {
+		rec := s.JobRecord(id)
+		c.Traces[id] = reqtrace.BuildJob(s.cfg.Seed, &rec)
+	}
 }
 
 // MakespanUS returns the virtual completion time of the last job that ran to

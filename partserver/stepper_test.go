@@ -144,11 +144,14 @@ func TestStepperSubmitAndCancel(t *testing.T) {
 	}
 
 	// An unknown id, not an index panic: Cancel ignores it, Result answers
-	// with a failed job -1.
+	// with a failed job -1, JobRecord with a record of job -1.
 	s.Cancel(99, 10)
 	s.Cancel(-1, 10)
 	if r := s.Result(99); r.ID != -1 || r.Status != StatusFailed || !strings.Contains(r.Err, "99") {
 		t.Errorf("Result(99) = job %d, %v, error %q; want job -1, failed, an error naming 99", r.ID, r.Status, r.Err)
+	}
+	if rec := s.JobRecord(99); rec.ID != -1 || len(rec.Attempts) != 0 {
+		t.Errorf("JobRecord(99) = job %d with %d attempts, want job -1 with none", rec.ID, len(rec.Attempts))
 	}
 	for {
 		if _, ok := s.NextEventUS(); !ok {
