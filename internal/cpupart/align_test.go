@@ -21,8 +21,14 @@ import (
 // Scratch, so each also runs on the stale cursors and buffer lines of a call
 // with another length, fan-out, thread count and alignment.
 func runBuffered(src []uint64, cfg Config, threads, skew int) *Result {
+	return runIndexer(src, cfg.indexer(), threads, skew)
+}
+
+// runIndexer is runBuffered with the indexer given, so a test can pick the
+// hash loops (ix.block) that Config.indexer would not pick on this machine.
+func runIndexer(src []uint64, ix indexer, threads, skew int) *Result {
 	dst := make([]uint64, len(src)+skew)[skew:]
-	return &Result{NumPartitions: cfg.NumPartitions, Data: dst, Offsets: buffered(src, dst, threads, cfg.indexer(), &alignScratch)}
+	return &Result{NumPartitions: ix.parts(), Data: dst, Offsets: buffered(src, dst, threads, ix, &alignScratch)}
 }
 
 var alignScratch Scratch
@@ -117,6 +123,36 @@ func TestBufferedMatchesNaiveAtEveryLengthAndAlignment(t *testing.T) {
 							what := fmt.Sprintf("parts %d hash %v shape %d n %d threads %d skew %d", parts, cfg.Hash, shape, n, threads, skew)
 							requireIdentical(t, what, want, runBuffered(src, cfg, threads, skew))
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockedHashMatchesInline runs Buffered's hash mode through both of
+// its loop pairs — blocked (partition indices a block ahead, from
+// hashutil.MurmurBlock) and inline — whichever of the two Config.indexer
+// picks on this machine, and holds each to the naive reference: salts other
+// than 0, one and two workers, lengths around the 256-tuple block.
+func TestBlockedHashMatchesInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, parts := range []int{2, 256, 8192} {
+		for _, salt := range []uint32{1, 0x2545F491, 0x9E3779B9} {
+			cfg := Config{NumPartitions: parts, Hash: true, Salt: salt}
+			for _, n := range []int{1, 7, 255, 256, 257, 2*hashBlock + 9, 8*parts + 3} {
+				keys := make([]uint32, n)
+				for i := range keys {
+					keys[i] = rng.Uint32()
+				}
+				src := tuples(keys)
+				want := naiveReference(t, src, cfg)
+				for threads := 1; threads <= 2; threads++ {
+					for _, block := range []bool{false, true} {
+						ix := cfg.indexer()
+						ix.block = block
+						what := fmt.Sprintf("parts %d salt %#x n %d threads %d block %v", parts, salt, n, threads, block)
+						requireIdentical(t, what, want, runIndexer(src, ix, threads, (n+threads)%8))
 					}
 				}
 			}

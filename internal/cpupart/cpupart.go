@@ -183,14 +183,16 @@ func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 }
 
 // indexer maps a packed tuple to its partition: the salted key, hashed or
-// raw, masked to the fan-out's low bits.
+// raw, masked to the fan-out's low bits. block (hash mode only) sends
+// Buffered's two passes through hashutil.MurmurBlock a block of keys at a
+// time; it is set exactly where that block kernel is vector code.
 type indexer struct {
-	salt, mask uint32
-	hash       bool
+	salt, mask  uint32
+	hash, block bool
 }
 
 func (c Config) indexer() indexer {
-	return indexer{salt: c.Salt, mask: uint32(c.NumPartitions - 1), hash: c.Hash}
+	return indexer{salt: c.Salt, mask: uint32(c.NumPartitions - 1), hash: c.Hash, block: c.Hash && hashutil.VectorMurmur()}
 }
 
 // parts is the number of partitions ix distinguishes.
@@ -259,12 +261,16 @@ func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist
 }
 
 // buffered is the parallel Code 2: a histogram pass, then the buffered
-// scatter, each with one loop per hash mode. All per-worker state lives in
-// three flat arrays (first positions, cursors, buffer lines) taken from sc,
-// so the number of heap objects does not depend on the fan-out.
+// scatter, each with one loop per hash mode (two for hash: blocked and
+// inline). All per-worker state lives in three flat arrays (first
+// positions, cursors, buffer lines) taken from sc, so the number of heap
+// objects does not depend on the fan-out.
 func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
 	count := countRadix
-	if ix.hash {
+	switch {
+	case ix.block:
+		count = countHashBlocked
+	case ix.hash:
 		count = countHash
 	}
 	p := ix.parts()
@@ -278,9 +284,12 @@ func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
 		for i, at := range b.first {
 			b.cur[i] = at + skew
 		}
-		if ix.hash {
+		switch {
+		case ix.block:
+			scatterHashBlocked(chunk(src, w, threads), &b, ix)
+		case ix.hash:
 			scatterHash(chunk(src, w, threads), &b, ix)
-		} else {
+		default:
 			scatterRadix(chunk(src, w, threads), &b, ix)
 		}
 		b.drain()
@@ -370,6 +379,60 @@ func scatterHash(src []uint64, b *buffers, ix indexer) {
 		if (at+1)&(BufferTuples-1) == 0 {
 			b.flush(i, at+1)
 		}
+	}
+}
+
+// hashBlock is how many partition indices the blocked hash loops compute
+// ahead of use, into a stack array: 1 KiB, so the block stays in L1 beside
+// the buffer lines it is about to address.
+const hashBlock = 256
+
+// countHashBlocked and scatterHashBlocked are countHash and scatterHash
+// with the hash taken out of the per-tuple loop: hashutil.MurmurBlock
+// computes a block's partition indices first (eight keys per instruction
+// with AVX2), then the loop consumes them. With a scalar MurmurBlock the
+// extra pass over the block costs more than it saves, so buffered picks
+// these only where the kernel is vector code (indexer.block).
+//
+//fpgavet:hotpath
+func countHashBlocked(src []uint64, hist []int64, ix indexer) {
+	if len(hist) == 0 {
+		return
+	}
+	mask := uint(len(hist) - 1)
+	var idx [hashBlock]uint32
+	for len(src) > 0 {
+		n := min(len(src), hashBlock)
+		hashutil.MurmurBlock(idx[:n], src[:n], ix.salt, ix.mask)
+		for _, i := range idx[:n] {
+			hist[uint(i)&mask]++
+		}
+		src = src[n:]
+	}
+}
+
+//fpgavet:hotpath
+func scatterHashBlocked(src []uint64, b *buffers, ix indexer) {
+	cur, lines := b.cur, b.lines[:len(b.cur)]
+	if len(cur) == 0 {
+		return
+	}
+	mask := uint(len(cur) - 1)
+	var idx [hashBlock]uint32
+	for len(src) > 0 {
+		n := min(len(src), hashBlock)
+		blk, ids := src[:n], idx[:n]
+		hashutil.MurmurBlock(ids, blk, ix.salt, ix.mask)
+		for j, t := range blk {
+			i := uint(ids[j]) & mask
+			at := cur[i]
+			lines[i][at&(BufferTuples-1)] = t
+			cur[i] = at + 1
+			if (at+1)&(BufferTuples-1) == 0 {
+				b.flush(i, at+1)
+			}
+		}
+		src = src[n:]
 	}
 }
 

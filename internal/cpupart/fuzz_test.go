@@ -14,7 +14,8 @@ import (
 // on the key half of the tuple, equal hashutil's — the contract the FPGA's
 // hash unit and every CPU partitioner share — and in radix mode be exactly
 // the low bits of the salted key. Buffered's histogram kernels spell the
-// function out per hash mode, so they are held to the same answer.
+// function out per hash mode — hash mode twice, inline and blocked — so
+// they are held to the same answer.
 func FuzzPartIndex(f *testing.F) {
 	f.Add(uint64(0), uint(1), false, uint32(0))
 	f.Add(uint64(0xFFFFFFFFFFFFFFFF), uint(13), true, uint32(0))
@@ -36,14 +37,21 @@ func FuzzPartIndex(f *testing.F) {
 		if want := (uint32(tuple) ^ salt) & (1<<bits - 1); !hash && idx != want {
 			t.Fatalf("radix index of %#x with %d bits = %d, want %d", tuple, bits, idx, want)
 		}
-		hist := make([]int64, 1<<bits)
-		if hash {
-			countHash([]uint64{tuple}, hist, ix)
-		} else {
-			countRadix([]uint64{tuple}, hist, ix)
+		// Copies enough to span two blocks, the vector kernel and its tail.
+		src := make([]uint64, 2*hashBlock+9)
+		for i := range src {
+			src[i] = tuple
 		}
-		if hist[idx] != 1 {
-			t.Fatalf("histogram kernel (hash %v) counted %#x outside partition %d", hash, tuple, idx)
+		count := map[string]func([]uint64, []int64, indexer){"radix": countRadix}
+		if hash {
+			count = map[string]func([]uint64, []int64, indexer){"inline": countHash, "blocked": countHashBlocked}
+		}
+		for name, count := range count {
+			hist := make([]int64, 1<<bits)
+			count(src, hist, ix)
+			if hist[idx] != int64(len(src)) {
+				t.Fatalf("%s histogram kernel counted %#x outside partition %d", name, tuple, idx)
+			}
 		}
 	})
 }
