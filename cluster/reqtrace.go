@@ -62,7 +62,6 @@ func (st *runState) buildTraces() {
 			Shard:        d.run.shard,
 			Primary:      d.primary,
 			HandoffUS:    d.handoffUS,
-			Hedged:       d.hedged(),
 			HedgeWon:     d.hedgeWon(),
 			HedgeIssueUS: d.hedgeIssueUS,
 		}

@@ -36,7 +36,6 @@ func TestSameSeedByteIdenticalResult(t *testing.T) {
 		norm.PartitionTime = time.Duration(0)
 		norm.JoinTime = time.Duration(0)
 		norm.Total = time.Duration(0)
-		norm.Trace = nil // each run's own session; its metrics are compared below
 		var metrics bytes.Buffer
 		if err := o.Trace.Metrics.Snapshot().WriteJSON(&metrics); err != nil {
 			t.Fatal(err)

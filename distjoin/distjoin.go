@@ -64,7 +64,7 @@ type Options struct {
 	// Trace attaches a simtrace session: the join emits per-node and
 	// cluster-level phase spans (partition / exchange / local join, one
 	// trace microsecond per simulated microsecond) into Trace.Tracer and
-	// exchange-level counters into Trace.Metrics, echoed on Result.Trace.
+	// exchange-level counters into Trace.Metrics.
 	// Nil disables tracing. Note the timeline unit differs from circuit
 	// sessions (which stamp FPGA cycles) — use separate sessions for the
 	// two levels.
@@ -145,7 +145,6 @@ type Result struct {
 	// of every piece); retransmitted traffic is reported separately.
 	BytesExchanged int64
 	Nodes          int
-	GlobalFanOut   int
 
 	// Retries is the total number of retransmissions during the exchange:
 	// message-level retries after drops/timeouts plus whole-piece
@@ -164,10 +163,6 @@ type Result struct {
 	// Degraded reports that the join completed despite node failures, with
 	// surviving nodes covering the crashed nodes' partitions.
 	Degraded bool
-
-	// Trace echoes Options.Trace after the run (nil when tracing was
-	// disabled); Trace.Summary() renders the recorded metrics.
-	Trace *simtrace.Session
 }
 
 // Join executes the distributed join of r ⋈ s under opts. Invariant panics
@@ -300,7 +295,6 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 		JoinTuples:     mostJoined,
 		BytesExchanged: ex.payloadBytes,
 		Nodes:          opts.Nodes,
-		GlobalFanOut:   global,
 		Retries:        ex.retries,
 		CorruptPieces:  ex.corruptPieces,
 		ResentBytes:    ex.resentBytes,
@@ -309,7 +303,6 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	}
 	res.Total = res.PartitionTime + res.ExchangeTime + res.JoinTime
 	if opts.Trace != nil {
-		res.Trace = opts.Trace
 		emitTrace(opts.Trace, res, nodePart, nodeJoin)
 	}
 	return res, nil

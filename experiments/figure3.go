@@ -16,7 +16,6 @@ type Figure3Series struct {
 	Distribution workload.Distribution
 	Hash         bool
 
-	NumPartitions int
 	EmptyParts    int
 	MinTuples     int64
 	P25, P50, P75 int64
@@ -67,15 +66,14 @@ func RunFigure3(cfg Config) (*Figure3Result, error) {
 func summarize(d workload.Distribution, hash bool, hist []int64, n int) Figure3Series {
 	sorted := sortedCopy(hist)
 	s := Figure3Series{
-		Distribution:  d,
-		Hash:          hash,
-		NumPartitions: len(hist),
-		MinTuples:     sorted[0],
-		P25:           percentile(sorted, 25),
-		P50:           percentile(sorted, 50),
-		P75:           percentile(sorted, 75),
-		MaxTuples:     sorted[len(sorted)-1],
-		CDF:           map[int64]int{},
+		Distribution: d,
+		Hash:         hash,
+		MinTuples:    sorted[0],
+		P25:          percentile(sorted, 25),
+		P50:          percentile(sorted, 50),
+		P75:          percentile(sorted, 75),
+		MaxTuples:    sorted[len(sorted)-1],
+		CDF:          map[int64]int{},
 	}
 	for _, c := range sorted {
 		if c == 0 {

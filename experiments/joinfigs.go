@@ -266,9 +266,8 @@ func (res *Figure12Result) CSV() [][]string {
 
 // Figure13Result: join time vs Zipf factor of S (workload A sizes).
 type Figure13Result struct {
-	Workload workload.WorkloadSpec
-	Points   []JoinPoint
-	Factors  []float64
+	Points  []JoinPoint
+	Factors []float64
 }
 
 // RunFigure13 skews relation S with Zipf factors 0.25–1.75 and joins with
@@ -281,7 +280,7 @@ func RunFigure13(cfg Config) (*Figure13Result, error) {
 		return nil, err
 	}
 	spec = spec.Scaled(cfg.Scale)
-	res := &Figure13Result{Workload: spec}
+	res := &Figure13Result{}
 	const parts = 8192
 	for _, zipf := range []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75} {
 		in, err := spec.GenerateSkewed(cfg.Seed, zipf)

@@ -40,7 +40,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	// Exercise the real ownership tracking on a scaled-down region, then
 	// extrapolate with the per-line latencies (a 512 MB owner bitmap is
 	// cheap, but the point here is the model, not the loop).
-	pool, err := memsys.NewPool(1<<30, 4<<20)
+	pool, err := memsys.NewPool(1 << 30)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package hashjoin
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"fpgapart/internal/joincore"
@@ -115,7 +116,7 @@ func TestBudgetedJoinIsDeterministic(t *testing.T) {
 		if got.Matches != first.Matches || got.Checksum != first.Checksum {
 			t.Fatalf("threads=%d changed the result", threads)
 		}
-		if *got.Memory != *first.Memory {
+		if !reflect.DeepEqual(got.Memory, first.Memory) { // Decisions included
 			t.Fatalf("threads=%d changed memory stats:\n%+v\nvs\n%+v", threads, got.Memory, first.Memory)
 		}
 	}

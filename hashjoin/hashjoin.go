@@ -123,31 +123,9 @@ type Result struct {
 	Threads int
 }
 
-// MemoryStats summarizes how a budgeted join adapted to its memory budget.
-type MemoryStats struct {
-	// BudgetBytes is the configured cap; HighWaterBytes is the peak
-	// concurrent reservation the sequential accounting replay observed.
-	BudgetBytes    int64
-	HighWaterBytes int64
-	// InMemory counts buckets joined without spilling (all depths).
-	InMemory int
-	// Reversals counts buckets that built on S because it was smaller.
-	Reversals int
-	// SpilledPartitions and SpilledBytes describe top-level partitions
-	// written to the spill store; SpillReadBytes is the total read back by
-	// recursive and broadcast passes.
-	SpilledPartitions int
-	SpilledBytes      int64
-	SpillReadBytes    int64
-	// Recursions counts salted repartitioning passes; MaxDepth is the
-	// deepest recursion level reached (bounded by the executor).
-	Recursions int
-	MaxDepth   int
-	// Broadcasts counts buckets joined by the chunked broadcast join, in
-	// BroadcastChunks budget-sized build chunks.
-	Broadcasts      int
-	BroadcastChunks int
-}
+// MemoryStats summarizes how a budgeted join adapted to its memory budget:
+// the executor's own record, named here for callers of this package.
+type MemoryStats = joincore.BudgetStats
 
 // PartitionTime returns the combined partitioning time.
 func (r *Result) PartitionTime() time.Duration { return r.PartitionR + r.PartitionS }
@@ -197,33 +175,20 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 		res.Build, res.Probe = platform.XeonFPGA().Coherence.JoinTime(bp.Build, bp.Probe, platform.FPGASocket)
 		res.CoherencePenalized = true
 	}
-	res.Memory = NewMemoryStats(budget, spill, stats)
+	res.Memory = budgeted(budget, stats)
 	res.Total = res.PartitionR + res.PartitionS + res.Build + res.Probe
-	emitMemoryTrace(opts.Trace, stats, res.Memory)
+	emitMemoryTrace(opts.Trace, res.Memory)
 	emitPhaseSpans(opts.Trace, res)
 	return res, nil
 }
 
-// NewMemoryStats folds the executor's stats and the accounting replay into
-// the public result shape; nil when the budget is unlimited, so unbudgeted
-// joins report no MemoryStats.
-func NewMemoryStats(budget *membudget.Budget, spill *membudget.SpillStore, stats *joincore.BudgetStats) *MemoryStats {
+// budgeted is the executor's stats as Result.Memory: nil when the budget is
+// unlimited, so unbudgeted joins report no MemoryStats.
+func budgeted(budget *membudget.Budget, stats *joincore.BudgetStats) *MemoryStats {
 	if !budget.Limited() {
 		return nil
 	}
-	return &MemoryStats{
-		BudgetBytes:       budget.Cap(),
-		HighWaterBytes:    budget.HighWater(),
-		InMemory:          stats.InMemory,
-		Reversals:         stats.Reversals,
-		SpilledPartitions: stats.SpilledPartitions,
-		SpilledBytes:      stats.SpilledBytes,
-		SpillReadBytes:    spill.BytesRead(),
-		Recursions:        stats.Recursions,
-		MaxDepth:          stats.MaxDepth,
-		Broadcasts:        stats.Broadcasts,
-		BroadcastChunks:   stats.BroadcastChunks,
-	}
+	return stats
 }
 
 // emitPhaseSpans records the join's phase breakdown as "join" spans on a
@@ -256,12 +221,12 @@ func emitPhaseSpans(sess *simtrace.Session, res *Result) {
 // order, on a virtual tuple-count timeline — plus the aggregate counters
 // the memory perfbench suite gates. Only budgeted joins (mem non-nil) emit
 // these, so unbudgeted baselines stay byte-identical.
-func emitMemoryTrace(sess *simtrace.Session, stats *joincore.BudgetStats, mem *MemoryStats) {
+func emitMemoryTrace(sess *simtrace.Session, mem *MemoryStats) {
 	if sess == nil || mem == nil {
 		return
 	}
 	ts := int64(0)
-	for _, d := range stats.Decisions {
+	for _, d := range mem.Decisions {
 		dur := d.BuildTuples + d.ProbeTuples
 		sess.Tracer.Span("join.mem", d.Action.String(), ts, dur)
 		if d.Reversed {
@@ -342,10 +307,10 @@ func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error
 		Probe:           bp.Probe,
 		Total:           bp.Elapsed,
 		PartitionerName: "none",
-		Memory:          NewMemoryStats(budget, spill, stats),
+		Memory:          budgeted(budget, stats),
 		Threads:         bp.Threads,
 	}
-	emitMemoryTrace(opts.Trace, stats, res.Memory)
+	emitMemoryTrace(opts.Trace, res.Memory)
 	emitPhaseSpans(opts.Trace, res)
 	return res, nil
 }

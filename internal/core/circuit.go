@@ -175,10 +175,9 @@ type run struct {
 	out *Output
 
 	// Shared-memory model.
-	pageBytes int // 4 MB, the Intel API's allocation unit
-	region    *memsys.Region
-	ptable    *memsys.PageTable
-	outOff    int64 // byte offset of the output buffer in the region
+	region *memsys.Region
+	ptable *memsys.PageTable
+	outOff int64 // byte offset of the output buffer in the region
 }
 
 // newRun resets the circuit for one execution and allocates what that
@@ -195,8 +194,7 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) (*run, error) {
 	r := &run{
 		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: ep, stats: &Stats{},
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
-		radix: cfg.RadixBits(), pageBytes: 4 << 20,
-		pipe: c.pipe, fifo1: c.fifo1, comb: c.comb, final: c.final,
+		radix: cfg.RadixBits(), pipe: c.pipe, fifo1: c.fifo1, comb: c.comb, final: c.final,
 	}
 	if comp != nil {
 		r.total = comp.n
@@ -381,19 +379,16 @@ func (r *run) allocate() error {
 
 	// Shared-memory region: input buffer followed by the output buffer,
 	// page-aligned, as the software would allocate through the Intel API.
-	pageBytes := r.pageBytes
+	const pageBytes = memsys.PageBytes
 	var inBytes int64
 	if r.comp != nil {
 		inBytes = int64(r.comp.col.CompressedBytes())
 	} else {
 		inBytes = int64(r.rel.Bytes())
 	}
-	r.outOff = (inBytes + int64(pageBytes) - 1) / int64(pageBytes) * int64(pageBytes)
-	need := r.outOff + totalLines*64
-	if need < int64(pageBytes) {
-		need = int64(pageBytes)
-	}
-	pool, err := memsys.NewPool(need+int64(pageBytes), pageBytes)
+	r.outOff = (inBytes + pageBytes - 1) / pageBytes * pageBytes
+	need := max(r.outOff+totalLines*64, pageBytes)
+	pool, err := memsys.NewPool(need + pageBytes)
 	if err != nil {
 		return fmt.Errorf("core: shared-memory pool: %w", err)
 	}
@@ -409,8 +404,8 @@ func (r *run) allocate() error {
 	// The circuit's page table only ever grows, by an entry per 4 MB of the
 	// largest region it has seen.
 	c := r.circuit
-	if pages := int((need + int64(pageBytes) - 1) / int64(pageBytes)); c.ptable == nil || c.ptable.Capacity() < pages {
-		if c.ptable, err = memsys.NewPageTable(pageBytes, pages); err != nil {
+	if pages := int((need + pageBytes - 1) / pageBytes); c.ptable == nil || c.ptable.Capacity() < pages {
+		if c.ptable, err = memsys.NewPageTable(pages); err != nil {
 			return fmt.Errorf("core: FPGA page table: %w", err)
 		}
 	}

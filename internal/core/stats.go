@@ -16,7 +16,10 @@ type Stats struct {
 	PartitionCycles int64
 	FlushCycles     int64
 
-	// QPI traffic.
+	// QPI traffic. LinesWritten counts the lines the write-back committed,
+	// which is not the qpi.lines_written counter of link grants: the line
+	// on which a PAD overflow is detected was granted but is not committed,
+	// so on an aborted run the counter is one higher.
 	LinesRead    int64
 	LinesWritten int64
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"fpgapart/internal/simtrace"
@@ -91,5 +92,47 @@ func TestTraceCycleInvariants(t *testing.T) {
 	if want := int64(window) * tpl; maxDelta < want {
 		t.Errorf("best window ingested %d tuples, want ≥ %d (1 line/cycle over %d cycles)",
 			maxDelta, want, window)
+	}
+}
+
+// TestQPIWriteGrantsAndCommittedLines: the qpi.lines_written counter and
+// Stats.LinesWritten are two facts, not one counted twice. The counter
+// counts write grants on the link; LinesWritten counts the lines the
+// write-back committed. A PAD overflow is detected on a line whose write was
+// already granted, so an aborted run's link carried exactly one line more
+// than it committed; every other run commits every granted line. Both hold
+// with and without the write combiner.
+func TestQPIWriteGrantsAndCommittedLines(t *testing.T) {
+	grid := genRelation(t, workload.ReverseGrid, 8, 40000, 42)
+	random := genRelation(t, workload.Random, 8, 40000, 43)
+	for _, noWC := range []bool{false, true} {
+		for _, c := range []struct {
+			name   string
+			rel    *workload.Relation
+			format Format
+			hash   bool
+			abort  bool
+		}{
+			{"pad_radix_reverse_grid", grid, PAD, false, true},
+			{"pad_hash_reverse_grid", grid, PAD, true, false},
+			{"pad_hash_random", random, PAD, true, false},
+			{"hist_radix_reverse_grid", grid, HIST, false, false},
+		} {
+			sess := simtrace.NewSession()
+			cfg := Config{NumPartitions: 256, TupleWidth: 8, Hash: c.hash, Format: c.format, Layout: RID,
+				PadFraction: 0.5, DisableWriteCombiner: noWC, Trace: sess}
+			_, stats, err := mustCircuit(t, cfg).Partition(c.rel.Clone())
+			if aborted := errors.Is(err, ErrPartitionOverflow); aborted != c.abort || aborted != stats.Overflowed || (err != nil && !aborted) {
+				t.Fatalf("%s (no combiner %v): err %v, Overflowed %v; want an abort %v", c.name, noWC, err, stats.Overflowed, c.abort)
+			}
+			want := int64(0)
+			if stats.Overflowed {
+				want = 1
+			}
+			if got := sess.Metrics.Counter("qpi.lines_written").Value() - stats.LinesWritten; got != want {
+				t.Errorf("%s (no combiner %v): %d write grants, %d committed lines: differ by %d, want %d",
+					c.name, noWC, stats.LinesWritten+got, stats.LinesWritten, got, want)
+			}
+		}
 	}
 }

@@ -100,8 +100,6 @@ type Result struct {
 	Offsets []int64
 	// Elapsed is the measured wall time of the partitioning.
 	Elapsed time.Duration
-	// Threads is the number of workers that ran.
-	Threads int
 }
 
 // Count returns the number of tuples in partition p.
@@ -171,7 +169,7 @@ func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	}
 	threads = max(1, min(threads, len(src)/cfg.NumPartitions))
 	start := time.Now()
-	res := &Result{NumPartitions: cfg.NumPartitions, Data: make([]uint64, len(src)), Threads: threads}
+	res := &Result{NumPartitions: cfg.NumPartitions, Data: make([]uint64, len(src))}
 	switch ix := cfg.indexer(); cfg.Algorithm {
 	case Buffered:
 		res.Offsets = buffered(src, res.Data, threads, ix, sc)

@@ -112,8 +112,8 @@ func TestDataIsIdenticalForEveryThreadCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(res.Data, wantData) || !slices.Equal(res.Offsets, wantOffsets) {
-					t.Fatalf("%v, %d partitions, Threads %d (ran %d): not the arrival-order partitioning",
-						alg, parts, cfg.Threads, res.Threads)
+					t.Fatalf("%v, %d partitions, Threads %d: not the arrival-order partitioning",
+						alg, parts, cfg.Threads)
 				}
 			}
 		}
@@ -214,9 +214,6 @@ func TestElapsedRecorded(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Error("Elapsed not recorded")
 	}
-	if res.Threads != 2 {
-		t.Errorf("Threads = %d", res.Threads)
-	}
 }
 
 func TestAlgorithmString(t *testing.T) {
@@ -252,21 +249,10 @@ func TestThreadCountIsClampedToTheInput(t *testing.T) {
 		if !slices.Equal(got.Data, want.Data) || !slices.Equal(got.Offsets, want.Offsets) {
 			t.Errorf("%v: Threads 1<<20 and Threads 1 partition differently", alg)
 		}
-		if got.Threads != 1 {
-			t.Errorf("%v: %d workers ran on 1000 tuples at fan-out 8192, want 1", alg, got.Threads)
-		}
 		// One worker's scratch at fan-out 8192 is 8192 × (64 + 8 + 8) bytes.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 			t.Errorf("%v: Threads 1<<20 allocated %d bytes for 1000 tuples", alg, grew)
 		}
-	}
-	// A worker never gets fewer tuples than there are partitions.
-	res, err := Partition(genRel(t, workload.Random, 5*64+63, 43), Config{NumPartitions: 64, Threads: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threads != 5 {
-		t.Errorf("%d workers on 383 tuples at fan-out 64, want 5", res.Threads)
 	}
 }
 

@@ -82,18 +82,31 @@ type Decision struct {
 	HeavyHitter bool
 }
 
-// BudgetStats aggregates the adaptive behaviour of one budgeted join. It is
-// the zero value for a join without a limited budget: nothing adapts.
+// BudgetStats aggregates the adaptive behaviour of one budgeted join. Under
+// an unlimited budget nothing adapts: BudgetedBuildProbe logs no decision
+// and counts nothing.
 type BudgetStats struct {
-	InMemory          int
-	Reversals         int
+	// BudgetBytes is the configured cap; HighWaterBytes is the peak
+	// concurrent reservation the sequential accounting replay observed.
+	BudgetBytes    int64
+	HighWaterBytes int64
+	// InMemory counts buckets joined without spilling (all depths);
+	// Reversals, buckets that built on S because it was smaller.
+	InMemory, Reversals int
+	// SpilledPartitions and SpilledBytes describe top-level partitions
+	// written to the spill store; SpillReadBytes is the total read back by
+	// recursive and broadcast passes.
 	SpilledPartitions int
 	SpilledBytes      int64
-	Recursions        int
-	Broadcasts        int
-	BroadcastChunks   int
-	// MaxDepth is the deepest recursion level reached.
-	MaxDepth int
+	SpillReadBytes    int64
+	// Recursions counts salted repartitioning passes; MaxDepth is the
+	// deepest recursion level reached (bounded by the executor).
+	Recursions int
+	MaxDepth   int
+	// Broadcasts counts buckets joined by the chunked broadcast join, in
+	// BroadcastChunks budget-sized build chunks.
+	Broadcasts      int
+	BroadcastChunks int
 	// Decisions lists every adaptive choice in partition-major order.
 	Decisions []Decision
 }
@@ -258,11 +271,11 @@ func (x *executor) work() {
 	}
 }
 
-// replayAccounting walks the decision list in its deterministic order and
-// replays every reservation against the budget and spill store, then folds
-// the list into the aggregate counters. Decisions were made against the cap
-// alone, so replaying sequentially reproduces exactly what a one-partition-
-// at-a-time executor would have reserved.
+// replayAccounting walks the decision list in its deterministic order,
+// replays every reservation against the budget and spill store, and folds
+// the list and the ledger into the aggregate counters. Decisions were made
+// against the cap alone, so replaying sequentially reproduces exactly what a
+// one-partition-at-a-time executor would have reserved.
 func replayAccounting(stats *BudgetStats, cfg BudgetConfig) {
 	b, sp := cfg.Budget, cfg.Spill
 	// One write-combining line per side stages spill writes.
@@ -311,6 +324,7 @@ func replayAccounting(stats *BudgetStats, cfg BudgetConfig) {
 			}
 		}
 	}
+	stats.BudgetBytes, stats.HighWaterBytes, stats.SpillReadBytes = b.Cap(), b.HighWater(), sp.BytesRead()
 }
 
 // chunkTuples is the build-chunk size of the broadcast join: as many tuples

@@ -63,8 +63,7 @@ func (*BoundaryReach) Doc() string {
 func (*BoundaryReach) Check(*Package) []Finding { return nil }
 
 // CheckModule implements ModuleAnalyzer.
-func (b *BoundaryReach) CheckModule(mod *Module) []Finding {
-	g := mod.Graph
+func (b *BoundaryReach) CheckModule(g *CallGraph) []Finding {
 
 	// Classify every declared function's deferred recover handling once;
 	// guarded nodes cut reachability, guard functions are exempt targets.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -54,9 +53,7 @@ const (
 // Edge is one possible call.
 type Edge struct {
 	Callee *Node
-	// Site is the call expression (or value reference) position.
-	Site token.Pos
-	Kind EdgeKind
+	Kind   EdgeKind
 }
 
 // Node is one function in the graph. Functions whose bodies were not loaded
@@ -234,14 +231,14 @@ func (g *CallGraph) addEdges(n *Node, root ast.Node) {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 			// Dynamic dispatch: resolve through module interfaces only.
 			for _, impl := range g.implementations(fn) {
-				n.link(g.leaf(impl), call.Pos(), EdgeInterface)
+				n.link(g.leaf(impl), EdgeInterface)
 			}
 			// Keep the interface method itself as a leaf so the edge is
 			// visible even when no module implementation exists.
-			n.link(g.leaf(fn), call.Pos(), EdgeInterface)
+			n.link(g.leaf(fn), EdgeInterface)
 			return true
 		}
-		n.link(g.leaf(fn), call.Pos(), EdgeStatic)
+		n.link(g.leaf(fn), EdgeStatic)
 		return true
 	})
 
@@ -262,20 +259,20 @@ func (g *CallGraph) addEdges(n *Node, root ast.Node) {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 			return true
 		}
-		n.link(g.leaf(fn), id.Pos(), EdgeFuncValue)
+		n.link(g.leaf(fn), EdgeFuncValue)
 		return true
 	})
 }
 
 // link appends an edge, deduplicating repeat (callee, kind) pairs to keep
 // the graph small on hot call sites.
-func (n *Node) link(callee *Node, site token.Pos, kind EdgeKind) {
+func (n *Node) link(callee *Node, kind EdgeKind) {
 	for _, e := range n.Out {
 		if e.Callee == callee && e.Kind == kind {
 			return
 		}
 	}
-	n.Out = append(n.Out, &Edge{Callee: callee, Site: site, Kind: kind})
+	n.Out = append(n.Out, &Edge{Callee: callee, Kind: kind})
 }
 
 // calleeIdent returns the identifier naming the called function, unwrapping

@@ -62,8 +62,8 @@ type HotpathAlloc struct {
 }
 
 // HotPathRoots are the known hot entry points outside Tick/Cycle methods:
-// the simtrace instrumentation calls and the reqtrace flight ring, covered
-// by the AllocsPerRun guards.
+// the simtrace instrumentation calls and the ring under the tracer and the
+// reqtrace flight recorder, covered by the AllocsPerRun guards.
 var HotPathRoots = []string{
 	"fpgapart/internal/simtrace.Counter.Add",
 	"fpgapart/internal/simtrace.Counter.Inc",
@@ -72,7 +72,7 @@ var HotPathRoots = []string{
 	"fpgapart/internal/simtrace.Tracer.Span",
 	"fpgapart/internal/simtrace.Tracer.Instant",
 	"fpgapart/internal/simtrace.Tracer.Sample",
-	"fpgapart/internal/reqtrace.Flight.Record",
+	"fpgapart/internal/simtrace.Ring.Record",
 }
 
 // DefaultHotpathAlloc returns the analyzer with the project's hot roots.
@@ -98,8 +98,7 @@ func (*HotpathAlloc) Doc() string {
 func (*HotpathAlloc) Check(*Package) []Finding { return nil }
 
 // CheckModule implements ModuleAnalyzer.
-func (h *HotpathAlloc) CheckModule(mod *Module) []Finding {
-	g := mod.Graph
+func (h *HotpathAlloc) CheckModule(g *CallGraph) []Finding {
 
 	// Hot set: roots plus everything reachable from them. rootOf remembers
 	// the root that first pulled each function in, for the finding message.

@@ -80,19 +80,12 @@ type Analyzer interface {
 	Check(pkg *Package) []Finding
 }
 
-// Module bundles the whole loaded package set with the call graph built
-// over it — the input to module-level analyzers.
-type Module struct {
-	Pkgs  []*Package
-	Graph *CallGraph
-}
-
 // ModuleAnalyzer is an analyzer that needs the whole module at once (the
 // call-graph analyzers). Its Check method is never called; Run
-// invokes CheckModule exactly once over all packages.
+// invokes CheckModule exactly once, with the call graph of all packages.
 type ModuleAnalyzer interface {
 	Analyzer
-	CheckModule(mod *Module) []Finding
+	CheckModule(g *CallGraph) []Finding
 }
 
 // All returns the project's full analyzer set with default configuration:
@@ -116,18 +109,18 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 		allowed.merge(allowTable(pkg))
 	}
 
-	var mod *Module
-	module := func() *Module {
-		if mod == nil {
-			mod = &Module{Pkgs: pkgs, Graph: BuildCallGraph(pkgs)}
+	var graph *CallGraph
+	callGraph := func() *CallGraph {
+		if graph == nil {
+			graph = BuildCallGraph(pkgs)
 		}
-		return mod
+		return graph
 	}
 
 	var out []Finding
 	for _, a := range analyzers {
 		if ma, ok := a.(ModuleAnalyzer); ok {
-			for _, f := range ma.CheckModule(module()) {
+			for _, f := range ma.CheckModule(callGraph()) {
 				if allowed.allows(f) {
 					continue
 				}

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -550,7 +551,7 @@ func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 	if !onPath {
 		t.Error("fpgapart/internal/reqtrace missing from DeterministicPathPackages")
 	}
-	if r := "fpgapart/internal/reqtrace.Flight.Record"; !DefaultHotpathAlloc().Roots[r] {
+	if r := "fpgapart/internal/simtrace.Ring.Record"; !DefaultHotpathAlloc().Roots[r] {
 		t.Errorf("%s missing from the hotpath-alloc roots", r)
 	}
 }
@@ -781,6 +782,149 @@ func TestOptionsHaveProductionSetters(t *testing.T) {
 	if len(fields) < 100 {
 		t.Fatalf("only %d option fields found in the module", len(fields))
 	}
+}
+
+// testOnlyFields lists the fields that no non-test file reads and that stay
+// anyway, with a reason of the two kinds testOnlyOptions uses: "reference:"
+// (the only view a test has of a behaviour no other check covers) or "lock:"
+// (a committed golden or cycle lock is read through it).
+var testOnlyFields = map[string]string{
+	"fpgapart/internal/core.Stats.PartitionCycles":    "lock: TestCycleLock marshals every Stats field into cycle_lock.json; TestOneCacheLinePerCycle also reads the partition pass's length through it",
+	"fpgapart/internal/joincore.Decision.Partition":   "lock: hashjoin.TestEmitOrderLock hashes every Decision's fields, this one included, into emit_order_lock.json",
+	"fpgapart/internal/joincore.Decision.HeavyHitter": "lock: hashjoin.TestEmitOrderLock hashes every Decision's fields, this one included, into emit_order_lock.json; TestBudgetedHeavyHitterBroadcasts reads through it which rule forced a broadcast",
+	"fpgapart/internal/rdma.ExchangeStats.Corrupted":  "reference: TestExchangeCorruptMessageFailsItsPieces holds CorruptPieces to eight per corrupt message through it, the only view of a message failing every piece it carried",
+	"fpgapart/internal/reqtrace.Attempt.Aborted":      "reference: partserver.TestAbortAndReconfigurationCharges finds the aborted attempts through it and checks they are charged half of the completed run",
+	"fpgapart/partserver.JobResult.Counts":            "reference: the partserver property, golden and fuzz tests hold every done job's per-partition counts to the single-tenant run through it; the output checksum sums over partitions and cannot see a tuple in the wrong one",
+	"fpgapart/experiments.JoinPoint.Matches":          "reference: TestFigure10ConsistentAcrossFanOuts and TestFigure13HistNeverFallsBack hold the match count equal across fan-outs and between the CPU and the hybrid join on each Zipf input, runs no other test makes",
+	"fpgapart/experiments.DistributedRow.JoinTuples":  "reference: TestDistributedShape's deterministic view of the join phase parallelizing across nodes, beside the host-timed JoinSec",
+}
+
+// TestFieldsHaveProductionReaders locks the output side of the Options rule:
+// a field exists because production code reads it. It covers every exported
+// field of an exported struct type in a non-main package of the module,
+// except a field with a json: tag, which encoding/json reads. A field passes
+// when some non-test file of the module reads it (benchmark/ and cmd/ count):
+// a selector of it that is not the target of an assignment or the operand of
+// ++ or --, or a selector that passes through it as an embedded field. A read
+// inside a validate or Validate of the field's own package does not count.
+// Any other field must be on testOnlyFields with a reason of one of the two
+// kinds; an entry whose field has gained a reader or no longer exists fails.
+func TestFieldsHaveProductionReaders(t *testing.T) {
+	l := testLoader(t)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	var fields []*types.Var
+	names := map[*types.Var]string{}
+	for _, pkg := range pkgs {
+		if pkg.Types.Name() == "main" {
+			continue
+		}
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+					fields = append(fields, f)
+					names[f] = tn.Pkg().Path() + "." + tn.Name() + "." + f.Name()
+				}
+			}
+		}
+	}
+	read := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				validate := ok && strings.EqualFold(fd.Name.Name, "validate")
+				written := map[*ast.SelectorExpr]bool{}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if x, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								written[x] = true
+							}
+						}
+					case *ast.IncDecStmt:
+						if x, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+							written[x] = true
+						}
+					case *ast.SelectorExpr:
+						for _, f := range selectedFields(pkg.Info.Selections[n], written[n]) {
+							if !(validate && f.Pkg() == pkg.Types) {
+								read[f] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, f := range fields {
+		name := names[f]
+		seen[name] = true
+		_, listed := testOnlyFields[name]
+		switch {
+		case read[f] && listed:
+			t.Errorf("%s is read by a non-test file now; drop it from testOnlyFields", name)
+		case !read[f] && !listed:
+			t.Errorf("%s: %s is read by no non-test file; delete it with the code that fills it, or list it in testOnlyFields with a reason",
+				l.Fset.Position(f.Pos()), name)
+		}
+	}
+	entries := entryPositions(t, "testOnlyFields")
+	for name, reason := range testOnlyFields {
+		if !seen[name] {
+			t.Errorf("%s: testOnlyFields lists %s, which is not a field the roster covers", entries[name], name)
+		}
+		switch kind, why, _ := strings.Cut(reason, ":"); {
+		case kind != "reference" && kind != "lock":
+			t.Errorf("%s: testOnlyFields entry %s: reason %q does not start with reference: or lock:", entries[name], name, reason)
+		case strings.TrimSpace(why) == "":
+			t.Errorf("%s: testOnlyFields entry %s states no reason after %s:", entries[name], name, kind)
+		}
+	}
+	t.Logf("%d fields, %d on testOnlyFields", len(fields), len(testOnlyFields))
+	if len(fields) < 400 {
+		t.Fatalf("only %d fields found in the module", len(fields))
+	}
+}
+
+// selectedFields returns the fields selection sel reads: the embedded fields
+// it passes through, and the field it selects unless that is written.
+func selectedFields(sel *types.Selection, written bool) []*types.Var {
+	if sel == nil {
+		return nil
+	}
+	var out []*types.Var
+	typ := sel.Recv()
+	path := sel.Index()
+	for i, idx := range path {
+		if p, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		last := i == len(path)-1
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok || last && sel.Kind() != types.FieldVal {
+			break
+		}
+		f := st.Field(idx)
+		if !last || !written {
+			out = append(out, f.Origin())
+		}
+		typ = f.Type()
+	}
+	return out
 }
 
 // entryPositions maps each key of the map literal this file assigns to the

@@ -22,23 +22,21 @@ import (
 // LineBytes is the cache-line granularity of all QPI transfers.
 const LineBytes = 64
 
-// Pool is a physical memory pool carved into fixed-size pages.
+// PageBytes is the page size: the Intel API allocates 4 MB pages.
+const PageBytes = 4 << 20
+
+// Pool is a physical memory pool carved into PageBytes pages.
 type Pool struct {
-	pageBytes int
-	numPages  int
-	nextFree  int
+	numPages int
+	nextFree int
 }
 
-// NewPool returns a pool of totalBytes physical memory in pages of pageBytes
-// (4 MB on the paper's platform).
-func NewPool(totalBytes int64, pageBytes int) (*Pool, error) {
-	if pageBytes <= 0 || pageBytes%LineBytes != 0 {
-		return nil, fmt.Errorf("memsys: page size %d must be a positive multiple of %d", pageBytes, LineBytes)
-	}
-	if totalBytes < int64(pageBytes) {
+// NewPool returns a pool of totalBytes physical memory.
+func NewPool(totalBytes int64) (*Pool, error) {
+	if totalBytes < PageBytes {
 		return nil, fmt.Errorf("memsys: pool of %d bytes smaller than one page", totalBytes)
 	}
-	return &Pool{pageBytes: pageBytes, numPages: int(totalBytes / int64(pageBytes))}, nil
+	return &Pool{numPages: int(totalBytes / PageBytes)}, nil
 }
 
 // FreePages returns how many pages remain unallocated.
@@ -52,7 +50,7 @@ func (p *Pool) Alloc(size int64) (*Region, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("memsys: allocation of %d bytes", size)
 	}
-	pages := int((size + int64(p.pageBytes) - 1) / int64(p.pageBytes))
+	pages := int((size + PageBytes - 1) / PageBytes)
 	if pages > p.FreePages() {
 		return nil, fmt.Errorf("memsys: out of memory: need %d pages, %d free", pages, p.FreePages())
 	}
@@ -148,37 +146,30 @@ const PageTableLatency = 2
 // instead of using Intel's extended end-point, which caps allocations at
 // 2 GB and loses 20% bandwidth).
 type PageTable struct {
-	pageBytes int
-	entries   []uint32
-	valid     []bool
-
-	// Translations counts completed look-ups, for throughput verification.
-	Translations int64
+	entries []uint32
+	valid   []bool
 }
 
-// NewPageTable returns a table with capacity virtual pages of pageBytes each.
-func NewPageTable(pageBytes, capacity int) (*PageTable, error) {
-	if pageBytes <= 0 || capacity <= 0 {
-		return nil, fmt.Errorf("memsys: invalid page table shape %d×%d", capacity, pageBytes)
+// NewPageTable returns a table with capacity virtual pages.
+func NewPageTable(capacity int) (*PageTable, error) {
+	if capacity <= 0 {
+		return nil, fmt.Errorf("memsys: page table of %d entries", capacity)
 	}
 	return &PageTable{
-		pageBytes: pageBytes,
-		entries:   make([]uint32, capacity),
-		valid:     make([]bool, capacity),
+		entries: make([]uint32, capacity),
+		valid:   make([]bool, capacity),
 	}, nil
 }
 
 // Populate loads the region's physical page numbers into the table, the
 // start-up step where the software transmits the 32-bit physical addresses
 // of its 4 MB pages to the FPGA. It replaces whatever was loaded before — a
-// circuit keeps one table and loads every run's region into it — and zeroes
-// the translation counter.
+// circuit keeps one table and loads every run's region into it.
 func (t *PageTable) Populate(r *Region) error {
 	if len(r.Pages) > len(t.entries) {
 		return fmt.Errorf("memsys: region needs %d page table entries, table has %d", len(r.Pages), len(t.entries))
 	}
 	clear(t.valid)
-	t.Translations = 0
 	for v, p := range r.Pages {
 		t.entries[v] = p
 		t.valid[v] = true
@@ -193,13 +184,11 @@ func (t *PageTable) Translate(vaddr int64) (uint64, error) {
 	if vaddr < 0 {
 		return 0, fmt.Errorf("memsys: negative virtual address %#x", vaddr) //fpgavet:allow hotpath-alloc fault path, never taken per line
 	}
-	page := vaddr / int64(t.pageBytes)
+	page := vaddr / PageBytes
 	if page >= int64(len(t.entries)) || !t.valid[page] {
 		return 0, fmt.Errorf("memsys: page fault at virtual address %#x (page %d unmapped)", vaddr, page) //fpgavet:allow hotpath-alloc fault path, never taken per line
 	}
-	t.Translations++
-	off := vaddr % int64(t.pageBytes)
-	return uint64(t.entries[page])*uint64(t.pageBytes) + uint64(off), nil
+	return uint64(t.entries[page])*PageBytes + uint64(vaddr%PageBytes), nil
 }
 
 // Capacity returns the number of virtual pages the table can map.

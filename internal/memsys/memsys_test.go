@@ -10,19 +10,13 @@ import (
 )
 
 func TestNewPoolValidation(t *testing.T) {
-	if _, err := NewPool(1<<30, 0); err == nil {
-		t.Error("zero page size accepted")
-	}
-	if _, err := NewPool(1<<30, 100); err == nil {
-		t.Error("non-line-multiple page size accepted")
-	}
-	if _, err := NewPool(100, 4<<20); err == nil {
+	if _, err := NewPool(100); err == nil {
 		t.Error("pool smaller than a page accepted")
 	}
 }
 
 func TestAllocConsumesPages(t *testing.T) {
-	p, err := NewPool(64<<20, 4<<20) // 16 pages
+	p, err := NewPool(64 << 20) // 16 pages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +42,7 @@ func TestAllocConsumesPages(t *testing.T) {
 }
 
 func TestMarkWrittenAndOwner(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	r, _ := p.Alloc(1 << 20)
 	// Fresh regions belong to the CPU socket (value 0).
 	if r.Owner(0) != platform.CPUSocket {
@@ -73,7 +67,7 @@ func TestMarkWrittenAndOwner(t *testing.T) {
 }
 
 func TestMarkWrittenPartialLine(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	r, _ := p.Alloc(1 << 20)
 	// A 1-byte write dirties the whole containing line (coherence is
 	// line-granular).
@@ -86,7 +80,7 @@ func TestMarkWrittenPartialLine(t *testing.T) {
 }
 
 func TestMarkWrittenBounds(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	r, _ := p.Alloc(1 << 20)
 	if err := r.MarkWritten(platform.CPUSocket, -1, 10); err == nil {
 		t.Error("negative offset accepted")
@@ -97,9 +91,9 @@ func TestMarkWrittenBounds(t *testing.T) {
 }
 
 func TestPageTablePopulateAndTranslate(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	r, _ := p.Alloc(8 << 20)
-	pt, err := NewPageTable(4<<20, 16)
+	pt, err := NewPageTable(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +113,15 @@ func TestPageTablePopulateAndTranslate(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if pt.Translations == 0 {
-		t.Error("translation counter not advancing")
-	}
 }
 
 // TestPageTablePopulateReplaces: a table loaded with a second, smaller region
-// maps that region only, and counts its translations from zero.
+// maps that region only.
 func TestPageTablePopulateReplaces(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	big, _ := p.Alloc(16 << 20)
 	small, _ := p.Alloc(4 << 20)
-	pt, _ := NewPageTable(4<<20, 8)
+	pt, _ := NewPageTable(8)
 	if err := pt.Populate(big); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +130,6 @@ func TestPageTablePopulateReplaces(t *testing.T) {
 	}
 	if err := pt.Populate(small); err != nil {
 		t.Fatal(err)
-	}
-	if pt.Translations != 0 {
-		t.Errorf("Translations = %d after loading a new region", pt.Translations)
 	}
 	if _, err := pt.Translate(12 << 20); err == nil {
 		t.Error("page of the previous region still mapped")
@@ -153,7 +141,7 @@ func TestPageTablePopulateReplaces(t *testing.T) {
 }
 
 func TestPageTableFaults(t *testing.T) {
-	pt, _ := NewPageTable(4<<20, 4)
+	pt, _ := NewPageTable(4)
 	if _, err := pt.Translate(0); err == nil {
 		t.Error("unmapped page translated")
 	}
@@ -166,19 +154,16 @@ func TestPageTableFaults(t *testing.T) {
 }
 
 func TestPageTableTooSmallForRegion(t *testing.T) {
-	p, _ := NewPool(64<<20, 4<<20)
+	p, _ := NewPool(64 << 20)
 	r, _ := p.Alloc(16 << 20) // 4 pages
-	pt, _ := NewPageTable(4<<20, 2)
+	pt, _ := NewPageTable(2)
 	if err := pt.Populate(r); err == nil {
 		t.Error("populate into undersized table accepted")
 	}
 }
 
 func TestNewPageTableValidation(t *testing.T) {
-	if _, err := NewPageTable(0, 4); err == nil {
-		t.Error("zero page size accepted")
-	}
-	if _, err := NewPageTable(4<<20, 0); err == nil {
+	if _, err := NewPageTable(0); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
@@ -196,14 +181,14 @@ func TestPageTableLatencyConstant(t *testing.T) {
 // and OwnerCounts read what a map with one entry per line of the region
 // reads.
 func TestOwnerSpanAgreesWithDenseMap(t *testing.T) {
-	const pageBytes = 1 << 16 // small pages keep the dense reference cheap
+	const scale = 1 << 16 // small regions keep the dense reference cheap
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
-		size := int64(pageBytes) // every fourth region is exactly one page
+		size := int64(PageBytes) // every fourth region is exactly one page
 		if trial%4 != 0 {
-			size = 1 + rng.Int63n(3*pageBytes)
+			size = 1 + rng.Int63n(3*scale)
 		}
-		p, err := NewPool(4*pageBytes, pageBytes)
+		p, err := NewPool(PageBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +234,7 @@ func TestOwnerSpanAgreesWithDenseMap(t *testing.T) {
 // TestAllocCostsNoOwnerMap: a region learns about lines when they are
 // written; allocating 4 MiB of it costs the page array and the struct.
 func TestAllocCostsNoOwnerMap(t *testing.T) {
-	p, err := NewPool(1<<40, 4<<20)
+	p, err := NewPool(1 << 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,11 @@ type Endpoint struct {
 	readTokens  float64
 	writeTokens float64
 
-	// LinesRead and LinesWritten count completed transfers.
-	LinesRead    int64
-	LinesWritten int64
-	// Cycles counts Tick calls, so tests can derive achieved bandwidth.
-	Cycles int64
-
 	// Optional simtrace transfer counters (nil-receiver no-ops by
-	// default): one increment per completed cache-line read/write.
+	// default): one increment per completed cache-line read/write. The
+	// write counter counts link grants, which is not core.Stats.LinesWritten
+	// (the lines the write-back committed): a PAD-overflow abort rejects
+	// the line whose write was already granted, so there they differ by one.
 	readCtr, writeCtr *simtrace.Counter
 }
 
@@ -85,7 +82,6 @@ func (e *Endpoint) SetMix(readFrac float64) {
 
 // Tick advances one clock cycle, accruing channel budget.
 func (e *Endpoint) Tick() {
-	e.Cycles++
 	e.readTokens += e.readPerCyc
 	if max := float64(burstLines * LineBytes); e.readTokens > max {
 		e.readTokens = max
@@ -105,7 +101,6 @@ func (e *Endpoint) Read() {
 		panic("qpi: read without budget")
 	}
 	e.readTokens -= LineBytes
-	e.LinesRead++
 	e.readCtr.Inc()
 }
 
@@ -118,6 +113,5 @@ func (e *Endpoint) Write() {
 		panic("qpi: write without budget")
 	}
 	e.writeTokens -= LineBytes
-	e.LinesWritten++
 	e.writeCtr.Inc()
 }

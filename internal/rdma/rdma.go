@@ -129,12 +129,11 @@ type ExchangeStats struct {
 	// timeouts, backoffs and straggler slowdowns, bottlenecked by the
 	// busiest port.
 	Seconds float64
-	// Messages is the number of transmission attempts; Retries counts the
-	// retransmissions among them (after a drop or timeout, and the re-sent
-	// corrupt messages of later rounds).
-	Messages, Retries int64
-	// Dropped, Corrupted and Delayed count per-fate transmission attempts.
-	Dropped, Corrupted, Delayed int64
+	// Retries counts retransmissions (after a drop or timeout, and the
+	// re-sent corrupt messages of later rounds).
+	Retries int64
+	// Corrupted counts transmission attempts that arrived corrupt.
+	Corrupted int64
 	// CorruptPieces counts piece receptions that failed checksum
 	// verification (a piece spanning a corrupt message) and were
 	// re-requested.
@@ -393,7 +392,6 @@ func (x *exchange) send(fl *flow, bw float64, round, m int, size int64) (arrived
 	src, dst := &x.nodes[fl.src], &x.nodes[fl.dst]
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		id := faults.MsgID{Phase: x.phase, Src: fl.src, Dst: fl.dst, Round: round, Msg: m, Attempt: attempt}
-		x.stats.Messages++
 		if round > 0 || attempt > 0 {
 			x.stats.Retries++
 			x.stats.RetransmittedBytes += size
@@ -407,15 +405,11 @@ func (x *exchange) send(fl *flow, bw float64, round, m int, size int64) (arrived
 		}
 		fate, delayUS := x.inj.MessageFate(id)
 		if fate == faults.Drop {
-			x.stats.Dropped++
 			src.outUS += x.timeoutUS
 			continue
 		}
 		if fate == faults.Corrupt {
 			x.stats.Corrupted++
-		}
-		if delayUS > 0 {
-			x.stats.Delayed++
 		}
 		wireUS := float64(size) / bw * 1e6
 		src.outUS += wireUS + x.f.LatencyUS + delayUS

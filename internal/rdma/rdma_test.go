@@ -351,7 +351,7 @@ func TestExchangePiecesFaultFreeMatchesMatrix(t *testing.T) {
 		if want := closedForm(f, m); math.Abs(st.Seconds-want)/want > 1e-9 {
 			t.Errorf("exchange %v s, closed form %v s", st.Seconds, want)
 		}
-		if st.Retries != 0 || st.Dropped != 0 || st.Corrupted != 0 || st.CorruptPieces != 0 {
+		if st.Retries != 0 || st.Corrupted != 0 || st.CorruptPieces != 0 {
 			t.Errorf("fault-free exchange reported faults: %+v", st)
 		}
 		for i, oc := range st.Outcomes {
@@ -376,12 +376,9 @@ func TestExchangeCoalescesAFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Messages != 1 {
-		t.Errorf("%d pieces of %d bytes in all took %d messages, want 1", len(pieces), total, st.Messages)
-	}
 	want := float64(total)/(f.LinkGBps*1e9) + f.LatencyUS*1e-6
 	if math.Abs(st.Seconds-want) > 1e-15 {
-		t.Errorf("exchange %v s, want one message's %v s", st.Seconds, want)
+		t.Errorf("%d pieces of %d bytes in all took %v s, want one message's %v s", len(pieces), total, st.Seconds, want)
 	}
 }
 
@@ -401,9 +398,6 @@ func TestExchangeCorruptMessageFailsItsPieces(t *testing.T) {
 		}
 		if st.CorruptPieces != 8*st.Corrupted {
 			t.Errorf("seed %d: %d corrupt messages failed %d piece checksums, want 8 each", seed, st.Corrupted, st.CorruptPieces)
-		}
-		if st.Messages != 8+st.Retries {
-			t.Errorf("seed %d: %d messages, %d retries: the first round is not 8 messages", seed, st.Messages, st.Retries)
 		}
 		corrupt += st.Corrupted
 	}
@@ -452,7 +446,7 @@ func TestExchangePiecesDropsCostTimeAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossy.Retries == 0 || lossy.Dropped == 0 {
+	if lossy.Retries == 0 {
 		t.Fatalf("20%% drop produced no retries: %+v", lossy)
 	}
 	if lossy.Seconds <= clean.Seconds {
@@ -572,8 +566,8 @@ func TestExchangePiecesCrashFromStartNothingDeliveredToIt(t *testing.T) {
 	}
 	// The one flow into the dead node burns its whole budget on timeouts,
 	// once: maxAttempts transmissions, a backoff before each retry.
-	if st.Messages != maxAttempts || st.Retries != maxAttempts-1 {
-		t.Errorf("dead destination cost %d messages, %d retries; want %d and %d", st.Messages, st.Retries, maxAttempts, maxAttempts-1)
+	if st.Retries != maxAttempts-1 {
+		t.Errorf("dead destination cost %d retries; want %d", st.Retries, maxAttempts-1)
 	}
 	lo := maxAttempts*f.timeoutUS() + backoffUS(1, 0) + backoffUS(2, 0) + backoffUS(3, 0) + backoffUS(4, 0)
 	hi := maxAttempts*f.timeoutUS() + backoffUS(1, 1) + backoffUS(2, 1) + backoffUS(3, 1) + backoffUS(4, 1)
@@ -598,8 +592,8 @@ func TestExchangeDeadPeerBurnsBudgetOncePerFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Messages != 2*maxAttempts {
-		t.Errorf("two flows into a dead node sent %d messages, want %d", st.Messages, 2*maxAttempts)
+	if st.Retries != 2*(maxAttempts-1) {
+		t.Errorf("two flows into a dead node retried %d times, want %d", st.Retries, 2*(maxAttempts-1))
 	}
 	for i, oc := range st.Outcomes {
 		if oc != PieceFailed {

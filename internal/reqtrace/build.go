@@ -20,14 +20,13 @@ type RouterStep struct {
 	// range (0 when the key was not migrating).
 	HandoffUS int64
 
-	// Hedged marks a request the router hedged to a replica after the
-	// virtual-time deadline; HedgeIssueUS is the issue instant
-	// (AdmitUS + deadline). When the hedge won (HedgeWon), the job record
+	// HedgeWon marks a request the router hedged to a replica after the
+	// virtual-time deadline and whose hedge finished first; HedgeIssueUS is
+	// the issue instant (AdmitUS + deadline). When the hedge won, the job record
 	// passed to BuildRouted must be the hedge's, from the replica's
 	// scheduler: the winner's chain is then quota wait → hedge wait
 	// (admission to issue) → the hedge's queueing and execution on the
 	// replica, and the handoff barrier (a primary-side delay) is not charged.
-	Hedged       bool
 	HedgeWon     bool
 	HedgeIssueUS int64
 }
@@ -45,27 +44,23 @@ func BuildRouted(seed uint64, index int, step RouterStep, job *JobRecord) Reques
 	return build(seed, index, &step, job)
 }
 
-// builder threads the causal chain: each added segment's parent is the
-// previously added span, so the chain parents encode the request's causal
+// builder threads the causal chain: each added segment's predecessor is the
+// previously added span, so the chain order encodes the request's causal
 // DAG (and, every span having one predecessor, its critical path).
 type builder struct {
-	rt   *RequestTrace
-	seq  int
-	prev SpanID
+	rt  *RequestTrace
+	seq int
 }
 
 func (b *builder) add(comp string, kind Component, start, dur int64) {
-	id := b.rt.TraceID.SpanID(b.seq)
 	b.rt.Spans = append(b.rt.Spans, Span{
-		ID:      id,
-		Parent:  b.prev,
+		ID:      b.rt.TraceID.SpanID(b.seq),
 		Comp:    comp,
 		Kind:    kind,
 		StartUS: start,
 		DurUS:   dur,
 	})
 	b.seq++
-	b.prev = id
 	if kind >= 0 && int(kind) < NumComponents {
 		b.rt.Breakdown[kind] += dur
 	}
@@ -84,8 +79,6 @@ func build(seed uint64, index int, step *RouterStep, job *JobRecord) RequestTrac
 		rootComp = "router"
 		arrival = step.ArrivalUS
 		rt.Throttled = step.Throttled
-		rt.Hedged = step.Hedged
-		rt.HedgeWon = step.HedgeWon
 		if step.Shard >= 0 {
 			rt.Shard = step.Shard
 			rt.Rerouted = step.Shard != step.Primary

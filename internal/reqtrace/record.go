@@ -1,5 +1,7 @@
 package reqtrace
 
+import "fpgapart/internal/simtrace"
+
 // DefaultFlightCap is the default capacity of a flight-recorder ring:
 // enough causal context around a fault for a postmortem, small enough to
 // stay resident however long the run.
@@ -10,10 +12,8 @@ const DefaultFlightCap = 256
 // exactly: StartUS + ReconfigUS + PreWaitUS + ExecUS + SpillUS + DrainUS
 // is the batch completion time, for every job of the batch.
 type Attempt struct {
-	// Resource is the executing timeline ("fpga0", "cpu1", …); FPGA
-	// distinguishes the pools without string comparison.
+	// Resource is the executing timeline ("fpga0", "cpu1", …).
 	Resource string
-	FPGA     bool
 
 	// StartUS is the batch dispatch time.
 	StartUS int64
@@ -29,12 +29,8 @@ type Attempt struct {
 	// DrainUS is the summed charge of later jobs in the batch.
 	DrainUS int64
 
-	// Aborted marks a scheduler-decided transient fault or crash verdict;
-	// Crash narrows it to a fail-stop; Overflow marks a PAD-mode partition
-	// overflow that degraded the job to CPU.
-	Aborted  bool
-	Crash    bool
-	Overflow bool
+	// Aborted marks a scheduler-decided transient fault or crash verdict.
+	Aborted bool
 }
 
 // JobRecord is one job's causal history, as its scheduler charged it.
@@ -73,11 +69,7 @@ type FlightEvent struct {
 
 // Flight is a fixed-capacity ring of the last K causal events — a hardware
 // flight recorder for the virtual-time scheduler. Nil is a no-op recorder.
-type Flight struct {
-	ring  []FlightEvent
-	next  int
-	total int64
-}
+type Flight = simtrace.Ring[FlightEvent]
 
 // NewFlight returns a flight recorder holding up to capacity events
 // (DefaultFlightCap when capacity ≤ 0).
@@ -85,44 +77,5 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &Flight{ring: make([]FlightEvent, 0, capacity)}
-}
-
-// Record appends an event, overwriting the oldest when full. Nil-safe and
-// allocation-free: the ring is preallocated at construction.
-func (f *Flight) Record(e FlightEvent) {
-	if f == nil {
-		return
-	}
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, e)
-	} else {
-		f.ring[f.next] = e
-	}
-	f.next++
-	if f.next == cap(f.ring) {
-		f.next = 0
-	}
-	f.total++
-}
-
-// Events returns the surviving events oldest-first (freshly allocated).
-func (f *Flight) Events() []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	out := make([]FlightEvent, 0, len(f.ring))
-	if len(f.ring) < cap(f.ring) {
-		return append(out, f.ring...)
-	}
-	out = append(out, f.ring[f.next:]...)
-	return append(out, f.ring[:f.next]...)
-}
-
-// Dropped returns how many events were overwritten by newer ones.
-func (f *Flight) Dropped() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.total - int64(len(f.ring))
+	return simtrace.NewRing[FlightEvent](capacity)
 }

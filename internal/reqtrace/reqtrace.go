@@ -137,13 +137,12 @@ func (t TraceID) SpanID(seq int) SpanID {
 	return SpanID(hashutil.SplitMix64(uint64(t) ^ hashutil.SplitMix64(uint64(seq)+1)))
 }
 
-// Span is one segment of a request's causal chain. Parent is the causally
-// preceding span (the root for the first segment, 0 for the root itself):
-// every span has exactly one causal predecessor, so the chain is also the
-// longest — the critical — path through the request's span DAG.
+// Span is one segment of a request's causal chain. A span's causal
+// predecessor is the one before it in RequestTrace.Spans (the root has
+// none): every span has exactly one, so the chain is also the longest — the
+// critical — path through the request's span DAG.
 type Span struct {
-	ID     SpanID
-	Parent SpanID
+	ID SpanID
 	// Comp is the simtrace timeline the segment belongs to ("router",
 	// "sched", "fpga0", "cpu1", …).
 	Comp string
@@ -166,15 +165,12 @@ type RequestTrace struct {
 	// "unrouted" for a request no live shard could accept).
 	Status string
 	// Shard is where the request executed (-1: standalone run or never
-	// admitted); Rerouted and Throttled echo the router's decisions.
-	// Hedged marks a request whose router issued a replica hedge; HedgeWon
-	// marks the hedge finishing first (the trace's execution spans are then
-	// the hedge's on the replica, and Shard stays the primary's id).
+	// admitted); Rerouted and Throttled echo the router's decisions. When
+	// a replica hedge finished first, the trace's execution spans are the
+	// hedge's on the replica, and Shard stays the primary's id.
 	Shard     int
 	Rerouted  bool
 	Throttled bool
-	Hedged    bool
-	HedgeWon  bool
 
 	// Virtual timeline (µs) and the conservation identity:
 	// Breakdown.Sum() == LatencyUS == DoneUS − ArrivalUS.

@@ -38,26 +38,92 @@ type Event struct {
 	Value int64 // SampleEvent only
 }
 
-// Tracer is a fixed-capacity ring buffer of events. It stores what callers
-// hand it: a trace is replay-exact only if every ts/dur was simulated, which
-// holds for the circuit, partserver and cluster traces and not for the
-// host-measured join spans (see the package comment). When full, the oldest
-// events are overwritten (and counted as dropped) — a bounded trace of an
-// arbitrarily long run, like a hardware trace buffer. The zero value of
-// *Tracer (nil) disables tracing; all methods are nil-receiver no-ops.
-type Tracer struct {
-	ring  []Event
-	next  int   // ring index of the next write
-	total int64 // events ever emitted
+// Ring is a fixed-capacity ring buffer: it appends until full, then
+// overwrites the oldest entry and counts it dropped — a bounded record of
+// an arbitrarily long run, like a hardware trace buffer. Recording never
+// allocates: the ring is preallocated at construction. A nil *Ring records
+// nothing; all its methods are nil-receiver no-ops.
+type Ring[T any] struct {
+	buf   []T
+	next  int   // buf index of the next write
+	total int64 // entries ever recorded
 }
 
-// NewTracer returns a tracer holding up to capacity events.
-func NewTracer(capacity int) *Tracer {
+// NewRing returns a ring holding up to capacity entries.
+func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
-		panic(fmt.Sprintf("simtrace: tracer capacity %d", capacity))
+		panic(fmt.Sprintf("simtrace: ring capacity %d", capacity))
 	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+	return &Ring[T]{buf: make([]T, 0, capacity)}
 }
+
+// Record appends e, overwriting the oldest entry when the ring is full.
+func (r *Ring[T]) Record(e T) { //fpgavet:allow hotpath-alloc the two rings hold an Event (64 bytes) or a reqtrace.FlightEvent (56), each within a cache line
+	if r == nil {
+		return
+	}
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.next] = e
+	}
+	r.next++
+	if r.next == cap(r.buf) {
+		r.next = 0
+	}
+	r.total++
+}
+
+// Len returns the number of entries currently held.
+func (r *Ring[T]) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.buf)
+}
+
+// Cap returns the ring capacity (0 for nil).
+func (r *Ring[T]) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return cap(r.buf)
+}
+
+// Dropped returns how many entries were overwritten by newer ones.
+func (r *Ring[T]) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.total - int64(len(r.buf))
+}
+
+// Events returns the surviving entries oldest-first. The returned slice is
+// freshly allocated.
+func (r *Ring[T]) Events() []T {
+	if r == nil {
+		return nil
+	}
+	out := make([]T, 0, len(r.buf))
+	if len(r.buf) < cap(r.buf) {
+		return append(out, r.buf...)
+	}
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// Tracer is a ring of trace events. It stores what callers hand it: a trace
+// is replay-exact only if every ts/dur was simulated, which holds for the
+// circuit, partserver and cluster traces and not for the host-measured join
+// spans (see the package comment). The zero value of *Tracer (nil) disables
+// tracing; all methods are nil-receiver no-ops.
+type Tracer Ring[Event]
+
+// NewTracer returns a tracer holding up to capacity events.
+func NewTracer(capacity int) *Tracer { return (*Tracer)(NewRing[Event](capacity)) }
+
+// ring is t as the ring it is (nil for a nil t).
+func (t *Tracer) ring() *Ring[Event] { return (*Ring[Event])(t) }
 
 // Span records a duration of dur cycles starting at cycle ts on comp's
 // timeline.
@@ -89,59 +155,20 @@ func (t *Tracer) FlowEnd(comp, name string, ts, id int64) {
 	t.emit(Event{Kind: FlowEndEvent, Comp: comp, Name: name, Ts: ts, Value: id})
 }
 
-func (t *Tracer) emit(e Event) {
-	if t == nil {
-		return
-	}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[t.next] = e
-	}
-	t.next++
-	if t.next == cap(t.ring) {
-		t.next = 0
-	}
-	t.total++
-}
+func (t *Tracer) emit(e Event) { t.ring().Record(e) }
 
 // Len returns the number of events currently held.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
+func (t *Tracer) Len() int { return t.ring().Len() }
 
 // Cap returns the ring capacity (0 for nil).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return cap(t.ring)
-}
+func (t *Tracer) Cap() int { return t.ring().Cap() }
 
 // Dropped returns how many events were overwritten by newer ones.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total - int64(len(t.ring))
-}
+func (t *Tracer) Dropped() int64 { return t.ring().Dropped() }
 
 // Events returns the surviving events in emission order (oldest first).
 // The returned slice is freshly allocated.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) < cap(t.ring) {
-		return append(out, t.ring...)
-	}
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
-}
+func (t *Tracer) Events() []Event { return t.ring().Events() }
 
 // WriteJSON writes the trace in the Chrome trace-event JSON format, loadable
 // by chrome://tracing and Perfetto's legacy trace importer. Timestamps are

@@ -55,8 +55,7 @@ func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
 		fpga:          out,
-		Stats:         snapshot(stats),
-		Trace:         opts.Trace,
+		Stats:         *stats,
 	}
 	rows := func() (*workload.Relation, error) { return workload.FromKeys(col.Decompress(), 8) }
 	result, _, err = exact(res, nil, col.N, rows, opts.Hash, opts.FallbackThreads)

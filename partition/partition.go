@@ -89,7 +89,7 @@ var ErrOverflow = errors.New("partition: partition overflowed its padded size (P
 // attempt: a caller that reruns the job elsewhere still owes its simulated
 // time — "the procedure has to start from the beginning" (Section 5.4).
 type OverflowError struct {
-	Aborted FPGAStats
+	Aborted core.Stats
 }
 
 func (e *OverflowError) Error() string { return "partition: " + ErrOverflow.Error() }
@@ -128,39 +128,11 @@ type Result struct {
 	cpu  *cpupart.Result
 	fpga *core.Output // nil unless the circuit wrote the partitions
 
-	// Stats carries FPGA run statistics (zero value for CPU runs).
-	Stats FPGAStats
-
-	// Trace is the simtrace session the run reported into (nil unless
-	// FPGAOptions.Trace was set): its Metrics hold the cycle-level
-	// counters and gauges, its Tracer the per-component timeline, and
-	// Trace.Summary() renders both as a text table.
-	Trace *simtrace.Session
-}
-
-// FPGAStats is the public snapshot of a simulated circuit run.
-type FPGAStats struct {
-	Cycles              int64
-	LinesRead           int64
-	LinesWritten        int64
-	TuplesIn            int64
-	TuplesOut           int64
-	Dummies             int64
-	StallsHazard        int64
-	ForwardedHazards    int64
-	StallsBackpressure  int64
-	PageTranslations    int64
-	HistogramCycles     int64
-	FlushCycles         int64
-	HashPipelineBubbles int64
-	CombinerBRAMReads   int64
-	CombinerBRAMWrites  int64
-
-	// Overflowed reports a PAD-mode abort; OverflowAtTuple is how many
-	// tuples had entered the circuit when it was detected. On a fallback
-	// run (Result.FellBack) these describe the aborted FPGA attempt.
-	Overflowed      bool
-	OverflowAtTuple int64
+	// Stats carries the circuit run's statistics (zero value for CPU
+	// runs). On a fallback run (FellBack) they describe the aborted FPGA
+	// attempt: Overflowed is set and OverflowAtTuple is how many tuples had
+	// entered the circuit when the overflow was detected.
+	Stats core.Stats
 }
 
 // NumPartitions returns the fan-out.
@@ -376,8 +348,8 @@ type FPGAOptions struct {
 
 	// Trace attaches a simtrace session to the simulated circuit: runs
 	// report cycle-level counters into Trace.Metrics and phase spans plus
-	// windowed samples into Trace.Tracer, and Result.Trace echoes the
-	// session. Successive Partition calls accumulate into the session.
+	// windowed samples into Trace.Tracer. Successive Partition calls
+	// accumulate into the session.
 	// Nil (the default) disables tracing at zero per-cycle cost.
 	Trace *simtrace.Session
 
@@ -442,7 +414,7 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 		if !p.opts.DisableFallback {
 			return p.fallback(rel, stats)
 		}
-		return nil, &OverflowError{Aborted: snapshot(stats)}
+		return nil, &OverflowError{Aborted: *stats}
 	}
 	if err != nil {
 		return nil, err
@@ -451,8 +423,7 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
 		fpga:          out,
-		Stats:         snapshot(stats),
-		Trace:         p.opts.Trace,
+		Stats:         *stats,
 	}, nil
 }
 
@@ -472,8 +443,7 @@ func (p *fpgaPartitioner) fallback(rel *workload.Relation, aborted *core.Stats) 
 	}
 	res.elapsed += aborted.Elapsed
 	res.fellBack = true
-	res.Stats = snapshot(aborted)
-	res.Trace = p.opts.Trace
+	res.Stats = *aborted
 	return res, nil
 }
 
@@ -541,26 +511,4 @@ func exact(res *Result, p Partitioner, n int, rows func() (*workload.Relation, e
 		return nil, nil, err
 	}
 	return res, exactFallback{cpu}, nil
-}
-
-func snapshot(s *core.Stats) FPGAStats {
-	return FPGAStats{
-		Cycles:              s.Cycles,
-		LinesRead:           s.LinesRead,
-		LinesWritten:        s.LinesWritten,
-		TuplesIn:            s.TuplesIn,
-		TuplesOut:           s.TuplesOut,
-		Dummies:             s.Dummies,
-		StallsHazard:        s.StallsHazard,
-		ForwardedHazards:    s.ForwardedHazards,
-		StallsBackpressure:  s.StallsBackpressure,
-		PageTranslations:    s.PageTranslations,
-		HistogramCycles:     s.HistogramCycles,
-		FlushCycles:         s.FlushCycles,
-		HashPipelineBubbles: s.HashPipelineBubbles,
-		CombinerBRAMReads:   s.CombinerBRAMReads,
-		CombinerBRAMWrites:  s.CombinerBRAMWrites,
-		Overflowed:          s.Overflowed,
-		OverflowAtTuple:     s.OverflowAtTuple,
-	}
 }

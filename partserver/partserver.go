@@ -321,10 +321,9 @@ type JobResult struct {
 	Checksum uint32
 	// Matches is the join cardinality (join jobs only).
 	Matches int64
-	// SpilledBytes and MaxJoinDepth describe the adaptive behaviour of a
-	// budgeted join job (zero for unbudgeted or partition-only jobs).
+	// SpilledBytes is the spill volume of a budgeted join job (zero for
+	// unbudgeted or partition-only jobs).
 	SpilledBytes int64
-	MaxJoinDepth int
 
 	// Err carries the failure message of a StatusFailed job.
 	Err string

@@ -3,6 +3,7 @@ package partserver
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fpgapart/internal/faults"
@@ -251,7 +252,7 @@ func TestAbortAndReconfigurationCharges(t *testing.T) {
 			if a.ReconfigUS != want {
 				t.Fatalf("job %d attempt %d, FPGA batch %d: reconfiguration charged %d µs, want %d", i, k, onFPGA, a.ReconfigUS, want)
 			}
-			if a.Aborted && k+1 < len(at) && at[k+1].FPGA && !at[k+1].Aborted {
+			if a.Aborted && k+1 < len(at) && strings.HasPrefix(at[k+1].Resource, "fpga") && !at[k+1].Aborted {
 				if a.ExecUS != at[k+1].ExecUS/2 || a.SpillUS != 0 {
 					t.Fatalf("job %d: aborted attempt charged %d µs, the completed one %d µs; want half", i, a.ExecUS, at[k+1].ExecUS)
 				}

@@ -646,7 +646,6 @@ func (s *Scheduler) complete(r *resource) {
 			spill := b.spills[i]
 			s.attempts[j.id] = append(s.attempts[j.id], reqtrace.Attempt{
 				Resource:   r.comp,
-				FPGA:       r.kind == PlacedFPGA,
 				StartUS:    b.startUS,
 				ReconfigUS: reconfig,
 				PreWaitUS:  pre,
@@ -654,8 +653,6 @@ func (s *Scheduler) complete(r *resource) {
 				SpillUS:    spill,
 				DrainUS:    total - reconfig - pre - b.durs[i],
 				Aborted:    b.aborted,
-				Crash:      b.crash,
-				Overflow:   !b.aborted && j.out.overflow,
 			})
 			pre += b.durs[i]
 		}
@@ -782,7 +779,6 @@ func (s *Scheduler) Result(id int) JobResult {
 		Checksum:     j.out.checksum,
 		Matches:      j.out.matches,
 		SpilledBytes: j.out.spilledBytes,
-		MaxJoinDepth: j.out.joinDepth,
 		Err:          j.errMsg,
 	}
 	if j.status == StatusDone {

@@ -24,10 +24,9 @@ type execOut struct {
 	counts   []int64
 	checksum uint32
 	matches  int64
-	// spilledBytes / joinDepth describe a budgeted join's adaptive run
-	// (deterministic: derived from replayed accounting, not wall clock).
+	// spilledBytes is a budgeted join's spill volume (deterministic:
+	// derived from replayed accounting, not wall clock).
 	spilledBytes int64
-	joinDepth    int
 }
 
 // partitioner returns the slot's partitioner for key. The FPGA never falls
@@ -161,7 +160,6 @@ func (out *execOut) join(build, probe *partition.Result, budgetBytes int64) erro
 	out.checksum = fold64(jr.Checksum)
 	// Deterministic: derived from replayed accounting, not wall clock.
 	out.spilledBytes = stats.SpilledBytes
-	out.joinDepth = stats.MaxDepth
 	return nil
 }
 

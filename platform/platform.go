@@ -163,20 +163,8 @@ func (s Socket) String() string {
 type Platform struct {
 	Name string
 
-	// CPU socket.
-	CPUCores   int
-	CPUClockHz float64
-	L1Bytes    int
-	L2Bytes    int
-	L3Bytes    int
-
-	// FPGA socket.
-	FPGAClockHz    float64
-	FPGACacheBytes int // QPI endpoint's 2-way associative local cache
-
-	// Shared memory.
-	MemoryBytes int64
-	PageBytes   int // the Intel API allocates 4 MB pages
+	// FPGAClockHz is the FPGA socket's clock.
+	FPGAClockHz float64
 
 	// Bandwidth curves (Figure 2).
 	CPUAlone       BandwidthCurve
@@ -187,8 +175,8 @@ type Platform struct {
 	Coherence CoherenceModel
 }
 
-// Validate reports whether the platform description is usable: positive
-// clocks and page size, and non-empty bandwidth curves with no negative
+// Validate reports whether the platform description is usable: a positive
+// FPGA clock, and non-empty bandwidth curves with no negative
 // points. Consumers that simulate against the platform (partition.NewFPGA,
 // distjoin.Join) validate up front so a malformed hand-built platform fails
 // fast instead of producing NaN timings deep in a run.
@@ -196,11 +184,8 @@ func (p *Platform) Validate() error {
 	if p == nil {
 		return fmt.Errorf("platform: nil platform")
 	}
-	if p.CPUClockHz <= 0 || p.FPGAClockHz <= 0 {
-		return fmt.Errorf("platform %q: non-positive clock (CPU %v Hz, FPGA %v Hz)", p.Name, p.CPUClockHz, p.FPGAClockHz)
-	}
-	if p.PageBytes <= 0 {
-		return fmt.Errorf("platform %q: non-positive page size %d", p.Name, p.PageBytes)
+	if p.FPGAClockHz <= 0 {
+		return fmt.Errorf("platform %q: non-positive FPGA clock %v Hz", p.Name, p.FPGAClockHz)
 	}
 	for _, c := range []struct {
 		name  string
@@ -239,16 +224,8 @@ func (p *Platform) Validate() error {
 // collapse when both agents issue traffic at once.
 func XeonFPGA() *Platform {
 	return &Platform{
-		Name:           "Intel Xeon+FPGA v1 (HARP)",
-		CPUCores:       10,
-		CPUClockHz:     2.8e9,
-		L1Bytes:        32 << 10,
-		L2Bytes:        256 << 10,
-		L3Bytes:        25 << 20,
-		FPGAClockHz:    200e6,
-		FPGACacheBytes: 128 << 10,
-		MemoryBytes:    96 << 30,
-		PageBytes:      4 << 20,
+		Name:        "Intel Xeon+FPGA v1 (HARP)",
+		FPGAClockHz: 200e6,
 		// Read fraction 0.0, 0.1, ..., 1.0 (11 points).
 		CPUAlone: BandwidthCurve{Points: []float64{
 			7.5, 8.0, 8.7, 9.5, 10.5, 11.8, 13.3, 15.2, 18.0, 23.0, 30.0,

@@ -192,9 +192,8 @@ func TestValidateAcceptsBuiltins(t *testing.T) {
 
 func TestValidateRejectsBrokenPlatforms(t *testing.T) {
 	breakers := []func(*Platform){
-		func(p *Platform) { p.CPUClockHz = 0 },
+		func(p *Platform) { p.FPGAClockHz = 0 },
 		func(p *Platform) { p.FPGAClockHz = -1 },
-		func(p *Platform) { p.PageBytes = 0 },
 		func(p *Platform) { p.FPGAAlone = BandwidthCurve{} },
 		func(p *Platform) { p.CPUInterfered.Points[3] = -2 },
 		func(p *Platform) { p.Coherence.RandReadRemoteNS = -1 },
@@ -215,16 +214,7 @@ func TestValidateRejectsBrokenPlatforms(t *testing.T) {
 
 func TestPlatformShape(t *testing.T) {
 	p := XeonFPGA()
-	if p.CPUCores != 10 {
-		t.Errorf("CPUCores = %d, want 10", p.CPUCores)
-	}
 	if p.FPGAClockHz != 200e6 {
 		t.Errorf("FPGAClockHz = %v, want 200 MHz", p.FPGAClockHz)
-	}
-	if p.PageBytes != 4<<20 {
-		t.Errorf("PageBytes = %d, want 4 MiB", p.PageBytes)
-	}
-	if p.FPGACacheBytes != 128<<10 {
-		t.Errorf("FPGACacheBytes = %d, want 128 KiB", p.FPGACacheBytes)
 	}
 }

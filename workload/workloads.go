@@ -66,9 +66,8 @@ func (w WorkloadSpec) Scaled(scale float64) WorkloadSpec {
 // exactly one R match when |R| ≤ |S| key range, mirroring the primary-key /
 // foreign-key joins the paper evaluates.
 type JoinInput struct {
-	Spec WorkloadSpec
-	R    *Relation
-	S    *Relation
+	R *Relation
+	S *Relation
 }
 
 // Generate materializes the workload with 8-byte tuples (the width used in
@@ -117,7 +116,7 @@ func (w WorkloadSpec) GenerateWidth(seed int64, width int) (*JoinInput, error) {
 	default:
 		return nil, fmt.Errorf("workload: %v not supported as a join workload", w.Distribution)
 	}
-	return &JoinInput{Spec: w, R: r, S: s}, nil
+	return &JoinInput{R: r, S: s}, nil
 }
 
 // GenerateSkewed materializes the workload but draws S's keys from a Zipf
@@ -133,5 +132,5 @@ func (w WorkloadSpec) GenerateSkewed(seed int64, zipfFactor float64) (*JoinInput
 	if err != nil {
 		return nil, err
 	}
-	return &JoinInput{Spec: w, R: r, S: s}, nil
+	return &JoinInput{R: r, S: s}, nil
 }
