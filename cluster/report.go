@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"slices"
 
 	"fpgapart/internal/reqtrace"
+	"fpgapart/internal/simtrace"
 	"fpgapart/partserver"
 )
 
@@ -334,65 +334,55 @@ func (st *runState) emit(rep *Report) {
 // The membership/hedging section and per-result extensions appear only on
 // dynamic runs, keeping static reports byte-compatible with their goldens.
 func (rep *Report) WriteJSON(w io.Writer) error {
-	b := bufio.NewWriter(w)
+	bw := simtrace.NewWriter(w, "cluster: writing report")
 	ints := func(vals []int) {
 		for i, v := range vals {
 			if i > 0 {
-				b.WriteString(", ")
+				bw.Printf(", ")
 			}
-			fmt.Fprintf(b, "%d", v)
+			bw.Printf("%d", v)
 		}
 	}
-	// sep closes element i of an n-element JSON array row.
-	sep := func(i, n int) string {
-		if i == n-1 {
-			return ""
-		}
-		return ","
-	}
-	fmt.Fprintf(b, "{\n  \"requests\": %d,\n  \"done\": %d,\n  \"failed\": %d,\n  \"throttled\": %d,\n  \"throttle_delay_us\": %d,\n  \"rerouted\": %d,\n",
+	bw.Printf("{\n  \"requests\": %d,\n  \"done\": %d,\n  \"failed\": %d,\n  \"throttled\": %d,\n  \"throttle_delay_us\": %d,\n  \"rerouted\": %d,\n",
 		rep.Requests, rep.Done, rep.Failed, rep.Throttled, rep.ThrottleDelayUS, rep.Rerouted)
-	b.WriteString("  \"failed_shards\": [")
+	bw.Printf("  \"failed_shards\": [")
 	ints(rep.FailedShards)
-	fmt.Fprintf(b, "],\n  \"makespan_us\": %d,\n  \"matches\": %d,\n  \"checksum\": %d,\n  \"lat_avg_us\": %d,\n  \"lat_p50_us\": %d,\n  \"lat_p95_us\": %d,\n  \"lat_p99_us\": %d,\n  \"qps_x100\": %d,\n  \"moved_ring_x10000\": %d,\n  \"moved_mod_x10000\": %d,\n",
+	bw.Printf("],\n  \"makespan_us\": %d,\n  \"matches\": %d,\n  \"checksum\": %d,\n  \"lat_avg_us\": %d,\n  \"lat_p50_us\": %d,\n  \"lat_p95_us\": %d,\n  \"lat_p99_us\": %d,\n  \"qps_x100\": %d,\n  \"moved_ring_x10000\": %d,\n  \"moved_mod_x10000\": %d,\n",
 		rep.MakespanUS, rep.Matches, rep.Checksum, rep.LatAvgUS, rep.LatP50US, rep.LatP95US, rep.LatP99US,
 		rep.QPSx100, rep.MovedRingX10000, rep.MovedModX10000)
 	if rep.dynamic() {
-		b.WriteString("  \"membership_events\": [\n")
+		bw.Printf("  \"membership_events\": [\n")
 		for j := range rep.MembershipEvents {
 			ev := &rep.MembershipEvents[j]
-			fmt.Fprintf(b, "    {\"kind\": %q, \"shard\": %d, \"at_us\": %d, \"moved_x10000\": %d}%s\n",
-				ev.Kind.String(), ev.Shard, ev.AtUS, rep.EventMovedX10000[j], sep(j, len(rep.MembershipEvents)))
+			bw.Printf("    {\"kind\": %q, \"shard\": %d, \"at_us\": %d, \"moved_x10000\": %d}%s\n",
+				ev.Kind.String(), ev.Shard, ev.AtUS, rep.EventMovedX10000[j], simtrace.Sep(j, len(rep.MembershipEvents)))
 		}
-		b.WriteString("  ],\n  \"joined\": [")
+		bw.Printf("  ],\n  \"joined\": [")
 		ints(rep.JoinedShards)
-		b.WriteString("],\n  \"drained\": [")
+		bw.Printf("],\n  \"drained\": [")
 		ints(rep.DrainedShards)
-		fmt.Fprintf(b, "],\n  \"handoff_delayed\": %d,\n  \"handoff_wait_us\": %d,\n  \"replicas\": %d,\n  \"hedged_run\": %v,\n  \"hedge_issued\": %d,\n  \"hedge_won\": %d,\n  \"hedge_cancelled\": %d,\n  \"hedge_saved_us\": %d,\n  \"hedge_wasted_us\": %d,\n",
+		bw.Printf("],\n  \"handoff_delayed\": %d,\n  \"handoff_wait_us\": %d,\n  \"replicas\": %d,\n  \"hedged_run\": %v,\n  \"hedge_issued\": %d,\n  \"hedge_won\": %d,\n  \"hedge_cancelled\": %d,\n  \"hedge_saved_us\": %d,\n  \"hedge_wasted_us\": %d,\n",
 			rep.HandoffDelayed, rep.HandoffWaitUS, rep.Replicas, rep.HedgedRun,
 			rep.HedgeIssued, rep.HedgeWon, rep.HedgeCancelled, rep.HedgeSavedUS, rep.HedgeWastedUS)
 	}
-	b.WriteString("  \"shards\": [\n")
+	bw.Printf("  \"shards\": [\n")
 	for s := range rep.ShardJobs {
-		fmt.Fprintf(b, "    {\"shard\": %d, \"jobs\": %d, \"makespan_us\": %d}%s\n",
-			s, rep.ShardJobs[s], rep.ShardMakespanUS[s], sep(s, len(rep.ShardJobs)))
+		bw.Printf("    {\"shard\": %d, \"jobs\": %d, \"makespan_us\": %d}%s\n",
+			s, rep.ShardJobs[s], rep.ShardMakespanUS[s], simtrace.Sep(s, len(rep.ShardJobs)))
 	}
-	b.WriteString("  ],\n  \"results\": [\n")
+	bw.Printf("  ],\n  \"results\": [\n")
 	for i := range rep.Results {
 		rr := &rep.Results[i]
-		ext := ""
-		if rep.dynamic() {
-			ext = fmt.Sprintf(", \"handoff_us\": %d, \"hedged\": %v, \"hedge_shard\": %d, \"hedge_won\": %v",
-				rr.HandoffUS, rr.Hedged, rr.HedgeShard, rr.HedgeWon)
-		}
-		fmt.Fprintf(b, "    {\"index\": %d, \"tenant\": %d, \"shard\": %d, \"rerouted\": %v, \"throttled\": %v, \"status\": %q, \"arrival_us\": %d, \"admit_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"tuples\": %d, \"matches\": %d, \"checksum\": %d%s}%s\n",
+		bw.Printf("    {\"index\": %d, \"tenant\": %d, \"shard\": %d, \"rerouted\": %v, \"throttled\": %v, \"status\": %q, \"arrival_us\": %d, \"admit_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"tuples\": %d, \"matches\": %d, \"checksum\": %d",
 			rr.Index, rr.Tenant, rr.Shard, rr.Rerouted, rr.Throttled, rr.Status,
 			rr.ArrivalUS, rr.AdmitUS, rr.DoneUS, rr.LatencyUS,
-			rr.Tuples, rr.Matches, rr.Checksum, ext, sep(i, len(rep.Results)))
+			rr.Tuples, rr.Matches, rr.Checksum)
+		if rep.dynamic() {
+			bw.Printf(", \"handoff_us\": %d, \"hedged\": %v, \"hedge_shard\": %d, \"hedge_won\": %v",
+				rr.HandoffUS, rr.Hedged, rr.HedgeShard, rr.HedgeWon)
+		}
+		bw.Printf("}%s\n", simtrace.Sep(i, len(rep.Results)))
 	}
-	b.WriteString("  ]\n}\n")
-	if err := b.Flush(); err != nil {
-		return fmt.Errorf("cluster: writing report: %w", err)
-	}
-	return nil
+	bw.Printf("  ]\n}\n")
+	return bw.Flush()
 }

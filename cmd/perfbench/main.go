@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,16 +118,7 @@ func compareCmd(args []string) {
 		fatal(err)
 	}
 
-	dst := os.Stdout
-	if *md != "" {
-		f, err := os.OpenFile(*md, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		dst = f
-	}
-	if err := cmp.WriteMarkdown(dst); err != nil {
+	if err := appendMarkdown(*md, cmp.WriteMarkdown); err != nil {
 		fatal(err)
 	}
 
@@ -163,28 +155,27 @@ func curveCmd(args []string) {
 		fatal(fmt.Errorf("%s holds suite %q, want %q", fs.Arg(0), rep.Suite, perfbench.SuiteMemory))
 	}
 
-	dst := os.Stdout
-	if *md != "" {
-		f, err := os.OpenFile(*md, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		dst = f
+	if err := appendMarkdown(*md, func(w io.Writer) error { return writeCurve(w, fs.Arg(0), rep) }); err != nil {
+		fatal(err)
 	}
+}
+
+// writeCurve writes the curve table of rep, read from path.
+func writeCurve(dst io.Writer, path string, rep *perfbench.Report) error {
 	get := func(rec perfbench.Record, name string) int64 {
 		m, _ := rec.Gated.Metrics.Get(name)
 		return m.Value
 	}
-	fmt.Fprintf(dst, "### Memory degradation curve (`%s`)\n\n", fs.Arg(0))
-	fmt.Fprintln(dst, "| scenario | matches | spilled B | spill read B | recursions | max depth | broadcasts | chunks | result drift |")
-	fmt.Fprintln(dst, "|---|---:|---:|---:|---:|---:|---:|---:|---|")
+	w := simtrace.NewWriter(dst, "writing memory curve")
+	w.Printf("### Memory degradation curve (`%s`)\n\n", path)
+	w.Printf("| scenario | matches | spilled B | spill read B | recursions | max depth | broadcasts | chunks | result drift |\n")
+	w.Printf("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, rec := range rep.Records {
 		drift := "none"
 		if get(rec, "join.delta_matches_vs_unbudgeted") != 0 || get(rec, "join.delta_checksum_vs_unbudgeted") != 0 {
 			drift = "**DIVERGED**"
 		}
-		fmt.Fprintf(dst, "| %s | %d | %d | %d | %d | %d | %d | %d | %s |\n",
+		w.Printf("| %s | %d | %d | %d | %d | %d | %d | %d | %s |\n",
 			rec.Name,
 			get(rec, "join.matches"),
 			get(rec, "join.mem_spilled_bytes"),
@@ -195,6 +186,24 @@ func curveCmd(args []string) {
 			get(rec, "join.mem_broadcast_chunks"),
 			drift)
 	}
+	return w.Flush()
+}
+
+// appendMarkdown appends what write produces to the file at path, or
+// writes it to stdout when path is empty.
+func appendMarkdown(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func loadReport(path string) (*perfbench.Report, error) {

@@ -11,19 +11,26 @@ import (
 // structs (and maps, in randomized-by-spec-then-sorted but
 // implementation-defined ways for some shapes) via reflection and has
 // changed its output formatting across Go releases. Gated reports must go
-// through the simtrace field-by-field writers, whose byte layout is spelled
-// out in this repo and covered by golden tests. The read path (Unmarshal,
+// field by field through simtrace.Writer, whose byte layout is spelled out
+// in this repo and covered by golden tests. The read path (Unmarshal,
 // Decoder) is fine — parsing is not byte-layout-sensitive.
 type BenchJSON struct {
 	// Paths is the exact set of import paths on the BENCH write path.
 	Paths map[string]bool
 }
 
-// BenchWritePathPackages are the packages that produce gated BENCH/golden
-// JSON and therefore may not marshal through reflection.
+// BenchWritePathPackages are the packages that write artifacts — BENCH
+// records, goldens, traces, breakdowns, postmortems — and therefore may not
+// marshal through reflection: simtrace, whose Writer every artifact goes
+// through, and every package that calls simtrace.NewWriter
+// (TestBenchWritePathIsTheWritersCallers holds the list to that rule).
 var BenchWritePathPackages = []string{
+	"fpgapart/cluster",
+	"fpgapart/cmd/perfbench",
 	"fpgapart/internal/perfbench",
+	"fpgapart/internal/reqtrace",
 	"fpgapart/internal/simtrace",
+	"fpgapart/partserver",
 }
 
 // DefaultBenchJSON returns the analyzer scoped to the BENCH write path.
@@ -82,14 +89,14 @@ func (b *BenchJSON) checkCall(pkg *Package, call *ast.CallExpr) *Finding {
 		recv := sig.Recv().Type().String()
 		if name == "Encode" && recv == "*encoding/json.Encoder" {
 			f := pkg.findingNode(b.Name(), call,
-				"json.Encoder.Encode marshals via reflection on the BENCH write path — gated reports must use the simtrace field-by-field writers so the byte layout stays pinned")
+				"json.Encoder.Encode marshals via reflection on the BENCH write path — gated reports must be written field by field through simtrace.Writer so the byte layout stays pinned")
 			return &f
 		}
 		return nil
 	}
 	if marshalFuncs[name] {
 		f := pkg.findingNode(b.Name(), call,
-			"json.%s marshals via reflection on the BENCH write path — gated reports must use the simtrace field-by-field writers so the byte layout stays pinned", name)
+			"json.%s marshals via reflection on the BENCH write path — gated reports must be written field by field through simtrace.Writer so the byte layout stays pinned", name)
 		return &f
 	}
 	return nil

@@ -15,10 +15,10 @@
 //     error wrapping ErrSimulatorFault.
 //   - error-hygiene — errors crossing package boundaries are wrapped with %w
 //     and tested with errors.Is, never matched as strings.
-//   - bench-json — packages that write gated BENCH/golden reports must emit
-//     them through the simtrace field-by-field writers; encoding/json's
-//     reflective marshal side is banned there so the byte layout (and with
-//     it the zero-noise perf gate) stays pinned.
+//   - bench-json — packages that write artifacts (BENCH records, goldens,
+//     traces) must emit them field by field through simtrace.Writer;
+//     encoding/json's reflective marshal side is banned there so the byte
+//     layout (and with it the zero-noise perf gate) stays pinned.
 //
 // A finding can be suppressed by an explicit escape hatch — a comment of the
 // form

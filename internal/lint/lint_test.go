@@ -235,6 +235,46 @@ func TestBenchJSONIgnoresOffPathPackages(t *testing.T) {
 	}
 }
 
+// TestBenchWritePathIsTheWritersCallers derives the bench-json scope from
+// the code: every package with a non-test call to simtrace.NewWriter writes
+// an artifact and is on BenchWritePathPackages, and every entry has such a
+// call or is simtrace itself.
+func TestBenchWritePathIsTheWritersCallers(t *testing.T) {
+	const simtracePath = "fpgapart/internal/simtrace"
+	pkgs, err := testLoader(t).LoadModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	callers := map[string]bool{simtracePath: true}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn, ok := pkg.objectOf(call.Fun).(*types.Func); ok && fn.FullName() == simtracePath+".NewWriter" {
+						callers[pkg.Path] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(callers) < 2 {
+		t.Fatal("no package of the module calls simtrace.NewWriter")
+	}
+	listed := map[string]bool{}
+	for _, p := range BenchWritePathPackages {
+		listed[p] = true
+		if !callers[p] {
+			t.Errorf("BenchWritePathPackages lists %s, which never calls simtrace.NewWriter", p)
+		}
+	}
+	for p := range callers {
+		if !listed[p] {
+			t.Errorf("%s calls simtrace.NewWriter but is missing from BenchWritePathPackages", p)
+		}
+	}
+}
+
 func assertFinding(t *testing.T, findings []Finding, analyzer, fragment string) {
 	t.Helper()
 	for _, f := range findings {

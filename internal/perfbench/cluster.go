@@ -5,6 +5,7 @@ import (
 
 	"fpgapart/cluster"
 	"fpgapart/internal/faults"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 )
 
@@ -15,7 +16,9 @@ import (
 // gate pins, the moved-key fractions of a shard join (ring vs. modulo),
 // quota throttling, failover reroutes, the merged output checksum — is a
 // pure function of (code, seed), so any delta against the baseline is a
-// true regression in routing, admission, failover, or merge behaviour.
+// true regression in routing, admission, failover, or merge behaviour. The
+// same run carries a reqtrace.Capture, and its causal profile is gated in
+// the same record (reqtrace.go).
 
 // clusterRequests is the stream length of every cluster cell: long enough
 // to spread across all shards and fill the latency tail, short enough for a
@@ -47,9 +50,9 @@ type clusterScenario struct {
 	compareUnhedged bool
 }
 
-// name is the record name of the scenario in the given suite.
-func (sc clusterScenario) name(suite string) string {
-	return fmt.Sprintf("%s/%ds1f1w/%dreq/%s", suite, clusterShards, clusterRequests, sc.label)
+// name is the scenario's record name.
+func (sc clusterScenario) name() string {
+	return fmt.Sprintf("%s/%ds1f1w/%dreq/%s", SuiteCluster, clusterShards, clusterRequests, sc.label)
 }
 
 // load generates the scenario's request stream. Request sizes span
@@ -82,17 +85,19 @@ func (sc clusterScenario) config(cfg Config) cluster.Config {
 	}
 }
 
-// clusterScenarios is the cluster suite's matrix; the reqtrace suite reruns
-// its first three cells with a capture attached.
+// clusterScenarios is the cluster suite's matrix.
 func clusterScenarios(cfg Config) []clusterScenario {
 	return []clusterScenario{
-		// Plain routing and merge: the latency/QPS/balance baseline.
+		// Plain routing and merge: the latency/QPS/balance baseline, with
+		// queue/exec-dominated critical paths.
 		{label: "faultfree"},
 		// A hot tenant issuing 40% of the stream under a per-window quota:
-		// gates the throttle counters and the tail the quota stretches.
+		// gates the throttle counters, the tail the quota stretches and its
+		// quota_wait attribution.
 		{label: "hottenant", quota: 2, hot: 0.4},
-		// A shard fail-stopping mid-stream: gates the failover reroutes and
-		// the survivors' makespans.
+		// A shard fail-stopping mid-stream: gates the failover reroutes, the
+		// survivors' makespans, the retry_wait attribution and the flight
+		// recorder's crash/failover event volume.
 		{label: "faulty", scenario: &faults.Scenario{
 			Seed:    uint64(cfg.Seed),
 			Crashes: []faults.Crash{{Node: 1, AfterFraction: 0.4}},
@@ -124,7 +129,7 @@ func clusterScenarios(cfg Config) []clusterScenario {
 func clusterCells(cfg Config) ([]cell, error) {
 	var cells []cell
 	for _, sc := range clusterScenarios(cfg) {
-		cells = append(cells, cell{sc.name(SuiteCluster), func() (simtrace.Snapshot, error) { return runClusterScenario(cfg, sc) }})
+		cells = append(cells, cell{sc.name(), func() (simtrace.Snapshot, error) { return runClusterScenario(cfg, sc) }})
 	}
 	return cells, nil
 }
@@ -136,8 +141,10 @@ func runClusterScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, erro
 	}
 
 	sess := simtrace.NewSession()
+	capt := &reqtrace.Capture{}
 	ccfg := sc.config(cfg)
 	ccfg.Trace = sess
+	ccfg.ReqTrace = capt
 
 	rep, err := cluster.Run(reqs, ccfg)
 	if err != nil {
@@ -152,17 +159,20 @@ func runClusterScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, erro
 	// cluster.lat_{avg,p95,p99}_us, qps_x100, the latency histogram, the
 	// moved-key fractions, throttle/reroute counters, per-shard jobs and
 	// makespans, the merged output checksum, and (on dynamic cells) the
-	// membership/handoff/hedge counters. Add the load-balance spread an
-	// operator would watch: busiest shard's share of the stream, ×100.
+	// membership/handoff/hedge counters. Add the capture's causal profile
+	// and the load-balance spread an operator would watch: busiest shard's
+	// share of the stream, ×100.
+	extra, err := reqtraceMetrics(capt)
+	if err != nil {
+		return nil, err
+	}
 	var maxJobs int
 	for _, n := range rep.ShardJobs {
 		if n > maxJobs {
 			maxJobs = n
 		}
 	}
-	extra := []simtrace.Metric{
-		counter("bench.max_shard_share_x100", int64(maxJobs)*100/int64(rep.Requests)),
-	}
+	extra = append(extra, counter("bench.max_shard_share_x100", int64(maxJobs)*100/int64(rep.Requests)))
 
 	if sc.compareStatic {
 		// Live churn vs. the static ring on the identical stream: the join
@@ -178,15 +188,11 @@ func runClusterScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, erro
 		if len(rep.EventMovedX10000) == 0 || rep.EventMovedX10000[0] > 2*10000/int64(clusterShards+1) {
 			return nil, fmt.Errorf("live join moved %v permyriad, over the 2/(N+1) ring bound", rep.EventMovedX10000)
 		}
-		var div int64
 		if rep.Checksum != srep.Checksum || rep.Matches != srep.Matches || rep.Done != srep.Done {
-			div = 1
-		}
-		if div != 0 {
 			return nil, fmt.Errorf("live join diverged from static ring: checksum %d vs %d, matches %d vs %d",
 				rep.Checksum, srep.Checksum, rep.Matches, srep.Matches)
 		}
-		extra = append(extra, counter("bench.checksum_divergence", div))
+		extra = append(extra, counter("bench.checksum_divergence", 0))
 	}
 
 	if sc.compareUnhedged {
@@ -210,5 +216,5 @@ func runClusterScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, erro
 		extra = append(extra, counter("bench.hedge_p99_win_us", win))
 	}
 
-	return sess.Metrics.Snapshot().With(extra...), nil
+	return sess.Snapshot().With(extra...), nil
 }

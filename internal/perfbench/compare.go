@@ -133,31 +133,26 @@ func (r CompareRow) status() string {
 // WriteMarkdown renders the comparison as a GitHub-flavored markdown table
 // (or a one-line all-clear), suitable for a CI step summary.
 func (c *Comparison) WriteMarkdown(w io.Writer) error {
+	bw := simtrace.NewWriter(w, "perfbench: writing comparison")
 	verdict := "PASS"
 	if c.Failed() {
 		verdict = "FAIL"
 	}
-	if _, err := fmt.Fprintf(w, "### perfbench %s: %s\n\n", c.Suite, verdict); err != nil {
-		return err
-	}
+	bw.Printf("### perfbench %s: %s\n\n", c.Suite, verdict)
 	if len(c.Rows) == 0 {
-		_, err := fmt.Fprintf(w, "No changes: all gated metrics are byte-identical to the baseline.\n")
-		return err
+		bw.Printf("No changes: all gated metrics are byte-identical to the baseline.\n")
+		return bw.Flush()
 	}
-	if _, err := fmt.Fprintf(w, "| record | metric | class | change | baseline | current | status |\n|---|---|---|---|---|---|---|\n"); err != nil {
-		return err
-	}
+	bw.Printf("| record | metric | class | change | baseline | current | status |\n|---|---|---|---|---|---|---|\n")
 	for _, r := range c.Rows {
 		metric := r.Metric
 		if r.Class == ClassRecord {
 			metric = "(record)"
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n",
+		bw.Printf("| %s | %s | %s | %s | %s | %s | %s |\n",
 			r.Record, metric, r.Class, r.Change,
-			formatMetric(r.Old, r.OldOK), formatMetric(r.New, r.NewOK), r.status()); err != nil {
-			return err
-		}
+			formatMetric(r.Old, r.OldOK), formatMetric(r.New, r.NewOK), r.status())
 	}
-	_, err := fmt.Fprintf(w, "\nGated metrics are simulated (deterministic); any delta is a true regression.\n")
-	return err
+	bw.Printf("\nGated metrics are simulated (deterministic); any delta is a true regression.\n")
+	return bw.Flush()
 }

@@ -112,7 +112,7 @@ func runMemoryScenario(r, s *workload.Relation, ref *hashjoin.Result, budget int
 	// The session snapshot already carries every join.mem_* gauge and
 	// counter the budgeted join emitted; the deltas pin the budgeted result
 	// to the unconstrained reference (both must stay zero forever).
-	return sess.Metrics.Snapshot().With(
+	return sess.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),

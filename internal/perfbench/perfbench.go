@@ -1,8 +1,8 @@
 // Package perfbench is the continuous benchmark-telemetry subsystem: it
-// runs a fixed matrix of partitioning, hybrid-join and distributed-join
-// scenarios on the cycle-level simulator and emits deterministic,
-// schema-versioned BENCH reports (BENCH_partition.json, BENCH_join.json,
-// BENCH_distjoin.json).
+// runs a fixed matrix of partitioning, join, distributed-join, scheduler,
+// memory-budget and sharded-serving scenarios on the cycle-level simulator
+// and emits one deterministic, schema-versioned BENCH report per suite
+// (BENCH_<suite>.json, six in all).
 //
 // Because the FPGA-side numbers are simulated cycles — deterministic by
 // construction, enforced by fpgavet and the simtrace byte-identity tests —
@@ -48,7 +48,6 @@ const (
 	SuiteSched     = "sched"
 	SuiteMemory    = "memory"
 	SuiteCluster   = "cluster"
-	SuiteReqtrace  = "reqtrace"
 )
 
 // cell is one scenario of a suite: the record's name and the run that
@@ -70,7 +69,6 @@ var suites = []struct {
 	{SuiteSched, schedCells},
 	{SuiteMemory, memoryCells},
 	{SuiteCluster, clusterCells},
-	{SuiteReqtrace, reqtraceCells},
 }
 
 // Suites lists every suite in canonical order.
@@ -286,7 +284,7 @@ func runPartitionScenario(cfg Config, sc partitionScenario) (simtrace.Snapshot, 
 	if st.TuplesIn > 0 && !st.Overflowed {
 		perKTuple = st.Cycles * 1000 / st.TuplesIn
 	}
-	return sess.Metrics.Snapshot().With(
+	return sess.Snapshot().With(
 		counter("bench.cycles_per_ktuple", perKTuple),
 		counter("bench.stall_cycles", st.StallsBackpressure+st.StallsHazard),
 		counter("bench.flush_overhead_x100_vs_model", st.FlushCycles*100/model.CyclesWriteComb),
@@ -359,7 +357,7 @@ func runJoinScenario(cfg Config, sc joinScenario) (simtrace.Snapshot, error) {
 		return nil, err
 	}
 
-	return sess.Metrics.Snapshot().With(
+	return sess.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),
@@ -423,7 +421,7 @@ func runDistjoinScenario(cfg Config, sc distjoinScenario) (simtrace.Snapshot, er
 		return nil, err
 	}
 
-	return sess.Metrics.Snapshot().With(
+	return sess.Snapshot().With(
 		counter("join.matches", res.Matches),
 		counter("join.checksum_hi", int64(res.Checksum>>32)),
 		counter("join.checksum_lo", int64(res.Checksum&0xffffffff)),

@@ -2,6 +2,8 @@ package perfbench
 
 import (
 	"bytes"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +238,31 @@ func TestParseReportRejectsUnknownSchema(t *testing.T) {
 	}
 	if _, err := ParseReport([]byte("{not json")); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestEverySuiteHasABaseline holds the suite list to the committed
+// baselines the gate loops over: a suite without a BENCH file, or a BENCH
+// file of no suite, fails. The *.got.json files a failing gate leaves
+// beside the baselines do not count.
+func TestEverySuiteHasABaseline(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "bench", "baseline", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baselines []string
+	for _, f := range files {
+		if !strings.HasSuffix(f, ".got.json") {
+			baselines = append(baselines, filepath.Base(f))
+		}
+	}
+	var want []string
+	for _, s := range Suites() {
+		want = append(want, BenchFileName(s))
+	}
+	slices.Sort(want)
+	if !slices.Equal(baselines, want) {
+		t.Errorf("committed baselines %v, suites want %v", baselines, want)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 const SchemaVersion = "fpgapart.perfbench/v2"
 
 // Report is one suite's BENCH file: a fixed header plus one Record per
-// scenario. It is written field by field through the simtrace writers (the
+// scenario. It is written field by field through simtrace.Writer (the
 // fpgavet benchjson analyzer enforces that no reflection-driven marshaling
 // touches this path) and parsed back with encoding/json on the read side.
 type Report struct {
@@ -46,35 +46,19 @@ type MetricSet struct {
 }
 
 // WriteJSON writes the report as deterministic JSON: fixed field order,
-// records in scenario order, metric sets via the simtrace field-by-field
-// writer. Same seed ⇒ byte-identical files.
+// records in scenario order, each metric set embedded through the record's
+// own simtrace.Writer. Same seed ⇒ byte-identical files.
 func (r *Report) WriteJSON(w io.Writer) error {
-	wr := func(format string, args ...interface{}) error {
-		if _, err := fmt.Fprintf(w, format, args...); err != nil {
-			return fmt.Errorf("perfbench: writing BENCH report: %w", err)
-		}
-		return nil
-	}
-	if err := wr("{\n  \"schema\": %q,\n  \"suite\": %q,\n  \"seed\": %d,\n  \"tuples\": %d,\n  \"records\": [\n",
-		r.Schema, r.Suite, r.Seed, r.Tuples); err != nil {
-		return err
-	}
+	bw := simtrace.NewWriter(w, "perfbench: writing BENCH report")
+	bw.Printf("{\n  \"schema\": %q,\n  \"suite\": %q,\n  \"seed\": %d,\n  \"tuples\": %d,\n  \"records\": [\n",
+		r.Schema, r.Suite, r.Seed, r.Tuples)
 	for i, rec := range r.Records {
-		if err := wr("    {\n      \"name\": %q,\n      \"gated\": ", rec.Name); err != nil {
-			return err
-		}
-		if err := rec.Gated.Metrics.WriteJSONIndent(w, "      "); err != nil {
-			return err
-		}
-		sep := ","
-		if i == len(r.Records)-1 {
-			sep = ""
-		}
-		if err := wr("\n    }%s\n", sep); err != nil {
-			return err
-		}
+		bw.Printf("    {\n      \"name\": %q,\n      \"gated\": ", rec.Name)
+		rec.Gated.Metrics.Write(bw, "      ")
+		bw.Printf("\n    }%s\n", simtrace.Sep(i, len(r.Records)))
 	}
-	return wr("  ]\n}\n")
+	bw.Printf("  ]\n}\n")
+	return bw.Flush()
 }
 
 // ParseReport reads a BENCH file written by WriteJSON, rejecting unknown

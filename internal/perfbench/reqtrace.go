@@ -3,50 +3,27 @@ package perfbench
 import (
 	"fmt"
 
-	"fpgapart/cluster"
 	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 )
 
-// The reqtrace suite gates the causal-tracing layer end to end: the same
-// three routing-tier cells as the cluster suite run with a reqtrace.Capture
-// attached, and the gated numbers are the per-component latency decomposition
-// (totals and p50/p95/p99 per component), the critical-path mix (count and
-// virtual time of each top path signature), the p99 tail attribution, and
-// the flight-recorder volume. Conservation is enforced twice: the violation
-// count is gated at its baseline of zero AND the scenario errors out if any
-// trace's breakdown fails to sum to its end-to-end latency, so a regression
-// in attribution can never hide behind a stale baseline.
+// Every cluster cell runs with a reqtrace.Capture attached and gates the
+// causal-tracing layer end to end beside the router's own telemetry: the
+// per-component latency decomposition (totals and p50/p95/p99 per
+// component, hedge_wait included on the hedged cell), the critical-path
+// mix (count and virtual time of each top path signature), the p99 tail
+// attribution, and the flight-recorder volume. Conservation is enforced
+// twice: the violation count is gated at its baseline of zero AND the cell
+// errors out if any trace's breakdown fails to sum to its end-to-end
+// latency, so a regression in attribution can never hide behind a stale
+// baseline.
 
 // reqtraceTopK is how many critical-path signatures each cell gates.
 const reqtraceTopK = 3
 
-// reqtraceCells reruns the cluster suite's first three cells: plain routing
-// (queue/exec-dominated paths, no quota or retry time), the hot tenant under
-// quota (the quota_wait component and the throttled requests' stretched
-// critical paths) and the shard fail-stop (retry_wait/reroute attribution
-// and the flight recorder's crash/failover event volume).
-func reqtraceCells(cfg Config) ([]cell, error) {
-	var cells []cell
-	for _, sc := range clusterScenarios(cfg)[:3] {
-		cells = append(cells, cell{sc.name(SuiteReqtrace), func() (simtrace.Snapshot, error) { return runReqtraceScenario(cfg, sc) }})
-	}
-	return cells, nil
-}
-
-func runReqtraceScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, error) {
-	reqs, err := sc.load(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	capt := &reqtrace.Capture{}
-	ccfg := sc.config(cfg)
-	ccfg.ReqTrace = capt
-	if _, err := cluster.Run(reqs, ccfg); err != nil {
-		return nil, err
-	}
-
+// reqtraceMetrics is the causal profile of one captured run as gated
+// metrics.
+func reqtraceMetrics(capt *reqtrace.Capture) ([]simtrace.Metric, error) {
 	prof := reqtrace.Analyze(capt.Traces, reqtraceTopK)
 	if prof.Violations != 0 {
 		return nil, fmt.Errorf("%d traces violate latency conservation", prof.Violations)
@@ -87,5 +64,5 @@ func runReqtraceScenario(cfg Config, sc clusterScenario) (simtrace.Snapshot, err
 			counter("reqtrace.path{"+p.Signature+"}.total_us", p.TotalUS),
 		)
 	}
-	return simtrace.Snapshot(nil).With(gated...), nil
+	return gated, nil
 }

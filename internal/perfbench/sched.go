@@ -88,23 +88,19 @@ func runSchedScenario(cfg Config, sc schedScenario) (simtrace.Snapshot, error) {
 	// histograms, placement and retry counters, busy time per pool, and the
 	// fold of every job's output checksum. Add the derived utilization and
 	// placement-mix ratios the paper's operator would watch.
+	snap := sess.Snapshot()
 	var (
 		util int64
 		mix  int64
 	)
 	if rep.MakespanUS > 0 {
-		var busy int64
-		for _, m := range sess.Metrics.Snapshot() {
-			if m.Name == "sched.busy_fpga_us" {
-				busy = m.Value
-			}
-		}
-		util = busy * 100 / (rep.MakespanUS * schedFPGAs)
+		busy, _ := snap.Get("sched.busy_fpga_us")
+		util = busy.Value * 100 / (rep.MakespanUS * schedFPGAs)
 	}
 	if n := rep.PlacedFPGA + rep.PlacedCPU; n > 0 {
 		mix = int64(rep.PlacedFPGA) * 100 / int64(n)
 	}
-	return sess.Metrics.Snapshot().With(
+	return snap.With(
 		counter("bench.fpga_util_x100", util),
 		counter("bench.placed_fpga_x100", mix),
 		counter("bench.degraded_jobs", int64(rep.Degraded)),

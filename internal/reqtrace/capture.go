@@ -1,7 +1,5 @@
 package reqtrace
 
-import "io"
-
 // Capture configures causal tracing for a scheduled run and collects its
 // outputs. Attach an empty Capture to enable tracing; after the run it
 // holds the per-request traces and the flight-recorder timeline. A
@@ -18,9 +16,4 @@ type Capture struct {
 	// events overwritten across all rings.
 	Flight        []FlightEvent
 	FlightDropped int64
-}
-
-// WritePostmortem dumps the merged flight timeline as a text postmortem.
-func (c *Capture) WritePostmortem(w io.Writer, cause string) error {
-	return WritePostmortem(w, cause, c.Flight, c.FlightDropped)
 }

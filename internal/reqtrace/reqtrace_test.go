@@ -167,11 +167,12 @@ func TestPostmortemDeterministic(t *testing.T) {
 	f.Record(FlightEvent{US: 90, Comp: "fpga0", Kind: "fault", Job: 0, Arg: 1})
 	f.Record(FlightEvent{US: 200, Comp: "sched", Kind: "timeout", Job: 0, Arg: 2})
 
+	c := &Capture{Flight: f.Events(), FlightDropped: f.Dropped()}
 	var a, b bytes.Buffer
-	if err := WritePostmortem(&a, "job 0 timed out", f.Events(), f.Dropped()); err != nil {
+	if err := c.WritePostmortem(&a, "job 0 timed out"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePostmortem(&b, "job 0 timed out", f.Events(), f.Dropped()); err != nil {
+	if err := c.WritePostmortem(&b, "job 0 timed out"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -12,71 +12,45 @@ import (
 // reflection — so the bytes are a pure function of the traces and two
 // same-seed runs produce identical files.
 func WriteBreakdownJSON(w io.Writer, traces []RequestTrace) error {
-	write := func(format string, args ...interface{}) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := write("{\n  \"requests\": ["); err != nil {
-		return err
-	}
+	bw := simtrace.NewWriter(w, "reqtrace: writing breakdowns")
+	bw.Printf("{\n  \"requests\": [")
 	for i := range traces {
 		rt := &traces[i]
-		sep := ","
-		if i == 0 {
-			sep = ""
-		}
-		if err := write("%s\n    {\"index\": %d, \"trace_id\": \"%016x\", \"status\": %q, \"shard\": %d, \"rerouted\": %t, \"throttled\": %t, \"arrival_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"conserved\": %t, \"path\": %q, \"breakdown\": {",
-			sep, rt.Index, uint64(rt.TraceID), rt.Status, rt.Shard,
+		bw.Printf("\n    {\"index\": %d, \"trace_id\": \"%016x\", \"status\": %q, \"shard\": %d, \"rerouted\": %t, \"throttled\": %t, \"arrival_us\": %d, \"done_us\": %d, \"latency_us\": %d, \"conserved\": %t, \"path\": %q, \"breakdown\": {",
+			rt.Index, uint64(rt.TraceID), rt.Status, rt.Shard,
 			rt.Rerouted, rt.Throttled, rt.ArrivalUS, rt.DoneUS,
-			rt.LatencyUS, rt.Conserved(), rt.PathSignature()); err != nil {
-			return err
-		}
+			rt.LatencyUS, rt.Conserved(), rt.PathSignature())
 		for c := 0; c < NumComponents; c++ {
-			csep := ", "
-			if c == 0 {
-				csep = ""
+			if c > 0 {
+				bw.Printf(", ")
 			}
-			if err := write("%s%q: %d", csep, Component(c).String(), rt.Breakdown[c]); err != nil {
-				return err
-			}
+			bw.Printf("%q: %d", Component(c).String(), rt.Breakdown[c])
 		}
-		if err := write("}}"); err != nil {
-			return err
-		}
+		bw.Printf("}}%s", simtrace.Sep(i, len(traces)))
 	}
-	return write("\n  ]\n}\n")
+	bw.Printf("\n  ]\n}\n")
+	return bw.Flush()
 }
 
-// WritePostmortem dumps a flight recorder's surviving events as a
-// deterministic text postmortem: the cause line, the drop count, and the
-// last events oldest-first on the virtual clock.
-func WritePostmortem(w io.Writer, cause string, events []FlightEvent, dropped int64) error {
-	if _, err := fmt.Fprintf(w, "FLIGHT RECORDER POSTMORTEM\ncause: %s\n", cause); err != nil {
-		return err
+// WritePostmortem dumps the merged flight timeline as a deterministic text
+// postmortem: the cause line, the drop count, and the last events
+// oldest-first on the virtual clock.
+func (c *Capture) WritePostmortem(w io.Writer, cause string) error {
+	bw := simtrace.NewWriter(w, "reqtrace: writing postmortem")
+	bw.Printf("FLIGHT RECORDER POSTMORTEM\ncause: %s\n", cause)
+	if c.FlightDropped > 0 {
+		bw.Printf("(%d older events overwritten)\n", c.FlightDropped)
 	}
-	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, "(%d older events overwritten)\n", dropped); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "last %d events, oldest first:\n", len(events)); err != nil {
-		return err
-	}
-	for i := range events {
-		e := &events[i]
+	bw.Printf("last %d events, oldest first:\n", len(c.Flight))
+	for i := range c.Flight {
+		e := &c.Flight[i]
 		if e.Job >= 0 {
-			if _, err := fmt.Fprintf(w, "  t=%-10d %-14s %-11s job=%d arg=%d\n",
-				e.US, e.Comp, e.Kind, e.Job, e.Arg); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "  t=%-10d %-14s %-11s arg=%d\n",
-			e.US, e.Comp, e.Kind, e.Arg); err != nil {
-			return err
+			bw.Printf("  t=%-10d %-14s %-11s job=%d arg=%d\n", e.US, e.Comp, e.Kind, e.Job, e.Arg)
+		} else {
+			bw.Printf("  t=%-10d %-14s %-11s arg=%d\n", e.US, e.Comp, e.Kind, e.Arg)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // EmitChrome adds the causal layer to a session's Chrome trace: one root

@@ -94,7 +94,7 @@ func TestHistogramKindClash(t *testing.T) {
 }
 
 // TestSnapshotHistogramJSON locks the histogram snapshot line layout and
-// that WriteJSONIndent("") + newline equals WriteJSON.
+// that Write(w, "") + newline equals WriteJSON.
 func TestSnapshotHistogramJSON(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("b.sizes")
@@ -109,12 +109,14 @@ func TestSnapshotHistogramJSON(t *testing.T) {
 	if err := snap.WriteJSON(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.WriteJSONIndent(&indented, ""); err != nil {
+	w := NewWriter(&indented, "indented snapshot")
+	snap.Write(w, "")
+	w.Printf("\n")
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	indented.WriteString("\n")
 	if plain.String() != indented.String() {
-		t.Fatalf("WriteJSONIndent(\"\") diverges from WriteJSON:\n%q\nvs\n%q", indented.String(), plain.String())
+		t.Fatalf("Write(w, \"\") diverges from WriteJSON:\n%q\nvs\n%q", indented.String(), plain.String())
 	}
 	want := `{"name": "b.sizes", "kind": "histogram", "value": 3, "max": 5, "buckets": [{"exp": 0, "count": 1}, {"exp": 3, "count": 2}]}`
 	if !strings.Contains(plain.String(), want) {
@@ -122,7 +124,9 @@ func TestSnapshotHistogramJSON(t *testing.T) {
 	}
 
 	var prefixed bytes.Buffer
-	if err := snap.WriteJSONIndent(&prefixed, "    "); err != nil {
+	w = NewWriter(&prefixed, "prefixed snapshot")
+	snap.Write(w, "    ")
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(prefixed.String(), "\n")

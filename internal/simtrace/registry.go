@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Metric kinds, as they appear in snapshots and JSON.
@@ -224,59 +223,38 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 // metric object per line, fields in fixed order, sorted by name. Byte
 // identical across same-seed runs.
 func (s Snapshot) WriteJSON(w io.Writer) error {
-	if err := s.WriteJSONIndent(w, ""); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return fmt.Errorf("simtrace: writing metrics snapshot: %w", err)
-	}
-	return nil
+	bw := NewWriter(w, "simtrace: writing metrics snapshot")
+	s.Write(bw, "")
+	bw.Printf("\n")
+	return bw.Flush()
 }
 
-// WriteJSONIndent writes the same deterministic JSON object as WriteJSON,
-// with every line after the first prefixed by indent and no trailing
-// newline, so the snapshot can be embedded field-by-field inside a larger
-// hand-written document (the BENCH record writer). WriteJSONIndent(w, "")
-// followed by a newline is byte-identical to WriteJSON.
-func (s Snapshot) WriteJSONIndent(w io.Writer, indent string) error {
-	write := func(line string) error {
-		if _, err := io.WriteString(w, line); err != nil {
-			return fmt.Errorf("simtrace: writing metrics snapshot: %w", err)
-		}
-		return nil
-	}
-	if err := write("{\n" + indent + "  \"metrics\": [\n"); err != nil {
-		return err
-	}
+// Write writes the same deterministic JSON object as WriteJSON into w, with
+// every line after the first prefixed by indent and no trailing newline, so
+// the snapshot can be embedded field by field inside a larger document (a
+// BENCH record). Write(w, "") followed by a newline is WriteJSON.
+func (s Snapshot) Write(w *Writer, indent string) {
+	w.Printf("{\n%s  \"metrics\": [\n", indent)
 	for i, m := range s {
-		sep := ","
-		if i == len(s)-1 {
-			sep = ""
-		}
-		var line string
 		switch m.Kind {
 		case KindGauge:
-			line = fmt.Sprintf("%s    {\"name\": %q, \"kind\": %q, \"value\": %d, \"max\": %d}%s\n",
-				indent, m.Name, m.Kind, m.Value, m.Max, sep)
+			w.Printf("%s    {\"name\": %q, \"kind\": %q, \"value\": %d, \"max\": %d}",
+				indent, m.Name, m.Kind, m.Value, m.Max)
 		case KindHistogram:
-			var b strings.Builder
-			fmt.Fprintf(&b, "%s    {\"name\": %q, \"kind\": %q, \"value\": %d, \"max\": %d, \"buckets\": [",
+			w.Printf("%s    {\"name\": %q, \"kind\": %q, \"value\": %d, \"max\": %d, \"buckets\": [",
 				indent, m.Name, m.Kind, m.Value, m.Max)
 			for j, bk := range m.Buckets {
 				if j > 0 {
-					b.WriteString(", ")
+					w.Printf(", ")
 				}
-				fmt.Fprintf(&b, "{\"exp\": %d, \"count\": %d}", bk.Exp, bk.Count)
+				w.Printf("{\"exp\": %d, \"count\": %d}", bk.Exp, bk.Count)
 			}
-			fmt.Fprintf(&b, "]}%s\n", sep)
-			line = b.String()
+			w.Printf("]}")
 		default:
-			line = fmt.Sprintf("%s    {\"name\": %q, \"kind\": %q, \"value\": %d}%s\n",
-				indent, m.Name, m.Kind, m.Value, sep)
+			w.Printf("%s    {\"name\": %q, \"kind\": %q, \"value\": %d}",
+				indent, m.Name, m.Kind, m.Value)
 		}
-		if err := write(line); err != nil {
-			return err
-		}
+		w.Printf("%s\n", Sep(i, len(s)))
 	}
-	return write(indent + "  ]\n" + indent + "}")
+	w.Printf("%s  ]\n%s}", indent, indent)
 }

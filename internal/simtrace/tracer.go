@@ -189,50 +189,35 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		}
 	}
 
-	write := func(format string, args ...interface{}) error {
-		if _, err := fmt.Fprintf(w, format, args...); err != nil {
-			return fmt.Errorf("simtrace: writing trace: %w", err)
-		}
-		return nil
-	}
-
-	if err := write("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"); err != nil {
-		return err
-	}
-	if err := write("  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"args\": {\"name\": \"fpgapart simulator (1 us = 1 cycle)\"}}"); err != nil {
-		return err
-	}
+	bw := NewWriter(w, "simtrace: writing trace")
+	bw.Printf("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n")
+	bw.Printf("  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"args\": {\"name\": \"fpgapart simulator (1 us = 1 cycle)\"}}")
 	for i, comp := range comps {
-		if err := write(",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \"args\": {\"name\": %q}}", i, comp); err != nil {
-			return err
-		}
+		bw.Printf(",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \"args\": {\"name\": %q}}", i, comp)
 	}
 	for _, e := range events {
-		var err error
 		switch e.Kind {
 		case SpanEvent:
-			err = write(",\n  {\"name\": %q, \"ph\": \"X\", \"ts\": %d, \"dur\": %d, \"pid\": 0, \"tid\": %d}",
+			bw.Printf(",\n  {\"name\": %q, \"ph\": \"X\", \"ts\": %d, \"dur\": %d, \"pid\": 0, \"tid\": %d}",
 				e.Name, e.Ts, e.Dur, tids[e.Comp])
 		case InstantEvent:
-			err = write(",\n  {\"name\": %q, \"ph\": \"i\", \"s\": \"t\", \"ts\": %d, \"pid\": 0, \"tid\": %d}",
+			bw.Printf(",\n  {\"name\": %q, \"ph\": \"i\", \"s\": \"t\", \"ts\": %d, \"pid\": 0, \"tid\": %d}",
 				e.Name, e.Ts, tids[e.Comp])
 		case SampleEvent:
 			// Counter tracks are keyed by (pid, name); qualify with the
 			// component so each component's series gets its own track.
-			err = write(",\n  {\"name\": %q, \"ph\": \"C\", \"ts\": %d, \"pid\": 0, \"tid\": %d, \"args\": {\"value\": %d}}",
+			bw.Printf(",\n  {\"name\": %q, \"ph\": \"C\", \"ts\": %d, \"pid\": 0, \"tid\": %d, \"args\": {\"value\": %d}}",
 				e.Comp+"."+e.Name, e.Ts, tids[e.Comp], e.Value)
 		case FlowStartEvent:
-			err = write(",\n  {\"name\": %q, \"cat\": \"flow\", \"ph\": \"s\", \"id\": %d, \"ts\": %d, \"pid\": 0, \"tid\": %d}",
+			bw.Printf(",\n  {\"name\": %q, \"cat\": \"flow\", \"ph\": \"s\", \"id\": %d, \"ts\": %d, \"pid\": 0, \"tid\": %d}",
 				e.Name, e.Value, e.Ts, tids[e.Comp])
 		case FlowEndEvent:
 			// bp:"e" binds the arrowhead to the enclosing slice, the legacy
 			// importer's convention for flow termination.
-			err = write(",\n  {\"name\": %q, \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": %d, \"ts\": %d, \"pid\": 0, \"tid\": %d}",
+			bw.Printf(",\n  {\"name\": %q, \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": %d, \"ts\": %d, \"pid\": 0, \"tid\": %d}",
 				e.Name, e.Value, e.Ts, tids[e.Comp])
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return write("\n]}\n")
+	bw.Printf("\n]}\n")
+	return bw.Flush()
 }
