@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fpgapart/codec"
@@ -219,13 +220,21 @@ func TestCycleLock(t *testing.T) {
 	if !sawOverflow {
 		t.Error("no lock case aborted on PAD overflow; the table lost its overflow row")
 	}
+	checkLockGolden(t, "cycle_lock.json", recs)
+}
+
+// checkLockGolden compares recs, indented, with testdata/golden/<file>. A
+// mismatch leaves the records beside it as <file minus .json>.got.json and
+// names the first line that moved; -update rewrites the file.
+func checkLockGolden(t *testing.T, file string, recs []lockRecord) {
+	t.Helper()
 	got, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
 
-	golden := filepath.Join("testdata", "golden", "cycle_lock.json")
+	golden := filepath.Join("testdata", "golden", file)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -238,12 +247,12 @@ func TestCycleLock(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("reading golden file (run `go test ./internal/core -run TestCycleLock -update` to create it): %v", err)
+		t.Fatalf("reading golden file (generate it at the parent commit with -update): %v", err)
 	}
 	if bytes.Equal(got, want) {
 		return
 	}
-	gotPath := filepath.Join("testdata", "golden", "cycle_lock.got.json")
+	gotPath := strings.TrimSuffix(golden, ".json") + ".got.json"
 	if err := os.WriteFile(gotPath, got, 0o644); err != nil {
 		t.Fatal(err)
 	}
