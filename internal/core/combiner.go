@@ -14,15 +14,13 @@ import "fpgapart/internal/fpga"
 // models the stall the hardware would otherwise need.
 type combiner struct {
 	banks int // tuple slots per cache line
-	wpt   int // words per tuple
 	parts int
 
-	// store is the bank BRAM contents, one cache line (banks*wpt = 8 words)
-	// per partition: bank b of partition p at p*8 + b*wpt, so the banks the
-	// hardware reads side by side sit side by side. fill is the fill-rate
-	// BRAM. Both belong to the run (reset): their size follows the fan-out.
-	store []uint64
-	fill  []uint8
+	// fill is the fill-rate BRAM, one slot count per partition. It belongs
+	// to the run (reset): its size follows the fan-out. The bank BRAM's
+	// contents are the placement side's (placer): a line leaves the
+	// combiner as its partition and its number of valid slots.
+	fill []uint8
 
 	out *fpga.FIFO[outLine]
 
@@ -41,23 +39,22 @@ type combiner struct {
 	flushAddr int
 }
 
-func newCombiner(cfg Config, banks, wpt int) *combiner {
+func newCombiner(cfg Config, banks int) *combiner {
 	cb := &combiner{
 		banks: banks,
-		wpt:   wpt,
 		parts: cfg.NumPartitions,
 		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
 	}
-	cb.reset(nil, nil)
+	cb.reset(nil)
 	return cb
 }
 
 // reset is the circuit reset in front of a run: it loads the run's zeroed
-// BRAMs and clears the control state the previous run left, which may have
-// aborted on a PAD overflow mid-line and mid-stall. The stamps start outside
-// the hazard window of any cycle ≥ 0.
-func (cb *combiner) reset(store []uint64, fill []uint8) {
-	cb.store, cb.fill = store, fill
+// fill-rate BRAM and clears the control state the previous run left, which
+// may have aborted on a PAD overflow mid-line and mid-stall. The stamps start
+// outside the hazard window of any cycle ≥ 0.
+func (cb *combiner) reset(fill []uint8) {
+	cb.fill = fill
 	cb.out.Reset()
 	cb.last, cb.lastAt = [2]uint32{}, [2]int64{-3, -3}
 	cb.stall, cb.served, cb.flushAddr = 0, false, 0
@@ -79,8 +76,7 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) 
 		// Back-pressure from the write-back module; not a hazard stall.
 		return 0, 0
 	}
-	t := in.Front()
-	h := t.part
+	h := in.Front().part
 	// The fill rate read from the BRAM is stale if the same partition was
 	// updated one or two cycles ago. The strawman datapath has no fill-rate
 	// BRAM, hence no read hazard.
@@ -101,26 +97,18 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) 
 		st.CombinerBRAMReads++ // fill-rate BRAM read
 	}
 	cb.served = false
-	in.Drop() // t stays readable: nothing pushes into in before step returns
+	in.Drop()
 	cb.last[1], cb.lastAt[1] = cb.last[0], cb.lastAt[0]
 	cb.last[0], cb.lastAt[0] = h, now
 
 	if cfg.DisableWriteCombiner {
 		// Strawman datapath: no gathering; each tuple goes out on its own
 		// and the write-back performs a read-modify-write of its line.
-		l := cb.out.Push()
-		copy(l.words[:cb.wpt], t.words[:cb.wpt])
-		l.part = h
-		l.valid = 1
-		l.single = true
+		*cb.out.Push() = outLine{part: h, valid: 1, single: true}
 		return 1, 1
 	}
 
 	f := int(cb.fill[h])
-	bank := cb.store[int(h)*8+f*cb.wpt:]
-	for w := 0; w < cb.wpt; w++ { // a tuple is 1–8 words: cheaper than a memmove call
-		bank[w] = t.words[w]
-	}
 	st.CombinerBRAMWrites += 2 // bank write + fill-rate update
 	if f < cb.banks-1 {
 		cb.fill[h] = uint8(f + 1)
@@ -128,22 +116,8 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) 
 	}
 	cb.fill[h] = 0
 	st.CombinerBRAMReads += int64(cb.banks) // bank reads for line assembly
-	cb.assemble(h, cb.banks)
+	*cb.out.Push() = outLine{part: h, valid: uint8(cb.banks)}
 	return 1, 1
-}
-
-// assemble builds a cache line for partition h from the first n bank slots,
-// straight into the output FIFO's next slot; remaining slots are filled with
-// dummy-key tuples.
-func (cb *combiner) assemble(h uint32, n int) {
-	l := cb.out.Push()
-	l.words = [8]uint64(cb.store[int(h)*8:])
-	for w := n * cb.wpt; w < len(l.words); w++ {
-		l.words[w] = dummyWord
-	}
-	l.part = h
-	l.valid = uint8(n)
-	l.single = false
 }
 
 // canFlush reports whether the end-of-run flush scan can advance this cycle:
@@ -164,7 +138,8 @@ func (cb *combiner) flushStep(st *Stats) (emitted int) {
 		cb.fill[cb.flushAddr] = 0
 		st.CombinerBRAMWrites++          // fill-rate reset
 		st.CombinerBRAMReads += int64(f) // bank reads for the partial line
-		cb.assemble(uint32(cb.flushAddr), f)
+		// A partial line: its other slots carry dummy keys.
+		*cb.out.Push() = outLine{part: uint32(cb.flushAddr), valid: uint8(f)}
 		emitted = 1
 	}
 	cb.flushAddr++

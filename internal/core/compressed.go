@@ -49,8 +49,6 @@ func (r *run) nextCompressedGroup(g *group) bool {
 		return false
 	}
 	for i := 0; i < n; i++ {
-		idx := r.next + int64(i)
-		g.t[i].words[0] = uint64(idx)<<32 | uint64(keys[i]) // <key, VRID>
 		g.t[i].part = hashutil.PartitionIndex32(keys[i], r.radix, r.cfg.Hash)
 	}
 	g.n = n

@@ -87,7 +87,7 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 		for pattern := 0; pattern < 1<<(2*patternLen); pattern++ {
 			// The run starts at cycle 0 with partition 0 first in half the
 			// patterns: the reset stamps must not look like a recent accept.
-			cb, in, st := newTestCombiner(cfg, 2, 4), newTestFIFO(cfg), &Stats{}
+			cb, in, st := newTestCombiner(cfg, 2), newTestFIFO(cfg), &Stats{}
 			ref := &refCombiner{banks: 2, fill: make([]uint8, 2), out: fpga.NewFIFO[outLine](cfg.OutFIFODepth)}
 			refIn, refSt := newTestFIFO(cfg), &Stats{}
 			for cycle := 0; cycle < patternLen+tail; cycle++ {

@@ -88,34 +88,42 @@ func BenchmarkCircuitPartition(b *testing.B) {
 
 // runObjects is how many heap objects an untraced Partition makes on a
 // circuit that has run before, whatever the lanes, input size or fan-out: the
-// run, its Stats and QPI end-point, one slab each for the destination
-// bookkeeping, the bank BRAMs and the fill-rate BRAMs, the Output and its
-// lines, and the shared-memory pool, region, page array and snoop-filter
-// span. (It was 23 + 7 per lane — 79 at eight lanes — while every run rebuilt
-// the datapath; the benchmark's core.mallocs_per_op is this number.)
+// run and its Stats, one slab each for the destination bookkeeping, the
+// fill-rate BRAMs (the combiners' and the placement side's) and the bank
+// lines, the Output and its lines, the shared-memory pool, region, page
+// array and snoop-filter span, and — when the run places on a second
+// goroutine — that goroutine's closure. (It was 23 + 7 per lane — 79 at eight
+// lanes — while every run rebuilt the datapath; the benchmark's
+// core.mallocs_per_op is this number.)
 const runObjects = 12
 
 // TestPartitionAllocations guards the per-run fixed cost and the pass loops:
 // the second and later runs of a circuit make runObjects heap objects, and
-// not one more when the three passes run eight times as many cycles.
+// not one more when the three passes run sixteen times as many cycles and
+// the placement runs on its own goroutine.
 func TestPartitionAllocations(t *testing.T) {
 	for _, hc := range hostCases {
 		perOp := func(tuples int) float64 {
 			c, rel := hc.build(t, tuples)
-			return testing.AllocsPerRun(3, func() {
+			n := testing.AllocsPerRun(3, func() {
 				if _, _, err := c.Partition(rel); err != nil {
 					t.Fatal(err)
 				}
 			})
+			if async := c.pl.full != nil; async != (tuples > 1<<12) {
+				t.Errorf("%s, %d tuples: placed on a second goroutine %t", hc.name, tuples, async)
+			}
+			return n
 		}
-		small, large := perOp(1<<12), perOp(1<<15)
-		if min(small, large) > runObjects {
-			t.Errorf("%s: %.0f heap objects per Partition, want at most %d", hc.name, min(small, large), runObjects)
+		small, large := perOp(1<<12), perOp(1<<16)
+		if max(small, large) > runObjects {
+			t.Errorf("%s: %.0f and %.0f heap objects per Partition, want at most %d", hc.name, small, large, runObjects)
 		}
-		// The runtime adds an object of its own at some heap sizes (at the
-		// parent too); an allocation per cycle would add thousands.
-		if large > small+1 {
-			t.Errorf("%s: %.0f heap objects at 2^15 tuples, %.0f at 2^12: the pass loops allocate", hc.name, large, small)
+		// The goroutine's closure is one more object, and the runtime adds
+		// one of its own at some heap sizes; an allocation per cycle would
+		// add thousands.
+		if large > small+2 {
+			t.Errorf("%s: %.0f heap objects at 2^16 tuples, %.0f at 2^12: the pass loops allocate", hc.name, large, small)
 		}
 	}
 }

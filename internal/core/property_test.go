@@ -228,10 +228,7 @@ func TestRunRegionOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.newRun(rel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := c.newRun(rel, nil)
 	if err := r.execute(); err != nil {
 		t.Fatal(err)
 	}

@@ -173,8 +173,8 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 				}
 				// Between runs the circuit holds nothing sized by the fan-out.
 				for _, cb := range used.comb {
-					if cb.store != nil || cb.fill != nil {
-						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents", what)
+					if cb.fill != nil || used.pl.fill != nil || used.pl.bank != nil || used.pl.lines != nil {
+						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents or its output", what)
 					}
 				}
 				// The page table maps this run's region and nothing of an
@@ -213,10 +213,10 @@ func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 		cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID, DisableForwarding: noForwarding}.WithDefaults()
 		hot := func(in *fpga.FIFO[tup], n int) {
 			for i := 0; i < n; i++ {
-				*in.Push() = tup{words: [8]uint64{uint64(i)<<32 | 2}, part: 2}
+				*in.Push() = tup{part: 2}
 			}
 		}
-		used, in, st := newTestCombiner(cfg, 8, 1), newTestFIFO(cfg), &Stats{}
+		used, in, st := newTestCombiner(cfg, 8), newTestFIFO(cfg), &Stats{}
 		hot(in, 12)
 		// Past the first emitted line, and ending right after an accepted
 		// tuple or, without forwarding (four cycles a tuple), inside a stall.
@@ -228,9 +228,9 @@ func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 		if used.lastAt[0] != n-1 && used.stall == 0 || used.flushAddr == 0 || used.fill[2] == 0 || used.out.HighWater == 0 {
 			t.Fatalf("combiner not dirty: %+v", used)
 		}
-		used.reset(make([]uint64, cfg.NumPartitions*8), make([]uint8, cfg.NumPartitions))
+		used.reset(make([]uint8, cfg.NumPartitions))
 
-		fresh := newTestCombiner(cfg, 8, 1)
+		fresh := newTestCombiner(cfg, 8)
 		inU, inF, stU, stF := newTestFIFO(cfg), newTestFIFO(cfg), &Stats{}, &Stats{}
 		hot(inU, 11)
 		hot(inF, 11)
