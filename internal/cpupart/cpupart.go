@@ -209,23 +209,78 @@ func (ix indexer) of(t uint64) uint32 {
 	return k & ix.mask
 }
 
-// parallel runs fn(0) … fn(threads-1) concurrently and waits for them;
-// worker 0 — the only one of a single-thread call — runs on the caller's
-// goroutine.
-func parallel(threads int, fn func(w int)) {
+// phase is one parallel step of a call — a histogram count, a buffered
+// scatter or a naive scatter — with everything its workers read.
+type phase struct {
+	kind     phaseKind
+	src, dst []uint64
+	threads  int
+	ix       indexer
+	count    func(src []uint64, hist []int64, ix indexer)
+	first    []int64
+	cur      []int64
+	lines    [][BufferTuples]uint64
+	skew     int64
+}
+
+type phaseKind int
+
+const (
+	countPhase phaseKind = iota
+	bufferedPhase
+	naivePhase
+)
+
+// work is worker w's share of the phase.
+func (ph *phase) work(w int) {
+	src, p := chunk(ph.src, w, ph.threads), ph.ix.parts()
+	switch ph.kind {
+	case countPhase:
+		ph.count(src, ph.first[w*p:(w+1)*p], ph.ix)
+	case bufferedPhase:
+		b := buffers{dst: ph.dst, skew: ph.skew, first: ph.first[w*p : (w+1)*p], cur: ph.cur[w*p : (w+1)*p], lines: ph.lines[w*p : (w+1)*p]}
+		for i, at := range b.first {
+			b.cur[i] = at + ph.skew
+		}
+		switch {
+		case ph.ix.block:
+			scatterHashBlocked(src, &b, ph.ix)
+		case ph.ix.hash:
+			scatterHash(src, &b, ph.ix)
+		default:
+			scatterRadix(src, &b, ph.ix)
+		}
+		b.drain()
+	case naivePhase:
+		cur := ph.cur[w*p : (w+1)*p]
+		for _, t := range src {
+			i := ph.ix.of(t)
+			ph.dst[cur[i]] = t
+			cur[i]++
+		}
+	}
+}
+
+// parallel runs ph.work(0) … ph.work(threads-1) concurrently and waits for
+// them; worker 0 — the only one of a single-thread call — runs on the
+// caller's goroutine. Only the goroutines get a heap copy of the phase, so a
+// single-thread call allocates nothing here.
+func parallel(threads int, ph *phase) {
 	if threads == 1 {
-		fn(0)
+		ph.work(0)
 		return
 	}
+	shared := new(phase)
+	*shared = *ph
 	var wg sync.WaitGroup
 	wg.Add(threads - 1)
 	for w := 1; w < threads; w++ {
 		go func(w int) {
 			defer wg.Done()
-			fn(w)
+			shared.work(w)
 		}(w)
 	}
-	fn(0)
+	shared.work(0)
 	wg.Wait()
 }
 
@@ -243,8 +298,8 @@ func chunk(src []uint64, w, threads int) []uint64 {
 // and the output is the same for every worker count. first arrives zeroed,
 // threads × fan-out long; layout returns the partition offsets.
 func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer), first []int64) []int64 {
+	parallel(threads, &phase{kind: countPhase, src: src, threads: threads, ix: ix, count: count, first: first})
 	p := ix.parts()
-	parallel(threads, func(w int) { count(chunk(src, w, threads), first[w*p:(w+1)*p], ix) })
 	offsets := make([]int64, p+1)
 	for i := 0; i < p; i++ {
 		pos := offsets[i]
@@ -277,21 +332,8 @@ func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
 	// skew is how many words dst starts past a cache-line boundary: the
 	// alignment that matters is the destination address's, not the index's.
 	skew := int64(uintptr(unsafe.Pointer(unsafe.SliceData(dst))) / 8 % BufferTuples)
-	parallel(threads, func(w int) {
-		b := buffers{dst: dst, skew: skew, first: first[w*p : (w+1)*p], cur: cur[w*p : (w+1)*p], lines: lines[w*p : (w+1)*p]}
-		for i, at := range b.first {
-			b.cur[i] = at + skew
-		}
-		switch {
-		case ix.block:
-			scatterHashBlocked(chunk(src, w, threads), &b, ix)
-		case ix.hash:
-			scatterHash(chunk(src, w, threads), &b, ix)
-		default:
-			scatterRadix(chunk(src, w, threads), &b, ix)
-		}
-		b.drain()
-	})
+	parallel(threads, &phase{kind: bufferedPhase, src: src, dst: dst, threads: threads, ix: ix,
+		first: first, cur: cur, lines: lines, skew: skew})
 	return offsets
 }
 
@@ -465,13 +507,6 @@ func naive(src, dst []uint64, threads int, ix indexer) []int64 {
 	p := ix.parts()
 	cur := make([]int64, threads*p)
 	offsets := layout(src, threads, ix, countAny, cur)
-	parallel(threads, func(w int) {
-		cur := cur[w*p : (w+1)*p]
-		for _, t := range chunk(src, w, threads) {
-			i := ix.of(t)
-			dst[cur[i]] = t
-			cur[i]++
-		}
-	})
+	parallel(threads, &phase{kind: naivePhase, src: src, dst: dst, threads: threads, ix: ix, cur: cur})
 	return offsets
 }
