@@ -2,9 +2,8 @@
 #
 #   make verify   — full gate: build, vet, fpgavet lint, race-free tests,
 #                   race-enabled tests, and the portable (purego / arm64)
-#                   side of the three assembly kernels (internal/cpupart's
-#                   flush, internal/core's prefetch hint, internal/hashutil's
-#                   AVX2 murmur block)
+#                   side of the two assembly kernels (internal/cpupart's
+#                   flush, internal/hashutil's AVX2 murmur block)
 #   make tier1    — the minimal tier-1 loop (build + test)
 #   make lint     — fpgavet static-analysis suite, five analyzers
 #                   (determinism, boundary-reach, error hygiene, bench-json,
@@ -49,15 +48,14 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-# Three host-only kernels are amd64 assembly: internal/cpupart/store_amd64.s
-# flushes the CPU partitioner's write-combining buffers,
-# internal/core/prefetch_amd64.s is the cycle simulator's one-instruction
-# prefetch hint, and internal/hashutil/block_amd64.s hashes eight keys per
-# instruction for the CPU partitioner (AVX2, chosen at init by CPUID).
-# portable keeps the other side honest: the generic fallbacks tested on this
-# machine (-tags purego), and a non-amd64 build plus vet of the three
-# packages (asmdecl checks the stubs against the assembly on amd64 in `vet`
-# above).
+# Two host-only kernels are amd64 assembly: internal/cpupart/store_amd64.s
+# flushes the CPU partitioner's write-combining buffers, and
+# internal/hashutil/block_amd64.s hashes eight keys per instruction for the
+# CPU partitioner (AVX2, chosen at init by CPUID). portable keeps the other
+# side honest: the generic fallbacks tested on this machine (-tags purego),
+# with partition and internal/core, which hash through hashutil, and a
+# non-amd64 build plus vet (asmdecl checks the stubs against the assembly on
+# amd64 in `vet` above).
 portable:
 	$(GO) test -tags purego ./internal/cpupart ./internal/hashutil ./partition ./internal/core
 	GOARCH=arm64 $(GO) build ./...
