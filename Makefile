@@ -13,15 +13,18 @@
 #   make bench    — regenerate the committed perfbench baseline
 #   make bench-gate — run the perf matrix and fail on any gated
 #                   (simulated, deterministic) metric change vs the baseline
+#   make loc      — non-test Go lines per top-level directory (internal/ by
+#                   package) and their total, the figures ROADMAP's line
+#                   targets count
 #
 # The race target covers every package. Its longest are fpgapart/internal/core
-# (the 8M-tuple calibration runs: 130–145 s under -race on a 2-core box, 6–7 s
+# (the 8M-tuple calibration runs: 126 s under -race on a 2-core box, 6–7 s
 # without) and fpgapart/experiments (each paper experiment executes once per
 # test binary: 111 s under -race, 6–9 s without).
 
 GO ?= go
 
-.PHONY: verify tier1 build vet lint lint-json test race portable bench bench-gate trace-demo fuzz
+.PHONY: verify tier1 build vet lint lint-json test race portable bench bench-gate trace-demo fuzz loc
 
 verify: build vet lint test race portable
 
@@ -80,6 +83,19 @@ bench-gate:
 		$(GO) run ./cmd/perfbench compare $$base bench/out/$${base##*/} || fail=1; \
 	done; \
 	exit $$fail
+
+# loc counts the lines of the committed non-test .go files, testdata/
+# fixtures aside. The total leaves benchmark/ out; its own line, printed
+# after the total, is what ROADMAP item 5 counts.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' | xargs awk ' \
+		FNR == 1 { n = split(FILENAME, p, "/"); d = n > 2 && p[1] == "internal" ? p[1] "/" p[2] : n > 1 ? p[1] : "." } \
+		{ lines[d]++ } \
+		END { \
+			for (d in lines) if (d != "benchmark") { printf "%6d %s\n", lines[d], d | "sort -k2"; total += lines[d] } \
+			close("sort -k2"); \
+			printf "%6d total, benchmark/ aside\n%6d benchmark\n", total, lines["benchmark"] \
+		}'
 
 # trace-demo exercises the causal-tracing stack end to end on a faulty
 # sharded run and a faulty standalone scheduler run: each prints the

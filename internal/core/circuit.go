@@ -32,14 +32,14 @@ type group struct {
 }
 
 // outLine is an assembled cache line traveling from a write combiner to the
-// write-back module: the partition it belongs to, how many of its tuple
-// slots are valid (the rest carry dummy keys) and, from the final FIFO on,
-// the lane whose combiner assembled it.
+// write-back module (in the no-write-combiner ablation, one raw tuple): the
+// partition it belongs to, how many of its tuple slots are valid (the rest
+// carry dummy keys) and, from the final FIFO on, the lane whose combiner
+// assembled it.
 type outLine struct {
-	part   uint32
-	valid  uint8
-	single bool // no-write-combiner ablation: one raw tuple, RMW write-back
-	lane   uint8
+	part  uint32
+	valid uint8
+	lane  uint8
 }
 
 // Circuit is a synthesized partitioner configuration bound to a platform
@@ -80,10 +80,6 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 		return nil, err
 	}
 	c := &Circuit{cfg: cfg, clockHz: clockHz, ep: ep}
-	queues := make([]int64, len(c.pl.queue)*queueDepth)
-	for l := range c.pl.queue {
-		c.pl.queue[l].buf = queues[l*queueDepth : l*queueDepth : (l+1)*queueDepth]
-	}
 	lanes := cfg.Lanes()
 	c.pipe = fpga.NewReg[group](hashPipelineDepth)
 	c.fifo1 = make([]*fpga.FIFO[tup], lanes)
@@ -616,8 +612,9 @@ func (r *run) writeBack() error {
 	if !r.final.Empty() {
 		l := r.final.Front()
 		// The no-write-combiner ablation needs a read-modify-write per tuple.
-		if r.ep.CanWrite() && (!l.single || r.ep.CanRead()) {
-			if l.single {
+		single := r.cfg.DisableWriteCombiner
+		if r.ep.CanWrite() && (!single || r.ep.CanRead()) {
+			if single {
 				r.ep.Read()
 				r.stats.LinesRead++
 			}
@@ -656,7 +653,7 @@ func (r *run) writeBack() error {
 //fpgavet:hotpath
 func (r *run) store(l *outLine) error {
 	p := int(l.part)
-	if l.single {
+	if r.cfg.DisableWriteCombiner {
 		// Tuple-granular RMW: place the tuple at its exact slot.
 		tupleIdx := r.counts[p]
 		line := tupleIdx / int64(r.tpl)

@@ -104,7 +104,7 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) 
 	if cfg.DisableWriteCombiner {
 		// Strawman datapath: no gathering; each tuple goes out on its own
 		// and the write-back performs a read-modify-write of its line.
-		*cb.out.Push() = outLine{part: h, valid: 1, single: true}
+		*cb.out.Push() = outLine{part: h, valid: 1}
 		return 1, 1
 	}
 

@@ -162,19 +162,6 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 	if cb.fill[2] != 0 {
 		t.Fatal("fill not reset after emit")
 	}
-	// The placement side gathers the same eight tuples and writes the line
-	// where the store log puts lane 0's first line (word 0).
-	pl := newTestPlacer(cfg.NumPartitions, 8, 1, 0)
-	for i := 0; i < 8; i++ {
-		if pl.lane = 0; !pl.put(2, []uint64{uint64(i)<<32 | 2}) {
-			t.Fatal("the log ended early")
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if pl.lines[i] != uint64(i)<<32|2 {
-			t.Fatalf("slot %d = %#x", i, pl.lines[i])
-		}
-	}
 }
 
 // TestCombinerUnitFlushPadsWithDummies checks flushStep's dummy padding.
@@ -195,18 +182,6 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	cb.out.Drop()
 	if l.part != 3 || l.valid != 1 {
 		t.Fatalf("flushed line: part=%d valid=%d", l.part, l.valid)
-	}
-	// The placement side's flush writes the tuple and keeps the dummies.
-	pl := newTestPlacer(cfg.NumPartitions, 8, 1, 0)
-	pl.put(3, []uint64{123<<32 | 3})
-	pl.flush()
-	if uint32(pl.lines[0]) != 3 {
-		t.Fatalf("slot 0 = %#x", pl.lines[0])
-	}
-	for i := 1; i < 8; i++ {
-		if uint32(pl.lines[i]) != DefaultDummyKey {
-			t.Fatalf("slot %d not dummy: %#x", i, pl.lines[i])
-		}
 	}
 	// Further flush steps stay done and emit nothing.
 	if !flushStepDone(cb, stats) || !cb.out.Empty() {
@@ -240,17 +215,6 @@ func newTestCombiner(cfg Config, banks int) *combiner {
 	cb := newCombiner(cfg, banks)
 	cb.reset(make([]uint8, cfg.NumPartitions))
 	return cb
-}
-
-// newTestPlacer is a placement side over parts partitions whose inline log
-// is the given entries, with a one-line output buffer of dummy keys.
-func newTestPlacer(parts, lanes, wpt int, log ...uint64) *placer {
-	pl := &placer{lanes: lanes, wpt: wpt, parts: parts, cur: log, ended: true,
-		fill: make([]uint8, lanes*parts), bank: make([]uint64, lanes*parts*8), lines: make([]uint64, 8)}
-	for i := range pl.lines {
-		pl.lines[i] = dummyWord
-	}
-	return pl
 }
 
 // flushStepDone clocks cb's flush scan one cycle as flushPass does — a scan

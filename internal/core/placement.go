@@ -17,24 +17,20 @@ const (
 	logChunks = 4
 )
 
-// queueDepth is each lane queue's first capacity (NewCircuit): back-pressure
-// keeps the lanes within a few FIFO depths of each other. A deeper queue
-// grows.
-const queueDepth = 32
-
 // placementHook, set by tests only (export_test.go), runs on a placement
 // goroutine after every chunk it receives.
 var placementHook func()
 
 // placer is the placement side of a run: the software write combiner of the
 // paper's Code 2 (Section 3), which moves the words the cycle loop only
-// times. It walks the input in order — tuple j is in lane j mod lanes, as
-// every lane group but the last is full — gathers each tuple into its
-// (lane, partition) bank line, and writes a full line to the destination
-// the store log gives for that lane's next line. The write-back never
-// reorders one lane, so a lane's k-th log entry is its k-th line: the full
-// lines as they filled, then the flush's partial lines in address order.
-// Output.Lines is a pure function of the input and the log.
+// times. The store log drives it: each entry asks its lane for the lane's
+// next line. Tuple j travels in lane j mod lanes, as every lane group but
+// the last is full, so a lane gathers its own tuples in input order into
+// its (lane, partition) bank lines until one fills, exactly as its combiner
+// did; the write-back never reorders one lane, so that line is the entry's.
+// Once a lane's input is used up, its entries are the flush's partial lines
+// in address order. Output.Lines is a pure function of the input and the
+// log.
 type placer struct {
 	// The run's input and shape (words: len(Output.Lines), set by allocate).
 	rel          *workload.Relation
@@ -44,24 +40,30 @@ type placer struct {
 	radix        uint
 	lanes, wpt   int
 	parts        int
-	words        int64
+	total, words int64
 
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
 	fill  []uint8
 	lines []uint64
-	lane  int // of the next input tuple
+
+	// Each lane's cursors: its next tuple, the RLE run holding it and that
+	// run's first tuple, and its flush scan address.
+	pos     [8]int64
+	rleRun  [8]int
+	rleAt   [8]int64
+	flushAt [8]int
 
 	// The log: the chunk the cycle loop writes and whether a goroutine
-	// reads it; as read, the chunk, the position in it, whether a chunk
-	// follows, the destinations read ahead of their lane's next line, and
-	// each lane's flush scan address.
-	log     []uint64
-	async   bool
-	cur     []uint64
-	at      int
-	ended   bool
-	queue   [8]laneQueue
-	flushAt [8]int
+	// reads it; as read, the chunk, the position in it and whether a chunk
+	// follows. The loop writes log on every stored line: the pads keep it
+	// off the cache lines a placement goroutine writes and reads.
+	_     [64]byte
+	log   []uint64
+	async bool
+	_     [64]byte
+	cur   []uint64
+	at    int
+	ended bool
 
 	// The hand-off ring, built by the first async run: chunks travel full →
 	// placement goroutine → free → cycle loop, and nil ends the log. done
@@ -81,7 +83,7 @@ func (pl *placer) reset(r *run, fill []uint8) {
 	}
 	pl.vrid, pl.single, pl.hash, pl.radix = r.cfg.Layout == VRID, r.cfg.DisableWriteCombiner, r.cfg.Hash, r.radix
 	pl.lanes, pl.wpt, pl.parts = r.lanes, r.wpt, r.cfg.NumPartitions
-	pl.fill, pl.lane, pl.cur, pl.at, pl.ended = fill, 0, nil, 0, true
+	pl.total, pl.fill, pl.cur, pl.at, pl.ended = r.total, fill, nil, 0, true
 	// The log's first chunk stays with the circuit; it grows to what a run
 	// can log, up to a chunk: a line per tuple at most, or a full line per
 	// lane group plus a flush line per lane and partition.
@@ -93,8 +95,8 @@ func (pl *placer) reset(r *run, fill []uint8) {
 		pl.log = make([]uint64, 0, need)
 	}
 	pl.log = pl.log[:0]
-	for l := range pl.queue {
-		pl.queue[l].buf, pl.queue[l].head, pl.flushAt[l] = pl.queue[l].buf[:0], 0, 0
+	for l := range pl.pos {
+		pl.pos[l], pl.rleRun[l], pl.rleAt[l], pl.flushAt[l] = int64(l), 0, 0, 0
 	}
 }
 
@@ -196,92 +198,44 @@ func (pl *placer) run() {
 	pl.place()
 }
 
-// place walks the input, then the flush; it stops where the log ends early
+// place places the log, entry by entry; it stops where the log ends early
 // (a PAD overflow).
 //
 //fpgavet:hotpath
 func (pl *placer) place() {
-	switch {
-	case pl.rel == nil:
-		j := uint64(0)
-		for _, run := range pl.runs {
-			part := hashutil.PartitionIndex32(run.Value, pl.radix, pl.hash)
-			for k := uint32(0); k < run.Length; k, j = k+1, j+1 {
-				if pl.one[0] = j<<32 | uint64(run.Value); !pl.put(part, pl.one[:]) {
-					return
-				}
-			}
-		}
-	case pl.vrid:
-		for j, key := range pl.rel.Keys[:pl.rel.NumTuples] {
-			if pl.one[0] = uint64(j)<<32 | uint64(key); !pl.put(hashutil.PartitionIndex32(key, pl.radix, pl.hash), pl.one[:]) {
-				return
-			}
-		}
-	default:
-		for t := pl.rel.Data[:pl.rel.NumTuples*pl.wpt]; len(t) > 0; t = t[pl.wpt:] {
-			if !pl.put(hashutil.PartitionIndex32(uint32(t[0]), pl.radix, pl.hash), t[:pl.wpt]) {
-				return
-			}
-		}
-	}
-	pl.flush()
-}
-
-// flush places the flush's lines: each log entry left is its lane's next
-// non-empty bank line, and a lane's queued entries come before its entries
-// still in the log.
-//
-//fpgavet:hotpath
-func (pl *placer) flush() {
-	for l := 0; l < pl.lanes; l++ {
-		for q := &pl.queue[l]; q.head < len(q.buf); {
-			pl.flushLine(l, q.pop())
-		}
-	}
 	for e, ok := pl.entry(); ok; e, ok = pl.entry() {
-		pl.flushLine(int(e&7), int64(e>>3))
+		lane, d := int(e&7), int64(e>>3)
+		if pl.single {
+			_, words := pl.tuple(lane)
+			copy(pl.lines[d:], words)
+		} else {
+			pl.line(lane, d)
+		}
 	}
 }
 
-// put places the next input tuple into partition part's bank line of its
-// lane and writes the line out when it is full (the tuple at once, in the
-// ablation). It reports false if the log ended first.
+// line writes lane's next line to d: the tuples it gathers until one of its
+// bank lines fills or, once its input is used up, its next non-empty bank
+// line, which the dummy fill pads.
 //
 //fpgavet:hotpath
-func (pl *placer) put(part uint32, words []uint64) bool {
-	lane := pl.lane
-	if pl.lane++; pl.lane == pl.lanes {
-		pl.lane = 0
-	}
-	if pl.single {
-		d, ok := pl.dest(lane)
-		if ok {
-			copy(pl.lines[d:d+int64(len(words))], words)
+func (pl *placer) line(lane int, d int64) {
+	for pl.pos[lane] < pl.total {
+		part, words := pl.tuple(lane)
+		b := lane*pl.parts + int(part)
+		f := int(pl.fill[b])
+		bank := pl.bank[b*8 : b*8+8]
+		for w, v := range words { // 1–8 words: cheaper than a memmove call
+			bank[f*pl.wpt+w] = v
 		}
-		return ok
-	}
-	b := lane*pl.parts + int(part)
-	f := int(pl.fill[b])
-	bank := pl.bank[b*8 : b*8+8]
-	for w, v := range words { // 1–8 words: cheaper than a memmove call
-		bank[f*pl.wpt+w] = v
-	}
-	if f+1 < pl.lanes { // a line holds a tuple per lane
-		pl.fill[b] = uint8(f + 1)
-		return true
-	}
-	pl.fill[b] = 0
-	d, ok := pl.dest(lane)
-	if ok {
+		if f+1 < pl.lanes { // a line holds a tuple per lane
+			pl.fill[b] = uint8(f + 1)
+			continue
+		}
+		pl.fill[b] = 0
 		*(*[8]uint64)(pl.lines[d:]) = [8]uint64(bank)
+		return
 	}
-	return ok
-}
-
-// flushLine writes lane's next non-empty bank line to d; the dummy fill
-// pads it.
-func (pl *placer) flushLine(lane int, d int64) {
 	b := lane*pl.parts + pl.flushAt[lane]
 	for pl.fill[b] == 0 {
 		b++
@@ -290,21 +244,28 @@ func (pl *placer) flushLine(lane int, d int64) {
 	pl.flushAt[lane] = b - lane*pl.parts + 1
 }
 
-// dest returns the destination of lane's next line, queueing the other
-// lanes' log entries it reads on the way; false if the log ended first.
+// tuple returns lane's next input tuple, its partition and its words (the
+// key is the first word's low half), and moves the lane's cursor to the
+// lane's tuple after it.
 //
 //fpgavet:hotpath
-func (pl *placer) dest(lane int) (int64, bool) {
-	if q := &pl.queue[lane]; q.head < len(q.buf) {
-		return q.pop(), true
-	}
-	for {
-		e, ok := pl.entry()
-		if !ok || int(e&7) == lane {
-			return int64(e >> 3), ok
+func (pl *placer) tuple(lane int) (uint32, []uint64) {
+	j := pl.pos[lane]
+	pl.pos[lane] += int64(pl.lanes)
+	words := pl.one[:]
+	switch {
+	case pl.rel == nil:
+		for j-pl.rleAt[lane] >= int64(pl.runs[pl.rleRun[lane]].Length) {
+			pl.rleAt[lane] += int64(pl.runs[pl.rleRun[lane]].Length)
+			pl.rleRun[lane]++
 		}
-		pl.queue[e&7].push(int64(e >> 3))
+		pl.one[0] = uint64(j)<<32 | uint64(pl.runs[pl.rleRun[lane]].Value)
+	case pl.vrid:
+		pl.one[0] = uint64(j)<<32 | uint64(pl.rel.Keys[j])
+	default:
+		words = pl.rel.Data[int(j)*pl.wpt : int(j+1)*pl.wpt]
 	}
+	return hashutil.PartitionIndex32(uint32(words[0]), pl.radix, pl.hash), words
 }
 
 // entry returns the next log entry; false once the log has ended.
@@ -333,27 +294,4 @@ func (pl *placer) next() bool {
 	pl.cur, pl.at = <-pl.full, 0
 	pl.ended = pl.cur == nil
 	return !pl.ended
-}
-
-// laneQueue is a FIFO of destinations. It grows by appending to a slice the
-// circuit keeps across runs, and slides its live entries down instead of
-// growing once half of it is consumed.
-type laneQueue struct {
-	buf  []int64
-	head int
-}
-
-func (q *laneQueue) push(d int64) {
-	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
-		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
-	}
-	q.buf = append(q.buf, d)
-}
-
-func (q *laneQueue) pop() int64 {
-	d := q.buf[q.head]
-	if q.head++; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return d
 }

@@ -183,3 +183,80 @@ func TestPlacementStopsOnCycleLoopPanic(t *testing.T) {
 		t.Fatal("after a cycle-loop panic the circuit's output differs from a fresh circuit's")
 	}
 }
+
+// TestPlacementFollowsHandWrittenLogs places store logs, written by hand as
+// (destination word, lane) entries, over small VRID relations on a placer
+// reset as a run resets it. Tuple j's key is 4j plus its partition; want
+// lists the output line by line as the tuples in each slot, and a slot
+// past a line's list holds a dummy key, as does a -1.
+func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		single bool // the no-write-combiner ablation
+		n      int
+		part   func(j int) int
+		log    [][2]int64
+		want   [][]int
+	}{{
+		// Lane 0's entry takes the lane's tuples, every eighth, until one
+		// of its bank lines fills; the log ending there (a PAD overflow)
+		// leaves the next line dummies.
+		name: "fill_and_emit", n: 64, part: func(int) int { return 2 },
+		log:  [][2]int64{{0, 0}},
+		want: [][]int{{0, 8, 16, 24, 32, 40, 48, 56}, {}},
+	}, {
+		// An entry of a lane whose input is used up is its next partial
+		// bank line, and the dummy fill pads it.
+		name: "flush_pads_with_dummies", n: 1, part: func(int) int { return 3 },
+		log:  [][2]int64{{0, 0}},
+		want: [][]int{{0}},
+	}, {
+		// Every lane holds eight tuples of partition 1, then one of 3 and
+		// one of 2. Lane 1's full line is logged before lane 0's, lane 1's
+		// first flush line follows lane 0's last full line, and a lane's
+		// flush lines come in address order, not input order.
+		name: "lanes_out_of_step", n: 80,
+		part: func(j int) int {
+			if j < 64 {
+				return 1
+			}
+			return 3 - j/8%2
+		},
+		log:  [][2]int64{{0, 1}, {8, 0}, {16, 1}, {24, 0}, {32, 0}, {40, 1}},
+		want: [][]int{{1, 9, 17, 25, 33, 41, 49, 57}, {0, 8, 16, 24, 32, 40, 48, 56}, {73}, {72}, {64}, {65}},
+	}, {
+		// An entry is a tuple's slot, and it takes its lane's next tuple.
+		name: "without_write_combiner", single: true, n: 16, part: func(j int) int { return j % 4 },
+		log:  [][2]int64{{5, 1}, {0, 0}, {6, 1}, {1, 0}, {8, 7}},
+		want: [][]int{{0, 8, -1, -1, -1, 1, 9}, {7}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NumPartitions: 4, Layout: VRID, Format: PAD, DisableWriteCombiner: tc.single}.WithDefaults()
+			keys := make([]uint32, tc.n)
+			for j := range keys {
+				keys[j] = uint32(4*j + tc.part(j))
+			}
+			rel := &workload.Relation{Layout: workload.ColumnLayout, Width: 8, NumTuples: tc.n, Keys: keys}
+			r := &run{cfg: cfg, rel: rel, total: int64(tc.n), lanes: cfg.Lanes(), wpt: 1, radix: cfg.RadixBits()}
+			var pl placer
+			pl.reset(r, make([]uint8, r.lanes*cfg.NumPartitions))
+			pl.words = int64(8 * len(tc.want))
+			for _, e := range tc.log {
+				pl.record(e[0], uint8(e[1]))
+			}
+			lines := pl.end(true)
+			for i, w := range lines {
+				want, j := dummyWord, -1
+				if slots := tc.want[i/8]; i%8 < len(slots) {
+					j = slots[i%8]
+				}
+				if j >= 0 {
+					want = uint64(j)<<32 | uint64(keys[j])
+				}
+				if w != want {
+					t.Errorf("word %d = %#x, want %#x (tuple %d)", i, w, want, j)
+				}
+			}
+		})
+	}
+}
