@@ -16,6 +16,9 @@
 #   make loc      — non-test Go lines per top-level directory (internal/ by
 #                   package) and their total, the figures ROADMAP's line
 #                   targets count
+#   make pairs REF=<rev> [W=circuit_steady] [N=10] [S=14]
+#                 — the host benchmark at REF against the working tree, in
+#                   alternating pairs: medians, quartiles and wins per side
 #
 # The race target covers every package. Its longest are fpgapart/internal/core
 # (the 8M-tuple calibration runs: 126 s under -race on a 2-core box, 6–7 s
@@ -24,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 build vet lint lint-json test race portable bench bench-gate trace-demo fuzz loc
+.PHONY: verify tier1 build vet lint lint-json test race portable bench bench-gate trace-demo fuzz loc pairs
 
 verify: build vet lint test race portable
 
@@ -124,3 +127,14 @@ fuzz:
 		pkg=$${t%%:*}; target=$${t##*:}; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+
+# pairs builds ./benchmark at REF (in a temporary git worktree) and in the
+# working tree and runs the two N times each on workload W for S seconds,
+# alternating which goes first; it prints every end-to-end metric's median
+# and quartiles per side and how many pairs each side won (bench/pairs.sh).
+W ?= circuit_steady
+N ?= 10
+S ?= 14
+pairs:
+	@test -n "$(REF)" || { echo "usage: make pairs REF=<rev> [W=circuit_steady] [N=10] [S=14]" >&2; exit 2; }
+	sh bench/pairs.sh $(REF) $(W) $(N) $(S)

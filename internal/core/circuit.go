@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fpgapart/internal/fpga"
-	"fpgapart/internal/hashutil"
 	"fpgapart/internal/memsys"
 	"fpgapart/internal/qpi"
 	"fpgapart/internal/simtrace"
@@ -16,20 +15,6 @@ import (
 // hashPipelineDepth is the latency of the hash function module in clock
 // cycles: murmur hashing takes 5 pipeline stages (Code 3), 10 ns at 200 MHz.
 const hashPipelineDepth = 5
-
-// tup is one tuple in flight through the circuit: its resolved partition
-// index from the hash module onward. Its words never enter the cycle loop;
-// the placement side (placer) moves them.
-type tup struct {
-	part uint32
-}
-
-// group is one internal cycle's worth of tuples: the lanes of a cache line
-// moving through the (lockstep) hash pipelines.
-type group struct {
-	t [8]tup
-	n int
-}
 
 // outLine is an assembled cache line traveling from a write combiner to the
 // write-back module (in the no-write-combiner ablation, one raw tuple): the
@@ -55,8 +40,9 @@ type Circuit struct {
 	// page table are built once and reset by every run. Only state whose
 	// size depends on neither fan-out nor input is kept here; the BRAM
 	// contents and the destination bookkeeping are the run's (see newRun).
-	pipe   *fpga.Reg[group]
-	fifo1  []*fpga.FIFO[tup]
+	// The hash pipelines carry lane groups as their tuple counts: what each
+	// tuple does was decided before the clock started (prepass).
+	pipe   *fpga.Reg[int]
 	comb   []*combiner
 	final  *fpga.FIFO[outLine]
 	ep     *qpi.Endpoint
@@ -81,11 +67,9 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 	}
 	c := &Circuit{cfg: cfg, clockHz: clockHz, ep: ep}
 	lanes := cfg.Lanes()
-	c.pipe = fpga.NewReg[group](hashPipelineDepth)
-	c.fifo1 = make([]*fpga.FIFO[tup], lanes)
+	c.pipe = fpga.NewReg[int](hashPipelineDepth)
 	c.comb = make([]*combiner, lanes)
-	for i := range c.fifo1 {
-		c.fifo1[i] = fpga.NewFIFO[tup](cfg.Stage1FIFODepth)
+	for i := range c.comb {
 		c.comb[i] = newCombiner(cfg, lanes)
 	}
 	c.final = fpga.NewFIFO[outLine](8)
@@ -121,10 +105,11 @@ func (c *Circuit) partition(rel *workload.Relation, comp *rleFeed) (*Output, *St
 	if lines := c.pl.end(err == nil); err == nil {
 		r.out.Lines = lines
 	}
-	// The BRAM contents die with the run: between runs a circuit holds
-	// nothing whose size follows the fan-out (4.5 MB per circuit at 8192).
+	r.stats.PageTranslations += c.pl.translations
+	// The BRAM contents and the flags die with the run: between runs a
+	// circuit holds nothing whose size follows the fan-out or the input.
 	for _, cb := range c.comb {
-		cb.fill = nil
+		cb.reset(nil, nil, source{}, 0, 1)
 	}
 	c.pl.release()
 	r.stats.Elapsed = time.Duration(float64(r.stats.Cycles) / c.clockHz * float64(time.Second))
@@ -161,11 +146,14 @@ type run struct {
 	// next group; -1 means "not yet computed".
 	compPending int64
 
+	// What the pre-pass decided for every tuple: its flag byte.
+	flags []uint8
+
 	// The circuit's datapath, reset for this run: the hash pipelines
-	// (lockstep across lanes), the per-lane first-stage FIFOs and write
-	// combiners, and the write-back's final FIFO.
-	pipe  *fpga.Reg[group]
-	fifo1 []*fpga.FIFO[tup]
+	// (lockstep across lanes), the per-lane first-stage FIFOs (as the
+	// combiners' occupancy counters) and write combiners, and the
+	// write-back's final FIFO.
+	pipe  *fpga.Reg[int]
 	comb  []*combiner
 	final *fpga.FIFO[outLine]
 	rr    int // write-back round-robin cursor
@@ -173,6 +161,12 @@ type run struct {
 	// nothing costs nothing: tuples in the first-stage FIFOs and lines in the
 	// combiners' output FIFOs.
 	queued, lines int
+	// room is the first-stage occupancy up to which a lane still has room
+	// for every group in flight (Section 4.3); stage1Max its high water, and
+	// stage1Occ the traced run's occupancy gauge.
+	room      int
+	stage1Max int
+	stage1Occ *simtrace.Gauge
 
 	// Destination bookkeeping (the two BRAMs of Section 4.3).
 	capLines []int64
@@ -195,15 +189,16 @@ type run struct {
 
 // newRun resets the circuit for one execution and allocates what that
 // execution alone owns: everything whose size follows the fan-out or the
-// input — the fill-rate BRAM contents of the combiners and of the placement
-// side, and the destination bookkeeping, one slab each. The reset also
-// covers a previous run that aborted on PAD overflow with tuples in flight.
+// input — the combiners' fill-rate BRAM contents with the tuples' flags, and
+// the destination bookkeeping, one slab each. The reset also covers a
+// previous run that aborted on PAD overflow with tuples in flight.
 func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
 	cfg := &c.cfg
 	r := &run{
 		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: c.ep, stats: &Stats{},
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
-		radix: cfg.RadixBits(), pipe: c.pipe, fifo1: c.fifo1, comb: c.comb, final: c.final, pl: &c.pl,
+		radix: cfg.RadixBits(), pipe: c.pipe, comb: c.comb, final: c.final, pl: &c.pl,
+		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1,
 	}
 	if comp != nil {
 		r.total = comp.n
@@ -215,14 +210,16 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
 	p := cfg.NumPartitions
 	ints := make([]int64, 5*p)
 	r.capLines, r.used, r.counts, r.hist, r.base = ints[:p:p], ints[p:2*p:2*p], ints[2*p:3*p:3*p], ints[3*p:4*p:4*p], ints[4*p:]
-	fills := make([]uint8, 2*r.lanes*p)
+	bram := make([]uint8, r.lanes*p+int(r.total))
+	fill := bram[: r.lanes*p : r.lanes*p]
+	r.flags = bram[r.lanes*p:]
 	r.pipe.Reset()
 	r.final.Reset()
+	src := r.newSource()
 	for i, cb := range r.comb {
-		r.fifo1[i].Reset()
-		cb.reset(fills[i*p : (i+1)*p : (i+1)*p])
+		cb.reset(fill[i*p:(i+1)*p:(i+1)*p], r.flags, src, int64(i), int64(r.lanes))
 	}
-	r.pl.reset(r, fills[r.lanes*p:])
+	r.pl.reset(r, fill)
 	if cfg.Trace != nil {
 		r.pr = newProbe(cfg.Trace, r)
 	} else {
@@ -235,17 +232,21 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
 // instrument attaches the occupancy gauges of a traced run to the circuit's
 // FIFOs; an untraced run detaches whatever a traced one before it left.
 func (r *run) instrument(fifo1, final, combOut *simtrace.Gauge) {
-	for i, f := range r.fifo1 {
-		f.Instrument(fifo1)
-		r.comb[i].out.Instrument(combOut)
+	r.stage1Occ = fifo1
+	for _, cb := range r.comb {
+		cb.out.Instrument(combOut)
 	}
 	r.final.Instrument(final)
 }
 
-// execute runs the configured passes.
+// execute runs the pre-pass and the configured passes. The output is laid
+// out first, so that a placement goroutine allocates and dummy-fills it
+// while the pre-pass (PAD) or the histogram pass (HIST) runs: HIST sizes it
+// by the pre-pass's histogram, which the histogram pass only clocks.
 func (r *run) execute() error {
-	if r.cfg.Format == HIST {
-		r.histogramPass()
+	hist := r.cfg.Format == HIST
+	if hist {
+		r.prepass()
 		r.prefixSum()
 	} else {
 		r.padBases()
@@ -254,6 +255,11 @@ func (r *run) execute() error {
 		return err
 	}
 	r.pl.start(r.total)
+	if hist {
+		r.histogramPass()
+	} else {
+		r.prepass()
+	}
 	if err := r.partitionPass(); err != nil {
 		return err
 	}
@@ -294,7 +300,9 @@ func (r *run) inputReadFrac() float64 {
 }
 
 // histogramPass streams the relation through the hash pipelines once,
-// counting tuples per partition. No data is written back (Section 4.5).
+// counting tuples per partition. No data is written back (Section 4.5). The
+// counts are the pre-pass's; the pass clocks the link, the decompressor and
+// the pipelines' drain.
 //
 //fpgavet:hotpath
 func (r *run) histogramPass() {
@@ -303,12 +311,9 @@ func (r *run) histogramPass() {
 	r.next = 0
 	for {
 		r.ep.Tick()
-		out, outOK := r.pipe.Shift(r.nextGroup(r.pipe.In(), false))
-		if outOK {
-			for i := 0; i < out.n; i++ {
-				r.hist[out.t[i].part]++
-			}
-		}
+		n := r.nextGroup(false)
+		*r.pipe.In() = n
+		r.pipe.Shift(n > 0)
 		r.stats.Cycles++
 		if r.pr != nil {
 			r.pr.maybeSample(r)
@@ -318,6 +323,9 @@ func (r *run) histogramPass() {
 		}
 	}
 	r.stats.HistogramCycles = r.stats.Cycles - start
+	// The prefix sum's scan follows the pass: one cycle per partition.
+	r.stats.PrefixSumCycles = int64(r.cfg.NumPartitions)
+	r.stats.Cycles += r.stats.PrefixSumCycles
 	r.next = 0
 	if r.comp != nil {
 		// Rewind the decompressor for the second pass.
@@ -329,7 +337,8 @@ func (r *run) histogramPass() {
 // prefixSum turns the histogram into line-aligned partition base addresses.
 // Each partition's region is its exact line count plus one potential partial
 // line per write combiner (the flush can leave up to lanes partially filled
-// lines per partition). The scan costs one cycle per partition on the FPGA.
+// lines per partition). The scan costs one cycle per partition on the FPGA,
+// which histogramPass counts.
 func (r *run) prefixSum() {
 	slack := int64(r.lanes - 1)
 	if r.cfg.DisableWriteCombiner {
@@ -342,8 +351,6 @@ func (r *run) prefixSum() {
 			r.capLines[p] = 0
 		}
 	}
-	r.stats.PrefixSumCycles = int64(r.cfg.NumPartitions)
-	r.stats.Cycles += int64(r.cfg.NumPartitions)
 }
 
 // padBases preassigns every partition the fixed padded size of PAD mode.
@@ -418,42 +425,38 @@ func (r *run) allocate() error {
 	if err := r.ptable.Populate(r.region); err != nil {
 		return fmt.Errorf("core: FPGA page table: %w", err)
 	}
+	r.pl.region, r.pl.ptable, r.pl.outOff = r.region, r.ptable, r.outOff
 	return nil
 }
 
 // translate models the pipelined FPGA page-table lookup for one cache-line
 // access at byte offset off in the run's virtual space.
 func (r *run) translate(off int64) {
-	if r.ptable == nil { // the histogram pass runs before allocate
-		return
-	}
 	if _, err := r.ptable.Translate(off); err == nil {
 		r.stats.PageTranslations++
 	}
 }
 
-// nextGroup feeds the hash pipelines: it fills g, the pipeline's input
-// register, with the next lane group and reports true if the input stage may
-// issue this cycle; otherwise g is left alone and enters as a bubble. When
-// feed is true the back-pressure rule of Section 4.3 applies — a new cache
-// line is requested only if every first-stage FIFO has room for all groups
-// in flight.
+// nextGroup feeds the hash pipelines: it returns the size of the lane group
+// the input stage issues this cycle, 0 for a bubble. When feed is true the
+// back-pressure rule of Section 4.3 applies — a new cache line is requested
+// only if every first-stage FIFO has room for all groups in flight.
 //
 //fpgavet:hotpath
-func (r *run) nextGroup(g *group, feed bool) bool {
+func (r *run) nextGroup(feed bool) int {
 	if r.next >= r.total {
-		return false
+		return 0
 	}
-	if feed && r.queued > 0 { // empty FIFOs have room: Validate holds depth ≥ 8
-		for _, f := range r.fifo1 {
-			if f.Free() < hashPipelineDepth+1 {
+	if feed && r.queued > r.room { // no lane holds more than all of them
+		for _, cb := range r.comb {
+			if cb.queued > r.room {
 				r.stats.StallsBackpressure++
-				return false
+				return 0
 			}
 		}
 	}
 	if r.comp != nil {
-		return r.nextCompressedGroup(g)
+		return r.nextCompressedGroup()
 	}
 	needLine := true
 	if r.cfg.Layout == VRID {
@@ -463,30 +466,18 @@ func (r *run) nextGroup(g *group, feed bool) bool {
 	if needLine {
 		if !r.ep.CanRead() {
 			r.stats.StallsBackpressure++
-			return false
+			return 0
 		}
 		r.ep.Read()
 		r.stats.LinesRead++
-		r.translate(r.inputLineOffset())
-	}
-	n := int(r.total - r.next)
-	if n > r.lanes {
-		n = r.lanes
-	}
-	for i := 0; i < n; i++ {
-		idx := r.next + int64(i)
-		var key uint32
-		if r.cfg.Layout == VRID {
-			key = r.rel.Keys[idx]
-		} else {
-			key = uint32(r.rel.Data[int(idx)*r.wpt])
+		if feed { // the histogram pass's reads are not counted as translated
+			r.translate(r.inputLineOffset())
 		}
-		g.t[i].part = hashutil.PartitionIndex32(key, r.radix, r.cfg.Hash)
 	}
-	g.n = n
+	n := int(min(r.total-r.next, int64(r.lanes)))
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
-	return true
+	return n
 }
 
 // inputLineOffset returns the byte offset of the cache line about to be read.
@@ -519,23 +510,26 @@ func (r *run) partitionPass() error {
 		if r.queued > 0 {
 			// A stalled combiner (DisableForwarding) holds its tuple at the
 			// front of its FIFO, so a non-empty FIFO covers it.
-			for i, in := range r.fifo1 {
-				if !in.Empty() {
-					took, emitted := r.comb[i].step(in, r.stats, &r.cfg, r.stats.Cycles)
+			for _, cb := range r.comb {
+				if cb.queued > 0 {
+					took, emitted := cb.step(&r.cfg, r.stats.Cycles)
 					r.queued -= took
 					r.lines += emitted
 				}
 			}
 		}
-		ok := r.nextGroup(r.pipe.In(), true)
-		if !ok {
+		n := r.nextGroup(true)
+		if n == 0 {
 			r.stats.HashPipelineBubbles++
 		}
-		if out, outOK := r.pipe.Shift(ok); outOK {
-			for i := 0; i < out.n; i++ {
-				*r.fifo1[i].Push() = out.t[i]
+		*r.pipe.In() = n
+		if out, outOK := r.pipe.Shift(n > 0); outOK {
+			for _, cb := range r.comb[:*out] {
+				cb.queued++
+				r.stage1Max = max(r.stage1Max, cb.queued)
+				r.stage1Occ.Observe(int64(cb.queued))
 			}
-			r.queued += out.n
+			r.queued += *out
 		}
 		r.stats.Cycles++
 		if r.pr != nil {
@@ -547,9 +541,8 @@ func (r *run) partitionPass() error {
 			break
 		}
 	}
-	for _, f := range r.fifo1 {
-		r.stats.MaxStage1FIFO = max(r.stats.MaxStage1FIFO, f.HighWater)
-	}
+	r.stats.MaxStage1FIFO = max(r.stats.MaxStage1FIFO, r.stage1Max)
+	r.fold()
 	if err != nil {
 		return err
 	}
@@ -573,18 +566,19 @@ func (r *run) flushPass() error {
 	// write, a cycle then moves nothing but the token buckets, the cycle
 	// count and the trace window, so only those run.
 	scansDone, stalled := false, false
+	var err error
 	for {
 		r.ep.Tick()
 		if !stalled || r.ep.CanWrite() {
 			if r.lines > 0 || !r.final.Empty() {
-				if err := r.writeBack(); err != nil {
-					return err
+				if err = r.writeBack(); err != nil {
+					break
 				}
 			}
 			scansDone, stalled = true, !r.final.CanPush()
 			for _, cb := range r.comb {
 				if cb.canFlush() {
-					r.lines += cb.flushStep(r.stats)
+					r.lines += cb.flushStep()
 					stalled = stalled && !cb.canFlush()
 				}
 				scansDone = scansDone && cb.flushAddr >= cb.parts
@@ -598,8 +592,20 @@ func (r *run) flushPass() error {
 			break
 		}
 	}
+	r.fold()
+	if err != nil {
+		return err
+	}
 	r.stats.FlushCycles = r.stats.Cycles - start
 	return nil
+}
+
+// fold adds the combiners' port and hazard counters to the run's Stats, as
+// every pass that clocks the combiners ends.
+func (r *run) fold() {
+	for _, cb := range r.comb {
+		cb.fold(r.stats)
+	}
 }
 
 // writeBack models the write-back module (Section 4.3): drain the final FIFO
@@ -648,7 +654,8 @@ func (r *run) writeBack() error {
 
 // store commits one line (or one tuple, in the ablation) to the output
 // buffer, updating the offset and count BRAMs and checking PAD overflow. The
-// commit is an entry in the store log; the placement side moves the words.
+// commit is an entry in the store log; the placement side moves the words,
+// looks the output page up and marks the line FPGA-written.
 //
 //fpgavet:hotpath
 func (r *run) store(l *outLine) error {
@@ -669,7 +676,6 @@ func (r *run) store(l *outLine) error {
 		r.counts[p]++
 		r.stats.TuplesOut++
 		r.stats.LinesWritten++
-		r.markWritten(dst * 8)
 		return nil
 	}
 	if r.used[p] >= r.capLines[p] {
@@ -682,8 +688,6 @@ func (r *run) store(l *outLine) error {
 	r.stats.TuplesOut += int64(l.valid)
 	r.stats.Dummies += int64(r.tpl) - int64(l.valid)
 	r.stats.LinesWritten++
-	r.markWritten(dst * 8)
-	r.translate(r.outOff + dst*8)
 	return nil
 }
 
@@ -691,11 +695,4 @@ func (r *run) overflow() error {
 	r.stats.Overflowed = true
 	r.stats.OverflowAtTuple = r.stats.TuplesIn
 	return ErrPartitionOverflow
-}
-
-// markWritten records the FPGA as last writer of the output line, the snoop
-// filter state that later penalizes the CPU's build+probe (Section 2.2).
-func (r *run) markWritten(byteOff int64) {
-	// store bounds the line against capLines, so it lies inside the region.
-	_ = r.region.MarkWritten(platform.FPGASocket, r.outOff+byteOff, 64)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fpgapart/codec"
-	"fpgapart/internal/hashutil"
 )
 
 // PartitionCompressed runs the circuit over an RLE-compressed key column in
@@ -30,7 +29,8 @@ func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, *Stats, er
 // nextCompressedGroup is nextGroup's decompressor path: fetch whatever
 // compressed lines the next lane group needs (possibly over several cycles
 // under read back-pressure), then expand up to one group of keys per cycle.
-func (r *run) nextCompressedGroup(g *group) bool {
+// It returns the group's size, 0 for a bubble.
+func (r *run) nextCompressedGroup() int {
 	if r.compPending < 0 {
 		r.compPending = r.comp.pendingLines(r.lanes)
 	}
@@ -41,21 +41,16 @@ func (r *run) nextCompressedGroup(g *group) bool {
 	}
 	if r.compPending > 0 {
 		r.stats.StallsBackpressure++
-		return false
+		return 0
 	}
-	var keys [8]uint32
-	n := r.comp.emit(r.lanes, keys[:])
+	n := r.comp.emit(r.lanes)
 	if n == 0 {
-		return false
+		return 0
 	}
-	for i := 0; i < n; i++ {
-		g.t[i].part = hashutil.PartitionIndex32(keys[i], r.radix, r.cfg.Hash)
-	}
-	g.n = n
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
 	r.compPending = -1
-	return true
+	return n
 }
 
 // rleFeed is the decompressor model: it tracks which compressed cache line
@@ -118,15 +113,15 @@ func (f *rleFeed) pendingLines(lanes int) int64 {
 	return endLine - f.lastLine
 }
 
-// emit produces up to lanes keys, advancing the cursor, and records the
+// emit expands up to lanes keys, advancing the cursor, and records the
 // compressed lines covered by the emitted keys as fetched (matching what
-// pendingLines charged for this group).
-func (f *rleFeed) emit(lanes int, out []uint32) int {
+// pendingLines charged for this group). The keys themselves are the
+// pre-pass's.
+func (f *rleFeed) emit(lanes int) int {
 	n := 0
 	lastRun := -1
 	for n < lanes && f.run < len(f.col.Runs) {
 		r := f.col.Runs[f.run]
-		out[n] = r.Value
 		lastRun = f.run
 		n++
 		f.usedInRun++

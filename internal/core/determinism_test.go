@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"fpgapart/internal/fpga"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -133,14 +132,12 @@ func TestStallAccountingConsistency(t *testing.T) {
 func TestCombinerUnitFillAndEmit(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID}.WithDefaults()
 	cb := newTestCombiner(cfg, 8)
-	in := newTestFIFO(cfg)
-	stats := &Stats{}
 	// Seven tuples to partition 2: no line yet.
 	for i := 0; i < 7; i++ {
-		*in.Push() = tup{part: 2}
+		push(cb, 2)
 	}
 	for i := 0; i < 7; i++ {
-		cb.step(in, stats, &cfg, int64(i))
+		cb.step(&cfg, int64(i))
 	}
 	if !cb.out.Empty() {
 		t.Fatal("line emitted before eight tuples arrived")
@@ -149,8 +146,8 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 		t.Fatalf("fill[2] = %d, want 7", cb.fill[2])
 	}
 	// Eighth completes the line.
-	*in.Push() = tup{part: 2}
-	cb.step(in, stats, &cfg, 7)
+	push(cb, 2)
+	cb.step(&cfg, 7)
 	if cb.out.Len() != 1 {
 		t.Fatal("no line after eighth tuple")
 	}
@@ -168,10 +165,9 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID}.WithDefaults()
 	cb := newTestCombiner(cfg, 8)
-	in := newTestFIFO(cfg)
 	stats := &Stats{}
-	*in.Push() = tup{part: 3}
-	cb.step(in, stats, &cfg, 0)
+	push(cb, 3)
+	cb.step(&cfg, 0)
 	// Scan all four addresses.
 	for !flushStepDone(cb, stats) {
 	}
@@ -194,47 +190,62 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 	cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID, OutFIFODepth: 2}.WithDefaults()
 	cb := newTestCombiner(cfg, 1) // 64-byte tuples, 1 bank: every tuple emits a line
-	in := newTestFIFO(cfg)
-	stats := &Stats{}
 	for i := 0; i < 4; i++ {
-		*in.Push() = tup{part: 1}
+		push(cb, 1)
 	}
 	for i := 0; i < 10; i++ {
-		cb.step(in, stats, &cfg, int64(i))
+		cb.step(&cfg, int64(i))
 	}
 	if cb.out.Len() != 2 {
 		t.Fatalf("out FIFO holds %d lines, want its capacity 2", cb.out.Len())
 	}
-	if in.Len() != 2 {
-		t.Fatalf("input FIFO drained to %d under back-pressure, want 2 held", in.Len())
+	if cb.queued != 2 {
+		t.Fatalf("input FIFO drained to %d under back-pressure, want 2 held", cb.queued)
 	}
 }
 
-// newTestCombiner is a combiner reset as a run would, with a BRAM of its own.
+// newTestCombiner is a combiner reset as a run would, with a BRAM of its own
+// and a one-lane input that push extends.
 func newTestCombiner(cfg Config, banks int) *combiner {
 	cb := newCombiner(cfg, banks)
-	cb.reset(make([]uint8, cfg.NumPartitions))
+	resetTestCombiner(cb, cfg)
 	return cb
 }
 
+// resetTestCombiner resets cb as a run would, onto a BRAM and an empty
+// one-lane input of its own.
+func resetTestCombiner(cb *combiner, cfg Config) {
+	cb.reset(make([]uint8, cfg.NumPartitions), nil, source{rel: &workload.Relation{Layout: workload.ColumnLayout}}, 0, 1)
+}
+
+// push is a tuple of partition part arriving in cb's first-stage FIFO, with
+// the flag the pre-pass's walk gives it. Its key is its partition, so a
+// radix circuit's combiner finds the partition again when the tuple ends a
+// line.
+func push(cb *combiner, part uint32) {
+	cb.src.rel.Keys = append(cb.src.rel.Keys, part)
+	cb.flags = append(cb.flags, 0)
+	cb.walk([]uint32{part}, cb.flags[len(cb.flags)-1:], 1)
+	cb.queued++
+}
+
 // flushStepDone clocks cb's flush scan one cycle as flushPass does — a scan
-// that is done or parked behind its full output FIFO is not called — and
-// reports whether the scan has finished.
+// that is done or parked behind its full output FIFO is not called — folds
+// its counters into st and reports whether the scan has finished.
 func flushStepDone(cb *combiner, st *Stats) bool {
 	if cb.canFlush() {
-		cb.flushStep(st)
+		cb.flushStep()
 	}
+	cb.fold(st)
 	return cb.flushAddr >= cb.parts
 }
 
-// stepAt clocks cb through cycle now as partitionPass does: a combiner whose
-// input FIFO is empty is not called.
-func stepAt(cb *combiner, in *fpga.FIFO[tup], st *Stats, cfg *Config, now int64) {
-	if !in.Empty() {
-		cb.step(in, st, cfg, now)
+// stepAt clocks cb through cycle now as partitionPass does — a combiner
+// whose first-stage FIFO is empty is not called — and folds its counters
+// into st.
+func stepAt(cb *combiner, st *Stats, cfg *Config, now int64) {
+	if cb.queued > 0 {
+		cb.step(cfg, now)
 	}
-}
-
-func newTestFIFO(cfg Config) *fpga.FIFO[tup] {
-	return fpga.NewFIFO[tup](cfg.Stage1FIFODepth)
+	cb.fold(st)
 }

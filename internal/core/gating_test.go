@@ -11,11 +11,14 @@ import (
 	"fpgapart/workload"
 )
 
-// refCombiner is the reference for the stamped hazard window: the write
-// combiner's control path with the forwarding registers as two clocked delay
-// stages, shifted in every cycle whether or not a tuple was accepted — what
-// combiner.step did before the stamps. Only the datapath that the counters
-// and FIFO lengths depend on is kept (fill rates, no bank contents).
+// refCombiner is the reference for the stamped hazard window and the
+// pre-pass flags: the write combiner's control path with the forwarding
+// registers as two clocked delay stages, shifted in every cycle whether or
+// not a tuple was accepted, and the fill-rate BRAM read and written by the
+// accepted tuple itself — what combiner.step did before the stamps and the
+// pre-pass. Its first-stage FIFO holds partitions. Only the datapath that
+// the counters and FIFO lengths depend on is kept (fill rates, no bank
+// contents).
 type refCombiner struct {
 	banks     int
 	fill      []uint8
@@ -32,7 +35,7 @@ func (cb *refCombiner) shiftHazard(h uint32, valid bool) {
 }
 
 // step is one clock cycle, called every cycle.
-func (cb *refCombiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
+func (cb *refCombiner) step(in *fpga.FIFO[uint32], st *Stats, cfg *Config) {
 	if cb.stall > 0 {
 		cb.stall--
 		st.StallsHazard++
@@ -43,7 +46,7 @@ func (cb *refCombiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 		cb.shiftHazard(0, false)
 		return
 	}
-	h := in.Front().part
+	h := *in.Front()
 	hazard := (cb.lastValid[0] && h == cb.last[0]) || (cb.lastValid[1] && h == cb.last[1])
 	if hazard && cfg.DisableForwarding && !cb.served {
 		cb.stall = 2
@@ -75,8 +78,10 @@ func (cb *refCombiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 // arrives, the output FIFO is full}, forwarding on and off, plus a tail that
 // lets the last stall run out. After every cycle — so every shorter pattern
 // is covered as a prefix — the hazard, stall and BRAM counters and both FIFO
-// lengths must agree. The combiner is clocked as partitionPass clocks it:
-// not at all in a cycle in which its input FIFO is empty.
+// lengths must agree. The combiner is fed as a run feeds it: each arriving
+// tuple brings the flag byte the pre-pass's walk gave it, and the FIFO is
+// the occupancy counter. It is clocked as partitionPass clocks it: not at
+// all in a cycle in which its first-stage FIFO is empty.
 func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 	const patternLen, symbols = 8, 4
 	for _, noForwarding := range []bool{false, true} {
@@ -87,9 +92,9 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 		for pattern := 0; pattern < 1<<(2*patternLen); pattern++ {
 			// The run starts at cycle 0 with partition 0 first in half the
 			// patterns: the reset stamps must not look like a recent accept.
-			cb, in, st := newTestCombiner(cfg, 2), newTestFIFO(cfg), &Stats{}
+			cb, st := newTestCombiner(cfg, 2), &Stats{}
 			ref := &refCombiner{banks: 2, fill: make([]uint8, 2), out: fpga.NewFIFO[outLine](cfg.OutFIFODepth)}
-			refIn, refSt := newTestFIFO(cfg), &Stats{}
+			refIn, refSt := fpga.NewFIFO[uint32](cfg.Stage1FIFODepth), &Stats{}
 			for cycle := 0; cycle < patternLen+tail; cycle++ {
 				sym := symbols - 2 // the tail: nothing arrives, the output drains
 				if cycle < patternLen {
@@ -107,18 +112,18 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 					}
 				}
 				if sym < 2 {
-					in.Push().part = uint32(sym)
-					refIn.Push().part = uint32(sym)
+					push(cb, uint32(sym))
+					*refIn.Push() = uint32(sym)
 				}
-				stepAt(cb, in, st, &cfg, int64(cycle))
+				stepAt(cb, st, &cfg, int64(cycle))
 				ref.step(refIn, refSt, &cfg)
-				if *st != *refSt || in.Len() != refIn.Len() || cb.out.Len() != ref.out.Len() {
+				if *st != *refSt || cb.queued != refIn.Len() || cb.out.Len() != ref.out.Len() {
 					t.Fatalf("forwarding off=%v, pattern %#x, cycle %d: stamped window diverges from the shifted registers\n stamped: %+v in=%d out=%d\n shifted: %+v in=%d out=%d",
-						noForwarding, pattern, cycle, *st, in.Len(), cb.out.Len(), *refSt, refIn.Len(), ref.out.Len())
+						noForwarding, pattern, cycle, *st, cb.queued, cb.out.Len(), *refSt, refIn.Len(), ref.out.Len())
 				}
 			}
-			if in.Len() != 0 {
-				t.Fatalf("forwarding off=%v, pattern %#x: %d tuples left after the tail", noForwarding, pattern, in.Len())
+			if cb.queued != 0 {
+				t.Fatalf("forwarding off=%v, pattern %#x: %d tuples left after the tail", noForwarding, pattern, cb.queued)
 			}
 		}
 	}
@@ -129,7 +134,11 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 // first cycle both occupancy counters are zero and every FIFO is empty
 // (whatever the aborted run left in flight), and after every cycle of all
 // three passes each counter equals the sum of the FIFO lengths it stands
-// for. The walk also holds the passes to one Stats.Cycles per loop iteration.
+// for. A first-stage FIFO is its lane's occupancy counter, so the walk
+// rebuilds its length from outside: the lane's tuples among those issued
+// five cycles ago, which have left the hash pipelines, minus those its
+// combiner took. The walk also holds the passes to one Stats.Cycles per
+// loop iteration.
 func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 	equal := func(t *testing.T) *workload.Relation {
 		t.Helper()
@@ -176,6 +185,7 @@ func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 				maxQ    int
 				maxL    int
 				started bool
+				issued  []int64 // TuplesIn after every cycle from the partition pass on
 			)
 			if lc.keys != nil {
 				comp = newRLEFeed(codec.CompressRLE(lc.keys()))
@@ -183,10 +193,24 @@ func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 				input = rel(t)
 			}
 			st, err := c.walk(input, comp, func(r *run) {
-				queued, lines := 0, 0
-				for i, f := range r.fifo1 {
-					queued += f.Len()
-					lines += r.comb[i].out.Len()
+				var delivered int64
+				if r.out != nil && (r.cfg.Format == PAD || r.stats.HistogramCycles > 0) { // the partition pass is on
+					issued = append(issued, r.stats.TuplesIn)
+					if k := len(issued) - 1 - hashPipelineDepth; k >= 0 {
+						delivered = issued[k]
+					}
+				}
+				queued, lines, lanes := 0, 0, int64(r.lanes)
+				for i, cb := range r.comb {
+					fifo := 0
+					if in := delivered - int64(i); in > 0 {
+						fifo = int((in+lanes-1)/lanes - (cb.next-int64(i))/lanes)
+					}
+					if fifo != cb.queued {
+						t.Fatalf("%s, %s, cycle %d: lane %d counts %d tuples queued, its FIFO holds %d", lc.name, what, r.stats.Cycles, i, cb.queued, fifo)
+					}
+					queued += fifo
+					lines += cb.out.Len()
 				}
 				if queued != r.queued || lines != r.lines {
 					t.Fatalf("%s, %s, cycle %d: counters say %d tuples queued and %d lines, the FIFOs hold %d and %d",

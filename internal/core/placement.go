@@ -1,8 +1,11 @@
 package core
 
 import (
-	"fpgapart/codec"
+	"slices"
+
 	"fpgapart/internal/hashutil"
+	"fpgapart/internal/memsys"
+	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
@@ -26,15 +29,17 @@ var placementHook func()
 // times. The store log drives it: each entry asks its lane for the lane's
 // next line. Tuple j travels in lane j mod lanes, as every lane group but
 // the last is full, so a lane gathers its own tuples in input order into
-// its (lane, partition) bank lines until one fills, exactly as its combiner
-// did; the write-back never reorders one lane, so that line is the entry's.
+// its (lane, partition) bank lines, each into the slot the pre-pass gave
+// it, until the pre-pass says one fills: the line its combiner emitted.
+// The write-back never reorders one lane, so that line is the entry's.
 // Once a lane's input is used up, its entries are the flush's partial lines
-// in address order. Output.Lines is a pure function of the input and the
-// log.
+// in address order, found in the combiners' end-of-pass fill image. Each
+// entry is also where the output page is looked up and the line marked
+// FPGA-written. Output.Lines is a pure function of the input and the log.
 type placer struct {
 	// The run's input and shape (words: len(Output.Lines), set by allocate).
 	rel          *workload.Relation
-	runs         []codec.Run // the decompressor's input, when rel is nil
+	data         []uint64 // rel.Data, bounded by its length
 	vrid, single bool
 	hash         bool
 	radix        uint
@@ -42,15 +47,27 @@ type placer struct {
 	parts        int
 	total, words int64
 
+	// The pre-pass's image, read-only while the passes run: every tuple's
+	// flag byte and the fill rate of (lane, partition) at lane*parts+p.
+	flags, image []uint8
+	// The destination bookkeeping, read once the log has ended: what the
+	// write-back committed to each partition's region.
+	base, capLines, used, counts []int64
+
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
-	fill  []uint8
 	lines []uint64
 
-	// Each lane's cursors: its next tuple, the RLE run holding it and that
-	// run's first tuple, and its flush scan address.
+	// The shared memory the lines go to (set by allocate), and the output
+	// page lookups that found their page.
+	region       *memsys.Region
+	ptable       *memsys.PageTable
+	outOff       int64
+	translations int64
+
+	// Each lane's cursors: its next tuple, its input (the RLE run holding
+	// the tuple) and its flush scan address.
 	pos     [8]int64
-	rleRun  [8]int
-	rleAt   [8]int64
+	src     [8]source
 	flushAt [8]int
 
 	// The log: the chunk the cycle loop writes and whether a goroutine
@@ -74,16 +91,18 @@ type placer struct {
 	one [1]uint64 // the <key, VRID> word being placed
 }
 
-// reset loads the run's input, shape and zeroed fill-rate slots; the log is
+// reset loads the run's input, shape, flags and fill image; the log is
 // inline until start says otherwise.
-func (pl *placer) reset(r *run, fill []uint8) {
-	pl.rel, pl.runs = r.rel, nil
-	if r.comp != nil {
-		pl.runs = r.comp.col.Runs
+func (pl *placer) reset(r *run, image []uint8) {
+	pl.rel, pl.data = r.rel, nil
+	if r.rel != nil {
+		pl.data = slices.Clip(r.rel.Data)
 	}
 	pl.vrid, pl.single, pl.hash, pl.radix = r.cfg.Layout == VRID, r.cfg.DisableWriteCombiner, r.cfg.Hash, r.radix
 	pl.lanes, pl.wpt, pl.parts = r.lanes, r.wpt, r.cfg.NumPartitions
-	pl.total, pl.fill, pl.cur, pl.at, pl.ended = r.total, fill, nil, 0, true
+	pl.total, pl.flags, pl.image, pl.translations = r.total, r.flags, image, 0
+	pl.base, pl.capLines, pl.used, pl.counts = r.base, r.capLines, r.used, r.counts
+	pl.cur, pl.at, pl.ended = nil, 0, true
 	// The log's first chunk stays with the circuit; it grows to what a run
 	// can log, up to a chunk: a line per tuple at most, or a full line per
 	// lane group plus a flush line per lane and partition.
@@ -95,14 +114,18 @@ func (pl *placer) reset(r *run, fill []uint8) {
 		pl.log = make([]uint64, 0, need)
 	}
 	pl.log = pl.log[:0]
+	src := r.newSource()
 	for l := range pl.pos {
-		pl.pos[l], pl.rleRun[l], pl.rleAt[l], pl.flushAt[l] = int64(l), 0, 0, 0
+		pl.pos[l], pl.src[l], pl.flushAt[l] = int64(l), src, 0
 	}
 }
 
-// release drops the run's input, banks and output.
+// release drops the run's input, image, banks, output and shared memory.
 func (pl *placer) release() {
-	pl.rel, pl.runs, pl.bank, pl.fill, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil
+	pl.rel, pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil, nil
+	pl.base, pl.capLines, pl.used, pl.counts = nil, nil, nil, nil
+	pl.region, pl.ptable = nil, nil
+	pl.src = [8]source{}
 }
 
 // start hands the log to a placement goroutine if the input's total tuples
@@ -149,14 +172,20 @@ func (pl *placer) record(dst int64, lane uint8) {
 }
 
 // end ends the log after the passes and returns Output.Lines if they
-// succeeded: an inline run places here (a failed one never), an async run
-// waits for its goroutine.
+// succeeded: an inline run places here (a failed one only commits its
+// lines), an async run waits for its goroutine.
 func (pl *placer) end(ok bool) []uint64 {
 	if pl.async {
 		pl.stop()
-	} else if ok {
+	} else {
 		pl.cur, pl.at = pl.log, 0
-		pl.run()
+		if ok {
+			pl.run()
+		} else {
+			for e, more := pl.entry(); more; e, more = pl.entry() {
+				pl.commit(int64(e >> 3))
+			}
+		}
 	}
 	if !ok {
 		return nil
@@ -181,21 +210,31 @@ func (pl *placer) stop() {
 	}
 }
 
-// run allocates the bank lines and the output, fills the output with dummy
-// keys (never-written slots — PAD headroom, a flushed line's unused slots —
-// read as dummies, like bitstream-initialized memory) and places the log.
+// run allocates the bank lines and the output, places the log and writes
+// dummy keys over every slot the log left alone: never-written slots — PAD
+// headroom, a flushed line's unused slots — read as dummies, like
+// bitstream-initialized memory. A flushed line gets its dummies as it is
+// placed, the rest of a partition's region once the log has ended.
 func (pl *placer) run() {
 	if !pl.single {
 		pl.bank = make([]uint64, pl.lanes*pl.parts*8)
 	}
 	pl.lines = make([]uint64, pl.words)
-	if len(pl.lines) > 0 {
-		pl.lines[0] = dummyWord
-		for n := 1; n < len(pl.lines); n *= 2 {
-			copy(pl.lines[n:], pl.lines[:n])
-		}
-	}
 	pl.place()
+	for p, base := range pl.base {
+		from := (base + pl.used[p]) * 8
+		if pl.single {
+			from = base*8 + pl.counts[p]*int64(pl.wpt)
+		}
+		fillDummies(pl.lines[from : (base+pl.capLines[p])*8])
+	}
+}
+
+// fillDummies writes a dummy-key tuple to every slot of s.
+func fillDummies(s []uint64) {
+	for i := range s {
+		s[i] = dummyWord
+	}
 }
 
 // place places the log, entry by entry; it stops where the log ends early
@@ -205,6 +244,7 @@ func (pl *placer) run() {
 func (pl *placer) place() {
 	for e, ok := pl.entry(); ok; e, ok = pl.entry() {
 		lane, d := int(e&7), int64(e>>3)
+		pl.commit(d)
 		if pl.single {
 			_, words := pl.tuple(lane)
 			copy(pl.lines[d:], words)
@@ -214,33 +254,52 @@ func (pl *placer) place() {
 	}
 }
 
-// line writes lane's next line to d: the tuples it gathers until one of its
-// bank lines fills or, once its input is used up, its next non-empty bank
-// line, which the dummy fill pads.
+// commit looks up the output page of the line at word d and marks the line
+// FPGA-written, the snoop filter state that later penalizes the CPU's
+// build+probe (Section 2.2). The ablation's tuple-granular writes mark
+// their line without a lookup. store bounded the line against its
+// partition's region, so both succeed.
+//
+//fpgavet:hotpath
+func (pl *placer) commit(d int64) {
+	off := pl.outOff + d&^7*8
+	_ = pl.region.MarkWritten(platform.FPGASocket, off, 64)
+	if pl.single {
+		return
+	}
+	if _, err := pl.ptable.Translate(off); err == nil {
+		pl.translations++
+	}
+}
+
+// line writes lane's next line to d: its tuples, each into the slot of its
+// (lane, partition) bank line that the pre-pass gave it, until the one
+// whose flag says the line is full or, once its input is used up, its next
+// non-empty bank line, which the dummy fill pads.
 //
 //fpgavet:hotpath
 func (pl *placer) line(lane int, d int64) {
 	for pl.pos[lane] < pl.total {
+		f := pl.flags[pl.pos[lane]]
 		part, words := pl.tuple(lane)
 		b := lane*pl.parts + int(part)
-		f := int(pl.fill[b])
 		bank := pl.bank[b*8 : b*8+8]
+		slot := int(f&flagSlot) * pl.wpt
 		for w, v := range words { // 1–8 words: cheaper than a memmove call
-			bank[f*pl.wpt+w] = v
+			bank[slot+w] = v
 		}
-		if f+1 < pl.lanes { // a line holds a tuple per lane
-			pl.fill[b] = uint8(f + 1)
-			continue
+		if f&flagDone != 0 {
+			*(*[8]uint64)(pl.lines[d:]) = [8]uint64(bank)
+			return
 		}
-		pl.fill[b] = 0
-		*(*[8]uint64)(pl.lines[d:]) = [8]uint64(bank)
-		return
 	}
 	b := lane*pl.parts + pl.flushAt[lane]
-	for pl.fill[b] == 0 {
+	for pl.image[b] == 0 {
 		b++
 	}
-	copy(pl.lines[d:d+int64(int(pl.fill[b])*pl.wpt)], pl.bank[b*8:])
+	line, n := pl.lines[d:d+8], int(pl.image[b])*pl.wpt
+	copy(line, pl.bank[b*8:b*8+n])
+	fillDummies(line[n:])
 	pl.flushAt[lane] = b - lane*pl.parts + 1
 }
 
@@ -253,17 +312,10 @@ func (pl *placer) tuple(lane int) (uint32, []uint64) {
 	j := pl.pos[lane]
 	pl.pos[lane] += int64(pl.lanes)
 	words := pl.one[:]
-	switch {
-	case pl.rel == nil:
-		for j-pl.rleAt[lane] >= int64(pl.runs[pl.rleRun[lane]].Length) {
-			pl.rleAt[lane] += int64(pl.runs[pl.rleRun[lane]].Length)
-			pl.rleRun[lane]++
-		}
-		pl.one[0] = uint64(j)<<32 | uint64(pl.runs[pl.rleRun[lane]].Value)
-	case pl.vrid:
-		pl.one[0] = uint64(j)<<32 | uint64(pl.rel.Keys[j])
-	default:
-		words = pl.rel.Data[int(j)*pl.wpt : int(j+1)*pl.wpt]
+	if pl.vrid {
+		pl.one[0] = uint64(j)<<32 | uint64(pl.src[lane].key(j))
+	} else {
+		words = pl.data[int(j)*pl.wpt : int(j+1)*pl.wpt]
 	}
 	return hashutil.PartitionIndex32(uint32(words[0]), pl.radix, pl.hash), words
 }

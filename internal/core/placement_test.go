@@ -184,11 +184,44 @@ func TestPlacementStopsOnCycleLoopPanic(t *testing.T) {
 	}
 }
 
+// TestPlacementStopsOnCycleLoopPanicVRID is the VRID twin of the test above:
+// a key column shorter than the tuple count it claims must panic, even
+// though the slice's capacity still holds the rest of the keys, and leave
+// no placement goroutine and a circuit whose next run is a fresh one's.
+func TestPlacementStopsOnCycleLoopPanicVRID(t *testing.T) {
+	rel := genRelation(t, workload.Random, 8, largeLockTuples, 7).ToColumns()
+	short := *rel
+	short.Keys = rel.Keys[:len(rel.Keys)/2]
+	cfg := placementPAD
+	cfg.Layout = VRID
+	c := placementCircuit(t, cfg)
+	before := runtime.NumGoroutine()
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		c.Partition(&short)
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("a key column shorter than its tuple count did not panic")
+	}
+	waitGoroutines(t, before, "a cycle-loop panic")
+	out, _, err := c.Partition(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashOutput(out) != freshOutput(t, cfg, rel) {
+		t.Fatal("after a cycle-loop panic the circuit's output differs from a fresh circuit's")
+	}
+}
+
 // TestPlacementFollowsHandWrittenLogs places store logs, written by hand as
-// (destination word, lane) entries, over small VRID relations on a placer
-// reset as a run resets it. Tuple j's key is 4j plus its partition; want
-// lists the output line by line as the tuples in each slot, and a slot
-// past a line's list holds a dummy key, as does a -1.
+// (destination word, lane) entries, over small VRID relations on the placer
+// of a run that has made its pre-pass and allocated its output. Every entry
+// is a line (a tuple, in the ablation) the write-back committed to
+// partition 0's region, which starts the output. Tuple j's key is 4j plus
+// its partition; want lists the output line by line as the tuples in each
+// slot, and a slot past a line's list, or on a line past the list, holds a
+// dummy key.
 func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -227,28 +260,36 @@ func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 	}, {
 		// An entry is a tuple's slot, and it takes its lane's next tuple.
 		name: "without_write_combiner", single: true, n: 16, part: func(j int) int { return j % 4 },
-		log:  [][2]int64{{5, 1}, {0, 0}, {6, 1}, {1, 0}, {8, 7}},
-		want: [][]int{{0, 8, -1, -1, -1, 1, 9}, {7}},
+		log:  [][2]int64{{2, 1}, {0, 0}, {3, 1}, {1, 0}, {4, 7}},
+		want: [][]int{{0, 8, 1, 9, 7}},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{NumPartitions: 4, Layout: VRID, Format: PAD, DisableWriteCombiner: tc.single}.WithDefaults()
+			cfg := Config{NumPartitions: 4, TupleWidth: 8, Layout: VRID, Format: PAD, DisableWriteCombiner: tc.single}
 			keys := make([]uint32, tc.n)
 			for j := range keys {
 				keys[j] = uint32(4*j + tc.part(j))
 			}
 			rel := &workload.Relation{Layout: workload.ColumnLayout, Width: 8, NumTuples: tc.n, Keys: keys}
-			r := &run{cfg: cfg, rel: rel, total: int64(tc.n), lanes: cfg.Lanes(), wpt: 1, radix: cfg.RadixBits()}
-			var pl placer
-			pl.reset(r, make([]uint8, r.lanes*cfg.NumPartitions))
-			pl.words = int64(8 * len(tc.want))
+			r := mustCircuit(t, cfg).newRun(rel, nil)
+			r.prepass()
+			r.padBases()
+			if err := r.allocate(); err != nil {
+				t.Fatal(err)
+			}
+			pl := r.pl
 			for _, e := range tc.log {
 				pl.record(e[0], uint8(e[1]))
+			}
+			if tc.single {
+				r.counts[0] = int64(len(tc.log))
+			} else {
+				r.used[0] = int64(len(tc.log))
 			}
 			lines := pl.end(true)
 			for i, w := range lines {
 				want, j := dummyWord, -1
-				if slots := tc.want[i/8]; i%8 < len(slots) {
-					j = slots[i%8]
+				if i/8 < len(tc.want) && i%8 < len(tc.want[i/8]) {
+					j = tc.want[i/8][i%8]
 				}
 				if j >= 0 {
 					want = uint64(j)<<32 | uint64(keys[j])

@@ -221,7 +221,8 @@ func TestCoherenceOwnership(t *testing.T) {
 }
 
 // TestRunRegionOwnership is a white-box check that the simulator marks its
-// output lines as FPGA-written in the memsys region.
+// output lines as FPGA-written in the memsys region. The placement side
+// marks them, as it places the store log once the passes end.
 func TestRunRegionOwnership(t *testing.T) {
 	rel := genRelation(t, workload.Random, 8, 4096, 37)
 	c, err := NewCircuit(Config{NumPartitions: 32, TupleWidth: 8, Hash: true, Format: HIST, Layout: RID}, 200e6, testCurve())
@@ -232,6 +233,7 @@ func TestRunRegionOwnership(t *testing.T) {
 	if err := r.execute(); err != nil {
 		t.Fatal(err)
 	}
+	c.pl.end(true)
 	region := r.Region()
 	if region == nil {
 		t.Fatal("no memsys region allocated")

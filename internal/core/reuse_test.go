@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fpgapart/codec"
-	"fpgapart/internal/fpga"
 	"fpgapart/internal/simtrace"
 	"fpgapart/platform"
 	"fpgapart/workload"
@@ -171,10 +170,11 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 				if f.stats.Overflowed {
 					overflows++
 				}
-				// Between runs the circuit holds nothing sized by the fan-out.
+				// Between runs the circuit holds nothing sized by the fan-out
+				// or the input.
 				for _, cb := range used.comb {
-					if cb.fill != nil || used.pl.fill != nil || used.pl.bank != nil || used.pl.lines != nil {
-						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents or its output", what)
+					if cb.fill != nil || cb.flags != nil || used.pl.image != nil || used.pl.flags != nil || used.pl.bank != nil || used.pl.lines != nil {
+						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents, its flags or its output", what)
 					}
 				}
 				// The page table maps this run's region and nothing of an
@@ -211,33 +211,33 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 	for _, noForwarding := range []bool{false, true} {
 		cfg := Config{NumPartitions: 4, TupleWidth: 8, Format: PAD, Layout: RID, DisableForwarding: noForwarding}.WithDefaults()
-		hot := func(in *fpga.FIFO[tup], n int) {
+		hot := func(cb *combiner, n int) {
 			for i := 0; i < n; i++ {
-				*in.Push() = tup{part: 2}
+				push(cb, 2)
 			}
 		}
-		used, in, st := newTestCombiner(cfg, 8), newTestFIFO(cfg), &Stats{}
-		hot(in, 12)
+		used, st := newTestCombiner(cfg, 8), &Stats{}
+		hot(used, 12)
 		// Past the first emitted line, and ending right after an accepted
 		// tuple or, without forwarding (four cycles a tuple), inside a stall.
 		n := map[bool]int64{false: 10, true: 35}[noForwarding]
 		for now := int64(0); now < n; now++ {
-			used.step(in, st, &cfg, now)
+			used.step(&cfg, now)
 		}
 		flushStepDone(used, st)
 		if used.lastAt[0] != n-1 && used.stall == 0 || used.flushAddr == 0 || used.fill[2] == 0 || used.out.HighWater == 0 {
 			t.Fatalf("combiner not dirty: %+v", used)
 		}
-		used.reset(make([]uint8, cfg.NumPartitions))
+		resetTestCombiner(used, cfg)
 
 		fresh := newTestCombiner(cfg, 8)
-		inU, inF, stU, stF := newTestFIFO(cfg), newTestFIFO(cfg), &Stats{}, &Stats{}
-		hot(inU, 11)
-		hot(inF, 11)
+		stU, stF := &Stats{}, &Stats{}
+		hot(used, 11)
+		hot(fresh, 11)
 		for cycle := 0; cycle < 40; cycle++ {
-			stepAt(used, inU, stU, &cfg, int64(cycle))
-			stepAt(fresh, inF, stF, &cfg, int64(cycle))
-			if *stU != *stF || inU.Len() != inF.Len() || used.out.Len() != fresh.out.Len() {
+			stepAt(used, stU, &cfg, int64(cycle))
+			stepAt(fresh, stF, &cfg, int64(cycle))
+			if *stU != *stF || used.queued != fresh.queued || used.out.Len() != fresh.out.Len() {
 				t.Fatalf("forwarding off=%v, cycle %d: reset combiner diverges from a new one\n used: %+v\n  new: %+v", noForwarding, cycle, *stU, *stF)
 			}
 		}

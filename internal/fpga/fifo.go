@@ -53,9 +53,6 @@ func (f *FIFO[T]) Reset() { f.head, f.tail, f.size, f.HighWater = 0, 0, 0, 0 }
 // its own occupancy counters, and its tests check them against this.
 func (f *FIFO[T]) Len() int { return f.size }
 
-// Free returns the number of free slots.
-func (f *FIFO[T]) Free() int { return len(f.buf) - f.size }
-
 // Empty reports whether the FIFO holds no elements.
 func (f *FIFO[T]) Empty() bool { return f.size == 0 }
 

@@ -37,8 +37,8 @@ func TestFIFOBasicOrder(t *testing.T) {
 	if f.CanPush() {
 		t.Error("CanPush true when full")
 	}
-	if f.Len() != 4 || f.Free() != 0 {
-		t.Errorf("Len/Free = %d/%d", f.Len(), f.Free())
+	if f.Len() != 4 {
+		t.Errorf("Len = %d", f.Len())
 	}
 	for i := 1; i <= 4; i++ {
 		if *f.Front() != i {
@@ -183,7 +183,7 @@ func TestFIFOPointerAPIMatchesSliceQueue(t *testing.T) {
 		for op, tag := 0, 0; op < 4000; op++ {
 			if rng.Intn(2) == 0 {
 				if len(ref) == capacity {
-					if f.CanPush() || f.Free() != 0 {
+					if f.CanPush() {
 						t.Fatalf("cap %d: full FIFO reports room", capacity)
 					}
 					continue
@@ -217,9 +217,9 @@ func TestFIFOPointerAPIMatchesSliceQueue(t *testing.T) {
 				delete(queued, front)
 				ref = ref[1:]
 			}
-			if f.Len() != len(ref) || f.Free() != capacity-len(ref) || f.HighWater != high {
-				t.Fatalf("cap %d op %d: Len/Free/HighWater = %d/%d/%d, want %d/%d/%d",
-					capacity, op, f.Len(), f.Free(), f.HighWater, len(ref), capacity-len(ref), high)
+			if f.Len() != len(ref) || f.HighWater != high {
+				t.Fatalf("cap %d op %d: Len/HighWater = %d/%d, want %d/%d",
+					capacity, op, f.Len(), f.HighWater, len(ref), high)
 			}
 		}
 	}

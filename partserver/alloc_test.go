@@ -130,3 +130,37 @@ func BenchmarkTinyJob(b *testing.B) {
 		}
 	}
 }
+
+// TestGenerateTraceAllocations guards what a job costs GenerateTrace on a
+// 1 000-job trace of tiny relations (16–64 tuples): its relations and
+// nothing else. The trace reseeds one key generator; a generator per job
+// (a 4.9 KB math/rand source, three objects) made it 6.4 kB and 7.04
+// objects a job against 0.93 kB and 4.04. The limits are those plus a few
+// percent.
+func TestGenerateTraceAllocations(t *testing.T) {
+	const jobs = 1000
+	opts := TraceOptions{MinTuples: 16, MaxTuples: 64}
+	var objects, bytes uint64
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := GenerateTrace(7, jobs, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; run == 0 || n < objects {
+			objects = n
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; run == 0 || n < bytes {
+			bytes = n
+		}
+	}
+	if perJob := float64(objects) / jobs; perJob > 4.1 {
+		t.Errorf("%.2f heap objects per job, want at most 4.1", perJob)
+	}
+	if perJob := float64(bytes) / jobs; perJob > 1000 {
+		t.Errorf("%.0f bytes per job, want at most 1000", perJob)
+	}
+}

@@ -42,6 +42,8 @@ func GenerateTrace(seed uint64, n int, opts TraceOptions) ([]Job, error) {
 	fanOuts := []int{4, 8, 16, 32, 64}
 	jobs := make([]Job, 0, n)
 	arrival := int64(0)
+	// One key generator, reseeded per job: a math/rand source is 4.9 KB.
+	gen := workload.NewGenerator(0)
 	for i := 0; i < n; i++ {
 		draw := func(purpose uint64) uint64 {
 			return hashutil.SplitMix64(seed ^ hashutil.SplitMix64(uint64(i)<<8|purpose))
@@ -56,7 +58,7 @@ func GenerateTrace(seed uint64, n int, opts TraceOptions) ([]Job, error) {
 		if draw(4)%4 == 0 {
 			j.Format = partition.PadMode
 		}
-		gen := workload.NewGenerator(int64(draw(5) >> 1))
+		gen.Seed(int64(draw(5) >> 1))
 		rel, err := gen.Relation(workload.Random, 8, size)
 		if err != nil {
 			return nil, err

@@ -79,6 +79,10 @@ func NewGenerator(seed int64) *Generator {
 	return &Generator{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Seed restarts the generator at seed: it then draws what
+// NewGenerator(seed) would, without building a new source.
+func (g *Generator) Seed(seed int64) { g.rng.Seed(seed) }
+
 // Keys fills out with n keys drawn from the distribution. For Zipf, use
 // ZipfKeys which takes the skew parameters.
 func (g *Generator) Keys(d Distribution, out []uint32) error {
