@@ -168,12 +168,14 @@ type run struct {
 	stage1Max int
 	stage1Occ *simtrace.Gauge
 
-	// Destination bookkeeping (the two BRAMs of Section 4.3).
-	capLines []int64
-	used     []int64
-	counts   []int64
-	hist     []int64 // HIST mode first-pass histogram
-	base     []int64 // first line of every partition, set by allocate
+	// Destination bookkeeping (the two BRAMs of Section 4.3), a record of
+	// destWords per partition (see dest), and the Output's copies of it:
+	// the first line of every partition (set by allocate), and the lines
+	// written and valid tuples per partition (set by settle). hist, the
+	// pre-pass's histogram in HIST mode, shares counts' words.
+	dests              []int64
+	base, used, counts []int64
+	hist               []int64
 
 	out *Output
 
@@ -208,8 +210,10 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
 	}
 
 	p := cfg.NumPartitions
-	ints := make([]int64, 5*p)
-	r.capLines, r.used, r.counts, r.hist, r.base = ints[:p:p], ints[p:2*p:2*p], ints[2*p:3*p:3*p], ints[3*p:4*p:4*p], ints[4*p:]
+	ints := make([]int64, (destWords+3)*p)
+	r.dests, ints = ints[:destWords*p:destWords*p], ints[destWords*p:]
+	r.base, r.used, r.counts = ints[:p:p], ints[p:2*p:2*p], ints[2*p:]
+	r.hist = r.counts
 	bram := make([]uint8, r.lanes*p+int(r.total))
 	fill := bram[: r.lanes*p : r.lanes*p]
 	r.flags = bram[r.lanes*p:]
@@ -266,6 +270,7 @@ func (r *run) execute() error {
 	if err := r.flushPass(); err != nil {
 		return err
 	}
+	r.settle()
 	if got, want := r.out.TotalTuples(), r.total; got != want {
 		return fmt.Errorf("core: internal error: %d tuples out, %d in", got, want)
 	}
@@ -344,11 +349,9 @@ func (r *run) prefixSum() {
 	if r.cfg.DisableWriteCombiner {
 		slack = 0 // tuple-granular RMW writes need no flush slack
 	}
-	for p := 0; p < r.cfg.NumPartitions; p++ {
-		lines := (r.hist[p] + int64(r.tpl) - 1) / int64(r.tpl)
-		r.capLines[p] = lines + slack
-		if r.hist[p] == 0 {
-			r.capLines[p] = 0
+	for p, n := range r.hist {
+		if n != 0 {
+			r.dest(p)[destLines] = (n+int64(r.tpl)-1)/int64(r.tpl) + slack
 		}
 	}
 }
@@ -365,8 +368,8 @@ func (r *run) padBases() {
 	if !r.cfg.DisableWriteCombiner {
 		lines += int64(r.lanes - 1)
 	}
-	for i := range r.capLines {
-		r.capLines[i] = lines
+	for p := range r.base {
+		r.dest(p)[destLines] = lines
 	}
 }
 
@@ -374,9 +377,10 @@ func (r *run) padBases() {
 // FPGA-side page table.
 func (r *run) allocate() error {
 	var totalLines int64
-	for p := range r.capLines {
-		r.base[p] = totalLines
-		totalLines += r.capLines[p]
+	for p := range r.base {
+		d := r.dest(p)
+		d[destBase], r.base[p] = totalLines, totalLines
+		totalLines += d[destLines]
 	}
 	// The placement side allocates Lines, totalLines*8 words (placer.run).
 	r.out = &Output{
@@ -524,11 +528,15 @@ func (r *run) partitionPass() error {
 		}
 		*r.pipe.In() = n
 		if out, outOK := r.pipe.Shift(n > 0); outOK {
+			high := r.stage1Max
 			for _, cb := range r.comb[:*out] {
 				cb.queued++
-				r.stage1Max = max(r.stage1Max, cb.queued)
-				r.stage1Occ.Observe(int64(cb.queued))
+				high = max(high, cb.queued)
+				if r.stage1Occ != nil {
+					r.stage1Occ.Observe(int64(cb.queued))
+				}
 			}
+			r.stage1Max = high
 			r.queued += *out
 		}
 		r.stats.Cycles++
@@ -659,36 +667,61 @@ func (r *run) writeBack() error {
 //
 //fpgavet:hotpath
 func (r *run) store(l *outLine) error {
-	p := int(l.part)
+	d := r.dest(int(l.part))
 	if r.cfg.DisableWriteCombiner {
 		// Tuple-granular RMW: place the tuple at its exact slot.
-		tupleIdx := r.counts[p]
+		tupleIdx := d[destCount]
 		line := tupleIdx / int64(r.tpl)
 		slot := tupleIdx % int64(r.tpl)
-		if line >= r.capLines[p] {
+		if line >= d[destLines] {
 			return r.overflow()
 		}
-		dst := (r.base[p] + line) * 8
+		dst := (d[destBase] + line) * 8
 		r.pl.record(dst+slot*int64(r.wpt), l.lane)
-		if line >= r.used[p] {
-			r.used[p] = line + 1
+		if line >= d[destUsed] {
+			d[destUsed] = line + 1
 		}
-		r.counts[p]++
+		d[destCount]++
 		r.stats.TuplesOut++
 		r.stats.LinesWritten++
 		return nil
 	}
-	if r.used[p] >= r.capLines[p] {
+	if d[destUsed] >= d[destLines] {
 		return r.overflow()
 	}
-	dst := (r.base[p] + r.used[p]) * 8
+	dst := (d[destBase] + d[destUsed]) * 8
 	r.pl.record(dst, l.lane)
-	r.used[p]++
-	r.counts[p] += int64(l.valid)
+	d[destUsed]++
+	d[destCount] += int64(l.valid)
 	r.stats.TuplesOut += int64(l.valid)
 	r.stats.Dummies += int64(r.tpl) - int64(l.valid)
 	r.stats.LinesWritten++
 	return nil
+}
+
+// A partition's record in the destination bookkeeping: its region's first
+// line and size in lines, the lines written to it and its valid tuples, 32
+// bytes together, which is what a stored line touches.
+const (
+	destBase = iota
+	destLines
+	destUsed
+	destCount
+	destWords
+)
+
+// dest returns partition p's record.
+func (r *run) dest(p int) *[destWords]int64 {
+	return (*[destWords]int64)(r.dests[p*destWords:])
+}
+
+// settle copies the lines written and the valid tuples of every partition
+// into the Output.
+func (r *run) settle() {
+	for p := range r.used {
+		d := r.dest(p)
+		r.used[p], r.counts[p] = d[destUsed], d[destCount]
+	}
 }
 
 func (r *run) overflow() error {

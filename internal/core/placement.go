@@ -50,9 +50,6 @@ type placer struct {
 	// The pre-pass's image, read-only while the passes run: every tuple's
 	// flag byte and the fill rate of (lane, partition) at lane*parts+p.
 	flags, image []uint8
-	// The destination bookkeeping, read once the log has ended: what the
-	// write-back committed to each partition's region.
-	base, capLines, used, counts []int64
 
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
 	lines []uint64
@@ -101,7 +98,6 @@ func (pl *placer) reset(r *run, image []uint8) {
 	pl.vrid, pl.single, pl.hash, pl.radix = r.cfg.Layout == VRID, r.cfg.DisableWriteCombiner, r.cfg.Hash, r.radix
 	pl.lanes, pl.wpt, pl.parts = r.lanes, r.wpt, r.cfg.NumPartitions
 	pl.total, pl.flags, pl.image, pl.translations = r.total, r.flags, image, 0
-	pl.base, pl.capLines, pl.used, pl.counts = r.base, r.capLines, r.used, r.counts
 	pl.cur, pl.at, pl.ended = nil, 0, true
 	// The log's first chunk stays with the circuit; it grows to what a run
 	// can log, up to a chunk: a line per tuple at most, or a full line per
@@ -123,7 +119,6 @@ func (pl *placer) reset(r *run, image []uint8) {
 // release drops the run's input, image, banks, output and shared memory.
 func (pl *placer) release() {
 	pl.rel, pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil, nil
-	pl.base, pl.capLines, pl.used, pl.counts = nil, nil, nil, nil
 	pl.region, pl.ptable = nil, nil
 	pl.src = [8]source{}
 }
@@ -210,31 +205,21 @@ func (pl *placer) stop() {
 	}
 }
 
-// run allocates the bank lines and the output, places the log and writes
-// dummy keys over every slot the log left alone: never-written slots — PAD
-// headroom, a flushed line's unused slots — read as dummies, like
-// bitstream-initialized memory. A flushed line gets its dummies as it is
-// placed, the rest of a partition's region once the log has ended.
+// run allocates the bank lines and the output, fills the output with dummy
+// keys (never-written slots — PAD headroom, a flushed line's unused slots —
+// read as dummies, like bitstream-initialized memory) and places the log.
 func (pl *placer) run() {
 	if !pl.single {
 		pl.bank = make([]uint64, pl.lanes*pl.parts*8)
 	}
 	pl.lines = make([]uint64, pl.words)
-	pl.place()
-	for p, base := range pl.base {
-		from := (base + pl.used[p]) * 8
-		if pl.single {
-			from = base*8 + pl.counts[p]*int64(pl.wpt)
+	if len(pl.lines) > 0 {
+		pl.lines[0] = dummyWord
+		for n := 1; n < len(pl.lines); n *= 2 {
+			copy(pl.lines[n:], pl.lines[:n])
 		}
-		fillDummies(pl.lines[from : (base+pl.capLines[p])*8])
 	}
-}
-
-// fillDummies writes a dummy-key tuple to every slot of s.
-func fillDummies(s []uint64) {
-	for i := range s {
-		s[i] = dummyWord
-	}
+	pl.place()
 }
 
 // place places the log, entry by entry; it stops where the log ends early
@@ -297,9 +282,7 @@ func (pl *placer) line(lane int, d int64) {
 	for pl.image[b] == 0 {
 		b++
 	}
-	line, n := pl.lines[d:d+8], int(pl.image[b])*pl.wpt
-	copy(line, pl.bank[b*8:b*8+n])
-	fillDummies(line[n:])
+	copy(pl.lines[d:d+int64(int(pl.image[b])*pl.wpt)], pl.bank[b*8:])
 	pl.flushAt[lane] = b - lane*pl.parts + 1
 }
 

@@ -216,12 +216,10 @@ func TestPlacementStopsOnCycleLoopPanicVRID(t *testing.T) {
 
 // TestPlacementFollowsHandWrittenLogs places store logs, written by hand as
 // (destination word, lane) entries, over small VRID relations on the placer
-// of a run that has made its pre-pass and allocated its output. Every entry
-// is a line (a tuple, in the ablation) the write-back committed to
-// partition 0's region, which starts the output. Tuple j's key is 4j plus
-// its partition; want lists the output line by line as the tuples in each
-// slot, and a slot past a line's list, or on a line past the list, holds a
-// dummy key.
+// of a run that has made its pre-pass and allocated its output. Tuple j's
+// key is 4j plus its partition; want lists the output line by line as the
+// tuples in each slot, and a slot past a line's list holds a dummy key, as
+// does a -1.
 func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -260,8 +258,8 @@ func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 	}, {
 		// An entry is a tuple's slot, and it takes its lane's next tuple.
 		name: "without_write_combiner", single: true, n: 16, part: func(j int) int { return j % 4 },
-		log:  [][2]int64{{2, 1}, {0, 0}, {3, 1}, {1, 0}, {4, 7}},
-		want: [][]int{{0, 8, 1, 9, 7}},
+		log:  [][2]int64{{5, 1}, {0, 0}, {6, 1}, {1, 0}, {8, 7}},
+		want: [][]int{{0, 8, -1, -1, -1, 1, 9}, {7}},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{NumPartitions: 4, TupleWidth: 8, Layout: VRID, Format: PAD, DisableWriteCombiner: tc.single}
@@ -277,19 +275,15 @@ func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl := r.pl
+			pl.words = int64(8 * len(tc.want))
 			for _, e := range tc.log {
 				pl.record(e[0], uint8(e[1]))
-			}
-			if tc.single {
-				r.counts[0] = int64(len(tc.log))
-			} else {
-				r.used[0] = int64(len(tc.log))
 			}
 			lines := pl.end(true)
 			for i, w := range lines {
 				want, j := dummyWord, -1
-				if i/8 < len(tc.want) && i%8 < len(tc.want[i/8]) {
-					j = tc.want[i/8][i%8]
+				if slots := tc.want[i/8]; i%8 < len(slots) {
+					j = slots[i%8]
 				}
 				if j >= 0 {
 					want = uint64(j)<<32 | uint64(keys[j])
