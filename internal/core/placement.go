@@ -12,12 +12,14 @@ import (
 // logChunk is the store log's hand-off unit in entries, and logChunks the
 // size of the hand-off ring. A run whose input fills more than one chunk
 // with lines places on a second goroutine, chunk by chunk, while the cycle
-// loop runs (which waits once the placement is logChunks behind); any other
-// run places inline after the passes. A serving job (≤ 2^14 eight-byte
+// loop runs (which waits once the placement is logChunks behind: the
+// placement lags while full lines arrive and catches up on the flush's
+// partial lines, which cost it less); any other run places inline after
+// the passes. A serving job (≤ 2^14 eight-byte
 // tuples: ≤ 2 048 full lines) stays on the caller's goroutine.
 const (
 	logChunk  = 4096
-	logChunks = 4
+	logChunks = 8
 )
 
 // placementHook, set by tests only (export_test.go), runs on a placement
