@@ -113,10 +113,10 @@ func (f *rleFeed) pendingLines(lanes int) int64 {
 	return endLine - f.lastLine
 }
 
-// emit expands up to lanes keys, advancing the cursor, and records the
-// compressed lines covered by the emitted keys as fetched (matching what
-// pendingLines charged for this group). The keys themselves are the
-// pre-pass's.
+// emit moves the cursor over up to lanes keys, returning how many, and
+// records the compressed lines they cover as fetched (matching what
+// pendingLines charged for this group). What the keys are is the
+// pre-pass's concern.
 func (f *rleFeed) emit(lanes int) int {
 	n := 0
 	lastRun := -1

@@ -6,7 +6,6 @@ import (
 	"fpgapart/internal/hashutil"
 	"fpgapart/internal/memsys"
 	"fpgapart/platform"
-	"fpgapart/workload"
 )
 
 // logChunk is the store log's hand-off unit in entries, and logChunks the
@@ -15,8 +14,8 @@ import (
 // loop runs (which waits once the placement is logChunks behind: the
 // placement lags while full lines arrive and catches up on the flush's
 // partial lines, which cost it less); any other run places inline after
-// the passes. A serving job (≤ 2^14 eight-byte
-// tuples: ≤ 2 048 full lines) stays on the caller's goroutine.
+// the passes. A serving job (≤ 2^14 eight-byte tuples: ≤ 2 048 full lines)
+// stays on the caller's goroutine.
 const (
 	logChunk  = 4096
 	logChunks = 8
@@ -40,8 +39,7 @@ var placementHook func()
 // FPGA-written. Output.Lines is a pure function of the input and the log.
 type placer struct {
 	// The run's input and shape (words: len(Output.Lines), set by allocate).
-	rel          *workload.Relation
-	data         []uint64 // rel.Data, bounded by its length
+	data         []uint64 // a RID input's words, bounded by its length
 	vrid, single bool
 	hash         bool
 	radix        uint
@@ -93,7 +91,7 @@ type placer struct {
 // reset loads the run's input, shape, flags and fill image; the log is
 // inline until start says otherwise.
 func (pl *placer) reset(r *run, image []uint8) {
-	pl.rel, pl.data = r.rel, nil
+	pl.data = nil
 	if r.rel != nil {
 		pl.data = slices.Clip(r.rel.Data)
 	}
@@ -120,7 +118,7 @@ func (pl *placer) reset(r *run, image []uint8) {
 
 // release drops the run's input, image, banks, output and shared memory.
 func (pl *placer) release() {
-	pl.rel, pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil, nil
+	pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil
 	pl.region, pl.ptable = nil, nil
 	pl.src = [8]source{}
 }
@@ -170,7 +168,8 @@ func (pl *placer) record(dst int64, lane uint8) {
 
 // end ends the log after the passes and returns Output.Lines if they
 // succeeded: an inline run places here (a failed one only commits its
-// lines), an async run waits for its goroutine.
+// lines, for the page lookups its Stats count), an async run waits for its
+// goroutine.
 func (pl *placer) end(ok bool) []uint64 {
 	if pl.async {
 		pl.stop()

@@ -92,17 +92,12 @@ func (r *run) prepass() {
 //fpgavet:hotpath
 func partitions(dst []uint32, src []uint64, radix uint, hash bool) {
 	mask := uint32(1)<<radix - 1
-	switch {
-	case !hash:
-		for i, t := range src {
-			dst[i] = uint32(t) & mask
-		}
-	case hashutil.VectorMurmur():
+	if hash {
 		hashutil.MurmurBlock(dst, src, 0, mask)
-	default:
-		for i, t := range src {
-			dst[i] = hashutil.PartitionIndex32(uint32(t), radix, true)
-		}
+		return
+	}
+	for i, t := range src {
+		dst[i] = uint32(t) & mask
 	}
 }
 

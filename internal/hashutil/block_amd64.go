@@ -7,7 +7,9 @@ var vectorMurmur = hasAVX2()
 
 // VectorMurmur reports whether MurmurBlock runs its AVX2 kernel on this
 // machine. A caller whose per-key loop only pays off with the kernel (see
-// internal/cpupart) keeps its inline hash when it reports false.
+// internal/cpupart) keeps its inline hash when it reports false; one that
+// wants a block of partitions anyway, as internal/core's pre-pass does,
+// calls MurmurBlock either way.
 func VectorMurmur() bool { return vectorMurmur }
 
 // murmurVector hashes the longest prefix of src whose length is a multiple
