@@ -47,7 +47,7 @@ func (r *run) prepass() {
 	var rle source
 	switch {
 	case r.comp != nil:
-		rle.runs = r.comp.col.Runs
+		rle = r.newSource()
 	case r.cfg.Layout == VRID:
 		col = slices.Clip(r.rel.Keys)
 	default:
