@@ -20,9 +20,11 @@
 #                 — the host benchmark at REF against the working tree, in
 #                   alternating pairs: medians, quartiles and wins per side
 #
-# The race target covers every package. Its longest are fpgapart/internal/core
-# (the 8M-tuple calibration runs: 126 s under -race on a 2-core box, 6–7 s
-# without) and fpgapart/experiments (each paper experiment executes once per
+# test and tier1 give each package's test binary five minutes (a full run
+# takes about 20 s), so a hang fails fast instead of holding the run for
+# go test's default ten. The race target covers every package. Its longest
+# are fpgapart/internal/core (the 8M-tuple calibration runs: 126 s under
+# -race on a 2-core box, 6–7 s without) and fpgapart/experiments (each paper experiment executes once per
 # test binary: 111 s under -race, 6–9 s without).
 
 GO ?= go
@@ -32,7 +34,7 @@ GO ?= go
 verify: build vet lint test race portable
 
 tier1:
-	$(GO) build ./... && $(GO) test ./...
+	$(GO) build ./... && $(GO) test -timeout 5m ./...
 
 build:
 	$(GO) build ./...
@@ -49,7 +51,7 @@ lint-json:
 	$(GO) run ./cmd/fpgavet -json ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 race:
 	$(GO) test -race -timeout 20m ./...

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"fpgapart/codec"
 	"fpgapart/internal/fpga"
 	"fpgapart/internal/memsys"
 	"fpgapart/internal/qpi"
@@ -58,10 +59,7 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if clockHz <= 0 {
-		return nil, fmt.Errorf("core: clock %v Hz", clockHz)
-	}
-	ep, err := qpi.New(clockHz, curve)
+	ep, err := qpi.New(clockHz, curve) // checks the clock and the curve
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +96,7 @@ func (c *Circuit) Partition(rel *workload.Relation) (*Output, *Stats, error) {
 
 // partition is one run of the circuit, over rel or, when comp is set, over
 // the decompressor's key stream.
-func (c *Circuit) partition(rel *workload.Relation, comp *rleFeed) (*Output, *Stats, error) {
+func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Output, *Stats, error) {
 	r := c.newRun(rel, comp)
 	defer c.pl.stop() // a panic in the cycle loop must not strand the placement
 	err := r.execute()
@@ -140,11 +138,12 @@ type run struct {
 	// Input feed state.
 	next int64
 	// comp, when non-nil, replaces rel as the input: an RLE decompressor
-	// stage in front of the hash pipelines (see compressed.go).
-	comp *rleFeed
-	// compPending is the number of compressed lines still to fetch for the
-	// next group; -1 means "not yet computed".
-	compPending int64
+	// stage in front of the hash pipelines (see compressed.go), which reads
+	// the runs through feed and has fetched the compressed lines up to
+	// compLine (-1 before the first).
+	comp     *codec.RLEColumn
+	feed     source
+	compLine int64
 
 	// What the pre-pass decided for every tuple: its flag byte.
 	flags []uint8
@@ -194,17 +193,16 @@ type run struct {
 // input — the combiners' fill-rate BRAM contents with the tuples' flags, and
 // the destination bookkeeping, one slab each. The reset also covers a
 // previous run that aborted on PAD overflow with tuples in flight.
-func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
+func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	cfg := &c.cfg
 	r := &run{
 		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: c.ep, stats: &Stats{},
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
 		radix: cfg.RadixBits(), pipe: c.pipe, comb: c.comb, final: c.final, pl: &c.pl,
-		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1,
+		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1, compLine: -1,
 	}
 	if comp != nil {
-		r.total = comp.n
-		r.compPending = -1
+		r.total = int64(comp.N)
 	} else {
 		r.total = int64(rel.NumTuples)
 	}
@@ -220,6 +218,7 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *rleFeed) *run {
 	r.pipe.Reset()
 	r.final.Reset()
 	src := r.newSource()
+	r.feed = src
 	for i, cb := range r.comb {
 		cb.reset(fill[i*p:(i+1)*p:(i+1)*p], r.flags, src, int64(i), int64(r.lanes))
 	}
@@ -290,7 +289,7 @@ func (r *run) inputReadFrac() float64 {
 	}
 	if r.comp != nil {
 		// Reads only the compressed bytes; writes 8 B per tuple.
-		cb := float64(r.comp.col.CompressedBytes())
+		cb := float64(r.comp.CompressedBytes())
 		if total := cb + 8*float64(r.total); total > 0 {
 			return cb / total
 		}
@@ -331,12 +330,9 @@ func (r *run) histogramPass() {
 	// The prefix sum's scan follows the pass: one cycle per partition.
 	r.stats.PrefixSumCycles = int64(r.cfg.NumPartitions)
 	r.stats.Cycles += r.stats.PrefixSumCycles
-	r.next = 0
-	if r.comp != nil {
-		// Rewind the decompressor for the second pass.
-		r.comp.rewind()
-		r.compPending = -1
-	}
+	// The partition pass reads the input, compressed lines too, from the
+	// start again.
+	r.next, r.feed, r.compLine = 0, r.newSource(), -1
 }
 
 // prefixSum turns the histogram into line-aligned partition base addresses.
@@ -398,7 +394,7 @@ func (r *run) allocate() error {
 	const pageBytes = memsys.PageBytes
 	var inBytes int64
 	if r.comp != nil {
-		inBytes = int64(r.comp.col.CompressedBytes())
+		inBytes = int64(r.comp.CompressedBytes())
 	} else {
 		inBytes = int64(r.rel.Bytes())
 	}

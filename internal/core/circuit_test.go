@@ -433,6 +433,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewCircuit(Config{NumPartitions: 64, TupleWidth: 8}, 0, testCurve()); err == nil {
 		t.Error("zero clock accepted")
 	}
+	// A link that carries nothing would stall the circuit forever.
+	if _, err := NewCircuit(Config{NumPartitions: 64, TupleWidth: 8}, 200e6, platform.BandwidthCurve{Points: []float64{0, 0}}); err == nil {
+		t.Error("zero-bandwidth curve accepted")
+	}
 }
 
 func TestPageTranslationsHappen(t *testing.T) {

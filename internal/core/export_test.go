@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fpgapart/codec"
 	"fpgapart/internal/memsys"
 	"fpgapart/workload"
 )
@@ -13,7 +14,7 @@ func (r *run) Region() *memsys.Region { return r.region }
 // decompressor's key stream) through a traced circuit as Partition does and
 // calls visit with the run before its first cycle and after every cycle of
 // every pass.
-func (c *Circuit) walk(rel *workload.Relation, comp *rleFeed, visit func(*run)) (*Stats, error) {
+func (c *Circuit) walk(rel *workload.Relation, comp *codec.RLEColumn, visit func(*run)) (*Stats, error) {
 	r := c.newRun(rel, comp)
 	defer c.pl.stop()
 	visit(r)

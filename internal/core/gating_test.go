@@ -179,7 +179,7 @@ func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 		}
 		walk := func(what string, rel func(*testing.T) *workload.Relation) *Stats {
 			var (
-				comp    *rleFeed
+				comp    *codec.RLEColumn
 				input   *workload.Relation
 				visits  int64
 				maxQ    int
@@ -188,7 +188,7 @@ func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 				issued  []int64 // TuplesIn after every cycle from the partition pass on
 			)
 			if lc.keys != nil {
-				comp = newRLEFeed(codec.CompressRLE(lc.keys()))
+				comp = codec.CompressRLE(lc.keys())
 			} else {
 				input = rel(t)
 			}

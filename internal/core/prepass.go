@@ -149,7 +149,7 @@ func (s *source) key(j int64) uint32 {
 // newSource returns a source over the run's input at its first tuple.
 func (r *run) newSource() source {
 	if r.comp != nil {
-		return source{runs: r.comp.col.Runs}
+		return source{runs: r.comp.Runs}
 	}
 	return source{rel: r.rel, wpt: r.wpt}
 }

@@ -113,7 +113,7 @@ func TestPrepassMatchesSteppedReference(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			var r *run
 			if rle {
-				r = c.newRun(nil, newRLEFeed(codec.CompressRLE(keys)))
+				r = c.newRun(nil, codec.CompressRLE(keys))
 			} else {
 				r = c.newRun(rel, nil)
 			}

@@ -14,6 +14,7 @@ package qpi
 
 import (
 	"fmt"
+	"math"
 
 	"fpgapart/internal/simtrace"
 	"fpgapart/platform"
@@ -51,10 +52,20 @@ func (e *Endpoint) Instrument(reads, writes *simtrace.Counter) {
 }
 
 // New returns an end-point clocked at clockHz whose achievable bandwidth
-// follows curve. The initial traffic mix is balanced.
+// follows curve. The initial traffic mix is balanced. Every point of the
+// curve must be finite and positive: a mix at which the link carries
+// nothing would stall the circuit forever.
 func New(clockHz float64, curve platform.BandwidthCurve) (*Endpoint, error) {
 	if clockHz <= 0 {
 		return nil, fmt.Errorf("qpi: clock %v Hz", clockHz)
+	}
+	if len(curve.Points) == 0 {
+		return nil, fmt.Errorf("qpi: empty bandwidth curve")
+	}
+	for _, pt := range curve.Points {
+		if !(pt > 0) || math.IsInf(pt, 1) {
+			return nil, fmt.Errorf("qpi: bandwidth curve point %v GB/s", pt)
+		}
 	}
 	e := &Endpoint{clockHz: clockHz, curve: curve}
 	e.SetMix(0.5)

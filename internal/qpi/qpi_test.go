@@ -45,6 +45,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(-1, flatCurve(6.4)); err == nil {
 		t.Error("negative clock accepted")
 	}
+	// A mix at which the link carries nothing would stall a circuit forever.
+	for _, curve := range []platform.BandwidthCurve{
+		{}, flatCurve(0), flatCurve(-1), flatCurve(math.NaN()), flatCurve(math.Inf(1)),
+		{Points: []float64{5, 0, 7}},
+	} {
+		if _, err := New(200e6, curve); err == nil {
+			t.Errorf("curve %v accepted", curve.Points)
+		}
+	}
 }
 
 func TestBalancedMixSustainsCurveBandwidth(t *testing.T) {

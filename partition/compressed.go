@@ -1,11 +1,7 @@
 package partition
 
 import (
-	"fmt"
-
 	"fpgapart/codec"
-	"fpgapart/internal/core"
-	"fpgapart/platform"
 	"fpgapart/workload"
 )
 
@@ -19,45 +15,15 @@ import (
 // by repartitioning the decompressed column on the CPU (FallbackThreads).
 func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err error) {
 	defer guardSimulator(&err)
-	if opts.TupleWidth == 0 {
-		opts.TupleWidth = 8
-	}
-	if opts.Platform == nil {
-		opts.Platform = platform.XeonFPGA()
-	}
-	if opts.Layout != ColumnStore {
-		return nil, fmt.Errorf("partition: compressed input requires ColumnStore layout")
-	}
-	cfg := core.Config{
-		NumPartitions: opts.Partitions,
-		TupleWidth:    opts.TupleWidth,
-		Hash:          opts.Hash,
-		Layout:        core.VRID,
-		PadFraction:   opts.PadFraction,
-		Trace:         opts.Trace,
-	}
-	if opts.Format == PadMode {
-		cfg.Format = core.PAD
-	}
-	curve := opts.Platform.FPGAAlone
-	if opts.Interfered {
-		curve = opts.Platform.FPGAInterfered
-	}
-	circuit, err := core.NewCircuit(cfg, opts.Platform.FPGAClockHz, curve)
+	p, err := newFPGA(opts)
 	if err != nil {
 		return nil, err
 	}
-	out, stats, err := circuit.PartitionCompressed(col)
+	out, stats, err := p.circuit.PartitionCompressed(col)
 	if err != nil {
 		return nil, err
-	}
-	res := &Result{
-		numPartitions: out.NumPartitions,
-		elapsed:       stats.Elapsed,
-		fpga:          out,
-		Stats:         *stats,
 	}
 	rows := func() (*workload.Relation, error) { return workload.FromKeys(col.Decompress(), 8) }
-	result, _, err = exact(res, nil, col.N, rows, opts.Hash, opts.FallbackThreads)
+	result, _, err = exact(fpgaResult(out, stats), nil, col.N, rows, opts.Hash, opts.FallbackThreads)
 	return result, err
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fpgapart/codec"
+	"fpgapart/platform"
 )
 
 func TestFPGACompressedMatchesPlainColumn(t *testing.T) {
@@ -60,5 +61,43 @@ func TestFPGACompressedValidatesOptions(t *testing.T) {
 	col := codec.CompressRLE([]uint32{1})
 	if _, err := FPGACompressed(FPGAOptions{Partitions: 5, Layout: ColumnStore}, col); err == nil {
 		t.Error("bad fan-out accepted")
+	}
+}
+
+// FPGACompressed builds its circuit as NewFPGA does: the same platform
+// check and the same ablation switches.
+func TestFPGACompressedConfiguresLikeNewFPGA(t *testing.T) {
+	keys := make([]uint32, 20)
+	for i := range keys {
+		keys[i] = uint32(i/4) + 1
+	}
+	col := codec.CompressRLE(keys)
+	opts := FPGAOptions{Partitions: 8, Hash: true, Format: HistMode, Layout: ColumnStore}
+
+	bad := opts
+	bad.Platform = platform.XeonFPGA()
+	bad.Platform.FPGAAlone = platform.BandwidthCurve{}
+	if _, err := NewFPGA(bad); err == nil {
+		t.Fatal("NewFPGA accepted an empty FPGAAlone curve")
+	}
+	if err := returnsWithin(t, func() error { _, err := FPGACompressed(bad, col); return err }); err == nil {
+		t.Error("FPGACompressed accepted an empty FPGAAlone curve")
+	}
+
+	on, err := FPGACompressed(opts, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strawman := opts
+	strawman.DisableWriteCombiner = true
+	off, err := FPGACompressed(strawman, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Stats == on.Stats {
+		t.Error("DisableWriteCombiner left the compressed run's Stats unchanged")
+	}
+	if off.Stats.LinesWritten != int64(len(keys)) {
+		t.Errorf("without the write combiner, %d lines written, want one per tuple (%d)", off.Stats.LinesWritten, len(keys))
 	}
 }

@@ -2,8 +2,10 @@ package partition
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"fpgapart/platform"
 	"fpgapart/workload"
@@ -111,5 +113,43 @@ func TestNewFPGARejectsBrokenPlatform(t *testing.T) {
 	bad.FPGAClockHz = 0
 	if _, err := NewFPGA(FPGAOptions{Partitions: 8, Platform: bad}); err == nil {
 		t.Error("zero-clock platform accepted")
+	}
+}
+
+// returnsWithin runs call on a goroutine and fails t if it has not returned
+// after a generous deadline: a circuit bound to a link that never grants a
+// transfer would otherwise hang the test binary.
+func returnsWithin(t *testing.T, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("call did not return: the circuit is stuck on its link")
+		return nil
+	}
+}
+
+func TestStarvedLinkIsRejected(t *testing.T) {
+	rel := genRel(t, 1000, 5)
+	for name, curve := range map[string]platform.BandwidthCurve{
+		"zero": {Points: []float64{0, 0, 0}},
+		"nan":  {Points: []float64{5, math.NaN(), 7}},
+	} {
+		plat := platform.XeonFPGA()
+		plat.FPGAAlone = curve
+		err := returnsWithin(t, func() error {
+			p, err := NewFPGA(FPGAOptions{Partitions: 8, Platform: plat})
+			if err != nil {
+				return err
+			}
+			_, err = p.Partition(rel)
+			return err
+		})
+		if err == nil {
+			t.Errorf("%s curve: partitioned over a link that carries nothing", name)
+		}
 	}
 }

@@ -227,18 +227,10 @@ func (r *Result) Run(p, _ int) (words []uint64, stride int, dummy uint32, hasDum
 // reassembly, and a mismatch triggers a re-request of the piece.
 func (r *Result) PartitionChecksum(p int) uint32 {
 	var h uint32
-	if r.cpu != nil {
-		for _, t := range r.cpu.Partition(p) {
+	words, stride, dummy, hasDummy := r.Run(p, 0)
+	for i := 0; i < len(words); i += stride {
+		if t := words[i]; !hasDummy || uint32(t) != dummy {
 			h += hashutil.Murmur32Finalizer(uint32(t) ^ hashutil.Murmur32Finalizer(uint32(t>>32)))
-		}
-		return h
-	}
-	o := r.fpga
-	wpt := o.TupleWidth / 8
-	lines := o.Lines[o.Base[p]*8 : (o.Base[p]+o.LinesUsed[p])*8]
-	for i := 0; i < len(lines); i += wpt {
-		if key := uint32(lines[i]); key != o.DummyKey {
-			h += hashutil.Murmur32Finalizer(key ^ hashutil.Murmur32Finalizer(uint32(lines[i]>>32)))
 		}
 	}
 	return h
@@ -368,6 +360,16 @@ type fpgaPartitioner struct {
 // internals surfaces as an error wrapping ErrSimulatorFault.
 func NewFPGA(opts FPGAOptions) (p Partitioner, err error) {
 	defer guardSimulator(&err)
+	fp, err := newFPGA(opts)
+	if err != nil {
+		return nil, err
+	}
+	return fp, nil
+}
+
+// newFPGA builds the circuit opts describe, for plain and compressed
+// input alike.
+func newFPGA(opts FPGAOptions) (*fpgaPartitioner, error) {
 	if opts.TupleWidth == 0 {
 		opts.TupleWidth = 8
 	}
@@ -419,12 +421,17 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 	if err != nil {
 		return nil, err
 	}
+	return fpgaResult(out, stats), nil
+}
+
+// fpgaResult is the Result of a circuit run that wrote its partitions.
+func fpgaResult(out *core.Output, stats *core.Stats) *Result {
 	return &Result{
 		numPartitions: out.NumPartitions,
 		elapsed:       stats.Elapsed,
 		fpga:          out,
 		Stats:         *stats,
-	}, nil
+	}
 }
 
 // fallback reruns the partitioning on the CPU after a PAD overflow. The

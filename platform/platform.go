@@ -13,6 +13,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -176,10 +177,12 @@ type Platform struct {
 }
 
 // Validate reports whether the platform description is usable: a positive
-// FPGA clock, and non-empty bandwidth curves with no negative
-// points. Consumers that simulate against the platform (partition.NewFPGA,
-// distjoin.Join) validate up front so a malformed hand-built platform fails
-// fast instead of producing NaN timings deep in a run.
+// FPGA clock, and non-empty bandwidth curves whose points are all finite
+// and positive (qpi.New holds a circuit's curve to the same rule: a link
+// that carries nothing would stall it forever). Consumers that simulate
+// against the platform (partition.NewFPGA, distjoin.Join) validate up front
+// so a malformed hand-built platform fails fast instead of producing NaN
+// timings deep in a run.
 func (p *Platform) Validate() error {
 	if p == nil {
 		return fmt.Errorf("platform: nil platform")
@@ -198,8 +201,8 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("platform %q: empty %s bandwidth curve", p.Name, c.name)
 		}
 		for _, pt := range c.curve.Points {
-			if pt < 0 {
-				return fmt.Errorf("platform %q: negative point %v in %s curve", p.Name, pt, c.name)
+			if !(pt > 0) || math.IsInf(pt, 1) {
+				return fmt.Errorf("platform %q: point %v in %s curve is not finite and positive", p.Name, pt, c.name)
 			}
 		}
 	}

@@ -196,6 +196,9 @@ func TestValidateRejectsBrokenPlatforms(t *testing.T) {
 		func(p *Platform) { p.FPGAClockHz = -1 },
 		func(p *Platform) { p.FPGAAlone = BandwidthCurve{} },
 		func(p *Platform) { p.CPUInterfered.Points[3] = -2 },
+		func(p *Platform) { p.FPGAAlone = BandwidthCurve{Points: []float64{0, 0, 0}} },
+		func(p *Platform) { p.FPGAInterfered.Points[5] = math.NaN() },
+		func(p *Platform) { p.CPUAlone.Points[0] = math.Inf(1) },
 		func(p *Platform) { p.Coherence.RandReadRemoteNS = -1 },
 		func(p *Platform) { p.Coherence.ProbeMemFraction = 1.5 },
 	}
