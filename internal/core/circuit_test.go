@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"fpgapart/codec"
 	"fpgapart/internal/hashutil"
 	"fpgapart/platform"
 	"fpgapart/workload"
@@ -439,15 +440,57 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestPageTranslationsHappen holds Stats.PageTranslations to its rule: one
+// translation per input line the partition pass reads from a plain relation
+// (ceil(N/lanes) for RID, ceil(N/16) for VRID, none for RLE input), plus one
+// per line the write-back commits while the write combiner is on.
 func TestPageTranslationsHappen(t *testing.T) {
-	rel := genRelation(t, workload.Random, 8, 20000, 19)
-	cfg := Config{NumPartitions: 64, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID}
-	_, stats, err := mustCircuit(t, cfg).Partition(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PageTranslations == 0 {
-		t.Error("no page-table translations recorded")
+	const n = 20001 // a partial last line in every layout
+	keys := compressible(n, 300, 23)
+	col := codec.CompressRLE(keys)
+	rid := genRelation(t, workload.Random, 8, n, 19)
+	vrid := rid.ToColumns()
+	wide := genRelation(t, workload.Random, 64, n, 29)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		rel   *workload.Relation
+		input int64 // input lines the partition pass reads
+	}{
+		{"pad_rid", Config{Format: PAD, Layout: RID}, rid, (n + 7) / 8},
+		{"hist_rid", Config{Format: HIST, Layout: RID}, rid, (n + 7) / 8},
+		{"pad_vrid", Config{Format: PAD, Layout: VRID}, vrid, (n + 15) / 16},
+		{"hist_vrid", Config{Format: HIST, Layout: VRID}, vrid, (n + 15) / 16},
+		{"hist_rid_w64", Config{Format: HIST, Layout: RID, TupleWidth: 64}, wide, n},
+		{"hist_rle", Config{Format: HIST, Layout: VRID}, nil, 0},
+		{"pad_rid_no_forwarding", Config{Format: PAD, Layout: RID, DisableForwarding: true}, rid, (n + 7) / 8},
+		{"hist_rid_no_combiner", Config{Format: HIST, Layout: RID, DisableWriteCombiner: true}, rid, (n + 7) / 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.NumPartitions, cfg.Hash, cfg.PadFraction = 64, true, 0.5
+			if cfg.TupleWidth == 0 {
+				cfg.TupleWidth = 8
+			}
+			c := mustCircuit(t, cfg)
+			var stats *Stats
+			var err error
+			if tc.rel == nil {
+				_, stats, err = c.PartitionCompressed(col)
+			} else {
+				_, stats, err = c.Partition(tc.rel)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.input
+			if !cfg.DisableWriteCombiner {
+				want += stats.LinesWritten
+			}
+			if stats.PageTranslations != want {
+				t.Errorf("PageTranslations = %d, want %d input lines + %d lines written", stats.PageTranslations, tc.input, want-tc.input)
+			}
+		})
 	}
 }
 
