@@ -191,15 +191,8 @@ func (c *Config) Validate() (err error) {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
-		for _, cr := range c.Faults.Crashes {
-			if cr.Node >= c.Shards {
-				return fmt.Errorf("cluster: crash of shard %d outside pool of %d", cr.Node, c.Shards)
-			}
-		}
-		for _, st := range c.Faults.Stragglers {
-			if st.Node >= c.Shards {
-				return fmt.Errorf("cluster: straggler shard %d outside pool of %d", st.Node, c.Shards)
-			}
+		if err := c.Faults.CheckNodes(c.Shards); err != nil {
+			return fmt.Errorf("cluster: shards: %w", err)
 		}
 	}
 	return nil

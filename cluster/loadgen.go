@@ -54,12 +54,11 @@ func GenerateLoad(seed uint64, n int, opts LoadOptions) ([]Request, error) {
 	if opts.HotTenantShare < 0 || opts.HotTenantShare > 1 {
 		return nil, fmt.Errorf("cluster: HotTenantShare %v outside [0, 1]", opts.HotTenantShare)
 	}
-	if opts.MeanGapUS < 0 {
-		return nil, fmt.Errorf("cluster: negative MeanGapUS %d", opts.MeanGapUS)
-	}
+	// The trace checks the sizes and the gap; its arrivals are replaced below.
 	jobs, err := partserver.GenerateTrace(seed, n, partserver.TraceOptions{
 		MinTuples: opts.MinTuples,
 		MaxTuples: opts.MaxTuples,
+		MeanGapUS: opts.MeanGapUS,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)

@@ -103,19 +103,10 @@ func (o *Options) validateScenarioNodes() error {
 			return fmt.Errorf("distjoin: degraded link %d→%d on a %d-node cluster", l.Src, l.Dst, o.Nodes)
 		}
 	}
-	for _, st := range s.Stragglers {
-		if st.Node >= o.Nodes {
-			return fmt.Errorf("distjoin: straggler node %d on a %d-node cluster", st.Node, o.Nodes)
-		}
+	if err := s.CheckNodes(o.Nodes); err != nil {
+		return fmt.Errorf("distjoin: %w", err)
 	}
-	crashed := 0
-	for _, c := range s.Crashes {
-		if c.Node >= o.Nodes {
-			return fmt.Errorf("distjoin: crash of node %d on a %d-node cluster", c.Node, o.Nodes)
-		}
-		crashed++
-	}
-	if crashed >= o.Nodes {
+	if len(s.Crashes) >= o.Nodes {
 		return fmt.Errorf("distjoin: all %d nodes crash — no survivors to degrade onto", o.Nodes)
 	}
 	return nil

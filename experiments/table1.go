@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"fpgapart/internal/memsys"
 	"fpgapart/platform"
 )
 
@@ -25,10 +24,9 @@ type Table1Result struct {
 }
 
 // RunTable1 replays the Section 2.2 micro-benchmark against the coherence
-// model: a 512 MB region is written by one socket (tracked per cache line in
-// memsys), then read by the CPU sequentially and randomly; the model's
-// per-line latencies — calibrated to the paper's measurements — accumulate
-// into the region read time.
+// model: a 512 MB region is written by one socket, then read by the CPU
+// sequentially and randomly; the model's per-line latencies — calibrated to
+// the paper's measurements — accumulate into the region read time.
 func RunTable1(cfg Config) (*Table1Result, error) {
 	p := platform.XeonFPGA()
 	const region = int64(512 << 20)
@@ -37,29 +35,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		SeqPenalty:  p.Coherence.SeqPenalty(),
 		RandPenalty: p.Coherence.RandPenalty(),
 	}
-	// Exercise the real ownership tracking on a scaled-down region, then
-	// extrapolate with the per-line latencies (a 512 MB owner bitmap is
-	// cheap, but the point here is the model, not the loop).
-	pool, err := memsys.NewPool(1 << 30)
-	if err != nil {
-		return nil, err
-	}
 	for _, writer := range []platform.Socket{platform.CPUSocket, platform.FPGASocket} {
-		r, err := pool.Alloc(64 << 20)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.MarkWritten(writer, 0, 64<<20); err != nil {
-			return nil, err
-		}
-		cpu, fpga := r.OwnerCounts()
-		owned := cpu
-		if writer == platform.FPGASocket {
-			owned = fpga
-		}
-		if owned != (64<<20)/memsys.LineBytes {
-			return nil, fmt.Errorf("experiments: ownership tracking lost lines: %d/%d", cpu, fpga)
-		}
 		for _, random := range []bool{false, true} {
 			res.Rows = append(res.Rows, Table1Row{
 				LastWriter: writer,

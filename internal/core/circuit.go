@@ -6,7 +6,6 @@ import (
 
 	"fpgapart/codec"
 	"fpgapart/internal/fpga"
-	"fpgapart/internal/memsys"
 	"fpgapart/internal/qpi"
 	"fpgapart/internal/simtrace"
 	"fpgapart/platform"
@@ -36,19 +35,18 @@ type Circuit struct {
 	clockHz float64
 
 	// The datapath exists for the life of the bitstream (Section 4): the
-	// hash pipeline register, the FIFOs, the combiners' control state, the
-	// QPI end-point (every pass's SetMix empties its token buckets) and the
-	// page table are built once and reset by every run. Only state whose
-	// size depends on neither fan-out nor input is kept here; the BRAM
-	// contents and the destination bookkeeping are the run's (see newRun).
+	// hash pipeline register, the FIFOs, the combiners' control state and the
+	// QPI end-point (every pass's SetMix empties its token buckets) are built
+	// once and reset by every run. Only state whose size depends on neither
+	// fan-out nor input is kept here; the BRAM contents and the destination
+	// bookkeeping are the run's (see newRun).
 	// The hash pipelines carry lane groups as their tuple counts: what each
 	// tuple does was decided before the clock started (prepass).
-	pipe   *fpga.Reg[int]
-	comb   []*combiner
-	final  *fpga.FIFO[outLine]
-	ep     *qpi.Endpoint
-	ptable *memsys.PageTable
-	pl     placer // the placement side, its log and hand-off ring
+	pipe  *fpga.Reg[int]
+	comb  []*combiner
+	final *fpga.FIFO[outLine]
+	ep    *qpi.Endpoint
+	pl    placer // the placement side, its log and hand-off ring
 }
 
 // NewCircuit validates cfg and binds it to an FPGA clock and a QPI bandwidth
@@ -103,7 +101,9 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 	if lines := c.pl.end(err == nil); err == nil {
 		r.out.Lines = lines
 	}
-	r.stats.PageTranslations += c.pl.translations
+	if !c.cfg.DisableWriteCombiner { // the write-back translates every committed line
+		r.stats.PageTranslations += r.stats.LinesWritten
+	}
 	// The BRAM contents and the flags die with the run: between runs a
 	// circuit holds nothing whose size follows the fan-out or the input.
 	for _, cb := range c.comb {
@@ -122,12 +122,11 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 
 // run holds the mutable state of one partitioning execution.
 type run struct {
-	circuit *Circuit
-	cfg     Config
-	rel     *workload.Relation
-	ep      *qpi.Endpoint
-	stats   *Stats
-	pr      *probe // nil unless cfg.Trace is set
+	cfg   Config
+	rel   *workload.Relation
+	ep    *qpi.Endpoint
+	stats *Stats
+	pr    *probe // nil unless cfg.Trace is set
 
 	lanes int // tuples per internal cycle
 	wpt   int // output words per tuple
@@ -178,11 +177,6 @@ type run struct {
 
 	out *Output
 
-	// Shared-memory model.
-	region *memsys.Region
-	ptable *memsys.PageTable
-	outOff int64 // byte offset of the output buffer in the region
-
 	// The placement side: per stored line (per tuple in the no-write-
 	// combiner ablation) store records its destination in the log.
 	pl *placer
@@ -196,7 +190,7 @@ type run struct {
 func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	cfg := &c.cfg
 	r := &run{
-		circuit: c, cfg: c.cfg, rel: rel, comp: comp, ep: c.ep, stats: &Stats{},
+		cfg: c.cfg, rel: rel, comp: comp, ep: c.ep, stats: &Stats{},
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
 		radix: cfg.RadixBits(), pipe: c.pipe, comb: c.comb, final: c.final, pl: &c.pl,
 		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1, compLine: -1,
@@ -254,9 +248,7 @@ func (r *run) execute() error {
 	} else {
 		r.padBases()
 	}
-	if err := r.allocate(); err != nil {
-		return err
-	}
+	r.allocate()
 	r.pl.start(r.total)
 	if hist {
 		r.histogramPass()
@@ -369,9 +361,8 @@ func (r *run) padBases() {
 	}
 }
 
-// allocate lays the partitions out in shared memory and populates the
-// FPGA-side page table.
-func (r *run) allocate() error {
+// allocate lays the partitions out in the output buffer.
+func (r *run) allocate() {
 	var totalLines int64
 	for p := range r.base {
 		d := r.dest(p)
@@ -388,53 +379,6 @@ func (r *run) allocate() error {
 		Counts:        r.counts,
 	}
 	r.pl.words = totalLines * 8
-
-	// Shared-memory region: input buffer followed by the output buffer,
-	// page-aligned, as the software would allocate through the Intel API.
-	const pageBytes = memsys.PageBytes
-	var inBytes int64
-	if r.comp != nil {
-		inBytes = int64(r.comp.CompressedBytes())
-	} else {
-		inBytes = int64(r.rel.Bytes())
-	}
-	r.outOff = (inBytes + pageBytes - 1) / pageBytes * pageBytes
-	need := max(r.outOff+totalLines*64, pageBytes)
-	pool, err := memsys.NewPool(need + pageBytes)
-	if err != nil {
-		return fmt.Errorf("core: shared-memory pool: %w", err)
-	}
-	if r.region, err = pool.Alloc(need); err != nil {
-		return fmt.Errorf("core: shared-memory region: %w", err)
-	}
-	// The CPU initialised the output buffer (placer.run's dummy keys): every
-	// line the FPGA can write starts out CPU-written, which is also what
-	// sizes the region's snoop-filter state to the output range once.
-	if err := r.region.MarkWritten(platform.CPUSocket, r.outOff, totalLines*64); err != nil {
-		return fmt.Errorf("core: shared-memory region: %w", err)
-	}
-	// The circuit's page table only ever grows, by an entry per 4 MB of the
-	// largest region it has seen.
-	c := r.circuit
-	if pages := int((need + pageBytes - 1) / pageBytes); c.ptable == nil || c.ptable.Capacity() < pages {
-		if c.ptable, err = memsys.NewPageTable(pages); err != nil {
-			return fmt.Errorf("core: FPGA page table: %w", err)
-		}
-	}
-	r.ptable = c.ptable
-	if err := r.ptable.Populate(r.region); err != nil {
-		return fmt.Errorf("core: FPGA page table: %w", err)
-	}
-	r.pl.region, r.pl.ptable, r.pl.outOff = r.region, r.ptable, r.outOff
-	return nil
-}
-
-// translate models the pipelined FPGA page-table lookup for one cache-line
-// access at byte offset off in the run's virtual space.
-func (r *run) translate(off int64) {
-	if _, err := r.ptable.Translate(off); err == nil {
-		r.stats.PageTranslations++
-	}
 }
 
 // nextGroup feeds the hash pipelines: it returns the size of the lane group
@@ -471,21 +415,13 @@ func (r *run) nextGroup(feed bool) int {
 		r.ep.Read()
 		r.stats.LinesRead++
 		if feed { // the histogram pass's reads are not counted as translated
-			r.translate(r.inputLineOffset())
+			r.stats.PageTranslations++
 		}
 	}
 	n := int(min(r.total-r.next, int64(r.lanes)))
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
 	return n
-}
-
-// inputLineOffset returns the byte offset of the cache line about to be read.
-func (r *run) inputLineOffset() int64 {
-	if r.cfg.Layout == VRID {
-		return r.next * 4 / 64 * 64
-	}
-	return r.next * int64(r.cfg.TupleWidth) / 64 * 64
 }
 
 // partitionPass is the main pass: read, hash, combine, write back. A stage
@@ -658,8 +594,7 @@ func (r *run) writeBack() error {
 
 // store commits one line (or one tuple, in the ablation) to the output
 // buffer, updating the offset and count BRAMs and checking PAD overflow. The
-// commit is an entry in the store log; the placement side moves the words,
-// looks the output page up and marks the line FPGA-written.
+// commit is an entry in the store log; the placement side moves the words.
 //
 //fpgavet:hotpath
 func (r *run) store(l *outLine) error {

@@ -2,13 +2,8 @@ package core
 
 import (
 	"fpgapart/codec"
-	"fpgapart/internal/memsys"
 	"fpgapart/workload"
 )
-
-// Region exposes the run's shared-memory region to the white-box ownership
-// test, which verifies the output lines are FPGA-owned.
-func (r *run) Region() *memsys.Region { return r.region }
 
 // walk is the stepping hook: it runs rel (or, when comp is set, the
 // decompressor's key stream) through a traced circuit as Partition does and

@@ -90,12 +90,12 @@ func BenchmarkCircuitPartition(b *testing.B) {
 // circuit that has run before, whatever the lanes, input size or fan-out: the
 // run and its Stats, one slab each for the destination bookkeeping, the
 // fill-rate BRAMs (the combiners' and the placement side's) and the bank
-// lines, the Output and its lines, the shared-memory pool, region, page
-// array and snoop-filter span, and — when the run places on a second
+// lines, the Output and its lines, and — when the run places on a second
 // goroutine — that goroutine's closure. (It was 23 + 7 per lane — 79 at eight
-// lanes — while every run rebuilt the datapath; the benchmark's
-// core.mallocs_per_op is this number.)
-const runObjects = 12
+// lanes — while every run rebuilt the datapath, and 12 while every run built
+// a shared-memory pool, region, page array and snoop-filter span; the
+// benchmark's core.mallocs_per_op is this number.)
+const runObjects = 8
 
 // TestPartitionAllocations guards the per-run fixed cost and the pass loops:
 // the second and later runs of a circuit make runObjects heap objects, and

@@ -4,8 +4,6 @@ import (
 	"slices"
 
 	"fpgapart/internal/hashutil"
-	"fpgapart/internal/memsys"
-	"fpgapart/platform"
 )
 
 // logChunk is the store log's hand-off unit in entries, and logChunks the
@@ -34,9 +32,8 @@ var placementHook func()
 // it, until the pre-pass says one fills: the line its combiner emitted.
 // The write-back never reorders one lane, so that line is the entry's.
 // Once a lane's input is used up, its entries are the flush's partial lines
-// in address order, found in the combiners' end-of-pass fill image. Each
-// entry is also where the output page is looked up and the line marked
-// FPGA-written. Output.Lines is a pure function of the input and the log.
+// in address order, found in the combiners' end-of-pass fill image.
+// Output.Lines is a pure function of the input and the log.
 type placer struct {
 	// The run's input and shape (words: len(Output.Lines), set by allocate).
 	data         []uint64 // a RID input's words, bounded by its length
@@ -53,13 +50,6 @@ type placer struct {
 
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
 	lines []uint64
-
-	// The shared memory the lines go to (set by allocate), and the output
-	// page lookups that found their page.
-	region       *memsys.Region
-	ptable       *memsys.PageTable
-	outOff       int64
-	translations int64
 
 	// Each lane's cursors: its next tuple, its input (the RLE run holding
 	// the tuple) and its flush scan address.
@@ -97,7 +87,7 @@ func (pl *placer) reset(r *run, image []uint8) {
 	}
 	pl.vrid, pl.single, pl.hash, pl.radix = r.cfg.Layout == VRID, r.cfg.DisableWriteCombiner, r.cfg.Hash, r.radix
 	pl.lanes, pl.wpt, pl.parts = r.lanes, r.wpt, r.cfg.NumPartitions
-	pl.total, pl.flags, pl.image, pl.translations = r.total, r.flags, image, 0
+	pl.total, pl.flags, pl.image = r.total, r.flags, image
 	pl.cur, pl.at, pl.ended = nil, 0, true
 	// The log's first chunk stays with the circuit; it grows to what a run
 	// can log, up to a chunk: a line per tuple at most, or a full line per
@@ -116,10 +106,9 @@ func (pl *placer) reset(r *run, image []uint8) {
 	}
 }
 
-// release drops the run's input, image, banks, output and shared memory.
+// release drops the run's input, image, banks and output.
 func (pl *placer) release() {
 	pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil
-	pl.region, pl.ptable = nil, nil
 	pl.src = [8]source{}
 }
 
@@ -167,21 +156,14 @@ func (pl *placer) record(dst int64, lane uint8) {
 }
 
 // end ends the log after the passes and returns Output.Lines if they
-// succeeded: an inline run places here (a failed one only commits its
-// lines, for the page lookups its Stats count), an async run waits for its
-// goroutine.
+// succeeded: an inline run places here (a failed one places nothing), an
+// async run waits for its goroutine.
 func (pl *placer) end(ok bool) []uint64 {
 	if pl.async {
 		pl.stop()
-	} else {
+	} else if ok {
 		pl.cur, pl.at = pl.log, 0
-		if ok {
-			pl.run()
-		} else {
-			for e, more := pl.entry(); more; e, more = pl.entry() {
-				pl.commit(int64(e >> 3))
-			}
-		}
+		pl.run()
 	}
 	if !ok {
 		return nil
@@ -230,31 +212,12 @@ func (pl *placer) run() {
 func (pl *placer) place() {
 	for e, ok := pl.entry(); ok; e, ok = pl.entry() {
 		lane, d := int(e&7), int64(e>>3)
-		pl.commit(d)
 		if pl.single {
 			_, words := pl.tuple(lane)
 			copy(pl.lines[d:], words)
 		} else {
 			pl.line(lane, d)
 		}
-	}
-}
-
-// commit looks up the output page of the line at word d and marks the line
-// FPGA-written, the snoop filter state that later penalizes the CPU's
-// build+probe (Section 2.2). The ablation's tuple-granular writes mark
-// their line without a lookup. store bounded the line against its
-// partition's region, so both succeed.
-//
-//fpgavet:hotpath
-func (pl *placer) commit(d int64) {
-	off := pl.outOff + d&^7*8
-	_ = pl.region.MarkWritten(platform.FPGASocket, off, 64)
-	if pl.single {
-		return
-	}
-	if _, err := pl.ptable.Translate(off); err == nil {
-		pl.translations++
 	}
 }
 

@@ -42,7 +42,11 @@ type Stats struct {
 	// have stalled without forwarding).
 	ForwardedHazards int64
 
-	// PageTranslations counts FPGA-side virtual-to-physical translations.
+	// PageTranslations counts FPGA-side virtual-to-physical translations:
+	// one per input cache line the partition pass reads from a plain
+	// (uncompressed) relation, plus one per line the write-back commits
+	// while the write combiner is on. The page table is pipelined (Section
+	// 2.1), so a translation costs no cycle; it is counted, not simulated.
 	PageTranslations int64
 
 	// HashPipelineBubbles counts partition-pass cycles in which the input

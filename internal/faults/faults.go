@@ -119,7 +119,8 @@ type Scenario struct {
 }
 
 // Validate reports whether the scenario is well-formed. Node indices are
-// range-checked against the cluster size by the consumer (which knows it).
+// range-checked against the pool size by the consumer, which knows it
+// (CheckNodes).
 // Every range is checked so that NaN, which fails every comparison, is
 // outside it, and the unbounded ones exclude +Inf.
 func (s *Scenario) Validate() error {
@@ -164,6 +165,22 @@ func (s *Scenario) Validate() error {
 		}
 		if !(st.Factor >= 1 && st.Factor <= maxStraggleFactor) {
 			return fmt.Errorf("faults: straggle factor %v outside [1, %g]", st.Factor, float64(maxStraggleFactor))
+		}
+	}
+	return nil
+}
+
+// CheckNodes reports a crash or a straggler that names a node outside a pool
+// of n, which Validate cannot know.
+func (s *Scenario) CheckNodes(n int) error {
+	for _, c := range s.Crashes {
+		if c.Node >= n {
+			return fmt.Errorf("faults: crash of node %d outside a pool of %d", c.Node, n)
+		}
+	}
+	for _, st := range s.Stragglers {
+		if st.Node >= n {
+			return fmt.Errorf("faults: straggler node %d outside a pool of %d", st.Node, n)
 		}
 	}
 	return nil

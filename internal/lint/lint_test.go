@@ -648,7 +648,6 @@ var testOnly = map[string]string{
 	"(*fpgapart/internal/core.HashPipeline).HashAll": "reference: drives the staged pipeline over a key stream for the parity tests",
 	"fpgapart/internal/cpupart.PartitionTuples":      "reference: partitioning without a Scratch, which the fuzz and alignment tests hold the buffered kernels against",
 	"fpgapart/internal/joincore.NestedLoop":          "reference: the brute-force join every join test compares matches and checksum against",
-	"(*fpgapart/internal/memsys.Region).Owner":       "reference: per-line snoop-filter state, read by the tests that hold the written-span tracking against a dense map",
 	"(*fpgapart/internal/fpga.FIFO[T]).Len":          "reference: the occupancy the circuit's run.queued and run.lines counters are checked against after every cycle",
 	"(*fpgapart/partition.Result).Each":              "reference: the tuple-at-a-time read-back the partition goldens and multiset tests hold both backends to; consumers read whole runs through Run",
 }

@@ -115,7 +115,8 @@ type Config struct {
 	// per-execution transient fault probabilities (the job is retried, then
 	// degraded to CPU), Crashes fail-stop an instance after a fraction of
 	// its fair share of the trace, Stragglers stretch an instance's virtual
-	// durations. Link entries do not apply to the scheduler and are ignored.
+	// durations; both name instances below FPGAs. Link entries do not apply
+	// to the scheduler and are ignored.
 	// CPU workers are fault-free.
 	Faults *faults.Scenario
 
@@ -177,6 +178,9 @@ func (c *Config) Validate() (err error) {
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("partserver: %w", err)
+		}
+		if err := c.Faults.CheckNodes(c.FPGAs); err != nil {
+			return fmt.Errorf("partserver: FPGAs: %w", err)
 		}
 	}
 	return nil

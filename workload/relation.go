@@ -85,16 +85,6 @@ func (r *Relation) Payload(i int) uint32 {
 	return uint32(r.Data[i*r.Stride()] >> 32)
 }
 
-// Bytes returns the total size of the relation's key-bearing data in bytes:
-// the full record stream for row layout, the key column for column layout
-// (what the FPGA actually reads in VRID mode).
-func (r *Relation) Bytes() int {
-	if r.Layout == ColumnLayout {
-		return 4 * r.NumTuples
-	}
-	return r.Width * r.NumTuples
-}
-
 // NewRelation allocates an empty relation with the given shape. Width must be
 // one of 8, 16, 32, 64. The caller fills keys via SetTuple or the generators
 // in this package.

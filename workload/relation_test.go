@@ -53,20 +53,6 @@ func TestSetGetTupleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBytesAndCacheLines checks Bytes; the name outlives the deleted
-// CacheLines accessor.
-func TestBytesAndCacheLines(t *testing.T) {
-	r, _ := NewRelation(RowLayout, 8, 1000)
-	if r.Bytes() != 8000 {
-		t.Errorf("Bytes = %d, want 8000", r.Bytes())
-	}
-	// Column layout counts only the key column (what VRID mode reads).
-	c, _ := NewRelation(ColumnLayout, 8, 1000)
-	if c.Bytes() != 4000 {
-		t.Errorf("column Bytes = %d, want 4000", c.Bytes())
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	r, _ := NewRelation(RowLayout, 8, 4)
 	r.SetTuple(0, 7, 9)
