@@ -205,16 +205,12 @@ type quotaKey struct {
 }
 
 // exec is one execution of a request on one shard scheduler — its primary,
-// or its replica hedge — as the router sees it.
+// or its replica hedge — as the router sees it. Its outcome is the shard
+// scheduler's (runState.result).
 type exec struct {
-	shard int // -1: none (never admitted / not hedged)
-	job   int // id on the shard's scheduler, -1 until submitted
-	// ended marks the job terminal; doneUS, status and execUS are its
-	// outcome.
-	ended  bool
-	doneUS int64
-	status partserver.Status
-	execUS int64
+	shard int  // -1: none (never admitted / not hedged)
+	job   int  // id on the shard's scheduler, -1 until submitted
+	ended bool // the job is terminal
 }
 
 // routed is the router's per-request state, in request order.
@@ -236,12 +232,6 @@ type routed struct {
 
 // hedged reports whether a replica hedge was issued.
 func (d *routed) hedged() bool { return d.hedge.shard >= 0 }
-
-// hedgeWon reports whether the hedge finished strictly before the primary.
-// Final once the primary has ended.
-func (d *routed) hedgeWon() bool {
-	return d.hedge.ended && d.hedge.status == partserver.StatusDone && d.hedge.doneUS < d.run.doneUS
-}
 
 // timer is one pending router event: the admission of a request that may
 // have to wait for a drain or may be hedged, or a hedge deadline.
@@ -325,7 +315,6 @@ type runState struct {
 	samples []int64
 
 	throttleDelayUS int64
-	results         []RequestResult
 
 	// flight is the router's flight-recorder ring, nil when Config.ReqTrace
 	// is; each shard scheduler keeps its own.
@@ -368,11 +357,8 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 		if inj == nil || s >= cfg.Shards {
 			continue
 		}
-		if f, ok := inj.CrashFraction(s); ok {
-			st.dieAfter[s] = int(f * float64(share))
-			if st.dieAfter[s] == 0 {
-				st.dead[s] = true
-			}
+		if at, ok := inj.CrashPoint(s, int64(share)); ok {
+			st.dieAfter[s], st.dead[s] = int(at), at == 0
 		}
 		// A straggling shard straggles all of its FPGA instances: the
 		// cluster-level Straggler.Node names the shard, the shard-level
@@ -397,7 +383,6 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 	})
 
 	st.decisions = make([]routed, len(reqs))
-	st.results = make([]RequestResult, len(reqs))
 	st.served = make([]int, st.numShards)
 	st.shards = make([]*partserver.Scheduler, st.numShards)
 	st.draining = make([][]int, len(st.events))
@@ -787,26 +772,16 @@ func (st *runState) step(s int, us int64) error {
 			}
 		}
 		if hedge {
-			// A hedge that completes while the primary is outstanding holds
-			// the result; the primary keeps it only by finishing strictly
-			// later.
-			d.hedge.end(&jr)
-			if !d.run.ended && jr.Status == partserver.StatusDone {
-				st.setResult(idx, &jr)
-			}
+			d.hedge.ended = true
 			continue
 		}
-		d.run.end(&jr)
-		if d.hedgeWon() {
-			st.record(d.hedge.doneUS, "hedge_won", idx, int64(d.hedge.shard))
-		} else {
-			if d.hedged() && !d.hedge.ended {
-				// The loser is cancelled the instant the primary finishes,
-				// unless it is already executing (then it completes as
-				// wasted work).
-				st.shards[d.hedge.shard].Cancel(d.hedge.job, us)
-			}
-			st.setResult(idx, &jr)
+		d.run.ended = true
+		if st.hedgeWon(idx) {
+			st.record(st.result(&d.hedge).DoneUS, "hedge_won", idx, int64(d.hedge.shard))
+		} else if d.hedged() && !d.hedge.ended {
+			// The loser is cancelled the instant the primary finishes, unless
+			// it is already executing (then it completes as wasted work).
+			st.shards[d.hedge.shard].Cancel(d.hedge.job, us)
 		}
 		if err := st.drained(idx, us); err != nil {
 			return err
@@ -815,20 +790,21 @@ func (st *runState) step(s int, us int64) error {
 	return nil
 }
 
-// end stamps the execution's outcome.
-func (e *exec) end(jr *partserver.JobResult) {
-	e.ended, e.doneUS, e.status, e.execUS = true, jr.DoneUS, jr.Status, jr.ExecUS
+// result is execution e's outcome as its shard scheduler holds it.
+func (st *runState) result(e *exec) partserver.JobResult {
+	return st.shards[e.shard].Result(e.job)
 }
 
-// setResult makes jr the outcome request idx reports.
-func (st *runState) setResult(idx int, jr *partserver.JobResult) {
-	rr := &st.results[idx]
-	rr.Status = jr.Status
-	rr.DoneUS = jr.DoneUS
-	rr.LatencyUS = jr.DoneUS - st.reqs[idx].Job.ArrivalUS
-	rr.Tuples = jr.Tuples
-	rr.Matches = jr.Matches
-	rr.Checksum = jr.Checksum
+// hedgeWon reports whether request idx's hedge ended StatusDone strictly
+// before its primary ended: then the request reports the hedge's outcome.
+// Final once the primary has ended.
+func (st *runState) hedgeWon(idx int) bool {
+	d := &st.decisions[idx]
+	if !d.run.ended || !d.hedge.ended {
+		return false
+	}
+	h := st.result(&d.hedge)
+	return h.Status == partserver.StatusDone && h.DoneUS < st.result(&d.run).DoneUS
 }
 
 // drained takes finished request idx off the drain count of every membership

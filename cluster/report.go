@@ -132,12 +132,13 @@ func (rep *Report) dynamic() bool {
 	return len(rep.MembershipEvents) > 0 || rep.HedgedRun
 }
 
-// gather completes the per-request results the event loop filled in and
-// derives the cluster-level aggregates.
+// gather builds the per-request results from the router's decisions and
+// each request's winning execution, and derives the cluster-level
+// aggregates.
 func (st *runState) gather() *Report {
 	reqs := st.reqs
 	rep := &Report{
-		Results:         st.results,
+		Results:         make([]RequestResult, len(reqs)),
 		Requests:        len(reqs),
 		ThrottleDelayUS: st.throttleDelayUS,
 		HedgedRun:       st.cfg.HedgeUS != 0,
@@ -172,9 +173,25 @@ func (st *runState) gather() *Report {
 		rr.HandoffUS = d.handoffUS
 		rr.Hedged = d.hedged()
 		rr.HedgeShard = d.hedge.shard
-		rr.HedgeWon = d.hedgeWon()
+		rr.HedgeWon = st.hedgeWon(i)
 		rr.ArrivalUS = reqs[i].Job.ArrivalUS
 		rr.AdmitUS = d.admitUS
+		var hedge partserver.JobResult
+		if rr.Hedged {
+			hedge = st.result(&d.hedge)
+		}
+		if d.run.ended {
+			win := hedge
+			if !rr.HedgeWon {
+				win = st.result(&d.run)
+			}
+			rr.Status = win.Status
+			rr.DoneUS = win.DoneUS
+			rr.LatencyUS = win.DoneUS - rr.ArrivalUS
+			rr.Tuples = win.Tuples
+			rr.Matches = win.Matches
+			rr.Checksum = win.Checksum
+		}
 
 		switch {
 		case rr.Shard < 0:
@@ -200,20 +217,18 @@ func (st *runState) gather() *Report {
 		// Hedge bookkeeping: a winner shaved the gap to its primary off the
 		// latency; a loser was cancelled in the queue, or ran to completion
 		// as wasted work.
+		if rr.Hedged {
+			rep.HedgeIssued++
+		}
 		switch {
 		case !rr.Hedged:
 		case rr.HedgeWon:
-			rep.HedgeIssued++
 			rep.HedgeWon++
-			rep.HedgeSavedUS += d.run.doneUS - d.hedge.doneUS
-		case d.hedge.status == partserver.StatusCancelled:
-			rep.HedgeIssued++
+			rep.HedgeSavedUS += st.result(&d.run).DoneUS - hedge.DoneUS
+		case hedge.Status == partserver.StatusCancelled:
 			rep.HedgeCancelled++
-		case d.hedge.status == partserver.StatusDone:
-			rep.HedgeIssued++
-			rep.HedgeWastedUS += d.hedge.execUS
-		default:
-			rep.HedgeIssued++
+		case hedge.Status == partserver.StatusDone:
+			rep.HedgeWastedUS += hedge.ExecUS
 		}
 		rep.Matches += rr.Matches
 		rep.Checksum += rr.Checksum

@@ -62,7 +62,7 @@ func (st *runState) buildTraces() {
 			Shard:        d.run.shard,
 			Primary:      d.primary,
 			HandoffUS:    d.handoffUS,
-			HedgeWon:     d.hedgeWon(),
+			HedgeWon:     st.hedgeWon(idx),
 			HedgeIssueUS: d.hedgeIssueUS,
 		}
 		e := &d.run

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"fpgapart/cluster"
 	"fpgapart/internal/faults"
@@ -180,7 +181,9 @@ func runCmd(args []string) {
 	}
 }
 
+// fatal prints err after the command name, once: errors from the cluster
+// package already begin with it.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cluster:", err)
+	fmt.Fprintln(os.Stderr, "cluster:", strings.TrimPrefix(err.Error(), "cluster: "))
 	os.Exit(1)
 }

@@ -96,7 +96,7 @@ func main() {
 	fmt.Printf("partitioner:   %s\n", p.Name())
 	fmt.Printf("tuples:        %d  (%d partitions)\n", res.TotalTuples(), res.NumPartitions())
 	kind := "measured"
-	if res.Simulated() {
+	if res.FPGAWritten() {
 		kind = "simulated"
 	}
 	fmt.Printf("elapsed:       %v (%s)\n", res.Elapsed(), kind)
@@ -104,7 +104,7 @@ func main() {
 	if res.FellBack() {
 		fmt.Println("note:          PAD overflow — fell back to the CPU partitioner")
 	}
-	if res.Simulated() {
+	if res.FPGAWritten() {
 		s := res.Stats
 		fmt.Printf("cycles:        %d (histogram %d, flush %d)\n", s.Cycles, s.HistogramCycles, s.FlushCycles)
 		fmt.Printf("qpi traffic:   %d lines read, %d written, %d dummy tuples\n", s.LinesRead, s.LinesWritten, s.Dummies)

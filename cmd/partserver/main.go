@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"fpgapart/internal/faults"
 	"fpgapart/internal/reqtrace"
@@ -109,7 +110,9 @@ func runCmd(args []string) {
 	}
 }
 
+// fatal prints err after the command name, once: errors from the partserver
+// package already begin with it.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "partserver:", err)
+	fmt.Fprintln(os.Stderr, "partserver:", strings.TrimPrefix(err.Error(), "partserver: "))
 	os.Exit(1)
 }

@@ -324,11 +324,13 @@ func (in *Injector) LinkFactor(src, dst int) float64 {
 	return 1
 }
 
-// CrashFraction reports whether node crashes, and after what fraction of its
-// exchange messages.
-func (in *Injector) CrashFraction(node int) (float64, bool) {
+// CrashPoint reports whether node crashes and, if it does, its fail-stop
+// point: floor(AfterFraction × work), in the units the caller counts work in
+// (exchange messages, FPGA jobs, routed requests). Each caller compares its
+// own count against the point.
+func (in *Injector) CrashPoint(node int, work int64) (int64, bool) {
 	f, ok := in.crashes[node]
-	return f, ok
+	return int64(f * float64(work)), ok
 }
 
 // CrashedNodes returns the sorted list of crashed nodes. It iterates the

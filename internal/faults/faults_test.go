@@ -179,10 +179,10 @@ func TestLookups(t *testing.T) {
 	if f := inj.LinkFactor(0, 2); f != 1 {
 		t.Errorf("reverse direction degraded too: %v", f)
 	}
-	if f, ok := inj.CrashFraction(3); !ok || f != 0.25 {
-		t.Errorf("crash fraction of node 3: %v, %v", f, ok)
+	if at, ok := inj.CrashPoint(3, 10); !ok || at != 2 {
+		t.Errorf("crash point of node 3 over 10 units: %v, %v", at, ok)
 	}
-	if _, ok := inj.CrashFraction(0); ok {
+	if _, ok := inj.CrashPoint(0, 10); ok {
 		t.Error("healthy node reported crashed")
 	}
 	if got := inj.CrashedNodes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {

@@ -265,9 +265,8 @@ func (f *Fabric) Exchange(pieces []Piece, ef ExchangeFaults) (*ExchangeStats, er
 			if n >= f.Nodes {
 				return nil, fmt.Errorf("rdma: crash of node %d on a %d-node fabric", n, f.Nodes)
 			}
-			frac, _ := x.inj.CrashFraction(n)
 			nd := &x.nodes[n]
-			nd.cut = int64(frac * float64(total[n]))
+			nd.cut, _ = x.inj.CrashPoint(n, total[n])
 			nd.down = nd.cut == 0
 		}
 	}

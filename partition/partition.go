@@ -142,11 +142,9 @@ func (r *Result) NumPartitions() int { return r.numPartitions }
 // simulated FPGA time (cycles at the platform clock) for the FPGA backend.
 func (r *Result) Elapsed() time.Duration { return r.elapsed }
 
-// Simulated reports whether Elapsed is simulated rather than measured.
-func (r *Result) Simulated() bool { return r.fpga != nil }
-
 // FPGAWritten reports whether the partitions were written by the FPGA —
-// which means a CPU consumer pays the coherence snoop penalty of Table 1.
+// which means a CPU consumer pays the coherence snoop penalty of Table 1,
+// and Elapsed is simulated rather than measured.
 func (r *Result) FPGAWritten() bool { return r.fpga != nil }
 
 // FellBack reports whether a PAD overflow forced the CPU fallback.

@@ -50,9 +50,6 @@ func TestCPUAndFPGABackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Simulated() || !fr.Simulated() {
-		t.Error("Simulated flags wrong")
-	}
 	if cr.FPGAWritten() || !fr.FPGAWritten() {
 		t.Error("FPGAWritten flags wrong")
 	}
@@ -120,7 +117,7 @@ func TestPadOverflowFallsBackToCPU(t *testing.T) {
 	if !res.FellBack() {
 		t.Fatal("expected CPU fallback on skewed input")
 	}
-	if res.FPGAWritten() || res.Simulated() {
+	if res.FPGAWritten() {
 		t.Error("fallback result mislabeled")
 	}
 	if res.TotalTuples() != 30000 {

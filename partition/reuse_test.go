@@ -127,10 +127,10 @@ func requireSameResult(t *testing.T, step int, used *Result, uerr error, fresh *
 		}
 		return
 	}
-	if used.Stats != fresh.Stats || used.FellBack() != fresh.FellBack() || used.Simulated() != fresh.Simulated() {
+	if used.Stats != fresh.Stats || used.FellBack() != fresh.FellBack() || used.FPGAWritten() != fresh.FPGAWritten() {
 		t.Fatalf("step %d: stats differ\n long-lived: %+v\n        new: %+v", step, used.Stats, fresh.Stats)
 	}
-	if used.Simulated() && used.Elapsed() != fresh.Elapsed() {
+	if used.FPGAWritten() && used.Elapsed() != fresh.Elapsed() {
 		t.Fatalf("step %d: simulated time %v, on a new partitioner %v", step, used.Elapsed(), fresh.Elapsed())
 	}
 	if !reflect.DeepEqual(used.fpga, fresh.fpga) {

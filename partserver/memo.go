@@ -2,6 +2,7 @@ package partserver
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"fpgapart/partition"
 )
@@ -22,13 +23,11 @@ import (
 // Schedulers given the same Memo (Config.Memo) must carry the request in
 // Job.Tag, as the Memo's request function decodes it. Outcomes are shared,
 // not copied: JobResult.Counts of two jobs of one request is one slice, which
-// no one may modify.
+// no one may modify. Each entry is computed once, in its sync.Once, and Ahead
+// computes only an entry that no dispatch has claimed.
 type Memo struct {
 	request func(tag int64) int
 
-	mu sync.Mutex
-	// settled is signalled whenever an entry becomes done.
-	settled sync.Cond
 	// entries[2*req] is request req's FPGA outcome, entries[2*req+1] its CPU
 	// one.
 	entries []memoEntry
@@ -37,29 +36,20 @@ type Memo struct {
 	ahead resource
 }
 
-type memoState uint8
-
-const (
-	untouched memoState = iota
-	running
-	done
-)
-
 type memoEntry struct {
-	state memoState
-	out   execOut
+	claimed atomic.Bool
+	once    sync.Once
+	out     execOut
 }
 
 // NewMemo returns an empty memo over requests requests; request maps the
 // Job.Tag a Scheduler sees to the request's index in [0, requests).
 func NewMemo(requests int, request func(tag int64) int) *Memo {
-	m := &Memo{
+	return &Memo{
 		request: request,
 		entries: make([]memoEntry, 2*requests),
 		ahead:   resource{kind: PlacedCPU, parts: map[configKey]partition.Partitioner{}},
 	}
-	m.settled.L = &m.mu
-	return m
 }
 
 // Ahead computes request req's CPU outcome for job unless a dispatch has
@@ -68,14 +58,9 @@ func NewMemo(requests int, request func(tag int64) int) *Memo {
 // order it expects their CPU dispatches.
 func (m *Memo) Ahead(req int, job *Job) {
 	e := &m.entries[2*req+1]
-	m.mu.Lock()
-	if e.state != untouched {
-		m.mu.Unlock()
-		return
+	if e.claimed.CompareAndSwap(false, true) {
+		e.once.Do(func() { e.out = m.ahead.run(job, keyOf(job)) })
 	}
-	e.state = running
-	m.mu.Unlock()
-	m.settle(e, m.ahead.run(job, keyOf(job)))
 }
 
 // outcome is job j's outcome on r's backend: the memoised one if it is done,
@@ -83,26 +68,7 @@ func (m *Memo) Ahead(req int, job *Job) {
 // which is then memoised.
 func (m *Memo) outcome(r *resource, j *jobState) execOut {
 	e := &m.entries[2*m.request(j.spec.Tag)+int(r.kind)-int(PlacedFPGA)]
-	m.mu.Lock()
-	for e.state == running {
-		m.settled.Wait()
-	}
-	if e.state == done {
-		out := e.out
-		m.mu.Unlock()
-		return out
-	}
-	e.state = running
-	m.mu.Unlock()
-	out := r.run(&j.spec, j.key)
-	m.settle(e, out)
-	return out
-}
-
-// settle publishes out as e's outcome and wakes its waiters.
-func (m *Memo) settle(e *memoEntry, out execOut) {
-	m.mu.Lock()
-	e.out, e.state = out, done
-	m.settled.Broadcast()
-	m.mu.Unlock()
+	e.claimed.Store(true)
+	e.once.Do(func() { e.out = r.run(&j.spec, j.key) })
+	return e.out
 }

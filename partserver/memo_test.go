@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"fpgapart/partition"
 )
 
 // TestMemoMatchesExecution: two schedulers sharing a memo — one with
@@ -113,5 +115,46 @@ func TestAheadPanicMatchesInline(t *testing.T) {
 	got := rep.Results[0]
 	if got.Status != StatusFailed || got.Err != inline.Err || !strings.HasPrefix(got.Err, "cpu worker: ") {
 		t.Fatalf("job computed ahead ended %v (error %q); run inline %v (error %q)", got.Status, got.Err, inline.Status, inline.Err)
+	}
+}
+
+// TestMemoComputesEachEntryOnce: while Ahead computes every request's CPU
+// outcome in order, dispatches take them in reverse order, so the two meet
+// mid-trace in every round. Each entry is computed once: a second dispatch
+// returns the first one's Counts slice, where a second computation would
+// return a slice of its own.
+func TestMemoComputesEachEntryOnce(t *testing.T) {
+	jobs, err := GenerateTrace(7, 48, TraceOptions{MinTuples: 64, MaxTuples: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]jobState, len(jobs))
+	for i := range jobs {
+		jobs[i].Tag = int64(i)
+		states[i] = jobState{spec: jobs[i], key: keyOf(&jobs[i])}
+	}
+	for round := 0; round < 10; round++ {
+		m := NewMemo(len(jobs), func(tag int64) int { return int(tag) })
+		cpu := &resource{kind: PlacedCPU, parts: map[configKey]partition.Partitioner{}}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := range jobs {
+				m.Ahead(i, &jobs[i])
+			}
+		}()
+		first := make([]execOut, len(jobs))
+		for i := len(jobs) - 1; i >= 0; i-- {
+			first[i] = m.outcome(cpu, &states[i])
+		}
+		<-done
+		for i := range jobs {
+			if !first[i].ok || len(first[i].counts) == 0 {
+				t.Fatalf("round %d, request %d: outcome failed (%q)", round, i, first[i].errMsg)
+			}
+			if again := m.outcome(cpu, &states[i]); &again.counts[0] != &first[i].counts[0] {
+				t.Fatalf("round %d, request %d: computed twice", round, i)
+			}
+		}
 	}
 }

@@ -187,8 +187,8 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 		if i < cfg.FPGAs {
 			r.kind, r.idx, r.writer = PlacedFPGA, i, platform.FPGASocket
 			if s.inj != nil {
-				if f, ok := s.inj.CrashFraction(i); ok {
-					r.crashAt = int(f * float64(share))
+				if at, ok := s.inj.CrashPoint(i, int64(share)); ok {
+					r.crashAt = int(at)
 				}
 				r.straggle = s.inj.StraggleFactor(i)
 			}
