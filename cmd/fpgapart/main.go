@@ -102,7 +102,11 @@ func main() {
 	fmt.Printf("elapsed:       %v (%s)\n", res.Elapsed(), kind)
 	fmt.Printf("throughput:    %.1f Mtuples/s\n", float64(*n)/res.Elapsed().Seconds()/1e6)
 	if res.FellBack() {
-		fmt.Println("note:          PAD overflow — fell back to the CPU partitioner")
+		cause := "the input holds the circuit's dummy key"
+		if res.Stats.Overflowed {
+			cause = "PAD overflow"
+		}
+		fmt.Printf("note:          %s — fell back to the CPU partitioner\n", cause)
 	}
 	if res.FPGAWritten() {
 		s := res.Stats

@@ -58,6 +58,10 @@ func main() {
 	art.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
+	if *scale <= 0 || *scale > 1 {
+		fatal(fmt.Errorf("-scale %g outside (0, 1]", *scale))
+	}
+
 	fpgaFormat, _, err := partition.ParseMode(*format, "rid")
 	if err != nil {
 		fatal(err)

@@ -37,6 +37,11 @@ func main() {
 	art.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
+	if *scale <= 0 || *scale > 1 {
+		fmt.Fprintf(os.Stderr, "repro: -scale %g outside (0, 1]\n", *scale)
+		os.Exit(1)
+	}
+
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Description)

@@ -197,17 +197,17 @@ func join(r, s *workload.Relation, opts Options) (*Result, error) {
 	}
 
 	// Phase 1: every node partitions its shards to the global fan-out. A
-	// shard holding the circuit's dummy key is partitioned on the CPU, as
-	// the circuit's output cannot represent that key.
+	// shard holding the circuit's dummy key falls back to the CPU, as the
+	// circuit's output cannot represent that key.
 	rParts := make([]*partition.Result, opts.Nodes)
 	sParts := make([]*partition.Result, opts.Nodes)
 	var slowest time.Duration
 	for n := 0; n < opts.Nodes; n++ {
-		pr, _, err := partition.Exact(p, rShards[n], true, opts.Threads)
+		pr, err := p.Partition(rShards[n])
 		if err != nil {
 			return nil, fmt.Errorf("distjoin: node %d partitioning R: %w", n, err)
 		}
-		ps, _, err := partition.Exact(p, sShards[n], true, opts.Threads)
+		ps, err := p.Partition(sShards[n])
 		if err != nil {
 			return nil, fmt.Errorf("distjoin: node %d partitioning S: %w", n, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fpgapart/internal/hashutil"
 	"fpgapart/internal/joincore"
 	"fpgapart/internal/membudget"
 	"fpgapart/partition"
@@ -16,23 +15,16 @@ const dummyKey = 0xFFFFFFFF // the circuit's default dummy key
 
 // runsRelation builds a width-byte row relation of n tuples: keys from a
 // small alphabet (duplicates on both sides), payload = index + salt, key 0
-// present and, every dummyEvery tuples, the circuit's dummy key. On the FPGA a
-// dummy-keyed tuple reads back as padding: with alone, no other key lands in
-// the dummy key's partition at fan-out fan, which is then all dummies; without,
-// that partition has dummy slots between its tuples.
-func runsRelation(t *testing.T, rng *rand.Rand, width, n, fan, dummyEvery int, alone bool, salt uint32) *workload.Relation {
+// present and, every dummyEvery tuples, the circuit's dummy key, which sends
+// a circuit run to the CPU fallback.
+func runsRelation(t *testing.T, rng *rand.Rand, width, n, dummyEvery int, salt uint32) *workload.Relation {
 	t.Helper()
 	rel, err := workload.NewRelation(workload.RowLayout, width, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := hashutil.Log2(fan)
-	dummyPart := hashutil.PartitionIndex32(dummyKey, bits, true)
 	for i := 0; i < n; i++ {
 		key := uint32(rng.Intn(n / 2))
-		for alone && hashutil.PartitionIndex32(key, bits, true) == dummyPart {
-			key++
-		}
 		if i == 0 {
 			key = 0
 		}
@@ -45,8 +37,7 @@ func runsRelation(t *testing.T, rng *rand.Rand, width, n, fan, dummyEvery int, a
 }
 
 // referenceJoin joins the source relations tuple by tuple, reading neither
-// partitions nor runs. With dropDummy it leaves out the tuples the FPGA's
-// output encoding cannot represent.
+// partitions nor runs. With dropDummy it leaves out the dummy-keyed tuples.
 func referenceJoin(r, s *workload.Relation, dropDummy bool) (matches int64, checksum uint64) {
 	for i := 0; i < r.NumTuples; i++ {
 		for j := 0; j < s.NumTuples; j++ {
@@ -62,42 +53,24 @@ func referenceJoin(r, s *workload.Relation, dropDummy bool) (matches int64, chec
 // shapes counts what the runs of ps look like, so the test can tell that its
 // producers made the shapes it is named for.
 type shapes struct {
-	empty, allDummy, midLine, dummyLines, maxRuns int
+	empty, paddedLines, maxRuns int
 }
 
 func shapesOf(ps joincore.Partitions) (sh shapes) {
 	for p := 0; p < ps.NumPartitions(); p++ {
-		slots, tuples := 0, 0
 		sh.maxRuns = max(sh.maxRuns, ps.NumRuns(p))
+		slots := 0
 		for i := 0; i < ps.NumRuns(p); i++ {
 			words, stride, dummy, hasDummy := ps.Run(p, i)
-			perLine := 8 / stride
+			slots += len(words) / stride
 			for line := 0; line+8 <= len(words) && hasDummy; line += 8 {
-				valid, mid := 0, false
-				for j := 0; j < perLine; j++ {
-					if uint32(words[line+j*stride]) != dummy {
-						valid++
-						mid = mid || valid <= j // a tuple after a dummy slot
-					}
-				}
-				if valid == 0 {
-					sh.dummyLines++
-				}
-				if mid {
-					sh.midLine++
-				}
-			}
-			for j := 0; j < len(words); j += stride {
-				slots++
-				if !hasDummy || uint32(words[j]) != dummy {
-					tuples++
+				if uint32(words[line+8-stride]) == dummy { // flush padding ends the line
+					sh.paddedLines++
 				}
 			}
 		}
 		if slots == 0 {
 			sh.empty++
-		} else if tuples == 0 {
-			sh.allDummy++
 		}
 	}
 	return sh
@@ -105,18 +78,18 @@ func shapesOf(ps joincore.Partitions) (sh shapes) {
 
 // TestRunsViewMatchesNestedLoop is the producer matrix of the runs view:
 // whatever writes the partitions — the CPU partitioner, the circuit in PAD
-// and HIST mode at every tuple width (strides 1, 2, 4 and 8 words, dummy
-// slots inside lines and whole dummy lines), or a distributed join's merged
-// pieces of 1, 3 and 5 sources — and whatever the budget, build + probe over
-// the runs finds the matches and checksum of a tuple-by-tuple join of the
-// source relations, and of joincore.NestedLoop over the same runs.
+// and HIST mode at every tuple width (strides 1, 2, 4 and 8 words, lines
+// padded by the flush), the circuit's CPU fallback over the dummy key, or a
+// distributed join's merged pieces of 1, 3 and 5 sources — and whatever the
+// budget, build + probe over the runs finds the matches and checksum of a
+// tuple-by-tuple join of the source relations, dummy-keyed tuples included,
+// and of joincore.NestedLoop over the same runs.
 func TestRunsViewMatchesNestedLoop(t *testing.T) {
 	const fan, nR, nS = 64, 320, 400
 	type producer struct {
-		name      string
-		width     int
-		dropDummy bool // FPGA-written: dummy-keyed tuples read back as padding
-		make      func(rel *workload.Relation) joincore.Partitions
+		name  string
+		width int
+		make  func(rel *workload.Relation) joincore.Partitions
 	}
 	cpu, err := partition.NewCPU(partition.CPUOptions{Partitions: fan, Hash: true, Threads: 2})
 	if err != nil {
@@ -128,8 +101,10 @@ func TestRunsViewMatchesNestedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.FPGAWritten() != fpgaWritten {
-				t.Fatalf("%s: FPGA-written %v, want %v", p.Name(), res.FPGAWritten(), fpgaWritten)
+			// A circuit run falls back only over the dummy key: PadFraction 16
+			// leaves PAD no overflow.
+			if want := fpgaWritten && !res.FellBack(); res.FPGAWritten() != want || res.FellBack() && res.Stats.Overflowed {
+				t.Fatalf("%s: FPGA-written %v, want %v (fell back %v)", p.Name(), res.FPGAWritten(), want, res.FellBack())
 			}
 			return res
 		}
@@ -150,45 +125,43 @@ func TestRunsViewMatchesNestedLoop(t *testing.T) {
 			return m
 		}
 	}
-	producers := []producer{{"cpu", 8, false, single(cpu, false)}}
+	producers := []producer{{"cpu", 8, single(cpu, false)}}
 	for _, width := range []int{8, 16, 32, 64} {
 		for _, format := range []partition.Format{partition.PadMode, partition.HistMode} {
 			fpga, err := partition.NewFPGA(partition.FPGAOptions{Partitions: fan, TupleWidth: width, Hash: true, Format: format, PadFraction: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
-			producers = append(producers, producer{fpga.Name() + fmt.Sprintf("/w%d", width), width, true, single(fpga, true)})
+			producers = append(producers, producer{fpga.Name() + fmt.Sprintf("/w%d", width), width, single(fpga, true)})
 			if width == 8 && format == partition.HistMode {
 				for _, sources := range []int{1, 3, 5} {
-					producers = append(producers, producer{fmt.Sprintf("merged %d × fpga", sources), 8, true, pieces(fpga, sources)})
+					producers = append(producers, producer{fmt.Sprintf("merged %d × fpga", sources), 8, pieces(fpga, sources)})
 				}
 			}
 		}
 	}
 	for _, sources := range []int{1, 3, 5} {
-		producers = append(producers, producer{fmt.Sprintf("merged %d × cpu", sources), 8, false, pieces(cpu, sources)})
+		producers = append(producers, producer{fmt.Sprintf("merged %d × cpu", sources), 8, pieces(cpu, sources)})
 	}
 
 	var seen shapes
 	for _, pr := range producers {
 		for _, dummyEvery := range []int{0, 9} {
 			rng := rand.New(rand.NewSource(int64(pr.width + dummyEvery)))
-			rRel := runsRelation(t, rng, pr.width, nR, fan, dummyEvery, true, 1<<20)
-			sRel := runsRelation(t, rng, pr.width, nS, fan, dummyEvery, false, 0)
+			rRel := runsRelation(t, rng, pr.width, nR, dummyEvery, 1<<20)
+			sRel := runsRelation(t, rng, pr.width, nS, dummyEvery, 0)
 			r, s := pr.make(rRel), pr.make(sRel)
 			for _, sh := range []shapes{shapesOf(r), shapesOf(s)} {
 				seen.empty += sh.empty
-				seen.allDummy += sh.allDummy
-				seen.midLine += sh.midLine
-				seen.dummyLines += sh.dummyLines
+				seen.paddedLines += sh.paddedLines
 				seen.maxRuns = max(seen.maxRuns, sh.maxRuns)
 			}
-			wantM, wantC := referenceJoin(rRel, sRel, pr.dropDummy)
+			wantM, wantC := referenceJoin(rRel, sRel, false)
 			if m, c := joincore.NestedLoop(r, s); m != wantM || c != wantC {
 				t.Fatalf("%s, dummy key every %d: NestedLoop over the runs = %d/%#x, source relations join to %d/%#x",
 					pr.name, dummyEvery, m, c, wantM, wantC)
 			}
-			if m, _ := referenceJoin(rRel, sRel, true); dummyEvery > 0 && m == wantM && !pr.dropDummy {
+			if m, _ := referenceJoin(rRel, sRel, true); dummyEvery > 0 && m == wantM {
 				t.Fatalf("%s: no matches on the dummy key as a real key", pr.name)
 			}
 			// Unlimited; every partition of more than eight build tuples
@@ -214,7 +187,7 @@ func TestRunsViewMatchesNestedLoop(t *testing.T) {
 			}
 		}
 	}
-	if seen.empty == 0 || seen.allDummy == 0 || seen.midLine == 0 || seen.dummyLines == 0 || seen.maxRuns < 5 {
+	if seen.empty == 0 || seen.paddedLines == 0 || seen.maxRuns < 5 {
 		t.Errorf("the matrix missed a shape it is meant to cover: %+v", seen)
 	}
 }

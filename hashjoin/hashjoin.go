@@ -108,12 +108,13 @@ type Result struct {
 	// CoherencePenalized reports whether the Table 1 snoop penalty was
 	// applied to Build and Probe.
 	CoherencePenalized bool
-	// FellBack reports a PAD-overflow CPU fallback during partitioning.
+	// FellBack reports that a PAD overflow made a side's partitioning fall
+	// back to the CPU (partition.Result.Stats.Overflowed).
 	FellBack bool
 	// DummyKeyRepartition reports that an input contained tuples whose key
 	// equals the FPGA's dummy key — unrepresentable in the FPGA output
-	// encoding, they read back as padding — so that side was repartitioned
-	// on the CPU to keep the join exact.
+	// encoding, they read back as padding — so that side fell back to the
+	// CPU to keep the join exact.
 	DummyKeyRepartition bool
 
 	// Memory reports the adaptive behaviour of a budgeted join; nil when
@@ -139,11 +140,11 @@ func (r *Result) BuildProbeTime() time.Duration { return r.Build + r.Probe }
 // ErrSimulatorFault.
 func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
-	pr, rVia, err := partition.Exact(p, r, opts.Hash, opts.Threads)
+	pr, err := p.Partition(r)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning R: %w", err)
 	}
-	ps, sVia, err := partition.Exact(p, s, opts.Hash, opts.Threads)
+	ps, err := p.Partition(s)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning S: %w", err)
 	}
@@ -166,8 +167,8 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 		Build:               bp.Build,
 		Probe:               bp.Probe,
 		PartitionerName:     p.Name(),
-		FellBack:            pr.FellBack() || ps.FellBack(),
-		DummyKeyRepartition: rVia.Name() != p.Name() || sVia.Name() != p.Name(),
+		FellBack:            pr.Stats.Overflowed || ps.Stats.Overflowed,
+		DummyKeyRepartition: pr.FellBack() && !pr.Stats.Overflowed || ps.FellBack() && !ps.Stats.Overflowed,
 		Threads:             bp.Threads,
 	}
 	// The partitions are FPGA-written when either side's are.

@@ -99,7 +99,7 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 	defer c.pl.stop() // a panic in the cycle loop must not strand the placement
 	err := r.execute()
 	if lines := c.pl.end(err == nil); err == nil {
-		r.out.Lines = lines
+		r.out.Lines, r.out.DummyKeyed = lines, c.pl.dummies
 	}
 	if !c.cfg.DisableWriteCombiner { // the write-back translates every committed line
 		r.stats.PageTranslations += r.stats.LinesWritten

@@ -17,10 +17,13 @@ type Output struct {
 	Base []int64
 	// LinesUsed[p] is how many lines of partition p's region were written.
 	LinesUsed []int64
-	// Counts[p] is the number of valid (non-dummy) tuples in partition p.
-	// In HIST mode this is the histogram; in PAD mode the circuit's offset
-	// counters provide it.
+	// Counts[p] is the number of input tuples written to partition p,
+	// dummy-keyed ones included. In HIST mode this is the histogram; in PAD
+	// mode the circuit's offset counters provide it.
 	Counts []int64
+	// DummyKeyed counts the input tuples whose key is DummyKey: written,
+	// they read back as padding, so a reader of the output misses them.
+	DummyKeyed int64
 }
 
 // wordsPerTuple returns the output tuple size in 64-bit words.
@@ -29,7 +32,7 @@ func (o *Output) wordsPerTuple() int { return o.TupleWidth / 8 }
 // TuplesPerLine returns how many output tuples one cache line holds.
 func (o *Output) TuplesPerLine() int { return 64 / o.TupleWidth }
 
-// TotalTuples returns the number of valid tuples across all partitions.
+// TotalTuples returns the number of tuples written across all partitions.
 func (o *Output) TotalTuples() int64 {
 	var n int64
 	for _, c := range o.Counts {

@@ -75,7 +75,8 @@ type placer struct {
 	full, free chan []uint64
 	done       chan any
 
-	one [1]uint64 // the <key, VRID> word being placed
+	one     [1]uint64 // the <key, VRID> word being placed
+	dummies int64     // input tuples keyed with DefaultDummyKey
 }
 
 // reset loads the run's input, shape, flags and fill image; the log is
@@ -88,7 +89,7 @@ func (pl *placer) reset(r *run, image []uint8) {
 	pl.vrid, pl.single, pl.hash, pl.radix = r.cfg.Layout == VRID, r.cfg.DisableWriteCombiner, r.cfg.Hash, r.radix
 	pl.lanes, pl.wpt, pl.parts = r.lanes, r.wpt, r.cfg.NumPartitions
 	pl.total, pl.flags, pl.image = r.total, r.flags, image
-	pl.cur, pl.at, pl.ended = nil, 0, true
+	pl.cur, pl.at, pl.ended, pl.dummies = nil, 0, true, 0
 	// The log's first chunk stays with the circuit; it grows to what a run
 	// can log, up to a chunk: a line per tuple at most, or a full line per
 	// lane group plus a flush line per lane and partition.
@@ -263,6 +264,9 @@ func (pl *placer) tuple(lane int) (uint32, []uint64) {
 		pl.one[0] = uint64(j)<<32 | uint64(pl.src[lane].key(j))
 	} else {
 		words = pl.data[int(j)*pl.wpt : int(j+1)*pl.wpt]
+	}
+	if uint32(words[0]) == DefaultDummyKey {
+		pl.dummies++
 	}
 	return hashutil.PartitionIndex32(uint32(words[0]), pl.radix, pl.hash), words
 }

@@ -293,3 +293,36 @@ func TestPlacementFollowsHandWrittenLogs(t *testing.T) {
 		})
 	}
 }
+
+// TestPlacementCountsDummyKeyed: Output.DummyKeyed is the number of input
+// tuples keyed with the dummy key, in RID and VRID mode, with and without
+// the write combiner, placed inline and then, on the same circuit, on the
+// placement goroutine.
+func TestPlacementCountsDummyKeyed(t *testing.T) {
+	chunks := countChunks(t)
+	for _, layout := range []Layout{RID, VRID} {
+		for _, single := range []bool{false, true} {
+			c := placementCircuit(t, Config{NumPartitions: 256, TupleWidth: 8, Hash: true, Layout: layout, DisableWriteCombiner: single})
+			for _, n := range []int{3000, largeLockTuples} {
+				rel := genRelation(t, workload.Random, 8, n, 5)
+				var want int64
+				for i := 0; i < n; i += 1 + i%7 {
+					rel.SetTuple(i, DefaultDummyKey, uint32(i))
+					want++
+				}
+				if layout == VRID {
+					rel = rel.ToColumns()
+				}
+				*chunks = 0
+				out, _, err := c.Partition(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if async := *chunks > 0; out.DummyKeyed != want || async != (n > 3000) {
+					t.Errorf("%v, no combiner %t, %d tuples: DummyKeyed = %d, want %d (placed on a goroutine: %t)",
+						layout, single, n, out.DummyKeyed, want, async)
+				}
+			}
+		}
+	}
+}

@@ -598,8 +598,8 @@ func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 
 // TestOperatorsPartitionThroughPartition locks the layering: everything
 // above package partition partitions through it — the circuit and the CPU
-// partitioner have one adapter (slot views, VRID rows, overflow fallback),
-// not a private copy per operator. partition, experiments and joincore's
+// partitioner have one adapter (slot views, VRID rows, one CPU fallback for
+// PAD overflow and the dummy key), not a private copy per operator. partition, experiments and joincore's
 // PartitionTuples recursion are the callers that remain. An entry of above
 // that names no package of the module fails the test, so a deleted operator
 // cannot leave a stale roster passing.

@@ -10,9 +10,8 @@ import (
 // (Section 6 of the paper), so the QPI read channel carries only the
 // compressed bytes and the saved bandwidth becomes partitioning throughput.
 // The options must select ColumnStore layout (output tuples are <key, VRID>,
-// as in plain VRID mode); PAD overflow has no CPU fallback here — compressed
-// skewed columns should use HistMode. Like Exact, it keeps dummy-keyed tuples
-// by repartitioning the decompressed column on the CPU (FallbackThreads).
+// as in plain VRID mode). A PAD overflow or a dummy-keyed tuple falls back as
+// in Partition, over the decompressed column.
 func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err error) {
 	defer guardSimulator(&err)
 	p, err := newFPGA(opts)
@@ -20,10 +19,5 @@ func FPGACompressed(opts FPGAOptions, col *codec.RLEColumn) (result *Result, err
 		return nil, err
 	}
 	out, stats, err := p.circuit.PartitionCompressed(col)
-	if err != nil {
-		return nil, err
-	}
-	rows := func() (*workload.Relation, error) { return workload.FromKeys(col.Decompress(), 8) }
-	result, _, err = exact(fpgaResult(out, stats), nil, col.N, rows, opts.Hash, opts.FallbackThreads)
-	return result, err
+	return p.result(out, stats, err, func() (*workload.Relation, error) { return workload.FromKeys(col.Decompress(), 8) })
 }

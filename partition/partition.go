@@ -18,7 +18,9 @@
 // Both backends produce a Result with a unified view of the partitions — the
 // tuples through Each, the stored words through Run — so downstream
 // operators (e.g. package hashjoin) are agnostic to where the partitioning
-// ran.
+// ran. Either backend returns every input tuple: a circuit run that cannot
+// hold them all — a PAD overflow, or a key equal to the dummy key that pads
+// the circuit's partial lines — is repeated on the CPU (Result.FellBack).
 package partition
 
 import (
@@ -80,20 +82,27 @@ func ParseMode(format, layout string) (Format, Layout, error) {
 	return 0, 0, fmt.Errorf("partition: unknown layout %q (want rid or vrid)", layout)
 }
 
-// ErrOverflow is reported (wrapped in an *OverflowError) when a PAD-mode run
-// overflowed a partition's padded size and no fallback was configured.
+// ErrOverflow is the cause (see FallbackError) of a PAD-mode run that
+// overflowed a partition's padded size.
 var ErrOverflow = errors.New("partition: partition overflowed its padded size (PAD mode)")
 
-// OverflowError is the error of an overflowed PAD-mode run with the fallback
-// disabled; it unwraps to ErrOverflow. Aborted describes the aborted FPGA
-// attempt: a caller that reruns the job elsewhere still owes its simulated
-// time — "the procedure has to start from the beginning" (Section 5.4).
-type OverflowError struct {
-	Aborted core.Stats
+// ErrDummyKey is the cause (see FallbackError) of a circuit run whose input
+// holds the dummy key that pads partial lines (Section 4.2): such a tuple is
+// written but reads back as padding.
+var ErrDummyKey = errors.New("partition: input tuples carry the circuit's dummy key")
+
+// FallbackError is the error of a circuit run that needed the CPU fallback
+// with the fallback disabled; it unwraps to its cause, ErrOverflow or
+// ErrDummyKey. Stats describes the circuit run: a caller that reruns the job
+// elsewhere still owes its simulated time — "the procedure has to start
+// from the beginning" (Section 5.4).
+type FallbackError struct {
+	Stats core.Stats
+	cause error
 }
 
-func (e *OverflowError) Error() string { return "partition: " + ErrOverflow.Error() }
-func (e *OverflowError) Unwrap() error { return ErrOverflow }
+func (e *FallbackError) Error() string { return e.cause.Error() }
+func (e *FallbackError) Unwrap() error { return e.cause }
 
 // ErrSimulatorFault is reported (wrapped) when an invariant violation inside
 // the simulator internals (internal/fpga's FIFOs and BRAMs, internal/qpi's
@@ -129,9 +138,10 @@ type Result struct {
 	fpga *core.Output // nil unless the circuit wrote the partitions
 
 	// Stats carries the circuit run's statistics (zero value for CPU
-	// runs). On a fallback run (FellBack) they describe the aborted FPGA
-	// attempt: Overflowed is set and OverflowAtTuple is how many tuples had
-	// entered the circuit when the overflow was detected.
+	// runs). On a fallback run (FellBack) they describe the FPGA run the
+	// CPU repeated: after a PAD overflow Overflowed is set and
+	// OverflowAtTuple is how many tuples had entered the circuit when the
+	// overflow was detected; otherwise the input held the dummy key.
 	Stats core.Stats
 }
 
@@ -147,10 +157,12 @@ func (r *Result) Elapsed() time.Duration { return r.elapsed }
 // and Elapsed is simulated rather than measured.
 func (r *Result) FPGAWritten() bool { return r.fpga != nil }
 
-// FellBack reports whether a PAD overflow forced the CPU fallback.
+// FellBack reports whether the CPU repartitioned the relation after the
+// circuit ran: a PAD overflow (Stats.Overflowed) or a dummy-keyed input
+// tuple, which the circuit's output cannot hold.
 func (r *Result) FellBack() bool { return r.fellBack }
 
-// Count returns the number of valid tuples in partition p.
+// Count returns the number of tuples in partition p.
 func (r *Result) Count(p int) int64 {
 	if r.cpu != nil {
 		return r.cpu.Count(p)
@@ -158,34 +170,11 @@ func (r *Result) Count(p int) int64 {
 	return r.fpga.Counts[p]
 }
 
-// TotalTuples returns the total valid tuple count.
+// TotalTuples returns the total tuple count.
 func (r *Result) TotalTuples() int64 {
 	var n int64
 	for p := 0; p < r.numPartitions; p++ {
 		n += r.Count(p)
-	}
-	return n
-}
-
-// ValidTuples returns the number of tuples a consumer actually observes
-// through Each/Run. For CPU-written results this equals TotalTuples. For
-// FPGA-written results it can be smaller: an input tuple whose key equals
-// the circuit's dummy key is written to the output lines but is
-// indistinguishable from flush padding, so every reader skips it — the
-// histogram counts it, Each never yields it. Callers that must not lose
-// tuples partition through Exact.
-func (r *Result) ValidTuples() int64 {
-	if r.cpu != nil {
-		return r.TotalTuples()
-	}
-	var n int64
-	for p := 0; p < r.numPartitions; p++ {
-		words, stride, dummy, _ := r.Run(p, 0)
-		for i := 0; i < len(words); i += stride {
-			if uint32(words[i]) != dummy {
-				n++
-			}
-		}
 	}
 	return n
 }
@@ -330,8 +319,8 @@ type FPGAOptions struct {
 	// Interfered uses the reduced bandwidth curve measured when the CPU
 	// hammers memory concurrently (Figure 2).
 	Interfered bool
-	// DisableFallback turns off the PAD-overflow CPU fallback, surfacing
-	// ErrOverflow instead.
+	// DisableFallback turns off the CPU fallback, surfacing a
+	// *FallbackError instead.
 	DisableFallback bool
 	// FallbackThreads is the parallelism of the CPU fallback partitioner.
 	FallbackThreads int
@@ -410,33 +399,34 @@ func (p *fpgaPartitioner) Name() string {
 func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
 	out, stats, err := p.circuit.Partition(rel)
-	if err != nil && errors.Is(err, core.ErrPartitionOverflow) {
-		if !p.opts.DisableFallback {
-			return p.fallback(rel, stats)
-		}
-		return nil, &OverflowError{Aborted: *stats}
+	return p.result(out, stats, err, func() (*workload.Relation, error) { return rel, nil })
+}
+
+// result is the Result of a circuit run: the partitions it wrote or, after a
+// PAD overflow or over an input holding the dummy key, the CPU partitioner's
+// over rows(), the relation the circuit read. The circuit run's (simulated)
+// time is charged on top of the CPU's measured time, as the paper describes
+// for PAD overflow: "the procedure has to start from the beginning"
+// (Section 5.4).
+func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error, rows func() (*workload.Relation, error)) (*Result, error) {
+	var cause error
+	switch {
+	case errors.Is(err, core.ErrPartitionOverflow):
+		cause = ErrOverflow
+	case err != nil:
+		return nil, err
+	case out.DummyKeyed > 0:
+		cause = ErrDummyKey
+	default:
+		return &Result{numPartitions: out.NumPartitions, elapsed: stats.Elapsed, fpga: out, Stats: *stats}, nil
 	}
+	if p.opts.DisableFallback {
+		return nil, &FallbackError{Stats: *stats, cause: cause}
+	}
+	rel, err := rows()
 	if err != nil {
 		return nil, err
 	}
-	return fpgaResult(out, stats), nil
-}
-
-// fpgaResult is the Result of a circuit run that wrote its partitions.
-func fpgaResult(out *core.Output, stats *core.Stats) *Result {
-	return &Result{
-		numPartitions: out.NumPartitions,
-		elapsed:       stats.Elapsed,
-		fpga:          out,
-		Stats:         *stats,
-	}
-}
-
-// fallback reruns the partitioning on the CPU after a PAD overflow. The
-// aborted FPGA attempt's (simulated) time is charged on top of the measured
-// CPU time, as the paper describes: "the procedure has to start from the
-// beginning" (Section 5.4).
-func (p *fpgaPartitioner) fallback(rel *workload.Relation, aborted *core.Stats) (*Result, error) {
 	cpu := cpuPartitioner{cfg: cpupart.Config{
 		NumPartitions: p.opts.Partitions,
 		Hash:          p.opts.Hash,
@@ -446,9 +436,8 @@ func (p *fpgaPartitioner) fallback(rel *workload.Relation, aborted *core.Stats) 
 	if err != nil {
 		return nil, err
 	}
-	res.elapsed += aborted.Elapsed
-	res.fellBack = true
-	res.Stats = *aborted
+	res.elapsed += stats.Elapsed
+	res.fellBack, res.Stats = true, *stats
 	return res, nil
 }
 
@@ -472,48 +461,4 @@ func keyPayloadRows(rel *workload.Relation) (*workload.Relation, error) {
 		rows.SetTuple(i, rel.Key(i), pay)
 	}
 	return rows, nil
-}
-
-// exactFallback names the CPU partitioner Exact fell back to.
-type exactFallback struct{ Partitioner }
-
-func (e exactFallback) Name() string { return e.Partitioner.Name() + " (dummy-key exact fallback)" }
-
-// Exact partitions rel with p and verifies that a consumer observes every
-// input tuple. The FPGA output encoding cannot represent a tuple whose key
-// equals the circuit's dummy key: it is written but reads back as flush
-// padding, so Each and every reader of Run skip it — a join silently misses
-// matches, an aggregation a group. When Result.ValidTuples disagrees with the input
-// size, rel is repartitioned by the CPU partitioner (hash and threads
-// configure it), whose partition boundaries are exact for every key. The
-// returned Partitioner is the one whose output is returned: p itself, or
-// the CPU partitioner, named with a " (dummy-key exact fallback)" suffix.
-func Exact(p Partitioner, rel *workload.Relation, hash bool, threads int) (*Result, Partitioner, error) {
-	res, err := p.Partition(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return exact(res, p, rel.NumTuples, func() (*workload.Relation, error) { return rel, nil }, hash, threads)
-}
-
-// exact is Exact's check on a result res that p partitioned from n tuples:
-// res and p when a consumer observes all n, and otherwise the CPU
-// partitioner's output over rows() and that partitioner.
-func exact(res *Result, p Partitioner, n int, rows func() (*workload.Relation, error), hash bool, threads int) (*Result, Partitioner, error) {
-	if res.ValidTuples() == int64(n) {
-		return res, p, nil
-	}
-	rel, err := rows()
-	if err != nil {
-		return nil, nil, err
-	}
-	cpu, err := NewCPU(CPUOptions{Partitions: res.NumPartitions(), Hash: hash, Threads: threads})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err = cpu.Partition(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, exactFallback{cpu}, nil
 }

@@ -169,12 +169,14 @@ func TestColumnStoreMode(t *testing.T) {
 	}
 }
 
-// TestExactKeepsEveryTuple sends relations whose keys collide with the
-// circuit's dummy key, or are 0, through Exact on every backend and, as an
-// RLE column, through FPGACompressed: the (key, payload) multiset a consumer
-// reads back must be the input's. The payload is the row index, which is
-// also what VRID mode emits.
-func TestExactKeepsEveryTuple(t *testing.T) {
+// TestPartitionKeepsEveryTuple sends relations whose keys collide with the
+// circuit's dummy key, or are 0, through Partition on every backend — the
+// circuit in all four modes — and, as an RLE column, through FPGACompressed
+// in both formats: the (key, payload) multiset a consumer reads back must be
+// the input's. The payload is the row index, which is also what VRID mode
+// emits. A circuit run over the dummy key falls back to the CPU and is
+// charged the circuit run too.
+func TestPartitionKeepsEveryTuple(t *testing.T) {
 	const n, dummy = 1000, 0xFFFFFFFF
 	type backend struct {
 		p    Partitioner
@@ -221,7 +223,8 @@ func TestExactKeepsEveryTuple(t *testing.T) {
 			rows.SetTuple(i, tc.keyOf(i), uint32(i))
 			want[uint64(tc.keyOf(i))<<32|uint64(i)]++
 		}
-		check := func(name string, res *Result, err error) {
+		hasDummy := tc.keyOf(0) == dummy // each relation with the dummy key starts with it
+		check := func(name string, circuit bool, res *Result, err error) {
 			if err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, name, err)
 			}
@@ -233,18 +236,43 @@ func TestExactKeepsEveryTuple(t *testing.T) {
 				t.Errorf("%s, %s: read back %d distinct (key, payload) pairs, want %d; the multisets differ",
 					tc.name, name, len(got), len(want))
 			}
+			if circuit && hasDummy && (!res.FellBack() || res.Stats.Elapsed <= 0 || res.Elapsed() < res.Stats.Elapsed) {
+				t.Errorf("%s, %s: FellBack %v, elapsed %v for a circuit run of %v; want a fallback charged the circuit run",
+					tc.name, name, res.FellBack(), res.Elapsed(), res.Stats.Elapsed)
+			}
 		}
 		for _, b := range backends {
 			rel := rows.Clone()
 			if b.vrid {
 				rel = rows.ToColumns()
 			}
-			res, _, err := Exact(b.p, rel, true, 2)
-			check(b.p.Name(), res, err)
+			res, err := b.p.Partition(rel)
+			check(b.p.Name(), b.p != cpu, res, err)
 		}
-		res, err := FPGACompressed(FPGAOptions{Partitions: 16, Hash: true, Layout: ColumnStore, FallbackThreads: 2},
-			codec.CompressRLE(rows.ToColumns().Keys))
-		check("FPGACompressed", res, err)
+		for format, name := range map[Format]string{HistMode: "HIST", PadMode: "PAD"} {
+			res, err := FPGACompressed(FPGAOptions{Partitions: 16, Hash: true, Format: format, Layout: ColumnStore, FallbackThreads: 2},
+				codec.CompressRLE(rows.ToColumns().Keys))
+			check("FPGACompressed "+name, true, res, err)
+		}
+	}
+}
+
+// TestDummyKeyWithoutFallback: with the fallback disabled, a circuit run
+// over the dummy key is an error that carries the run's statistics and
+// unwraps to ErrDummyKey.
+func TestDummyKeyWithoutFallback(t *testing.T) {
+	rel, err := workload.FromKeys([]uint32{1, 2, 0xFFFFFFFF, 4}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpga, err := NewFPGA(FPGAOptions{Partitions: 16, Hash: true, DisableFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fpga.Partition(rel)
+	var fb *FallbackError
+	if !errors.As(err, &fb) || !errors.Is(err, ErrDummyKey) || errors.Is(err, ErrOverflow) || fb.Stats.Cycles == 0 {
+		t.Fatalf("err = %v, want a FallbackError for ErrDummyKey with the run's cycles", err)
 	}
 }
 

@@ -118,12 +118,12 @@ func requireSameResult(t *testing.T, step int, used *Result, uerr error, fresh *
 		t.Fatalf("step %d: long-lived partitioner returned %v, a new one %v", step, uerr, ferr)
 	}
 	if ferr != nil {
-		var uo, fo *OverflowError
-		if !errors.As(ferr, &fo) || !errors.As(uerr, &uo) {
+		var uf, ff *FallbackError
+		if !errors.As(ferr, &ff) || !errors.As(uerr, &uf) {
 			t.Fatalf("step %d: %v", step, ferr)
 		}
-		if uo.Aborted != fo.Aborted {
-			t.Fatalf("step %d: aborted attempts differ\n long-lived: %+v\n        new: %+v", step, uo.Aborted, fo.Aborted)
+		if uf.Stats != ff.Stats {
+			t.Fatalf("step %d: circuit runs differ\n long-lived: %+v\n        new: %+v", step, uf.Stats, ff.Stats)
 		}
 		return
 	}

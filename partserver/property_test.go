@@ -423,11 +423,11 @@ func TestPlacementIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ov *partition.OverflowError
-	if _, err := p.Partition(rel); !errors.As(err, &ov) || ov.Aborted.Cycles == 0 {
-		t.Fatalf("PAD run of the skewed relation: err = %v, want an OverflowError with the aborted cycles", err)
+	var fb *partition.FallbackError
+	if _, err := p.Partition(rel); !errors.As(err, &fb) || !errors.Is(err, partition.ErrOverflow) || fb.Stats.Cycles == 0 {
+		t.Fatalf("PAD run of the skewed relation: err = %v, want an overflow FallbackError with the aborted cycles", err)
 	}
-	abortedUS := ceilDiv(ov.Aborted.Cycles*1e6, int64(platform.XeonFPGA().FPGAClockHz))
+	abortedUS := ceilDiv(fb.Stats.Cycles*1e6, int64(platform.XeonFPGA().FPGAClockHz))
 	degraded, err := Run([]Job{job}, Config{FPGAs: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

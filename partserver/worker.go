@@ -30,9 +30,10 @@ type execOut struct {
 }
 
 // partitioner returns the slot's partitioner for key. The FPGA never falls
-// back by itself: an overflowed job goes back to the scheduler, which
-// degrades it to the CPU pool. CPU slots run single-threaded so the produced
-// tuple order (not just the multiset) is identical across runs.
+// back by itself: a job it cannot partition exactly goes back to the
+// scheduler, which degrades it to the CPU pool. CPU slots run
+// single-threaded so the produced tuple order (not just the multiset) is
+// identical across runs.
 func (r *resource) partitioner(key configKey) (p partition.Partitioner, err error) {
 	if p, ok := r.parts[key]; ok {
 		return p, nil
@@ -116,24 +117,20 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 }
 
 // partition runs p over rel and charges its simulated circuit time — also
-// that of a PAD attempt the circuit aborted, which the overflow error
-// carries. A circuit run whose output lost tuples — keyed with its dummy
-// key, they read back as flush padding — is an error too, charged like
-// any other run: the scheduler degrades the job to the CPU pool.
+// that of a run the FPGA's fallback error carries: a PAD attempt the circuit
+// aborted, or a run over the circuit's dummy key, whose tuples read back as
+// flush padding. The scheduler degrades either job to the CPU pool.
 func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (*partition.Result, error) {
 	res, err := p.Partition(rel)
 	if err != nil {
-		var ov *partition.OverflowError
-		if errors.As(err, &ov) {
-			out.cycles += ov.Aborted.Cycles
-			out.overflow = true
+		var fb *partition.FallbackError
+		if errors.As(err, &fb) {
+			out.cycles += fb.Stats.Cycles
+			out.overflow = errors.Is(err, partition.ErrOverflow)
 		}
 		return nil, err
 	}
 	out.cycles += res.Stats.Cycles
-	if lost := int64(rel.NumTuples) - res.ValidTuples(); lost > 0 {
-		return nil, fmt.Errorf("partserver: %d tuples carry the circuit's dummy key", lost)
-	}
 	return res, nil
 }
 

@@ -119,6 +119,9 @@ func (g *Generator) Keys(d Distribution, out []uint32) error {
 // whose keys follow distribution d. Payloads are the tuple index, which lets
 // tests verify that partitioning preserved <key, payload> pairs.
 func (g *Generator) Relation(d Distribution, width, n int) (*Relation, error) {
+	if n < 0 {
+		return NewRelation(RowLayout, width, n) // its error, before any allocation
+	}
 	keys := make([]uint32, n)
 	if err := g.Keys(d, keys); err != nil {
 		return nil, err
@@ -130,6 +133,9 @@ func (g *Generator) Relation(d Distribution, width, n int) (*Relation, error) {
 // alphabet of distinct keys [1, alphabet] with the given skew factor
 // (Section 5.4 skews relation S with factors 0.25–1.75).
 func (g *Generator) ZipfRelation(factor float64, alphabet, width, n int) (*Relation, error) {
+	if n < 0 {
+		return NewRelation(RowLayout, width, n) // its error, before any allocation
+	}
 	z, err := NewZipfGenerator(g.rng, factor, alphabet)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -222,6 +223,27 @@ func TestZipfSingletonAlphabet(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if z.Next() != 1 {
 			t.Fatal("singleton alphabet must always return 1")
+		}
+	}
+}
+
+// TestGeneratorsRejectNegativeCount: every generator returns NewRelation's
+// error for a negative tuple count instead of allocating first.
+func TestGeneratorsRejectNegativeCount(t *testing.T) {
+	g := NewGenerator(1)
+	for _, c := range []struct {
+		name string
+		gen  func() (*Relation, error)
+	}{
+		{"linear", func() (*Relation, error) { return g.Relation(Linear, 8, -5) }},
+		{"random", func() (*Relation, error) { return g.Relation(Random, 8, -5) }},
+		{"grid", func() (*Relation, error) { return g.Relation(Grid, 16, -5) }},
+		{"revgrid", func() (*Relation, error) { return g.Relation(ReverseGrid, 8, -1) }},
+		{"zipf", func() (*Relation, error) { return g.ZipfRelation(1, 100, 8, -5) }},
+		{"zipf, bad alphabet too", func() (*Relation, error) { return g.ZipfRelation(1, -5, 8, -5) }},
+	} {
+		if rel, err := c.gen(); err == nil || !strings.Contains(err.Error(), "workload: negative tuple count -") {
+			t.Errorf("%s: %v, %v; want the negative tuple count error", c.name, rel, err)
 		}
 	}
 }
