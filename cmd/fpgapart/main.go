@@ -96,7 +96,10 @@ func main() {
 	fmt.Printf("partitioner:   %s\n", p.Name())
 	fmt.Printf("tuples:        %d  (%d partitions)\n", res.TotalTuples(), res.NumPartitions())
 	kind := "measured"
-	if res.FPGAWritten() {
+	switch {
+	case res.FellBack():
+		kind = "simulated circuit run + measured CPU rerun"
+	case res.FPGAWritten():
 		kind = "simulated"
 	}
 	fmt.Printf("elapsed:       %v (%s)\n", res.Elapsed(), kind)
@@ -126,7 +129,11 @@ func main() {
 		}
 	}
 	mean := float64(res.TotalTuples()) / float64(res.NumPartitions())
-	fmt.Printf("partition size: min %d, mean %.1f, max %d (imbalance %.2fx)\n", min, mean, max, float64(max)/mean)
+	fmt.Printf("partition size: min %d, mean %.1f, max %d", min, mean, max)
+	if mean > 0 {
+		fmt.Printf(" (imbalance %.2fx)", float64(max)/mean)
+	}
+	fmt.Println()
 
 	if art.Metrics != "" {
 		fmt.Println()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -49,13 +50,17 @@ func TestNegativeTupleCountFails(t *testing.T) {
 }
 
 // TestDummyKeyFallbackNoted: this seed's random keys include the circuit's
-// dummy key, so the run falls back to the CPU, reports every tuple and
-// says why it fell back.
+// dummy key, so the run falls back to the CPU, reports every tuple, says why
+// it fell back and labels its time as what it is: the simulated circuit run
+// plus the measured CPU rerun.
 func TestDummyKeyFallbackNoted(t *testing.T) {
 	stdout, stderr, status := fpgapart(t, "-backend", "fpga", "-n", "1048576", "-dist", "random", "-seed", "252",
 		"-partitions", "1024", "-format", "hist")
 	if status != 0 {
 		t.Fatalf("status %d, stderr %q", status, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^elapsed: +\S+ \(simulated circuit run \+ measured CPU rerun\)$`).MatchString(stdout) {
+		t.Errorf("stdout lacks the elapsed line of a fallback run:\n%s", stdout)
 	}
 	for _, want := range []string{
 		"tuples:        1048576  (1024 partitions)\n",
@@ -64,5 +69,18 @@ func TestDummyKeyFallbackNoted(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestEmptyRelationHasNoImbalance: with no tuples the mean partition size is
+// 0, so the size line prints no max/mean ratio rather than NaN, and the run
+// succeeds.
+func TestEmptyRelationHasNoImbalance(t *testing.T) {
+	stdout, stderr, status := fpgapart(t, "-n", "0", "-partitions", "16")
+	if status != 0 {
+		t.Fatalf("status %d, stderr %q", status, stderr)
+	}
+	if want := "partition size: min 0, mean 0.0, max 0\n"; !strings.Contains(stdout, want) || strings.Contains(stdout, "NaN") {
+		t.Errorf("stdout lacks %q or holds a NaN:\n%s", want, stdout)
 	}
 }

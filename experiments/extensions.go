@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 
 	"fpgapart/codec"
 	"fpgapart/distjoin"
-	"fpgapart/internal/core"
 	"fpgapart/partition"
 	"fpgapart/platform"
 	"fpgapart/workload"
@@ -38,9 +38,16 @@ func RunSkewDetect(cfg Config) (*SkewDetectResult, error) {
 	cfg = cfg.WithDefaults()
 	// Keep ≥512 tuples per partition so the 15% padding, not sampling
 	// noise, decides overflow.
-	n := int(16e6 * cfg.Scale)
-	if n < 1<<19 {
-		n = 1 << 19
+	n := max(int(16e6*cfg.Scale), 1<<19)
+	// 1024 partitions keeps tuples/partition high enough at reduced scale
+	// that the padding, not the flush's partial lines, decides overflow —
+	// the regime the paper's full-scale runs are in.
+	p, err := partition.NewFPGA(partition.FPGAOptions{
+		Partitions: 1024, Hash: true, Format: partition.PadMode, PadFraction: 0.15,
+		DisableFallback: true,
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &SkewDetectResult{Tuples: n}
 	for _, zipf := range []float64{0.1, 0.25, 0.5, 1.0} {
@@ -50,26 +57,13 @@ func RunSkewDetect(cfg Config) (*SkewDetectResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			// 1024 partitions keeps tuples/partition high enough at reduced
-			// scale that the padding, not the flush's partial lines, decides
-			// overflow — the regime the paper's full-scale runs are in.
-			circuit, err := core.NewCircuit(core.Config{
-				NumPartitions: 1024,
-				TupleWidth:    8,
-				Hash:          true,
-				Format:        core.PAD,
-				PadFraction:   0.15,
-			}, 200e6, platform.XeonFPGA().FPGAAlone)
-			if err != nil {
-				return nil, err
-			}
-			_, stats, err := circuit.Partition(rel)
-			pt := SkewDetectPoint{ZipfFactor: zipf, Seed: cfg.Seed + s}
-			if err != nil {
+			pt := SkewDetectPoint{ZipfFactor: zipf, Seed: cfg.Seed + s, DetectedAtFraction: 1}
+			var fb *partition.FallbackError
+			if _, err := p.Partition(rel); errors.As(err, &fb) && fb.Stats.Overflowed {
 				pt.Overflowed = true
-				pt.DetectedAtFraction = float64(stats.OverflowAtTuple) / float64(n)
-			} else {
-				pt.DetectedAtFraction = 1
+				pt.DetectedAtFraction = float64(fb.Stats.OverflowAtTuple) / float64(n)
+			} else if err != nil && !errors.Is(err, partition.ErrDummyKey) {
+				return nil, err
 			}
 			res.Points = append(res.Points, pt)
 		}
@@ -133,10 +127,7 @@ type FutureRow struct {
 // RunFuture runs PAD/RID on the three platform models.
 func RunFuture(cfg Config) (*FutureResult, error) {
 	cfg = cfg.WithDefaults()
-	n := int(64e6 * cfg.Scale)
-	if n < 1<<18 {
-		n = 1 << 18
-	}
+	n := max(int(64e6*cfg.Scale), 1<<18)
 	rel, err := workload.NewGenerator(cfg.Seed).Relation(workload.Random, 8, n)
 	if err != nil {
 		return nil, err
@@ -203,10 +194,7 @@ func RunCompress(cfg Config) (*CompressResult, error) {
 	cfg = cfg.WithDefaults()
 	// Enough tuples that the fixed flush cost fades, and a moderate fan-out
 	// so the sweep isolates the read-traffic effect.
-	n := int(32e6 * cfg.Scale)
-	if n < 1<<20 {
-		n = 1 << 20
-	}
+	n := max(int(32e6*cfg.Scale), 1<<20)
 	res := &CompressResult{Tuples: n}
 	for _, runLen := range []int{1, 4, 16, 64} {
 		keys := make([]uint32, n)
@@ -302,10 +290,7 @@ func (r DistributedRow) backend() string {
 // CPU and FPGA per-node partitioning (Section 6's RDMA outlook).
 func RunDistributed(cfg Config) (*DistributedResult, error) {
 	cfg = cfg.WithDefaults()
-	n := int(32e6 * cfg.Scale)
-	if n < 1<<16 {
-		n = 1 << 16
-	}
+	n := max(int(32e6*cfg.Scale), 1<<16)
 	spec := workload.WorkloadSpec{ID: "dist", TuplesR: n, TuplesS: n, Distribution: workload.Linear}
 	in, err := spec.Generate(cfg.Seed)
 	if err != nil {

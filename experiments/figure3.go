@@ -40,10 +40,7 @@ func RunFigure3(cfg Config) (*Figure3Result, error) {
 	cfg = cfg.WithDefaults()
 	// Keep at least ~128 tuples per partition so the partition-size
 	// statistics are not dominated by sampling noise.
-	n := int(64e6 * cfg.Scale)
-	if n < 1<<20 {
-		n = 1 << 20
-	}
+	n := max(int(64e6*cfg.Scale), 1<<20)
 	const parts = 8192
 	bits := hashutil.Log2(parts)
 	res := &Figure3Result{Tuples: n}

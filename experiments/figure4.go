@@ -5,7 +5,7 @@ import (
 	"io"
 	"strconv"
 
-	"fpgapart/internal/cpupart"
+	"fpgapart/partition"
 	"fpgapart/workload"
 )
 
@@ -33,11 +33,7 @@ type Figure4Result struct {
 // threads) is what reproduces.
 func RunFigure4(cfg Config) (*Figure4Result, error) {
 	cfg = cfg.WithDefaults()
-	n := int(128e6 * cfg.Scale)
-	if n < 1<<15 {
-		n = 1 << 15
-	}
-	const parts = 8192
+	n := max(int(128e6*cfg.Scale), 1<<15)
 	res := &Figure4Result{Tuples: n, Threads: cfg.threadSweep()}
 	type variant struct {
 		d    workload.Distribution
@@ -58,11 +54,11 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 			return nil, err
 		}
 		for _, threads := range res.Threads {
-			r, err := cpupart.Partition(rel, cpupart.Config{
-				NumPartitions: parts,
-				Hash:          v.hash,
-				Threads:       threads,
-			})
+			p, err := partition.NewCPU(partition.CPUOptions{Partitions: 8192, Hash: v.hash, Threads: threads})
+			if err != nil {
+				return nil, err
+			}
+			r, err := p.Partition(rel)
 			if err != nil {
 				return nil, err
 			}
@@ -70,7 +66,7 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 				Distribution: v.d,
 				Hash:         v.hash,
 				Threads:      threads,
-				MTuplesPerS:  float64(n) / r.Elapsed.Seconds() / 1e6,
+				MTuplesPerS:  float64(n) / r.Elapsed().Seconds() / 1e6,
 			})
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"io"
 	"strconv"
 
-	"fpgapart/internal/core"
 	"fpgapart/internal/model"
+	"fpgapart/partition"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -34,41 +34,30 @@ func RunFigure8(cfg Config) (*Figure8Result, error) {
 	// At least 64 MB per run, so the fixed 65540-cycle flush and its dummy
 	// lines stay below ~7% and the cost model (which hides them in the
 	// latency term) remains comparable.
-	bytesBudget := int(1 << 30 * cfg.Scale * 4)
-	if bytesBudget < 1<<26 {
-		bytesBudget = 1 << 26
-	}
+	bytesBudget := max(int(1<<30*cfg.Scale*4), 1<<26)
 	for _, width := range []int{8, 16, 32, 64} {
 		n := bytesBudget / width
 		rel, err := workload.NewGenerator(cfg.Seed).Relation(workload.Random, width, n)
 		if err != nil {
 			return nil, err
 		}
-		circuit, err := core.NewCircuit(core.Config{
-			NumPartitions: 8192,
-			TupleWidth:    width,
-			Hash:          true,
-			Format:        core.HIST,
-		}, p.FPGAClockHz, p.FPGAAlone)
+		fpga, err := partition.NewFPGA(partition.FPGAOptions{
+			Partitions: 8192, TupleWidth: width, Hash: true, Format: partition.HistMode, Platform: p,
+		})
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := circuit.Partition(rel)
+		r, err := fpga.Partition(rel)
 		if err != nil {
 			return nil, err
 		}
-		m := model.Params{
-			FPGAClockHz:    p.FPGAClockHz,
-			TupleWidth:     width,
-			N:              int64(n),
-			Hist:           true,
-			ReadWriteRatio: 2,
-			Bandwidth:      p.FPGAAlone,
-		}
+		m := model.ForMode(model.ModeOf(partition.HistMode, partition.RowStore), p, int64(n))
+		m.TupleWidth = width
+		// Stats is the circuit run's, also when a dummy-keyed input fell back.
 		res.Points = append(res.Points, Figure8Point{
 			TupleWidth:       width,
-			MTuplesPerS:      stats.ThroughputTuplesPerSec() / 1e6,
-			GBps:             stats.DataProcessedGBps(),
+			MTuplesPerS:      r.Stats.ThroughputTuplesPerSec() / 1e6,
+			GBps:             r.Stats.DataProcessedGBps(),
 			ModelMTuplesPerS: m.TotalRate() / 1e6,
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 
-	"fpgapart/internal/cpupart"
 	"fpgapart/internal/model"
 	"fpgapart/partition"
 	"fpgapart/platform"
@@ -35,25 +34,25 @@ type Figure9Result struct {
 // The table is shared by the Figure 9 experiment and the perfbench matrix,
 // so BENCH record names line up with the paper's bars.
 type FPGAMode struct {
-	Name   string
 	Format partition.Format
 	Layout partition.Layout
 	// PaperMTuplesPerS is the throughput the paper reports for this mode on
-	// the Xeon+FPGA platform.
+	// the platform it is run on (0 where the paper reports none).
 	PaperMTuplesPerS float64
-	// Model selects the matching cost-model variant of Section 4.6.
-	Model model.Mode
 }
 
 // FPGAModes lists the four modes in the paper's Figure 9 order.
 func FPGAModes() []FPGAMode {
 	return []FPGAMode{
-		{"HIST/RID", partition.HistMode, partition.RowStore, 299, model.Mode{Hist: true}},
-		{"HIST/VRID", partition.HistMode, partition.ColumnStore, 391, model.Mode{Hist: true, VRID: true}},
-		{"PAD/RID", partition.PadMode, partition.RowStore, 436, model.Mode{}},
-		{"PAD/VRID", partition.PadMode, partition.ColumnStore, 514, model.Mode{VRID: true}},
+		{partition.HistMode, partition.RowStore, 299},
+		{partition.HistMode, partition.ColumnStore, 391},
+		{partition.PadMode, partition.RowStore, 436},
+		{partition.PadMode, partition.ColumnStore, 514},
 	}
 }
+
+// Name is the mode as the paper writes it, e.g. "PAD/VRID".
+func (m FPGAMode) Name() string { return fmt.Sprintf("%v/%v", m.Format, m.Layout) }
 
 // RunFigure9 measures end-to-end partitioning throughput of the four FPGA
 // modes on the Xeon+FPGA link, the parallel CPU partitioner on the host, and
@@ -61,13 +60,7 @@ func FPGAModes() []FPGAMode {
 // points the paper plots ([27] 32-core CPU, [37] OpenCL FPGA).
 func RunFigure9(cfg Config) (*Figure9Result, error) {
 	cfg = cfg.WithDefaults()
-	n := int(128e6 * cfg.Scale)
-	if n < 1<<15 {
-		n = 1 << 15
-	}
-	const parts = 8192
-	xeon := platform.XeonFPGA()
-	raw := platform.RawFPGA()
+	n := max(int(128e6*cfg.Scale), 1<<15)
 	res := &Figure9Result{Tuples: n}
 
 	res.Bars = append(res.Bars,
@@ -80,78 +73,63 @@ func RunFigure9(cfg Config) (*Figure9Result, error) {
 		return nil, err
 	}
 	col := rel.ToColumns()
-
-	type mode struct {
-		name   string
-		format partition.Format
-		layout partition.Layout
-		plat   *platform.Platform
-		paper  float64
-		model  model.Mode
-	}
-	for _, fm := range FPGAModes() {
-		bar, err := runFPGAMode(fm.Name, fm.Format, fm.Layout, xeon, rel, col, n)
+	bar := func(name string, m FPGAMode, plat *platform.Platform) error {
+		in := rel
+		if m.Layout == partition.ColumnStore {
+			in = col
+		}
+		p, err := partition.NewFPGA(partition.FPGAOptions{
+			Partitions: 8192, Hash: true, Format: m.Format, Layout: m.Layout,
+			PadFraction: 0.5, Platform: plat,
+		})
 		if err != nil {
+			return err
+		}
+		r, err := p.Partition(in)
+		if err != nil {
+			return err
+		}
+		res.Bars = append(res.Bars, Figure9Bar{
+			Name:        name,
+			MTuplesPerS: float64(n) / r.Elapsed().Seconds() / 1e6,
+			Model:       model.ForMode(model.ModeOf(m.Format, m.Layout), plat, int64(n)).TotalRate() / 1e6,
+			Paper:       m.PaperMTuplesPerS,
+		})
+		return nil
+	}
+
+	xeon := platform.XeonFPGA()
+	for _, m := range FPGAModes() {
+		if err := bar(m.Name(), m, xeon); err != nil {
 			return nil, err
 		}
-		bar.Paper = fm.PaperMTuplesPerS
-		bar.Model = model.ForMode(fm.Model, xeon, int64(n)).TotalRate() / 1e6
-		res.Bars = append(res.Bars, *bar)
 	}
 
 	// CPU partitioner, measured at the maximum thread count.
-	cpuRes, err := cpupart.Partition(rel, cpupart.Config{
-		NumPartitions: parts, Hash: true, Threads: cfg.MaxThreads,
-	})
+	cpu, err := partition.NewCPU(partition.CPUOptions{Partitions: 8192, Hash: true, Threads: cfg.MaxThreads})
+	if err != nil {
+		return nil, err
+	}
+	cpuRes, err := cpu.Partition(rel)
 	if err != nil {
 		return nil, err
 	}
 	res.Bars = append(res.Bars, Figure9Bar{
 		Name:        fmt.Sprintf("CPU (%d threads, this host)", cfg.MaxThreads),
-		MTuplesPerS: float64(n) / cpuRes.Elapsed.Seconds() / 1e6,
+		MTuplesPerS: float64(n) / cpuRes.Elapsed().Seconds() / 1e6,
 		Paper:       506,
 	})
 
-	for _, m := range []mode{
-		{"Raw FPGA (HIST)", partition.HistMode, partition.RowStore, raw, 799, model.Mode{Hist: true}},
-		{"Raw FPGA (PAD)", partition.PadMode, partition.RowStore, raw, 1597, model.Mode{}},
+	// The raw wrapper's bars, with the throughput the paper reports for them.
+	for _, m := range []FPGAMode{
+		{partition.HistMode, partition.RowStore, 799},
+		{partition.PadMode, partition.RowStore, 1597},
 	} {
-		bar, err := runFPGAMode(m.name, m.format, m.layout, m.plat, rel, col, n)
-		if err != nil {
+		if err := bar(fmt.Sprintf("Raw FPGA (%v)", m.Format), m, platform.RawFPGA()); err != nil {
 			return nil, err
 		}
-		bar.Paper = m.paper
-		bar.Model = model.ForMode(m.model, m.plat, int64(n)).TotalRate() / 1e6
-		res.Bars = append(res.Bars, *bar)
 	}
 	return res, nil
-}
-
-func runFPGAMode(name string, format partition.Format, layout partition.Layout,
-	plat *platform.Platform, rel, col *workload.Relation, n int) (*Figure9Bar, error) {
-	in := rel
-	if layout == partition.ColumnStore {
-		in = col
-	}
-	p, err := partition.NewFPGA(partition.FPGAOptions{
-		Partitions:  8192,
-		Hash:        true,
-		Format:      format,
-		Layout:      layout,
-		PadFraction: 0.5,
-		Platform:    plat,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.Partition(in)
-	if err != nil {
-		return nil, err
-	}
-	return &Figure9Bar{
-		Name:        name,
-		MTuplesPerS: float64(n) / r.Elapsed().Seconds() / 1e6,
-	}, nil
 }
 
 func (res *Figure9Result) Text(w io.Writer) {

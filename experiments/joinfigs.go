@@ -29,23 +29,62 @@ type JoinPoint struct {
 	ModelPartitionSec float64
 }
 
-func toPoint(system string, r *hashjoin.Result, parts int) JoinPoint {
-	return JoinPoint{
-		System:        system,
-		Threads:       r.Threads,
-		Partitions:    parts,
-		PartitionSec:  r.PartitionTime().Seconds(),
-		BuildProbeSec: r.BuildProbeTime().Seconds(),
-		TotalSec:      r.Total.Seconds(),
-		Matches:       r.Matches,
-		FellBack:      r.FellBack,
-	}
+// joinSystem is one series of the join figures: the CPU join, or the
+// hybrid join with the circuit in one mode (PAD with 50% headroom). A hybrid
+// series is named "fpga-" and its mode unless name is set.
+type joinSystem struct {
+	name   string
+	hybrid bool
+	hash   bool
+	FPGAMode
 }
 
-// hybridModelSec predicts the FPGA partitioning time of both relations.
-func hybridModelSec(m model.Mode, nR, nS int) float64 {
-	p := platform.XeonFPGA()
-	return model.JoinPrediction(m, p, int64(nR)) + model.JoinPrediction(m, p, int64(nS))
+// joinInput is one workload's relations. The key columns the VRID series
+// partition are converted on first use and kept for the rest of the sweep.
+type joinInput struct {
+	*workload.JoinInput
+	cols *workload.JoinInput
+}
+
+// run joins in at the given fan-out and thread count. A hybrid point carries
+// the cost model's partitioning time of both relations in the run's own
+// mode; a VRID run partitions the relations' key columns.
+func (js joinSystem) run(in *joinInput, parts, threads int) (JoinPoint, error) {
+	opts := hashjoin.Options{Partitions: parts, Threads: threads, Hash: js.hash}
+	join, rel, name := hashjoin.CPU, in.JoinInput, js.name
+	if js.hybrid {
+		join = hashjoin.Hybrid
+		opts.Format, opts.Layout, opts.PadFraction = js.Format, js.Layout, 0.5
+		if js.Layout == partition.ColumnStore {
+			if in.cols == nil {
+				in.cols = &workload.JoinInput{R: in.R.ToColumns(), S: in.S.ToColumns()}
+			}
+			rel = in.cols
+		}
+		if name == "" {
+			name = "fpga-" + js.Name()
+		}
+	}
+	res, err := join(rel.R, rel.S, opts)
+	if err != nil {
+		return JoinPoint{}, err
+	}
+	pt := JoinPoint{
+		System:        name,
+		Threads:       res.Threads,
+		Partitions:    parts,
+		PartitionSec:  res.PartitionTime().Seconds(),
+		BuildProbeSec: res.BuildProbeTime().Seconds(),
+		TotalSec:      res.Total.Seconds(),
+		Matches:       res.Matches,
+		FellBack:      res.FellBack,
+	}
+	if js.hybrid {
+		m, xeon := model.ModeOf(js.Format, js.Layout), platform.XeonFPGA()
+		pt.ModelPartitionSec = model.JoinPrediction(m, xeon, int64(in.R.NumTuples)) +
+			model.JoinPrediction(m, xeon, int64(in.S.NumTuples))
+	}
+	return pt, nil
 }
 
 // Figure10Result: join time vs number of partitions (workload A), single
@@ -64,10 +103,11 @@ func RunFigure10(cfg Config) (*Figure10Result, error) {
 		return nil, err
 	}
 	spec = spec.Scaled(cfg.Scale)
-	in, err := spec.Generate(cfg.Seed)
+	gen, err := spec.Generate(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	in := &joinInput{JoinInput: gen}
 	res := &Figure10Result{Workload: spec}
 	threadCases := []int{1, cfg.MaxThreads}
 	if cfg.MaxThreads == 1 {
@@ -75,24 +115,16 @@ func RunFigure10(cfg Config) (*Figure10Result, error) {
 	}
 	for _, parts := range []int{256, 512, 1024, 2048, 4096, 8192} {
 		for _, threads := range threadCases {
-			cpu, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: false,
-			})
-			if err != nil {
-				return nil, err
+			for _, js := range []joinSystem{
+				{name: "cpu"},
+				{hybrid: true, FPGAMode: FPGAMode{Format: partition.PadMode}},
+			} {
+				pt, err := js.run(in, parts, threads)
+				if err != nil {
+					return nil, err
+				}
+				res.Points = append(res.Points, pt)
 			}
-			res.Points = append(res.Points, toPoint("cpu", cpu, parts))
-
-			hyb, err := hashjoin.Hybrid(in.R, in.S, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: false,
-				Format: partition.PadMode, PadFraction: 0.5,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt := toPoint("fpga-PAD/RID", hyb, parts)
-			pt.ModelPartitionSec = hybridModelSec(model.Mode{}, spec.TuplesR, spec.TuplesS)
-			res.Points = append(res.Points, pt)
 		}
 	}
 	return res, nil
@@ -114,155 +146,120 @@ func (res *Figure10Result) CSV() [][]string {
 	return rows
 }
 
-// figure11Workloads and figure12Workloads fix the order in which the
-// thread-sweep figures run, print and export their workloads.
-var (
-	figure11Workloads = []workload.WorkloadID{workload.WorkloadA, workload.WorkloadB}
-	figure12Workloads = []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE}
-)
-
-// Figure11Result: join time vs threads (workloads A and B).
-type Figure11Result struct {
+// joinSweep is what Figures 11 and 12 measure: every system at every thread
+// count of the sweep, 8192 partitions, on each workload.
+type joinSweep struct {
 	Results map[workload.WorkloadID][]JoinPoint
 	Specs   map[workload.WorkloadID]workload.WorkloadSpec
+	// ids is the order the figure runs, prints and exports its workloads in.
+	ids []workload.WorkloadID
 }
+
+func runJoinSweep(cfg Config, ids []workload.WorkloadID, systems ...joinSystem) (joinSweep, error) {
+	cfg = cfg.WithDefaults()
+	res := joinSweep{
+		Results: map[workload.WorkloadID][]JoinPoint{},
+		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
+		ids:     ids,
+	}
+	for _, id := range ids {
+		spec, err := workload.Spec(id)
+		if err != nil {
+			return res, err
+		}
+		spec = spec.Scaled(cfg.Scale)
+		res.Specs[id] = spec
+		gen, err := spec.Generate(cfg.Seed)
+		if err != nil {
+			return res, err
+		}
+		in := &joinInput{JoinInput: gen}
+		for _, threads := range cfg.threadSweep() {
+			for _, js := range systems {
+				pt, err := js.run(in, 8192, threads)
+				if err != nil {
+					return res, err
+				}
+				res.Results[id] = append(res.Results[id], pt)
+			}
+		}
+	}
+	return res, nil
+}
+
+// text prints one table per workload, each under its title.
+func (res *joinSweep) text(w io.Writer, title func(workload.WorkloadID, workload.WorkloadSpec) string) {
+	for _, id := range res.ids {
+		header(w, title(id, res.Specs[id]))
+		printJoinPoints(w, res.Results[id], false)
+	}
+}
+
+// csv renders the points per workload, in the order text prints them.
+func (res *joinSweep) csv() [][]string {
+	rows := [][]string{joinHeader(false)}
+	for _, id := range res.ids {
+		for _, p := range res.Results[id] {
+			rows = append(rows, joinRow(p, false, string(id)))
+		}
+	}
+	return rows
+}
+
+// Figure11Result: join time vs threads (workloads A and B).
+type Figure11Result struct{ joinSweep }
 
 // RunFigure11 sweeps threads on workloads A and B with the pure CPU join
 // and the hybrid join in PAD/RID and PAD/VRID modes.
 func RunFigure11(cfg Config) (*Figure11Result, error) {
-	cfg = cfg.WithDefaults()
-	res := &Figure11Result{
-		Results: map[workload.WorkloadID][]JoinPoint{},
-		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
+	sweep, err := runJoinSweep(cfg, []workload.WorkloadID{workload.WorkloadA, workload.WorkloadB},
+		joinSystem{name: "cpu"},
+		joinSystem{hybrid: true, hash: true, FPGAMode: FPGAMode{Format: partition.PadMode}},
+		joinSystem{hybrid: true, hash: true, FPGAMode: FPGAMode{Format: partition.PadMode, Layout: partition.ColumnStore}},
+	)
+	if err != nil {
+		return nil, err
 	}
-	const parts = 8192
-	for _, id := range figure11Workloads {
-		spec, err := workload.Spec(id)
-		if err != nil {
-			return nil, err
-		}
-		spec = spec.Scaled(cfg.Scale)
-		res.Specs[id] = spec
-		in, err := spec.Generate(cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rCol, sCol := in.R.ToColumns(), in.S.ToColumns()
-		for _, threads := range cfg.threadSweep() {
-			cpu, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: threads})
-			if err != nil {
-				return nil, err
-			}
-			res.Results[id] = append(res.Results[id], toPoint("cpu", cpu, parts))
-
-			rid, err := hashjoin.Hybrid(in.R, in.S, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: true,
-				Format: partition.PadMode, PadFraction: 0.5,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt := toPoint("fpga-PAD/RID", rid, parts)
-			pt.ModelPartitionSec = hybridModelSec(model.Mode{}, spec.TuplesR, spec.TuplesS)
-			res.Results[id] = append(res.Results[id], pt)
-
-			vrid, err := hashjoin.Hybrid(rCol, sCol, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: true,
-				Format: partition.PadMode, Layout: partition.ColumnStore, PadFraction: 0.5,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt = toPoint("fpga-PAD/VRID", vrid, parts)
-			pt.ModelPartitionSec = hybridModelSec(model.Mode{VRID: true}, spec.TuplesR, spec.TuplesS)
-			res.Results[id] = append(res.Results[id], pt)
-		}
-	}
-	return res, nil
+	return &Figure11Result{sweep}, nil
 }
 
 func (res *Figure11Result) Text(w io.Writer) {
-	for _, id := range figure11Workloads {
-		spec := res.Specs[id]
-		header(w, fmt.Sprintf("Figure 11: join time vs threads (workload %s: %d ⋈ %d)", id, spec.TuplesR, spec.TuplesS))
-		printJoinPoints(w, res.Results[id], false)
-	}
+	res.text(w, func(id workload.WorkloadID, spec workload.WorkloadSpec) string {
+		return fmt.Sprintf("Figure 11: join time vs threads (workload %s: %d ⋈ %d)", id, spec.TuplesR, spec.TuplesS)
+	})
 	fmt.Fprintln(w, "\npaper shape: VRID partitions fastest (half the reads); hybrid build+probe is")
 	fmt.Fprintln(w, "coherence-penalized; CPU and hybrid converge at full thread count")
 }
 
-func (res *Figure11Result) CSV() [][]string {
-	return threadSweepCSV(figure11Workloads, res.Results)
-}
+func (res *Figure11Result) CSV() [][]string { return res.csv() }
 
 // Figure12Result: join time vs threads for workloads C, D, E with radix vs
 // hash partitioning.
-type Figure12Result struct {
-	Results map[workload.WorkloadID][]JoinPoint
-	Specs   map[workload.WorkloadID]workload.WorkloadSpec
-}
+type Figure12Result struct{ joinSweep }
 
 // RunFigure12 compares CPU radix, CPU hash and FPGA hash partitioning
 // within the join on the random/grid/reverse-grid workloads.
 func RunFigure12(cfg Config) (*Figure12Result, error) {
-	cfg = cfg.WithDefaults()
-	res := &Figure12Result{
-		Results: map[workload.WorkloadID][]JoinPoint{},
-		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
+	sweep, err := runJoinSweep(cfg, []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE},
+		joinSystem{name: "cpu-radix"},
+		joinSystem{name: "cpu-hash", hash: true},
+		joinSystem{name: "fpga-hash", hybrid: true, hash: true, FPGAMode: FPGAMode{Format: partition.PadMode}},
+	)
+	if err != nil {
+		return nil, err
 	}
-	const parts = 8192
-	for _, id := range figure12Workloads {
-		spec, err := workload.Spec(id)
-		if err != nil {
-			return nil, err
-		}
-		spec = spec.Scaled(cfg.Scale)
-		res.Specs[id] = spec
-		in, err := spec.Generate(cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, threads := range cfg.threadSweep() {
-			radix, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: threads, Hash: false})
-			if err != nil {
-				return nil, err
-			}
-			res.Results[id] = append(res.Results[id], toPoint("cpu-radix", radix, parts))
-
-			hash, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: threads, Hash: true})
-			if err != nil {
-				return nil, err
-			}
-			res.Results[id] = append(res.Results[id], toPoint("cpu-hash", hash, parts))
-
-			hyb, err := hashjoin.Hybrid(in.R, in.S, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: true,
-				Format: partition.PadMode, PadFraction: 0.5,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt := toPoint("fpga-hash", hyb, parts)
-			pt.ModelPartitionSec = hybridModelSec(model.Mode{}, spec.TuplesR, spec.TuplesS)
-			res.Results[id] = append(res.Results[id], pt)
-		}
-	}
-	return res, nil
+	return &Figure12Result{sweep}, nil
 }
 
 func (res *Figure12Result) Text(w io.Writer) {
-	for _, id := range figure12Workloads {
-		spec := res.Specs[id]
-		header(w, fmt.Sprintf("Figure 12: join vs threads (workload %s, %v keys)", id, spec.Distribution))
-		printJoinPoints(w, res.Results[id], false)
-	}
+	res.text(w, func(id workload.WorkloadID, spec workload.WorkloadSpec) string {
+		return fmt.Sprintf("Figure 12: join vs threads (workload %s, %v keys)", id, spec.Distribution)
+	})
 	fmt.Fprintln(w, "\npaper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)")
 	fmt.Fprintln(w, "but costs CPU partitioning time at low thread counts; free on the FPGA")
 }
 
-func (res *Figure12Result) CSV() [][]string {
-	return threadSweepCSV(figure12Workloads, res.Results)
-}
+func (res *Figure12Result) CSV() [][]string { return res.csv() }
 
 // Figure13Result: join time vs Zipf factor of S (workload A sizes).
 type Figure13Result struct {
@@ -281,31 +278,23 @@ func RunFigure13(cfg Config) (*Figure13Result, error) {
 	}
 	spec = spec.Scaled(cfg.Scale)
 	res := &Figure13Result{}
-	const parts = 8192
 	for _, zipf := range []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75} {
-		in, err := spec.GenerateSkewed(cfg.Seed, zipf)
+		gen, err := spec.GenerateSkewed(cfg.Seed, zipf)
 		if err != nil {
 			return nil, err
 		}
-		cpu, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: cfg.MaxThreads, Hash: true})
-		if err != nil {
-			return nil, err
+		in := &joinInput{JoinInput: gen}
+		for _, js := range []joinSystem{
+			{name: "cpu", hash: true},
+			{hybrid: true, hash: true, FPGAMode: FPGAMode{Format: partition.HistMode}},
+		} {
+			pt, err := js.run(in, 8192, cfg.MaxThreads)
+			if err != nil {
+				return nil, err
+			}
+			res.Points = append(res.Points, pt)
+			res.Factors = append(res.Factors, zipf)
 		}
-		pt := toPoint("cpu", cpu, parts)
-		res.Points = append(res.Points, pt)
-		res.Factors = append(res.Factors, zipf)
-
-		hyb, err := hashjoin.Hybrid(in.R, in.S, hashjoin.Options{
-			Partitions: parts, Threads: cfg.MaxThreads, Hash: true,
-			Format: partition.HistMode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pt = toPoint("fpga-HIST/RID", hyb, parts)
-		pt.ModelPartitionSec = hybridModelSec(model.Mode{Hist: true}, spec.TuplesR, spec.TuplesS)
-		res.Points = append(res.Points, pt)
-		res.Factors = append(res.Factors, zipf)
 	}
 	return res, nil
 }
@@ -359,18 +348,6 @@ func printJoinPoints(w io.Writer, points []JoinPoint, withParts bool) {
 				p.System, p.Threads, p.PartitionSec, p.BuildProbeSec, p.TotalSec, modelStr, note)
 		}
 	}
-}
-
-// threadSweepCSV renders the per-workload points of Figures 11 and 12 in the
-// order of ids, the order Text prints them in.
-func threadSweepCSV(ids []workload.WorkloadID, results map[workload.WorkloadID][]JoinPoint) [][]string {
-	rows := [][]string{joinHeader(false)}
-	for _, id := range ids {
-		for _, p := range results[id] {
-			rows = append(rows, joinRow(p, false, string(id)))
-		}
-	}
-	return rows
 }
 
 func joinHeader(withParts bool) []string {

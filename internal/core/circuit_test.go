@@ -425,6 +425,8 @@ func TestConfigValidation(t *testing.T) {
 		{NumPartitions: 64, TupleWidth: 8, PadFraction: -0.5},  // negative pad
 		{NumPartitions: 64, TupleWidth: 8, Stage1FIFODepth: 2}, // shallow FIFO
 		{NumPartitions: 64, TupleWidth: 8, OutFIFODepth: 1},    // shallow out FIFO
+		{NumPartitions: 64, TupleWidth: 8, Format: PAD + 1},    // no such format
+		{NumPartitions: 64, TupleWidth: 8, Layout: VRID + 1},   // no such layout
 	}
 	for i, cfg := range bad {
 		if _, err := NewCircuit(cfg, 200e6, testCurve()); err == nil {

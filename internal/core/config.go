@@ -186,6 +186,12 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("core: TupleWidth %d not in {8,16,32,64}", c.TupleWidth)
 	}
+	if c.Format != HIST && c.Format != PAD {
+		return fmt.Errorf("core: unknown %v", c.Format)
+	}
+	if c.Layout != RID && c.Layout != VRID {
+		return fmt.Errorf("core: unknown %v", c.Layout)
+	}
 	if c.Layout == VRID && c.TupleWidth != 8 {
 		return fmt.Errorf("core: VRID mode emits 8-byte <key,VRID> tuples; TupleWidth must be 8, got %d", c.TupleWidth)
 	}

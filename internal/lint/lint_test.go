@@ -1,14 +1,17 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -597,9 +600,10 @@ func TestReqtraceOnAnalyzerRosters(t *testing.T) {
 }
 
 // TestOperatorsPartitionThroughPartition locks the layering: everything
-// above package partition partitions through it — the circuit and the CPU
-// partitioner have one adapter (slot views, VRID rows, one CPU fallback for
-// PAD overflow and the dummy key), not a private copy per operator. partition, experiments and joincore's
+// above package partition, the paper's experiments included, partitions
+// through it — the circuit and the CPU partitioner have one adapter (slot
+// views, VRID rows, one CPU fallback for PAD overflow and the dummy key), not
+// a private copy per operator or figure. partition and joincore's
 // PartitionTuples recursion are the callers that remain. An entry of above
 // that names no package of the module fails the test, so a deleted operator
 // cannot leave a stale roster passing.
@@ -611,6 +615,7 @@ func TestOperatorsPartitionThroughPartition(t *testing.T) {
 	above := map[string]bool{
 		"fpgapart/partserver": true, "fpgapart/hashjoin": true,
 		"fpgapart/distjoin": true, "fpgapart/cluster": true,
+		"fpgapart/experiments": true,
 	}
 	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -936,6 +941,47 @@ func TestFieldsHaveProductionReaders(t *testing.T) {
 	t.Logf("%d fields, %d on testOnlyFields", len(fields), len(testOnlyFields))
 	if len(fields) < 400 {
 		t.Fatalf("only %d fields found in the module", len(fields))
+	}
+}
+
+// TestDesignCitesDeclaredTests holds DESIGN.md to the suite: every Test…,
+// Benchmark… and Fuzz… name the document cites is declared by a _test.go
+// file of the module, so renaming or deleting a test cannot leave a stale
+// citation behind.
+func TestDesignCitesDeclaredTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`).FindAllIndex(design, -1)
+	for _, at := range cited {
+		if name := string(design[at[0]:at[1]]); !declared[name] {
+			t.Errorf("DESIGN.md:%d cites %s, which no _test.go file declares", bytes.Count(design[:at[0]], []byte("\n"))+1, name)
+		}
+	}
+	if len(cited) < 100 || len(declared) < 400 {
+		t.Fatalf("found %d citations and %d declared tests; the scan is broken", len(cited), len(declared))
 	}
 }
 

@@ -15,6 +15,7 @@
 package model
 
 import (
+	"fpgapart/internal/core"
 	"fpgapart/platform"
 )
 
@@ -93,6 +94,12 @@ func (p Params) TotalRate() float64 {
 type Mode struct {
 	Hist bool
 	VRID bool
+}
+
+// ModeOf returns the mode of a circuit with the given output format and
+// input layout.
+func ModeOf(f core.Format, l core.Layout) Mode {
+	return Mode{Hist: f == core.HIST, VRID: l == core.VRID}
 }
 
 // Ratio returns the read-to-write byte ratio r of the mode (Section 4.8):

@@ -178,7 +178,7 @@ func (s partitionScenario) name() string {
 	if s.ablation != "" {
 		dist += "/" + s.ablation
 	}
-	return fmt.Sprintf("%s/%s/w%d/fan%d/%s", SuitePartition, s.mode.Name, s.width, s.fanOut, dist)
+	return fmt.Sprintf("%s/%s/w%d/fan%d/%s", SuitePartition, s.mode.Name(), s.width, s.fanOut, dist)
 }
 
 // partitionMatrix is the fixed scenario set: the four Figure 9 modes at the
@@ -191,7 +191,7 @@ func partitionMatrix() []partitionScenario {
 	modes := experiments.FPGAModes()
 	byName := make(map[string]experiments.FPGAMode, len(modes))
 	for _, m := range modes {
-		byName[m.Name] = m
+		byName[m.Name()] = m
 	}
 	histRID, padRID := byName["HIST/RID"], byName["PAD/RID"]
 
@@ -305,26 +305,21 @@ func outputChecksum(res *partition.Result) int64 {
 	return int64(h)
 }
 
-// joinScenario is one hybrid-join cell.
-type joinScenario struct {
-	label  string
-	format partition.Format
-	layout partition.Layout
-}
-
+// joinCells are the hybrid join of workload A with the circuit in three of
+// the paper's modes.
 func joinCells(cfg Config) ([]cell, error) {
 	var cells []cell
-	for _, sc := range []joinScenario{
-		{"HIST/RID", partition.HistMode, partition.RowStore},
-		{"PAD/RID", partition.PadMode, partition.RowStore},
-		{"HIST/VRID", partition.HistMode, partition.ColumnStore},
+	for _, m := range []experiments.FPGAMode{
+		{Format: partition.HistMode, Layout: partition.RowStore},
+		{Format: partition.PadMode, Layout: partition.RowStore},
+		{Format: partition.HistMode, Layout: partition.ColumnStore},
 	} {
-		cells = append(cells, cell{"join/hybrid/" + sc.label + "/A", func() (simtrace.Snapshot, error) { return runJoinScenario(cfg, sc) }})
+		cells = append(cells, cell{"join/hybrid/" + m.Name() + "/A", func() (simtrace.Snapshot, error) { return runJoinScenario(cfg, m) }})
 	}
 	return cells, nil
 }
 
-func runJoinScenario(cfg Config, sc joinScenario) (simtrace.Snapshot, error) {
+func runJoinScenario(cfg Config, m experiments.FPGAMode) (simtrace.Snapshot, error) {
 	spec, err := workload.Spec(workload.WorkloadA)
 	if err != nil {
 		return nil, err
@@ -342,14 +337,14 @@ func runJoinScenario(cfg Config, sc joinScenario) (simtrace.Snapshot, error) {
 		Partitions:  1024,
 		Threads:     1,
 		Hash:        true,
-		Format:      sc.format,
-		Layout:      sc.layout,
+		Format:      m.Format,
+		Layout:      m.Layout,
 		PadFraction: 0.5,
 		Trace:       sess,
 	}
 
 	r, s := in.R, in.S
-	if sc.layout == partition.ColumnStore {
+	if m.Layout == partition.ColumnStore {
 		r, s = r.ToColumns(), s.ToColumns()
 	}
 	res, err := hashjoin.Hybrid(r, s, opts)

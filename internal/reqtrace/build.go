@@ -153,7 +153,7 @@ func build(seed uint64, index int, step *RouterStep, job *JobRecord) RequestTrac
 		}
 		if done > cursor {
 			// Tail wait after the last charged interval: queue wait for a
-			// never-dispatched job (timeout/cancel/unschedulable), requeue
+			// never-dispatched job (cancelled or unschedulable), requeue
 			// wait when aborted attempts preceded the deadline.
 			kind := CompQueueWait
 			if len(job.Attempts) > 0 {

@@ -54,7 +54,7 @@ type FlightEvent struct {
 	// "fpga0", …; cluster merges prefix the shard).
 	Comp string
 	// Kind names the event: "dispatch", "done", "fault", "crash",
-	// "degrade", "timeout", "cancel", "failed", "throttle", "failover",
+	// "degrade", "cancel", "failed", "throttle", "failover",
 	// "shard_crash", "unrouted"; membership and hedging add "shard_join",
 	// "shard_drain", "range_moved", "hedge_issued", "hedge_won" (router
 	// side; a hedge that lost in the queue is its scheduler's "cancel").

@@ -161,7 +161,7 @@ type RequestTrace struct {
 	// Index is the request's position in the submitted stream (the job id
 	// for a standalone partserver run).
 	Index int
-	// Status is the terminal status string ("done", "timedout", …;
+	// Status is the terminal status string ("done", "cancelled", "failed";
 	// "unrouted" for a request no live shard could accept).
 	Status string
 	// Shard is where the request executed (-1: standalone run or never

@@ -165,21 +165,21 @@ func TestPostmortemDeterministic(t *testing.T) {
 	f := NewFlight(8)
 	f.Record(FlightEvent{US: 10, Comp: "sched", Kind: "dispatch", Job: 0, Arg: 1})
 	f.Record(FlightEvent{US: 90, Comp: "fpga0", Kind: "fault", Job: 0, Arg: 1})
-	f.Record(FlightEvent{US: 200, Comp: "sched", Kind: "timeout", Job: 0, Arg: 2})
+	f.Record(FlightEvent{US: 200, Comp: "sched", Kind: "cancel", Job: 0, Arg: 2})
 
 	c := &Capture{Flight: f.Events(), FlightDropped: f.Dropped()}
 	var a, b bytes.Buffer
-	if err := c.WritePostmortem(&a, "job 0 timed out"); err != nil {
+	if err := c.WritePostmortem(&a, "job 0 cancelled"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WritePostmortem(&b, "job 0 timed out"); err != nil {
+	if err := c.WritePostmortem(&b, "job 0 cancelled"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("postmortem bytes differ across identical dumps")
 	}
 	out := a.String()
-	for _, want := range []string{"cause: job 0 timed out", "fault", "timeout"} {
+	for _, want := range []string{"cause: job 0 cancelled", "fault", "cancel"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("postmortem lacks %q:\n%s", want, out)
 		}

@@ -37,49 +37,39 @@ import (
 	"fpgapart/workload"
 )
 
-// Format selects the FPGA partitioner's output strategy (Section 4.5 of the
-// paper).
-type Format int
+// Format and Layout select the circuit's mode (Section 4.5 of the paper):
+// its output strategy and its input layout, the circuit's own types.
+type (
+	Format = core.Format
+	Layout = core.Layout
+)
 
 const (
 	// HistMode does a histogram pass first: two passes, minimal memory,
 	// robust against any skew.
-	HistMode Format = iota
+	HistMode = core.HIST
 	// PadMode preassigns fixed padded partition sizes: a single pass, but
 	// skewed inputs can overflow, triggering the CPU fallback.
-	PadMode
-)
-
-// Layout selects the FPGA partitioner's input layout (Section 4.5).
-type Layout int
-
-const (
+	PadMode = core.PAD
 	// RowStore reads <key, payload> records (RID mode).
-	RowStore Layout = iota
+	RowStore = core.RID
 	// ColumnStore reads a bare key column and emits <key, VRID> tuples
 	// (VRID mode), halving read traffic.
-	ColumnStore
+	ColumnStore = core.VRID
 )
 
 // ParseMode maps the command-line spelling of a circuit mode — format "hist"
 // or "pad", layout "rid" or "vrid" — to its Format and Layout.
 func ParseMode(format, layout string) (Format, Layout, error) {
-	var f Format
-	switch format {
-	case "hist":
-		f = HistMode
-	case "pad":
-		f = PadMode
-	default:
+	f, ok := map[string]Format{"hist": HistMode, "pad": PadMode}[format]
+	if !ok {
 		return 0, 0, fmt.Errorf("partition: unknown format %q (want hist or pad)", format)
 	}
-	switch layout {
-	case "rid":
-		return f, RowStore, nil
-	case "vrid":
-		return f, ColumnStore, nil
+	l, ok := map[string]Layout{"rid": RowStore, "vrid": ColumnStore}[layout]
+	if !ok {
+		return 0, 0, fmt.Errorf("partition: unknown layout %q (want rid or vrid)", layout)
 	}
-	return 0, 0, fmt.Errorf("partition: unknown layout %q (want rid or vrid)", layout)
+	return f, l, nil
 }
 
 // ErrOverflow is the cause (see FallbackError) of a PAD-mode run that
@@ -370,16 +360,12 @@ func newFPGA(opts FPGAOptions) (*fpgaPartitioner, error) {
 		NumPartitions:        opts.Partitions,
 		TupleWidth:           opts.TupleWidth,
 		Hash:                 opts.Hash,
+		Format:               opts.Format,
+		Layout:               opts.Layout,
 		PadFraction:          opts.PadFraction,
 		DisableForwarding:    opts.DisableForwarding,
 		DisableWriteCombiner: opts.DisableWriteCombiner,
 		Trace:                opts.Trace,
-	}
-	if opts.Format == PadMode {
-		cfg.Format = core.PAD
-	}
-	if opts.Layout == ColumnStore {
-		cfg.Layout = core.VRID
 	}
 	curve := opts.Platform.FPGAAlone
 	if opts.Interfered {

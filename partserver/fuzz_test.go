@@ -113,7 +113,7 @@ func FuzzRun(f *testing.F) {
 		for i := range rep.Results {
 			r := &rep.Results[i]
 			switch r.Status {
-			case StatusDone, StatusTimedOut, StatusCancelled, StatusFailed:
+			case StatusDone, StatusCancelled, StatusFailed:
 			default:
 				t.Fatalf("job %d ended %v", i, r.Status)
 			}

@@ -207,13 +207,6 @@ type Job struct {
 	// ArrivalUS is the virtual arrival time (µs). Jobs may arrive in any
 	// order; the scheduler sorts by (ArrivalUS, index).
 	ArrivalUS int64
-	// TimeoutUS, when > 0, cancels the job if it has not been dispatched
-	// within TimeoutUS of its arrival. Running jobs are never preempted
-	// (the circuit cannot stop mid-relation).
-	TimeoutUS int64
-	// CancelAtUS, when > 0, cancels the job if it is still queued at that
-	// virtual time.
-	CancelAtUS int64
 	// MemoryBudgetBytes caps the join build memory of this tenant's job
 	// (join jobs only; ≤ 0 unlimited). Partitions whose build side exceeds
 	// it spill and are recursively repartitioned or broadcast; the match
@@ -235,10 +228,8 @@ type Status int
 const (
 	// StatusDone: the job completed and its output was verified written.
 	StatusDone Status = iota
-	// StatusTimedOut: the job waited past its TimeoutUS without being
-	// dispatched.
-	StatusTimedOut
-	// StatusCancelled: the job's CancelAtUS passed while it was queued.
+	// StatusCancelled: the time Scheduler.Cancel set passed while the job
+	// was queued.
 	StatusCancelled
 	// StatusFailed: the job failed on every allowed attempt (e.g. a
 	// simulator fault on the FPGA and again on the CPU rerun).
@@ -249,8 +240,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusDone:
 		return "done"
-	case StatusTimedOut:
-		return "timedout"
 	case StatusCancelled:
 		return "cancelled"
 	case StatusFailed:
@@ -264,7 +253,7 @@ func (s Status) String() string {
 type Placement int
 
 const (
-	// PlacedNone: the job never ran (cancelled or timed out while queued).
+	// PlacedNone: the job never ran (cancelled while queued).
 	PlacedNone Placement = iota
 	// PlacedFPGA: the job ran on a simulated FPGA instance.
 	PlacedFPGA
@@ -381,6 +370,9 @@ func validateJob(j *Job, id int) error {
 	if j.FanOut < 2 || !hashutil.IsPowerOfTwo(j.FanOut) {
 		return fmt.Errorf("partserver: job %d fan-out %d is not a power of two ≥ 2", id, j.FanOut)
 	}
+	if (j.Format != partition.HistMode && j.Format != partition.PadMode) || (j.Layout != partition.RowStore && j.Layout != partition.ColumnStore) {
+		return fmt.Errorf("partserver: job %d mode %v/%v is none of the circuit's four", id, j.Format, j.Layout)
+	}
 	wantLayout := workload.RowLayout
 	if j.Layout == partition.ColumnStore {
 		wantLayout = workload.ColumnLayout
@@ -396,9 +388,6 @@ func validateJob(j *Job, id int) error {
 	}
 	if j.ArrivalUS < 0 {
 		return fmt.Errorf("partserver: job %d negative arrival %d", id, j.ArrivalUS)
-	}
-	if j.TimeoutUS < 0 || j.CancelAtUS < 0 {
-		return fmt.Errorf("partserver: job %d negative timeout/cancel", id)
 	}
 	return nil
 }

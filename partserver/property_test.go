@@ -223,42 +223,33 @@ func TestPropertyBackpressureNoDrops(t *testing.T) {
 }
 
 // TestPropertyTimeoutAndCancel pins deadline semantics: a job whose
-// deadline passes while queued is timed out (or cancelled) and never runs;
-// a dispatched job is never preempted.
+// cancellation — a dispatch timeout of 1µs after its arrival, or a cancel at
+// 2µs — passes while it is queued is cancelled and never runs; a dispatched
+// job is never preempted.
 func TestPropertyTimeoutAndCancel(t *testing.T) {
 	seed := seedFromName(t)
 	jobs, err := GenerateTrace(seed, 12, TraceOptions{MeanGapUS: 1, MinTuples: 4096, MaxTuples: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancelAt := map[int]int64{}
 	for i := range jobs {
 		jobs[i].ArrivalUS = 0
-		switch i % 3 {
-		case 1:
-			jobs[i].TimeoutUS = 1
-		case 2:
-			jobs[i].CancelAtUS = 2
+		if i%3 != 0 {
+			cancelAt[i] = int64(i % 3)
 		}
 	}
-	rep, err := Run(jobs, Config{FPGAs: 1, Workers: 1, Seed: seed, QueueDepth: 2, BatchMax: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runCancelling(t, jobs, Config{FPGAs: 1, Workers: 1, Seed: seed, QueueDepth: 2, BatchMax: 1}, cancelAt).Report()
+	cancelled := 0
 	for i := range rep.Results {
 		r := &rep.Results[i]
 		switch r.Status {
 		case StatusDone:
 			checkResult(t, &jobs[r.ID], r)
-		case StatusTimedOut:
-			if jobs[r.ID].TimeoutUS == 0 {
-				t.Fatalf("job %d timed out without a timeout", r.ID)
-			}
-			if r.Placement != PlacedNone || r.Tuples != 0 {
-				t.Fatalf("job %d: timed out yet ran (%v, %d tuples)", r.ID, r.Placement, r.Tuples)
-			}
 		case StatusCancelled:
-			if jobs[r.ID].CancelAtUS == 0 {
-				t.Fatalf("job %d cancelled without a cancel time", r.ID)
+			cancelled++
+			if at, ok := cancelAt[r.ID]; !ok || r.DoneUS != at {
+				t.Fatalf("job %d cancelled at %dus; its cancellation was set for %dus (set: %v)", r.ID, r.DoneUS, at, ok)
 			}
 			if r.Placement != PlacedNone || r.Tuples != 0 {
 				t.Fatalf("job %d: cancelled yet ran (%v, %d tuples)", r.ID, r.Placement, r.Tuples)
@@ -266,6 +257,34 @@ func TestPropertyTimeoutAndCancel(t *testing.T) {
 		default:
 			t.Fatalf("job %d: unexpected status %v %q", r.ID, r.Status, r.Err)
 		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no job was cancelled; the test exercises nothing")
+	}
+}
+
+// runCancelling is Run's loop with cancellations: it submits the whole
+// trace, pulls job id's cancellation forward to cancelAt[id], and steps the
+// scheduler until it has drained.
+func runCancelling(t *testing.T, jobs []Job, cfg Config, cancelAt map[int]int64) *Scheduler {
+	t.Helper()
+	s, err := NewScheduler(cfg, len(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if _, err := s.Submit(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id, us := range cancelAt {
+		s.Cancel(id, us)
+	}
+	for {
+		if _, ok := s.NextEventUS(); !ok {
+			return s
+		}
+		s.Step()
 	}
 }
 
@@ -284,6 +303,8 @@ func TestPropertyValidation(t *testing.T) {
 		{"fan-out not a power of two", Job{Rel: rel, FanOut: 12}},
 		{"negative arrival", Job{Rel: rel, FanOut: 8, ArrivalUS: -1}},
 		{"column job on row relation", Job{Rel: rel, FanOut: 8, Layout: partition.ColumnStore}},
+		{"unknown format", Job{Rel: rel, FanOut: 8, Format: partition.PadMode + 1}},
+		{"unknown layout", Job{Rel: rel, FanOut: 8, Layout: partition.ColumnStore + 1}},
 	}
 	for _, c := range cases {
 		if _, err := Run([]Job{c.job}, Config{}); err == nil {
@@ -358,8 +379,7 @@ func TestGenerateTraceRejectsBadOptions(t *testing.T) {
 // TestStatusStrings keeps the enum strings (used in report JSON) stable.
 func TestStatusStrings(t *testing.T) {
 	for want, s := range map[string]fmt.Stringer{
-		"done": StatusDone, "timedout": StatusTimedOut,
-		"cancelled": StatusCancelled, "failed": StatusFailed,
+		"done": StatusDone, "cancelled": StatusCancelled, "failed": StatusFailed,
 		"none": PlacedNone, "fpga": PlacedFPGA, "cpu": PlacedCPU,
 	} {
 		if s.String() != want {

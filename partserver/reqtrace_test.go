@@ -10,18 +10,29 @@ import (
 	"fpgapart/internal/reqtrace"
 )
 
-// runRecorded runs jobs under cfg with a causal capture attached, checks the
-// captured traces against the report, and returns the capture plus the same
-// run stepped by hand, whose job records must build the same traces: Run is
-// that loop and fills the capture from nothing else.
-func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config) (*Scheduler, *reqtrace.Capture) {
+// runRecorded runs jobs under cfg with a causal capture attached, cancelling
+// job id at cancelAt[id], and checks the captured traces against the report.
+// Without cancellations the run goes through Run and returns the same run
+// stepped by hand, whose job records must build the same traces: Run is that
+// loop and fills the capture from nothing else. Run cannot cancel, so a run
+// with cancellations is stepped through runCancelling and its capture filled
+// from that scheduler.
+func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config, cancelAt map[int]int64) (*Scheduler, *reqtrace.Capture) {
 	t.Helper()
 	capt := &reqtrace.Capture{}
 	cfg.Seed = seed
 	cfg.ReqTrace = capt
-	rep, err := Run(jobs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var s *Scheduler
+	var rep *Report
+	if len(cancelAt) == 0 {
+		var err error
+		if rep, err = Run(jobs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		s = runCancelling(t, jobs, cfg, cancelAt)
+		s.fillCapture(nil)
+		rep = s.Report()
 	}
 	if len(capt.Traces) != len(rep.Results) {
 		t.Fatalf("%d traces for %d results", len(capt.Traces), len(rep.Results))
@@ -38,22 +49,11 @@ func runRecorded(t *testing.T, seed uint64, jobs []Job, cfg Config) (*Scheduler,
 				i, rt.ArrivalUS, rt.DoneUS, r.ArrivalUS, r.DoneUS)
 		}
 	}
+	if s != nil {
+		return s, capt
+	}
 
-	s, err := NewScheduler(cfg, len(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if _, err := s.Submit(jobs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for {
-		if _, ok := s.NextEventUS(); !ok {
-			break
-		}
-		s.Step()
-	}
+	s = runCancelling(t, jobs, cfg, nil)
 	for i := range jobs {
 		rec := s.JobRecord(i)
 		if rt := reqtrace.BuildJob(seed, &rec); !reflect.DeepEqual(rt, capt.Traces[i]) {
@@ -100,7 +100,7 @@ func TestReqtraceConservationFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, capt := runRecorded(t, seed, jobs, Config{FPGAs: 2, Workers: 2})
+	_, capt := runRecorded(t, seed, jobs, Config{FPGAs: 2, Workers: 2}, nil)
 	traces := capt.Traces
 	checkConservation(t, traces)
 	for i := range traces {
@@ -128,7 +128,7 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 			Crashes:     []faults.Crash{{Node: 1, AfterFraction: 0.0}},
 			Stragglers:  []faults.Straggler{{Node: 0, Factor: 2}},
 		},
-	})
+	}, nil)
 	traces := capt.Traces
 	checkConservation(t, traces)
 	retried := false
@@ -155,32 +155,31 @@ func TestReqtraceConservationUnderFaults(t *testing.T) {
 	}
 }
 
-// TestReqtraceConservationWithDeadlines: jobs that time out or are cancelled
-// while queued (including after aborted attempts) must still decompose
-// exactly — the trailing wait is charged as queue or retry wait.
+// TestReqtraceConservationWithDeadlines: jobs cancelled while queued — a
+// dispatch timeout of 1µs after arrival or a cancel at 2µs, including after
+// aborted attempts — must still decompose exactly: the trailing wait is
+// charged as queue or retry wait.
 func TestReqtraceConservationWithDeadlines(t *testing.T) {
 	seed := seedFromName(t)
 	jobs, err := GenerateTrace(seed, 12, TraceOptions{MeanGapUS: 1, MinTuples: 4096, MaxTuples: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancelAt := map[int]int64{}
 	for i := range jobs {
 		jobs[i].ArrivalUS = 0
-		switch i % 3 {
-		case 1:
-			jobs[i].TimeoutUS = 1
-		case 2:
-			jobs[i].CancelAtUS = 2
+		if i%3 != 0 {
+			cancelAt[i] = int64(i % 3)
 		}
 	}
 	_, capt := runRecorded(t, seed, jobs, Config{
 		FPGAs: 1, Workers: 0, QueueDepth: 2, BatchMax: 1,
-	})
+	}, cancelAt)
 	traces := capt.Traces
 	checkConservation(t, traces)
 	sawDeadline := false
 	for i := range traces {
-		if traces[i].Status == "timedout" || traces[i].Status == "cancelled" {
+		if traces[i].Status == "cancelled" {
 			sawDeadline = true
 		}
 	}
@@ -203,7 +202,7 @@ func TestReqtraceByteIdentical(t *testing.T) {
 		if faulty {
 			cfg.Faults = faultyScenario(seed)
 		}
-		_, capt := runRecorded(t, seed, jobs, cfg)
+		_, capt := runRecorded(t, seed, jobs, cfg, nil)
 		var b bytes.Buffer
 		if err := reqtrace.WriteBreakdownJSON(&b, capt.Traces); err != nil {
 			t.Fatal(err)
@@ -238,7 +237,7 @@ func TestAbortAndReconfigurationCharges(t *testing.T) {
 	s, _ := runRecorded(t, 3, jobs, Config{
 		FPGAs: 1, Workers: 0,
 		Faults: &faults.Scenario{Seed: 3, DropProb: 0.4},
-	})
+	}, nil)
 	var halved, onFPGA int
 	for i := range jobs {
 		at := s.JobRecord(i).Attempts

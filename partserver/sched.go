@@ -23,7 +23,7 @@ type jobState struct {
 	// spec is the submitted job, immutable after Submit.
 	spec Job
 	key  configKey
-	// cancelAtUS is spec.CancelAtUS, possibly pulled forward by Cancel.
+	// cancelAtUS is the virtual time Cancel set, noEvent until then.
 	cancelAtUS int64
 
 	status    Status
@@ -41,17 +41,6 @@ type jobState struct {
 
 	out    execOut
 	errMsg string
-}
-
-func (j *jobState) deadlineUS() int64 {
-	d := int64(math.MaxInt64)
-	if j.spec.TimeoutUS > 0 {
-		d = j.spec.ArrivalUS + j.spec.TimeoutUS
-	}
-	if j.cancelAtUS > 0 && j.cancelAtUS < d {
-		d = j.cancelAtUS
-	}
-	return d
 }
 
 // batch is one dispatch to one resource: a run of same-configuration jobs
@@ -212,7 +201,7 @@ func (s *Scheduler) Submit(job Job) (id int, err error) {
 	if job.ArrivalUS < s.now {
 		return 0, fmt.Errorf("partserver: job %d arrives at %dus, before the scheduler clock %dus", id, job.ArrivalUS, s.now)
 	}
-	j := &jobState{id: id, spec: job, key: keyOf(&job), cancelAtUS: job.CancelAtUS, instance: -1, dispatchUS: -1}
+	j := &jobState{id: id, spec: job, key: keyOf(&job), cancelAtUS: noEvent, instance: -1, dispatchUS: -1}
 	s.jobs = append(s.jobs, j)
 	at := sort.Search(len(s.future), func(i int) bool { return s.future[i].spec.ArrivalUS > job.ArrivalUS })
 	s.future = slices.Insert(s.future, at, j)
@@ -235,7 +224,7 @@ func (s *Scheduler) Cancel(id int, atUS int64) {
 		return
 	}
 	atUS = max(atUS, s.now)
-	if j := s.jobs[id]; j.cancelAtUS == 0 || atUS < j.cancelAtUS {
+	if j := s.jobs[id]; atUS < j.cancelAtUS {
 		j.cancelAtUS = atUS
 		s.peeked = false
 	}
@@ -331,10 +320,7 @@ func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 	n, probe := j.tuples()
 	var us int64
 	if r.kind == PlacedFPGA {
-		mode := model.Mode{
-			Hist: j.spec.Format != partition.PadMode,
-			VRID: j.spec.Layout == partition.ColumnStore,
-		}
+		mode := model.ModeOf(j.spec.Format, j.spec.Layout)
 		rate := model.ForMode(mode, s.platform, max(n, 1)).TotalRate()
 		us = ceilDiv(n*1e6, int64(rate))
 		if probe > 0 {
@@ -473,9 +459,7 @@ func (s *Scheduler) peek() int64 {
 	}
 	for _, q := range [][]*jobState{s.admit, s.waiting} {
 		for _, j := range q {
-			if d := j.deadlineUS(); d < next {
-				next = d
-			}
+			next = min(next, j.cancelAtUS)
 		}
 	}
 	s.next, s.peeked = next, true
@@ -537,7 +521,6 @@ func (s *Scheduler) Step() []int {
 // simtrace counter.
 var terminalNames = [...]struct{ event, counter string }{
 	StatusDone:      {"done", "sched.jobs_done"},
-	StatusTimedOut:  {"timeout", "sched.jobs_timeout"},
 	StatusCancelled: {"cancel", "sched.jobs_cancelled"},
 	StatusFailed:    {"failed", "sched.jobs_failed"},
 }
@@ -565,16 +548,12 @@ func (s *Scheduler) expire(q *[]*jobState) {
 	kept := (*q)[:0]
 	changed := false
 	for _, j := range *q {
-		if j.deadlineUS() > s.now {
+		if j.cancelAtUS > s.now {
 			kept = append(kept, j)
 			continue
 		}
 		changed = true
-		if j.spec.TimeoutUS > 0 && j.spec.ArrivalUS+j.spec.TimeoutUS <= s.now {
-			s.finish(j, StatusTimedOut, "sched")
-		} else {
-			s.finish(j, StatusCancelled, "sched")
-		}
+		s.finish(j, StatusCancelled, "sched")
 		j.placement = PlacedNone
 		j.instance = -1
 	}

@@ -3,6 +3,7 @@ package partserver
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,23 +11,22 @@ import (
 )
 
 // TestStepperMatchesRun: a caller that submits each job only when the
-// scheduler's clock reaches its arrival — the way a routing tier drives the
-// stepper — gets the report Run renders for the whole trace, fail-stop
-// crashes included, because Run is that loop and nothing else.
+// scheduler's clock reaches its arrival, and sets its cancellation then —
+// the way a routing tier drives the stepper — gets the report of Run's loop
+// over the whole trace, fail-stop crashes included (runRecorded holds Run to
+// that loop).
 func TestStepperMatchesRun(t *testing.T) {
 	seed := seedFromName(t)
 	jobs, err := GenerateTrace(seed, 24, TraceOptions{MeanGapUS: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancelAt := map[int]int64{}
 	for i := 6; i < len(jobs); i += 7 {
-		jobs[i].TimeoutUS = 1 + int64(i%5) // a tight dispatch timeout
+		cancelAt[i] = jobs[i].ArrivalUS + 1 + int64(i%5) // a tight dispatch timeout
 	}
 	cfg := Config{FPGAs: 2, Workers: 1, Seed: seed, Faults: faultyScenario(seed)}
-	want, err := Run(jobs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runCancelling(t, jobs, cfg, cancelAt).Report()
 
 	s, err := NewScheduler(cfg, len(jobs))
 	if err != nil {
@@ -38,8 +38,12 @@ func TestStepperMatchesRun(t *testing.T) {
 		// GenerateTrace emits jobs in arrival order: hand over each one no
 		// later than the event that would pass its arrival.
 		for next < len(jobs) && (!ok || jobs[next].ArrivalUS <= us) {
-			if _, err := s.Submit(jobs[next]); err != nil {
+			id, err := s.Submit(jobs[next])
+			if err != nil {
 				t.Fatal(err)
+			}
+			if at, ok := cancelAt[id]; ok {
+				s.Cancel(id, at)
 			}
 			next++
 			us, ok = s.NextEventUS()
@@ -69,6 +73,23 @@ func TestStepperMatchesRun(t *testing.T) {
 	}
 	if len(want.FailedInstances) == 0 {
 		t.Fatal("no instance crashed; the crash thresholds were not exercised")
+	}
+	if !slices.ContainsFunc(want.Results, func(r JobResult) bool { return r.Status == StatusCancelled }) {
+		t.Fatal("no job was cancelled; the dispatch timeouts were not exercised")
+	}
+}
+
+// TestCancelAtZero: a cancellation dated 0µs, set before the first Step,
+// cancels the queued job at 0µs — 0 is a time like any other, not "no
+// cancellation" — and leaves the job beside it to run.
+func TestCancelAtZero(t *testing.T) {
+	jobs := []Job{mustJob(t, 8, 2048, 0), mustJob(t, 8, 2048, 0)}
+	s := runCancelling(t, jobs, Config{FPGAs: 1, Workers: 0, BatchMax: 1}, map[int]int64{1: 0})
+	if r := s.Result(1); r.Status != StatusCancelled || r.DoneUS != 0 {
+		t.Errorf("job cancelled at 0us ended %v at %dus, want cancelled at 0us", r.Status, r.DoneUS)
+	}
+	if r := s.Result(0); r.Status != StatusDone {
+		t.Errorf("the job beside it ended %v, want done", r.Status)
 	}
 }
 
