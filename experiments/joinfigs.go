@@ -195,8 +195,8 @@ func (res *joinSweep) text(w io.Writer, title func(workload.WorkloadID, workload
 	}
 }
 
-// csv renders the points per workload, in the order text prints them.
-func (res *joinSweep) csv() [][]string {
+// CSV renders the points per workload, in the order text prints them.
+func (res *joinSweep) CSV() [][]string {
 	rows := [][]string{joinHeader(false)}
 	for _, id := range res.ids {
 		for _, p := range res.Results[id] {
@@ -231,8 +231,6 @@ func (res *Figure11Result) Text(w io.Writer) {
 	fmt.Fprintln(w, "coherence-penalized; CPU and hybrid converge at full thread count")
 }
 
-func (res *Figure11Result) CSV() [][]string { return res.csv() }
-
 // Figure12Result: join time vs threads for workloads C, D, E with radix vs
 // hash partitioning.
 type Figure12Result struct{ joinSweep }
@@ -258,8 +256,6 @@ func (res *Figure12Result) Text(w io.Writer) {
 	fmt.Fprintln(w, "\npaper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)")
 	fmt.Fprintln(w, "but costs CPU partitioning time at low thread counts; free on the FPGA")
 }
-
-func (res *Figure12Result) CSV() [][]string { return res.csv() }
 
 // Figure13Result: join time vs Zipf factor of S (workload A sizes).
 type Figure13Result struct {

@@ -78,5 +78,11 @@ func FuzzJoinUnderBudget(f *testing.F) {
 		if got.Memory.MaxDepth > joincore.MaxRecursionDepth+1 {
 			t.Fatalf("recursion depth %d exceeds the bound", got.Memory.MaxDepth)
 		}
+		// The honest-budget bound: an in-memory build fits the cap and a
+		// broadcast chunk holds at most cap bytes or one tuple; only the
+		// 2 KiB scatter of a recursive pass may exceed a smaller cap.
+		if high, bound := got.Memory.HighWaterBytes, max(opts.MemoryBudgetBytes, 2048); high > bound {
+			t.Fatalf("high water %d B exceeds max(cap, 2 KiB) = %d B", high, bound)
+		}
 	})
 }

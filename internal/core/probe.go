@@ -9,82 +9,32 @@ const (
 )
 
 // probe connects one run to a simtrace.Session. It is nil on untraced runs,
-// so the hot loops pay a single nil check per cycle; when present, every
-// counter and the tracer ring are preallocated, keeping the per-cycle path
-// allocation-free.
+// so the hot loops pay a single nil check per cycle; when present, the FIFO
+// gauges and the QPI counters are attached and the tracer ring is
+// preallocated, keeping the per-cycle path allocation-free. The run's
+// totals go to the session's metrics once, in finish.
 //
 // Cycle stamps are offset by the session's accumulated cycle total, so
 // successive runs on the same circuit (R then S of a join, or repeated
 // benchmark iterations) appear back to back on one timeline instead of
 // overlapping at cycle zero.
 type probe struct {
-	sess   *simtrace.Session
+	m      *simtrace.Registry
 	tr     *simtrace.Tracer
 	window int64
 	base   int64 // timeline offset: session cycles before this run
 
-	cycles           *simtrace.Counter
-	tuplesIn         *simtrace.Counter
-	tuplesOut        *simtrace.Counter
-	dummies          *simtrace.Counter
-	stallsBackpress  *simtrace.Counter
-	stallsHazard     *simtrace.Counter
-	forwardedHazards *simtrace.Counter
-	bubbles          *simtrace.Counter
-	translations     *simtrace.Counter
-	bramReads        *simtrace.Counter
-	bramWrites       *simtrace.Counter
-
-	fifo1Occ    *simtrace.Gauge
-	finalOcc    *simtrace.Gauge
-	combOutOcc  *simtrace.Gauge
-	fifo1High   *simtrace.Gauge
-	qpiBytesCyc *simtrace.Gauge // ×100, avoids floats in the registry
-	bramUtil    *simtrace.Gauge // ×100
-
 	// everyCycle, set by tests only, sees the run after each cycle.
 	everyCycle func(*run)
-
-	// partSizes buckets the per-partition valid tuple counts (log2) at the
-	// end of each run — the skew profile the perf gate diffs across PRs.
-	partSizes *simtrace.Histogram
 }
 
-// newProbe resolves the session's metrics and instruments the run's FIFOs
-// and QPI end-point. Called by newRun once the run has the datapath.
+// newProbe instruments the run's FIFOs and QPI end-point. Called by newRun
+// once the run has the datapath.
 func newProbe(sess *simtrace.Session, r *run) *probe {
 	m := sess.Metrics
-	p := &probe{
-		sess:   sess,
-		tr:     sess.Tracer,
-		window: sess.Window(),
-
-		cycles:           m.Counter("circuit.cycles"),
-		tuplesIn:         m.Counter("circuit.tuples_in"),
-		tuplesOut:        m.Counter("circuit.tuples_out"),
-		dummies:          m.Counter("circuit.dummies"),
-		stallsBackpress:  m.Counter("circuit.stalls.backpressure"),
-		stallsHazard:     m.Counter("circuit.stalls.hazard"),
-		forwardedHazards: m.Counter("circuit.hazards.forwarded"),
-		bubbles:          m.Counter("circuit.hash.bubbles"),
-		translations:     m.Counter("circuit.page_translations"),
-		bramReads:        m.Counter("combiner.bram.reads"),
-		bramWrites:       m.Counter("combiner.bram.writes"),
-
-		fifo1Occ:    m.Gauge("fifo.stage1.occupancy"),
-		finalOcc:    m.Gauge("fifo.final.occupancy"),
-		combOutOcc:  m.Gauge("fifo.combiner_out.occupancy"),
-		fifo1High:   m.Gauge("fifo.stage1.high_water"),
-		qpiBytesCyc: m.Gauge("qpi.bytes_per_cycle_x100"),
-		bramUtil:    m.Gauge("combiner.bram.port_util_x100"),
-
-		partSizes: m.Histogram("partition.size_tuples"),
-	}
-	p.base = p.cycles.Value()
-
-	r.instrument(p.fifo1Occ, p.finalOcc, p.combOutOcc)
+	r.instrument(m.Gauge("fifo.stage1.occupancy"), m.Gauge("fifo.final.occupancy"), m.Gauge("fifo.combiner_out.occupancy"))
 	r.ep.Instrument(m.Counter("qpi.lines_read"), m.Counter("qpi.lines_written"))
-	return p
+	return &probe{m: m, tr: sess.Tracer, window: sess.Window(), base: m.Counter("circuit.cycles").Value()}
 }
 
 // maybeSample emits the windowed counter samples when the run crosses a
@@ -137,32 +87,37 @@ func (p *probe) finish(r *run) {
 		p.tr.Instant(traceCompCircuit, "pad_overflow", p.base+st.Cycles)
 	}
 
-	p.cycles.Add(st.Cycles)
-	p.tuplesIn.Add(st.TuplesIn)
-	p.tuplesOut.Add(st.TuplesOut)
-	p.dummies.Add(st.Dummies)
-	p.stallsBackpress.Add(st.StallsBackpressure)
-	p.stallsHazard.Add(st.StallsHazard)
-	p.forwardedHazards.Add(st.ForwardedHazards)
-	p.bubbles.Add(st.HashPipelineBubbles)
-	p.translations.Add(st.PageTranslations)
-	p.bramReads.Add(st.CombinerBRAMReads)
-	p.bramWrites.Add(st.CombinerBRAMWrites)
+	m := p.m
+	m.Counter("circuit.cycles").Add(st.Cycles)
+	m.Counter("circuit.tuples_in").Add(st.TuplesIn)
+	m.Counter("circuit.tuples_out").Add(st.TuplesOut)
+	m.Counter("circuit.dummies").Add(st.Dummies)
+	m.Counter("circuit.stalls.backpressure").Add(st.StallsBackpressure)
+	m.Counter("circuit.stalls.hazard").Add(st.StallsHazard)
+	m.Counter("circuit.hazards.forwarded").Add(st.ForwardedHazards)
+	m.Counter("circuit.hash.bubbles").Add(st.HashPipelineBubbles)
+	m.Counter("circuit.page_translations").Add(st.PageTranslations)
+	m.Counter("combiner.bram.reads").Add(st.CombinerBRAMReads)
+	m.Counter("combiner.bram.writes").Add(st.CombinerBRAMWrites)
 
 	// Bucket the per-partition output sizes (skipped for overflow-aborted
 	// runs, whose counts are partial and whose abort point is already
-	// reported via Stats.OverflowAtTuple).
+	// reported via Stats.OverflowAtTuple; the histogram is registered
+	// either way).
+	sizes := m.Histogram("partition.size_tuples")
 	if !st.Overflowed {
 		for _, n := range r.counts {
-			p.partSizes.Observe(n)
+			sizes.Observe(n)
 		}
 	}
 
-	p.fifo1High.Observe(int64(st.MaxStage1FIFO))
+	m.Gauge("fifo.stage1.high_water").Observe(int64(st.MaxStage1FIFO))
+	// Both utilizations are ×100, which keeps floats out of the registry.
+	qpiBytes, bramUtil := m.Gauge("qpi.bytes_per_cycle_x100"), m.Gauge("combiner.bram.port_util_x100")
 	if st.Cycles > 0 {
-		p.qpiBytesCyc.Observe((st.LinesRead + st.LinesWritten) * 64 * 100 / st.Cycles)
+		qpiBytes.Observe((st.LinesRead + st.LinesWritten) * 64 * 100 / st.Cycles)
 		// Each of the lanes combiners has one read and one write port.
 		ports := int64(r.lanes) * st.Cycles
-		p.bramUtil.Observe((st.CombinerBRAMReads + st.CombinerBRAMWrites) * 100 / (2 * ports))
+		bramUtil.Observe((st.CombinerBRAMReads + st.CombinerBRAMWrites) * 100 / (2 * ports))
 	}
 }

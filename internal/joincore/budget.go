@@ -86,8 +86,8 @@ type Decision struct {
 // an unlimited budget nothing adapts: BudgetedBuildProbe logs no decision
 // and counts nothing.
 type BudgetStats struct {
-	// BudgetBytes is the configured cap; HighWaterBytes is the peak
-	// concurrent reservation the sequential accounting replay observed.
+	// BudgetBytes is the configured cap; HighWaterBytes is the largest
+	// reservation one decision made (tally says what each reserves).
 	BudgetBytes    int64
 	HighWaterBytes int64
 	// InMemory counts buckets joined without spilling (all depths);
@@ -113,9 +113,9 @@ type BudgetStats struct {
 
 // BudgetConfig configures BudgetedBuildProbe.
 type BudgetConfig struct {
-	// Budget caps concurrent build/partition memory. With nil or an
-	// unlimited one every partition fits: nothing spills and nothing is
-	// logged or accounted (BuildProbe is that case).
+	// Budget is the byte cap each bucket's build side is fitted against.
+	// With nil or an unlimited one every partition fits: nothing spills and
+	// nothing is logged or tallied (BuildProbe is that case).
 	Budget *membudget.Budget
 	// Spill receives the bytes read back from the simulated spill device;
 	// nil discards them.
@@ -159,9 +159,10 @@ func saltAt(depth int) uint32 {
 //
 // All adaptive decisions are functions of partition contents and the budget
 // cap alone — never of cross-partition timing — so same-seed runs decide,
-// count and spill identically at any thread count. Budget and spill-store
-// accounting is replayed sequentially in partition-major order after the
-// parallel join, keeping the high-water mark interleaving-free.
+// count and spill identically at any thread count. The memory and
+// spill-store accounting is one fold over the decision log in
+// partition-major order after the parallel join, keeping the high-water
+// mark interleaving-free.
 func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStats, error) {
 	if r.NumPartitions() != s.NumPartitions() {
 		return nil, nil, fmt.Errorf("joincore: fan-out mismatch: R has %d partitions, S has %d", r.NumPartitions(), s.NumPartitions())
@@ -197,7 +198,7 @@ func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStat
 	for p, d := range x.top {
 		stats.Decisions = append(append(stats.Decisions, d), x.below[p]...)
 	}
-	replayAccounting(stats, x.cfg)
+	tally(stats, x.cfg)
 
 	res := &Result{
 		Matches:  x.matches,
@@ -224,9 +225,9 @@ type executor struct {
 	r, s          Partitions
 	numPartitions int
 	// The decision log: top[p] is partition p's depth-0 decision, below[p]
-	// what a spilled partition decided after it. It feeds the accounting
-	// replay and the join.mem trace, so both are nil without a limited
-	// budget, which has no cap to account against and never spills.
+	// what a spilled partition decided after it. It feeds tally and the
+	// join.mem trace, so both are nil without a limited budget, which has
+	// no cap to account against and never spills.
 	top   []Decision
 	below [][]Decision
 
@@ -271,60 +272,48 @@ func (x *executor) work() {
 	}
 }
 
-// replayAccounting walks the decision list in its deterministic order,
-// replays every reservation against the budget and spill store, and folds
-// the list and the ledger into the aggregate counters. Decisions were made
-// against the cap alone, so replaying sequentially reproduces exactly what a
+// tally folds the decision log, in its deterministic order, into the
+// aggregate counters and accounts what recursive and broadcast passes read
+// back into cfg.Spill. Every reservation a decision makes is released before
+// the next one, so HighWaterBytes is the largest single reservation. The
+// decisions were made against the cap alone, so the fold is what a
 // one-partition-at-a-time executor would have reserved.
-func replayAccounting(stats *BudgetStats, cfg BudgetConfig) {
-	b, sp := cfg.Budget, cfg.Spill
+func tally(stats *BudgetStats, cfg BudgetConfig) {
 	// One write-combining line per side stages spill writes.
 	const spillBufBytes = 2 * cpupart.BufferTuples * 8
-	scatterBytes := int64(2 * subFanOut * cpupart.BufferTuples * 8)
-	chunkCap := chunkTuples(b)
+	// A recursive pass scatters through one such line per side and bucket.
+	const scatterBytes = subFanOut * spillBufBytes
+	chunkCap := chunkTuples(cfg.Budget)
 	for _, d := range stats.Decisions {
-		if d.Depth > stats.MaxDepth {
-			stats.MaxDepth = d.Depth
-		}
+		stats.MaxDepth = max(stats.MaxDepth, d.Depth)
 		if d.Reversed {
 			stats.Reversals++
 		}
+		var reserved int64
 		switch d.Action {
 		case ActionInMemory:
 			stats.InMemory++
-			n := d.BuildTuples * BuildTupleBytes
-			b.MustReserve(membudget.ClassBuild, n)
-			b.Release(membudget.ClassBuild, n)
+			reserved = d.BuildTuples * BuildTupleBytes
 		case ActionSpill:
 			stats.SpilledPartitions++
 			stats.SpilledBytes += d.SpilledBytes
-			b.MustReserve(membudget.ClassSpill, spillBufBytes)
-			b.Release(membudget.ClassSpill, spillBufBytes)
+			reserved = spillBufBytes
 		case ActionRecurse:
 			stats.Recursions++
-			sp.Read(d.SpilledBytes)
-			b.MustReserve(membudget.ClassPartition, scatterBytes)
-			b.Release(membudget.ClassPartition, scatterBytes)
+			cfg.Spill.Read(d.SpilledBytes)
+			reserved = scatterBytes
 		case ActionBroadcast:
 			stats.Broadcasts++
 			stats.BroadcastChunks += d.Chunks
-			sp.Read(d.SpilledBytes)
-			left := d.BuildTuples
-			for c := 0; c < d.Chunks; c++ {
-				n := chunkCap
-				if left < n {
-					n = left
-				}
-				left -= n
-				// A broadcast chunk is the allocation the join cannot
-				// avoid; MustReserve keeps the high-water mark honest
-				// when even one chunk overshoots a tiny budget.
-				b.MustReserve(membudget.ClassBuild, n*BuildTupleBytes)
-				b.Release(membudget.ClassBuild, n*BuildTupleBytes)
-			}
+			cfg.Spill.Read(d.SpilledBytes)
+			// The first chunk is the largest. It is the allocation the
+			// join cannot avoid, so it counts even when one tuple
+			// overshoots a tiny cap.
+			reserved = min(d.BuildTuples, chunkCap) * BuildTupleBytes
 		}
+		stats.HighWaterBytes = max(stats.HighWaterBytes, reserved)
 	}
-	stats.BudgetBytes, stats.HighWaterBytes, stats.SpillReadBytes = b.Cap(), b.HighWater(), sp.BytesRead()
+	stats.BudgetBytes, stats.SpillReadBytes = cfg.Budget.Cap(), cfg.Spill.BytesRead()
 }
 
 // chunkTuples is the build-chunk size of the broadcast join: as many tuples

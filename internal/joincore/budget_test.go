@@ -106,19 +106,18 @@ func TestBudgetedIsDeterministicAcrossThreads(t *testing.T) {
 	// spills — and S is the smaller side, so it also role-reverses.
 	budgetBytes := buildBytes(s) / 8
 	var wantStats *BudgetStats
-	var wantHigh int64
 	for _, threads := range []int{1, 4, 7} {
 		cfg := BudgetConfig{Budget: membudget.New(budgetBytes), Spill: &membudget.SpillStore{}, Threads: threads}
 		_, stats := budgetedMust(t, r, s, cfg)
 		if wantStats == nil {
-			wantStats, wantHigh = stats, cfg.Budget.HighWater()
+			wantStats = stats
 			continue
+		}
+		if stats.HighWaterBytes != wantStats.HighWaterBytes {
+			t.Fatalf("threads=%d changed the high-water mark: %d vs %d", threads, stats.HighWaterBytes, wantStats.HighWaterBytes)
 		}
 		if !reflect.DeepEqual(stats, wantStats) {
 			t.Fatalf("threads=%d changed the decision log:\n%+v\nvs\n%+v", threads, stats, wantStats)
-		}
-		if cfg.Budget.HighWater() != wantHigh {
-			t.Fatalf("threads=%d changed the high-water mark: %d vs %d", threads, cfg.Budget.HighWater(), wantHigh)
 		}
 	}
 	if wantStats.SpilledPartitions == 0 {
@@ -235,8 +234,39 @@ func TestBudgetedAccounting(t *testing.T) {
 	if spill.BytesRead() < stats.SpilledBytes {
 		t.Fatalf("spilled buckets were never read back: wrote %d, read %d", stats.SpilledBytes, spill.BytesRead())
 	}
-	if budget.HighWater() == 0 {
-		t.Fatalf("budget saw no reservations: high %d", budget.HighWater())
+	if stats.HighWaterBytes == 0 {
+		t.Fatalf("the fold saw no reservations: %+v", stats)
+	}
+}
+
+// TestTallyHighWater pins what each decision reserves: the high-water mark
+// of a one-decision log is that decision's reservation, and of a longer log
+// the largest one, since each is released before the next.
+func TestTallyHighWater(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cap  int64
+		log  []Decision
+		want int64
+	}{
+		{"in-memory build", 1 << 20, []Decision{{Action: ActionInMemory, BuildTuples: 100}}, 100 * BuildTupleBytes},
+		{"spill buffer", 1 << 20, []Decision{{Action: ActionSpill, BuildTuples: 1 << 16}}, 128},
+		{"16-way scatter", 1 << 20, []Decision{{Action: ActionRecurse, BuildTuples: 1 << 16}}, 2048},
+		{"broadcast chunk at the cap", 1024, []Decision{{Action: ActionBroadcast, BuildTuples: 1000, Chunks: 16}}, 1024},
+		{"broadcast below one chunk", 1024, []Decision{{Action: ActionBroadcast, BuildTuples: 10, Chunks: 1}}, 10 * BuildTupleBytes},
+		{"broadcast chunk past a sub-tuple cap", 10, []Decision{{Action: ActionBroadcast, BuildTuples: 5, Chunks: 5}}, BuildTupleBytes},
+		{"largest of a log", 1 << 20, []Decision{
+			{Action: ActionInMemory, BuildTuples: 100},
+			{Action: ActionSpill, BuildTuples: 1 << 16},
+			{Action: ActionRecurse, Depth: 1, BuildTuples: 1 << 16},
+		}, 2048},
+	} {
+		stats := &BudgetStats{Decisions: c.log}
+		tally(stats, BudgetConfig{Budget: membudget.New(c.cap)})
+		if stats.HighWaterBytes != c.want || stats.BudgetBytes != c.cap {
+			t.Errorf("%s: high water %d B under cap %d B, want %d B under %d B",
+				c.name, stats.HighWaterBytes, stats.BudgetBytes, c.want, c.cap)
+		}
 	}
 }
 

@@ -128,40 +128,35 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 	}
 	nBuild, nProbe := int64(build.NumTuples), int64(probe.NumTuples)
 	cfg := BudgetConfig{Budget: budget, Spill: spill, Threads: threads}.withDefaults()
+	d := Decision{Action: ActionInMemory, BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed}
 	stats := &BudgetStats{}
+	var res *Result
 	if !budget.Limited() || nBuild*BuildTupleBytes <= budget.Cap() {
-		stats.Decisions = append(stats.Decisions, Decision{
-			Action: ActionInMemory, BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed,
-		})
-		res, err := NonPartitioned(build, probe, threads)
-		if err != nil {
+		var err error
+		if res, err = NonPartitioned(build, probe, threads); err != nil {
 			return nil, nil, err
 		}
-		replayAccounting(stats, cfg)
-		return res, stats, nil
+		stats.Decisions = []Decision{d}
+	} else {
+		// Chunked build: stage the packed sides through the spill store, then
+		// run the broadcast joiner single-threaded (one global "partition").
+		bs, ps := relationRun(build).appendTuples(nil), relationRun(probe).appendTuples(nil)
+		start := time.Now()
+		pj := partitionJoiner{cfg: &cfg}
+		chunks := pj.broadcast(bs, ps, !reversed)
+		res = &Result{
+			Matches:  pj.matches,
+			Checksum: pj.checksum,
+			Elapsed:  time.Since(start),
+			Threads:  1,
+		}
+		res.splitPhases(pj.buildNS, pj.probeNS)
+		d.SpilledBytes = 8 * (nBuild + nProbe)
+		spilled, broadcast := d, d
+		spilled.Action = ActionSpill
+		broadcast.Action, broadcast.Depth, broadcast.Chunks = ActionBroadcast, 1, chunks
+		stats.Decisions = []Decision{spilled, broadcast}
 	}
-
-	// Chunked build: stage the packed sides through the spill store, then
-	// run the broadcast joiner single-threaded (one global "partition").
-	bs, ps := relationRun(build).appendTuples(nil), relationRun(probe).appendTuples(nil)
-	spilled := 8 * (nBuild + nProbe)
-	start := time.Now()
-	pj := partitionJoiner{cfg: &cfg}
-	chunks := pj.broadcast(bs, ps, !reversed)
-	elapsed := time.Since(start)
-	stats.Decisions = append(stats.Decisions,
-		Decision{Action: ActionSpill, BuildTuples: nBuild, ProbeTuples: nProbe,
-			Reversed: reversed, SpilledBytes: spilled},
-		Decision{Action: ActionBroadcast, Depth: 1, BuildTuples: nBuild, ProbeTuples: nProbe,
-			Reversed: reversed, SpilledBytes: spilled, Chunks: chunks},
-	)
-	replayAccounting(stats, cfg)
-	res := &Result{
-		Matches:  pj.matches,
-		Checksum: pj.checksum,
-		Elapsed:  elapsed,
-		Threads:  1,
-	}
-	res.splitPhases(pj.buildNS, pj.probeNS)
+	tally(stats, cfg)
 	return res, stats, nil
 }

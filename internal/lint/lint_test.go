@@ -698,13 +698,13 @@ func TestInternalFunctionsHaveProductionCallers(t *testing.T) {
 			}
 		}
 	}
-	ifaces := moduleInterfaces(pkgs)
+	ifaces, named := moduleInterfaces(pkgs), moduleNamedTypes(pkgs)
 	seen := map[string]bool{}
 	for _, fn := range declared {
 		name := fn.FullName()
 		_, listed := testOnly[name]
 		seen[name] = true
-		switch live := used[fn] || reachedThroughInterface(fn, ifaces); {
+		switch live := used[fn] || reachedThroughInterface(fn, ifaces, named); {
 		case live && listed:
 			t.Errorf("%s has a production caller now; drop it from testOnly", name)
 		case !live && !listed:
@@ -722,6 +722,55 @@ func TestInternalFunctionsHaveProductionCallers(t *testing.T) {
 	}
 	if len(declared) < 700 {
 		t.Fatalf("only %d functions found in the module", len(declared))
+	}
+}
+
+// TestPromotedMethodIsReachedThroughInterface is the embedding case of
+// reachedThroughInterface: a method whose own receiver implements no
+// interface is reached when a type that gets it by embedding does, and only
+// then.
+func TestPromotedMethodIsReachedThroughInterface(t *testing.T) {
+	const src = `package p
+
+type Result interface {
+	Text() string
+	CSV() [][]string
+}
+
+type sweep struct{}
+
+func (*sweep) CSV() [][]string { return nil }
+
+type Figure struct{ sweep }
+
+func (*Figure) Text() string { return "" }
+
+type Table struct{ sweep }
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{file}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(name string) types.Type { return pkg.Scope().Lookup(name).Type() }
+	csv, _, _ := types.LookupFieldOrMethod(types.NewPointer(lookup("sweep")), false, pkg, "CSV")
+	fn := csv.(*types.Func)
+	ifaces := []*types.Interface{lookup("Result").Underlying().(*types.Interface)}
+	named := func(names ...string) (out []*types.Named) {
+		for _, n := range names {
+			out = append(out, lookup(n).(*types.Named))
+		}
+		return out
+	}
+	if !reachedThroughInterface(fn, ifaces, named("sweep", "Figure", "Table")) {
+		t.Error("(*sweep).CSV, promoted into *Figure, a Result, is not counted as reached")
+	}
+	if reachedThroughInterface(fn, ifaces, named("sweep", "Table")) {
+		t.Error("(*sweep).CSV is counted as reached although no type holding it is a Result")
 	}
 }
 
@@ -1147,17 +1196,53 @@ func moduleInterfaces(pkgs []*Package) []*types.Interface {
 	return ifaces
 }
 
+// moduleNamedTypes collects every named non-interface type declared at the
+// top level of the module's packages.
+func moduleNamedTypes(pkgs []*Package) []*types.Named {
+	var named []*types.Named
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok {
+				named = append(named, n)
+			}
+		}
+	}
+	return named
+}
+
 // reachedThroughInterface reports whether fn is a method that one of ifaces
-// names and fn's receiver type implements.
-func reachedThroughInterface(fn *types.Func, ifaces []*types.Interface) bool {
+// names and that a type holding fn implements: fn's receiver type, or one of
+// named (or a pointer to it) that gets fn promoted by embedding.
+func reachedThroughInterface(fn *types.Func, ifaces []*types.Interface, named []*types.Named) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return false
 	}
+	var holders []types.Type
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == fn.Name() && types.Implements(recv.Type(), it) {
-				return true
+			if it.Method(i).Name() != fn.Name() {
+				continue
+			}
+			if holders == nil {
+				holders = append(holders, recv.Type())
+				for _, n := range named {
+					for _, t := range []types.Type{n, types.NewPointer(n)} {
+						obj, _, _ := types.LookupFieldOrMethod(t, false, fn.Pkg(), fn.Name())
+						if m, ok := obj.(*types.Func); ok && m.Origin() == fn {
+							holders = append(holders, t)
+						}
+					}
+				}
+			}
+			for _, h := range holders {
+				if types.Implements(h, it) {
+					return true
+				}
 			}
 		}
 	}

@@ -1,56 +1,19 @@
 // Package membudget models the bounded join memory of a robust hybrid hash
 // join (Jahangiri et al., "Design Trade-offs for a Robust Dynamic Hybrid
-// Hash Join"): a Budget tracks build/partition/spill-buffer reservations
-// against a configurable byte cap, and a SpillStore accounts what later
-// passes read back of the partitions that did not fit. Both are pure
-// accounting — no
-// clocks, no randomness — so same-seed runs make byte-identical decisions;
-// the packages sit on the fpgavet deterministic path.
+// Hash Join"): a Budget is the byte cap the join's decisions are made
+// against, and a SpillStore accounts what later passes read back of the
+// partitions that did not fit. What each decision reserves, and the
+// high-water mark of those reservations, is joincore's fold over its
+// decision log. Both types are pure accounting — no clocks, no randomness —
+// so same-seed runs make byte-identical decisions; the package sits on the
+// fpgavet deterministic path.
 package membudget
 
-import "fmt"
-
-// Class labels what a reservation pays for, so exhaustion reports can say
-// which phase ate the budget. Classes index a fixed array — no maps — to
-// keep accounting on the deterministic path.
-type Class int
-
-const (
-	// ClassBuild is hash-table state over the build side of a partition.
-	ClassBuild Class = iota
-	// ClassPartition is repartitioning scratch (histograms, output runs).
-	ClassPartition
-	// ClassSpill is the in-memory write buffer in front of the spill store.
-	ClassSpill
-
-	numClasses
-)
-
-// String names the class for error text and trace span labels.
-func (c Class) String() string {
-	switch c {
-	case ClassBuild:
-		return "build"
-	case ClassPartition:
-		return "partition"
-	case ClassSpill:
-		return "spill"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// Budget tracks byte reservations against a fixed cap. A nil Budget (or a
-// cap ≤ 0) is unlimited: every method is nil-safe and admits everything, so
-// call sites need no branching between budgeted and unbudgeted runs.
-// Budget is not goroutine-safe; the join executor accounts partitions in a
-// deterministic sequential order precisely so the high-water mark does not
-// depend on thread interleaving.
+// Budget is a fixed byte cap. A nil Budget (or a cap ≤ 0) is unlimited:
+// every method is nil-safe, so call sites need no branching between
+// budgeted and unbudgeted runs.
 type Budget struct {
 	capBytes int64
-	inUse    int64
-	high     int64
-	byClass  [numClasses]int64
 }
 
 // New returns a budget capped at capBytes; capBytes ≤ 0 means unlimited.
@@ -71,43 +34,6 @@ func (b *Budget) Cap() int64 {
 
 // Limited reports whether the budget actually constrains allocations.
 func (b *Budget) Limited() bool { return b != nil && b.capBytes > 0 }
-
-// MustReserve accounts n bytes of class c even past the cap. It models the
-// allocations an adaptive join cannot avoid — e.g. the single build chunk of
-// a broadcast join — while keeping the high-water mark honest about them.
-func (b *Budget) MustReserve(c Class, n int64) {
-	if b == nil {
-		return
-	}
-	b.byClass[c] += n
-	b.inUse += n
-	if b.inUse > b.high {
-		b.high = b.inUse
-	}
-}
-
-// Release returns n bytes of class c to the budget. Releasing more than the
-// class has reserved is a simulator bug, not an input condition, so it
-// panics; public packages wrap the panic in ErrSimulatorFault at their API
-// boundary.
-func (b *Budget) Release(c Class, n int64) {
-	if b == nil {
-		return
-	}
-	if n > b.byClass[c] {
-		panic(fmt.Sprintf("membudget: releasing %d %s bytes with only %d reserved", n, c, b.byClass[c]))
-	}
-	b.byClass[c] -= n
-	b.inUse -= n
-}
-
-// HighWater returns the peak of the bytes reserved at once over the budget's lifetime.
-func (b *Budget) HighWater() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.high
-}
 
 // SpillStore accounts the read side of the simulated spill device: the
 // bytes a recursing or broadcasting pass reads back of a partition that

@@ -12,8 +12,9 @@ import (
 // The memory suite measures the degradation curve of the budgeted join: the
 // same workload runs unconstrained once (the correctness reference), then at
 // shrinking fractions of its build footprint. Everything gated is derived
-// from the deterministic simulation — match counts, checksums, replayed
-// spill/recursion/broadcast accounting — so the gate tolerates zero drift.
+// from the deterministic simulation — match counts, checksums, and the
+// spill/recursion/broadcast counters the executor folds from its decision
+// log — so the gate tolerates zero drift.
 
 // memoryBudgetPcts is the degradation curve, in percent of the build side's
 // in-memory footprint. 100% still budgets (the accounting machinery runs);

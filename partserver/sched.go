@@ -335,7 +335,12 @@ func (s *Scheduler) predict(j *jobState, r *resource) int64 {
 		us = s.cpuChargeUS(n, probe)
 	}
 	if probe > 0 {
-		us += s.joinChargeUS(n, probe, r.writer) + s.predictSpillUS(j, n, probe)
+		us += s.joinChargeUS(n, probe, r.writer)
+		// A build side over the tenant's memory budget: expect both sides
+		// to spill. The charge prices the observed spill traffic instead.
+		if budget := j.spec.MemoryBudgetBytes; budget > 0 && n*joincore.BuildTupleBytes > budget {
+			us += spillUS(n + probe)
+		}
 	}
 	return us
 }
@@ -365,17 +370,11 @@ func (s *Scheduler) joinChargeUS(n, probe int64, writer platform.Socket) int64 {
 	return ceilDiv(int64(build+probeT), int64(time.Microsecond))
 }
 
-// predictSpillUS is the deterministic placement-time estimate of the extra
-// join cost a per-tenant memory budget induces: when the whole build side
-// cannot fit the budget, assume both sides make one spill round trip
-// (write + read) at the join rate. The actual charge uses the observed spill
-// traffic instead.
-func (s *Scheduler) predictSpillUS(j *jobState, n, probe int64) int64 {
-	budget := j.spec.MemoryBudgetBytes
-	if budget <= 0 || n*joincore.BuildTupleBytes <= budget {
-		return 0
-	}
-	return ceilDiv(2*(n+probe)*1e6, joinRate)
+// spillUS is the virtual time a budgeted join's spill of tuples costs, as
+// predict expects and batchDuration charges it (and reqtrace attributes it):
+// each tuple is written and read back at the join rate.
+func spillUS(tuples int64) int64 {
+	return ceilDiv(2*tuples*1e6, joinRate)
 }
 
 // dispatch places job j (plus, on an FPGA, up to BatchMax−1 queued jobs with
@@ -583,9 +582,8 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 		}
 		if j.spec.Probe != nil && j.out.ok {
 			us += s.joinChargeUS(n, probe, r.writer)
-			// Spill round trip: each spilled packed tuple (8 B) is written
-			// and re-read, charged at the join rate.
-			spill = joincore.SpillRoundTripUS(j.out.spilledBytes, joinRate)
+			// Each spilled tuple is 8 packed bytes.
+			spill = spillUS(j.out.spilledBytes / 8)
 			us += spill
 		}
 		if b.aborted {

@@ -25,7 +25,7 @@ type execOut struct {
 	checksum uint32
 	matches  int64
 	// spilledBytes is a budgeted join's spill volume (deterministic:
-	// derived from replayed accounting, not wall clock).
+	// folded from the join's decision log, not wall clock).
 	spilledBytes int64
 }
 
@@ -155,7 +155,7 @@ func (out *execOut) join(build, probe *partition.Result, budgetBytes int64) erro
 	}
 	out.matches = jr.Matches
 	out.checksum = fold64(jr.Checksum)
-	// Deterministic: derived from replayed accounting, not wall clock.
+	// Deterministic: folded from the decision log, not wall clock.
 	out.spilledBytes = stats.SpilledBytes
 	return nil
 }
