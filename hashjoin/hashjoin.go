@@ -135,19 +135,23 @@ func (r *Result) PartitionTime() time.Duration { return r.PartitionR + r.Partiti
 func (r *Result) BuildProbeTime() time.Duration { return r.Build + r.Probe }
 
 // Join partitions R and S with the given partitioner and joins them. This is
-// the generic entry point; CPU and Hybrid are convenience wrappers. A panic
-// escaping the simulator internals surfaces as an error wrapping
-// ErrSimulatorFault.
+// the generic entry point; CPU and Hybrid are convenience wrappers. Both
+// sides' partitions are released to p when Join returns (the join keeps no
+// view of them), so a caller that loops over one long-lived partitioner
+// partitions into the same buffers every time. A panic escaping the
+// simulator internals surfaces as an error wrapping ErrSimulatorFault.
 func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
 	pr, err := p.Partition(r)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning R: %w", err)
 	}
+	defer pr.Release()
 	ps, err := p.Partition(s)
 	if err != nil {
 		return nil, fmt.Errorf("hashjoin: partitioning S: %w", err)
 	}
+	defer ps.Release()
 	budget := membudget.New(opts.MemoryBudgetBytes)
 	spill := &membudget.SpillStore{}
 	bp, stats, err := joincore.BudgetedBuildProbe(pr, ps, joincore.BudgetConfig{

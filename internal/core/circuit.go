@@ -8,6 +8,7 @@ import (
 	"fpgapart/internal/fpga"
 	"fpgapart/internal/qpi"
 	"fpgapart/internal/simtrace"
+	"fpgapart/internal/spare"
 	"fpgapart/platform"
 	"fpgapart/workload"
 )
@@ -39,14 +40,16 @@ type Circuit struct {
 	// QPI end-point (every pass's SetMix empties its token buckets) are built
 	// once and reset by every run. Only state whose size depends on neither
 	// fan-out nor input is kept here; the BRAM contents and the destination
-	// bookkeeping are the run's (see newRun).
+	// bookkeeping are the run's (see newRun) — unless a reader hands an
+	// Output back (Recycle): then later runs write into its buffers.
 	// The hash pipelines carry lane groups as their tuple counts: what each
 	// tuple does was decided before the clock started (prepass).
 	pipe  *fpga.Reg[int]
 	comb  []*combiner
 	final *fpga.FIFO[outLine]
 	ep    *qpi.Endpoint
-	pl    placer // the placement side, its log and hand-off ring
+	pl    placer               // the placement side, its log and hand-off ring
+	slabs spare.Buffers[int64] // recycled outputs' bookkeeping slabs
 }
 
 // NewCircuit validates cfg and binds it to an FPGA clock and a QPI bandwidth
@@ -74,6 +77,17 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 
 // Config returns the circuit's (defaulted) configuration.
 func (c *Circuit) Config() Config { return c.cfg }
+
+// Recycle hands back an Output of the circuit's whose reader is done with
+// it: later runs write their lines and bookkeeping into its buffers instead
+// of allocating their own, and from now on the circuit keeps its bank lines
+// between runs. out must not be read after, and Recycle must not run
+// concurrently with a run.
+func (c *Circuit) Recycle(out *Output) {
+	c.pl.spare.Put(out.Lines)
+	c.slabs.Put(out.slab)
+	c.pl.keepBank = true
+}
 
 // Partition runs the circuit over rel and returns the partitioned output and
 // run statistics. In PAD mode the error is ErrPartitionOverflow if a
@@ -105,7 +119,9 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 		r.stats.PageTranslations += r.stats.LinesWritten
 	}
 	// The BRAM contents and the flags die with the run: between runs a
-	// circuit holds nothing whose size follows the fan-out or the input.
+	// circuit holds nothing whose size follows the fan-out or the input —
+	// except, once an Output has been recycled, the bank lines and the
+	// buffers of recycled Outputs, which the next run writes into.
 	for _, cb := range c.comb {
 		cb.reset(nil, nil, source{}, 0, 1)
 	}
@@ -185,8 +201,9 @@ type run struct {
 // newRun resets the circuit for one execution and allocates what that
 // execution alone owns: everything whose size follows the fan-out or the
 // input — the combiners' fill-rate BRAM contents with the tuples' flags, and
-// the destination bookkeeping, one slab each. The reset also covers a
-// previous run that aborted on PAD overflow with tuples in flight.
+// the destination bookkeeping (a recycled Output's, cleared, if the circuit
+// keeps one), one slab each. The reset also covers a previous run that
+// aborted on PAD overflow with tuples in flight.
 func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	cfg := &c.cfg
 	r := &run{
@@ -202,10 +219,21 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	}
 
 	p := cfg.NumPartitions
-	ints := make([]int64, (destWords+3)*p)
-	r.dests, ints = ints[:destWords*p:destWords*p], ints[destWords*p:]
+	slab := c.slabs.Take((destWords + 3) * p)
+	clear(slab)
+	r.dests = slab[: destWords*p : destWords*p]
+	ints := slab[destWords*p:]
 	r.base, r.used, r.counts = ints[:p:p], ints[p:2*p:2*p], ints[2*p:]
 	r.hist = r.counts
+	r.out = &Output{
+		NumPartitions: p,
+		TupleWidth:    cfg.OutputTupleWidth(),
+		DummyKey:      DefaultDummyKey,
+		Base:          r.base,
+		LinesUsed:     r.used,
+		Counts:        r.counts,
+		slab:          slab,
+	}
 	bram := make([]uint8, r.lanes*p+int(r.total))
 	fill := bram[: r.lanes*p : r.lanes*p]
 	r.flags = bram[r.lanes*p:]
@@ -369,15 +397,7 @@ func (r *run) allocate() {
 		d[destBase], r.base[p] = totalLines, totalLines
 		totalLines += d[destLines]
 	}
-	// The placement side allocates Lines, totalLines*8 words (placer.run).
-	r.out = &Output{
-		NumPartitions: r.cfg.NumPartitions,
-		TupleWidth:    r.cfg.OutputTupleWidth(),
-		DummyKey:      DefaultDummyKey,
-		Base:          r.base,
-		LinesUsed:     r.used,
-		Counts:        r.counts,
-	}
+	// The placement side takes Lines, totalLines*8 words (placer.run).
 	r.pl.words = totalLines * 8
 }
 

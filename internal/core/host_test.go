@@ -58,7 +58,8 @@ func (hc hostCase) build(tb testing.TB, tuples int) (*Circuit, *workload.Relatio
 // BenchmarkCircuitPartition is the layer number of the cycle simulator: host
 // nanoseconds per simulated cycle and per input tuple, per hostCase, at the
 // benchmark's scale (2^19 tuples over 8192 partitions; 2^16 for 64-byte
-// tuples) unless the case names its own.
+// tuples) unless the case names its own. Every output is recycled, as a
+// serving slot's are, so allocs/op is recycledObjects.
 //
 //	go test ./internal/core -run '^$' -bench CircuitPartition -benchtime 5x
 func BenchmarkCircuitPartition(b *testing.B) {
@@ -73,10 +74,11 @@ func BenchmarkCircuitPartition(b *testing.B) {
 			b.ResetTimer()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				_, st, err := c.Partition(rel)
+				out, st, err := c.Partition(rel)
 				if err != nil {
 					b.Fatal(err)
 				}
+				c.Recycle(out)
 				cycles = st.Cycles
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles*int64(b.N)), "ns/cycle")
@@ -97,33 +99,50 @@ func BenchmarkCircuitPartition(b *testing.B) {
 // benchmark's core.mallocs_per_op is this number.)
 const runObjects = 8
 
+// recycledObjects is runObjects once every output goes back to the circuit
+// (Recycle): the lines, the bookkeeping slab and the bank lines are the
+// recycled outputs' and the circuit's, which leaves the run and its Stats,
+// the fill-rate BRAMs with the flags, the Output and the goroutine's closure.
+const recycledObjects = 5
+
 // TestPartitionAllocations guards the per-run fixed cost and the pass loops:
-// the second and later runs of a circuit make runObjects heap objects, and
-// not one more when the three passes run sixteen times as many cycles and
-// the placement runs on its own goroutine.
+// the second and later runs of a circuit make runObjects heap objects, or
+// recycledObjects when each output is recycled before the next run, and not
+// one more when the three passes run sixteen times as many cycles and the
+// placement runs on its own goroutine.
 func TestPartitionAllocations(t *testing.T) {
 	for _, hc := range hostCases {
-		perOp := func(tuples int) float64 {
-			c, rel := hc.build(t, tuples)
-			n := testing.AllocsPerRun(3, func() {
-				if _, _, err := c.Partition(rel); err != nil {
-					t.Fatal(err)
+		for _, recycle := range []bool{false, true} {
+			perOp := func(tuples int) float64 {
+				c, rel := hc.build(t, tuples)
+				n := testing.AllocsPerRun(3, func() {
+					out, _, err := c.Partition(rel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if recycle {
+						c.Recycle(out)
+					}
+				})
+				if async := c.pl.full != nil; async != (tuples > 1<<12) {
+					t.Errorf("%s, %d tuples: placed on a second goroutine %t", hc.name, tuples, async)
 				}
-			})
-			if async := c.pl.full != nil; async != (tuples > 1<<12) {
-				t.Errorf("%s, %d tuples: placed on a second goroutine %t", hc.name, tuples, async)
+				return n
 			}
-			return n
-		}
-		small, large := perOp(1<<12), perOp(1<<16)
-		if max(small, large) > runObjects {
-			t.Errorf("%s: %.0f and %.0f heap objects per Partition, want at most %d", hc.name, small, large, runObjects)
-		}
-		// The goroutine's closure is one more object, and the runtime adds
-		// one of its own at some heap sizes; an allocation per cycle would
-		// add thousands.
-		if large > small+2 {
-			t.Errorf("%s: %.0f heap objects at 2^16 tuples, %.0f at 2^12: the pass loops allocate", hc.name, large, small)
+			small, large := perOp(1<<12), perOp(1<<16)
+			want := runObjects
+			if recycle {
+				want = recycledObjects
+			}
+			if max(small, large) > float64(want) {
+				t.Errorf("%s, recycled %t: %.0f and %.0f heap objects per Partition, want at most %d", hc.name, recycle, small, large, want)
+			}
+			// The goroutine's closure is one more object, and the runtime adds
+			// one of its own at some heap sizes; an allocation per cycle would
+			// add thousands.
+			if large > small+2 {
+				t.Errorf("%s, recycled %t: %.0f heap objects at 2^16 tuples, %.0f at 2^12: the pass loops allocate", hc.name, recycle, large, small)
+			}
 		}
 	}
 }

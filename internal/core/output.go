@@ -24,6 +24,10 @@ type Output struct {
 	// DummyKeyed counts the input tuples whose key is DummyKey: written,
 	// they read back as padding, so a reader of the output misses them.
 	DummyKeyed int64
+
+	// slab is the run's bookkeeping, one allocation: Base, LinesUsed, Counts
+	// and the destination records (Circuit.Recycle takes it back).
+	slab []int64
 }
 
 // wordsPerTuple returns the output tuple size in 64-bit words.

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"fpgapart/internal/hashutil"
+	"fpgapart/internal/spare"
 )
 
 // logChunk is the store log's hand-off unit in entries, and logChunks the
@@ -50,6 +51,10 @@ type placer struct {
 
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
 	lines []uint64
+	// spare keeps recycled outputs' lines for the next runs, and keepBank,
+	// set by the first Circuit.Recycle, keeps the bank between runs.
+	spare    spare.Buffers[uint64]
+	keepBank bool
 
 	// Each lane's cursors: its next tuple, its input (the RLE run holding
 	// the tuple) and its flush scan address.
@@ -107,10 +112,14 @@ func (pl *placer) reset(r *run, image []uint8) {
 	}
 }
 
-// release drops the run's input, image, banks and output.
+// release drops the run's input, image, output and, unless the circuit
+// keeps them, its banks.
 func (pl *placer) release() {
-	pl.data, pl.flags, pl.image, pl.bank, pl.lines, pl.cur = nil, nil, nil, nil, nil, nil
+	pl.data, pl.flags, pl.image, pl.lines, pl.cur = nil, nil, nil, nil, nil
 	pl.src = [8]source{}
+	if !pl.keepBank {
+		pl.bank = nil
+	}
 }
 
 // start hands the log to a placement goroutine if the input's total tuples
@@ -189,14 +198,17 @@ func (pl *placer) stop() {
 	}
 }
 
-// run allocates the bank lines and the output, fills the output with dummy
-// keys (never-written slots — PAD headroom, a flushed line's unused slots —
-// read as dummies, like bitstream-initialized memory) and places the log.
+// run allocates the bank lines, unless the circuit kept them, takes the
+// output, a recycled one's lines if one fits, fills it with dummy keys
+// (never-written slots — PAD headroom, a flushed line's unused slots — read
+// as dummies, like bitstream-initialized memory) and places the log. Kept
+// buffers need no clearing: the fill writes every output word, and a bank
+// slot is read only after this run wrote it.
 func (pl *placer) run() {
-	if !pl.single {
+	if !pl.single && pl.bank == nil {
 		pl.bank = make([]uint64, pl.lanes*pl.parts*8)
 	}
-	pl.lines = make([]uint64, pl.words)
+	pl.lines = pl.spare.Take(int(pl.words))
 	if len(pl.lines) > 0 {
 		pl.lines[0] = dummyWord
 		for n := 1; n < len(pl.lines); n *= 2 {

@@ -139,10 +139,24 @@ func sessionBytes(t *testing.T, sess *simtrace.Session) (metrics, trace []byte) 
 	return mb.Bytes(), tb.Bytes()
 }
 
+// poisonOutput overwrites every buffer of an output before it is
+// recycled, so that a run that reads a recycled buffer before writing it
+// differs from a new circuit's.
+func poisonOutput(out *Output) {
+	for i := range out.Lines {
+		out.Lines[i] = 0xbad0_5eed_bad0_5eed
+	}
+	for i := range out.slab {
+		out.slab[i] = -1
+	}
+}
+
 // TestCircuitReuseMatchesFreshCircuit runs the sequence on one circuit per
 // mode, with a simtrace session attached on every other call, against a new
 // circuit per call reporting into a session of its own: outputs, stats and,
-// after every call, both sessions' metrics and traces must be identical.
+// after every call, both sessions' metrics and traces must be identical. A
+// second long-lived circuit gets every output back, poisoned, once it is
+// compared (Recycle), and must return the same outputs and stats.
 func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 	plat := platform.XeonFPGA()
 	for _, m := range reuseModes() {
@@ -151,14 +165,18 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			usedSess, freshSess := simtrace.NewSession(), simtrace.NewSession()
+			recycling, err := NewCircuit(m.cfg, plat.FPGAClockHz, plat.FPGAAlone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			usedSess, freshSess, recyclingSess := simtrace.NewSession(), simtrace.NewSession(), simtrace.NewSession()
 			usedSess.SampleWindow, freshSess.SampleWindow = 64, 64
 			overflows := 0
 			for step, keys := range m.sequence() {
 				cfg := m.cfg
-				used.cfg.Trace = nil
+				used.cfg.Trace, recycling.cfg.Trace = nil, nil
 				if step%2 == 1 {
-					used.cfg.Trace, cfg.Trace = usedSess, freshSess
+					used.cfg.Trace, recycling.cfg.Trace, cfg.Trace = usedSess, recyclingSess, freshSess
 				}
 				fresh, err := NewCircuit(cfg, plat.FPGAClockHz, plat.FPGAAlone)
 				if err != nil {
@@ -167,11 +185,17 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 				u, f := m.runKeys(t, used, keys), m.runKeys(t, fresh, keys)
 				what := fmt.Sprintf("%s step %d", m.name, step)
 				requireSameOutcome(t, what, u, f)
+				rc := m.runKeys(t, recycling, keys)
+				requireSameOutcome(t, what+" (recycling)", rc, f)
+				if rc.out != nil {
+					poisonOutput(rc.out)
+					recycling.Recycle(rc.out)
+				}
 				if f.stats.Overflowed {
 					overflows++
 				}
-				// Between runs the circuit holds nothing sized by the fan-out
-				// or the input.
+				// Between runs a circuit that never saw Recycle holds nothing
+				// sized by the fan-out or the input.
 				for _, cb := range used.comb {
 					if cb.fill != nil || cb.flags != nil || used.pl.image != nil || used.pl.flags != nil || used.pl.bank != nil || used.pl.lines != nil {
 						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents, its flags or its output", what)
@@ -185,6 +209,9 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 				if !bytes.Equal(ut, ft) {
 					t.Fatalf("%s: traces differ", what)
 				}
+			}
+			if !m.cfg.DisableWriteCombiner && recycling.pl.bank == nil {
+				t.Error("a circuit that saw Recycle let go of its bank lines")
 			}
 			if want := map[Format]int{PAD: 2, HIST: 0}[m.cfg.Format]; overflows != want {
 				t.Errorf("%d runs overflowed, want %d: the sequence lost its aborted passes", overflows, want)

@@ -27,8 +27,9 @@ func runBuffered(src []uint64, cfg Config, threads, skew int) *Result {
 // runIndexer is runBuffered with the indexer given, so a test can pick the
 // hash loops (ix.block) that Config.indexer would not pick on this machine.
 func runIndexer(src []uint64, ix indexer, threads, skew int) *Result {
-	dst := make([]uint64, len(src)+skew)[skew:]
-	return &Result{NumPartitions: ix.parts(), Data: dst, Offsets: buffered(src, dst, threads, ix, &alignScratch)}
+	res := &Result{NumPartitions: ix.parts(), Data: make([]uint64, len(src)+skew)[skew:], Offsets: make([]int64, ix.parts()+1)}
+	buffered(src, res.Data, res.Offsets, threads, ix, &alignScratch)
+	return res
 }
 
 var alignScratch Scratch

@@ -28,6 +28,7 @@ import (
 	"unsafe"
 
 	"fpgapart/internal/hashutil"
+	"fpgapart/internal/spare"
 	"fpgapart/workload"
 )
 
@@ -126,12 +127,33 @@ func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 // call returns — per-worker histograms, cursors and buffer lines,
 // O(threads × fan-out × 80 B) — kept so that a long-lived caller's next call
 // reuses it; for a relation of a few hundred tuples it is most of what a
-// call allocates. The zero value is ready, a nil *Scratch makes every call
-// allocate afresh, and one Scratch serves one call at a time. A Result never
-// points into it.
+// call allocates. It also keeps the buffers of up to two results handed back
+// with Recycle, which later calls write their Data and Offsets into. The
+// zero value is ready, a nil *Scratch makes every call allocate afresh, and
+// one Scratch serves one call (or Recycle) at a time. A Result never points
+// into it until it is recycled.
 type Scratch struct {
-	ints  []int64
-	lines [][BufferTuples]uint64
+	ints    []int64
+	lines   [][BufferTuples]uint64
+	data    spare.Buffers[uint64]
+	offsets spare.Buffers[int64]
+}
+
+// Recycle hands res's buffers to sc: a later call may write its output into
+// them, so res must not be read after.
+func (sc *Scratch) Recycle(res *Result) {
+	sc.data.Put(res.Data)
+	sc.offsets.Put(res.Offsets)
+}
+
+// output returns a call's Data and Offsets buffers, n and p+1 long: kept
+// ones, which need no clearing — the scatter writes every tuple slot and
+// layout every offset — or new ones.
+func (sc *Scratch) output(n, p int) ([]uint64, []int64) {
+	if sc == nil {
+		return make([]uint64, n), make([]int64, p+1)
+	}
+	return sc.data.Take(n), sc.offsets.Take(p + 1)
 }
 
 // take returns n zeroed histogram counters, n cursors and n buffer lines.
@@ -169,12 +191,13 @@ func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	}
 	threads = max(1, min(threads, len(src)/cfg.NumPartitions))
 	start := time.Now()
-	res := &Result{NumPartitions: cfg.NumPartitions, Data: make([]uint64, len(src))}
+	res := &Result{NumPartitions: cfg.NumPartitions}
+	res.Data, res.Offsets = sc.output(len(src), cfg.NumPartitions)
 	switch ix := cfg.indexer(); cfg.Algorithm {
 	case Buffered:
-		res.Offsets = buffered(src, res.Data, threads, ix, sc)
+		buffered(src, res.Data, res.Offsets, threads, ix, sc)
 	case Naive:
-		res.Offsets = naive(src, res.Data, threads, ix)
+		naive(src, res.Data, res.Offsets, threads, ix)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -296,11 +319,12 @@ func chunk(src []uint64, w, threads int) []uint64 {
 // worker w+1's, so the scatter pass that follows writes private ranges —
 // the CPU algorithm builds the histogram "out of necessity" (Section 4.7) —
 // and the output is the same for every worker count. first arrives zeroed,
-// threads × fan-out long; layout returns the partition offsets.
-func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer), first []int64) []int64 {
+// threads × fan-out long; layout writes the partition offsets, fan-out + 1
+// of them, into offsets.
+func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer), first, offsets []int64) {
 	parallel(threads, &phase{kind: countPhase, src: src, threads: threads, ix: ix, count: count, first: first})
 	p := ix.parts()
-	offsets := make([]int64, p+1)
+	offsets[0] = 0
 	for i := 0; i < p; i++ {
 		pos := offsets[i]
 		for w := 0; w < threads; w++ {
@@ -310,7 +334,6 @@ func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist
 		}
 		offsets[i+1] = pos
 	}
-	return offsets
 }
 
 // buffered is the parallel Code 2: a histogram pass, then the buffered
@@ -318,7 +341,7 @@ func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist
 // inline). All per-worker state lives in three flat arrays (first
 // positions, cursors, buffer lines) taken from sc, so the number of heap
 // objects does not depend on the fan-out.
-func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
+func buffered(src, dst []uint64, offsets []int64, threads int, ix indexer, sc *Scratch) {
 	count := countRadix
 	switch {
 	case ix.block:
@@ -328,13 +351,12 @@ func buffered(src, dst []uint64, threads int, ix indexer, sc *Scratch) []int64 {
 	}
 	p := ix.parts()
 	first, cur, lines := sc.take(threads * p)
-	offsets := layout(src, threads, ix, count, first)
+	layout(src, threads, ix, count, first, offsets)
 	// skew is how many words dst starts past a cache-line boundary: the
 	// alignment that matters is the destination address's, not the index's.
 	skew := int64(uintptr(unsafe.Pointer(unsafe.SliceData(dst))) / 8 % BufferTuples)
 	parallel(threads, &phase{kind: bufferedPhase, src: src, dst: dst, threads: threads, ix: ix,
 		first: first, cur: cur, lines: lines, skew: skew})
-	return offsets
 }
 
 // buffers is one worker's write-combining state. cur[i] is partition i's
@@ -503,10 +525,9 @@ func countAny(src []uint64, hist []int64, ix indexer) {
 
 // naive is Code 1 run on several threads with the same histogram-based
 // synchronization but no write combining.
-func naive(src, dst []uint64, threads int, ix indexer) []int64 {
+func naive(src, dst []uint64, offsets []int64, threads int, ix indexer) {
 	p := ix.parts()
 	cur := make([]int64, threads*p)
-	offsets := layout(src, threads, ix, countAny, cur)
+	layout(src, threads, ix, countAny, cur, offsets)
 	parallel(threads, &phase{kind: naivePhase, src: src, dst: dst, threads: threads, ix: ix, cur: cur})
-	return offsets
 }

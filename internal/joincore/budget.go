@@ -335,7 +335,7 @@ type partitionJoiner struct {
 	cfg     *BudgetConfig
 	part    int // the top-level partition being joined
 	scratch buildTable
-	repart  cpupart.Scratch // working memory of the repartitioning passes
+	repart  cpupart.Scratch // working memory and recycled output of the repartitioning passes
 	// below collects what the current partition decided after spilling.
 	below    []Decision
 	matches  int64
@@ -466,6 +466,9 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 			return err
 		}
 	}
+	// The sub-buckets are joined: the next pass writes into their buffers.
+	pj.repart.Recycle(pr)
+	pj.repart.Recycle(ps)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package joincore
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -284,5 +285,35 @@ func TestHeavyHitterSketch(t *testing.T) {
 	}
 	if k, c := heavyHitter(nil); k != 0 || c != 0 {
 		t.Fatalf("empty stream should have no hitter, got %d/%d", k, c)
+	}
+}
+
+// TestRecursionRecyclesItsOutput: once a recursion level has joined its
+// sub-buckets, both repartitioned sides go back to the worker's scratch, and
+// the next repartitioning pass writes into them. A join whose partitions all
+// recurse, down to depth 2, then allocates less than its recursive passes
+// write: 2.1 MB over 136 passes at 2^16 tuples a side, of which it allocates
+// 1.05 MB, against 2.81 MB while every pass allocated its output.
+func TestRecursionRecyclesItsOutput(t *testing.T) {
+	const n = 1 << 16
+	r, s := partitionKeys(randKeys(n, 60), 8, 0), partitionKeys(randKeys(n, 61), 8, 0)
+	cfg := BudgetConfig{Budget: membudget.New(n / 8 * BuildTupleBytes / 64), Threads: 1}
+	_, stats := budgetedMust(t, r, s, cfg)
+	var written int64
+	for _, d := range stats.Decisions {
+		if d.Action == ActionRecurse {
+			written += d.SpilledBytes
+		}
+	}
+	if stats.MaxDepth < 2 {
+		t.Fatalf("max depth %d: the budget no longer makes the sub-buckets recurse", stats.MaxDepth)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	budgetedMust(t, r, s, cfg)
+	runtime.ReadMemStats(&after)
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got >= written {
+		t.Errorf("the join allocated %d bytes; its %d recursive passes write %d", got, stats.Recursions, written)
 	}
 }

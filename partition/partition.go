@@ -21,12 +21,19 @@
 // ran. Either backend returns every input tuple: a circuit run that cannot
 // hold them all — a PAD overflow, or a key equal to the dummy key that pads
 // the circuit's partial lines — is repeated on the CPU (Result.FellBack).
+//
+// A Result owns its buffers until the caller hands them back with
+// Result.Release: the partitioner that made it then writes its next results
+// into them, as the paper's circuit and CPU partitioner write into shared
+// memory allocated once at start-up (Section 2.1). A Result that is never
+// released is the caller's for good.
 package partition
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fpgapart/internal/core"
@@ -133,6 +140,36 @@ type Result struct {
 	// OverflowAtTuple is how many tuples had entered the circuit when the
 	// overflow was detected; otherwise the input held the dummy key.
 	Stats core.Stats
+
+	// owner is the partitioner the buffers go back to on Release, nil on a
+	// fallback result; released is set by the first Release.
+	owner    recycler
+	released atomic.Bool
+}
+
+// recycler is a partitioner that takes back the buffers of its results.
+type recycler interface {
+	recycle(r *Result)
+}
+
+// releaseHook, set by tests only, runs on every result Release hands back,
+// before its partitioner can reuse the buffers.
+var releaseHook func(*Result)
+
+// Release hands the result's buffers back to the partitioner that made it,
+// whose next calls write into them instead of allocating: the result must
+// not be read after. Release is idempotent and safe from any goroutine. It
+// is a no-op on a fallback result (FellBack), and it never waits: if the
+// partitioner is running a call on another goroutine, the buffers are left
+// to the garbage collector.
+func (r *Result) Release() {
+	if r.owner == nil || r.released.Swap(true) {
+		return
+	}
+	if releaseHook != nil {
+		releaseHook(r)
+	}
+	r.owner.recycle(r)
 }
 
 // NumPartitions returns the fan-out.
@@ -239,10 +276,19 @@ type CPUOptions struct {
 type cpuPartitioner struct {
 	cfg cpupart.Config
 	// scratch is a call's working memory, kept for the partitioner's next
-	// call. Whoever holds busy works in it; a call that finds it taken — the
-	// partitioner is shared between goroutines — allocates its own.
+	// call with the buffers of released results. Whoever holds busy works in
+	// it; a call that finds it taken — the partitioner is shared between
+	// goroutines — allocates its own, and a Release that does lets go of
+	// the result's buffers.
 	busy    sync.Mutex
 	scratch cpupart.Scratch
+}
+
+func (p *cpuPartitioner) recycle(r *Result) {
+	if p.busy.TryLock() {
+		p.scratch.Recycle(r.cpu)
+		p.busy.Unlock()
+	}
 }
 
 // NewCPU returns the software partitioner. Its options are checked when
@@ -273,16 +319,27 @@ func (p *cpuPartitioner) Name() string {
 // what that means for a key column or wide rows).
 func (p *cpuPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
-	rel, err = keyPayloadRows(rel)
-	if err != nil {
-		return nil, err
-	}
 	var sc *cpupart.Scratch
 	if p.busy.TryLock() {
 		defer p.busy.Unlock()
 		sc = &p.scratch
 	}
-	res, err := sc.Partition(rel, p.cfg)
+	res, err := cpuPartition(rel, p.cfg, sc)
+	if err != nil {
+		return nil, err
+	}
+	res.owner = p
+	return res, nil
+}
+
+// cpuPartition partitions rel on the CPU, working in sc (nil: allocating
+// afresh).
+func cpuPartition(rel *workload.Relation, cfg cpupart.Config, sc *cpupart.Scratch) (*Result, error) {
+	rel, err := keyPayloadRows(rel)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sc.Partition(rel, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -328,8 +385,17 @@ type FPGAOptions struct {
 }
 
 type fpgaPartitioner struct {
-	opts    FPGAOptions
+	opts FPGAOptions
+	// busy is held by a call, and by a Release that finds the circuit idle.
+	busy    sync.Mutex
 	circuit *core.Circuit
+}
+
+func (p *fpgaPartitioner) recycle(r *Result) {
+	if p.busy.TryLock() {
+		p.circuit.Recycle(r.fpga)
+		p.busy.Unlock()
+	}
 }
 
 // NewFPGA returns the simulated FPGA partitioner. Like Partition, it guards
@@ -384,6 +450,8 @@ func (p *fpgaPartitioner) Name() string {
 
 func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
+	p.busy.Lock()
+	defer p.busy.Unlock()
 	out, stats, err := p.circuit.Partition(rel)
 	return p.result(out, stats, err, func() (*workload.Relation, error) { return rel, nil })
 }
@@ -404,7 +472,7 @@ func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error,
 	case out.DummyKeyed > 0:
 		cause = ErrDummyKey
 	default:
-		return &Result{numPartitions: out.NumPartitions, elapsed: stats.Elapsed, fpga: out, Stats: *stats}, nil
+		return &Result{numPartitions: out.NumPartitions, elapsed: stats.Elapsed, fpga: out, Stats: *stats, owner: p}, nil
 	}
 	if p.opts.DisableFallback {
 		return nil, &FallbackError{Stats: *stats, cause: cause}
@@ -413,12 +481,11 @@ func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error,
 	if err != nil {
 		return nil, err
 	}
-	cpu := cpuPartitioner{cfg: cpupart.Config{
+	res, err := cpuPartition(rel, cpupart.Config{
 		NumPartitions: p.opts.Partitions,
 		Hash:          p.opts.Hash,
 		Threads:       p.opts.FallbackThreads,
-	}}
-	res, err := cpu.Partition(rel)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

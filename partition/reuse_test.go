@@ -88,13 +88,7 @@ func reuseRelations(t *testing.T, data []byte, width int, layout workload.Layout
 	for i := range keys {
 		keys[i] = binary.LittleEndian.Uint32(data[i*4:])
 	}
-	hot := func(n int) []uint32 {
-		ks := make([]uint32, n)
-		for i := range ks {
-			ks[i] = 0x5eed
-		}
-		return ks
-	}
+	hot := func(n int) []uint32 { return keysOf(0x5eed, n) }
 	var rels []*workload.Relation
 	for _, ks := range [][]uint32{keys, nil, hot(256), append(slices.Clone(keys), hot(256)...), hot(2), keys} {
 		rel, err := workload.FromKeys(ks, width)
@@ -142,22 +136,55 @@ func requireSameResult(t *testing.T, step int, used *Result, uerr error, fresh *
 	}
 }
 
+// poisonWord is what the tuple words of a released result read after
+// Release: a key that is neither the circuit's dummy key nor a small one.
+const poisonWord = 0xbad0_5eed_bad0_5eed
+
+// poison is releaseHook in this package's tests. It overwrites every buffer
+// a released result hands back, tuple words with poisonWord and offsets,
+// bases and counts with -1, so that a read after Release shows up, and so
+// does a call that reads a recycled buffer before writing it: its result
+// would differ from a new partitioner's.
+func poison(r *Result) {
+	if r.cpu != nil {
+		fill(r.cpu.Data, poisonWord)
+		fill(r.cpu.Offsets, -1)
+		return
+	}
+	fill(r.fpga.Lines, poisonWord)
+	for _, s := range [][]int64{r.fpga.Base, r.fpga.LinesUsed, r.fpga.Counts} {
+		fill(s, -1)
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+func init() { releaseHook = poison }
+
 // FuzzPartitionerReuse is differential fuzzing of partitioner reuse. A
 // partitioner keeps what it built — the circuit's datapath, the CPU
-// partitioner's scratch — from call to call; whatever the previous call was,
-// the next one must return what a new partitioner returns: the identical
-// result or the identical error, and never a panic past ErrSimulatorFault.
+// partitioner's scratch — from call to call, and the buffers of the results
+// released to it (bit step of release decides whether step's result is, once
+// compared; poisoned, see poison); whatever the previous call was, the next
+// one must return what a new partitioner returns: the identical result or
+// the identical error, and never a panic past ErrSimulatorFault.
 func FuzzPartitionerReuse(f *testing.F) {
 	seed := make([]byte, 4*400)
 	for i := range seed {
 		seed[i] = byte(i * 131 >> (i % 5))
 	}
 	for kind := uint8(0); kind < reuseKinds; kind++ {
-		f.Add(kind, seed)
+		f.Add(kind, uint8(0b101101), seed)
 	}
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(9), bytes.Repeat([]byte{1, 0, 0, 0}, 300))
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+	f.Add(uint8(0), uint8(0xff), []byte{})
+	f.Add(uint8(9), uint8(0xff), bytes.Repeat([]byte{1, 0, 0, 0}, 300))
+	f.Add(uint8(1), uint8(0), seed)
+	f.Add(uint8(12), uint8(0xff), seed)
+	f.Fuzz(func(t *testing.T, kind, release uint8, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("bound the per-input work")
 		}
@@ -171,6 +198,9 @@ func FuzzPartitionerReuse(f *testing.F) {
 				t.Fatalf("step %d: %v", step, ferr)
 			}
 			requireSameResult(t, step, ur, uerr, fr, ferr)
+			if ur != nil && release>>step&1 == 1 {
+				ur.Release()
+			}
 		}
 		var um, fm bytes.Buffer
 		if err := usedSess.Metrics.Snapshot().WriteJSON(&um); err != nil {
@@ -186,7 +216,8 @@ func FuzzPartitionerReuse(f *testing.F) {
 }
 
 // TestCPUPartitionerSharedByGoroutines: the CPU partitioner keeps one scratch
-// for its next call, and several goroutines may call it at once; each must
+// for its next call, and several goroutines may call it at once while a
+// goroutine of its own releases every result they are done with; each must
 // get the result a partitioner of its own returns (run with -race).
 func TestCPUPartitionerSharedByGoroutines(t *testing.T) {
 	shared, err := NewCPU(CPUOptions{Partitions: 64, Hash: true, Threads: 1})
@@ -194,6 +225,13 @@ func TestCPUPartitionerSharedByGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	const goroutines, calls = 4, 25
+	done, released := make(chan *Result), make(chan struct{})
+	go func() {
+		defer close(released)
+		for r := range done {
+			r.Release()
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		rel, err := workload.NewGenerator(int64(g)).Relation(workload.Random, 8, 500+300*g)
@@ -221,8 +259,166 @@ func TestCPUPartitionerSharedByGoroutines(t *testing.T) {
 					t.Errorf("goroutine %d call %d: shared partitioner's output differs from a private one's", g, i)
 					return
 				}
+				done <- got
 			}
 		}()
 	}
 	wg.Wait()
+	close(done)
+	<-released
+}
+
+// TestFPGAPartitionerReleasedByAnotherGoroutine is the FPGA twin: one
+// goroutine partitions relations of several sizes on one circuit while
+// another checks every result against a new partitioner's and releases it,
+// which the circuit may be running (run with -race).
+func TestFPGAPartitionerReleasedByAnotherGoroutine(t *testing.T) {
+	opts := FPGAOptions{Partitions: 64, Hash: true, Format: PadMode, PadFraction: 1}
+	var rels []*workload.Relation
+	var wants []*Result
+	for g := 0; g < 4; g++ {
+		rel, err := workload.NewGenerator(int64(g)).Relation(workload.Random, 8, 500+300*g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := NewFPGA(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := own.Partition(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, wants = append(rels, rel), append(wants, want)
+	}
+	shared, err := NewFPGA(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 40
+	results := make(chan *Result)
+	go func() {
+		defer close(results)
+		for i := 0; i < calls; i++ {
+			got, err := shared.Partition(rels[i%len(rels)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results <- got
+		}
+	}()
+	i := 0
+	for got := range results {
+		if want := wants[i%len(wants)]; !reflect.DeepEqual(got.fpga, want.fpga) || got.Stats != want.Stats {
+			t.Errorf("call %d: the shared circuit's output differs from a new one's", i)
+		}
+		got.Release()
+		i++
+	}
+}
+
+// TestReadAfterReleaseShowsUp: Release hands the buffers over at once, so a
+// result read after it no longer holds its partitions — here, because the
+// test-only poison overwrote them.
+func TestReadAfterReleaseShowsUp(t *testing.T) {
+	rel, err := workload.NewGenerator(3).Relation(workload.Random, 8, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := NewCPU(CPUOptions{Partitions: 16, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpga, err := NewFPGA(FPGAOptions{Partitions: 16, Hash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Partitioner{cpu, fpga} {
+		res, err := p.Partition(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.TotalTuples(); n != 1000 {
+			t.Fatalf("%s: %d tuples before Release, want 1000", p.Name(), n)
+		}
+		res.Release()
+		if n := res.TotalTuples(); n == 1000 {
+			t.Errorf("%s: the released result still reads its %d tuples", p.Name(), n)
+		}
+	}
+}
+
+// TestReleaseIsIdempotentAndSkipsFallbacks: a second Release of a result
+// hands nothing back — were its buffers kept twice, the partitioner's next
+// two results would share them — and Release of a fallback result, whose
+// CPU partitioner is gone, is a no-op that leaves its partitions readable.
+func TestReleaseIsIdempotentAndSkipsFallbacks(t *testing.T) {
+	gen := workload.NewGenerator(5)
+	var rels []*workload.Relation
+	for i := 0; i < 3; i++ {
+		rel, err := gen.Relation(workload.Random, 8, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	for _, kind := range []uint8{0, 1, 12} { // PAD and HIST circuits, the CPU
+		p, _, _ := newReusePartitioner(t, kind, nil)
+		res, err := p.Partition(rels[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		res.Release()
+		got := make([]*Result, 2)
+		errs := make([]error, 2)
+		for i := range got {
+			got[i], errs[i] = p.Partition(rels[1+i])
+		}
+		for i := range got {
+			fresh, _, _ := newReusePartitioner(t, kind, nil)
+			want, err := fresh.Partition(rels[1+i])
+			requireSameResult(t, i, got[i], errs[i], want, err)
+		}
+	}
+
+	p, err := NewFPGA(FPGAOptions{Partitions: 16, Hash: true, Format: PadMode, FallbackThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := workload.FromKeys(keysOf(0x5eed, 512), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Partition(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.FellBack() {
+		t.Fatal("512 tuples of one key did not overflow a PAD partition")
+	}
+	before := checksum(res)
+	res.Release()
+	if n, sum := res.TotalTuples(), checksum(res); n != 512 || sum != before {
+		t.Fatalf("the released fallback result reads %d tuples, checksum %#x; want 512 and %#x", n, sum, before)
+	}
+}
+
+// keysOf returns n copies of key.
+func keysOf(key uint32, n int) []uint32 {
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = key
+	}
+	return keys
+}
+
+// checksum sums PartitionChecksum over r's partitions.
+func checksum(r *Result) uint32 {
+	var sum uint32
+	for p := 0; p < r.NumPartitions(); p++ {
+		sum += r.PartitionChecksum(p)
+	}
+	return sum
 }

@@ -42,20 +42,24 @@ func runCost(t *testing.T, jobs []Job, cfg Config) (objects, bytes uint64) {
 // second half of a 400-job trace, so that what a Run sets up once (pools, the
 // partitioner of each configuration a slot meets, and with it the circuit's
 // datapath) does not count. The limits are what is reached plus a few
-// percent: 14.86 objects for a partition job and 28.58 for a join job (17.89
-// and 36.23 while every circuit run rebuilt its datapath and every CPU call
-// its buffers); an FPGA-placed partition job 29.0 kB — of which the output
-// lines (eight per partition) and the bank BRAM contents, both
-// 512 B × fan-out, are 12.7 kB each at the trace's mean fan-out of 24.8 —
-// from 122.1 kB, a CPU-placed one 2.8 kB from 4.9 kB.
+// percent: 10.75 objects for a partition job and 18.75 for a join job; an
+// FPGA-placed partition job 6.2 kB and a join job 7.8 kB, a CPU-placed one
+// 1.6 kB and 2.6 kB. Every job releases its results to the slot's
+// partitioner, so the output lines and the bank BRAM contents (512 B ×
+// fan-out each, 12.7 kB each at the trace's mean fan-out of 24.8), the
+// circuit's bookkeeping and the CPU's output are the previous jobs'. They
+// were 14.86 and 28.58 objects, 29.0 and 56.8 kB on the FPGA, 2.8 and 5.2 kB
+// on the CPU while every call allocated its output (and 17.89 and 36.23
+// objects, 122.1 kB for an FPGA partition job, while every circuit run
+// rebuilt its datapath and every CPU call its buffers).
 func TestRunAllocationsPerJob(t *testing.T) {
 	for _, tc := range []struct {
 		name                         string
 		joins                        bool
 		objects, fpgaBytes, cpuBytes float64
 	}{
-		{"partition jobs", false, 14.9, 30 << 10, 3 << 10},
-		{"join jobs", true, 28.6, 59 << 10, 6 << 10},
+		{"partition jobs", false, 11.1, 6500, 1650},
+		{"join jobs", true, 19.4, 8200, 2750},
 	} {
 		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128})
 		if err != nil {

@@ -92,7 +92,9 @@ func (r *resource) run(spec *Job, key configKey) (out execOut) {
 // execute partitions the job's relation and, for a join job, its probe side,
 // and joins them. A partition job's checksum is the sum of
 // partition.Result.PartitionChecksum over the partitions, so it is directly
-// comparable to a single-tenant run; a join job's is that of its pairs.
+// comparable to a single-tenant run; a join job's is that of its pairs. The
+// outcome holds copies only, so both results go back to the slot's
+// partitioner, whose next job writes into their buffers.
 func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 	p, err := r.partitioner(key)
 	if err != nil {
@@ -102,6 +104,7 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 	if err != nil {
 		return err
 	}
+	defer build.Release()
 	out.fill(build)
 	if spec.Probe == nil {
 		for part := range out.counts {
@@ -113,6 +116,7 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 	if err != nil {
 		return err
 	}
+	defer probe.Release()
 	return out.join(build, probe, spec.MemoryBudgetBytes)
 }
 
@@ -134,7 +138,8 @@ func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (
 	return res, nil
 }
 
-// fill derives the job-visible output shape from the partitioned relation.
+// fill derives the job-visible output shape from the partitioned relation,
+// copying the counts out of it.
 func (out *execOut) fill(res *partition.Result) {
 	out.counts = make([]int64, res.NumPartitions())
 	for p := range out.counts {
