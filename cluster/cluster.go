@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -241,13 +240,13 @@ type timer struct {
 	idx   int
 }
 
-// timerHeap is a container/heap of timers ordered by time, admissions ahead
-// of hedge deadlines, then request index.
+// timerHeap is a binary min-heap of timers ordered by time, admissions
+// ahead of hedge deadlines, then request index — a total order, so the pop
+// sequence is the order itself. It holds timers by value: container/heap's
+// interface would box every timer pushed and popped.
 type timerHeap []timer
 
-func (h timerHeap) Len() int      { return len(h) }
-func (h timerHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h timerHeap) Less(a, b int) bool {
+func (h timerHeap) less(a, b int) bool {
 	if h[a].us != h[b].us {
 		return h[a].us < h[b].us
 	}
@@ -256,11 +255,46 @@ func (h timerHeap) Less(a, b int) bool {
 	}
 	return h[a].idx < h[b].idx
 }
-func (h *timerHeap) Push(t any) { *h = append(*h, t.(timer)) }
-func (h *timerHeap) Pop() any {
-	last := len(*h) - 1
-	t := (*h)[last]
-	*h = (*h)[:last]
+
+// push adds t.
+//
+//fpgavet:hotpath
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q.less(i, up) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+}
+
+// pop removes and returns the first timer.
+//
+//fpgavet:hotpath
+func (h *timerHeap) pop() timer {
+	q := *h
+	t, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.less(c+1, c) {
+			c++
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
 	return t
 }
 
@@ -455,11 +489,11 @@ func (st *runState) run() (err error) {
 		case timerUS == noEvent && shardUS == noEvent:
 			return nil
 		case timerUS <= shardUS && !st.timers[0].hedge:
-			err = st.admit(heap.Pop(&st.timers).(timer))
+			err = st.admit(st.timers.pop())
 		case shardUS <= timerUS:
 			err = st.step(due, shardUS)
 		default:
-			err = st.hedge(heap.Pop(&st.timers).(timer))
+			err = st.hedge(st.timers.pop())
 		}
 		if err != nil {
 			return err
@@ -610,7 +644,7 @@ func (st *runState) arrive(idx int) error {
 	if j, _ := st.movedBy(idx); j < 0 && st.cfg.HedgeUS == 0 {
 		return st.submit(idx, admit)
 	}
-	heap.Push(&st.timers, timer{us: admit, idx: idx})
+	st.timers.push(timer{us: admit, idx: idx})
 	return nil
 }
 
@@ -647,7 +681,7 @@ func (st *runState) admit(t timer) error {
 	idx := t.idx
 	d := &st.decisions[idx]
 	if deadline, ok := st.hedgeDeadline(); ok {
-		heap.Push(&st.timers, timer{us: d.admitUS + deadline, hedge: true, idx: idx})
+		st.timers.push(timer{us: d.admitUS + deadline, hedge: true, idx: idx})
 	}
 	if j, o := st.movedBy(idx); j >= 0 {
 		st.record(d.admitUS, "range_moved", idx, int64(d.run.shard))

@@ -50,6 +50,8 @@ type Circuit struct {
 	ep    *qpi.Endpoint
 	pl    placer               // the placement side, its log and hand-off ring
 	slabs spare.Buffers[int64] // recycled outputs' bookkeeping slabs
+	// cur is the run in progress, set by newRun and cleared when it ends.
+	cur run
 }
 
 // NewCircuit validates cfg and binds it to an FPGA clock and a QPI bandwidth
@@ -81,8 +83,8 @@ func (c *Circuit) Config() Config { return c.cfg }
 // Recycle hands back an Output of the circuit's whose reader is done with
 // it: later runs write their lines and bookkeeping into its buffers instead
 // of allocating their own, and from now on the circuit keeps its bank lines
-// between runs. out must not be read after, and Recycle must not run
-// concurrently with a run.
+// and its fill-rate BRAM slab between runs. out must not be read after, and
+// Recycle must not run concurrently with a run.
 func (c *Circuit) Recycle(out *Output) {
 	c.pl.spare.Put(out.Lines)
 	c.slabs.Put(out.slab)
@@ -93,22 +95,22 @@ func (c *Circuit) Recycle(out *Output) {
 // run statistics. In PAD mode the error is ErrPartitionOverflow if a
 // partition outgrew its padded size; stats are still returned for the failed
 // run (the fallback decision needs them).
-func (c *Circuit) Partition(rel *workload.Relation) (*Output, *Stats, error) {
+func (c *Circuit) Partition(rel *workload.Relation) (*Output, Stats, error) {
 	if c.cfg.Layout == VRID && rel.Layout != workload.ColumnLayout {
-		return nil, nil, fmt.Errorf("core: VRID mode requires a column-layout relation, got %v", rel.Layout)
+		return nil, Stats{}, fmt.Errorf("core: VRID mode requires a column-layout relation, got %v", rel.Layout)
 	}
 	if c.cfg.Layout == RID && rel.Layout != workload.RowLayout {
-		return nil, nil, fmt.Errorf("core: RID mode requires a row-layout relation, got %v", rel.Layout)
+		return nil, Stats{}, fmt.Errorf("core: RID mode requires a row-layout relation, got %v", rel.Layout)
 	}
 	if c.cfg.Layout == RID && rel.Width != c.cfg.TupleWidth {
-		return nil, nil, fmt.Errorf("core: circuit synthesized for %dB tuples, relation has %dB", c.cfg.TupleWidth, rel.Width)
+		return nil, Stats{}, fmt.Errorf("core: circuit synthesized for %dB tuples, relation has %dB", c.cfg.TupleWidth, rel.Width)
 	}
 	return c.partition(rel, nil)
 }
 
 // partition is one run of the circuit, over rel or, when comp is set, over
 // the decompressor's key stream.
-func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Output, *Stats, error) {
+func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Output, Stats, error) {
 	r := c.newRun(rel, comp)
 	defer c.pl.stop() // a panic in the cycle loop must not strand the placement
 	err := r.execute()
@@ -120,8 +122,9 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 	}
 	// The BRAM contents and the flags die with the run: between runs a
 	// circuit holds nothing whose size follows the fan-out or the input —
-	// except, once an Output has been recycled, the bank lines and the
-	// buffers of recycled Outputs, which the next run writes into.
+	// except, once an Output has been recycled, the bank lines, the BRAM
+	// slab and the buffers of recycled Outputs, which the next run writes
+	// into.
 	for _, cb := range c.comb {
 		cb.reset(nil, nil, source{}, 0, 1)
 	}
@@ -130,10 +133,12 @@ func (c *Circuit) partition(rel *workload.Relation, comp *codec.RLEColumn) (*Out
 	if r.pr != nil {
 		r.pr.finish(r)
 	}
+	out, stats := r.out, r.stats
+	c.cur = run{}
 	if err != nil {
-		return nil, r.stats, err
+		return nil, stats, err
 	}
-	return r.out, r.stats, nil
+	return out, stats, nil
 }
 
 // run holds the mutable state of one partitioning execution.
@@ -141,7 +146,7 @@ type run struct {
 	cfg   Config
 	rel   *workload.Relation
 	ep    *qpi.Endpoint
-	stats *Stats
+	stats Stats
 	pr    *probe // nil unless cfg.Trace is set
 
 	lanes int // tuples per internal cycle
@@ -198,16 +203,18 @@ type run struct {
 	pl *placer
 }
 
-// newRun resets the circuit for one execution and allocates what that
-// execution alone owns: everything whose size follows the fan-out or the
-// input — the combiners' fill-rate BRAM contents with the tuples' flags, and
-// the destination bookkeeping (a recycled Output's, cleared, if the circuit
-// keeps one), one slab each. The reset also covers a previous run that
-// aborted on PAD overflow with tuples in flight.
+// newRun resets the circuit for one execution, c.cur, and allocates what
+// that execution alone owns: everything whose size follows the fan-out or
+// the input — the combiners' fill-rate BRAM contents with the tuples' flags,
+// and the destination bookkeeping, one slab each (a recycled Output's, and
+// the slab the circuit keeps with its bank, cleared, once it recycles) — and
+// the Output. The reset also covers a previous run that aborted on PAD
+// overflow with tuples in flight.
 func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	cfg := &c.cfg
-	r := &run{
-		cfg: c.cfg, rel: rel, comp: comp, ep: c.ep, stats: &Stats{},
+	r := &c.cur
+	*r = run{
+		cfg: c.cfg, rel: rel, comp: comp, ep: c.ep,
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
 		radix: cfg.RadixBits(), pipe: c.pipe, comb: c.comb, final: c.final, pl: &c.pl,
 		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1, compLine: -1,
@@ -234,7 +241,7 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 		Counts:        r.counts,
 		slab:          slab,
 	}
-	bram := make([]uint8, r.lanes*p+int(r.total))
+	bram := c.pl.takeBRAM(r.lanes*p + int(r.total))
 	fill := bram[: r.lanes*p : r.lanes*p]
 	r.flags = bram[r.lanes*p:]
 	r.pipe.Reset()
@@ -564,7 +571,7 @@ func (r *run) flushPass() error {
 // every pass that clocks the combiners ends.
 func (r *run) fold() {
 	for _, cb := range r.comb {
-		cb.fold(r.stats)
+		cb.fold(&r.stats)
 	}
 }
 

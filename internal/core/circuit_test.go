@@ -475,7 +475,7 @@ func TestPageTranslationsHappen(t *testing.T) {
 				cfg.TupleWidth = 8
 			}
 			c := mustCircuit(t, cfg)
-			var stats *Stats
+			var stats Stats
 			var err error
 			if tc.rel == nil {
 				_, stats, err = c.PartitionCompressed(col)

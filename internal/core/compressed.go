@@ -16,12 +16,12 @@ import (
 // On the bandwidth-starved link this converts the compression ratio into
 // partitioning throughput; incompressible columns (ratio < 1: RLE stores
 // 8 bytes per single-value run) cost proportionally more reads instead.
-func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, *Stats, error) {
+func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, Stats, error) {
 	if c.cfg.Layout != VRID {
-		return nil, nil, fmt.Errorf("core: compressed input requires VRID mode, circuit is %v", c.cfg.Layout)
+		return nil, Stats{}, fmt.Errorf("core: compressed input requires VRID mode, circuit is %v", c.cfg.Layout)
 	}
 	if err := col.Validate(); err != nil {
-		return nil, nil, err
+		return nil, Stats{}, err
 	}
 	return c.partition(nil, col)
 }

@@ -79,7 +79,7 @@ func TestFunctionalDeterminismAcrossTiming(t *testing.T) {
 func TestSlowLinkOnlyChangesCycles(t *testing.T) {
 	rel := genRelation(t, workload.Random, 8, 50000, 43)
 	cfg := Config{NumPartitions: 256, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID, PadFraction: 0.5}
-	run := func(gbps float64) *Stats {
+	run := func(gbps float64) Stats {
 		c, err := NewCircuit(cfg, 200e6, platform.BandwidthCurve{Points: []float64{gbps, gbps}})
 		if err != nil {
 			t.Fatal(err)

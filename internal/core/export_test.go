@@ -9,12 +9,13 @@ import (
 // decompressor's key stream) through a traced circuit as Partition does and
 // calls visit with the run before its first cycle and after every cycle of
 // every pass.
-func (c *Circuit) walk(rel *workload.Relation, comp *codec.RLEColumn, visit func(*run)) (*Stats, error) {
+func (c *Circuit) walk(rel *workload.Relation, comp *codec.RLEColumn, visit func(*run)) (Stats, error) {
 	r := c.newRun(rel, comp)
 	defer c.pl.stop()
 	visit(r)
 	r.pr.everyCycle = visit
-	return r.stats, r.execute()
+	err := r.execute()
+	return r.stats, err
 }
 
 // SetPlacementHook makes every placement goroutine call hook after each log

@@ -59,7 +59,7 @@ func FuzzCircuitAgainstCPU(f *testing.F) {
 		c := mustCircuit(t, cfg)
 		var (
 			out *Output
-			st  *Stats
+			st  Stats
 		)
 		switch {
 		case rle:

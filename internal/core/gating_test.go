@@ -177,7 +177,7 @@ func TestOccupancyCountersMatchFIFOs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", lc.name, err)
 		}
-		walk := func(what string, rel func(*testing.T) *workload.Relation) *Stats {
+		walk := func(what string, rel func(*testing.T) *workload.Relation) Stats {
 			var (
 				comp    *codec.RLEColumn
 				input   *workload.Relation

@@ -89,33 +89,36 @@ func BenchmarkCircuitPartition(b *testing.B) {
 }
 
 // runObjects is how many heap objects an untraced Partition makes on a
-// circuit that has run before, whatever the lanes, input size or fan-out: the
-// run and its Stats, one slab each for the destination bookkeeping, the
-// fill-rate BRAMs (the combiners' and the placement side's) and the bank
-// lines, the Output and its lines, and — when the run places on a second
-// goroutine — that goroutine's closure. (It was 23 + 7 per lane — 79 at eight
-// lanes — while every run rebuilt the datapath, and 12 while every run built
-// a shared-memory pool, region, page array and snoop-filter span; the
-// benchmark's core.mallocs_per_op is this number.)
-const runObjects = 8
+// circuit that has run before, whatever the lanes, input size or fan-out: one
+// slab each for the destination bookkeeping, the fill-rate BRAMs (the
+// combiners' and the placement side's) and the bank lines, the Output and its
+// lines, and — when the run places on a second goroutine — that goroutine's
+// closure. (It was 23 + 7 per lane — 79 at eight lanes — while every run
+// rebuilt the datapath, 12 while every run built a shared-memory pool,
+// region, page array and snoop-filter span, and 8 while every run allocated
+// its run state and its Stats; the benchmark's core.mallocs_per_op is this
+// number.)
+const runObjects = 6
 
 // recycledObjects is runObjects once every output goes back to the circuit
-// (Recycle): the lines, the bookkeeping slab and the bank lines are the
-// recycled outputs' and the circuit's, which leaves the run and its Stats,
-// the fill-rate BRAMs with the flags, the Output and the goroutine's closure.
-const recycledObjects = 5
+// (Recycle): the lines and the bookkeeping slab are the recycled outputs',
+// and the bank lines and the BRAM slab the circuit's, which leaves the Output
+// and the goroutine's closure. (It was 5 while the circuit kept neither its
+// run state nor its BRAM slab and returned its Stats on the heap.)
+const recycledObjects = 2
 
 // TestPartitionAllocations guards the per-run fixed cost and the pass loops:
 // the second and later runs of a circuit make runObjects heap objects, or
-// recycledObjects when each output is recycled before the next run, and not
-// one more when the three passes run sixteen times as many cycles and the
-// placement runs on its own goroutine.
+// recycledObjects once each output is recycled before the next run (the
+// first run after the first Recycle still builds the bank and the BRAM slab
+// the circuit then keeps), and not one more when the three passes run
+// sixteen times as many cycles and the placement runs on its own goroutine.
 func TestPartitionAllocations(t *testing.T) {
 	for _, hc := range hostCases {
 		for _, recycle := range []bool{false, true} {
 			perOp := func(tuples int) float64 {
 				c, rel := hc.build(t, tuples)
-				n := testing.AllocsPerRun(3, func() {
+				run := func() {
 					out, _, err := c.Partition(rel)
 					if err != nil {
 						t.Fatal(err)
@@ -123,7 +126,9 @@ func TestPartitionAllocations(t *testing.T) {
 					if recycle {
 						c.Recycle(out)
 					}
-				})
+				}
+				run()
+				n := testing.AllocsPerRun(3, run)
 				if async := c.pl.full != nil; async != (tuples > 1<<12) {
 					t.Errorf("%s, %d tuples: placed on a second goroutine %t", hc.name, tuples, async)
 				}

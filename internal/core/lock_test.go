@@ -161,7 +161,7 @@ func runLockCase(t *testing.T, lc lockCase) lockRecord {
 	record := func() lockRecord {
 		var (
 			out   *Output
-			stats *Stats
+			stats Stats
 			err   error
 		)
 		if lc.keys != nil {
@@ -172,7 +172,7 @@ func runLockCase(t *testing.T, lc lockCase) lockRecord {
 		if err != nil && !errors.Is(err, ErrPartitionOverflow) {
 			t.Fatalf("%s: %v", lc.name, err)
 		}
-		rec := lockRecord{Name: lc.name, Stats: *stats}
+		rec := lockRecord{Name: lc.name, Stats: stats}
 		if err != nil {
 			rec.Err = err.Error()
 		} else {

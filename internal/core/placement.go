@@ -51,8 +51,12 @@ type placer struct {
 
 	bank  []uint64 // bank line of (lane, partition) at (lane*parts+p)*8
 	lines []uint64
+	// bram is the run's fill-rate BRAM contents and flags (takeBRAM), which
+	// flags and image point into.
+	bram []uint8
 	// spare keeps recycled outputs' lines for the next runs, and keepBank,
-	// set by the first Circuit.Recycle, keeps the bank between runs.
+	// set by the first Circuit.Recycle, keeps the bank and bram between
+	// runs.
 	spare    spare.Buffers[uint64]
 	keepBank bool
 
@@ -112,13 +116,25 @@ func (pl *placer) reset(r *run, image []uint8) {
 	}
 }
 
+// takeBRAM returns n zeroed bytes for the run's fill-rate BRAM contents and
+// flags: the kept slab, cleared, if it is large enough, else a new one.
+func (pl *placer) takeBRAM(n int) []uint8 {
+	if cap(pl.bram) < n {
+		pl.bram = make([]uint8, n)
+		return pl.bram
+	}
+	pl.bram = pl.bram[:n]
+	clear(pl.bram)
+	return pl.bram
+}
+
 // release drops the run's input, image, output and, unless the circuit
-// keeps them, its banks.
+// keeps them, its banks and its BRAM slab.
 func (pl *placer) release() {
 	pl.data, pl.flags, pl.image, pl.lines, pl.cur = nil, nil, nil, nil, nil
 	pl.src = [8]source{}
 	if !pl.keepBank {
-		pl.bank = nil
+		pl.bank, pl.bram = nil, nil
 	}
 }
 
@@ -167,7 +183,9 @@ func (pl *placer) record(dst int64, lane uint8) {
 
 // end ends the log after the passes and returns Output.Lines if they
 // succeeded: an inline run places here (a failed one places nothing), an
-// async run waits for its goroutine.
+// async run waits for its goroutine. A failed async run's goroutine has
+// taken and dummy-filled the output lines: a circuit that recycles keeps
+// them for its next run.
 func (pl *placer) end(ok bool) []uint64 {
 	if pl.async {
 		pl.stop()
@@ -176,6 +194,9 @@ func (pl *placer) end(ok bool) []uint64 {
 		pl.run()
 	}
 	if !ok {
+		if pl.keepBank {
+			pl.spare.Put(pl.lines)
+		}
 		return nil
 	}
 	return pl.lines

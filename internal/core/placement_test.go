@@ -121,6 +121,53 @@ func TestPlacementGoroutineEndsWithRun(t *testing.T) {
 	}
 }
 
+// TestPlacementAbortKeepsRecycledLines: a PAD run that places on its own
+// goroutine takes a recycled output's lines, which the goroutine dummy-fills
+// whether or not the run overflows; a recycling circuit keeps the lines of a
+// run that overflowed, so its next run writes into them instead of
+// allocating new ones. The overflowing relation (one key) is as large as the
+// uniform one, so every run's PAD layout, and with it its lines, is the same
+// size.
+func TestPlacementAbortKeepsRecycledLines(t *testing.T) {
+	uniform := genRelation(t, workload.Random, 8, largeLockTuples, 7)
+	keys := make([]uint32, largeLockTuples)
+	for i := range keys {
+		keys[i] = 7
+	}
+	hot, err := workload.FromKeys(keys, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	c := placementCircuit(t, placementPAD)
+	out, _, err := c.Partition(uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := &out.Lines[0]
+	c.Recycle(out)
+	if _, _, err := c.Partition(hot); !errors.Is(err, ErrPartitionOverflow) {
+		t.Fatalf("one key in every tuple: %v, want a PAD overflow", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, _, err = c.Partition(uniform)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out.Lines[0] != kept {
+		t.Error("the run after the overflow allocated new output lines instead of the recycled ones the overflowing run took")
+	}
+	if grew, lines := after.TotalAlloc-before.TotalAlloc, uint64(8*len(out.Lines)); grew >= lines {
+		t.Errorf("the run after the overflow allocated %d bytes, its output lines are %d", grew, lines)
+	}
+	if hashOutput(out) != freshOutput(t, placementPAD, uniform) {
+		t.Error("the run after the overflow wrote what a fresh circuit does not")
+	}
+	waitGoroutines(t, goroutines, "three multi-chunk runs")
+}
+
 // TestPlacementPanicReachesCaller: a panic on the placement goroutine is
 // recovered there and raised again on the caller's, with its value, at the
 // end of the run; the goroutine is gone by then, and the circuit's next run

@@ -60,7 +60,7 @@ func (p *probe) maybeSample(r *run) {
 // spans (reconstructed from the fixed pass order), and computes the derived
 // utilization gauges. Called exactly once per run, once Elapsed is set.
 func (p *probe) finish(r *run) {
-	st := r.stats
+	st := &r.stats
 
 	// Phase spans: HIST runs histogram → prefix sum → partition → flush;
 	// PAD skips the first two. The partition pass duration is derived by

@@ -85,7 +85,7 @@ func (m reuseMode) sequence() [][]uint32 {
 // reuseOutcome is everything one run produces.
 type reuseOutcome struct {
 	out   *Output
-	stats *Stats
+	stats Stats
 	err   error
 }
 
@@ -120,7 +120,7 @@ func requireSameOutcome(t *testing.T, what string, used, fresh reuseOutcome) {
 		t.Fatalf("%s: %v", what, fresh.err)
 	}
 	if !reflect.DeepEqual(used.stats, fresh.stats) {
-		t.Fatalf("%s: stats differ\n used: %+v\n  new: %+v", what, *used.stats, *fresh.stats)
+		t.Fatalf("%s: stats differ\n used: %+v\n  new: %+v", what, used.stats, fresh.stats)
 	}
 	if !reflect.DeepEqual(used.out, fresh.out) {
 		t.Fatalf("%s: outputs differ (used %s, new %s)", what, hashOutput(used.out), hashOutput(fresh.out))
@@ -197,7 +197,7 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 				// Between runs a circuit that never saw Recycle holds nothing
 				// sized by the fan-out or the input.
 				for _, cb := range used.comb {
-					if cb.fill != nil || cb.flags != nil || used.pl.image != nil || used.pl.flags != nil || used.pl.bank != nil || used.pl.lines != nil {
+					if cb.fill != nil || cb.flags != nil || used.pl.image != nil || used.pl.flags != nil || used.pl.bram != nil || used.pl.bank != nil || used.pl.lines != nil {
 						t.Fatalf("%s: the circuit still holds the run's bank or fill-rate BRAM contents, its flags or its output", what)
 					}
 				}
@@ -212,6 +212,9 @@ func TestCircuitReuseMatchesFreshCircuit(t *testing.T) {
 			}
 			if !m.cfg.DisableWriteCombiner && recycling.pl.bank == nil {
 				t.Error("a circuit that saw Recycle let go of its bank lines")
+			}
+			if recycling.pl.bram == nil {
+				t.Error("a circuit that saw Recycle let go of its fill-rate BRAM slab")
 			}
 			if want := map[Format]int{PAD: 2, HIST: 0}[m.cfg.Format]; overflows != want {
 				t.Errorf("%d runs overflowed, want %d: the sequence lost its aborted passes", overflows, want)

@@ -41,7 +41,7 @@ func naiveReference(t *testing.T, src []uint64, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want
+	return &want
 }
 
 func requireIdentical(t *testing.T, what string, want, got *Result) {
@@ -212,7 +212,7 @@ func TestPartitionTuplesOnUnalignedSource(t *testing.T) {
 						t.Fatal(err)
 					}
 					what := fmt.Sprintf("src[%d:] parts %d hash %v threads %d", k, cfg.NumPartitions, cfg.Hash, cfg.Threads)
-					requireIdentical(t, what, naiveReference(t, src[k:], cfg), got)
+					requireIdentical(t, what, naiveReference(t, src[k:], cfg), &got)
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func BenchmarkBuffered(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sc.Recycle(res)
+				sc.Recycle(&res)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.rel.NumTuples), "ns/tuple")
 		})

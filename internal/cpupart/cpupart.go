@@ -111,7 +111,7 @@ func (r *Result) Partition(p int) []uint64 { return r.Data[r.Offsets[p]:r.Offset
 
 // Partition partitions rel (which must be a row-layout relation of 8-byte
 // tuples) according to cfg.
-func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
+func Partition(rel *workload.Relation, cfg Config) (Result, error) {
 	return (*Scratch)(nil).Partition(rel, cfg)
 }
 
@@ -119,7 +119,7 @@ func Partition(rel *workload.Relation, cfg Config) (*Result, error) {
 // to cfg, without a Relation wrapper and without a Scratch; src is not
 // modified. It is a reference: the budgeted join's repartitioning passes go
 // through a Scratch, and only the fuzz and alignment tests call this.
-func PartitionTuples(src []uint64, cfg Config) (*Result, error) {
+func PartitionTuples(src []uint64, cfg Config) (Result, error) {
 	return (*Scratch)(nil).PartitionTuples(src, cfg)
 }
 
@@ -173,17 +173,17 @@ func (sc *Scratch) take(n int) (hist, cur []int64, lines [][BufferTuples]uint64)
 }
 
 // Partition is the package's Partition, working in sc.
-func (sc *Scratch) Partition(rel *workload.Relation, cfg Config) (*Result, error) {
+func (sc *Scratch) Partition(rel *workload.Relation, cfg Config) (Result, error) {
 	if rel.Layout != workload.RowLayout || rel.Width != 8 {
-		return nil, fmt.Errorf("cpupart: need row-layout 8-byte tuples, got %v %dB", rel.Layout, rel.Width)
+		return Result{}, fmt.Errorf("cpupart: need row-layout 8-byte tuples, got %v %dB", rel.Layout, rel.Width)
 	}
 	return sc.PartitionTuples(rel.Data, cfg)
 }
 
 // PartitionTuples is the package's PartitionTuples, working in sc.
-func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
+func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	threads := cfg.Threads
 	if threads <= 0 {
@@ -191,7 +191,7 @@ func (sc *Scratch) PartitionTuples(src []uint64, cfg Config) (*Result, error) {
 	}
 	threads = max(1, min(threads, len(src)/cfg.NumPartitions))
 	start := time.Now()
-	res := &Result{NumPartitions: cfg.NumPartitions}
+	res := Result{NumPartitions: cfg.NumPartitions}
 	res.Data, res.Offsets = sc.output(len(src), cfg.NumPartitions)
 	switch ix := cfg.indexer(); cfg.Algorithm {
 	case Buffered:
@@ -232,108 +232,124 @@ func (ix indexer) of(t uint64) uint32 {
 	return k & ix.mask
 }
 
-// phase is one parallel step of a call — a histogram count, a buffered
-// scatter or a naive scatter — with everything its workers read.
-type phase struct {
-	kind     phaseKind
+// call is one partitioning call's two parallel phases — a histogram count,
+// then a buffered or a naive scatter — with everything its workers read.
+type call struct {
 	src, dst []uint64
+	offsets  []int64
 	threads  int
 	ix       indexer
 	count    func(src []uint64, hist []int64, ix indexer)
-	first    []int64
-	cur      []int64
-	lines    [][BufferTuples]uint64
-	skew     int64
+	naive    bool
+	// first holds the per-worker histograms, zeroed on entry, which layout
+	// turns into each worker's first write positions (Naive's cursors).
+	first []int64
+	cur   []int64
+	lines [][BufferTuples]uint64
+	skew  int64
 }
 
-type phaseKind int
+// countChunk is worker w's histogram pass over its share of the input.
+func (c *call) countChunk(w int) {
+	p := c.ix.parts()
+	c.count(chunk(c.src, w, c.threads), c.first[w*p:(w+1)*p], c.ix)
+}
 
-const (
-	countPhase phaseKind = iota
-	bufferedPhase
-	naivePhase
-)
+// layout is what stands between the phases: a prefix sum turns the
+// per-worker histograms (flat, worker-major: worker w owns [w*p, (w+1)*p))
+// in place into each worker's first write position in each partition, and
+// writes the partition offsets, fan-out + 1 of them. Within a partition
+// worker w's range precedes worker w+1's, so the scatter that follows writes
+// private ranges — the CPU algorithm builds the histogram "out of necessity"
+// (Section 4.7) — and the output is the same for every worker count.
+func (c *call) layout() {
+	p := c.ix.parts()
+	c.offsets[0] = 0
+	for i := 0; i < p; i++ {
+		pos := c.offsets[i]
+		for w := 0; w < c.threads; w++ {
+			n := c.first[w*p+i]
+			c.first[w*p+i] = pos
+			pos += n
+		}
+		c.offsets[i+1] = pos
+	}
+}
 
-// work is worker w's share of the phase.
-func (ph *phase) work(w int) {
-	src, p := chunk(ph.src, w, ph.threads), ph.ix.parts()
-	switch ph.kind {
-	case countPhase:
-		ph.count(src, ph.first[w*p:(w+1)*p], ph.ix)
-	case bufferedPhase:
-		b := buffers{dst: ph.dst, skew: ph.skew, first: ph.first[w*p : (w+1)*p], cur: ph.cur[w*p : (w+1)*p], lines: ph.lines[w*p : (w+1)*p]}
-		for i, at := range b.first {
-			b.cur[i] = at + ph.skew
-		}
-		switch {
-		case ph.ix.block:
-			scatterHashBlocked(src, &b, ph.ix)
-		case ph.ix.hash:
-			scatterHash(src, &b, ph.ix)
-		default:
-			scatterRadix(src, &b, ph.ix)
-		}
-		b.drain()
-	case naivePhase:
-		cur := ph.cur[w*p : (w+1)*p]
+// scatter is worker w's scatter of its share of the input.
+func (c *call) scatter(w int) {
+	src, p := chunk(c.src, w, c.threads), c.ix.parts()
+	if c.naive {
+		cur := c.first[w*p : (w+1)*p]
 		for _, t := range src {
-			i := ph.ix.of(t)
-			ph.dst[cur[i]] = t
+			i := c.ix.of(t)
+			c.dst[cur[i]] = t
 			cur[i]++
 		}
-	}
-}
-
-// parallel runs ph.work(0) … ph.work(threads-1) concurrently and waits for
-// them; worker 0 — the only one of a single-thread call — runs on the
-// caller's goroutine. Only the goroutines get a heap copy of the phase, so a
-// single-thread call allocates nothing here.
-func parallel(threads int, ph *phase) {
-	if threads == 1 {
-		ph.work(0)
 		return
 	}
-	shared := new(phase)
-	*shared = *ph
-	var wg sync.WaitGroup
-	wg.Add(threads - 1)
-	for w := 1; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			shared.work(w)
-		}(w)
+	b := buffers{dst: c.dst, skew: c.skew, first: c.first[w*p : (w+1)*p], cur: c.cur[w*p : (w+1)*p], lines: c.lines[w*p : (w+1)*p]}
+	for i, at := range b.first {
+		b.cur[i] = at + c.skew
 	}
-	shared.work(0)
-	wg.Wait()
+	switch {
+	case c.ix.block:
+		scatterHashBlocked(src, &b, c.ix)
+	case c.ix.hash:
+		scatterHash(src, &b, c.ix)
+	default:
+		scatterRadix(src, &b, c.ix)
+	}
+	b.drain()
+}
+
+// run counts, lays out and scatters. Worker 0 — the only one of a
+// single-thread call — runs on the caller's goroutine and does the layout;
+// every other worker gets one goroutine for both of its phases, which waits
+// at a barrier between them until the layout is done. Only the goroutines
+// share a heap copy of the call, so a single-thread call allocates nothing
+// here.
+func (c *call) run() {
+	if c.threads == 1 {
+		c.countChunk(0)
+		c.layout()
+		c.scatter(0)
+		return
+	}
+	sh := &sharedCall{call: *c}
+	sh.counted.Add(c.threads - 1)
+	sh.laidOut.Add(1)
+	sh.scattered.Add(c.threads - 1)
+	for w := 1; w < c.threads; w++ {
+		go sh.work(w)
+	}
+	sh.call.countChunk(0)
+	sh.counted.Wait()
+	sh.call.layout()
+	sh.laidOut.Done()
+	sh.call.scatter(0)
+	sh.scattered.Wait()
+}
+
+// sharedCall is a multi-thread call and its barriers: every extra worker
+// has counted, the layout is done, every extra worker has scattered.
+type sharedCall struct {
+	call
+	counted, laidOut, scattered sync.WaitGroup
+}
+
+// work is extra worker w's goroutine: both phases, the barrier between.
+func (sh *sharedCall) work(w int) {
+	sh.call.countChunk(w)
+	sh.counted.Done()
+	sh.laidOut.Wait()
+	sh.call.scatter(w)
+	sh.scattered.Done()
 }
 
 // chunk is worker w's contiguous share of src.
 func chunk(src []uint64, w, threads int) []uint64 {
 	return src[len(src)*w/threads : len(src)*(w+1)/threads]
-}
-
-// layout is the first half of every algorithm: count fills one histogram
-// per worker (flat, worker-major: worker w owns [w*p, (w+1)*p)), and a
-// prefix sum turns the histograms in place into each worker's first write
-// position in each partition. Within a partition worker w's range precedes
-// worker w+1's, so the scatter pass that follows writes private ranges —
-// the CPU algorithm builds the histogram "out of necessity" (Section 4.7) —
-// and the output is the same for every worker count. first arrives zeroed,
-// threads × fan-out long; layout writes the partition offsets, fan-out + 1
-// of them, into offsets.
-func layout(src []uint64, threads int, ix indexer, count func(src []uint64, hist []int64, ix indexer), first, offsets []int64) {
-	parallel(threads, &phase{kind: countPhase, src: src, threads: threads, ix: ix, count: count, first: first})
-	p := ix.parts()
-	offsets[0] = 0
-	for i := 0; i < p; i++ {
-		pos := offsets[i]
-		for w := 0; w < threads; w++ {
-			n := first[w*p+i]
-			first[w*p+i] = pos
-			pos += n
-		}
-		offsets[i+1] = pos
-	}
 }
 
 // buffered is the parallel Code 2: a histogram pass, then the buffered
@@ -349,14 +365,13 @@ func buffered(src, dst []uint64, offsets []int64, threads int, ix indexer, sc *S
 	case ix.hash:
 		count = countHash
 	}
-	p := ix.parts()
-	first, cur, lines := sc.take(threads * p)
-	layout(src, threads, ix, count, first, offsets)
+	first, cur, lines := sc.take(threads * ix.parts())
 	// skew is how many words dst starts past a cache-line boundary: the
 	// alignment that matters is the destination address's, not the index's.
 	skew := int64(uintptr(unsafe.Pointer(unsafe.SliceData(dst))) / 8 % BufferTuples)
-	parallel(threads, &phase{kind: bufferedPhase, src: src, dst: dst, threads: threads, ix: ix,
-		first: first, cur: cur, lines: lines, skew: skew})
+	c := call{src: src, dst: dst, offsets: offsets, threads: threads, ix: ix, count: count,
+		first: first, cur: cur, lines: lines, skew: skew}
+	c.run()
 }
 
 // buffers is one worker's write-combining state. cur[i] is partition i's
@@ -524,10 +539,10 @@ func countAny(src []uint64, hist []int64, ix indexer) {
 }
 
 // naive is Code 1 run on several threads with the same histogram-based
-// synchronization but no write combining.
+// synchronization but no write combining: each worker's write positions are
+// its cursors.
 func naive(src, dst []uint64, offsets []int64, threads int, ix indexer) {
-	p := ix.parts()
-	cur := make([]int64, threads*p)
-	layout(src, threads, ix, countAny, cur, offsets)
-	parallel(threads, &phase{kind: naivePhase, src: src, dst: dst, threads: threads, ix: ix, cur: cur})
+	c := call{src: src, dst: dst, offsets: offsets, threads: threads, ix: ix, count: countAny,
+		naive: true, first: make([]int64, threads*ix.parts())}
+	c.run()
 }

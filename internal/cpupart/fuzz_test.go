@@ -115,7 +115,7 @@ func FuzzBufferedPartition(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, "PartitionTuples", want, got)
+		requireIdentical(t, "PartitionTuples", want, &got)
 	})
 }
 

@@ -467,8 +467,8 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 		}
 	}
 	// The sub-buckets are joined: the next pass writes into their buffers.
-	pj.repart.Recycle(pr)
-	pj.repart.Recycle(ps)
+	pj.repart.Recycle(&pr)
+	pj.repart.Recycle(&ps)
 	return nil
 }
 

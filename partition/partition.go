@@ -131,8 +131,8 @@ type Result struct {
 	elapsed       time.Duration
 	fellBack      bool
 
-	cpu  *cpupart.Result
-	fpga *core.Output // nil unless the circuit wrote the partitions
+	cpu  cpupart.Result // the partitions, unless the circuit wrote them
+	fpga *core.Output   // nil unless the circuit wrote the partitions
 
 	// Stats carries the circuit run's statistics (zero value for CPU
 	// runs). On a fallback run (FellBack) they describe the FPGA run the
@@ -191,7 +191,7 @@ func (r *Result) FellBack() bool { return r.fellBack }
 
 // Count returns the number of tuples in partition p.
 func (r *Result) Count(p int) int64 {
-	if r.cpu != nil {
+	if r.fpga == nil {
 		return r.cpu.Count(p)
 	}
 	return r.fpga.Counts[p]
@@ -209,7 +209,7 @@ func (r *Result) TotalTuples() int64 {
 // SlotCount returns the number of addressable tuple slots in partition p.
 // For FPGA-written partitions this includes dummy slots.
 func (r *Result) SlotCount(p int) int {
-	if r.cpu != nil {
+	if r.fpga == nil {
 		return int(r.cpu.Count(p))
 	}
 	return int(r.fpga.LinesUsed[p]) * r.fpga.TuplesPerLine()
@@ -226,7 +226,7 @@ func (r *Result) NumRuns(p int) int { return 1 }
 // lines — a slot every TupleWidth/8 words, and the slots whose key is dummy
 // are padding. The words belong to the Result and must not be written.
 func (r *Result) Run(p, _ int) (words []uint64, stride int, dummy uint32, hasDummy bool) {
-	if r.cpu != nil {
+	if r.fpga == nil {
 		return r.cpu.Partition(p), 1, 0, false
 	}
 	o := r.fpga
@@ -252,7 +252,7 @@ func (r *Result) PartitionChecksum(p int) uint32 {
 
 // Each iterates the valid tuples of partition p.
 func (r *Result) Each(p int, fn func(key, payload uint32)) {
-	if r.cpu != nil {
+	if r.fpga == nil {
 		for _, t := range r.cpu.Partition(p) {
 			fn(uint32(t), uint32(t>>32))
 		}
@@ -275,18 +275,21 @@ type CPUOptions struct {
 
 type cpuPartitioner struct {
 	cfg cpupart.Config
-	// scratch is a call's working memory, kept for the partitioner's next
-	// call with the buffers of released results. Whoever holds busy works in
-	// it; a call that finds it taken — the partitioner is shared between
-	// goroutines — allocates its own, and a Release that does lets go of
-	// the result's buffers.
+	// scratch and rows are a call's working memory, kept for the
+	// partitioner's next call: scratch with the buffers of released
+	// results, rows with a key column or wide rows converted to the pairs
+	// the partitioner reads. Whoever holds busy works in them; a call that
+	// finds it taken — the partitioner is shared between goroutines —
+	// allocates its own, and a Release that does lets go of the result's
+	// buffers.
 	busy    sync.Mutex
 	scratch cpupart.Scratch
+	rows    []uint64
 }
 
 func (p *cpuPartitioner) recycle(r *Result) {
 	if p.busy.TryLock() {
-		p.scratch.Recycle(r.cpu)
+		p.scratch.Recycle(&r.cpu)
 		p.busy.Unlock()
 	}
 }
@@ -320,11 +323,12 @@ func (p *cpuPartitioner) Name() string {
 func (p *cpuPartitioner) Partition(rel *workload.Relation) (result *Result, err error) {
 	defer guardSimulator(&err)
 	var sc *cpupart.Scratch
+	var rows *[]uint64
 	if p.busy.TryLock() {
 		defer p.busy.Unlock()
-		sc = &p.scratch
+		sc, rows = &p.scratch, &p.rows
 	}
-	res, err := cpuPartition(rel, p.cfg, sc)
+	res, err := cpuPartition(rel, p.cfg, sc, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -332,14 +336,10 @@ func (p *cpuPartitioner) Partition(rel *workload.Relation) (result *Result, err 
 	return res, nil
 }
 
-// cpuPartition partitions rel on the CPU, working in sc (nil: allocating
-// afresh).
-func cpuPartition(rel *workload.Relation, cfg cpupart.Config, sc *cpupart.Scratch) (*Result, error) {
-	rel, err := keyPayloadRows(rel)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sc.Partition(rel, cfg)
+// cpuPartition partitions rel on the CPU, working in sc and in rows (nil:
+// allocating afresh).
+func cpuPartition(rel *workload.Relation, cfg cpupart.Config, sc *cpupart.Scratch, rows *[]uint64) (*Result, error) {
+	res, err := sc.PartitionTuples(keyPayloadRows(rel, rows), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +462,7 @@ func (p *fpgaPartitioner) Partition(rel *workload.Relation) (result *Result, err
 // time is charged on top of the CPU's measured time, as the paper describes
 // for PAD overflow: "the procedure has to start from the beginning"
 // (Section 5.4).
-func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error, rows func() (*workload.Relation, error)) (*Result, error) {
+func (p *fpgaPartitioner) result(out *core.Output, stats core.Stats, err error, rows func() (*workload.Relation, error)) (*Result, error) {
 	var cause error
 	switch {
 	case errors.Is(err, core.ErrPartitionOverflow):
@@ -472,10 +472,10 @@ func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error,
 	case out.DummyKeyed > 0:
 		cause = ErrDummyKey
 	default:
-		return &Result{numPartitions: out.NumPartitions, elapsed: stats.Elapsed, fpga: out, Stats: *stats, owner: p}, nil
+		return &Result{numPartitions: out.NumPartitions, elapsed: stats.Elapsed, fpga: out, Stats: stats, owner: p}, nil
 	}
 	if p.opts.DisableFallback {
-		return nil, &FallbackError{Stats: *stats, cause: cause}
+		return nil, &FallbackError{Stats: stats, cause: cause}
 	}
 	rel, err := rows()
 	if err != nil {
@@ -485,33 +485,42 @@ func (p *fpgaPartitioner) result(out *core.Output, stats *core.Stats, err error,
 		NumPartitions: p.opts.Partitions,
 		Hash:          p.opts.Hash,
 		Threads:       p.opts.FallbackThreads,
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.elapsed += stats.Elapsed
-	res.fellBack, res.Stats = true, *stats
+	res.fellBack, res.Stats = true, stats
 	return res, nil
 }
 
-// keyPayloadRows returns rel as the 8-byte <key, payload> rows the CPU
-// partitioner consumes — the same pairs a reader of the FPGA's output sees:
-// rel itself when it already is such rows, <key, VRID> for a key column
-// (the circuit's VRID output), <key, first payload word> for wide rows.
-func keyPayloadRows(rel *workload.Relation) (*workload.Relation, error) {
+// keyPayloadRows returns rel as the packed 8-byte <key, payload> rows the
+// CPU partitioner consumes — the same pairs a reader of the FPGA's output
+// sees: rel's own words when it already is such rows, else <key, VRID> for
+// a key column (the circuit's VRID output) or <key, first payload word> for
+// wide rows, written into *buf, which grows to fit (buf nil: into a new
+// slice).
+func keyPayloadRows(rel *workload.Relation, buf *[]uint64) []uint64 {
 	if rel.Layout == workload.RowLayout && rel.Width == 8 {
-		return rel, nil
+		return rel.Data
 	}
-	rows, err := workload.NewRelation(workload.RowLayout, 8, rel.NumTuples)
-	if err != nil {
-		return nil, err
+	var rows []uint64
+	if buf != nil {
+		rows = *buf
 	}
-	for i := 0; i < rel.NumTuples; i++ {
+	if cap(rows) < rel.NumTuples {
+		rows = make([]uint64, rel.NumTuples)
+		if buf != nil {
+			*buf = rows
+		}
+	}
+	rows = rows[:rel.NumTuples]
+	for i := range rows {
 		pay := uint32(i)
 		if rel.Layout == workload.RowLayout {
 			pay = rel.Payload(i)
 		}
-		rows.SetTuple(i, rel.Key(i), pay)
+		rows[i] = uint64(pay)<<32 | uint64(rel.Key(i))
 	}
-	return rows, nil
+	return rows
 }

@@ -130,8 +130,8 @@ func requireSameResult(t *testing.T, step int, used *Result, uerr error, fresh *
 	if !reflect.DeepEqual(used.fpga, fresh.fpga) {
 		t.Fatalf("step %d: circuit outputs differ", step)
 	}
-	if (used.cpu == nil) != (fresh.cpu == nil) || used.cpu != nil &&
-		(!slices.Equal(used.cpu.Data, fresh.cpu.Data) || !slices.Equal(used.cpu.Offsets, fresh.cpu.Offsets)) {
+	if used.cpu.NumPartitions != fresh.cpu.NumPartitions ||
+		!slices.Equal(used.cpu.Data, fresh.cpu.Data) || !slices.Equal(used.cpu.Offsets, fresh.cpu.Offsets) {
 		t.Fatalf("step %d: CPU outputs differ", step)
 	}
 }
@@ -142,13 +142,15 @@ const poisonWord = 0xbad0_5eed_bad0_5eed
 
 // poison is releaseHook in this package's tests. It overwrites every buffer
 // a released result hands back, tuple words with poisonWord and offsets,
-// bases and counts with -1, so that a read after Release shows up, and so
-// does a call that reads a recycled buffer before writing it: its result
-// would differ from a new partitioner's.
+// bases and counts with -1, and the fan-out of the CPU result the Result
+// holds by value, so that a read after Release shows up, and so does a call
+// that reads a recycled buffer before writing it: its result would differ
+// from a new partitioner's.
 func poison(r *Result) {
-	if r.cpu != nil {
+	if r.fpga == nil {
 		fill(r.cpu.Data, poisonWord)
 		fill(r.cpu.Offsets, -1)
+		r.cpu.NumPartitions = -1
 		return
 	}
 	fill(r.fpga.Lines, poisonWord)

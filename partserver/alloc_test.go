@@ -42,14 +42,21 @@ func runCost(t *testing.T, jobs []Job, cfg Config) (objects, bytes uint64) {
 // second half of a 400-job trace, so that what a Run sets up once (pools, the
 // partitioner of each configuration a slot meets, and with it the circuit's
 // datapath) does not count. The limits are what is reached plus a few
-// percent: 10.75 objects for a partition job and 18.75 for a join job; an
-// FPGA-placed partition job 6.2 kB and a join job 7.8 kB, a CPU-placed one
-// 1.6 kB and 2.6 kB. Every job releases its results to the slot's
-// partitioner, so the output lines and the bank BRAM contents (512 B ×
-// fan-out each, 12.7 kB each at the trace's mean fan-out of 24.8), the
-// circuit's bookkeeping and the CPU's output are the previous jobs'. They
-// were 14.86 and 28.58 objects, 29.0 and 56.8 kB on the FPGA, 2.8 and 5.2 kB
-// on the CPU while every call allocated its output (and 17.89 and 36.23
+// percent: 1.41 objects for a partition job and 8.76 for a join job (the
+// partition.Result of each partition call, the circuit's Output, and the
+// join's own objects); an FPGA-placed partition job 5.35 kB and a join job
+// 5.96 kB, a CPU-placed one 1.39 kB and 2.53 kB. The scheduler's queues
+// change in place, each slot reuses one batch, jobStates and counts are
+// carved from chunks, and every job releases its results to the slot's
+// partitioner, which keeps its run state, its BRAM slab and the rows it
+// converts a key column into: what is left per job is what it reports, and
+// the output lines and the bank BRAM contents (512 B × fan-out each, 12.7 kB
+// each at the trace's mean fan-out of 24.8), the circuit's bookkeeping and
+// the CPU's output are the previous jobs'. They were 10.75 and 18.75
+// objects, 6.2 and 7.8 kB on the FPGA, 1.6 and 2.6 kB on the CPU while every
+// dispatch built its batch and its queues' copies and every call its run
+// state (14.86 and 28.58 objects, 29.0 and 56.8 kB on the FPGA, 2.8 and 5.2
+// kB on the CPU while every call allocated its output, and 17.89 and 36.23
 // objects, 122.1 kB for an FPGA partition job, while every circuit run
 // rebuilt its datapath and every CPU call its buffers).
 func TestRunAllocationsPerJob(t *testing.T) {
@@ -58,8 +65,8 @@ func TestRunAllocationsPerJob(t *testing.T) {
 		joins                        bool
 		objects, fpgaBytes, cpuBytes float64
 	}{
-		{"partition jobs", false, 11.1, 6500, 1650},
-		{"join jobs", true, 19.4, 8200, 2750},
+		{"partition jobs", false, 1.5, 5550, 1450},
+		{"join jobs", true, 9.1, 6200, 2650},
 	} {
 		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128})
 		if err != nil {

@@ -44,7 +44,9 @@ type jobState struct {
 }
 
 // batch is one dispatch to one resource: a run of same-configuration jobs
-// for an FPGA instance, or a single job for a CPU worker.
+// for an FPGA instance, or a single job for a CPU worker. Each resource owns
+// one, which every dispatch to it resets (reset); its slices keep their
+// capacity, and complete is the last to read it.
 type batch struct {
 	jobs     []*jobState
 	durs     []int64 // per-job charge of this attempt
@@ -64,7 +66,7 @@ type resource struct {
 	writer   platform.Socket // last writer of the partitions its joins read
 	idx      int             // index within its pool
 	comp     string          // simtrace timeline name: "fpga0", "cpu1", …
-	inflight *batch          // nil when idle
+	inflight *batch          // &batch while it runs, nil when idle
 	loaded   configKey       // FPGA: currently configured circuit (zero, which no job has: none yet)
 	dead     bool
 	started  int // FPGA: jobs started, drives the crash threshold
@@ -81,6 +83,10 @@ type resource struct {
 	parts    map[configKey]partition.Partitioner
 	platform *platform.Platform // the Scheduler's, shared by its FPGA partitioners
 	memo     *Memo              // Config.Memo
+	// batch is the slot's one batch, and counts the chunk its jobs'
+	// partition counts are carved from.
+	batch  batch
+	counts []int64
 }
 
 // Scheduler is the steppable virtual-time scheduler of one deployment. A
@@ -97,6 +103,8 @@ type Scheduler struct {
 	platform *platform.Platform
 	inj      *faults.Injector
 	jobs     []*jobState
+	// states is the chunk Submit carves jobStates from.
+	states []jobState
 
 	// future: not yet arrived (sorted by arrival, id). waiting: arrived but
 	// the admission queue was full. admit: the bounded admission queue.
@@ -201,7 +209,8 @@ func (s *Scheduler) Submit(job Job) (id int, err error) {
 	if job.ArrivalUS < s.now {
 		return 0, fmt.Errorf("partserver: job %d arrives at %dus, before the scheduler clock %dus", id, job.ArrivalUS, s.now)
 	}
-	j := &jobState{id: id, spec: job, key: keyOf(&job), cancelAtUS: noEvent, instance: -1, dispatchUS: -1}
+	j := &carve(&s.states, 1, min(max(id, minStates), maxStates))[0]
+	*j = jobState{id: id, spec: job, key: keyOf(&job), cancelAtUS: noEvent, instance: -1, dispatchUS: -1}
 	s.jobs = append(s.jobs, j)
 	at := sort.Search(len(s.future), func(i int) bool { return s.future[i].spec.ArrivalUS > job.ArrivalUS })
 	s.future = slices.Insert(s.future, at, j)
@@ -255,16 +264,48 @@ func (s *Scheduler) observeQueue() {
 // admitWaiting refills the bounded admission queue from the arrived
 // backlog, in arrival order.
 func (s *Scheduler) admitWaiting() {
-	moved := false
-	for len(s.waiting) > 0 && len(s.admit) < s.cfg.QueueDepth {
-		s.admit = append(s.admit, s.waiting[0])
-		s.waiting = s.waiting[1:]
-		moved = true
-	}
-	if moved {
+	if k := min(len(s.waiting), s.cfg.QueueDepth-len(s.admit)); k > 0 {
+		moveFront(&s.admit, &s.waiting, k)
 		s.observeQueue()
 	}
 }
+
+// moveFront moves the first k jobs of *from to the back of *to, in order,
+// without copying what stays in *from: a queue that empties starts again at
+// the front of its array, so a queue that keeps running empty, as a serving
+// shard's do, allocates nothing however many jobs pass through it, and one
+// that holds a whole trace pops in constant time.
+//
+//fpgavet:hotpath
+func moveFront(to, from *[]*jobState, k int) {
+	*to = append(*to, (*from)[:k]...)
+	if k == len(*from) {
+		*from = (*from)[:0]
+	} else {
+		*from = (*from)[k:]
+	}
+}
+
+// carve returns n zeroed elements from the free tail of *chunk, which is
+// first replaced by a new chunk of max(n, size) elements when the tail is too
+// short: many small objects of a scheduler's jobs are a few allocations.
+func carve[T any](chunk *[]T, n, size int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, size))
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
+}
+
+// Chunk sizes, in elements: Submit's grow with the jobs submitted so far
+// from minStates up to maxStates; a slot's counts chunk is countsChunk
+// (8 KiB).
+const (
+	minStates   = 8
+	maxStates   = 256
+	countsChunk = 1024
+)
 
 // dispatchLoop places queued jobs on free resources until no placement is
 // possible, scanning the admission queue in order (a job that cannot be
@@ -385,8 +426,9 @@ func spillUS(tuples int64) int64 {
 // abortFraction × the time it would have taken, and complete discards its
 // results.
 func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
-	b := &batch{jobs: []*jobState{j}, startUS: s.now}
-	s.admit = append(s.admit[:qi:qi], s.admit[qi+1:]...)
+	b := &r.batch
+	b.reset(j, s.now)
+	s.admit = slices.Delete(s.admit, qi, qi+1)
 	if r.kind == PlacedFPGA {
 		if r.loaded != j.key {
 			b.reconfig = true
@@ -396,7 +438,7 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 			cand := s.admit[qj]
 			if cand.key == j.key && !cand.forceCPU {
 				b.jobs = append(b.jobs, cand)
-				s.admit = append(s.admit[:qj:qj], s.admit[qj+1:]...)
+				s.admit = slices.Delete(s.admit, qj, qj+1)
 				continue
 			}
 			qj++
@@ -438,11 +480,20 @@ func (s *Scheduler) dispatch(j *jobState, qi int, r *resource) {
 	b.doneUS = b.startUS + s.batchDuration(b, r)
 }
 
+// reset makes b a batch of job j alone, started at virtual time now.
+//
+//fpgavet:hotpath
+func (b *batch) reset(j *jobState, now int64) {
+	*b = batch{jobs: append(b.jobs[:0], j), durs: b.durs[:0], spills: b.spills[:0], startUS: now}
+}
+
 // noEvent is peek's answer when nothing is scheduled on the virtual clock.
 const noEvent = int64(math.MaxInt64)
 
 // peek returns the virtual time of the next event (arrival, completion, or
 // queue deadline), noEvent when none is scheduled.
+//
+//fpgavet:hotpath
 func (s *Scheduler) peek() int64 {
 	if s.peeked {
 		return s.next
@@ -456,10 +507,11 @@ func (s *Scheduler) peek() int64 {
 			next = r.inflight.doneUS
 		}
 	}
-	for _, q := range [][]*jobState{s.admit, s.waiting} {
-		for _, j := range q {
-			next = min(next, j.cancelAtUS)
-		}
+	for _, j := range s.admit {
+		next = min(next, j.cancelAtUS)
+	}
+	for _, j := range s.waiting {
+		next = min(next, j.cancelAtUS)
 	}
 	s.next, s.peeked = next, true
 	return next
@@ -499,13 +551,12 @@ func (s *Scheduler) Step() []int {
 			s.complete(r)
 		}
 	}
-	arrived := false
-	for len(s.future) > 0 && s.future[0].spec.ArrivalUS <= s.now {
-		s.waiting = append(s.waiting, s.future[0])
-		s.future = s.future[1:]
-		arrived = true
+	arrived := 0
+	for arrived < len(s.future) && s.future[arrived].spec.ArrivalUS <= s.now {
+		arrived++
 	}
-	if arrived {
+	if arrived > 0 {
+		moveFront(&s.waiting, &s.future, arrived)
 		s.observeQueue()
 	}
 	s.expire(&s.admit)
@@ -540,7 +591,7 @@ func (s *Scheduler) failUnschedulable(q *[]*jobState) {
 		j.errMsg = "no resource can run this job"
 		s.finish(j, StatusFailed, "sched")
 	}
-	*q = nil
+	*q = (*q)[:0]
 }
 
 func (s *Scheduler) expire(q *[]*jobState) {
@@ -563,15 +614,16 @@ func (s *Scheduler) expire(q *[]*jobState) {
 }
 
 // batchDuration converts an executed batch into charged virtual time on
-// resource r and stamps per-job execution charges (b.durs).
+// resource r and stamps per-job execution charges (b.durs, b.spills, which
+// reset left empty).
+//
+//fpgavet:hotpath
 func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 	var total int64
 	if b.reconfig {
 		total += reconfigUS
 	}
-	b.durs = make([]int64, len(b.jobs))
-	b.spills = make([]int64, len(b.jobs))
-	for i, j := range b.jobs {
+	for _, j := range b.jobs {
 		var us, spill int64
 		n, probe := j.tuples()
 		if r.kind == PlacedFPGA {
@@ -593,8 +645,8 @@ func (s *Scheduler) batchDuration(b *batch, r *resource) int64 {
 			spill = 0
 		}
 		us = max(us, 1)
-		b.durs[i] = us
-		b.spills[i] = spill
+		b.durs = append(b.durs, us)
+		b.spills = append(b.spills, spill)
 		j.execUS += us
 		total += us
 	}
@@ -718,7 +770,7 @@ func (s *Scheduler) requeue(j *jobState, crash bool) {
 
 func (s *Scheduler) requeueFront(j *jobState) {
 	j.out = execOut{}
-	s.admit = append([]*jobState{j}, s.admit...)
+	s.admit = slices.Insert(s.admit, 0, j)
 	s.observeQueue()
 }
 

@@ -105,7 +105,7 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 		return err
 	}
 	defer build.Release()
-	out.fill(build)
+	out.fill(build, &r.counts)
 	if spec.Probe == nil {
 		for part := range out.counts {
 			out.checksum += build.PartitionChecksum(part)
@@ -139,9 +139,9 @@ func (out *execOut) partition(p partition.Partitioner, rel *workload.Relation) (
 }
 
 // fill derives the job-visible output shape from the partitioned relation,
-// copying the counts out of it.
-func (out *execOut) fill(res *partition.Result) {
-	out.counts = make([]int64, res.NumPartitions())
+// copying the counts out of it into a slice carved from chunk.
+func (out *execOut) fill(res *partition.Result, chunk *[]int64) {
+	out.counts = carve(chunk, res.NumPartitions(), countsChunk)
 	for p := range out.counts {
 		out.counts[p] = res.Count(p)
 		out.tuples += out.counts[p]
