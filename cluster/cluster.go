@@ -329,6 +329,7 @@ type runState struct {
 	served    []int
 	quota     map[quotaKey]int
 	timers    timerHeap
+	reps      []int // hedgeTarget's replica set, kept for the next one
 	// shards[s] is shard s's scheduler, created at its first submission.
 	shards []*partserver.Scheduler
 	// memo holds the requests' outcomes for every shard scheduler of a
@@ -776,9 +777,9 @@ func (st *runState) hedge(t timer) error {
 // still a member and has not crashed by then (-1: no eligible replica).
 func (st *runState) hedgeTarget(idx int, now int64) int {
 	d := &st.decisions[idx]
-	reps := st.rings[d.epoch].ReplicaSet(st.reqs[idx].Key, st.cfg.Replicas)
+	st.reps = st.rings[d.epoch].ReplicaSet(st.reps, st.reqs[idx].Key, st.cfg.Replicas)
 	ring := st.rings[st.events.epochAt(now)]
-	for _, c := range reps[1:] {
+	for _, c := range st.reps[1:] {
 		if c == d.run.shard || !ring.Member(c) {
 			continue
 		}

@@ -172,3 +172,56 @@ func TestHedgeConfigValidation(t *testing.T) {
 		t.Errorf("Replicas > Shards rejected: %v", err)
 	}
 }
+
+// TestHedgeTargetAllocatesNothing: picking a hedge's replica walks the
+// key's replica set in a slice the run keeps, so a hedge decision makes no
+// heap object. The run is shaped like the benchmark's serve_churn: three
+// shards, two joins and a drain, two replicas, auto hedging, a tenant quota
+// and a shard that crashes; every request is asked for a hedge target at
+// its admission, mid-run and at the end.
+func TestHedgeTargetAllocatesNothing(t *testing.T) {
+	reqs, err := GenerateLoad(7, 400, LoadOptions{MinTuples: 64, MaxTuples: 256, MeanGapUS: 8, HotTenantShare: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := reqs[len(reqs)-1].Job.ArrivalUS
+	cfg := Config{
+		Shards: 3, Seed: 7, Replicas: 2, HedgeUS: HedgeAuto, TenantQuota: 8,
+		Schedule: MembershipSchedule{
+			{AtUS: last / 4, Shard: 3, Kind: Join},
+			{AtUS: last / 2, Shard: 1, Kind: Drain},
+			{AtUS: 3 * last / 4, Shard: 4, Kind: Join},
+		},
+		Faults: &faults.Scenario{Seed: 7, Crashes: []faults.Crash{{Node: 2, AfterFraction: 0.6}}},
+	}.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newRunState(reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, r := range reqs {
+		d := &st.decisions[idx]
+		d.admitUS, d.epoch = r.Job.ArrivalUS, st.events.epochAt(r.Job.ArrivalUS)
+		d.run.shard = st.rings[d.epoch].Shard(r.Key)
+	}
+	st.dead[2], st.crashUS[2] = true, last/2
+	targets := 0
+	n := testing.AllocsPerRun(3, func() {
+		targets = 0
+		for idx := range reqs {
+			for _, now := range []int64{st.decisions[idx].admitUS, last / 2, last} {
+				if st.hedgeTarget(idx, now) >= 0 {
+					targets++
+				}
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("%.0f heap objects per %d hedge decisions, want 0", n, 3*len(reqs))
+	}
+	if targets == 0 || targets == 3*len(reqs) {
+		t.Errorf("%d of %d hedge decisions found a target: the walk is not exercised both ways", targets, 3*len(reqs))
+	}
+}

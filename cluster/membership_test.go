@@ -305,7 +305,7 @@ func TestReplicaSetAlwaysDistinct(t *testing.T) {
 		}
 		for r := 1; r <= 4; r++ {
 			for key := uint64(0); key < 64; key++ {
-				set := ring.ReplicaSet(key, r)
+				set := ring.ReplicaSet(nil, key, r)
 				wantLen := r
 				if n < r {
 					wantLen = n

@@ -21,7 +21,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fpgapart/internal/hashutil"
@@ -111,7 +113,7 @@ func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
 // succ returns the index of the first point at or clockwise of hash h,
 // wrapping past the top of the hash space.
 func (r *Ring) succ(h uint64) int {
-	i := sort.Search(len(r.points), func(k int) bool { return r.points[k].hash >= h })
+	i, _ := slices.BinarySearchFunc(r.points, h, func(p ringPoint, h uint64) int { return cmp.Compare(p.hash, h) })
 	if i == len(r.points) {
 		return 0
 	}
@@ -146,29 +148,23 @@ func (r *Ring) Member(id int) bool {
 }
 
 // ReplicaSet returns the first n distinct members clockwise from the key's
-// hash — the key's replica set. Element 0 is the primary owner (== Shard);
-// the rest are the failover/hedge targets in clockwise-encounter order.
-// When the ring has fewer than n members the whole membership is returned,
-// so the set is always distinct by construction, even when N ≤ R.
-func (r *Ring) ReplicaSet(key uint64, n int) []int {
-	if n > len(r.shards) {
-		n = len(r.shards)
-	}
+// hash — the key's replica set — in buf's array, which it grows if it is
+// short: a caller that keeps buf walks replica sets without allocating.
+// Element 0 is the primary owner (== Shard); the rest are the failover/hedge
+// targets in clockwise-encounter order. When the ring has fewer than n
+// members the whole membership is returned, so the set is always distinct
+// by construction, even when N ≤ R.
+//
+//fpgavet:hotpath
+func (r *Ring) ReplicaSet(buf []int, key uint64, n int) []int {
+	n = min(n, len(r.shards))
 	if n < 1 {
-		return nil
+		return buf[:0]
 	}
-	out := make([]int, 0, n)
+	out := slices.Grow(buf[:0], n)
 	start := r.succ(KeyHash(key))
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		s := r.points[(start+i)%len(r.points)].shard
-		seen := false
-		for _, have := range out {
-			if have == s {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if s := r.points[(start+i)%len(r.points)].shard; !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}

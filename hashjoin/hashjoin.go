@@ -189,11 +189,11 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 
 // budgeted is the executor's stats as Result.Memory: nil when the budget is
 // unlimited, so unbudgeted joins report no MemoryStats.
-func budgeted(budget *membudget.Budget, stats *joincore.BudgetStats) *MemoryStats {
+func budgeted(budget membudget.Budget, stats joincore.BudgetStats) *MemoryStats {
 	if !budget.Limited() {
 		return nil
 	}
-	return stats
+	return &stats
 }
 
 // emitPhaseSpans records the join's phase breakdown as "join" spans on a

@@ -17,6 +17,9 @@ import (
 // cycles: murmur hashing takes 5 pipeline stages (Code 3), 10 ns at 200 MHz.
 const hashPipelineDepth = 5
 
+// finalFIFODepth is the depth of the write-back's final FIFO.
+const finalFIFODepth = 8
+
 // outLine is an assembled cache line traveling from a write combiner to the
 // write-back module (in the no-write-combiner ablation, one raw tuple): the
 // partition it belongs to, how many of its tuple slots are valid (the rest
@@ -44,12 +47,16 @@ type Circuit struct {
 	// Output back (Recycle): then later runs write into its buffers.
 	// The hash pipelines carry lane groups as their tuple counts: what each
 	// tuple does was decided before the clock started (prepass).
-	pipe  *fpga.Reg[int]
-	comb  []*combiner
-	final *fpga.FIFO[outLine]
+	pipe  fpga.Reg[int]
+	comb  []*combiner // the lanes' combiners, one slab (NewCircuit)
+	final fpga.FIFO[outLine]
 	ep    *qpi.Endpoint
+	// The cycle loop writes pipe and final every cycle: the pad keeps them
+	// off the cache line of the placer fields a placement goroutine reads.
+	_     [64]byte
 	pl    placer               // the placement side, its log and hand-off ring
 	slabs spare.Buffers[int64] // recycled outputs' bookkeeping slabs
+	spare *Output              // a recycled Output, which the next run fills
 	// cur is the run in progress, set by newRun and cleared when it ends.
 	cur run
 }
@@ -66,14 +73,19 @@ func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Ci
 	if err != nil {
 		return nil, err
 	}
-	c := &Circuit{cfg: cfg, clockHz: clockHz, ep: ep}
-	lanes := cfg.Lanes()
-	c.pipe = fpga.NewReg[int](hashPipelineDepth)
-	c.comb = make([]*combiner, lanes)
-	for i := range c.comb {
-		c.comb[i] = newCombiner(cfg, lanes)
+	lanes, depth := cfg.Lanes(), cfg.OutFIFODepth
+	c := &Circuit{cfg: cfg, clockHz: clockHz, ep: ep, pipe: fpga.MakeReg[int](hashPipelineDepth), comb: make([]*combiner, lanes)}
+	// One slab holds the combiners and one every FIFO ring: each combiner's
+	// output FIFO, then the final FIFO. The circuit is the same handful of
+	// objects at any width. The cycle loops reach a combiner through c.comb,
+	// a load, as they would an object of its own: indexing the slab costs a
+	// multiply per lane and cycle.
+	combs, rings := make([]combiner, lanes), make([]outLine, lanes*depth+finalFIFODepth)
+	for i := range combs {
+		combs[i].init(cfg, lanes, rings[i*depth:(i+1)*depth])
+		c.comb[i] = &combs[i]
 	}
-	c.final = fpga.NewFIFO[outLine](8)
+	c.final = fpga.MakeFIFO(rings[lanes*depth:])
 	return c, nil
 }
 
@@ -82,12 +94,14 @@ func (c *Circuit) Config() Config { return c.cfg }
 
 // Recycle hands back an Output of the circuit's whose reader is done with
 // it: later runs write their lines and bookkeeping into its buffers instead
-// of allocating their own, and from now on the circuit keeps its bank lines
-// and its fill-rate BRAM slab between runs. out must not be read after, and
-// Recycle must not run concurrently with a run.
+// of allocating their own, the next run returns out itself, and from now on
+// the circuit keeps its bank lines and its fill-rate BRAM slab between
+// runs. out must not be read after, and Recycle must not run concurrently
+// with a run.
 func (c *Circuit) Recycle(out *Output) {
 	c.pl.spare.Put(out.Lines)
 	c.slabs.Put(out.slab)
+	c.spare = out
 	c.pl.keepBank = true
 }
 
@@ -208,15 +222,15 @@ type run struct {
 // the input — the combiners' fill-rate BRAM contents with the tuples' flags,
 // and the destination bookkeeping, one slab each (a recycled Output's, and
 // the slab the circuit keeps with its bank, cleared, once it recycles) — and
-// the Output. The reset also covers a previous run that aborted on PAD
-// overflow with tuples in flight.
+// the Output (the recycled one, rewritten, if there is one). The reset also
+// covers a previous run that aborted on PAD overflow with tuples in flight.
 func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	cfg := &c.cfg
 	r := &c.cur
 	*r = run{
 		cfg: c.cfg, rel: rel, comp: comp, ep: c.ep,
 		lanes: cfg.Lanes(), wpt: cfg.OutputTupleWidth() / 8, tpl: 64 / cfg.OutputTupleWidth(),
-		radix: cfg.RadixBits(), pipe: c.pipe, comb: c.comb, final: c.final, pl: &c.pl,
+		radix: cfg.RadixBits(), pipe: &c.pipe, comb: c.comb, final: &c.final, pl: &c.pl,
 		room: cfg.Stage1FIFODepth - hashPipelineDepth - 1, compLine: -1,
 	}
 	if comp != nil {
@@ -232,7 +246,12 @@ func (c *Circuit) newRun(rel *workload.Relation, comp *codec.RLEColumn) *run {
 	ints := slab[destWords*p:]
 	r.base, r.used, r.counts = ints[:p:p], ints[p:2*p:2*p], ints[2*p:]
 	r.hist = r.counts
-	r.out = &Output{
+	r.out = c.spare
+	if r.out == nil {
+		r.out = new(Output)
+	}
+	c.spare = nil
+	*r.out = Output{
 		NumPartitions: p,
 		TupleWidth:    cfg.OutputTupleWidth(),
 		DummyKey:      DefaultDummyKey,
@@ -606,7 +625,7 @@ func (r *run) writeBack() error {
 				idx = 0
 			}
 		}
-		out := r.comb[idx].out
+		out := &r.comb[idx].out
 		l := r.final.Push()
 		*l = *out.Front()
 		l.lane = uint8(idx)

@@ -45,7 +45,7 @@ type combiner struct {
 	flags        []uint8
 	src          source // the input, for the partition of a line's last tuple
 
-	out *fpga.FIFO[outLine]
+	out fpga.FIFO[outLine]
 
 	// Forwarding registers (hash_1d, hash_2d of Code 4), stamped instead of
 	// clocked: the cycles in which the lane's last two tuples were accepted,
@@ -64,16 +64,16 @@ type combiner struct {
 	reads, writes, forwarded, stalls int64
 }
 
-func newCombiner(cfg Config, banks int) *combiner {
-	cb := &combiner{
+// init builds the combiner in place over ring, its output FIFO's slots.
+func (cb *combiner) init(cfg Config, banks int, ring []outLine) {
+	*cb = combiner{
 		banks: banks,
 		parts: cfg.NumPartitions,
 		radix: cfg.RadixBits(),
 		hash:  cfg.Hash,
-		out:   fpga.NewFIFO[outLine](cfg.OutFIFODepth),
+		out:   fpga.MakeFIFO(ring),
 	}
 	cb.reset(nil, nil, source{}, 0, 1)
-	return cb
 }
 
 // reset is the circuit reset in front of a run: it loads the run's zeroed

@@ -207,7 +207,8 @@ func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 // newTestCombiner is a combiner reset as a run would, with a BRAM of its own
 // and a one-lane input that push extends.
 func newTestCombiner(cfg Config, banks int) *combiner {
-	cb := newCombiner(cfg, banks)
+	cb := &combiner{}
+	cb.init(cfg, banks, make([]outLine, cfg.OutFIFODepth))
 	resetTestCombiner(cb, cfg)
 	return cb
 }

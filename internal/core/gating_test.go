@@ -93,14 +93,14 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 			// The run starts at cycle 0 with partition 0 first in half the
 			// patterns: the reset stamps must not look like a recent accept.
 			cb, st := newTestCombiner(cfg, 2), &Stats{}
-			ref := &refCombiner{banks: 2, fill: make([]uint8, 2), out: fpga.NewFIFO[outLine](cfg.OutFIFODepth)}
-			refIn, refSt := fpga.NewFIFO[uint32](cfg.Stage1FIFODepth), &Stats{}
+			refOut, refIn := fpga.MakeFIFO(make([]outLine, cfg.OutFIFODepth)), fpga.MakeFIFO(make([]uint32, cfg.Stage1FIFODepth))
+			ref, refSt := &refCombiner{banks: 2, fill: make([]uint8, 2), out: &refOut}, &Stats{}
 			for cycle := 0; cycle < patternLen+tail; cycle++ {
 				sym := symbols - 2 // the tail: nothing arrives, the output drains
 				if cycle < patternLen {
 					sym = pattern >> (2 * cycle) % symbols
 				}
-				for _, o := range []*fpga.FIFO[outLine]{cb.out, ref.out} {
+				for _, o := range []*fpga.FIFO[outLine]{&cb.out, ref.out} {
 					if sym == symbols-1 { // back-pressure: the write-back takes nothing
 						for o.CanPush() {
 							o.Push()
@@ -116,7 +116,7 @@ func TestHazardWindowMatchesShiftedRegisters(t *testing.T) {
 					*refIn.Push() = uint32(sym)
 				}
 				stepAt(cb, st, &cfg, int64(cycle))
-				ref.step(refIn, refSt, &cfg)
+				ref.step(&refIn, refSt, &cfg)
 				if *st != *refSt || cb.queued != refIn.Len() || cb.out.Len() != ref.out.Len() {
 					t.Fatalf("forwarding off=%v, pattern %#x, cycle %d: stamped window diverges from the shifted registers\n stamped: %+v in=%d out=%d\n shifted: %+v in=%d out=%d",
 						noForwarding, pattern, cycle, *st, cb.queued, cb.out.Len(), *refSt, refIn.Len(), ref.out.Len())

@@ -102,17 +102,20 @@ const runObjects = 6
 
 // recycledObjects is runObjects once every output goes back to the circuit
 // (Recycle): the lines and the bookkeeping slab are the recycled outputs',
-// and the bank lines and the BRAM slab the circuit's, which leaves the Output
-// and the goroutine's closure. (It was 5 while the circuit kept neither its
-// run state nor its BRAM slab and returned its Stats on the heap.)
-const recycledObjects = 2
+// the Output is the recycled one, and the bank lines and the BRAM slab are
+// the circuit's, which leaves the goroutine's closure: 1 with the placement
+// on its own goroutine, 0 inline. (It was 2 while every run allocated its
+// Output, and 5 while the circuit kept neither its run state nor its BRAM
+// slab and returned its Stats on the heap.)
+const recycledObjects = 1
 
 // TestPartitionAllocations guards the per-run fixed cost and the pass loops:
 // the second and later runs of a circuit make runObjects heap objects, or
 // recycledObjects once each output is recycled before the next run (the
 // first run after the first Recycle still builds the bank and the BRAM slab
-// the circuit then keeps), and not one more when the three passes run
-// sixteen times as many cycles and the placement runs on its own goroutine.
+// the circuit then keeps), one fewer when the placement runs inline, and
+// not one more when the three passes run sixteen times as many cycles and
+// the placement runs on its own goroutine.
 func TestPartitionAllocations(t *testing.T) {
 	for _, hc := range hostCases {
 		for _, recycle := range []bool{false, true} {
@@ -139,8 +142,8 @@ func TestPartitionAllocations(t *testing.T) {
 			if recycle {
 				want = recycledObjects
 			}
-			if max(small, large) > float64(want) {
-				t.Errorf("%s, recycled %t: %.0f and %.0f heap objects per Partition, want at most %d", hc.name, recycle, small, large, want)
+			if small > float64(want-1) || large > float64(want) {
+				t.Errorf("%s, recycled %t: %.0f heap objects per Partition placed inline and %.0f on a second goroutine, want at most %d and %d", hc.name, recycle, small, large, want-1, want)
 			}
 			// The goroutine's closure is one more object, and the runtime adds
 			// one of its own at some heap sizes; an allocation per cycle would
@@ -148,6 +151,37 @@ func TestPartitionAllocations(t *testing.T) {
 			if large > small+2 {
 				t.Errorf("%s, recycled %t: %.0f heap objects at 2^16 tuples, %.0f at 2^12: the pass loops allocate", hc.name, recycle, large, small)
 			}
+		}
+	}
+}
+
+// circuitObjects is how many heap objects NewCircuit makes, whatever the
+// lane count: the Circuit, its QPI end-point, the hash pipeline's stages,
+// the combiners' slab and the pointers the cycle loops reach them by, and
+// the one slab every FIFO ring is carved from. (It was 8 + 3 per lane — 32
+// at eight lanes — while every combiner and every FIFO was an object of its
+// own with a ring of its own.)
+const circuitObjects = 6
+
+// TestNewCircuitAllocations pins what building a circuit costs at one, two,
+// four and eight lanes: a serving slot builds one per configuration it
+// meets, so a per-lane object is paid per circuit the slot builds.
+func TestNewCircuitAllocations(t *testing.T) {
+	plat := platform.XeonFPGA()
+	for _, width := range []int{64, 32, 16, 8} {
+		cfg := Config{NumPartitions: 64, TupleWidth: width, Hash: true, Format: PAD, Layout: RID}
+		var c *Circuit
+		n := testing.AllocsPerRun(10, func() {
+			var err error
+			if c, err = NewCircuit(cfg, plat.FPGAClockHz, plat.FPGAAlone); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lanes := c.cfg.Lanes(); lanes != 64/width {
+			t.Fatalf("%d-byte tuples: %d lanes, want %d", width, lanes, 64/width)
+		}
+		if n != circuitObjects {
+			t.Errorf("%d lanes: NewCircuit makes %.0f heap objects, want %d", 64/width, n, circuitObjects)
 		}
 	}
 }

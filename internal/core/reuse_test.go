@@ -139,9 +139,9 @@ func sessionBytes(t *testing.T, sess *simtrace.Session) (metrics, trace []byte) 
 	return mb.Bytes(), tb.Bytes()
 }
 
-// poisonOutput overwrites every buffer of an output before it is
-// recycled, so that a run that reads a recycled buffer before writing it
-// differs from a new circuit's.
+// poisonOutput overwrites every buffer and field of an output before it is
+// recycled, so that a run that reads a recycled buffer or the recycled
+// Output before writing it differs from a new circuit's.
 func poisonOutput(out *Output) {
 	for i := range out.Lines {
 		out.Lines[i] = 0xbad0_5eed_bad0_5eed
@@ -149,6 +149,7 @@ func poisonOutput(out *Output) {
 	for i := range out.slab {
 		out.slab[i] = -1
 	}
+	out.NumPartitions, out.TupleWidth, out.DummyKey, out.DummyKeyed = -1, -1, 0xbad0_5eed, -1
 }
 
 // TestCircuitReuseMatchesFreshCircuit runs the sequence on one circuit per

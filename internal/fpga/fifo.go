@@ -3,7 +3,8 @@
 // pipeline registers. The components mirror the primitives the VHDL design
 // uses (Section 4): the circuit is a composition of FIFOs between pipeline
 // stages. Both hand out their slots by pointer, so a simulated clock edge
-// moves indices, not payloads.
+// moves indices, not payloads, and both are values, which a circuit holds
+// in place.
 package fpga
 
 import (
@@ -36,12 +37,14 @@ type FIFO[T any] struct {
 // detaches it.
 func (f *FIFO[T]) Instrument(occ *simtrace.Gauge) { f.occ = occ }
 
-// NewFIFO returns a FIFO with the given capacity.
-func NewFIFO[T any](capacity int) *FIFO[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("fpga: FIFO capacity %d", capacity))
+// MakeFIFO returns an empty FIFO whose slots are ring, its capacity
+// len(ring). It is a value and allocates nothing, so a circuit holds its
+// FIFOs in place and carves their rings from one slab.
+func MakeFIFO[T any](ring []T) FIFO[T] {
+	if len(ring) == 0 {
+		panic(fmt.Sprintf("fpga: FIFO capacity %d", len(ring)))
 	}
-	return &FIFO[T]{buf: make([]T, capacity)}
+	return FIFO[T]{buf: ring}
 }
 
 // Reset empties the FIFO and forgets its high-water mark, as a circuit reset

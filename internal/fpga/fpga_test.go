@@ -16,6 +16,18 @@ func pop[T any](f *FIFO[T]) T {
 	return v
 }
 
+// newFIFO and newReg hold a FIFO and a register chain on the heap, as tests
+// pass them around by pointer.
+func newFIFO[T any](capacity int) *FIFO[T] {
+	f := MakeFIFO(make([]T, capacity))
+	return &f
+}
+
+func newReg[T any](depth int) *Reg[T] {
+	r := MakeReg[T](depth)
+	return &r
+}
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -27,7 +39,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestFIFOBasicOrder(t *testing.T) {
-	f := NewFIFO[int](4)
+	f := newFIFO[int](4)
 	for i := 1; i <= 4; i++ {
 		if !f.CanPush() {
 			t.Fatalf("CanPush false at %d", i)
@@ -54,7 +66,7 @@ func TestFIFOBasicOrder(t *testing.T) {
 }
 
 func TestFIFOWrapAround(t *testing.T) {
-	f := NewFIFO[int](3)
+	f := newFIFO[int](3)
 	// Interleave pushes and pops so head wraps several times.
 	next, expect := 0, 0
 	for round := 0; round < 20; round++ {
@@ -77,13 +89,13 @@ func TestFIFOWrapAround(t *testing.T) {
 
 func TestFIFOOverflowPanics(t *testing.T) {
 	mustPanic(t, "push into full FIFO", func() {
-		f := NewFIFO[int](1)
+		f := newFIFO[int](1)
 		push(f, 1)
 		f.Push()
 	})
 	// Full again after the ring wrapped.
 	mustPanic(t, "push into full wrapped FIFO", func() {
-		f := NewFIFO[int](2)
+		f := newFIFO[int](2)
 		push(f, 1)
 		pop(f)
 		push(f, 2)
@@ -93,10 +105,10 @@ func TestFIFOOverflowPanics(t *testing.T) {
 }
 
 func TestFIFOUnderflowPanics(t *testing.T) {
-	mustPanic(t, "drop from empty FIFO", func() { NewFIFO[int](1).Drop() })
-	mustPanic(t, "front of empty FIFO", func() { NewFIFO[int](1).Front() })
+	mustPanic(t, "drop from empty FIFO", func() { newFIFO[int](1).Drop() })
+	mustPanic(t, "front of empty FIFO", func() { newFIFO[int](1).Front() })
 	mustPanic(t, "drop from drained FIFO", func() {
-		f := NewFIFO[int](2)
+		f := newFIFO[int](2)
 		push(f, 1)
 		f.Drop()
 		f.Drop()
@@ -104,11 +116,11 @@ func TestFIFOUnderflowPanics(t *testing.T) {
 }
 
 func TestFIFOZeroCapacityPanics(t *testing.T) {
-	mustPanic(t, "zero-capacity FIFO", func() { NewFIFO[int](0) })
+	mustPanic(t, "zero-capacity FIFO", func() { newFIFO[int](0) })
 }
 
 func TestFIFOHighWater(t *testing.T) {
-	f := NewFIFO[int](8)
+	f := newFIFO[int](8)
 	push(f, 1)
 	push(f, 2)
 	push(f, 3)
@@ -124,7 +136,7 @@ func TestFIFOHighWater(t *testing.T) {
 func TestFIFOPropertyQueueSemantics(t *testing.T) {
 	// Against a reference slice queue, any bounded push/pop sequence agrees.
 	f := func(ops []bool) bool {
-		fifo := NewFIFO[int](5)
+		fifo := newFIFO[int](5)
 		var ref []int
 		n := 0
 		for _, doPush := range ops {
@@ -176,7 +188,7 @@ func makePayload(tag int) payload {
 func TestFIFOPointerAPIMatchesSliceQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for capacity := 1; capacity <= 9; capacity++ {
-		f := NewFIFO[payload](capacity)
+		f := newFIFO[payload](capacity)
 		var ref []payload
 		queued := map[*payload]bool{}
 		high := 0
@@ -235,7 +247,7 @@ func shift[T any](r *Reg[T], in T, inValid bool) (T, bool) {
 }
 
 func TestRegLatency(t *testing.T) {
-	r := NewReg[int](5) // the murmur pipeline depth
+	r := newReg[int](5) // the murmur pipeline depth
 	var outputs []int
 	for i := 0; i < 10; i++ {
 		out, ok := shift(r, i, true)
@@ -255,7 +267,7 @@ func TestRegLatency(t *testing.T) {
 }
 
 func TestRegBubbles(t *testing.T) {
-	r := NewReg[int](2)
+	r := newReg[int](2)
 	shift(r, 1, true)
 	shift(r, 0, false) // bubble
 	out, ok := shift(r, 2, true)
@@ -284,7 +296,7 @@ func TestRegBubbles(t *testing.T) {
 }
 
 func TestRegDepthOnePanicsOnZero(t *testing.T) {
-	mustPanic(t, "zero-depth register chain", func() { NewReg[int](0) })
+	mustPanic(t, "zero-depth register chain", func() { newReg[int](0) })
 }
 
 // naiveReg is the textbook model the ring is checked against: every clock
@@ -320,7 +332,7 @@ func (r *naiveReg) drained() bool {
 func TestRegRingMatchesShiftByCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for depth := 1; depth <= 8; depth++ {
-		ring := NewReg[payload](depth)
+		ring := newReg[payload](depth)
 		ref := &naiveReg{stages: make([]payload, depth), valid: make([]bool, depth)}
 		density := []int{1, 2, 10}[depth%3] // bubble-heavy, even, valid-heavy
 		for cycle := 0; cycle < 3000; cycle++ {

@@ -3,6 +3,7 @@ package joincore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +84,8 @@ type Decision struct {
 }
 
 // BudgetStats aggregates the adaptive behaviour of one budgeted join. Under
-// an unlimited budget nothing adapts: BudgetedBuildProbe logs no decision
-// and counts nothing.
+// an unlimited budget nothing adapts: a join logs no decision and counts
+// nothing.
 type BudgetStats struct {
 	// BudgetBytes is the configured cap; HighWaterBytes is the largest
 	// reservation one decision made (tally says what each reserves).
@@ -114,9 +115,9 @@ type BudgetStats struct {
 // BudgetConfig configures BudgetedBuildProbe.
 type BudgetConfig struct {
 	// Budget is the byte cap each bucket's build side is fitted against.
-	// With nil or an unlimited one every partition fits: nothing spills and
+	// With the zero (unlimited) one every partition fits: nothing spills and
 	// nothing is logged or tallied (BuildProbe is that case).
-	Budget *membudget.Budget
+	Budget membudget.Budget
 	// Spill receives the bytes read back from the simulated spill device;
 	// nil discards them.
 	Spill *membudget.SpillStore
@@ -148,65 +149,103 @@ func saltAt(depth int) uint32 {
 	return s
 }
 
-// BudgetedBuildProbe joins the partitions of R and S under a memory budget.
-// It is the repository's one partitioned build+probe. Partitions whose build
-// side fits are joined in place (role-reversing so the side with fewer slots
-// builds); the rest spill and are recursively repartitioned
-// with salted hashes, with heavy-hitter buckets and depth-capped buckets
-// routed to a chunked broadcast join. Matches and Checksum are the same for
-// any budget, limited or not, because every path joins the exact same
-// multiset of tuple pairs.
+// BudgetedBuildProbe joins the partitions of R and S under a memory budget
+// on a fresh Joiner (see Join), so the returned Decisions are the caller's.
+func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (Result, BudgetStats, error) {
+	return new(Joiner).Join(r, s, cfg)
+}
+
+// Joiner is the repository's one partitioned build+probe. It keeps its
+// workers' build tables, repartitioning scratch and decision logs across
+// calls, so a long-lived caller's second and later single-threaded joins
+// allocate nothing at any budget. The zero value is ready; a Joiner runs one
+// join at a time, and Join panics if entered while a call is under way.
+type Joiner struct {
+	busy    atomic.Bool
+	cfg     BudgetConfig
+	workers []partitionJoiner // one per thread of the call; capacity kept
+	// spans[p] is where partition p's decisions are in its worker's log,
+	// decisions all of them in partition-major order: what tally and the
+	// join.mem trace read, so both are empty without a limited budget,
+	// which has no cap to account against and never spills.
+	spans     []logSpan
+	decisions []Decision
+	next      atomic.Int64
+	wg        sync.WaitGroup
+}
+
+// logSpan is entries [lo, hi) of worker w's log.
+type logSpan struct{ w, lo, hi int }
+
+// Join joins the partitions of R and S under cfg's memory budget.
+// Partitions whose build side fits are joined in place (role-reversing so
+// the side with fewer slots builds); the rest spill and are recursively
+// repartitioned with salted hashes, with heavy-hitter buckets and
+// depth-capped buckets routed to a chunked broadcast join. Matches and
+// Checksum are the same for any budget, limited or not, because every path
+// joins the exact same multiset of tuple pairs.
 //
 // All adaptive decisions are functions of partition contents and the budget
 // cap alone — never of cross-partition timing — so same-seed runs decide,
 // count and spill identically at any thread count. The memory and
 // spill-store accounting is one fold over the decision log in
 // partition-major order after the parallel join, keeping the high-water
-// mark interleaving-free.
-func BudgetedBuildProbe(r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStats, error) {
-	if r.NumPartitions() != s.NumPartitions() {
-		return nil, nil, fmt.Errorf("joincore: fan-out mismatch: R has %d partitions, S has %d", r.NumPartitions(), s.NumPartitions())
+// mark interleaving-free. The returned Decisions slice belongs to the
+// Joiner: its next call overwrites it.
+func (j *Joiner) Join(r, s Partitions, cfg BudgetConfig) (Result, BudgetStats, error) {
+	n := r.NumPartitions()
+	if n != s.NumPartitions() {
+		return Result{}, BudgetStats{}, fmt.Errorf("joincore: fan-out mismatch: R has %d partitions, S has %d", n, s.NumPartitions())
 	}
-	x := &executor{cfg: cfg.withDefaults(), r: r, s: s, numPartitions: r.NumPartitions()}
-	if cfg.Budget.Limited() {
-		x.top = make([]Decision, x.numPartitions)
-		x.below = make([][]Decision, x.numPartitions)
+	if !j.busy.CompareAndSwap(false, true) {
+		panic("joincore: Joiner.Join entered while another call is under way")
 	}
-	x.start = time.Now()
-	x.wg.Add(x.cfg.Threads)
-	if x.cfg.Threads == 1 {
+	defer j.busy.Store(false)
+	j.cfg = cfg.withDefaults()
+	threads := j.cfg.Threads
+	j.spans = j.spans[:0]
+	if j.cfg.Budget.Limited() {
+		j.spans = slices.Grow(j.spans, n)[:n] // every partition writes its span
+	}
+	if cap(j.workers) < threads {
+		j.workers = make([]partitionJoiner, threads)
+	}
+	j.workers = j.workers[:threads]
+	j.next.Store(0)
+	start := time.Now()
+	for w := range j.workers {
+		j.workers[w].begin(&j.cfg, start)
+	}
+	j.wg.Add(threads)
+	if threads == 1 {
 		// On the caller's goroutine: nothing to start or wait for, and a
 		// panic in here (a caller's Emit, say) unwinds into the caller's
 		// guard instead of ending the process.
-		x.work()
+		j.work(0, r, s)
 	} else {
-		for w := 0; w < x.cfg.Threads; w++ {
-			go x.work()
+		for w := 0; w < threads; w++ {
+			go j.work(w, r, s)
 		}
 	}
-	x.wg.Wait()
-	if x.err != nil {
-		return nil, nil, x.err
+	j.wg.Wait()
+	res := Result{Elapsed: time.Since(start), Threads: threads}
+	var buildNS, probeNS int64
+	logged := 0
+	for w := range j.workers {
+		pj := &j.workers[w]
+		if pj.err != nil {
+			return Result{}, BudgetStats{}, pj.err
+		}
+		res.Matches, res.Checksum = res.Matches+pj.matches, res.Checksum+pj.checksum
+		buildNS, probeNS, logged = buildNS+pj.buildNS, probeNS+pj.probeNS, logged+len(pj.log)
 	}
-	elapsed := time.Since(x.start)
-
-	total := len(x.top)
-	for _, ds := range x.below {
-		total += len(ds)
+	res.splitPhases(buildNS, probeNS)
+	j.decisions = slices.Grow(j.decisions[:0], logged) // exact: one allocation on a fresh Joiner
+	for _, at := range j.spans {
+		j.decisions = append(j.decisions, j.workers[at.w].log[at.lo:at.hi]...)
 	}
-	stats := &BudgetStats{Decisions: make([]Decision, 0, total)}
-	for p, d := range x.top {
-		stats.Decisions = append(append(stats.Decisions, d), x.below[p]...)
-	}
-	tally(stats, x.cfg)
-
-	res := &Result{
-		Matches:  x.matches,
-		Checksum: x.checksum,
-		Elapsed:  elapsed,
-		Threads:  x.cfg.Threads,
-	}
-	res.splitPhases(x.buildNS, x.probeNS)
+	stats := BudgetStats{Decisions: j.decisions}
+	tally(&stats, j.cfg)
 	return res, stats, nil
 }
 
@@ -219,56 +258,25 @@ func (res *Result) splitPhases(buildNS, probeNS int64) {
 	}
 }
 
-// executor is the state the workers of one join share.
-type executor struct {
-	cfg           BudgetConfig
-	r, s          Partitions
-	numPartitions int
-	// The decision log: top[p] is partition p's depth-0 decision, below[p]
-	// what a spilled partition decided after it. It feeds tally and the
-	// join.mem trace, so both are nil without a limited budget, which has
-	// no cap to account against and never spills.
-	top   []Decision
-	below [][]Decision
-
-	start time.Time
-	next  atomic.Int64
-	wg    sync.WaitGroup
-
-	mu               sync.Mutex // guards the totals each worker adds on exit
-	matches          int64
-	checksum         uint64
-	buildNS, probeNS int64
-	err              error
-}
-
-// work joins partitions pulled from the shared counter until none are left
-// or one fails.
-func (x *executor) work() {
-	defer x.wg.Done()
-	pj := partitionJoiner{cfg: &x.cfg, epoch: x.start}
+// work is worker w: it joins partitions pulled from the shared counter
+// until none are left or one fails.
+func (j *Joiner) work(w int, r, s Partitions) {
+	defer j.wg.Done()
+	pj := &j.workers[w]
 	pj.lap() // what precedes the worker's start is no phase of its
-	var err error
-	for err == nil {
-		p := int(x.next.Add(1)) - 1
-		if p >= x.numPartitions {
-			break
+	for n := r.NumPartitions(); pj.err == nil; {
+		p := int(j.next.Add(1)) - 1
+		if p >= n {
+			return
 		}
-		var top Decision
-		top, err = pj.run(x.r, x.s, p)
-		if x.top != nil {
-			x.top[p] = top
-			x.below[p], pj.below = pj.below, nil
+		if len(j.spans) == 0 { // an unlimited budget logs nothing
+			_, pj.err = pj.run(r, s, p)
+			continue
 		}
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.matches += pj.matches
-	x.checksum += pj.checksum
-	x.buildNS += pj.buildNS
-	x.probeNS += pj.probeNS
-	if x.err == nil {
-		x.err = err
+		lo := len(pj.log)
+		pj.log = append(pj.log, Decision{}) // p's depth-0 decision goes first
+		top, err := pj.run(r, s, p)
+		pj.log[lo], pj.err, j.spans[p] = top, err, logSpan{w, lo, len(pj.log)}
 	}
 }
 
@@ -278,6 +286,8 @@ func (x *executor) work() {
 // the next one, so HighWaterBytes is the largest single reservation. The
 // decisions were made against the cap alone, so the fold is what a
 // one-partition-at-a-time executor would have reserved.
+//
+//fpgavet:hotpath
 func tally(stats *BudgetStats, cfg BudgetConfig) {
 	// One write-combining line per side stages spill writes.
 	const spillBufBytes = 2 * cpupart.BufferTuples * 8
@@ -318,26 +328,30 @@ func tally(stats *BudgetStats, cfg BudgetConfig) {
 
 // chunkTuples is the build-chunk size of the broadcast join: as many tuples
 // as fit the budget, and at least one.
-func chunkTuples(b *membudget.Budget) int64 {
+func chunkTuples(b membudget.Budget) int64 {
 	if !b.Limited() {
 		return 1 << 30
 	}
-	n := b.Cap() / BuildTupleBytes
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(b.Cap()/BuildTupleBytes, 1)
 }
 
 // partitionJoiner joins the partition pairs of one worker, one at a time,
-// accumulating the worker's totals. It runs entirely on one goroutine.
+// accumulating the worker's totals. It runs entirely on one goroutine, and
+// a Joiner keeps it, its tables and its log for its next call.
 type partitionJoiner struct {
 	cfg     *BudgetConfig
 	part    int // the top-level partition being joined
 	scratch buildTable
-	repart  cpupart.Scratch // working memory and recycled output of the repartitioning passes
-	// below collects what the current partition decided after spilling.
-	below    []Decision
+	// repart[d-1] is the working memory and recycled output of the
+	// repartitioning passes at depth d: the sub-buckets of every level above
+	// are live while one level repartitions.
+	repart [MaxRecursionDepth]cpupart.Scratch
+	// spilled holds the packed copies of a spilled partition's R and S
+	// sides, unless a side is stored packed already (collect).
+	spilled [2][]uint64
+	// log holds, under a limited budget, the decisions of the partitions
+	// the worker joined, in its order, each partition's depth-0 one first.
+	log      []Decision
 	matches  int64
 	checksum uint64
 	// buildNS and probeNS sum the worker's phase times as laps off one clock:
@@ -348,6 +362,13 @@ type partitionJoiner struct {
 	probeNS int64
 	epoch   time.Time     // the join's start, which laps are measured from
 	lapAt   time.Duration // when the previous lap ended
+	err     error         // what ended the worker's join early
+}
+
+// begin readies the worker for a join started at epoch: its totals, error
+// and log start empty, its tables keep their memory.
+func (pj *partitionJoiner) begin(cfg *BudgetConfig, epoch time.Time) {
+	*pj = partitionJoiner{cfg: cfg, epoch: epoch, scratch: pj.scratch, repart: pj.repart, spilled: pj.spilled, log: pj.log[:0]}
 }
 
 // lap returns the nanoseconds since the previous lap ended and starts the
@@ -384,7 +405,7 @@ func (pj *partitionJoiner) run(r, s Partitions, p int) (top Decision, err error)
 		// Over budget: spill both sides as packed tuple runs and go adaptive.
 		top.Action = ActionSpill
 		top.SpilledBytes = 8 * (nR + nS)
-		return top, pj.joinSpilled(collect(r, p), collect(s, p), 1, false)
+		return top, pj.joinSpilled(collect(r, p, &pj.spilled[0]), collect(s, p, &pj.spilled[1]), 1, false)
 	}
 	pj.scratch.reset(int(nBuild))
 	for i, k := 0, build.NumRuns(p); i < k; i++ {
@@ -417,7 +438,7 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 	}
 	if pj.fits(nBuild) {
 		d.Action = ActionInMemory
-		pj.below = append(pj.below, d)
+		pj.log = append(pj.log, d)
 		pj.joinSlices(build, probe, rIsBuild)
 		return nil
 	}
@@ -433,24 +454,25 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 		d.HeavyHitter = hot
 		d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
 		d.Chunks = pj.broadcast(build, probe, rIsBuild)
-		pj.below = append(pj.below, d)
+		pj.log = append(pj.log, d)
 		return nil
 	}
 
 	d.Action = ActionRecurse
 	d.SpilledBytes = 8 * (int64(len(rs)) + int64(len(ss)))
-	pj.below = append(pj.below, d)
+	pj.log = append(pj.log, d)
 	sub := cpupart.Config{
 		NumPartitions: subFanOut,
 		Hash:          true,
 		Threads:       1,
 		Salt:          saltAt(depth),
 	}
-	pr, err := pj.repart.PartitionTuples(rs, sub)
+	repart := &pj.repart[depth-1]
+	pr, err := repart.PartitionTuples(rs, sub)
 	if err != nil {
 		return fmt.Errorf("joincore: repartitioning spilled bucket: %w", err)
 	}
-	ps, err := pj.repart.PartitionTuples(ss, sub)
+	ps, err := repart.PartitionTuples(ss, sub)
 	if err != nil {
 		return fmt.Errorf("joincore: repartitioning spilled bucket: %w", err)
 	}
@@ -467,8 +489,8 @@ func (pj *partitionJoiner) joinSpilled(rs, ss []uint64, depth int, stuck bool) e
 		}
 	}
 	// The sub-buckets are joined: the next pass writes into their buffers.
-	pj.repart.Recycle(&pr)
-	pj.repart.Recycle(&ps)
+	repart.Recycle(&pr)
+	repart.Recycle(&ps)
 	return nil
 }
 
@@ -500,6 +522,8 @@ func (pj *partitionJoiner) broadcast(build, probe []uint64, rIsBuild bool) (chun
 // probe probes the build table with a run of the probe side, in slot order
 // and every chain from its head, emitting matches. rIsBuild tells which
 // payload belongs to R. It is the one probe loop of the partitioned joins.
+//
+//fpgavet:hotpath
 func (pj *partitionJoiner) probe(rn run, rIsBuild bool) {
 	bt, entries, emit, part := &pj.scratch, pj.scratch.entries, pj.cfg.Emit, pj.part
 	matches, checksum := pj.matches, pj.checksum

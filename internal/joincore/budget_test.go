@@ -10,7 +10,7 @@ import (
 )
 
 // budgetedMust runs BudgetedBuildProbe and fails the test on error.
-func budgetedMust(t *testing.T, r, s Partitions, cfg BudgetConfig) (*Result, *BudgetStats) {
+func budgetedMust(t *testing.T, r, s Partitions, cfg BudgetConfig) (Result, BudgetStats) {
 	t.Helper()
 	res, stats, err := BudgetedBuildProbe(r, s, cfg)
 	if err != nil {
@@ -106,11 +106,11 @@ func TestBudgetedIsDeterministicAcrossThreads(t *testing.T) {
 	// build footprint is below every per-partition footprint, so this
 	// spills — and S is the smaller side, so it also role-reverses.
 	budgetBytes := buildBytes(s) / 8
-	var wantStats *BudgetStats
-	for _, threads := range []int{1, 4, 7} {
+	var wantStats BudgetStats
+	for i, threads := range []int{1, 4, 7} {
 		cfg := BudgetConfig{Budget: membudget.New(budgetBytes), Spill: &membudget.SpillStore{}, Threads: threads}
 		_, stats := budgetedMust(t, r, s, cfg)
-		if wantStats == nil {
+		if i == 0 {
 			wantStats = stats
 			continue
 		}

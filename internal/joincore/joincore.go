@@ -3,8 +3,8 @@
 // is built over the R partition using bucket chaining (Manegold et al.) and
 // probed with the corresponding S partition. Partitions are processed in
 // parallel by a pool of workers pulling from a shared task counter. There is
-// one executor (budget.go): a join without a memory budget is the budgeted
-// join in which every partition fits.
+// one executor, the Joiner (budget.go): a join without a memory budget is
+// the budgeted join in which every partition fits.
 //
 // The phases run for real and are measured. They consume a partition as the
 // contiguous word runs it is stored in, handed out by the Partitions
@@ -16,6 +16,7 @@
 package joincore
 
 import (
+	"slices"
 	"time"
 
 	"fpgapart/internal/hashutil"
@@ -73,8 +74,9 @@ func size(ps Partitions, p int) (slots int, tuples int64) {
 }
 
 // collect returns the tuples of partition p as packed words: the partition
-// itself when it is stored as one such run, a compacted copy otherwise.
-func collect(ps Partitions, p int) []uint64 {
+// itself when it is stored as one such run, else a compacted copy written
+// over *buf, which keeps the grown buffer for the next copy.
+func collect(ps Partitions, p int, buf *[]uint64) []uint64 {
 	k := ps.NumRuns(p)
 	if k == 1 {
 		if rn := runAt(ps, p, 0); rn.stride == 1 && !rn.hasDummy {
@@ -82,10 +84,11 @@ func collect(ps Partitions, p int) []uint64 {
 		}
 	}
 	slots, _ := size(ps, p)
-	out := make([]uint64, 0, slots)
+	out := slices.Grow((*buf)[:0], slots)
 	for i := 0; i < k; i++ {
 		out = runAt(ps, p, i).appendTuples(out)
 	}
+	*buf = out
 	return out
 }
 
@@ -106,7 +109,7 @@ type Result struct {
 // BuildProbe joins the partitions of R and S with no memory budget — the
 // executor's in-budget case: every partition fits, nothing spills. Both
 // inputs must have the same fan-out. threads ≤ 0 uses all cores.
-func BuildProbe(r, s Partitions, threads int) (*Result, error) {
+func BuildProbe(r, s Partitions, threads int) (Result, error) {
 	res, _, err := BudgetedBuildProbe(r, s, BudgetConfig{Threads: threads})
 	return res, err
 }
@@ -157,6 +160,8 @@ func (bt *buildTable) reset(n int) {
 
 // add chains the run's tuples in slot order, each at the front of its
 // bucket's chain. It is the one build loop of the partitioned joins.
+//
+//fpgavet:hotpath
 func (bt *buildTable) add(rn run) {
 	for i := 0; i < len(rn.words); i += rn.stride {
 		t := rn.words[i]
@@ -173,9 +178,9 @@ func (bt *buildTable) add(rn run) {
 // join in tests. Only suitable for small inputs.
 func NestedLoop(r, s Partitions) (matches int64, checksum uint64) {
 	for p := 0; p < r.NumPartitions(); p++ {
-		for _, rt := range collect(r, p) {
+		for _, rt := range collect(r, p, new([]uint64)) {
 			for q := 0; q < s.NumPartitions(); q++ {
-				for _, st := range collect(s, q) {
+				for _, st := range collect(s, q, new([]uint64)) {
 					if uint32(rt) == uint32(st) {
 						matches++
 						checksum += rt>>32 + st>>32

@@ -83,7 +83,7 @@ func TestBuildProbeSkipsDummySlots(t *testing.T) {
 	}
 }
 
-func BuildProbeMust(t *testing.T, r, s Partitions) *Result {
+func BuildProbeMust(t *testing.T, r, s Partitions) Result {
 	t.Helper()
 	res, err := BuildProbe(r, s, 3)
 	if err != nil {
@@ -231,13 +231,15 @@ func TestNonPartitionedSingleThread(t *testing.T) {
 }
 
 // TestBuildProbeAllocations guards the fixed cost of the executor's
-// unbudgeted case: a handful of heap objects per join (shared state, the
-// stats, the result, one worker's table) and nothing per partition — at 32
+// unbudgeted case on a fresh Joiner: a handful of heap objects per join (the
+// Joiner, its worker, the worker's table) and nothing per partition — at 32
 // times the fan-out only the table's regrowth is added (it grows to the
-// largest partition seen so far, by powers of two). Five and seven since the
-// entry array grows as the bucket heads do (six and fourteen while the chain
-// links grew to each new largest partition exactly; seven and fifteen when
-// the single-thread executor still started a goroutine).
+// largest partition seen so far, by powers of two). A reused Joiner makes
+// none (TestJoinerReuseAllocatesNothing). Four and six since the result and
+// the stats are values (five and seven while both were on the heap; six and
+// fourteen while the chain links grew to each new largest partition exactly;
+// seven and fifteen when the single-thread executor still started a
+// goroutine).
 func TestBuildProbeAllocations(t *testing.T) {
 	rKeys, sKeys := randKeys(1<<16, 60), randKeys(1<<16, 61)
 	perJoin := func(fanOut int) float64 {
@@ -249,8 +251,8 @@ func TestBuildProbeAllocations(t *testing.T) {
 		}
 		return min(testing.AllocsPerRun(3, join), testing.AllocsPerRun(3, join))
 	}
-	if small, large := perJoin(256), perJoin(8192); small > 5 || large > 7 {
-		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want at most 5 and 7", small, large)
+	if small, large := perJoin(256), perJoin(8192); small > 4 || large > 6 {
+		t.Errorf("%.0f heap objects at fan-out 256, %.0f at 8192: want at most 4 and 6", small, large)
 	}
 }
 

@@ -22,7 +22,7 @@ const probeBatch = 16
 // the partitioning passes but takes every probe as a cache and TLB miss on
 // large relations — two dependent ones, bucket head then entry, the entry
 // holding the build tuple itself.
-func NonPartitioned(r, s *workload.Relation, threads int) (*Result, error) {
+func NonPartitioned(r, s *workload.Relation, threads int) (Result, error) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -77,7 +77,7 @@ func NonPartitioned(r, s *workload.Relation, threads int) (*Result, error) {
 		atomic.AddUint64(&checksum, localC)
 	})
 	elapsed := time.Since(start)
-	return &Result{
+	return Result{
 		Matches:  matches,
 		Checksum: checksum,
 		Elapsed:  elapsed,
@@ -121,7 +121,7 @@ func relationRun(rel *workload.Relation) run {
 // chunks, each probed with the full other side — there are no partitions
 // to spill, so chunking is the only graceful degradation available to this
 // baseline. Matches and Checksum equal NonPartitioned's for any budget.
-func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membudget.Budget, spill *membudget.SpillStore) (*Result, *BudgetStats, error) {
+func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget membudget.Budget, spill *membudget.SpillStore) (Result, BudgetStats, error) {
 	build, probe, reversed := r, s, false
 	if s.NumTuples < r.NumTuples {
 		build, probe, reversed = s, r, true
@@ -129,12 +129,12 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 	nBuild, nProbe := int64(build.NumTuples), int64(probe.NumTuples)
 	cfg := BudgetConfig{Budget: budget, Spill: spill, Threads: threads}.withDefaults()
 	d := Decision{Action: ActionInMemory, BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed}
-	stats := &BudgetStats{}
-	var res *Result
+	var stats BudgetStats
+	var res Result
 	if !budget.Limited() || nBuild*BuildTupleBytes <= budget.Cap() {
 		var err error
 		if res, err = NonPartitioned(build, probe, threads); err != nil {
-			return nil, nil, err
+			return Result{}, BudgetStats{}, err
 		}
 		stats.Decisions = []Decision{d}
 	} else {
@@ -144,7 +144,7 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 		start := time.Now()
 		pj := partitionJoiner{cfg: &cfg}
 		chunks := pj.broadcast(bs, ps, !reversed)
-		res = &Result{
+		res = Result{
 			Matches:  pj.matches,
 			Checksum: pj.checksum,
 			Elapsed:  time.Since(start),
@@ -157,6 +157,6 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget *membud
 		broadcast.Action, broadcast.Depth, broadcast.Chunks = ActionBroadcast, 1, chunks
 		stats.Decisions = []Decision{spilled, broadcast}
 	}
-	tally(stats, cfg)
+	tally(&stats, cfg)
 	return res, stats, nil
 }

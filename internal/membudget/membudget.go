@@ -9,35 +9,28 @@
 // fpgavet deterministic path.
 package membudget
 
-// Budget is a fixed byte cap. A nil Budget (or a cap ≤ 0) is unlimited:
-// every method is nil-safe, so call sites need no branching between
-// budgeted and unbudgeted runs.
+// Budget is a fixed byte cap, a value: the zero Budget (or a cap ≤ 0) is
+// unlimited, so call sites need no branching between budgeted and
+// unbudgeted runs.
 type Budget struct {
 	capBytes int64
 }
 
 // New returns a budget capped at capBytes; capBytes ≤ 0 means unlimited.
-func New(capBytes int64) *Budget {
-	if capBytes <= 0 {
-		return &Budget{}
-	}
-	return &Budget{capBytes: capBytes}
+func New(capBytes int64) Budget {
+	return Budget{capBytes: max(capBytes, 0)}
 }
 
 // Cap returns the byte cap; 0 means unlimited.
-func (b *Budget) Cap() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.capBytes
-}
+func (b Budget) Cap() int64 { return b.capBytes }
 
 // Limited reports whether the budget actually constrains allocations.
-func (b *Budget) Limited() bool { return b != nil && b.capBytes > 0 }
+func (b Budget) Limited() bool { return b.capBytes > 0 }
 
 // SpillStore accounts the read side of the simulated spill device: the
 // bytes a recursing or broadcasting pass reads back of a partition that
-// exceeded the budget. Like Budget it is pure bookkeeping and nil-safe.
+// exceeded the budget. It is pure bookkeeping and nil-safe: a nil store
+// discards what it is told.
 type SpillStore struct {
 	read int64
 }

@@ -3,7 +3,7 @@ package membudget
 import "testing"
 
 func TestUnlimitedBudget(t *testing.T) {
-	for _, b := range []*Budget{nil, New(0), New(-5)} {
+	for _, b := range []Budget{{}, New(0), New(-5)} {
 		if b.Limited() || b.Cap() != 0 {
 			t.Fatalf("budget %v should be unlimited", b)
 		}

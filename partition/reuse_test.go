@@ -142,10 +142,11 @@ const poisonWord = 0xbad0_5eed_bad0_5eed
 
 // poison is releaseHook in this package's tests. It overwrites every buffer
 // a released result hands back, tuple words with poisonWord and offsets,
-// bases and counts with -1, and the fan-out of the CPU result the Result
-// holds by value, so that a read after Release shows up, and so does a call
-// that reads a recycled buffer before writing it: its result would differ
-// from a new partitioner's.
+// bases and counts with -1, the fan-out of the CPU result the Result holds
+// by value and every other field of the circuit's Output, which the
+// circuit's next run fills, so that a read after Release shows up, and so
+// does a call that reads a recycled buffer or field before writing it: its
+// result would differ from a new partitioner's.
 func poison(r *Result) {
 	if r.fpga == nil {
 		fill(r.cpu.Data, poisonWord)
@@ -157,6 +158,8 @@ func poison(r *Result) {
 	for _, s := range [][]int64{r.fpga.Base, r.fpga.LinesUsed, r.fpga.Counts} {
 		fill(s, -1)
 	}
+	o := r.fpga
+	o.NumPartitions, o.TupleWidth, o.DummyKey, o.DummyKeyed = -1, -1, poisonWord>>32, -1
 }
 
 func fill[T any](s []T, v T) {

@@ -42,31 +42,35 @@ func runCost(t *testing.T, jobs []Job, cfg Config) (objects, bytes uint64) {
 // second half of a 400-job trace, so that what a Run sets up once (pools, the
 // partitioner of each configuration a slot meets, and with it the circuit's
 // datapath) does not count. The limits are what is reached plus a few
-// percent: 1.41 objects for a partition job and 8.76 for a join job (the
-// partition.Result of each partition call, the circuit's Output, and the
-// join's own objects); an FPGA-placed partition job 5.35 kB and a join job
-// 5.96 kB, a CPU-placed one 1.39 kB and 2.53 kB. The scheduler's queues
-// change in place, each slot reuses one batch, jobStates and counts are
-// carved from chunks, and every job releases its results to the slot's
-// partitioner, which keeps its run state, its BRAM slab and the rows it
-// converts a key column into: what is left per job is what it reports, and
-// the output lines and the bank BRAM contents (512 B × fan-out each, 12.7 kB
-// each at the trace's mean fan-out of 24.8), the circuit's bookkeeping and
-// the CPU's output are the previous jobs'. They were 10.75 and 18.75
-// objects, 6.2 and 7.8 kB on the FPGA, 1.6 and 2.6 kB on the CPU while every
-// dispatch built its batch and its queues' copies and every call its run
-// state (14.86 and 28.58 objects, 29.0 and 56.8 kB on the FPGA, 2.8 and 5.2
-// kB on the CPU while every call allocated its output, and 17.89 and 36.23
-// objects, 122.1 kB for an FPGA partition job, while every circuit run
-// rebuilt its datapath and every CPU call its buffers).
+// percent: 1.27 objects for a partition job and 2.29 for a join job (the
+// partition.Result of each partition call); an FPGA-placed partition job
+// 5.20 kB and a join job 4.90 kB, a CPU-placed one 1.39 kB and 1.62 kB. The
+// scheduler's queues change in place, each slot reuses one batch and one
+// joiner, jobStates and counts are carved from chunks, and every job
+// releases its results to the slot's partitioner, which keeps its run
+// state, its BRAM slab, its Output and the rows it converts a key column
+// into: what is left per job is what it reports, and the output lines and
+// the bank BRAM contents (512 B × fan-out each, 12.7 kB each at the trace's
+// mean fan-out of 24.8), the circuit's bookkeeping, the CPU's output and
+// the join's tables and decision log are the previous jobs'. They were 1.41
+// and 8.76 objects, 5.35 and 5.96 kB on the FPGA, 1.39 and 2.53 kB on the
+// CPU while every join built its executor, stats, result, tables and budget
+// and every circuit run its Output (limits 1.5 and 9.1 objects, 5 550 and
+// 6 200 B, 1 450 and 2 650 B); 10.75 and 18.75 objects, 6.2 and 7.8 kB on
+// the FPGA, 1.6 and 2.6 kB on the CPU while every dispatch built its batch
+// and its queues' copies and every call its run state (14.86 and 28.58
+// objects, 29.0 and 56.8 kB on the FPGA, 2.8 and 5.2 kB on the CPU while
+// every call allocated its output, and 17.89 and 36.23 objects, 122.1 kB
+// for an FPGA partition job, while every circuit run rebuilt its datapath
+// and every CPU call its buffers).
 func TestRunAllocationsPerJob(t *testing.T) {
 	for _, tc := range []struct {
 		name                         string
 		joins                        bool
 		objects, fpgaBytes, cpuBytes float64
 	}{
-		{"partition jobs", false, 1.5, 5550, 1450},
-		{"join jobs", true, 9.1, 6200, 2650},
+		{"partition jobs", false, 1.35, 5400, 1450},
+		{"join jobs", true, 2.4, 5100, 1700},
 	} {
 		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128})
 		if err != nil {
@@ -83,14 +87,18 @@ func TestRunAllocationsPerJob(t *testing.T) {
 			o0, b0 := runCost(t, jobs[:200], cfg)
 			return float64(o1-o0) / 200, float64(b1-b0) / 200
 		}
-		if objects, _ := perJob(Config{}); objects > tc.objects {
+		objects, _ := perJob(Config{})
+		_, fpgaBytes := perJob(Config{FPGAs: 2})
+		_, cpuBytes := perJob(Config{Workers: 2})
+		t.Logf("%s: %.2f heap objects per job; %.0f bytes on an FPGA-only pool, %.0f on a CPU-only one", tc.name, objects, fpgaBytes, cpuBytes)
+		if objects > tc.objects {
 			t.Errorf("%s: %.2f heap objects per job, want at most %.2f", tc.name, objects, tc.objects)
 		}
-		if _, bytes := perJob(Config{FPGAs: 2}); bytes > tc.fpgaBytes {
-			t.Errorf("%s, FPGA-only pool: %.0f bytes per job, want at most %.0f", tc.name, bytes, tc.fpgaBytes)
+		if fpgaBytes > tc.fpgaBytes {
+			t.Errorf("%s, FPGA-only pool: %.0f bytes per job, want at most %.0f", tc.name, fpgaBytes, tc.fpgaBytes)
 		}
-		if _, bytes := perJob(Config{Workers: 2}); bytes > tc.cpuBytes {
-			t.Errorf("%s, CPU-only pool: %.0f bytes per job, want at most %.0f", tc.name, bytes, tc.cpuBytes)
+		if cpuBytes > tc.cpuBytes {
+			t.Errorf("%s, CPU-only pool: %.0f bytes per job, want at most %.0f", tc.name, cpuBytes, tc.cpuBytes)
 		}
 	}
 }

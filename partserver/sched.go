@@ -83,10 +83,12 @@ type resource struct {
 	parts    map[configKey]partition.Partitioner
 	platform *platform.Platform // the Scheduler's, shared by its FPGA partitioners
 	memo     *Memo              // Config.Memo
-	// batch is the slot's one batch, and counts the chunk its jobs'
-	// partition counts are carved from.
+	// batch is the slot's one batch, counts the chunk its jobs' partition
+	// counts are carved from, and joiner the build+probe its join jobs run
+	// on, whose tables and decision log the next join reuses.
 	batch  batch
 	counts []int64
+	joiner joincore.Joiner
 }
 
 // Scheduler is the steppable virtual-time scheduler of one deployment. A

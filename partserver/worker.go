@@ -117,7 +117,7 @@ func (r *resource) execute(spec *Job, key configKey, out *execOut) error {
 		return err
 	}
 	defer probe.Release()
-	return out.join(build, probe, spec.MemoryBudgetBytes)
+	return out.join(&r.joiner, build, probe, spec.MemoryBudgetBytes)
 }
 
 // partition runs p over rel and charges its simulated circuit time — also
@@ -148,10 +148,11 @@ func (out *execOut) fill(res *partition.Result, chunk *[]int64) {
 	}
 }
 
-// join joins the partitioned sides under the job's per-tenant memory budget
-// (≤ 0: unlimited). Single-threaded, so the execution is bit-reproducible.
-func (out *execOut) join(build, probe *partition.Result, budgetBytes int64) error {
-	jr, stats, err := joincore.BudgetedBuildProbe(build, probe, joincore.BudgetConfig{
+// join joins the partitioned sides on the slot's joiner under the job's
+// per-tenant memory budget (≤ 0: unlimited). Single-threaded, so the
+// execution is bit-reproducible.
+func (out *execOut) join(j *joincore.Joiner, build, probe *partition.Result, budgetBytes int64) error {
+	jr, stats, err := j.Join(build, probe, joincore.BudgetConfig{
 		Budget:  membudget.New(budgetBytes),
 		Threads: 1,
 	})
