@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fpgapart/codec"
@@ -32,8 +33,9 @@ type outLine struct {
 }
 
 // Circuit is a synthesized partitioner configuration bound to a platform
-// link. Create one with NewCircuit and call Partition per relation; a
-// Circuit is not safe for concurrent use (it is one piece of hardware).
+// link. Create one with NewCircuit, call Partition per relation and
+// Reconfigure to load another configuration; a Circuit is not safe for
+// concurrent use (it is one piece of hardware).
 type Circuit struct {
 	cfg     Config
 	clockHz float64
@@ -41,14 +43,15 @@ type Circuit struct {
 	// The datapath exists for the life of the bitstream (Section 4): the
 	// hash pipeline register, the FIFOs, the combiners' control state and the
 	// QPI end-point (every pass's SetMix empties its token buckets) are built
-	// once and reset by every run. Only state whose size depends on neither
-	// fan-out nor input is kept here; the BRAM contents and the destination
-	// bookkeeping are the run's (see newRun) — unless a reader hands an
-	// Output back (Recycle): then later runs write into its buffers.
+	// once, loaded by Reconfigure and reset by every run. Only state whose
+	// size depends on neither fan-out nor input is kept here; the BRAM
+	// contents and the destination bookkeeping are the run's (see newRun) —
+	// unless a reader hands an Output back (Recycle): then later runs write
+	// into its buffers.
 	// The hash pipelines carry lane groups as their tuple counts: what each
 	// tuple does was decided before the clock started (prepass).
 	pipe  fpga.Reg[int]
-	comb  []*combiner // the lanes' combiners, one slab (NewCircuit)
+	comb  []*combiner // the lanes' combiners, one slab as long as comb's capacity
 	final fpga.FIFO[outLine]
 	ep    *qpi.Endpoint
 	// The cycle loop writes pipe and final every cycle: the pad keeps them
@@ -59,34 +62,66 @@ type Circuit struct {
 	spare *Output              // a recycled Output, which the next run fills
 	// cur is the run in progress, set by newRun and cleared when it ends.
 	cur run
+
+	// What only Reconfigure reads sits behind the fields the cycle loops
+	// touch, which keep their places on the cache lines: the curve the
+	// end-point was built for, and the slab every FIFO ring is carved from
+	// (each combiner's output FIFO, then the final FIFO).
+	curve platform.BandwidthCurve
+	rings []outLine
 }
 
 // NewCircuit validates cfg and binds it to an FPGA clock and a QPI bandwidth
 // curve (use platform.XeonFPGA().FPGAAlone for the paper's end-to-end
 // numbers and platform.RawFPGA().FPGAAlone for the raw-throughput wrapper).
 func NewCircuit(cfg Config, clockHz float64, curve platform.BandwidthCurve) (*Circuit, error) {
+	c := &Circuit{pipe: fpga.MakeReg[int](hashPipelineDepth)}
+	if err := c.Reconfigure(cfg, clockHz, curve); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reconfigure loads cfg onto the circuit in place, bound to clockHz and
+// curve, as a new bitstream replaces the one an FPGA held: a run after it is
+// the run of a new circuit of cfg. It validates first, so on an error the
+// circuit keeps its configuration. It keeps what no configuration owns —
+// the placement side's bank, BRAM slab, log and hand-off ring, and the
+// recycled outputs — and re-initialises the combiners and FIFOs in their
+// slabs if the new lane count fits them; only a QPI end-point of another
+// clock or curve, or larger slabs, are allocated. It must not run
+// concurrently with a run.
+func (c *Circuit) Reconfigure(cfg Config, clockHz float64, curve platform.BandwidthCurve) error {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	ep, err := qpi.New(clockHz, curve) // checks the clock and the curve
-	if err != nil {
-		return nil, err
+	ep := c.ep
+	if ep == nil || clockHz != c.clockHz || !slices.Equal(curve.Points, c.curve.Points) {
+		var err error
+		if ep, err = qpi.New(clockHz, curve); err != nil { // checks the clock and the curve
+			return err
+		}
 	}
+	c.cfg, c.clockHz, c.curve, c.ep = cfg, clockHz, curve, ep
+	// One slab holds the combiners and one every FIFO ring: the circuit is
+	// the same handful of objects at any width. The cycle loops reach a
+	// combiner through c.comb, a load, as they would an object of its own:
+	// indexing the slab costs a multiply per lane and cycle.
 	lanes, depth := cfg.Lanes(), cfg.OutFIFODepth
-	c := &Circuit{cfg: cfg, clockHz: clockHz, ep: ep, pipe: fpga.MakeReg[int](hashPipelineDepth), comb: make([]*combiner, lanes)}
-	// One slab holds the combiners and one every FIFO ring: each combiner's
-	// output FIFO, then the final FIFO. The circuit is the same handful of
-	// objects at any width. The cycle loops reach a combiner through c.comb,
-	// a load, as they would an object of its own: indexing the slab costs a
-	// multiply per lane and cycle.
-	combs, rings := make([]combiner, lanes), make([]outLine, lanes*depth+finalFIFODepth)
-	for i := range combs {
-		combs[i].init(cfg, lanes, rings[i*depth:(i+1)*depth])
-		c.comb[i] = &combs[i]
+	if cap(c.comb) < lanes || len(c.rings) < lanes*depth+finalFIFODepth {
+		combs := make([]combiner, lanes)
+		c.comb, c.rings = make([]*combiner, lanes), make([]outLine, lanes*depth+finalFIFODepth)
+		for i := range combs {
+			c.comb[i] = &combs[i]
+		}
 	}
-	c.final = fpga.MakeFIFO(rings[lanes*depth:])
-	return c, nil
+	c.comb = c.comb[:lanes]
+	for i, cb := range c.comb {
+		cb.init(cfg, lanes, c.rings[i*depth:(i+1)*depth])
+	}
+	c.final = fpga.MakeFIFO(c.rings[lanes*depth : lanes*depth+finalFIFODepth])
+	return nil
 }
 
 // Config returns the circuit's (defaulted) configuration.

@@ -164,8 +164,8 @@ func TestPartitionAllocations(t *testing.T) {
 const circuitObjects = 6
 
 // TestNewCircuitAllocations pins what building a circuit costs at one, two,
-// four and eight lanes: a serving slot builds one per configuration it
-// meets, so a per-lane object is paid per circuit the slot builds.
+// four and eight lanes: each serving slot builds one, and reconfigures it
+// in place for every other configuration (TestReconfigureAllocations).
 func TestNewCircuitAllocations(t *testing.T) {
 	plat := platform.XeonFPGA()
 	for _, width := range []int{64, 32, 16, 8} {

@@ -219,15 +219,15 @@ func (pl *placer) stop() {
 	}
 }
 
-// run allocates the bank lines, unless the circuit kept them, takes the
-// output, a recycled one's lines if one fits, fills it with dummy keys
-// (never-written slots — PAD headroom, a flushed line's unused slots — read
-// as dummies, like bitstream-initialized memory) and places the log. Kept
-// buffers need no clearing: the fill writes every output word, and a bank
-// slot is read only after this run wrote it.
+// run allocates the bank lines, unless the circuit kept enough of them,
+// takes the output, a recycled one's lines if one fits, fills it with dummy
+// keys (never-written slots — PAD headroom, a flushed line's unused slots —
+// read as dummies, like bitstream-initialized memory) and places the log.
+// Kept buffers need no clearing: the fill writes every output word, and a
+// bank slot is read only after this run wrote it.
 func (pl *placer) run() {
-	if !pl.single && pl.bank == nil {
-		pl.bank = make([]uint64, pl.lanes*pl.parts*8)
+	if n := pl.lanes * pl.parts * 8; !pl.single && cap(pl.bank) < n {
+		pl.bank = make([]uint64, n)
 	}
 	pl.lines = pl.spare.Take(int(pl.words))
 	if len(pl.lines) > 0 {

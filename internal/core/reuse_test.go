@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -280,5 +281,130 @@ func TestCombinerResetMatchesNewCombiner(t *testing.T) {
 			used.out.Drop()
 			fresh.out.Drop()
 		}
+	}
+}
+
+// reconfigLink is a clock and a bandwidth curve a circuit is bound to.
+type reconfigLink struct {
+	clockHz float64
+	curve   platform.BandwidthCurve
+}
+
+// TestCircuitReconfigureMatchesFresh holds Reconfigure to the same standard:
+// one circuit runs a random sequence of configurations — TestCycleLockRandom's
+// draws: fan-out 2–8192, hash and radix, PAD and HIST, RID and VRID, widths
+// 8–64 (so the lane count changes both ways), PadFraction, FIFO depths, both
+// ablations, RLE input, one-key inputs that overflow a PAD partition, runs
+// placed on a second goroutine — on the alone, interfered and raw curves and
+// two clocks, with every other output recycled, poisoned, into the next
+// configuration's run. Every run
+// must equal a new circuit's. Every seventh step tries an invalid
+// configuration or link first, which must fail and leave the previous
+// configuration loaded: the step runs that one again.
+func TestCircuitReconfigureMatchesFresh(t *testing.T) {
+	xeon, raw := platform.XeonFPGA(), platform.RawFPGA()
+	links := []reconfigLink{
+		{xeon.FPGAClockHz, xeon.FPGAAlone}, {xeon.FPGAClockHz, xeon.FPGAInterfered},
+		{raw.FPGAClockHz, raw.FPGAAlone}, {xeon.FPGAClockHz / 2, xeon.FPGAAlone},
+	}
+	rng := rand.New(rand.NewSource(51))
+	prev, prevLink := randomLockCase(rng, 0), links[0]
+	c, err := NewCircuit(prev.cfg, prevLink.clockHz, prevLink.curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overflows, narrowed, widened, recycled int
+	for step := 0; step < 96; step++ {
+		lc, link := randomLockCase(rng, step), links[rng.Intn(len(links))]
+		lanes := c.cfg.Lanes()
+		if step%7 == 6 {
+			bad := []struct {
+				cfg  Config
+				link reconfigLink
+			}{
+				{Config{NumPartitions: 3, TupleWidth: 8}, link},
+				{Config{NumPartitions: 64, TupleWidth: 16, Layout: VRID}, link},
+				{lc.cfg, reconfigLink{0, link.curve}},
+				{lc.cfg, reconfigLink{link.clockHz, platform.BandwidthCurve{}}},
+			}[step%4]
+			loaded := c.Config()
+			if err := c.Reconfigure(bad.cfg, bad.link.clockHz, bad.link.curve); err == nil {
+				t.Fatalf("step %d: invalid reconfiguration %+v at %v Hz accepted", step, bad.cfg, bad.link.clockHz)
+			}
+			if c.Config() != loaded {
+				t.Fatalf("step %d: a failed reconfiguration changed the loaded configuration", step)
+			}
+			lc, link = prev, prevLink
+		} else if err := c.Reconfigure(lc.cfg, link.clockHz, link.curve); err != nil {
+			t.Fatalf("step %d (%s): %v", step, lc.name, err)
+		}
+		fresh, err := NewCircuit(lc.cfg, link.clockHz, link.curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(c *Circuit) reuseOutcome {
+			var o reuseOutcome
+			if lc.keys != nil {
+				o.out, o.stats, o.err = c.PartitionCompressed(codec.CompressRLE(lc.keys()))
+			} else {
+				o.out, o.stats, o.err = c.Partition(lc.rel(t))
+			}
+			return o
+		}
+		u, f := run(c), run(fresh)
+		requireSameOutcome(t, fmt.Sprintf("step %d (%s)", step, lc.name), u, f)
+		if u.out != nil && step%2 == 0 {
+			poisonOutput(u.out)
+			c.Recycle(u.out)
+			recycled++
+		}
+		if f.stats.Overflowed {
+			overflows++
+		}
+		if l := c.cfg.Lanes(); l < lanes {
+			narrowed++
+		} else if l > lanes {
+			widened++
+		}
+		prev, prevLink = lc, link
+	}
+	if async := c.pl.full != nil; overflows == 0 || narrowed == 0 || widened == 0 || recycled == 0 || !async {
+		t.Errorf("the sequence lost a case: %d PAD overflows, %d narrowing and %d widening reconfigurations, %d recycled outputs, placed on a second goroutine %t",
+			overflows, narrowed, widened, recycled, async)
+	}
+}
+
+// TestReconfigureAllocations pins what loading a configuration costs:
+// nothing while the circuit's slabs fit it and the link stays — eight lanes
+// to one and back, PAD to HIST, RID to VRID, fan-out 64 to 8192 — and one
+// object, the QPI end-point, per change of the curve.
+func TestReconfigureAllocations(t *testing.T) {
+	plat := platform.XeonFPGA()
+	configs := []Config{
+		{NumPartitions: 64, TupleWidth: 8, Hash: true, Format: PAD, Layout: RID},
+		{NumPartitions: 8192, TupleWidth: 64, Format: HIST, Layout: RID},
+		{NumPartitions: 16, TupleWidth: 8, Hash: true, Format: HIST, Layout: VRID, DisableForwarding: true},
+	}
+	c, err := NewCircuit(configs[0], plat.FPGAClockHz, plat.FPGAAlone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(cfg Config, curve platform.BandwidthCurve) {
+		if err := c.Reconfigure(cfg, plat.FPGAClockHz, curve); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range configs {
+			load(configs[(i+1)%len(configs)], plat.FPGAAlone)
+		}
+	}); n != 0 {
+		t.Errorf("reconfigurations that fit make %.0f heap objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		load(configs[0], plat.FPGAInterfered)
+		load(configs[0], plat.FPGAAlone)
+	}); n != 2 {
+		t.Errorf("two changes of the curve make %.0f heap objects, want 2", n)
 	}
 }

@@ -297,17 +297,26 @@ func (p *cpuPartitioner) recycle(r *Result) {
 // NewCPU returns the software partitioner. Its options are checked when
 // it partitions, so the error is always nil.
 func NewCPU(opts CPUOptions) (Partitioner, error) {
+	p := &cpuPartitioner{}
+	return p, p.Reconfigure(opts)
+}
+
+// Reconfigure makes the partitioner's next calls partition by opts, in the
+// scratch and the released buffers it keeps; like NewCPU, it leaves the
+// check of opts to them, so the error is always nil. It must not run
+// concurrently with a call.
+func (p *cpuPartitioner) Reconfigure(opts CPUOptions) error {
 	alg := cpupart.Buffered
 	if opts.Naive {
 		alg = cpupart.Naive
 	}
-	cfg := cpupart.Config{
+	p.cfg = cpupart.Config{
 		NumPartitions: opts.Partitions,
 		Hash:          opts.Hash,
 		Threads:       opts.Threads,
 		Algorithm:     alg,
 	}
-	return &cpuPartitioner{cfg: cfg}, nil
+	return nil
 }
 
 func (p *cpuPartitioner) Name() string {
@@ -413,6 +422,20 @@ func NewFPGA(opts FPGAOptions) (p Partitioner, err error) {
 // newFPGA builds the circuit opts describe, for plain and compressed
 // input alike.
 func newFPGA(opts FPGAOptions) (*fpgaPartitioner, error) {
+	p := &fpgaPartitioner{}
+	if err := p.Reconfigure(opts); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reconfigure loads the circuit opts describe onto the partitioner's
+// circuit in place, as a new bitstream replaces the one an FPGA held: its
+// next calls are those of a new partitioner of opts, written into the
+// buffers it keeps, those of results released under the old options too.
+// On an error the partitioner keeps its old options.
+func (p *fpgaPartitioner) Reconfigure(opts FPGAOptions) (err error) {
+	defer guardSimulator(&err)
 	if opts.TupleWidth == 0 {
 		opts.TupleWidth = 8
 	}
@@ -420,7 +443,7 @@ func newFPGA(opts FPGAOptions) (*fpgaPartitioner, error) {
 		opts.Platform = platform.XeonFPGA()
 	}
 	if err := opts.Platform.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
+		return fmt.Errorf("partition: %w", err)
 	}
 	cfg := core.Config{
 		NumPartitions:        opts.Partitions,
@@ -433,15 +456,22 @@ func newFPGA(opts FPGAOptions) (*fpgaPartitioner, error) {
 		DisableWriteCombiner: opts.DisableWriteCombiner,
 		Trace:                opts.Trace,
 	}
-	curve := opts.Platform.FPGAAlone
+	clockHz, curve := opts.Platform.FPGAClockHz, opts.Platform.FPGAAlone
 	if opts.Interfered {
 		curve = opts.Platform.FPGAInterfered
 	}
-	circuit, err := core.NewCircuit(cfg, opts.Platform.FPGAClockHz, curve)
-	if err != nil {
-		return nil, err
+	p.busy.Lock()
+	defer p.busy.Unlock()
+	if p.circuit == nil {
+		p.circuit, err = core.NewCircuit(cfg, clockHz, curve)
+	} else {
+		err = p.circuit.Reconfigure(cfg, clockHz, curve)
 	}
-	return &fpgaPartitioner{opts: opts, circuit: circuit}, nil
+	if err != nil {
+		return err
+	}
+	p.opts = opts
+	return nil
 }
 
 func (p *fpgaPartitioner) Name() string {

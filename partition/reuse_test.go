@@ -60,47 +60,70 @@ func newReusePartitioner(t *testing.T, kind uint8, sess *simtrace.Session) (Part
 		p   Partitioner
 		err error
 	)
-	width, layout := 8, workload.RowLayout
 	if fpga != nil {
 		p, err = NewFPGA(*fpga)
-		if fpga.TupleWidth != 0 {
-			width = fpga.TupleWidth
-		}
-		if fpga.Layout == ColumnStore {
-			layout = workload.ColumnLayout
-		}
 	} else {
 		p, err = NewCPU(*cpu)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	width, layout := reuseShape(fpga)
 	return p, width, layout
 }
 
-// reuseRelations is the sequence a long-lived partitioner sees: the fuzzed
-// keys; nothing; one key only (the earliest PAD overflow there is); the
-// fuzzed keys then one key (an overflow mid-pass); a few tuples of that key,
-// which fit; the fuzzed keys again.
-func reuseRelations(t *testing.T, data []byte, width int, layout workload.Layout) []*workload.Relation {
+// reconfigureReuse reconfigures p, a partitioner of kind's backend, to kind.
+func reconfigureReuse(t *testing.T, p Partitioner, kind uint8, sess *simtrace.Session) (int, workload.Layout) {
+	t.Helper()
+	fpga, cpu := reuseOptions(kind, sess)
+	var err error
+	if fpga != nil {
+		err = p.(*fpgaPartitioner).Reconfigure(*fpga)
+	} else {
+		err = p.(*cpuPartitioner).Reconfigure(*cpu)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reuseShape(fpga)
+}
+
+// reuseShape is the tuple width and layout a partitioner of fpga (nil: the
+// CPU partitioner) reads.
+func reuseShape(fpga *FPGAOptions) (int, workload.Layout) {
+	width, layout := 8, workload.RowLayout
+	if fpga != nil && fpga.TupleWidth != 0 {
+		width = fpga.TupleWidth
+	}
+	if fpga != nil && fpga.Layout == ColumnStore {
+		layout = workload.ColumnLayout
+	}
+	return width, layout
+}
+
+// reuseSteps is the length of the sequence a long-lived partitioner sees.
+const reuseSteps = 6
+
+// reuseRelation is step's relation of the sequence a long-lived partitioner
+// sees: the fuzzed keys; nothing; one key only (the earliest PAD overflow
+// there is); the fuzzed keys then one key (an overflow mid-pass); a few
+// tuples of that key, which fit; the fuzzed keys again.
+func reuseRelation(t *testing.T, data []byte, step, width int, layout workload.Layout) *workload.Relation {
 	t.Helper()
 	keys := make([]uint32, len(data)/4)
 	for i := range keys {
 		keys[i] = binary.LittleEndian.Uint32(data[i*4:])
 	}
 	hot := func(n int) []uint32 { return keysOf(0x5eed, n) }
-	var rels []*workload.Relation
-	for _, ks := range [][]uint32{keys, nil, hot(256), append(slices.Clone(keys), hot(256)...), hot(2), keys} {
-		rel, err := workload.FromKeys(ks, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if layout == workload.ColumnLayout {
-			rel = rel.ToColumns()
-		}
-		rels = append(rels, rel)
+	ks := [reuseSteps][]uint32{keys, nil, hot(256), append(slices.Clone(keys), hot(256)...), hot(2), keys}[step]
+	rel, err := workload.FromKeys(ks, width)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rels
+	if layout == workload.ColumnLayout {
+		rel = rel.ToColumns()
+	}
+	return rel
 }
 
 // requireSameResult fails unless the long-lived partitioner's outcome is the
@@ -173,29 +196,48 @@ func init() { releaseHook = poison }
 // FuzzPartitionerReuse is differential fuzzing of partitioner reuse. A
 // partitioner keeps what it built — the circuit's datapath, the CPU
 // partitioner's scratch — from call to call, and the buffers of the results
-// released to it (bit step of release decides whether step's result is, once
-// compared; poisoned, see poison); whatever the previous call was, the next
-// one must return what a new partitioner returns: the identical result or
-// the identical error, and never a panic past ErrSimulatorFault.
+// released to it. Nibble step of reconf, when odd, reconfigures it in place
+// before step, to the configuration of its backend that the nibble's upper
+// three bits pick. Bit step of release decides whether step's result is
+// released (and poisoned, see poison), at the start of the next step and
+// after its reconfiguration, so that a buffer of the old configuration may
+// back the new one's run. Whatever the previous calls were, the next one
+// must return what a new partitioner returns: the identical result or the
+// identical error, and never a panic past ErrSimulatorFault.
 func FuzzPartitionerReuse(f *testing.F) {
 	seed := make([]byte, 4*400)
 	for i := range seed {
 		seed[i] = byte(i * 131 >> (i % 5))
 	}
 	for kind := uint8(0); kind < reuseKinds; kind++ {
-		f.Add(kind, uint8(0b101101), seed)
+		f.Add(kind, uint8(0b101101), uint32(0), seed)
+		f.Add(kind, uint8(0xff), uint32(0x975311), seed)
 	}
-	f.Add(uint8(0), uint8(0xff), []byte{})
-	f.Add(uint8(9), uint8(0xff), bytes.Repeat([]byte{1, 0, 0, 0}, 300))
-	f.Add(uint8(1), uint8(0), seed)
-	f.Add(uint8(12), uint8(0xff), seed)
-	f.Fuzz(func(t *testing.T, kind, release uint8, data []byte) {
+	f.Add(uint8(0), uint8(0xff), uint32(0), []byte{})
+	f.Add(uint8(9), uint8(0xff), uint32(0x0f0f0f), bytes.Repeat([]byte{1, 0, 0, 0}, 300))
+	f.Add(uint8(1), uint8(0), uint32(0), seed)
+	f.Add(uint8(12), uint8(0xff), uint32(0x111111), seed)
+	f.Fuzz(func(t *testing.T, kind, release uint8, reconf uint32, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("bound the per-input work")
 		}
+		kind %= reuseKinds
 		usedSess, freshSess := simtrace.NewSession(), simtrace.NewSession()
 		used, width, layout := newReusePartitioner(t, kind, usedSess)
-		for step, rel := range reuseRelations(t, data, width, layout) {
+		var held *Result // the previous step's result
+		for step := 0; step < reuseSteps; step++ {
+			if r := uint8(reconf >> (4 * step) & 0xf); r&1 == 1 {
+				if pick := r >> 1; kind < 12 { // the circuit's configurations, or the CPU's two
+					kind = (kind + 1 + pick) % 12
+				} else {
+					kind = 12 + (kind+1+pick)%2
+				}
+				width, layout = reconfigureReuse(t, used, kind, usedSess)
+			}
+			if held != nil && release>>(step-1)&1 == 1 {
+				held.Release()
+			}
+			rel := reuseRelation(t, data, step, width, layout)
 			fresh, _, _ := newReusePartitioner(t, kind, freshSess)
 			ur, uerr := used.Partition(rel)
 			fr, ferr := fresh.Partition(rel)
@@ -203,9 +245,7 @@ func FuzzPartitionerReuse(f *testing.F) {
 				t.Fatalf("step %d: %v", step, ferr)
 			}
 			requireSameResult(t, step, ur, uerr, fr, ferr)
-			if ur != nil && release>>step&1 == 1 {
-				ur.Release()
-			}
+			held = ur
 		}
 		var um, fm bytes.Buffer
 		if err := usedSess.Metrics.Snapshot().WriteJSON(&um); err != nil {

@@ -39,20 +39,23 @@ func runCost(t *testing.T, jobs []Job, cfg Config) (objects, bytes uint64) {
 // and executor dominates the per-tuple work, as in the benchmark's serve
 // workloads: heap objects on the default pool, and bytes on an FPGA-only and
 // a CPU-only pool, where every job is placed alike. It is measured over the
-// second half of a 400-job trace, so that what a Run sets up once (pools, the
-// partitioner of each configuration a slot meets, and with it the circuit's
-// datapath) does not count. The limits are what is reached plus a few
-// percent: 1.27 objects for a partition job and 2.29 for a join job (the
-// partition.Result of each partition call); an FPGA-placed partition job
-// 5.20 kB and a join job 4.90 kB, a CPU-placed one 1.39 kB and 1.62 kB. The
-// scheduler's queues change in place, each slot reuses one batch and one
-// joiner, jobStates and counts are carved from chunks, and every job
-// releases its results to the slot's partitioner, which keeps its run
-// state, its BRAM slab, its Output and the rows it converts a key column
-// into: what is left per job is what it reports, and the output lines and
-// the bank BRAM contents (512 B × fan-out each, 12.7 kB each at the trace's
-// mean fan-out of 24.8), the circuit's bookkeeping, the CPU's output and
-// the join's tables and decision log are the previous jobs'. They were 1.41
+// second half of a 400-job trace, so that what a Run sets up once (pools,
+// each slot's one partitioner, and with it the circuit's datapath) does not
+// count. The limits are what is reached plus a few percent: 1.04 objects for
+// a partition job and 2.10 for a join job (the partition.Result of each
+// partition call); an FPGA-placed partition job 1.08 kB and a join job
+// 1.54 kB, a CPU-placed one 1.08 kB and 1.37 kB. The scheduler's queues
+// change in place, each slot reuses one batch and one joiner, jobStates and
+// counts are carved from chunks, and every job releases its results to the
+// slot's partitioner, which a new configuration reconfigures in place and
+// which keeps its run state, its bank and BRAM slab, its Output and the rows
+// it converts a key column into: what is left per job is what it reports,
+// and the output lines, the circuit's bookkeeping, the CPU's output and the
+// join's tables and decision log are the previous jobs'. They were 1.27 and
+// 2.29 objects, 5.20 and 4.90 kB on the FPGA, 1.39 and 1.62 kB on the CPU
+// while a slot kept a partitioner per configuration, each with its own bank
+// and outputs (limits 1.35 and 2.4 objects, 5 400 and 5 100 B, 1 450 and
+// 1 700 B); 1.41
 // and 8.76 objects, 5.35 and 5.96 kB on the FPGA, 1.39 and 2.53 kB on the
 // CPU while every join built its executor, stats, result, tables and budget
 // and every circuit run its Output (limits 1.5 and 9.1 objects, 5 550 and
@@ -69,8 +72,8 @@ func TestRunAllocationsPerJob(t *testing.T) {
 		joins                        bool
 		objects, fpgaBytes, cpuBytes float64
 	}{
-		{"partition jobs", false, 1.35, 5400, 1450},
-		{"join jobs", true, 2.4, 5100, 1700},
+		{"partition jobs", false, 1.1, 1150, 1150},
+		{"join jobs", true, 2.2, 1600, 1450},
 	} {
 		jobs, err := GenerateTrace(7, 400, TraceOptions{MinTuples: 64, MaxTuples: 128})
 		if err != nil {

@@ -3,8 +3,6 @@ package partserver
 import (
 	"sync"
 	"sync/atomic"
-
-	"fpgapart/partition"
 )
 
 // Memo holds the execution outcomes of the requests a routing tier spreads
@@ -31,8 +29,7 @@ type Memo struct {
 	// entries[2*req] is request req's FPGA outcome, entries[2*req+1] its CPU
 	// one.
 	entries []memoEntry
-	// ahead is the CPU slot Ahead computes on: a partitioner of its own per
-	// configuration, used by Ahead's one goroutine only.
+	// ahead is the CPU slot Ahead's one goroutine computes on.
 	ahead resource
 }
 
@@ -48,7 +45,7 @@ func NewMemo(requests int, request func(tag int64) int) *Memo {
 	return &Memo{
 		request: request,
 		entries: make([]memoEntry, 2*requests),
-		ahead:   resource{kind: PlacedCPU, parts: map[configKey]partition.Partitioner{}},
+		ahead:   resource{kind: PlacedCPU},
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"fpgapart/partition"
 )
 
 // TestMemoMatchesExecution: two schedulers sharing a memo — one with
@@ -94,7 +92,7 @@ func TestAheadPanicMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.res[0].parts[key] = brokenPartitioner{}
+	s.res[0].part, s.res[0].partKey = brokenPartitioner{}, key
 	if _, err := s.Submit(jobs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestAheadPanicMatchesInline(t *testing.T) {
 	// The scheduler's own slot is healthy: the job can only fail through
 	// the outcome Ahead computed on the memo's broken one.
 	m := NewMemo(1, func(int64) int { return 0 })
-	m.ahead.parts[key] = brokenPartitioner{}
+	m.ahead.part, m.ahead.partKey = brokenPartitioner{}, key
 	m.Ahead(0, &jobs[0])
 	rep, err := Run(jobs, Config{Workers: 1, Memo: m})
 	if err != nil {
@@ -135,7 +133,7 @@ func TestMemoComputesEachEntryOnce(t *testing.T) {
 	}
 	for round := 0; round < 10; round++ {
 		m := NewMemo(len(jobs), func(tag int64) int { return int(tag) })
-		cpu := &resource{kind: PlacedCPU, parts: map[configKey]partition.Partitioner{}}
+		cpu := &resource{kind: PlacedCPU}
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

@@ -77,10 +77,12 @@ type resource struct {
 	crashAt  int
 	straggle float64
 
-	// parts keeps the partitioner of every configuration the slot has run;
-	// loading a different one onto the (stateful, one-job-at-a-time) circuit
-	// is virtual time the scheduler charges as reconfigUS, not host work.
-	parts    map[configKey]partition.Partitioner
+	// part is the slot's one partitioner and partKey the configuration it
+	// holds, which is not loaded's when a job's outcome came from the memo.
+	// Loading another configuration is virtual time the scheduler charges
+	// as reconfigUS, not host work.
+	part     partition.Partitioner
+	partKey  configKey
 	platform *platform.Platform // the Scheduler's, shared by its FPGA partitioners
 	memo     *Memo              // Config.Memo
 	// batch is the slot's one batch, counts the chunk its jobs' partition
@@ -179,7 +181,6 @@ func NewScheduler(cfg Config, totalJobs int) (s *Scheduler, err error) {
 			idx:      i - cfg.FPGAs,
 			crashAt:  -1,
 			straggle: 1,
-			parts:    map[configKey]partition.Partitioner{},
 			platform: s.platform,
 			memo:     cfg.Memo,
 		}
@@ -313,22 +314,12 @@ const (
 // possible, scanning the admission queue in order (a job that cannot be
 // placed does not block the jobs behind it).
 func (s *Scheduler) dispatchLoop() {
-	for {
-		placed := false
-		for qi := 0; qi < len(s.admit); qi++ {
-			j := s.admit[qi]
-			r := s.place(j)
-			if r == nil {
-				continue
-			}
-			s.dispatch(j, qi, r)
-			placed = true
-			break
+	for qi := 0; qi < len(s.admit); qi++ {
+		if r := s.place(s.admit[qi]); r != nil {
+			s.dispatch(s.admit[qi], qi, r)
+			s.admitWaiting()
+			qi = -1 // the dispatch changed the queue: scan it again from the front
 		}
-		if !placed {
-			return
-		}
-		s.admitWaiting()
 	}
 }
 

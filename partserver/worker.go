@@ -29,17 +29,19 @@ type execOut struct {
 	spilledBytes int64
 }
 
-// partitioner returns the slot's partitioner for key. The FPGA never falls
-// back by itself: a job it cannot partition exactly goes back to the
+// partitioner returns the slot's one partitioner, configured for key: if it
+// holds another configuration, it is reconfigured in place, as the one
+// circuit of an FPGA is (built, on the slot's first job). The FPGA never
+// falls back by itself: a job it cannot partition exactly goes back to the
 // scheduler, which degrades it to the CPU pool. CPU slots run
 // single-threaded so the produced tuple order (not just the multiset) is
 // identical across runs.
 func (r *resource) partitioner(key configKey) (p partition.Partitioner, err error) {
-	if p, ok := r.parts[key]; ok {
-		return p, nil
+	if r.part != nil && r.partKey == key {
+		return r.part, nil
 	}
 	if r.kind == PlacedFPGA {
-		p, err = partition.NewFPGA(partition.FPGAOptions{
+		p, err = reconfigure(r.part, partition.NewFPGA, partition.FPGAOptions{
 			Partitions:      key.fanOut,
 			Hash:            key.hash,
 			Format:          key.format,
@@ -49,12 +51,21 @@ func (r *resource) partitioner(key configKey) (p partition.Partitioner, err erro
 			DisableFallback: true,
 		})
 	} else {
-		p, err = partition.NewCPU(partition.CPUOptions{Partitions: key.fanOut, Hash: key.hash, Threads: 1})
+		p, err = reconfigure(r.part, partition.NewCPU, partition.CPUOptions{Partitions: key.fanOut, Hash: key.hash, Threads: 1})
 	}
 	if err == nil {
-		r.parts[key] = p
+		r.part, r.partKey = p, key
 	}
 	return p, err
+}
+
+// reconfigure reconfigures p to opts in place if it is a partitioner of
+// opts' backend, and else returns build's new one.
+func reconfigure[O any](p partition.Partitioner, build func(O) (partition.Partitioner, error), opts O) (partition.Partitioner, error) {
+	if q, ok := p.(interface{ Reconfigure(O) error }); ok {
+		return p, q.Reconfigure(opts)
+	}
+	return build(opts)
 }
 
 // runJob executes j on the slot — the host work of a dispatch, which draws
