@@ -44,7 +44,7 @@ func main() {
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Description)
+			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -65,38 +65,44 @@ func main() {
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, MaxThreads: *maxThreads}.WithDefaults()
 	fmt.Printf("fpgapart reproduction — scale %.4g, seed %d, ≤%d threads\n", cfg.Scale, cfg.Seed, cfg.MaxThreads)
 
-	run := func(e experiments.Experiment) {
+	// One CSV() per run feeds both the text and the file.
+	run := func(e experiments.Experiment) error {
 		start := time.Now()
 		res, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			return err
 		}
-		res.Text(os.Stdout)
+		rows := res.CSV()
+		if err := e.Text(os.Stdout, rows, res.Notes()); err != nil {
+			return err
+		}
 		done := "finished"
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, e.ID+".csv")
-			if err := writeCSV(path, res.CSV()); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-				os.Exit(1)
+			if err := writeCSV(path, rows); err != nil {
+				return err
 			}
 			done = "csv written to " + path
 		}
 		fmt.Printf("[%s %s in %v]\n", e.ID, done, time.Since(start).Round(time.Millisecond))
+		return nil
 	}
 
-	if *exp == "all" {
-		for _, e := range experiments.All() {
-			run(e)
-		}
-	} else {
+	exps := experiments.All()
+	if *exp != "all" {
 		e, err := experiments.Find(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			fmt.Fprintln(os.Stderr, "use -list to see available experiments")
 			os.Exit(2)
 		}
-		run(e)
+		exps = []experiments.Experiment{e}
+	}
+	for _, e := range exps {
+		if err := run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
 	}
 	if err := art.Finish("repro", "", nil, nil, nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -3,13 +3,15 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestWriteCSVFastExperiments checks the shape of every CSV (all sixteen,
-// whatever the name says): snake_case header, rows as wide as the header.
-func TestWriteCSVFastExperiments(t *testing.T) {
+// TestWriteCSVAllExperiments checks every CSV's shape — a snake_case header
+// and rows as wide as it — and writes it the way cmd/repro does and reads it
+// back.
+func TestWriteCSVAllExperiments(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			rows := result[Result](t, e.ID).CSV()
@@ -26,16 +28,6 @@ func TestWriteCSVFastExperiments(t *testing.T) {
 					t.Errorf("row %d has %d fields, header has %d", i, len(row), len(rows[0]))
 				}
 			}
-		})
-	}
-}
-
-// TestWriteCSVAllExperiments writes every result the way cmd/repro does and
-// reads it back.
-func TestWriteCSVAllExperiments(t *testing.T) {
-	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			rows := result[Result](t, e.ID).CSV()
 			var buf bytes.Buffer
 			if err := csv.NewWriter(&buf).WriteAll(rows); err != nil {
 				t.Fatal(err)
@@ -44,15 +36,15 @@ func TestWriteCSVAllExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatalf("invalid csv: %v", err)
 			}
-			if len(back) != len(rows) {
-				t.Errorf("wrote %d records, read %d", len(rows), len(back))
+			if !reflect.DeepEqual(back, rows) {
+				t.Errorf("wrote %d records, read back %d that differ", len(rows), len(back))
 			}
 		})
 	}
 }
 
 // TestThreadSweepCSVWorkloadOrder pins the row order of the two CSVs that
-// are rendered from a map: workloads appear in the order Text prints them.
+// are rendered from a map: workloads appear in the order the figure runs them.
 func TestThreadSweepCSVWorkloadOrder(t *testing.T) {
 	for id, want := range map[string]string{"fig11": "AB", "fig12": "CDE"} {
 		var got string

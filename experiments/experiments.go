@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment has a Run function returning a typed result;
-// the result renders itself twice — Text prints the rows/series the paper
-// reports, CSV returns the same data as plot-ready records — so one run
-// serves both. cmd/repro drives them from the command line.
+// evaluation. Each experiment has a Run function returning a typed result,
+// and the result is one table: CSV returns its records, header row first,
+// and Notes the remarks that go with it (run sizes, derived figures, the
+// paper's numbers). Experiment.Text prints that table under the
+// experiment's title, so the text and the CSV of a run are the same
+// records. cmd/repro drives them from the command line.
 //
 // Absolute numbers differ from the paper — the CPU side is measured on the
 // host running the tests (Go, not hand-tuned C with non-temporal SIMD) and
@@ -17,6 +19,8 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
+	"text/tabwriter"
 )
 
 // Config scales and seeds an experiment run.
@@ -63,19 +67,36 @@ func (c Config) threadSweep() []int {
 	return out
 }
 
-// Result is the outcome of one experiment run, in its two rendered forms.
+// Result is the outcome of one experiment run: one table and its remarks.
 type Result interface {
-	// Text prints the rows/series the paper reports.
-	Text(w io.Writer)
-	// CSV returns the same data as plot-ready records, header row first.
+	// CSV returns the table as plot-ready records, header row first.
 	CSV() [][]string
+	// Notes returns the lines printed under the table.
+	Notes() []string
 }
 
-// Experiment couples an identifier with its runner for cmd/repro.
+// Experiment couples an identifier and a title with its runner for
+// cmd/repro.
 type Experiment struct {
-	ID          string
-	Description string
-	Run         func(cfg Config) (Result, error)
+	ID    string
+	Title string
+	Run   func(cfg Config) (Result, error)
+}
+
+// Text prints a run's table under the experiment's title: the records
+// (CSV's, taken once by the caller) in aligned columns, then the notes.
+// A line without a tab ends tabwriter's column block, so the title and the
+// notes pass through it unpadded.
+func (e Experiment) Text(w io.Writer, records [][]string, notes []string) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "\n=== %s ===\n", e.Title)
+	for _, rec := range records {
+		fmt.Fprintln(tw, strings.Join(rec, "\t"))
+	}
+	for _, n := range notes {
+		fmt.Fprintln(tw, n)
+	}
+	return tw.Flush()
 }
 
 // as adapts a typed Run function to Experiment.Run. A failed run returns a
@@ -93,22 +114,22 @@ func as[R Result](run func(Config) (R, error)) func(Config) (Result, error) {
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Memory access behavior vs last writer (coherence)", as(RunTable1)},
-		{"fig2", "Memory bandwidth vs read/write ratio", as(RunFigure2)},
-		{"fig3", "Tuple distribution CDF: radix vs hash partitioning", as(RunFigure3)},
-		{"fig4", "CPU partitioning throughput vs threads", as(RunFigure4)},
-		{"table2", "FPGA resource usage vs tuple width", as(RunTable2)},
-		{"fig8", "FPGA throughput vs tuple width", as(RunFigure8)},
-		{"fig9", "Partitioning throughput across modes", as(RunFigure9)},
-		{"model", "Cost model parameters and Section 4.8 validation", as(RunModelValidation)},
-		{"fig10", "Join time vs number of partitions", as(RunFigure10)},
-		{"fig11", "Join time vs threads (workloads A, B)", as(RunFigure11)},
-		{"fig12", "Join time vs threads and key distribution (C, D, E)", as(RunFigure12)},
-		{"fig13", "Join time vs Zipf skew", as(RunFigure13)},
-		{"skewdetect", "Extension: PAD overflow detection point vs skew", as(RunSkewDetect)},
-		{"future", "Extension: the circuit on future platforms", as(RunFuture)},
-		{"dist", "Extension: distributed join over RDMA", as(RunDistributed)},
-		{"compress", "Extension: partitioning RLE-compressed columns", as(RunCompress)},
+		{"table1", "Table 1: CPU read time of a 512 MB region vs last writer", as(RunTable1)},
+		{"fig2", "Figure 2: memory bandwidth vs sequential-read/random-write ratio (GB/s)", as(RunFigure2)},
+		{"fig3", "Figure 3: tuples per partition across 8192 partitions (CDF summary)", as(RunFigure3)},
+		{"fig4", "Figure 4: CPU partitioning throughput, 8 B tuples, 8192 partitions", as(RunFigure4)},
+		{"table2", "Table 2: resource usage vs tuple width (Stratix V 5SGXEA, 8192 partitions)", as(RunTable2)},
+		{"fig8", "Figure 8: throughput and data processed vs tuple width (HIST/RID)", as(RunFigure8)},
+		{"fig9", "Figure 9: partitioning throughput, 8 B tuples, 8192 partitions (Mtuples/s)", as(RunFigure9)},
+		{"model", "Section 4.6/4.8: cost model validation (N = 128e6, W = 8 B)", as(RunModelValidation)},
+		{"fig10", "Figure 10: join time vs number of partitions (workload A)", as(RunFigure10)},
+		{"fig11", "Figure 11: join time vs threads (workloads A, B)", as(RunFigure11)},
+		{"fig12", "Figure 12: join time vs threads, radix vs hash (workloads C, D, E)", as(RunFigure12)},
+		{"fig13", "Figure 13: join time vs Zipf factor of S (workload A sizes, HIST/RID)", as(RunFigure13)},
+		{"skewdetect", "Extension: PAD overflow detection point vs skew (Section 5.4)", as(RunSkewDetect)},
+		{"future", "Extension: the same circuit on future platforms (PAD/RID)", as(RunFuture)},
+		{"dist", "Extension: distributed join over RDMA (Section 6 outlook)", as(RunDistributed)},
+		{"compress", "Extension: partitioning compressed columns (HIST/VRID)", as(RunCompress)},
 	}
 }
 
@@ -120,11 +141,6 @@ func Find(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// header prints a section banner.
-func header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }
 
 // f and d format a CSV cell.

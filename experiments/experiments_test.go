@@ -51,13 +51,40 @@ func result[R Result](t *testing.T, id string) R {
 	return res
 }
 
+// TestAllExperimentsRenderSomething holds Experiment.Text to its contract for
+// every experiment: the title line, then each CSV record on a line of its
+// own with its cells in order, then every note.
 func TestAllExperimentsRenderSomething(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
+			res := result[Result](t, e.ID)
+			rows, notes := res.CSV(), res.Notes()
 			var buf bytes.Buffer
-			result[Result](t, e.ID).Text(&buf)
-			if !strings.Contains(buf.String(), "===") {
-				t.Errorf("missing header in %q", buf.String())
+			if err := e.Text(&buf, rows, notes); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(buf.String(), "\n")
+			if want := 3 + len(rows) + len(notes); len(lines) != want {
+				t.Fatalf("%d lines, want %d:\n%s", len(lines), want, buf.String())
+			}
+			if lines[0] != "" || lines[1] != "=== "+e.Title+" ===" || lines[len(lines)-1] != "" {
+				t.Errorf("title lines %q, %q; last line %q", lines[0], lines[1], lines[len(lines)-1])
+			}
+			for i, rec := range rows {
+				rest := lines[2+i]
+				for _, cell := range rec {
+					at := strings.Index(rest, cell)
+					if at < 0 {
+						t.Errorf("record %d: cell %q missing from %q", i, cell, lines[2+i])
+						break
+					}
+					rest = rest[at+len(cell):]
+				}
+			}
+			for i, n := range notes {
+				if got := lines[2+len(rows)+i]; got != n {
+					t.Errorf("note %d: %q, want %q", i, got, n)
+				}
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/codec"
@@ -71,35 +70,22 @@ func RunSkewDetect(cfg Config) (*SkewDetectResult, error) {
 	return res, nil
 }
 
-// Text groups the points by Zipf factor, one row per factor.
-func (res *SkewDetectResult) Text(w io.Writer) {
-	header(w, "Extension: PAD overflow detection point vs skew (Section 5.4)")
-	fmt.Fprintf(w, "%d tuples, 1024 partitions, 15%% padding, 5 seeds per factor\n", res.Tuples)
-	fmt.Fprintf(w, "%-6s %-10s %s\n", "zipf", "overflows", "detected at (fraction of stream, per seed)")
-	byFactor := map[float64][]SkewDetectPoint{}
-	var factors []float64
-	for _, p := range res.Points {
-		if _, ok := byFactor[p.ZipfFactor]; !ok {
-			factors = append(factors, p.ZipfFactor)
-		}
-		byFactor[p.ZipfFactor] = append(byFactor[p.ZipfFactor], p)
-	}
-	for _, f := range factors {
-		pts := byFactor[f]
-		overflows := 0
-		line := ""
-		for _, p := range pts {
-			if p.Overflowed {
+// Notes counts the overflowing seeds per Zipf factor.
+func (res *SkewDetectResult) Notes() []string {
+	out := []string{fmt.Sprintf("%d tuples, 1024 partitions, 15%% padding, 5 seeds per factor", res.Tuples)}
+	for i := 0; i < len(res.Points); {
+		zipf, runs, overflows := res.Points[i].ZipfFactor, 0, 0
+		for ; i < len(res.Points) && res.Points[i].ZipfFactor == zipf; i++ {
+			runs++
+			if res.Points[i].Overflowed {
 				overflows++
-				line += fmt.Sprintf(" %.3f", p.DetectedAtFraction)
-			} else {
-				line += " -"
 			}
 		}
-		fmt.Fprintf(w, "%-6.2f %d/%d       %s\n", f, overflows, len(pts), line)
+		out = append(out, fmt.Sprintf("zipf %g: %d/%d runs overflowed", zipf, overflows, runs))
 	}
-	fmt.Fprintln(w, "paper: PAD fails beyond ~0.25 for realistic padding; detection point is")
-	fmt.Fprintln(w, "random — in the worst case at the very end of the run")
+	return append(out,
+		"paper: PAD fails beyond ~0.25 for realistic padding; detection point is",
+		"random — in the worst case at the very end of the run")
 }
 
 // CSV has one record per (factor, seed) run.
@@ -155,14 +141,12 @@ func RunFuture(cfg Config) (*FutureResult, error) {
 	return res, nil
 }
 
-func (res *FutureResult) Text(w io.Writer) {
-	header(w, "Extension: the same circuit on future platforms (PAD/RID)")
-	fmt.Fprintf(w, "%d tuples\n", res.Tuples)
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-40s %8.0f Mtuples/s\n", r.Platform, r.MTuplesPerS)
+func (res *FutureResult) Notes() []string {
+	return []string{
+		fmt.Sprintf("%d tuples", res.Tuples),
+		"paper: with ≥25.6 GB/s the circuit term dominates at 1.6 Gtuples/s;",
+		"hardened next to the CPU it would clock past that",
 	}
-	fmt.Fprintln(w, "paper: with ≥25.6 GB/s the circuit term dominates at 1.6 Gtuples/s;")
-	fmt.Fprintln(w, "hardened next to the CPU it would clock past that")
 }
 
 func (res *FutureResult) CSV() [][]string {
@@ -237,18 +221,14 @@ func RunCompress(cfg Config) (*CompressResult, error) {
 	return res, nil
 }
 
-func (res *CompressResult) Text(w io.Writer) {
-	header(w, "Extension: partitioning compressed columns (HIST/VRID)")
-	fmt.Fprintf(w, "%d tuples; RLE-compressed key column vs raw keys\n", res.Tuples)
-	fmt.Fprintf(w, "%-10s %10s %14s %14s %10s\n", "run length", "RLE ratio", "plain Mt/s", "compressed", "speedup")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-10d %10.2f %14.0f %14.0f %9.2fx\n",
-			r.AvgRunLength, r.Ratio, r.PlainMTps, r.CompMTps, r.CompMTps/r.PlainMTps)
+func (res *CompressResult) Notes() []string {
+	return []string{
+		fmt.Sprintf("%d tuples; RLE-compressed key column vs raw keys", res.Tuples),
+		"shape: saved read bandwidth becomes throughput until the circuit limit;",
+		"incompressible columns (run length 1: RLE ratio 0.5) cost extra reads.",
+		"HIST's histogram pass is circuit-bound at one group/cycle, capping the",
+		"speedup near 1.15x on this link; PAD mode would reach ~1.25x",
 	}
-	fmt.Fprintln(w, "shape: saved read bandwidth becomes throughput until the circuit limit;")
-	fmt.Fprintln(w, "incompressible columns (run length 1: RLE ratio 0.5) cost extra reads.")
-	fmt.Fprintln(w, "HIST's histogram pass is circuit-bound at one group/cycle, capping the")
-	fmt.Fprintln(w, "speedup near 1.15x on this link; PAD mode would reach ~1.25x")
 }
 
 func (res *CompressResult) CSV() [][]string {
@@ -324,18 +304,12 @@ func RunDistributed(cfg Config) (*DistributedResult, error) {
 	return res, nil
 }
 
-func (res *DistributedResult) Text(w io.Writer) {
-	header(w, "Extension: distributed join over RDMA (Section 6 outlook)")
-	fmt.Fprintf(w, "%d ⋈ %d tuples, FDR fabric\n", res.TuplesPerRelation, res.TuplesPerRelation)
-	fmt.Fprintf(w, "%-6s %-6s %10s %10s %10s %10s %12s\n",
-		"nodes", "part.", "partition", "exchange", "join", "total", "traffic MB")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-6d %-6s %10.4f %10.4f %10.4f %10.4f %12.1f\n",
-			r.Nodes, r.backend(), r.PartitionSec, r.ExchangeSec, r.JoinSec, r.TotalSec,
-			float64(r.BytesExchanged)/1e6)
+func (res *DistributedResult) Notes() []string {
+	return []string{
+		fmt.Sprintf("%d ⋈ %d tuples, FDR fabric", res.TuplesPerRelation, res.TuplesPerRelation),
+		"shape: partition and join times shrink ~linearly with nodes; exchange traffic",
+		"grows with the off-node fraction (n-1)/n",
 	}
-	fmt.Fprintln(w, "shape: partition and join times shrink ~linearly with nodes; exchange traffic")
-	fmt.Fprintln(w, "grows with the off-node fraction (n-1)/n")
 }
 
 func (res *DistributedResult) CSV() [][]string {

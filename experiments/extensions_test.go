@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestSkewDetectOverflowsBeyondThreshold(t *testing.T) {
 	res := result[*SkewDetectResult](t, "skewdetect")
@@ -113,15 +110,5 @@ func TestCompressSweepShape(t *testing.T) {
 	last := res.Rows[len(res.Rows)-1]
 	if last.CompMTps <= last.PlainMTps*1.10 {
 		t.Errorf("long runs should speed partitioning ≥1.1x: %+v", last)
-	}
-}
-
-func TestExtensionRunnersRender(t *testing.T) {
-	for _, id := range []string{"skewdetect", "future", "dist", "compress"} {
-		var buf bytes.Buffer
-		result[Result](t, id).Text(&buf)
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", id)
-		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -99,16 +97,8 @@ func nextPow2(n int) int {
 	return p
 }
 
-func (res *Figure2Result) Text(w io.Writer) {
-	header(w, "Figure 2: memory bandwidth vs sequential-read/random-write ratio (GB/s)")
-	fmt.Fprintf(w, "%-10s %10s %12s %10s %12s %12s\n",
-		"read/write", "CPU alone", "CPU interf.", "FPGA alone", "FPGA interf.", "host (meas.)")
-	for _, pt := range res.Points {
-		fmt.Fprintf(w, "%4.1f/%-4.1f  %10.2f %12.2f %10.2f %12.2f %12.2f\n",
-			pt.ReadFraction, 1-pt.ReadFraction,
-			pt.CPUAlone, pt.CPUInterfered, pt.FPGAAlone, pt.FPGAInterfered, pt.HostMeasured)
-	}
-	fmt.Fprintln(w, "model curves calibrated to the paper; host column is this machine's real shape")
+func (res *Figure2Result) Notes() []string {
+	return []string{"model curves calibrated to the paper; host_measured is this machine's real shape"}
 }
 
 func (res *Figure2Result) CSV() [][]string {

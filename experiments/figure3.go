@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/internal/hashutil"
@@ -104,16 +103,11 @@ func method(hash bool) string {
 	return "radix"
 }
 
-func (res *Figure3Result) Text(w io.Writer) {
-	header(w, "Figure 3: tuples per partition across 8192 partitions (CDF summary)")
-	fmt.Fprintf(w, "%d keys per distribution; mean = %d tuples/partition\n", res.Tuples, res.Tuples/8192)
-	fmt.Fprintf(w, "%-13s %-6s %6s %6s %8s %8s %8s %8s %10s\n",
-		"distribution", "method", "empty", "min", "p25", "p50", "p75", "max", "imbalance")
-	for _, s := range res.Series {
-		fmt.Fprintf(w, "%-13s %-6s %6d %6d %8d %8d %8d %8d %9.2fx\n",
-			s.Distribution, method(s.Hash), s.EmptyParts, s.MinTuples, s.P25, s.P50, s.P75, s.MaxTuples, s.Imbalance)
+func (res *Figure3Result) Notes() []string {
+	return []string{
+		fmt.Sprintf("%d keys per distribution; mean = %d tuples/partition", res.Tuples, res.Tuples/8192),
+		"paper: radix is unbalanced for grid/reverse-grid keys (3a); hash is uniform for all (3b)",
 	}
-	fmt.Fprintln(w, "paper: radix is unbalanced for grid/reverse-grid keys (3a); hash is uniform for all (3b)")
 }
 
 func (res *Figure3Result) CSV() [][]string {

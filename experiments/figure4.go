@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/partition"
@@ -20,9 +19,8 @@ type Figure4Point struct {
 
 // Figure4Result is the full sweep.
 type Figure4Result struct {
-	Tuples  int
-	Threads []int // the thread sweep, one column per entry
-	Points  []Figure4Point
+	Tuples int
+	Points []Figure4Point
 }
 
 // RunFigure4 measures the software partitioner (8 B tuples, 8192
@@ -34,7 +32,7 @@ type Figure4Result struct {
 func RunFigure4(cfg Config) (*Figure4Result, error) {
 	cfg = cfg.WithDefaults()
 	n := max(int(128e6*cfg.Scale), 1<<15)
-	res := &Figure4Result{Tuples: n, Threads: cfg.threadSweep()}
+	res := &Figure4Result{Tuples: n}
 	type variant struct {
 		d    workload.Distribution
 		hash bool
@@ -53,7 +51,7 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, threads := range res.Threads {
+		for _, threads := range cfg.threadSweep() {
 			p, err := partition.NewCPU(partition.CPUOptions{Partitions: 8192, Hash: v.hash, Threads: threads})
 			if err != nil {
 				return nil, err
@@ -73,31 +71,11 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 	return res, nil
 }
 
-// Text renders the sweep pivoted as in the paper: one row per series, one
-// column per thread count.
-func (res *Figure4Result) Text(w io.Writer) {
-	header(w, "Figure 4: CPU partitioning throughput (Mtuples/s), 8 B tuples, 8192 partitions")
-	fmt.Fprintf(w, "%d tuples per run\n", res.Tuples)
-	fmt.Fprintf(w, "%-26s", "series \\ threads")
-	for _, t := range res.Threads {
-		fmt.Fprintf(w, "%8d", t)
+func (res *Figure4Result) Notes() []string {
+	return []string{
+		fmt.Sprintf("%d tuples per run; hash is measured on random keys only", res.Tuples),
+		"paper shape: hash costs extra at low threads, converges once memory-bound",
 	}
-	fmt.Fprintln(w)
-	printSeries := func(name string, match func(Figure4Point) bool) {
-		fmt.Fprintf(w, "%-26s", name)
-		for _, p := range res.Points {
-			if match(p) {
-				fmt.Fprintf(w, "%8.0f", p.MTuplesPerS)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	for _, d := range []workload.Distribution{workload.Linear, workload.Random, workload.Grid, workload.ReverseGrid} {
-		d := d
-		printSeries(fmt.Sprintf("radix (%v)", d), func(p Figure4Point) bool { return !p.Hash && p.Distribution == d })
-	}
-	printSeries("hash (all distributions)", func(p Figure4Point) bool { return p.Hash })
-	fmt.Fprintln(w, "paper shape: hash costs extra at low threads, converges once memory-bound")
 }
 
 // CSV has one record per measurement.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/internal/model"
@@ -64,14 +62,8 @@ func RunFigure8(cfg Config) (*Figure8Result, error) {
 	return res, nil
 }
 
-func (res *Figure8Result) Text(w io.Writer) {
-	header(w, "Figure 8: throughput and data processed vs tuple width (HIST/RID)")
-	fmt.Fprintf(w, "%-12s %14s %18s %14s\n", "Tuple width", "Mtuples/s", "data processed GB/s", "model Mt/s")
-	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-12s %14.0f %18.2f %14.0f\n",
-			fmt.Sprintf("%dB", p.TupleWidth), p.MTuplesPerS, p.GBps, p.ModelMTuplesPerS)
-	}
-	fmt.Fprintln(w, "paper shape: tuples/s halves per width doubling; GB/s stays flat")
+func (res *Figure8Result) Notes() []string {
+	return []string{"paper shape: tuples/s halves per width doubling; GB/s stays flat"}
 }
 
 func (res *Figure8Result) CSV() [][]string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/internal/model"
@@ -132,20 +131,8 @@ func RunFigure9(cfg Config) (*Figure9Result, error) {
 	return res, nil
 }
 
-func (res *Figure9Result) Text(w io.Writer) {
-	header(w, "Figure 9: partitioning throughput, 8 B tuples, 8192 partitions (Mtuples/s)")
-	fmt.Fprintf(w, "%d tuples per run\n", res.Tuples)
-	fmt.Fprintf(w, "%-28s %10s %10s %10s\n", "configuration", "this repo", "model", "paper")
-	for _, b := range res.Bars {
-		modelStr, note := "-", ""
-		if b.Model > 0 {
-			modelStr = fmt.Sprintf("%.0f", b.Model)
-		}
-		if b.Reference {
-			note = " (quoted)"
-		}
-		fmt.Fprintf(w, "%-28s %10.0f %10s %10.0f%s\n", b.Name, b.MTuplesPerS, modelStr, b.Paper, note)
-	}
+func (res *Figure9Result) Notes() []string {
+	return []string{fmt.Sprintf("%d tuples per run; reference rows are quoted from related work, not run", res.Tuples)}
 }
 
 func (res *Figure9Result) CSV() [][]string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/hashjoin"
@@ -130,12 +129,12 @@ func RunFigure10(cfg Config) (*Figure10Result, error) {
 	return res, nil
 }
 
-func (res *Figure10Result) Text(w io.Writer) {
-	header(w, "Figure 10: join time vs number of partitions (workload A)")
-	fmt.Fprintf(w, "R: %d tuples, S: %d tuples\n", res.Workload.TuplesR, res.Workload.TuplesS)
-	printJoinPoints(w, res.Points, true)
-	fmt.Fprintln(w, "paper shape: CPU partitioning grows with fan-out (1-thread); FPGA partitioning is flat;")
-	fmt.Fprintln(w, "             build+probe shrinks with fan-out; hybrid build+probe pays the snoop penalty")
+func (res *Figure10Result) Notes() []string {
+	return []string{
+		fmt.Sprintf("R: %d tuples, S: %d tuples", res.Workload.TuplesR, res.Workload.TuplesS),
+		"paper shape: CPU partitioning grows with fan-out (1-thread); FPGA partitioning is flat;",
+		"build+probe shrinks with fan-out; hybrid build+probe pays the snoop penalty",
+	}
 }
 
 func (res *Figure10Result) CSV() [][]string {
@@ -187,15 +186,17 @@ func runJoinSweep(cfg Config, ids []workload.WorkloadID, systems ...joinSystem) 
 	return res, nil
 }
 
-// text prints one table per workload, each under its title.
-func (res *joinSweep) text(w io.Writer, title func(workload.WorkloadID, workload.WorkloadSpec) string) {
+// sizes gives each workload's relations, one note line per workload.
+func (res *joinSweep) sizes() []string {
+	var out []string
 	for _, id := range res.ids {
-		header(w, title(id, res.Specs[id]))
-		printJoinPoints(w, res.Results[id], false)
+		spec := res.Specs[id]
+		out = append(out, fmt.Sprintf("workload %s: %d ⋈ %d tuples, %v keys", id, spec.TuplesR, spec.TuplesS, spec.Distribution))
 	}
+	return out
 }
 
-// CSV renders the points per workload, in the order text prints them.
+// CSV renders the points per workload, in the order the figure runs them.
 func (res *joinSweep) CSV() [][]string {
 	rows := [][]string{joinHeader(false)}
 	for _, id := range res.ids {
@@ -223,12 +224,10 @@ func RunFigure11(cfg Config) (*Figure11Result, error) {
 	return &Figure11Result{sweep}, nil
 }
 
-func (res *Figure11Result) Text(w io.Writer) {
-	res.text(w, func(id workload.WorkloadID, spec workload.WorkloadSpec) string {
-		return fmt.Sprintf("Figure 11: join time vs threads (workload %s: %d ⋈ %d)", id, spec.TuplesR, spec.TuplesS)
-	})
-	fmt.Fprintln(w, "\npaper shape: VRID partitions fastest (half the reads); hybrid build+probe is")
-	fmt.Fprintln(w, "coherence-penalized; CPU and hybrid converge at full thread count")
+func (res *Figure11Result) Notes() []string {
+	return append(res.sizes(),
+		"paper shape: VRID partitions fastest (half the reads); hybrid build+probe is",
+		"coherence-penalized; CPU and hybrid converge at full thread count")
 }
 
 // Figure12Result: join time vs threads for workloads C, D, E with radix vs
@@ -249,12 +248,10 @@ func RunFigure12(cfg Config) (*Figure12Result, error) {
 	return &Figure12Result{sweep}, nil
 }
 
-func (res *Figure12Result) Text(w io.Writer) {
-	res.text(w, func(id workload.WorkloadID, spec workload.WorkloadSpec) string {
-		return fmt.Sprintf("Figure 12: join vs threads (workload %s, %v keys)", id, spec.Distribution)
-	})
-	fmt.Fprintln(w, "\npaper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)")
-	fmt.Fprintln(w, "but costs CPU partitioning time at low thread counts; free on the FPGA")
+func (res *Figure12Result) Notes() []string {
+	return append(res.sizes(),
+		"paper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)",
+		"but costs CPU partitioning time at low thread counts; free on the FPGA")
 }
 
 // Figure13Result: join time vs Zipf factor of S (workload A sizes).
@@ -295,19 +292,11 @@ func RunFigure13(cfg Config) (*Figure13Result, error) {
 	return res, nil
 }
 
-func (res *Figure13Result) Text(w io.Writer) {
-	header(w, "Figure 13: join time vs Zipf factor of S (workload A sizes, HIST/RID)")
-	fmt.Fprintf(w, "%-6s %-16s %10s %12s %10s %12s\n", "zipf", "system", "part (s)", "build+probe", "total", "model part")
-	for i, p := range res.Points {
-		modelStr := "-"
-		if p.ModelPartitionSec > 0 {
-			modelStr = fmt.Sprintf("%.4f", p.ModelPartitionSec)
-		}
-		fmt.Fprintf(w, "%-6.2f %-16s %10.4f %12.4f %10.4f %12s\n",
-			res.Factors[i], p.System, p.PartitionSec, p.BuildProbeSec, p.TotalSec, modelStr)
+func (res *Figure13Result) Notes() []string {
+	return []string{
+		"paper shape: HIST (two passes) loses to CPU partitioning on this link; skew shortens",
+		"build+probe for both (hot keys hit cached chains)",
 	}
-	fmt.Fprintln(w, "paper shape: HIST (two passes) loses to CPU partitioning on this link; skew shortens")
-	fmt.Fprintln(w, "build+probe for both (hot keys hit cached chains)")
 }
 
 func (res *Figure13Result) CSV() [][]string {
@@ -316,34 +305,6 @@ func (res *Figure13Result) CSV() [][]string {
 		rows = append(rows, []string{f(res.Factors[i]), p.System, f(p.PartitionSec), f(p.BuildProbeSec), f(p.TotalSec), f(p.ModelPartitionSec)})
 	}
 	return rows
-}
-
-// printJoinPoints renders a breakdown table.
-func printJoinPoints(w io.Writer, points []JoinPoint, withParts bool) {
-	if withParts {
-		fmt.Fprintf(w, "%-8s %-16s %8s %10s %12s %10s %12s\n",
-			"parts", "system", "threads", "part (s)", "build+probe", "total", "model part")
-	} else {
-		fmt.Fprintf(w, "%-16s %8s %10s %12s %10s %12s\n",
-			"system", "threads", "part (s)", "build+probe", "total", "model part")
-	}
-	for _, p := range points {
-		modelStr := "-"
-		if p.ModelPartitionSec > 0 {
-			modelStr = fmt.Sprintf("%.4f", p.ModelPartitionSec)
-		}
-		note := ""
-		if p.FellBack {
-			note = " (fell back)"
-		}
-		if withParts {
-			fmt.Fprintf(w, "%-8d %-16s %8d %10.4f %12.4f %10.4f %12s%s\n",
-				p.Partitions, p.System, p.Threads, p.PartitionSec, p.BuildProbeSec, p.TotalSec, modelStr, note)
-		} else {
-			fmt.Fprintf(w, "%-16s %8d %10.4f %12.4f %10.4f %12s%s\n",
-				p.System, p.Threads, p.PartitionSec, p.BuildProbeSec, p.TotalSec, modelStr, note)
-		}
-	}
 }
 
 func joinHeader(withParts bool) []string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fpgapart/internal/model"
 	"fpgapart/platform"
@@ -26,14 +25,8 @@ func RunModelValidation(cfg Config) (*ModelValidationResult, error) {
 	}, nil
 }
 
-func (res *ModelValidationResult) Text(w io.Writer) {
-	header(w, "Section 4.6/4.8: cost model validation (N = 128e6, W = 8 B)")
-	fmt.Fprintf(w, "circuit rate B_FPGA = %.2f Gtuples/s at 200 MHz\n", res.CircuitRate/1e9)
-	fmt.Fprintf(w, "%-22s %6s %10s %14s %14s\n", "mode", "r", "B(r) GB/s", "model Mt/s", "paper Mt/s")
-	for _, v := range res.Rows {
-		fmt.Fprintf(w, "%-22s %6.1f %10.2f %14.0f %14.0f\n",
-			v.Mode, v.Ratio, v.Bandwidth, v.Predicted/1e6, v.Paper/1e6)
-	}
+func (res *ModelValidationResult) Notes() []string {
+	return []string{fmt.Sprintf("circuit rate B_FPGA = %.2f Gtuples/s at 200 MHz", res.CircuitRate/1e9)}
 }
 
 func (res *ModelValidationResult) CSV() [][]string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fpgapart/platform"
 )
@@ -47,26 +46,12 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	return res, nil
 }
 
-// Text renders the table pivoted as in the paper: one row per writer.
-func (res *Table1Result) Text(w io.Writer) {
-	header(w, "Table 1: CPU read time of a 512 MB region vs last writer")
-	fmt.Fprintf(w, "%-14s %-22s %-22s\n", "", "CPU reads sequentially", "CPU reads randomly")
-	for _, writer := range []platform.Socket{platform.CPUSocket, platform.FPGASocket} {
-		var seq, rnd float64
-		for _, r := range res.Rows {
-			if r.LastWriter != writer {
-				continue
-			}
-			if r.Random {
-				rnd = r.Seconds
-			} else {
-				seq = r.Seconds
-			}
-		}
-		fmt.Fprintf(w, "%-14s %-22.4f %-22.4f\n", writer.String()+" writes", seq, rnd)
+// Notes gives the derived penalties and the paper's cells.
+func (res *Table1Result) Notes() []string {
+	return []string{
+		fmt.Sprintf("derived penalties: sequential %.2fx, random %.2fx", res.SeqPenalty, res.RandPenalty),
+		"paper: CPU writes 0.1381/1.1537 s, FPGA writes 0.1533/2.4876 s (sequential/random)",
 	}
-	fmt.Fprintf(w, "derived penalties: sequential %.2fx, random %.2fx\n", res.SeqPenalty, res.RandPenalty)
-	fmt.Fprintln(w, "paper:             CPU 0.1381/1.1537 s, FPGA 0.1533/2.4876 s")
 }
 
 // CSV has one record per (writer, pattern) cell.

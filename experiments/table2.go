@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 
 	"fpgapart/internal/core"
@@ -26,14 +24,8 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	return res, nil
 }
 
-func (res *Table2Result) Text(w io.Writer) {
-	header(w, "Table 2: resource usage vs tuple width (Stratix V 5SGXEA, 8192 partitions)")
-	fmt.Fprintf(w, "%-12s %-12s %-8s %-10s\n", "Tuple width", "Logic units", "BRAM", "DSP blocks")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-12s %10.0f%% %6.0f%% %9.0f%%\n",
-			fmt.Sprintf("%dB", r.TupleWidth), r.LogicPct, r.BRAMPct, r.DSPPct)
-	}
-	fmt.Fprintln(w, "paper: 8B 37/76/14, 16B 28/42/21, 32B 27/24/11, 64B 27/15/6 (%)")
+func (res *Table2Result) Notes() []string {
+	return []string{"paper: 8B 37/76/14, 16B 28/42/21, 32B 27/24/11, 64B 27/15/6 (logic/BRAM/DSP %)"}
 }
 
 func (res *Table2Result) CSV() [][]string {
