@@ -153,10 +153,8 @@ func Join(r, s *workload.Relation, p partition.Partitioner, opts Options) (_ *Re
 	}
 	defer ps.Release()
 	budget := membudget.New(opts.MemoryBudgetBytes)
-	spill := &membudget.SpillStore{}
 	bp, stats, err := joincore.BudgetedBuildProbe(pr, ps, joincore.BudgetConfig{
 		Budget:  budget,
-		Spill:   spill,
 		Threads: opts.Threads,
 	})
 	if err != nil {
@@ -300,8 +298,7 @@ func Hybrid(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 func NonPartitioned(r, s *workload.Relation, opts Options) (_ *Result, err error) {
 	defer guardSimulator(&err)
 	budget := membudget.New(opts.MemoryBudgetBytes)
-	spill := &membudget.SpillStore{}
-	bp, stats, err := joincore.NonPartitionedBudgeted(r, s, opts.Threads, budget, spill)
+	bp, stats, err := joincore.NonPartitionedBudgeted(r, s, opts.Threads, budget)
 	if err != nil {
 		return nil, err
 	}

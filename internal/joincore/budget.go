@@ -119,7 +119,7 @@ type BudgetConfig struct {
 	// nothing is logged or tallied (BuildProbe is that case).
 	Budget membudget.Budget
 	// Spill receives the bytes read back from the simulated spill device;
-	// nil discards them.
+	// nil discards them. BudgetStats.SpillReadBytes counts them either way.
 	Spill *membudget.SpillStore
 	// Threads is the partition-level parallelism (≤ 0 means GOMAXPROCS).
 	Threads int
@@ -281,8 +281,9 @@ func (j *Joiner) work(w int, r, s Partitions) {
 }
 
 // tally folds the decision log, in its deterministic order, into the
-// aggregate counters and accounts what recursive and broadcast passes read
-// back into cfg.Spill. Every reservation a decision makes is released before
+// aggregate counters, SpillReadBytes included (what recursive and broadcast
+// passes read back, whatever cfg.Spill has seen before), and accounts those
+// reads into cfg.Spill. Every reservation a decision makes is released before
 // the next one, so HighWaterBytes is the largest single reservation. The
 // decisions were made against the cap alone, so the fold is what a
 // one-partition-at-a-time executor would have reserved.
@@ -310,11 +311,13 @@ func tally(stats *BudgetStats, cfg BudgetConfig) {
 			reserved = spillBufBytes
 		case ActionRecurse:
 			stats.Recursions++
+			stats.SpillReadBytes += d.SpilledBytes
 			cfg.Spill.Read(d.SpilledBytes)
 			reserved = scatterBytes
 		case ActionBroadcast:
 			stats.Broadcasts++
 			stats.BroadcastChunks += d.Chunks
+			stats.SpillReadBytes += d.SpilledBytes
 			cfg.Spill.Read(d.SpilledBytes)
 			// The first chunk is the largest. It is the allocation the
 			// join cannot avoid, so it counts even when one tuple
@@ -323,7 +326,7 @@ func tally(stats *BudgetStats, cfg BudgetConfig) {
 		}
 		stats.HighWaterBytes = max(stats.HighWaterBytes, reserved)
 	}
-	stats.BudgetBytes, stats.SpillReadBytes = cfg.Budget.Cap(), cfg.Spill.BytesRead()
+	stats.BudgetBytes = cfg.Budget.Cap()
 }
 
 // chunkTuples is the build-chunk size of the broadcast join: as many tuples

@@ -232,11 +232,30 @@ func TestBudgetedAccounting(t *testing.T) {
 	if stats.SpilledBytes == 0 || stats.SpilledPartitions == 0 {
 		t.Fatalf("nothing spilled under an eighth of the build side: %+v", stats)
 	}
-	if spill.BytesRead() < stats.SpilledBytes {
-		t.Fatalf("spilled buckets were never read back: wrote %d, read %d", stats.SpilledBytes, spill.BytesRead())
+	if stats.SpillReadBytes < stats.SpilledBytes {
+		t.Fatalf("spilled buckets were never read back: wrote %d, read %d", stats.SpilledBytes, stats.SpillReadBytes)
 	}
 	if stats.HighWaterBytes == 0 {
 		t.Fatalf("the fold saw no reservations: %+v", stats)
+	}
+}
+
+// TestSpillReadBytesIsTheJoins: SpillReadBytes counts what this join read
+// back, whatever the store it is given has seen before, and with no store.
+func TestSpillReadBytesIsTheJoins(t *testing.T) {
+	r := partitionKeys(randKeys(1500, 50), 4, 0)
+	s := partitionKeys(randKeys(1500, 51), 4, 0)
+	budget := membudget.New(buildBytes(r) / 8)
+	spill := &membudget.SpillStore{}
+	_, first := budgetedMust(t, r, s, BudgetConfig{Budget: budget, Spill: spill, Threads: 1})
+	if first.SpillReadBytes == 0 {
+		t.Fatalf("nothing read back under an eighth of the build side: %+v", first)
+	}
+	_, reused := budgetedMust(t, r, s, BudgetConfig{Budget: budget, Spill: spill, Threads: 1})
+	_, none := budgetedMust(t, r, s, BudgetConfig{Budget: budget, Threads: 1})
+	if reused.SpillReadBytes != first.SpillReadBytes || none.SpillReadBytes != first.SpillReadBytes {
+		t.Errorf("SpillReadBytes %d on a fresh store, %d on a reused one, %d with none; want all equal",
+			first.SpillReadBytes, reused.SpillReadBytes, none.SpillReadBytes)
 	}
 }
 

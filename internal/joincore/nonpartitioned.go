@@ -121,13 +121,13 @@ func relationRun(rel *workload.Relation) run {
 // chunks, each probed with the full other side — there are no partitions
 // to spill, so chunking is the only graceful degradation available to this
 // baseline. Matches and Checksum equal NonPartitioned's for any budget.
-func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget membudget.Budget, spill *membudget.SpillStore) (Result, BudgetStats, error) {
+func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget membudget.Budget) (Result, BudgetStats, error) {
 	build, probe, reversed := r, s, false
 	if s.NumTuples < r.NumTuples {
 		build, probe, reversed = s, r, true
 	}
 	nBuild, nProbe := int64(build.NumTuples), int64(probe.NumTuples)
-	cfg := BudgetConfig{Budget: budget, Spill: spill, Threads: threads}.withDefaults()
+	cfg := BudgetConfig{Budget: budget, Threads: threads}.withDefaults()
 	d := Decision{Action: ActionInMemory, BuildTuples: nBuild, ProbeTuples: nProbe, Reversed: reversed}
 	var stats BudgetStats
 	var res Result
@@ -138,7 +138,7 @@ func NonPartitionedBudgeted(r, s *workload.Relation, threads int, budget membudg
 		}
 		stats.Decisions = []Decision{d}
 	} else {
-		// Chunked build: stage the packed sides through the spill store, then
+		// Chunked build: stage the packed sides through the spill device, then
 		// run the broadcast joiner single-threaded (one global "partition").
 		bs, ps := relationRun(build).appendTuples(nil), relationRun(probe).appendTuples(nil)
 		start := time.Now()

@@ -42,11 +42,3 @@ func (s *SpillStore) Read(n int64) {
 	}
 	s.read += n
 }
-
-// BytesRead returns the cumulative bytes read back.
-func (s *SpillStore) BytesRead() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.read
-}
