@@ -281,12 +281,11 @@ func (j *Joiner) work(w int, r, s Partitions) {
 }
 
 // tally folds the decision log, in its deterministic order, into the
-// aggregate counters, SpillReadBytes included (what recursive and broadcast
-// passes read back, whatever cfg.Spill has seen before), and accounts those
-// reads into cfg.Spill. Every reservation a decision makes is released before
-// the next one, so HighWaterBytes is the largest single reservation. The
-// decisions were made against the cap alone, so the fold is what a
-// one-partition-at-a-time executor would have reserved.
+// aggregate counters, SpillReadBytes (what recursive and broadcast passes
+// read back) included, and accounts that into cfg.Spill. Every reservation a
+// decision makes is released before the next one, so HighWaterBytes is the
+// largest single reservation. The decisions were made against the cap alone,
+// so the fold is what a one-partition-at-a-time executor would have reserved.
 //
 //fpgavet:hotpath
 func tally(stats *BudgetStats, cfg BudgetConfig) {
@@ -312,13 +311,11 @@ func tally(stats *BudgetStats, cfg BudgetConfig) {
 		case ActionRecurse:
 			stats.Recursions++
 			stats.SpillReadBytes += d.SpilledBytes
-			cfg.Spill.Read(d.SpilledBytes)
 			reserved = scatterBytes
 		case ActionBroadcast:
 			stats.Broadcasts++
 			stats.BroadcastChunks += d.Chunks
 			stats.SpillReadBytes += d.SpilledBytes
-			cfg.Spill.Read(d.SpilledBytes)
 			// The first chunk is the largest. It is the allocation the
 			// join cannot avoid, so it counts even when one tuple
 			// overshoots a tiny cap.
@@ -327,6 +324,7 @@ func tally(stats *BudgetStats, cfg BudgetConfig) {
 		stats.HighWaterBytes = max(stats.HighWaterBytes, reserved)
 	}
 	stats.BudgetBytes = cfg.Budget.Cap()
+	cfg.Spill.Read(stats.SpillReadBytes)
 }
 
 // chunkTuples is the build-chunk size of the broadcast join: as many tuples
