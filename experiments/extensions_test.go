@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func TestSkewDetectOverflowsBeyondThreshold(t *testing.T) {
 	res := result[*SkewDetectResult](t, "skewdetect")
@@ -110,5 +114,24 @@ func TestCompressSweepShape(t *testing.T) {
 	last := res.Rows[len(res.Rows)-1]
 	if last.CompMTps <= last.PlainMTps*1.10 {
 		t.Errorf("long runs should speed partitioning ≥1.1x: %+v", last)
+	}
+}
+
+// TestExtensionRunnersRender looks the four extension experiments up by id,
+// the way cmd/repro -exp does, and renders each under its title.
+func TestExtensionRunnersRender(t *testing.T) {
+	for _, id := range []string{"skewdetect", "future", "dist", "compress"} {
+		e, err := Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := result[Result](t, id)
+		var buf bytes.Buffer
+		if err := e.Text(&buf, res.CSV(), res.Notes()); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "=== "+e.Title+" ===") || len(res.CSV()) < 2 {
+			t.Errorf("%s rendered no table:\n%s", id, buf.String())
+		}
 	}
 }
