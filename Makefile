@@ -23,9 +23,10 @@
 # test and tier1 give each package's test binary five minutes (a full run
 # takes about 20 s), so a hang fails fast instead of holding the run for
 # go test's default ten. The race target covers every package. Its longest
-# are fpgapart/internal/core (the 8M-tuple calibration runs: 126 s under
-# -race on a 2-core box, 6–7 s without) and fpgapart/experiments (each paper experiment executes once per
-# test binary: 111 s under -race, 6–9 s without).
+# are fpgapart/experiments (each paper experiment executes once per test
+# binary, and TestPaperClaims runs Figure 9's bars at 8 Mi tuples: 135 s
+# under -race on a 2-core box, 8–10 s without) and fpgapart/internal/core
+# (64 s under -race, 5–6 s without).
 
 GO ?= go
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestWriteCSVFastExperiments(t *testing.T) {
 }
 
 // TestWriteCSVAllExperiments writes every result the way cmd/repro does and
-// reads it back unchanged.
+// reads it back unchanged, with every cell of a workload column filled.
 func TestWriteCSVAllExperiments(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
@@ -47,6 +48,11 @@ func TestWriteCSVAllExperiments(t *testing.T) {
 			}
 			if !reflect.DeepEqual(back, rows) {
 				t.Errorf("wrote %d records, read back %d that differ", len(rows), len(back))
+			}
+			for _, row := range rows[1:] {
+				if i := slices.Index(rows[0], "workload"); i >= 0 && row[i] == "" {
+					t.Errorf("empty workload cell in %q", row)
+				}
 			}
 		})
 	}

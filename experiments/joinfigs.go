@@ -140,7 +140,7 @@ func (res *Figure10Result) Notes() []string {
 func (res *Figure10Result) CSV() [][]string {
 	rows := [][]string{joinHeader(true)}
 	for _, p := range res.Points {
-		rows = append(rows, joinRow(p, true, ""))
+		rows = append(rows, joinRow(p, true, string(res.Workload.ID)))
 	}
 	return rows
 }

@@ -46,23 +46,20 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	return res, nil
 }
 
-// Notes gives the derived penalties and the paper's cells.
+// Notes gives the derived penalties.
 func (res *Table1Result) Notes() []string {
-	return []string{
-		fmt.Sprintf("derived penalties: sequential %.2fx, random %.2fx", res.SeqPenalty, res.RandPenalty),
-		"paper: CPU writes 0.1381/1.1537 s, FPGA writes 0.1533/2.4876 s (sequential/random)",
-	}
+	return []string{fmt.Sprintf("derived penalties: sequential %.2fx, random %.2fx", res.SeqPenalty, res.RandPenalty)}
 }
 
-// CSV has one record per (writer, pattern) cell.
+// CSV has one record per (writer, pattern) cell, beside the paper's.
 func (res *Table1Result) CSV() [][]string {
-	rows := [][]string{{"last_writer", "pattern", "seconds"}}
+	rows := [][]string{{"last_writer", "pattern", "seconds", "paper_seconds"}}
 	for _, r := range res.Rows {
-		pattern := "sequential"
+		writer, pattern := r.LastWriter.String(), "sequential"
 		if r.Random {
 			pattern = "random"
 		}
-		rows = append(rows, []string{r.LastWriter.String(), pattern, f(r.Seconds)})
+		rows = append(rows, []string{writer, pattern, f(r.Seconds), f(paper("Table 1", writer+" "+pattern))})
 	}
 	return rows
 }

