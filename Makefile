@@ -24,9 +24,10 @@
 # takes about 20 s), so a hang fails fast instead of holding the run for
 # go test's default ten. The race target covers every package. Its longest
 # are fpgapart/experiments (each paper experiment executes once per test
-# binary, and TestPaperClaims runs Figure 9's bars at 8 Mi tuples: 135 s
+# binary, and TestPaperClaims runs Figure 9's bars at 8 Mi tuples: 135–160 s
 # under -race on a 2-core box, 8–10 s without) and fpgapart/internal/core
-# (64 s under -race, 5–6 s without).
+# (TestFigure9OperatingPoints and TestRawFPGAThroughput drive the circuit at
+# 8 Mi tuples: 133 s under -race, 5–6 s without).
 
 GO ?= go
 

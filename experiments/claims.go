@@ -55,9 +55,9 @@ func Claims() []Claim {
 	}
 }
 
-// paper returns the paper's value for a series of an exhibit; it panics on
-// one the table lacks.
-func paper(exhibit, series string) float64 {
+// ClaimOf returns the claim for a series of an exhibit; it panics on one the
+// table lacks.
+func ClaimOf(exhibit, series string) Claim {
 	claims := Claims()
-	return claims[slices.IndexFunc(claims, func(c Claim) bool { return c.Exhibit == exhibit && c.Series == series })].Paper
+	return claims[slices.IndexFunc(claims, func(c Claim) bool { return c.Exhibit == exhibit && c.Series == series })]
 }

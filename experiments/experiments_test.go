@@ -120,10 +120,14 @@ func ours(t *testing.T, exhibit string) map[string]float64 {
 	return m
 }
 
-// TestPaperClaims holds each gated row of the claims table to what its
-// experiment's Run returns, and logs every row beside the paper's value.
-func TestPaperClaims(t *testing.T) {
+// checkClaims holds each gated row of the claims table whose exhibit is
+// exhibit ("" for every row) to what its experiment's Run returns, and logs
+// every such row beside the paper's value.
+func checkClaims(t *testing.T, exhibit string) {
 	for _, c := range Claims() {
+		if exhibit != "" && c.Exhibit != exhibit {
+			continue
+		}
 		t.Run(c.Exhibit+"/"+c.Series, func(t *testing.T) {
 			got, ok := ours(t, c.Exhibit)[c.Series]
 			if !ok {
@@ -135,10 +139,25 @@ func TestPaperClaims(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPaperClaims is the whole claims table, the one view of every paper
+// number beside ours.
+func TestPaperClaims(t *testing.T) { checkClaims(t, "") }
+
+func TestTable1MatchesPaper(t *testing.T) {
+	checkClaims(t, "Table 1")
 	// Not a paper number: the random-read penalty hybrid probes pay.
 	if p := result[*Table1Result](t, "table1").RandPenalty; p < 2 || p > 2.3 {
 		t.Errorf("RandPenalty = %v", p)
 	}
+}
+
+func TestTable2RowsMatchPaper(t *testing.T) {
+	if n := len(result[*Table2Result](t, "table2").Rows); n != 4 {
+		t.Fatalf("%d rows", n)
+	}
+	checkClaims(t, "Table 2")
 }
 
 func TestFindExperiment(t *testing.T) {

@@ -116,7 +116,7 @@ func (res *Figure9Result) Notes() []string {
 func (res *Figure9Result) CSV() [][]string {
 	rows := [][]string{{"configuration", "mtuples_per_s", "model", "paper", "reference"}}
 	for _, b := range res.Bars {
-		rows = append(rows, []string{b.Name, f(b.MTuplesPerS), f(b.Model), f(paper("Figure 9", b.Name)), strconv.FormatBool(b.Reference)})
+		rows = append(rows, []string{b.Name, f(b.MTuplesPerS), f(b.Model), f(ClaimOf("Figure 9", b.Name).Paper), strconv.FormatBool(b.Reference)})
 	}
 	return rows
 }

@@ -41,7 +41,7 @@ func (res *ModelValidationResult) CSV() [][]string {
 	rows := [][]string{{"mode", "ratio", "bandwidth_gbps", "predicted_tuples_per_s", "paper_tuples_per_s"}}
 	for _, v := range res.Rows {
 		r := v.ReadWriteRatio
-		rows = append(rows, []string{v.Mode, f(r), f(v.Bandwidth.AtRatio(r)), f(v.TotalRate()), f(paper("Section 4.8", v.Mode) * 1e6)})
+		rows = append(rows, []string{v.Mode, f(r), f(v.Bandwidth.AtRatio(r)), f(v.TotalRate()), f(ClaimOf("Section 4.8", v.Mode).Paper * 1e6)})
 	}
 	return rows
 }

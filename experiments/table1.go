@@ -59,7 +59,7 @@ func (res *Table1Result) CSV() [][]string {
 		if r.Random {
 			pattern = "random"
 		}
-		rows = append(rows, []string{writer, pattern, f(r.Seconds), f(paper("Table 1", writer+" "+pattern))})
+		rows = append(rows, []string{writer, pattern, f(r.Seconds), f(ClaimOf("Table 1", writer+" "+pattern).Paper)})
 	}
 	return rows
 }

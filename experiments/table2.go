@@ -34,7 +34,7 @@ func (res *Table2Result) CSV() [][]string {
 	for _, r := range res.Rows {
 		w := fmt.Sprint(r.TupleWidth, " B ")
 		rows = append(rows, []string{strconv.Itoa(r.TupleWidth), f(r.LogicPct), f(r.BRAMPct), f(r.DSPPct), strconv.Itoa(r.ALMs),
-			strconv.Itoa(r.M20Ks), strconv.Itoa(r.DSPBlocks), f(paper("Table 2", w+"logic")), f(paper("Table 2", w+"BRAM")), f(paper("Table 2", w+"DSP"))})
+			strconv.Itoa(r.M20Ks), strconv.Itoa(r.DSPBlocks), f(ClaimOf("Table 2", w+"logic").Paper), f(ClaimOf("Table 2", w+"BRAM").Paper), f(ClaimOf("Table 2", w+"DSP").Paper)})
 	}
 	return rows
 }
