@@ -27,7 +27,9 @@
 # binary, and TestPaperClaims runs Figure 9's bars at 8 Mi tuples: 135–160 s
 # under -race on a 2-core box, 8–10 s without) and fpgapart/internal/core
 # (TestFigure9OperatingPoints and TestRawFPGAThroughput drive the circuit at
-# 8 Mi tuples: 133 s under -race, 5–6 s without).
+# 8 Mi tuples, and TestFigure10PartitioningFlat adds one more run: 105 s
+# under -race alone, 98 s without that test, 143 s beside the other packages
+# in make race, 5–8 s without -race).
 
 GO ?= go
 

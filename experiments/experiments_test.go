@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -109,41 +113,149 @@ func ours(t *testing.T, exhibit string) map[string]float64 {
 			m[w+"logic"], m[w+"BRAM"], m[w+"DSP"] = r.LogicPct, r.BRAMPct, r.DSPPct
 		}
 	case "Section 4.8":
-		for _, r := range result[*ModelValidationResult](t, "model").Rows {
+		rows := result[*ModelValidationResult](t, "model").Rows
+		for _, r := range rows {
 			m[r.Mode] = r.TotalRate() / 1e6
 		}
+		m["B_FPGA"] = rows[0].CircuitRate() / 1e6
 	case "Figure 9":
 		for _, b := range result[*Figure9Result](t, "fig9@8Mi").Bars {
 			m[b.Name] = b.MTuplesPerS
+		}
+	case "Figure 12":
+		// What hashing saves of radix's build+probe at the most threads.
+		res := result[*Figure12Result](t, "fig12")
+		for _, id := range []workload.WorkloadID{workload.WorkloadD, workload.WorkloadE} {
+			sec := map[string]float64{}
+			for _, p := range res.Results[id] {
+				if p.Threads == tiny().MaxThreads {
+					sec[p.System] = p.BuildProbeSec
+				}
+			}
+			m[string(id)+" build+probe gain"] = 100 * (1 - sec["cpu-hash"]/sec["cpu-radix"])
+		}
+	case "Section 5.4":
+		// The largest Zipf factor at which most runs survive the padding.
+		runs, overflows := map[float64]int{}, map[float64]int{}
+		for _, p := range result[*SkewDetectResult](t, "skewdetect").Points {
+			runs[p.ZipfFactor]++
+			if p.Overflowed {
+				overflows[p.ZipfFactor]++
+			}
+		}
+		for zipf, n := range runs {
+			if 2*overflows[zipf] < n {
+				m["PAD overflow threshold"] = max(m["PAD overflow threshold"], zipf)
+			}
 		}
 	}
 	return m
 }
 
 // checkClaims holds each gated row of the claims table whose exhibit is
-// exhibit ("" for every row) to what its experiment's Run returns, and logs
-// every such row beside the paper's value.
-func checkClaims(t *testing.T, exhibit string) {
+// exhibit ("" for every row) to what its experiment's Run returns, logs
+// every such row beside the paper's value, and returns ours for each row it
+// got a value for.
+func checkClaims(t *testing.T, exhibit string) map[Claim]float64 {
+	got := map[Claim]float64{}
 	for _, c := range Claims() {
 		if exhibit != "" && c.Exhibit != exhibit {
 			continue
 		}
 		t.Run(c.Exhibit+"/"+c.Series, func(t *testing.T) {
-			got, ok := ours(t, c.Exhibit)[c.Series]
+			v, ok := ours(t, c.Exhibit)[c.Series]
 			if !ok {
 				t.Fatalf("%s reports no %q", c.Exhibit, c.Series)
 			}
-			t.Logf("%s %s: ours %.6g, paper %.6g, Δ %+.1f%%", c.Exhibit, c.Series, got, c.Paper, 100*(got-c.Paper)/c.Paper)
-			if c.Lo != c.Hi && (got < c.Lo || got > c.Hi) {
-				t.Errorf("%.6g is outside [%.6g, %.6g]: %s", got, c.Lo, c.Hi, c.Why)
+			got[c] = v
+			t.Logf("%s %s: ours %.6g, paper %.6g, Δ %+.1f%%", c.Exhibit, c.Series, v, c.Paper, 100*(v-c.Paper)/c.Paper)
+			if c.Lo != c.Hi && (v < c.Lo || v > c.Hi) {
+				t.Errorf("%.6g is outside [%.6g, %.6g]: %s", v, c.Lo, c.Hi, c.Why)
 			}
 		})
 	}
+	return got
 }
 
 // TestPaperClaims is the whole claims table, the one view of every paper
-// number beside ours.
-func TestPaperClaims(t *testing.T) { checkClaims(t, "") }
+// number beside ours. EXPERIMENTS.md shows each exhibit's rows as the block
+// renderClaims makes of them, between "<!-- claims: <exhibit> -->" and
+// "<!-- end claims -->"; a block that differs fails, and leaves the rendered
+// document in testdata/golden/EXPERIMENTS.got.md. -update rewrites the
+// blocks in EXPERIMENTS.md.
+func TestPaperClaims(t *testing.T) {
+	got := checkClaims(t, "")
+	path := filepath.Join("..", "EXPERIMENTS.md")
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(committed)
+	var exhibits []string
+	for _, c := range Claims() {
+		if !slices.Contains(exhibits, c.Exhibit) {
+			exhibits = append(exhibits, c.Exhibit)
+		}
+	}
+	for _, exhibit := range exhibits {
+		t.Run("EXPERIMENTS.md/"+exhibit, func(t *testing.T) {
+			block, ok := renderClaims(exhibit, got)
+			if !ok {
+				t.Skip("a gated row of the exhibit was not run")
+			}
+			begin := "<!-- claims: " + exhibit + " -->\n"
+			from := strings.Index(doc, begin)
+			to := strings.Index(doc[max(from, 0):], "<!-- end claims -->")
+			if from < 0 || to < 0 {
+				t.Fatalf("EXPERIMENTS.md has no block between %q and \"<!-- end claims -->\"", begin)
+			}
+			from, to = from+len(begin), from+to
+			if doc[from:to] != block {
+				if !*update {
+					t.Errorf("EXPERIMENTS.md's %s block differs from its rendering (`go test ./experiments -run TestPaperClaims -update` rewrites it):\n%s", exhibit, block)
+				}
+				doc = doc[:from] + block + doc[to:]
+			}
+		})
+	}
+	switch {
+	case doc == string(committed):
+	case *update:
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		if err := os.WriteFile(filepath.Join("testdata", "golden", "EXPERIMENTS.got.md"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// renderClaims renders exhibit's rows of the claims table as a Markdown
+// table: the series, the paper's value, ours and the interval ours is held
+// to. A reported row reads "reported" for its interval and "—" for ours,
+// which is quoted, host-measured or bound to the test's relation sizes, so
+// the block stays deterministic. It returns false when a gated row has no
+// value of ours, because its run was skipped.
+func renderClaims(exhibit string, ours map[Claim]float64) (string, bool) {
+	var b strings.Builder
+	b.WriteString("| series | paper | ours | interval |\n|---|---|---|---|\n")
+	for _, c := range Claims() {
+		if c.Exhibit != exhibit {
+			continue
+		}
+		got, interval := "—", "reported"
+		if c.Lo != c.Hi {
+			v, ok := ours[c]
+			if !ok {
+				return "", false
+			}
+			got, interval = fmt.Sprintf("%.6g", v), fmt.Sprintf("[%.7g, %.7g]", c.Lo, c.Hi)
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", c.Series, strconv.FormatFloat(c.Paper, 'f', -1, 64), got, interval)
+	}
+	return b.String(), true
+}
 
 func TestTable1MatchesPaper(t *testing.T) {
 	checkClaims(t, "Table 1")
@@ -266,7 +378,7 @@ func TestFigure8ShapeHolds(t *testing.T) {
 			t.Error("tuples/s should fall with width")
 		}
 	}
-	// Model tracks simulation within 25% even at tiny scale.
+	// Model tracks simulation within 20% even at tiny scale.
 	for _, p := range res.Points {
 		if p.ModelMTuplesPerS <= 0 {
 			t.Errorf("missing model prediction at %dB", p.TupleWidth)
@@ -284,16 +396,17 @@ func TestModelValidationTable(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
-	if rate := res.Rows[0].CircuitRate(); math.Abs(rate-1.6e9) > 1e6 {
-		t.Errorf("circuit rate %v", rate)
+	c := ClaimOf("Section 4.8", "B_FPGA")
+	if rate := res.Rows[0].CircuitRate() / 1e6; rate < c.Lo || rate > c.Hi {
+		t.Errorf("circuit rate %v Mtuples/s, outside [%v, %v]", rate, c.Lo, c.Hi)
 	}
 }
 
 func TestFigure10ConsistentAcrossFanOuts(t *testing.T) {
 	res := result[*Figure10Result](t, "fig10")
 	// At test scale the fixed flush cost dominates the FPGA time, so the
-	// paper's flatness claim is asserted at real scale in core's tests and
-	// recorded in EXPERIMENTS.md; here the invariants are correctness ones:
+	// paper's flatness claim is asserted at 8 Mi tuples by
+	// core.TestFigure10PartitioningFlat; here the invariants are correctness ones:
 	// identical match counts and positive phase times for every fan-out.
 	var matches []int64
 	for _, p := range res.Points {

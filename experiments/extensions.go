@@ -84,7 +84,7 @@ func (res *SkewDetectResult) Notes() []string {
 		out = append(out, fmt.Sprintf("zipf %g: %d/%d runs overflowed", zipf, overflows, runs))
 	}
 	return append(out,
-		"paper: PAD fails beyond ~0.25 for realistic padding; detection point is",
+		"paper: PAD fails beyond a mild Zipf factor for realistic padding; detection point is",
 		"random — in the worst case at the very end of the run")
 }
 
@@ -144,7 +144,7 @@ func RunFuture(cfg Config) (*FutureResult, error) {
 func (res *FutureResult) Notes() []string {
 	return []string{
 		fmt.Sprintf("%d tuples", res.Tuples),
-		"paper: with ≥25.6 GB/s the circuit term dominates at 1.6 Gtuples/s;",
+		"paper: with ≥25.6 GB/s the circuit term (Section 4.8's B_FPGA) dominates;",
 		"hardened next to the CPU it would clock past that",
 	}
 }

@@ -23,7 +23,7 @@ func TestSkewDetectOverflowsBeyondThreshold(t *testing.T) {
 	// Mild skew survives in the (large) majority of runs — at reduced scale
 	// the 15% padding is within a few sigma of the partition-size tail, so
 	// an occasional seed may still trip it — while strong skew always
-	// overflows (Section 5.4's threshold is ~0.25 for realistic padding).
+	// overflows (Section 5.4's threshold is a row of the claims table).
 	if e := byFactor[0.1]; e.overflows > e.total/2 {
 		t.Errorf("zipf 0.1 overflowed %d/%d times", e.overflows, e.total)
 	}

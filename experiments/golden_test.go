@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden and EXPERIMENTS.md's claims blocks")
 
 // deterministic lists the experiments whose CSV at tiny() is a pure function
 // of the configuration: simulated cycles, the platform and cost models, key

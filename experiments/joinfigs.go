@@ -250,7 +250,7 @@ func RunFigure12(cfg Config) (*Figure12Result, error) {
 
 func (res *Figure12Result) Notes() []string {
 	return append(res.sizes(),
-		"paper shape: hash partitioning speeds build+probe on grid keys (D: ~11%, E: ~35%)",
+		"paper shape: hash partitioning speeds build+probe on grid keys (D and E)",
 		"but costs CPU partitioning time at low thread counts; free on the FPGA")
 }
 
@@ -261,8 +261,8 @@ type Figure13Result struct {
 }
 
 // RunFigure13 skews relation S with Zipf factors 0.25–1.75 and joins with
-// the CPU and the hybrid join in HIST/RID mode (PAD would overflow beyond
-// factor 0.25, Section 5.4).
+// the CPU and the hybrid join in HIST/RID mode (PAD would overflow past
+// Section 5.4's threshold, a row of the claims table).
 func RunFigure13(cfg Config) (*Figure13Result, error) {
 	cfg = cfg.WithDefaults()
 	spec, err := workload.Spec(workload.WorkloadA)
