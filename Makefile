@@ -95,7 +95,8 @@ bench-gate:
 
 # loc counts the lines of the committed non-test .go files, testdata/
 # fixtures aside. The total leaves benchmark/ out; its own line, printed
-# after the total, is what ROADMAP item 5 counts.
+# after the total, is what ROADMAP item 5 counts. The last line is
+# DESIGN.md's length, which lint.TestDesignIsLegible caps.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' | xargs awk ' \
 		FNR == 1 { n = split(FILENAME, p, "/"); d = n > 2 && p[1] == "internal" ? p[1] "/" p[2] : n > 1 ? p[1] : "." } \
@@ -105,6 +106,7 @@ loc:
 			close("sort -k2"); \
 			printf "%6d total, benchmark/ aside\n%6d benchmark\n", total, lines["benchmark"] \
 		}'
+	@wc -l < DESIGN.md | awk '{ printf "%6d DESIGN.md\n", $$1 }'
 
 # trace-demo exercises the causal-tracing stack end to end on a faulty
 # sharded run and a faulty standalone scheduler run: each prints the

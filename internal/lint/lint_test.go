@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -1003,30 +1004,15 @@ func TestFieldsHaveProductionReaders(t *testing.T) {
 // file of the module, so renaming or deleting a test cannot leave a stale
 // citation behind.
 func TestDesignCitesDeclaredTests(t *testing.T) {
-	root := filepath.Join("..", "..")
-	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	design := readRepoFile(t, "DESIGN.md")
 	declared := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && d.Name() == ".git":
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
-			return nil
+	for _, name := range repoGoFiles(t) {
+		if strings.HasSuffix(name, "_test.go") {
+			for _, m := range decl.FindAllSubmatch(readRepoFile(t, name), -1) {
+				declared[string(m[1])] = true
+			}
 		}
-		src, err := os.ReadFile(path)
-		for _, m := range decl.FindAllSubmatch(src, -1) {
-			declared[string(m[1])] = true
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`).FindAllIndex(design, -1)
 	for _, at := range cited {
@@ -1037,6 +1023,274 @@ func TestDesignCitesDeclaredTests(t *testing.T) {
 	if len(cited) < 100 || len(declared) < 400 {
 		t.Fatalf("found %d citations and %d declared tests; the scan is broken", len(cited), len(declared))
 	}
+}
+
+// designMaxLines and designMaxSection11Lines cap DESIGN.md, which every
+// change starts by reading: the document says what each mechanism is, what
+// pins it and its numbers, and the measurement history of a change lives in
+// that change's CHANGES.md entry.
+const (
+	designMaxLines          = 1300
+	designMaxSection11Lines = 250
+)
+
+// TestDesignIsLegible holds DESIGN.md to its caps and to the code as it is:
+// at most designMaxLines lines, §11 at most designMaxSection11Lines, and no
+// pull-request number, since history belongs in CHANGES.md.
+func TestDesignIsLegible(t *testing.T) {
+	design := readRepoFile(t, "DESIGN.md")
+	if n := bytes.Count(design, []byte("\n")); n > designMaxLines {
+		t.Errorf("DESIGN.md is %d lines, over %d: move measurement history to CHANGES.md", n, designMaxLines)
+	}
+	sections := designSections(design)
+	if _, ok := sections["11"]; !ok {
+		t.Fatal("DESIGN.md has no ## 11. section")
+	}
+	if n := strings.Count(sections["11"].text, "\n"); n > designMaxSection11Lines {
+		t.Errorf("DESIGN.md §11 is %d lines, over %d", n, designMaxSection11Lines)
+	}
+	for i, line := range strings.Split(string(design), "\n") {
+		for _, m := range changeNumber.FindAllString(line, -1) {
+			t.Errorf("DESIGN.md:%d names %q: a change's history belongs in CHANGES.md", i+1, m)
+		}
+	}
+}
+
+// changeNumber matches a pull-request number: "PR" or "PRs", then digits.
+var changeNumber = regexp.MustCompile(`\bPRs? ?#?[0-9]+`)
+
+// designCitationFiles are the files whose "DESIGN §N" citations
+// TestDesignCitationsResolve checks, beside every .go file; CHANGES.md is
+// history and may cite sections that have since moved.
+var designCitationFiles = []string{
+	"README.md", "EXPERIMENTS.md", "ROADMAP.md", "Makefile",
+	".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+}
+
+var (
+	// designCitation matches "DESIGN §N" and "DESIGN.md §N".
+	designCitation = regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+)`)
+	// titledCitation matches a section number followed by a quoted title:
+	// `§14, "An option has a production setter"`, `§11 "Host cost of a job"`
+	// or `§11 ("Continuous benchmarking")`. The paper's sections are cited
+	// by number alone, so a quoted title always names a DESIGN subsection.
+	titledCitation = regexp.MustCompile(`§([0-9]+)(?:,? \(?| \()"([^"]+)"`)
+)
+
+// TestDesignCitationsResolve holds every citation of DESIGN.md outside it
+// to the document: "DESIGN §N" names an existing "## N." heading, and a
+// quoted title after §N names that heading, a ### heading or a bold
+// paragraph lead inside section N (a prefix of it, whitespace collapsed), so
+// a restructure of DESIGN.md cannot leave a citation pointing nowhere.
+func TestDesignCitationsResolve(t *testing.T) {
+	sections := designSections(readRepoFile(t, "DESIGN.md"))
+	var cited, titled int
+	for _, name := range append(repoGoFiles(t), designCitationFiles...) {
+		text, lineAt := joinLines(readRepoFile(t, name))
+		for _, m := range designCitation.FindAllStringSubmatchIndex(text, -1) {
+			cited++
+			if _, ok := sections[text[m[2]:m[3]]]; !ok {
+				t.Errorf("%s:%d cites %q, but DESIGN.md has no ## %s. section", name, lineAt(m[0]), text[m[0]:m[1]], text[m[2]:m[3]])
+			}
+		}
+		for _, m := range titledCitation.FindAllStringSubmatchIndex(text, -1) {
+			titled++
+			num, title := text[m[2]:m[3]], text[m[4]:m[5]]
+			s, ok := sections[num]
+			if !ok {
+				t.Errorf("%s:%d cites §%s %q, but DESIGN.md has no ## %s. section", name, lineAt(m[0]), num, title, num)
+				continue
+			}
+			if !s.hasTitle(title) {
+				t.Errorf("%s:%d cites §%s %q, which is no heading or bold paragraph lead of DESIGN.md §%s", name, lineAt(m[0]), num, title, num)
+			}
+		}
+	}
+	t.Logf("%d DESIGN citations, %d with a title", cited, titled)
+	if cited < 20 || titled < 5 {
+		t.Fatalf("found %d DESIGN citations and %d titled ones; the scan is broken", cited, titled)
+	}
+}
+
+// TestDesignModuleMapIsComplete holds DESIGN.md §5's module map to the tree:
+// every directory holding a non-test .go file (testdata aside) appears in
+// the map's code block, nested by its indentation.
+func TestDesignModuleMapIsComplete(t *testing.T) {
+	s, ok := designSections(readRepoFile(t, "DESIGN.md"))["5"]
+	if !ok {
+		t.Fatal("DESIGN.md has no ## 5. section")
+	}
+	_, block, _ := strings.Cut(s.text, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+	mapped := map[string]bool{}
+	entry := regexp.MustCompile(`^( *)([a-z0-9_]+)/(?:\s|$)`)
+	var stack []string
+	for _, line := range strings.Split(block, "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		depth := len(m[1]) / 2
+		if depth > len(stack) {
+			t.Fatalf("DESIGN.md §5: %q is nested deeper than its parent", line)
+		}
+		stack = append(stack[:depth], m[2])
+		if depth > 0 {
+			mapped[strings.Join(stack[1:], "/")] = true
+		}
+	}
+	dirs := map[string]bool{}
+	for _, name := range repoGoFiles(t) {
+		if !strings.HasSuffix(name, "_test.go") && !strings.Contains("/"+name, "/testdata/") {
+			dirs[path.Dir(name)] = true
+		}
+	}
+	var missing []string
+	for dir := range dirs {
+		if !mapped[dir] {
+			missing = append(missing, dir)
+		}
+	}
+	sort.Strings(missing)
+	for _, dir := range missing {
+		t.Errorf("DESIGN.md §5's module map leaves out %s/", dir)
+	}
+	if len(dirs) < 25 {
+		t.Fatalf("found %d package directories; the scan is broken", len(dirs))
+	}
+}
+
+// designSection is one "## N." section of DESIGN.md: its text from the
+// heading line to the next "## " heading, and the titles a citation may
+// name — the heading's, every ### heading's and every bold paragraph lead.
+type designSection struct {
+	text   string
+	titles []string
+}
+
+// hasTitle reports whether title, whitespace collapsed, begins one of the
+// section's titles.
+func (s designSection) hasTitle(title string) bool {
+	title = strings.Join(strings.Fields(title), " ")
+	for _, t := range s.titles {
+		if strings.HasPrefix(t, title) {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	sectionHeading = regexp.MustCompile(`^## ([0-9]+)\. (.*)`)
+	listItem       = regexp.MustCompile(`^(?:- |[0-9]+\. )`)
+	// boldLead matches a paragraph or list item that opens in bold.
+	boldLead = regexp.MustCompile(`^(?:- |[0-9]+\. )?\*\*(.+?)\*\*`)
+)
+
+// designSections splits DESIGN.md into its numbered sections, keyed by
+// number. A bold lead may wrap onto the next line, so leads are matched on
+// each paragraph and list item with its lines joined.
+func designSections(design []byte) map[string]designSection {
+	sections := map[string]designSection{}
+	var num, heading string
+	var cur []string
+	flush := func() {
+		if num == "" {
+			return
+		}
+		s := designSection{text: strings.Join(cur, "\n") + "\n", titles: []string{heading}}
+		var block []string
+		end := func() {
+			if m := boldLead.FindStringSubmatch(strings.Join(block, " ")); m != nil {
+				s.titles = append(s.titles, strings.Join(strings.Fields(m[1]), " "))
+			}
+			block = nil
+		}
+		for _, line := range cur[1:] {
+			switch {
+			case strings.TrimSpace(line) == "":
+				end()
+			case strings.HasPrefix(line, "### "):
+				end()
+				s.titles = append(s.titles, strings.TrimPrefix(line, "### "))
+			case listItem.MatchString(line):
+				end()
+				block = append(block, line)
+			default:
+				block = append(block, strings.TrimSpace(line))
+			}
+		}
+		end()
+		sections[num] = s
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(design), "\n"), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			flush()
+			num, cur = "", nil
+			if m := sectionHeading.FindStringSubmatch(line); m != nil {
+				num, heading = m[1], m[2]
+			}
+		}
+		if num != "" {
+			cur = append(cur, line)
+		}
+	}
+	flush()
+	return sections
+}
+
+// lineLead is a line's indentation and leading comment marker.
+var lineLead = regexp.MustCompile(`^\s*(?://+|#+)?\s*`)
+
+// joinLines joins src's lines with single spaces, dropping each line's
+// lineLead, so a citation that wraps reads as one; lineAt maps an offset of
+// the joined text back to its 1-based line.
+func joinLines(src []byte) (text string, lineAt func(int) int) {
+	var b strings.Builder
+	var starts []int
+	for _, line := range strings.Split(string(src), "\n") {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		starts = append(starts, b.Len())
+		b.WriteString(strings.TrimRight(lineLead.ReplaceAllString(line, ""), " \t"))
+	}
+	return b.String(), func(off int) int { return sort.SearchInts(starts, off+1) }
+}
+
+// repoGoFiles returns the slash-separated path, from the repository root,
+// of every .go file outside .git.
+func repoGoFiles(t *testing.T) []string {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	var files []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go"):
+			return nil
+		}
+		rel, err := filepath.Rel(root, p)
+		files = append(files, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// readRepoFile reads a file of the repository by its path from the root.
+func readRepoFile(t *testing.T, name string) []byte {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", filepath.FromSlash(name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 // TestExperimentsQuotesEveryClaim holds EXPERIMENTS.md to the claims table:
